@@ -24,8 +24,8 @@ pub mod sgemm;
 
 use tmac_core::ExecCtx;
 use tmac_quant::formats::{
-    pack_row_q1_0, pack_row_q2_0, pack_row_q3s, pack_row_q4_0, quantize_q8_0, BlockQ1_0, BlockQ2_0,
-    BlockQ3S, BlockQ4_0, QK,
+    pack_q1_0, pack_q2_0, pack_q3s, pack_q4_0, quantize_q8_0, BlockQ1_0, BlockQ2_0, BlockQ3S,
+    BlockQ4_0, QK,
 };
 use tmac_quant::{QuantError, QuantizedMatrix};
 
@@ -71,34 +71,10 @@ impl DequantLinear {
         qm.validate()?;
         let blocks_per_row = qm.cols / QK;
         let packed = match qm.bits {
-            1 => {
-                let mut v = Vec::with_capacity(qm.rows * blocks_per_row);
-                for r in 0..qm.rows {
-                    v.extend(pack_row_q1_0(qm, r)?);
-                }
-                PackedRows::Q1(v)
-            }
-            2 => {
-                let mut v = Vec::with_capacity(qm.rows * blocks_per_row);
-                for r in 0..qm.rows {
-                    v.extend(pack_row_q2_0(qm, r)?);
-                }
-                PackedRows::Q2(v)
-            }
-            3 => {
-                let mut v = Vec::with_capacity(qm.rows * blocks_per_row);
-                for r in 0..qm.rows {
-                    v.extend(pack_row_q3s(qm, r)?);
-                }
-                PackedRows::Q3(v)
-            }
-            4 => {
-                let mut v = Vec::with_capacity(qm.rows * blocks_per_row);
-                for r in 0..qm.rows {
-                    v.extend(pack_row_q4_0(qm, r)?);
-                }
-                PackedRows::Q4(v)
-            }
+            1 => PackedRows::Q1(pack_q1_0(qm)?),
+            2 => PackedRows::Q2(pack_q2_0(qm)?),
+            3 => PackedRows::Q3(pack_q3s(qm)?),
+            4 => PackedRows::Q4(pack_q4_0(qm)?),
             b => return Err(QuantError::UnsupportedBits(b)),
         };
         Ok(DequantLinear {
@@ -275,6 +251,41 @@ mod tests {
     fn rejects_group_size_other_than_32() {
         let w: Vec<f32> = (0..64 * 64).map(|i| i as f32 * 0.01).collect();
         let qm = rtn::quantize(&w, 64, 64, 4, 64).unwrap();
+        assert!(DequantLinear::new(&qm).is_err());
+    }
+
+    #[test]
+    fn new_packs_like_the_per_row_packers_and_keeps_their_checks() {
+        use tmac_quant::formats::{pack_row_q1_0, pack_row_q2_0, pack_row_q3s, pack_row_q4_0};
+        // Whole-matrix packing (one validation) == per-row packing (one
+        // validation per row), block for block.
+        fn rows<B>(qm: &QuantizedMatrix, row: impl Fn(usize) -> Vec<B>) -> Vec<B> {
+            (0..qm.rows).flat_map(row).collect()
+        }
+        for bits in 1..=4u8 {
+            let (qm, _) = setup(5, 96, bits);
+            match DequantLinear::new(&qm).unwrap().packed {
+                PackedRows::Q1(v) => assert_eq!(v, rows(&qm, |r| pack_row_q1_0(&qm, r).unwrap())),
+                PackedRows::Q2(v) => assert_eq!(v, rows(&qm, |r| pack_row_q2_0(&qm, r).unwrap())),
+                PackedRows::Q3(v) => assert_eq!(v, rows(&qm, |r| pack_row_q3s(&qm, r).unwrap())),
+                PackedRows::Q4(v) => assert_eq!(v, rows(&qm, |r| pack_row_q4_0(&qm, r).unwrap())),
+            }
+        }
+        // An out-of-range code in the *last* row is still caught.
+        let (mut qm, _) = setup(5, 96, 2);
+        *qm.codes.last_mut().unwrap() = 4;
+        assert!(DequantLinear::new(&qm).is_err());
+        // A `bits` the codes do not fit, and one no format exists for.
+        let (mut qm, _) = setup(5, 96, 4);
+        assert!(qm.codes.iter().any(|&c| c >= 4));
+        qm.bits = 2;
+        assert!(DequantLinear::new(&qm).is_err());
+        qm.bits = 5;
+        assert!(DequantLinear::new(&qm).is_err());
+        // A group size the 32-wide blocks cannot hold.
+        let (mut qm, _) = setup(5, 96, 4);
+        qm.group_size = 96;
+        qm.scales.truncate(5);
         assert!(DequantLinear::new(&qm).is_err());
     }
 

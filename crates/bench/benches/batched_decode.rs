@@ -10,8 +10,7 @@
 //! batching cannot amortize (measured ~1.1–1.25x at B=16 on the 1-core dev
 //! hosts; see DESIGN.md §3).
 //!
-//! The measurement loops live in `tmac_eval::serving` and are shared with
-//! the `serve_batch` eval binary so the two report comparable numbers.
+//! The measurement loops live in `tmac_eval::serving`.
 //!
 //! Environment:
 //! * `TMAC_BENCH_QUICK=1` — smaller model and fewer tokens (CI smoke mode).

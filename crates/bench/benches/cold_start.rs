@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 use tmac_core::{ExecCtx, KernelOpts};
-use tmac_llm::{BackendKind, KvCache, LoadMode, Model, ModelConfig, Scratch, WeightQuant};
+use tmac_llm::{BackendKind, BatchScratch, KvCache, LoadMode, Model, ModelConfig, WeightQuant};
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v != "0" && !v.is_empty())
@@ -83,9 +83,9 @@ fn main() {
     let loaded = loaded.expect("at least one load");
     let logits = |m: &Model| -> Vec<f32> {
         let mut cache = KvCache::new(&m.cfg);
-        let mut s = Scratch::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
         m.forward(1, 0, &mut cache, &mut s, &ctx).expect("forward");
-        s.logits.clone()
+        s.logits_row(0).to_vec()
     };
     assert_eq!(
         logits(&model),

@@ -173,7 +173,7 @@ pub fn effective_kg_panel(k: usize, opts: &KernelOpts) -> usize {
 /// stream over it — as long as it fits L1. A configuration whose panel
 /// working set exceeds [`L1_BYTES`] re-streams the slice from L2 on *every
 /// m-tile*, multiplying table traffic by the tile count; this is the cliff
-/// `kg_panel` auto-sizing (and the tuner) exists to stay below.
+/// `kg_panel` auto-sizing exists to stay below.
 pub fn tmac_gemm_cost(
     m: usize,
     k: usize,

@@ -51,7 +51,6 @@ pub mod kernel;
 pub mod opts;
 pub mod plan;
 pub mod table;
-pub mod tune;
 
 pub use exec::{ExecCtx, TableCacheStats, TableProfile};
 pub use opts::{KernelOpts, L1_TABLE_BUDGET, LUT_GROUP, TILE_M};

@@ -121,7 +121,7 @@ impl KernelOpts {
     }
 
     /// `+Tuning` is represented by replacing `tile_k`/`n_block` with tuned
-    /// values; see `tmac_core::tune`. The flag set is `plus_permute`.
+    /// values. The flag set is `plus_permute`.
     pub fn plus_tuning(tile_k: usize, n_block: usize) -> Self {
         KernelOpts {
             tile_k,

@@ -1,6 +1,5 @@
-//! Long-context attention measurement: shared by the `attention` bench, the
-//! `batched_decode` CI gate and `optprobe`'s `attn` probe, so all three
-//! report comparable numbers.
+//! Long-context attention measurement: shared by the `attention` bench and
+//! the `batched_decode` CI gate, so both report comparable numbers.
 //!
 //! Two measurements exist:
 //!
@@ -16,7 +15,7 @@
 use crate::time_best;
 use tmac_core::ExecCtx;
 use tmac_llm::attention::{attend, AttnScratch};
-use tmac_llm::{KvCache, KvPrecision, Model, ModelConfig, Scratch};
+use tmac_llm::{BatchScratch, KvCache, KvPrecision, Model, ModelConfig};
 use tmac_rng::Rng;
 
 /// The shared attention-bench geometry: full mode is a 1-layer Llama-2-7B
@@ -132,7 +131,7 @@ pub fn decode_at_seq_tok_s(model: &Model, seq: usize, n_tokens: usize, ctx: &Exe
     assert!(n_tokens > 0, "decode_at_seq: need tokens");
     let mut cache = KvCache::new(cfg);
     fill_cache(&mut cache, cfg, seq, 99);
-    let mut scratch = Scratch::new(cfg);
+    let mut scratch = BatchScratch::new(cfg, 1);
     // Warm-up forward at the measured depth (also faults in table caches).
     model
         .forward(1, seq, &mut cache, &mut scratch, ctx)
@@ -143,7 +142,7 @@ pub fn decode_at_seq_tok_s(model: &Model, seq: usize, n_tokens: usize, ctx: &Exe
         model
             .forward(token, seq + i, &mut cache, &mut scratch, ctx)
             .expect("decode forward");
-        token = (tmac_llm::ops::argmax(&scratch.logits) as u32) % cfg.vocab as u32;
+        token = (tmac_llm::ops::argmax(scratch.logits_row(0)) as u32) % cfg.vocab as u32;
     }
     n_tokens as f64 / t0.elapsed().as_secs_f64()
 }

@@ -2,7 +2,7 @@
 //! container — `.tmac` (prepacked, mmap zero-copy at serve time) or
 //! `.gguf` (canonical codes+scales interchange). The offline half of the
 //! paper's Figure 2 pipeline as a standalone tool: every serving binary
-//! (`serve_batch --model`, `edge_chat --model`) then starts from the file
+//! (`tmac_serve --model`, `edge_chat --model`) then starts from the file
 //! instead of re-quantizing at startup.
 //!
 //! Flags:
@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::time::Instant;
 use tmac_core::ExecCtx;
-use tmac_llm::{BackendKind, KvCache, LoadMode, Model, ModelConfig, Scratch, WeightQuant};
+use tmac_llm::{BackendKind, BatchScratch, KvCache, LoadMode, Model, ModelConfig, WeightQuant};
 
 fn main() {
     let model_name = tmac_eval::arg("model", "7b");
@@ -84,12 +84,12 @@ fn main() {
         let load_s = t0.elapsed().as_secs_f64();
         let logits = |m: &Model| -> Vec<f32> {
             let mut cache = KvCache::new(&m.cfg);
-            let mut s = Scratch::new(&m.cfg);
+            let mut s = BatchScratch::new(&m.cfg, 1);
             for pos in 0..3 {
                 m.forward(1 + pos as u32, pos, &mut cache, &mut s, &ctx)
                     .expect("forward");
             }
-            s.logits.clone()
+            s.logits_row(0).to_vec()
         };
         let (a, b) = (logits(&model), logits(&loaded));
         assert_eq!(a, b, "reloaded model must be bit-identical");

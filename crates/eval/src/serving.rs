@@ -1,6 +1,5 @@
 //! Shared serving-throughput measurement: the workload generator and the
-//! sequential/batched timing loops used by both the `batched_decode` bench
-//! and the `serve_batch` eval binary, so their numbers stay comparable.
+//! sequential/batched timing loops used by the `batched_decode` bench.
 
 use std::time::Instant;
 use tmac_core::ExecCtx;

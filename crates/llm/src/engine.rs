@@ -11,29 +11,20 @@
 
 use crate::backend::BackendError;
 use crate::batch::FinishReason;
-use crate::model::{BatchScratch, KvCache, Model, Scratch};
+use crate::model::{BatchScratch, KvCache, Model};
 use crate::ops;
 use crate::sampling::{self, GenRequest, Sampler};
+use std::time::Instant;
 use tmac_core::ExecCtx;
-
-/// *Target* rows per prefill [`Model::forward_batch`] call: long prompts
-/// are split into chunks of about this many positions, bounding
-/// batch-scratch memory (the dominant term is `chunk × vocab` logits)
-/// while keeping the prompt on the mpGEMM path. The chunk a model actually
-/// uses is [`Model::prefill_chunk`] — this target rounded to the backend's
-/// batch blocking (`n_block`), so prefill chunking follows the kernel's
-/// real row blocking instead of a hardcoded 16.
-pub const PREFILL_CHUNK: usize = 16;
 
 /// A model plus its generation state.
 pub struct Engine {
     /// The model.
     pub model: Model,
     cache: KvCache,
-    scratch: Scratch,
-    /// Lazily sized buffers for [`Engine::prefill`] (absent until the first
-    /// prefill; reused across calls).
-    batch_scratch: Option<BatchScratch>,
+    /// Sized for one prefill chunk ([`Model::prefill_chunk`] rows); decode
+    /// steps use row 0.
+    scratch: BatchScratch,
 }
 
 /// The result of one [`Engine::generate`] call.
@@ -84,12 +75,11 @@ impl Engine {
     /// Wraps a model with fresh generation state.
     pub fn new(model: Model) -> Self {
         let cache = KvCache::new(&model.cfg);
-        let scratch = Scratch::new(&model.cfg);
+        let scratch = BatchScratch::new(&model.cfg, model.prefill_chunk());
         Engine {
             model,
             cache,
             scratch,
-            batch_scratch: None,
         }
     }
 
@@ -108,12 +98,12 @@ impl Engine {
         Ok(Engine::new(Model::from_file(path, builder, mode)?))
     }
 
-    /// Clears all per-sequence state: the KV cache and any logits left from
-    /// a previous prefill/step. (Multi-sequence serving state lives in
-    /// [`crate::batch::Scheduler`], whose `reset` clears its sequences.)
+    /// Clears all per-sequence state, i.e. the KV cache (the scratch holds
+    /// nothing a later call reads before overwriting it). Multi-sequence
+    /// serving state lives in [`crate::batch::Scheduler`], whose `reset`
+    /// clears its sequences.
     pub fn reset(&mut self) {
         self.cache.reset();
-        self.scratch.logits.fill(0.0);
     }
 
     /// Runs one decode step and returns a copy of the logits.
@@ -129,7 +119,7 @@ impl Engine {
     ) -> Result<Vec<f32>, BackendError> {
         self.model
             .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
-        Ok(self.scratch.logits.clone())
+        Ok(self.scratch.logits_row(0).to_vec())
     }
 
     /// Prefills `prompt` as batched mpGEMM chunks (every projection runs
@@ -140,8 +130,6 @@ impl Engine {
     ///
     /// Resets the engine first; afterwards the KV cache holds all
     /// `prompt.len()` positions and decoding continues at `prompt.len()`.
-    /// The returned logits are also left in the engine's single-step logits
-    /// buffer (the one [`Engine::step`] fills).
     ///
     /// # Errors
     ///
@@ -159,20 +147,16 @@ impl Engine {
             )));
         }
         self.reset();
-        let chunk = self.model.prefill_chunk().min(prompt.len());
-        if self
-            .batch_scratch
-            .as_ref()
-            .is_none_or(|s| s.capacity() < chunk)
-        {
-            self.batch_scratch = Some(BatchScratch::new(&self.model.cfg, chunk));
-        }
-        let bs = self.batch_scratch.as_mut().expect("just ensured");
-        let last_row = self
-            .model
-            .prefill_chunked(prompt, 0, &mut self.cache, bs, chunk, ctx)?;
-        self.scratch.logits.copy_from_slice(bs.logits_row(last_row));
-        Ok(self.scratch.logits.clone())
+        let chunk = self.scratch.capacity();
+        let last_row = self.model.prefill_chunked(
+            prompt,
+            0,
+            &mut self.cache,
+            &mut self.scratch,
+            chunk,
+            ctx,
+        )?;
+        Ok(self.scratch.logits_row(last_row).to_vec())
     }
 
     /// Single-stream generation: prefills the request's prompt as one
@@ -221,7 +205,7 @@ impl Engine {
             }
             self.model
                 .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
-            token = sampler.sample(&self.scratch.logits);
+            token = sampler.sample(self.scratch.logits_row(0));
             out.tokens.push(token);
         }
         if sampling::hits_stop(&out.tokens, &req.stop) {
@@ -231,7 +215,10 @@ impl Engine {
     }
 
     /// Measures decode throughput: generates `n_tokens` tokens from a fixed
-    /// prompt, timing each forward pass (after one warm-up token).
+    /// prompt, timing each forward pass (after one warm-up token). The
+    /// LM-head projection is timed again on its own after every pass and
+    /// reported as `other_seconds` (embedding copy and final RMSNorm are
+    /// noise beside it); `layer_seconds` is the remainder.
     ///
     /// # Errors
     ///
@@ -242,7 +229,9 @@ impl Engine {
         ctx: &ExecCtx,
     ) -> Result<DecodeStats, BackendError> {
         self.reset();
-        let mut layer_s = 0f64;
+        let dim = self.model.cfg.dim;
+        let mut head_out = vec![0f32; self.model.cfg.vocab];
+        let mut total_s = 0f64;
         let mut other_s = 0f64;
         let mut token = 1u32;
         // Warm-up token (paper: warm-up before measurement).
@@ -253,19 +242,27 @@ impl Engine {
             if pos >= self.model.cfg.seq_max {
                 break;
             }
-            let (l, o) =
-                self.model
-                    .forward_timed(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
-            layer_s += l;
-            other_s += o;
-            token = (ops::argmax(&self.scratch.logits) as u32) % self.model.cfg.vocab as u32;
+            let t0 = Instant::now();
+            self.model
+                .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
+            total_s += t0.elapsed().as_secs_f64();
+
+            // The head alone, on a fresh activation scope like the pass
+            // gives it (so T-MAC rebuilds its table here too).
+            let act = &self.model.embed[token as usize * dim..(token as usize + 1) * dim];
+            let t0 = Instant::now();
+            ctx.next_activation();
+            self.model.head.forward_batch(act, 1, &mut head_out, ctx)?;
+            other_s += t0.elapsed().as_secs_f64();
+
+            token = (ops::argmax(self.scratch.logits_row(0)) as u32) % self.model.cfg.vocab as u32;
         }
         let n = n_tokens
             .min(self.model.cfg.seq_max.saturating_sub(1))
             .max(1);
         Ok(DecodeStats {
-            seconds_per_token: (layer_s + other_s) / n as f64,
-            layer_seconds: layer_s / n as f64,
+            seconds_per_token: total_s / n as f64,
+            layer_seconds: (total_s - other_s) / n as f64,
             other_seconds: other_s / n as f64,
             tokens: n,
         })
@@ -277,6 +274,7 @@ mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use crate::config::{ModelConfig, WeightQuant};
+    use crate::model::PREFILL_CHUNK;
 
     fn engine(kind: BackendKind) -> Engine {
         Engine::new(Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 9).unwrap())
@@ -365,6 +363,20 @@ mod tests {
         assert!(s.layer_seconds > 0.0);
         assert!(s.tokens_per_sec() > 0.0);
         assert!((s.layer_seconds + s.other_seconds - s.seconds_per_token).abs() < 1e-9);
+    }
+
+    #[test]
+    fn measure_decode_splits_the_pass_into_layers_and_head() {
+        // The split comes from two clocks (whole pass, head alone), not from
+        // a timed fork inside the pass: both parts must be positive and add
+        // up to the per-token total.
+        let ctx = ExecCtx::new(1);
+        let mut e = engine(BackendKind::Tmac(tmac_core::KernelOpts::tmac()));
+        let s = e.measure_decode(6, &ctx).unwrap();
+        assert!(s.layer_seconds > 0.0, "layers {}", s.layer_seconds);
+        assert!(s.other_seconds > 0.0, "head {}", s.other_seconds);
+        assert!((s.layer_seconds + s.other_seconds - s.seconds_per_token).abs() < 1e-9);
+        assert_eq!(s.tokens, 6);
     }
 
     #[test]

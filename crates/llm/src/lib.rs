@@ -62,9 +62,9 @@ pub use batch::{
     SubmitRequest,
 };
 pub use config::{KvPrecision, ModelConfig, WeightQuant};
-pub use engine::{DecodeStats, Engine, GenOutput, PREFILL_CHUNK};
+pub use engine::{DecodeStats, Engine, GenOutput};
 pub use io::{LoadMode, ModelIoError};
 pub use kv::{KvCache, KvError, KvStats, PAGE_POSITIONS};
-pub use model::{BatchScratch, Model, Scratch};
+pub use model::{BatchScratch, Model, PREFILL_CHUNK};
 pub use sampling::{GenRequest, Sampler, SamplingParams};
 pub use tmac_core::{ExecCtx, TableCacheStats};

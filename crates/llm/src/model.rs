@@ -15,6 +15,15 @@ use tmac_core::ExecCtx;
 
 pub use crate::kv::KvCache; // the cache moved to `kv`; old import paths keep working
 
+/// *Target* rows per prefill [`Model::forward_batch`] call: long prompts
+/// are split into chunks of about this many positions, bounding
+/// batch-scratch memory (the dominant term is `chunk × vocab` logits)
+/// while keeping the prompt on the mpGEMM path. The chunk a model actually
+/// uses is [`Model::prefill_chunk`] — this target rounded to the backend's
+/// batch blocking (`n_block`), so prefill chunking follows the kernel's
+/// real row blocking instead of a hardcoded 16.
+pub const PREFILL_CHUNK: usize = 16;
+
 /// Per-layer weights.
 #[derive(Debug, Clone)]
 pub struct LayerWeights {
@@ -59,52 +68,8 @@ pub struct Model {
     pub layers: Vec<LayerWeights>,
 }
 
-/// Reusable forward-pass buffers (no allocation per token).
-#[derive(Debug, Clone)]
-pub struct Scratch {
-    x: Vec<f32>,
-    xn: Vec<f32>,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    v: Vec<f32>,
-    att: Vec<f32>,
-    proj: Vec<f32>,
-    gate: Vec<f32>,
-    up: Vec<f32>,
-    hidden: Vec<f32>,
-    ffn: Vec<f32>,
-    attn: AttnScratch,
-    rope_cos: Vec<f32>,
-    rope_sin: Vec<f32>,
-    /// Output logits (`vocab`).
-    pub logits: Vec<f32>,
-}
-
-impl Scratch {
-    /// Allocates scratch for `cfg`.
-    pub fn new(cfg: &ModelConfig) -> Self {
-        Scratch {
-            x: vec![0f32; cfg.dim],
-            xn: vec![0f32; cfg.dim],
-            q: vec![0f32; cfg.dim],
-            k: vec![0f32; cfg.kv_dim()],
-            v: vec![0f32; cfg.kv_dim()],
-            att: vec![0f32; cfg.dim],
-            proj: vec![0f32; cfg.dim],
-            gate: vec![0f32; cfg.ffn_dim],
-            up: vec![0f32; cfg.ffn_dim],
-            hidden: vec![0f32; cfg.ffn_dim],
-            ffn: vec![0f32; cfg.dim],
-            attn: AttnScratch::new(cfg),
-            rope_cos: vec![0f32; cfg.head_dim()],
-            rope_sin: vec![0f32; cfg.head_dim()],
-            logits: vec![0f32; cfg.vocab],
-        }
-    }
-}
-
-/// Reusable buffers for batched forward passes: the row-major `B × feature`
-/// twins of [`Scratch`], sized for a fixed row capacity.
+/// Reusable forward-pass buffers (no allocation per token): row-major
+/// `B × feature` activations, sized for a fixed row capacity.
 #[derive(Debug, Clone)]
 pub struct BatchScratch {
     capacity: usize,
@@ -254,99 +219,22 @@ impl Model {
         })
     }
 
-    /// Decodes one token at position `pos`, leaving logits in
-    /// `scratch.logits`.
+    /// Decodes one token at position `pos` of sequence 0 — the `B = 1` case
+    /// of [`Model::forward_batch`] — leaving logits in
+    /// `scratch.logits_row(0)`.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::Shape`] on invalid `token`/`pos` or kernel
-    /// failures.
+    /// Same contract as [`Model::forward_batch`].
     pub fn forward(
         &self,
         token: u32,
         pos: usize,
         cache: &mut KvCache,
-        scratch: &mut Scratch,
+        scratch: &mut BatchScratch,
         ctx: &ExecCtx,
     ) -> Result<(), BackendError> {
-        let (layer_secs, _) = self.forward_timed(token, pos, cache, scratch, ctx)?;
-        let _ = layer_secs;
-        Ok(())
-    }
-
-    /// [`Model::forward`] that also reports `(layer_seconds,
-    /// other_seconds)` — used to extrapolate full-depth throughput from
-    /// scaled models (see `engine`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Model::forward`].
-    pub fn forward_timed(
-        &self,
-        token: u32,
-        pos: usize,
-        cache: &mut KvCache,
-        scratch: &mut Scratch,
-        ctx: &ExecCtx,
-    ) -> Result<(f64, f64), BackendError> {
-        let cfg = &self.cfg;
-        if token as usize >= cfg.vocab {
-            return Err(BackendError::Shape(format!(
-                "token {token} out of vocab {}",
-                cfg.vocab
-            )));
-        }
-        if pos >= cfg.seq_max {
-            return Err(BackendError::Shape(format!(
-                "position {pos} beyond seq_max {}",
-                cfg.seq_max
-            )));
-        }
-        let t_start = std::time::Instant::now();
-        let dim = cfg.dim;
-        let s = scratch;
-        s.x.copy_from_slice(&self.embed[token as usize * dim..(token as usize + 1) * dim]);
-        // One sin/cos evaluation per rotation pair per token: the position
-        // is fixed for the whole pass, so every layer (and both q and k)
-        // reuses these tables.
-        self.rope.fill_sincos(pos, &mut s.rope_cos, &mut s.rope_sin);
-
-        let t_layers = std::time::Instant::now();
-        for (l, lw) in self.layers.iter().enumerate() {
-            // Attention block. The three QKV projections consume the same
-            // normed activation, so one generation scope shares one table
-            // build across them (T-MAC's precompute amortization, §3.2).
-            ops::rmsnorm(&mut s.xn, &s.x, &lw.rms_attn, 1e-5);
-            ctx.next_activation();
-            lw.wq.forward(&s.xn, &mut s.q, ctx)?;
-            lw.wk.forward(&s.xn, &mut s.k, ctx)?;
-            lw.wv.forward(&s.xn, &mut s.v, ctx)?;
-            self.rope.apply(&mut s.q, &s.rope_cos, &s.rope_sin);
-            self.rope.apply(&mut s.k, &s.rope_cos, &s.rope_sin);
-            cache.store(l, pos, &s.k, &s.v);
-            attention::attend(&s.q, &mut s.att, cache, l, pos, &mut s.attn, ctx);
-            ctx.next_activation();
-            lw.wo.forward(&s.att, &mut s.proj, ctx)?;
-            ops::add_assign(&mut s.x, &s.proj);
-
-            // FFN block: gate and up share the FFN-normed activation.
-            ops::rmsnorm(&mut s.xn, &s.x, &lw.rms_ffn, 1e-5);
-            ctx.next_activation();
-            lw.w1.forward(&s.xn, &mut s.gate, ctx)?;
-            lw.w3.forward(&s.xn, &mut s.up, ctx)?;
-            ops::swiglu(&mut s.hidden, &s.gate, &s.up);
-            ctx.next_activation();
-            lw.w2.forward(&s.hidden, &mut s.ffn, ctx)?;
-            ops::add_assign(&mut s.x, &s.ffn);
-        }
-        let layer_secs = t_layers.elapsed().as_secs_f64();
-
-        ops::rmsnorm(&mut s.xn, &s.x, &self.rms_final, 1e-5);
-        ctx.next_activation();
-        self.head.forward(&s.xn, &mut s.logits, ctx)?;
-        cache.set_len(cache.len().max(pos + 1));
-        let total = t_start.elapsed().as_secs_f64();
-        Ok((layer_secs, total - layer_secs))
+        self.forward_batch(&[token], &[pos], &[0], cache, scratch, ctx)
     }
 
     /// Batched forward: decodes `B = tokens.len()` rows in one pass, every
@@ -652,17 +540,16 @@ impl Model {
     }
 
     /// Rows per prefill chunk for this model: the target chunk size
-    /// ([`crate::engine::PREFILL_CHUNK`]) rounded **down** to a whole
+    /// ([`PREFILL_CHUNK`]) rounded **down** to a whole
     /// multiple of the backend's batch blocking (`n_block` for T-MAC, via
     /// [`crate::backend::LinearBackend::preferred_rows`]), never below one
     /// block. Chunking on a multiple means no mpGEMM sweep is left with a
     /// ragged row block at a chunk boundary; backends with no preference
     /// keep the plain target.
     pub fn prefill_chunk(&self) -> usize {
-        let target = crate::engine::PREFILL_CHUNK;
         match self.head.preferred_rows() {
-            Some(nb) if nb > 0 => nb * (target / nb).max(1),
-            _ => target,
+            Some(nb) if nb > 0 => nb * (PREFILL_CHUNK / nb).max(1),
+            _ => PREFILL_CHUNK,
         }
     }
 
@@ -709,7 +596,7 @@ mod tests {
         assert_eq!(t5.prefill_chunk(), 15);
         // Backends without a GEMM blocking keep the plain target.
         let f = tiny_model(BackendKind::F32);
-        assert_eq!(f.prefill_chunk(), crate::engine::PREFILL_CHUNK);
+        assert_eq!(f.prefill_chunk(), PREFILL_CHUNK);
     }
 
     #[test]
@@ -717,11 +604,11 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let m = tiny_model(BackendKind::F32);
         let mut cache = KvCache::new(&m.cfg);
-        let mut s = Scratch::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
         for pos in 0..4 {
             m.forward(pos as u32 + 1, pos, &mut cache, &mut s, &ctx)
                 .unwrap();
-            assert!(s.logits.iter().all(|x| x.is_finite()), "pos {pos}");
+            assert!(s.logits_row(0).iter().all(|x| x.is_finite()), "pos {pos}");
         }
         assert_eq!(cache.len(), 4);
     }
@@ -734,12 +621,12 @@ mod tests {
         let t = tiny_model(BackendKind::Tmac(tmac_core::KernelOpts::tmac()));
         let run = |m: &Model| {
             let mut cache = KvCache::new(&m.cfg);
-            let mut s = Scratch::new(&m.cfg);
+            let mut s = BatchScratch::new(&m.cfg, 1);
             for pos in 0..3 {
                 m.forward(7 + pos as u32, pos, &mut cache, &mut s, &ctx)
                     .unwrap();
             }
-            s.logits.clone()
+            s.logits_row(0).to_vec()
         };
         let lf = run(&f);
         let ld = run(&d);
@@ -755,7 +642,7 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let m = tiny_model(BackendKind::F32);
         let mut cache = KvCache::new(&m.cfg);
-        let mut s = Scratch::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
         assert!(m.forward(10_000, 0, &mut cache, &mut s, &ctx).is_err());
         assert!(m
             .forward(1, m.cfg.seq_max, &mut cache, &mut s, &ctx)
@@ -771,7 +658,7 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let m = tiny_model(BackendKind::Tmac(tmac_core::KernelOpts::tmac()));
         let mut cache = KvCache::new(&m.cfg);
-        let mut s = Scratch::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
         m.forward(1, 0, &mut cache, &mut s, &ctx).unwrap();
         let layers = m.cfg.n_layers as u64;
         let stats = ctx.table_stats();
@@ -790,9 +677,9 @@ mod tests {
         // determinism across a fresh context.
         let ctx2 = ExecCtx::new(1);
         let mut cache2 = KvCache::new(&m.cfg);
-        let mut s2 = Scratch::new(&m.cfg);
+        let mut s2 = BatchScratch::new(&m.cfg, 1);
         m.forward(1, 0, &mut cache2, &mut s2, &ctx2).unwrap();
-        assert_eq!(s.logits, s2.logits);
+        assert_eq!(s.logits_row(0), s2.logits_row(0));
     }
 
     #[test]

@@ -121,28 +121,51 @@ fn row_groups(qm: &QuantizedMatrix, bits: u8) -> Result<(), QuantError> {
     qm.validate()
 }
 
+/// Checks `qm` against the format **once** (a full scan of every code),
+/// then packs `rows` of it, turning each 32-code group and its scale into
+/// one block with `block`.
+fn pack_rows<B>(
+    qm: &QuantizedMatrix,
+    bits: u8,
+    rows: std::ops::Range<usize>,
+    block: impl Fn(&[u8], f32) -> B,
+) -> Result<Vec<B>, QuantError> {
+    row_groups(qm, bits)?;
+    let gpr = qm.groups_per_row();
+    let mut out = Vec::with_capacity(rows.len() * gpr);
+    for row in rows {
+        let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
+        out.extend((0..gpr).map(|g| block(&codes[g * QK..(g + 1) * QK], qm.scales[row * gpr + g])));
+    }
+    Ok(out)
+}
+
+fn block_q4_0(c: &[u8], d: f32) -> BlockQ4_0 {
+    let mut qs = [0u8; QK / 2];
+    for j in 0..QK / 2 {
+        qs[j] = c[j] | (c[j + QK / 2] << 4);
+    }
+    BlockQ4_0 { d, qs }
+}
+
 /// Packs one row of a 4-bit [`QuantizedMatrix`] into `Q4_0` blocks.
 ///
 /// # Errors
 ///
 /// Fails unless `qm.bits == 4` and `qm.group_size == 32`.
 pub fn pack_row_q4_0(qm: &QuantizedMatrix, row: usize) -> Result<Vec<BlockQ4_0>, QuantError> {
-    row_groups(qm, 4)?;
-    let gpr = qm.groups_per_row();
-    let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
-    Ok((0..gpr)
-        .map(|g| {
-            let c = &codes[g * QK..(g + 1) * QK];
-            let mut qs = [0u8; QK / 2];
-            for j in 0..QK / 2 {
-                qs[j] = c[j] | (c[j + QK / 2] << 4);
-            }
-            BlockQ4_0 {
-                d: qm.scales[row * gpr + g],
-                qs,
-            }
-        })
-        .collect())
+    pack_rows(qm, 4, row..row + 1, block_q4_0)
+}
+
+/// Packs every row of a 4-bit [`QuantizedMatrix`] into `Q4_0` blocks,
+/// row-major (the concatenation of [`pack_row_q4_0`] over all rows, with the
+/// matrix validated once instead of once per row).
+///
+/// # Errors
+///
+/// Fails unless `qm.bits == 4` and `qm.group_size == 32`.
+pub fn pack_q4_0(qm: &QuantizedMatrix) -> Result<Vec<BlockQ4_0>, QuantError> {
+    pack_rows(qm, 4, 0..qm.rows, block_q4_0)
 }
 
 /// Unpacks a `Q4_0` block to centered codes `code - 8 ∈ [-8, 7]`.
@@ -153,28 +176,31 @@ pub fn unpack_q4_0(b: &BlockQ4_0, out: &mut [i8; QK]) {
     }
 }
 
+fn block_q2_0(c: &[u8], d: f32) -> BlockQ2_0 {
+    let mut qs = [0u8; QK / 4];
+    for (j, q) in qs.iter_mut().enumerate() {
+        *q = c[j] | (c[8 + j] << 2) | (c[16 + j] << 4) | (c[24 + j] << 6);
+    }
+    BlockQ2_0 { d, qs }
+}
+
 /// Packs one row of a 2-bit [`QuantizedMatrix`] into `Q2_0` blocks.
 ///
 /// # Errors
 ///
 /// Fails unless `qm.bits == 2` and `qm.group_size == 32`.
 pub fn pack_row_q2_0(qm: &QuantizedMatrix, row: usize) -> Result<Vec<BlockQ2_0>, QuantError> {
-    row_groups(qm, 2)?;
-    let gpr = qm.groups_per_row();
-    let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
-    Ok((0..gpr)
-        .map(|g| {
-            let c = &codes[g * QK..(g + 1) * QK];
-            let mut qs = [0u8; QK / 4];
-            for (j, q) in qs.iter_mut().enumerate() {
-                *q = c[j] | (c[8 + j] << 2) | (c[16 + j] << 4) | (c[24 + j] << 6);
-            }
-            BlockQ2_0 {
-                d: qm.scales[row * gpr + g],
-                qs,
-            }
-        })
-        .collect())
+    pack_rows(qm, 2, row..row + 1, block_q2_0)
+}
+
+/// Packs every row of a 2-bit [`QuantizedMatrix`] into `Q2_0` blocks,
+/// row-major (see [`pack_q4_0`]).
+///
+/// # Errors
+///
+/// Fails unless `qm.bits == 2` and `qm.group_size == 32`.
+pub fn pack_q2_0(qm: &QuantizedMatrix) -> Result<Vec<BlockQ2_0>, QuantError> {
+    pack_rows(qm, 2, 0..qm.rows, block_q2_0)
 }
 
 /// Unpacks a `Q2_0` block to centered codes `code - 2 ∈ [-2, 1]`.
@@ -186,38 +212,40 @@ pub fn unpack_q2_0(b: &BlockQ2_0, out: &mut [i8; QK]) {
     }
 }
 
+fn block_q3s(c: &[u8], d: f32) -> BlockQ3S {
+    let mut qlo = [0u8; QK / 4];
+    let mut qhi = [0u8; QK / 8];
+    for (j, q) in qlo.iter_mut().enumerate() {
+        *q = (c[j] & 0x3)
+            | ((c[8 + j] & 0x3) << 2)
+            | ((c[16 + j] & 0x3) << 4)
+            | ((c[24 + j] & 0x3) << 6);
+    }
+    for (j, &code) in c.iter().enumerate() {
+        if code & 0x4 != 0 {
+            qhi[j / 8] |= 1 << (j % 8);
+        }
+    }
+    BlockQ3S { d, qlo, qhi }
+}
+
 /// Packs one row of a 3-bit [`QuantizedMatrix`] into 2+1-split blocks.
 ///
 /// # Errors
 ///
 /// Fails unless `qm.bits == 3` and `qm.group_size == 32`.
 pub fn pack_row_q3s(qm: &QuantizedMatrix, row: usize) -> Result<Vec<BlockQ3S>, QuantError> {
-    row_groups(qm, 3)?;
-    let gpr = qm.groups_per_row();
-    let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
-    Ok((0..gpr)
-        .map(|g| {
-            let c = &codes[g * QK..(g + 1) * QK];
-            let mut qlo = [0u8; QK / 4];
-            let mut qhi = [0u8; QK / 8];
-            for (j, q) in qlo.iter_mut().enumerate() {
-                *q = (c[j] & 0x3)
-                    | ((c[8 + j] & 0x3) << 2)
-                    | ((c[16 + j] & 0x3) << 4)
-                    | ((c[24 + j] & 0x3) << 6);
-            }
-            for (j, &code) in c.iter().enumerate() {
-                if code & 0x4 != 0 {
-                    qhi[j / 8] |= 1 << (j % 8);
-                }
-            }
-            BlockQ3S {
-                d: qm.scales[row * gpr + g],
-                qlo,
-                qhi,
-            }
-        })
-        .collect())
+    pack_rows(qm, 3, row..row + 1, block_q3s)
+}
+
+/// Packs every row of a 3-bit [`QuantizedMatrix`] into 2+1-split blocks,
+/// row-major (see [`pack_q4_0`]).
+///
+/// # Errors
+///
+/// Fails unless `qm.bits == 3` and `qm.group_size == 32`.
+pub fn pack_q3s(qm: &QuantizedMatrix) -> Result<Vec<BlockQ3S>, QuantError> {
+    pack_rows(qm, 3, 0..qm.rows, block_q3s)
 }
 
 /// Unpacks a `Q3S` block to centered codes `code - 4 ∈ [-4, 3]`.
@@ -238,30 +266,33 @@ pub fn unpack_q3s(b: &BlockQ3S, out: &mut [i8; QK]) {
     }
 }
 
+fn block_q1_0(c: &[u8], d: f32) -> BlockQ1_0 {
+    let mut qs = [0u8; QK / 8];
+    for (j, &code) in c.iter().enumerate() {
+        if code != 0 {
+            qs[j / 8] |= 1 << (j % 8);
+        }
+    }
+    BlockQ1_0 { d, qs }
+}
+
 /// Packs one row of a 1-bit [`QuantizedMatrix`] into sign-bit blocks.
 ///
 /// # Errors
 ///
 /// Fails unless `qm.bits == 1` and `qm.group_size == 32`.
 pub fn pack_row_q1_0(qm: &QuantizedMatrix, row: usize) -> Result<Vec<BlockQ1_0>, QuantError> {
-    row_groups(qm, 1)?;
-    let gpr = qm.groups_per_row();
-    let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
-    Ok((0..gpr)
-        .map(|g| {
-            let c = &codes[g * QK..(g + 1) * QK];
-            let mut qs = [0u8; QK / 8];
-            for (j, &code) in c.iter().enumerate() {
-                if code != 0 {
-                    qs[j / 8] |= 1 << (j % 8);
-                }
-            }
-            BlockQ1_0 {
-                d: qm.scales[row * gpr + g],
-                qs,
-            }
-        })
-        .collect())
+    pack_rows(qm, 1, row..row + 1, block_q1_0)
+}
+
+/// Packs every row of a 1-bit [`QuantizedMatrix`] into sign-bit blocks,
+/// row-major (see [`pack_q4_0`]).
+///
+/// # Errors
+///
+/// Fails unless `qm.bits == 1` and `qm.group_size == 32`.
+pub fn pack_q1_0(qm: &QuantizedMatrix) -> Result<Vec<BlockQ1_0>, QuantError> {
+    pack_rows(qm, 1, 0..qm.rows, block_q1_0)
 }
 
 /// Unpacks a `Q1_0` block to doubled centered codes `2*code - 1 ∈ {-1, 1}`.

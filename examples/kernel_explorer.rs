@@ -1,12 +1,12 @@
 //! Kernel explorer: walks the paper's Figure 10 optimization ladder on a
 //! user-chosen shape, printing latency and table-storage footprint per
-//! stage, plus the tuner's pick.
+//! stage.
 //!
 //! Run with `cargo run --release --example kernel_explorer -- [M] [K] [bits]`.
 
 use std::time::Instant;
 use tmac::core::ExecCtx;
-use tmac::core::{gemv, tune, ActTables, KernelOpts, WeightPlan};
+use tmac::core::{gemv, ActTables, KernelOpts, WeightPlan};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -46,11 +46,4 @@ fn main() {
             tables.table_bytes()
         );
     }
-
-    let tuned = tune::tune(&qm, &ctx, 3).expect("tune");
-    println!(
-        "\ntuner pick: tile_k = {} ({:.3} ms per GEMV)",
-        tuned.opts.tile_k,
-        tuned.gemv_seconds * 1e3
-    );
 }

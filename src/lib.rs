@@ -80,8 +80,8 @@ pub mod prelude {
         AttnScratch, BackendBuilder, BackendError, BackendKind, BackendRegistry, BatchScratch,
         DecodeStats, DequantBackend, Engine, F32Backend, FinishReason, FinishedSeq, KvCache,
         KvError, KvPrecision, KvStats, Linear, LinearBackend, LoadMode, Model, ModelConfig,
-        ModelIoError, Scheduler, SchedulerConfig, Scratch, SeqId, SeqTiming, StepToken,
-        TmacBackend, WeightQuant,
+        ModelIoError, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken, TmacBackend,
+        WeightQuant,
     };
     pub use tmac_quant::QuantizedMatrix;
     pub use tmac_threadpool::ThreadPool;

@@ -11,7 +11,7 @@ use tmac::core::ExecCtx;
 use tmac::llm::kv::KV_GROW_POSITIONS;
 use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, KvPrecision, Model, ModelConfig,
-    Scratch, SubmitRequest, WeightQuant,
+    SubmitRequest, WeightQuant,
 };
 use tmac::simd::f32ops;
 
@@ -42,25 +42,37 @@ fn long_cfg() -> ModelConfig {
 /// Decodes `steps` greedy tokens from a fixed first token, returning every
 /// step's logits.
 fn decode_logits(m: &Model, cache: &mut KvCache, steps: usize, ctx: &ExecCtx) -> Vec<Vec<f32>> {
-    let mut s = Scratch::new(&m.cfg);
+    let mut s = BatchScratch::new(&m.cfg, 1);
     let mut out = Vec::with_capacity(steps);
     let mut token = 1u32;
     for pos in 0..steps {
         m.forward(token, pos, cache, &mut s, ctx).unwrap();
-        out.push(s.logits.clone());
-        token = (tmac::llm::ops::argmax(&s.logits) as u32) % m.cfg.vocab as u32;
+        out.push(s.logits_row(0).to_vec());
+        token = (tmac::llm::ops::argmax(s.logits_row(0)) as u32) % m.cfg.vocab as u32;
     }
     out
 }
 
-/// The f32 path over the head-major cache must be bit-identical to the
+/// The f32-KV path over the head-major cache must be bit-identical to the
 /// seed's formulation — here reproduced as a from-scratch strided two-pass
-/// attention — end to end through full forwards.
+/// attention — end to end through full forwards. The reference shares no
+/// code with `Model::forward_batch` (the one transformer pass; `forward` is
+/// its B = 1 case), so this is that pass's referee, on the f32 backend and
+/// on the paper's.
 #[test]
+fn forward_bit_exact_vs_seed_style_reference() {
+    for kind in [
+        BackendKind::F32,
+        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+    ] {
+        assert_forward_matches_seed_style_reference(kind);
+    }
+}
+
 #[allow(clippy::needless_range_loop)] // index loops mirror the seed's exact formulation
-fn f32_forward_bit_exact_vs_seed_style_reference() {
+fn assert_forward_matches_seed_style_reference(kind: BackendKind) {
     let cfg = ModelConfig::tiny();
-    let m = model_with(&cfg, BackendKind::F32);
+    let m = model_with(&cfg, kind);
     let ctx = ctx();
 
     // Reference: replicate the forward with attention computed over an
@@ -136,7 +148,7 @@ fn f32_forward_bit_exact_vs_seed_style_reference() {
         tmac::llm::ops::rmsnorm(&mut xn, &x, &m.rms_final, 1e-5);
         ctx.next_activation();
         m.head.forward(&xn, &mut logits, &ctx).unwrap();
-        assert_eq!(&logits, want, "pos {pos}: head-major f32 diverged");
+        assert_eq!(&logits, want, "{kind:?} pos {pos}: head-major f32 diverged");
         token = (tmac::llm::ops::argmax(&logits) as u32) % cfg.vocab as u32;
     }
 }
@@ -178,8 +190,8 @@ fn i8_kv_greedy_decode_agreement_64_tokens() {
 
     let mut fc = KvCache::with_precision(&cfg, KvPrecision::F32);
     let mut ic = KvCache::with_precision(&cfg, KvPrecision::I8);
-    let mut fs = Scratch::new(&cfg);
-    let mut is = Scratch::new(&cfg);
+    let mut fs = BatchScratch::new(&cfg, 1);
+    let mut is = BatchScratch::new(&cfg, 1);
     let mut token = 3u32;
     let mut agree = 0;
     for pos in 0..steps {
@@ -187,8 +199,8 @@ fn i8_kv_greedy_decode_agreement_64_tokens() {
         // near-tie cannot cascade into unrelated divergence downstream.
         m.forward(token, pos, &mut fc, &mut fs, &ctx).unwrap();
         m.forward(token, pos, &mut ic, &mut is, &ctx).unwrap();
-        let ft = tmac::llm::ops::argmax(&fs.logits);
-        let it = tmac::llm::ops::argmax(&is.logits);
+        let ft = tmac::llm::ops::argmax(fs.logits_row(0));
+        let it = tmac::llm::ops::argmax(is.logits_row(0));
         if ft == it {
             agree += 1;
         }
@@ -272,12 +284,12 @@ fn mixed_prefill_decode_rows_match_sequential_at_depth() {
         let mut ca = KvCache::new(&m.cfg);
         let la = decode_logits(&m, &mut ca, deep, &ctx); // fills positions 0..deep
         let mut cb = KvCache::new(&m.cfg);
-        let mut sb = Scratch::new(&m.cfg);
+        let mut sb = BatchScratch::new(&m.cfg, 1);
         let b_tokens = [5u32, 6, 7];
         let mut lb = Vec::new();
         for (pos, &t) in b_tokens.iter().enumerate() {
             m.forward(t, pos, &mut cb, &mut sb, &ctx).unwrap();
-            lb.push(sb.logits.clone());
+            lb.push(sb.logits_row(0).to_vec());
         }
 
         // Batched: rebuild stream A's sequence (seq 0 of a pooled cache) to

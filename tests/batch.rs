@@ -10,8 +10,7 @@
 use tmac::core::ExecCtx;
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
-    BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, Scratch,
-    WeightQuant,
+    BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, WeightQuant,
 };
 
 /// Thread-pool size under test (CI matrixes this between 1 and N).
@@ -42,12 +41,12 @@ fn assert_batch_equals_singles(m: &Model, b: usize, steps: usize, ctx: &ExecCtx)
     let mut single_logits: Vec<Vec<Vec<f32>>> = Vec::with_capacity(b);
     for r in 0..b {
         let mut cache = KvCache::new(&m.cfg);
-        let mut s = Scratch::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
         let mut per_step = Vec::with_capacity(steps);
         for pos in 0..steps {
             m.forward(tokens_at(pos, r), pos, &mut cache, &mut s, ctx)
                 .unwrap();
-            per_step.push(s.logits.clone());
+            per_step.push(s.logits_row(0).to_vec());
         }
         single_logits.push(per_step);
     }
@@ -163,11 +162,11 @@ fn batched_prefill_equals_sequential_prefill() {
     );
 
     let mut cache = KvCache::new(&m.cfg);
-    let mut s = Scratch::new(&m.cfg);
+    let mut s = BatchScratch::new(&m.cfg, 1);
     for (pos, &t) in prompt.iter().enumerate() {
         m.forward(t, pos, &mut cache, &mut s, &ctx).unwrap();
     }
-    assert_eq!(batched, s.logits, "prefill logits diverged");
+    assert_eq!(batched, s.logits_row(0), "prefill logits diverged");
     // Decoding continues identically from the batched-prefill cache.
     m.forward(
         batched.len() as u32 % m.cfg.vocab as u32,
@@ -177,7 +176,11 @@ fn batched_prefill_equals_sequential_prefill() {
         &ctx,
     )
     .unwrap();
-    assert_eq!(after.unwrap(), s.logits, "post-prefill decode diverged");
+    assert_eq!(
+        after.unwrap(),
+        s.logits_row(0),
+        "post-prefill decode diverged"
+    );
 }
 
 #[test]

@@ -20,9 +20,9 @@ use std::sync::Arc;
 use tmac::core::ExecCtx;
 use tmac::io::{GgufFile, GgufValue, GgufWriter, IoError, Mapping, TmacContainer};
 use tmac::llm::{
-    BackendBuilder, BackendError, BackendKind, Engine, F32Backend, GenRequest, KvCache,
-    KvPrecision, Linear, LoadMode, Model, ModelConfig, ModelIoError, Scheduler, SchedulerConfig,
-    Scratch, SubmitRequest, WeightQuant,
+    BackendBuilder, BackendError, BackendKind, BatchScratch, Engine, F32Backend, GenRequest,
+    KvCache, KvPrecision, Linear, LoadMode, Model, ModelConfig, ModelIoError, Scheduler,
+    SchedulerConfig, SubmitRequest, WeightQuant,
 };
 use tmac::quant::QuantizedMatrix;
 
@@ -48,7 +48,7 @@ fn tmp(name: &str) -> PathBuf {
 /// probe used throughout.
 fn run_logits(m: &Model, ctx: &ExecCtx) -> Vec<f32> {
     let mut cache = KvCache::new(&m.cfg);
-    let mut s = Scratch::new(&m.cfg);
+    let mut s = BatchScratch::new(&m.cfg, 1);
     for pos in 0..4 {
         m.forward(
             (7 + pos * 3) as u32 % m.cfg.vocab as u32,
@@ -59,7 +59,7 @@ fn run_logits(m: &Model, ctx: &ExecCtx) -> Vec<f32> {
         )
         .unwrap();
     }
-    s.logits.clone()
+    s.logits_row(0).to_vec()
 }
 
 /// The `f32` reference backend built from *dequantized* weights — the
