@@ -390,11 +390,11 @@ fn main() {
     let do_chaos = std::env::args().any(|a| a == "--chaos");
     let do_shared = std::env::args().any(|a| a == "--shared-prefix");
     let do_trace = std::env::args().any(|a| a == "--trace");
-    let mode = match tmac_eval::arg("mode", "auto").as_str() {
-        "auto" => ConnMode::Auto,
+    let mode = match tmac_eval::arg("mode", "").as_str() {
+        "" => ConnMode::default(),
         "epoll" => ConnMode::Epoll,
         "threads" => ConnMode::Threads,
-        other => panic!("--mode must be auto|epoll|threads, got {other}"),
+        other => panic!("--mode must be epoll|threads, got {other}"),
     };
     let external = tmac_eval::arg("addr", "");
     let threads: usize = tmac_eval::arg("threads", "1").parse().expect("--threads");

@@ -11,9 +11,10 @@
 //! container; containers resolve `--backend <registry name>`),
 //! `--addr host:port` (default `127.0.0.1:8080`), `--threads N` (step-loop
 //! ExecCtx threads), `--batch B` (KV slots), `--pending Q` (admission queue
-//! bound; 0 = unbounded), `--mode auto|epoll|threads` (connection driver),
-//! `--max-tokens N` (default when a request omits `max_tokens`),
-//! `--deadline-ms D` (default deadline; 0 = none), `--kv f32|i8`,
+//! bound; 0 = unbounded), `--mode epoll|threads` (connection I/O shim;
+//! default: epoll on Linux, threads elsewhere), `--max-tokens N`
+//! (default when a request omits `max_tokens`), `--deadline-ms D`
+//! (default deadline; 0 = none), `--kv f32|i8`,
 //! `--trace-out DIR` (dump the in-memory span rings as Chrome-trace JSON
 //! into `DIR` on every SIGUSR1 and once more when the drain completes;
 //! load the files in Perfetto or `chrome://tracing`).
@@ -85,11 +86,11 @@ fn main() {
     let default_deadline_ms: u64 = tmac_eval::arg("deadline-ms", "0")
         .parse()
         .expect("--deadline-ms");
-    let mode = match tmac_eval::arg("mode", "auto").as_str() {
-        "auto" => ConnMode::Auto,
+    let mode = match tmac_eval::arg("mode", "").as_str() {
+        "" => ConnMode::default(),
         "epoll" => ConnMode::Epoll,
         "threads" => ConnMode::Threads,
-        other => panic!("unknown --mode {other:?} (auto|epoll|threads)"),
+        other => panic!("unknown --mode {other:?} (epoll|threads)"),
     };
     let kv = match tmac_eval::arg("kv", "f32").as_str() {
         "f32" => KvPrecision::F32,

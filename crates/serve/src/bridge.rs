@@ -36,9 +36,8 @@ use tmac_core::ExecCtx;
 use tmac_llm::batch::{FinishReason, Scheduler, SeqId, SeqTiming, SubmitRequest};
 use tmac_llm::sampling::SamplingParams;
 
-/// Wakes a connection driver (the epoll loop's eventfd/pipe) after events
-/// are queued; thread-per-connection handlers block on the channel and
-/// need no waker.
+/// Wakes a connection's driver after events are queued for it: the epoll
+/// loop's self-pipe, or an unpark of the connection's thread.
 pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Why a served sequence ended (the bridge-level refinement of
@@ -94,31 +93,27 @@ pub enum SeqEvent {
 #[derive(Clone)]
 pub struct TokenSink {
     tx: Sender<SeqEvent>,
-    waker: Option<WakeFn>,
+    waker: WakeFn,
 }
 
 impl TokenSink {
     /// Pairs a sink with its receiving channel.
-    pub fn channel(waker: Option<WakeFn>) -> (TokenSink, Receiver<SeqEvent>) {
+    pub fn channel(waker: WakeFn) -> (TokenSink, Receiver<SeqEvent>) {
         let (tx, rx) = std::sync::mpsc::channel();
         (TokenSink { tx, waker }, rx)
     }
 
-    fn send(&self, ev: SeqEvent) {
+    pub(crate) fn send(&self, ev: SeqEvent) {
         // A dead receiver means the connection is gone; its cancel flag
         // (checked every loop iteration) reclaims the slot.
         let _ = self.tx.send(ev);
-        if let Some(w) = &self.waker {
-            w();
-        }
+        (self.waker)();
     }
 }
 
 impl std::fmt::Debug for TokenSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TokenSink")
-            .field("waker", &self.waker.is_some())
-            .finish()
+        f.debug_struct("TokenSink").finish_non_exhaustive()
     }
 }
 
@@ -738,6 +733,32 @@ fn route_finished(sched: &mut Scheduler, tracked: &mut HashMap<u64, Tracked>, h:
 }
 
 #[cfg(test)]
+impl BridgeHandle {
+    /// A handle with no step loop behind it: admitted submissions land in
+    /// the returned receiver, for tests that answer them by hand.
+    pub(crate) fn stub(metrics: Arc<Metrics>) -> (BridgeHandle, Receiver<Submission>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = BridgeHandle {
+            tx,
+            queued: Arc::new(AtomicUsize::new(0)),
+            max_pending: 0,
+            draining: Arc::new(AtomicBool::new(false)),
+            stop: Arc::new(AtomicBool::new(false)),
+            health: Arc::new(Health::new(Duration::from_secs(5))),
+            metrics,
+            info: ModelInfo {
+                name: "stub".into(),
+                vocab: 100,
+                seq_max: 64,
+                max_batch: 1,
+            },
+        };
+        handle.health.beat();
+        (handle, rx)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use tmac_llm::batch::SchedulerConfig;
@@ -762,7 +783,7 @@ mod tests {
     }
 
     fn submission(prompt: &[u32], max_new: usize) -> (Submission, Receiver<SeqEvent>) {
-        let (sink, rx) = TokenSink::channel(None);
+        let (sink, rx) = TokenSink::channel(Arc::new(|| {}));
         (
             Submission {
                 prompt: prompt.to_vec(),

@@ -1,10 +1,9 @@
 //! Minimal HTTP/1.1 wire layer: incremental request parsing with hard
 //! limits, response encoding, and SSE framing.
 //!
-//! The parser is incremental so both connection models share it: the epoll
-//! event loop feeds it whatever bytes arrived (it answers "need more" with
-//! `Ok(None)`), and the thread-per-connection loop calls it after every
-//! blocking read. Every limit violation and grammar error maps to a typed
+//! The parser is incremental: the connection state machine calls it on
+//! whatever bytes have arrived so far, and it answers "need more" with
+//! `Ok(None)`. Every limit violation and grammar error maps to a typed
 //! [`HttpError`] carrying the right 4xx status, so malformed traffic
 //! produces a clean error response instead of a panic or a wedged
 //! connection.

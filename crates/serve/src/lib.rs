@@ -11,9 +11,12 @@
 //! Everything is hand-rolled on `std`, matching the repo's no-external-
 //! crates rule: [`json`] is the wire codec, [`http`] the HTTP/1.1 + SSE
 //! layer, [`poll`] a thin epoll wrapper (Linux), [`bridge`] the bounded
-//! submission channel into the step loop, and [`server`] the listener plus
-//! the two connection drivers (epoll event loop, thread-per-connection
-//! fallback).
+//! submission channel into the step loop, and [`server`] the listener and
+//! request routing. Every connection is one socket-free `Conn` state
+//! machine (`conn.rs`: pipelining, keep-alive, 408, drain, disconnect →
+//! cancel, slow-consumer cap, typed endings); the epoll event loop and
+//! the portable thread-per-connection driver are I/O shims that move
+//! bytes between it and a socket.
 //!
 //! Serving semantics:
 //!
@@ -57,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod bridge;
+mod conn;
 mod event_loop;
 pub mod http;
 pub mod json;

@@ -2,7 +2,7 @@
 //!
 //! Like `tmac-io`'s mmap module, this declares the handful of libc symbols
 //! it needs locally instead of pulling in a bindings crate — std already
-//! links libc, so the symbols resolve at link time. Everything here is
+//! links libc, so the linker finds the symbols. Everything here is
 //! level-triggered: the loop re-polls until the fd would block, so missed
 //! wakeups cannot wedge a connection.
 //!

@@ -1,30 +1,33 @@
-//! The serving front-end: listener, request routing, and the
-//! thread-per-connection fallback driver.
+//! The serving front-end: listener, request routing, response bodies, and
+//! the two I/O shims' shared socket helpers.
 //!
-//! Two connection drivers share all routing/response logic:
+//! Every connection is one sans-IO `Conn` state machine (`conn.rs`);
+//! a driver only moves bytes between it and a socket:
 //!
 //! * **Epoll** (`event_loop`, Linux): one thread multiplexes every
-//!   connection through a non-blocking state machine.
-//! * **Threads** (portable): one OS thread per connection with blocking
-//!   reads under a short timeout, so drain/disconnect checks stay
-//!   responsive.
+//!   connection over non-blocking sockets.
+//! * **Threads** (portable, below): one OS thread per connection — a
+//!   blocking read with a short timeout while idle, `park_timeout` woken
+//!   by the request's waker while a completion is in flight.
 //!
-//! Both submit work over the [`crate::bridge`], answer `429 + Retry-After`
-//! on queue-full, honor per-request deadlines with typed 504s, cancel the
-//! sequence when the client goes away, and stop accepting during a
-//! graceful drain while in-flight requests run to completion.
+//! Both submit work over the [`crate::bridge`]; `Conn` answers
+//! `429 + Retry-After` on queue-full, honors per-request deadlines with
+//! typed 504s, cancels the sequence when the client goes away, and closes
+//! idle connections during a graceful drain while in-flight requests run
+//! to completion.
 
 use crate::bridge::{
     self, BridgeHandle, EndReason, HealthState, SeqEvent, Submission, SubmitError, SupervisorOpts,
-    TokenSink,
+    TokenSink, WakeFn,
 };
-use crate::http::{self, HttpError, Limits, Request, Response};
+use crate::conn::Conn;
+use crate::http::{self, Limits, Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tmac_core::failpoint::{self, FailAction};
@@ -32,31 +35,17 @@ use tmac_core::ExecCtx;
 use tmac_llm::batch::{Scheduler, SeqTiming};
 use tmac_llm::sampling::SamplingParams;
 
-/// How connections are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which I/O shim drives the connections. The default is the platform's:
+/// epoll on Linux, threads elsewhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConnMode {
-    /// Epoll on Linux, threads elsewhere.
-    Auto,
-    /// Single-threaded epoll event loop (Linux only).
+    /// Single-threaded epoll event loop. Linux only; on other platforms
+    /// the threads shim runs instead.
+    #[cfg_attr(target_os = "linux", default)]
     Epoll,
     /// One blocking OS thread per connection (portable).
+    #[cfg_attr(not(target_os = "linux"), default)]
     Threads,
-}
-
-impl ConnMode {
-    /// Resolves `Auto` for the current platform.
-    pub fn resolve(self) -> ConnMode {
-        match self {
-            ConnMode::Auto => {
-                if cfg!(target_os = "linux") {
-                    ConnMode::Epoll
-                } else {
-                    ConnMode::Threads
-                }
-            }
-            m => m,
-        }
-    }
 }
 
 /// Server tunables.
@@ -82,7 +71,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            mode: ConnMode::Auto,
+            mode: ConnMode::default(),
             limits: Limits::default(),
             default_max_tokens: 16,
             default_deadline_ms: 0,
@@ -103,6 +92,17 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    pub(crate) fn new(cfg: ServerConfig, bridge: BridgeHandle, metrics: Arc<Metrics>) -> Shared {
+        Shared {
+            cfg,
+            bridge,
+            metrics,
+            req_counter: AtomicU64::new(0),
+            draining: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+        }
+    }
+
     pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
@@ -112,7 +112,7 @@ impl Shared {
     }
 }
 
-/// An admitted completion the connection driver must see through to its
+/// An admitted completion its `Conn` must see through to its
 /// terminal event.
 pub(crate) struct PendingCompletion {
     pub(crate) rx: Receiver<SeqEvent>,
@@ -127,19 +127,6 @@ pub(crate) struct PendingCompletion {
     pub(crate) submit_ns: u64,
 }
 
-/// Closes the request-lifecycle span (submit → terminal event). Both
-/// connection drivers call this when the `Done` event arrives.
-pub(crate) fn trace_request_done(pc: &PendingCompletion, tokens: usize) {
-    tmac_trace::complete(
-        "serve",
-        "request",
-        pc.id,
-        tokens as u64,
-        pc.submit_ns,
-        tmac_trace::now_ns(),
-    );
-}
-
 /// What routing decided for one request.
 pub(crate) enum Outcome {
     /// Write this response (connection may stay open).
@@ -148,13 +135,9 @@ pub(crate) enum Outcome {
     Completion(PendingCompletion),
 }
 
-/// Routes one parsed request. Mode-independent: the driver passes its
-/// waker (epoll) or `None` (blocking threads).
-pub(crate) fn handle_request(
-    shared: &Shared,
-    req: &Request,
-    waker: Option<bridge::WakeFn>,
-) -> Outcome {
+/// Routes one parsed request. `waker` nudges the connection's driver
+/// whenever the step loop queues an event for an admitted completion.
+pub(crate) fn handle_request(shared: &Shared, req: &Request, waker: WakeFn) -> Outcome {
     let m = &shared.metrics;
     match (
         req.method.as_str(),
@@ -220,7 +203,7 @@ pub(crate) fn handle_request(
 fn submit_completion(
     shared: &Shared,
     req: &Request,
-    waker: Option<bridge::WakeFn>,
+    waker: WakeFn,
 ) -> Result<PendingCompletion, Response> {
     let info = &shared.bridge.info;
     let bad = |kind: &str, msg: &str| Err(Response::error(400, kind, msg));
@@ -628,11 +611,6 @@ pub(crate) fn stream_tail(
     out
 }
 
-/// The response for a request-side protocol violation.
-pub(crate) fn protocol_error_response(e: &HttpError) -> Response {
-    Response::error(e.status, "protocol_error", &e.msg)
-}
-
 /// A running server.
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -708,40 +686,21 @@ pub fn start(sched: Scheduler, ctx: ExecCtx, cfg: ServerConfig) -> io::Result<Se
     // Both drivers poll a non-blocking listener; failing here (instead of
     // inside the driver thread) propagates a real io::Error to the caller.
     listener.set_nonblocking(true)?;
-    let mode = cfg.mode.resolve();
-    let shared = Arc::new(Shared {
-        cfg,
-        bridge,
-        metrics,
-        req_counter: AtomicU64::new(0),
-        draining: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-    });
-    let driver = match mode {
-        ConnMode::Threads => {
-            let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tmac-accept".into())
-                .spawn(move || accept_loop_threads(listener, s))
-                .expect("spawn accept loop")
-        }
+    let shared = Arc::new(Shared::new(cfg, bridge, metrics));
+    let s = Arc::clone(&shared);
+    let driver = match shared.cfg.mode {
         #[cfg(target_os = "linux")]
-        ConnMode::Epoll | ConnMode::Auto => {
-            let s = Arc::clone(&shared);
+        ConnMode::Epoll => {
             let poller = crate::poll::Poller::new()?;
             std::thread::Builder::new()
                 .name("tmac-event-loop".into())
                 .spawn(move || crate::event_loop::run(listener, s, poller))
-                .expect("spawn event loop")
         }
-        #[cfg(not(target_os = "linux"))]
-        ConnMode::Epoll | ConnMode::Auto => {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll mode requires Linux; use ConnMode::Threads",
-            ));
-        }
-    };
+        _ => std::thread::Builder::new()
+            .name("tmac-accept".into())
+            .spawn(move || accept_loop_threads(listener, s)),
+    }
+    .expect("spawn connection driver");
     Ok(ServerHandle {
         addr,
         shared,
@@ -750,80 +709,108 @@ pub fn start(sched: Scheduler, ctx: ExecCtx, cfg: ServerConfig) -> io::Result<Se
 }
 
 // ---------------------------------------------------------------------------
-// Threads mode
+// Socket helpers shared by both shims
 // ---------------------------------------------------------------------------
+
+/// What one socket operation achieved.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Io {
+    /// Read: bytes were fed to the `Conn`. Write: its output is flushed.
+    Ready,
+    /// Nothing more can move right now (would block, or a read timeout).
+    Blocked,
+    /// EOF or a socket error: the peer is gone.
+    Closed,
+}
+
+/// One `read` into `conn`. Chaos: `serve/read=error` fails the read,
+/// `again` turns it into a would-block, `short` delivers a single byte.
+pub(crate) fn read_some(stream: &mut TcpStream, conn: &mut Conn, shared: &Shared) -> Io {
+    if conn.input_full(&shared.cfg.limits) {
+        return Io::Blocked; // the parser answers the excess on the next service
+    }
+    let mut tmp = [0u8; 8192];
+    loop {
+        let read = match failpoint::fire("serve/read") {
+            Some(FailAction::Error) => return Io::Closed,
+            Some(FailAction::Again) => return Io::Blocked,
+            Some(FailAction::Short) => stream.read(&mut tmp[..1]),
+            _ => stream.read(&mut tmp),
+        };
+        return match read {
+            Ok(0) => Io::Closed,
+            Ok(n) => {
+                conn.feed(&tmp[..n], Instant::now());
+                Io::Ready
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Io::Blocked
+            }
+            Err(_) => Io::Closed,
+        };
+    }
+}
+
+/// Writes as much of `conn`'s pending output as the socket takes. Chaos:
+/// `serve/write=short` tears the response after one byte and `error`
+/// fails outright (both read as a vanished peer); `again` is an EAGAIN.
+pub(crate) fn write_some(stream: &mut TcpStream, conn: &mut Conn) -> Io {
+    while !conn.pending_output().is_empty() {
+        match failpoint::fire("serve/write") {
+            Some(FailAction::Short) => {
+                let _ = stream.write(&conn.pending_output()[..1]);
+                return Io::Closed;
+            }
+            Some(FailAction::Error) => return Io::Closed,
+            Some(FailAction::Again) => return Io::Blocked,
+            _ => {}
+        }
+        match stream.write(conn.pending_output()) {
+            Ok(0) => return Io::Closed,
+            Ok(n) => conn.consume_output(n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Io::Blocked
+            }
+            Err(_) => return Io::Closed,
+        }
+    }
+    Io::Ready
+}
+
+// ---------------------------------------------------------------------------
+// Threads shim
+// ---------------------------------------------------------------------------
+
+/// How long a connection thread sleeps in `read` or `park_timeout` before
+/// it re-checks stop/drain, the idle reaper, and the peer.
+const TICK: Duration = Duration::from_millis(200);
 
 fn accept_loop_threads(listener: TcpListener, shared: Arc<Shared>) {
     // The listener was made non-blocking by `start` before spawning us.
-    loop {
-        if shared.is_stopped() || shared.is_draining() {
-            return; // dropping the listener closes it
-        }
+    while !shared.is_stopped() && !shared.is_draining() {
         match listener.accept() {
-            Ok((stream, _)) => {
-                // Chaos: an armed `serve/accept=error` hangs up on the
-                // client right after the TCP handshake.
-                if failpoint::fire("serve/accept") == Some(FailAction::Error) {
-                    drop(stream);
-                    continue;
-                }
+            // Chaos: an armed `serve/accept=error` hangs up on the client
+            // right after the TCP handshake.
+            Ok(_) if failpoint::fire("serve/accept") == Some(FailAction::Error) => {}
+            Ok((mut stream, _)) => {
                 tmac_trace::instant("serve", "accept", 0, 0);
                 let s = Arc::clone(&shared);
                 s.metrics.connections.inc();
                 let _ = std::thread::Builder::new()
                     .name("tmac-conn".into())
                     .spawn(move || {
-                        serve_conn_blocking(stream, &s);
+                        serve_conn(&mut stream, &s);
+                        // Before `stream` drops: a client that saw the
+                        // close must also see the gauge it released.
                         s.metrics.connections.dec();
                     });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
-}
-
-/// `write_all` through the `serve/write` failpoint: `Short` tears the
-/// response after one byte, `Again`/`Error` fail outright — either way
-/// the caller treats the client as gone (cancel + close), which is
-/// exactly what a real mid-write disconnect produces.
-fn write_all_fp(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<()> {
-    match failpoint::fire("serve/write") {
-        Some(FailAction::Short) => {
-            if !bytes.is_empty() {
-                let _ = stream.write_all(&bytes[..1]);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected short write",
-            ));
-        }
-        Some(FailAction::Error) | Some(FailAction::Again) => {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "injected write error",
-            ));
-        }
-        _ => {}
-    }
-    stream.write_all(bytes)
-}
-
-/// Drains whatever the client already sent (bounded) so closing sends a
-/// clean FIN instead of an RST that could destroy the in-flight error
-/// response.
-fn lingering_close(stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut sink = [0u8; 4096];
-    let deadline = Instant::now() + Duration::from_millis(500);
-    while Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(n) if n > 0 => continue,
-            _ => break,
-        }
-    }
+    // Dropping the listener closes it.
 }
 
 /// True when the peer has closed its end (a zero-byte peek).
@@ -837,204 +824,38 @@ fn client_gone(stream: &TcpStream) -> bool {
     gone
 }
 
-fn serve_conn_blocking(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+/// Drives one `Conn` over a blocking socket. Output is flushed
+/// synchronously, so a write that cannot complete means the peer is gone.
+fn serve_conn(stream: &mut TcpStream, shared: &Shared) {
+    let _ = stream.set_read_timeout(Some(TICK));
     let _ = stream.set_nodelay(true);
-    let limits = shared.cfg.limits;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut last_data = Instant::now();
-    loop {
-        // Serve every fully buffered (possibly pipelined) request.
-        loop {
-            let parse_started = tmac_trace::now_ns();
-            match http::parse_request(&buf, &limits) {
-                Ok(Some((req, used))) => {
-                    tmac_trace::complete(
-                        "serve",
-                        "parse",
-                        0,
-                        used as u64,
-                        parse_started,
-                        tmac_trace::now_ns(),
-                    );
-                    buf.drain(..used);
-                    last_data = Instant::now();
-                    let keep = req.keep_alive() && !shared.is_draining();
-                    if !serve_one_blocking(&mut stream, shared, &req, keep) || !keep {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    let resp = protocol_error_response(&e);
-                    shared.metrics.count_status(resp.status);
-                    let _ = stream.write_all(&resp.encode(false));
-                    lingering_close(&mut stream);
-                    return;
-                }
-            }
+    let me = std::thread::current();
+    let wake: WakeFn = Arc::new(move || me.unpark());
+    let mut conn = Conn::new(Instant::now());
+    let mut next_probe = Instant::now() + TICK;
+    while !shared.is_stopped() {
+        conn.service(shared, &wake, Instant::now());
+        if write_some(stream, &mut conn) != Io::Ready {
+            conn.peer_gone();
         }
-        if shared.is_stopped() {
+        if conn.finished() {
             return;
         }
-        let mut tmp = [0u8; 4096];
-        // `serve/read` chaos: Error drops the connection, Again turns the
-        // read into a timeout tick, Short delivers a single byte.
-        let read = match failpoint::fire("serve/read") {
-            Some(FailAction::Error) => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "injected read error",
-            )),
-            Some(FailAction::Again) => {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "injected eagain"))
+        if !conn.in_flight() {
+            if read_some(stream, &mut conn, shared) == Io::Closed {
+                conn.peer_gone();
             }
-            Some(FailAction::Short) => stream.read(&mut tmp[..1]),
-            _ => stream.read(&mut tmp),
-        };
-        match read {
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&tmp[..n]);
-                last_data = Instant::now();
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.is_draining() && buf.is_empty() {
-                    return; // idle keep-alive connection during drain
-                }
-                if last_data.elapsed() > shared.cfg.idle_conn_timeout {
-                    if !buf.is_empty() {
-                        let resp = Response::error(408, "timeout", "request incomplete");
-                        shared.metrics.count_status(408);
-                        let _ = stream.write_all(&resp.encode(false));
-                    }
-                    return;
-                }
-            }
-            Err(_) => return,
+            continue;
         }
-    }
-}
-
-/// Serves one request; returns false when the connection must close.
-fn serve_one_blocking(stream: &mut TcpStream, shared: &Shared, req: &Request, keep: bool) -> bool {
-    match handle_request(shared, req, None) {
-        Outcome::Respond(resp) => {
-            shared.metrics.count_status(resp.status);
-            write_all_fp(stream, &resp.encode(keep)).is_ok() && keep
-        }
-        Outcome::Completion(pc) if pc.stream => {
-            shared.metrics.count_status(200);
-            if write_all_fp(stream, http::sse_head()).is_err() {
-                pc.cancel.store(true, Ordering::Release);
-                return false;
-            }
-            stream_events_blocking(stream, shared, &pc);
-            false // SSE responses are close-delimited
-        }
-        Outcome::Completion(pc) => {
-            let Some((tokens, reason, timing)) = wait_done_blocking(stream, &pc) else {
-                return false; // client vanished; sequence already cancelled
-            };
-            let resp = completion_response(shared, &pc, &tokens, &reason, &timing);
-            shared.metrics.count_status(resp.status);
-            write_all_fp(stream, &resp.encode(keep)).is_ok() && keep
-        }
-    }
-}
-
-/// Blocks until the sequence finishes, watching for client disconnect.
-/// `None` means the client went away (the sequence was cancelled and its
-/// terminal event consumed).
-fn wait_done_blocking(
-    stream: &TcpStream,
-    pc: &PendingCompletion,
-) -> Option<(Vec<u32>, EndReason, SeqTiming)> {
-    let mut abandoned = false;
-    loop {
-        match pc.rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(SeqEvent::Token(_)) => {}
-            Ok(SeqEvent::Done {
-                tokens,
-                reason,
-                timing,
-            }) => {
-                trace_request_done(pc, tokens.len());
-                return (!abandoned).then_some((tokens, reason, timing));
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !abandoned && client_gone(stream) {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true; // keep waiting for Done so the slot is freed
-                }
-            }
-            // The step loop died beyond recovery (sink dropped): surface a
-            // terminal error instead of silently closing the connection.
-            Err(RecvTimeoutError::Disconnected) => {
-                return (!abandoned).then(|| {
-                    (
-                        Vec::new(),
-                        EndReason::Error("step loop exited".into()),
-                        SeqTiming::default(),
-                    )
-                });
+        // Completion events unpark us; an unpark that lands before the
+        // park makes it return at once, so none is lost.
+        std::thread::park_timeout(TICK);
+        if Instant::now() >= next_probe {
+            next_probe = Instant::now() + TICK;
+            if client_gone(stream) {
+                conn.peer_gone();
             }
         }
     }
-}
-
-fn stream_events_blocking(stream: &mut TcpStream, shared: &Shared, pc: &PendingCompletion) {
-    let mut sent = 0usize;
-    let mut abandoned = false;
-    loop {
-        match pc.rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(SeqEvent::Token(t)) => {
-                if abandoned {
-                    continue;
-                }
-                let _w = tmac_trace::span("serve", "sse_write", pc.id, t as u64);
-                if write_all_fp(stream, &stream_chunk(shared, pc, t)).is_err() {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true;
-                } else {
-                    sent += 1;
-                }
-            }
-            Ok(SeqEvent::Done {
-                tokens,
-                reason,
-                timing,
-            }) => {
-                let _ = sent;
-                trace_request_done(pc, tokens.len());
-                if !abandoned {
-                    let tail = stream_tail(shared, pc, &tokens, &reason, &timing);
-                    let _ = write_all_fp(stream, &tail);
-                }
-                return;
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !abandoned && client_gone(stream) {
-                    pc.cancel.store(true, Ordering::Release);
-                    abandoned = true;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Step loop gone: give the SSE client a terminal error
-                // frame so it can tell a fault from a finished stream.
-                if !abandoned {
-                    let tail = stream_tail(
-                        shared,
-                        pc,
-                        &[],
-                        &EndReason::Error("step loop exited".into()),
-                        &SeqTiming::default(),
-                    );
-                    let _ = write_all_fp(stream, &tail);
-                }
-                return;
-            }
-        }
-    }
+    conn.peer_gone(); // abort: cancel whatever is still in flight
 }

@@ -9,16 +9,16 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::*;
+use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tmac::core::failpoint;
 use tmac::core::ExecCtx;
 use tmac::io::{IoError, LoadMode, Mapping, TmacContainer};
-use tmac::llm::{
-    BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
-};
+use tmac::llm::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::serve::{ConnMode, Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
 
 /// Serializes tests in this binary and clears the registry on both entry
@@ -38,72 +38,16 @@ impl Drop for Disarm {
     }
 }
 
-const SEED: u64 = 42;
-
-fn tiny_model() -> Model {
-    Model::synthetic(
-        &ModelConfig::tiny(),
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        SEED,
-    )
-    .unwrap()
-}
-
+/// The chaos server: four KV slots, default (10 s) idle timeout. Scheduler
+/// references ([`direct_tokens`]) must be computed *before* arming
+/// scheduler failpoints.
 fn start_server(mode: ConnMode, supervisor: SupervisorOpts) -> ServerHandle {
-    let sched = Scheduler::new(
-        tiny_model(),
-        SchedulerConfig {
-            max_batch: 4,
-            max_pending: 16,
-            ..SchedulerConfig::default()
-        },
-    );
-    tmac::serve::start(
-        sched,
-        ExecCtx::new(1),
-        ServerConfig {
-            mode,
-            supervisor,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Scheduler-direct reference output. Must run with no scheduler sites
-/// armed — callers compute references *before* configuring failpoints.
-fn direct_tokens(prompt: &[u32], max_new: usize) -> Vec<u32> {
-    let ctx = ExecCtx::new(1);
-    let mut sched = Scheduler::new(tiny_model(), SchedulerConfig::default());
-    let id = sched
-        .submit(SubmitRequest::greedy(prompt, max_new))
-        .unwrap();
-    let done = sched.run_to_completion(&ctx).unwrap();
-    done.into_iter().find(|f| f.id == id).unwrap().tokens
-}
-
-fn prompt_json(prompt: &[u32], max_tokens: usize, stream: bool) -> String {
-    let ids: Vec<String> = prompt.iter().map(|t| t.to_string()).collect();
-    format!(
-        "{{\"prompt\":[{}],\"max_tokens\":{max_tokens},\"stream\":{stream}}}",
-        ids.join(",")
-    )
-}
-
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    String::from_utf8_lossy(&raw).into_owned()
+    let cfg = ServerConfig {
+        mode,
+        supervisor,
+        ..ServerConfig::default()
+    };
+    start_server_cfg(tiny_model(), 4, 16, cfg)
 }
 
 fn status_of(response: &str) -> u16 {
@@ -197,14 +141,6 @@ fn wait_quiesce(metrics: &Metrics) -> bool {
         std::thread::sleep(Duration::from_millis(20));
     }
     false
-}
-
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
 }
 
 #[test]
@@ -345,6 +281,53 @@ fn supervisor_exhaustion_degrades_healthz_and_rejects_work() {
     assert_eq!(status_of(&text), 503, "submits must fail fast: {text}");
     failpoint::clear();
     server.abort();
+}
+
+#[test]
+fn dead_step_loop_ends_in_flight_requests_identically_in_both_drivers() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    let mut seen = Vec::new();
+    for mode in both_modes() {
+        // Every loop iteration panics before intake, so admitted requests
+        // sit in the submission channel until the supervisor gives up
+        // (~0.9 s with this backoff) and drops it — and their sinks.
+        failpoint::configure("bridge/loop=panic", SEED).unwrap();
+        let server = start_server(
+            mode,
+            SupervisorOpts {
+                max_restarts: 2,
+                backoff: Duration::from_millis(300),
+                ..SupervisorOpts::default()
+            },
+        );
+        let addr = server.addr();
+        let clients: Vec<_> = [false, true]
+            .into_iter()
+            .map(|stream| {
+                std::thread::spawn(move || {
+                    let body = prompt_json(&[1, 2], 4, stream);
+                    raw_request(addr, "POST", "/v1/completions", &body)
+                })
+            })
+            .collect();
+        let texts: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        failpoint::clear();
+
+        // Waiting: a typed 503 that also closes the connection.
+        let (status, head, body) = parse_response(texts[0].as_bytes());
+        assert!(head.contains("Connection: close"), "{mode:?}: {head}");
+        // Streaming: the terminal error frame, then the sentinel.
+        let sse = &texts[1];
+        assert_eq!(status_of(sse), 200, "{mode:?}: {sse}");
+        assert!(sse.trim_end().ends_with("data: [DONE]"), "{mode:?}: {sse}");
+        let errored = sse.contains("\"finish_reason\":\"error\"");
+        seen.push((status, error_type(&body), errored));
+        server.abort();
+    }
+    for ending in &seen {
+        assert_eq!(ending, &(503, "server_stopped".to_string(), true));
+    }
 }
 
 #[test]

@@ -2,114 +2,15 @@
 //! against a real server over the tiny synthetic model, checked bit-exact
 //! against driving the [`Scheduler`] directly.
 
+mod common;
+
+use common::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use tmac::core::ExecCtx;
-use tmac::llm::{
-    BackendKind, Model, ModelConfig, SamplingParams, Scheduler, SchedulerConfig, SubmitRequest,
-    WeightQuant,
-};
-use tmac::serve::{ConnMode, Json, ServerConfig, ServerHandle};
-
-const SEED: u64 = 42;
-
-fn tiny_model() -> Model {
-    Model::synthetic(
-        &ModelConfig::tiny(),
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        SEED,
-    )
-    .unwrap()
-}
-
-/// A tiny-shaped model with a long context, so cancellation/deadline tests
-/// get hundreds of decode steps to interrupt.
-fn long_model() -> Model {
-    Model::synthetic(
-        &ModelConfig::tiny().scaled(2, 96, 512),
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        SEED,
-    )
-    .unwrap()
-}
-
-fn start_server_with(
-    model: Model,
-    max_batch: usize,
-    max_pending: usize,
-    mode: ConnMode,
-) -> ServerHandle {
-    let sched = Scheduler::new(
-        model,
-        SchedulerConfig {
-            max_batch,
-            max_pending,
-            ..SchedulerConfig::default()
-        },
-    );
-    tmac::serve::start(
-        sched,
-        ExecCtx::new(1),
-        ServerConfig {
-            mode,
-            idle_conn_timeout: Duration::from_millis(500),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-}
-
-fn start_server(max_batch: usize, max_pending: usize, mode: ConnMode) -> ServerHandle {
-    start_server_with(tiny_model(), max_batch, max_pending, mode)
-}
-
-/// Scheduler-direct reference output for one prompt.
-fn direct_tokens_on(model: Model, prompt: &[u32], max_new: usize) -> Vec<u32> {
-    let ctx = ExecCtx::new(1);
-    let mut sched = Scheduler::new(model, SchedulerConfig::default());
-    let id = sched
-        .submit(SubmitRequest::greedy(prompt, max_new))
-        .unwrap();
-    let done = sched.run_to_completion(&ctx).unwrap();
-    done.into_iter().find(|f| f.id == id).unwrap().tokens
-}
-
-fn direct_tokens(prompt: &[u32], max_new: usize) -> Vec<u32> {
-    direct_tokens_on(tiny_model(), prompt, max_new)
-}
-
-/// Minimal blocking HTTP client: one request, `Connection: close`, reads
-/// the whole response.
-fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    parse_response(&raw)
-}
-
-/// (status, head, body) from raw response bytes.
-fn parse_response(raw: &[u8]) -> (u16, String, String) {
-    let text = String::from_utf8_lossy(raw).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
-}
+use tmac::llm::{SamplingParams, Scheduler, SchedulerConfig, SubmitRequest};
+use tmac::serve::{ConnMode, Json};
 
 fn post_completion(addr: SocketAddr, body: &str) -> (u16, String) {
     let (status, _, resp) = http_request(addr, "POST", "/v1/completions", body);
@@ -134,14 +35,6 @@ fn completion_tokens(body: &str) -> (Vec<u32>, String) {
         .unwrap()
         .to_string();
     (tokens, reason)
-}
-
-fn prompt_json(prompt: &[u32], max_tokens: usize, stream: bool) -> String {
-    let ids: Vec<String> = prompt.iter().map(|t| t.to_string()).collect();
-    format!(
-        "{{\"prompt\":[{}],\"max_tokens\":{max_tokens},\"stream\":{stream}}}",
-        ids.join(",")
-    )
 }
 
 /// Streams a completion over SSE and returns (chunk token ids, tail
@@ -185,14 +78,6 @@ fn stream_completion(addr: SocketAddr, prompt: &[u32], max_tokens: usize) -> (Ve
         }
     }
     (tokens, reason)
-}
-
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
 }
 
 #[test]
@@ -295,7 +180,7 @@ fn mid_stream_disconnect_frees_the_slot() {
 
 #[test]
 fn deadline_exceeded_returns_typed_error() {
-    let server = start_server_with(long_model(), 1, 16, ConnMode::Auto);
+    let server = start_server_with(long_model(), 1, 16, ConnMode::default());
     let addr = server.addr();
     let (status, body) = post_completion(
         addr,
@@ -317,7 +202,7 @@ fn deadline_exceeded_returns_typed_error() {
 fn queue_full_sheds_with_429_and_retry_after() {
     // One slot and a one-deep queue: a burst must shed with 429s while
     // every accepted request still finishes correctly.
-    let server = start_server(1, 1, ConnMode::Auto);
+    let server = start_server(1, 1, ConnMode::default());
     let addr = server.addr();
     let handles: Vec<_> = (0..8u32)
         .map(|i| {
@@ -420,7 +305,7 @@ fn graceful_drain_finishes_in_flight_and_refuses_new() {
 
 #[test]
 fn healthz_and_metrics_routes_work() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16, ConnMode::default());
     let addr = server.addr();
     let (status, _, body) = http_request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
@@ -563,7 +448,7 @@ fn malformed_traffic_gets_clean_4xx_and_never_wedges() {
 
 #[test]
 fn bad_sampling_params_get_typed_400s() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16, ConnMode::default());
     let addr = server.addr();
     // Every sampling field rejects out-of-domain values with a typed 400
     // naming the field, never a panic or a silent default.
@@ -603,7 +488,7 @@ fn bad_sampling_params_get_typed_400s() {
 
 #[test]
 fn effective_sampling_params_are_echoed_in_responses() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16, ConnMode::default());
     let addr = server.addr();
 
     // Non-streaming: explicit fields come back verbatim, omitted ones as
@@ -651,7 +536,7 @@ fn effective_sampling_params_are_echoed_in_responses() {
 
 #[test]
 fn stop_sequences_finish_with_stop_reason_over_http() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16, ConnMode::default());
     let addr = server.addr();
     let prompt = [1u32, 2, 3];
     let full = direct_tokens(&prompt, 8);
@@ -686,7 +571,7 @@ fn stop_sequences_finish_with_stop_reason_over_http() {
 
 #[test]
 fn seeded_sampling_is_reproducible_and_matches_direct_over_http() {
-    let server = start_server(2, 16, ConnMode::Auto);
+    let server = start_server(2, 16, ConnMode::default());
     let addr = server.addr();
     let body =
         "{\"prompt\":[3,1,4],\"max_tokens\":6,\"temperature\":0.9,\"top_p\":0.95,\"seed\":5}";
@@ -774,5 +659,82 @@ fn metrics_stay_consistent_and_health_ok_after_mixed_traffic() {
         let violations = metrics.consistency_violations();
         assert!(violations.is_empty(), "{mode:?}: {violations:?}");
         server.shutdown();
+    }
+}
+
+#[test]
+fn typed_endings_are_identical_across_drivers() {
+    // One case per connection ending that used to be implemented twice:
+    // each must produce the same status and error type under both shims.
+    let mut seen = Vec::new();
+    for mode in both_modes() {
+        let server = start_server_with(long_model(), 1, 16, mode);
+        let addr = server.addr();
+        let connect = || {
+            let s = TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            s
+        };
+        let mut endings: Vec<(&str, u16, String)> = Vec::new();
+
+        // Protocol error with the client still sending: the server must
+        // swallow the rest (bounded) so the close cannot reset the 400 away.
+        let mut s = connect();
+        s.write_all(b"GARBAGE\r\n\r\n").unwrap();
+        for _ in 0..64 {
+            if s.write_all(&[b'x'; 4096]).is_err() {
+                break;
+            }
+        }
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw)
+            .unwrap_or_else(|e| panic!("mode {mode:?}: error response lost to a reset: {e}"));
+        let (status, head, body) = parse_response(&raw);
+        assert!(head.contains("Connection: close"), "mode {mode:?}: {head}");
+        endings.push(("protocol error", status, error_type(&body)));
+
+        // A half-sent request that stalls past the idle timeout.
+        let mut s = connect();
+        s.write_all(b"POST /v1/completions HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"pro")
+            .unwrap();
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).unwrap();
+        let (status, _, body) = parse_response(&raw);
+        endings.push(("stalled request", status, error_type(&body)));
+
+        // A deadline that expires mid-flight.
+        let (status, body) = post_completion(
+            addr,
+            "{\"prompt\":[1,2],\"max_tokens\":480,\"deadline_ms\":5}",
+        );
+        endings.push(("deadline", status, error_type(&body)));
+
+        // A request whose FIN arrives right behind it is still answered.
+        let mut s = connect();
+        s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).unwrap();
+        assert!(
+            !raw.is_empty(),
+            "mode {mode:?}: request ahead of a FIN dropped"
+        );
+        let (status, _, body) = parse_response(&raw);
+        endings.push(("half-closed client", status, body));
+
+        server.shutdown();
+        seen.push((mode, endings));
+    }
+    let want = [
+        ("protocol error", 400, "protocol_error"),
+        ("stalled request", 408, "timeout"),
+        ("deadline", 504, "deadline_exceeded"),
+        ("half-closed client", 200, "ok\n"),
+    ];
+    for (mode, endings) in &seen {
+        for (got, want) in endings.iter().zip(want) {
+            assert_eq!((got.0, got.1, got.2.as_str()), want, "mode {mode:?}");
+        }
     }
 }

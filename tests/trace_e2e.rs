@@ -7,86 +7,11 @@
 //! those assertions are feature-gated. The timings breakdown and the
 //! histograms are always on.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use common::*;
 use std::time::Duration;
-use tmac::core::ExecCtx;
-use tmac::llm::{BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, WeightQuant};
-use tmac::serve::{ConnMode, Json, ServerConfig, ServerHandle};
-
-fn tiny_model() -> Model {
-    Model::synthetic(
-        &ModelConfig::tiny(),
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        42,
-    )
-    .unwrap()
-}
-
-/// Tiny-shaped model with a long context, so prompts can span KV pages
-/// (the prefix cache matches page-granular).
-fn long_model() -> Model {
-    Model::synthetic(
-        &ModelConfig::tiny().scaled(2, 96, 512),
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        42,
-    )
-    .unwrap()
-}
-
-fn start_server_with(model: Model, mode: ConnMode) -> ServerHandle {
-    let sched = Scheduler::new(
-        model,
-        SchedulerConfig {
-            max_batch: 2,
-            max_pending: 16,
-            ..SchedulerConfig::default()
-        },
-    );
-    tmac::serve::start(
-        sched,
-        ExecCtx::new(1),
-        ServerConfig {
-            mode,
-            idle_conn_timeout: Duration::from_millis(500),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap()
-}
-
-fn http_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    let text = String::from_utf8_lossy(&raw).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
-}
-
-fn prompt_json(prompt: &[u32], max_tokens: usize, stream: bool) -> String {
-    let ids: Vec<String> = prompt.iter().map(|t| t.to_string()).collect();
-    format!(
-        "{{\"prompt\":[{}],\"max_tokens\":{max_tokens},\"stream\":{stream}}}",
-        ids.join(",")
-    )
-}
+use tmac::serve::{ConnMode, Json};
 
 /// Pulls the `timings` object out of a completion body (or final SSE
 /// frame) as (queue_ms, prefill_ms, decode_ms, tokens_per_s, prefix_hits).
@@ -107,18 +32,10 @@ fn timings_of(doc: &Json) -> (f64, f64, f64, f64, u64) {
     )
 }
 
-fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
-}
-
 #[test]
 fn timings_ride_responses_in_both_drivers() {
     for mode in both_modes() {
-        let server = start_server_with(tiny_model(), mode);
+        let server = start_server_with(tiny_model(), 2, 16, mode);
         let addr = server.addr();
 
         // Non-streaming: the 200 body carries the breakdown.
@@ -174,7 +91,7 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
     let mut b = prefix;
     b.extend_from_slice(&[3, 4]);
 
-    let server = start_server_with(long_model(), ConnMode::Auto);
+    let server = start_server_with(long_model(), 2, 16, ConnMode::default());
     let addr = server.addr();
     let (status, _, body) =
         http_request(addr, "POST", "/v1/completions", &prompt_json(&a, 2, false));
@@ -209,7 +126,7 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
 #[test]
 fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
     for mode in both_modes() {
-        let server = start_server_with(tiny_model(), mode);
+        let server = start_server_with(tiny_model(), 2, 16, mode);
         let addr = server.addr();
         // Generate some work first so (feature-on) the rings hold spans.
         let (status, _, body) = http_request(
@@ -258,7 +175,7 @@ fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
 
 #[test]
 fn metrics_expose_latency_histograms() {
-    let server = start_server_with(tiny_model(), ConnMode::Auto);
+    let server = start_server_with(tiny_model(), 2, 16, ConnMode::default());
     let addr = server.addr();
     // One streaming completion touches every histogram: TTFT and e2e on
     // the request path, queue wait at admission, step duration and batch
