@@ -35,19 +35,14 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// Kernel-level mpGEMM gate at `n = 16`: one FFN-shaped 2-bit layer, the
-/// multi-row mpGEMM against (a) 16 sequential GEMVs and (b) the per-row
-/// sweep the mpGEMM driver used before register blocking (`row_block = 1`).
-/// Returns `(mpgemm_vs_gemv16, multirow_vs_perrow16)` as speedup ratios.
-fn mpgemm_gate(cfg: &ModelConfig, ctx: &ExecCtx, iters: usize) -> (f64, f64) {
+/// multi-row mpGEMM against 16 sequential GEMVs, as a speedup ratio.
+fn mpgemm_gate(cfg: &ModelConfig, ctx: &ExecCtx, iters: usize) -> f64 {
     let (m, k, n) = (cfg.ffn_dim, cfg.dim, 16usize);
     let w: Vec<f32> = (0..m * k)
         .map(|i| ((i as f32) * 0.19).sin() * 0.5)
         .collect();
     let act: Vec<f32> = (0..n * k).map(|i| ((i as f32) * 0.31).cos()).collect();
     let multi = TmacLinear::from_f32(&w, m, k, 2, 32, KernelOpts::tmac()).expect("plan");
-    let mut per_row_opts = KernelOpts::tmac();
-    per_row_opts.row_block = 1; // the PR 2 sweep: rows innermost, no register block
-    let per_row = TmacLinear::from_f32(&w, m, k, 2, 32, per_row_opts).expect("plan");
 
     let mut out = vec![0f32; n * m];
     let seq = tmac_eval::time_best(
@@ -70,12 +65,7 @@ fn mpgemm_gate(cfg: &ModelConfig, ctx: &ExecCtx, iters: usize) -> (f64, f64) {
         1,
         iters,
     );
-    let gemm_per_row = tmac_eval::time_best(
-        || per_row.gemm(&act, n, &mut out, ctx).expect("gemm"),
-        1,
-        iters,
-    );
-    (seq / gemm_multi, gemm_per_row / gemm_multi)
+    seq / gemm_multi
 }
 
 fn main() {
@@ -145,17 +135,12 @@ fn main() {
     metrics.push(("speedup_b16", b16 / seq));
 
     let gate_iters = if quick { 3 } else { 10 };
-    let (vs_gemv, vs_perrow) = mpgemm_gate(&cfg, &ctx, gate_iters);
+    let vs_gemv = mpgemm_gate(&cfg, &ctx, gate_iters);
     println!(
         "\n{:<28} {:>10.2}x (16 GEMVs / one 16-row mpGEMM, {}x{} 2-bit)",
         "mpgemm vs sequential gemv", vs_gemv, cfg.ffn_dim, cfg.dim
     );
-    println!(
-        "{:<28} {:>10.2}x (per-row sweep / multi-row kernel)",
-        "multi-row vs per-row sweep", vs_perrow
-    );
     metrics.push(("mpgemm_vs_gemv16", vs_gemv));
-    metrics.push(("multirow_vs_perrow16", vs_perrow));
 
     // Long-context attention gate: i8 fused streaming-softmax vs f32
     // two-pass at seq 2048 over the head-major KV cache, plus a

@@ -8,7 +8,7 @@
 //! (T-MAC's op count scales with `bits/g`, dequant's does not scale down
 //! with bits at all).
 
-use crate::opts::{KernelOpts, L1_TABLE_BUDGET, LUT_GROUP};
+use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 
 /// L1 data cache size assumed by the analytical model (conservative 32 KB;
 /// real edge cores range 32–64 KB).
@@ -142,38 +142,23 @@ pub fn dequant_gemv_cost(m: usize, k: usize, bits: usize) -> KernelCost {
     }
 }
 
-/// Interleaved table working-set bytes of one register block sweeping one
-/// K-panel: `row_block` rows × `kg_panel` k-groups × 16 `i8` entries
-/// (mirror pair-packing halves the per-group bytes).
-pub fn gemm_working_set_bytes(kg_panel: usize, row_block: usize, opts: &KernelOpts) -> u64 {
+/// Table working-set bytes of one mpGEMM sweep: `rows` activation rows ×
+/// `K/4` k-groups × 16 `i8` entries (mirror pair-packing halves the
+/// per-group bytes). Every m-tile streams it once, front to back.
+pub fn gemm_working_set_bytes(k: usize, rows: usize, opts: &KernelOpts) -> u64 {
     let per_kg = if opts.mirror { 8u64 } else { 16u64 };
-    row_block.clamp(1, crate::opts::MAX_ROW_BLOCK) as u64 * kg_panel as u64 * per_kg
-}
-
-/// The K-panel length (in k-groups) the mpGEMM driver resolves for `opts`
-/// at reduction length `k` — the explicit `kg_panel`, or the largest panel
-/// whose working set fits the L1 table budget when `0` (auto).
-pub fn effective_kg_panel(k: usize, opts: &KernelOpts) -> usize {
-    let kg_total = k / LUT_GROUP;
-    let rb = opts.effective_row_block();
-    let per_kg = if opts.mirror { 8 } else { 16 };
-    let kg = match opts.kg_panel {
-        0 => (L1_TABLE_BUDGET / (rb * per_kg)).max(1),
-        n => n,
-    };
-    kg.min(kg_total)
+    rows as u64 * (k / LUT_GROUP) as u64 * per_kg
 }
 
 /// Cost of an mpGEMM: `n` GEMVs with weight streaming amortized over
 /// `n_block` rows for T-MAC.
 ///
 /// The table-traffic term models the **L1-residency cliff** of the
-/// multi-row kernel: a register block's active table slice (one K-panel,
-/// [`gemm_working_set_bytes`]) is read once per panel while all m-tiles
-/// stream over it — as long as it fits L1. A configuration whose panel
-/// working set exceeds [`L1_BYTES`] re-streams the slice from L2 on *every
-/// m-tile*, multiplying table traffic by the tile count; this is the cliff
-/// `kg_panel` auto-sizing exists to stay below.
+/// multi-row sweep: the `n_block` rows' tables ([`gemm_working_set_bytes`])
+/// are read once per m-tile, in exactly the order they are stored. While
+/// they fit L1 they are fetched once per row block; beyond [`L1_BYTES`]
+/// every m-tile re-streams them from L2 — sequential traffic the hardware
+/// prefetcher hides behind the lookups (DESIGN.md §3b), but traffic.
 pub fn tmac_gemm_cost(
     m: usize,
     k: usize,
@@ -185,25 +170,19 @@ pub fn tmac_gemm_cost(
     let per_row = tmac_gemv_cost(m, k, bits, group_size, opts);
     let mut total = per_row.scaled(n as u64);
     // Weights are re-streamed once per n-block from DRAM, not once per row.
-    let passes = (n as u64).div_ceil(opts.n_block.max(1) as u64);
+    let nb = opts.n_block.max(1);
+    let passes = (n as u64).div_ceil(nb as u64);
     total.weight_bytes = per_row.weight_bytes * passes;
     total.scale_bytes = per_row.scale_bytes * passes;
-    if opts.table_quant && opts.effective_row_block() > 1 {
-        // Multi-row sweep: tables are *built* once per row (counted by the
-        // scaled per-row term) and then streamed panel by panel.
-        let rb = opts.effective_row_block() as u64;
-        let kg_panel = effective_kg_panel(k, opts) as u64;
-        let kg_total = (k / LUT_GROUP) as u64;
-        let panels = kg_total.div_ceil(kg_panel.max(1));
-        let blocks = (n as u64).div_ceil(rb);
-        let ws = gemm_working_set_bytes(kg_panel as usize, opts.row_block, opts);
-        let m_tiles = (m as u64).div_ceil(crate::opts::TILE_M as u64);
+    if opts.table_quant {
+        // Tables are *built* once per row (counted by the scaled per-row
+        // term) and then streamed by every sweep.
+        let ws = gemm_working_set_bytes(k, nb.min(n), opts);
+        let m_tiles = (m as u64).div_ceil(TILE_M as u64);
         let sweeps = if ws <= L1_BYTES {
-            // L1-resident: each panel's slice is fetched once per block.
-            blocks * panels
+            passes
         } else {
-            // Over the cliff: refetched by every m-tile of every panel.
-            blocks * panels * m_tiles
+            passes * m_tiles
         };
         total.table_bytes += sweeps * ws;
     }
@@ -263,16 +242,13 @@ mod tests {
 
     #[test]
     fn l1_cliff_in_gemm_table_traffic() {
-        // Auto-panelled blocking keeps the working set under L1; forcing the
-        // whole K range into one panel with a full row block blows past it
+        // One row's tables at K = 4096 fit L1; an eight-row block's do not,
         // and the modeled table traffic jumps by the tile count.
         let mut fit = KernelOpts::tmac();
-        fit.row_block = 8;
-        fit.kg_panel = 0; // auto
-        let mut cliff = fit;
-        cliff.kg_panel = 4096 / 4; // whole K in one panel
-        assert!(gemm_working_set_bytes(effective_kg_panel(4096, &fit), 8, &fit) <= L1_BYTES);
-        assert!(gemm_working_set_bytes(effective_kg_panel(4096, &cliff), 8, &cliff) > L1_BYTES);
+        fit.n_block = 1;
+        let cliff = KernelOpts::tmac(); // n_block = 8
+        assert!(gemm_working_set_bytes(4096, fit.n_block, &fit) <= L1_BYTES);
+        assert!(gemm_working_set_bytes(4096, cliff.n_block, &cliff) > L1_BYTES);
         let c_fit = tmac_gemm_cost(4096, 4096, 16, 2, 32, &fit);
         let c_cliff = tmac_gemm_cost(4096, 4096, 16, 2, 32, &cliff);
         assert!(
@@ -283,22 +259,11 @@ mod tests {
         );
         // Identical lookup/accumulate work either side of the cliff.
         assert_eq!(c_cliff.lookups, c_fit.lookups);
-    }
-
-    #[test]
-    fn effective_panel_respects_mirror_and_k() {
-        let o = KernelOpts::tmac(); // 16 B per (row, kg)
+        // Mirror pair-packing halves the working set.
         assert_eq!(
-            effective_kg_panel(4096, &o),
-            crate::opts::L1_TABLE_BUDGET / (o.row_block * 16)
+            2 * gemm_working_set_bytes(4096, 8, &KernelOpts::tmac_mirror()),
+            gemm_working_set_bytes(4096, 8, &cliff)
         );
-        let m = KernelOpts::tmac_mirror(); // 8 B/kg: twice the groups fit
-        assert_eq!(
-            effective_kg_panel(4096, &m),
-            2 * effective_kg_panel(4096, &o)
-        );
-        // Clamped to the k-group total for short reductions.
-        assert_eq!(effective_kg_panel(64, &o), 16);
     }
 
     #[test]

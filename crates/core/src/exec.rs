@@ -104,15 +104,13 @@ struct BatchCacheEntry {
     tables: Arc<Vec<ActTables>>,
 }
 
-/// One cached set of *interleaved* register blocks, derived from a batched
-/// build. Keyed by the identity of the source `Arc` (held here, so the
-/// allocation cannot be recycled while cached) plus the blocking that
-/// shaped it — two plans sharing per-row builds but tuned to different
-/// `row_block`s interleave separately.
+/// One cached set of re-laid row blocks ([`BatchTables`]), derived from a
+/// batched build. Keyed by the identity of the source `Arc` (held here, so
+/// the allocation cannot be recycled while cached) plus the `n_block` that
+/// partitioned it.
 struct InterleavedCacheEntry {
     generation: u64,
     n_block: usize,
-    row_block: usize,
     source: Arc<Vec<ActTables>>,
     blocks: Arc<Vec<BatchTables>>,
 }
@@ -135,8 +133,8 @@ const CACHE_CAPACITY: usize = 8;
 /// so the capacity stays small.
 const BATCH_CACHE_CAPACITY: usize = 4;
 
-/// Interleaved block sets retained per generation (one live entry per
-/// projection group × blocking shape).
+/// Re-laid block sets retained per generation (one live entry per
+/// projection group × `n_block`).
 const INTERLEAVED_CACHE_CAPACITY: usize = 4;
 
 /// Buffers retained in the scratch free-list.
@@ -157,6 +155,24 @@ fn fingerprint(act: &[f32]) -> u64 {
         h = (h ^ x.to_bits() as u64).wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Stores `entry` in a small generation-stamped cache: over the slot `same`
+/// selects, else appended while under `cap`, else over the oldest entry.
+fn cache_put<T>(
+    cache: &mut Vec<T>,
+    cap: usize,
+    entry: T,
+    same: impl Fn(&T) -> bool,
+    generation: impl Fn(&T) -> u64,
+) {
+    if let Some(slot) = cache.iter_mut().find(|e| same(e)) {
+        *slot = entry;
+    } else if cache.len() < cap {
+        cache.push(entry);
+    } else if let Some(oldest) = cache.iter_mut().min_by_key(|e| generation(e)) {
+        *oldest = entry;
+    }
 }
 
 /// How the context holds its pool: owned (the common case) or shared.
@@ -316,15 +332,12 @@ impl ExecCtx {
             fingerprint: fp,
             tables: Arc::clone(&tables),
         };
-        if let Some(slot) = state.tables.iter_mut().find(|e| e.profile == profile) {
-            // One slot per (K, profile): a new activation (or a fingerprint
-            // mismatch within a generation) replaces the stale build.
-            *slot = entry;
-        } else if state.tables.len() < CACHE_CAPACITY {
-            state.tables.push(entry);
-        } else if let Some(oldest) = state.tables.iter_mut().min_by_key(|e| e.generation) {
-            *oldest = entry;
-        }
+        // One slot per (K, profile): a new activation (or a fingerprint
+        // mismatch within a generation) replaces the stale build.
+        let same = |e: &CacheEntry| e.profile == profile;
+        cache_put(&mut state.tables, CACHE_CAPACITY, entry, same, |e| {
+            e.generation
+        });
         Ok(tables)
     }
 
@@ -377,14 +390,7 @@ impl ExecCtx {
         }
         // Build outside the lock (same rationale as `tables_for`).
         let _s = tmac_trace::span("exec", "table_build_batch", generation, n as u64);
-        let mut tables = Vec::with_capacity(n);
-        for ni in 0..n {
-            tables.push(gemv::build_tables(
-                plan,
-                &act[ni * plan.k..(ni + 1) * plan.k],
-            )?);
-        }
-        let tables = Arc::new(tables);
+        let tables = Arc::new(crate::gemm::build_tables_batch(plan, act, n, self)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut state = self.lock();
         let entry = BatchCacheEntry {
@@ -394,37 +400,28 @@ impl ExecCtx {
             fingerprint: fp,
             tables: Arc::clone(&tables),
         };
-        if let Some(slot) = state
-            .batch_tables
-            .iter_mut()
-            .find(|e| e.profile == profile && e.n == n)
-        {
-            *slot = entry;
-        } else if state.batch_tables.len() < BATCH_CACHE_CAPACITY {
-            state.batch_tables.push(entry);
-        } else if let Some(oldest) = state.batch_tables.iter_mut().min_by_key(|e| e.generation) {
-            *oldest = entry;
-        }
+        let same = |e: &BatchCacheEntry| e.profile == profile && e.n == n;
+        let cache = &mut state.batch_tables;
+        cache_put(cache, BATCH_CACHE_CAPACITY, entry, same, |e| e.generation);
         Ok(tables)
     }
 
-    /// Returns the interleaved register blocks ([`BatchTables`]) of a
-    /// row-major `n × K` activation batch, partitioned by the plan's
-    /// `n_block`/`row_block` — the table form the multi-row mpGEMM kernel
-    /// streams.
+    /// Returns the re-laid row blocks ([`BatchTables`]) of a row-major
+    /// `n × K` activation batch, partitioned by the plan's `n_block` — the
+    /// table form the multi-row mpGEMM kernel streams.
     ///
     /// The per-row builds come from [`ExecCtx::batch_tables_for`] (and count
-    /// in [`ExecCtx::table_stats`] exactly as before); the interleaving on
-    /// top is cached by the identity of that batched build, so projection
-    /// groups that share per-row builds (batched QKV, gate/up) also share
-    /// the interleave work as long as their blocking agrees. Interleave
-    /// cache traffic is reported by [`ExecCtx::interleave_stats`].
+    /// in [`ExecCtx::table_stats`] exactly as before); the re-lay on top is
+    /// cached by the identity of that batched build, so projection groups
+    /// that share per-row builds (batched QKV, gate/up) also share the
+    /// re-lay work as long as their `n_block` agrees. Its cache traffic is
+    /// reported by [`ExecCtx::interleave_stats`].
     ///
     /// # Errors
     ///
     /// Same contract as [`ExecCtx::batch_tables_for`], plus
     /// [`TmacError::Shape`] when the plan's tables are not quantized (the
-    /// interleaved layout is `i8`-only).
+    /// re-laid layout is `i8`-only).
     pub fn interleaved_tables_for(
         &self,
         plan: &WeightPlan,
@@ -434,49 +431,30 @@ impl ExecCtx {
         let source = self.batch_tables_for(plan, act, n)?;
         let generation = self.generation();
         let nb = plan.opts.n_block.max(1);
-        let rb = plan.opts.effective_row_block();
-        {
-            let state = self.lock();
-            if let Some(e) = state
-                .interleaved
-                .iter()
-                .find(|e| Arc::ptr_eq(&e.source, &source) && e.n_block == nb && e.row_block == rb)
-            {
-                self.interleave_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&e.blocks));
-            }
+        let same = |e: &InterleavedCacheEntry| Arc::ptr_eq(&e.source, &source) && e.n_block == nb;
+        if let Some(e) = self.lock().interleaved.iter().find(|e| same(e)) {
+            self.interleave_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&e.blocks));
         }
-        // Interleave outside the lock (same rationale as the builds).
+        // Re-lay outside the lock (same rationale as the builds).
         let _s = tmac_trace::span("exec", "interleave", generation, n as u64);
-        let mut blocks = Vec::new();
-        for range in crate::gemm::row_partition(n, nb, rb) {
-            blocks.push(BatchTables::interleave(&source[range])?);
-        }
-        let blocks = Arc::new(blocks);
+        let blocks: Result<Vec<_>, _> = source.chunks(nb).map(BatchTables::interleave).collect();
+        let blocks = Arc::new(blocks?);
         self.interleave_misses.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.lock();
         let entry = InterleavedCacheEntry {
             generation,
             n_block: nb,
-            row_block: rb,
-            source,
+            source: Arc::clone(&source),
             blocks: Arc::clone(&blocks),
         };
-        if let Some(slot) = state
-            .interleaved
-            .iter_mut()
-            .find(|e| Arc::ptr_eq(&e.source, &entry.source) && e.n_block == nb && e.row_block == rb)
-        {
-            *slot = entry;
-        } else if state.interleaved.len() < INTERLEAVED_CACHE_CAPACITY {
-            state.interleaved.push(entry);
-        } else if let Some(oldest) = state.interleaved.iter_mut().min_by_key(|e| e.generation) {
-            *oldest = entry;
-        }
+        let cache = &mut self.lock().interleaved;
+        cache_put(cache, INTERLEAVED_CACHE_CAPACITY, entry, same, |e| {
+            e.generation
+        });
         Ok(blocks)
     }
 
-    /// `(hits, misses)` of the interleaved-block cache (separate from
+    /// `(hits, misses)` of the re-laid row-block cache (separate from
     /// [`ExecCtx::table_stats`], which counts table *builds*).
     pub fn interleave_stats(&self) -> (u64, u64) {
         (
@@ -645,17 +623,30 @@ mod tests {
 
     #[test]
     fn batch_tables_match_per_row_builds() {
-        let ctx = ExecCtx::new(1);
-        let p = plan(64, 128, 2, KernelOpts::tmac());
-        let n = 3;
-        let a: Vec<f32> = (0..n * 128).map(|i| ((i as f32) * 0.23).cos()).collect();
-        ctx.next_activation();
-        let batch = ctx.batch_tables_for(&p, &a, n).unwrap();
-        for ni in 0..n {
-            let row = gemv::build_tables(&p, &a[ni * 128..(ni + 1) * 128]).unwrap();
-            assert_eq!(batch[ni].q_tables, row.q_tables, "row {ni}");
-            assert_eq!(batch[ni].q_scales, row.q_scales, "row {ni}");
-            assert_eq!(batch[ni].asums, row.asums, "row {ni}");
+        // The rows are built in parallel on the context's pool (more rows
+        // than threads, and fewer): same tables, one miss per batch.
+        for (threads, n) in [(1, 3), (3, 5), (4, 2)] {
+            let ctx = ExecCtx::new(threads);
+            let p = plan(64, 128, 2, KernelOpts::tmac());
+            let a: Vec<f32> = (0..n * 128).map(|i| ((i as f32) * 0.23).cos()).collect();
+            ctx.next_activation();
+            let batch = ctx.batch_tables_for(&p, &a, n).unwrap();
+            assert_eq!(batch.len(), n);
+            for ni in 0..n {
+                let row = gemv::build_tables(&p, &a[ni * 128..(ni + 1) * 128]).unwrap();
+                assert_eq!(batch[ni].q_tables, row.q_tables, "row {ni}");
+                assert_eq!(batch[ni].q_scales, row.q_scales, "row {ni}");
+                assert_eq!(batch[ni].asums, row.asums, "row {ni}");
+            }
+            assert_eq!(ctx.table_stats(), TableCacheStats { hits: 0, misses: 1 });
+            // A bad row fails the whole batch, whichever thread built it.
+            let mut bad = a.clone();
+            bad[(n - 1) * 128 + 7] = f32::NAN;
+            ctx.next_activation();
+            assert!(matches!(
+                ctx.batch_tables_for(&p, &bad, n),
+                Err(TmacError::Numeric(_))
+            ));
         }
     }
 

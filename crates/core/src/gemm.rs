@@ -2,107 +2,66 @@
 //!
 //! The lookup table is the reusable operand (§3.2: "the weight `W[M, K]` can
 //! share the same pre-computed lookup table"), so the driver blocks the
-//! sequence dimension twice:
+//! sequence dimension by **`n_block`**: the rows of a block have their
+//! tables built (in parallel) and cached together, re-laid per scale block
+//! ([`BatchTables`]), and swept over the weights as one unit — the multi-row
+//! kernel decodes each scale block's weight indices once and looks them up
+//! against every row of the block.
 //!
-//! * **`n_block`** — rows whose tables are built (and cached) together;
-//! * **`row_block`** — rows per *register block*: each `n_block` chunk is
-//!   swept in `row_block`-row groups whose quantized tables are interleaved
-//!   per k-group ([`BatchTables`]) and fed to the multi-row kernel, which
-//!   loads each weight index step once for the whole group.
-//!
-//! On top of that, the kg range of each sweep is split into **K-panels**
-//! sized so the group's active table slice stays L1-resident while every
-//! m-tile streams over it (`kg_panel`, auto-sized from
-//! [`crate::opts::L1_TABLE_BUDGET`] by default); per-row `f32` partials
-//! accumulate across panels in the exact scale-block order of the GEMV
-//! path, so the split never changes a bit of the result.
+//! Per row the kernel applies the GEMV kernel's operations in the GEMV
+//! kernel's order, so the blocking never changes a bit of the result.
 
 use crate::exec::ExecCtx;
-use crate::gemv::{build_tables, run_mtile};
+use crate::gemv::{avx2_for, build_tables, run_mtile, OutPtr};
 use crate::kernel;
-use crate::opts::{LUT_GROUP, TILE_M};
+use crate::opts::TILE_M;
 use crate::plan::WeightPlan;
 use crate::table::{ActTables, BatchTables};
 use crate::TmacError;
-use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Partitions `n` activation rows into the register blocks the sweep
-/// consumes: chunks of `row_block` rows, restarting at every `n_block`
-/// boundary (table builds are grouped by `n_block`, so register blocks
-/// never straddle one).
-pub fn row_partition(n: usize, n_block: usize, row_block: usize) -> Vec<Range<usize>> {
-    let nb = n_block.max(1);
-    let rb = row_block.max(1);
-    let mut out = Vec::new();
-    let mut n0 = 0;
-    while n0 < n {
-        let chunk_end = (n0 + nb).min(n);
-        let mut r0 = n0;
-        while r0 < chunk_end {
-            let r1 = (r0 + rb).min(chunk_end);
-            out.push(r0..r1);
-            r0 = r1;
+/// Builds the tables of every row of a row-major `n × K` batch, fanning the
+/// (independent) rows out over the context's pool. Rows fail in row order.
+pub(crate) fn build_tables_batch(
+    plan: &WeightPlan,
+    act: &[f32],
+    n: usize,
+    ctx: &ExecCtx,
+) -> Result<Vec<ActTables>, TmacError> {
+    let k = plan.k;
+    if n == 1 {
+        // Not worth a pool dispatch.
+        return Ok(vec![build_tables(plan, act)?]);
+    }
+    let slots: Vec<OnceLock<Result<ActTables, TmacError>>> =
+        (0..n).map(|_| OnceLock::new()).collect();
+    ctx.pool().chunks(n, 1, |rows| {
+        for r in rows {
+            let built = build_tables(plan, &act[r * k..(r + 1) * k]);
+            slots[r].set(built).expect("each row is built once");
         }
-        n0 = chunk_end;
-    }
-    out
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every row was built"))
+        .collect()
 }
 
-/// K-panel length in *scale blocks*: the resolved `kg_panel` (explicit, or
-/// auto-sized so the register block's interleaved table slice fits the L1
-/// budget — see [`crate::cost::effective_kg_panel`], the analytical twin)
-/// rounded down to whole scale blocks, at least one.
-fn panel_blocks(plan: &WeightPlan) -> usize {
-    let kg_per_block = plan.group_size / LUT_GROUP;
-    let kg_target = crate::cost::effective_kg_panel(plan.k, &plan.opts);
-    (kg_target / kg_per_block).max(1)
-}
-
-/// Which kernel serves a multi-row sweep.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SweepPath {
-    /// AVX2 register-blocked multi-row kernel.
+/// Whether a multi-row kernel (rather than the per-row GEMV sweep) serves
+/// `plan`. The invariant that keeps batched forwards bit-identical to
+/// independent single-row forwards: whatever kernel family (AVX2 or scalar)
+/// serves the GEMV path on this host must also serve the GEMM path — the
+/// multi-row kernels replicate their single-row siblings' arithmetic
+/// exactly, but AVX2 and scalar differ in `f32` fold rounding.
+fn multi_row(plan: &WeightPlan) -> bool {
     #[cfg(target_arch = "x86_64")]
-    MultiAvx2,
-    /// Scalar multi-row kernel over the interleaved layout.
-    MultiScalar,
-    /// Per-row `gemv` kernel (row innermost over the tile loop).
-    PerRow,
+    if avx2_for(plan) {
+        return kernel::avx2::gemm_supported(plan);
+    }
+    // The scalar multi-row kernel covers every quantized layout (including
+    // fast aggregation and flat planes).
+    plan.opts.table_quant
 }
-
-/// Chooses the sweep path. The invariant that keeps batched forwards
-/// bit-identical to independent single-row forwards: whatever kernel family
-/// (AVX2 or scalar) serves the GEMV path on this host must also serve the
-/// GEMM path — the multi-row kernels replicate their single-row siblings'
-/// arithmetic exactly, but AVX2 and scalar differ in `f32` fold rounding.
-fn sweep_path(plan: &WeightPlan, use_avx2: bool) -> SweepPath {
-    if plan.opts.effective_row_block() <= 1 {
-        return SweepPath::PerRow;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2 {
-        return if kernel::avx2::gemm_supported(&plan.opts) {
-            SweepPath::MultiAvx2
-        } else {
-            SweepPath::PerRow
-        };
-    }
-    let _ = use_avx2;
-    if plan.opts.table_quant {
-        // The scalar multi-row kernel covers every quantized layout
-        // (including fast aggregation and flat planes).
-        SweepPath::MultiScalar
-    } else {
-        SweepPath::PerRow
-    }
-}
-
-/// Shared-output wrapper: threads write disjoint `(n, m-tile)` blocks.
-struct OutPtr(*mut f32);
-// SAFETY: tiles are partitioned disjointly per dispatch and each write
-// targets `row n, columns [m0, m0+take)` for a tile this thread owns; the
-// dispatcher keeps the buffer alive until completion.
-unsafe impl Sync for OutPtr {}
 
 /// Validates the `n × K` / `n × M` shapes shared by every mpGEMM entry.
 fn check_shapes(
@@ -129,47 +88,15 @@ fn check_shapes(
     Ok(())
 }
 
-/// Whether the AVX2 kernel serves `plan` on this host.
-fn avx2_for(plan: &WeightPlan) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        kernel::avx2::supported(&plan.opts)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = plan;
-        false
-    }
-}
-
 /// Sweeps all m-tiles for one `n_block` chunk of rows. `tables[i]` belongs
 /// to output row `n0 + i` of `out`.
-///
-/// On the multi-row paths the chunk is split into `row_block`-row register
-/// blocks, each interleaved into a [`BatchTables`] and swept with K-panel
-/// blocking; otherwise the per-row GEMV kernel runs with the rows innermost
-/// over the tile loop (the pre-register-blocking behaviour).
-fn sweep_block(
-    plan: &WeightPlan,
-    tables: &[ActTables],
-    n0: usize,
-    out: &mut [f32],
-    use_avx2: bool,
-    ctx: &ExecCtx,
-) {
-    let path = sweep_path(plan, use_avx2);
-    if path == SweepPath::PerRow {
-        sweep_block_per_row(plan, tables, n0, out, use_avx2, ctx);
-        return;
-    }
-    let rb = plan.opts.effective_row_block();
-    let mut r0 = 0;
-    while r0 < tables.len() {
-        let take = rb.min(tables.len() - r0);
-        let batch = BatchTables::interleave(&tables[r0..r0 + take])
+fn sweep_block(plan: &WeightPlan, tables: &[ActTables], n0: usize, out: &mut [f32], ctx: &ExecCtx) {
+    if multi_row(plan) {
+        let batch = BatchTables::interleave(tables)
             .expect("multi-row path requires compatible quantized tables");
-        sweep_register_block(plan, &batch, n0 + r0, out, path, ctx);
-        r0 += take;
+        sweep_batch(plan, &batch, n0, out, ctx);
+    } else {
+        sweep_block_per_row(plan, tables, n0, out, ctx);
     }
 }
 
@@ -180,10 +107,10 @@ fn sweep_block_per_row(
     tables: &[ActTables],
     n0: usize,
     out: &mut [f32],
-    use_avx2: bool,
     ctx: &ExecCtx,
 ) {
     let m = plan.m;
+    let use_avx2 = avx2_for(plan);
     let out_ptr = OutPtr(out.as_mut_ptr());
     let out_ref = &out_ptr;
     ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
@@ -193,82 +120,42 @@ fn sweep_block_per_row(
             let take = TILE_M.min(m - m0);
             for (ni, t) in tables.iter().enumerate() {
                 run_mtile(plan, t, mt, &mut buf, use_avx2);
-                // SAFETY: this thread owns tile `mt`; the destination
-                // range lies in row `n0 + ni` of `out`, within bounds;
-                // the buffer outlives the dispatch.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        buf.as_ptr(),
-                        out_ref.0.add((n0 + ni) * m + m0),
-                        take,
-                    );
-                }
+                // SAFETY: this thread owns tile `mt`; the destination lies
+                // in row `n0 + ni` of `out`, within bounds.
+                unsafe { out_ref.write((n0 + ni) * m + m0, &buf[..take]) };
             }
         }
     });
 }
 
-/// Sweeps one interleaved register block over all m-tiles with K-panel
-/// blocking: panels run outermost (per thread) so the block's active table
-/// slice stays L1-resident while the thread's tiles stream over it, and
-/// per-tile `f32` partials persist across panels in a scratch buffer.
-fn sweep_register_block(
-    plan: &WeightPlan,
-    batch: &BatchTables,
-    n0: usize,
-    out: &mut [f32],
-    path: SweepPath,
-    ctx: &ExecCtx,
-) {
+/// Sweeps one re-laid row block over all m-tiles with the multi-row kernel.
+fn sweep_batch(plan: &WeightPlan, batch: &BatchTables, n0: usize, out: &mut [f32], ctx: &ExecCtx) {
     let m = plan.m;
     let rows = batch.rows;
-    let gpr = plan.groups_per_row();
-    let panel = panel_blocks(plan);
+    let use_avx2 = avx2_for(plan);
     let out_ptr = OutPtr(out.as_mut_ptr());
     let out_ref = &out_ptr;
     ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
-        let span = rows * TILE_M;
-        // Zeroed partial outputs for every tile this thread owns, reused
-        // from the context's scratch arena.
-        let mut partials = ctx.take_buf(tiles.len() * span);
-        let mut sb0 = 0;
-        while sb0 < gpr {
-            let sb1 = (sb0 + panel).min(gpr);
-            // One K-panel sweep over this thread's tiles (`id` = the
-            // panel's first scale block, `arg` = register-block rows).
-            let _panel = tmac_trace::span("gemm", "panel", sb0 as u64, rows as u64);
-            for (ti, mt) in tiles.clone().enumerate() {
-                let bufs = &mut partials[ti * span..(ti + 1) * span];
-                match path {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `SweepPath::MultiAvx2` is only selected when
-                    // `kernel::avx2::gemm_supported` passed the runtime
-                    // AVX2+FMA check.
-                    SweepPath::MultiAvx2 => unsafe {
-                        kernel::avx2::gemm_mtile(plan, batch, mt, sb0..sb1, bufs)
-                    },
-                    _ => kernel::scalar::gemm_plan_mtile(plan, batch, mt, sb0..sb1, bufs),
-                }
+        let mut outs = ctx.take_buf(rows * TILE_M);
+        // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
+        let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows as u64);
+        for mt in tiles {
+            match use_avx2 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `avx2_for` passed the runtime AVX2+FMA check, and
+                // `multi_row` then required `gemm_supported`.
+                true => unsafe { kernel::avx2::gemm_mtile(plan, batch, mt, &mut outs) },
+                _ => kernel::scalar::gemm_plan_mtile(plan, batch, mt, &mut outs),
             }
-            sb0 = sb1;
-        }
-        for (ti, mt) in tiles.clone().enumerate() {
             let m0 = mt * TILE_M;
             let take = TILE_M.min(m - m0);
             for r in 0..rows {
-                // SAFETY: this thread owns tile `mt`; the destination range
-                // lies in row `n0 + r` of `out`, within bounds; the buffer
-                // outlives the dispatch.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        partials[ti * span + r * TILE_M..].as_ptr(),
-                        out_ref.0.add((n0 + r) * m + m0),
-                        take,
-                    );
-                }
+                // SAFETY: this thread owns tile `mt`; the destination lies
+                // in row `n0 + r` of `out`, within bounds.
+                unsafe { out_ref.write((n0 + r) * m + m0, &outs[r * TILE_M..][..take]) };
             }
         }
-        ctx.put_buf(partials);
+        ctx.put_buf(outs);
     });
 }
 
@@ -289,21 +176,13 @@ pub fn mpgemm(
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
     check_shapes(plan, act.len(), n, out.len())?;
-    let use_avx2 = avx2_for(plan);
     let nb = plan.opts.n_block.max(1);
     let k = plan.k;
-    let mut n0 = 0;
-    while n0 < n {
+    for n0 in (0..n).step_by(nb) {
         let nblk = nb.min(n - n0);
-        // Online stage: tables for this block of activation rows. The cost
-        // is O(nblk · K), negligible against the O(nblk · M · K / g) lookup
-        // sweep, so it is built serially.
-        let mut tables: Vec<ActTables> = Vec::with_capacity(nblk);
-        for ni in 0..nblk {
-            tables.push(build_tables(plan, &act[(n0 + ni) * k..(n0 + ni + 1) * k])?);
-        }
-        sweep_block(plan, &tables, n0, out, use_avx2, ctx);
-        n0 += nblk;
+        // Online stage: tables for this block of activation rows.
+        let tables = build_tables_batch(plan, &act[n0 * k..(n0 + nblk) * k], nblk, ctx)?;
+        sweep_block(plan, &tables, n0, out, ctx);
     }
     Ok(())
 }
@@ -326,19 +205,17 @@ pub fn mpgemm_cached(
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
     check_shapes(plan, act.len(), n, out.len())?;
-    let use_avx2 = avx2_for(plan);
-    let path = sweep_path(plan, use_avx2);
-    if path != SweepPath::PerRow {
-        // Multi-row path: pull the pre-interleaved register blocks from the
-        // context cache (QKV-style projection groups share both the per-row
-        // builds *and* the interleave work).
+    if multi_row(plan) {
+        // Multi-row path: pull the re-laid row blocks from the context
+        // cache (QKV-style projection groups share both the per-row builds
+        // *and* the re-lay work).
         let blocks = ctx.interleaved_tables_for(plan, act, n)?;
         let mut n0 = 0;
         for batch in blocks.iter() {
-            sweep_register_block(plan, batch, n0, out, path, ctx);
+            sweep_batch(plan, batch, n0, out, ctx);
             n0 += batch.rows;
         }
-        debug_assert_eq!(n0, n, "interleaved blocks must partition the batch");
+        debug_assert_eq!(n0, n, "row blocks must partition the batch");
         return Ok(());
     }
     let tables = ctx.batch_tables_for(plan, act, n)?;
@@ -371,13 +248,9 @@ pub fn mpgemm_with_tables(
     for t in tables {
         crate::gemv::check_tables_compatible(plan, t)?;
     }
-    let use_avx2 = avx2_for(plan);
     let nb = plan.opts.n_block.max(1);
-    let mut n0 = 0;
-    while n0 < n {
-        let nblk = nb.min(n - n0);
-        sweep_block(plan, &tables[n0..n0 + nblk], n0, out, use_avx2, ctx);
-        n0 += nblk;
+    for (i, chunk) in tables.chunks(nb).enumerate() {
+        sweep_block(plan, chunk, i * nb, out, ctx);
     }
     Ok(())
 }
@@ -496,7 +369,7 @@ mod tests {
     /// The multi-row sweep must be bit-identical to per-row GEMV for every
     /// option combination (exact, mirror, FA, flat-quantized, f32-table
     /// fallback), every bit-width, and shapes that straddle the
-    /// `row_block`/`n_block` boundaries.
+    /// `n_block` boundary.
     #[test]
     fn mpgemm_bit_identical_to_mpgemv_across_opts_and_shapes() {
         let combos = [
@@ -511,8 +384,8 @@ mod tests {
         let ctx = ExecCtx::new(2);
         for opts in combos {
             for bits in [1u8, 2, 4] {
-                // n = 11 straddles row_block (4) and n_block (8); m = 72
-                // leaves a ragged final tile.
+                // n = 11 straddles n_block (8); m = 72 leaves a ragged final
+                // tile.
                 let (m, k, n) = (72, 128, 11);
                 let (qm, act) = setup(m, k, n, bits);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
@@ -531,15 +404,14 @@ mod tests {
         }
     }
 
-    /// Forcing tiny K-panels (multiple panels per sweep) and odd row blocks
+    /// Any `n_block` (row blocks of one row, odd sizes, larger than `n`)
     /// must not change a bit.
     #[test]
-    fn kg_panel_and_row_block_boundaries_bit_exact() {
+    fn n_block_boundaries_bit_exact() {
         let (m, k, n) = (64, 256, 13);
-        for (rb, kp) in [(1, 0), (2, 32), (3, 8), (5, 16), (8, 64), (16, 0)] {
+        for nb in [1, 2, 3, 5, 8, 16] {
             let mut opts = KernelOpts::tmac();
-            opts.row_block = rb;
-            opts.kg_panel = kp;
+            opts.n_block = nb;
             let (qm, act) = setup(m, k, n, 3);
             let plan = WeightPlan::new(&qm, opts).unwrap();
             let ctx = ExecCtx::new(2);
@@ -548,25 +420,9 @@ mod tests {
             for ni in 0..n {
                 let mut row = vec![0f32; m];
                 crate::gemv::mpgemv(&plan, &act[ni * k..(ni + 1) * k], &mut row, &ctx).unwrap();
-                assert_eq!(
-                    &out[ni * m..(ni + 1) * m],
-                    &row[..],
-                    "rb={rb} kp={kp} row {ni}"
-                );
+                assert_eq!(&out[ni * m..(ni + 1) * m], &row[..], "nb={nb} row {ni}");
             }
         }
-    }
-
-    #[test]
-    fn row_partition_aligns_to_both_blockings() {
-        assert_eq!(row_partition(11, 8, 4), vec![0..4, 4..8, 8..11]);
-        assert_eq!(row_partition(6, 8, 4), vec![0..4, 4..6]);
-        assert_eq!(row_partition(3, 1, 4), vec![0..1, 1..2, 2..3]);
-        // Register blocks never straddle an n_block boundary.
-        assert_eq!(row_partition(10, 4, 8), vec![0..4, 4..8, 8..10]);
-        assert!(row_partition(0, 8, 4).is_empty());
-        let total: usize = row_partition(57, 8, 4).iter().map(|r| r.len()).sum();
-        assert_eq!(total, 57);
     }
 
     #[test]
@@ -583,7 +439,7 @@ mod tests {
         let mut cached = vec![0f32; n * m];
         mpgemm_cached(&plan, &act, n, &mut cached, &ctx).unwrap();
         assert_eq!(fresh, cached);
-        // A second plan with the same blocking reuses the interleave work.
+        // A second plan with the same blocking reuses the re-lay work.
         let mut out4 = vec![0f32; n * m];
         mpgemm_cached(&plan4, &act, n, &mut out4, &ctx).unwrap();
         assert_eq!(ctx.interleave_stats(), (1, 1), "interleave must be shared");

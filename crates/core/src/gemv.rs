@@ -11,12 +11,26 @@ use crate::plan::WeightPlan;
 use crate::table::ActTables;
 use crate::TmacError;
 
-/// Shared-output wrapper: threads write disjoint m-ranges.
-struct OutPtr(*mut f32);
+/// Shared-output wrapper: threads write disjoint m-ranges (of one output
+/// row here, of each row of a block in the mpGEMM driver).
+pub(crate) struct OutPtr(pub(crate) *mut f32);
 // SAFETY: every dispatch partitions tiles disjointly (`ThreadPool::chunks`),
-// each tile writes only its own `TILE_M` output rows, and the dispatching
+// each tile writes only its own `TILE_M` output columns, and the dispatching
 // call frame keeps the buffer alive until the pool job completes.
 unsafe impl Sync for OutPtr {}
+
+impl OutPtr {
+    /// Copies `src` to offset `at` of the shared output.
+    ///
+    /// # Safety
+    ///
+    /// `at..at + src.len()` must lie within the output buffer, belong to a
+    /// tile the calling thread owns, and the buffer must outlive the
+    /// dispatch (`ThreadPool::chunks` blocks until every thread is done).
+    pub(crate) unsafe fn write(&self, at: usize, src: &[f32]) {
+        std::ptr::copy_nonoverlapping(src.as_ptr(), self.0.add(at), src.len());
+    }
+}
 
 /// Computes `out[m] = Σ_k act[k] · W[m][k]` for an offline-planned `W`.
 ///
@@ -101,11 +115,7 @@ pub fn mpgemv_with_tables(
     }
     check_tables_compatible(plan, tables)?;
 
-    #[cfg(target_arch = "x86_64")]
-    let use_avx2 = kernel::avx2::supported(&plan.opts);
-    #[cfg(not(target_arch = "x86_64"))]
-    let use_avx2 = false;
-
+    let use_avx2 = avx2_for(plan);
     let m = plan.m;
     let out_ptr = OutPtr(out.as_mut_ptr());
     let out_ref = &out_ptr;
@@ -115,12 +125,9 @@ pub fn mpgemv_with_tables(
             run_mtile(plan, tables, mt, &mut buf, use_avx2);
             let m0 = mt * TILE_M;
             let take = TILE_M.min(m - m0);
-            // SAFETY: tiles are disjoint across threads; `out` outlives the
-            // dispatch (`chunks` blocks until all threads finish); the range
-            // `[m0, m0 + take)` lies within `out` by construction.
-            unsafe {
-                std::ptr::copy_nonoverlapping(buf.as_ptr(), out_ref.0.add(m0), take);
-            }
+            // SAFETY: this thread owns tile `mt`, whose `take` valid
+            // columns lie within `out` by construction.
+            unsafe { out_ref.write(m0, &buf[..take]) };
         }
     });
     Ok(())
@@ -152,6 +159,19 @@ pub(crate) fn check_tables_compatible(plan: &WeightPlan, t: &ActTables) -> Resul
         ));
     }
     Ok(())
+}
+
+/// Whether the AVX2 kernel serves `plan` on this host.
+pub(crate) fn avx2_for(plan: &WeightPlan) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        kernel::avx2::supported(&plan.opts)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = plan;
+        false
+    }
 }
 
 /// Executes one m-tile on the best available backend.

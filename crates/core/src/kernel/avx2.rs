@@ -1,18 +1,30 @@
 //! AVX2 production kernels.
 //!
-//! The materialization of the paper's Figure 3 tile on x86: for each
-//! 16-byte weight step, one `PSHUFB` performs 32 table lookups (table
-//! duplicated across both 128-bit lanes), results widen into `i16`
-//! accumulators, and each scale block folds into `f32` output accumulators
-//! with two FMAs. Layout/option combinations map to monomorphized kernels:
+//! The materialization of the paper's Figure 3 tile on x86: one `PSHUFB`
+//! performs 32 table lookups, results accumulate in `i16`, and each scale
+//! block folds into `f32` output accumulators with two FMAs. Layout/option
+//! combinations map to kernels:
 //!
 //! | options | kernel |
 //! |---|---|
-//! | permuted, quantized, exact | `mtile_permuted<IL, MIRROR>` |
-//! | permuted, quantized, exact, multi-row | `gemm_mtile_rows<IL, MIRROR, R>` |
-//! | permuted, quantized, fast aggregation | `mtile_permuted_fa<IL, MIRROR>` |
+//! | paired stream (`interleave`), exact | `mtile_paired_bits<BITS, MIRROR>` |
+//! | paired stream, exact, multi-row | `gemm_mtile_bits<BITS, MIRROR>` |
+//! | paired stream, fast aggregation | `mtile_paired_fa<MIRROR>` |
+//! | sequential stream (`+Perm.`), exact | `mtile_permuted<MIRROR>` |
+//! | sequential stream, fast aggregation | `mtile_permuted_fa<MIRROR>` |
 //! | flat, quantized (TM-base `+TQ`, `+Tiling`) | `mtile_flat_quant` |
 //! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
+//!
+//! # The paired inner loop
+//!
+//! The paired stream ([`crate::plan`], DESIGN.md §3b) puts a k-group pair
+//! in the two 128-bit lanes and a bit-plane pair in adjacent bytes, so per
+//! 32-byte weight load (64 lookups) the kernel issues `vpand`,
+//! `vpsrlw`+`vpand`, **2 `vpshufb`** against one plain 32-byte table load,
+//! **2 `vpmaddubsw`** against `(1, 2)` / `(4, 8)` — widening to `i16` *and*
+//! applying the bit-serial weights — and 2 `vpaddw`: ≤ 11 uops, 2 on the
+//! shuffle port (the sequential stream: 14 and 6). Integer sums are exact
+//! and the `f32` fold is operation-for-operation the sequential kernel's.
 //!
 //! Everything here is `#[target_feature(enable = "avx2,fma")]`; the driver
 //! checks [`tmac_simd::avx2::available`] once per call.
@@ -23,16 +35,11 @@ use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 use crate::plan::{Layout, WeightPlan};
 use crate::table::{ActTables, BatchTables};
 use std::arch::x86_64::*;
-use std::ops::Range;
 use tmac_simd::avx2 as simd;
 
-/// Maximum supported k-groups per scale block (`group_size / 4`).
+/// Maximum k-groups per scale block (`group_size / 4`) of the kernels that
+/// buffer a whole block: fast aggregation and the multi-row sweep.
 pub const MAX_KG_PER_BLOCK: usize = 64;
-
-/// Maximum rows per register block of the multi-row kernel ([`gemm_mtile`])
-/// — the shared [`crate::opts::MAX_ROW_BLOCK`] limit (the dispatch in
-/// [`gemm_mtile`] is monomorphized for exactly these row counts).
-pub const MAX_ROW_BLOCK: usize = crate::opts::MAX_ROW_BLOCK;
 
 /// Whether an AVX2 kernel exists for this option combination.
 ///
@@ -51,18 +58,31 @@ pub fn supported(opts: &KernelOpts) -> bool {
     }
 }
 
-/// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this option
-/// combination on this host.
+/// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this plan on
+/// this host.
 ///
-/// The register-blocked kernel exists for the permuted, quantized, exact
-/// layouts (interleave and mirror both supported). Fast aggregation and the
-/// flat/f32 layouts stay on the per-row sweep.
-pub fn gemm_supported(opts: &KernelOpts) -> bool {
-    simd::available()
-        && opts.table_quant
-        && opts.permute
-        && !opts.fast_aggregation
-        && supported(opts)
+/// The kernel exists for the paired stream with exact aggregation (mirror
+/// supported) and scale blocks it can buffer. Fast aggregation, the
+/// sequential/flat layouts and `f32` tables stay on the per-row sweep.
+pub fn gemm_supported(plan: &WeightPlan) -> bool {
+    let o = &plan.opts;
+    supported(o)
+        && o.interleave
+        && !o.fast_aggregation
+        && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
+}
+
+/// Instantiates a `<BITS, MIRROR>` paired kernel for a plan's bit-width.
+macro_rules! for_bits {
+    ($bits:expr, $kernel:ident::<$mirror:tt>($($arg:expr),*)) => {
+        match $bits {
+            1 => $kernel::<1, { $mirror }>($($arg),*),
+            2 => $kernel::<2, { $mirror }>($($arg),*),
+            3 => $kernel::<3, { $mirror }>($($arg),*),
+            4 => $kernel::<4, { $mirror }>($($arg),*),
+            b => unreachable!("plans hold 1..=4 bit planes, got {b}"),
+        }
+    };
 }
 
 /// Executes one m-tile, dispatching to the right monomorphized kernel.
@@ -75,22 +95,31 @@ pub fn gemm_supported(opts: &KernelOpts) -> bool {
 /// # Panics
 ///
 /// Panics if the plan/tables combination has no AVX2 kernel (the driver
-/// checks [`supported`] first) or if `group_size / 4 > MAX_KG_PER_BLOCK`.
+/// checks [`supported`] first) or if fast aggregation is requested with
+/// `group_size / 4 > MAX_KG_PER_BLOCK`.
 #[target_feature(enable = "avx2,fma")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
     let o = &plan.opts;
     match plan.layout() {
         Layout::Permuted { interleaved } => {
             debug_assert!(tables.quantized);
-            match (interleaved, o.mirror, o.fast_aggregation) {
-                (false, false, false) => mtile_permuted::<false, false>(plan, tables, mt, out),
-                (false, true, false) => mtile_permuted::<false, true>(plan, tables, mt, out),
-                (true, false, false) => mtile_permuted::<true, false>(plan, tables, mt, out),
-                (true, true, false) => mtile_permuted::<true, true>(plan, tables, mt, out),
-                (false, false, true) => mtile_permuted_fa::<false, false>(plan, tables, mt, out),
-                (false, true, true) => mtile_permuted_fa::<false, true>(plan, tables, mt, out),
-                (true, false, true) => mtile_permuted_fa::<true, false>(plan, tables, mt, out),
-                (true, true, true) => mtile_permuted_fa::<true, true>(plan, tables, mt, out),
+            // A one-group block has no averaging tree: fast aggregation is
+            // then the exact sum (and its bias correction is zero), so the
+            // paired FA kernel never meets a lone k-group.
+            let fa = o.fast_aggregation && !(interleaved && plan.group_size == LUT_GROUP);
+            match (interleaved, o.mirror, fa) {
+                (false, false, false) => mtile_permuted::<false>(plan, tables, mt, out),
+                (false, true, false) => mtile_permuted::<true>(plan, tables, mt, out),
+                (true, false, false) => {
+                    for_bits!(plan.bits, mtile_paired_bits::<false>(plan, tables, mt, out))
+                }
+                (true, true, false) => {
+                    for_bits!(plan.bits, mtile_paired_bits::<true>(plan, tables, mt, out))
+                }
+                (false, false, true) => mtile_permuted_fa::<false>(plan, tables, mt, out),
+                (false, true, true) => mtile_permuted_fa::<true>(plan, tables, mt, out),
+                (true, false, true) => mtile_paired_fa::<false>(plan, tables, mt, out),
+                (true, true, true) => mtile_paired_fa::<true>(plan, tables, mt, out),
             }
         }
         Layout::Flat => {
@@ -103,14 +132,15 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f
     }
 }
 
-/// Loads the duplicated 16-entry table for k-group `kg`.
+/// Loads the 16-entry table at `base`, duplicated into both lanes (`T` =
+/// `i8` entries or their `u8` offset form).
 #[inline]
 #[target_feature(enable = "avx2")]
-fn load_table(q_tables: &[i8], base: usize) -> __m256i {
-    let slice: &[i8; 16] = q_tables[base..base + 16]
-        .try_into()
-        .expect("table slice is 16 bytes");
-    simd::dup_table16(slice)
+fn load_table<T>(tables: &[T], base: usize) -> __m256i {
+    const { assert!(std::mem::size_of::<T>() == 1) };
+    let slice = &tables[base..base + 16];
+    // SAFETY: `slice` is exactly 16 readable bytes; unaligned load allowed.
+    _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(slice.as_ptr() as *const __m128i) })
 }
 
 /// Four f32 output accumulators covering the 32 tile rows.
@@ -170,78 +200,56 @@ impl OutAcc {
         self.3 = _mm256_fmadd_ps(weight, f3, self.3);
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store(&self, out: &mut [f32; TILE_M]) {
-        simd::storeu_ps(&mut out[0..], self.0);
-        simd::storeu_ps(&mut out[8..], self.1);
-        simd::storeu_ps(&mut out[16..], self.2);
-        simd::storeu_ps(&mut out[24..], self.3);
-    }
-
-    /// Resumes the accumulator from a partial-output row (K-panel restart).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load_from(&mut self, src: &[f32]) {
-        self.0 = simd::loadu_ps(&src[0..]);
-        self.1 = simd::loadu_ps(&src[8..]);
-        self.2 = simd::loadu_ps(&src[16..]);
-        self.3 = simd::loadu_ps(&src[24..]);
-    }
-
     /// Stores into a `TILE_M`-float slice prefix.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn store_to(&self, out: &mut [f32]) {
+    fn store(&self, out: &mut [f32]) {
         simd::storeu_ps(&mut out[0..], self.0);
         simd::storeu_ps(&mut out[8..], self.1);
         simd::storeu_ps(&mut out[16..], self.2);
         simd::storeu_ps(&mut out[24..], self.3);
     }
-}
 
-/// Prefetches the weight stream `ahead` bytes past `off` into L1 (no-op
-/// past the end; prefetch has no architectural memory effects).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn prefetch_stream(stream: &[u8], off: usize, ahead: usize) {
-    let target = off + ahead;
-    if target < stream.len() {
-        // SAFETY: the pointer is in bounds; prefetch never faults and does
-        // not access memory architecturally.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(stream.as_ptr().add(target) as *const i8) };
+    /// Resumes the accumulator from a partial-output row.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn load(src: &[f32]) -> Self {
+        OutAcc(
+            simd::loadu_ps(&src[0..]),
+            simd::loadu_ps(&src[8..]),
+            simd::loadu_ps(&src[16..]),
+            simd::loadu_ps(&src[24..]),
+        )
     }
 }
 
-/// Looks up one 16-byte step's 32 indices (mirror-aware).
+/// Looks up 32 indices (mirror-aware): `odd8` carries `8` in the bytes
+/// whose k-group is the odd one of its mirror pair (the second half of the
+/// pair-packed table) and `0` elsewhere.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn lookup_step<const MIRROR: bool>(tbl: __m256i, idx: __m256i, kg_odd: bool) -> __m256i {
+fn lookup_step<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) -> __m256i {
     if MIRROR {
-        let (mut folded, ctrl) = simd::mirror_fold(idx);
-        if kg_odd {
-            folded = _mm256_or_si256(folded, _mm256_set1_epi8(8));
-        }
-        simd::apply_sign(simd::tbl32(tbl, folded), ctrl)
+        let (folded, ctrl) = simd::mirror_fold(idx);
+        simd::apply_sign(simd::tbl32(tbl, _mm256_or_si256(folded, odd8)), ctrl)
     } else {
         simd::tbl32(tbl, idx)
     }
 }
 
-/// Streaming kernel over the permuted layout (exact aggregation).
+/// Streaming kernel over the *sequential* permuted stream (the `+Perm.`
+/// ablation stage, exact aggregation).
 ///
-/// Two throughput refinements over the naive loop, both value-preserving:
-///
-/// * **bit-pair loads** — two consecutive bit planes of a k-group are 32
-///   adjacent stream bytes, so one 256-bit load feeds two `PSHUFB`s (the
-///   low/high nibbles of each 128-bit lane belong to one bit plane each);
-/// * **integer bit-serial combine** — when `Σ_i 2^i · |acc_i|` provably
-///   fits `i16` (group sizes ≤ 64), the per-bit accumulators are combined
-///   with shifts/adds in `i16` and converted to `f32` once, instead of four
-///   widening conversions per scale block. Integer sums are exact, so the
-///   result is bit-identical to the scalar reference either way.
+/// One step is 16 stream bytes: one (k-group, bit plane), rows `2j`/`2j+1`
+/// per byte. Consecutive steps of a plane cover adjacent k-groups, so one
+/// 256-bit load feeds two lookups — but the nibbles must be re-ordered
+/// (`vpunpck*` + `vperm2i128`) before the lookup and the two results
+/// byte-interleaved again so `maddubs(1, ·)` can widen them: 6 shuffle-port
+/// uops per 64 lookups, the cost the paired stream removes. The paired
+/// accumulator rows are [0..8 | 16..24] in `.0` and [8..16 | 24..32] in
+/// `.1`; the fold stage un-permutes when converting to `f32`.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_permuted<const IL: bool, const MIRROR: bool>(
+fn mtile_permuted<const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
     mt: usize,
@@ -253,17 +261,10 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
     let stream = plan.mtile_stream(mt);
     let mut off = 0usize;
     let mut outacc = OutAcc::zero();
-    // Worst-case |combined| = kgb * 127 * (2^bits - 1) must fit i16.
+    // Worst-case |combined| = kgb * 127 * (2^bits - 1) must fit i16 for the
+    // integer bit-serial combine; otherwise planes combine in f32 (exact).
     let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
 
-    // One "step" is 16 stream bytes: one (k-group, bit plane). The layout
-    // is bit-major within a scale block, so consecutive steps of one bit
-    // cover adjacent k-groups: one 256-bit load feeds both, and the two
-    // lookup results interleave byte-wise so `maddubs(1, ·)` sums each
-    // row's pair into an `i16` lane — half the widening work of scalar
-    // `cvtepi8_epi16` accumulation. The paired accumulator rows are
-    // [0..8 | 16..24] in `.0` and [8..16 | 24..32] in `.1`; the fold stage
-    // un-permutes when converting to `f32`.
     let table_for = |kg: usize| -> __m256i {
         if MIRROR {
             load_table(&tables.q_tables, (kg / 2) * 16)
@@ -271,6 +272,7 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
             load_table(&tables.q_tables, kg * 16)
         }
     };
+    let odd8 = |kg: usize| _mm256_set1_epi8(8 * (kg % 2) as i8);
     let ones = _mm256_set1_epi8(1);
     for sb in 0..gpr {
         let kg0 = sb * kgb;
@@ -289,19 +291,10 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
                     let lo_nib = _mm256_and_si256(raw2, mask);
                     let hi_nib = _mm256_and_si256(_mm256_srli_epi16::<4>(raw2), mask);
                     // Lane 0 of lo/hi belongs to kg_a, lane 1 to kg_a+1.
-                    let (idx_a, idx_b) = if IL {
-                        (
-                            _mm256_permute2x128_si256::<0x20>(lo_nib, hi_nib),
-                            _mm256_permute2x128_si256::<0x31>(lo_nib, hi_nib),
-                        )
-                    } else {
-                        let even_odd_lo = _mm256_unpacklo_epi8(lo_nib, hi_nib);
-                        let even_odd_hi = _mm256_unpackhi_epi8(lo_nib, hi_nib);
-                        (
-                            _mm256_permute2x128_si256::<0x20>(even_odd_lo, even_odd_hi),
-                            _mm256_permute2x128_si256::<0x31>(even_odd_lo, even_odd_hi),
-                        )
-                    };
+                    let even_odd_lo = _mm256_unpacklo_epi8(lo_nib, hi_nib);
+                    let even_odd_hi = _mm256_unpackhi_epi8(lo_nib, hi_nib);
+                    let idx_a = _mm256_permute2x128_si256::<0x20>(even_odd_lo, even_odd_hi);
+                    let idx_b = _mm256_permute2x128_si256::<0x31>(even_odd_lo, even_odd_hi);
                     let tbl_a = table_for(kg_a);
                     // Mirror packs the even/odd k-group pair in one table.
                     let tbl_b = if MIRROR && kg_a.is_multiple_of(2) {
@@ -309,18 +302,14 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
                     } else {
                         table_for(kg_a + 1)
                     };
-                    vals_a = lookup_step::<MIRROR>(tbl_a, idx_a, kg_a % 2 == 1);
-                    vals_b = lookup_step::<MIRROR>(tbl_b, idx_b, kg_a.is_multiple_of(2));
+                    vals_a = lookup_step::<MIRROR>(tbl_a, idx_a, odd8(kg_a));
+                    vals_b = lookup_step::<MIRROR>(tbl_b, idx_b, odd8(kg_a + 1));
                     kgi += 2;
                 } else {
                     let raw = simd::loadu_128(&stream[off..]);
                     off += TILE_M / 2;
-                    let idx = if IL {
-                        simd::unpack_nibbles_interleaved(raw)
-                    } else {
-                        simd::unpack_nibbles_sequential(raw)
-                    };
-                    vals_a = lookup_step::<MIRROR>(table_for(kg_a), idx, kg_a % 2 == 1);
+                    let idx = simd::unpack_nibbles_sequential(raw);
+                    vals_a = lookup_step::<MIRROR>(table_for(kg_a), idx, odd8(kg_a));
                     vals_b = _mm256_setzero_si256();
                     kgi += 1;
                 }
@@ -354,24 +343,289 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
     outacc.store(out);
 }
 
-/// Executes the scale blocks `sbs` of one m-tile for a whole *row block*,
-/// accumulating into `outs` (row-major `rows × TILE_M` partial outputs the
-/// caller zeroes before the first K-panel).
+/// Look-ahead of the software prefetch on the weight and scale streams.
+/// A decode step streams every weight once, from DRAM on hosts whose
+/// last-level cache is smaller than the model, where the hardware
+/// prefetchers restart at each 4 KiB page: measured on such a host, a page
+/// of look-ahead takes the 2-bit 4096² GEMV from 7.5 to 9.9 GB/s.
+const STREAM_PREFETCH: usize = 4096;
+
+/// Prefetches the cache lines [`STREAM_PREFETCH`] bytes past `block` —
+/// the same block of a later scale block or m-tile of a contiguous stream.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn prefetch_ahead<T>(block: &[T]) {
+    let base = block.as_ptr() as *const i8;
+    for line in (0..std::mem::size_of_val(block)).step_by(64) {
+        // Past the end of the stream this is a hint about memory nobody
+        // reads: a prefetch never faults, and `wrapping_add` is defined.
+        _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(STREAM_PREFETCH + line));
+    }
+}
+
+/// Loads the adjacent 16-entry tables of a k-group pair (lane = k-group).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_table_pair(q_tables: &[i8], base: usize) -> __m256i {
+    let slice = &q_tables[base..base + 32];
+    // SAFETY: `slice` is exactly 32 readable bytes; unaligned load allowed.
+    unsafe { _mm256_loadu_si256(slice.as_ptr() as *const __m256i) }
+}
+
+/// Splits a 32-byte paired step into its low- and high-nibble indices.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn split_nibbles(raw: __m256i) -> (__m256i, __m256i) {
+    let mask = _mm256_set1_epi8(0x0F);
+    (
+        _mm256_and_si256(raw, mask),
+        _mm256_and_si256(_mm256_srli_epi16::<4>(raw), mask),
+    )
+}
+
+/// `8` in every byte of lane 1: selects the odd k-group's half of a
+/// mirror-consolidated (pair-packed) table broadcast to both lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lane1_eights() -> __m256i {
+    _mm256_set_m128i(_mm_set1_epi8(8), _mm_setzero_si128())
+}
+
+/// Scale-block geometry of the paired stream (see [`crate::plan`]).
+#[derive(Clone, Copy)]
+struct PairedGeom {
+    /// Full k-group pairs per scale block.
+    kg_pairs: usize,
+    /// Whether a lone trailing k-group follows the pairs.
+    lone_kg: bool,
+    /// k-group pairs an `i16` lane absorbs between flushes to `i32`.
+    flush_every: usize,
+    /// Whether even the whole block's sum fits `i16` (the common shapes):
+    /// the tail then adds the two lanes in `i16` and widens once.
+    narrow: bool,
+}
+
+impl PairedGeom {
+    fn of(plan: &WeightPlan) -> Self {
+        let kgb = plan.group_size / LUT_GROUP;
+        // The exactness bound: one k-group adds at most `127 · Σ_p 2^p` to
+        // an `i16` lane (the planes share it, weighted by `vpmaddubsw`); a
+        // lane sees one k-group per pair plus, once, the lone tail.
+        let groups = i16::MAX as usize / (127 * ((1 << plan.bits) - 1));
+        PairedGeom {
+            kg_pairs: kgb / 2,
+            lone_kg: kgb % 2 == 1,
+            flush_every: groups - 1,
+            narrow: kgb <= groups,
+        }
+    }
+}
+
+/// The four `i16` accumulators of a tile: `a[i]` holds rows `8i..8i+8`,
+/// one k-group parity per lane.
+type Acc16 = [__m256i; 4];
+
+/// `acc += vpmaddubsw(w, vals)`: widens looked-up bytes to `i16` applying
+/// the per-byte weights `w` (the bit-serial `2^plane` factors).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn madd(acc: &mut __m256i, w: __m256i, vals: __m256i) {
+    *acc = _mm256_add_epi16(*acc, _mm256_maddubs_epi16(w, vals));
+}
+
+/// Adds both lanes of each `i16` accumulator into its `i32` row sums.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn flush_lanes(a: &Acc16, sums: &mut [__m256i; 4]) {
+    for (a, s) in a.iter().zip(sums) {
+        let even = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(*a));
+        let odd = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(*a));
+        *s = _mm256_add_epi32(*s, _mm256_add_epi32(even, odd));
+    }
+}
+
+/// The paired-stream `vpmaddubsw` weights of a `BITS`-plane block:
+/// `pair[p]` = planes `(2p, 2p+1)` of a pair step; a lone plane is widened
+/// through the even (`lone.0`) or odd (`lone.1`) byte of each `i16`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn plane_weights<const BITS: usize>() -> ([__m256i; 2], (__m256i, __m256i)) {
+    let lone = 1i16 << (BITS - 1);
+    (
+        [_mm256_set1_epi16(0x0201), _mm256_set1_epi16(0x0804)],
+        (_mm256_set1_epi16(lone), _mm256_set1_epi16(lone << 8)),
+    )
+}
+
+/// Accumulates whole k-group pairs of a scale block: `tbl` holds the
+/// pairs' tables and `idx` their steps (`BITS` per pair, `STEP` bytes each,
+/// turned into low/high nibble indices by `split`).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn paired_groups<const BITS: usize, const MIRROR: bool, const STEP: usize>(
+    tbl: &[i8],
+    idx: &[u8],
+    split: impl Fn(&[u8]) -> (__m256i, __m256i),
+) -> Acc16 {
+    let (pair_w, lone_w) = plane_weights::<BITS>();
+    let odd8 = lane1_eights();
+    let mut a = [_mm256_setzero_si256(); 4];
+    let tables = tbl.chunks_exact(if MIRROR { 16 } else { 32 });
+    for (t, steps) in tables.zip(idx.chunks_exact(BITS * STEP)) {
+        let t = if MIRROR {
+            load_table(t, 0)
+        } else {
+            load_table_pair(t, 0)
+        };
+        let step = |i: usize| split(&steps[i * STEP..(i + 1) * STEP]);
+        for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
+            for h in 0..2 {
+                let (lo, hi) = step(2 * p + h);
+                madd(&mut a[2 * h], *w, lookup_step::<MIRROR>(t, lo, odd8));
+                madd(&mut a[2 * h + 1], *w, lookup_step::<MIRROR>(t, hi, odd8));
+            }
+        }
+        if BITS % 2 == 1 {
+            let (lo, hi) = step(BITS - 1);
+            let lo = lookup_step::<MIRROR>(t, lo, odd8);
+            let hi = lookup_step::<MIRROR>(t, hi, odd8);
+            madd(&mut a[0], lone_w.0, lo);
+            madd(&mut a[1], lone_w.1, lo);
+            madd(&mut a[2], lone_w.0, hi);
+            madd(&mut a[3], lone_w.1, hi);
+        }
+    }
+    a
+}
+
+/// One scale block of the paired stream against one row's tables `tbl`:
+/// returns `Σ_bit 2^bit · L_bit` per tile row, exactly, as `f32`.
 ///
-/// This is the register-blocked mpGEMM kernel: each 16-byte weight step is
-/// loaded and nibble-unpacked **once** and its indices are looked up against
-/// every row's table with one `PSHUFB` per row — the weight-stream traffic
-/// and index decode of a sweep are amortized over `rows` activation rows
-/// (Figure 7's mpGEMM claim made real at the register level). The rows'
-/// tables for one k-group are adjacent in the interleaved [`BatchTables`]
-/// layout, so the per-step table loads are one forward cache-line stream,
-/// and the next weight step is software-prefetched while the current one is
-/// consumed.
+/// `idx` holds the block's steps, `STEP` bytes per 32-byte stream step:
+/// the GEMV kernel passes the stream itself (`split` = nibble split) and
+/// the mpGEMM kernel the indices it split once (`split` = two loads), so
+/// the two share every arithmetic operation. `corner` reads the 16-byte
+/// lone-group/lone-plane step from the end of `idx`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+fn paired_block<const BITS: usize, const MIRROR: bool, const STEP: usize>(
+    g: &PairedGeom,
+    tbl: &[i8],
+    idx: &[u8],
+    split: impl Fn(&[u8]) -> (__m256i, __m256i),
+    corner: impl Fn(&[u8]) -> __m256i,
+) -> OutAcc {
+    let (pt, ps) = (if MIRROR { 16 } else { 32 }, BITS * STEP);
+    let groups = |from: usize, to: usize| {
+        paired_groups::<BITS, MIRROR, STEP>(
+            &tbl[from * pt..to * pt],
+            &idx[from * ps..to * ps],
+            &split,
+        )
+    };
+    // The first `flush_every` pairs need no `i32` sums yet — in every
+    // common shape that is the whole block, and the loop below is cold.
+    let mut done = g.flush_every.min(g.kg_pairs);
+    let mut a = groups(0, done);
+    let mut sums = [_mm256_setzero_si256(); 4];
+    while done < g.kg_pairs {
+        flush_lanes(&a, &mut sums);
+        let to = (done + g.flush_every).min(g.kg_pairs);
+        a = groups(done, to);
+        done = to;
+    }
+    if g.lone_kg {
+        // Lanes are row halves here: `tail.0` = rows [0..8 | 16..24],
+        // `tail.1` = [8..16 | 24..32]. Mirror never gets here (pair packing
+        // needs an even k-group count per block).
+        debug_assert!(!MIRROR);
+        let (pair_w, lone_w) = plane_weights::<BITS>();
+        let t = load_table(tbl, g.kg_pairs * 32);
+        let steps = &idx[g.kg_pairs * ps..];
+        let mut tail = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
+            let (lo, hi) = split(&steps[p * STEP..(p + 1) * STEP]);
+            madd(&mut tail.0, *w, simd::tbl32(t, lo));
+            madd(&mut tail.1, *w, simd::tbl32(t, hi));
+        }
+        if BITS % 2 == 1 {
+            let vals = simd::tbl32(t, corner(&steps[BITS / 2 * STEP..]));
+            madd(&mut tail.0, lone_w.0, vals);
+            madd(&mut tail.1, lone_w.1, vals);
+        }
+        for (half, t) in [tail.0, tail.1].into_iter().enumerate() {
+            let lo = _mm256_zextsi128_si256(_mm256_castsi256_si128(t));
+            let hi = _mm256_zextsi128_si256(_mm256_extracti128_si256::<1>(t));
+            a[half] = _mm256_add_epi16(a[half], lo);
+            a[half + 2] = _mm256_add_epi16(a[half + 2], hi);
+        }
+    }
+    if g.narrow {
+        let lanes =
+            |a: __m256i| _mm_add_epi16(_mm256_castsi256_si128(a), _mm256_extracti128_si256::<1>(a));
+        sums = a.map(|a| _mm256_cvtepi16_epi32(lanes(a)));
+    } else {
+        flush_lanes(&a, &mut sums);
+    }
+    OutAcc(
+        _mm256_cvtepi32_ps(sums[0]),
+        _mm256_cvtepi32_ps(sums[1]),
+        _mm256_cvtepi32_ps(sums[2]),
+        _mm256_cvtepi32_ps(sums[3]),
+    )
+}
+
+/// Streaming GEMV kernel over the paired stream (exact aggregation) for a
+/// fixed plane count: see the module docs for the inner loop. The per-block
+/// `f32` fold is the sequential kernel's, so the two layouts agree
+/// bit-for-bit.
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx2,fma")]
+fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    mt: usize,
+    out: &mut [f32; TILE_M],
+) {
+    let g = PairedGeom::of(plan);
+    let gpr = plan.groups_per_row();
+    let (bb, tb) = (plan.block_bytes(), tables.q_tables.len() / gpr);
+    let stream = plan.mtile_stream(mt);
+    let mut outacc = OutAcc::zero();
+    for sb in 0..gpr {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        let scales = plan.tile_scales(mt, sb);
+        prefetch_ahead(src);
+        prefetch_ahead(scales);
+        let blk = paired_block::<BITS, MIRROR, 32>(
+            &g,
+            &tables.q_tables[sb * tb..(sb + 1) * tb],
+            src,
+            |s| split_nibbles(simd::loadu_256(s)),
+            |s| simd::unpack_nibbles_interleaved(simd::loadu_128(s)),
+        );
+        let sc = _mm256_set1_ps(0.5 * tables.q_scales[sb]);
+        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb]);
+        outacc.fold(&blk, sc, bias, scales);
+    }
+    outacc.store(out);
+}
+
+/// Nibble-split indices of one scale block (`2 ×` its stream bytes).
+#[repr(align(32))]
+struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
+
+/// Executes one m-tile for a whole *row block*: `outs` receives the
+/// row-major `rows × TILE_M` results.
 ///
-/// Per row, the integer accumulation and the `f32` fold replicate
-/// [`gemv_mtile`]'s permuted kernel operation-for-operation, so running the
-/// scale blocks in increasing order (in one call or split across K-panels)
-/// is bit-identical to `rows` independent GEMV calls.
+/// This is the mpGEMM kernel, scale-block-outer: each scale block's weight
+/// indices are nibble-split **once** into a small stack buffer, then a
+/// run-time loop over the rows looks them up against each row's tables of
+/// that block (adjacent in [`BatchTables`]: one forward stream) with the
+/// four `i16` accumulators in registers and the per-row `f32` partial sums
+/// living in `outs` between blocks. Per row every operation is
+/// [`gemv_mtile`]'s (the two share `paired_block`) in the same block order,
+/// so the result is bit-identical to `rows` independent GEMV calls.
 ///
 /// # Safety
 ///
@@ -380,245 +634,154 @@ fn mtile_permuted<const IL: bool, const MIRROR: bool>(
 ///
 /// # Panics
 ///
-/// Panics if the plan is not a permuted exact-aggregation quantized config
-/// (check [`gemm_supported`]), `batch.rows > MAX_ROW_BLOCK`, or `outs` is
+/// Panics if [`gemm_supported`] does not hold for the plan or `outs` is
 /// shorter than `rows × TILE_M`.
 #[target_feature(enable = "avx2,fma")]
-pub fn gemm_mtile(
-    plan: &WeightPlan,
-    batch: &BatchTables,
-    mt: usize,
-    sbs: Range<usize>,
-    outs: &mut [f32],
-) {
-    assert!(
-        batch.rows >= 1 && batch.rows <= MAX_ROW_BLOCK,
-        "row block must be 1..={MAX_ROW_BLOCK}"
-    );
+pub fn gemm_mtile(plan: &WeightPlan, batch: &BatchTables, mt: usize, outs: &mut [f32]) {
+    assert!(gemm_supported(plan), "no multi-row kernel for this plan");
     assert!(outs.len() >= batch.rows * TILE_M, "outs too short");
-    assert!(
-        !plan.opts.fast_aggregation,
-        "multi-row kernel is exact-aggregation only"
-    );
-    match plan.layout() {
-        Layout::Permuted { interleaved } => {
-            debug_assert_eq!(batch.mirror, plan.opts.mirror);
-            match (interleaved, plan.opts.mirror) {
-                (false, false) => gemm_mtile_permuted::<false, false>(plan, batch, mt, sbs, outs),
-                (false, true) => gemm_mtile_permuted::<false, true>(plan, batch, mt, sbs, outs),
-                (true, false) => gemm_mtile_permuted::<true, false>(plan, batch, mt, sbs, outs),
-                (true, true) => gemm_mtile_permuted::<true, true>(plan, batch, mt, sbs, outs),
-            }
-        }
-        Layout::Flat => panic!("multi-row kernel requires the permuted layout"),
+    debug_assert_eq!(batch.mirror, plan.opts.mirror);
+    if plan.opts.mirror {
+        for_bits!(plan.bits, gemm_mtile_bits::<true>(plan, batch, mt, outs))
+    } else {
+        for_bits!(plan.bits, gemm_mtile_bits::<false>(plan, batch, mt, outs))
     }
 }
 
-/// Dispatches [`gemm_mtile_rows`] on the runtime row count: the body is
-/// monomorphized per `R` so the accumulator array and row loops fully
-/// unroll and register-allocate (a runtime-`rows` loop spills every
-/// accumulator to the stack on each step, which costs more than the
-/// amortized weight decode saves).
+/// Multi-row kernel body (see [`gemm_mtile`]).
+#[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx2,fma")]
-fn gemm_mtile_permuted<const IL: bool, const MIRROR: bool>(
+fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
     plan: &WeightPlan,
     batch: &BatchTables,
     mt: usize,
-    sbs: Range<usize>,
     outs: &mut [f32],
 ) {
-    match batch.rows {
-        1 => gemm_mtile_rows::<IL, MIRROR, 1>(plan, batch, mt, sbs, outs),
-        2 => gemm_mtile_rows::<IL, MIRROR, 2>(plan, batch, mt, sbs, outs),
-        3 => gemm_mtile_rows::<IL, MIRROR, 3>(plan, batch, mt, sbs, outs),
-        4 => gemm_mtile_rows::<IL, MIRROR, 4>(plan, batch, mt, sbs, outs),
-        5 => gemm_mtile_rows::<IL, MIRROR, 5>(plan, batch, mt, sbs, outs),
-        6 => gemm_mtile_rows::<IL, MIRROR, 6>(plan, batch, mt, sbs, outs),
-        7 => gemm_mtile_rows::<IL, MIRROR, 7>(plan, batch, mt, sbs, outs),
-        8 => gemm_mtile_rows::<IL, MIRROR, 8>(plan, batch, mt, sbs, outs),
-        r => unreachable!("row block {r} exceeds MAX_ROW_BLOCK"),
-    }
-}
-
-/// Multi-row streaming kernel body (see [`gemm_mtile`]).
-#[target_feature(enable = "avx2,fma")]
-fn gemm_mtile_rows<const IL: bool, const MIRROR: bool, const R: usize>(
-    plan: &WeightPlan,
-    batch: &BatchTables,
-    mt: usize,
-    sbs: Range<usize>,
-    outs: &mut [f32],
-) {
-    debug_assert_eq!(batch.rows, R);
-    let rows = R;
-    let bits = plan.bits;
-    let kgb = plan.group_size / LUT_GROUP;
-    let half = TILE_M / 2;
+    let g = PairedGeom::of(plan);
+    let (bb, tb, rows) = (plan.block_bytes(), batch.block_bytes(), batch.rows);
     let stream = plan.mtile_stream(mt);
-    let mut off = sbs.start * bits * kgb * half;
-    // Same exactness bound as the single-row kernel.
-    let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
-    // Prefetch distance: two 32-byte pair steps ahead of the cursor.
-    const PREFETCH_AHEAD: usize = 64;
-
-    // Resume the per-row f32 accumulators from the partial outputs.
-    let mut outacc = [OutAcc::zero(); R];
-    for (r, acc) in outacc.iter_mut().enumerate() {
-        acc.load_from(&outs[r * TILE_M..]);
-    }
-
-    let ones = _mm256_set1_epi8(1);
-    for sb in sbs {
-        // acc[bit][row]: the row loop is innermost at the lookup, so index
-        // row-contiguously per bit. `R` is a const, so these loops unroll.
-        let mut acc = [[(_mm256_setzero_si256(), _mm256_setzero_si256()); R]; 4];
-        for acc_bit in acc.iter_mut().take(bits) {
-            let mut kgi = 0;
-            while kgi < kgb {
-                let pair = kgi + 1 < kgb;
-                let kg_a = sb * kgb + kgi;
-                if pair {
-                    // One 32-byte load covers k-groups `kg_a` and `kg_a+1`
-                    // for *all* rows of the block.
-                    let raw2 = simd::loadu_256(&stream[off..]);
-                    off += TILE_M;
-                    prefetch_stream(stream, off, PREFETCH_AHEAD);
-                    let mask = _mm256_set1_epi8(0x0F);
-                    let lo_nib = _mm256_and_si256(raw2, mask);
-                    let hi_nib = _mm256_and_si256(_mm256_srli_epi16::<4>(raw2), mask);
-                    let (idx_a, idx_b) = if IL {
-                        (
-                            _mm256_permute2x128_si256::<0x20>(lo_nib, hi_nib),
-                            _mm256_permute2x128_si256::<0x31>(lo_nib, hi_nib),
-                        )
-                    } else {
-                        let even_odd_lo = _mm256_unpacklo_epi8(lo_nib, hi_nib);
-                        let even_odd_hi = _mm256_unpackhi_epi8(lo_nib, hi_nib);
-                        (
-                            _mm256_permute2x128_si256::<0x20>(even_odd_lo, even_odd_hi),
-                            _mm256_permute2x128_si256::<0x31>(even_odd_lo, even_odd_hi),
-                        )
-                    };
-                    // In mirror mode `kg_a` is always even here (the pair
-                    // loop advances by 2 from an even base), so the pair
-                    // shares one stored table.
-                    let sg_a = if MIRROR { kg_a / 2 } else { kg_a };
-                    let sg_b = if MIRROR { kg_a / 2 } else { kg_a + 1 };
-                    for (r, a) in acc_bit.iter_mut().enumerate().take(rows) {
-                        let tbl_a = load_table(&batch.q_tables, batch.table_base(sg_a, r));
-                        let tbl_b = if MIRROR {
-                            tbl_a
-                        } else {
-                            load_table(&batch.q_tables, batch.table_base(sg_b, r))
-                        };
-                        let vals_a = lookup_step::<MIRROR>(tbl_a, idx_a, kg_a % 2 == 1);
-                        let vals_b = lookup_step::<MIRROR>(tbl_b, idx_b, kg_a.is_multiple_of(2));
-                        let inter_lo = _mm256_unpacklo_epi8(vals_a, vals_b);
-                        let inter_hi = _mm256_unpackhi_epi8(vals_a, vals_b);
-                        a.0 = _mm256_add_epi16(a.0, _mm256_maddubs_epi16(ones, inter_lo));
-                        a.1 = _mm256_add_epi16(a.1, _mm256_maddubs_epi16(ones, inter_hi));
-                    }
-                    kgi += 2;
-                } else {
-                    let raw = simd::loadu_128(&stream[off..]);
-                    off += half;
-                    prefetch_stream(stream, off, PREFETCH_AHEAD);
-                    let idx = if IL {
-                        simd::unpack_nibbles_interleaved(raw)
-                    } else {
-                        simd::unpack_nibbles_sequential(raw)
-                    };
-                    let sg_a = if MIRROR { kg_a / 2 } else { kg_a };
-                    for (r, a) in acc_bit.iter_mut().enumerate().take(rows) {
-                        let tbl = load_table(&batch.q_tables, batch.table_base(sg_a, r));
-                        let vals_a = lookup_step::<MIRROR>(tbl, idx, kg_a % 2 == 1);
-                        let vals_b = _mm256_setzero_si256();
-                        let inter_lo = _mm256_unpacklo_epi8(vals_a, vals_b);
-                        let inter_hi = _mm256_unpackhi_epi8(vals_a, vals_b);
-                        a.0 = _mm256_add_epi16(a.0, _mm256_maddubs_epi16(ones, inter_lo));
-                        a.1 = _mm256_add_epi16(a.1, _mm256_maddubs_epi16(ones, inter_hi));
-                    }
-                    kgi += 1;
-                }
-            }
+    let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
+    let outs = &mut outs[..rows * TILE_M];
+    outs.fill(0.0);
+    for sb in 0..plan.groups_per_row() {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        for (raw, dst) in src.chunks_exact(32).zip(idx.0.chunks_exact_mut(64)) {
+            let (lo, hi) = split_nibbles(simd::loadu_256(raw));
+            simd::storeu_256(&mut dst[..32], lo);
+            simd::storeu_256(&mut dst[32..], hi);
         }
-        for (r, out_r) in outacc.iter_mut().enumerate().take(rows) {
-            let mut blk = OutAcc::zero();
-            if i16_combine_safe {
-                let mut lo = acc[0][r].0;
-                let mut hi = acc[0][r].1;
-                for (bit, a) in acc.iter().enumerate().take(bits).skip(1) {
-                    let sh = bit as i32;
-                    lo = _mm256_add_epi16(lo, _mm256_sll_epi16(a[r].0, _mm_cvtsi32_si128(sh)));
-                    hi = _mm256_add_epi16(hi, _mm256_sll_epi16(a[r].1, _mm_cvtsi32_si128(sh)));
-                }
-                blk.add_weighted_i16_paired((lo, hi), _mm256_set1_ps(1.0));
-            } else {
-                for (bit, a) in acc.iter().enumerate().take(bits) {
-                    blk.add_weighted_i16_paired(a[r], _mm256_set1_ps((1u32 << bit) as f32));
-                }
-            }
-            let sc = _mm256_set1_ps(0.5 * batch.q_scale(r, sb));
-            let bias = _mm256_set1_ps(plan.cz * batch.asum(r, sb));
-            out_r.fold(&blk, sc, bias, plan.tile_scales(mt, sb));
+        if bb % 32 != 0 {
+            let corner = simd::unpack_nibbles_interleaved(simd::loadu_128(&src[bb - 16..]));
+            simd::storeu_256(&mut idx.0[bb / 32 * 64..], corner);
         }
-    }
-    for (r, acc) in outacc.iter().enumerate().take(rows) {
-        acc.store_to(&mut outs[r * TILE_M..(r + 1) * TILE_M]);
+        let idx = &idx.0[..2 * bb];
+        let scales = plan.tile_scales(mt, sb);
+        let (q_scales, asums) = batch.block_scales(sb);
+        let tables = batch.q_tables[sb * rows * tb..(sb + 1) * rows * tb].chunks_exact(tb);
+        for (((out, tbl), q_scale), asum) in outs
+            .chunks_exact_mut(TILE_M)
+            .zip(tables)
+            .zip(q_scales)
+            .zip(asums)
+        {
+            let blk = paired_block::<BITS, MIRROR, 64>(
+                &g,
+                tbl,
+                idx,
+                |s| (simd::loadu_256(&s[..32]), simd::loadu_256(&s[32..])),
+                |s| simd::loadu_256(s),
+            );
+            let sc = _mm256_set1_ps(0.5 * q_scale);
+            let bias = _mm256_set1_ps(plan.cz * asum);
+            let mut acc = OutAcc::load(out);
+            acc.fold(&blk, sc, bias, scales);
+            acc.store(out);
+        }
     }
 }
 
-/// Streaming kernel with fast 8-bit aggregation (lossy, paper §4).
+/// Looks up 32 offset (`+128`) entries for fast aggregation, mirror-aware
+/// (`odd8` as in [`lookup_step`]).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn lookup_fa<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) -> __m256i {
+    if MIRROR {
+        let (folded, _) = simd::mirror_fold(idx);
+        let looked = simd::tbl32(tbl, _mm256_or_si256(folded, odd8));
+        // Negation in the +128 offset domain is wrapping 0 - v (entries
+        // are clamped to [1, 255], so 0 never occurs).
+        let negmask = _mm256_cmpgt_epi8(idx, _mm256_set1_epi8(7));
+        let negated = _mm256_sub_epi8(_mm256_setzero_si256(), looked);
+        _mm256_blendv_epi8(looked, negated, negmask)
+    } else {
+        simd::tbl32(tbl, idx)
+    }
+}
+
+/// Folds one fast-aggregation scale block (`blk` = the reconstructed
+/// `Σ_bit 2^bit · L_bit`) into the outputs, with the probabilistic
+/// rounding-bias correction of the averaging tree (matches the scalar
+/// reference exactly; see its comment).
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-fn mtile_permuted_fa<const IL: bool, const MIRROR: bool>(
+fn fold_fa(
+    outacc: &mut OutAcc,
+    blk: &OutAcc,
+    plan: &WeightPlan,
+    tables: &ActTables,
+    mt: usize,
+    sb: usize,
+) {
+    let kgb = plan.group_size / LUT_GROUP;
+    let depth = kgb.trailing_zeros() as f32;
+    let fa_delta = -0.25 * depth * kgb as f32 * (((1u32 << plan.bits) - 1) as f32);
+    let lut_scale = tables.q_scales[sb];
+    let sc = _mm256_set1_ps(0.5 * lut_scale);
+    let bias = _mm256_set1_ps(plan.cz * tables.asums[sb] + 0.5 * lut_scale * fa_delta);
+    outacc.fold(blk, sc, bias, plan.tile_scales(mt, sb));
+}
+
+/// Checks the fast-aggregation block shape (a balanced tree the kernels
+/// can buffer) and returns `group_size / 4`.
+fn fa_kg_per_block(plan: &WeightPlan) -> usize {
+    let kgb = plan.group_size / LUT_GROUP;
+    assert!(
+        kgb.is_power_of_two() && kgb <= MAX_KG_PER_BLOCK,
+        "fast aggregation needs a power-of-two group_size/4 <= {MAX_KG_PER_BLOCK}"
+    );
+    kgb
+}
+
+/// Fast 8-bit aggregation (lossy, paper §4) over the sequential stream.
+#[target_feature(enable = "avx2,fma")]
+fn mtile_permuted_fa<const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
     mt: usize,
     out: &mut [f32; TILE_M],
 ) {
     let bits = plan.bits;
-    let gpr = plan.groups_per_row();
-    let kgb = plan.group_size / LUT_GROUP;
-    assert!(
-        kgb.is_power_of_two() && kgb <= MAX_KG_PER_BLOCK,
-        "fast aggregation needs a power-of-two group_size/4 <= {MAX_KG_PER_BLOCK}"
-    );
+    let kgb = fa_kg_per_block(plan);
     let stream = plan.mtile_stream(mt);
     let step = TILE_M / 2;
     let mut base = 0usize;
     let mut outacc = OutAcc::zero();
 
-    for sb in 0..gpr {
+    for sb in 0..plan.groups_per_row() {
         let mut blk = OutAcc::zero();
         for bit in 0..bits {
             let mut bufs = [_mm256_setzero_si256(); MAX_KG_PER_BLOCK];
             for kgi in 0..kgb {
                 let kg = sb * kgb + kgi;
                 let tbl = if MIRROR {
-                    load_table_u8(&tables.u_tables, (kg / 2) * 16)
+                    load_table(&tables.u_tables, (kg / 2) * 16)
                 } else {
-                    load_table_u8(&tables.u_tables, kg * 16)
+                    load_table(&tables.u_tables, kg * 16)
                 };
                 let raw = simd::loadu_128(&stream[base + (bit * kgb + kgi) * step..]);
-                let idx = if IL {
-                    simd::unpack_nibbles_interleaved(raw)
-                } else {
-                    simd::unpack_nibbles_sequential(raw)
-                };
-                bufs[kgi] = if MIRROR {
-                    let (mut folded, _) = simd::mirror_fold(idx);
-                    if kg % 2 == 1 {
-                        folded = _mm256_or_si256(folded, _mm256_set1_epi8(8));
-                    }
-                    let looked = simd::tbl32(tbl, folded);
-                    // Negation in the +128 offset domain is wrapping 0 - v
-                    // (entries are clamped to [1, 255], so 0 never occurs).
-                    let negmask = _mm256_cmpgt_epi8(idx, _mm256_set1_epi8(7));
-                    let negated = _mm256_sub_epi8(_mm256_setzero_si256(), looked);
-                    _mm256_blendv_epi8(looked, negated, negmask)
-                } else {
-                    simd::tbl32(tbl, idx)
-                };
+                let idx = simd::unpack_nibbles_sequential(raw);
+                let odd8 = _mm256_set1_epi8(8 * (kg % 2) as i8);
+                bufs[kgi] = lookup_fa::<MIRROR>(tbl, idx, odd8);
             }
             // Balanced rounding-average tree: level by level, adjacent pairs
             // (identical shape to the scalar reference).
@@ -640,25 +803,89 @@ fn mtile_permuted_fa<const IL: bool, const MIRROR: bool>(
             let w = _mm256_set1_ps(((kgb as u32) << bit) as f32);
             blk.add_weighted_i16((lo, hi), w);
         }
-        // Probabilistic rounding-bias correction of the averaging tree
-        // (matches the scalar reference exactly; see its comment).
-        let depth = kgb.trailing_zeros() as f32;
-        let fa_delta = -0.25 * depth * kgb as f32 * (((1u32 << bits) - 1) as f32);
-        let lut_scale = tables.q_scales[sb];
-        let sc = _mm256_set1_ps(0.5 * lut_scale);
-        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb] + 0.5 * lut_scale * fa_delta);
-        outacc.fold(&blk, sc, bias, plan.tile_scales(mt, sb));
+        fold_fa(&mut outacc, &blk, plan, tables, mt, sb);
         base += kgb * bits * step;
     }
     outacc.store(out);
 }
 
-/// Loads a duplicated 16-entry unsigned table.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn load_table_u8(u_tables: &[u8], base: usize) -> __m256i {
-    let v = simd::loadu_128(&u_tables[base..]);
-    _mm256_broadcastsi128_si256(v)
+/// Fast 8-bit aggregation over the paired stream. The averaging tree runs
+/// per byte exactly as in the sequential kernel — a pair step's two lanes
+/// are k-groups `2kp`/`2kp+1`, i.e. the tree's first level — and each
+/// root's plane pair is then combined by `vpmaddubsw`, so the block sum
+/// `kgb · Σ_bit 2^bit · (tree_bit − 128)` is the same exact integer.
+#[target_feature(enable = "avx2,fma")]
+fn mtile_paired_fa<const MIRROR: bool>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    mt: usize,
+    out: &mut [f32; TILE_M],
+) {
+    let bits = plan.bits;
+    let kg_pairs = fa_kg_per_block(plan) / 2;
+    let gpr = plan.groups_per_row();
+    let (bb, tb) = (plan.block_bytes(), tables.u_tables.len() / gpr);
+    let stream = plan.mtile_stream(mt);
+    let pair_w = [_mm_set1_epi16(0x0201), _mm_set1_epi16(0x0804)];
+    let lone_w = 1i16 << (bits - 1);
+    let (even_w, odd_w) = (_mm_set1_epi16(lone_w), _mm_set1_epi16(lone_w << 8));
+    let odd8 = lane1_eights();
+    let mut outacc = OutAcc::zero();
+
+    for sb in 0..gpr {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        let tbl = &tables.u_tables[sb * tb..(sb + 1) * tb];
+        // trees[2s + q][kp]: step `s` of pair `kp`, low (q = 0) or high
+        // nibbles, already averaged over the pair's two k-groups.
+        let mut trees = [[_mm_setzero_si128(); MAX_KG_PER_BLOCK / 2]; 8];
+        for kp in 0..kg_pairs {
+            let t = if MIRROR {
+                load_table(tbl, kp * 16)
+            } else {
+                simd::loadu_256(&tbl[kp * 32..])
+            };
+            for s in 0..bits {
+                let (lo, hi) = split_nibbles(simd::loadu_256(&src[(kp * bits + s) * 32..]));
+                for (q, idx) in [lo, hi].into_iter().enumerate() {
+                    let v = lookup_fa::<MIRROR>(t, idx, odd8);
+                    trees[2 * s + q][kp] =
+                        _mm_avg_epu8(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+                }
+            }
+        }
+        // acc[i]: rows 8i..8i+8 of Σ_bit 2^bit · tree_bit (offset domain).
+        let mut acc = [_mm_setzero_si128(); 4];
+        for (slot, tree) in trees.iter_mut().enumerate().take(2 * bits) {
+            let mut n = kg_pairs;
+            while n > 1 {
+                for j in 0..n / 2 {
+                    tree[j] = _mm_avg_epu8(tree[2 * j], tree[2 * j + 1]);
+                }
+                n /= 2;
+            }
+            let (s, q) = (slot / 2, slot % 2);
+            let mut madd = |i: usize, w: __m128i| {
+                acc[i] = _mm_add_epi16(acc[i], _mm_maddubs_epi16(tree[0], w));
+            };
+            if s < bits / 2 * 2 {
+                // Pair step `s = 2p + h`: rows 16h + 8q + j.
+                madd(2 * (s % 2) + q, pair_w[s / 2]);
+            } else {
+                // Lone plane: even bytes rows 16q + j, odd bytes 16q + 8 + j.
+                madd(2 * q, even_w);
+                madd(2 * q + 1, odd_w);
+            }
+        }
+        let off = _mm256_set1_epi32(128 * ((1 << bits) - 1));
+        let kgb = _mm256_set1_epi32(2 * kg_pairs as i32);
+        let f = |a: __m128i| {
+            let centred = _mm256_sub_epi32(_mm256_cvtepi16_epi32(a), off);
+            _mm256_cvtepi32_ps(_mm256_mullo_epi32(centred, kgb))
+        };
+        let blk = OutAcc(f(acc[0]), f(acc[1]), f(acc[2]), f(acc[3]));
+        fold_fa(&mut outacc, &blk, plan, tables, mt, sb);
+    }
+    outacc.store(out);
 }
 
 /// Assembles the interleaved 16-byte index step for `(kg, bit)` from the
@@ -852,13 +1079,18 @@ mod tests {
         }
     }
 
-    fn block_tables(rows: usize, k: usize, opts: &KernelOpts) -> (Vec<ActTables>, BatchTables) {
+    fn block_tables(
+        rows: usize,
+        k: usize,
+        gs: usize,
+        opts: &KernelOpts,
+    ) -> (Vec<ActTables>, BatchTables) {
         let per_row: Vec<ActTables> = (0..rows)
             .map(|r| {
                 let act: Vec<f32> = (0..k)
                     .map(|i| ((i as f32 * 0.41 + r as f32 * 2.3).cos()) * 0.9)
                     .collect();
-                ActTables::build(&act, 32, opts).unwrap()
+                ActTables::build(&act, gs, opts).unwrap()
             })
             .collect();
         let batch = BatchTables::interleave(&per_row).unwrap();
@@ -867,53 +1099,43 @@ mod tests {
 
     /// The multi-row kernel must be *bit-identical* to per-row `gemv_mtile`
     /// calls — the property that keeps batched forwards equal to independent
-    /// single-token forwards — for every supported option combination, every
-    /// row-block size, and any K-panel split.
+    /// single-token forwards — for every supported option combination, any
+    /// row count, and block shapes with lone planes / lone k-groups / a
+    /// mid-block `i32` flush.
     #[test]
     fn gemm_mtile_bit_identical_to_gemv_mtile() {
         if !simd::available() {
             return;
         }
-        let il = {
-            let mut o = KernelOpts::plus_permute();
-            o.interleave = true;
-            o
-        };
-        for opts in [
-            KernelOpts::plus_permute(),
-            il,
-            KernelOpts::tmac(),
-            KernelOpts::tmac_mirror(),
-        ] {
+        for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
             for bits in 1..=4u8 {
-                let (qm, _) = setup(96, 256, bits, 32);
-                let plan = WeightPlan::new(&qm, opts).unwrap();
-                assert!(gemm_supported(&opts), "{opts:?}");
-                for rows in [1usize, 3, 4, 8] {
-                    let (per_row, batch) = block_tables(rows, 256, &opts);
-                    let gpr = plan.groups_per_row();
-                    for mt in 0..plan.m_tiles() {
-                        let mut want = vec![0f32; rows * TILE_M];
-                        for (r, t) in per_row.iter().enumerate() {
-                            let mut buf = [0f32; TILE_M];
-                            // SAFETY: AVX2+FMA verified above.
-                            unsafe { gemv_mtile(&plan, t, mt, &mut buf) };
-                            want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&buf);
-                        }
-                        let mut got = vec![0f32; rows * TILE_M];
-                        // SAFETY: AVX2+FMA verified above.
-                        unsafe { gemm_mtile(&plan, &batch, mt, 0..gpr, &mut got) };
-                        assert_eq!(got, want, "opts={opts:?} bits={bits} rows={rows} mt={mt}");
-                        // Split into two uneven K-panels (scale-block units).
-                        if gpr >= 2 {
-                            let mid = gpr / 2 + gpr % 2;
-                            let mut panelled = vec![0f32; rows * TILE_M];
-                            // SAFETY: AVX2+FMA verified above.
-                            unsafe {
-                                gemm_mtile(&plan, &batch, mt, 0..mid, &mut panelled);
-                                gemm_mtile(&plan, &batch, mt, mid..gpr, &mut panelled);
+                for gs in [12usize, 32, 256] {
+                    if opts.mirror && gs % 8 != 0 {
+                        continue;
+                    }
+                    let k = if gs == 12 { 96 } else { 256 };
+                    let (qm, _) = setup(96, k, bits, gs);
+                    let opts = KernelOpts { tile_k: k, ..opts };
+                    let plan = WeightPlan::new(&qm, opts).unwrap();
+                    assert!(gemm_supported(&plan), "{opts:?}");
+                    for rows in [1usize, 3, 8, 11] {
+                        let (per_row, batch) = block_tables(rows, k, gs, &opts);
+                        for mt in 0..plan.m_tiles() {
+                            let mut want = vec![0f32; rows * TILE_M];
+                            for (r, t) in per_row.iter().enumerate() {
+                                let mut buf = [0f32; TILE_M];
+                                // SAFETY: AVX2+FMA verified above.
+                                unsafe { gemv_mtile(&plan, t, mt, &mut buf) };
+                                want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&buf);
                             }
-                            assert_eq!(panelled, want, "panel split opts={opts:?} bits={bits}");
+                            // Stale `outs` contents must not leak through.
+                            let mut got = vec![3f32; rows * TILE_M];
+                            // SAFETY: AVX2+FMA verified above.
+                            unsafe { gemm_mtile(&plan, &batch, mt, &mut got) };
+                            assert_eq!(
+                                got, want,
+                                "opts={opts:?} bits={bits} gs={gs} rows={rows} mt={mt}"
+                            );
                         }
                     }
                 }
@@ -932,14 +1154,13 @@ mod tests {
             for bits in [2u8, 3] {
                 let (qm, _) = setup(64, 128, bits, 32);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
-                let (_, batch) = block_tables(5, 128, &opts);
-                let gpr = plan.groups_per_row();
+                let (_, batch) = block_tables(5, 128, 32, &opts);
                 for mt in 0..plan.m_tiles() {
                     let mut want = vec![0f32; 5 * TILE_M];
-                    scalar::gemm_plan_mtile(&plan, &batch, mt, 0..gpr, &mut want);
+                    scalar::gemm_plan_mtile(&plan, &batch, mt, &mut want);
                     let mut got = vec![0f32; 5 * TILE_M];
                     // SAFETY: AVX2+FMA verified above.
-                    unsafe { gemm_mtile(&plan, &batch, mt, 0..gpr, &mut got) };
+                    unsafe { gemm_mtile(&plan, &batch, mt, &mut got) };
                     for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
                         assert!(
                             (w - g).abs() <= 1e-5 * (1.0 + w.abs()),
@@ -956,13 +1177,29 @@ mod tests {
         if !simd::available() {
             return;
         }
-        assert!(gemm_supported(&KernelOpts::tmac()));
-        assert!(gemm_supported(&KernelOpts::tmac_mirror()));
-        assert!(gemm_supported(&KernelOpts::plus_permute()));
-        // FA, flat layouts and f32 tables stay per-row.
-        assert!(!gemm_supported(&KernelOpts::tmac_fast_aggregation()));
-        assert!(!gemm_supported(&KernelOpts::plus_table_quant()));
-        assert!(!gemm_supported(&KernelOpts::tm_base()));
+        let plan = |opts: KernelOpts, gs: usize| {
+            let (qm, _) = setup(32, 512, 2, gs);
+            WeightPlan::new(
+                &qm,
+                KernelOpts {
+                    tile_k: 512,
+                    ..opts
+                },
+            )
+            .unwrap()
+        };
+        assert!(gemm_supported(&plan(KernelOpts::tmac(), 32)));
+        assert!(gemm_supported(&plan(KernelOpts::tmac_mirror(), 256)));
+        // Blocks too long to buffer, FA, the sequential stream, flat
+        // layouts and f32 tables stay per-row.
+        assert!(!gemm_supported(&plan(KernelOpts::tmac(), 512)));
+        assert!(!gemm_supported(&plan(
+            KernelOpts::tmac_fast_aggregation(),
+            32
+        )));
+        assert!(!gemm_supported(&plan(KernelOpts::plus_permute(), 32)));
+        assert!(!gemm_supported(&plan(KernelOpts::plus_table_quant(), 32)));
+        assert!(!gemm_supported(&plan(KernelOpts::tm_base(), 32)));
     }
 
     #[test]

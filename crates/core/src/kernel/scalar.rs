@@ -10,7 +10,6 @@ use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::WeightPlan;
 use crate::table::{ActTables, BatchTables, FA_OFFSET};
 use crate::TmacError;
-use std::ops::Range;
 use tmac_quant::QuantizedMatrix;
 
 /// Ground-truth mpGEMV: `out = act × dequant(W)^T` in `f64` accumulation.
@@ -33,202 +32,134 @@ pub fn gemv_reference(qm: &QuantizedMatrix, act: &[f32]) -> Vec<f32> {
     out
 }
 
+/// One quantized scale block of one output row, before the weight scale:
+/// `0.5 · q_scale · Σ_bit 2^bit · L_bit + bias`, with `lookup(kg, idx)` the
+/// row's quantized table entry. Shared by the GEMV and mpGEMM kernels so
+/// the two cannot drift apart.
+fn quant_block_term(
+    plan: &WeightPlan,
+    sb: usize,
+    m: usize,
+    lut_scale: f32,
+    asum: f32,
+    lookup: impl Fn(usize, u8) -> i8,
+) -> f32 {
+    let kg_per_block = plan.group_size / LUT_GROUP;
+    let kg0 = sb * kg_per_block;
+    let fa = plan.opts.fast_aggregation;
+    // Fast aggregation: each rounding average biases its output by +0.25 in
+    // expectation, and the bias of every tree level propagates to the root
+    // undiminished in aggregate — the root carries ≈ +0.25·depth. Subtract
+    // this probabilistic bias (the MADDNESS correction the paper adopts,
+    // §4), folded into the per-block bias term so the inner loop is
+    // untouched.
+    let fa_delta = if fa {
+        let depth = kg_per_block.trailing_zeros() as f32;
+        -0.25 * depth * kg_per_block as f32 * (((1u32 << plan.bits) - 1) as f32)
+    } else {
+        0.0
+    };
+    let bias = plan.cz * asum + 0.5 * lut_scale * fa_delta;
+    let mut block = 0f32;
+    for bit in 0..plan.bits {
+        let q = |kgi: usize| lookup(kg0 + kgi, plan.index(bit, m, kg0 + kgi));
+        let lq: i32 = if fa {
+            fa_tree(kg_per_block, q)
+        } else {
+            (0..kg_per_block).map(|kgi| q(kgi) as i32).sum()
+        };
+        block += (1u32 << bit) as f32 * lq as f32;
+    }
+    0.5 * lut_scale * block + bias
+}
+
+/// Fast-aggregation tree over one block's quantized lookups `q(kgi)`.
+///
+/// Moves them to the `u8` offset domain and reduces them with the exact
+/// `avg_u8` pairing the SIMD kernels use: level by level, adjacent pairs.
+/// Returns the reconstructed integer sum `(tree - 128) * n_groups`.
+fn fa_tree(kg_per_block: usize, q: impl Fn(usize) -> i8) -> i32 {
+    debug_assert!(kg_per_block.is_power_of_two());
+    let mut vals = [0u8; 64];
+    for (kgi, v) in vals.iter_mut().take(kg_per_block).enumerate() {
+        *v = (q(kgi) as i32 + FA_OFFSET) as u8;
+    }
+    let mut n = kg_per_block;
+    while n > 1 {
+        for j in 0..n / 2 {
+            vals[j] = tmac_simd::scalar::avg_u8(vals[2 * j], vals[2 * j + 1]);
+        }
+        n /= 2;
+    }
+    (vals[0] as i32 - FA_OFFSET) * kg_per_block as i32
+}
+
 /// Executes one m-tile of the T-MAC GEMV in scalar code.
 ///
 /// `out` receives the `TILE_M` results of tile `mt`. The arithmetic —
 /// integer accumulation widths, fast-aggregation tree shape, per-block
 /// application order — replicates the AVX2 kernel exactly.
 pub fn gemv_plan_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
-    let bits = plan.bits;
-    let gpr = plan.groups_per_row();
     let kg_per_block = plan.group_size / LUT_GROUP;
     let m0 = mt * TILE_M;
     out.fill(0.0);
 
-    for sb in 0..gpr {
-        let kg0 = sb * kg_per_block;
-        if tables.quantized {
-            let lut_scale = tables.q_scales[sb];
-            let asum = tables.asums[sb];
-            // Fast aggregation: each rounding average biases its output by
-            // +0.25 in expectation, and the bias of every tree level
-            // propagates to the root undiminished in aggregate — the root
-            // carries ≈ +0.25·depth. Subtract this probabilistic bias (the
-            // MADDNESS correction the paper adopts, §4), folded into the
-            // per-block bias term so the inner loop is untouched.
-            let fa_delta = if plan.opts.fast_aggregation {
-                let kgb = kg_per_block as f32;
-                let depth = kg_per_block.trailing_zeros() as f32;
-                -0.25 * depth * kgb * (((1u32 << bits) - 1) as f32)
+    for sb in 0..plan.groups_per_row() {
+        for (r, o) in out.iter_mut().enumerate() {
+            let m = m0 + r;
+            let term = if tables.quantized {
+                let (lut_scale, asum) = (tables.q_scales[sb], tables.asums[sb]);
+                quant_block_term(plan, sb, m, lut_scale, asum, |kg, idx| {
+                    tables.lookup_q(kg, idx)
+                })
             } else {
-                0.0
-            };
-            let bias = plan.cz * asum + 0.5 * lut_scale * fa_delta;
-            for (r, o) in out.iter_mut().enumerate() {
-                let m = m0 + r;
                 let mut block = 0f32;
-                for bit in 0..bits {
-                    let lq: i32 = if plan.opts.fast_aggregation {
-                        fa_tree_row(plan, tables, m, bit, kg0, kg_per_block)
-                    } else {
-                        (0..kg_per_block)
-                            .map(|kgi| {
-                                let kg = kg0 + kgi;
-                                tables.lookup_q(kg, plan.index(bit, m, kg)) as i32
-                            })
-                            .sum()
-                    };
-                    block += (1u32 << bit) as f32 * lq as f32;
-                }
-                let s = plan.scale(m, sb);
-                *o += s * (0.5 * lut_scale * block + bias);
-            }
-        } else {
-            let asum = tables.asums[sb];
-            let bias = plan.cz * asum;
-            for (r, o) in out.iter_mut().enumerate() {
-                let m = m0 + r;
-                let mut block = 0f32;
-                for bit in 0..bits {
+                for bit in 0..plan.bits {
                     let mut l = 0f32;
-                    for kgi in 0..kg_per_block {
-                        let kg = kg0 + kgi;
+                    for kg in sb * kg_per_block..(sb + 1) * kg_per_block {
                         l += tables.lookup_f32(kg, plan.index(bit, m, kg));
                     }
                     block += (1u32 << bit) as f32 * l;
                 }
-                let s = plan.scale(m, sb);
-                *o += s * (0.5 * block + bias);
-            }
+                0.5 * block + plan.cz * tables.asums[sb]
+            };
+            *o += plan.scale(m, sb) * term;
         }
     }
 }
 
-/// Fast-aggregation tree for one row/bit within one scale block.
+/// Executes one m-tile for a whole *row block* in scalar code: `outs`
+/// receives the row-major `rows × TILE_M` results.
 ///
-/// Looks up the `u8` (offset) tables and reduces them with the exact
-/// `avg_u8` pairing the SIMD kernel uses: level by level, adjacent pairs.
-/// Returns the reconstructed integer sum `(tree - 128) * n_groups`.
-fn fa_tree_row(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    m: usize,
-    bit: usize,
-    kg0: usize,
-    kg_per_block: usize,
-) -> i32 {
-    debug_assert!(kg_per_block.is_power_of_two());
-    let mut vals = [0u8; 64];
-    for (kgi, v) in vals.iter_mut().take(kg_per_block).enumerate() {
-        let kg = kg0 + kgi;
-        let q = tables.lookup_q(kg, plan.index(bit, m, kg));
-        *v = (q as i32 + FA_OFFSET) as u8;
-    }
-    let mut n = kg_per_block;
-    while n > 1 {
-        for j in 0..n / 2 {
-            vals[j] = tmac_simd::scalar::avg_u8(vals[2 * j], vals[2 * j + 1]);
-        }
-        n /= 2;
-    }
-    (vals[0] as i32 - FA_OFFSET) * kg_per_block as i32
-}
-
-/// Executes the scale blocks `sbs` of one m-tile for a whole *row block* in
-/// scalar code, accumulating into `outs` (row-major `rows × TILE_M`, which
-/// the caller zeroes before the first K-panel).
-///
-/// Per row, the arithmetic — integer accumulation, fast-aggregation tree,
-/// per-block `f32` application order — is identical to
-/// [`gemv_plan_mtile`]'s, so calling this once over the full scale-block
-/// range (or panel by panel in increasing order) produces bit-identical
-/// results to `rows` independent GEMV calls. The only difference is the
-/// table *source*: the interleaved [`BatchTables`] layout.
+/// Per row the arithmetic is [`gemv_plan_mtile`]'s (the shared
+/// `quant_block_term`, applied in the same scale-block order), so the
+/// results are bit-identical to `rows` independent GEMV calls. The only
+/// difference is the table *source*: the re-laid [`BatchTables`] layout.
 ///
 /// # Panics
 ///
-/// Panics if the tables are not compatible with `plan` (debug), `outs` is
-/// shorter than `rows × TILE_M`, or `sbs` exceeds the plan's blocks.
-pub fn gemm_plan_mtile(
-    plan: &WeightPlan,
-    batch: &BatchTables,
-    mt: usize,
-    sbs: Range<usize>,
-    outs: &mut [f32],
-) {
-    let bits = plan.bits;
-    let kg_per_block = plan.group_size / LUT_GROUP;
+/// Panics if the tables are not compatible with `plan` (debug) or `outs`
+/// is shorter than `rows × TILE_M`.
+pub fn gemm_plan_mtile(plan: &WeightPlan, batch: &BatchTables, mt: usize, outs: &mut [f32]) {
     let m0 = mt * TILE_M;
-    assert!(sbs.end <= plan.groups_per_row(), "scale block out of range");
     assert!(outs.len() >= batch.rows * TILE_M, "outs too short");
     debug_assert_eq!(batch.k, plan.k);
     debug_assert_eq!(batch.group_size, plan.group_size);
+    outs[..batch.rows * TILE_M].fill(0.0);
 
-    for sb in sbs {
-        let kg0 = sb * kg_per_block;
-        for r in 0..batch.rows {
-            let lut_scale = batch.q_scale(r, sb);
-            let asum = batch.asum(r, sb);
-            // Same probabilistic FA bias correction as the GEMV kernel.
-            let fa_delta = if plan.opts.fast_aggregation {
-                let kgb = kg_per_block as f32;
-                let depth = kg_per_block.trailing_zeros() as f32;
-                -0.25 * depth * kgb * (((1u32 << bits) - 1) as f32)
-            } else {
-                0.0
-            };
-            let bias = plan.cz * asum + 0.5 * lut_scale * fa_delta;
-            let out_row = &mut outs[r * TILE_M..(r + 1) * TILE_M];
+    for sb in 0..plan.groups_per_row() {
+        let (q_scales, asums) = batch.block_scales(sb);
+        for (r, out_row) in outs.chunks_exact_mut(TILE_M).take(batch.rows).enumerate() {
+            let (lut_scale, asum) = (q_scales[r], asums[r]);
             for (lane, o) in out_row.iter_mut().enumerate() {
                 let m = m0 + lane;
-                let mut block = 0f32;
-                for bit in 0..bits {
-                    let lq: i32 = if plan.opts.fast_aggregation {
-                        fa_tree_row_batch(plan, batch, r, m, bit, kg0, kg_per_block)
-                    } else {
-                        (0..kg_per_block)
-                            .map(|kgi| {
-                                let kg = kg0 + kgi;
-                                batch.lookup_q(r, kg, plan.index(bit, m, kg)) as i32
-                            })
-                            .sum()
-                    };
-                    block += (1u32 << bit) as f32 * lq as f32;
-                }
-                let s = plan.scale(m, sb);
-                *o += s * (0.5 * lut_scale * block + bias);
+                let term = quant_block_term(plan, sb, m, lut_scale, asum, |kg, idx| {
+                    batch.lookup_q(r, kg, idx)
+                });
+                *o += plan.scale(m, sb) * term;
             }
         }
     }
-}
-
-/// Fast-aggregation tree for one (row, bit) of a batch block — the
-/// interleaved-layout twin of [`fa_tree_row`], with the identical `avg_u8`
-/// pairing.
-fn fa_tree_row_batch(
-    plan: &WeightPlan,
-    batch: &BatchTables,
-    r: usize,
-    m: usize,
-    bit: usize,
-    kg0: usize,
-    kg_per_block: usize,
-) -> i32 {
-    debug_assert!(kg_per_block.is_power_of_two());
-    let mut vals = [0u8; 64];
-    for (kgi, v) in vals.iter_mut().take(kg_per_block).enumerate() {
-        let kg = kg0 + kgi;
-        let q = batch.lookup_q(r, kg, plan.index(bit, m, kg));
-        *v = (q as i32 + FA_OFFSET) as u8;
-    }
-    let mut n = kg_per_block;
-    while n > 1 {
-        for j in 0..n / 2 {
-            vals[j] = tmac_simd::scalar::avg_u8(vals[2 * j], vals[2 * j + 1]);
-        }
-        n /= 2;
-    }
-    (vals[0] as i32 - FA_OFFSET) * kg_per_block as i32
 }
 
 /// Full scalar GEMV over all tiles (single-threaded helper; the driver
@@ -364,10 +295,9 @@ mod tests {
         }
     }
 
-    /// The multi-row scalar kernel over the interleaved layout must be
+    /// The multi-row scalar kernel over the re-laid tables must be
     /// bit-identical to per-row GEMV calls, for every quantized option
-    /// combination and regardless of how the scale blocks are split into
-    /// K-panels.
+    /// combination.
     #[test]
     fn gemm_mtile_bit_identical_to_per_row_gemv() {
         let rows = 3;
@@ -390,7 +320,6 @@ mod tests {
                     })
                     .collect();
                 let batch = BatchTables::interleave(&row_tables).unwrap();
-                let gpr = plan.groups_per_row();
                 for mt in 0..plan.m_tiles() {
                     let mut want = vec![0f32; rows * TILE_M];
                     for (r, t) in row_tables.iter().enumerate() {
@@ -398,16 +327,10 @@ mod tests {
                         gemv_plan_mtile(&plan, t, mt, &mut buf);
                         want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&buf);
                     }
-                    // One panel covering everything…
-                    let mut got = vec![0f32; rows * TILE_M];
-                    gemm_plan_mtile(&plan, &batch, mt, 0..gpr, &mut got);
+                    // Stale contents of `outs` must not leak into the result.
+                    let mut got = vec![7f32; rows * TILE_M];
+                    gemm_plan_mtile(&plan, &batch, mt, &mut got);
                     assert_eq!(got, want, "opts={opts:?} bits={bits} mt={mt}");
-                    // …and split into single-scale-block panels.
-                    let mut panelled = vec![0f32; rows * TILE_M];
-                    for sb in 0..gpr {
-                        gemm_plan_mtile(&plan, &batch, mt, sb..sb + 1, &mut panelled);
-                    }
-                    assert_eq!(panelled, want, "panelled opts={opts:?} bits={bits}");
                 }
             }
         }

@@ -53,7 +53,7 @@ pub mod plan;
 pub mod table;
 
 pub use exec::{ExecCtx, TableCacheStats, TableProfile};
-pub use opts::{KernelOpts, L1_TABLE_BUDGET, LUT_GROUP, TILE_M};
+pub use opts::{KernelOpts, LUT_GROUP, TILE_M};
 pub use plan::{Layout, PlanBacking, PlanParts, Segment, WeightPlan};
 pub use table::{ActTables, BatchTables};
 

@@ -35,8 +35,13 @@ pub struct KernelOpts {
     /// Offline weight permutation (§3.2): store each tile's indices
     /// contiguously in the exact order the kernel reads them.
     pub permute: bool,
-    /// Offline weight interleaving (§3.2, Figure 4): pack row `r` and row
-    /// `r + 16` in one byte so unpacking is a plain `AND`/`SHR`.
+    /// Offline weight interleaving (§3.2, Figure 4), taken to its AVX2
+    /// conclusion: the permuted stream is re-ordered so one 32-byte load
+    /// holds a k-group pair (one per 128-bit lane) × 16 rows × a bit-plane
+    /// pair (adjacent bytes). Unpacking is a plain `AND`/`SHR`, the lookup
+    /// needs no table broadcast or lane fix-up, and one `vpmaddubsw` both
+    /// widens to `i16` and applies the bit-serial weights (see
+    /// [`crate::plan`] for the byte order).
     pub interleave: bool,
     /// Fast 8-bit aggregation (§4): aggregate lookups with rounding-average
     /// instructions instead of widening adds. Faster, lossy.
@@ -46,36 +51,10 @@ pub struct KernelOpts {
     pub tile_k: usize,
     /// Activation rows per batch block in mpGEMM (table reuse across the
     /// sequence dimension): tables for `n_block` rows are built/cached
-    /// together and swept over the weights as one block.
+    /// together and swept over the weights as one block — each scale block's
+    /// indices are decoded once and looked up against every row of the block.
     pub n_block: usize,
-    /// Activation rows per *register block* inside an mpGEMM sweep: the
-    /// multi-row kernel loads each weight index step once and looks it up
-    /// against `row_block` rows' interleaved tables. The driver clamps to
-    /// `1..=`[`MAX_ROW_BLOCK`] (see [`KernelOpts::effective_row_block`]),
-    /// and a register block additionally never straddles an `n_block`
-    /// boundary. `1` disables the multi-row kernel (per-row sweep, the
-    /// pre-register-blocking behaviour).
-    pub row_block: usize,
-    /// K-panel length for mpGEMM cache blocking, in k-groups (4 activations
-    /// each): the kg range is split into panels so the row block's active
-    /// table slice (`row_block · kg_panel · 16` bytes when quantized) stays
-    /// L1-resident while all m-tiles stream over it. Rounded to whole scale
-    /// blocks at execution time. `0` = auto-size from [`L1_TABLE_BUDGET`].
-    pub kg_panel: usize,
 }
-
-/// Bytes of L1 data cache budgeted for the mpGEMM table working set when
-/// `kg_panel == 0` (auto). Half of a conservative 32 KB L1d: the other half
-/// is left to the streamed weight indices, partial outputs, and scales.
-pub const L1_TABLE_BUDGET: usize = 16 * 1024;
-
-/// Hard cap on `row_block` — the multi-row kernels' register-block limit
-/// (eight rows × 4 bit planes × 2 `i16` accumulators already exceeds the
-/// 16 architectural `ymm` registers; larger blocks would only add spill
-/// traffic). The driver, the cost model, and the interleave cache all
-/// clamp through [`KernelOpts::effective_row_block`] so they cannot
-/// disagree.
-pub const MAX_ROW_BLOCK: usize = 8;
 
 impl KernelOpts {
     /// `TM-base`: hardware-intrinsic lookups (gathers from `f32` tables) but
@@ -90,8 +69,6 @@ impl KernelOpts {
             fast_aggregation: false,
             tile_k: 0,
             n_block: 1,
-            row_block: 1,
-            kg_panel: 0,
         }
     }
 
@@ -143,7 +120,6 @@ impl KernelOpts {
             interleave: true,
             mirror: false,
             n_block: 8,
-            row_block: 8,
             ..Self::plus_permute()
         }
     }
@@ -178,12 +154,6 @@ impl KernelOpts {
         ]
     }
 
-    /// The register-block size the mpGEMM driver actually uses:
-    /// `row_block` clamped to `1..=`[`MAX_ROW_BLOCK`].
-    pub fn effective_row_block(&self) -> usize {
-        self.row_block.clamp(1, MAX_ROW_BLOCK)
-    }
-
     /// Checks internal consistency of the flag combination.
     ///
     /// # Errors
@@ -211,9 +181,6 @@ impl KernelOpts {
         }
         if self.n_block == 0 {
             return Err("n_block must be positive".into());
-        }
-        if self.row_block == 0 {
-            return Err("row_block must be positive".into());
         }
         Ok(())
     }
@@ -267,14 +234,10 @@ mod tests {
     #[test]
     fn multi_row_knobs_validated() {
         let mut o = KernelOpts::tmac();
-        assert_eq!(o.row_block, 8, "full T-MAC enables register blocking");
-        assert_eq!(o.kg_panel, 0, "panel length defaults to auto");
-        o.row_block = 0;
+        assert_eq!(o.n_block, 8, "full T-MAC batches eight rows per sweep");
+        o.n_block = 0;
         assert!(o.validate().is_err());
-        let mut o = KernelOpts::tm_base();
-        assert_eq!(o.row_block, 1, "base config is per-row");
-        o.kg_panel = 7; // any value is legal; rounding happens at run time
-        assert!(o.validate().is_ok());
+        assert_eq!(KernelOpts::tm_base().n_block, 1, "base config is per-row");
     }
 
     #[test]

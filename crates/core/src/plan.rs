@@ -8,12 +8,23 @@
 //!   the layout a naive implementation would use. Kernels must gather a
 //!   tile's indices from `TILE_M` strided rows on every step.
 //! * **Permuted** (`opts.permute`): indices are stored in the exact order
-//!   the kernel consumes them — m-tile by m-tile, k-tile by k-tile, k-group
-//!   by k-group, bit by bit, 16 bytes per step ("T-MAC flats the elements in
-//!   a tile sequentially and then concatenates the flatten tiles", §3.2).
-//!   Within the 16 bytes, nibbles are either *sequential* (rows `2j`,
-//!   `2j+1`) or *interleaved* (rows `j`, `j+16`, Figure 4) per
-//!   `opts.interleave`.
+//!   the kernel consumes them — m-tile by m-tile, scale block by scale
+//!   block ("T-MAC flats the elements in a tile sequentially and then
+//!   concatenates the flatten tiles", §3.2). Inside a scale block the order
+//!   depends on `opts.interleave`:
+//!   * *sequential* (`+Perm.` stage): bit plane by bit plane, k-group by
+//!     k-group, 16 bytes per step, byte `j` = rows `2j` / `2j+1`;
+//!   * *paired* (`interleave`, Figure 4 taken to its AVX2 conclusion): one
+//!     32-byte step holds a **k-group pair × 16 rows × a bit-plane pair** —
+//!     lane `L` = k-group `2kp+L`; byte `2j+b` of a lane = `(row 16h+j,
+//!     plane 2p+b)` low nibble, `(row 16h+8+j, plane 2p+b)` high nibble —
+//!     in block order `for kp { for p { h=0, h=1 }, [lone plane] }, [lone
+//!     k-group]` (DESIGN.md §3b has the diagram and the kernel it buys).
+//!     A lone trailing plane (odd `bits`) packs 32 rows of the pair in one
+//!     step; a lone trailing k-group (odd `group_size/4`) puts the two row
+//!     halves in the two lanes. Every shape streams `bits/2` bytes per
+//!     index, like the sequential order; [`permuted_nibble`] is the one
+//!     definition the packer and [`WeightPlan::index`] share.
 //!
 //! The weight matrix never changes during inference, so all of this cost is
 //! paid once offline — exactly the paper's argument for why permutation and
@@ -146,9 +157,10 @@ impl<T: Copy + std::fmt::Debug + 'static> std::fmt::Debug for Segment<T> {
 pub enum Layout {
     /// Row-major nibble planes, one per bit.
     Flat,
-    /// Contiguous per-tile stream (optionally interleaved).
+    /// Contiguous per-tile stream.
     Permuted {
-        /// Nibble order within each 16-byte step.
+        /// `true`: the lane-paired, bit-paired byte order; `false`: the
+        /// sequential 16-byte steps (see the module docs).
         interleaved: bool,
     },
 }
@@ -307,33 +319,27 @@ impl WeightPlan {
                 }
             }
             Layout::Permuted { interleaved } => {
-                // Stream order per m-tile: scale block → bit plane → k-group
-                // (bit-major *within* a scale block so the kernel can pair
-                // same-bit lookups of adjacent k-groups in one 256-bit
-                // load). Scale blocks never straddle k-tiles because
-                // `tile_k` is a multiple of `group_size`, so k-tiling does
-                // not alter the byte order.
+                // Scale blocks never straddle k-tiles (`tile_k` is a multiple
+                // of `group_size`), so k-tiling does not alter the byte order.
                 perm_stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
-                let kg_per_block = qm.group_size / LUT_GROUP;
+                let kgb = qm.group_size / LUT_GROUP;
+                let block_bytes = kgb * bits * (TILE_M / 2);
                 let mut off = 0;
                 for mt in 0..m_padded / TILE_M {
                     let m0 = mt * TILE_M;
-                    for sb in 0..k / qm.group_size {
+                    for sb in 0..gpr {
+                        let block = &mut perm_stream[off..off + block_bytes];
                         for bit in 0..bits {
-                            for kg_in in 0..kg_per_block {
-                                let kg = sb * kg_per_block + kg_in;
-                                for j in 0..TILE_M / 2 {
-                                    let (rlo, rhi) = if interleaved {
-                                        (m0 + j, m0 + j + TILE_M / 2)
-                                    } else {
-                                        (m0 + 2 * j, m0 + 2 * j + 1)
-                                    };
-                                    perm_stream[off + j] =
-                                        nibble(rlo, bit, kg) | (nibble(rhi, bit, kg) << 4);
+                            for kg_in in 0..kgb {
+                                let kg = sb * kgb + kg_in;
+                                for r in 0..TILE_M {
+                                    let (byte, high) =
+                                        permuted_nibble(interleaved, bits, kgb, bit, r, kg_in);
+                                    block[byte] |= nibble(m0 + r, bit, kg) << (4 * high as u8);
                                 }
-                                off += TILE_M / 2;
                             }
                         }
+                        off += block_bytes;
                     }
                 }
                 debug_assert_eq!(off, perm_stream.len());
@@ -639,32 +645,23 @@ impl WeightPlan {
             }
             Layout::Permuted { interleaved } => {
                 let (mt, r) = (row / TILE_M, row % TILE_M);
-                let base = self.step_offset(mt, kg, bit);
-                let half = TILE_M / 2;
-                let (j, high) = if interleaved {
-                    (r % half, r >= half)
-                } else {
-                    (r / 2, r % 2 == 1)
-                };
-                let byte = self.perm_stream[base + j];
+                let kgb = self.group_size / LUT_GROUP;
+                let (sb, kg_in) = (kg / kgb, kg % kgb);
+                let (byte, high) = permuted_nibble(interleaved, self.bits, kgb, bit, r, kg_in);
+                let block = (mt * self.groups_per_row() + sb) * self.block_bytes();
+                let b = self.perm_stream[block + byte];
                 if high {
-                    byte >> 4
+                    b >> 4
                 } else {
-                    byte & 0x0F
+                    b & 0x0F
                 }
             }
         }
     }
 
-    /// Byte offset of the 16-byte step `(m-tile, kg, bit)` in the permuted
-    /// stream (scale-block-major, bit-major within the block).
-    fn step_offset(&self, mt: usize, kg: usize, bit: usize) -> usize {
-        let half = TILE_M / 2;
-        let kg_per_block = self.group_size / LUT_GROUP;
-        let per_sb = self.bits * kg_per_block * half;
-        let per_mtile = self.kg_total() / kg_per_block * per_sb;
-        let (sb, kg_in) = (kg / kg_per_block, kg % kg_per_block);
-        mt * per_mtile + sb * per_sb + (bit * kg_per_block + kg_in) * half
+    /// Bytes of one scale block of one m-tile in the permuted stream.
+    pub fn block_bytes(&self) -> usize {
+        self.group_size / LUT_GROUP * self.bits * (TILE_M / 2)
     }
 
     /// The flat nibble plane of one bit (row-major, [`Self::flat_row_bytes`]
@@ -772,6 +769,45 @@ impl WeightPlan {
             || self.scales_flat.is_borrowed()
             || self.flat_planes.iter().any(|p| p.is_borrowed())
     }
+}
+
+/// Where a permuted scale block of `kgb` k-groups keeps the index of
+/// `(bit, tile row r, k-group kg_in)`: `(byte offset, high nibble?)` — the
+/// one definition of both stream orders (see the module docs), shared by
+/// the packer and [`WeightPlan::index`].
+pub fn permuted_nibble(
+    interleaved: bool,
+    bits: usize,
+    kgb: usize,
+    bit: usize,
+    r: usize,
+    kg_in: usize,
+) -> (usize, bool) {
+    let half = TILE_M / 2;
+    if !interleaved {
+        // Bit-major 16-byte steps, byte `j` = rows `2j` / `2j + 1`.
+        return ((bit * kgb + kg_in) * half + r / 2, r % 2 == 1);
+    }
+    let lone_bit = bits % 2 == 1 && bit == bits - 1;
+    let lone_kg = kgb % 2 == 1 && kg_in == kgb - 1;
+    // A k-group pair owns `bits` 32-byte steps (lane = k-group parity); the
+    // lone k-group's steps follow with lane = row half.
+    let base = kg_in / 2 * bits * TILE_M;
+    let (step, lane) = match (lone_kg, lone_bit) {
+        (false, false) => (bit / 2 * 2 + r / half, kg_in % 2),
+        (false, true) => (bits - 1, kg_in % 2),
+        (true, false) => (bit / 2, r / half),
+        (true, true) => (bits / 2, 0),
+    };
+    // Inside a lane a plane pair interleaves its two planes over 16 rows
+    // (high nibble = rows 8..16 of the half); a lone plane interleaves rows
+    // `j` and `8 + j` over all 32 rows (high nibble = rows 16..32).
+    let (pos, high) = if lone_bit {
+        (2 * (r % 8) + r / 8 % 2, r >= half)
+    } else {
+        (2 * (r % 8) + bit % 2, r % half >= 8)
+    };
+    (base + step * TILE_M + lane * half + pos, high)
 }
 
 /// Reconstructs the 4-bit index directly from codes (test oracle).

@@ -252,26 +252,23 @@ impl ActTables {
     }
 }
 
-/// Interleaved quantized tables for a *block* of `rows` activation rows.
+/// Quantized tables for a *block* of `rows` activation rows, re-laid for
+/// the multi-row mpGEMM sweep.
 ///
-/// [`ActTables`] keeps each row's tables as one contiguous ~16 KB buffer,
-/// which is perfect for the GEMV path (the whole set is L1-resident) but
-/// hostile to a multi-row kernel: looking up one k-group for `R` rows means
-/// touching `R` strided buffers. `BatchTables` transposes the layout — the
-/// `R` rows' 16-byte tables of each stored k-group sit contiguously:
+/// [`ActTables`] keeps each row's tables as one contiguous buffer (what the
+/// GEMV path streams). The mpGEMM kernel runs scale-block-outer — it decodes
+/// one scale block's weight indices once, then looks them up against every
+/// row — so `BatchTables` stores, per scale block, each row's slice of that
+/// block (its [`ActTables`] bytes unchanged: 128 at `group_size` 32)
+/// contiguously, in exactly the order the kernel reads:
 ///
 /// ```text
-/// [kg0·row0][kg0·row1]…[kg0·rowR-1][kg1·row0]…      (16 bytes each)
+/// [sb0·row0][sb0·row1]…[sb0·rowR-1][sb1·row0]…     (block_bytes each)
 /// ```
 ///
-/// so a register block's lookups for one weight step are a single forward
-/// cache-line stream. In mirror mode the stored unit is the k-group *pair*
-/// (matching [`ActTables`]'s pair packing), so the same indexing works with
-/// `kg / 2`.
-///
-/// Only quantized tables interleave (`i8`, plus the offset `u8` copy when
-/// every source row carries one); `f32` table mode has no multi-row kernel
-/// and stays on the per-row path.
+/// Only quantized tables re-lay (`i8`, plus the offset `u8` copy when every
+/// source row carries one); `f32` table mode has no multi-row kernel and
+/// stays on the per-row path.
 #[derive(Debug, Clone)]
 pub struct BatchTables {
     /// Rows in the block (`R`).
@@ -282,19 +279,30 @@ pub struct BatchTables {
     pub group_size: usize,
     /// Whether tables are mirror-consolidated (pair-packed).
     pub mirror: bool,
-    /// Interleaved `i8` tables: `stored_groups × rows × 16` bytes.
+    /// Re-laid `i8` tables: `blocks × rows × block_bytes` bytes.
     pub q_tables: Vec<i8>,
-    /// Interleaved offset `u8` tables (same layout; empty unless every
-    /// source row had them).
+    /// Re-laid offset `u8` tables (same layout; empty unless every source
+    /// row had them).
     pub u_tables: Vec<u8>,
-    /// Row-major per-scale-block table scales: `rows × blocks`.
+    /// Per-scale-block table scales, `[sb][row]`: `blocks × rows`.
     pub q_scales: Vec<f32>,
-    /// Row-major per-scale-block activation sums: `rows × blocks`.
+    /// Per-scale-block activation sums, `[sb][row]`: `blocks × rows`.
     pub asums: Vec<f32>,
 }
 
+/// Copies each row's per-scale-block slices into `[sb][row]` order.
+fn relay_blocks<T: Copy + Default>(rows: &[&[T]], blocks: usize) -> Vec<T> {
+    let bb = rows[0].len() / blocks;
+    let mut out = vec![T::default(); rows.len() * blocks * bb];
+    for (unit, dst) in out.chunks_exact_mut(bb).enumerate() {
+        let (sb, r) = (unit / rows.len(), unit % rows.len());
+        dst.copy_from_slice(&rows[r][sb * bb..(sb + 1) * bb]);
+    }
+    out
+}
+
 impl BatchTables {
-    /// Interleaves a block of per-row tables.
+    /// Re-lays a block of per-row tables.
     ///
     /// # Errors
     ///
@@ -324,57 +332,26 @@ impl BatchTables {
                 ));
             }
         }
-        let stored = first.q_tables.len() / TABLE_LEN;
-        let mut q_tables = vec![0i8; stored * rows * TABLE_LEN];
-        for (r, t) in tables.iter().enumerate() {
-            for sg in 0..stored {
-                q_tables[(sg * rows + r) * TABLE_LEN..(sg * rows + r + 1) * TABLE_LEN]
-                    .copy_from_slice(&t.q_tables[sg * TABLE_LEN..(sg + 1) * TABLE_LEN]);
-            }
-        }
+        let blocks = first.q_scales.len();
+        let q_rows: Vec<&[i8]> = tables.iter().map(|t| &t.q_tables[..]).collect();
         let u_tables = if has_u {
-            let mut u = vec![0u8; stored * rows * TABLE_LEN];
-            for (r, t) in tables.iter().enumerate() {
-                for sg in 0..stored {
-                    u[(sg * rows + r) * TABLE_LEN..(sg * rows + r + 1) * TABLE_LEN]
-                        .copy_from_slice(&t.u_tables[sg * TABLE_LEN..(sg + 1) * TABLE_LEN]);
-                }
-            }
-            u
+            let u_rows: Vec<&[u8]> = tables.iter().map(|t| &t.u_tables[..]).collect();
+            relay_blocks(&u_rows, blocks)
         } else {
             Vec::new()
         };
-        let blocks = first.q_scales.len();
-        let mut q_scales = vec![0f32; rows * blocks];
-        let mut asums = vec![0f32; rows * blocks];
-        for (r, t) in tables.iter().enumerate() {
-            q_scales[r * blocks..(r + 1) * blocks].copy_from_slice(&t.q_scales);
-            asums[r * blocks..(r + 1) * blocks].copy_from_slice(&t.asums);
-        }
+        let scale_rows: Vec<&[f32]> = tables.iter().map(|t| &t.q_scales[..]).collect();
+        let asum_rows: Vec<&[f32]> = tables.iter().map(|t| &t.asums[..]).collect();
         Ok(BatchTables {
             rows,
             k: first.k,
             group_size: first.group_size,
             mirror: first.mirror,
-            q_tables,
+            q_tables: relay_blocks(&q_rows, blocks),
             u_tables,
-            q_scales,
-            asums,
+            q_scales: relay_blocks(&scale_rows, blocks),
+            asums: relay_blocks(&asum_rows, blocks),
         })
-    }
-
-    /// Number of k-groups covered (`K / 4`).
-    pub fn kg_total(&self) -> usize {
-        self.k / LUT_GROUP
-    }
-
-    /// Number of *stored* table groups (k-groups, or pairs under mirror).
-    pub fn stored_groups(&self) -> usize {
-        if self.mirror {
-            self.kg_total() / 2
-        } else {
-            self.kg_total()
-        }
     }
 
     /// Number of scale blocks per row.
@@ -382,53 +359,62 @@ impl BatchTables {
         self.k / self.group_size
     }
 
-    /// Byte offset of row `r`'s 16-byte table for stored group `sg` in
-    /// [`Self::q_tables`] / [`Self::u_tables`].
-    #[inline]
-    pub fn table_base(&self, sg: usize, r: usize) -> usize {
-        (sg * self.rows + r) * TABLE_LEN
+    /// Table bytes of one `(scale block, row)` unit: 16 per k-group, halved
+    /// by mirror pair-packing.
+    pub fn block_bytes(&self) -> usize {
+        let kgb = self.group_size / LUT_GROUP;
+        if self.mirror {
+            kgb / 2 * TABLE_LEN
+        } else {
+            kgb * TABLE_LEN
+        }
     }
 
-    /// Table scale of `(row, scale-block)`.
+    /// Row `r`'s quantized tables of scale block `sb`
+    /// ([`Self::block_bytes`] bytes, in [`ActTables`] order).
     #[inline]
-    pub fn q_scale(&self, r: usize, sb: usize) -> f32 {
-        self.q_scales[r * self.blocks() + sb]
+    pub fn block_tables(&self, sb: usize, r: usize) -> &[i8] {
+        let bb = self.block_bytes();
+        &self.q_tables[(sb * self.rows + r) * bb..][..bb]
     }
 
-    /// Activation sum of `(row, scale-block)`.
+    /// The rows' `(table scales, activation sums)` of scale block `sb`.
     #[inline]
-    pub fn asum(&self, r: usize, sb: usize) -> f32 {
-        self.asums[r * self.blocks() + sb]
+    pub fn block_scales(&self, sb: usize) -> (&[f32], &[f32]) {
+        let range = sb * self.rows..(sb + 1) * self.rows;
+        (&self.q_scales[range.clone()], &self.asums[range])
     }
 
     /// Looks up entry `idx` of k-group `kg` for row `r`, applying the
     /// mirror fold when consolidated — the batch twin of
-    /// [`ActTables::lookup_q`], against the interleaved layout.
+    /// [`ActTables::lookup_q`], against the re-laid layout.
     ///
     /// # Panics
     ///
     /// Panics if `r`, `kg` or `idx` is out of range.
     pub fn lookup_q(&self, r: usize, kg: usize, idx: u8) -> i8 {
-        assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.kg_total());
+        assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.k / LUT_GROUP);
+        let kgb = self.group_size / LUT_GROUP;
+        let block = self.block_tables(kg / kgb, r);
+        let kg_in = kg % kgb;
         if self.mirror {
             let (fold, neg) = if idx >= 8 {
                 ((idx ^ 0x0F) as usize, true)
             } else {
                 (idx as usize, false)
             };
-            let half = (kg % 2) * (TABLE_LEN / 2);
-            let v = self.q_tables[self.table_base(kg / 2, r) + half + fold];
+            let v = block[kg_in / 2 * TABLE_LEN + (kg_in % 2) * (TABLE_LEN / 2) + fold];
             if neg {
                 -v
             } else {
                 v
             }
         } else {
-            self.q_tables[self.table_base(kg, r) + idx as usize]
+            block[kg_in * TABLE_LEN + idx as usize]
         }
     }
 
-    /// Bytes of interleaved table storage.
+    /// Bytes of re-laid table storage.
     pub fn table_bytes(&self) -> usize {
         self.q_tables.len() + self.u_tables.len()
     }
@@ -581,7 +567,7 @@ mod tests {
                 rows.iter().map(|t| t.table_bytes()).sum::<usize>()
             );
             for (r, t) in rows.iter().enumerate() {
-                for kg in 0..batch.kg_total() {
+                for kg in 0..t.kg_total() {
                     for idx in 0..TABLE_LEN as u8 {
                         assert_eq!(
                             batch.lookup_q(r, kg, idx),
@@ -591,8 +577,8 @@ mod tests {
                     }
                 }
                 for sb in 0..batch.blocks() {
-                    assert_eq!(batch.q_scale(r, sb), t.q_scales[sb]);
-                    assert_eq!(batch.asum(r, sb), t.asums[sb]);
+                    let (q_scales, asums) = batch.block_scales(sb);
+                    assert_eq!((q_scales[r], asums[r]), (t.q_scales[sb], t.asums[sb]));
                 }
             }
         }
@@ -600,17 +586,25 @@ mod tests {
 
     #[test]
     fn batch_rows_contiguous_per_group() {
-        // The layout contract the multi-row kernel streams: for one stored
-        // group, the R rows' 16-byte tables are adjacent.
-        let rows = row_tables(3, 64, &KernelOpts::tmac());
-        let batch = BatchTables::interleave(&rows).unwrap();
-        for sg in 0..batch.stored_groups() {
-            for (r, row) in rows.iter().enumerate() {
-                assert_eq!(batch.table_base(sg, r), (sg * 3 + r) * TABLE_LEN);
-                assert_eq!(
-                    &batch.q_tables[batch.table_base(sg, r)..batch.table_base(sg, r) + TABLE_LEN],
-                    &row.q_tables[sg * TABLE_LEN..(sg + 1) * TABLE_LEN]
-                );
+        // The layout contract the multi-row kernel streams: per scale block,
+        // the R rows' slices of that block are adjacent, each in the row's
+        // own `ActTables` byte order.
+        for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
+            let rows = row_tables(3, 64, &opts);
+            let batch = BatchTables::interleave(&rows).unwrap();
+            let bb = batch.block_bytes();
+            assert_eq!(bb * batch.blocks(), rows[0].q_tables.len());
+            for sb in 0..batch.blocks() {
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        batch.block_tables(sb, r),
+                        &batch.q_tables[(sb * 3 + r) * bb..(sb * 3 + r + 1) * bb]
+                    );
+                    assert_eq!(
+                        batch.block_tables(sb, r),
+                        &row.q_tables[sb * bb..(sb + 1) * bb]
+                    );
+                }
             }
         }
     }

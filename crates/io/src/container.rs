@@ -7,11 +7,11 @@
 //! Loading is therefore a header parse plus an integrity sweep; the weight
 //! bytes are borrowed zero-copy from the file mapping and never touched.
 //!
-//! # Layout (version 1, all integers little-endian)
+//! # Layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! 0x00  magic    b"TMAC"
-//! 0x04  version  u32 (= 1)
+//! 0x04  version  u32 (= 2)
 //! 0x08  index_len u64                  bytes of the index section
 //! 0x10  index:
 //!       meta_count u64
@@ -25,7 +25,7 @@
 //!             m u64, k u64, bits u8, group_size u32, zero f32,
 //!             opts: flags u8 (bit0 table_quant, 1 mirror, 2 tiling,
 //!                   3 permute, 4 interleave, 5 fast_aggregation),
-//!                   tile_k u32, n_block u32, row_block u32, kg_panel u32
+//!                   tile_k u32, n_block u32
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
@@ -35,6 +35,12 @@
 //! Segment roles: `0` = raw data / permuted index stream, `1` =
 //! tile-permuted scales (`f32`), `2` = row-major padded scales (`f32`,
 //! flat layouts), `3 + b` = flat nibble plane of bit `b`.
+//!
+//! Version 2 replaced version 1 when the `interleave` stream changed its
+//! byte order (lane-paired, bit-paired: see [`tmac_core::plan`]) and the
+//! options record lost `row_block`/`kg_panel`. Version-1 files are rejected
+//! with [`IoError::Version`] — their streams would decode to wrong weights —
+//! and are re-converted from the source checkpoint.
 
 use crate::gguf::GgufValue;
 use crate::{align_up, fnv1a64, put_string, Cursor, IoError, LoadMode, Mapping, DATA_ALIGN};
@@ -47,7 +53,7 @@ use tmac_quant::QuantizedMatrix;
 pub const TMAC_MAGIC: [u8; 4] = *b"TMAC";
 
 /// The container version this build reads and writes.
-pub const TMAC_VERSION: u32 = 1;
+pub const TMAC_VERSION: u32 = 2;
 
 const ROLE_DATA: u8 = 0;
 const ROLE_SCALES_PERM: u8 = 1;
@@ -100,8 +106,6 @@ fn encode_opts(o: &KernelOpts, out: &mut Vec<u8>) {
     out.push(flags);
     out.extend_from_slice(&(o.tile_k as u32).to_le_bytes());
     out.extend_from_slice(&(o.n_block as u32).to_le_bytes());
-    out.extend_from_slice(&(o.row_block as u32).to_le_bytes());
-    out.extend_from_slice(&(o.kg_panel as u32).to_le_bytes());
 }
 
 fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
@@ -118,8 +122,6 @@ fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
         fast_aggregation: flags & 32 != 0,
         tile_k: c.u32(what)? as usize,
         n_block: c.u32(what)? as usize,
-        row_block: c.u32(what)? as usize,
-        kg_panel: c.u32(what)? as usize,
     })
 }
 
@@ -337,7 +339,7 @@ impl TmacContainer {
         if version != TMAC_VERSION {
             return Err(IoError::Version {
                 found: version,
-                supported: "tmac v1",
+                supported: "tmac v2",
             });
         }
         let index_len = c.u64("index length")? as usize;
@@ -745,14 +747,19 @@ mod tests {
             Err(IoError::BadMagic { .. })
         ));
 
-        // Version mismatch.
-        let mut bad = good.clone();
-        bad[4] = 9;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            TmacContainer::open(&path, LoadMode::Copy),
-            Err(IoError::Version { found: 9, .. })
-        ));
+        // Version mismatch: a future version, and version 1 — whose
+        // `interleave` stream has a different byte order — by name.
+        for v in [9u8, 1] {
+            let mut bad = good.clone();
+            bad[4] = v;
+            std::fs::write(&path, &bad).unwrap();
+            match TmacContainer::open(&path, LoadMode::Copy) {
+                Err(IoError::Version { found, supported }) => {
+                    assert_eq!((found, supported), (v as u32, "tmac v2"));
+                }
+                other => panic!("version {v} must be rejected, got {other:?}"),
+            }
+        }
 
         // Truncation at various depths.
         for cut in [2, 10, 20, good.len() / 2, good.len() - 1] {

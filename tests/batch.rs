@@ -115,17 +115,15 @@ fn forward_batch_is_bit_exact_on_every_backend() {
 
 #[test]
 fn forward_batch_is_bit_exact_across_register_blockings() {
-    // The multi-row register-blocked kernel must not change a bit whatever
-    // the row_block / kg_panel tuning: per-row sweep (row_block 1), an odd
-    // register block, the full 8-row block, and a tiny forced K-panel that
-    // splits every sweep.
+    // The multi-row kernel must not change a bit whatever the row blocking:
+    // blocks of one row, an odd block the batch straddles unevenly, a batch
+    // that exactly fills blocks, and a block larger than the batch.
     let ctx = ctx();
-    for (rb, kp) in [(1usize, 0usize), (3, 8), (8, 0), (4, 16)] {
+    for (n_block, batch) in [(1usize, 5usize), (3, 7), (4, 8), (8, 9), (16, 5)] {
         let mut opts = tmac::core::KernelOpts::tmac();
-        opts.row_block = rb;
-        opts.kg_panel = kp;
+        opts.n_block = n_block;
         let m = model(WeightQuant::Rtn(2), BackendKind::Tmac(opts), 31);
-        assert_batch_equals_singles(&m, 5, 2, &ctx);
+        assert_batch_equals_singles(&m, batch, 2, &ctx);
     }
 }
 

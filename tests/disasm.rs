@@ -1,0 +1,254 @@
+//! Disassembly golden test for the paired-stream kernels (DESIGN.md §3b).
+//!
+//! The kernel win of the paired stream is an instruction-mix claim: per
+//! 32-byte weight load the GEMV loop issues exactly two `vpshufb` and no
+//! other shuffle-port work, and the mpGEMM row loop looks a decoded scale
+//! block up with its accumulators in registers. A refactor (or a compiler
+//! upgrade) can lose that silently while every numerical test stays green,
+//! so this test disassembles *this test binary's own copy* of the kernels
+//! (`#[inline(never)]` keeps them findable) and checks the loops.
+//!
+//! It needs optimized code and `objdump`; it skips, printing why, in debug
+//! builds, without AVX2, or where `/usr/bin/objdump` is not installed.
+//! CI runs it with `cargo test --release -p tmac --test disasm`.
+
+#![cfg(target_arch = "x86_64")]
+
+use std::process::Command;
+use tmac::core::{ExecCtx, KernelOpts, TmacLinear};
+
+/// One disassembled instruction: address and `mnemonic operands` text.
+struct Insn {
+    addr: u64,
+    text: String,
+}
+
+impl Insn {
+    fn is(&self, mnemonic: &str) -> bool {
+        self.text.split_whitespace().next() == Some(mnemonic)
+    }
+
+    /// The target of a jump instruction, if this is one.
+    fn jump_target(&self) -> Option<u64> {
+        let mut words = self.text.split_whitespace();
+        let mnemonic = words.next()?;
+        if !mnemonic.starts_with('j') {
+            return None;
+        }
+        u64::from_str_radix(words.next()?, 16).ok()
+    }
+
+    /// A 256-bit store into the stack frame: a register spill (or a write
+    /// to a stack buffer, which the checked loops must not do either).
+    fn is_ymm_stack_store(&self) -> bool {
+        let Some((_, dst)) = self.text.rsplit_once(',') else {
+            return false;
+        };
+        self.text.starts_with("vmov") && dst.contains("(%rsp") && self.text.contains("%ymm")
+    }
+
+    /// Shuffle-port work the paired stream exists to remove.
+    fn is_lane_fixup(&self) -> bool {
+        ["vpunpck", "vperm2i128", "vpermq", "vpalignr"]
+            .iter()
+            .any(|m| self.text.starts_with(m))
+    }
+}
+
+/// Runs the paired kernels once (so the linker keeps them) and returns the
+/// disassembly of every function whose demangled name contains `name`.
+fn disassemble(name: &str) -> Option<Vec<Vec<Insn>>> {
+    if cfg!(debug_assertions) {
+        println!("skipped: debug build (run with --release; the loops are unoptimized)");
+        return None;
+    }
+    if !tmac::simd::avx2::available() {
+        println!("skipped: the AVX2 kernels do not run on this host");
+        return None;
+    }
+    let w: Vec<f32> = (0..64 * 128).map(|i| (i as f32 * 0.37).sin()).collect();
+    let act: Vec<f32> = (0..3 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
+    let lin = TmacLinear::from_f32(&w, 64, 128, 2, 32, KernelOpts::tmac()).unwrap();
+    let ctx = ExecCtx::new(1);
+    let mut out = vec![0f32; 3 * 64];
+    lin.gemv(&act[..128], &mut out[..64], &ctx).unwrap();
+    lin.gemm(&act, 3, &mut out, &ctx).unwrap();
+    std::hint::black_box(&out);
+
+    let exe = std::env::current_exe().unwrap();
+    let dump = match Command::new("/usr/bin/objdump")
+        .args(["-d", "--no-show-raw-insn", "-C"])
+        .arg(&exe)
+        .output()
+    {
+        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).into_owned(),
+        other => {
+            println!("skipped: /usr/bin/objdump unavailable ({other:?})");
+            return None;
+        }
+    };
+    let mut funcs = Vec::new();
+    let mut keep = false;
+    for line in dump.lines() {
+        if line.ends_with(">:") {
+            keep = line.contains(name);
+            if keep {
+                funcs.push(Vec::new());
+            }
+        } else if keep {
+            let Some((addr, text)) = line.trim_start().split_once(":\t") else {
+                continue;
+            };
+            if let Ok(addr) = u64::from_str_radix(addr, 16) {
+                let text = text.trim().to_string();
+                funcs.last_mut().unwrap().push(Insn { addr, text });
+            }
+        }
+    }
+    assert!(!funcs.is_empty(), "no `{name}` symbol in the test binary");
+    Some(funcs)
+}
+
+/// The loops of a function as index ranges `[head, back-edge]`, from its
+/// backward jumps.
+fn loops(f: &[Insn]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, insn) in f.iter().enumerate() {
+        let Some(target) = insn.jump_target() else {
+            continue;
+        };
+        if target <= insn.addr {
+            if let Some(head) = f.iter().position(|x| x.addr == target) {
+                out.push((head, i));
+            }
+        }
+    }
+    out
+}
+
+fn count(body: &[Insn], mnemonic: &str) -> usize {
+    body.iter().filter(|i| i.is(mnemonic)).count()
+}
+
+fn listing(body: &[Insn]) -> String {
+    body.iter()
+        .map(|i| format!("  {:x}: {}\n", i.addr, i.text))
+        .collect()
+}
+
+/// Innermost loops (no other loop nested inside) that contain `mnemonic`.
+fn innermost_with<'a>(f: &'a [Insn], mnemonic: &str) -> Vec<&'a [Insn]> {
+    let all = loops(f);
+    all.iter()
+        .filter(|&&(h, t)| {
+            !all.iter()
+                .any(|&(h2, t2)| (h2, t2) != (h, t) && h <= h2 && t2 <= t)
+        })
+        .map(|&(h, t)| &f[h..=t])
+        .filter(|body| count(body, mnemonic) > 0)
+        .collect()
+}
+
+#[test]
+fn gemv_loop_is_two_shuffles_per_weight_load() {
+    let Some(funcs) = disassemble("mtile_paired_bits") else {
+        return;
+    };
+    let mut w2_hot_loops = 0;
+    for f in &funcs {
+        // Every 32-byte weight load is nibble-split by exactly one
+        // `vpsrlw $4`; count the lookups against those.
+        for body in innermost_with(f, "vpshufb") {
+            let loads = body
+                .iter()
+                .filter(|i| i.is("vpsrlw") && i.text.contains("$0x4,") && i.text.contains("%ymm"))
+                .count();
+            if loads == 0 {
+                continue;
+            }
+            let dump = listing(body);
+            assert_eq!(
+                count(body, "vpshufb"),
+                2 * loads,
+                "lookups per load:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_lane_fixup),
+                "lane fix-up:\n{dump}"
+            );
+            // Mirror consolidation's sign reconstruction needs more live
+            // values than AVX2 has registers; the default loops must not
+            // spill.
+            let mirror = count(body, "vpsignb") > 0;
+            let spills = body.iter().any(Insn::is_ymm_stack_store);
+            assert!(mirror || !spills, "spill:\n{dump}");
+            // The 2-bit, non-mirror body: two loads and one combine constant
+            // (`vpmaddubsw` per lookup, nothing else widening).
+            if loads == 2 && !mirror && count(body, "vpmaddubsw") == 4 {
+                assert_eq!(count(body, "vpaddw"), 4, "accumulates:\n{dump}");
+                assert_eq!(count(body, "vbroadcasti128"), 0, "table operand:\n{dump}");
+                w2_hot_loops += 1;
+            }
+        }
+    }
+    assert!(
+        w2_hot_loops >= 1,
+        "no 2-bit GEMV loop found in {} symbols",
+        funcs.len()
+    );
+}
+
+#[test]
+fn gemm_row_loop_keeps_accumulators_in_registers() {
+    let Some(funcs) = disassemble("gemm_mtile_bits") else {
+        return;
+    };
+    let mut w2_row_loops = 0;
+    for f in &funcs {
+        let all = loops(f);
+        for body in innermost_with(f, "vpshufb") {
+            // The k-group-pair loop looks up decoded indices straight from
+            // memory; skip the loops that split nibbles themselves.
+            if count(body, "vpsrlw") > 0 {
+                continue;
+            }
+            let dump = listing(body);
+            assert!(
+                !body.iter().any(Insn::is_lane_fixup),
+                "lane fix-up:\n{dump}"
+            );
+            let mirror = count(body, "vpsignb") > 0;
+            let spills = body.iter().any(Insn::is_ymm_stack_store);
+            assert!(mirror || !spills, "spill:\n{dump}");
+            // 2-bit, non-mirror: 4 lookups per pair — 16 per (row, scale
+            // block) over the 4 pairs of a 32-wide group.
+            let two_bit = count(body, "vpshufb") == 4 && count(body, "vpmaddubsw") == 4;
+            if !two_bit || mirror {
+                continue;
+            }
+            // The row loop: the smallest loop around it that also folds
+            // into `f32`. Nothing in it may spill a vector.
+            let (inner_head, inner_tail) = (body[0].addr, body[body.len() - 1].addr);
+            let row = all
+                .iter()
+                .map(|&(h, t)| &f[h..=t])
+                .filter(|l| l[0].addr <= inner_head && inner_tail <= l[l.len() - 1].addr)
+                .filter(|l| count(l, "vcvtdq2ps") > 0)
+                .min_by_key(|l| l.len());
+            let Some(row) = row else {
+                continue;
+            };
+            assert!(
+                !row.iter().any(Insn::is_ymm_stack_store),
+                "row loop spills:\n{}",
+                listing(row)
+            );
+            w2_row_loops += 1;
+        }
+    }
+    assert!(
+        w2_row_loops >= 1,
+        "no 2-bit mpGEMM row loop found in {} symbols",
+        funcs.len()
+    );
+}

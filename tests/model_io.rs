@@ -227,12 +227,13 @@ fn corrupt_containers_fail_typed_never_panic() {
         Err(ModelIoError::Io(IoError::BadMagic { .. }))
     ));
 
-    // Version mismatch.
+    // Version mismatch: a version-1 file (the pre-paired stream order) must
+    // not be decoded as version 2.
     let mut bad = good.clone();
-    bad[4] = 2;
+    bad[4] = 1;
     assert!(matches!(
         reload(&bad),
-        Err(ModelIoError::Io(IoError::Version { found: 2, .. }))
+        Err(ModelIoError::Io(IoError::Version { found: 1, .. }))
     ));
 
     // Truncation at every structural depth: magic, header, index, data.

@@ -11,6 +11,10 @@
 //! * the whole GEMV is linear in the activations;
 //! * `gemv` == `gemv_with_tables` == `gemv_cached` **bit-exactly**, for all
 //!   bit-widths and odd shapes (the ExecCtx table-reuse contract);
+//! * the paired (`interleave`) stream is a faithful re-ordering: over
+//!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows, its
+//!   `mpgemv` and the sequential stream's `mpgemv` agree **bit-exactly**,
+//!   including worst-case saturated tables;
 //! * thread-pool chunking partitions exactly.
 
 use tmac::core::kernel::scalar::gemv_reference;
@@ -225,6 +229,180 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
             assert_eq!(fresh, cached, "m={m} k={k} bits={bits}: cached");
             assert_eq!(fresh, cached2, "m={m} k={k} bits={bits}: cached hit");
             assert!(ctx.table_stats().hits >= 1, "second cached call must hit");
+        }
+    }
+}
+
+/// Group sizes the paired stream must cover: a lone k-group (4, 12), the
+/// common shapes, and blocks long enough to need the mid-block `i32` flush.
+const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
+
+/// The `(preset name, options)` a case can run under, given what the table
+/// builder accepts: mirror needs an even k-group count per block, fast
+/// aggregation a power-of-two one. `tile_k` spans the whole of `k` so any
+/// group size divides it.
+fn paired_presets(gs: usize, k: usize) -> Vec<(&'static str, KernelOpts)> {
+    let mut presets = vec![("tmac", KernelOpts::tmac())];
+    if gs.is_multiple_of(8) {
+        presets.push(("tmac_mirror", KernelOpts::tmac_mirror()));
+    }
+    if (gs / 4).is_power_of_two() {
+        presets.push(("tmac_fast_aggregation", KernelOpts::tmac_fast_aggregation()));
+    }
+    for (_, opts) in &mut presets {
+        opts.tile_k = k;
+    }
+    presets
+}
+
+/// `mpgemm` row `i`, `mpgemv` of row `i`, and `mpgemv` through the same
+/// matrix planned with `interleave = false` (the sequential stream and its
+/// untouched kernel), all bit-for-bit equal.
+fn assert_paired_equals_sequential(
+    qm: &QuantizedMatrix,
+    opts: KernelOpts,
+    acts: &[f32],
+    n: usize,
+    ctx: &ExecCtx,
+    what: &str,
+) {
+    let (m, k) = (qm.rows, qm.cols);
+    let paired = TmacLinear::new(qm, opts).unwrap();
+    let sequential = TmacLinear::new(
+        qm,
+        KernelOpts {
+            interleave: false,
+            ..opts
+        },
+    )
+    .unwrap();
+    let mut gemm = vec![0f32; n * m];
+    paired.gemm(acts, n, &mut gemm, ctx).unwrap();
+    for i in 0..n {
+        let act = &acts[i * k..(i + 1) * k];
+        let mut gemv = vec![0f32; m];
+        paired.gemv(act, &mut gemv, ctx).unwrap();
+        let mut seq = vec![0f32; m];
+        sequential.gemv(act, &mut seq, ctx).unwrap();
+        assert_eq!(&gemm[i * m..(i + 1) * m], &gemv[..], "{what}: gemm row {i}");
+        assert_eq!(gemv, seq, "{what}: row {i} vs the sequential stream");
+        assert!(gemv.iter().all(|x| x.is_finite()), "{what}: row {i}");
+    }
+}
+
+/// The paired stream over generated shapes: bits 1–4 × every group size ×
+/// ragged `M` × `n` in 1..=19 × every preset the shape admits.
+#[test]
+fn paired_stream_bit_exact_on_generated_shapes() {
+    let ctx = ExecCtx::new(2);
+    let mut by_preset = std::collections::BTreeMap::new();
+    for seed in 0..216u64 {
+        let mut rng = Rng::seed_from_u64(0x900 + seed);
+        // The first 24 seeds walk the (bits, group size) grid; the rest draw.
+        let (bits, gs) = if seed < 24 {
+            (1 + (seed % 4) as u8, GROUP_SIZES[seed as usize / 4])
+        } else {
+            (1 + rng.u32_below(4) as u8, GROUP_SIZES[rng.usize_below(6)])
+        };
+        let m = loop {
+            let m = 1 + rng.usize_below(80);
+            if !m.is_multiple_of(32) {
+                break m;
+            }
+        };
+        let k = gs * (1 + rng.usize_below(if gs >= 128 { 2 } else { 5 }));
+        let n = 1 + rng.usize_below(19);
+        let qm = QuantizedMatrix {
+            group_size: gs,
+            ..matrix(
+                arb_codes(&mut rng, m, k, bits),
+                arb_scales(&mut rng, m * k / gs),
+                m,
+                k,
+                bits,
+            )
+        };
+
+        // Layout: the paired decoder is the codes' index, and exactly so.
+        let plan = WeightPlan::new(
+            &qm,
+            KernelOpts {
+                tile_k: k,
+                ..KernelOpts::tmac()
+            },
+        )
+        .unwrap();
+        for bit in 0..bits as usize {
+            for row in 0..plan.m_padded {
+                for kg in 0..k / 4 {
+                    let want = if row < m {
+                        index_from_codes(&qm, bit, row, kg)
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        plan.index(bit, row, kg),
+                        want,
+                        "seed {seed} ({bit},{row},{kg})"
+                    );
+                }
+            }
+        }
+        assert_eq!(plan.to_quantized(), qm, "seed {seed}");
+        assert_eq!(
+            plan.index_bytes(),
+            plan.m_padded * k / 4 * bits as usize / 2
+        );
+
+        let presets = paired_presets(gs, k);
+        let (name, opts) = presets[seed as usize % presets.len()];
+        *by_preset.entry(name).or_insert(0) += 1;
+        let acts = arb_acts(&mut rng, n * k, -2.0, 2.0);
+        let what = format!("seed {seed} {name} bits={bits} gs={gs} m={m} k={k} n={n}");
+        assert_paired_equals_sequential(&qm, opts, &acts, n, &ctx, &what);
+    }
+    assert!(by_preset.values().all(|&c| c >= 30), "{by_preset:?}");
+}
+
+/// Worst case for the `i16` accumulators: every plane all ones (index 15
+/// everywhere) against tables whose entry 15 quantizes to ±127, for every
+/// `(bits, group_size)` — no lane may wrap.
+#[test]
+fn paired_stream_survives_saturated_tables() {
+    let ctx = ExecCtx::new(1);
+    for bits in 1..=4u8 {
+        for gs in GROUP_SIZES {
+            let (m, k, n) = (33, 2 * gs, 3);
+            let qm = QuantizedMatrix {
+                group_size: gs,
+                ..matrix(vec![(1 << bits) - 1; m * k], vec![0.5; m * 2], m, k, bits)
+            };
+            for (name, opts) in paired_presets(gs, k) {
+                for sign in [1.0f32, -1.0] {
+                    // Equal activations: entry 15 = 4a is the block's
+                    // maximum, so it quantizes to sign · 127 in every group.
+                    let acts = vec![sign * 0.75; n * k];
+                    let tables = TmacLinear::new(&qm, opts)
+                        .unwrap()
+                        .tables(&acts[..k])
+                        .unwrap();
+                    assert_eq!(tables.lookup_q(0, 15), (sign * 127.0) as i8);
+                    let what = format!("{name} bits={bits} gs={gs} sign={sign}");
+                    assert_paired_equals_sequential(&qm, opts, &acts, n, &ctx, &what);
+                    // And the value itself (exact aggregation): each row is
+                    // Σ_blocks s · (0.5 · q_scale · 127 · kgb · (2^bits − 1)
+                    // + cz · asum), a wrap would be off by thousands.
+                    if !opts.fast_aggregation {
+                        let lin = TmacLinear::new(&qm, opts).unwrap();
+                        let mut out = vec![0f32; m];
+                        lin.gemv(&acts[..k], &mut out, &ctx).unwrap();
+                        let want = gemv_reference(&qm, &acts[..k]);
+                        for (o, w) in out.iter().zip(&want) {
+                            assert!((o - w).abs() <= 2e-3 * w.abs(), "{what}: {o} vs {w}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! histograms, exercised over real TCP against both connection drivers.
 //!
 //! Span *contents* (scheduler steps, request lifecycles, per-layer
-//! attention, mpGEMM panels) are only recorded under `--features trace`;
+//! attention, mpGEMM sweeps) are only recorded under `--features trace`;
 //! those assertions are feature-gated. The timings breakdown and the
 //! histograms are always on.
 
@@ -150,7 +150,7 @@ fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
 
         // With recording compiled in, the dump must hold the span taxonomy
         // the issue promises: scheduler steps, the request lifecycle, and
-        // the model layers under it down to mpGEMM panels.
+        // the model layers under it down to mpGEMM sweeps.
         #[cfg(feature = "trace")]
         for (cat, name) in [
             ("sched", "step"),
@@ -158,7 +158,7 @@ fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
             ("serve", "request"),
             ("llm", "prefill_chunk"),
             ("llm", "attention"),
-            ("gemm", "panel"),
+            ("gemm", "sweep"),
         ] {
             assert!(
                 body.contains(&format!("\"name\":\"{name}\"")),
