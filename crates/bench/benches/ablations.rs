@@ -2,7 +2,7 @@
 //! mirror consolidation, interleaving, fast aggregation, and `tile_k`.
 
 use tmac_bench::{gaussian, quantized, BenchGroup, BENCH_K, BENCH_M};
-use tmac_core::{gemv, ExecCtx, KernelOpts, WeightPlan};
+use tmac_core::{gemm, ExecCtx, KernelOpts, WeightPlan};
 
 fn main() {
     let ctx = ExecCtx::new(1);
@@ -28,7 +28,7 @@ fn main() {
     for (name, opts) in cases {
         let plan = WeightPlan::new(&qm, opts).expect("plan");
         group.bench(name, || {
-            gemv::mpgemv(&plan, &act, &mut out, &ctx).expect("gemv");
+            gemm::mpgemm(&plan, &act, 1, &mut out, &ctx).expect("gemv");
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! (TM-base → +TQ → +Tiling → +Perm. → +Tuning → T-MAC → TM+FA).
 
 use tmac_bench::{gaussian, quantized, BenchGroup, BENCH_K, BENCH_M};
-use tmac_core::{gemv, ExecCtx, KernelOpts, WeightPlan};
+use tmac_core::{gemm, ExecCtx, KernelOpts, WeightPlan};
 
 fn main() {
     let threads = std::thread::available_parallelism()
@@ -16,7 +16,7 @@ fn main() {
     for (name, opts) in KernelOpts::breakdown_ladder() {
         let plan = WeightPlan::new(&qm, opts).expect("plan");
         group.bench(name, || {
-            gemv::mpgemv(&plan, &act, &mut out, &ctx).expect("gemv");
+            gemm::mpgemm(&plan, &act, 1, &mut out, &ctx).expect("gemv");
         });
     }
     group.finish();

@@ -13,10 +13,11 @@
 //!
 //! * the **thread pool** the kernels dispatch on (replacing the bare
 //!   `&ThreadPool` parameter that used to thread through every signature);
-//! * the **activation-table cache**, keyed on `(activation generation, K,
-//!   table profile)` — callers bump the generation whenever the activation
-//!   vector changes, and every lookup within one generation that matches the
-//!   shape/profile reuses the cached build;
+//! * the **activation-table cache**, keyed on `(activation generation, table
+//!   profile, row count, fingerprint)` — callers bump the generation
+//!   whenever the activation batch changes, and every lookup within one
+//!   generation that matches the shape/profile reuses the cached build
+//!   (one cache for every row count: a decode step is a one-row batch);
 //! * a **scratch arena** of recyclable `f32` buffers, so per-call workspace
 //!   allocations can be amortized across tokens.
 //!
@@ -28,10 +29,11 @@
 //! externally serialized (the pool asserts on concurrent dispatch). The
 //! expected usage is one context per generation stream.
 
-use crate::gemv;
+use crate::gemm;
 use crate::plan::WeightPlan;
-use crate::table::{ActTables, BatchTables};
+use crate::table::ActTables;
 use crate::TmacError;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tmac_threadpool::ThreadPool;
@@ -85,57 +87,25 @@ impl TableCacheStats {
     }
 }
 
-/// One cached table build.
+/// One cached table build: the tables of an `n`-row activation batch.
 struct CacheEntry {
-    generation: u64,
-    profile: TableProfile,
-    fingerprint: u64,
-    tables: Arc<ActTables>,
-}
-
-/// One cached *batch* of table builds: `n` activation rows consumed by an
-/// mpGEMM call, built together so QKV-style projection groups share the
-/// per-row builds at `n > 1` exactly as they do at `n == 1`.
-struct BatchCacheEntry {
     generation: u64,
     profile: TableProfile,
     n: usize,
     fingerprint: u64,
-    tables: Arc<Vec<ActTables>>,
-}
-
-/// One cached set of re-laid row blocks ([`BatchTables`]), derived from a
-/// batched build. Keyed by the identity of the source `Arc` (held here, so
-/// the allocation cannot be recycled while cached) plus the `n_block` that
-/// partitioned it.
-struct InterleavedCacheEntry {
-    generation: u64,
-    n_block: usize,
-    source: Arc<Vec<ActTables>>,
-    blocks: Arc<Vec<BatchTables>>,
+    tables: Arc<ActTables>,
 }
 
 /// Interior state: cached tables plus the scratch free-list.
 struct CtxState {
     tables: Vec<CacheEntry>,
-    batch_tables: Vec<BatchCacheEntry>,
-    interleaved: Vec<InterleavedCacheEntry>,
     scratch: Vec<Vec<f32>>,
 }
 
-/// Distinct `(K, profile)` combinations retained per generation. A decode
-/// step sees a handful (attention in, attention out, FFN in, FFN mid, head
-/// in), so a small linear-scan cache beats a hash map.
+/// Distinct `(profile, n)` combinations retained per generation. A step
+/// sees a handful (attention in, attention out, FFN in, FFN mid, head in),
+/// so a small linear-scan cache beats a hash map.
 const CACHE_CAPACITY: usize = 8;
-
-/// Distinct batched builds retained per generation. A batched transformer
-/// step needs at most one live entry per projection group (QKV, gate/up),
-/// so the capacity stays small.
-const BATCH_CACHE_CAPACITY: usize = 4;
-
-/// Re-laid block sets retained per generation (one live entry per
-/// projection group × `n_block`).
-const INTERLEAVED_CACHE_CAPACITY: usize = 4;
 
 /// Buffers retained in the scratch free-list.
 const SCRATCH_CAPACITY: usize = 16;
@@ -157,21 +127,52 @@ fn fingerprint(act: &[f32]) -> u64 {
     h
 }
 
-/// Stores `entry` in a small generation-stamped cache: over the slot `same`
-/// selects, else appended while under `cap`, else over the oldest entry.
-fn cache_put<T>(
-    cache: &mut Vec<T>,
-    cap: usize,
-    entry: T,
-    same: impl Fn(&T) -> bool,
-    generation: impl Fn(&T) -> u64,
-) {
-    if let Some(slot) = cache.iter_mut().find(|e| same(e)) {
-        *slot = entry;
-    } else if cache.len() < cap {
-        cache.push(entry);
-    } else if let Some(oldest) = cache.iter_mut().min_by_key(|e| generation(e)) {
-        *oldest = entry;
+/// A buffer whose disjoint ranges the threads of one pool dispatch write:
+/// output tiles in the mpGEMM sweep, `(scale block, row)` units in the table
+/// build. Holds the buffer's unique borrow for as long as it lives.
+pub(crate) struct SharedMut<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _buf: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a `&SharedMut` only yields memory through `slice`, whose contract
+// gives every range to one thread at a time; `T: Send` lets that thread
+// write values another thread will read after the dispatch joins.
+unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
+
+impl<'a, T> SharedMut<'a, T> {
+    pub(crate) fn new(buf: &'a mut [T]) -> Self {
+        SharedMut {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _buf: PhantomData,
+        }
+    }
+
+    /// Length of the whole buffer.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The range `at..at + len` of the buffer, mutably.
+    ///
+    /// # Safety
+    ///
+    /// While the returned slice lives, no other slice overlapping it may be
+    /// taken (by this or any other thread): callers partition the buffer
+    /// among the threads of one dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie within the buffer.
+    #[allow(clippy::mut_from_ref)] // The point of the type; see `# Safety`.
+    pub(crate) unsafe fn slice(&self, at: usize, len: usize) -> &mut [T] {
+        assert!(
+            at <= self.len && len <= self.len - at,
+            "range out of bounds"
+        );
+        std::slice::from_raw_parts_mut(self.ptr.add(at), len)
     }
 }
 
@@ -209,8 +210,6 @@ pub struct ExecCtx {
     generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    interleave_hits: AtomicU64,
-    interleave_misses: AtomicU64,
     state: Mutex<CtxState>,
 }
 
@@ -253,12 +252,8 @@ impl ExecCtx {
             generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            interleave_hits: AtomicU64::new(0),
-            interleave_misses: AtomicU64::new(0),
             state: Mutex::new(CtxState {
                 tables: Vec::new(),
-                batch_tables: Vec::new(),
-                interleaved: Vec::new(),
                 scratch: Vec::new(),
             }),
         }
@@ -297,87 +292,33 @@ impl ExecCtx {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Returns tables for `plan` × `act`, reusing the cached build when one
-    /// matching `(generation, K, profile)` exists.
+    /// Returns the tables of a row-major `n × K` activation batch for
+    /// `plan`, reusing the cached build when one matching `(generation,
+    /// profile, n)` exists.
     ///
-    /// # Errors
-    ///
-    /// Propagates table-construction failures ([`TmacError::Shape`],
-    /// [`TmacError::Numeric`]) from [`gemv::build_tables`].
-    pub fn tables_for(&self, plan: &WeightPlan, act: &[f32]) -> Result<Arc<ActTables>, TmacError> {
-        let profile = TableProfile::of_plan(plan);
-        let generation = self.generation();
-        let fp = fingerprint(act);
-        {
-            let state = self.lock();
-            if let Some(e) = state
-                .tables
-                .iter()
-                .find(|e| e.generation == generation && e.profile == profile && e.fingerprint == fp)
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                tmac_trace::instant("exec", "table_hit", generation, plan.k as u64);
-                return Ok(Arc::clone(&e.tables));
-            }
-        }
-        // Build outside the lock: concurrent lookups of different profiles
-        // must not serialize on each other's builds.
-        let _s = tmac_trace::span("exec", "table_build", generation, plan.k as u64);
-        let tables = Arc::new(gemv::build_tables(plan, act)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.lock();
-        let entry = CacheEntry {
-            generation,
-            profile,
-            fingerprint: fp,
-            tables: Arc::clone(&tables),
-        };
-        // One slot per (K, profile): a new activation (or a fingerprint
-        // mismatch within a generation) replaces the stale build.
-        let same = |e: &CacheEntry| e.profile == profile;
-        cache_put(&mut state.tables, CACHE_CAPACITY, entry, same, |e| {
-            e.generation
-        });
-        Ok(tables)
-    }
-
-    /// Returns one [`ActTables`] build per activation row of a row-major
-    /// `n × K` batch, reusing the cached builds when a matching
-    /// `(generation, K, profile, n)` batch exists.
-    ///
-    /// This is the batched twin of [`ExecCtx::tables_for`]: within one
-    /// [`ExecCtx::next_activation`] scope, every plan with the same table
-    /// profile consuming the same activation batch (the QKV projections of
-    /// a batched decode step, the FFN gate/up pair of a prefill chunk)
-    /// shares a single set of per-row builds. One lookup counts once in
-    /// [`ExecCtx::table_stats`] regardless of `n`.
+    /// Within one [`ExecCtx::next_activation`] scope, every plan with the
+    /// same table profile consuming the same activation batch (the QKV
+    /// projections of a decode step at `n = 1` or a batched step at `n > 1`,
+    /// the FFN gate/up pair of a prefill chunk) shares one build. One lookup
+    /// counts once in [`ExecCtx::table_stats`] regardless of `n`.
     ///
     /// # Errors
     ///
     /// Returns [`TmacError::Shape`] when `n == 0` or `act.len() != n·K`;
-    /// otherwise propagates per-row table-construction failures.
-    pub fn batch_tables_for(
+    /// otherwise propagates table-construction failures
+    /// ([`TmacError::Shape`], [`TmacError::Numeric`]).
+    pub fn tables_for(
         &self,
         plan: &WeightPlan,
         act: &[f32],
         n: usize,
-    ) -> Result<Arc<Vec<ActTables>>, TmacError> {
-        if n == 0 {
-            return Err(TmacError::Shape("batch_tables_for needs n >= 1".into()));
-        }
-        if act.len() != n * plan.k {
-            return Err(TmacError::Shape(format!(
-                "activation length {} != n*K = {}",
-                act.len(),
-                n * plan.k
-            )));
-        }
+    ) -> Result<Arc<ActTables>, TmacError> {
         let profile = TableProfile::of_plan(plan);
         let generation = self.generation();
         let fp = fingerprint(act);
         {
             let state = self.lock();
-            if let Some(e) = state.batch_tables.iter().find(|e| {
+            if let Some(e) = state.tables.iter().find(|e| {
                 e.generation == generation
                     && e.profile == profile
                     && e.n == n
@@ -388,79 +329,30 @@ impl ExecCtx {
                 return Ok(Arc::clone(&e.tables));
             }
         }
-        // Build outside the lock (same rationale as `tables_for`).
-        let _s = tmac_trace::span("exec", "table_build_batch", generation, n as u64);
-        let tables = Arc::new(crate::gemm::build_tables_batch(plan, act, n, self)?);
+        // Build outside the lock: concurrent lookups of different profiles
+        // must not serialize on each other's builds.
+        let _s = tmac_trace::span("exec", "table_build", generation, n as u64);
+        let tables = Arc::new(gemm::build_tables(plan, act, n, Some(self.pool()))?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.lock();
-        let entry = BatchCacheEntry {
+        let entry = CacheEntry {
             generation,
             profile,
             n,
             fingerprint: fp,
             tables: Arc::clone(&tables),
         };
-        let same = |e: &BatchCacheEntry| e.profile == profile && e.n == n;
-        let cache = &mut state.batch_tables;
-        cache_put(cache, BATCH_CACHE_CAPACITY, entry, same, |e| e.generation);
-        Ok(tables)
-    }
-
-    /// Returns the re-laid row blocks ([`BatchTables`]) of a row-major
-    /// `n × K` activation batch, partitioned by the plan's `n_block` — the
-    /// table form the multi-row mpGEMM kernel streams.
-    ///
-    /// The per-row builds come from [`ExecCtx::batch_tables_for`] (and count
-    /// in [`ExecCtx::table_stats`] exactly as before); the re-lay on top is
-    /// cached by the identity of that batched build, so projection groups
-    /// that share per-row builds (batched QKV, gate/up) also share the
-    /// re-lay work as long as their `n_block` agrees. Its cache traffic is
-    /// reported by [`ExecCtx::interleave_stats`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ExecCtx::batch_tables_for`], plus
-    /// [`TmacError::Shape`] when the plan's tables are not quantized (the
-    /// re-laid layout is `i8`-only).
-    pub fn interleaved_tables_for(
-        &self,
-        plan: &WeightPlan,
-        act: &[f32],
-        n: usize,
-    ) -> Result<Arc<Vec<BatchTables>>, TmacError> {
-        let source = self.batch_tables_for(plan, act, n)?;
-        let generation = self.generation();
-        let nb = plan.opts.n_block.max(1);
-        let same = |e: &InterleavedCacheEntry| Arc::ptr_eq(&e.source, &source) && e.n_block == nb;
-        if let Some(e) = self.lock().interleaved.iter().find(|e| same(e)) {
-            self.interleave_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&e.blocks));
+        // One slot per (profile, n): a new activation (or a fingerprint
+        // mismatch within a generation) replaces the stale build; a new
+        // combination takes a free slot, else the oldest entry's.
+        let cache = &mut self.lock().tables;
+        if let Some(slot) = cache.iter_mut().find(|e| e.profile == profile && e.n == n) {
+            *slot = entry;
+        } else if cache.len() < CACHE_CAPACITY {
+            cache.push(entry);
+        } else if let Some(oldest) = cache.iter_mut().min_by_key(|e| e.generation) {
+            *oldest = entry;
         }
-        // Re-lay outside the lock (same rationale as the builds).
-        let _s = tmac_trace::span("exec", "interleave", generation, n as u64);
-        let blocks: Result<Vec<_>, _> = source.chunks(nb).map(BatchTables::interleave).collect();
-        let blocks = Arc::new(blocks?);
-        self.interleave_misses.fetch_add(1, Ordering::Relaxed);
-        let entry = InterleavedCacheEntry {
-            generation,
-            n_block: nb,
-            source: Arc::clone(&source),
-            blocks: Arc::clone(&blocks),
-        };
-        let cache = &mut self.lock().interleaved;
-        cache_put(cache, INTERLEAVED_CACHE_CAPACITY, entry, same, |e| {
-            e.generation
-        });
-        Ok(blocks)
-    }
-
-    /// `(hits, misses)` of the re-laid row-block cache (separate from
-    /// [`ExecCtx::table_stats`], which counts table *builds*).
-    pub fn interleave_stats(&self) -> (u64, u64) {
-        (
-            self.interleave_hits.load(Ordering::Relaxed),
-            self.interleave_misses.load(Ordering::Relaxed),
-        )
+        Ok(tables)
     }
 
     /// Cache hit/miss counters since construction (or the last
@@ -538,8 +430,8 @@ mod tests {
         let p2 = plan(32, 128, 2, KernelOpts::tmac());
         let a = act(128, 0.0);
         ctx.next_activation();
-        let t1 = ctx.tables_for(&p4, &a).unwrap();
-        let t2 = ctx.tables_for(&p2, &a).unwrap(); // different bits, same profile
+        let t1 = ctx.tables_for(&p4, &a, 1).unwrap();
+        let t2 = ctx.tables_for(&p2, &a, 1).unwrap(); // different bits, same profile
         assert!(Arc::ptr_eq(&t1, &t2));
         assert_eq!(ctx.table_stats(), TableCacheStats { hits: 1, misses: 1 });
     }
@@ -550,10 +442,10 @@ mod tests {
         let p = plan(64, 128, 2, KernelOpts::tmac());
         let a = act(128, 0.0);
         ctx.next_activation();
-        ctx.tables_for(&p, &a).unwrap();
-        ctx.tables_for(&p, &a).unwrap();
+        ctx.tables_for(&p, &a, 1).unwrap();
+        ctx.tables_for(&p, &a, 1).unwrap();
         ctx.next_activation();
-        ctx.tables_for(&p, &a).unwrap();
+        ctx.tables_for(&p, &a, 1).unwrap();
         let s = ctx.table_stats();
         assert_eq!((s.hits, s.misses), (1, 2));
     }
@@ -565,8 +457,8 @@ mod tests {
         let raw = plan(64, 128, 2, KernelOpts::tm_base());
         let a = act(128, 0.0);
         ctx.next_activation();
-        let tq = ctx.tables_for(&quantized, &a).unwrap();
-        let tr = ctx.tables_for(&raw, &a).unwrap();
+        let tq = ctx.tables_for(&quantized, &a, 1).unwrap();
+        let tr = ctx.tables_for(&raw, &a, 1).unwrap();
         assert!(tq.quantized && !tr.quantized);
         assert_eq!(ctx.table_stats().misses, 2);
     }
@@ -578,8 +470,8 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let p = plan(64, 128, 2, KernelOpts::tmac());
         ctx.next_activation();
-        let t1 = ctx.tables_for(&p, &act(128, 0.0)).unwrap();
-        let t2 = ctx.tables_for(&p, &act(128, 5.0)).unwrap();
+        let t1 = ctx.tables_for(&p, &act(128, 0.0), 1).unwrap();
+        let t2 = ctx.tables_for(&p, &act(128, 5.0), 1).unwrap();
         assert!(!Arc::ptr_eq(&t1, &t2));
         assert_eq!(ctx.table_stats().misses, 2);
     }
@@ -590,9 +482,9 @@ mod tests {
         let p128 = plan(64, 128, 2, KernelOpts::tmac());
         let p256 = plan(64, 256, 2, KernelOpts::tmac());
         ctx.next_activation();
-        ctx.tables_for(&p128, &act(128, 0.0)).unwrap();
-        ctx.tables_for(&p256, &act(256, 0.0)).unwrap();
-        ctx.tables_for(&p128, &act(128, 0.0)).unwrap();
+        ctx.tables_for(&p128, &act(128, 0.0), 1).unwrap();
+        ctx.tables_for(&p256, &act(256, 0.0), 1).unwrap();
+        ctx.tables_for(&p128, &act(128, 0.0), 1).unwrap();
         let s = ctx.table_stats();
         assert_eq!((s.hits, s.misses), (1, 2));
     }
@@ -607,16 +499,16 @@ mod tests {
         let n = 5;
         let a: Vec<f32> = (0..n * 128).map(|i| ((i as f32) * 0.19).sin()).collect();
         ctx.next_activation();
-        let t1 = ctx.batch_tables_for(&p4, &a, n).unwrap();
-        let t2 = ctx.batch_tables_for(&p2, &a, n).unwrap();
+        let t1 = ctx.tables_for(&p4, &a, n).unwrap();
+        let t2 = ctx.tables_for(&p2, &a, n).unwrap();
         assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(t1.len(), n);
+        assert_eq!(t1.rows, n);
         assert_eq!(ctx.table_stats(), TableCacheStats { hits: 1, misses: 1 });
         // A bump invalidates, and a different n is a different entry.
         ctx.next_activation();
-        let t3 = ctx.batch_tables_for(&p4, &a, n).unwrap();
+        let t3 = ctx.tables_for(&p4, &a, n).unwrap();
         assert!(!Arc::ptr_eq(&t1, &t3));
-        ctx.batch_tables_for(&p4, &a[..3 * 128], 3).unwrap();
+        ctx.tables_for(&p4, &a[..3 * 128], 3).unwrap();
         let s = ctx.table_stats();
         assert_eq!((s.hits, s.misses), (1, 3));
     }
@@ -630,13 +522,21 @@ mod tests {
             let p = plan(64, 128, 2, KernelOpts::tmac());
             let a: Vec<f32> = (0..n * 128).map(|i| ((i as f32) * 0.23).cos()).collect();
             ctx.next_activation();
-            let batch = ctx.batch_tables_for(&p, &a, n).unwrap();
-            assert_eq!(batch.len(), n);
+            let batch = ctx.tables_for(&p, &a, n).unwrap();
+            assert_eq!(batch.rows, n);
             for ni in 0..n {
-                let row = gemv::build_tables(&p, &a[ni * 128..(ni + 1) * 128]).unwrap();
-                assert_eq!(batch[ni].q_tables, row.q_tables, "row {ni}");
-                assert_eq!(batch[ni].q_scales, row.q_scales, "row {ni}");
-                assert_eq!(batch[ni].asums, row.asums, "row {ni}");
+                let row = gemm::build_tables(&p, &a[ni * 128..(ni + 1) * 128], 1, None).unwrap();
+                for sb in 0..128 / 32 {
+                    assert_eq!(
+                        batch.block_tables(sb, ni..ni + 1),
+                        row.block_tables(sb, 0..1)
+                    );
+                    let (one, same) = (
+                        row.block_scales(sb, 0..1),
+                        batch.block_scales(sb, ni..ni + 1),
+                    );
+                    assert_eq!(one, same, "row {ni}");
+                }
             }
             assert_eq!(ctx.table_stats(), TableCacheStats { hits: 0, misses: 1 });
             // A bad row fails the whole batch, whichever thread built it.
@@ -644,7 +544,7 @@ mod tests {
             bad[(n - 1) * 128 + 7] = f32::NAN;
             ctx.next_activation();
             assert!(matches!(
-                ctx.batch_tables_for(&p, &bad, n),
+                ctx.tables_for(&p, &bad, n),
                 Err(TmacError::Numeric(_))
             ));
         }
@@ -655,15 +555,15 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let p = plan(64, 128, 2, KernelOpts::tmac());
         let a = act(128, 0.0);
-        assert!(ctx.batch_tables_for(&p, &a, 0).is_err());
-        assert!(ctx.batch_tables_for(&p, &a, 2).is_err());
+        assert!(ctx.tables_for(&p, &a, 0).is_err());
+        assert!(ctx.tables_for(&p, &a, 2).is_err());
     }
 
     #[test]
     fn tables_for_validates_shape() {
         let ctx = ExecCtx::new(1);
         let p = plan(64, 128, 2, KernelOpts::tmac());
-        assert!(ctx.tables_for(&p, &act(64, 0.0)).is_err());
+        assert!(ctx.tables_for(&p, &act(64, 0.0), 1).is_err());
     }
 
     #[test]
@@ -687,7 +587,7 @@ mod tests {
         ctx.next_activation();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| ctx.tables_for(&p, &a).unwrap());
+                s.spawn(|| ctx.tables_for(&p, &a, 1).unwrap());
             }
         });
         let stats = ctx.table_stats();

@@ -1,173 +1,128 @@
-//! mpGEMM driver (`N > 1`, e.g. prefill with a 256-token sequence).
+//! The mpGEMM driver: table precompute + parallel m-tile sweep, for any
+//! number of activation rows. mpGEMV is the `n = 1` call.
 //!
 //! The lookup table is the reusable operand (§3.2: "the weight `W[M, K]` can
-//! share the same pre-computed lookup table"), so the driver blocks the
-//! sequence dimension by **`n_block`**: the rows of a block have their
-//! tables built (in parallel) and cached together, re-laid per scale block
-//! ([`BatchTables`]), and swept over the weights as one unit — the multi-row
-//! kernel decodes each scale block's weight indices once and looks them up
-//! against every row of the block.
+//! share the same pre-computed lookup table"): the tables of all `n` rows
+//! are validated and built first, as one [`ActTables`] (rows in parallel),
+//! then swept over the weights. Axis order follows §3.2: the temporal axis
+//! `K` is innermost, the spatial axis `M` is split into tiles and
+//! distributed over threads as static thread blocks, and the sequence axis
+//! is walked in **`n_block`**-row ranges of the one table set.
 //!
-//! Per row the kernel applies the GEMV kernel's operations in the GEMV
-//! kernel's order, so the blocking never changes a bit of the result.
+//! Two AVX2 kernels serve a range, chosen by [`kernel::avx2::mtile`] from
+//! what it can see:
+//!
+//! * one row, or a plan without a multi-row kernel → the streaming GEMV
+//!   m-tile kernel, once per row (a decode step streams every weight once;
+//!   nothing is buffered);
+//! * otherwise → the scale-block-outer multi-row kernel, which decodes each
+//!   scale block's weight indices once and looks them up against every row
+//!   of the range.
+//!
+//! Per row the multi-row kernel applies the GEMV kernel's operations in the
+//! GEMV kernel's order, so neither the choice nor the blocking ever changes
+//! a bit of the result. (The scalar kernel is one loop for any row count.)
 
-use crate::exec::ExecCtx;
-use crate::gemv::{avx2_for, build_tables, run_mtile, OutPtr};
+use crate::exec::{ExecCtx, SharedMut};
 use crate::kernel;
 use crate::opts::TILE_M;
 use crate::plan::WeightPlan;
-use crate::table::{ActTables, BatchTables};
+use crate::table::ActTables;
 use crate::TmacError;
-use std::sync::OnceLock;
+use std::ops::Range;
+use tmac_threadpool::ThreadPool;
 
-/// Builds the tables of every row of a row-major `n × K` batch, fanning the
-/// (independent) rows out over the context's pool. Rows fail in row order.
-pub(crate) fn build_tables_batch(
-    plan: &WeightPlan,
-    act: &[f32],
-    n: usize,
-    ctx: &ExecCtx,
-) -> Result<Vec<ActTables>, TmacError> {
-    let k = plan.k;
-    if n == 1 {
-        // Not worth a pool dispatch.
-        return Ok(vec![build_tables(plan, act)?]);
-    }
-    let slots: Vec<OnceLock<Result<ActTables, TmacError>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    ctx.pool().chunks(n, 1, |rows| {
-        for r in rows {
-            let built = build_tables(plan, &act[r * k..(r + 1) * k]);
-            slots[r].set(built).expect("each row is built once");
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every row was built"))
-        .collect()
-}
-
-/// Whether a multi-row kernel (rather than the per-row GEMV sweep) serves
-/// `plan`. The invariant that keeps batched forwards bit-identical to
-/// independent single-row forwards: whatever kernel family (AVX2 or scalar)
-/// serves the GEMV path on this host must also serve the GEMM path — the
-/// multi-row kernels replicate their single-row siblings' arithmetic
-/// exactly, but AVX2 and scalar differ in `f32` fold rounding.
-fn multi_row(plan: &WeightPlan) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_for(plan) {
-        return kernel::avx2::gemm_supported(plan);
-    }
-    // The scalar multi-row kernel covers every quantized layout (including
-    // fast aggregation and flat planes).
-    plan.opts.table_quant
-}
-
-/// Validates the `n × K` / `n × M` shapes shared by every mpGEMM entry.
-fn check_shapes(
-    plan: &WeightPlan,
-    act_len: usize,
-    n: usize,
-    out_len: usize,
-) -> Result<(), TmacError> {
-    if n == 0 {
-        return Err(TmacError::Shape("mpgemm needs n >= 1".into()));
-    }
-    if act_len != n * plan.k {
-        return Err(TmacError::Shape(format!(
-            "activation length {act_len} != n*K = {}",
-            n * plan.k
-        )));
-    }
-    if out_len != n * plan.m {
-        return Err(TmacError::Shape(format!(
-            "output length {out_len} != n*M = {}",
-            n * plan.m
-        )));
-    }
-    Ok(())
-}
-
-/// Sweeps all m-tiles for one `n_block` chunk of rows. `tables[i]` belongs
-/// to output row `n0 + i` of `out`.
-fn sweep_block(plan: &WeightPlan, tables: &[ActTables], n0: usize, out: &mut [f32], ctx: &ExecCtx) {
-    if multi_row(plan) {
-        let batch = BatchTables::interleave(tables)
-            .expect("multi-row path requires compatible quantized tables");
-        sweep_batch(plan, &batch, n0, out, ctx);
-    } else {
-        sweep_block_per_row(plan, tables, n0, out, ctx);
-    }
-}
-
-/// The per-row sweep: each weight tile is read once per chunk and applied
-/// to every row's tables in turn (cache-level reuse only).
-fn sweep_block_per_row(
-    plan: &WeightPlan,
-    tables: &[ActTables],
-    n0: usize,
-    out: &mut [f32],
-    ctx: &ExecCtx,
-) {
-    let m = plan.m;
-    let use_avx2 = avx2_for(plan);
-    let out_ptr = OutPtr(out.as_mut_ptr());
-    let out_ref = &out_ptr;
-    ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
-        let mut buf = [0f32; TILE_M];
-        for mt in tiles {
-            let m0 = mt * TILE_M;
-            let take = TILE_M.min(m - m0);
-            for (ni, t) in tables.iter().enumerate() {
-                run_mtile(plan, t, mt, &mut buf, use_avx2);
-                // SAFETY: this thread owns tile `mt`; the destination lies
-                // in row `n0 + ni` of `out`, within bounds.
-                unsafe { out_ref.write((n0 + ni) * m + m0, &buf[..take]) };
-            }
-        }
-    });
-}
-
-/// Sweeps one re-laid row block over all m-tiles with the multi-row kernel.
-fn sweep_batch(plan: &WeightPlan, batch: &BatchTables, n0: usize, out: &mut [f32], ctx: &ExecCtx) {
-    let m = plan.m;
-    let rows = batch.rows;
-    let use_avx2 = avx2_for(plan);
-    let out_ptr = OutPtr(out.as_mut_ptr());
-    let out_ref = &out_ptr;
-    ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
-        let mut outs = ctx.take_buf(rows * TILE_M);
-        // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
-        let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows as u64);
-        for mt in tiles {
-            match use_avx2 {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `avx2_for` passed the runtime AVX2+FMA check, and
-                // `multi_row` then required `gemm_supported`.
-                true => unsafe { kernel::avx2::gemm_mtile(plan, batch, mt, &mut outs) },
-                _ => kernel::scalar::gemm_plan_mtile(plan, batch, mt, &mut outs),
-            }
-            let m0 = mt * TILE_M;
-            let take = TILE_M.min(m - m0);
-            for r in 0..rows {
-                // SAFETY: this thread owns tile `mt`; the destination lies
-                // in row `n0 + r` of `out`, within bounds.
-                unsafe { out_ref.write((n0 + r) * m + m0, &outs[r * TILE_M..][..take]) };
-            }
-        }
-        ctx.put_buf(outs);
-    });
-}
-
-/// Computes `out[n][m] = Σ_k act[n][k] · W[m][k]`.
-///
-/// `act` is row-major `n × K`; `out` is row-major `n × M`. Tables are built
-/// fresh per call; use [`mpgemm_cached`] when several weight matrices
-/// consume the same activation batch (batched QKV projections).
+/// Builds the tables of a row-major `n × K` activation batch for `plan`
+/// (the online stage), the rows of a batch fanned out over `pool` if given.
 ///
 /// # Errors
 ///
-/// Returns [`TmacError::Shape`] on dimension mismatches or `n == 0`.
+/// Returns [`TmacError::Shape`] when `n == 0` or `act.len() != n·K`;
+/// otherwise propagates [`ActTables::build`]'s failures (shape, non-finite
+/// activations).
+pub fn build_tables(
+    plan: &WeightPlan,
+    act: &[f32],
+    n: usize,
+    pool: Option<&ThreadPool>,
+) -> Result<ActTables, TmacError> {
+    if n == 0 || act.len() != n * plan.k {
+        return Err(TmacError::Shape(format!(
+            "activation length {} != n*K = {n}*{} (n >= 1)",
+            act.len(),
+            plan.k
+        )));
+    }
+    ActTables::build_on(pool, act, n, plan.group_size, &plan.opts)
+}
+
+/// Sweeps all m-tiles for the rows `rows` of `tables` (= of `out`).
+///
+/// What keeps batched forwards bit-identical to independent single-row
+/// forwards: the kernel family (AVX2 or scalar) depends on the plan and the
+/// host only, never on the row count — within a family every row's
+/// arithmetic is the same however many rows a call takes, but the two
+/// families differ in `f32` fold rounding.
+fn sweep(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    out: &SharedMut<'_, f32>,
+    ctx: &ExecCtx,
+) {
+    let m = plan.m;
+    #[cfg(target_arch = "x86_64")]
+    let use_avx2 = kernel::avx2::supported(&plan.opts);
+    #[cfg(not(target_arch = "x86_64"))]
+    let use_avx2 = false;
+    ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
+        // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
+        let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
+        // One row's tile lives on the stack: the decode path takes no lock
+        // on the scratch arena.
+        let mut one = [0f32; TILE_M];
+        let mut many = match rows.len() {
+            1 => Vec::new(),
+            n => ctx.take_buf(n * TILE_M),
+        };
+        let outs = if rows.len() == 1 {
+            &mut one[..]
+        } else {
+            &mut many[..]
+        };
+        for mt in tiles {
+            match use_avx2 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `supported` passed the runtime AVX2+FMA check.
+                true => unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, outs) },
+                _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, outs),
+            }
+            let m0 = mt * TILE_M;
+            let take = TILE_M.min(m - m0);
+            for (r, tile) in rows.clone().zip(outs.chunks_exact(TILE_M)) {
+                // SAFETY: this thread owns tile `mt` of every row, and row
+                // `r`'s lies within `out` (`mpgemm_with_tables` checked its
+                // length).
+                unsafe { out.slice(r * m + m0, take) }.copy_from_slice(&tile[..take]);
+            }
+        }
+        ctx.put_buf(many);
+    });
+}
+
+/// Computes `out[n][m] = Σ_k act[n][k] · W[m][k]` for an offline-planned
+/// `W`.
+///
+/// `act` is row-major `n × K`; `out` is row-major `n × M`. Tables are built
+/// fresh per call (the honest cost of a standalone call); use
+/// [`mpgemm_cached`] when several weight matrices consume the same
+/// activation batch (QKV projections).
+///
+/// # Errors
+///
+/// Returns [`TmacError::Shape`] on dimension mismatches or `n == 0`, and
+/// [`TmacError::Numeric`] on non-finite activations. On `Err`, `out` is
+/// untouched: every row is validated and built before any sweep.
 pub fn mpgemm(
     plan: &WeightPlan,
     act: &[f32],
@@ -175,24 +130,17 @@ pub fn mpgemm(
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    check_shapes(plan, act.len(), n, out.len())?;
-    let nb = plan.opts.n_block.max(1);
-    let k = plan.k;
-    for n0 in (0..n).step_by(nb) {
-        let nblk = nb.min(n - n0);
-        // Online stage: tables for this block of activation rows.
-        let tables = build_tables_batch(plan, &act[n0 * k..(n0 + nblk) * k], nblk, ctx)?;
-        sweep_block(plan, &tables, n0, out, ctx);
-    }
-    Ok(())
+    let tables = build_tables(plan, act, n, Some(ctx.pool()))?;
+    mpgemm_with_tables(plan, &tables, out, ctx)
 }
 
-/// [`mpgemm`] through the context's batched activation-table cache.
+/// [`mpgemm`] through the context's activation-table cache.
 ///
 /// Within one [`ExecCtx::next_activation`] scope, every plan with the same
-/// table profile consuming the same `n × K` activation batch shares one set
-/// of per-row table builds — the QKV / gate-up amortization of the decode
-/// path, extended to batched serving (see [`ExecCtx::batch_tables_for`]).
+/// table profile (`K`, group size, table options) consuming the same
+/// `n × K` activation batch shares one table build — the QKV / gate-up
+/// reuse of §3.2 made automatic, for decode (`n = 1`) and batched serving
+/// alike (see [`ExecCtx::tables_for`]).
 ///
 /// # Errors
 ///
@@ -204,53 +152,48 @@ pub fn mpgemm_cached(
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    check_shapes(plan, act.len(), n, out.len())?;
-    if multi_row(plan) {
-        // Multi-row path: pull the re-laid row blocks from the context
-        // cache (QKV-style projection groups share both the per-row builds
-        // *and* the re-lay work).
-        let blocks = ctx.interleaved_tables_for(plan, act, n)?;
-        let mut n0 = 0;
-        for batch in blocks.iter() {
-            sweep_batch(plan, batch, n0, out, ctx);
-            n0 += batch.rows;
-        }
-        debug_assert_eq!(n0, n, "row blocks must partition the batch");
-        return Ok(());
-    }
-    let tables = ctx.batch_tables_for(plan, act, n)?;
+    let tables = ctx.tables_for(plan, act, n)?;
     mpgemm_with_tables(plan, &tables, out, ctx)
 }
 
-/// [`mpgemm`] with caller-provided per-row tables (`tables.len()` rows).
+/// [`mpgemm`] with caller-provided precomputed tables (`tables.rows` rows).
 ///
 /// # Errors
 ///
-/// Returns [`TmacError::Shape`] if `out.len() != tables.len() · M` or any
-/// table was built for a different `K` / group size / options.
+/// Returns [`TmacError::Shape`] if `out.len() != tables.rows · M` or the
+/// tables do not match `plan`'s full table profile (shape *and* options):
+/// every mismatch the kernels cannot tolerate — `K`, group size,
+/// quantization, mirror consolidation, and missing offset tables under fast
+/// aggregation — is rejected before dispatch.
 pub fn mpgemm_with_tables(
     plan: &WeightPlan,
-    tables: &[ActTables],
+    tables: &ActTables,
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let n = tables.len();
-    if n == 0 {
-        return Err(TmacError::Shape("mpgemm needs n >= 1".into()));
-    }
+    let n = tables.rows;
     if out.len() != n * plan.m {
         return Err(TmacError::Shape(format!(
-            "output length {} != n*M = {}",
+            "output length {} != n*M = {n}*{}",
             out.len(),
-            n * plan.m
+            plan.m
         )));
     }
-    for t in tables {
-        crate::gemv::check_tables_compatible(plan, t)?;
+    let o = &plan.opts;
+    if (tables.k, tables.group_size) != (plan.k, plan.group_size)
+        || (tables.quantized, tables.mirror) != (o.table_quant, o.mirror)
+        || (o.fast_aggregation && !tables.has_offset_tables())
+    {
+        return Err(TmacError::Shape(
+            "tables do not match the plan's table profile (K, group size, quantization, \
+             mirror consolidation, offset tables under fast aggregation)"
+                .into(),
+        ));
     }
+    let out = SharedMut::new(out);
     let nb = plan.opts.n_block.max(1);
-    for (i, chunk) in tables.chunks(nb).enumerate() {
-        sweep_block(plan, chunk, i * nb, out, ctx);
+    for n0 in (0..n).step_by(nb) {
+        sweep(plan, tables, n0..n.min(n0 + nb), &out, ctx);
     }
     Ok(())
 }
@@ -282,46 +225,65 @@ mod tests {
         mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
         for ni in 0..n {
             let mut row = vec![0f32; m];
-            crate::gemv::mpgemv(&plan, &act[ni * k..(ni + 1) * k], &mut row, &ctx).unwrap();
+            mpgemm(&plan, &act[ni * k..(ni + 1) * k], 1, &mut row, &ctx).unwrap();
             assert_eq!(&out[ni * m..(ni + 1) * m], &row[..], "row {ni}");
         }
     }
 
     #[test]
     fn gemm_matches_reference() {
-        let (m, k, n) = (48, 96, 7);
-        let (qm, act) = setup(m, k, n, 2);
-        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let ctx = ExecCtx::new(2);
-        let mut out = vec![0f32; n * m];
-        mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
-        for ni in 0..n {
-            let reference = gemv_reference(&qm, &act[ni * k..(ni + 1) * k]);
-            let nmse = tmac_simd::f32ops::nmse(&out[ni * m..(ni + 1) * m], &reference);
-            assert!(nmse < 2e-3, "row {ni} nmse={nmse}");
+        // The GEMV (n = 1; m = 100 leaves a ragged final tile) at every
+        // bit-width, and a 7-row batch.
+        let cases = (1..=4u8)
+            .map(|bits| (100, 128, 1, bits))
+            .chain([(48, 96, 7, 2)]);
+        for (m, k, n, bits) in cases {
+            let (qm, act) = setup(m, k, n, bits);
+            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+            let mut out = vec![0f32; n * m];
+            mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
+            for ni in 0..n {
+                let reference = gemv_reference(&qm, &act[ni * k..(ni + 1) * k]);
+                let nmse = tmac_simd::f32ops::nmse(&out[ni * m..(ni + 1) * m], &reference);
+                assert!(nmse < 2e-3, "bits={bits} n={n} row {ni} nmse={nmse}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_and_multi_thread_agree_exactly() {
+        for n in [1, 5] {
+            let (qm, act) = setup(96, 256, n, 4);
+            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+            let mut a = vec![0f32; n * 96];
+            let mut b = vec![0f32; n * 96];
+            mpgemm(&plan, &act, n, &mut a, &ExecCtx::new(1)).unwrap();
+            mpgemm(&plan, &act, n, &mut b, &ExecCtx::new(4)).unwrap();
+            assert_eq!(a, b, "threading must not change results (n={n})");
         }
     }
 
     #[test]
     fn cached_and_with_tables_match_fresh() {
-        let (m, k, n) = (64, 128, 11); // crosses an n_block boundary
-        let (qm, act) = setup(m, k, n, 3);
-        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        let ctx = ExecCtx::new(2);
-        let mut fresh = vec![0f32; n * m];
-        mpgemm(&plan, &act, n, &mut fresh, &ctx).unwrap();
+        // n = 11 crosses an n_block boundary; n = 1 is the GEMV.
+        for (m, k, n) in [(64, 128, 11), (64, 128, 1)] {
+            let (qm, act) = setup(m, k, n, 3);
+            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+            let ctx = ExecCtx::new(2);
+            let mut fresh = vec![0f32; n * m];
+            mpgemm(&plan, &act, n, &mut fresh, &ctx).unwrap();
 
-        ctx.next_activation();
-        let mut cached = vec![0f32; n * m];
-        mpgemm_cached(&plan, &act, n, &mut cached, &ctx).unwrap();
-        assert_eq!(fresh, cached);
+            ctx.next_activation();
+            let mut cached = vec![0f32; n * m];
+            mpgemm_cached(&plan, &act, n, &mut cached, &ctx).unwrap();
+            assert_eq!(fresh, cached);
 
-        let tables: Vec<ActTables> = (0..n)
-            .map(|ni| build_tables(&plan, &act[ni * k..(ni + 1) * k]).unwrap())
-            .collect();
-        let mut with = vec![0f32; n * m];
-        mpgemm_with_tables(&plan, &tables, &mut with, &ctx).unwrap();
-        assert_eq!(fresh, with);
+            let tables = build_tables(&plan, &act, n, None).unwrap();
+            let mut with = vec![0f32; n * m];
+            mpgemm_with_tables(&plan, &tables, &mut with, &ctx).unwrap();
+            assert_eq!(fresh, with);
+        }
     }
 
     #[test]
@@ -348,22 +310,25 @@ mod tests {
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let ctx = ExecCtx::new(1);
         let mut out = vec![0f32; n * m];
-        assert!(mpgemm_with_tables(&plan, &[], &mut out, &ctx).is_err());
-        let t = build_tables(&plan, &act[..k]).unwrap();
+        // `out` must hold one row per table row.
+        let t = build_tables(&plan, &act, n, None).unwrap();
         let mut short = vec![0f32; m];
-        assert!(mpgemm_with_tables(&plan, &[t.clone(), t], &mut short, &ctx).is_err());
-        // Tables built without quantization don't match a TQ plan.
-        let wrong = ActTables::build(&act[..k], 32, &crate::opts::KernelOpts::tm_base()).unwrap();
+        assert!(mpgemm_with_tables(&plan, &t, &mut short, &ctx).is_err());
+        assert!(mpgemm_with_tables(&plan, &t, &mut out, &ctx).is_ok());
+        // Tables built for another K don't match.
+        let half_k = ActTables::build(&act[..k / 2], 1, 32, &plan.opts).unwrap();
         let mut one = vec![0f32; m];
-        assert!(mpgemm_with_tables(&plan, &[wrong], &mut one, &ctx).is_err());
+        assert!(mpgemm_with_tables(&plan, &half_k, &mut one, &ctx).is_err());
+        // Tables built without quantization don't match a TQ plan.
+        let wrong = ActTables::build(&act[..k], 1, 32, &KernelOpts::tm_base()).unwrap();
+        assert!(mpgemm_with_tables(&plan, &wrong, &mut one, &ctx).is_err());
         // Mirror-consolidated tables have half the layout of full tables.
-        let mirrored =
-            ActTables::build(&act[..k], 32, &crate::opts::KernelOpts::tmac_mirror()).unwrap();
-        assert!(mpgemm_with_tables(&plan, &[mirrored], &mut one, &ctx).is_err());
+        let mirrored = ActTables::build(&act[..k], 1, 32, &KernelOpts::tmac_mirror()).unwrap();
+        assert!(mpgemm_with_tables(&plan, &mirrored, &mut one, &ctx).is_err());
         // A fast-aggregation plan needs the offset u8 tables materialized.
         let fa_plan = WeightPlan::new(&qm, KernelOpts::tmac_fast_aggregation()).unwrap();
-        let no_fa = build_tables(&plan, &act[..k]).unwrap();
-        assert!(mpgemm_with_tables(&fa_plan, &[no_fa], &mut one, &ctx).is_err());
+        let no_fa = build_tables(&plan, &act[..k], 1, None).unwrap();
+        assert!(mpgemm_with_tables(&fa_plan, &no_fa, &mut one, &ctx).is_err());
     }
 
     /// The multi-row sweep must be bit-identical to per-row GEMV for every
@@ -393,7 +358,7 @@ mod tests {
                 mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
                 for ni in 0..n {
                     let mut row = vec![0f32; m];
-                    crate::gemv::mpgemv(&plan, &act[ni * k..(ni + 1) * k], &mut row, &ctx).unwrap();
+                    mpgemm(&plan, &act[ni * k..(ni + 1) * k], 1, &mut row, &ctx).unwrap();
                     assert_eq!(
                         &out[ni * m..(ni + 1) * m],
                         &row[..],
@@ -419,30 +384,37 @@ mod tests {
             mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
             for ni in 0..n {
                 let mut row = vec![0f32; m];
-                crate::gemv::mpgemv(&plan, &act[ni * k..(ni + 1) * k], &mut row, &ctx).unwrap();
+                mpgemm(&plan, &act[ni * k..(ni + 1) * k], 1, &mut row, &ctx).unwrap();
                 assert_eq!(&out[ni * m..(ni + 1) * m], &row[..], "nb={nb} row {ni}");
             }
         }
     }
 
+    /// Every row is validated and built before any sweep: a bad row past the
+    /// first `n_block` rows (or the only row) leaves `out` untouched, through
+    /// the fresh-build and the cached entry point alike.
     #[test]
-    fn cached_interleaved_path_matches_fresh_and_reuses() {
-        let (m, k, n) = (64, 128, 9);
-        let (qm, act) = setup(m, k, n, 2);
-        let (qm4, _) = setup(m, k, n, 4);
-        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        let plan4 = WeightPlan::new(&qm4, KernelOpts::tmac()).unwrap();
-        let ctx = ExecCtx::new(1);
-        let mut fresh = vec![0f32; n * m];
-        mpgemm(&plan, &act, n, &mut fresh, &ctx).unwrap();
-        ctx.next_activation();
-        let mut cached = vec![0f32; n * m];
-        mpgemm_cached(&plan, &act, n, &mut cached, &ctx).unwrap();
-        assert_eq!(fresh, cached);
-        // A second plan with the same blocking reuses the re-lay work.
-        let mut out4 = vec![0f32; n * m];
-        mpgemm_cached(&plan4, &act, n, &mut out4, &ctx).unwrap();
-        assert_eq!(ctx.interleave_stats(), (1, 1), "interleave must be shared");
+    fn error_leaves_out_untouched() {
+        let (m, k) = (64, 128);
+        for (n, bad_row) in [(13, 12), (13, 9), (1, 0)] {
+            let (qm, mut act) = setup(m, k, n, 2);
+            act[bad_row * k + 5] = if n == 1 { f32::INFINITY } else { f32::NAN };
+            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+            assert!(bad_row == 0 || bad_row >= plan.opts.n_block);
+            let ctx = ExecCtx::new(2);
+            type Entry =
+                fn(&WeightPlan, &[f32], usize, &mut [f32], &ExecCtx) -> Result<(), TmacError>;
+            for entry in [mpgemm as Entry, mpgemm_cached as Entry] {
+                ctx.next_activation();
+                let mut out = vec![7.5f32; n * m];
+                let err = entry(&plan, &act, n, &mut out, &ctx);
+                assert!(matches!(err, Err(TmacError::Numeric(_))), "n={n}: {err:?}");
+                assert!(
+                    out.iter().all(|&x| x == 7.5),
+                    "n={n}: out written before the error"
+                );
+            }
+        }
     }
 
     #[test]
@@ -466,5 +438,9 @@ mod tests {
         assert!(mpgemm(&plan, &act[..k], n, &mut out, &ctx).is_err());
         let mut short = vec![0f32; n * m - 1];
         assert!(mpgemm(&plan, &act, n, &mut short, &ctx).is_err());
+        // And at n = 1 (the GEMV): short activations, short output.
+        assert!(mpgemm(&plan, &act[..k / 2], 1, &mut out[..m], &ctx).is_err());
+        assert!(mpgemm(&plan, &act[..k], 1, &mut short[..m - 1], &ctx).is_err());
+        assert!(mpgemm_cached(&plan, &act[..k], 1, &mut short[..m - 1], &ctx).is_err());
     }
 }

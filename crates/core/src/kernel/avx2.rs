@@ -33,9 +33,13 @@
 
 use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 use crate::plan::{Layout, WeightPlan};
-use crate::table::{ActTables, BatchTables};
+use crate::table::ActTables;
 use std::arch::x86_64::*;
+use std::ops::Range;
 use tmac_simd::avx2 as simd;
+
+/// The results of one m-tile for one activation row.
+pub type Tile = [f32; TILE_M];
 
 /// Maximum k-groups per scale block (`group_size / 4`) of the kernels that
 /// buffer a whole block: fast aggregation and the multi-row sweep.
@@ -85,7 +89,8 @@ macro_rules! for_bits {
     };
 }
 
-/// Executes one m-tile, dispatching to the right monomorphized kernel.
+/// Executes one m-tile for row `r` of `tables`, dispatching to the right
+/// monomorphized kernel.
 ///
 /// # Safety
 ///
@@ -98,8 +103,8 @@ macro_rules! for_bits {
 /// checks [`supported`] first) or if fast aggregation is requested with
 /// `group_size / 4 > MAX_KG_PER_BLOCK`.
 #[target_feature(enable = "avx2,fma")]
-pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
-    let o = &plan.opts;
+pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
+    let (o, bits) = (&plan.opts, plan.bits);
     match plan.layout() {
         Layout::Permuted { interleaved } => {
             debug_assert!(tables.quantized);
@@ -108,27 +113,63 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f
             // paired FA kernel never meets a lone k-group.
             let fa = o.fast_aggregation && !(interleaved && plan.group_size == LUT_GROUP);
             match (interleaved, o.mirror, fa) {
-                (false, false, false) => mtile_permuted::<false>(plan, tables, mt, out),
-                (false, true, false) => mtile_permuted::<true>(plan, tables, mt, out),
+                (false, false, false) => mtile_permuted::<false>(plan, tables, r, mt, out),
+                (false, true, false) => mtile_permuted::<true>(plan, tables, r, mt, out),
                 (true, false, false) => {
-                    for_bits!(plan.bits, mtile_paired_bits::<false>(plan, tables, mt, out))
+                    for_bits!(bits, mtile_paired_bits::<false>(plan, tables, r, mt, out))
                 }
                 (true, true, false) => {
-                    for_bits!(plan.bits, mtile_paired_bits::<true>(plan, tables, mt, out))
+                    for_bits!(bits, mtile_paired_bits::<true>(plan, tables, r, mt, out))
                 }
-                (false, false, true) => mtile_permuted_fa::<false>(plan, tables, mt, out),
-                (false, true, true) => mtile_permuted_fa::<true>(plan, tables, mt, out),
-                (true, false, true) => mtile_paired_fa::<false>(plan, tables, mt, out),
-                (true, true, true) => mtile_paired_fa::<true>(plan, tables, mt, out),
+                (false, false, true) => mtile_permuted_fa::<false>(plan, tables, r, mt, out),
+                (false, true, true) => mtile_permuted_fa::<true>(plan, tables, r, mt, out),
+                (true, false, true) => mtile_paired_fa::<false>(plan, tables, r, mt, out),
+                (true, true, true) => mtile_paired_fa::<true>(plan, tables, r, mt, out),
             }
         }
         Layout::Flat => {
             if tables.quantized {
-                mtile_flat_quant(plan, tables, mt, out);
+                mtile_flat_quant(plan, tables, r, mt, out);
             } else {
-                mtile_flat_gather(plan, tables, mt, out);
+                mtile_flat_gather(plan, tables, r, mt, out);
             }
         }
+    }
+}
+
+/// Executes one m-tile for the rows `rows` of `tables` on the kernel the
+/// plan and the row count call for: `outs` receives the row-major
+/// `rows.len() × TILE_M` results.
+///
+/// Several rows of a plan with a multi-row kernel ([`gemm_supported`]) take
+/// [`gemm_mtile`]. One row — a decode step, which streams every weight once
+/// and has nothing to amortize a decoded block over — and plans without a
+/// multi-row kernel take [`gemv_mtile`] per row (the weight tile is re-read
+/// from cache for each). Row for row the two are bit-identical, so the
+/// choice never shows in the result.
+///
+/// # Safety
+///
+/// The caller must have verified AVX2+FMA support (e.g. via [`supported`]).
+///
+/// # Panics
+///
+/// Panics if [`supported`] does not hold for the plan's options or `outs`
+/// is shorter than `rows.len() × TILE_M`.
+#[target_feature(enable = "avx2,fma")]
+pub fn mtile(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    if rows.len() > 1 && gemm_supported(plan) {
+        return gemm_mtile(plan, tables, rows, mt, outs);
+    }
+    assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
+    for (r, out) in rows.zip(outs.chunks_exact_mut(TILE_M)) {
+        gemv_mtile(plan, tables, r, mt, out.try_into().expect("TILE_M floats"));
     }
 }
 
@@ -252,8 +293,9 @@ fn lookup_step<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) ->
 fn mtile_permuted<const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
+    r: usize,
     mt: usize,
-    out: &mut [f32; TILE_M],
+    out: &mut Tile,
 ) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
@@ -265,13 +307,7 @@ fn mtile_permuted<const MIRROR: bool>(
     // integer bit-serial combine; otherwise planes combine in f32 (exact).
     let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
 
-    let table_for = |kg: usize| -> __m256i {
-        if MIRROR {
-            load_table(&tables.q_tables, (kg / 2) * 16)
-        } else {
-            load_table(&tables.q_tables, kg * 16)
-        }
-    };
+    let table_for = |kg: usize| load_table(&tables.q_tables, tables.kg_offset(r, kg));
     let odd8 = |kg: usize| _mm256_set1_epi8(8 * (kg % 2) as i8);
     let ones = _mm256_set1_epi8(1);
     for sb in 0..gpr {
@@ -336,8 +372,9 @@ fn mtile_permuted<const MIRROR: bool>(
                 blk.add_weighted_i16_paired(*a, _mm256_set1_ps((1u32 << bit) as f32));
             }
         }
-        let sc = _mm256_set1_ps(0.5 * tables.q_scales[sb]);
-        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb]);
+        let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
+        let sc = _mm256_set1_ps(0.5 * q_scale[0]);
+        let bias = _mm256_set1_ps(plan.cz * asum[0]);
         outacc.fold(&blk, sc, bias, plan.tile_scales(mt, sb));
     }
     outacc.store(out);
@@ -584,28 +621,32 @@ fn paired_block<const BITS: usize, const MIRROR: bool, const STEP: usize>(
 fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
+    r: usize,
     mt: usize,
-    out: &mut [f32; TILE_M],
+    out: &mut Tile,
 ) {
     let g = PairedGeom::of(plan);
     let gpr = plan.groups_per_row();
-    let (bb, tb) = (plan.block_bytes(), tables.q_tables.len() / gpr);
+    let bb = plan.block_bytes();
     let stream = plan.mtile_stream(mt);
     let mut outacc = OutAcc::zero();
     for sb in 0..gpr {
         let src = &stream[sb * bb..(sb + 1) * bb];
         let scales = plan.tile_scales(mt, sb);
+        let tbl = tables.block_tables(sb, r..r + 1);
+        let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
+        let (q_scale, asum) = (q_scale[0], asum[0]);
         prefetch_ahead(src);
         prefetch_ahead(scales);
         let blk = paired_block::<BITS, MIRROR, 32>(
             &g,
-            &tables.q_tables[sb * tb..(sb + 1) * tb],
+            tbl,
             src,
             |s| split_nibbles(simd::loadu_256(s)),
             |s| simd::unpack_nibbles_interleaved(simd::loadu_128(s)),
         );
-        let sc = _mm256_set1_ps(0.5 * tables.q_scales[sb]);
-        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb]);
+        let sc = _mm256_set1_ps(0.5 * q_scale);
+        let bias = _mm256_set1_ps(plan.cz * asum);
         outacc.fold(&blk, sc, bias, scales);
     }
     outacc.store(out);
@@ -615,13 +656,13 @@ fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
 #[repr(align(32))]
 struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 
-/// Executes one m-tile for a whole *row block*: `outs` receives the
-/// row-major `rows × TILE_M` results.
+/// Executes one m-tile for the rows `rows` of `tables`: `outs` receives the
+/// row-major `rows.len() × TILE_M` results.
 ///
 /// This is the mpGEMM kernel, scale-block-outer: each scale block's weight
 /// indices are nibble-split **once** into a small stack buffer, then a
 /// run-time loop over the rows looks them up against each row's tables of
-/// that block (adjacent in [`BatchTables`]: one forward stream) with the
+/// that block (adjacent in [`ActTables`]: one forward stream) with the
 /// four `i16` accumulators in registers and the per-row `f32` partial sums
 /// living in `outs` between blocks. Per row every operation is
 /// [`gemv_mtile`]'s (the two share `paired_block`) in the same block order,
@@ -635,16 +676,23 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 /// # Panics
 ///
 /// Panics if [`gemm_supported`] does not hold for the plan or `outs` is
-/// shorter than `rows × TILE_M`.
+/// shorter than `rows.len() × TILE_M`.
 #[target_feature(enable = "avx2,fma")]
-pub fn gemm_mtile(plan: &WeightPlan, batch: &BatchTables, mt: usize, outs: &mut [f32]) {
+pub fn gemm_mtile(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
     assert!(gemm_supported(plan), "no multi-row kernel for this plan");
-    assert!(outs.len() >= batch.rows * TILE_M, "outs too short");
-    debug_assert_eq!(batch.mirror, plan.opts.mirror);
+    assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
+    debug_assert_eq!(tables.mirror, plan.opts.mirror);
+    let bits = plan.bits;
     if plan.opts.mirror {
-        for_bits!(plan.bits, gemm_mtile_bits::<true>(plan, batch, mt, outs))
+        for_bits!(bits, gemm_mtile_bits::<true>(plan, tables, rows, mt, outs))
     } else {
-        for_bits!(plan.bits, gemm_mtile_bits::<false>(plan, batch, mt, outs))
+        for_bits!(bits, gemm_mtile_bits::<false>(plan, tables, rows, mt, outs))
     }
 }
 
@@ -653,15 +701,16 @@ pub fn gemm_mtile(plan: &WeightPlan, batch: &BatchTables, mt: usize, outs: &mut 
 #[target_feature(enable = "avx2,fma")]
 fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
     plan: &WeightPlan,
-    batch: &BatchTables,
+    tables: &ActTables,
+    rows: Range<usize>,
     mt: usize,
     outs: &mut [f32],
 ) {
     let g = PairedGeom::of(plan);
-    let (bb, tb, rows) = (plan.block_bytes(), batch.block_bytes(), batch.rows);
+    let (bb, tb) = (plan.block_bytes(), tables.block_len());
     let stream = plan.mtile_stream(mt);
     let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
-    let outs = &mut outs[..rows * TILE_M];
+    let outs = &mut outs[..rows.len() * TILE_M];
     outs.fill(0.0);
     for sb in 0..plan.groups_per_row() {
         let src = &stream[sb * bb..(sb + 1) * bb];
@@ -676,11 +725,11 @@ fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
         }
         let idx = &idx.0[..2 * bb];
         let scales = plan.tile_scales(mt, sb);
-        let (q_scales, asums) = batch.block_scales(sb);
-        let tables = batch.q_tables[sb * rows * tb..(sb + 1) * rows * tb].chunks_exact(tb);
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        let units = tables.block_tables(sb, rows.clone()).chunks_exact(tb);
         for (((out, tbl), q_scale), asum) in outs
             .chunks_exact_mut(TILE_M)
-            .zip(tables)
+            .zip(units)
             .zip(q_scales)
             .zip(asums)
         {
@@ -729,15 +778,16 @@ fn fold_fa(
     blk: &OutAcc,
     plan: &WeightPlan,
     tables: &ActTables,
+    r: usize,
     mt: usize,
     sb: usize,
 ) {
     let kgb = plan.group_size / LUT_GROUP;
     let depth = kgb.trailing_zeros() as f32;
     let fa_delta = -0.25 * depth * kgb as f32 * (((1u32 << plan.bits) - 1) as f32);
-    let lut_scale = tables.q_scales[sb];
-    let sc = _mm256_set1_ps(0.5 * lut_scale);
-    let bias = _mm256_set1_ps(plan.cz * tables.asums[sb] + 0.5 * lut_scale * fa_delta);
+    let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
+    let sc = _mm256_set1_ps(0.5 * q_scale[0]);
+    let bias = _mm256_set1_ps(plan.cz * asum[0] + 0.5 * q_scale[0] * fa_delta);
     outacc.fold(blk, sc, bias, plan.tile_scales(mt, sb));
 }
 
@@ -757,8 +807,9 @@ fn fa_kg_per_block(plan: &WeightPlan) -> usize {
 fn mtile_permuted_fa<const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
+    r: usize,
     mt: usize,
-    out: &mut [f32; TILE_M],
+    out: &mut Tile,
 ) {
     let bits = plan.bits;
     let kgb = fa_kg_per_block(plan);
@@ -773,11 +824,7 @@ fn mtile_permuted_fa<const MIRROR: bool>(
             let mut bufs = [_mm256_setzero_si256(); MAX_KG_PER_BLOCK];
             for kgi in 0..kgb {
                 let kg = sb * kgb + kgi;
-                let tbl = if MIRROR {
-                    load_table(&tables.u_tables, (kg / 2) * 16)
-                } else {
-                    load_table(&tables.u_tables, kg * 16)
-                };
+                let tbl = load_table(&tables.u_tables, tables.kg_offset(r, kg));
                 let raw = simd::loadu_128(&stream[base + (bit * kgb + kgi) * step..]);
                 let idx = simd::unpack_nibbles_sequential(raw);
                 let odd8 = _mm256_set1_epi8(8 * (kg % 2) as i8);
@@ -803,7 +850,7 @@ fn mtile_permuted_fa<const MIRROR: bool>(
             let w = _mm256_set1_ps(((kgb as u32) << bit) as f32);
             blk.add_weighted_i16((lo, hi), w);
         }
-        fold_fa(&mut outacc, &blk, plan, tables, mt, sb);
+        fold_fa(&mut outacc, &blk, plan, tables, r, mt, sb);
         base += kgb * bits * step;
     }
     outacc.store(out);
@@ -818,13 +865,14 @@ fn mtile_permuted_fa<const MIRROR: bool>(
 fn mtile_paired_fa<const MIRROR: bool>(
     plan: &WeightPlan,
     tables: &ActTables,
+    r: usize,
     mt: usize,
-    out: &mut [f32; TILE_M],
+    out: &mut Tile,
 ) {
     let bits = plan.bits;
     let kg_pairs = fa_kg_per_block(plan) / 2;
     let gpr = plan.groups_per_row();
-    let (bb, tb) = (plan.block_bytes(), tables.u_tables.len() / gpr);
+    let bb = plan.block_bytes();
     let stream = plan.mtile_stream(mt);
     let pair_w = [_mm_set1_epi16(0x0201), _mm_set1_epi16(0x0804)];
     let lone_w = 1i16 << (bits - 1);
@@ -834,7 +882,7 @@ fn mtile_paired_fa<const MIRROR: bool>(
 
     for sb in 0..gpr {
         let src = &stream[sb * bb..(sb + 1) * bb];
-        let tbl = &tables.u_tables[sb * tb..(sb + 1) * tb];
+        let tbl = tables.block_tables_u8(sb, r);
         // trees[2s + q][kp]: step `s` of pair `kp`, low (q = 0) or high
         // nibbles, already averaged over the pair's two k-groups.
         let mut trees = [[_mm_setzero_si128(); MAX_KG_PER_BLOCK / 2]; 8];
@@ -883,7 +931,7 @@ fn mtile_paired_fa<const MIRROR: bool>(
             _mm256_cvtepi32_ps(_mm256_mullo_epi32(centred, kgb))
         };
         let blk = OutAcc(f(acc[0]), f(acc[1]), f(acc[2]), f(acc[3]));
-        fold_fa(&mut outacc, &blk, plan, tables, mt, sb);
+        fold_fa(&mut outacc, &blk, plan, tables, r, mt, sb);
     }
     outacc.store(out);
 }
@@ -915,7 +963,7 @@ fn assemble_flat_scales(plan: &WeightPlan, m0: usize, sb: usize, buf: &mut [f32;
 /// Quantized-table kernel over the flat layout (`+TQ`, `+Tiling` ladder
 /// stages): `PSHUFB` lookups but strided index assembly every step.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
+fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
     let kgb = plan.group_size / LUT_GROUP;
@@ -928,7 +976,7 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut 
         let mut acc = [(_mm256_setzero_si256(), _mm256_setzero_si256()); 4];
         for kgi in 0..kgb {
             let kg = sb * kgb + kgi;
-            let tbl = load_table(&tables.q_tables, kg * 16);
+            let tbl = load_table(&tables.q_tables, tables.kg_offset(r, kg));
             for bit in 0..bits {
                 assemble_flat_step(plan, bit, m0, kg, &mut buf);
                 let raw = simd::loadu_128(&buf);
@@ -941,8 +989,9 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut 
         for bit in 0..bits {
             blk.add_weighted_i16(acc[bit], _mm256_set1_ps((1u32 << bit) as f32));
         }
-        let sc = _mm256_set1_ps(0.5 * tables.q_scales[sb]);
-        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb]);
+        let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
+        let sc = _mm256_set1_ps(0.5 * q_scale[0]);
+        let bias = _mm256_set1_ps(plan.cz * asum[0]);
         assemble_flat_scales(plan, m0, sb, &mut sbuf);
         outacc.fold(&blk, sc, bias, &sbuf);
     }
@@ -953,7 +1002,7 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut 
 /// (`vgatherdps`) — a real lookup intrinsic, but neither in-register tables
 /// nor optimized memory access.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
+fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
     let kgb = plan.group_size / LUT_GROUP;
@@ -966,7 +1015,7 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut
         let mut blk = OutAcc::zero();
         for kgi in 0..kgb {
             let kg = sb * kgb + kgi;
-            let table = &tables.f32_tables[kg * 16..kg * 16 + 16];
+            let table = &tables.f32_tables[tables.kg_offset(r, kg)..][..16];
             for bit in 0..bits {
                 assemble_flat_step(plan, bit, m0, kg, &mut buf);
                 let raw = simd::loadu_128(&buf);
@@ -983,7 +1032,7 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut
             }
         }
         let sc = _mm256_set1_ps(0.5);
-        let bias = _mm256_set1_ps(plan.cz * tables.asums[sb]);
+        let bias = _mm256_set1_ps(plan.cz * tables.block_scales(sb, r..r + 1).1[0]);
         assemble_flat_scales(plan, m0, sb, &mut sbuf);
         outacc.fold(&blk, sc, bias, &sbuf);
     }
@@ -1010,14 +1059,14 @@ mod tests {
         }
         let (qm, act) = setup(96, 256, bits, 32);
         let plan = WeightPlan::new(&qm, opts).unwrap();
-        let tables = ActTables::build(&act, 32, &opts).unwrap();
+        let tables = ActTables::build(&act, 1, 32, &opts).unwrap();
         assert!(supported(&opts), "opts {opts:?} should have an AVX2 kernel");
         for mt in 0..plan.m_tiles() {
             let mut want = [0f32; TILE_M];
-            scalar::gemv_plan_mtile(&plan, &tables, mt, &mut want);
+            scalar::plan_mtile(&plan, &tables, 0..1, mt, &mut want);
             let mut got = [0f32; TILE_M];
             // SAFETY: AVX2+FMA verified by `simd::available()` above.
-            unsafe { gemv_mtile(&plan, &tables, mt, &mut got) };
+            unsafe { gemv_mtile(&plan, &tables, 0, mt, &mut got) };
             for r in 0..TILE_M {
                 assert!(
                     (want[r] - got[r]).abs() <= tol * (1.0 + want[r].abs()),
@@ -1079,22 +1128,22 @@ mod tests {
         }
     }
 
+    /// One-row tables of each of `rows` generated rows, and the same rows'
+    /// tables built as one batch.
     fn block_tables(
         rows: usize,
         k: usize,
         gs: usize,
         opts: &KernelOpts,
-    ) -> (Vec<ActTables>, BatchTables) {
-        let per_row: Vec<ActTables> = (0..rows)
-            .map(|r| {
-                let act: Vec<f32> = (0..k)
-                    .map(|i| ((i as f32 * 0.41 + r as f32 * 2.3).cos()) * 0.9)
-                    .collect();
-                ActTables::build(&act, gs, opts).unwrap()
-            })
+    ) -> (Vec<ActTables>, ActTables) {
+        let acts: Vec<f32> = (0..rows * k)
+            .map(|i| (((i % k) as f32 * 0.41 + (i / k) as f32 * 2.3).cos()) * 0.9)
             .collect();
-        let batch = BatchTables::interleave(&per_row).unwrap();
-        (per_row, batch)
+        let per_row = acts
+            .chunks_exact(k)
+            .map(|act| ActTables::build(act, 1, gs, opts).unwrap())
+            .collect();
+        (per_row, ActTables::build(&acts, rows, gs, opts).unwrap())
     }
 
     /// The multi-row kernel must be *bit-identical* to per-row `gemv_mtile`
@@ -1121,20 +1170,35 @@ mod tests {
                     for rows in [1usize, 3, 8, 11] {
                         let (per_row, batch) = block_tables(rows, k, gs, &opts);
                         for mt in 0..plan.m_tiles() {
+                            // Each row through the GEMV kernel: over the
+                            // row's own tables, and as row `r` of the batch.
                             let mut want = vec![0f32; rows * TILE_M];
                             for (r, t) in per_row.iter().enumerate() {
-                                let mut buf = [0f32; TILE_M];
+                                let (mut own, mut of_batch) = ([0f32; TILE_M], [0f32; TILE_M]);
                                 // SAFETY: AVX2+FMA verified above.
-                                unsafe { gemv_mtile(&plan, t, mt, &mut buf) };
-                                want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&buf);
+                                unsafe {
+                                    gemv_mtile(&plan, t, 0, mt, &mut own);
+                                    gemv_mtile(&plan, &batch, r, mt, &mut of_batch);
+                                }
+                                assert_eq!(own, of_batch, "row {r} of the batch");
+                                want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&own);
                             }
-                            // Stale `outs` contents must not leak through.
+                            // Stale `outs` contents must not leak through,
+                            // and a sub-range reads its own rows' tables.
                             let mut got = vec![3f32; rows * TILE_M];
+                            let mut tail = vec![3f32; rows * TILE_M];
                             // SAFETY: AVX2+FMA verified above.
-                            unsafe { gemm_mtile(&plan, &batch, mt, &mut got) };
+                            unsafe {
+                                gemm_mtile(&plan, &batch, 0..rows, mt, &mut got);
+                                gemm_mtile(&plan, &batch, rows / 2..rows, mt, &mut tail);
+                            }
+                            let what = format!("{opts:?} bits={bits} gs={gs} rows={rows} mt={mt}");
+                            assert_eq!(got, want, "{what}");
+                            let tail_rows = rows - rows / 2;
                             assert_eq!(
-                                got, want,
-                                "opts={opts:?} bits={bits} gs={gs} rows={rows} mt={mt}"
+                                tail[..tail_rows * TILE_M],
+                                want[rows / 2 * TILE_M..],
+                                "{what}"
                             );
                         }
                     }
@@ -1157,10 +1221,10 @@ mod tests {
                 let (_, batch) = block_tables(5, 128, 32, &opts);
                 for mt in 0..plan.m_tiles() {
                     let mut want = vec![0f32; 5 * TILE_M];
-                    scalar::gemm_plan_mtile(&plan, &batch, mt, &mut want);
+                    scalar::plan_mtile(&plan, &batch, 0..5, mt, &mut want);
                     let mut got = vec![0f32; 5 * TILE_M];
                     // SAFETY: AVX2+FMA verified above.
-                    unsafe { gemm_mtile(&plan, &batch, mt, &mut got) };
+                    unsafe { gemm_mtile(&plan, &batch, 0..5, mt, &mut got) };
                     for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
                         assert!(
                             (w - g).abs() <= 1e-5 * (1.0 + w.abs()),

@@ -1,15 +1,16 @@
 //! Portable reference kernels.
 //!
 //! [`gemv_reference`] computes the ground truth from dequantized weights in
-//! `f64` (no T-MAC machinery at all). [`gemv_plan`] executes the full T-MAC
+//! `f64` (no T-MAC machinery at all). [`plan_mtile`] executes the full T-MAC
 //! pipeline — plan layouts, quantized/mirrored tables, fast-aggregation
 //! trees — in scalar code, matching the SIMD kernels' arithmetic exactly so
 //! the two can be compared bit-for-bit in integer space.
 
 use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::WeightPlan;
-use crate::table::{ActTables, BatchTables, FA_OFFSET};
+use crate::table::{ActTables, FA_OFFSET};
 use crate::TmacError;
+use std::ops::Range;
 use tmac_quant::QuantizedMatrix;
 
 /// Ground-truth mpGEMV: `out = act × dequant(W)^T` in `f64` accumulation.
@@ -34,8 +35,7 @@ pub fn gemv_reference(qm: &QuantizedMatrix, act: &[f32]) -> Vec<f32> {
 
 /// One quantized scale block of one output row, before the weight scale:
 /// `0.5 · q_scale · Σ_bit 2^bit · L_bit + bias`, with `lookup(kg, idx)` the
-/// row's quantized table entry. Shared by the GEMV and mpGEMM kernels so
-/// the two cannot drift apart.
+/// row's quantized table entry.
 fn quant_block_term(
     plan: &WeightPlan,
     sb: usize,
@@ -94,76 +94,61 @@ fn fa_tree(kg_per_block: usize, q: impl Fn(usize) -> i8) -> i32 {
     (vals[0] as i32 - FA_OFFSET) * kg_per_block as i32
 }
 
-/// Executes one m-tile of the T-MAC GEMV in scalar code.
+/// Executes one m-tile of the T-MAC kernel in scalar code for the rows
+/// `rows` of `tables`: `outs` receives the row-major `rows.len() × TILE_M`
+/// results of tile `mt`.
 ///
-/// `out` receives the `TILE_M` results of tile `mt`. The arithmetic —
-/// integer accumulation widths, fast-aggregation tree shape, per-block
-/// application order — replicates the AVX2 kernel exactly.
-pub fn gemv_plan_mtile(plan: &WeightPlan, tables: &ActTables, mt: usize, out: &mut [f32; TILE_M]) {
-    let kg_per_block = plan.group_size / LUT_GROUP;
-    let m0 = mt * TILE_M;
-    out.fill(0.0);
-
-    for sb in 0..plan.groups_per_row() {
-        for (r, o) in out.iter_mut().enumerate() {
-            let m = m0 + r;
-            let term = if tables.quantized {
-                let (lut_scale, asum) = (tables.q_scales[sb], tables.asums[sb]);
-                quant_block_term(plan, sb, m, lut_scale, asum, |kg, idx| {
-                    tables.lookup_q(kg, idx)
-                })
-            } else {
-                let mut block = 0f32;
-                for bit in 0..plan.bits {
-                    let mut l = 0f32;
-                    for kg in sb * kg_per_block..(sb + 1) * kg_per_block {
-                        l += tables.lookup_f32(kg, plan.index(bit, m, kg));
-                    }
-                    block += (1u32 << bit) as f32 * l;
-                }
-                0.5 * block + plan.cz * tables.asums[sb]
-            };
-            *o += plan.scale(m, sb) * term;
-        }
-    }
-}
-
-/// Executes one m-tile for a whole *row block* in scalar code: `outs`
-/// receives the row-major `rows × TILE_M` results.
-///
-/// Per row the arithmetic is [`gemv_plan_mtile`]'s (the shared
-/// `quant_block_term`, applied in the same scale-block order), so the
-/// results are bit-identical to `rows` independent GEMV calls. The only
-/// difference is the table *source*: the re-laid [`BatchTables`] layout.
+/// The arithmetic — integer accumulation widths, fast-aggregation tree
+/// shape, per-block application order — replicates the AVX2 kernels
+/// exactly, and each row's is independent of the others in the range, so a
+/// multi-row call is bit-identical to one call per row.
 ///
 /// # Panics
 ///
-/// Panics if the tables are not compatible with `plan` (debug) or `outs`
-/// is shorter than `rows × TILE_M`.
-pub fn gemm_plan_mtile(plan: &WeightPlan, batch: &BatchTables, mt: usize, outs: &mut [f32]) {
+/// Panics if `rows` exceeds the tables' rows or `outs` is shorter than
+/// `rows.len() × TILE_M`.
+pub fn plan_mtile(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    let kg_per_block = plan.group_size / LUT_GROUP;
     let m0 = mt * TILE_M;
-    assert!(outs.len() >= batch.rows * TILE_M, "outs too short");
-    debug_assert_eq!(batch.k, plan.k);
-    debug_assert_eq!(batch.group_size, plan.group_size);
-    outs[..batch.rows * TILE_M].fill(0.0);
+    let outs = &mut outs[..rows.len() * TILE_M];
+    debug_assert_eq!((tables.k, tables.group_size), (plan.k, plan.group_size));
+    outs.fill(0.0);
 
     for sb in 0..plan.groups_per_row() {
-        let (q_scales, asums) = batch.block_scales(sb);
-        for (r, out_row) in outs.chunks_exact_mut(TILE_M).take(batch.rows).enumerate() {
-            let (lut_scale, asum) = (q_scales[r], asums[r]);
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        for (i, out_row) in outs.chunks_exact_mut(TILE_M).enumerate() {
+            let r = rows.start + i;
             for (lane, o) in out_row.iter_mut().enumerate() {
                 let m = m0 + lane;
-                let term = quant_block_term(plan, sb, m, lut_scale, asum, |kg, idx| {
-                    batch.lookup_q(r, kg, idx)
-                });
+                let term = if tables.quantized {
+                    quant_block_term(plan, sb, m, q_scales[i], asums[i], |kg, idx| {
+                        tables.lookup_q(r, kg, idx)
+                    })
+                } else {
+                    let mut block = 0f32;
+                    for bit in 0..plan.bits {
+                        let mut l = 0f32;
+                        for kg in sb * kg_per_block..(sb + 1) * kg_per_block {
+                            l += tables.lookup_f32(r, kg, plan.index(bit, m, kg));
+                        }
+                        block += (1u32 << bit) as f32 * l;
+                    }
+                    0.5 * block + plan.cz * asums[i]
+                };
                 *o += plan.scale(m, sb) * term;
             }
         }
     }
 }
 
-/// Full scalar GEMV over all tiles (single-threaded helper; the driver
-/// parallelizes over tiles itself).
+/// Full scalar GEMV of the tables' first row over all tiles
+/// (single-threaded helper; the driver parallelizes over tiles itself).
 ///
 /// # Errors
 ///
@@ -184,7 +169,7 @@ pub fn gemv_plan(plan: &WeightPlan, tables: &ActTables, out: &mut [f32]) -> Resu
     }
     let mut buf = [0f32; TILE_M];
     for mt in 0..plan.m_tiles() {
-        gemv_plan_mtile(plan, tables, mt, &mut buf);
+        plan_mtile(plan, tables, 0..1, mt, &mut buf);
         let m0 = mt * TILE_M;
         let take = TILE_M.min(plan.m - m0);
         out[m0..m0 + take].copy_from_slice(&buf[..take]);
@@ -215,7 +200,7 @@ mod tests {
             let (qm, act) = setup(48, 128, bits, 32);
             let reference = gemv_reference(&qm, &act);
             let plan = WeightPlan::new(&qm, KernelOpts::tm_base()).unwrap();
-            let tables = ActTables::build(&act, 32, &KernelOpts::tm_base()).unwrap();
+            let tables = ActTables::build(&act, 1, 32, &KernelOpts::tm_base()).unwrap();
             let mut out = vec![0f32; 48];
             gemv_plan(&plan, &tables, &mut out).unwrap();
             for (m, (&r, &o)) in reference.iter().zip(&out).enumerate() {
@@ -237,7 +222,7 @@ mod tests {
             KernelOpts::tmac(),
         ] {
             let plan = WeightPlan::new(&qm, opts).unwrap();
-            let tables = ActTables::build(&act, 32, &opts).unwrap();
+            let tables = ActTables::build(&act, 1, 32, &opts).unwrap();
             let mut out = vec![0f32; 64];
             gemv_plan(&plan, &tables, &mut out).unwrap();
             let nmse = tmac_simd::f32ops::nmse(&out, &reference);
@@ -255,7 +240,7 @@ mod tests {
         let fa_opts = KernelOpts::tmac_fast_aggregation();
         let run = |opts: KernelOpts| {
             let plan = WeightPlan::new(&qm, opts).unwrap();
-            let tables = ActTables::build(&act, 32, &opts).unwrap();
+            let tables = ActTables::build(&act, 1, 32, &opts).unwrap();
             let mut out = vec![0f32; 64];
             gemv_plan(&plan, &tables, &mut out).unwrap();
             tmac_simd::f32ops::nmse(&out, &reference)
@@ -274,7 +259,7 @@ mod tests {
         let base = {
             let o = KernelOpts::plus_table_quant();
             let plan = WeightPlan::new(&qm, o).unwrap();
-            let t = ActTables::build(&act, 32, &o).unwrap();
+            let t = ActTables::build(&act, 1, 32, &o).unwrap();
             let mut out = vec![0f32; 40];
             gemv_plan(&plan, &t, &mut out).unwrap();
             out
@@ -286,7 +271,7 @@ mod tests {
             KernelOpts::tmac(),
         ] {
             let plan = WeightPlan::new(&qm, opts).unwrap();
-            let t = ActTables::build(&act, 32, &opts).unwrap();
+            let t = ActTables::build(&act, 1, 32, &opts).unwrap();
             let mut out = vec![0f32; 40];
             gemv_plan(&plan, &t, &mut out).unwrap();
             for (m, (&b, &o)) in base.iter().zip(&out).enumerate() {
@@ -295,13 +280,13 @@ mod tests {
         }
     }
 
-    /// The multi-row scalar kernel over the re-laid tables must be
-    /// bit-identical to per-row GEMV calls, for every quantized option
-    /// combination.
+    /// A multi-row call must be bit-identical to one call per row (over
+    /// that row's own one-row tables), for every option combination.
     #[test]
     fn gemm_mtile_bit_identical_to_per_row_gemv() {
         let rows = 3;
         for opts in [
+            KernelOpts::tm_base(),
             KernelOpts::plus_table_quant(),
             KernelOpts::plus_permute(),
             KernelOpts::tmac(),
@@ -311,26 +296,23 @@ mod tests {
             for bits in [1u8, 2, 4] {
                 let (qm, _) = setup(40, 128, bits, 32);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
-                let row_tables: Vec<ActTables> = (0..rows)
-                    .map(|r| {
-                        let a: Vec<f32> = (0..128)
-                            .map(|i| ((i as f32) * 0.29 + r as f32).cos() * 1.1)
-                            .collect();
-                        ActTables::build(&a, 32, &opts).unwrap()
-                    })
+                let acts: Vec<f32> = (0..rows * 128)
+                    .map(|i| ((i % 128) as f32 * 0.29 + (i / 128) as f32).cos() * 1.1)
                     .collect();
-                let batch = BatchTables::interleave(&row_tables).unwrap();
+                let batch = ActTables::build(&acts, rows, 32, &opts).unwrap();
                 for mt in 0..plan.m_tiles() {
                     let mut want = vec![0f32; rows * TILE_M];
-                    for (r, t) in row_tables.iter().enumerate() {
-                        let mut buf = [0f32; TILE_M];
-                        gemv_plan_mtile(&plan, t, mt, &mut buf);
-                        want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&buf);
+                    for (r, buf) in want.chunks_exact_mut(TILE_M).enumerate() {
+                        let one = ActTables::build(&acts[r * 128..][..128], 1, 32, &opts).unwrap();
+                        plan_mtile(&plan, &one, 0..1, mt, buf);
                     }
                     // Stale contents of `outs` must not leak into the result.
                     let mut got = vec![7f32; rows * TILE_M];
-                    gemm_plan_mtile(&plan, &batch, mt, &mut got);
+                    plan_mtile(&plan, &batch, 0..rows, mt, &mut got);
                     assert_eq!(got, want, "opts={opts:?} bits={bits} mt={mt}");
+                    // A sub-range reads its own rows' tables.
+                    plan_mtile(&plan, &batch, 1..rows, mt, &mut got);
+                    assert_eq!(got[..(rows - 1) * TILE_M], want[TILE_M..]);
                 }
             }
         }
@@ -340,7 +322,7 @@ mod tests {
     fn rejects_mismatched_lengths() {
         let (qm, act) = setup(32, 64, 2, 32);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        let tables = ActTables::build(&act, 32, &KernelOpts::tmac()).unwrap();
+        let tables = ActTables::build(&act, 1, 32, &KernelOpts::tmac()).unwrap();
         let mut bad = vec![0f32; 31];
         assert!(gemv_plan(&plan, &tables, &mut bad).is_err());
     }

@@ -14,8 +14,8 @@
 //! ```text
 //! offline:  QuantizedMatrix --(bit-serial decompose, tile, permute,
 //!                              interleave)--> WeightPlan
-//! online:   activation --(precompute, mirror-consolidate, table-quantize)
-//!                      --> ActTables
+//! online:   activation rows --(precompute, mirror-consolidate,
+//!                            table-quantize)--> ActTables
 //! kernel:   PSHUFB/TBL lookups + i16 accumulation + per-block f32 fold
 //! ```
 //!
@@ -40,13 +40,14 @@
 //! When several weight matrices consume the *same* activation (as QKV
 //! projections do), [`ExecCtx::next_activation`] plus
 //! [`TmacLinear::gemv_cached`] share one table build across all of them —
-//! see the [`exec`] module.
+//! see the [`exec`] module. A GEMV is the one-row case of
+//! [`TmacLinear::gemm`]: one driver ([`gemm`]) and one table type
+//! ([`ActTables`]) serve every row count.
 
 pub mod cost;
 pub mod exec;
 pub mod failpoint;
 pub mod gemm;
-pub mod gemv;
 pub mod kernel;
 pub mod opts;
 pub mod plan;
@@ -55,7 +56,7 @@ pub mod table;
 pub use exec::{ExecCtx, TableCacheStats, TableProfile};
 pub use opts::{KernelOpts, LUT_GROUP, TILE_M};
 pub use plan::{Layout, PlanBacking, PlanParts, Segment, WeightPlan};
-pub use table::{ActTables, BatchTables};
+pub use table::ActTables;
 
 use tmac_quant::{QuantError, QuantizedMatrix};
 
@@ -164,59 +165,44 @@ impl TmacLinear {
         &self.plan
     }
 
-    /// Mixed-precision GEMV: `out[m] = Σ_k act[k] · W[m][k]`.
-    ///
-    /// Builds fresh tables every call (the honest cost of a standalone
-    /// GEMV); use [`TmacLinear::gemv_cached`] when several layers consume
-    /// the same activation.
+    /// Mixed-precision GEMV, `out[m] = Σ_k act[k] · W[m][k]`:
+    /// [`TmacLinear::gemm`] at `n = 1`.
     ///
     /// # Errors
     ///
-    /// See [`gemv::mpgemv`].
+    /// See [`gemm::mpgemm`].
     pub fn gemv(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), TmacError> {
-        gemv::mpgemv(&self.plan, act, out, ctx)
+        self.gemm(act, 1, out, ctx)
     }
 
-    /// GEMV through the context's activation-table cache: all layers with a
-    /// compatible table profile that forward the same activation within one
-    /// [`ExecCtx::next_activation`] scope share a single table build.
+    /// [`TmacLinear::gemm_cached`] at `n = 1`.
     ///
     /// # Errors
     ///
-    /// See [`gemv::mpgemv_cached`].
+    /// See [`gemm::mpgemm_cached`].
     pub fn gemv_cached(
         &self,
         act: &[f32],
         out: &mut [f32],
         ctx: &ExecCtx,
     ) -> Result<(), TmacError> {
-        gemv::mpgemv_cached(&self.plan, act, out, ctx)
+        self.gemm_cached(act, 1, out, ctx)
     }
 
-    /// GEMV with precomputed tables (reuse across layers sharing an input).
+    /// Builds the activation tables of one row for this layer's shape, on
+    /// the calling thread (batches: [`gemm::build_tables`]).
     ///
     /// # Errors
     ///
-    /// See [`gemv::mpgemv_with_tables`].
-    pub fn gemv_with_tables(
-        &self,
-        tables: &ActTables,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), TmacError> {
-        gemv::mpgemv_with_tables(&self.plan, tables, out, ctx)
-    }
-
-    /// Builds activation tables for this layer's shape.
-    ///
-    /// # Errors
-    ///
-    /// See [`gemv::build_tables`].
+    /// See [`gemm::build_tables`].
     pub fn tables(&self, act: &[f32]) -> Result<ActTables, TmacError> {
-        gemv::build_tables(&self.plan, act)
+        gemm::build_tables(&self.plan, act, 1, None)
     }
 
-    /// Mixed-precision GEMM over `n` activation rows.
+    /// Mixed-precision GEMM over `n` activation rows (row-major `n × K` in,
+    /// `n × M` out). Builds fresh tables every call (the honest cost of a
+    /// standalone call); use [`TmacLinear::gemm_cached`] when several layers
+    /// consume the same activations.
     ///
     /// # Errors
     ///
@@ -231,10 +217,10 @@ impl TmacLinear {
         gemm::mpgemm(&self.plan, act, n, out, ctx)
     }
 
-    /// Mixed-precision GEMM through the context's batched table cache:
-    /// plans with a compatible table profile that forward the same `n`-row
-    /// activation batch within one [`ExecCtx::next_activation`] scope share
-    /// one set of per-row table builds (batched QKV / gate-up reuse).
+    /// GEMM through the context's activation-table cache: all layers with a
+    /// compatible table profile that forward the same `n`-row activation
+    /// batch within one [`ExecCtx::next_activation`] scope share a single
+    /// table build (QKV / gate-up reuse, at any `n`).
     ///
     /// # Errors
     ///
@@ -247,6 +233,21 @@ impl TmacLinear {
         ctx: &ExecCtx,
     ) -> Result<(), TmacError> {
         gemm::mpgemm_cached(&self.plan, act, n, out, ctx)
+    }
+
+    /// GEMM with precomputed tables (`tables.rows` rows; reuse across
+    /// layers sharing an input).
+    ///
+    /// # Errors
+    ///
+    /// See [`gemm::mpgemm_with_tables`].
+    pub fn with_tables(
+        &self,
+        tables: &ActTables,
+        out: &mut [f32],
+        ctx: &ExecCtx,
+    ) -> Result<(), TmacError> {
+        gemm::mpgemm_with_tables(&self.plan, tables, out, ctx)
     }
 
     /// Analytical cost of one GEMV through this layer.

@@ -49,10 +49,10 @@ pub struct KernelOpts {
     /// `K`-tile length in elements (`K_tk`); must be a positive multiple of
     /// the weight quantization group size. Only meaningful with `tiling`.
     pub tile_k: usize,
-    /// Activation rows per batch block in mpGEMM (table reuse across the
-    /// sequence dimension): tables for `n_block` rows are built/cached
-    /// together and swept over the weights as one block — each scale block's
-    /// indices are decoded once and looked up against every row of the block.
+    /// Activation rows per weight sweep in mpGEMM (table reuse across the
+    /// sequence dimension): each `n_block`-row range of a batch's tables is
+    /// swept over the weights as one block — each scale block's indices are
+    /// decoded once and looked up against every row of the range.
     pub n_block: usize,
 }
 

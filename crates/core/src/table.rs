@@ -21,9 +21,32 @@
 //!
 //! For fast aggregation the quantized entries are additionally stored with a
 //! `+128` offset as `u8` (rounding-average instructions are unsigned).
+//!
+//! # One table operand for `rows ≥ 1`
+//!
+//! [`ActTables`] holds the tables of a whole batch of activation rows: it is
+//! the one table operand of the mpGEMM driver, mpGEMV being its `rows = 1`
+//! case (§3.2). Storage is in the order the kernels read — per scale block,
+//! each row's tables of that block (a *unit*: 128 bytes at `group_size` 32)
+//! adjacent:
+//!
+//! ```text
+//! [sb0·row0][sb0·row1]…[sb0·rowR-1][sb1·row0]…      scales, asums: [sb][row]
+//! ```
+//!
+//! The multi-row kernel, which decodes a scale block's weight indices once
+//! and looks them up against every row, reads that as one forward stream;
+//! at `rows = 1` it is simply the row's tables in k-group order. The order
+//! is private to this module: kernels go through
+//! [`ActTables::block_tables`], [`ActTables::block_scales`] and
+//! [`ActTables::kg_offset`].
 
+use crate::exec::SharedMut;
 use crate::opts::{KernelOpts, LUT_GROUP};
 use crate::TmacError;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use tmac_threadpool::ThreadPool;
 
 /// Entries per lookup table (`2^g`).
 pub const TABLE_LEN: usize = 1 << LUT_GROUP;
@@ -31,10 +54,13 @@ pub const TABLE_LEN: usize = 1 << LUT_GROUP;
 /// The unsigned offset applied to quantized entries for fast aggregation.
 pub const FA_OFFSET: i32 = 128;
 
-/// Precomputed activation tables for one activation row.
+/// Precomputed activation tables for `rows` activation rows (storage order:
+/// see the module docs).
 #[derive(Debug, Clone)]
 pub struct ActTables {
-    /// Activation length `K`.
+    /// Activation rows covered.
+    pub rows: usize,
+    /// Activation length `K` of every row.
     pub k: usize,
     /// Activations per scale block (matches the weight `group_size`).
     pub group_size: usize,
@@ -42,18 +68,20 @@ pub struct ActTables {
     pub mirror: bool,
     /// Whether tables are quantized to `i8`.
     pub quantized: bool,
-    /// `f32` tables, `kg`-major, 16 entries each (empty when quantized).
-    pub f32_tables: Vec<f32>,
+    /// Table entries of one `(scale block, row)` unit.
+    unit_len: usize,
+    /// `f32` tables, 16 entries per k-group (empty when quantized).
+    pub(crate) f32_tables: Vec<f32>,
     /// `i8` tables (empty unless quantized). Full mode: 16 entries per
     /// k-group. Mirror mode: 16 bytes per k-group *pair* (8 + 8).
-    pub q_tables: Vec<i8>,
+    pub(crate) q_tables: Vec<i8>,
     /// `u8` tables with `+128` offset (built only for fast aggregation);
     /// same layout as `q_tables`.
-    pub u_tables: Vec<u8>,
-    /// Per-scale-block dynamic table scales (empty unless quantized).
-    pub q_scales: Vec<f32>,
-    /// Per-scale-block activation sums (for the bit-serial bias term).
-    pub asums: Vec<f32>,
+    pub(crate) u_tables: Vec<u8>,
+    /// Dynamic table scales, `[sb][row]` (unused, zero, unless quantized).
+    q_scales: Vec<f32>,
+    /// Activation sums (for the bit-serial bias term), `[sb][row]`.
+    asums: Vec<f32>,
 }
 
 /// Computes the 16 raw table entries for one activation group.
@@ -73,175 +101,283 @@ pub fn raw_table(a: &[f32; LUT_GROUP]) -> [f32; TABLE_LEN] {
     t
 }
 
+/// The buffers of a table set under construction, shared by the threads
+/// that build different rows: row `r` owns unit `(sb, r)` of every buffer.
+struct Units<'a> {
+    rows: usize,
+    group_size: usize,
+    mirror: bool,
+    f32_tables: SharedMut<'a, f32>,
+    q_tables: SharedMut<'a, i8>,
+    u_tables: SharedMut<'a, u8>,
+    q_scales: SharedMut<'a, f32>,
+    asums: SharedMut<'a, f32>,
+}
+
+impl Units<'_> {
+    /// Builds row `r`'s unit of every scale block from the row's
+    /// activations. Returns `false`, with the row's units unspecified, if
+    /// they are not all finite (the scales would be garbage).
+    fn fill_row(&self, r: usize, act: &[f32]) -> bool {
+        if act.iter().any(|x| !x.is_finite()) {
+            return false;
+        }
+        let n_units = self.asums.len();
+        let per_unit = |len: usize| len / n_units;
+        let raw_len = per_unit(self.f32_tables.len());
+        let (q_len, u_len) = (per_unit(self.q_tables.len()), per_unit(self.u_tables.len()));
+        let quantized = q_len > 0;
+        // Quantized tables keep no `f32` entries: a block's are scratch.
+        let block_raw = self.group_size / LUT_GROUP * TABLE_LEN;
+        let mut scratch = vec![0f32; if quantized { block_raw } else { 0 }];
+        for (sb, block) in act.chunks_exact(self.group_size).enumerate() {
+            let unit = sb * self.rows + r;
+            // SAFETY: these are unit `(sb, r)` of each buffer — row `r`'s
+            // alone, and one thread of the dispatch builds row `r`.
+            let (asum, raw, q_scale, q, u) = unsafe {
+                (
+                    self.asums.slice(unit, 1),
+                    self.f32_tables.slice(unit * raw_len, raw_len),
+                    self.q_scales.slice(unit, 1),
+                    self.q_tables.slice(unit * q_len, q_len),
+                    self.u_tables.slice(unit * u_len, u_len),
+                )
+            };
+            asum[0] = block.iter().sum();
+            let raw = if quantized { &mut scratch[..] } else { raw };
+            for (a, t) in block
+                .chunks_exact(LUT_GROUP)
+                .zip(raw.chunks_exact_mut(TABLE_LEN))
+            {
+                t.copy_from_slice(&raw_table(a.try_into().expect("LUT_GROUP activations")));
+            }
+            if !quantized {
+                continue;
+            }
+            // Dynamic per-block quantization (finer than activation
+            // quantization could afford, §3.3: "finer granularity ... and
+            // dynamic quantization").
+            let amax = raw.iter().fold(0f32, |m, &x| m.max(x.abs()));
+            let scale = if amax == 0.0 { 1e-8 } else { amax / 127.0 };
+            q_scale[0] = scale;
+            let quantize = |v: f32| (v / scale).round().clamp(-127.0, 127.0) as i8;
+            // Mirror: a k-group stores its first 8 entries, so consecutive
+            // k-groups' halves pair up into 16-byte tables.
+            let stored = if self.mirror {
+                TABLE_LEN / 2
+            } else {
+                TABLE_LEN
+            };
+            for (dst, t) in q.chunks_exact_mut(stored).zip(raw.chunks_exact(TABLE_LEN)) {
+                for (d, &v) in dst.iter_mut().zip(t) {
+                    *d = quantize(v);
+                }
+            }
+            for (d, &v) in u.iter_mut().zip(q.iter()) {
+                *d = (v as i32 + FA_OFFSET) as u8;
+            }
+        }
+        true
+    }
+}
+
 impl ActTables {
-    /// Builds tables for `act` under `opts`.
+    /// Builds the tables of a row-major `rows × K` activation batch under
+    /// `opts`, on the calling thread.
     ///
     /// # Errors
     ///
-    /// * [`TmacError::Shape`] if `act.len()` is not a positive multiple of
-    ///   `group_size`, `group_size` is not a multiple of 4, or mirror
-    ///   consolidation is requested with `group_size` not a multiple of 8
-    ///   (pair packing needs an even k-group count per block).
+    /// * [`TmacError::Shape`] if `rows == 0`, `acts.len()` is not `rows`
+    ///   times a positive multiple of `group_size`, `group_size` is not a
+    ///   multiple of 4, mirror consolidation is requested with `group_size`
+    ///   not a multiple of 8 (pair packing needs an even k-group count per
+    ///   block), or fast aggregation with `group_size / 4` not a power of
+    ///   two (the averaging tree must be balanced).
     /// * [`TmacError::Numeric`] if the activations contain non-finite
     ///   values (quantization scales would be garbage).
-    pub fn build(act: &[f32], group_size: usize, opts: &KernelOpts) -> Result<Self, TmacError> {
-        let k = act.len();
+    pub fn build(
+        acts: &[f32],
+        rows: usize,
+        group_size: usize,
+        opts: &KernelOpts,
+    ) -> Result<Self, TmacError> {
+        Self::build_on(None, acts, rows, group_size, opts)
+    }
+
+    /// [`ActTables::build`] with the (independent) rows of a multi-row batch
+    /// fanned out over `pool`; row for row the arithmetic is the same, so
+    /// the tables do not depend on the pool.
+    pub(crate) fn build_on(
+        pool: Option<&ThreadPool>,
+        acts: &[f32],
+        rows: usize,
+        group_size: usize,
+        opts: &KernelOpts,
+    ) -> Result<Self, TmacError> {
+        let k = acts.len().checked_div(rows).unwrap_or(0);
         if k == 0
+            || k * rows != acts.len()
             || group_size == 0
             || !k.is_multiple_of(group_size)
             || !group_size.is_multiple_of(LUT_GROUP)
         {
             return Err(TmacError::Shape(format!(
-                "activation len {k} incompatible with group_size {group_size}"
+                "{rows} activation rows of total length {} incompatible with group_size {group_size}",
+                acts.len()
             )));
         }
-        if opts.mirror && !group_size.is_multiple_of(2 * LUT_GROUP) {
+        let kgb = group_size / LUT_GROUP;
+        if opts.mirror && !kgb.is_multiple_of(2) {
             return Err(TmacError::Shape(format!(
                 "mirror consolidation needs group_size % 8 == 0, got {group_size}"
             )));
         }
-        if act.iter().any(|x| !x.is_finite()) {
+        if opts.fast_aggregation && !kgb.is_power_of_two() {
+            return Err(TmacError::Shape(format!(
+                "fast aggregation needs group_size/4 to be a power of two, got {kgb}"
+            )));
+        }
+        let n_units = k / group_size * rows;
+        let quantized = opts.table_quant;
+        let mirror = quantized && opts.mirror;
+        // Entries per unit of each buffer (a buffer its mode lacks is empty).
+        let raw_len = kgb * TABLE_LEN;
+        let f32_len = if quantized { 0 } else { raw_len };
+        let q_len = (raw_len - f32_len) / if mirror { 2 } else { 1 };
+        let u_len = if opts.fast_aggregation { q_len } else { 0 };
+        let mut tables = ActTables {
+            rows,
+            k,
+            group_size,
+            mirror,
+            quantized,
+            unit_len: f32_len.max(q_len),
+            f32_tables: vec![0.0; n_units * f32_len],
+            q_tables: vec![0; n_units * q_len],
+            u_tables: vec![0; n_units * u_len],
+            q_scales: vec![0.0; n_units],
+            asums: vec![0.0; n_units],
+        };
+        let units = Units {
+            rows,
+            group_size,
+            mirror,
+            f32_tables: SharedMut::new(&mut tables.f32_tables),
+            q_tables: SharedMut::new(&mut tables.q_tables),
+            u_tables: SharedMut::new(&mut tables.u_tables),
+            q_scales: SharedMut::new(&mut tables.q_scales),
+            asums: SharedMut::new(&mut tables.asums),
+        };
+        let non_finite = AtomicBool::new(false);
+        let fill = |rows: Range<usize>| {
+            for r in rows {
+                if !units.fill_row(r, &acts[r * k..(r + 1) * k]) {
+                    non_finite.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+        match pool {
+            // One row is not worth a pool dispatch.
+            Some(pool) if rows > 1 => pool.chunks(rows, 1, fill),
+            _ => fill(0..rows),
+        }
+        if non_finite.into_inner() {
             return Err(TmacError::Numeric(
                 "activations contain non-finite values".into(),
             ));
         }
-        let kg_total = k / LUT_GROUP;
-        let blocks = k / group_size;
-        let kg_per_block = group_size / LUT_GROUP;
-
-        let mut asums = vec![0f32; blocks];
-        for (sb, chunk) in act.chunks(group_size).enumerate() {
-            asums[sb] = chunk.iter().sum();
-        }
-
-        // Raw tables, kg-major.
-        let mut raw = vec![0f32; kg_total * TABLE_LEN];
-        for kg in 0..kg_total {
-            let mut a = [0f32; LUT_GROUP];
-            a.copy_from_slice(&act[kg * LUT_GROUP..(kg + 1) * LUT_GROUP]);
-            raw[kg * TABLE_LEN..(kg + 1) * TABLE_LEN].copy_from_slice(&raw_table(&a));
-        }
-
-        if !opts.table_quant {
-            return Ok(ActTables {
-                k,
-                group_size,
-                mirror: false,
-                quantized: false,
-                f32_tables: raw,
-                q_tables: Vec::new(),
-                u_tables: Vec::new(),
-                q_scales: Vec::new(),
-                asums,
-            });
-        }
-
-        // Dynamic per-block quantization (finer than activation quantization
-        // could afford, §3.3: "finer granularity ... and dynamic
-        // quantization").
-        let mut q_scales = vec![0f32; blocks];
-        for sb in 0..blocks {
-            let slice = &raw[sb * kg_per_block * TABLE_LEN..(sb + 1) * kg_per_block * TABLE_LEN];
-            let amax = slice.iter().fold(0f32, |m, &x| m.max(x.abs()));
-            q_scales[sb] = if amax == 0.0 { 1e-8 } else { amax / 127.0 };
-        }
-
-        let quantize =
-            |v: f32, sb: usize| -> i8 { (v / q_scales[sb]).round().clamp(-127.0, 127.0) as i8 };
-
-        let mut q_tables;
-        if opts.mirror {
-            // Paired half-tables: 16 bytes cover two k-groups.
-            debug_assert_eq!(kg_total % 2, 0);
-            q_tables = vec![0i8; kg_total / 2 * TABLE_LEN];
-            for kg in 0..kg_total {
-                let sb = kg / kg_per_block;
-                let pair = kg / 2;
-                let half = (kg % 2) * (TABLE_LEN / 2);
-                for i in 0..TABLE_LEN / 2 {
-                    q_tables[pair * TABLE_LEN + half + i] = quantize(raw[kg * TABLE_LEN + i], sb);
-                }
-            }
-        } else {
-            q_tables = vec![0i8; kg_total * TABLE_LEN];
-            for kg in 0..kg_total {
-                let sb = kg / kg_per_block;
-                for i in 0..TABLE_LEN {
-                    q_tables[kg * TABLE_LEN + i] = quantize(raw[kg * TABLE_LEN + i], sb);
-                }
-            }
-        }
-
-        let u_tables = if opts.fast_aggregation {
-            q_tables
-                .iter()
-                .map(|&q| (q as i32 + FA_OFFSET) as u8)
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        Ok(ActTables {
-            k,
-            group_size,
-            mirror: opts.mirror,
-            quantized: true,
-            f32_tables: Vec::new(),
-            q_tables,
-            u_tables,
-            q_scales,
-            asums,
-        })
+        Ok(tables)
     }
 
-    /// Number of k-groups covered.
+    /// Number of k-groups covered per row.
     pub fn kg_total(&self) -> usize {
         self.k / LUT_GROUP
     }
 
-    /// Looks up entry `idx` of k-group `kg` as an *exact* `f32` value
-    /// (dequantized if the tables are quantized). Test/reference use.
+    /// Table entries of one `(scale block, row)` unit: 16 per k-group,
+    /// halved by mirror pair-packing.
+    pub fn block_len(&self) -> usize {
+        self.unit_len
+    }
+
+    /// Whether the offset `u8` tables fast aggregation reads were built.
+    pub fn has_offset_tables(&self) -> bool {
+        !self.u_tables.is_empty()
+    }
+
+    /// The quantized tables of scale block `sb` for the rows `rows`: one
+    /// unit per row ([`Self::block_len`] bytes, k-groups in order), adjacent.
+    #[inline]
+    pub fn block_tables(&self, sb: usize, rows: Range<usize>) -> &[i8] {
+        let len = self.unit_len;
+        &self.q_tables[(sb * self.rows + rows.start) * len..(sb * self.rows + rows.end) * len]
+    }
+
+    /// Row `r`'s offset `u8` tables of scale block `sb` (one unit, laid out
+    /// as in [`Self::block_tables`]).
+    #[inline]
+    pub fn block_tables_u8(&self, sb: usize, r: usize) -> &[u8] {
+        let len = self.unit_len;
+        &self.u_tables[(sb * self.rows + r) * len..][..len]
+    }
+
+    /// The `(table scales, activation sums)` of scale block `sb` for the
+    /// rows `rows` (the scales of `f32` tables are unused zeros).
+    #[inline]
+    pub fn block_scales(&self, sb: usize, rows: Range<usize>) -> (&[f32], &[f32]) {
+        let range = sb * self.rows + rows.start..sb * self.rows + rows.end;
+        (&self.q_scales[range.clone()], &self.asums[range])
+    }
+
+    /// Offset, in table entries, of the 16 stored entries that hold row
+    /// `r`'s k-group `kg` — its own table, or under mirror consolidation
+    /// the 16-byte table of its k-group pair — for the kernels that walk
+    /// k-groups rather than scale blocks.
+    #[inline]
+    pub fn kg_offset(&self, r: usize, kg: usize) -> usize {
+        let kgb = self.group_size / LUT_GROUP;
+        let (sb, kg_in) = (kg / kgb, kg % kgb);
+        let table = if self.mirror { kg_in / 2 } else { kg_in };
+        (sb * self.rows + r) * self.unit_len + table * TABLE_LEN
+    }
+
+    /// Looks up entry `idx` of row `r`'s k-group `kg` as an *exact* `f32`
+    /// value (dequantized if the tables are quantized). Test/reference use.
     ///
     /// # Panics
     ///
-    /// Panics if `kg` or `idx` is out of range.
-    pub fn lookup_f32(&self, kg: usize, idx: u8) -> f32 {
-        assert!((idx as usize) < TABLE_LEN && kg < self.kg_total());
+    /// Panics if `r`, `kg` or `idx` is out of range.
+    pub fn lookup_f32(&self, r: usize, kg: usize, idx: u8) -> f32 {
         if self.quantized {
             let sb = kg * LUT_GROUP / self.group_size;
-            self.lookup_q(kg, idx) as f32 * self.q_scales[sb]
+            self.lookup_q(r, kg, idx) as f32 * self.q_scales[sb * self.rows + r]
         } else {
-            self.f32_tables[kg * TABLE_LEN + idx as usize]
+            assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.kg_total());
+            self.f32_tables[self.kg_offset(r, kg) + idx as usize]
         }
     }
 
-    /// Looks up entry `idx` of k-group `kg` in the quantized tables,
-    /// applying the mirror fold when consolidated.
+    /// Looks up entry `idx` of row `r`'s k-group `kg` in the quantized
+    /// tables, applying the mirror fold when consolidated.
     ///
     /// # Panics
     ///
     /// Panics if the tables are not quantized or indices are out of range.
-    pub fn lookup_q(&self, kg: usize, idx: u8) -> i8 {
+    pub fn lookup_q(&self, r: usize, kg: usize, idx: u8) -> i8 {
         assert!(self.quantized, "lookup_q on f32 tables");
-        assert!((idx as usize) < TABLE_LEN && kg < self.kg_total());
+        assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.kg_total());
+        let table = &self.q_tables[self.kg_offset(r, kg)..][..TABLE_LEN];
         if self.mirror {
-            let (fold, neg) = if idx >= 8 {
-                ((idx ^ 0x0F) as usize, true)
-            } else {
-                (idx as usize, false)
-            };
-            let pair = kg / 2;
             let half = (kg % 2) * (TABLE_LEN / 2);
-            let v = self.q_tables[pair * TABLE_LEN + half + fold];
-            if neg {
+            if idx >= 8 {
                 // Quantized entries are clamped to -127..=127, so negation
                 // cannot overflow.
-                -v
+                -table[half + (idx ^ 0x0F) as usize]
             } else {
-                v
+                table[half + idx as usize]
             }
         } else {
-            self.q_tables[kg * TABLE_LEN + idx as usize]
+            table[idx as usize]
         }
     }
 
@@ -249,174 +385,6 @@ impl ActTables {
     /// quantization shrink; paper Figure 5).
     pub fn table_bytes(&self) -> usize {
         self.f32_tables.len() * 4 + self.q_tables.len() + self.u_tables.len()
-    }
-}
-
-/// Quantized tables for a *block* of `rows` activation rows, re-laid for
-/// the multi-row mpGEMM sweep.
-///
-/// [`ActTables`] keeps each row's tables as one contiguous buffer (what the
-/// GEMV path streams). The mpGEMM kernel runs scale-block-outer — it decodes
-/// one scale block's weight indices once, then looks them up against every
-/// row — so `BatchTables` stores, per scale block, each row's slice of that
-/// block (its [`ActTables`] bytes unchanged: 128 at `group_size` 32)
-/// contiguously, in exactly the order the kernel reads:
-///
-/// ```text
-/// [sb0·row0][sb0·row1]…[sb0·rowR-1][sb1·row0]…     (block_bytes each)
-/// ```
-///
-/// Only quantized tables re-lay (`i8`, plus the offset `u8` copy when every
-/// source row carries one); `f32` table mode has no multi-row kernel and
-/// stays on the per-row path.
-#[derive(Debug, Clone)]
-pub struct BatchTables {
-    /// Rows in the block (`R`).
-    pub rows: usize,
-    /// Activation length `K` (shared by every row).
-    pub k: usize,
-    /// Activations per scale block.
-    pub group_size: usize,
-    /// Whether tables are mirror-consolidated (pair-packed).
-    pub mirror: bool,
-    /// Re-laid `i8` tables: `blocks × rows × block_bytes` bytes.
-    pub q_tables: Vec<i8>,
-    /// Re-laid offset `u8` tables (same layout; empty unless every source
-    /// row had them).
-    pub u_tables: Vec<u8>,
-    /// Per-scale-block table scales, `[sb][row]`: `blocks × rows`.
-    pub q_scales: Vec<f32>,
-    /// Per-scale-block activation sums, `[sb][row]`: `blocks × rows`.
-    pub asums: Vec<f32>,
-}
-
-/// Copies each row's per-scale-block slices into `[sb][row]` order.
-fn relay_blocks<T: Copy + Default>(rows: &[&[T]], blocks: usize) -> Vec<T> {
-    let bb = rows[0].len() / blocks;
-    let mut out = vec![T::default(); rows.len() * blocks * bb];
-    for (unit, dst) in out.chunks_exact_mut(bb).enumerate() {
-        let (sb, r) = (unit / rows.len(), unit % rows.len());
-        dst.copy_from_slice(&rows[r][sb * bb..(sb + 1) * bb]);
-    }
-    out
-}
-
-impl BatchTables {
-    /// Re-lays a block of per-row tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TmacError::Shape`] if `tables` is empty, any row is not
-    /// quantized, or the rows disagree on `K` / group size / mirror mode /
-    /// offset-table presence.
-    pub fn interleave(tables: &[ActTables]) -> Result<Self, TmacError> {
-        let first = tables
-            .first()
-            .ok_or_else(|| TmacError::Shape("BatchTables needs >= 1 row".into()))?;
-        if !first.quantized {
-            return Err(TmacError::Shape(
-                "BatchTables requires quantized tables".into(),
-            ));
-        }
-        let rows = tables.len();
-        let has_u = !first.u_tables.is_empty();
-        for t in tables {
-            if !t.quantized
-                || t.k != first.k
-                || t.group_size != first.group_size
-                || t.mirror != first.mirror
-                || t.u_tables.is_empty() == has_u
-            {
-                return Err(TmacError::Shape(
-                    "BatchTables rows disagree on table profile".into(),
-                ));
-            }
-        }
-        let blocks = first.q_scales.len();
-        let q_rows: Vec<&[i8]> = tables.iter().map(|t| &t.q_tables[..]).collect();
-        let u_tables = if has_u {
-            let u_rows: Vec<&[u8]> = tables.iter().map(|t| &t.u_tables[..]).collect();
-            relay_blocks(&u_rows, blocks)
-        } else {
-            Vec::new()
-        };
-        let scale_rows: Vec<&[f32]> = tables.iter().map(|t| &t.q_scales[..]).collect();
-        let asum_rows: Vec<&[f32]> = tables.iter().map(|t| &t.asums[..]).collect();
-        Ok(BatchTables {
-            rows,
-            k: first.k,
-            group_size: first.group_size,
-            mirror: first.mirror,
-            q_tables: relay_blocks(&q_rows, blocks),
-            u_tables,
-            q_scales: relay_blocks(&scale_rows, blocks),
-            asums: relay_blocks(&asum_rows, blocks),
-        })
-    }
-
-    /// Number of scale blocks per row.
-    pub fn blocks(&self) -> usize {
-        self.k / self.group_size
-    }
-
-    /// Table bytes of one `(scale block, row)` unit: 16 per k-group, halved
-    /// by mirror pair-packing.
-    pub fn block_bytes(&self) -> usize {
-        let kgb = self.group_size / LUT_GROUP;
-        if self.mirror {
-            kgb / 2 * TABLE_LEN
-        } else {
-            kgb * TABLE_LEN
-        }
-    }
-
-    /// Row `r`'s quantized tables of scale block `sb`
-    /// ([`Self::block_bytes`] bytes, in [`ActTables`] order).
-    #[inline]
-    pub fn block_tables(&self, sb: usize, r: usize) -> &[i8] {
-        let bb = self.block_bytes();
-        &self.q_tables[(sb * self.rows + r) * bb..][..bb]
-    }
-
-    /// The rows' `(table scales, activation sums)` of scale block `sb`.
-    #[inline]
-    pub fn block_scales(&self, sb: usize) -> (&[f32], &[f32]) {
-        let range = sb * self.rows..(sb + 1) * self.rows;
-        (&self.q_scales[range.clone()], &self.asums[range])
-    }
-
-    /// Looks up entry `idx` of k-group `kg` for row `r`, applying the
-    /// mirror fold when consolidated — the batch twin of
-    /// [`ActTables::lookup_q`], against the re-laid layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r`, `kg` or `idx` is out of range.
-    pub fn lookup_q(&self, r: usize, kg: usize, idx: u8) -> i8 {
-        assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.k / LUT_GROUP);
-        let kgb = self.group_size / LUT_GROUP;
-        let block = self.block_tables(kg / kgb, r);
-        let kg_in = kg % kgb;
-        if self.mirror {
-            let (fold, neg) = if idx >= 8 {
-                ((idx ^ 0x0F) as usize, true)
-            } else {
-                (idx as usize, false)
-            };
-            let v = block[kg_in / 2 * TABLE_LEN + (kg_in % 2) * (TABLE_LEN / 2) + fold];
-            if neg {
-                -v
-            } else {
-                v
-            }
-        } else {
-            block[kg_in * TABLE_LEN + idx as usize]
-        }
-    }
-
-    /// Bytes of re-laid table storage.
-    pub fn table_bytes(&self) -> usize {
-        self.q_tables.len() + self.u_tables.len()
     }
 }
 
@@ -447,12 +415,12 @@ mod tests {
     #[test]
     fn f32_tables_lookup() {
         let a = act(64);
-        let t = ActTables::build(&a, 32, &KernelOpts::tm_base()).unwrap();
+        let t = ActTables::build(&a, 1, 32, &KernelOpts::tm_base()).unwrap();
         assert!(!t.quantized);
         for kg in 0..16 {
             for idx in 0..TABLE_LEN as u8 {
                 let want = brute_entry(&a[kg * 4..kg * 4 + 4], idx as usize);
-                assert!((t.lookup_f32(kg, idx) - want).abs() < 1e-5);
+                assert!((t.lookup_f32(0, kg, idx) - want).abs() < 1e-5);
             }
         }
     }
@@ -460,13 +428,13 @@ mod tests {
     #[test]
     fn quantized_error_within_half_step() {
         let a = act(128);
-        let t = ActTables::build(&a, 32, &KernelOpts::plus_table_quant()).unwrap();
+        let t = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
         assert!(t.quantized && !t.mirror);
         for kg in 0..32 {
             let sb = kg / 8;
             for idx in 0..TABLE_LEN as u8 {
                 let want = brute_entry(&a[kg * 4..kg * 4 + 4], idx as usize);
-                let got = t.lookup_f32(kg, idx);
+                let got = t.lookup_f32(0, kg, idx);
                 assert!(
                     (got - want).abs() <= t.q_scales[sb] * 0.5 + 1e-6,
                     "kg={kg} idx={idx}"
@@ -478,8 +446,8 @@ mod tests {
     #[test]
     fn mirror_matches_full_quantized() {
         let a = act(64);
-        let full = ActTables::build(&a, 32, &KernelOpts::plus_table_quant()).unwrap();
-        let mirrored = ActTables::build(&a, 32, &KernelOpts::tmac_mirror()).unwrap();
+        let full = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
+        let mirrored = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
         assert!(mirrored.mirror);
         // Half the storage.
         assert_eq!(mirrored.q_tables.len() * 2, full.q_tables.len());
@@ -488,8 +456,8 @@ mod tests {
                 // Quantization rounds t and -t symmetrically (round-half-away
                 // from zero), so folded lookups match exactly.
                 assert_eq!(
-                    mirrored.lookup_q(kg, idx),
-                    full.lookup_q(kg, idx),
+                    mirrored.lookup_q(0, kg, idx),
+                    full.lookup_q(0, kg, idx),
                     "kg={kg} idx={idx}"
                 );
             }
@@ -499,10 +467,10 @@ mod tests {
     #[test]
     fn mirror_antisymmetry() {
         let a = act(32);
-        let t = ActTables::build(&a, 32, &KernelOpts::tmac_mirror()).unwrap();
+        let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
         for kg in 0..8 {
             for idx in 0..8u8 {
-                assert_eq!(t.lookup_q(kg, idx), -t.lookup_q(kg, 15 - idx));
+                assert_eq!(t.lookup_q(0, kg, idx), -t.lookup_q(0, kg, 15 - idx));
             }
         }
     }
@@ -510,7 +478,7 @@ mod tests {
     #[test]
     fn fa_tables_are_offset() {
         let a = act(32);
-        let t = ActTables::build(&a, 32, &KernelOpts::tmac_fast_aggregation()).unwrap();
+        let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac_fast_aggregation()).unwrap();
         assert_eq!(t.u_tables.len(), t.q_tables.len());
         for (&q, &u) in t.q_tables.iter().zip(&t.u_tables) {
             assert_eq!(u as i32, q as i32 + FA_OFFSET);
@@ -520,7 +488,7 @@ mod tests {
     #[test]
     fn asums_match() {
         let a = act(96);
-        let t = ActTables::build(&a, 32, &KernelOpts::tmac()).unwrap();
+        let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac()).unwrap();
         for sb in 0..3 {
             let want: f32 = a[sb * 32..(sb + 1) * 32].iter().sum();
             assert!((t.asums[sb] - want).abs() < 1e-5);
@@ -530,9 +498,9 @@ mod tests {
     #[test]
     fn storage_shrinks_with_compression() {
         let a = act(128);
-        let f = ActTables::build(&a, 32, &KernelOpts::tm_base()).unwrap();
-        let q = ActTables::build(&a, 32, &KernelOpts::plus_table_quant()).unwrap();
-        let m = ActTables::build(&a, 32, &KernelOpts::tmac_mirror()).unwrap();
+        let f = ActTables::build(&a, 1, 32, &KernelOpts::tm_base()).unwrap();
+        let q = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
+        let m = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
         // f32 -> i8 quarters the width; mirror halves the length: paper
         // Figure 5 ("up to a quarter of its original size" for width+length
         // combined relative to fp16; vs f32 it is 8x).
@@ -540,102 +508,171 @@ mod tests {
         assert_eq!(q.table_bytes(), 2 * m.table_bytes());
     }
 
-    fn row_tables(n: usize, k: usize, opts: &KernelOpts) -> Vec<ActTables> {
-        (0..n)
-            .map(|r| {
-                let a: Vec<f32> = (0..k)
-                    .map(|i| ((i as f32) * 0.37 + r as f32 * 1.9).sin())
-                    .collect();
-                ActTables::build(&a, 32, opts).unwrap()
+    /// Deterministic activations in `[-2, 2)` (xorshift).
+    fn generated(len: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 40) as f32 / (1u64 << 22) as f32 - 2.0
             })
             .collect()
     }
 
-    #[test]
-    fn batch_interleave_preserves_lookups() {
-        for opts in [
-            KernelOpts::tmac(),
+    /// Calls `check(opts, batch, one_row_builds, what)` for generated
+    /// batches: every table profile (the weight bit-width does not enter a
+    /// table) × group size × `rows` in 1..=19, the batch built on one thread
+    /// or fanned out over a pool (more rows than threads, and fewer).
+    fn for_generated_batches(mut check: impl FnMut(&KernelOpts, &ActTables, &[ActTables], &str)) {
+        let pool = ThreadPool::new(3);
+        let profiles = [
+            KernelOpts::tm_base(),
+            KernelOpts::plus_table_quant(),
             KernelOpts::tmac_mirror(),
             KernelOpts::tmac_fast_aggregation(),
-        ] {
-            let rows = row_tables(5, 128, &opts);
-            let batch = BatchTables::interleave(&rows).unwrap();
-            assert_eq!(batch.rows, 5);
-            assert_eq!(batch.mirror, opts.mirror);
-            assert_eq!(
-                batch.table_bytes(),
-                rows.iter().map(|t| t.table_bytes()).sum::<usize>()
-            );
-            for (r, t) in rows.iter().enumerate() {
-                for kg in 0..t.kg_total() {
+        ];
+        for (gi, gs) in [4usize, 12, 32, 64, 128, 256].into_iter().enumerate() {
+            for (pi, opts) in profiles.iter().enumerate() {
+                let kgb = gs / LUT_GROUP;
+                if (opts.mirror && !kgb.is_multiple_of(2))
+                    || (opts.fast_aggregation && !kgb.is_power_of_two())
+                {
+                    assert!(ActTables::build(&generated(gs, 1), 1, gs, opts).is_err());
+                    continue;
+                }
+                for rows in 1..=19usize {
+                    let k = gs * (1 + (rows + gi + pi) % 3);
+                    let acts = generated(rows * k, (rows * 64 + gi * 8 + pi) as u64);
+                    let pool = (rows % 2 == 0).then_some(&pool);
+                    let batch = ActTables::build_on(pool, &acts, rows, gs, opts).unwrap();
+                    assert_eq!(
+                        (batch.rows, batch.k, batch.k / batch.group_size),
+                        (rows, k, k / gs)
+                    );
+                    assert_eq!(batch.mirror, opts.mirror);
+                    assert_eq!(batch.has_offset_tables(), opts.fast_aggregation);
+                    let ones: Vec<ActTables> = acts
+                        .chunks_exact(k)
+                        .map(|act| ActTables::build(act, 1, gs, opts).unwrap())
+                        .collect();
+                    check(
+                        opts,
+                        &batch,
+                        &ones,
+                        &format!("gs={gs} profile={pi} rows={rows}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every lookup, scale and activation sum of a multi-row build is
+    /// bit-for-bit the one-row build's of that row.
+    #[test]
+    fn batch_interleave_preserves_lookups() {
+        for_generated_batches(|_, batch, ones, what| {
+            let bytes: usize = ones.iter().map(|t| t.table_bytes()).sum();
+            assert_eq!(batch.table_bytes(), bytes, "{what}");
+            for (r, one) in ones.iter().enumerate() {
+                for kg in 0..batch.kg_total() {
                     for idx in 0..TABLE_LEN as u8 {
                         assert_eq!(
-                            batch.lookup_q(r, kg, idx),
-                            t.lookup_q(kg, idx),
-                            "r={r} kg={kg} idx={idx}"
+                            batch.lookup_f32(r, kg, idx).to_bits(),
+                            one.lookup_f32(0, kg, idx).to_bits(),
+                            "{what} r={r} kg={kg} idx={idx}"
                         );
                     }
                 }
-                for sb in 0..batch.blocks() {
-                    let (q_scales, asums) = batch.block_scales(sb);
-                    assert_eq!((q_scales[r], asums[r]), (t.q_scales[sb], t.asums[sb]));
+                for sb in 0..batch.k / batch.group_size {
+                    let ((scales, asums), (scale1, asum1)) = (
+                        batch.block_scales(sb, 0..batch.rows),
+                        one.block_scales(sb, 0..1),
+                    );
+                    assert_eq!(
+                        asums[r].to_bits(),
+                        asum1[0].to_bits(),
+                        "{what} r={r} sb={sb}"
+                    );
+                    assert_eq!(
+                        scales[r].to_bits(),
+                        scale1[0].to_bits(),
+                        "{what} r={r} sb={sb}"
+                    );
+                    assert_eq!(
+                        batch.block_scales(sb, r..r + 1),
+                        (&scales[r..=r], &asums[r..=r])
+                    );
                 }
             }
-        }
+        });
     }
 
+    /// The layout contract the kernels stream: per scale block, the rows'
+    /// units of that block are adjacent, in row order, each **bytewise** the
+    /// row's own one-row tables of that block.
     #[test]
     fn batch_rows_contiguous_per_group() {
-        // The layout contract the multi-row kernel streams: per scale block,
-        // the R rows' slices of that block are adjacent, each in the row's
-        // own `ActTables` byte order.
-        for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
-            let rows = row_tables(3, 64, &opts);
-            let batch = BatchTables::interleave(&rows).unwrap();
-            let bb = batch.block_bytes();
-            assert_eq!(bb * batch.blocks(), rows[0].q_tables.len());
-            for sb in 0..batch.blocks() {
-                for (r, row) in rows.iter().enumerate() {
-                    assert_eq!(
-                        batch.block_tables(sb, r),
-                        &batch.q_tables[(sb * 3 + r) * bb..(sb * 3 + r + 1) * bb]
-                    );
-                    assert_eq!(
-                        batch.block_tables(sb, r),
-                        &row.q_tables[sb * bb..(sb + 1) * bb]
-                    );
+        for_generated_batches(|opts, batch, ones, what| {
+            let (rows, kgb) = (batch.rows, batch.group_size / LUT_GROUP);
+            for (r, one) in ones.iter().enumerate() {
+                for sb in 0..batch.k / batch.group_size {
+                    let what = format!("{what} r={r} sb={sb}");
+                    if !opts.table_quant {
+                        let len = kgb * TABLE_LEN;
+                        let at = batch.kg_offset(r, sb * kgb);
+                        assert_eq!(at, (sb * rows + r) * len, "{what}");
+                        assert_eq!(one.kg_offset(0, sb * kgb), sb * len, "{what}");
+                        assert_eq!(
+                            batch.f32_tables[at..at + len],
+                            one.f32_tables[sb * len..(sb + 1) * len],
+                            "{what}"
+                        );
+                        continue;
+                    }
+                    let (unit, len) = (batch.block_tables(sb, r..r + 1), batch.block_len());
+                    assert_eq!(unit, &batch.q_tables[(sb * rows + r) * len..][..len]);
+                    assert_eq!(unit, &one.q_tables[sb * len..][..len], "{what}");
+                    assert_eq!(unit, one.block_tables(sb, 0..1), "{what}");
+                    let pair = if opts.mirror { 2 } else { 1 };
+                    for kgi in 0..kgb {
+                        let at = batch.kg_offset(r, sb * kgb + kgi);
+                        assert_eq!(at, (sb * rows + r) * len + kgi / pair * TABLE_LEN);
+                    }
+                    if opts.fast_aggregation {
+                        assert_eq!(batch.block_tables_u8(sb, r), one.block_tables_u8(sb, 0));
+                        let at = (sb * rows + r) * len;
+                        assert_eq!(batch.block_tables_u8(sb, r), &batch.u_tables[at..at + len]);
+                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn batch_interleave_rejects_mismatches() {
-        assert!(BatchTables::interleave(&[]).is_err());
-        // f32 tables have no interleaved form.
-        let raw = row_tables(2, 64, &KernelOpts::tm_base());
-        assert!(BatchTables::interleave(&raw).is_err());
-        // Mixed profiles are rejected.
-        let mut mixed = row_tables(1, 64, &KernelOpts::tmac());
-        mixed.extend(row_tables(1, 64, &KernelOpts::tmac_mirror()));
-        assert!(BatchTables::interleave(&mixed).is_err());
-        let mut lens = row_tables(1, 64, &KernelOpts::tmac());
-        lens.extend(row_tables(1, 128, &KernelOpts::tmac()));
-        assert!(BatchTables::interleave(&lens).is_err());
-        let mut fa = row_tables(1, 64, &KernelOpts::tmac());
-        fa.extend(row_tables(1, 64, &KernelOpts::tmac_fast_aggregation()));
-        assert!(BatchTables::interleave(&fa).is_err());
+        });
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(ActTables::build(&[], 32, &KernelOpts::tmac()).is_err());
-        assert!(ActTables::build(&act(33), 32, &KernelOpts::tmac()).is_err());
+        assert!(ActTables::build(&[], 1, 32, &KernelOpts::tmac()).is_err());
+        assert!(ActTables::build(&act(33), 1, 32, &KernelOpts::tmac()).is_err());
         let mut o = KernelOpts::tmac();
         o.mirror = true;
-        assert!(ActTables::build(&act(16), 4, &o).is_err()); // gs % 8 != 0
-        let mut a = act(32);
-        a[3] = f32::NAN;
-        assert!(ActTables::build(&a, 32, &KernelOpts::tmac()).is_err());
+        assert!(ActTables::build(&act(16), 1, 4, &o).is_err()); // gs % 8 != 0
+        assert!(ActTables::build(&act(64), 0, 32, &KernelOpts::tmac()).is_err());
+        assert!(ActTables::build(&act(96), 2, 32, &KernelOpts::tmac()).is_err()); // K = 48
+        let fa = KernelOpts::tmac_fast_aggregation();
+        assert!(ActTables::build(&act(48), 1, 24, &fa).is_err()); // 6 k-groups
+                                                                  // A non-finite value in any row fails the whole batch, whichever
+                                                                  // thread builds the row.
+        let pool = ThreadPool::new(2);
+        for bad in [3, 32 + 5, 4 * 32 + 31] {
+            let mut a = act(5 * 32);
+            a[bad] = f32::NAN;
+            for pool in [None, Some(&pool)] {
+                assert!(matches!(
+                    ActTables::build_on(pool, &a, 5, 32, &KernelOpts::tmac()),
+                    Err(TmacError::Numeric(_))
+                ));
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use tmac_baseline::DequantLinear;
 use tmac_core::ExecCtx;
-use tmac_core::{gemv, KernelOpts, WeightPlan};
+use tmac_core::{gemm, KernelOpts, WeightPlan};
 use tmac_eval::{make_act, make_weights, ms, quick, time_best, Table, SHAPES};
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         for (_, opts) in &ladder {
             let plan = WeightPlan::new(&qm, *opts).expect("plan");
             let t = time_best(
-                || gemv::mpgemv(&plan, &act, &mut out, &ctx).expect("gemv"),
+                || gemm::mpgemm(&plan, &act, 1, &mut out, &ctx).expect("gemv"),
                 2,
                 iters,
             );

@@ -278,8 +278,7 @@ impl LinearBackend for TmacBackend {
     }
 
     fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
-        // The cached path IS the hot path: tables_for() + gemv_with_tables.
-        Ok(self.linear.gemv_cached(act, out, ctx)?)
+        self.forward_batch(act, 1, out, ctx)
     }
 
     fn forward_batch(
@@ -289,15 +288,10 @@ impl LinearBackend for TmacBackend {
         out: &mut [f32],
         ctx: &ExecCtx,
     ) -> Result<(), BackendError> {
-        if n == 1 {
-            // A one-row batch IS a decode step: take the gemv path so it
-            // shares the scalar table cache with single-token forwards.
-            Ok(self.linear.gemv_cached(act, out, ctx)?)
-        } else {
-            // mpGEMM through the batched table cache: projections sharing
-            // this activation batch (QKV, gate/up) share the per-row builds.
-            Ok(self.linear.gemm_cached(act, n, out, ctx)?)
-        }
+        // The cached path IS the hot path: projections sharing this
+        // activation batch (QKV, gate/up) share one table build, at any `n`
+        // (`ExecCtx::tables_for` + `TmacLinear::with_tables`).
+        Ok(self.linear.gemm_cached(act, n, out, ctx)?)
     }
 }
 

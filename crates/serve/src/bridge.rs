@@ -918,7 +918,9 @@ mod tests {
             Duration::from_millis(5),
         );
         let (mut sub, rx) = submission(&[3, 4], 10_000);
-        sub.deadline = Some(Instant::now() + Duration::from_millis(30));
+        // Far shorter than 50 tokens take (a fast host decodes them in
+        // ~25 ms in a debug build; the deadline is checked every step).
+        sub.deadline = Some(Instant::now() + Duration::from_millis(5));
         // A 10k-token request can't fit seq_max; use a long-but-legal one.
         sub.max_new = 50;
         h.try_submit(sub).unwrap();

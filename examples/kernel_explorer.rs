@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 use tmac::core::ExecCtx;
-use tmac::core::{gemv, ActTables, KernelOpts, WeightPlan};
+use tmac::core::{gemm, ActTables, KernelOpts, WeightPlan};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -31,13 +31,13 @@ fn main() {
     );
     for (name, opts) in KernelOpts::breakdown_ladder() {
         let plan = WeightPlan::new(&qm, opts).expect("plan");
-        let tables = ActTables::build(&act, 32, &opts).expect("tables");
+        let tables = ActTables::build(&act, 1, 32, &opts).expect("tables");
         // Warm-up + best-of-5.
-        gemv::mpgemv_with_tables(&plan, &tables, &mut out, &ctx).expect("gemv");
+        gemm::mpgemm_with_tables(&plan, &tables, &mut out, &ctx).expect("gemv");
         let mut best = f64::INFINITY;
         for _ in 0..5 {
             let t0 = Instant::now();
-            gemv::mpgemv_with_tables(&plan, &tables, &mut out, &ctx).expect("gemv");
+            gemm::mpgemm_with_tables(&plan, &tables, &mut out, &ctx).expect("gemv");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         println!(

@@ -9,12 +9,13 @@
 //! * mirror consolidation's sign identity;
 //! * table quantization error is bounded by half a step;
 //! * the whole GEMV is linear in the activations;
-//! * `gemv` == `gemv_with_tables` == `gemv_cached` **bit-exactly**, for all
+//! * `gemv` == `with_tables` == `gemv_cached` **bit-exactly**, for all
 //!   bit-widths and odd shapes (the ExecCtx table-reuse contract);
 //! * the paired (`interleave`) stream is a faithful re-ordering: over
-//!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows, its
-//!   `mpgemv` and the sequential stream's `mpgemv` agree **bit-exactly**,
-//!   including worst-case saturated tables;
+//!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows (from
+//!   fresh, context-cached and caller-held tables), its one-row `mpgemm`
+//!   and the sequential stream's agree **bit-exactly**, including
+//!   worst-case saturated tables;
 //! * thread-pool chunking partitions exactly.
 
 use tmac::core::kernel::scalar::gemv_reference;
@@ -136,16 +137,16 @@ fn table_quantization_bounded() {
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x400 + case);
         let acts = arb_acts(&mut rng, 64, -2.0, 2.0);
-        let full = ActTables::build(&acts, 32, &KernelOpts::plus_table_quant()).unwrap();
+        let full = ActTables::build(&acts, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
         for kg in 0..16 {
             let mut a = [0f32; 4];
             a.copy_from_slice(&acts[kg * 4..kg * 4 + 4]);
             let raw = raw_table(&a);
             let sb = kg / 8;
             for (i, &r) in raw.iter().enumerate() {
-                let q = full.lookup_f32(kg, i as u8);
+                let q = full.lookup_f32(0, kg, i as u8);
                 assert!(
-                    (q - r).abs() <= full.q_scales[sb] * 0.5 + 1e-6,
+                    (q - r).abs() <= full.block_scales(sb, 0..1).0[0] * 0.5 + 1e-6,
                     "case {case} kg={kg} i={i} raw={r} quant={q}"
                 );
             }
@@ -197,7 +198,7 @@ fn kernel_correct_on_arbitrary_codes() {
 }
 
 /// The ExecCtx table-reuse contract: `gemv` (fresh tables per call),
-/// `gemv_with_tables` (caller-held tables) and `gemv_cached` (context-cached
+/// `with_tables` (caller-held tables) and `gemv_cached` (context-cached
 /// tables) are **bit-exact** equal — for every bit-width and for odd,
 /// non-tile-aligned shapes.
 #[test]
@@ -216,7 +217,7 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 
             let tables = tl.tables(&a).unwrap();
             let mut held = vec![0f32; m];
-            tl.gemv_with_tables(&tables, &mut held, &ctx).unwrap();
+            tl.with_tables(&tables, &mut held, &ctx).unwrap();
 
             ctx.next_activation();
             let mut cached = vec![0f32; m];
@@ -255,9 +256,10 @@ fn paired_presets(gs: usize, k: usize) -> Vec<(&'static str, KernelOpts)> {
     presets
 }
 
-/// `mpgemm` row `i`, `mpgemv` of row `i`, and `mpgemv` through the same
-/// matrix planned with `interleave = false` (the sequential stream and its
-/// untouched kernel), all bit-for-bit equal.
+/// `mpgemm` row `i` (`gemm` ≡ `gemm_cached` ≡ `with_tables`), the GEMV of
+/// row `i`, and the GEMV through the same matrix planned with
+/// `interleave = false` (the sequential stream and its untouched kernel),
+/// all bit-for-bit equal.
 fn assert_paired_equals_sequential(
     qm: &QuantizedMatrix,
     opts: KernelOpts,
@@ -278,6 +280,16 @@ fn assert_paired_equals_sequential(
     .unwrap();
     let mut gemm = vec![0f32; n * m];
     paired.gemm(acts, n, &mut gemm, ctx).unwrap();
+    // Fresh tables, context-cached tables and caller-held tables: one
+    // driver, the same bits.
+    ctx.next_activation();
+    let mut cached = vec![0f32; n * m];
+    paired.gemm_cached(acts, n, &mut cached, ctx).unwrap();
+    assert_eq!(gemm, cached, "{what}: gemm_cached");
+    let tables = ActTables::build(acts, n, qm.group_size, &opts).unwrap();
+    let mut held = vec![0f32; n * m];
+    paired.with_tables(&tables, &mut held, ctx).unwrap();
+    assert_eq!(gemm, held, "{what}: with_tables");
     for i in 0..n {
         let act = &acts[i * k..(i + 1) * k];
         let mut gemv = vec![0f32; m];
@@ -386,7 +398,7 @@ fn paired_stream_survives_saturated_tables() {
                         .unwrap()
                         .tables(&acts[..k])
                         .unwrap();
-                    assert_eq!(tables.lookup_q(0, 15), (sign * 127.0) as i8);
+                    assert_eq!(tables.lookup_q(0, 0, 15), (sign * 127.0) as i8);
                     let what = format!("{name} bits={bits} gs={gs} sign={sign}");
                     assert_paired_equals_sequential(&qm, opts, &acts, n, &ctx, &what);
                     // And the value itself (exact aggregation): each row is
