@@ -44,7 +44,6 @@
 //! [`TmacLinear::gemm`]: one driver ([`gemm`]) and one table type
 //! ([`ActTables`]) serve every row count.
 
-pub mod cost;
 pub mod exec;
 pub mod failpoint;
 pub mod gemm;
@@ -160,7 +159,7 @@ impl TmacLinear {
         self.plan.bits
     }
 
-    /// The underlying plan (cost analysis, diagnostics).
+    /// The underlying plan (shape queries, diagnostics).
     pub fn plan(&self) -> &WeightPlan {
         &self.plan
     }
@@ -248,17 +247,6 @@ impl TmacLinear {
         ctx: &ExecCtx,
     ) -> Result<(), TmacError> {
         gemm::mpgemm_with_tables(&self.plan, tables, out, ctx)
-    }
-
-    /// Analytical cost of one GEMV through this layer.
-    pub fn gemv_cost(&self) -> cost::KernelCost {
-        cost::tmac_gemv_cost(
-            self.plan.m,
-            self.plan.k,
-            self.plan.bits,
-            self.plan.group_size,
-            &self.plan.opts,
-        )
     }
 }
 

@@ -113,7 +113,7 @@ impl KernelOpts {
     /// Mirror consolidation is *off* in this preset: on AVX2 the per-lookup
     /// sign reconstruction costs more than the halved table loads save
     /// (mirror pays off on 128-bit NEON, where table registers are the
-    /// scarce resource — see the `ablations` bench). Use [`Self::tmac_mirror`]
+    /// scarce resource — see `fig10_breakdown`). Use [`Self::tmac_mirror`]
     /// for the fully-consolidated variant.
     pub fn tmac() -> Self {
         KernelOpts {

@@ -4,35 +4,30 @@
 //! Full checkpoints do not fit the host, so each model runs as a *scaled*
 //! configuration (identical per-layer shapes, `--layers` layers, reduced
 //! vocabulary) and per-token time extrapolates by layer count (decode is
-//! layer-dominated weight streaming; see DESIGN.md). Cross-device series for
-//! the paper's four devices come from the calibrated roofline models.
+//! layer-dominated weight streaming; see DESIGN.md).
 //!
 //! Usage: `fig8_e2e [--layers 2] [--tokens 16] [--threads 1|max]`
 
 use tmac_core::ExecCtx;
-use tmac_devices::{profiles, project};
 use tmac_eval::Table;
 use tmac_llm::{BackendKind, Engine, Model, ModelConfig, WeightQuant};
 
-fn model_trio() -> Vec<(&'static str, ModelConfig, WeightQuant, project::ModelShape)> {
+fn model_trio() -> Vec<(&'static str, ModelConfig, WeightQuant)> {
     vec![
         (
             "M1 Llama-2-7B-4bit",
             ModelConfig::llama2_7b(),
             WeightQuant::Rtn(4),
-            project::LLAMA2_7B,
         ),
         (
             "M2 Llama-2-7B-2bit",
             ModelConfig::llama2_7b(),
             WeightQuant::Rtn(2),
-            project::LLAMA2_7B,
         ),
         (
             "M3 BitNet-3B (ternary as 2-bit)",
             ModelConfig::bitnet_3b(),
             WeightQuant::BitnetTernary,
-            project::BITNET_3B,
         ),
     ]
 }
@@ -49,7 +44,6 @@ fn main() {
         threads_arg.parse().expect("--threads")
     };
     let ctx = ExecCtx::new(threads);
-    let (cal_tmac, cal_dequant) = tmac_eval::calibrate(&ctx);
 
     let mut table = Table::new(&[
         "model",
@@ -57,16 +51,7 @@ fn main() {
         "tokens/s (measured, extrapolated)",
         "speedup",
     ]);
-    let mut device_table = Table::new(&[
-        "model",
-        "framework",
-        "M2-Ultra",
-        "Surface Book 3",
-        "AGX Orin",
-        "Raspberry Pi 5",
-    ]);
-
-    for (label, cfg, quant, shape) in model_trio() {
+    for (label, cfg, quant) in model_trio() {
         let scaled = cfg.scaled(layers, 2048, 128.max(tokens + 4));
         let mut rates = Vec::new();
         for kind in [
@@ -89,35 +74,6 @@ fn main() {
                 },
             ]);
         }
-        // Device projections.
-        let bits = quant.bits();
-        for (fw, cost, cal, intensity) in [
-            (
-                "llama.cpp",
-                shape.dequant_cost(bits),
-                cal_dequant,
-                tmac_devices::energy::intensity::DEQUANT,
-            ),
-            (
-                "T-MAC",
-                shape.tmac_cost(bits, &tmac_core::KernelOpts::tmac()),
-                cal_tmac,
-                tmac_devices::energy::intensity::TMAC,
-            ),
-        ] {
-            let _ = intensity;
-            let mut cells = vec![label.into(), fw.into()];
-            for dev in [
-                &profiles::M2_ULTRA,
-                &profiles::SURFACE_BOOK3,
-                &profiles::JETSON_AGX_ORIN,
-                &profiles::RASPBERRY_PI5,
-            ] {
-                let tps = project::cpu_tokens_per_sec(dev, &cost, dev.cores, cal, 0.25);
-                cells.push(format!("{tps:.1}"));
-            }
-            device_table.row(cells);
-        }
     }
 
     println!(
@@ -125,8 +81,6 @@ fn main() {
          models extrapolated to full depth\n"
     );
     table.emit(&format!("fig8_e2e_t{threads}"));
-    println!("Projected tokens/s on the paper's devices (calibrated rooflines):\n");
-    device_table.emit("fig8_e2e_devices");
     println!(
         "Paper reference: T-MAC reaches 71 tok/s (BitNet-3B, M2-Ultra, 8 cores) and\n\
          11 tok/s on Raspberry Pi 5; single-thread speedups 2.8x/6.7x/5.8x on RBP5,\n\

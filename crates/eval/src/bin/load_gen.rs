@@ -1,4 +1,4 @@
-//! `load_gen` — open-loop load generator and serving perf gate.
+//! `load_gen` — open-loop load generator and serving gate.
 //!
 //! Two phases against a `tmac-serve` instance (in-process over a tiny
 //! synthetic model by default, or an external `--addr`):
@@ -9,7 +9,7 @@
 //!    persistent keep-alive connection (streaming responses are SSE and
 //!    close-delimited, so those open their own connection). Requests mix
 //!    SSE streaming and plain JSON; `--temperature`/`--seed` add sampled
-//!    decoding (default stays greedy so perf gates are comparable).
+//!    decoding (default stays greedy so runs are comparable).
 //!    Reports client-side p50/p99 latency, streaming TTFT, goodput
 //!    (completed tokens/sec of wall time), and shed (429) counts.
 //! 2. **Saturation ratio** (in-process only) — all `--streams` requests at
@@ -27,11 +27,8 @@
 //! `Retry-After` hint; the summary reports total retries alongside the
 //! requests still shed after them.
 //!
-//! With `TMAC_PERF_OUT=path.json` the metrics merge into the shared CI
-//! perf file gated by `perf_check` (`min_served_vs_direct`,
-//! `min_served_goodput_tok_s`). `--assert` additionally exits non-zero on
-//! any 5xx, wedged request, or zero goodput. `--quick` shrinks everything
-//! for CI.
+//! `--assert` exits non-zero on any 5xx, wedged request, or zero goodput.
+//! `--quick` shrinks everything for CI.
 //!
 //! **Shared-prefix mode** (`--shared-prefix`): instead of the perf phases,
 //! replay tenants that reuse one long common system prompt through the
@@ -502,7 +499,7 @@ fn main() {
     }
 
     // Optional sampling knobs: with `--temperature 0` (the default) the
-    // bodies carry no sampling fields, so the perf gate keeps measuring
+    // bodies carry no sampling fields, so phase 2 keeps measuring
     // exactly the greedy path that `served_vs_direct` compares against.
     // Each request gets its own derived seed for reproducible variety.
     let sampling_for = move |idx: usize| {
@@ -709,22 +706,6 @@ fn main() {
         cfg.name, cfg.n_layers, requests, tenants, burst, threads
     );
     table.emit("load_gen");
-
-    if let Ok(path) = std::env::var("TMAC_PERF_OUT") {
-        let mut metrics: Vec<(&str, f64)> = vec![
-            ("served_goodput_tok_s", goodput),
-            ("served_p50_ms", percentile_ms(&lat, 0.50)),
-            ("served_p99_ms", percentile_ms(&lat, 0.99)),
-            ("served_ttft_p50_ms", percentile_ms(&ttfts, 0.50)),
-            ("served_ttft_p99_ms", percentile_ms(&ttfts, 0.99)),
-            ("served_shed", shed as f64),
-        ];
-        if served_vs_direct.is_finite() {
-            metrics.push(("served_vs_direct", served_vs_direct));
-        }
-        tmac_bench::write_perf_out(&path, &metrics);
-        println!("wrote perf metrics to {path}");
-    }
 
     if let Some(server) = server {
         server.shutdown();

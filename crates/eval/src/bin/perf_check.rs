@@ -1,24 +1,16 @@
-//! CI perf gate: compares a measured-metrics JSON (written by the bench
-//! harness, e.g. `benches/batched_decode.rs` under `TMAC_PERF_OUT`) against
-//! checked-in thresholds and exits non-zero on regression.
+//! CI threshold gate: compares a measured-metrics JSON (merge-written by
+//! `quality_gate` under `TMAC_PERF_OUT`) against the checked-in
+//! `results/quality_thresholds.json` and exits non-zero on a violation.
 //!
-//! Thresholds are *ratios*, not absolute times, so shared-runner noise does
-//! not flake the gate: each `min_<metric>` / `max_<metric>` key in the
-//! thresholds file is checked against `<metric>` in the measured file.
-//! Checked-in values carry ~2x slack below locally measured speedups (e.g.
-//! `min_speedup_b16 = 0.55` against a measured ~1.1x) — the gate catches
-//! collapse regressions such as batched serving dropping to half of
-//! sequential throughput, not percent-level drift. The `min_*_tok_s = 1.0`
-//! entries are deliberate liveness floors (the bench really produced
-//! tokens), not tracked performance numbers; keep real perf tracking on
-//! ratio metrics only.
+//! Each `min_<metric>` / `max_<metric>` key in the thresholds file is
+//! checked against `<metric>` in the measured file; a metric missing from
+//! the measured file fails. Speed is not gated here: every performance
+//! number comes from `benchmark/`.
 //!
 //! Usage: `perf_check <measured.json> <thresholds.json>`
 
 use std::process::ExitCode;
-// The flat-JSON codec lives in `tmac_bench` so the merge-writer
-// (`write_perf_out`) and this gate share one definition of the format.
-use tmac_bench::parse_flat_json;
+use tmac_eval::parse_flat_json;
 
 fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;

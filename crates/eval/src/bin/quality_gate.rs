@@ -3,8 +3,8 @@
 //! `Model::forward_batch` — the same code path the serving scheduler uses,
 //! so the gate measures the quality of what actually gets served.
 //!
-//! Metrics are merge-written into `TMAC_PERF_OUT` (same flat-JSON file the
-//! bench harness uses) so CI can gate them with
+//! Metrics are merge-written into the flat-JSON file `TMAC_PERF_OUT` names
+//! so CI can gate them with
 //! `perf_check <measured.json> results/quality_thresholds.json`:
 //!
 //! - `quality_ppl_ratio`     — T-MAC perplexity / reference perplexity
@@ -95,7 +95,7 @@ fn main() {
     println!("  ppl ratio : {ppl_ratio:.4}");
 
     if let Ok(path) = std::env::var("TMAC_PERF_OUT") {
-        tmac_bench::write_perf_out(
+        tmac_eval::write_perf_out(
             &path,
             &[
                 ("quality_ppl_ratio", ppl_ratio),

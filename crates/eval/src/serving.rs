@@ -1,10 +1,10 @@
 //! Shared serving-throughput measurement: the workload generator and the
-//! sequential/batched timing loops used by the `batched_decode` bench.
+//! Scheduler-direct timing loop `load_gen` compares the served path against.
 
 use std::time::Instant;
 use tmac_core::ExecCtx;
 use tmac_llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
-use tmac_llm::{Engine, Model};
+use tmac_llm::Model;
 
 /// One serving scenario: `streams` requests of `prompt_len + n_new` tokens.
 #[derive(Debug, Clone, Copy)]
@@ -33,28 +33,6 @@ impl ServeWorkload {
     pub fn total_new(&self) -> usize {
         self.streams * self.n_new
     }
-}
-
-/// Aggregate generated-tokens/sec of `streams` sequential single-stream
-/// decodes (one at a time, each token-by-token after its prefill).
-///
-/// # Panics
-///
-/// Panics on model failures (bench context).
-pub fn sequential_tok_s(model: &Model, w: &ServeWorkload, ctx: &ExecCtx) -> f64 {
-    let mut engine = Engine::new(model.clone());
-    let prompts = w.prompts(model.cfg.vocab);
-    // Warm-up: one stream.
-    engine
-        .generate(&SubmitRequest::greedy(&prompts[0], w.n_new), ctx)
-        .expect("warmup");
-    let t0 = Instant::now();
-    for p in &prompts {
-        engine
-            .generate(&SubmitRequest::greedy(p, w.n_new), ctx)
-            .expect("generate");
-    }
-    w.total_new() as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// Aggregate generated-tokens/sec of the scheduler serving all requests at
@@ -127,7 +105,6 @@ mod tests {
         )
         .unwrap();
         let ctx = ExecCtx::new(1);
-        assert!(sequential_tok_s(&model, &w, &ctx) > 0.0);
         assert!(batched_tok_s(&model, &w, 2, &ctx) > 0.0);
     }
 }

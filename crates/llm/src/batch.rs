@@ -230,7 +230,7 @@ struct Sequence {
     admitted_at: Option<Instant>,
     prefill_done_at: Option<Instant>,
     /// `queued_at` as a trace timestamp (for the retroactive queue-wait
-    /// span recorded at admission; 0 when tracing is compiled out).
+    /// span recorded at admission).
     queued_ns: u64,
     /// Prompt positions attached from the radix index at admission.
     prefix_hit_positions: u64,

@@ -168,8 +168,7 @@ pub(crate) fn handle_request(shared: &Shared, req: &Request, waker: WakeFn) -> O
         }
         ("GET", "/debug/trace") => {
             // The in-memory span rings as a Chrome Trace Event Format
-            // document (Perfetto-loadable). Valid-but-empty when the
-            // `trace` feature is compiled out.
+            // document (Perfetto-loadable).
             m.req_other.inc();
             Outcome::Respond(Response::json_raw(200, tmac_trace::chrome_trace_json()))
         }

@@ -14,12 +14,11 @@
 //!    "Fast 8-bit aggregation").
 //!
 //! This crate provides those primitives plus the generic `f32`/`i8` vector
-//! helpers used by the rest of the workspace, with three backends:
+//! helpers used by the rest of the workspace, with two backends:
 //!
 //! * [`scalar`] — portable reference implementations. Always available; also
 //!   the oracle for the SIMD backends' unit tests.
 //! * `avx2` — x86-64 AVX2 implementations (runtime-detected).
-//! * `neon` — AArch64 NEON implementations (compiled only on aarch64).
 //!
 //! # Safety policy
 //!
@@ -47,9 +46,6 @@ pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
-
-#[cfg(target_arch = "aarch64")]
-pub mod neon;
 
 /// Instruction-set architecture selected at runtime.
 ///

@@ -1,27 +1,27 @@
 //! `tmac-trace` — always-on observability primitives for the serving stack.
 //!
-//! Two halves, deliberately decoupled:
+//! Two halves, both compiled into every build:
 //!
 //! * [`Histogram`] — a fixed-bucket, atomic latency histogram (Prometheus
-//!   cumulative-`le` exposition plus sum/count/max). **Always compiled**:
-//!   the serving layer's `/metrics` histograms and per-request timing
-//!   breakdowns exist in every build.
+//!   cumulative-`le` exposition plus sum/count/max), behind the serving
+//!   layer's `/metrics` histograms and per-request timing breakdowns.
 //! * The span/event recorder ([`span`], [`instant`], [`complete`],
 //!   [`chrome_trace_json`]) — per-thread fixed-capacity ring buffers of
 //!   timestamped events, exported as Chrome Trace Event Format JSON that
-//!   Perfetto / `chrome://tracing` loads directly. **Feature-gated**:
-//!   without the `trace` cargo feature every entry point is an
-//!   `#[inline(always)]` no-op that folds away, so the hot paths carry no
-//!   registry, no lock, and no timestamp reads (the same idiom as
-//!   `tmac_core::failpoint`). With the feature on there is no runtime
-//!   toggle — recording is always on and costs two monotonic timestamp
-//!   reads plus one ring store per span, with no steady-state allocation.
+//!   Perfetto / `chrome://tracing` loads directly. There is no feature and
+//!   no runtime toggle: a span costs two monotonic timestamp reads and one
+//!   push under its ring's own (uncontended) mutex, with no steady-state
+//!   allocation. A B = 1 decode step records about 30 events.
 //!
 //! ## Ring layout
 //!
-//! Each thread lazily registers one ring (capacity from
-//! `TMAC_TRACE_EVENTS`, default 16384 events) in a process-global registry
-//! the first time it records. Events are 6 machine words
+//! Each thread lazily takes one ring (capacity from `TMAC_TRACE_EVENTS`,
+//! default 16384 events) from a process-global registry the first time it
+//! records: a ring whose previous owner has exited is adopted (its events
+//! stay until overwritten, its label becomes the new thread's name),
+//! otherwise a new one is registered — so the registry is bounded by the
+//! peak number of concurrently recording threads, not by how many threads
+//! ever lived. Events are 6 machine words
 //! (`start_ns`, `dur_ns`, two `&'static str` tags, `id`, `arg`); when the
 //! ring is full the oldest event is overwritten, so a long-running server
 //! always holds the *most recent* window of activity. Timestamps are
@@ -39,9 +39,11 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Histograms (always compiled)
+// Histograms
 // ---------------------------------------------------------------------------
 
 /// Bucket upper bounds (seconds) for request-scale latencies: TTFT,
@@ -159,168 +161,126 @@ impl Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Span recorder: no-op stubs (feature off)
+// Span recorder
 // ---------------------------------------------------------------------------
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    /// Recording is compiled out: a zero-sized guard with no `Drop`.
-    #[must_use = "a span measures the scope it is bound to"]
-    pub struct SpanGuard;
+/// `dur_ns` sentinel marking an instant event.
+const INSTANT_DUR: u64 = u64::MAX;
 
-    /// Recording is compiled out: returns the zero-sized guard.
-    #[inline(always)]
-    pub fn span(_cat: &'static str, _name: &'static str, _id: u64, _arg: u64) -> SpanGuard {
-        SpanGuard
-    }
-
-    /// Recording is compiled out: does nothing.
-    #[inline(always)]
-    pub fn instant(_cat: &'static str, _name: &'static str, _id: u64, _arg: u64) {}
-
-    /// Recording is compiled out: does nothing.
-    #[inline(always)]
-    pub fn complete(
-        _cat: &'static str,
-        _name: &'static str,
-        _id: u64,
-        _arg: u64,
-        _start_ns: u64,
-        _end_ns: u64,
-    ) {
-    }
-
-    /// Recording is compiled out: always 0.
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    /// Recording is compiled out: a valid, empty Chrome-trace document.
-    #[inline(always)]
-    pub fn chrome_trace_json() -> String {
-        "{\"traceEvents\":[]}".to_string()
-    }
-
-    /// Recording is compiled out: does nothing.
-    #[inline(always)]
-    pub fn reset() {}
+/// One recorded event (a completed span or an instant).
+#[derive(Debug, Clone, Copy)]
+pub struct Event {
+    /// Nanoseconds since the process trace epoch.
+    pub start_ns: u64,
+    /// Span duration in nanoseconds; `u64::MAX` marks an instant.
+    pub dur_ns: u64,
+    /// Coarse subsystem tag (`"sched"`, `"gemm"`, ...).
+    pub cat: &'static str,
+    /// Site name within the category.
+    pub name: &'static str,
+    /// Free identifier: sequence id, layer index, panel index, ...
+    pub id: u64,
+    /// Free argument: batch size, matched positions, byte count, ...
+    pub arg: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Span recorder: real implementation (feature on)
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "trace")]
-mod imp {
-    use std::sync::{Arc, Mutex, OnceLock};
-    use std::time::Instant;
-
-    /// `dur_ns` sentinel marking an instant event.
-    const INSTANT_DUR: u64 = u64::MAX;
-
-    /// One recorded event (a completed span or an instant).
-    #[derive(Debug, Clone, Copy)]
-    pub struct Event {
-        /// Nanoseconds since the process trace epoch.
-        pub start_ns: u64,
-        /// Span duration in nanoseconds; `u64::MAX` marks an instant.
-        pub dur_ns: u64,
-        /// Coarse subsystem tag (`"sched"`, `"gemm"`, ...).
-        pub cat: &'static str,
-        /// Site name within the category.
-        pub name: &'static str,
-        /// Free identifier: sequence id, layer index, panel index, ...
-        pub id: u64,
-        /// Free argument: batch size, matched positions, byte count, ...
-        pub arg: u64,
+impl Event {
+    /// Whether this event is an instant (no duration).
+    pub fn is_instant(&self) -> bool {
+        self.dur_ns == INSTANT_DUR
     }
+}
 
-    impl Event {
-        /// Whether this event is an instant (no duration).
-        pub fn is_instant(&self) -> bool {
-            self.dur_ns == INSTANT_DUR
+struct RingBuf {
+    /// Name of the thread that owns (or last owned) this ring.
+    label: String,
+    events: Vec<Event>,
+    /// Oldest index once the ring has wrapped (next overwrite target).
+    head: usize,
+    /// Events ever recorded on this ring (monotonic).
+    total: u64,
+    cap: usize,
+}
+
+impl RingBuf {
+    fn push(&mut self, ev: Event) {
+        self.total += 1;
+        if self.events.len() < self.cap {
+            self.events.push(ev);
+        } else {
+            self.events[self.head] = ev;
+            self.head = (self.head + 1) % self.cap;
         }
     }
 
-    struct RingBuf {
-        events: Vec<Event>,
-        /// Oldest index once the ring has wrapped (next overwrite target).
-        head: usize,
-        /// Events ever recorded on this ring (monotonic).
-        total: u64,
-        cap: usize,
+    /// Events oldest-first.
+    fn ordered(&self) -> Vec<Event> {
+        let mut out = Vec::with_capacity(self.events.len());
+        out.extend_from_slice(&self.events[self.head..]);
+        out.extend_from_slice(&self.events[..self.head]);
+        out
     }
+}
 
-    impl RingBuf {
-        fn push(&mut self, ev: Event) {
-            self.total += 1;
-            if self.events.len() < self.cap {
-                self.events.push(ev);
-            } else {
-                self.events[self.head] = ev;
-                self.head = (self.head + 1) % self.cap;
-            }
-        }
+struct Ring {
+    tid: u64,
+    buf: Mutex<RingBuf>,
+}
 
-        /// Events oldest-first.
-        fn ordered(&self) -> Vec<Event> {
-            let mut out = Vec::with_capacity(self.events.len());
-            out.extend_from_slice(&self.events[self.head..]);
-            out.extend_from_slice(&self.events[..self.head]);
-            out
-        }
-    }
+/// Everything recorded on one ring, oldest event first.
+#[derive(Debug)]
+pub struct ThreadSnapshot {
+    /// Stable small integer assigned when the ring was created.
+    pub tid: u64,
+    /// Name of the thread that owns (or last owned) the ring.
+    pub label: String,
+    /// Events still held by the ring, oldest first.
+    pub events: Vec<Event>,
+    /// Events ever recorded (`> events.len()` once the ring wrapped).
+    pub total: u64,
+}
 
-    struct Ring {
-        tid: u64,
-        label: String,
-        buf: Mutex<RingBuf>,
-    }
+/// Every ring ever created. The only `Arc` clones outside this list are
+/// the owning threads' `RING` slots, and they are taken under this lock —
+/// so a strong count of 1, read under the lock, means the owner exited.
+fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
+    static REG: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
+    REG.get_or_init(|| Mutex::new(Vec::new()))
+}
 
-    /// Everything one thread recorded, oldest event first.
-    #[derive(Debug)]
-    pub struct ThreadSnapshot {
-        /// Stable small integer assigned at ring registration.
-        pub tid: u64,
-        /// The thread's name at registration time.
-        pub label: String,
-        /// Events still held by the ring, oldest first.
-        pub events: Vec<Event>,
-        /// Events ever recorded (`> events.len()` once the ring wrapped).
-        pub total: u64,
-    }
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
 
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static REG: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        REG.get_or_init(|| Mutex::new(Vec::new()))
-    }
+/// Per-thread ring capacity: `TMAC_TRACE_EVENTS`, default 16384.
+fn ring_capacity() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| {
+        std::env::var("TMAC_TRACE_EVENTS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(16384)
+            .max(8)
+    })
+}
 
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    /// Per-thread ring capacity: `TMAC_TRACE_EVENTS`, default 16384.
-    fn ring_capacity() -> usize {
-        static CAP: OnceLock<usize> = OnceLock::new();
-        *CAP.get_or_init(|| {
-            std::env::var("TMAC_TRACE_EVENTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(16384)
-                .max(8)
-        })
-    }
-
-    thread_local! {
-        static RING: Arc<Ring> = {
-            let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
+thread_local! {
+    static RING: Arc<Ring> = {
+        let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
+        let label = std::thread::current().name().unwrap_or("worker").to_string();
+        // Adopt a ring whose thread has exited before allocating another:
+        // a thread-per-connection server would otherwise grow the registry
+        // by one ring per connection forever.
+        if let Some(ring) = reg.iter().find(|r| Arc::strong_count(r) == 1) {
+            ring.buf.lock().unwrap_or_else(|p| p.into_inner()).label = label;
+            Arc::clone(ring)
+        } else {
             let cap = ring_capacity();
             let ring = Arc::new(Ring {
                 tid: reg.len() as u64 + 1,
-                label: std::thread::current().name().unwrap_or("worker").to_string(),
                 buf: Mutex::new(RingBuf {
+                    label,
                     events: Vec::with_capacity(cap),
                     head: 0,
                     total: 0,
@@ -329,186 +289,183 @@ mod imp {
             });
             reg.push(Arc::clone(&ring));
             ring
-        };
-    }
-
-    fn record(ev: Event) {
-        // `try_with`: a drop running during thread teardown must not panic.
-        let _ = RING.try_with(|r| {
-            r.buf.lock().unwrap_or_else(|p| p.into_inner()).push(ev);
-        });
-    }
-
-    /// Nanoseconds since the process trace epoch (monotonic, shared by
-    /// every thread, so cross-thread spans line up on one timeline).
-    pub fn now_ns() -> u64 {
-        epoch().elapsed().as_nanos() as u64
-    }
-
-    /// RAII span: records one complete event covering its lifetime when
-    /// dropped.
-    #[must_use = "a span measures the scope it is bound to"]
-    pub struct SpanGuard {
-        cat: &'static str,
-        name: &'static str,
-        id: u64,
-        arg: u64,
-        start_ns: u64,
-    }
-
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            record(Event {
-                start_ns: self.start_ns,
-                dur_ns: now_ns().saturating_sub(self.start_ns),
-                cat: self.cat,
-                name: self.name,
-                id: self.id,
-                arg: self.arg,
-            });
         }
-    }
+    };
+}
 
-    /// Opens a span on the current thread; the returned guard records it
-    /// when dropped. `id`/`arg` are free tags (see [`Event`]).
-    pub fn span(cat: &'static str, name: &'static str, id: u64, arg: u64) -> SpanGuard {
-        SpanGuard {
-            cat,
-            name,
-            id,
-            arg,
-            start_ns: now_ns(),
-        }
-    }
+fn record(ev: Event) {
+    // `try_with`: a drop running during thread teardown must not panic.
+    let _ = RING.try_with(|r| {
+        r.buf.lock().unwrap_or_else(|p| p.into_inner()).push(ev);
+    });
+}
 
-    /// Records an instant event (a point in time, no duration).
-    pub fn instant(cat: &'static str, name: &'static str, id: u64, arg: u64) {
+/// Nanoseconds since the process trace epoch (monotonic, shared by
+/// every thread, so cross-thread spans line up on one timeline).
+pub fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos() as u64
+}
+
+/// RAII span: records one complete event covering its lifetime when
+/// dropped.
+#[must_use = "a span measures the scope it is bound to"]
+pub struct SpanGuard {
+    cat: &'static str,
+    name: &'static str,
+    id: u64,
+    arg: u64,
+    start_ns: u64,
+}
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
         record(Event {
-            start_ns: now_ns(),
-            dur_ns: INSTANT_DUR,
-            cat,
-            name,
-            id,
-            arg,
+            start_ns: self.start_ns,
+            dur_ns: now_ns().saturating_sub(self.start_ns),
+            cat: self.cat,
+            name: self.name,
+            id: self.id,
+            arg: self.arg,
         });
-    }
-
-    /// Records a complete span retroactively from explicit timestamps
-    /// (both from [`now_ns`]) — for durations whose start lives on another
-    /// thread or in non-`'static` state, like a request's queue wait.
-    pub fn complete(
-        cat: &'static str,
-        name: &'static str,
-        id: u64,
-        arg: u64,
-        start_ns: u64,
-        end_ns: u64,
-    ) {
-        record(Event {
-            start_ns,
-            dur_ns: end_ns.saturating_sub(start_ns),
-            cat,
-            name,
-            id,
-            arg,
-        });
-    }
-
-    /// Non-destructive snapshot of every thread's ring, oldest first.
-    pub fn snapshot() -> Vec<ThreadSnapshot> {
-        let rings: Vec<Arc<Ring>> = registry().lock().unwrap_or_else(|p| p.into_inner()).clone();
-        rings
-            .iter()
-            .map(|r| {
-                let buf = r.buf.lock().unwrap_or_else(|p| p.into_inner());
-                ThreadSnapshot {
-                    tid: r.tid,
-                    label: r.label.clone(),
-                    events: buf.ordered(),
-                    total: buf.total,
-                }
-            })
-            .collect()
-    }
-
-    /// Clears every ring (registrations survive). Tests use this to
-    /// isolate assertions; a server never needs it.
-    pub fn reset() {
-        for r in registry().lock().unwrap_or_else(|p| p.into_inner()).iter() {
-            let mut buf = r.buf.lock().unwrap_or_else(|p| p.into_inner());
-            buf.events.clear();
-            buf.head = 0;
-            buf.total = 0;
-        }
-    }
-
-    fn escape_json(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// Serializes every ring as a Chrome Trace Event Format document
-    /// (Perfetto / `chrome://tracing` load it directly): one metadata
-    /// event naming each thread, then its spans (`"ph":"X"`, microsecond
-    /// `ts`/`dur`) and instants (`"ph":"i"`) on that thread's track.
-    pub fn chrome_trace_json() -> String {
-        use std::fmt::Write;
-        let snap = snapshot();
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-        let sep = |out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-        };
-        for t in &snap {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"",
-                t.tid
-            );
-            escape_json(&t.label, &mut out);
-            out.push_str("\"}}");
-            for ev in &t.events {
-                sep(&mut out, &mut first);
-                let ts = ev.start_ns as f64 / 1e3;
-                if ev.is_instant() {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"s\":\"t\",\"cat\":\"{}\",\"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                        t.tid, ev.cat, ev.name, ev.id, ev.arg
-                    );
-                } else {
-                    let _ = write!(
-                        out,
-                        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"dur\":{:.3},\"cat\":\"{}\",\"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
-                        t.tid,
-                        ev.dur_ns as f64 / 1e3,
-                        ev.cat,
-                        ev.name,
-                        ev.id,
-                        ev.arg
-                    );
-                }
-            }
-        }
-        out.push_str("],\"displayTimeUnit\":\"ms\"}");
-        out
     }
 }
 
-pub use imp::{chrome_trace_json, complete, instant, now_ns, reset, span, SpanGuard};
-#[cfg(feature = "trace")]
-pub use imp::{snapshot, Event, ThreadSnapshot};
+/// Opens a span on the current thread; the returned guard records it
+/// when dropped. `id`/`arg` are free tags (see [`Event`]).
+pub fn span(cat: &'static str, name: &'static str, id: u64, arg: u64) -> SpanGuard {
+    SpanGuard {
+        cat,
+        name,
+        id,
+        arg,
+        start_ns: now_ns(),
+    }
+}
+
+/// Records an instant event (a point in time, no duration).
+pub fn instant(cat: &'static str, name: &'static str, id: u64, arg: u64) {
+    record(Event {
+        start_ns: now_ns(),
+        dur_ns: INSTANT_DUR,
+        cat,
+        name,
+        id,
+        arg,
+    });
+}
+
+/// Records a complete span retroactively from explicit timestamps
+/// (both from [`now_ns`]) — for durations whose start lives on another
+/// thread or in non-`'static` state, like a request's queue wait.
+pub fn complete(
+    cat: &'static str,
+    name: &'static str,
+    id: u64,
+    arg: u64,
+    start_ns: u64,
+    end_ns: u64,
+) {
+    record(Event {
+        start_ns,
+        dur_ns: end_ns.saturating_sub(start_ns),
+        cat,
+        name,
+        id,
+        arg,
+    });
+}
+
+/// Non-destructive snapshot of every ring, oldest event first.
+pub fn snapshot() -> Vec<ThreadSnapshot> {
+    registry()
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .iter()
+        .map(|r| {
+            let buf = r.buf.lock().unwrap_or_else(|p| p.into_inner());
+            ThreadSnapshot {
+                tid: r.tid,
+                label: buf.label.clone(),
+                events: buf.ordered(),
+                total: buf.total,
+            }
+        })
+        .collect()
+}
+
+/// Clears every ring (registrations survive). Tests use this to
+/// isolate assertions; a server never needs it.
+pub fn reset() {
+    for r in registry().lock().unwrap_or_else(|p| p.into_inner()).iter() {
+        let mut buf = r.buf.lock().unwrap_or_else(|p| p.into_inner());
+        buf.events.clear();
+        buf.head = 0;
+        buf.total = 0;
+    }
+}
+
+fn escape_json(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+/// Serializes every ring as a Chrome Trace Event Format document
+/// (Perfetto / `chrome://tracing` load it directly): one metadata
+/// event naming each thread, then its spans (`"ph":"X"`, microsecond
+/// `ts`/`dur`) and instants (`"ph":"i"`) on that thread's track.
+pub fn chrome_trace_json() -> String {
+    use std::fmt::Write;
+    let snap = snapshot();
+    let mut out = String::with_capacity(1024);
+    out.push_str("{\"traceEvents\":[");
+    let mut first = true;
+    let sep = |out: &mut String, first: &mut bool| {
+        if !*first {
+            out.push(',');
+        }
+        *first = false;
+    };
+    for t in &snap {
+        sep(&mut out, &mut first);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":\"",
+            t.tid
+        );
+        escape_json(&t.label, &mut out);
+        out.push_str("\"}}");
+        for ev in &t.events {
+            sep(&mut out, &mut first);
+            let ts = ev.start_ns as f64 / 1e3;
+            if ev.is_instant() {
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"s\":\"t\",\"cat\":\"{}\",\"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
+                    t.tid, ev.cat, ev.name, ev.id, ev.arg
+                );
+            } else {
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"dur\":{:.3},\"cat\":\"{}\",\"name\":\"{}\",\"args\":{{\"id\":{},\"arg\":{}}}}}",
+                    t.tid,
+                    ev.dur_ns as f64 / 1e3,
+                    ev.cat,
+                    ev.name,
+                    ev.id,
+                    ev.arg
+                );
+            }
+        }
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -579,7 +536,6 @@ mod tests {
         assert_eq!(*h.cumulative().last().unwrap(), 4000);
     }
 
-    #[cfg(feature = "trace")]
     mod recorder {
         use super::super::*;
         use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -630,13 +586,7 @@ mod tests {
         fn ring_wraps_keeping_the_newest_events() {
             let _guard = serial();
             reset();
-            // The per-ring capacity, replicating the recorder's own
-            // resolution (env override, default 16384, floor 8).
-            let cap: usize = std::env::var("TMAC_TRACE_EVENTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(16384)
-                .max(8);
+            let cap = ring_capacity();
             let n = cap + cap / 2;
             for i in 0..n {
                 instant("test", "tick", i as u64, 0);
@@ -704,6 +654,24 @@ mod tests {
             let evs = my_events();
             let e = evs.iter().find(|e| e.name == "retro").unwrap();
             assert_eq!((e.start_ns, e.dur_ns, e.id, e.arg), (t0, 1_500_000, 9, 2));
+        }
+
+        #[test]
+        fn exited_threads_rings_are_adopted_not_leaked() {
+            let _guard = serial();
+            // This thread owns a ring before the count is taken.
+            instant("test", "owner", 0, 0);
+            let before = snapshot().len();
+            for i in 0..64 {
+                std::thread::spawn(move || instant("test", "short_lived", i, 0))
+                    .join()
+                    .unwrap();
+            }
+            let after = snapshot().len();
+            assert!(
+                after <= before + 1,
+                "64 sequential threads grew the registry {before} -> {after}"
+            );
         }
     }
 }

@@ -40,12 +40,14 @@ fn main() {
     // expected magnitude for i8 tables over ternary weights at group 32.
     assert!(nmse < 1e-2);
 
-    // Cost scales with the 2-bit interpretation: exactly two bit-planes.
-    let cost = layer.gemv_cost();
+    // Cost scales with the 2-bit interpretation: exactly two bit-planes,
+    // one lookup per (row, 4-weight group, plane).
+    let plan = layer.plan();
+    let lookups = plan.m * plan.k / 4 * plan.bits;
     println!(
         "lookups per token for this layer: {} ({} per weight bit-plane)",
-        cost.lookups,
-        cost.lookups / 2
+        lookups,
+        lookups / 2
     );
     println!("ok");
 }

@@ -14,7 +14,7 @@
 //! | [`llm`] (`tmac-llm`) | llama-architecture inference engine with pluggable [`prelude::LinearBackend`]s |
 //! | [`io`] (`tmac-io`) | model containers: GGUF import/export, prepacked `.tmac`, mmap zero-copy loading |
 //! | [`serve`] (`tmac-serve`) | HTTP/SSE serving front-end over the continuous-batching scheduler |
-//! | [`devices`] (`tmac-devices`) | edge-device rooflines and the energy model |
+//! | [`trace`] (`tmac-trace`) | span recorder (per-thread rings, Chrome-trace export) and latency histograms, compiled into every build |
 //!
 //! # Examples
 //!
@@ -53,7 +53,6 @@
 
 pub use tmac_baseline as baseline;
 pub use tmac_core as core;
-pub use tmac_devices as devices;
 pub use tmac_io as io;
 pub use tmac_llm as llm;
 pub use tmac_quant as quant;

@@ -198,17 +198,13 @@ fn forward_panic_mid_stream_quarantines_only_the_victim() {
         assert_eq!(healthz(addr).0, 200, "{mode:?}");
         let violations = metrics.consistency_violations();
         assert!(violations.is_empty(), "{mode:?}: {violations:?}");
-        // With span recording compiled in, the quarantine leaves an
-        // instant event in the trace — panics are observable after the
-        // fact, not just counted.
-        #[cfg(feature = "trace")]
-        {
-            let dump = tmac::trace::chrome_trace_json();
-            assert!(
-                dump.contains("\"name\":\"quarantine\""),
-                "{mode:?}: no sched/quarantine instant in the trace dump"
-            );
-        }
+        // The quarantine leaves an instant event in the trace — panics
+        // are observable after the fact, not just counted.
+        let dump = tmac::trace::chrome_trace_json();
+        assert!(
+            dump.contains("\"name\":\"quarantine\""),
+            "{mode:?}: no sched/quarantine instant in the trace dump"
+        );
         server.shutdown();
     }
 }

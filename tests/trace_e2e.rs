@@ -2,10 +2,9 @@
 //! `/debug/trace` Chrome-trace endpoint, and the `/metrics` latency
 //! histograms, exercised over real TCP against both connection drivers.
 //!
-//! Span *contents* (scheduler steps, request lifecycles, per-layer
-//! attention, mpGEMM sweeps) are only recorded under `--features trace`;
-//! those assertions are feature-gated. The timings breakdown and the
-//! histograms are always on.
+//! Span recording is part of every build, so the span taxonomy (scheduler
+//! steps, request lifecycles, per-layer attention, mpGEMM sweeps) is
+//! asserted alongside the timings breakdown and the histograms.
 
 mod common;
 
@@ -128,7 +127,7 @@ fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
     for mode in both_modes() {
         let server = start_server_with(tiny_model(), 2, 16, mode);
         let addr = server.addr();
-        // Generate some work first so (feature-on) the rings hold spans.
+        // Generate some work first so the rings hold spans.
         let (status, _, body) = http_request(
             addr,
             "POST",
@@ -148,10 +147,9 @@ fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
             "mode {mode:?}: missing traceEvents array"
         );
 
-        // With recording compiled in, the dump must hold the span taxonomy
-        // the issue promises: scheduler steps, the request lifecycle, and
-        // the model layers under it down to mpGEMM sweeps.
-        #[cfg(feature = "trace")]
+        // The dump must hold the span taxonomy: scheduler steps, the
+        // request lifecycle, and the model layers under it down to mpGEMM
+        // sweeps.
         for (cat, name) in [
             ("sched", "step"),
             ("sched", "queue_wait"),
@@ -223,5 +221,29 @@ fn metrics_expose_latency_histograms() {
         let n: u64 = line.rsplit_once(' ').unwrap().1.parse().unwrap();
         assert!(n >= 1, "{family}_count is {n}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn connection_threads_reuse_trace_rings() {
+    // The threads driver spawns one thread per connection and each records
+    // `serve/parse`; a ring per connection would grow `/debug/trace` (and
+    // 768 KiB of ring) without bound. Exited threads' rings are adopted,
+    // so the rings labelled by connection threads stay at the peak number
+    // of concurrent connections (this binary's other tests included).
+    let server = start_server_with(tiny_model(), 2, 16, ConnMode::Threads);
+    let addr = server.addr();
+    for _ in 0..32 {
+        assert_eq!(http_request(addr, "GET", "/healthz", "").0, 200);
+    }
+    let (status, _, body) = http_request(addr, "GET", "/debug/trace", "");
+    assert_eq!(status, 200);
+    let conn_rings = body
+        .matches("\"name\":\"thread_name\",\"args\":{\"name\":\"tmac-conn\"}")
+        .count();
+    assert!(
+        (1..=8).contains(&conn_rings),
+        "{conn_rings} connection-thread rings after 32 sequential connections"
+    );
     server.shutdown();
 }
