@@ -1,9 +1,8 @@
-//! Model converter: generate/quantize a model **once** and emit a
-//! container — `.tmac` (prepacked, mmap zero-copy at serve time) or
-//! `.gguf` (canonical codes+scales interchange). The offline half of the
-//! paper's Figure 2 pipeline as a standalone tool: every serving binary
-//! (`tmac_serve --model`, `edge_chat --model`) then starts from the file
-//! instead of re-quantizing at startup.
+//! Model converter: generate/quantize a model **once** and emit a `.tmac`
+//! container (prepacked, mmap zero-copy at serve time). The offline half
+//! of the paper's Figure 2 pipeline as a standalone tool: every serving
+//! binary (`tmac_serve --model`, `edge_chat --model`) then starts from the
+//! file instead of re-quantizing at startup.
 //!
 //! Flags:
 //! * `--model 7b|13b|bitnet|tiny` — architecture preset (default `7b`)
@@ -11,8 +10,7 @@
 //!   `tiny`)
 //! * `--bits B` — RTN bit-width 1..=4 (default 2; `bitnet` forces ternary)
 //! * `--seed N` — synthetic-weight seed (default 7)
-//! * `--out PATH` — output file; extension picks the format
-//!   (`.gguf` → GGUF, anything else → `.tmac`)
+//! * `--out PATH` — output `.tmac` file
 //! * `--verify` — reload the container and assert bit-identical logits
 //!   against the in-memory model, then report the cold-start ratio
 //! * `--threads N`

@@ -2,12 +2,12 @@
 //! exposes it over HTTP until SIGINT/SIGTERM triggers a graceful drain.
 //!
 //! ```text
-//! tmac_convert --in m.gguf --out m.tmac     # once
+//! tmac_convert --model 7b --layers 1 --bits 2 --out m.tmac   # once
 //! tmac_serve --model m.tmac --addr 127.0.0.1:8080
 //! curl -N localhost:8080/v1/completions -d '{"prompt":[1,2,3],"stream":true}'
 //! ```
 //!
-//! Flags: `--model tiny|<path.tmac|.gguf>` (synthetic tiny model or a
+//! Flags: `--model tiny|<path>` (synthetic tiny model or a `.tmac`
 //! container; containers resolve `--backend <registry name>`),
 //! `--addr host:port` (default `127.0.0.1:8080`), `--threads N` (step-loop
 //! ExecCtx threads), `--batch B` (KV slots), `--pending Q` (admission queue
@@ -99,10 +99,15 @@ fn main() {
     };
     let trace_out = tmac_eval::arg("trace-out", "");
 
-    let from_file = ["tmac", "gguf"]
-        .iter()
-        .any(|ext| model_name.ends_with(&format!(".{ext}")));
-    let mut model = if from_file {
+    let mut model = if model_name == "tiny" {
+        Model::synthetic(
+            &ModelConfig::tiny().scaled(2, 96, 256),
+            WeightQuant::Rtn(2),
+            BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
+            7,
+        )
+        .expect("synthetic model")
+    } else {
         let backend = tmac_eval::arg("backend", "tmac");
         let builder = BackendRegistry::with_defaults()
             .get(&backend)
@@ -113,7 +118,7 @@ fn main() {
             builder.as_ref(),
             LoadMode::Mmap,
         )
-        .expect("load model container");
+        .unwrap_or_else(|e| panic!("--model {model_name}: {e}"));
         eprintln!(
             "loaded {} from {model_name} in {:.3}s ({} backend)",
             model.cfg.name,
@@ -121,18 +126,6 @@ fn main() {
             model.backend_label()
         );
         model
-    } else {
-        assert_eq!(
-            model_name, "tiny",
-            "--model must be tiny or a .tmac/.gguf path"
-        );
-        Model::synthetic(
-            &ModelConfig::tiny().scaled(2, 96, 256),
-            WeightQuant::Rtn(2),
-            BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
-            7,
-        )
-        .expect("synthetic model")
     };
     model.cfg.kv_precision = kv;
 

@@ -1,9 +1,9 @@
-//! The native `.tmac` container: prepacked weights, mmap-loadable.
+//! The `.tmac` container: prepacked weights, mmap-loadable.
 //!
-//! Where GGUF stores *canonical* tensors that every consumer re-packs at
-//! startup, `.tmac` stores weights **already in the offline-transformed
-//! T-MAC layout** — the permuted bit-plane tile stream and tile-permuted
-//! scales exactly as the kernels stream them ([`tmac_core::WeightPlan`]).
+//! Instead of *canonical* tensors that every consumer re-packs at startup,
+//! `.tmac` stores weights **already in the offline-transformed T-MAC
+//! layout** — the permuted bit-plane tile stream and tile-permuted scales
+//! exactly as the kernels stream them ([`tmac_core::WeightPlan`]).
 //! Loading is therefore a header parse plus an integrity sweep; the weight
 //! bytes are borrowed zero-copy from the file mapping and never touched.
 //!
@@ -15,8 +15,9 @@
 //! 0x08  index_len u64                  bytes of the index section
 //! 0x10  index:
 //!       meta_count u64
-//!       meta entries: key (string), value-type u32, value
-//!                     (GGUF value encoding; string = u64 len + UTF-8)
+//!       meta entries: key (string), value type u32, value
+//!                     (6 = f32, 8 = string, 10 = u64; string = u64 len
+//!                     + UTF-8)
 //!       tensor_count u64
 //!       tensor entries:
 //!         name (string), kind u8
@@ -42,7 +43,6 @@
 //! with [`IoError::Version`] — their streams would decode to wrong weights —
 //! and are re-converted from the source checkpoint.
 
-use crate::gguf::GgufValue;
 use crate::{align_up, fnv1a64, put_string, Cursor, IoError, LoadMode, Mapping, DATA_ALIGN};
 use std::path::Path;
 use std::sync::Arc;
@@ -63,6 +63,74 @@ const ROLE_FLAT_PLANE0: u8 = 3;
 impl From<TmacError> for IoError {
     fn from(e: TmacError) -> Self {
         IoError::ShapeMismatch(e.to_string())
+    }
+}
+
+/// A typed metadata value. On the wire: a `u32` type id, then the value.
+/// Any other type id is [`IoError::Corrupt`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum MetaValue {
+    /// Type id 6: little-endian `f32`.
+    F32(f32),
+    /// Type id 8: `u64` byte length + UTF-8.
+    String(String),
+    /// Type id 10: little-endian `u64`.
+    U64(u64),
+}
+
+impl MetaValue {
+    /// The value as `u64`, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            MetaValue::U64(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value as `f32`, if it is one.
+    pub fn as_f32(&self) -> Option<f32> {
+        match *self {
+            MetaValue::F32(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            MetaValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            MetaValue::F32(v) => {
+                out.extend_from_slice(&6u32.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            MetaValue::String(s) => {
+                out.extend_from_slice(&8u32.to_le_bytes());
+                put_string(out, s);
+            }
+            MetaValue::U64(v) => {
+                out.extend_from_slice(&10u32.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    fn decode(c: &mut Cursor<'_>, what: &str) -> Result<MetaValue, IoError> {
+        Ok(match c.u32(what)? {
+            6 => MetaValue::F32(c.f32(what)?),
+            8 => MetaValue::String(c.string(what)?),
+            10 => MetaValue::U64(c.u64(what)?),
+            other => {
+                return Err(IoError::Corrupt(format!(
+                    "{what}: unknown value type {other}"
+                )))
+            }
+        })
     }
 }
 
@@ -150,7 +218,7 @@ fn plan_segments(plan: &WeightPlan) -> Vec<(u8, &[u8])> {
 /// inconsistent tensor specs.
 pub fn write_container(
     path: &Path,
-    meta: &[(String, GgufValue)],
+    meta: &[(String, MetaValue)],
     tensors: &[TensorSpec<'_>],
 ) -> Result<(), IoError> {
     use std::io::Write;
@@ -187,7 +255,6 @@ pub fn write_container(
         out.extend_from_slice(&(meta.len() as u64).to_le_bytes());
         for (k, v) in meta {
             put_string(&mut out, k);
-            out.extend_from_slice(&v.type_id().to_le_bytes());
             v.encode(&mut out);
         }
         out.extend_from_slice(&(tensors.len() as u64).to_le_bytes());
@@ -292,7 +359,7 @@ struct TensorEntry {
 #[derive(Debug)]
 pub struct TmacContainer {
     map: Arc<Mapping>,
-    meta: Vec<(String, GgufValue)>,
+    meta: Vec<(String, MetaValue)>,
     tensors: Vec<TensorEntry>,
 }
 
@@ -304,27 +371,17 @@ impl TmacContainer {
     /// Typed [`IoError`]s: filesystem failures, truncation, bad magic,
     /// version mismatch, structural corruption, checksum failures.
     pub fn open(path: &Path, mode: LoadMode) -> Result<TmacContainer, IoError> {
-        let c = Self::open_unverified(path, mode)?;
+        let c = Self::parse(Arc::new(Mapping::open(path, mode)?))?;
         c.verify()?;
         Ok(c)
     }
 
-    /// [`TmacContainer::open`] without the data-checksum sweep (header
-    /// structure is still fully validated). For measurements that want
-    /// pure mapping cost; production loads should prefer `open`.
+    /// Parses an image and validates its header structure, without the
+    /// data-checksum sweep ([`TmacContainer::verify`]).
     ///
     /// # Errors
     ///
     /// Same contract as [`TmacContainer::open`], minus checksum failures.
-    pub fn open_unverified(path: &Path, mode: LoadMode) -> Result<TmacContainer, IoError> {
-        Self::parse(Arc::new(Mapping::open(path, mode)?))
-    }
-
-    /// Parses an in-memory image.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TmacContainer::open_unverified`].
     pub fn parse(map: Arc<Mapping>) -> Result<TmacContainer, IoError> {
         let bytes = map.bytes();
         let mut c = Cursor::new(bytes);
@@ -354,8 +411,7 @@ impl TmacContainer {
         let mut meta = Vec::with_capacity(meta_count);
         for _ in 0..meta_count {
             let key = c.string("metadata key")?;
-            let ty = c.u32("metadata value type")?;
-            let value = GgufValue::decode(ty, &mut c, &format!("metadata {key:?}"))?;
+            let value = MetaValue::decode(&mut c, &format!("metadata {key:?}"))?;
             meta.push((key, value));
         }
         let tensor_count = c.u64("tensor count")? as usize;
@@ -459,13 +515,8 @@ impl TmacContainer {
         Ok(())
     }
 
-    /// All metadata, in file order.
-    pub fn meta_entries(&self) -> &[(String, GgufValue)] {
-        &self.meta
-    }
-
     /// Looks up a metadata value.
-    pub fn meta(&self, key: &str) -> Option<&GgufValue> {
+    pub fn meta(&self, key: &str) -> Option<&MetaValue> {
         self.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
@@ -675,8 +726,8 @@ mod tests {
         let plan = sample_plan(opts);
         let gains: Vec<f32> = (0..16).map(|i| i as f32 * 0.25).collect();
         let meta = vec![
-            ("tmac.cfg.dim".to_string(), GgufValue::U64(128)),
-            ("general.name".to_string(), GgufValue::String("unit".into())),
+            ("tmac.cfg.dim".to_string(), MetaValue::U64(128)),
+            ("general.name".to_string(), MetaValue::String("unit".into())),
         ];
         let tensors = vec![
             TensorSpec {
@@ -777,8 +828,6 @@ mod tests {
             TmacContainer::open(&path, LoadMode::Copy),
             Err(IoError::Checksum { .. })
         ));
-        // ...which open_unverified tolerates (measurement mode).
-        assert!(TmacContainer::open_unverified(&path, LoadMode::Copy).is_ok());
 
         std::fs::remove_file(&path).unwrap();
     }
@@ -814,6 +863,41 @@ mod tests {
             Err(IoError::ShapeMismatch(_))
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn meta_value_wire_bytes_are_pinned() {
+        let mut s = 8u32.to_le_bytes().to_vec();
+        s.extend_from_slice(&2u64.to_le_bytes());
+        s.extend_from_slice(b"ab");
+        let cases = [
+            (
+                MetaValue::U64(0x0102_0304_0506_0708),
+                vec![10, 0, 0, 0, 8, 7, 6, 5, 4, 3, 2, 1],
+            ),
+            (MetaValue::F32(1.5), vec![6, 0, 0, 0, 0, 0, 0xc0, 0x3f]),
+            (MetaValue::String("ab".into()), s),
+        ];
+        for (value, wire) in cases {
+            let mut buf = Vec::new();
+            value.encode(&mut buf);
+            assert_eq!(buf, wire, "{value:?}");
+            let mut c = Cursor::new(&wire);
+            assert_eq!(MetaValue::decode(&mut c, "v").unwrap(), value);
+            assert!(matches!(c.u8("end"), Err(IoError::Truncated { .. })));
+        }
+        // Every other type id is corruption, whatever follows it.
+        for ty in [0u32, 1, 2, 3, 4, 5, 7, 9, 11, 12, 99] {
+            let mut wire = ty.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[0xff; 16]);
+            assert!(
+                matches!(
+                    MetaValue::decode(&mut Cursor::new(&wire), "v"),
+                    Err(IoError::Corrupt(_))
+                ),
+                "type id {ty}"
+            );
+        }
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! T-MAC's deployment story rests on *offline* weight transformation
 //! (paper §4, Figure 2 "OFFLINE"): weights are permuted, bit-sliced and
 //! packed ahead of time so the online path is pure table lookup. This crate
-//! is the persistence layer for that pipeline:
+//! is the persistence layer for that pipeline, and `.tmac` is its one
+//! file format:
 //!
-//! * [`gguf`] — a GGUF-compatible reader/writer (magic, versioned header,
-//!   string-keyed typed metadata, aligned tensor blobs). Sufficient to
-//!   round-trip this repo's models and to parse real GGUF file headers.
-//! * [`container`] — the native `.tmac` container: weights stored *already
-//!   in the offline-transformed layout* (per-layer prepacked bit-plane tile
+//! * [`container`] — the `.tmac` container: weights stored *already in the
+//!   offline-transformed layout* (per-layer prepacked bit-plane tile
 //!   streams + tile-permuted scales, exactly as `tmac_core`'s kernels
-//!   consume them), plus quant/model configuration metadata and per-tensor
-//!   checksums.
+//!   consume them), plus quant/model configuration metadata
+//!   ([`MetaValue`]) and per-tensor checksums.
 //! * [`mmap`] — a zero-copy loader: the container file is mapped read-only
 //!   and weight segments borrow straight from the mapping
 //!   ([`tmac_core::Segment`]), so loading a prepacked model costs a header
@@ -23,16 +21,14 @@
 //! [`IoError`] variant.
 
 pub mod container;
-pub mod gguf;
 pub mod mmap;
 
-pub use container::{write_container, TensorSource, TensorSpec, TmacContainer};
-pub use gguf::{GgmlType, GgufFile, GgufTensorInfo, GgufValue, GgufWriter};
+pub use container::{write_container, MetaValue, TensorSource, TensorSpec, TmacContainer};
 pub use mmap::{LoadMode, Mapping};
 
-/// Alignment of every tensor-data blob in both file formats, in bytes.
-/// 32 matches GGUF's default `general.alignment` and guarantees that `f32`
-/// (and wider) views into a page-aligned mapping are naturally aligned.
+/// Alignment of every tensor-data blob in a container, in bytes: `f32`
+/// (and wider, up to a 32-byte vector) views into a page-aligned mapping
+/// are naturally aligned.
 pub const DATA_ALIGN: usize = 32;
 
 /// Errors from container parsing, validation, or the underlying filesystem.
@@ -80,9 +76,6 @@ pub enum IoError {
     MissingTensor(String),
     /// A metadata key required by the loader is absent or mistyped.
     MissingMeta(String),
-    /// The data is well-formed but this build cannot consume it (e.g. an
-    /// unknown GGML tensor type's payload).
-    Unsupported(String),
 }
 
 impl std::fmt::Display for IoError {
@@ -113,7 +106,6 @@ impl std::fmt::Display for IoError {
             IoError::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
             IoError::MissingTensor(name) => write!(f, "missing tensor {name:?}"),
             IoError::MissingMeta(key) => write!(f, "missing/mistyped metadata {key:?}"),
-            IoError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }
@@ -155,10 +147,6 @@ impl<'a> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], IoError> {
         let have = self.buf.len().saturating_sub(self.pos);
         if n > have {
@@ -177,10 +165,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub fn u16(&mut self, what: &str) -> Result<u16, IoError> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
     pub fn u32(&mut self, what: &str) -> Result<u32, IoError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
@@ -193,11 +177,7 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub fn f64(&mut self, what: &str) -> Result<f64, IoError> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    /// A length-prefixed UTF-8 string (u64 length, GGUF convention).
+    /// A length-prefixed UTF-8 string (u64 length).
     pub fn string(&mut self, what: &str) -> Result<String, IoError> {
         let len = self.u64(what)? as usize;
         if len > 1 << 24 {
@@ -211,7 +191,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Appends a length-prefixed UTF-8 string (u64 length, GGUF convention).
+/// Appends a length-prefixed UTF-8 string (u64 length).
 pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u64).to_le_bytes());
     out.extend_from_slice(s.as_bytes());

@@ -345,22 +345,6 @@ impl Scheduler {
         }
     }
 
-    /// A scheduler serving a model loaded from a container file (`.tmac`
-    /// mmap-prepacked or `.gguf`, by extension — see
-    /// [`Model::from_file`]): the convert-once → serve-many workflow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates container-load failures.
-    pub fn from_file(
-        path: &std::path::Path,
-        builder: &dyn crate::backend::BackendBuilder,
-        mode: crate::io::LoadMode,
-        cfg: SchedulerConfig,
-    ) -> Result<Self, crate::io::ModelIoError> {
-        Ok(Scheduler::new(Model::from_file(path, builder, mode)?, cfg))
-    }
-
     /// The served model.
     pub fn model(&self) -> &Model {
         &self.model

@@ -83,21 +83,6 @@ impl Engine {
         }
     }
 
-    /// An engine over a model loaded from a container file (`.tmac`
-    /// mmap-prepacked or `.gguf`, by extension — see
-    /// [`Model::from_file`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates container-load failures.
-    pub fn from_file(
-        path: &std::path::Path,
-        builder: &dyn crate::backend::BackendBuilder,
-        mode: crate::io::LoadMode,
-    ) -> Result<Self, crate::io::ModelIoError> {
-        Ok(Engine::new(Model::from_file(path, builder, mode)?))
-    }
-
     /// Clears all per-sequence state, i.e. the KV cache (the scratch holds
     /// nothing a later call reads before overwriting it). Multi-sequence
     /// serving state lives in [`crate::batch::Scheduler`], whose `reset`

@@ -1,23 +1,18 @@
 //! Model persistence: the convert→serve workflow.
 //!
-//! Two formats, one naming convention (llama.cpp tensor names):
+//! One format, `.tmac` ([`tmac_io::container`]), with llama.cpp tensor
+//! names: weights stored *already in the offline-transformed T-MAC
+//! layout*. [`Model::save_file`] writes it; [`Model::from_file`] hands
+//! each prepacked plan to the backend builder
+//! ([`crate::backend::BackendBuilder::build_prepacked`]). The T-MAC kinds
+//! consume it zero-copy straight from the file mapping, other backends
+//! lazily materialize the canonical quantized matrix per layer and build
+//! from that. Cold start is a header parse + checksum sweep instead of
+//! generate+quantize+pack.
 //!
-//! * **`.tmac`** ([`tmac_io::container`]) — weights stored *already in the
-//!   offline-transformed T-MAC layout*. [`Model::from_tmac`] hands each
-//!   prepacked plan to the backend builder
-//!   ([`crate::backend::BackendBuilder::build_prepacked`]); the T-MAC
-//!   kinds consume it zero-copy straight from the file mapping, other
-//!   backends lazily materialize the canonical quantized matrix per layer
-//!   and build from that. Cold start is a header parse + checksum sweep
-//!   instead of generate+quantize+pack.
-//! * **GGUF** ([`tmac_io::gguf`]) — the interchange form: quantization
-//!   codes as `I8` tensors (`<name>.codes`) plus `F32` scales
-//!   (`<name>.scales`), norms/embeddings as plain `F32` tensors.
-//!   Loading re-runs the offline pack (that is the point of `.tmac`).
-//!
-//! Both round-trip exactly: codes, scales and zero are preserved
-//! bit-for-bit, so a reloaded model produces bit-identical logits on the
-//! quantized backends (asserted in `tests/model_io.rs`).
+//! Codes, scales and zero round-trip bit-for-bit, so a reloaded model
+//! produces bit-identical logits on the quantized backends (asserted in
+//! `tests/model_io.rs`).
 
 use crate::backend::{BackendBuilder, BackendError, Linear};
 use crate::config::{KvPrecision, ModelConfig, WeightQuant};
@@ -25,11 +20,7 @@ use crate::model::{LayerWeights, Model};
 use crate::ops;
 use std::path::Path;
 use tmac_core::{KernelOpts, WeightPlan};
-use tmac_io::{
-    write_container, GgmlType, GgufFile, GgufValue, GgufWriter, IoError, TensorSource, TensorSpec,
-    TmacContainer,
-};
-use tmac_quant::QuantizedMatrix;
+use tmac_io::{write_container, IoError, MetaValue, TensorSource, TensorSpec, TmacContainer};
 
 pub use tmac_io::LoadMode;
 
@@ -95,7 +86,7 @@ fn kv_label(p: KvPrecision) -> &'static str {
 }
 
 /// The model/quant configuration as container metadata.
-fn cfg_meta(cfg: &ModelConfig, quant: WeightQuant) -> Vec<(String, GgufValue)> {
+fn cfg_meta(cfg: &ModelConfig, quant: WeightQuant) -> Vec<(String, MetaValue)> {
     let (qkind, qbits) = match quant {
         WeightQuant::Rtn(b) => ("rtn", b),
         WeightQuant::BitnetTernary => ("bitnet", 2),
@@ -103,44 +94,44 @@ fn cfg_meta(cfg: &ModelConfig, quant: WeightQuant) -> Vec<(String, GgufValue)> {
     vec![
         (
             "general.architecture".into(),
-            GgufValue::String("llama".into()),
+            MetaValue::String("llama".into()),
         ),
-        ("general.name".into(), GgufValue::String(cfg.name.clone())),
-        ("tmac.cfg.dim".into(), GgufValue::U64(cfg.dim as u64)),
+        ("general.name".into(), MetaValue::String(cfg.name.clone())),
+        ("tmac.cfg.dim".into(), MetaValue::U64(cfg.dim as u64)),
         (
             "tmac.cfg.n_layers".into(),
-            GgufValue::U64(cfg.n_layers as u64),
+            MetaValue::U64(cfg.n_layers as u64),
         ),
         (
             "tmac.cfg.n_heads".into(),
-            GgufValue::U64(cfg.n_heads as u64),
+            MetaValue::U64(cfg.n_heads as u64),
         ),
         (
             "tmac.cfg.n_kv_heads".into(),
-            GgufValue::U64(cfg.n_kv_heads as u64),
+            MetaValue::U64(cfg.n_kv_heads as u64),
         ),
         (
             "tmac.cfg.ffn_dim".into(),
-            GgufValue::U64(cfg.ffn_dim as u64),
+            MetaValue::U64(cfg.ffn_dim as u64),
         ),
-        ("tmac.cfg.vocab".into(), GgufValue::U64(cfg.vocab as u64)),
+        ("tmac.cfg.vocab".into(), MetaValue::U64(cfg.vocab as u64)),
         (
             "tmac.cfg.seq_max".into(),
-            GgufValue::U64(cfg.seq_max as u64),
+            MetaValue::U64(cfg.seq_max as u64),
         ),
-        ("tmac.cfg.rope_theta".into(), GgufValue::F32(cfg.rope_theta)),
+        ("tmac.cfg.rope_theta".into(), MetaValue::F32(cfg.rope_theta)),
         (
             "tmac.cfg.kv_precision".into(),
-            GgufValue::String(kv_label(cfg.kv_precision).into()),
+            MetaValue::String(kv_label(cfg.kv_precision).into()),
         ),
-        ("tmac.quant.kind".into(), GgufValue::String(qkind.into())),
-        ("tmac.quant.bits".into(), GgufValue::U64(qbits as u64)),
+        ("tmac.quant.kind".into(), MetaValue::String(qkind.into())),
+        ("tmac.quant.bits".into(), MetaValue::U64(qbits as u64)),
     ]
 }
 
 /// Parses the model/quant configuration back from metadata.
 fn cfg_from_meta(
-    get: &dyn Fn(&str) -> Option<GgufValue>,
+    get: &dyn Fn(&str) -> Option<MetaValue>,
 ) -> Result<(ModelConfig, WeightQuant), ModelIoError> {
     let want_u64 = |key: &str| -> Result<usize, ModelIoError> {
         get(key)
@@ -248,14 +239,14 @@ impl Model {
     ///
     /// Weights are written in the exact offline-transformed layout the
     /// kernels consume (the backend's own plan when it has one), so
-    /// [`Model::from_tmac`] restores them without re-packing.
+    /// [`Model::from_file`] restores them without re-packing.
     ///
     /// # Errors
     ///
     /// [`ModelIoError::Unsupported`] when a layer's backend can export
     /// neither a prepacked plan nor an exact quantized matrix (the `f32`
     /// reference backend); [`ModelIoError::Io`] on container failures.
-    pub fn save_tmac(&self, path: &Path) -> Result<(), ModelIoError> {
+    pub fn save_file(&self, path: &Path) -> Result<(), ModelIoError> {
         let cfg = &self.cfg;
         let linears = model_linears(self);
         let mut srcs = Vec::with_capacity(linears.len());
@@ -320,26 +311,15 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Typed [`IoError`]s for corrupt/truncated/mismatched containers;
-    /// backend build failures.
-    pub fn from_tmac(
+    /// Typed [`IoError`]s for corrupt/truncated/mismatched containers (a
+    /// file that is not `.tmac` is [`IoError::BadMagic`]); backend build
+    /// failures.
+    pub fn from_file(
         path: &Path,
         builder: &dyn BackendBuilder,
         mode: LoadMode,
     ) -> Result<Model, ModelIoError> {
         let c = TmacContainer::open(path, mode)?;
-        Self::from_container(&c, builder)
-    }
-
-    /// [`Model::from_tmac`] over an already-open container.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Model::from_tmac`].
-    pub fn from_container(
-        c: &TmacContainer,
-        builder: &dyn BackendBuilder,
-    ) -> Result<Model, ModelIoError> {
         let (cfg, quant) = cfg_from_meta(&|k| c.meta(k).cloned())?;
         let build = |name: &str, rows: usize, cols: usize| -> Result<Linear, ModelIoError> {
             let plan = c.plan(name)?;
@@ -407,175 +387,6 @@ impl Model {
             cfg,
         })
     }
-
-    /// Saves this model as GGUF: quantization codes as `I8` tensors
-    /// (`<name>.codes`, GGUF dims `[cols, rows]`), scales as `F32`
-    /// (`<name>.scales`), norms/embeddings as plain `F32`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Model::save_tmac`].
-    pub fn save_gguf(&self, path: &Path) -> Result<(), ModelIoError> {
-        let cfg = &self.cfg;
-        let mut w = GgufWriter::new();
-        for (k, v) in cfg_meta(cfg, self.quant) {
-            w.meta(&k, v);
-        }
-        w.tensor_f32(
-            "token_embd.weight",
-            &[cfg.dim as u64, cfg.vocab as u64],
-            &self.embed,
-        )?;
-        w.tensor_f32("output_norm.weight", &[cfg.dim as u64], &self.rms_final)?;
-        for (l, lw) in self.layers.iter().enumerate() {
-            w.tensor_f32(&blk(l, "attn_norm"), &[cfg.dim as u64], &lw.rms_attn)?;
-            w.tensor_f32(&blk(l, "ffn_norm"), &[cfg.dim as u64], &lw.rms_ffn)?;
-        }
-        let mut zero_written = false;
-        for (name, _, _, lin) in model_linears(self) {
-            let qm = lin.backend().export_quantized().ok_or_else(|| {
-                ModelIoError::Unsupported(format!(
-                    "tensor {name}: backend {:?} cannot export its quantized weights",
-                    lin.label()
-                ))
-            })?;
-            if !zero_written {
-                w.meta("tmac.quant.zero", GgufValue::F32(qm.zero));
-                w.meta(
-                    "tmac.quant.group_size",
-                    GgufValue::U64(qm.group_size as u64),
-                );
-                zero_written = true;
-            }
-            w.tensor(
-                &format!("{name}.codes"),
-                &[qm.cols as u64, qm.rows as u64],
-                GgmlType::I8,
-                qm.codes.clone(),
-            )?;
-            w.tensor_f32(
-                &format!("{name}.scales"),
-                &[qm.groups_per_row() as u64, qm.rows as u64],
-                &qm.scales,
-            )?;
-        }
-        w.write(path)?;
-        Ok(())
-    }
-
-    /// Loads a model from a GGUF file written by [`Model::save_gguf`].
-    ///
-    /// Codes/scales/zero are restored bit-exactly; the offline pack
-    /// (`WeightPlan`) is re-run per layer — the convert-once-to-`.tmac`
-    /// path exists precisely to avoid this cost at serve time.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`IoError`]s and backend build failures.
-    pub fn from_gguf(
-        path: &Path,
-        builder: &dyn BackendBuilder,
-        mode: LoadMode,
-    ) -> Result<Model, ModelIoError> {
-        let f = GgufFile::open(path, mode)?;
-        let (cfg, quant) = cfg_from_meta(&|k| f.meta(k).cloned())?;
-        let zero = f
-            .meta("tmac.quant.zero")
-            .and_then(|v| v.as_f32())
-            .ok_or_else(|| ModelIoError::Io(IoError::MissingMeta("tmac.quant.zero".into())))?;
-        let group_size = f
-            .meta("tmac.quant.group_size")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| ModelIoError::Io(IoError::MissingMeta("tmac.quant.group_size".into())))?
-            as usize;
-        let build = |name: &str, rows: usize, cols: usize| -> Result<Linear, ModelIoError> {
-            let codes = f.tensor_bytes(&format!("{name}.codes"))?;
-            let scales = f.tensor_f32(&format!("{name}.scales"))?;
-            let qm = QuantizedMatrix {
-                rows,
-                cols,
-                bits: quant.bits(),
-                group_size,
-                codes: codes.to_vec(),
-                scales,
-                zero,
-            };
-            qm.validate()
-                .map_err(|e| ModelIoError::Io(IoError::ShapeMismatch(e.to_string())))?;
-            let f32w = qm.dequantize();
-            Ok(builder.build(&qm, &f32w)?)
-        };
-        let f32_vec = |name: &str, expect: usize| -> Result<Vec<f32>, ModelIoError> {
-            let data = f.tensor_f32(name)?;
-            if data.len() != expect {
-                return Err(ModelIoError::Io(IoError::ShapeMismatch(format!(
-                    "{name}: {} elements, expected {expect}",
-                    data.len()
-                ))));
-            }
-            Ok(data)
-        };
-        let mut layers = Vec::with_capacity(cfg.n_layers);
-        for l in 0..cfg.n_layers {
-            let mut lins = Vec::with_capacity(7);
-            for (name, rows, cols) in layer_linears(&cfg, l) {
-                lins.push(build(&name, rows, cols)?);
-            }
-            let mut it = lins.into_iter();
-            layers.push(LayerWeights {
-                wq: it.next().expect("7 linears"),
-                wk: it.next().expect("7 linears"),
-                wv: it.next().expect("7 linears"),
-                wo: it.next().expect("7 linears"),
-                w1: it.next().expect("7 linears"),
-                w2: it.next().expect("7 linears"),
-                w3: it.next().expect("7 linears"),
-                rms_attn: f32_vec(&blk(l, "attn_norm"), cfg.dim)?,
-                rms_ffn: f32_vec(&blk(l, "ffn_norm"), cfg.dim)?,
-            });
-        }
-        Ok(Model {
-            embed: f32_vec("token_embd.weight", cfg.vocab * cfg.dim)?,
-            rms_final: f32_vec("output_norm.weight", cfg.dim)?,
-            head: build("output.weight", cfg.vocab, cfg.dim)?,
-            rope: ops::RopeTable::new(cfg.head_dim(), cfg.rope_theta),
-            quant,
-            layers,
-            cfg,
-        })
-    }
-
-    /// Loads from either format by extension (`.gguf` → GGUF, anything
-    /// else → `.tmac`).
-    ///
-    /// # Errors
-    ///
-    /// Same contracts as [`Model::from_tmac`] / [`Model::from_gguf`].
-    pub fn from_file(
-        path: &Path,
-        builder: &dyn BackendBuilder,
-        mode: LoadMode,
-    ) -> Result<Model, ModelIoError> {
-        if path.extension().is_some_and(|e| e == "gguf") {
-            Model::from_gguf(path, builder, mode)
-        } else {
-            Model::from_tmac(path, builder, mode)
-        }
-    }
-
-    /// Saves to either format by extension (`.gguf` → GGUF, anything else
-    /// → `.tmac`).
-    ///
-    /// # Errors
-    ///
-    /// Same contracts as [`Model::save_tmac`] / [`Model::save_gguf`].
-    pub fn save_file(&self, path: &Path) -> Result<(), ModelIoError> {
-        if path.extension().is_some_and(|e| e == "gguf") {
-            self.save_gguf(path)
-        } else {
-            self.save_tmac(path)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -594,7 +405,7 @@ mod tests {
         let cfg = ModelConfig::tiny().with_kv(KvPrecision::I8);
         for quant in [WeightQuant::Rtn(3), WeightQuant::BitnetTernary] {
             let meta = cfg_meta(&cfg, quant);
-            let get = |k: &str| -> Option<GgufValue> {
+            let get = |k: &str| -> Option<MetaValue> {
                 meta.iter()
                     .find(|(key, _)| key == k)
                     .map(|(_, v)| v.clone())
@@ -610,7 +421,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let meta = cfg_meta(&cfg, WeightQuant::Rtn(2));
         for omit in ["tmac.cfg.dim", "tmac.quant.kind", "general.name"] {
-            let get = |k: &str| -> Option<GgufValue> {
+            let get = |k: &str| -> Option<MetaValue> {
                 if k == omit {
                     return None;
                 }
@@ -637,7 +448,7 @@ mod tests {
             3,
         )
         .unwrap();
-        let err = m.save_tmac(&tmp("f32.tmac"));
+        let err = m.save_file(&tmp("f32.tmac"));
         assert!(matches!(err, Err(ModelIoError::Unsupported(_))));
     }
 
@@ -651,8 +462,8 @@ mod tests {
             3,
         )
         .unwrap();
-        m.save_tmac(&path).unwrap();
-        let back = Model::from_tmac(
+        m.save_file(&path).unwrap();
+        let back = Model::from_file(
             &path,
             &BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
             LoadMode::Mmap,

@@ -46,7 +46,7 @@ fn main() {
     let prompt = [1u32, 42, 7, 100];
 
     // The container workflow: `--model file` serves from a prepacked
-    // `.tmac` (or `.gguf`) container; `--save-model file` writes one.
+    // `.tmac` container; `--save-model file` writes one.
     let model_file = flag("model");
     let build = |kind: BackendKind| -> Model {
         match &model_file {

@@ -12,7 +12,7 @@
 //! | [`baseline`] (`tmac-baseline`) | dequantization-based comparator kernels |
 //! | [`threadpool`] (`tmac-threadpool`) | static-threadblock parallel substrate |
 //! | [`llm`] (`tmac-llm`) | llama-architecture inference engine with pluggable [`prelude::LinearBackend`]s |
-//! | [`io`] (`tmac-io`) | model containers: GGUF import/export, prepacked `.tmac`, mmap zero-copy loading |
+//! | [`io`] (`tmac-io`) | the model container: prepacked `.tmac`, mmap zero-copy loading |
 //! | [`serve`] (`tmac-serve`) | HTTP/SSE serving front-end over the continuous-batching scheduler |
 //! | [`trace`] (`tmac-trace`) | span recorder (per-thread rings, Chrome-trace export) and latency histograms, compiled into every build |
 //!
@@ -74,7 +74,7 @@ pub mod prelude {
     };
     // `LoadMode` reaches the prelude through the llm re-export (it is the
     // same type as `tmac_io::LoadMode`).
-    pub use tmac_io::{GgufFile, GgufValue, GgufWriter, IoError, TmacContainer};
+    pub use tmac_io::{IoError, TmacContainer};
     pub use tmac_llm::{
         AttnScratch, BackendBuilder, BackendError, BackendKind, BackendRegistry, BatchScratch,
         DecodeStats, DequantBackend, Engine, F32Backend, FinishReason, FinishedSeq, KvCache,

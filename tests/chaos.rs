@@ -426,7 +426,7 @@ fn io_failpoints_surface_as_typed_errors() {
     // must surface as the typed corruption error, not a panic.
     failpoint::clear();
     let path = dir.join("chaos.tmac");
-    tiny_model().save_tmac(&path).unwrap();
+    tiny_model().save_file(&path).unwrap();
     assert!(TmacContainer::open(&path, LoadMode::Mmap).is_ok());
     failpoint::configure("io/checksum=error", SEED).unwrap();
     let err = TmacContainer::open(&path, LoadMode::Mmap);

@@ -5,20 +5,22 @@
 //!   never-persisted in-memory model, across bits 1–4 and every backend
 //!   (the `f32` backend runs on dequantized weights on both sides — the
 //!   container stores quantized weights only).
-//! * GGUF write→read preserves tensors and metadata byte-for-byte.
+//! * The bytes `Model::save_file` writes are pinned: changing them means
+//!   bumping `TMAC_VERSION`.
 //! * Mmap-loaded and owned-copy loads agree bit-for-bit.
 //! * Corrupt inputs (truncation, bad magic, version mismatch, checksum
-//!   failure, shape/config disagreement) return typed `IoError`s — never
-//!   panic. Fault injection is byte-level on real files.
+//!   failure, shape/config disagreement, missing tensors or metadata)
+//!   return typed `IoError`s — never panic. Fault injection is byte-level
+//!   on real files.
 //! * A model served through the `Scheduler` **from the file** produces the
 //!   tokens the in-memory single-stream engine produces.
 //!
 //! Thread count comes from `TMAC_TEST_THREADS` (default 2).
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use tmac::core::ExecCtx;
-use tmac::io::{GgufFile, GgufValue, GgufWriter, IoError, Mapping, TmacContainer};
+use tmac::io::container::TMAC_VERSION;
+use tmac::io::{fnv1a64, write_container, IoError, MetaValue, TmacContainer};
 use tmac::llm::{
     BackendBuilder, BackendError, BackendKind, BatchScratch, Engine, F32Backend, GenRequest,
     KvCache, KvPrecision, Linear, LoadMode, Model, ModelConfig, ModelIoError, Scheduler,
@@ -93,7 +95,7 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
             42,
         )
         .unwrap();
-        src.save_tmac(&path).unwrap();
+        src.save_file(&path).unwrap();
 
         // Reload into every backend; each must match the in-memory twin
         // built through the *same* builder, bit-for-bit. (The `f32` case
@@ -112,7 +114,7 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
             ("f32", &f32ref),
         ];
         for (name, builder) in cases {
-            let loaded = Model::from_tmac(&path, builder, LoadMode::Mmap).unwrap();
+            let loaded = Model::from_file(&path, builder, LoadMode::Mmap).unwrap();
             let twin = Model::synthetic_with(&cfg, WeightQuant::Rtn(bits), builder, 42).unwrap();
             assert_eq!(
                 run_logits(&loaded, &ctx),
@@ -133,8 +135,8 @@ fn bitnet_ternary_roundtrip_is_bit_exact() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&cfg, WeightQuant::BitnetTernary, kind, 5).unwrap();
     let path = tmp("bitnet.tmac");
-    src.save_tmac(&path).unwrap();
-    let loaded = Model::from_tmac(&path, &kind, LoadMode::Mmap).unwrap();
+    src.save_file(&path).unwrap();
+    let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
     assert_eq!(loaded.quant, WeightQuant::BitnetTernary);
     assert_eq!(run_logits(&loaded, &ctx), run_logits(&src, &ctx));
     std::fs::remove_file(&path).unwrap();
@@ -146,9 +148,9 @@ fn mmap_and_owned_copy_loads_agree() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11).unwrap();
     let path = tmp("modes.tmac");
-    src.save_tmac(&path).unwrap();
-    let mapped = Model::from_tmac(&path, &kind, LoadMode::Mmap).unwrap();
-    let copied = Model::from_tmac(&path, &kind, LoadMode::Copy).unwrap();
+    src.save_file(&path).unwrap();
+    let mapped = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
+    let copied = Model::from_file(&path, &kind, LoadMode::Copy).unwrap();
     assert_eq!(run_logits(&mapped, &ctx), run_logits(&copied, &ctx));
     // And the container views themselves agree byte-for-byte.
     let cm = TmacContainer::open(&path, LoadMode::Mmap).unwrap();
@@ -172,37 +174,19 @@ fn mmap_and_owned_copy_loads_agree() {
 }
 
 #[test]
-fn gguf_model_roundtrip_and_byte_preservation() {
-    let ctx = ctx();
+fn tiny_container_bytes_are_pinned() {
+    // Every file this build writes must load in every build that reads the
+    // same `TMAC_VERSION`. The pin holds the version-2 bytes of one model.
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(3), kind, 9).unwrap();
-    let path = tmp("model.gguf");
-    src.save_gguf(&path).unwrap();
-
-    // Model-level: reload (re-packs offline) → bit-exact logits.
-    let loaded = Model::from_gguf(&path, &kind, LoadMode::Mmap).unwrap();
-    assert_eq!(run_logits(&loaded, &ctx), run_logits(&src, &ctx));
-
-    // Byte-level: parse, re-write through the writer, compare images.
-    let original = std::fs::read(&path).unwrap();
-    let f = GgufFile::parse(Arc::new(Mapping::from_bytes(&original))).unwrap();
-    let mut w = GgufWriter::new();
-    for (k, v) in f.meta_entries() {
-        w.meta(k, v.clone());
-    }
-    for t in f.tensors() {
-        w.tensor(
-            &t.name,
-            &t.dims,
-            t.dtype,
-            f.tensor_bytes(&t.name).unwrap().to_vec(),
-        )
-        .unwrap();
-    }
+    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 7).unwrap();
+    let path = tmp("pinned.tmac");
+    src.save_file(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
     assert_eq!(
-        w.to_bytes(),
-        original,
-        "GGUF write→read→write must preserve every byte"
+        (TMAC_VERSION, bytes.len(), fnv1a64(&bytes)),
+        (2, 58_432, 0xd318_4073_a1d4_0a42),
+        "the .tmac bytes changed: an intentional format change must bump \
+         TMAC_VERSION (and then re-pin this test)"
     );
     std::fs::remove_file(&path).unwrap();
 }
@@ -212,11 +196,11 @@ fn corrupt_containers_fail_typed_never_panic() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 3).unwrap();
     let path = tmp("fault.tmac");
-    src.save_tmac(&path).unwrap();
+    src.save_file(&path).unwrap();
     let good = std::fs::read(&path).unwrap();
     let reload = |bytes: &[u8]| -> Result<Model, ModelIoError> {
         std::fs::write(&path, bytes).unwrap();
-        Model::from_tmac(&path, &kind, LoadMode::Copy)
+        Model::from_file(&path, &kind, LoadMode::Copy)
     };
 
     // Bad magic.
@@ -271,17 +255,33 @@ fn corrupt_containers_fail_typed_never_panic() {
         Err(ModelIoError::Io(IoError::ShapeMismatch(_)))
     ));
 
+    // Missing tensor: rename the LM head in the index (same length, so the
+    // structure stays valid). The u64 length prefix tells it apart from
+    // `blk.*.attn_output.weight`.
+    let mut name = 13u64.to_le_bytes().to_vec();
+    name.extend_from_slice(b"output.weight");
+    let pos = good
+        .windows(name.len())
+        .position(|w| w == name)
+        .expect("head tensor in index");
+    let mut bad = good.clone();
+    bad[pos + 8..pos + 14].copy_from_slice(b"OUTPUT");
+    match reload(&bad) {
+        Err(ModelIoError::Io(IoError::MissingTensor(t))) => assert_eq!(t, "output.weight"),
+        other => panic!("expected MissingTensor, got {:?}", other.err()),
+    }
+
     std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
-fn gguf_meta_edits_fail_typed() {
-    // Missing required metadata reports which key.
-    let mut w = GgufWriter::new();
-    w.meta("general.name", GgufValue::String("x".into()));
-    let path = tmp("incomplete.gguf");
-    w.write(&path).unwrap();
-    let err = Model::from_gguf(
+fn missing_meta_fails_typed() {
+    // A structurally valid container without the config keys reports
+    // which key is missing.
+    let path = tmp("incomplete.tmac");
+    let meta = [("general.name".to_string(), MetaValue::String("x".into()))];
+    write_container(&path, &meta, &[]).unwrap();
+    let err = Model::from_file(
         &path,
         &BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         LoadMode::Copy,
@@ -303,7 +303,7 @@ fn scheduler_serves_bit_identical_tokens_from_the_file() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 23).unwrap();
     let path = tmp("serve.tmac");
-    src.save_tmac(&path).unwrap();
+    src.save_file(&path).unwrap();
 
     let prompts: Vec<Vec<u32>> = (0..5)
         .map(|i| {
@@ -325,17 +325,14 @@ fn scheduler_serves_bit_identical_tokens_from_the_file() {
         .collect();
 
     for max_batch in [1, 3] {
-        let mut sched = Scheduler::from_file(
-            &path,
-            &kind,
-            LoadMode::Mmap,
+        let mut sched = Scheduler::new(
+            Model::from_file(&path, &kind, LoadMode::Mmap).unwrap(),
             SchedulerConfig {
                 max_batch,
                 prefill_chunk: 4,
                 ..SchedulerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let ids: Vec<_> = prompts
             .iter()
             .map(|p| sched.submit(SubmitRequest::greedy(p, n_new)).unwrap())
@@ -359,35 +356,9 @@ fn i8_kv_models_roundtrip_with_their_precision() {
     let cfg = ModelConfig::tiny().with_kv(KvPrecision::I8);
     let src = Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 31).unwrap();
     let path = tmp("i8kv.tmac");
-    src.save_tmac(&path).unwrap();
-    let loaded = Model::from_tmac(&path, &kind, LoadMode::Mmap).unwrap();
+    src.save_file(&path).unwrap();
+    let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
     assert_eq!(loaded.cfg.kv_precision, KvPrecision::I8);
     assert_eq!(run_logits(&loaded, &ctx), run_logits(&src, &ctx));
     std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn engine_loads_either_format_by_extension() {
-    let ctx = ctx();
-    let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 17).unwrap();
-    let reference = {
-        let mut e = Engine::new(src.clone());
-        e.generate(&GenRequest::greedy(&[1, 2, 3], 6), &ctx)
-            .unwrap()
-            .tokens
-    };
-    for name in ["ext.tmac", "ext.gguf"] {
-        let path = tmp(name);
-        src.save_file(&path).unwrap();
-        let mut e = Engine::from_file(&path, &kind, LoadMode::Mmap).unwrap();
-        assert_eq!(
-            e.generate(&GenRequest::greedy(&[1, 2, 3], 6), &ctx)
-                .unwrap()
-                .tokens,
-            reference,
-            "{name}"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
 }
