@@ -8,8 +8,6 @@
 use std::time::Instant;
 use tmac_rng::Rng;
 
-pub mod serving;
-
 /// The six kernel shapes of the paper's Figures 6, 7 and 10 (`M × K`),
 /// drawn from Llama-2-7B (4096/11008) and Llama-2-13B (5120/13824).
 pub const SHAPES: [(usize, usize); 6] = [
@@ -20,12 +18,6 @@ pub const SHAPES: [(usize, usize); 6] = [
     (13824, 5120),
     (5120, 13824),
 ];
-
-/// Display names `S0..S5` used by Figure 10.
-pub fn shape_name(i: usize) -> String {
-    let (m, k) = SHAPES[i];
-    format!("{m}x{k}")
-}
 
 /// Deterministic pseudo-Gaussian weights (sum of uniforms), seeded.
 pub fn make_weights(m: usize, k: usize, seed: u64) -> Vec<f32> {
@@ -53,18 +45,6 @@ pub fn time_best<F: FnMut()>(mut f: F, warmup: usize, iters: usize) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
-}
-
-/// Times `f` averaged over `iters` runs (for throughput-style numbers).
-pub fn time_avg<F: FnMut()>(mut f: F, warmup: usize, iters: usize) -> f64 {
-    for _ in 0..warmup {
-        f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters.max(1) {
-        f();
-    }
-    t0.elapsed().as_secs_f64() / iters.max(1) as f64
 }
 
 /// A plain-text, aligned results table that can be pasted into
@@ -149,70 +129,6 @@ pub fn ms(seconds: f64) -> String {
     format!("{:.3}", seconds * 1e3)
 }
 
-/// Parses a flat `{"key": number, ...}` JSON object — the only shape the
-/// quality-gate pipeline uses (serde is unavailable offline). The one
-/// parser for the whole pipeline: the merge-writer and the `perf_check` CI
-/// gate both go through it, so the wire format cannot silently fork.
-///
-/// # Errors
-///
-/// Returns a message naming the malformed construct.
-pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let body = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or("expected a {...} object")?;
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("expected \"key\": value, got {pair:?}"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad number for {key:?}: {e}"))?;
-        out.push((key, value));
-    }
-    Ok(out)
-}
-
-/// Writes (or **merges into**) the `TMAC_PERF_OUT`-style flat JSON metrics
-/// file: existing keys are kept unless this call overwrites them, so
-/// several runs can contribute to one file that `perf_check` gates.
-pub fn write_perf_out(path: &str, metrics: &[(&str, f64)]) {
-    let out = std::path::Path::new(path);
-    let mut all: Vec<(String, f64)> = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|t| parse_flat_json(&t).ok())
-        .unwrap_or_default();
-    for (k, v) in metrics {
-        // Non-finite values would produce invalid JSON; write 0 so a
-        // broken measurement fails the min-gates loudly downstream.
-        let v = if v.is_finite() { *v } else { 0.0 };
-        if let Some(slot) = all.iter_mut().find(|(key, _)| key == k) {
-            slot.1 = v;
-        } else {
-            all.push((k.to_string(), v));
-        }
-    }
-    let body: Vec<String> = all
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v:.4}"))
-        .collect();
-    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
-    if let Some(dir) = out.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(out, json).expect("write perf json");
-    println!("wrote {}", out.display());
-}
-
 /// Parses `--key value` style flags from the command line.
 pub fn arg(name: &str, default: &str) -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -236,8 +152,6 @@ mod tests {
     #[test]
     fn shapes_match_paper() {
         assert_eq!(SHAPES.len(), 6);
-        assert_eq!(shape_name(0), "4096x4096");
-        assert_eq!(shape_name(5), "5120x13824");
     }
 
     #[test]
@@ -273,26 +187,5 @@ mod tests {
         );
         assert!(t >= 0.0);
         assert!(x >= 4);
-    }
-
-    #[test]
-    fn flat_json_roundtrip_and_merge() {
-        let parsed = parse_flat_json("{\n  \"a\": 1.5,\n  \"b\": 2\n}\n").unwrap();
-        assert_eq!(parsed, vec![("a".into(), 1.5), ("b".into(), 2.0)]);
-        assert!(parse_flat_json("not json").is_err());
-
-        let dir = std::env::temp_dir().join(format!("tmac-eval-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("perf.json");
-        let path_s = path.to_str().unwrap();
-        write_perf_out(path_s, &[("a", 1.0), ("b", 2.0)]);
-        // Merge: overwrite one key, add another, keep the rest.
-        write_perf_out(path_s, &[("b", 3.0), ("c", 4.0)]);
-        let merged = parse_flat_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(
-            merged,
-            vec![("a".into(), 1.0), ("b".into(), 3.0), ("c".into(), 4.0)]
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 }

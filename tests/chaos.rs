@@ -12,7 +12,9 @@
 mod common;
 
 use common::*;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use tmac::core::failpoint;
@@ -51,7 +53,12 @@ fn start_server(mode: ConnMode, supervisor: SupervisorOpts) -> ServerHandle {
 }
 
 fn status_of(response: &str) -> u16 {
-    response.split_whitespace().nth(1).unwrap().parse().unwrap()
+    try_status(response).expect("status line")
+}
+
+/// The status code, or `None` when the response was cut before it.
+fn try_status(response: &str) -> Option<u16> {
+    response.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn healthz(addr: SocketAddr) -> (u16, String) {
@@ -105,17 +112,8 @@ fn run_client(addr: SocketAddr, prompt: &[u32], max_new: usize, stream: bool) ->
         }
     } else if status == 200 {
         let (_, body) = text.split_once("\r\n\r\n").unwrap();
-        let doc = Json::parse(body).expect("valid completion JSON");
-        let tokens = doc.get("choices").unwrap().as_arr().unwrap()[0]
-            .get("token_ids")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|t| t.as_u64().unwrap() as u32)
-            .collect();
         ClientOutcome {
-            tokens,
+            tokens: completion_tokens(body).0,
             errored: false,
         }
     } else {
@@ -435,4 +433,160 @@ fn io_failpoints_surface_as_typed_errors() {
     failpoint::clear();
     assert!(TmacContainer::open(&path, LoadMode::Mmap).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Forward panics (quarantined), one deterministic poisoned-logits hit,
+/// and serve-layer read/write/accept faults.
+const STORM_SPEC: &str = "scheduler/forward=panic:p0.04;scheduler/logits=error:n9;\
+                          serve/read=error:p0.03;serve/write=short:p0.03;serve/accept=error:p0.05";
+
+/// Starts an SSE completion and drops the socket after the first data
+/// frame: a client that vanishes mid-stream.
+fn abort_mid_stream(addr: SocketAddr, prompt: &[u32]) {
+    let Ok(mut sock) = TcpStream::connect(addr) else {
+        return;
+    };
+    let _ = sock.set_read_timeout(Some(Duration::from_secs(10)));
+    let body = prompt_json(prompt, 24, true);
+    // `close`: a non-streaming refusal (e.g. a 503) then ends the read.
+    let req = format!(
+        "POST /v1/completions HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    if sock.write_all(req.as_bytes()).is_err() {
+        return;
+    }
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 1024];
+    while !raw.windows(7).any(|w| w == b"\ndata: ") {
+        match sock.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+        }
+    }
+}
+
+/// A fault storm: `spec` is armed while 12 workers each send 4 requests
+/// (one SSE, two plain JSON, one SSE abandoned mid-stream) and a prober
+/// polls `/healthz`. Faults stay armed until the storm is over *and* a
+/// probe has answered 200 (at most 5 s past the storm), so one faulted
+/// probe cannot fail the run. Returns every violated survival invariant;
+/// empty means the server survived.
+fn storm(mode: ConnMode, spec: &str) -> Vec<String> {
+    const WORKERS: u32 = 12;
+    const PER_WORKER: u32 = 4;
+    let probe_prompt = [3u32, 1, 4, 1, 5];
+    let expected = direct_tokens(&probe_prompt, 6);
+
+    let server = start_server(mode, SupervisorOpts::default());
+    let addr = server.addr();
+    let metrics = server.metrics();
+    // Lookup-table setup and such happen before the faults arm.
+    assert!(!run_client(addr, &[1, 2, 3], 2, false).errored, "warm-up");
+
+    failpoint::configure(spec, SEED).unwrap();
+    let completed = AtomicU32::new(0);
+    let (answered, probes) = (AtomicU32::new(0), AtomicU32::new(0));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                probes.fetch_add(1, Ordering::Relaxed);
+                let reply = try_raw_request(addr, "GET", "/healthz", "");
+                if reply.is_ok_and(|r| try_status(&r) == Some(200)) {
+                    answered.fetch_add(1, Ordering::Relaxed);
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let completed = &completed;
+                s.spawn(move || {
+                    for i in 0..PER_WORKER {
+                        let prompt = [w + 1, i + 1, 7];
+                        let kind = (w + i) % 4;
+                        if kind == 3 {
+                            abort_mid_stream(addr, &prompt);
+                            continue;
+                        }
+                        let body = prompt_json(&prompt, 8, kind == 0);
+                        let reply = try_raw_request(addr, "POST", "/v1/completions", &body);
+                        if reply.is_ok_and(|r| try_status(&r) == Some(200)) {
+                            completed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while answered.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        stop.store(true, Ordering::Release);
+    });
+
+    // Disarm, let in-flight work drain, then check the survivor.
+    failpoint::clear();
+    let mut violations = Vec::new();
+    if answered.load(Ordering::Relaxed) == 0 {
+        violations.push(format!(
+            "healthz never answered 200 while faults were armed ({} probes)",
+            probes.load(Ordering::Relaxed)
+        ));
+    }
+    if completed.load(Ordering::Relaxed) == 0 {
+        violations.push("no request completed during the storm".into());
+    }
+    if !wait_quiesce(&metrics) {
+        violations.push("gauges did not drain to zero after the storm".into());
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while healthz(addr).0 != 200 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    if healthz(addr).0 != 200 {
+        violations.push("healthz did not return 200 after the storm".into());
+    }
+    // Quarantine and restarts must not have corrupted surviving state.
+    let body = prompt_json(&probe_prompt, 6, false);
+    let (status, _, reply) = http_request(addr, "POST", "/v1/completions", &body);
+    if status != 200 || completion_tokens(&reply).0 != expected {
+        violations.push(format!(
+            "post-storm output diverged from the Scheduler-direct reference: {status} {reply}"
+        ));
+    }
+    // The probes perturb the gauges; drain them before the snapshot.
+    wait_quiesce(&metrics);
+    if metrics.quarantined.get() == 0 {
+        violations.push("no sequence was quarantined: the spec never bit".into());
+    }
+    violations.extend(metrics.consistency_violations());
+    server.shutdown();
+    violations
+}
+
+#[test]
+fn fault_storm_survives_in_both_drivers() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    for mode in both_modes() {
+        let violations = storm(mode, STORM_SPEC);
+        assert!(violations.is_empty(), "{mode:?}: {violations:?}");
+    }
+}
+
+#[test]
+fn unquarantinable_fault_storm_is_caught() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    // The step loop itself panicking escapes the quarantine: the storm
+    // must report it instead of passing.
+    for mode in both_modes() {
+        let violations = storm(mode, "bridge/loop=panic:p0.05");
+        assert!(!violations.is_empty(), "{mode:?}: storm passed");
+    }
 }

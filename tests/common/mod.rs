@@ -108,18 +108,27 @@ pub fn prompt_json(prompt: &[u32], max_tokens: usize, stream: bool) -> String {
 /// Minimal blocking HTTP client: one request, `Connection: close`, returns
 /// the whole raw response.
 pub fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
+    try_raw_request(addr, method, path, body).unwrap()
+}
+
+/// [`raw_request`] returning socket errors instead of panicking, for
+/// clients whose connections a fault schedule drops on purpose.
+pub fn try_raw_request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     let req = format!(
         "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(req.as_bytes()).unwrap();
+    stream.write_all(req.as_bytes())?;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    String::from_utf8_lossy(&raw).into_owned()
+    stream.read_to_end(&mut raw)?;
+    Ok(String::from_utf8_lossy(&raw).into_owned())
 }
 
 /// [`raw_request`] split into (status, head, body).
@@ -143,6 +152,27 @@ pub fn parse_response(raw: &[u8]) -> (u16, String, String) {
         .parse()
         .unwrap();
     (status, head.to_string(), body.to_string())
+}
+
+/// (token ids, finish_reason) of a non-streaming completion body.
+pub fn completion_tokens(body: &str) -> (Vec<u32>, String) {
+    let doc = Json::parse(body).expect("valid completion JSON");
+    let choice = &doc.get("choices").unwrap().as_arr().unwrap()[0];
+    let tokens = choice
+        .get("token_ids")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|t| t.as_u64().unwrap() as u32)
+        .collect();
+    let reason = choice
+        .get("finish_reason")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string();
+    (tokens, reason)
 }
 
 /// The `error.type` of a typed error body.

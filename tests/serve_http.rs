@@ -17,26 +17,6 @@ fn post_completion(addr: SocketAddr, body: &str) -> (u16, String) {
     (status, resp)
 }
 
-fn completion_tokens(body: &str) -> (Vec<u32>, String) {
-    let doc = Json::parse(body).expect("valid completion JSON");
-    let choice = &doc.get("choices").unwrap().as_arr().unwrap()[0];
-    let tokens = choice
-        .get("token_ids")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|t| t.as_u64().unwrap() as u32)
-        .collect();
-    let reason = choice
-        .get("finish_reason")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_string();
-    (tokens, reason)
-}
-
 /// Streams a completion over SSE and returns (chunk token ids, tail
 /// finish_reason).
 fn stream_completion(addr: SocketAddr, prompt: &[u32], max_tokens: usize) -> (Vec<u32>, String) {
@@ -127,6 +107,72 @@ fn concurrent_mixed_clients_are_bit_exact_vs_direct() {
         assert_eq!(metrics.finished_length.get(), 6);
         let total: usize = expected.iter().map(Vec::len).sum();
         assert_eq!(metrics.tokens_out.get() as usize, total);
+        server.shutdown();
+    }
+}
+
+/// Reads one `Content-Length`-delimited response off a keep-alive socket,
+/// consuming nothing past it.
+fn read_response(sock: &mut TcpStream) -> (u16, String, String) {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        sock.read_exact(&mut byte).unwrap();
+        raw.push(byte[0]);
+    }
+    let (status, head, _) = parse_response(&raw);
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length header")
+        .parse()
+        .unwrap();
+    let mut body = vec![0u8; len];
+    sock.read_exact(&mut body).unwrap();
+    (status, head, String::from_utf8(body).unwrap())
+}
+
+#[test]
+fn keep_alive_socket_serves_sequential_requests_in_both_drivers() {
+    // One real socket carries three requests without `Connection: close`;
+    // the `conn::` unit tests cover keep-alive only from byte slices.
+    let cases: [(&[u32], usize); 3] = [(&[1, 2, 3], 5), (&[9, 4], 4), (&[60, 61], 6)];
+    let expected: Vec<Vec<u32>> = cases.iter().map(|(p, n)| direct_tokens(p, *n)).collect();
+
+    for mode in both_modes() {
+        let server = start_server(2, 16, mode);
+        let metrics = server.metrics();
+        let mut sock = TcpStream::connect(server.addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        for (i, ((prompt, max_new), want)) in cases.iter().zip(&expected).enumerate() {
+            let body = prompt_json(prompt, *max_new, false);
+            let req = format!(
+                "POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            sock.write_all(req.as_bytes()).unwrap();
+            let (status, head, body) = read_response(&mut sock);
+            assert_eq!(status, 200, "mode {mode:?} request {i}: {body}");
+            assert!(
+                head.contains("Connection: keep-alive"),
+                "mode {mode:?} request {i}: {head}"
+            );
+            assert_eq!(
+                completion_tokens(&body).0,
+                *want,
+                "mode {mode:?} request {i}"
+            );
+        }
+        assert_eq!(metrics.connections.get(), 1, "mode {mode:?}");
+
+        // Dropping the client releases the connection.
+        drop(sock);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while metrics.connections.get() > 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(metrics.connections.get(), 0, "mode {mode:?}");
         server.shutdown();
     }
 }

@@ -9,7 +9,9 @@
 mod common;
 
 use common::*;
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+use tmac::llm::PAGE_POSITIONS;
 use tmac::serve::{ConnMode, Json};
 
 /// Pulls the `timings` object out of a completion body (or final SSE
@@ -31,6 +33,34 @@ fn timings_of(doc: &Json) -> (f64, f64, f64, f64, u64) {
     )
 }
 
+/// [`timings_of`], after asserting the breakdown is sane: no phase is
+/// negative, and the phases sum to at most the client-observed round trip
+/// `e2e_ms`. The breakdown covers scheduler submit → retire, a strict
+/// sub-interval of the round trip; 50 ms of slack absorbs clock-read jitter
+/// on loaded machines.
+fn phases_within(doc: &Json, e2e_ms: f64, what: &str) -> (f64, f64, f64, f64, u64) {
+    let t = timings_of(doc);
+    let (queue_ms, prefill_ms, decode_ms, ..) = t;
+    assert!(
+        queue_ms >= 0.0 && prefill_ms >= 0.0 && decode_ms >= 0.0,
+        "{what}: negative phase timing {:?}",
+        (queue_ms, prefill_ms, decode_ms)
+    );
+    let sum = queue_ms + prefill_ms + decode_ms;
+    assert!(
+        sum <= e2e_ms + 50.0,
+        "{what}: phase sum {sum:.1} ms exceeds client e2e {e2e_ms:.1} ms"
+    );
+    t
+}
+
+/// A completion round trip: (status, body, client-observed e2e ms).
+fn timed_completion(addr: SocketAddr, body: &str) -> (u16, String, f64) {
+    let t0 = Instant::now();
+    let (status, _, resp) = http_request(addr, "POST", "/v1/completions", body);
+    (status, resp, t0.elapsed().as_secs_f64() * 1e3)
+}
+
 #[test]
 fn timings_ride_responses_in_both_drivers() {
     for mode in both_modes() {
@@ -38,17 +68,10 @@ fn timings_ride_responses_in_both_drivers() {
         let addr = server.addr();
 
         // Non-streaming: the 200 body carries the breakdown.
-        let (status, _, body) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[1, 2, 3], 8, false),
-        );
+        let (status, body, e2e_ms) = timed_completion(addr, &prompt_json(&[1, 2, 3], 8, false));
         assert_eq!(status, 200, "mode {mode:?}: {body}");
         let doc = Json::parse(&body).unwrap();
-        let (queue_ms, prefill_ms, decode_ms, tok_s, _) = timings_of(&doc);
-        assert!(queue_ms >= 0.0, "mode {mode:?}: queue {queue_ms}");
-        assert!(prefill_ms >= 0.0, "mode {mode:?}: prefill {prefill_ms}");
+        let (_, _, decode_ms, tok_s, _) = phases_within(&doc, e2e_ms, &format!("mode {mode:?}"));
         // Eight decode steps on a real model take measurable time, and the
         // throughput figure must be finite and positive.
         assert!(decode_ms > 0.0, "mode {mode:?}: decode {decode_ms}");
@@ -59,12 +82,7 @@ fn timings_ride_responses_in_both_drivers() {
 
         // Streaming: the final frame (the one with finish_reason) carries
         // the same breakdown.
-        let (status, _, text) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[4, 5], 6, true),
-        );
+        let (status, text, e2e_ms) = timed_completion(addr, &prompt_json(&[4, 5], 6, true));
         assert_eq!(status, 200, "mode {mode:?}");
         let tail = text
             .lines()
@@ -72,7 +90,8 @@ fn timings_ride_responses_in_both_drivers() {
             .rfind(|p| *p != "[DONE]")
             .expect("final SSE frame");
         let doc = Json::parse(tail).unwrap();
-        let (_, _, decode_ms, tok_s, _) = timings_of(&doc);
+        let (_, _, decode_ms, tok_s, _) =
+            phases_within(&doc, e2e_ms, &format!("mode {mode:?} (SSE)"));
         assert!(decode_ms > 0.0, "mode {mode:?} (SSE): decode {decode_ms}");
         assert!(tok_s > 0.0, "mode {mode:?} (SSE): tokens_per_s {tok_s}");
         server.shutdown();
@@ -81,45 +100,84 @@ fn timings_ride_responses_in_both_drivers() {
 
 #[test]
 fn timings_report_prefix_hits_consistently_with_gauges() {
-    // Two prompts sharing a page-spanning prefix: the second must report
-    // its prefix hit in the response timings, and the number must agree
-    // with the server's prefix gauges.
-    let prefix: Vec<u32> = (0..70u32).map(|i| (i * 7 + 3) % 90).collect();
-    let mut a = prefix.clone();
-    a.extend_from_slice(&[1, 2]);
-    let mut b = prefix;
-    b.extend_from_slice(&[3, 4]);
+    // The first request publishes a prefix of two full KV pages plus a
+    // partial third (hits share whole pages and copy-on-write fork the
+    // partial one). Concurrent tenants extending it must each hit it,
+    // report the hits in their response timings consistently with the
+    // server's prefix gauges, and stay bit-exact with a fresh Scheduler
+    // that has nothing cached.
+    const TENANTS: usize = 4;
+    const MAX_NEW: usize = 8;
+    let prefix_len = 2 * PAGE_POSITIONS + 17;
+    let prefix: Vec<u32> = (0..prefix_len as u32).map(|i| (i * 7 + 3) % 90).collect();
+    let prompts: Vec<Vec<u32>> = (0..TENANTS as u32)
+        .map(|k| {
+            let mut p = prefix.clone();
+            p.extend_from_slice(&[(k * 5 + 2) % 90, (k * 11 + 1) % 90]);
+            p
+        })
+        .collect();
+    let expected: Vec<Vec<u32>> = prompts
+        .iter()
+        .map(|p| direct_tokens_on(long_model(), p, MAX_NEW))
+        .collect();
 
-    let server = start_server_with(long_model(), 2, 16, ConnMode::default());
-    let addr = server.addr();
-    let (status, _, body) =
-        http_request(addr, "POST", "/v1/completions", &prompt_json(&a, 2, false));
-    assert_eq!(status, 200, "{body}");
-    let first_hits = timings_of(&Json::parse(&body).unwrap()).4;
+    for mode in both_modes() {
+        let server = start_server_with(long_model(), 4, 16, mode);
+        let addr = server.addr();
+        let (status, _, body) = http_request(
+            addr,
+            "POST",
+            "/v1/completions",
+            &prompt_json(&prefix, 1, false),
+        );
+        assert_eq!(status, 200, "mode {mode:?}: {body}");
+        let mut reported = timings_of(&Json::parse(&body).unwrap()).4;
 
-    let (status, _, body) =
-        http_request(addr, "POST", "/v1/completions", &prompt_json(&b, 2, false));
-    assert_eq!(status, 200, "{body}");
-    let second_hits = timings_of(&Json::parse(&body).unwrap()).4;
-    // The shared prefix spans one full KV page (64 positions); the second
-    // request must reuse at least that page.
-    assert!(
-        second_hits >= 64,
-        "second request must hit the cached prefix: {second_hits}"
-    );
+        let tenants: Vec<_> = prompts
+            .iter()
+            .map(|p| {
+                let body = prompt_json(p, MAX_NEW, false);
+                std::thread::spawn(move || http_request(addr, "POST", "/v1/completions", &body))
+            })
+            .collect();
+        for (k, (tenant, want)) in tenants.into_iter().zip(&expected).enumerate() {
+            let (status, _, body) = tenant.join().unwrap();
+            assert_eq!(status, 200, "mode {mode:?} tenant {k}: {body}");
+            assert_eq!(
+                completion_tokens(&body).0,
+                *want,
+                "mode {mode:?} tenant {k}: diverged from the Scheduler-direct reference"
+            );
+            reported += timings_of(&Json::parse(&body).unwrap()).4;
+        }
 
-    // The step loop refreshes the gauges on its own cadence.
-    let metrics = server.metrics();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while metrics.prefix_hit_positions.get() < second_hits && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
+        // The step loop refreshes the gauges on its own cadence.
+        let metrics = server.metrics();
+        let (hits, positions) = (&metrics.prefix_hits, &metrics.prefix_hit_positions);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (hits.get() < TENANTS as u64 || positions.get() < reported)
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert!(
+            hits.get() >= TENANTS as u64,
+            "mode {mode:?}: every tenant must hit the published prefix: {} hits",
+            hits.get()
+        );
+        assert!(
+            positions.get() >= (TENANTS * prefix_len) as u64,
+            "mode {mode:?}: each hit must cover the whole shared prefix: {} positions",
+            positions.get()
+        );
+        assert!(
+            positions.get() >= reported,
+            "mode {mode:?}: gauge {} must cover the per-request reports {reported}",
+            positions.get()
+        );
+        server.shutdown();
     }
-    assert!(
-        metrics.prefix_hit_positions.get() >= first_hits + second_hits,
-        "gauge {} must cover the per-request reports {first_hits}+{second_hits}",
-        metrics.prefix_hit_positions.get()
-    );
-    server.shutdown();
 }
 
 #[test]
