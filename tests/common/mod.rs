@@ -1,6 +1,7 @@
 //! Helpers shared by the serving e2e suites (`serve_http`, `chaos`,
 //! `trace_e2e`): the synthetic models, server start-up, a minimal blocking
-//! HTTP client, and the Scheduler-direct reference.
+//! HTTP client (one-shot, keep-alive and mid-stream-abort requests), and
+//! the Scheduler-direct reference.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -143,15 +144,80 @@ pub fn http_request(
 
 /// (status, head, body) from raw response bytes.
 pub fn parse_response(raw: &[u8]) -> (u16, String, String) {
-    let text = String::from_utf8_lossy(raw).into_owned();
-    let (head, body) = text.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .unwrap();
-    (status, head.to_string(), body.to_string())
+    try_parse_response(raw).expect("complete response head")
+}
+
+/// [`parse_response`], or `None` when the response was cut before the end
+/// of its head.
+pub fn try_parse_response(raw: &[u8]) -> Option<(u16, String, String)> {
+    let text = String::from_utf8_lossy(raw);
+    let (head, body) = text.split_once("\r\n\r\n")?;
+    let status = head.split_whitespace().nth(1)?.parse().ok()?;
+    Some((status, head.to_string(), body.to_string()))
+}
+
+/// Sends one request on a keep-alive socket (no `Connection: close`) and
+/// reads its response with [`read_response`].
+pub fn keep_alive_request(
+    sock: &mut TcpStream,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<(u16, String, String)> {
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    sock.write_all(req.as_bytes())?;
+    read_response(sock)
+}
+
+/// Reads one `Content-Length`-delimited response off a keep-alive socket,
+/// consuming nothing past it. A cut or malformed response is an error.
+pub fn read_response(sock: &mut TcpStream) -> std::io::Result<(u16, String, String)> {
+    let invalid = |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        sock.read_exact(&mut byte)?;
+        raw.push(byte[0]);
+    }
+    let (status, head, _) = try_parse_response(&raw).ok_or_else(|| invalid("status line"))?;
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| invalid("Content-Length header"))?;
+    let mut body = vec![0u8; len];
+    sock.read_exact(&mut body)?;
+    let body = String::from_utf8(body).map_err(|_| invalid("UTF-8 body"))?;
+    Ok((status, head, body))
+}
+
+/// Starts an SSE completion and drops the socket after the first data
+/// frame: a client that vanishes mid-stream. Socket errors end it early.
+pub fn abort_mid_stream(addr: SocketAddr, prompt: &[u32], max_tokens: usize) {
+    let Ok(mut sock) = TcpStream::connect(addr) else {
+        return;
+    };
+    let _ = sock.set_read_timeout(Some(Duration::from_secs(10)));
+    let body = prompt_json(prompt, max_tokens, true);
+    // `close`: a non-streaming refusal (e.g. a 503) then ends the read.
+    let req = format!(
+        "POST /v1/completions HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    if sock.write_all(req.as_bytes()).is_err() {
+        return;
+    }
+    let mut raw = Vec::new();
+    let mut buf = [0u8; 1024];
+    while !raw.windows(7).any(|w| w == b"\ndata: ") {
+        match sock.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => raw.extend_from_slice(&buf[..n]),
+        }
+    }
 }
 
 /// (token ids, finish_reason) of a non-streaming completion body.

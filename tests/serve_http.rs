@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 use tmac::core::ExecCtx;
 use tmac::llm::{SamplingParams, Scheduler, SchedulerConfig, SubmitRequest};
-use tmac::serve::{ConnMode, Json};
+use tmac::serve::{ConnMode, Json, ServerConfig};
 
 fn post_completion(addr: SocketAddr, body: &str) -> (u16, String) {
     let (status, _, resp) = http_request(addr, "POST", "/v1/completions", body);
@@ -111,27 +111,6 @@ fn concurrent_mixed_clients_are_bit_exact_vs_direct() {
     }
 }
 
-/// Reads one `Content-Length`-delimited response off a keep-alive socket,
-/// consuming nothing past it.
-fn read_response(sock: &mut TcpStream) -> (u16, String, String) {
-    let mut raw = Vec::new();
-    let mut byte = [0u8; 1];
-    while !raw.ends_with(b"\r\n\r\n") {
-        sock.read_exact(&mut byte).unwrap();
-        raw.push(byte[0]);
-    }
-    let (status, head, _) = parse_response(&raw);
-    let len: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length header")
-        .parse()
-        .unwrap();
-    let mut body = vec![0u8; len];
-    sock.read_exact(&mut body).unwrap();
-    (status, head, String::from_utf8(body).unwrap())
-}
-
 #[test]
 fn keep_alive_socket_serves_sequential_requests_in_both_drivers() {
     // One real socket carries three requests without `Connection: close`;
@@ -140,19 +119,22 @@ fn keep_alive_socket_serves_sequential_requests_in_both_drivers() {
     let expected: Vec<Vec<u32>> = cases.iter().map(|(p, n)| direct_tokens(p, *n)).collect();
 
     for mode in both_modes() {
-        let server = start_server(2, 16, mode);
+        // An idle timeout far past the wait below: only the client's EOF
+        // can release the connection.
+        let cfg = ServerConfig {
+            mode,
+            idle_conn_timeout: Duration::from_secs(60),
+            ..ServerConfig::default()
+        };
+        let server = start_server_cfg(tiny_model(), 2, 16, cfg);
         let metrics = server.metrics();
         let mut sock = TcpStream::connect(server.addr()).unwrap();
         sock.set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
         for (i, ((prompt, max_new), want)) in cases.iter().zip(&expected).enumerate() {
             let body = prompt_json(prompt, *max_new, false);
-            let req = format!(
-                "POST /v1/completions HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            sock.write_all(req.as_bytes()).unwrap();
-            let (status, head, body) = read_response(&mut sock);
+            let (status, head, body) =
+                keep_alive_request(&mut sock, "POST", "/v1/completions", &body).unwrap();
             assert_eq!(status, 200, "mode {mode:?} request {i}: {body}");
             assert!(
                 head.contains("Connection: keep-alive"),

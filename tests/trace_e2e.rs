@@ -149,7 +149,12 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
                 *want,
                 "mode {mode:?} tenant {k}: diverged from the Scheduler-direct reference"
             );
-            reported += timings_of(&Json::parse(&body).unwrap()).4;
+            let hit = timings_of(&Json::parse(&body).unwrap()).4;
+            assert!(
+                hit >= prefix_len as u64,
+                "mode {mode:?} tenant {k}: timings must report the whole shared prefix: {hit}"
+            );
+            reported += hit;
         }
 
         // The step loop refreshes the gauges on its own cadence.
