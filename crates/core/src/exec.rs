@@ -117,14 +117,33 @@ const SCRATCH_CAPACITY: usize = 16;
 /// activation (the mismatch downgrades the lookup to a rebuild instead of
 /// silently returning stale tables). Hashing all of `act` is what makes
 /// that guarantee real — a sampled hash would have deterministic blind
-/// spots — and its O(K) cost is small next to the O(K·2^g/g) table build
-/// a hit avoids.
+/// spots. Every step (`xor` a word in, multiply by an odd constant) is a
+/// bijection of the state, so changing any one element always changes the
+/// result.
+///
+/// Every [`ExecCtx::tables_for`] lookup pays this O(K) pass, hit or miss,
+/// and the table build it saves is itself a few linear vector passes, so
+/// the hash is kept off one serial multiply chain: four independent lanes
+/// take two elements (a 64-bit word) per step and are combined at the end.
 fn fingerprint(act: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (act.len() as u64);
-    for x in act {
-        h = (h ^ x.to_bits() as u64).wrapping_mul(0x100_0000_01b3);
+    const PRIME: u64 = 0x100_0000_01b3;
+    const LANES: usize = 4;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let seed = 0xcbf2_9ce4_8422_2325u64 ^ (act.len() as u64);
+    let mut lanes: [u64; LANES] = std::array::from_fn(|i| seed.wrapping_add(i as u64));
+    let mut steps = act.chunks_exact(2 * LANES);
+    for step in &mut steps {
+        for (h, pair) in lanes.iter_mut().zip(step.chunks_exact(2)) {
+            *h = mix(
+                *h,
+                u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32,
+            );
+        }
     }
-    h
+    for (i, x) in steps.remainder().iter().enumerate() {
+        lanes[i % LANES] = mix(lanes[i % LANES], u64::from(x.to_bits()));
+    }
+    lanes.into_iter().fold(seed, mix)
 }
 
 /// A buffer whose disjoint ranges the threads of one pool dispatch write:
@@ -474,6 +493,22 @@ mod tests {
         let t2 = ctx.tables_for(&p, &act(128, 5.0), 1).unwrap();
         assert!(!Arc::ptr_eq(&t1, &t2));
         assert_eq!(ctx.table_stats().misses, 2);
+    }
+
+    #[test]
+    fn fingerprint_sees_every_element() {
+        // K = 4099 is no multiple of the 8 elements a step takes: the tail
+        // elements must count too.
+        let a = act(4099, 0.0);
+        let base = fingerprint(&a);
+        let mut b = a.clone();
+        for i in 0..a.len() {
+            for flip in [1u32, 1 << 31] {
+                b[i] = f32::from_bits(a[i].to_bits() ^ flip);
+                assert_ne!(fingerprint(&b), base, "element {i}, bit flip {flip:#x}");
+            }
+            b[i] = a[i];
+        }
     }
 
     #[test]

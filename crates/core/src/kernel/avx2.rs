@@ -26,6 +26,8 @@
 //! shuffle port (the sequential stream: 14 and 6). Integer sums are exact
 //! and the `f32` fold is operation-for-operation the sequential kernel's.
 //!
+//! The table precompute has its AVX2 builder here too, [`build_block`].
+//!
 //! Everything here is `#[target_feature(enable = "avx2,fma")]`; the driver
 //! checks [`tmac_simd::avx2::available`] once per call.
 
@@ -33,7 +35,7 @@
 
 use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 use crate::plan::{Layout, WeightPlan};
-use crate::table::ActTables;
+use crate::table::{self, ActTables, TABLE_LEN};
 use std::arch::x86_64::*;
 use std::ops::Range;
 use tmac_simd::avx2 as simd;
@@ -1037,6 +1039,177 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize,
         outacc.fold(&blk, sc, bias, &sbuf);
     }
     outacc.store(out);
+}
+
+/// Builds one scale block's tables from its activations `block`: the AVX2
+/// twin of `table::build_block` (same arguments, same bytes, scale and
+/// return value, bit for bit).
+///
+/// `block_entries` makes the raw entries in `raw_table`'s add order and
+/// their abs-max. Quantization divides by the scale (`vdivps`, as the scalar
+/// `v / scale`; a reciprocal multiply rounds differently) and rounds half
+/// away from zero like `f32::round`, which no AVX2 rounding mode does:
+/// truncate, then step away from zero where the dropped fraction is ≥ 0.5.
+/// A block whose scale is not a normal float — entries that overflowed to
+/// infinity, or subnormal activations — takes the scalar quantizer, whose
+/// NaN and infinity handling the integer path does not reproduce.
+///
+/// # Safety
+///
+/// The caller must have verified that the host CPU supports AVX2 and FMA
+/// (e.g. via [`tmac_simd::avx2::available`]).
+///
+/// # Panics
+///
+/// Panics if the buffers do not have `build_block`'s lengths.
+#[target_feature(enable = "avx2,fma")]
+pub fn build_block(
+    block: &[f32],
+    raw: &mut [f32],
+    mirror: bool,
+    q: &mut [i8],
+    u: &mut [u8],
+) -> f32 {
+    let amax = block_entries(block, raw);
+    if q.is_empty() {
+        return 0.0;
+    }
+    let scale = table::table_scale(amax);
+    if scale.is_normal() {
+        quantize_block(raw, scale, mirror, q, u);
+    } else {
+        table::quantize_block(raw, scale, mirror, q, u);
+    }
+    scale
+}
+
+/// Writes the raw tables of `block`'s k-groups into `raw` and returns their
+/// largest magnitude.
+///
+/// A k-group's entries `0..8` and `8..16` are two registers: from `t[0]` in
+/// every lane, bits 0, 1 and 2 each add `2 a_b` to the lanes whose index has
+/// the bit (`add` + `blend`), and bit 3 adds `2 a_3` to all of them — per
+/// entry exactly `raw_table`'s sequence of additions.
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx2")]
+fn block_entries(block: &[f32], raw: &mut [f32]) -> f32 {
+    assert_eq!(raw.len(), block.len() / LUT_GROUP * TABLE_LEN, "raw length");
+    let sign = _mm256_set1_ps(-0.0);
+    let two = _mm256_set1_ps(2.0);
+    let mut amax = _mm256_setzero_ps();
+    for (a, t) in block
+        .chunks_exact(LUT_GROUP)
+        .zip(raw.chunks_exact_mut(TABLE_LEN))
+    {
+        // The activations are one vector, splatted by in-lane permutes:
+        // adds of scalars broadcast one by one are what LLVM turns back
+        // into scalar `vaddss`.
+        // SAFETY: `a` is exactly 4 readable floats; unaligned load allowed.
+        let v = _mm256_broadcast_ps(&unsafe { _mm_loadu_ps(a.as_ptr()) });
+        // Lane 0 of each half ends as `((a0 + a1) + a2) + a3`.
+        let sum = _mm256_add_ps(v, _mm256_permute_ps::<0x55>(v));
+        let sum = _mm256_add_ps(sum, _mm256_permute_ps::<0xAA>(v));
+        let sum = _mm256_add_ps(sum, _mm256_permute_ps::<0xFF>(v));
+        let t0 = _mm256_xor_ps(_mm256_permute_ps::<0x00>(sum), sign);
+        let steps = _mm256_mul_ps(two, v);
+        let lo = _mm256_blend_ps::<0xAA>(t0, _mm256_add_ps(t0, _mm256_permute_ps::<0x00>(steps)));
+        let lo = _mm256_blend_ps::<0xCC>(lo, _mm256_add_ps(lo, _mm256_permute_ps::<0x55>(steps)));
+        let lo = _mm256_blend_ps::<0xF0>(lo, _mm256_add_ps(lo, _mm256_permute_ps::<0xAA>(steps)));
+        let hi = _mm256_add_ps(lo, _mm256_permute_ps::<0xFF>(steps));
+        // `max(|t|, amax)` keeps `amax` where `|t|` is NaN, as `f32::max`.
+        amax = _mm256_max_ps(_mm256_andnot_ps(sign, lo), amax);
+        amax = _mm256_max_ps(_mm256_andnot_ps(sign, hi), amax);
+        simd::storeu_ps(&mut t[..8], lo);
+        simd::storeu_ps(&mut t[8..], hi);
+    }
+    let m = _mm_max_ps(
+        _mm256_castps256_ps128(amax),
+        _mm256_extractf128_ps::<1>(amax),
+    );
+    let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+    _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps::<0x55>(m, m)))
+}
+
+/// Quantizes a block's raw entries with a normal `scale` into its stored
+/// tables `q` (and their `+128` copy `u`, if non-empty): the 8-entry halves
+/// the layout keeps — both of each k-group, or under mirror consolidation
+/// the first — in storage order, four (32 bytes) per step.
+#[target_feature(enable = "avx2")]
+fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8], u: &mut [u8]) {
+    let stride = if mirror { 2 } else { 1 };
+    assert!(
+        q.len().is_multiple_of(16) && q.len() * stride == raw.len(),
+        "stored table length"
+    );
+    assert!(u.is_empty() || u.len() == q.len(), "offset table length");
+    let sc = _mm256_set1_ps(scale);
+    let half = |i: usize| quantize8(simd::loadu_ps(&raw[i * stride * 8..]), sc);
+    for (c, dst) in q.chunks_mut(32).enumerate() {
+        let h = 4 * c;
+        let bytes = if dst.len() == 32 {
+            pack_i8(half(h), half(h + 1), half(h + 2), half(h + 3))
+        } else {
+            // An even number of halves: the tail is two.
+            let (a, b) = (half(h), half(h + 1));
+            pack_i8(a, b, a, b)
+        };
+        store_bytes(dst, bytes);
+        if !u.is_empty() {
+            let offset = _mm256_xor_si256(bytes, _mm256_set1_epi8(i8::MIN));
+            store_bytes(&mut u[32 * c..][..dst.len()], offset);
+        }
+    }
+}
+
+/// `(v / scale).round().clamp(-127.0, 127.0)` per lane, as `i32`, for
+/// quotients well inside the `i32` range (a normal scale of the block's own
+/// entries keeps them within ±128).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn quantize8(v: __m256, scale: __m256) -> __m256i {
+    let x = _mm256_div_ps(v, scale);
+    let trunc = _mm256_cvttps_epi32(x);
+    // Exact: `x` and its truncation share sign and binade or `trunc` is 0.
+    let frac = _mm256_sub_ps(x, _mm256_cvtepi32_ps(trunc));
+    let abs_frac = _mm256_andnot_ps(_mm256_set1_ps(-0.0), frac);
+    let up = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(abs_frac, _mm256_set1_ps(0.5)));
+    // ±1 with the sign of `x`.
+    let away = _mm256_or_si256(
+        _mm256_srai_epi32::<31>(_mm256_castps_si256(x)),
+        _mm256_set1_epi32(1),
+    );
+    let rounded = _mm256_add_epi32(trunc, _mm256_and_si256(up, away));
+    _mm256_max_epi32(
+        _mm256_min_epi32(rounded, _mm256_set1_epi32(127)),
+        _mm256_set1_epi32(-127),
+    )
+}
+
+/// Packs four 8-lane `i32` vectors of `i8` values into 32 bytes, in the
+/// order `a, b, c, d`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn pack_i8(a: __m256i, b: __m256i, c: __m256i, d: __m256i) -> __m256i {
+    // The packs work per 128-bit lane: their dwords hold `a0..4 b0..4 c0..4
+    // d0..4 | a4..8 b4..8 c4..8 d4..8`, which one permute puts in order.
+    let bytes = _mm256_packs_epi16(_mm256_packs_epi32(a, b), _mm256_packs_epi32(c, d));
+    _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7))
+}
+
+/// Stores the first `dst.len()` bytes of `v`: all 32, or the low 16.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn store_bytes<T>(dst: &mut [T], v: __m256i) {
+    const { assert!(std::mem::size_of::<T>() == 1) };
+    match dst.len() {
+        // SAFETY: `dst` is exactly 32 writable bytes; unaligned store allowed.
+        32 => unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v) },
+        // SAFETY: `dst` is exactly 16 writable bytes; unaligned store allowed.
+        16 => unsafe {
+            _mm_storeu_si128(dst.as_mut_ptr() as *mut __m128i, _mm256_castsi256_si128(v))
+        },
+        n => panic!("store_bytes stores 16 or 32 bytes, got {n}"),
+    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,13 @@
 //! For every group of `g = 4` consecutive activations, the table holds the
 //! 16 possible `±` sums `t[i] = Σ_j (i & (1 << j) ? +a_j : -a_j)`. The table
 //! is built incrementally in 15 additions per group (`t[i | 2^b] = t[i] +
-//! 2 a_b`), which is the scalar equivalent of the paper's swizzled SIMD
-//! precompute.
+//! 2 a_b`). On AVX2 hosts the paper's SIMD precompute does this:
+//! `kernel::avx2::build_block` makes a k-group's 16 entries as two
+//! registers, one `add`+`blend` per low bit and one `add` for the top bit,
+//! and quantizes and packs them in registers. It keeps [`raw_table`]'s add
+//! order and `f32::round`'s rounding, so every table byte, scale and
+//! activation sum equals its scalar twin's (`build_block`, the fallback
+//! elsewhere and the tests' reference).
 //!
 //! Two compressions (§3.3) apply on top:
 //!
@@ -101,12 +106,81 @@ pub fn raw_table(a: &[f32; LUT_GROUP]) -> [f32; TABLE_LEN] {
     t
 }
 
+/// Builds one scale block's tables from its activations `block`: the raw
+/// entries of its k-groups into `raw` and, for quantized tables (`q`
+/// non-empty), their `i8` quantization into `q` (mirror: each k-group's
+/// first 8 entries, so consecutive k-groups' halves pair up into 16-byte
+/// tables) and its `+128` copy into `u` (if non-empty). Returns the block's
+/// table scale, `0` for `f32` tables.
+///
+/// This is the scalar twin of `kernel::avx2::build_block`, which must match
+/// it bit for bit: the fallback off AVX2 hosts and the tests' reference.
+pub(crate) fn build_block(
+    block: &[f32],
+    raw: &mut [f32],
+    mirror: bool,
+    q: &mut [i8],
+    u: &mut [u8],
+) -> f32 {
+    for (a, t) in block
+        .chunks_exact(LUT_GROUP)
+        .zip(raw.chunks_exact_mut(TABLE_LEN))
+    {
+        t.copy_from_slice(&raw_table(a.try_into().expect("LUT_GROUP activations")));
+    }
+    if q.is_empty() {
+        return 0.0;
+    }
+    let scale = table_scale(raw.iter().fold(0f32, |m, &x| m.max(x.abs())));
+    quantize_block(raw, scale, mirror, q, u);
+    scale
+}
+
+/// The table scale of a block whose largest entry magnitude is `amax`:
+/// dynamic per-block quantization, finer than activation quantization could
+/// afford (§3.3: "finer granularity ... and dynamic quantization").
+pub(crate) fn table_scale(amax: f32) -> f32 {
+    if amax == 0.0 {
+        1e-8
+    } else {
+        amax / 127.0
+    }
+}
+
+/// Quantizes a block's raw entries with `scale` into its stored tables `q`
+/// (and `u`), as laid out by [`build_block`]; entries round half away from
+/// zero (`f32::round`).
+pub(crate) fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8], u: &mut [u8]) {
+    let quantize = |v: f32| (v / scale).round().clamp(-127.0, 127.0) as i8;
+    let stored = if mirror { TABLE_LEN / 2 } else { TABLE_LEN };
+    for (dst, t) in q.chunks_exact_mut(stored).zip(raw.chunks_exact(TABLE_LEN)) {
+        for (d, &v) in dst.iter_mut().zip(t) {
+            *d = quantize(v);
+        }
+    }
+    for (d, &v) in u.iter_mut().zip(q.iter()) {
+        *d = (v as i32 + FA_OFFSET) as u8;
+    }
+}
+
+/// Whether this host runs the AVX2 table builder: the check the mpGEMM
+/// sweep makes for the AVX2 lookup kernels.
+fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return tmac_simd::avx2::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// The buffers of a table set under construction, shared by the threads
 /// that build different rows: row `r` owns unit `(sb, r)` of every buffer.
 struct Units<'a> {
     rows: usize,
     group_size: usize,
     mirror: bool,
+    /// Whether blocks are built by the AVX2 builder (only where
+    /// [`avx2_available`] holds) rather than its scalar twin.
+    avx2: bool,
     f32_tables: SharedMut<'a, f32>,
     q_tables: SharedMut<'a, i8>,
     u_tables: SharedMut<'a, u8>,
@@ -119,7 +193,8 @@ impl Units<'_> {
     /// activations. Returns `false`, with the row's units unspecified, if
     /// they are not all finite (the scales would be garbage).
     fn fill_row(&self, r: usize, act: &[f32]) -> bool {
-        if act.iter().any(|x| !x.is_finite()) {
+        // A fold rather than `any`: without the early exit it vectorises.
+        if !act.iter().fold(true, |finite, x| finite & x.is_finite()) {
             return false;
         }
         let n_units = self.asums.len();
@@ -145,37 +220,13 @@ impl Units<'_> {
             };
             asum[0] = block.iter().sum();
             let raw = if quantized { &mut scratch[..] } else { raw };
-            for (a, t) in block
-                .chunks_exact(LUT_GROUP)
-                .zip(raw.chunks_exact_mut(TABLE_LEN))
-            {
-                t.copy_from_slice(&raw_table(a.try_into().expect("LUT_GROUP activations")));
-            }
-            if !quantized {
-                continue;
-            }
-            // Dynamic per-block quantization (finer than activation
-            // quantization could afford, §3.3: "finer granularity ... and
-            // dynamic quantization").
-            let amax = raw.iter().fold(0f32, |m, &x| m.max(x.abs()));
-            let scale = if amax == 0.0 { 1e-8 } else { amax / 127.0 };
-            q_scale[0] = scale;
-            let quantize = |v: f32| (v / scale).round().clamp(-127.0, 127.0) as i8;
-            // Mirror: a k-group stores its first 8 entries, so consecutive
-            // k-groups' halves pair up into 16-byte tables.
-            let stored = if self.mirror {
-                TABLE_LEN / 2
-            } else {
-                TABLE_LEN
+            q_scale[0] = match self.avx2 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `avx2` is set only where `avx2_available()` passed
+                // the runtime AVX2+FMA check.
+                true => unsafe { crate::kernel::avx2::build_block(block, raw, self.mirror, q, u) },
+                _ => build_block(block, raw, self.mirror, q, u),
             };
-            for (dst, t) in q.chunks_exact_mut(stored).zip(raw.chunks_exact(TABLE_LEN)) {
-                for (d, &v) in dst.iter_mut().zip(t) {
-                    *d = quantize(v);
-                }
-            }
-            for (d, &v) in u.iter_mut().zip(q.iter()) {
-                *d = (v as i32 + FA_OFFSET) as u8;
-            }
         }
         true
     }
@@ -213,6 +264,19 @@ impl ActTables {
         rows: usize,
         group_size: usize,
         opts: &KernelOpts,
+    ) -> Result<Self, TmacError> {
+        Self::build_with(pool, acts, rows, group_size, opts, true)
+    }
+
+    /// [`ActTables::build_on`] on the AVX2 builder where the host has it and
+    /// `simd` asks for it, else on its scalar twin (the same bytes).
+    fn build_with(
+        pool: Option<&ThreadPool>,
+        acts: &[f32],
+        rows: usize,
+        group_size: usize,
+        opts: &KernelOpts,
+        simd: bool,
     ) -> Result<Self, TmacError> {
         let k = acts.len().checked_div(rows).unwrap_or(0);
         if k == 0
@@ -262,6 +326,7 @@ impl ActTables {
             rows,
             group_size,
             mirror,
+            avx2: simd && avx2_available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
             q_tables: SharedMut::new(&mut tables.q_tables),
             u_tables: SharedMut::new(&mut tables.u_tables),
@@ -521,11 +586,39 @@ mod tests {
             .collect()
     }
 
+    /// Whether the twin-equality checks can run here, printing why not.
+    fn twin_check_runs() -> bool {
+        let simd = avx2_available();
+        if !simd {
+            println!(
+                "skipped the AVX2-vs-scalar twin check: the AVX2 builder does not run on this host"
+            );
+        }
+        simd
+    }
+
+    /// Asserts that the AVX2 build `simd` holds its scalar twin's bytes:
+    /// tables of every kind, scales and activation sums.
+    fn assert_twin(simd: &ActTables, twin: &ActTables, what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(simd.q_tables, twin.q_tables, "q_tables {what}");
+        assert_eq!(simd.u_tables, twin.u_tables, "u_tables {what}");
+        assert_eq!(
+            bits(&simd.f32_tables),
+            bits(&twin.f32_tables),
+            "f32_tables {what}"
+        );
+        assert_eq!(bits(&simd.q_scales), bits(&twin.q_scales), "scales {what}");
+        assert_eq!(bits(&simd.asums), bits(&twin.asums), "asums {what}");
+    }
+
     /// Calls `check(opts, batch, one_row_builds, what)` for generated
     /// batches: every table profile (the weight bit-width does not enter a
     /// table) × group size × `rows` in 1..=19, the batch built on one thread
-    /// or fanned out over a pool (more rows than threads, and fewer).
+    /// or fanned out over a pool (more rows than threads, and fewer). Each
+    /// batch must also be bytewise its scalar twin's build.
     fn for_generated_batches(mut check: impl FnMut(&KernelOpts, &ActTables, &[ActTables], &str)) {
+        let twins = twin_check_runs();
         let pool = ThreadPool::new(3);
         let profiles = [
             KernelOpts::tm_base(),
@@ -557,12 +650,13 @@ mod tests {
                         .chunks_exact(k)
                         .map(|act| ActTables::build(act, 1, gs, opts).unwrap())
                         .collect();
-                    check(
-                        opts,
-                        &batch,
-                        &ones,
-                        &format!("gs={gs} profile={pi} rows={rows}"),
-                    );
+                    let what = format!("gs={gs} profile={pi} rows={rows}");
+                    if twins {
+                        let twin =
+                            ActTables::build_with(pool, &acts, rows, gs, opts, false).unwrap();
+                        assert_twin(&batch, &twin, &what);
+                    }
+                    check(opts, &batch, &ones, &what);
                 }
             }
         }
@@ -648,6 +742,61 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Blocks at the edges of the AVX2 builder's arithmetic, in every table
+    /// profile: the all-zero block (the `1e-8` scale), `-0.0`, tiny and
+    /// large magnitudes, entries whose quotient by the scale is exactly
+    /// `k + 0.5` (scale 41, where a nearest-even rounding or a multiply by
+    /// the rounded reciprocal `1/41` lands on the other integer), entries
+    /// that overflow to infinity or NaN and subnormal activations (the
+    /// blocks the scalar quantizer takes).
+    #[test]
+    fn avx2_build_matches_scalar_twin_on_edge_blocks() {
+        if !twin_check_runs() {
+            return;
+        }
+        let profiles = [
+            KernelOpts::tm_base(),
+            KernelOpts::plus_table_quant(),
+            KernelOpts::tmac_mirror(),
+            KernelOpts::tmac_fast_aggregation(),
+        ];
+        for gs in [8usize, 32] {
+            let scaled = |by: f32, seed: u64| -> Vec<f32> {
+                generated(gs, seed).iter().map(|x| x * by).collect()
+            };
+            // 41 · 127 in k-group 0 makes the scale 41; k-group 1's entries
+            // are 41 · (±0.5 ± 1 ± 2 ± 4), all halfway between integers.
+            let halfway: Vec<f32> = [[1301.75f32; 4], [20.5, 41.0, 82.0, 164.0]]
+                .iter()
+                .chain(std::iter::repeat_n(&[20.5, 41.0, 82.0, 164.0], gs / 4 - 2))
+                .flatten()
+                .copied()
+                .collect();
+            let mut signed_zeros = scaled(1.0, 9);
+            signed_zeros.iter_mut().step_by(3).for_each(|x| *x = -0.0);
+            // Entries of ±infinity, and NaN (`-inf + inf`) in the block's
+            // last k-group: the abs-max must skip NaN as `f32::max` does.
+            let mut overflow = scaled(1e38, 5);
+            overflow[gs - 4..].copy_from_slice(&[3e38, 3e38, -3e38, 0.0]);
+            let acts: Vec<f32> = [
+                vec![0.0; gs],
+                vec![-0.0; gs],
+                signed_zeros,
+                scaled(1e-30, 3),
+                scaled(1e4, 4),
+                halfway,
+                overflow,
+                scaled(1e-40, 6),
+            ]
+            .concat();
+            for (pi, opts) in profiles.iter().enumerate() {
+                let simd = ActTables::build(&acts, 1, gs, opts).unwrap();
+                let twin = ActTables::build_with(None, &acts, 1, gs, opts, false).unwrap();
+                assert_twin(&simd, &twin, &format!("gs={gs} profile={pi}"));
+            }
+        }
     }
 
     #[test]

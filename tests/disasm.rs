@@ -1,9 +1,11 @@
-//! Disassembly golden test for the paired-stream kernels (DESIGN.md §3b).
+//! Disassembly golden test for the paired-stream kernels (DESIGN.md §3b)
+//! and the table build.
 //!
 //! The kernel win of the paired stream is an instruction-mix claim: per
 //! 32-byte weight load the GEMV loop issues exactly two `vpshufb` and no
 //! other shuffle-port work, and the mpGEMM row loop looks a decoded scale
-//! block up with its accumulators in registers. A refactor (or a compiler
+//! block up with its accumulators in registers. The table build's claim is
+//! the same kind: its k-group loop is vector code. A refactor (or a compiler
 //! upgrade) can lose that silently while every numerical test stays green,
 //! so this test disassembles *this test binary's own copy* of the kernels
 //! (`#[inline(never)]` keeps them findable) and checks the loops.
@@ -194,6 +196,34 @@ fn gemv_loop_is_two_shuffles_per_weight_load() {
     assert!(
         w2_hot_loops >= 1,
         "no 2-bit GEMV loop found in {} symbols",
+        funcs.len()
+    );
+}
+
+/// The table build's per-k-group loop stays in vector registers: the 16
+/// entries are two `ymm` of `vaddps` results and their abs-max one running
+/// `vmaxps`, so a scalar add means the build fell back to per-entry code,
+/// and a `ymm` store to the stack means a spill.
+#[test]
+fn table_build_loop_is_vector_only() {
+    let Some(funcs) = disassemble("avx2::block_entries") else {
+        return;
+    };
+    let mut build_loops = 0;
+    for f in &funcs {
+        for body in innermost_with(f, "vmaxps") {
+            let dump = listing(body);
+            assert!(
+                !body.iter().any(|i| i.is("vaddss") || i.is("addss")),
+                "scalar add:\n{dump}"
+            );
+            assert!(!body.iter().any(Insn::is_ymm_stack_store), "spill:\n{dump}");
+            build_loops += 1;
+        }
+    }
+    assert!(
+        build_loops >= 1,
+        "no table build loop found in {} symbols",
         funcs.len()
     );
 }
