@@ -36,8 +36,8 @@ use tmac_core::ExecCtx;
 use tmac_llm::batch::{FinishReason, Scheduler, SeqId, SeqTiming, SubmitRequest};
 use tmac_llm::sampling::SamplingParams;
 
-/// Wakes a connection's driver after events are queued for it: the epoll
-/// loop's self-pipe, or an unpark of the connection's thread.
+/// Wakes a connection's driver after events are queued for it: an unpark
+/// of the connection's thread.
 pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 
 /// Why a served sequence ended (the bridge-level refinement of

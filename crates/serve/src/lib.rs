@@ -10,13 +10,12 @@
 //!
 //! Everything is hand-rolled on `std`, matching the repo's no-external-
 //! crates rule: [`json`] is the wire codec, [`http`] the HTTP/1.1 + SSE
-//! layer, [`poll`] a thin epoll wrapper (Linux), [`bridge`] the bounded
-//! submission channel into the step loop, and [`server`] the listener and
-//! request routing. Every connection is one socket-free `Conn` state
-//! machine (`conn.rs`: pipelining, keep-alive, 408, drain, disconnect →
-//! cancel, slow-consumer cap, typed endings); the epoll event loop and
-//! the portable thread-per-connection driver are I/O shims that move
-//! bytes between it and a socket.
+//! layer, [`bridge`] the bounded submission channel into the step loop,
+//! and [`server`] the listener, request routing and connection driver.
+//! Every connection is one socket-free `Conn` state machine (`conn.rs`:
+//! pipelining, keep-alive, 408, drain, disconnect → cancel, slow-consumer
+//! cap, typed endings), driven by one OS thread that moves bytes between
+//! it and a blocking socket.
 //!
 //! Serving semantics:
 //!
@@ -29,7 +28,8 @@
 //! * **Cancellation** — a client disconnect flips the request's cancel
 //!   flag; the step loop frees the KV slot on its next iteration.
 //! * **Graceful drain** — `ServerHandle::drain` stops accepting, lets
-//!   in-flight sequences finish, then the step loop and drivers exit.
+//!   in-flight sequences finish, then the step loop and connection threads
+//!   exit.
 //! * **Supervision** — a watchdog thread respawns the step loop after a
 //!   panic (bounded restarts with exponential backoff); `GET /healthz`
 //!   degrades to 503 when the loop stalls or dies. See
@@ -61,15 +61,13 @@
 
 pub mod bridge;
 mod conn;
-mod event_loop;
 pub mod http;
 pub mod json;
 pub mod metrics;
-pub mod poll;
 pub mod server;
 
 pub use bridge::{BridgeHandle, EndReason, HealthState, SeqEvent, SubmitError, SupervisorOpts};
 pub use http::Limits;
 pub use json::Json;
 pub use metrics::Metrics;
-pub use server::{start, ConnMode, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};

@@ -1,20 +1,18 @@
 //! The serving front-end: listener, request routing, response bodies, and
-//! the two I/O shims' shared socket helpers.
+//! the connection driver.
 //!
-//! Every connection is one sans-IO `Conn` state machine (`conn.rs`);
-//! a driver only moves bytes between it and a socket:
+//! Every connection is one sans-IO `Conn` state machine (`conn.rs`),
+//! driven by one OS thread (below) that only moves bytes between it and a
+//! blocking socket: reads and writes time out after `TICK`, and
+//! `park_timeout` is woken by the request's waker while a completion is
+//! in flight. The listener blocks in `accept`; drain and abort wake it
+//! with one loopback connect.
 //!
-//! * **Epoll** (`event_loop`, Linux): one thread multiplexes every
-//!   connection over non-blocking sockets.
-//! * **Threads** (portable, below): one OS thread per connection — a
-//!   blocking read with a short timeout while idle, `park_timeout` woken
-//!   by the request's waker while a completion is in flight.
-//!
-//! Both submit work over the [`crate::bridge`]; `Conn` answers
+//! Work is submitted over the [`crate::bridge`]; `Conn` answers
 //! `429 + Retry-After` on queue-full, honors per-request deadlines with
-//! typed 504s, cancels the sequence when the client goes away, and closes
-//! idle connections during a graceful drain while in-flight requests run
-//! to completion.
+//! typed 504s, cancels the sequence when the client goes away, drops a
+//! consumer that stops reading, and closes idle connections during a
+//! graceful drain while in-flight requests run to completion.
 
 use crate::bridge::{
     self, BridgeHandle, EndReason, HealthState, SeqEvent, Submission, SubmitError, SupervisorOpts,
@@ -25,7 +23,7 @@ use crate::http::{self, Limits, Request, Response};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -35,26 +33,11 @@ use tmac_core::ExecCtx;
 use tmac_llm::batch::{Scheduler, SeqTiming};
 use tmac_llm::sampling::SamplingParams;
 
-/// Which I/O shim drives the connections. The default is the platform's:
-/// epoll on Linux, threads elsewhere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnMode {
-    /// Single-threaded epoll event loop. Linux only; on other platforms
-    /// the threads shim runs instead.
-    #[cfg_attr(target_os = "linux", default)]
-    Epoll,
-    /// One blocking OS thread per connection (portable).
-    #[cfg_attr(not(target_os = "linux"), default)]
-    Threads,
-}
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port.
     pub addr: String,
-    /// Connection driver.
-    pub mode: ConnMode,
     /// HTTP parsing limits.
     pub limits: Limits,
     /// `max_tokens` when the request omits it.
@@ -71,7 +54,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            mode: ConnMode::default(),
             limits: Limits::default(),
             default_max_tokens: 16,
             default_deadline_ms: 0,
@@ -81,7 +63,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared by the listener, connection drivers, and handle.
+/// State shared by the listener, connection threads, and handle.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) bridge: BridgeHandle,
@@ -629,21 +611,35 @@ impl ServerHandle {
     }
 
     /// Begins graceful drain: the listener stops accepting, queued and
-    /// active sequences finish, then the step loop and drivers exit.
-    /// Returns immediately; follow with [`ServerHandle::join`].
+    /// active sequences finish, then the step loop and connection threads
+    /// exit. Returns immediately; follow with [`ServerHandle::join`].
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::Release);
         self.shared.bridge.drain();
+        self.wake_listener();
     }
 
-    /// Waits for the drivers and step loop to exit (after
-    /// [`ServerHandle::drain`] or [`ServerHandle::abort`]).
+    /// Wakes the accept loop out of its blocking `accept` so it sees
+    /// drain/stop: one loopback connect to the listener's own port, which
+    /// the loop drops unserved. A closed listener refuses it at once.
+    fn wake_listener(&self) {
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, TICK);
+    }
+
+    /// Waits for the accept loop and step loop to exit (after
+    /// [`ServerHandle::drain`] or [`ServerHandle::abort`]), then up to
+    /// 10 s for the detached connection threads to close.
     pub fn join(mut self) {
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
-        // Threads-mode connection handlers are detached; wait for the open
-        // connection gauge to empty (bounded).
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.shared.metrics.connections.get() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
@@ -661,16 +657,16 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.draining.store(true, Ordering::Release);
         self.shared.bridge.abort();
+        self.wake_listener();
         self.join();
     }
 }
 
-/// Builds the bridge + listener and spawns the configured connection
-/// driver.
+/// Builds the bridge + listener and spawns the accept loop.
 ///
 /// # Errors
 ///
-/// I/O errors from binding the listener or creating the poller.
+/// I/O errors from binding the listener.
 pub fn start(sched: Scheduler, ctx: ExecCtx, cfg: ServerConfig) -> io::Result<ServerHandle> {
     let metrics = Arc::new(Metrics::new());
     let (bridge, step_join) = bridge::start_with(
@@ -682,41 +678,36 @@ pub fn start(sched: Scheduler, ctx: ExecCtx, cfg: ServerConfig) -> io::Result<Se
     );
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    // Both drivers poll a non-blocking listener; failing here (instead of
-    // inside the driver thread) propagates a real io::Error to the caller.
-    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared::new(cfg, bridge, metrics));
     let s = Arc::clone(&shared);
-    let driver = match shared.cfg.mode {
-        #[cfg(target_os = "linux")]
-        ConnMode::Epoll => {
-            let poller = crate::poll::Poller::new()?;
-            std::thread::Builder::new()
-                .name("tmac-event-loop".into())
-                .spawn(move || crate::event_loop::run(listener, s, poller))
-        }
-        _ => std::thread::Builder::new()
-            .name("tmac-accept".into())
-            .spawn(move || accept_loop_threads(listener, s)),
-    }
-    .expect("spawn connection driver");
+    let accept = std::thread::Builder::new()
+        .name("tmac-accept".into())
+        .spawn(move || accept_loop(listener, s))
+        .expect("spawn accept loop");
     Ok(ServerHandle {
         addr,
         shared,
-        joins: vec![driver, step_join],
+        joins: vec![accept, step_join],
     })
 }
 
 // ---------------------------------------------------------------------------
-// Socket helpers shared by both shims
+// Connection driver: one thread per connection
 // ---------------------------------------------------------------------------
+
+/// How long a connection thread blocks in `read`, `write` or
+/// `park_timeout` before it re-checks stop/drain, the idle reaper, the
+/// write cap and the peer; also the bound on the listener's wake-up
+/// connect.
+const TICK: Duration = Duration::from_millis(200);
 
 /// What one socket operation achieved.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Io {
+enum Io {
     /// Read: bytes were fed to the `Conn`. Write: its output is flushed.
     Ready,
-    /// Nothing more can move right now (would block, or a read timeout).
+    /// Nothing more can move right now (would block, or a read or write
+    /// timeout).
     Blocked,
     /// EOF or a socket error: the peer is gone.
     Closed,
@@ -724,7 +715,7 @@ pub(crate) enum Io {
 
 /// One `read` into `conn`. Chaos: `serve/read=error` fails the read,
 /// `again` turns it into a would-block, `short` delivers a single byte.
-pub(crate) fn read_some(stream: &mut TcpStream, conn: &mut Conn, shared: &Shared) -> Io {
+fn read_some(stream: &mut TcpStream, conn: &mut Conn, shared: &Shared) -> Io {
     if conn.input_full(&shared.cfg.limits) {
         return Io::Blocked; // the parser answers the excess on the next service
     }
@@ -751,10 +742,12 @@ pub(crate) fn read_some(stream: &mut TcpStream, conn: &mut Conn, shared: &Shared
     }
 }
 
-/// Writes as much of `conn`'s pending output as the socket takes. Chaos:
-/// `serve/write=short` tears the response after one byte and `error`
-/// fails outright (both read as a vanished peer); `again` is an EAGAIN.
-pub(crate) fn write_some(stream: &mut TcpStream, conn: &mut Conn) -> Io {
+/// Writes as much of `conn`'s pending output as the socket takes; a write
+/// the peer leaves unread for a [`TICK`] is `Blocked`, not a gone peer.
+/// Chaos: `serve/write=short` tears the response after one byte and
+/// `error` fails outright (both read as a vanished peer); `again` is an
+/// EAGAIN.
+fn write_some(stream: &mut TcpStream, conn: &mut Conn) -> Io {
     while !conn.pending_output().is_empty() {
         match failpoint::fire("serve/write") {
             Some(FailAction::Short) => {
@@ -778,34 +771,36 @@ pub(crate) fn write_some(stream: &mut TcpStream, conn: &mut Conn) -> Io {
     Io::Ready
 }
 
-// ---------------------------------------------------------------------------
-// Threads shim
-// ---------------------------------------------------------------------------
-
-/// How long a connection thread sleeps in `read` or `park_timeout` before
-/// it re-checks stop/drain, the idle reaper, and the peer.
-const TICK: Duration = Duration::from_millis(200);
-
-fn accept_loop_threads(listener: TcpListener, shared: Arc<Shared>) {
-    // The listener was made non-blocking by `start` before spawning us.
+/// Accepts until drain or stop, one thread per connection. `accept`
+/// blocks; `ServerHandle::wake_listener` unblocks it.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     while !shared.is_stopped() && !shared.is_draining() {
         match listener.accept() {
+            // The wake-up connect (or a client racing it) after drain/stop.
+            Ok(_) if shared.is_stopped() || shared.is_draining() => break,
             // Chaos: an armed `serve/accept=error` hangs up on the client
             // right after the TCP handshake.
             Ok(_) if failpoint::fire("serve/accept") == Some(FailAction::Error) => {}
             Ok((mut stream, _)) => {
                 tmac_trace::instant("serve", "accept", 0, 0);
                 let s = Arc::clone(&shared);
-                s.metrics.connections.inc();
-                let _ = std::thread::Builder::new()
-                    .name("tmac-conn".into())
-                    .spawn(move || {
-                        serve_conn(&mut stream, &s);
-                        // Before `stream` drops: a client that saw the
-                        // close must also see the gauge it released.
-                        s.metrics.connections.dec();
-                    });
+                shared.metrics.connections.inc();
+                let spawned =
+                    std::thread::Builder::new()
+                        .name("tmac-conn".into())
+                        .spawn(move || {
+                            serve_conn(&mut stream, &s);
+                            // Before `stream` drops: a client that saw the
+                            // close must also see the gauge it released.
+                            s.metrics.connections.dec();
+                        });
+                // No thread: the closure and its socket are dropped, and
+                // the gauge must not keep counting them.
+                if spawned.is_err() {
+                    shared.metrics.connections.dec();
+                }
             }
+            // E.g. EMFILE: back off rather than spin on the error.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -823,10 +818,13 @@ fn client_gone(stream: &TcpStream) -> bool {
     gone
 }
 
-/// Drives one `Conn` over a blocking socket. Output is flushed
-/// synchronously, so a write that cannot complete means the peer is gone.
+/// Drives one `Conn` over a blocking socket whose reads and writes time
+/// out after [`TICK`]. Output the peer does not take stays pending while
+/// the loop keeps reading and servicing, so `Conn::service` drops a
+/// consumer that falls `WRITE_CAP` behind.
 fn serve_conn(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(TICK));
+    let _ = stream.set_write_timeout(Some(TICK));
     let _ = stream.set_nodelay(true);
     let me = std::thread::current();
     let wake: WakeFn = Arc::new(move || me.unpark());
@@ -834,7 +832,7 @@ fn serve_conn(stream: &mut TcpStream, shared: &Shared) {
     let mut next_probe = Instant::now() + TICK;
     while !shared.is_stopped() {
         conn.service(shared, &wake, Instant::now());
-        if write_some(stream, &mut conn) != Io::Ready {
+        if write_some(stream, &mut conn) == Io::Closed {
             conn.peer_gone();
         }
         if conn.finished() {

@@ -20,7 +20,7 @@ use tmac::core::failpoint;
 use tmac::core::ExecCtx;
 use tmac::io::{IoError, LoadMode, Mapping, TmacContainer};
 use tmac::llm::{Scheduler, SchedulerConfig, SubmitRequest};
-use tmac::serve::{ConnMode, Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
+use tmac::serve::{Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
 
 /// Serializes tests in this binary and clears the registry on both entry
 /// and exit, so a panicking test cannot leak armed sites into the next.
@@ -42,9 +42,8 @@ impl Drop for Disarm {
 /// The chaos server: four KV slots, default (10 s) idle timeout. Scheduler
 /// references ([`direct_tokens`]) must be computed *before* arming
 /// scheduler failpoints.
-fn start_server(mode: ConnMode, supervisor: SupervisorOpts) -> ServerHandle {
+fn start_server(supervisor: SupervisorOpts) -> ServerHandle {
     let cfg = ServerConfig {
-        mode,
         supervisor,
         ..ServerConfig::default()
     };
@@ -151,54 +150,45 @@ fn forward_panic_mid_stream_quarantines_only_the_victim() {
     ];
     let expected: Vec<Vec<u32>> = cases.iter().map(|(p, n)| direct_tokens(p, *n)).collect();
 
-    for mode in both_modes() {
-        failpoint::clear();
-        let server = start_server(mode, SupervisorOpts::default());
-        let addr = server.addr();
-        let metrics = server.metrics();
-        failpoint::configure("scheduler/forward=panic:n6x2", SEED).unwrap();
+    let server = start_server(SupervisorOpts::default());
+    let addr = server.addr();
+    let metrics = server.metrics();
+    failpoint::configure("scheduler/forward=panic:n6x2", SEED).unwrap();
 
-        let clients: Vec<_> = cases
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, (prompt, n))| {
-                std::thread::spawn(move || run_client(addr, &prompt, n, i % 2 == 0))
-            })
-            .collect();
-        let outcomes: Vec<ClientOutcome> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        failpoint::clear();
+    let clients: Vec<_> = cases
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, (prompt, n))| {
+            std::thread::spawn(move || run_client(addr, &prompt, n, i % 2 == 0))
+        })
+        .collect();
+    let outcomes: Vec<ClientOutcome> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    failpoint::clear();
 
-        let victims = outcomes.iter().filter(|o| o.errored).count();
-        assert_eq!(
-            victims, 1,
-            "exactly one request must be quarantined ({mode:?})"
-        );
-        for (i, o) in outcomes.iter().enumerate() {
-            if !o.errored {
-                assert_eq!(
-                    o.tokens, expected[i],
-                    "survivor {i} must be bit-exact ({mode:?})"
-                );
-            }
+    let victims = outcomes.iter().filter(|o| o.errored).count();
+    assert_eq!(victims, 1, "exactly one request must be quarantined");
+    for (i, o) in outcomes.iter().enumerate() {
+        if !o.errored {
+            assert_eq!(o.tokens, expected[i], "survivor {i} must be bit-exact");
         }
-
-        // The fault must not leak capacity, skew the counters, or mark the
-        // server unhealthy.
-        assert!(wait_quiesce(&metrics), "gauges must drain ({mode:?})");
-        assert!(metrics.quarantined.get() >= 1, "{mode:?}");
-        assert_eq!(healthz(addr).0, 200, "{mode:?}");
-        let violations = metrics.consistency_violations();
-        assert!(violations.is_empty(), "{mode:?}: {violations:?}");
-        // The quarantine leaves an instant event in the trace — panics
-        // are observable after the fact, not just counted.
-        let dump = tmac::trace::chrome_trace_json();
-        assert!(
-            dump.contains("\"name\":\"quarantine\""),
-            "{mode:?}: no sched/quarantine instant in the trace dump"
-        );
-        server.shutdown();
     }
+
+    // The fault must not leak capacity, skew the counters, or mark the
+    // server unhealthy.
+    assert!(wait_quiesce(&metrics), "gauges must drain");
+    assert!(metrics.quarantined.get() >= 1);
+    assert_eq!(healthz(addr).0, 200);
+    let violations = metrics.consistency_violations();
+    assert!(violations.is_empty(), "{violations:?}");
+    // The quarantine leaves an instant event in the trace — panics
+    // are observable after the fact, not just counted.
+    let dump = tmac::trace::chrome_trace_json();
+    assert!(
+        dump.contains("\"name\":\"quarantine\""),
+        "no sched/quarantine instant in the trace dump"
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -209,7 +199,7 @@ fn bridge_panic_restarts_the_loop_and_serving_recovers() {
     // The loop's second iteration panics once (nothing in flight yet);
     // the supervisor must restart it and serving must carry on.
     failpoint::configure("bridge/loop=panic:n2", SEED).unwrap();
-    let server = start_server(ConnMode::Threads, SupervisorOpts::default());
+    let server = start_server(SupervisorOpts::default());
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -236,14 +226,11 @@ fn supervisor_exhaustion_degrades_healthz_and_rejects_work() {
     // Every loop iteration panics: the supervisor burns its restart budget
     // and declares the bridge dead instead of spinning forever.
     failpoint::configure("bridge/loop=panic", SEED).unwrap();
-    let server = start_server(
-        ConnMode::Threads,
-        SupervisorOpts {
-            max_restarts: 2,
-            backoff: Duration::from_millis(1),
-            ..SupervisorOpts::default()
-        },
-    );
+    let server = start_server(SupervisorOpts {
+        max_restarts: 2,
+        backoff: Duration::from_millis(1),
+        ..SupervisorOpts::default()
+    });
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -272,50 +259,44 @@ fn supervisor_exhaustion_degrades_healthz_and_rejects_work() {
 }
 
 #[test]
-fn dead_step_loop_ends_in_flight_requests_identically_in_both_drivers() {
+fn dead_step_loop_ends_waiting_with_503_and_streaming_with_an_error_frame() {
     let _g = fp_lock();
     let _d = Disarm;
-    let mut seen = Vec::new();
-    for mode in both_modes() {
-        // Every loop iteration panics before intake, so admitted requests
-        // sit in the submission channel until the supervisor gives up
-        // (~0.9 s with this backoff) and drops it — and their sinks.
-        failpoint::configure("bridge/loop=panic", SEED).unwrap();
-        let server = start_server(
-            mode,
-            SupervisorOpts {
-                max_restarts: 2,
-                backoff: Duration::from_millis(300),
-                ..SupervisorOpts::default()
-            },
-        );
-        let addr = server.addr();
-        let clients: Vec<_> = [false, true]
-            .into_iter()
-            .map(|stream| {
-                std::thread::spawn(move || {
-                    let body = prompt_json(&[1, 2], 4, stream);
-                    raw_request(addr, "POST", "/v1/completions", &body)
-                })
+    // Every loop iteration panics before intake, so admitted requests
+    // sit in the submission channel until the supervisor gives up
+    // (~0.9 s with this backoff) and drops it — and their sinks.
+    failpoint::configure("bridge/loop=panic", SEED).unwrap();
+    let server = start_server(SupervisorOpts {
+        max_restarts: 2,
+        backoff: Duration::from_millis(300),
+        ..SupervisorOpts::default()
+    });
+    let addr = server.addr();
+    let clients: Vec<_> = [false, true]
+        .into_iter()
+        .map(|stream| {
+            std::thread::spawn(move || {
+                let body = prompt_json(&[1, 2], 4, stream);
+                raw_request(addr, "POST", "/v1/completions", &body)
             })
-            .collect();
-        let texts: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
-        failpoint::clear();
+        })
+        .collect();
+    let texts: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    failpoint::clear();
 
-        // Waiting: a typed 503 that also closes the connection.
-        let (status, head, body) = parse_response(texts[0].as_bytes());
-        assert!(head.contains("Connection: close"), "{mode:?}: {head}");
-        // Streaming: the terminal error frame, then the sentinel.
-        let sse = &texts[1];
-        assert_eq!(status_of(sse), 200, "{mode:?}: {sse}");
-        assert!(sse.trim_end().ends_with("data: [DONE]"), "{mode:?}: {sse}");
-        let errored = sse.contains("\"finish_reason\":\"error\"");
-        seen.push((status, error_type(&body), errored));
-        server.abort();
-    }
-    for ending in &seen {
-        assert_eq!(ending, &(503, "server_stopped".to_string(), true));
-    }
+    // Waiting: a typed 503 that also closes the connection.
+    let (status, head, body) = parse_response(texts[0].as_bytes());
+    assert!(head.contains("Connection: close"), "{head}");
+    // Streaming: the terminal error frame, then the sentinel.
+    let sse = &texts[1];
+    assert_eq!(status_of(sse), 200, "{sse}");
+    assert!(sse.trim_end().ends_with("data: [DONE]"), "{sse}");
+    let errored = sse.contains("\"finish_reason\":\"error\"");
+    server.abort();
+    assert_eq!(
+        (status, error_type(&body), errored),
+        (503, "server_stopped".to_string(), true)
+    );
 }
 
 #[test]
@@ -324,7 +305,7 @@ fn kv_page_alloc_fault_errors_the_request_and_serving_recovers() {
     let _d = Disarm;
     let expected = direct_tokens(&[3, 1, 4], 6);
 
-    let server = start_server(ConnMode::Threads, SupervisorOpts::default());
+    let server = start_server(SupervisorOpts::default());
     let addr = server.addr();
     let metrics = server.metrics();
 
@@ -474,13 +455,13 @@ fn keep_alive_completion(sock: &mut Option<TcpStream>, addr: SocketAddr, prompt:
 /// is over *and* a probe has answered 200 (at most 5 s past the storm),
 /// so one faulted probe cannot fail the run. Returns every violated
 /// survival invariant; empty means the server survived.
-fn storm(mode: ConnMode, spec: &str) -> Vec<String> {
+fn storm(spec: &str) -> Vec<String> {
     const WORKERS: u32 = 12;
     const PER_WORKER: u32 = 4;
     let probe_prompt = [3u32, 1, 4, 1, 5];
     let expected = direct_tokens(&probe_prompt, 6);
 
-    let server = start_server(mode, SupervisorOpts::default());
+    let server = start_server(SupervisorOpts::default());
     let addr = server.addr();
     let metrics = server.metrics();
     // Lookup-table setup and such happen before the faults arm.
@@ -578,13 +559,11 @@ fn storm(mode: ConnMode, spec: &str) -> Vec<String> {
 }
 
 #[test]
-fn fault_storm_survives_in_both_drivers() {
+fn server_survives_the_fault_storm() {
     let _g = fp_lock();
     let _d = Disarm;
-    for mode in both_modes() {
-        let violations = storm(mode, STORM_SPEC);
-        assert!(violations.is_empty(), "{mode:?}: {violations:?}");
-    }
+    let violations = storm(STORM_SPEC);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]
@@ -594,14 +573,12 @@ fn unquarantinable_fault_storm_is_caught() {
     // The step loop itself panicking escapes the quarantine: the storm
     // must report it instead of passing. Either nothing was quarantined,
     // or the panics spent the restart budget and left the server dead.
-    for mode in both_modes() {
-        let violations = storm(mode, "bridge/loop=panic:p0.05");
-        assert!(
-            violations.iter().any(|v| {
-                v.starts_with("no sequence was quarantined")
-                    || v.starts_with("healthz did not return 200")
-            }),
-            "{mode:?}: the un-quarantinable fault went unreported: {violations:?}"
-        );
-    }
+    let violations = storm("bridge/loop=panic:p0.05");
+    assert!(
+        violations.iter().any(|v| {
+            v.starts_with("no sequence was quarantined")
+                || v.starts_with("healthz did not return 200")
+        }),
+        "the un-quarantinable fault went unreported: {violations:?}"
+    );
 }

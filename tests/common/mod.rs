@@ -12,7 +12,7 @@ use tmac::core::ExecCtx;
 use tmac::llm::{
     BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
 };
-use tmac::serve::{ConnMode, Json, ServerConfig, ServerHandle};
+use tmac::serve::{Json, ServerConfig, ServerHandle};
 
 pub const SEED: u64 = 42;
 
@@ -57,30 +57,16 @@ pub fn start_server_cfg(
 }
 
 /// A server with a short idle timeout, so the 408 cases finish quickly.
-pub fn start_server_with(
-    model: Model,
-    max_batch: usize,
-    max_pending: usize,
-    mode: ConnMode,
-) -> ServerHandle {
+pub fn start_server_with(model: Model, max_batch: usize, max_pending: usize) -> ServerHandle {
     let cfg = ServerConfig {
-        mode,
         idle_conn_timeout: Duration::from_millis(500),
         ..ServerConfig::default()
     };
     start_server_cfg(model, max_batch, max_pending, cfg)
 }
 
-pub fn start_server(max_batch: usize, max_pending: usize, mode: ConnMode) -> ServerHandle {
-    start_server_with(tiny_model(), max_batch, max_pending, mode)
-}
-
-pub fn both_modes() -> Vec<ConnMode> {
-    if cfg!(target_os = "linux") {
-        vec![ConnMode::Epoll, ConnMode::Threads]
-    } else {
-        vec![ConnMode::Threads]
-    }
+pub fn start_server(max_batch: usize, max_pending: usize) -> ServerHandle {
+    start_server_with(tiny_model(), max_batch, max_pending)
 }
 
 /// Scheduler-direct reference output for one prompt.

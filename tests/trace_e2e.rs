@@ -1,6 +1,6 @@
 //! End-to-end observability tests: per-request `timings` breakdowns, the
 //! `/debug/trace` Chrome-trace endpoint, and the `/metrics` latency
-//! histograms, exercised over real TCP against both connection drivers.
+//! histograms, exercised over real TCP against a real server.
 //!
 //! Span recording is part of every build, so the span taxonomy (scheduler
 //! steps, request lifecycles, per-layer attention, mpGEMM sweeps) is
@@ -12,7 +12,7 @@ use common::*;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use tmac::llm::PAGE_POSITIONS;
-use tmac::serve::{ConnMode, Json};
+use tmac::serve::Json;
 
 /// Pulls the `timings` object out of a completion body (or final SSE
 /// frame) as (queue_ms, prefill_ms, decode_ms, tokens_per_s, prefix_hits).
@@ -63,39 +63,33 @@ fn timed_completion(addr: SocketAddr, body: &str) -> (u16, String, f64) {
 
 #[test]
 fn timings_ride_responses_in_both_drivers() {
-    for mode in both_modes() {
-        let server = start_server_with(tiny_model(), 2, 16, mode);
-        let addr = server.addr();
+    let server = start_server_with(tiny_model(), 2, 16);
+    let addr = server.addr();
 
-        // Non-streaming: the 200 body carries the breakdown.
-        let (status, body, e2e_ms) = timed_completion(addr, &prompt_json(&[1, 2, 3], 8, false));
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
-        let doc = Json::parse(&body).unwrap();
-        let (_, _, decode_ms, tok_s, _) = phases_within(&doc, e2e_ms, &format!("mode {mode:?}"));
-        // Eight decode steps on a real model take measurable time, and the
-        // throughput figure must be finite and positive.
-        assert!(decode_ms > 0.0, "mode {mode:?}: decode {decode_ms}");
-        assert!(
-            tok_s > 0.0 && tok_s.is_finite(),
-            "mode {mode:?}: tokens_per_s {tok_s}"
-        );
+    // Non-streaming: the 200 body carries the breakdown.
+    let (status, body, e2e_ms) = timed_completion(addr, &prompt_json(&[1, 2, 3], 8, false));
+    assert_eq!(status, 200, "{body}");
+    let doc = Json::parse(&body).unwrap();
+    let (_, _, decode_ms, tok_s, _) = phases_within(&doc, e2e_ms, "non-streaming");
+    // Eight decode steps on a real model take measurable time, and the
+    // throughput figure must be finite and positive.
+    assert!(decode_ms > 0.0, "decode {decode_ms}");
+    assert!(tok_s > 0.0 && tok_s.is_finite(), "tokens_per_s {tok_s}");
 
-        // Streaming: the final frame (the one with finish_reason) carries
-        // the same breakdown.
-        let (status, text, e2e_ms) = timed_completion(addr, &prompt_json(&[4, 5], 6, true));
-        assert_eq!(status, 200, "mode {mode:?}");
-        let tail = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("data: "))
-            .rfind(|p| *p != "[DONE]")
-            .expect("final SSE frame");
-        let doc = Json::parse(tail).unwrap();
-        let (_, _, decode_ms, tok_s, _) =
-            phases_within(&doc, e2e_ms, &format!("mode {mode:?} (SSE)"));
-        assert!(decode_ms > 0.0, "mode {mode:?} (SSE): decode {decode_ms}");
-        assert!(tok_s > 0.0, "mode {mode:?} (SSE): tokens_per_s {tok_s}");
-        server.shutdown();
-    }
+    // Streaming: the final frame (the one with finish_reason) carries
+    // the same breakdown.
+    let (status, text, e2e_ms) = timed_completion(addr, &prompt_json(&[4, 5], 6, true));
+    assert_eq!(status, 200);
+    let tail = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("data: "))
+        .rfind(|p| *p != "[DONE]")
+        .expect("final SSE frame");
+    let doc = Json::parse(tail).unwrap();
+    let (_, _, decode_ms, tok_s, _) = phases_within(&doc, e2e_ms, "SSE");
+    assert!(decode_ms > 0.0, "SSE: decode {decode_ms}");
+    assert!(tok_s > 0.0, "SSE: tokens_per_s {tok_s}");
+    server.shutdown();
 }
 
 #[test]
@@ -122,121 +116,114 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
         .map(|p| direct_tokens_on(long_model(), p, MAX_NEW))
         .collect();
 
-    for mode in both_modes() {
-        let server = start_server_with(long_model(), 4, 16, mode);
-        let addr = server.addr();
-        let (status, _, body) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&prefix, 1, false),
-        );
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
-        let mut reported = timings_of(&Json::parse(&body).unwrap()).4;
+    let server = start_server_with(long_model(), 4, 16);
+    let addr = server.addr();
+    let (status, _, body) = http_request(
+        addr,
+        "POST",
+        "/v1/completions",
+        &prompt_json(&prefix, 1, false),
+    );
+    assert_eq!(status, 200, "{body}");
+    let mut reported = timings_of(&Json::parse(&body).unwrap()).4;
 
-        let tenants: Vec<_> = prompts
-            .iter()
-            .map(|p| {
-                let body = prompt_json(p, MAX_NEW, false);
-                std::thread::spawn(move || http_request(addr, "POST", "/v1/completions", &body))
-            })
-            .collect();
-        for (k, (tenant, want)) in tenants.into_iter().zip(&expected).enumerate() {
-            let (status, _, body) = tenant.join().unwrap();
-            assert_eq!(status, 200, "mode {mode:?} tenant {k}: {body}");
-            assert_eq!(
-                completion_tokens(&body).0,
-                *want,
-                "mode {mode:?} tenant {k}: diverged from the Scheduler-direct reference"
-            );
-            let hit = timings_of(&Json::parse(&body).unwrap()).4;
-            assert!(
-                hit >= prefix_len as u64,
-                "mode {mode:?} tenant {k}: timings must report the whole shared prefix: {hit}"
-            );
-            reported += hit;
-        }
-
-        // The step loop refreshes the gauges on its own cadence.
-        let metrics = server.metrics();
-        let (hits, positions) = (&metrics.prefix_hits, &metrics.prefix_hit_positions);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while (hits.get() < TENANTS as u64 || positions.get() < reported)
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(
-            hits.get() >= TENANTS as u64,
-            "mode {mode:?}: every tenant must hit the published prefix: {} hits",
-            hits.get()
+    let tenants: Vec<_> = prompts
+        .iter()
+        .map(|p| {
+            let body = prompt_json(p, MAX_NEW, false);
+            std::thread::spawn(move || http_request(addr, "POST", "/v1/completions", &body))
+        })
+        .collect();
+    for (k, (tenant, want)) in tenants.into_iter().zip(&expected).enumerate() {
+        let (status, _, body) = tenant.join().unwrap();
+        assert_eq!(status, 200, "tenant {k}: {body}");
+        assert_eq!(
+            completion_tokens(&body).0,
+            *want,
+            "tenant {k}: diverged from the Scheduler-direct reference"
         );
+        let hit = timings_of(&Json::parse(&body).unwrap()).4;
         assert!(
-            positions.get() >= (TENANTS * prefix_len) as u64,
-            "mode {mode:?}: each hit must cover the whole shared prefix: {} positions",
-            positions.get()
+            hit >= prefix_len as u64,
+            "tenant {k}: timings must report the whole shared prefix: {hit}"
         );
-        assert!(
-            positions.get() >= reported,
-            "mode {mode:?}: gauge {} must cover the per-request reports {reported}",
-            positions.get()
-        );
-        server.shutdown();
+        reported += hit;
     }
+
+    // The step loop refreshes the gauges on its own cadence.
+    let metrics = server.metrics();
+    let (hits, positions) = (&metrics.prefix_hits, &metrics.prefix_hit_positions);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (hits.get() < TENANTS as u64 || positions.get() < reported) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        hits.get() >= TENANTS as u64,
+        "every tenant must hit the published prefix: {} hits",
+        hits.get()
+    );
+    assert!(
+        positions.get() >= (TENANTS * prefix_len) as u64,
+        "each hit must cover the whole shared prefix: {} positions",
+        positions.get()
+    );
+    assert!(
+        positions.get() >= reported,
+        "gauge {} must cover the per-request reports {reported}",
+        positions.get()
+    );
+    server.shutdown();
 }
 
 #[test]
 fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
-    for mode in both_modes() {
-        let server = start_server_with(tiny_model(), 2, 16, mode);
-        let addr = server.addr();
-        // Generate some work first so the rings hold spans.
-        let (status, _, body) = http_request(
-            addr,
-            "POST",
-            "/v1/completions",
-            &prompt_json(&[1, 2, 3], 6, false),
-        );
-        assert_eq!(status, 200, "mode {mode:?}: {body}");
+    let server = start_server_with(tiny_model(), 2, 16);
+    let addr = server.addr();
+    // Generate some work first so the rings hold spans.
+    let (status, _, body) = http_request(
+        addr,
+        "POST",
+        "/v1/completions",
+        &prompt_json(&[1, 2, 3], 6, false),
+    );
+    assert_eq!(status, 200, "{body}");
 
-        let (status, head, body) = http_request(addr, "GET", "/debug/trace", "");
-        assert_eq!(status, 200, "mode {mode:?}");
-        assert!(head.contains("application/json"), "mode {mode:?}: {head}");
-        // Valid JSON in Chrome Trace Event Format shape.
-        let doc = Json::parse(&body)
-            .unwrap_or_else(|e| panic!("mode {mode:?}: trace is not valid JSON: {e}"));
+    let (status, head, body) = http_request(addr, "GET", "/debug/trace", "");
+    assert_eq!(status, 200);
+    assert!(head.contains("application/json"), "{head}");
+    // Valid JSON in Chrome Trace Event Format shape.
+    let doc = Json::parse(&body).unwrap_or_else(|e| panic!("trace is not valid JSON: {e}"));
+    assert!(
+        doc.get("traceEvents").and_then(|v| v.as_arr()).is_some(),
+        "missing traceEvents array"
+    );
+
+    // The dump must hold the span taxonomy: scheduler steps, the
+    // request lifecycle, and the model layers under it down to mpGEMM
+    // sweeps.
+    for (cat, name) in [
+        ("sched", "step"),
+        ("sched", "queue_wait"),
+        ("serve", "request"),
+        ("llm", "prefill_chunk"),
+        ("llm", "attention"),
+        ("gemm", "sweep"),
+    ] {
         assert!(
-            doc.get("traceEvents").and_then(|v| v.as_arr()).is_some(),
-            "mode {mode:?}: missing traceEvents array"
+            body.contains(&format!("\"name\":\"{name}\"")),
+            "no {cat}/{name} span in trace dump"
         );
-
-        // The dump must hold the span taxonomy: scheduler steps, the
-        // request lifecycle, and the model layers under it down to mpGEMM
-        // sweeps.
-        for (cat, name) in [
-            ("sched", "step"),
-            ("sched", "queue_wait"),
-            ("serve", "request"),
-            ("llm", "prefill_chunk"),
-            ("llm", "attention"),
-            ("gemm", "sweep"),
-        ] {
-            assert!(
-                body.contains(&format!("\"name\":\"{name}\"")),
-                "mode {mode:?}: no {cat}/{name} span in trace dump"
-            );
-        }
-        // The GET / HTTP wrong-method contract holds for the new route too.
-        let (status, head, _) = http_request(addr, "POST", "/debug/trace", "");
-        assert_eq!(status, 405, "mode {mode:?}");
-        assert!(head.contains("Allow: GET"), "mode {mode:?}: {head}");
-        server.shutdown();
     }
+    // The GET / HTTP wrong-method contract holds for the new route too.
+    let (status, head, _) = http_request(addr, "POST", "/debug/trace", "");
+    assert_eq!(status, 405);
+    assert!(head.contains("Allow: GET"), "{head}");
+    server.shutdown();
 }
 
 #[test]
 fn metrics_expose_latency_histograms() {
-    let server = start_server_with(tiny_model(), 2, 16, ConnMode::default());
+    let server = start_server_with(tiny_model(), 2, 16);
     let addr = server.addr();
     // One streaming completion touches every histogram: TTFT and e2e on
     // the request path, queue wait at admission, step duration and batch
@@ -289,12 +276,12 @@ fn metrics_expose_latency_histograms() {
 
 #[test]
 fn connection_threads_reuse_trace_rings() {
-    // The threads driver spawns one thread per connection and each records
+    // The server spawns one thread per connection and each records
     // `serve/parse`; a ring per connection would grow `/debug/trace` (and
     // 768 KiB of ring) without bound. Exited threads' rings are adopted,
     // so the rings labelled by connection threads stay at the peak number
     // of concurrent connections (this binary's other tests included).
-    let server = start_server_with(tiny_model(), 2, 16, ConnMode::Threads);
+    let server = start_server_with(tiny_model(), 2, 16);
     let addr = server.addr();
     for _ in 0..32 {
         assert_eq!(http_request(addr, "GET", "/healthz", "").0, 200);
