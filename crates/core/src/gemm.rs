@@ -366,7 +366,6 @@ mod tests {
         let combos = [
             KernelOpts::tm_base(),
             KernelOpts::plus_table_quant(),
-            KernelOpts::plus_tiling(),
             KernelOpts::plus_permute(),
             KernelOpts::tmac(),
             KernelOpts::tmac_mirror(),

@@ -1290,7 +1290,6 @@ mod tests {
     fn flat_quant_matches_scalar() {
         for bits in 1..=4u8 {
             compare_opts(KernelOpts::plus_table_quant(), bits, 1e-5);
-            compare_opts(KernelOpts::plus_tiling(), bits, 1e-5);
         }
     }
 
@@ -1337,7 +1336,6 @@ mod tests {
                     }
                     let k = if gs == 12 { 96 } else { 256 };
                     let (qm, _) = setup(96, k, bits, gs);
-                    let opts = KernelOpts { tile_k: k, ..opts };
                     let plan = WeightPlan::new(&qm, opts).unwrap();
                     assert!(gemm_supported(&plan), "{opts:?}");
                     for rows in [1usize, 3, 8, 11] {
@@ -1416,14 +1414,7 @@ mod tests {
         }
         let plan = |opts: KernelOpts, gs: usize| {
             let (qm, _) = setup(32, 512, 2, gs);
-            WeightPlan::new(
-                &qm,
-                KernelOpts {
-                    tile_k: 512,
-                    ..opts
-                },
-            )
-            .unwrap()
+            WeightPlan::new(&qm, opts).unwrap()
         };
         assert!(gemm_supported(&plan(KernelOpts::tmac(), 32)));
         assert!(gemm_supported(&plan(KernelOpts::tmac_mirror(), 256)));

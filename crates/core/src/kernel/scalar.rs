@@ -217,7 +217,6 @@ mod tests {
         let reference = gemv_reference(&qm, &act);
         for opts in [
             KernelOpts::plus_table_quant(),
-            KernelOpts::plus_tiling(),
             KernelOpts::plus_permute(),
             KernelOpts::tmac(),
         ] {
@@ -264,12 +263,7 @@ mod tests {
             gemv_plan(&plan, &t, &mut out).unwrap();
             out
         };
-        for opts in [
-            KernelOpts::plus_tiling(),
-            KernelOpts::plus_permute(),
-            KernelOpts::plus_tuning(64, 4),
-            KernelOpts::tmac(),
-        ] {
+        for opts in [KernelOpts::plus_permute(), KernelOpts::tmac()] {
             let plan = WeightPlan::new(&qm, opts).unwrap();
             let t = ActTables::build(&act, 1, 32, &opts).unwrap();
             let mut out = vec![0f32; 40];

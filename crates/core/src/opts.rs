@@ -1,9 +1,13 @@
 //! Kernel option set — the ablation switchboard of the paper's Figure 10.
 //!
 //! The breakdown experiment applies optimizations cumulatively:
-//! `TM-base → +TQ → +Tiling → +Perm. → +Tuning → T-MAC (+IL) → TM+FA`.
+//! `TM-base → +TQ → +Perm. → T-MAC (+IL) → TM+FA`.
 //! [`KernelOpts`] encodes each stage as an explicit flag so every stage is a
-//! real, runnable kernel configuration rather than a chart label.
+//! real, runnable kernel configuration rather than a chart label. The
+//! paper's `+Tiling` and `+Tuning` rungs have no switch here: every kernel
+//! walks each 32-row m-tile over all of `K` one scale block at a time, so
+//! there is no `K`-tile length to choose, and the multi-row block size
+//! ([`KernelOpts::n_block`]) does nothing at the ladder's `n = 1`.
 
 /// LUT group size `g`: one table covers `2^g` activation sign patterns.
 ///
@@ -29,9 +33,6 @@ pub struct KernelOpts {
     /// Mirror consolidation (§3.3): store only the 8 non-negated table
     /// entries; reconstruct the other half by sign-flipping at lookup time.
     pub mirror: bool,
-    /// Tile the `M`/`K` loops so the LUT block and partial sums stay
-    /// cache-resident (§3.2, "Tiling" + "Axis reordering").
-    pub tiling: bool,
     /// Offline weight permutation (§3.2): store each tile's indices
     /// contiguously in the exact order the kernel reads them.
     pub permute: bool,
@@ -46,9 +47,6 @@ pub struct KernelOpts {
     /// Fast 8-bit aggregation (§4): aggregate lookups with rounding-average
     /// instructions instead of widening adds. Faster, lossy.
     pub fast_aggregation: bool,
-    /// `K`-tile length in elements (`K_tk`); must be a positive multiple of
-    /// the weight quantization group size. Only meaningful with `tiling`.
-    pub tile_k: usize,
     /// Activation rows per weight sweep in mpGEMM (table reuse across the
     /// sequence dimension): each `n_block`-row range of a batch's tables is
     /// swept over the weights as one block — each scale block's indices are
@@ -63,11 +61,9 @@ impl KernelOpts {
         KernelOpts {
             table_quant: false,
             mirror: false,
-            tiling: false,
             permute: false,
             interleave: false,
             fast_aggregation: false,
-            tile_k: 0,
             n_block: 1,
         }
     }
@@ -80,30 +76,12 @@ impl KernelOpts {
         }
     }
 
-    /// `+Tiling`: adds `M`/`K` tiling on top of table quantization.
-    pub fn plus_tiling() -> Self {
-        KernelOpts {
-            tiling: true,
-            tile_k: 256,
-            ..Self::plus_table_quant()
-        }
-    }
-
-    /// `+Perm.`: adds the offline contiguous-tile weight permutation.
+    /// `+Perm.`: adds the offline contiguous-tile weight permutation on
+    /// top of table quantization.
     pub fn plus_permute() -> Self {
         KernelOpts {
             permute: true,
-            ..Self::plus_tiling()
-        }
-    }
-
-    /// `+Tuning` is represented by replacing `tile_k`/`n_block` with tuned
-    /// values. The flag set is `plus_permute`.
-    pub fn plus_tuning(tile_k: usize, n_block: usize) -> Self {
-        KernelOpts {
-            tile_k,
-            n_block,
-            ..Self::plus_permute()
+            ..Self::plus_table_quant()
         }
     }
 
@@ -146,9 +124,7 @@ impl KernelOpts {
         vec![
             ("TM-base", Self::tm_base()),
             ("+TQ", Self::plus_table_quant()),
-            ("+Tiling", Self::plus_tiling()),
             ("+Perm.", Self::plus_permute()),
-            ("+Tuning", Self::plus_tuning(512, 8)),
             ("T-MAC", Self::tmac()),
             ("TM+FA", Self::tmac_fast_aggregation()),
         ]
@@ -159,14 +135,10 @@ impl KernelOpts {
     /// # Errors
     ///
     /// Returns a message naming the violated dependency:
-    /// permutation requires tiling; interleaving requires permutation;
-    /// mirror consolidation and fast aggregation require quantized tables
-    /// (they are `i8`-table transforms); tiled configs need a valid
-    /// `tile_k`.
+    /// interleaving requires permutation; mirror consolidation and fast
+    /// aggregation require quantized tables (they are `i8`-table
+    /// transforms); `n_block` must be positive.
     pub fn validate(&self) -> Result<(), String> {
-        if self.permute && !self.tiling {
-            return Err("weight permutation requires tiling".into());
-        }
         if self.interleave && !self.permute {
             return Err("weight interleaving requires permutation".into());
         }
@@ -175,9 +147,6 @@ impl KernelOpts {
         }
         if self.fast_aggregation && !self.table_quant {
             return Err("fast aggregation requires table quantization".into());
-        }
-        if self.tiling && self.tile_k == 0 {
-            return Err("tiling requires tile_k > 0".into());
         }
         if self.n_block == 0 {
             return Err("n_block must be positive".into());
@@ -200,24 +169,19 @@ mod tests {
     #[test]
     fn ladder_is_cumulative_and_valid() {
         let ladder = KernelOpts::breakdown_ladder();
-        assert_eq!(ladder.len(), 7);
+        assert_eq!(ladder.len(), 5);
         for (name, o) in &ladder {
             assert!(o.validate().is_ok(), "{name} invalid: {:?}", o.validate());
         }
         // Each step turns something on that the previous step lacked.
         assert!(!ladder[0].1.table_quant && ladder[1].1.table_quant);
-        assert!(!ladder[1].1.tiling && ladder[2].1.tiling);
-        assert!(!ladder[2].1.permute && ladder[3].1.permute);
-        assert!(ladder[4].1.tile_k != ladder[3].1.tile_k);
-        assert!(!ladder[4].1.interleave && ladder[5].1.interleave);
-        assert!(!ladder[5].1.fast_aggregation && ladder[6].1.fast_aggregation);
+        assert!(!ladder[1].1.permute && ladder[2].1.permute);
+        assert!(!ladder[2].1.interleave && ladder[3].1.interleave);
+        assert!(!ladder[3].1.fast_aggregation && ladder[4].1.fast_aggregation);
     }
 
     #[test]
     fn dependencies_enforced() {
-        let mut o = KernelOpts::tm_base();
-        o.permute = true;
-        assert!(o.validate().is_err());
         let mut o = KernelOpts::plus_permute();
         o.interleave = true;
         assert!(o.validate().is_ok());
@@ -225,9 +189,6 @@ mod tests {
         assert!(o.validate().is_err());
         let mut o = KernelOpts::tm_base();
         o.mirror = true;
-        assert!(o.validate().is_err());
-        let mut o = KernelOpts::plus_tiling();
-        o.tile_k = 0;
         assert!(o.validate().is_err());
     }
 
@@ -243,7 +204,7 @@ mod tests {
     #[test]
     fn default_is_full_tmac() {
         let d = KernelOpts::default();
-        assert!(d.table_quant && d.tiling && d.permute && d.interleave);
+        assert!(d.table_quant && d.permute && d.interleave);
         assert!(KernelOpts::tmac_mirror().mirror);
         assert!(!d.fast_aggregation);
     }

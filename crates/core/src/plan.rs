@@ -186,8 +186,6 @@ pub struct WeightPlan {
     pub cz: f32,
     /// Options the plan was built for.
     pub opts: KernelOpts,
-    /// Effective `K`-tile length in elements (whole `K` when not tiling).
-    pub tile_k: usize,
     layout: Layout,
     /// Flat layout: `bits` planes, each `m_padded * k/8` bytes.
     flat_planes: Vec<Segment<u8>>,
@@ -236,9 +234,8 @@ impl WeightPlan {
     /// # Errors
     ///
     /// * [`TmacError::Opts`] if the option combination is inconsistent.
-    /// * [`TmacError::Shape`] if `K` is not a multiple of the LUT group (4),
-    ///   the scale group size is not a multiple of 4, or `tile_k` is not a
-    ///   multiple of the scale group size.
+    /// * [`TmacError::Shape`] if `K` is not a multiple of the LUT group (4)
+    ///   or the scale group size is not a multiple of 4.
     pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<WeightPlan, TmacError> {
         opts.validate().map_err(TmacError::Opts)?;
         qm.validate()?;
@@ -254,18 +251,6 @@ impl WeightPlan {
                 qm.group_size
             )));
         }
-        let tile_k = if opts.tiling {
-            if !opts.tile_k.is_multiple_of(qm.group_size) {
-                return Err(TmacError::Shape(format!(
-                    "tile_k {} must be a multiple of group_size {}",
-                    opts.tile_k, qm.group_size
-                )));
-            }
-            opts.tile_k.min(qm.cols)
-        } else {
-            qm.cols
-        };
-
         let (m, k, bits) = (qm.rows, qm.cols, qm.bits as usize);
         let m_padded = m.div_ceil(TILE_M) * TILE_M;
         let gpr = k / qm.group_size;
@@ -319,8 +304,6 @@ impl WeightPlan {
                 }
             }
             Layout::Permuted { interleaved } => {
-                // Scale blocks never straddle k-tiles (`tile_k` is a multiple
-                // of `group_size`), so k-tiling does not alter the byte order.
                 perm_stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
                 let kgb = qm.group_size / LUT_GROUP;
                 let block_bytes = kgb * bits * (TILE_M / 2);
@@ -369,7 +352,6 @@ impl WeightPlan {
             zero,
             cz,
             opts,
-            tile_k,
             layout,
             flat_planes,
             perm_stream: Segment::from_vec(perm_stream),
@@ -416,17 +398,6 @@ impl WeightPlan {
                 "K {k} / group_size {group_size} violate the LUT-group invariants"
             )));
         }
-        let tile_k = if opts.tiling {
-            if !opts.tile_k.is_multiple_of(group_size) {
-                return Err(TmacError::Shape(format!(
-                    "tile_k {} must be a multiple of group_size {group_size}",
-                    opts.tile_k
-                )));
-            }
-            opts.tile_k.min(k)
-        } else {
-            k
-        };
         // `m`/`k` may come from an untrusted container index: every
         // derived size is checked so a crafted file yields a typed error,
         // not an overflow panic.
@@ -524,7 +495,6 @@ impl WeightPlan {
             zero,
             cz,
             opts,
-            tile_k,
             layout,
             flat_planes,
             perm_stream,
@@ -857,7 +827,6 @@ mod tests {
         for interleave in [false, true] {
             let mut opts = KernelOpts::plus_permute();
             opts.interleave = interleave;
-            opts.tile_k = 64;
             let perm = WeightPlan::new(&qm, opts).unwrap();
             for bit in 0..4 {
                 for row in 0..perm.m_padded {
@@ -907,10 +876,8 @@ mod tests {
     #[test]
     fn rejects_bad_shapes_and_opts() {
         let qm = matrix(8, 64, 4, 32);
-        let mut bad = KernelOpts::tmac();
-        bad.tile_k = 48; // not a multiple of group_size 32
         assert!(matches!(
-            WeightPlan::new(&qm, bad),
+            WeightPlan::new(&matrix(8, 66, 4, 2), KernelOpts::tmac()),
             Err(TmacError::Shape(_))
         ));
         let mut bad = KernelOpts::tm_base();
@@ -979,7 +946,6 @@ mod tests {
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let rebuilt = WeightPlan::from_parts(parts_of(&plan)).unwrap();
         assert_eq!(rebuilt.m_padded, plan.m_padded);
-        assert_eq!(rebuilt.tile_k, plan.tile_k);
         assert_eq!(rebuilt.cz, plan.cz);
         assert_eq!(rebuilt.perm_stream_bytes(), plan.perm_stream_bytes());
         assert_eq!(rebuilt.perm_scales(), plan.perm_scales());
@@ -1077,14 +1043,5 @@ mod tests {
         let off = (0..4).find(|o| !(base + o).is_multiple_of(4)).unwrap();
         assert!(Segment::<f32>::borrowed(Arc::clone(&backing), off, 4).is_err());
         assert!(Segment::<u8>::borrowed(backing, 60, 4).is_ok());
-    }
-
-    #[test]
-    fn tile_k_clamped_to_k() {
-        let qm = matrix(8, 64, 2, 32);
-        let mut opts = KernelOpts::tmac();
-        opts.tile_k = 4096;
-        let plan = WeightPlan::new(&qm, opts).unwrap();
-        assert_eq!(plan.tile_k, 64);
     }
 }

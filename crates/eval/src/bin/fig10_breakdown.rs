@@ -1,7 +1,8 @@
 //! Figure 10: optimization breakdown — the cumulative ladder
-//! `TM-base → +TQ → +Tiling → +Perm. → +Tuning → T-MAC → TM+FA`
+//! `TM-base → +TQ → +Perm. → T-MAC → TM+FA`
 //! on the Figure 6 shapes (S0–S5), with the llama.cpp baseline as the
-//! reference line.
+//! reference line. The paper's `+Tiling` and `+Tuning` rungs have no
+//! counterpart here (see `KernelOpts`'s module docs).
 //!
 //! Usage: `fig10_breakdown [--bits 4] [--threads max] [--quick]`
 
@@ -54,8 +55,8 @@ fn main() {
     table.emit("fig10_breakdown");
     println!(
         "Paper shape check: TM-base lands at or below the llama.cpp line; +TQ\n\
-         makes it competitive; tiling/permutation/tuning/IL each buy more (paper:\n\
-         1.45x, 1.39x, device-dependent, 1.42x). FA is a lossy opt-in: it helps\n\
-         on NEON's half-throughput int16 pipes and can regress on AVX2."
+         makes it competitive; permutation and IL each buy more (paper: 1.39x,\n\
+         1.42x). FA is a lossy opt-in: it helps on NEON's half-throughput\n\
+         int16 pipes and can regress on AVX2."
     );
 }

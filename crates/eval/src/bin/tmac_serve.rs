@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Flags: `--model tiny|<path>` (synthetic tiny model or a `.tmac`
-//! container; containers resolve `--backend <registry name>`),
+//! container, served on the T-MAC backend),
 //! `--addr host:port` (default `127.0.0.1:8080`), `--threads N` (step-loop
 //! ExecCtx threads), `--batch B` (KV slots), `--pending Q` (admission queue
 //! bound; 0 = unbounded), `--max-tokens N`
@@ -25,9 +25,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 use tmac_core::ExecCtx;
 use tmac_llm::batch::{Scheduler, SchedulerConfig};
-use tmac_llm::{
-    BackendKind, BackendRegistry, KvPrecision, LoadMode, Model, ModelConfig, WeightQuant,
-};
+use tmac_llm::{BackendKind, KvPrecision, LoadMode, Model, ModelConfig, WeightQuant};
 use tmac_serve::ServerConfig;
 
 static SIGNALS: AtomicU32 = AtomicU32::new(0);
@@ -92,26 +90,19 @@ fn main() {
     };
     let trace_out = tmac_eval::arg("trace-out", "");
 
+    let backend = BackendKind::Tmac(tmac_core::KernelOpts::tmac());
     let mut model = if model_name == "tiny" {
         Model::synthetic(
             &ModelConfig::tiny().scaled(2, 96, 256),
             WeightQuant::Rtn(2),
-            BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
+            backend,
             7,
         )
         .expect("synthetic model")
     } else {
-        let backend = tmac_eval::arg("backend", "tmac");
-        let builder = BackendRegistry::with_defaults()
-            .get(&backend)
-            .unwrap_or_else(|| panic!("unknown --backend {backend:?}"));
         let t0 = std::time::Instant::now();
-        let model = Model::from_file(
-            std::path::Path::new(&model_name),
-            builder.as_ref(),
-            LoadMode::Mmap,
-        )
-        .unwrap_or_else(|e| panic!("--model {model_name}: {e}"));
+        let model = Model::from_file(std::path::Path::new(&model_name), &backend, LoadMode::Mmap)
+            .unwrap_or_else(|e| panic!("--model {model_name}: {e}"));
         eprintln!(
             "loaded {} from {model_name} in {:.3}s ({} backend)",
             model.cfg.name,

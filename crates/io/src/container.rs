@@ -7,11 +7,11 @@
 //! Loading is therefore a header parse plus an integrity sweep; the weight
 //! bytes are borrowed zero-copy from the file mapping and never touched.
 //!
-//! # Layout (version 2, all integers little-endian)
+//! # Layout (version 3, all integers little-endian)
 //!
 //! ```text
 //! 0x00  magic    b"TMAC"
-//! 0x04  version  u32 (= 2)
+//! 0x04  version  u32 (= 3)
 //! 0x08  index_len u64                  bytes of the index section
 //! 0x10  index:
 //!       meta_count u64
@@ -24,9 +24,9 @@
 //!         kind 0 (raw f32): n_dims u8, dims u64 × n_dims
 //!         kind 1 (prepacked plan):
 //!             m u64, k u64, bits u8, group_size u32, zero f32,
-//!             opts: flags u8 (bit0 table_quant, 1 mirror, 2 tiling,
-//!                   3 permute, 4 interleave, 5 fast_aggregation),
-//!                   tile_k u32, n_block u32
+//!             opts: flags u8 (bit0 table_quant, 1 mirror,
+//!                   3 permute, 4 interleave, 5 fast_aggregation;
+//!                   bit 2 is unused), n_block u32
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
@@ -39,9 +39,10 @@
 //!
 //! Version 2 replaced version 1 when the `interleave` stream changed its
 //! byte order (lane-paired, bit-paired: see [`tmac_core::plan`]) and the
-//! options record lost `row_block`/`kg_panel`. Version-1 files are rejected
-//! with [`IoError::Version`] — their streams would decode to wrong weights —
-//! and are re-converted from the source checkpoint.
+//! options record lost `row_block`/`kg_panel`. Version 3 dropped the
+//! never-read `tiling` flag and `tile_k` field from the options record.
+//! Files of any other version are rejected with [`IoError::Version`] and
+//! are re-converted from the source checkpoint.
 
 use crate::{align_up, fnv1a64, put_string, Cursor, IoError, LoadMode, Mapping, DATA_ALIGN};
 use std::path::Path;
@@ -53,7 +54,7 @@ use tmac_quant::QuantizedMatrix;
 pub const TMAC_MAGIC: [u8; 4] = *b"TMAC";
 
 /// The container version this build reads and writes.
-pub const TMAC_VERSION: u32 = 2;
+pub const TMAC_VERSION: u32 = 3;
 
 const ROLE_DATA: u8 = 0;
 const ROLE_SCALES_PERM: u8 = 1;
@@ -167,28 +168,24 @@ pub struct TensorSpec<'a> {
 fn encode_opts(o: &KernelOpts, out: &mut Vec<u8>) {
     let flags = o.table_quant as u8
         | (o.mirror as u8) << 1
-        | (o.tiling as u8) << 2
         | (o.permute as u8) << 3
         | (o.interleave as u8) << 4
         | (o.fast_aggregation as u8) << 5;
     out.push(flags);
-    out.extend_from_slice(&(o.tile_k as u32).to_le_bytes());
     out.extend_from_slice(&(o.n_block as u32).to_le_bytes());
 }
 
 fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
     let flags = c.u8(what)?;
-    if flags & !0x3F != 0 {
+    if flags & !0x3B != 0 {
         return Err(IoError::Corrupt(format!("{what}: unknown option flags")));
     }
     Ok(KernelOpts {
         table_quant: flags & 1 != 0,
         mirror: flags & 2 != 0,
-        tiling: flags & 4 != 0,
         permute: flags & 8 != 0,
         interleave: flags & 16 != 0,
         fast_aggregation: flags & 32 != 0,
-        tile_k: c.u32(what)? as usize,
         n_block: c.u32(what)? as usize,
     })
 }
@@ -378,11 +375,7 @@ impl TmacContainer {
 
     /// Parses an image and validates its header structure, without the
     /// data-checksum sweep ([`TmacContainer::verify`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`TmacContainer::open`], minus checksum failures.
-    pub fn parse(map: Arc<Mapping>) -> Result<TmacContainer, IoError> {
+    fn parse(map: Arc<Mapping>) -> Result<TmacContainer, IoError> {
         let bytes = map.bytes();
         let mut c = Cursor::new(bytes);
         let magic: [u8; 4] = c.take(4, "magic")?.try_into().unwrap();
@@ -396,7 +389,7 @@ impl TmacContainer {
         if version != TMAC_VERSION {
             return Err(IoError::Version {
                 found: version,
-                supported: "tmac v2",
+                supported: "tmac v3",
             });
         }
         let index_len = c.u64("index length")? as usize;
@@ -688,20 +681,6 @@ impl TmacContainer {
     pub fn quantized(&self, name: &str) -> Result<QuantizedMatrix, IoError> {
         Ok(self.plan(name)?.to_quantized())
     }
-
-    /// Total bytes of tensor data (excluding index and padding).
-    pub fn data_bytes(&self) -> u64 {
-        self.tensors
-            .iter()
-            .flat_map(|t| t.segs.iter())
-            .map(|s| s.len)
-            .sum()
-    }
-
-    /// The underlying mapping (diagnostics: mapped vs copied).
-    pub fn mapping(&self) -> &Mapping {
-        &self.map
-    }
 }
 
 #[cfg(test)]
@@ -798,15 +777,16 @@ mod tests {
             Err(IoError::BadMagic { .. })
         ));
 
-        // Version mismatch: a future version, and version 1 — whose
-        // `interleave` stream has a different byte order — by name.
-        for v in [9u8, 1] {
+        // Version mismatch: a future version, version 1 — whose
+        // `interleave` stream has a different byte order — and version 2,
+        // whose options record still carries `tiling`/`tile_k`.
+        for v in [9u8, 1, 2] {
             let mut bad = good.clone();
             bad[4] = v;
             std::fs::write(&path, &bad).unwrap();
             match TmacContainer::open(&path, LoadMode::Copy) {
                 Err(IoError::Version { found, supported }) => {
-                    assert_eq!((found, supported), (v as u32, "tmac v2"));
+                    assert_eq!((found, supported), (v as u32, "tmac v3"));
                 }
                 other => panic!("version {v} must be rejected, got {other:?}"),
             }
@@ -907,12 +887,25 @@ mod tests {
             KernelOpts::tmac_mirror(),
             KernelOpts::tmac_fast_aggregation(),
             KernelOpts::tm_base(),
-            KernelOpts::plus_tuning(512, 8),
+            KernelOpts::plus_permute(),
         ] {
             let mut buf = Vec::new();
             encode_opts(&opts, &mut buf);
+            assert_eq!(buf.len(), 5, "flags u8 + n_block u32");
             let back = decode_opts(&mut Cursor::new(&buf), "opts").unwrap();
             assert_eq!(back, opts);
+        }
+        // Bit 2 (version 2's `tiling`) and bits 6-7 are unknown flags.
+        for flag in [4u8, 64, 128] {
+            let mut buf = vec![flag];
+            buf.extend_from_slice(&8u32.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_opts(&mut Cursor::new(&buf), "opts"),
+                    Err(IoError::Corrupt(_))
+                ),
+                "flag {flag:#x}"
+            );
         }
     }
 

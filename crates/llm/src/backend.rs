@@ -5,14 +5,13 @@
 //! T-MAC (LUT kernels), the llama.cpp-style dequant baseline, and the
 //! unquantized `f32` reference — *and* any backend registered after the
 //! fact: a new implementation plugs in through [`LinearBackend`] +
-//! [`BackendRegistry`] without touching the model or engine code.
+//! [`BackendBuilder`] without touching the model or engine code.
 //!
 //! All forwarding goes through an [`ExecCtx`]: the context supplies the
 //! thread pool and the per-token activation-table cache, which is how the
 //! T-MAC backend shares one table build across every projection that
 //! consumes the same activation (QKV, gate/up — see `tmac_core::exec`).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use tmac_baseline::DequantLinear;
 use tmac_core::{ExecCtx, KernelOpts, TmacLinear};
@@ -21,8 +20,7 @@ use tmac_quant::QuantizedMatrix;
 /// Which built-in compute backend a model's linear layers use.
 ///
 /// This is the convenience selector for the three backends the paper
-/// compares; arbitrary backends go through [`BackendRegistry`] /
-/// [`BackendBuilder`] instead.
+/// compares; arbitrary backends go through [`BackendBuilder`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// T-MAC LUT kernels with the given options.
@@ -54,8 +52,6 @@ pub enum BackendError {
     Quant(tmac_quant::QuantError),
     /// Dimension mismatch at forward time.
     Shape(String),
-    /// A backend name not present in the registry.
-    UnknownBackend(String),
     /// The scheduler's bounded pending queue is at capacity — admission
     /// backpressure (see [`crate::batch::SchedulerConfig::max_pending`]).
     /// Callers should shed load (HTTP 429) or retry later.
@@ -71,8 +67,7 @@ pub enum BackendError {
     /// logits); sampling from such a row would be garbage, so the
     /// sequence errors instead.
     Numeric(String),
-    /// A fault injected by an armed failpoint (`failpoints` builds only;
-    /// the variant always exists so matching code is feature-independent).
+    /// A fault injected by an armed failpoint (see `tmac_core::failpoint`).
     Injected(String),
     /// The paged KV pool's page budget is exhausted and nothing is
     /// evictable — the memory-pressure twin of `QueueFull`. Callers shed
@@ -91,7 +86,6 @@ impl std::fmt::Display for BackendError {
             BackendError::Tmac(e) => write!(f, "tmac: {e}"),
             BackendError::Quant(e) => write!(f, "quant: {e}"),
             BackendError::Shape(m) => write!(f, "shape: {m}"),
-            BackendError::UnknownBackend(n) => write!(f, "unknown backend: {n:?}"),
             BackendError::QueueFull { pending } => {
                 write!(f, "queue full: {pending} requests pending")
             }
@@ -597,90 +591,6 @@ impl BackendBuilder for BackendKind {
     }
 }
 
-/// A name → [`BackendBuilder`] registry.
-///
-/// [`BackendRegistry::with_defaults`] pre-registers the paper's three
-/// systems; experiment drivers resolve backends by name so a new backend
-/// is one `register` call away from every figure/table binary.
-///
-/// # Examples
-///
-/// ```
-/// use tmac_llm::backend::BackendRegistry;
-///
-/// let reg = BackendRegistry::with_defaults();
-/// assert!(reg.get("tmac").is_some());
-/// assert!(reg.names().contains(&"dequant".to_string()));
-/// ```
-pub struct BackendRegistry {
-    builders: BTreeMap<String, Arc<dyn BackendBuilder>>,
-}
-
-impl BackendRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        BackendRegistry {
-            builders: BTreeMap::new(),
-        }
-    }
-
-    /// A registry with the built-in backends: `tmac`, `tmac-fa`,
-    /// `tmac-mirror`, `dequant`, `f32`.
-    pub fn with_defaults() -> Self {
-        let mut r = Self::new();
-        r.register("tmac", Arc::new(BackendKind::Tmac(KernelOpts::tmac())));
-        r.register(
-            "tmac-fa",
-            Arc::new(BackendKind::Tmac(KernelOpts::tmac_fast_aggregation())),
-        );
-        r.register(
-            "tmac-mirror",
-            Arc::new(BackendKind::Tmac(KernelOpts::tmac_mirror())),
-        );
-        r.register("dequant", Arc::new(BackendKind::Dequant));
-        r.register("f32", Arc::new(BackendKind::F32));
-        r
-    }
-
-    /// Registers (or replaces) a builder under `name`.
-    pub fn register(&mut self, name: &str, builder: Arc<dyn BackendBuilder>) {
-        self.builders.insert(name.to_string(), builder);
-    }
-
-    /// Looks up a builder by name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn BackendBuilder>> {
-        self.builders.get(name).cloned()
-    }
-
-    /// Registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
-    /// Builds a layer on the named backend.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError::UnknownBackend`] if `name` is not registered;
-    /// otherwise the builder's failures.
-    pub fn build(
-        &self,
-        name: &str,
-        qm: &QuantizedMatrix,
-        f32_weights: &[f32],
-    ) -> Result<Linear, BackendError> {
-        self.get(name)
-            .ok_or_else(|| BackendError::UnknownBackend(name.to_string()))?
-            .build(qm, f32_weights)
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,88 +713,5 @@ mod tests {
         // Shape errors are caught at the wrapper.
         assert!(f.forward_batch(&acts, 0, &mut fb, &ctx).is_err());
         assert!(f.forward_batch(&acts[..k], n, &mut fb, &ctx).is_err());
-    }
-
-    #[test]
-    fn registry_builds_by_name_and_rejects_unknown() {
-        let (qm, w, act) = setup();
-        let reg = BackendRegistry::with_defaults();
-        assert_eq!(reg.names().len(), 5);
-        let ctx = ExecCtx::new(1);
-        for name in ["tmac", "dequant", "f32", "tmac-fa", "tmac-mirror"] {
-            let lin = reg.build(name, &qm, &w).unwrap();
-            let mut out = vec![0f32; 64];
-            ctx.next_activation();
-            lin.forward(&act, &mut out, &ctx).unwrap();
-            assert!(out.iter().all(|x| x.is_finite()), "{name}");
-        }
-        assert!(matches!(
-            reg.build("cuda", &qm, &w),
-            Err(BackendError::UnknownBackend(_))
-        ));
-    }
-
-    #[test]
-    fn custom_backend_plugs_in_through_the_registry() {
-        /// A toy backend: scales the f32 reference by 2 (easy to verify).
-        #[derive(Debug)]
-        struct Doubled(F32Backend);
-        impl LinearBackend for Doubled {
-            fn rows(&self) -> usize {
-                self.0.rows()
-            }
-            fn cols(&self) -> usize {
-                self.0.cols()
-            }
-            fn label(&self) -> String {
-                "doubled".into()
-            }
-            fn packed_bytes(&self) -> usize {
-                self.0.packed_bytes()
-            }
-            fn forward(
-                &self,
-                act: &[f32],
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.0.forward(act, out, ctx)?;
-                for x in out.iter_mut() {
-                    *x *= 2.0;
-                }
-                Ok(())
-            }
-        }
-        struct DoubledBuilder;
-        impl BackendBuilder for DoubledBuilder {
-            fn build(
-                &self,
-                qm: &QuantizedMatrix,
-                f32_weights: &[f32],
-            ) -> Result<Linear, BackendError> {
-                Ok(Linear::from_backend(Doubled(F32Backend::new(
-                    f32_weights,
-                    qm.rows,
-                    qm.cols,
-                )?)))
-            }
-            fn label(&self) -> String {
-                "doubled".into()
-            }
-        }
-
-        let (qm, w, act) = setup();
-        let mut reg = BackendRegistry::with_defaults();
-        reg.register("doubled", Arc::new(DoubledBuilder));
-        let ctx = ExecCtx::new(1);
-        let base = reg.build("f32", &qm, &w).unwrap();
-        let doubled = reg.build("doubled", &qm, &w).unwrap();
-        let (mut a, mut b) = (vec![0f32; 64], vec![0f32; 64]);
-        base.forward(&act, &mut a, &ctx).unwrap();
-        doubled.forward(&act, &mut b, &ctx).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert!((2.0 * x - y).abs() < 1e-6);
-        }
-        assert_eq!(doubled.label(), "doubled");
     }
 }

@@ -38,8 +38,8 @@ use tmac_core::ExecCtx;
 /// be contained by the caller's `catch_unwind`, or — for step-level
 /// sites — by the serving supervisor), `Error` surfaces as
 /// [`BackendError::Injected`]. Other actions have no meaning at
-/// scheduler sites and are ignored. Without the `failpoints` feature
-/// [`failpoint::fire`] is a constant `None` and this folds to `Ok(())`.
+/// scheduler sites and are ignored. While nothing is armed,
+/// [`failpoint::fire`] is one atomic load and this returns `Ok(())`.
 fn scheduler_fault(site: &str) -> Result<(), BackendError> {
     match failpoint::fire(site) {
         Some(FailAction::Panic) => panic!("injected failpoint {site}"),
@@ -535,8 +535,8 @@ impl Scheduler {
     /// # Errors
     ///
     /// With quarantine containing per-sequence faults, the only `Err` left
-    /// is an injected step-level fault from the `scheduler/step` failpoint
-    /// (`failpoints` builds); it fails the step before any token is
+    /// is an injected step-level fault from the armed `scheduler/step`
+    /// failpoint; it fails the step before any token is
     /// emitted, so retrying is always safe.
     pub fn step_batch(&mut self, ctx: &ExecCtx) -> Result<Vec<StepToken>, BackendError> {
         scheduler_fault("scheduler/step")?;

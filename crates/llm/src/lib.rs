@@ -12,7 +12,7 @@
 //! cache shares one LUT build across the projections that consume the same
 //! activation (QKV; gate/up) — the T-MAC precompute amortization applied to
 //! the whole decode stack. Backends implement [`backend::LinearBackend`] and
-//! plug in through [`backend::BackendRegistry`] without touching the model.
+//! plug in through [`backend::BackendBuilder`] without touching the model.
 //!
 //! # Examples
 //!
@@ -54,8 +54,8 @@ pub mod weights;
 
 pub use attention::AttnScratch;
 pub use backend::{
-    BackendBuilder, BackendError, BackendKind, BackendRegistry, DequantBackend, F32Backend, Linear,
-    LinearBackend, TmacBackend,
+    BackendBuilder, BackendError, BackendKind, DequantBackend, F32Backend, Linear, LinearBackend,
+    TmacBackend,
 };
 pub use batch::{
     FinishReason, FinishedSeq, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken,

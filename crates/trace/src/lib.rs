@@ -15,9 +15,9 @@
 //!
 //! ## Ring layout
 //!
-//! Each thread lazily takes one ring (capacity from `TMAC_TRACE_EVENTS`,
-//! default 16384 events) from a process-global registry the first time it
-//! records: a ring whose previous owner has exited is adopted (its events
+//! Each thread lazily takes one ring of `RING_CAPACITY` (16384) events
+//! from a process-global registry the first time it records: a ring
+//! whose previous owner has exited is adopted (its events
 //! stay until overwritten, its label becomes the new thread's name),
 //! otherwise a new one is registered — so the registry is bounded by the
 //! peak number of concurrently recording threads, not by how many threads
@@ -199,17 +199,16 @@ struct RingBuf {
     head: usize,
     /// Events ever recorded on this ring (monotonic).
     total: u64,
-    cap: usize,
 }
 
 impl RingBuf {
     fn push(&mut self, ev: Event) {
         self.total += 1;
-        if self.events.len() < self.cap {
+        if self.events.len() < RING_CAPACITY {
             self.events.push(ev);
         } else {
             self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
+            self.head = (self.head + 1) % RING_CAPACITY;
         }
     }
 
@@ -253,17 +252,8 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Per-thread ring capacity: `TMAC_TRACE_EVENTS`, default 16384.
-fn ring_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("TMAC_TRACE_EVENTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(16384)
-            .max(8)
-    })
-}
+/// Events each thread's ring holds before it overwrites its oldest.
+const RING_CAPACITY: usize = 16384;
 
 thread_local! {
     static RING: Arc<Ring> = {
@@ -276,15 +266,13 @@ thread_local! {
             ring.buf.lock().unwrap_or_else(|p| p.into_inner()).label = label;
             Arc::clone(ring)
         } else {
-            let cap = ring_capacity();
             let ring = Arc::new(Ring {
                 tid: reg.len() as u64 + 1,
                 buf: Mutex::new(RingBuf {
                     label,
-                    events: Vec::with_capacity(cap),
+                    events: Vec::with_capacity(RING_CAPACITY),
                     head: 0,
                     total: 0,
-                    cap,
                 }),
             });
             reg.push(Arc::clone(&ring));
@@ -586,7 +574,7 @@ mod tests {
         fn ring_wraps_keeping_the_newest_events() {
             let _guard = serial();
             reset();
-            let cap = ring_capacity();
+            let cap = RING_CAPACITY;
             let n = cap + cap / 2;
             for i in 0..n {
                 instant("test", "tick", i as u64, 0);

@@ -76,11 +76,10 @@ pub mod prelude {
     // same type as `tmac_io::LoadMode`).
     pub use tmac_io::{IoError, TmacContainer};
     pub use tmac_llm::{
-        AttnScratch, BackendBuilder, BackendError, BackendKind, BackendRegistry, BatchScratch,
-        DecodeStats, DequantBackend, Engine, F32Backend, FinishReason, FinishedSeq, KvCache,
-        KvError, KvPrecision, KvStats, Linear, LinearBackend, LoadMode, Model, ModelConfig,
-        ModelIoError, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken, TmacBackend,
-        WeightQuant,
+        AttnScratch, BackendBuilder, BackendError, BackendKind, BatchScratch, DecodeStats,
+        DequantBackend, Engine, F32Backend, FinishReason, FinishedSeq, KvCache, KvError,
+        KvPrecision, KvStats, Linear, LinearBackend, LoadMode, Model, ModelConfig, ModelIoError,
+        Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken, TmacBackend, WeightQuant,
     };
     pub use tmac_quant::QuantizedMatrix;
     pub use tmac_threadpool::ThreadPool;

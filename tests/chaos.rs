@@ -1,13 +1,10 @@
-//! Failpoint-driven fault-injection e2e tests (`--features failpoints`).
+//! Failpoint-driven fault-injection e2e tests.
 //!
 //! These tests arm *real* failpoint sites (`scheduler/forward`,
-//! `bridge/loop`, `io/*`), and the registry is process-global — so they
-//! live in their own test binary, serialized by [`fp_lock`], instead of
-//! riding in `tests/serve_http.rs` where Rust's parallel test runner
-//! would let one test's triggers fire inside another. Without the
-//! `failpoints` feature this whole binary compiles to nothing.
-
-#![cfg(feature = "failpoints")]
+//! `bridge/loop`, `io/*`) with `failpoint::configure`, and the registry is
+//! process-global — so they live in their own test binary, serialized by
+//! [`fp_lock`], instead of riding in `tests/serve_http.rs` where Rust's
+//! parallel test runner would let one test's triggers fire inside another.
 
 mod common;
 

@@ -182,9 +182,7 @@ fn fast_aggregation_requires_power_of_two_groups() {
     let (m, k) = (32, 192);
     // group_size 48 -> kg_per_block = 12, not a power of two.
     let qm = rtn::quantize(&weights(m, k, 37), m, k, 2, 48).unwrap();
-    let mut opts = KernelOpts::tmac_fast_aggregation();
-    opts.tile_k = 96; // multiple of the 48-wide quant group
-    let tl = TmacLinear::new(&qm, opts).unwrap();
+    let tl = TmacLinear::new(&qm, KernelOpts::tmac_fast_aggregation()).unwrap();
     let ctx = ExecCtx::new(1);
     let mut out = vec![0f32; m];
     assert!(tl.gemv(&act(k, 37), &mut out, &ctx).is_err());

@@ -176,7 +176,7 @@ fn mmap_and_owned_copy_loads_agree() {
 #[test]
 fn tiny_container_bytes_are_pinned() {
     // Every file this build writes must load in every build that reads the
-    // same `TMAC_VERSION`. The pin holds the version-2 bytes of one model.
+    // same `TMAC_VERSION`. The pin holds the version-3 bytes of one model.
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 7).unwrap();
     let path = tmp("pinned.tmac");
@@ -184,7 +184,7 @@ fn tiny_container_bytes_are_pinned() {
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         (TMAC_VERSION, bytes.len(), fnv1a64(&bytes)),
-        (2, 58_432, 0xd318_4073_a1d4_0a42),
+        (3, 58_368, 0x6e38_d6d0_0e85_d779),
         "the .tmac bytes changed: an intentional format change must bump \
          TMAC_VERSION (and then re-pin this test)"
     );
@@ -211,14 +211,17 @@ fn corrupt_containers_fail_typed_never_panic() {
         Err(ModelIoError::Io(IoError::BadMagic { .. }))
     ));
 
-    // Version mismatch: a version-1 file (the pre-paired stream order) must
-    // not be decoded as version 2.
-    let mut bad = good.clone();
-    bad[4] = 1;
-    assert!(matches!(
-        reload(&bad),
-        Err(ModelIoError::Io(IoError::Version { found: 1, .. }))
-    ));
+    // Version mismatch: a version-1 file (the pre-paired stream order) and
+    // a version-2 one (options with `tiling`/`tile_k`) must not be decoded
+    // as version 3.
+    for v in [1u8, 2] {
+        let mut bad = good.clone();
+        bad[4] = v;
+        assert!(matches!(
+            reload(&bad),
+            Err(ModelIoError::Io(IoError::Version { found, .. })) if found == v as u32
+        ));
+    }
 
     // Truncation at every structural depth: magic, header, index, data.
     for cut in [1, 6, 14, 60, good.len() / 3, good.len() - 64] {

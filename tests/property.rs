@@ -90,7 +90,6 @@ fn layouts_are_permutations() {
         let qm = matrix(codes, scales, 40, 64, 2);
         let mut opts = KernelOpts::plus_permute();
         opts.interleave = interleave;
-        opts.tile_k = 32;
         let perm = WeightPlan::new(&qm, opts).unwrap();
         let flat = WeightPlan::new(&qm, KernelOpts::plus_table_quant()).unwrap();
         for bit in 0..2 {
@@ -240,18 +239,14 @@ const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
 /// The `(preset name, options)` a case can run under, given what the table
 /// builder accepts: mirror needs an even k-group count per block, fast
-/// aggregation a power-of-two one. `tile_k` spans the whole of `k` so any
-/// group size divides it.
-fn paired_presets(gs: usize, k: usize) -> Vec<(&'static str, KernelOpts)> {
+/// aggregation a power-of-two one.
+fn paired_presets(gs: usize) -> Vec<(&'static str, KernelOpts)> {
     let mut presets = vec![("tmac", KernelOpts::tmac())];
     if gs.is_multiple_of(8) {
         presets.push(("tmac_mirror", KernelOpts::tmac_mirror()));
     }
     if (gs / 4).is_power_of_two() {
         presets.push(("tmac_fast_aggregation", KernelOpts::tmac_fast_aggregation()));
-    }
-    for (_, opts) in &mut presets {
-        opts.tile_k = k;
     }
     presets
 }
@@ -336,14 +331,7 @@ fn paired_stream_bit_exact_on_generated_shapes() {
         };
 
         // Layout: the paired decoder is the codes' index, and exactly so.
-        let plan = WeightPlan::new(
-            &qm,
-            KernelOpts {
-                tile_k: k,
-                ..KernelOpts::tmac()
-            },
-        )
-        .unwrap();
+        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         for bit in 0..bits as usize {
             for row in 0..plan.m_padded {
                 for kg in 0..k / 4 {
@@ -366,7 +354,7 @@ fn paired_stream_bit_exact_on_generated_shapes() {
             plan.m_padded * k / 4 * bits as usize / 2
         );
 
-        let presets = paired_presets(gs, k);
+        let presets = paired_presets(gs);
         let (name, opts) = presets[seed as usize % presets.len()];
         *by_preset.entry(name).or_insert(0) += 1;
         let acts = arb_acts(&mut rng, n * k, -2.0, 2.0);
@@ -389,7 +377,7 @@ fn paired_stream_survives_saturated_tables() {
                 group_size: gs,
                 ..matrix(vec![(1 << bits) - 1; m * k], vec![0.5; m * 2], m, k, bits)
             };
-            for (name, opts) in paired_presets(gs, k) {
+            for (name, opts) in paired_presets(gs) {
                 for sign in [1.0f32, -1.0] {
                     // Equal activations: entry 15 = 4a is the block's
                     // maximum, so it quantizes to sign · 127 in every group.

@@ -62,7 +62,7 @@ fn timed_completion(addr: SocketAddr, body: &str) -> (u16, String, f64) {
 }
 
 #[test]
-fn timings_ride_responses_in_both_drivers() {
+fn timings_ride_responses() {
     let server = start_server_with(tiny_model(), 2, 16);
     let addr = server.addr();
 
@@ -176,7 +176,7 @@ fn timings_report_prefix_hits_consistently_with_gauges() {
 }
 
 #[test]
-fn debug_trace_serves_chrome_trace_json_in_both_drivers() {
+fn debug_trace_serves_chrome_trace_json() {
     let server = start_server_with(tiny_model(), 2, 16);
     let addr = server.addr();
     // Generate some work first so the rings hold spans.
