@@ -1,11 +1,10 @@
-//! Pluggable linear-layer backends behind the [`LinearBackend`] trait.
+//! The three linear-layer kernels the paper compares.
 //!
 //! Every projection in the model forwards through a [`Linear`], so one model
-//! definition serves all the frameworks compared in the paper's evaluation —
+//! definition serves all the frameworks compared in the paper's evaluation:
 //! T-MAC (LUT kernels), the llama.cpp-style dequant baseline, and the
-//! unquantized `f32` reference — *and* any backend registered after the
-//! fact: a new implementation plugs in through [`LinearBackend`] +
-//! [`BackendBuilder`] without touching the model or engine code.
+//! unquantized `f32` reference. The set is closed — [`Linear`] is an enum
+//! over exactly these three, selected by [`BackendKind`].
 //!
 //! All forwarding goes through an [`ExecCtx`]: the context supplies the
 //! thread pool and the per-token activation-table cache, which is how the
@@ -17,10 +16,7 @@ use tmac_baseline::DequantLinear;
 use tmac_core::{ExecCtx, KernelOpts, TmacLinear};
 use tmac_quant::QuantizedMatrix;
 
-/// Which built-in compute backend a model's linear layers use.
-///
-/// This is the convenience selector for the three backends the paper
-/// compares; arbitrary backends go through [`BackendBuilder`] instead.
+/// Which of the three compared kernels a model's linear layers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// T-MAC LUT kernels with the given options.
@@ -126,232 +122,10 @@ impl From<crate::kv::KvError> for BackendError {
     }
 }
 
-/// A linear-layer compute backend.
-///
-/// Implementations own their packed weights and execute `out = act × W^T`
-/// under the caller's [`ExecCtx`]. Shape validation is done by the
-/// [`Linear`] wrapper before dispatch, so implementations may assume
-/// `act.len() == cols()` and `out.len() == rows()` (and the `n`-row
-/// equivalents for batches).
-pub trait LinearBackend: std::fmt::Debug + Send + Sync {
-    /// Output features `M`.
-    fn rows(&self) -> usize;
-
-    /// Input features `K`.
-    fn cols(&self) -> usize;
-
-    /// Display name used in experiment tables.
-    fn label(&self) -> String;
-
-    /// Packed weight bytes (what streams from DRAM per token).
-    fn packed_bytes(&self) -> usize;
-
-    /// `out = act × W^T` for one activation row.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific kernel failures.
-    fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError>;
-
-    /// The batch-row granularity this backend's GEMM path blocks on
-    /// (T-MAC's `n_block`), if it has one. Callers sizing batch chunks
-    /// (prefill) should use a multiple of this so no ragged row block is
-    /// left at every chunk boundary. `None` = no preference.
-    fn preferred_rows(&self) -> Option<usize> {
-        None
-    }
-
-    /// The offline-prepacked weight plan, if this backend owns one (the
-    /// T-MAC backend does). Model containers (`tmac-llm::io`) serialize
-    /// this layout verbatim, so a saved model loads without re-packing.
-    fn tmac_plan(&self) -> Option<&tmac_core::WeightPlan> {
-        None
-    }
-
-    /// The canonical quantized matrix, if this backend can recover it
-    /// *exactly* (codes, scales and zero bit-for-bit). Backends that only
-    /// hold derived or lossy state return `None`, and models built on them
-    /// cannot be saved to a container.
-    fn export_quantized(&self) -> Option<QuantizedMatrix> {
-        None
-    }
-
-    /// `out[n][m] = Σ_k act[n][k] · W[m][k]` for `n` activation rows
-    /// (prefill). The default loops [`LinearBackend::forward`] per row;
-    /// backends with a real GEMM path override it.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific kernel failures.
-    fn forward_batch(
-        &self,
-        act: &[f32],
-        n: usize,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), BackendError> {
-        let (k, m) = (self.cols(), self.rows());
-        for ni in 0..n {
-            // Each row is a distinct activation; keep the table cache honest.
-            ctx.next_activation();
-            self.forward(
-                &act[ni * k..(ni + 1) * k],
-                &mut out[ni * m..(ni + 1) * m],
-                ctx,
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// The T-MAC LUT backend: forwards through the context's activation-table
-/// cache, so projections sharing an activation share one table build.
+/// Row-major unquantized `rows × cols` weights: the `f32` reference
+/// kernel's operand.
 #[derive(Debug, Clone)]
-pub struct TmacBackend {
-    linear: TmacLinear,
-}
-
-impl TmacBackend {
-    /// Plans `qm` under `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan-construction failures.
-    pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<Self, BackendError> {
-        Ok(TmacBackend {
-            linear: TmacLinear::new(qm, opts)?,
-        })
-    }
-
-    /// Wraps an already-prepacked plan without re-running the offline
-    /// transform — the container load path. A plan whose segments borrow
-    /// from a file mapping executes zero-copy.
-    pub fn from_plan(plan: tmac_core::WeightPlan) -> Self {
-        TmacBackend {
-            linear: TmacLinear::from_plan(plan),
-        }
-    }
-
-    /// The planned layer.
-    pub fn linear(&self) -> &TmacLinear {
-        &self.linear
-    }
-}
-
-impl LinearBackend for TmacBackend {
-    fn rows(&self) -> usize {
-        self.linear.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.linear.cols()
-    }
-
-    fn label(&self) -> String {
-        if self.linear.plan().opts.fast_aggregation {
-            "T-MAC (+FA)".into()
-        } else {
-            "T-MAC".into()
-        }
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.linear.plan().index_bytes()
-    }
-
-    fn preferred_rows(&self) -> Option<usize> {
-        Some(self.linear.plan().opts.n_block.max(1))
-    }
-
-    fn tmac_plan(&self) -> Option<&tmac_core::WeightPlan> {
-        Some(self.linear.plan())
-    }
-
-    fn export_quantized(&self) -> Option<QuantizedMatrix> {
-        Some(self.linear.plan().to_quantized())
-    }
-
-    fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
-        self.forward_batch(act, 1, out, ctx)
-    }
-
-    fn forward_batch(
-        &self,
-        act: &[f32],
-        n: usize,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), BackendError> {
-        // The cached path IS the hot path: projections sharing this
-        // activation batch (QKV, gate/up) share one table build, at any `n`
-        // (`ExecCtx::tables_for` + `TmacLinear::with_tables`).
-        Ok(self.linear.gemm_cached(act, n, out, ctx)?)
-    }
-}
-
-/// The llama.cpp-style dequantization baseline backend.
-#[derive(Debug, Clone)]
-pub struct DequantBackend {
-    linear: DequantLinear,
-}
-
-impl DequantBackend {
-    /// Packs `qm` into the baseline block formats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates packing failures.
-    pub fn new(qm: &QuantizedMatrix) -> Result<Self, BackendError> {
-        Ok(DequantBackend {
-            linear: DequantLinear::new(qm)?,
-        })
-    }
-
-    /// The packed layer.
-    pub fn linear(&self) -> &DequantLinear {
-        &self.linear
-    }
-}
-
-impl LinearBackend for DequantBackend {
-    fn rows(&self) -> usize {
-        self.linear.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.linear.cols()
-    }
-
-    fn label(&self) -> String {
-        "llama.cpp".into()
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.linear.quantized().packed_bytes()
-    }
-
-    fn export_quantized(&self) -> Option<QuantizedMatrix> {
-        Some(self.linear.quantized().clone())
-    }
-
-    fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
-        Ok(self.linear.gemv(act, out, ctx)?)
-    }
-
-    fn forward_batch(
-        &self,
-        act: &[f32],
-        n: usize,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), BackendError> {
-        Ok(self.linear.gemm_mixed(act, n, out, ctx)?)
-    }
-}
-
-/// The unquantized `f32` reference backend.
-#[derive(Debug, Clone)]
-pub struct F32Backend {
+pub struct F32Matrix {
     w: Vec<f32>,
     rows: usize,
     cols: usize,
@@ -362,7 +136,7 @@ struct OutPtr(*mut f32);
 // SAFETY: row chunks are disjoint and the output outlives the dispatch.
 unsafe impl Sync for OutPtr {}
 
-impl F32Backend {
+impl F32Matrix {
     /// Wraps row-major `rows × cols` weights.
     ///
     /// # Errors
@@ -375,32 +149,15 @@ impl F32Backend {
                 w.len()
             )));
         }
-        Ok(F32Backend {
+        Ok(F32Matrix {
             w: w.to_vec(),
             rows,
             cols,
         })
     }
-}
 
-impl LinearBackend for F32Backend {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn label(&self) -> String {
-        "f32".into()
-    }
-
-    fn packed_bytes(&self) -> usize {
-        self.w.len() * 4
-    }
-
-    fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
+    /// `out = act × W^T` for one row: one pooled `dot` sweep over the rows.
+    fn gemv(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) {
         let (w, cols) = (&self.w, self.cols);
         let out_ptr = OutPtr(out.as_mut_ptr());
         let out_ref = &out_ptr;
@@ -411,27 +168,24 @@ impl LinearBackend for F32Backend {
                 unsafe { *out_ref.0.add(m) = v };
             }
         });
-        Ok(())
     }
 }
 
-/// A linear layer bound to one backend: a cheaply clonable handle that
-/// validates shapes before dispatching to the [`LinearBackend`].
+/// A linear layer on one of the three compared kernels: a cheaply clonable
+/// handle (one `Arc` bump) that validates shapes before dispatching.
 #[derive(Debug, Clone)]
-pub struct Linear {
-    backend: Arc<dyn LinearBackend>,
+pub enum Linear {
+    /// T-MAC LUT kernels over the offline-prepacked plan.
+    Tmac(Arc<TmacLinear>),
+    /// llama.cpp-style dequantization kernels.
+    Dequant(Arc<DequantLinear>),
+    /// Unquantized `f32` reference.
+    F32(Arc<F32Matrix>),
 }
 
 impl Linear {
-    /// Wraps any backend implementation.
-    pub fn from_backend(backend: impl LinearBackend + 'static) -> Self {
-        Linear {
-            backend: Arc::new(backend),
-        }
-    }
-
-    /// Builds a layer on one of the built-in backends from a quantized
-    /// matrix (plus the original `f32` weights for the reference backend).
+    /// Builds a layer on `kind` from a quantized matrix (plus the original
+    /// `f32` weights for the reference kernel).
     ///
     /// # Errors
     ///
@@ -441,53 +195,77 @@ impl Linear {
         qm: &QuantizedMatrix,
         f32_weights: &[f32],
     ) -> Result<Self, BackendError> {
-        match kind {
-            BackendKind::Tmac(opts) => Ok(Self::from_backend(TmacBackend::new(qm, opts)?)),
-            BackendKind::Dequant => Ok(Self::from_backend(DequantBackend::new(qm)?)),
-            BackendKind::F32 => Ok(Self::from_backend(F32Backend::new(
-                f32_weights,
-                qm.rows,
-                qm.cols,
-            )?)),
-        }
+        Ok(match kind {
+            BackendKind::Tmac(opts) => Linear::Tmac(Arc::new(TmacLinear::new(qm, opts)?)),
+            BackendKind::Dequant => Linear::Dequant(Arc::new(DequantLinear::new(qm)?)),
+            BackendKind::F32 => {
+                Linear::F32(Arc::new(F32Matrix::new(f32_weights, qm.rows, qm.cols)?))
+            }
+        })
     }
 
-    /// The underlying backend (downcast-free introspection: label, sizes).
-    pub fn backend(&self) -> &dyn LinearBackend {
-        self.backend.as_ref()
+    /// The kernel this layer runs on.
+    pub fn kind(&self) -> BackendKind {
+        match self {
+            Linear::Tmac(l) => BackendKind::Tmac(l.plan().opts),
+            Linear::Dequant(_) => BackendKind::Dequant,
+            Linear::F32(_) => BackendKind::F32,
+        }
     }
 
     /// Output features.
     pub fn rows(&self) -> usize {
-        self.backend.rows()
+        match self {
+            Linear::Tmac(l) => l.rows(),
+            Linear::Dequant(l) => l.rows(),
+            Linear::F32(l) => l.rows,
+        }
     }
 
     /// Input features.
     pub fn cols(&self) -> usize {
-        self.backend.cols()
+        match self {
+            Linear::Tmac(l) => l.cols(),
+            Linear::Dequant(l) => l.cols(),
+            Linear::F32(l) => l.cols,
+        }
     }
 
-    /// Display name of the backend.
-    pub fn label(&self) -> String {
-        self.backend.label()
+    /// Display name of the kernel.
+    pub fn label(&self) -> &'static str {
+        self.kind().label()
     }
 
-    /// Packed size in bytes (what streams from DRAM per token).
+    /// Packed weight bytes: what streams from DRAM per token (indices plus
+    /// `f32` scales for the quantized kernels).
     pub fn packed_bytes(&self) -> usize {
-        self.backend.packed_bytes()
+        match self {
+            Linear::Tmac(l) => {
+                let p = l.plan();
+                p.index_bytes() + p.m_padded * p.groups_per_row() * 4
+            }
+            Linear::Dequant(l) => l.quantized().packed_bytes(),
+            Linear::F32(l) => l.w.len() * 4,
+        }
     }
 
-    /// The backend's preferred batch-row granularity (see
-    /// [`LinearBackend::preferred_rows`]).
+    /// The batch-row granularity the GEMM path blocks on (T-MAC's
+    /// `n_block`), if it has one. Callers sizing batch chunks (prefill)
+    /// should use a multiple of this so no ragged row block is left at
+    /// every chunk boundary. `None` = no preference.
     pub fn preferred_rows(&self) -> Option<usize> {
-        self.backend.preferred_rows()
+        match self {
+            Linear::Tmac(l) => Some(l.plan().opts.n_block.max(1)),
+            Linear::Dequant(_) | Linear::F32(_) => None,
+        }
     }
 
     /// `out = act × W^T`.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::Shape`] on length mismatches.
+    /// Returns [`BackendError::Shape`] on length mismatches; kernel
+    /// failures otherwise.
     pub fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
         if act.len() != self.cols() || out.len() != self.rows() {
             return Err(BackendError::Shape(format!(
@@ -498,14 +276,23 @@ impl Linear {
                 self.cols()
             )));
         }
-        self.backend.forward(act, out, ctx)
+        match self {
+            Linear::Tmac(l) => Ok(l.gemm_cached(act, 1, out, ctx)?),
+            Linear::Dequant(l) => Ok(l.gemv(act, out, ctx)?),
+            Linear::F32(l) => {
+                l.gemv(act, out, ctx);
+                Ok(())
+            }
+        }
     }
 
-    /// Batched forward over `n` activation rows (row-major).
+    /// Batched forward over `n` activation rows (row-major):
+    /// `out[n][m] = Σ_k act[n][k] · W[m][k]`.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError::Shape`] on length mismatches.
+    /// Returns [`BackendError::Shape`] on length mismatches; kernel
+    /// failures otherwise.
     pub fn forward_batch(
         &self,
         act: &[f32],
@@ -513,81 +300,37 @@ impl Linear {
         out: &mut [f32],
         ctx: &ExecCtx,
     ) -> Result<(), BackendError> {
-        if n == 0 || act.len() != n * self.cols() || out.len() != n * self.rows() {
+        let (k, m) = (self.cols(), self.rows());
+        if n == 0 || act.len() != n * k || out.len() != n * m {
             return Err(BackendError::Shape(format!(
                 "forward_batch: act {} out {} vs n={} of {}x{}",
                 act.len(),
                 out.len(),
                 n,
-                self.rows(),
-                self.cols()
+                m,
+                k
             )));
         }
-        self.backend.forward_batch(act, n, out, ctx)
-    }
-}
-
-/// Builds [`Linear`] layers for a model: the extension point that lets new
-/// backends plug in without touching `Model` or `Engine`.
-pub trait BackendBuilder: Send + Sync {
-    /// Builds one layer from the quantized matrix (and the original `f32`
-    /// weights, for reference-style backends).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction failures.
-    fn build(&self, qm: &QuantizedMatrix, f32_weights: &[f32]) -> Result<Linear, BackendError>;
-
-    /// Builds one layer directly from an offline-prepacked weight plan
-    /// (the container load path). `None` — the default — means this
-    /// builder cannot consume the prepacked layout; the loader then falls
-    /// back to materializing the canonical quantized matrix per layer
-    /// ([`tmac_core::WeightPlan::to_quantized`]) and calling
-    /// [`BackendBuilder::build`]. Builders that *can* consume it (the
-    /// T-MAC kinds) take the plan as-is — zero-copy when its segments
-    /// borrow from the container mapping.
-    fn build_prepacked(
-        &self,
-        plan: &tmac_core::WeightPlan,
-    ) -> Option<Result<Linear, BackendError>> {
-        let _ = plan;
-        None
-    }
-
-    /// Display name used in experiment tables.
-    fn label(&self) -> String;
-}
-
-impl BackendBuilder for BackendKind {
-    fn build(&self, qm: &QuantizedMatrix, f32_weights: &[f32]) -> Result<Linear, BackendError> {
-        Linear::build(*self, qm, f32_weights)
-    }
-
-    fn build_prepacked(
-        &self,
-        plan: &tmac_core::WeightPlan,
-    ) -> Option<Result<Linear, BackendError>> {
-        let BackendKind::Tmac(opts) = self else {
-            return None;
-        };
-        // Same options: share the stored plan (cheap — borrowed segments
-        // clone by Arc). Layout-compatible options (e.g. requesting +FA on
-        // a stock T-MAC pack): rebind the same segments under the new
-        // options. Layout-incompatible requests fall back to repacking
-        // from the materialized matrix.
-        let plan = if *opts == plan.opts {
-            plan.clone()
-        } else {
-            match plan.with_opts(*opts) {
-                Ok(p) => p,
-                Err(_) => return None,
+        match self {
+            // The cached path IS the hot path: projections sharing this
+            // activation batch (QKV, gate/up) share one table build, at any
+            // `n` (`ExecCtx::tables_for` + `TmacLinear::with_tables`).
+            Linear::Tmac(l) => Ok(l.gemm_cached(act, n, out, ctx)?),
+            Linear::Dequant(l) => Ok(l.gemm_mixed(act, n, out, ctx)?),
+            Linear::F32(l) => {
+                for ni in 0..n {
+                    // Each row is a distinct activation; keep the table
+                    // cache honest.
+                    ctx.next_activation();
+                    l.gemv(
+                        &act[ni * k..(ni + 1) * k],
+                        &mut out[ni * m..(ni + 1) * m],
+                        ctx,
+                    );
+                }
+                Ok(())
             }
-        };
-        Some(Ok(Linear::from_backend(TmacBackend::from_plan(plan))))
-    }
-
-    fn label(&self) -> String {
-        BackendKind::label(self).into()
+        }
     }
 }
 
@@ -641,7 +384,7 @@ mod tests {
             BackendKind::Tmac(KernelOpts::tmac_fast_aggregation()).label(),
             "T-MAC (+FA)"
         );
-        // Trait-object labels match the kind labels.
+        // Layer labels match the kind labels.
         let (qm, w, _) = setup();
         for kind in [
             BackendKind::F32,
@@ -703,7 +446,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(batched, rowwise);
-        // The f32 backend exercises the trait's default batch loop.
+        // The f32 arm loops its single-row sweep per batch row.
         let f = Linear::build(BackendKind::F32, &qm, &w).unwrap();
         let mut fb = vec![0f32; n * m];
         f.forward_batch(&acts, n, &mut fb, &ctx).unwrap();
@@ -713,5 +456,16 @@ mod tests {
         // Shape errors are caught at the wrapper.
         assert!(f.forward_batch(&acts, 0, &mut fb, &ctx).is_err());
         assert!(f.forward_batch(&acts[..k], n, &mut fb, &ctx).is_err());
+    }
+
+    #[test]
+    fn tmac_and_dequant_count_the_same_streamed_bytes() {
+        // Both quantized kernels stream `bits` bits per weight plus one f32
+        // scale per group: 64·96·4/8 index bytes + 64·3·4 scale bytes.
+        let (qm, w, _) = setup();
+        let tmac = Linear::build(BackendKind::Tmac(KernelOpts::tmac()), &qm, &w).unwrap();
+        let dequant = Linear::build(BackendKind::Dequant, &qm, &w).unwrap();
+        assert_eq!(dequant.packed_bytes(), 3840);
+        assert_eq!(tmac.packed_bytes(), dequant.packed_bytes());
     }
 }

@@ -931,310 +931,19 @@ mod tests {
     }
 
     #[test]
-    fn failed_admission_is_quarantined_and_serving_continues() {
-        use crate::backend::{BackendBuilder, F32Backend, Linear, LinearBackend};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        use tmac_quant::QuantizedMatrix;
-
-        /// Fails exactly the `fail_at`-th linear dispatch model-wide, then
-        /// recovers (wraps the f32 reference backend).
-        #[derive(Debug)]
-        struct FailOnce {
-            inner: F32Backend,
-            calls: Arc<AtomicU64>,
-            fail_at: u64,
-        }
-        impl FailOnce {
-            fn trip(&self) -> Result<(), BackendError> {
-                if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_at {
-                    return Err(BackendError::Shape("injected failure".into()));
+    fn guard_logits_rejects_non_finite_values() {
+        let mut logits = vec![0.5f32; 8];
+        assert!(Scheduler::guard_logits(&logits).is_ok());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            logits[5] = bad;
+            match Scheduler::guard_logits(&logits) {
+                Err(BackendError::Numeric(m)) => {
+                    assert!(m.contains("non-finite") && m.contains("index 5"), "{m}");
                 }
-                Ok(())
+                other => panic!("{bad}: got {other:?}"),
             }
+            logits[5] = 0.5;
         }
-        impl LinearBackend for FailOnce {
-            fn rows(&self) -> usize {
-                self.inner.rows()
-            }
-            fn cols(&self) -> usize {
-                self.inner.cols()
-            }
-            fn label(&self) -> String {
-                "fail-once".into()
-            }
-            fn packed_bytes(&self) -> usize {
-                self.inner.packed_bytes()
-            }
-            fn forward(
-                &self,
-                act: &[f32],
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.trip()?;
-                self.inner.forward(act, out, ctx)
-            }
-            fn forward_batch(
-                &self,
-                act: &[f32],
-                n: usize,
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.trip()?;
-                self.inner.forward_batch(act, n, out, ctx)
-            }
-        }
-        struct FailBuilder {
-            calls: Arc<AtomicU64>,
-            fail_at: u64,
-        }
-        impl BackendBuilder for FailBuilder {
-            fn build(&self, qm: &QuantizedMatrix, w: &[f32]) -> Result<Linear, BackendError> {
-                Ok(Linear::from_backend(FailOnce {
-                    inner: F32Backend::new(w, qm.rows, qm.cols)?,
-                    calls: Arc::clone(&self.calls),
-                    fail_at: self.fail_at,
-                }))
-            }
-            fn label(&self) -> String {
-                "fail-once".into()
-            }
-        }
-
-        let ctx = ExecCtx::new(1);
-        let cfg = ModelConfig::tiny();
-        // 2 layers => 7*2 + 1 = 15 linear dispatches per forward pass; the
-        // 20th call lands inside the SECOND admission's prefill.
-        let builder = FailBuilder {
-            calls: Arc::new(AtomicU64::new(0)),
-            fail_at: 20,
-        };
-        let m = Model::synthetic_with(&cfg, WeightQuant::Rtn(4), &builder, 3).unwrap();
-        let mut sched = Scheduler::new(m, SchedulerConfig::default());
-        let a = sched.submit(SubmitRequest::greedy(&[1], 3)).unwrap();
-        let b = sched.submit(SubmitRequest::greedy(&[2], 3)).unwrap();
-
-        // The fault lands in B's prefill: B alone is quarantined, the step
-        // still succeeds, and A prefills AND decodes in that same step.
-        let first = sched.step_batch(&ctx).unwrap();
-        assert!(first.iter().all(|t| t.id == a), "only A emits tokens");
-        assert_eq!(first.len(), 2, "A's prefill token plus A's decode token");
-        let failed = sched.take_finished();
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].id, b);
-        assert!(failed[0].reason.is_error());
-        assert!(failed[0].tokens.is_empty());
-        assert_eq!(sched.active_len(), 1);
-        assert_eq!(sched.quarantined_total(), 1);
-
-        // The backend has recovered; serving completes and the stream holds
-        // every one of A's tokens exactly once, in order.
-        let mut streamed: Vec<u32> = first.iter().map(|t| t.token).collect();
-        while !sched.is_idle() {
-            for t in sched.step_batch(&ctx).unwrap() {
-                assert_eq!(t.id, a);
-                streamed.push(t.token);
-            }
-        }
-        let done = sched.take_finished();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, a);
-        assert_eq!(done[0].reason, FinishReason::Length);
-        assert_eq!(done[0].tokens, streamed);
-        assert_eq!(done[0].tokens.len(), 3);
-        // B's slot went back to the pool, not leaked.
-        assert_eq!(sched.slots_allocated(), 2);
-    }
-
-    #[test]
-    fn forward_panic_is_contained_and_survivors_are_bit_exact() {
-        use crate::backend::{BackendBuilder, F32Backend, Linear, LinearBackend};
-        use tmac_quant::QuantizedMatrix;
-
-        // A backend that panics on every multi-row dispatch: each batched
-        // decode unwinds, the per-row isolation probes (n == 1) all pass,
-        // so serving degrades to row-at-a-time forwards with ZERO
-        // quarantined sequences — and every token matches the reference.
-        #[derive(Debug)]
-        struct PanicOnBatch {
-            inner: F32Backend,
-        }
-        impl LinearBackend for PanicOnBatch {
-            fn rows(&self) -> usize {
-                self.inner.rows()
-            }
-            fn cols(&self) -> usize {
-                self.inner.cols()
-            }
-            fn label(&self) -> String {
-                "panic-on-batch".into()
-            }
-            fn packed_bytes(&self) -> usize {
-                self.inner.packed_bytes()
-            }
-            fn forward(
-                &self,
-                act: &[f32],
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.inner.forward(act, out, ctx)
-            }
-            fn forward_batch(
-                &self,
-                act: &[f32],
-                n: usize,
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                assert!(n == 1, "injected panic on a {n}-row batch");
-                self.inner.forward_batch(act, n, out, ctx)
-            }
-        }
-        struct PanicBuilder;
-        impl BackendBuilder for PanicBuilder {
-            fn build(&self, qm: &QuantizedMatrix, w: &[f32]) -> Result<Linear, BackendError> {
-                Ok(Linear::from_backend(PanicOnBatch {
-                    inner: F32Backend::new(w, qm.rows, qm.cols)?,
-                }))
-            }
-            fn label(&self) -> String {
-                "panic-on-batch".into()
-            }
-        }
-
-        let ctx = ExecCtx::new(1);
-        let cfg = ModelConfig::tiny();
-        // Reference tokens from the plain f32 backend (same quantized
-        // weights: (cfg, quant, seed) determine them bit-exactly).
-        let mut engine =
-            Engine::new(Model::synthetic(&cfg, WeightQuant::Rtn(4), BackendKind::F32, 3).unwrap());
-        let reference: Vec<Vec<u32>> = [[1u32], [2u32]]
-            .iter()
-            .map(|p| {
-                engine
-                    .generate(&SubmitRequest::greedy(p, 4), &ctx)
-                    .unwrap()
-                    .tokens
-            })
-            .collect();
-
-        let m = Model::synthetic_with(&cfg, WeightQuant::Rtn(4), &PanicBuilder, 3).unwrap();
-        let mut sched = Scheduler::new(m, SchedulerConfig::default());
-        // Single-token prompts keep prefill on the n == 1 path; only the
-        // two-row decode batches panic.
-        let a = sched.submit(SubmitRequest::greedy(&[1], 4)).unwrap();
-        let b = sched.submit(SubmitRequest::greedy(&[2], 4)).unwrap();
-        let done = sched.run_to_completion(&ctx).unwrap();
-        assert_eq!(sched.quarantined_total(), 0, "probes exonerate every row");
-        for (id, want) in [(a, &reference[0]), (b, &reference[1])] {
-            let f = done.iter().find(|f| f.id == id).unwrap();
-            assert_eq!(f.reason, FinishReason::Length);
-            assert_eq!(&f.tokens, want, "tokens diverged under panic isolation");
-        }
-    }
-
-    #[test]
-    fn non_finite_logits_quarantine_only_the_poisoned_row() {
-        use crate::backend::{BackendBuilder, F32Backend, Linear, LinearBackend};
-        use tmac_quant::QuantizedMatrix;
-
-        // An lm-head wrapper that poisons row 1's logits with NaN on
-        // multi-row batches: the sampling guard must error-retire exactly
-        // the row-1 sequence and leave row 0 bit-exact.
-        #[derive(Debug)]
-        struct NanHead {
-            inner: F32Backend,
-        }
-        impl LinearBackend for NanHead {
-            fn rows(&self) -> usize {
-                self.inner.rows()
-            }
-            fn cols(&self) -> usize {
-                self.inner.cols()
-            }
-            fn label(&self) -> String {
-                "nan-head".into()
-            }
-            fn packed_bytes(&self) -> usize {
-                self.inner.packed_bytes()
-            }
-            fn forward(
-                &self,
-                act: &[f32],
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.inner.forward(act, out, ctx)
-            }
-            fn forward_batch(
-                &self,
-                act: &[f32],
-                n: usize,
-                out: &mut [f32],
-                ctx: &ExecCtx,
-            ) -> Result<(), BackendError> {
-                self.inner.forward_batch(act, n, out, ctx)?;
-                if n > 1 {
-                    out[self.inner.rows()] = f32::NAN;
-                }
-                Ok(())
-            }
-        }
-        struct NanHeadBuilder {
-            vocab: usize,
-        }
-        impl BackendBuilder for NanHeadBuilder {
-            fn build(&self, qm: &QuantizedMatrix, w: &[f32]) -> Result<Linear, BackendError> {
-                let inner = F32Backend::new(w, qm.rows, qm.cols)?;
-                if qm.rows == self.vocab {
-                    Ok(Linear::from_backend(NanHead { inner }))
-                } else {
-                    Ok(Linear::from_backend(inner))
-                }
-            }
-            fn label(&self) -> String {
-                "nan-head".into()
-            }
-        }
-
-        let ctx = ExecCtx::new(1);
-        let cfg = ModelConfig::tiny();
-        let mut engine =
-            Engine::new(Model::synthetic(&cfg, WeightQuant::Rtn(4), BackendKind::F32, 3).unwrap());
-        let solo_a = engine
-            .generate(&SubmitRequest::greedy(&[1], 4), &ctx)
-            .unwrap()
-            .tokens;
-
-        let builder = NanHeadBuilder { vocab: cfg.vocab };
-        let m = Model::synthetic_with(&cfg, WeightQuant::Rtn(4), &builder, 3).unwrap();
-        let mut sched = Scheduler::new(m, SchedulerConfig::default());
-        let a = sched.submit(SubmitRequest::greedy(&[1], 4)).unwrap();
-        let b = sched.submit(SubmitRequest::greedy(&[2], 4)).unwrap();
-        let done = sched.run_to_completion(&ctx).unwrap();
-        assert_eq!(sched.quarantined_total(), 1);
-
-        let fb = done.iter().find(|f| f.id == b).unwrap();
-        assert!(fb.reason.is_error());
-        assert!(
-            fb.reason.to_string().contains("non-finite"),
-            "got {:?}",
-            fb.reason
-        );
-        assert_eq!(
-            fb.tokens.len(),
-            1,
-            "prefill token only (n == 1, unpoisoned)"
-        );
-
-        let fa = done.iter().find(|f| f.id == a).unwrap();
-        assert_eq!(fa.reason, FinishReason::Length);
-        assert_eq!(fa.tokens, solo_a, "survivor diverged after quarantine");
-        assert!(sched.is_idle());
-        assert_eq!(sched.slots_allocated(), 2, "B's slot returned to the pool");
     }
 
     #[test]

@@ -2,24 +2,24 @@
 //!
 //! One format, `.tmac` ([`tmac_io::container`]), with llama.cpp tensor
 //! names: weights stored *already in the offline-transformed T-MAC
-//! layout*. [`Model::save_file`] writes it; [`Model::from_file`] hands
-//! each prepacked plan to the backend builder
-//! ([`crate::backend::BackendBuilder::build_prepacked`]). The T-MAC kinds
-//! consume it zero-copy straight from the file mapping, other backends
-//! lazily materialize the canonical quantized matrix per layer and build
-//! from that. Cold start is a header parse + checksum sweep instead of
-//! generate+quantize+pack.
+//! layout*. [`Model::save_file`] writes it; [`Model::from_file`] matches
+//! on the requested [`BackendKind`]: the T-MAC kinds consume each
+//! prepacked plan zero-copy straight from the file mapping, the other
+//! kernels lazily materialize the canonical quantized matrix per layer and
+//! build from that. Cold start is a header parse + checksum sweep instead
+//! of generate+quantize+pack.
 //!
 //! Codes, scales and zero round-trip bit-for-bit, so a reloaded model
 //! produces bit-identical logits on the quantized backends (asserted in
 //! `tests/model_io.rs`).
 
-use crate::backend::{BackendBuilder, BackendError, Linear};
+use crate::backend::{BackendError, BackendKind, Linear};
 use crate::config::{KvPrecision, ModelConfig, WeightQuant};
 use crate::model::{LayerWeights, Model};
 use crate::ops;
 use std::path::Path;
-use tmac_core::{KernelOpts, WeightPlan};
+use std::sync::Arc;
+use tmac_core::{KernelOpts, TmacLinear, WeightPlan};
 use tmac_io::{write_container, IoError, MetaValue, TensorSource, TensorSpec, TmacContainer};
 
 pub use tmac_io::LoadMode;
@@ -188,34 +188,33 @@ fn cfg_from_meta(
     Ok((cfg, quant))
 }
 
-/// A linear's prepacked plan for serialization: borrowed from the backend
-/// when it owns one, else re-packed from the exported quantized matrix.
+/// A linear's prepacked plan for serialization: borrowed from a T-MAC
+/// layer, else re-packed from the dequant layer's quantized matrix.
 enum PlanSrc<'a> {
-    Backend(&'a WeightPlan),
+    Borrowed(&'a WeightPlan),
     Packed(Box<WeightPlan>),
 }
 
 impl PlanSrc<'_> {
     fn plan(&self) -> &WeightPlan {
         match self {
-            PlanSrc::Backend(p) => p,
+            PlanSrc::Borrowed(p) => p,
             PlanSrc::Packed(p) => p,
         }
     }
 }
 
 fn plan_src<'a>(lin: &'a Linear, name: &str) -> Result<PlanSrc<'a>, ModelIoError> {
-    if let Some(p) = lin.backend().tmac_plan() {
-        return Ok(PlanSrc::Backend(p));
-    }
-    let qm = lin.backend().export_quantized().ok_or_else(|| {
-        ModelIoError::Unsupported(format!(
-            "tensor {name}: backend {:?} cannot be serialized (no prepacked plan and no exact \
-             quantized export — e.g. the f32 reference backend)",
-            lin.label()
-        ))
-    })?;
-    let plan = WeightPlan::new(&qm, KernelOpts::tmac())
+    let qm = match lin {
+        Linear::Tmac(l) => return Ok(PlanSrc::Borrowed(l.plan())),
+        Linear::Dequant(l) => l.quantized(),
+        Linear::F32(_) => {
+            return Err(ModelIoError::Unsupported(format!(
+                "tensor {name}: the f32 reference layer holds no quantized weights to serialize"
+            )))
+        }
+    };
+    let plan = WeightPlan::new(qm, KernelOpts::tmac())
         .map_err(|e| ModelIoError::Io(IoError::ShapeMismatch(e.to_string())))?;
     Ok(PlanSrc::Packed(Box::new(plan)))
 }
@@ -238,14 +237,14 @@ impl Model {
     /// Saves this model as a prepacked `.tmac` container.
     ///
     /// Weights are written in the exact offline-transformed layout the
-    /// kernels consume (the backend's own plan when it has one), so
+    /// kernels consume (a T-MAC layer's own plan), so
     /// [`Model::from_file`] restores them without re-packing.
     ///
     /// # Errors
     ///
-    /// [`ModelIoError::Unsupported`] when a layer's backend can export
-    /// neither a prepacked plan nor an exact quantized matrix (the `f32`
-    /// reference backend); [`ModelIoError::Io`] on container failures.
+    /// [`ModelIoError::Unsupported`] for a model on the `f32` reference
+    /// kernel (it holds no quantized weights); [`ModelIoError::Io`] on
+    /// container failures.
     pub fn save_file(&self, path: &Path) -> Result<(), ModelIoError> {
         let cfg = &self.cfg;
         let linears = model_linears(self);
@@ -305,9 +304,9 @@ impl Model {
     ///
     /// The container is opened under `mode` ([`LoadMode::Mmap`] borrows
     /// weight tiles zero-copy from the mapping) and fully
-    /// integrity-checked. Each prepacked plan is offered to `builder` via
-    /// [`BackendBuilder::build_prepacked`]; builders that decline get the
-    /// lazily materialized canonical matrix instead.
+    /// integrity-checked. [`BackendKind::Tmac`] takes each stored plan
+    /// as-is (or rebound to layout-compatible options); every other kind
+    /// builds from the lazily materialized canonical matrix.
     ///
     /// # Errors
     ///
@@ -316,7 +315,7 @@ impl Model {
     /// failures.
     pub fn from_file(
         path: &Path,
-        builder: &dyn BackendBuilder,
+        kind: &BackendKind,
         mode: LoadMode,
     ) -> Result<Model, ModelIoError> {
         let c = TmacContainer::open(path, mode)?;
@@ -336,16 +335,23 @@ impl Model {
                     quant.bits()
                 ))));
             }
-            if let Some(lin) = builder.build_prepacked(&plan) {
-                return Ok(lin?);
+            // Same options: take the stored plan as-is (zero-copy when its
+            // segments borrow the mapping). Layout-compatible options (e.g.
+            // +FA on a stock T-MAC pack): rebind the same segments.
+            if let BackendKind::Tmac(opts) = *kind {
+                let tmac = |p| Ok(Linear::Tmac(Arc::new(TmacLinear::from_plan(p))));
+                if opts == plan.opts {
+                    return tmac(plan);
+                }
+                if let Ok(p) = plan.with_opts(opts) {
+                    return tmac(p);
+                }
             }
-            // Lazy per-layer materialization for backends that do not
-            // consume the prepacked layout: transient canonical matrix
-            // (and its dequantized f32 twin for reference backends),
-            // dropped as soon as the layer is built.
+            // Everything else (including layout-incompatible T-MAC
+            // options) builds from a transient canonical matrix and its
+            // dequantized f32 twin, dropped as soon as the layer is built.
             let qm = plan.to_quantized();
-            let f32w = qm.dequantize();
-            Ok(builder.build(&qm, &f32w)?)
+            Ok(Linear::build(*kind, &qm, &qm.dequantize())?)
         };
         let f32_vec = |name: &str, expect: usize| -> Result<Vec<f32>, ModelIoError> {
             let data = c.f32_tensor(name)?;

@@ -2,8 +2,9 @@
 //!
 //! The end-to-end system of the paper's §5.3–§5.6: a from-scratch llama
 //! decoder (RMSNorm, RoPE, GQA attention with KV cache, SwiGLU) whose every
-//! projection runs on a pluggable mpGEMV backend — T-MAC LUT kernels, the
-//! llama.cpp-style dequant baseline, or the unquantized `f32` reference —
+//! projection is a [`Linear`] on one of the three compared kernels — T-MAC
+//! LUT kernels, the llama.cpp-style dequant baseline, or the unquantized
+//! `f32` reference, selected by [`BackendKind`] —
 //! plus a generation engine, throughput measurement with full-depth
 //! extrapolation, and model-quality evaluators (perplexity, choice
 //! agreement).
@@ -11,8 +12,7 @@
 //! Every forward runs under a [`tmac_core::ExecCtx`], whose activation-table
 //! cache shares one LUT build across the projections that consume the same
 //! activation (QKV; gate/up) — the T-MAC precompute amortization applied to
-//! the whole decode stack. Backends implement [`backend::LinearBackend`] and
-//! plug in through [`backend::BackendBuilder`] without touching the model.
+//! the whole decode stack.
 //!
 //! # Examples
 //!
@@ -53,10 +53,7 @@ pub mod sampling;
 pub mod weights;
 
 pub use attention::AttnScratch;
-pub use backend::{
-    BackendBuilder, BackendError, BackendKind, DequantBackend, F32Backend, Linear, LinearBackend,
-    TmacBackend,
-};
+pub use backend::{BackendError, BackendKind, F32Matrix, Linear};
 pub use batch::{
     FinishReason, FinishedSeq, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken,
     SubmitRequest,

@@ -7,7 +7,7 @@
 //! dequant baseline and the `f32` reference.
 
 use crate::attention::{self, AttnScratch};
-use crate::backend::{BackendBuilder, BackendError, BackendKind, Linear};
+use crate::backend::{BackendError, BackendKind, Linear};
 use crate::config::{ModelConfig, WeightQuant};
 use crate::ops;
 use crate::weights::{gen_gain, gen_matrix, tensor_seed};
@@ -156,22 +156,6 @@ impl Model {
         kind: BackendKind,
         seed: u64,
     ) -> Result<Model, BackendError> {
-        Self::synthetic_with(cfg, quant, &kind, seed)
-    }
-
-    /// [`Model::synthetic`] over an arbitrary [`BackendBuilder`] — the
-    /// extension point that lets registry-provided backends drive the model
-    /// without the model knowing them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and backend build failures.
-    pub fn synthetic_with(
-        cfg: &ModelConfig,
-        quant: WeightQuant,
-        builder: &dyn BackendBuilder,
-        seed: u64,
-    ) -> Result<Model, BackendError> {
         cfg.validate().map_err(BackendError::Shape)?;
         let quantize = |w: &[f32], rows: usize, cols: usize| match quant {
             WeightQuant::Rtn(bits) => tmac_quant::rtn::quantize(w, rows, cols, bits, 32),
@@ -181,7 +165,7 @@ impl Model {
             |rows: usize, cols: usize, seed: u64, scale: f32| -> Result<Linear, BackendError> {
                 let w = gen_matrix(rows, cols, seed, scale);
                 let qm = quantize(&w, rows, cols)?;
-                builder.build(&qm, &w)
+                Linear::build(kind, &qm, &w)
             };
 
         let (dim, kv_dim, ffn) = (cfg.dim, cfg.kv_dim(), cfg.ffn_dim);
@@ -533,16 +517,16 @@ impl Model {
         Ok((len - 1 - from) % chunk)
     }
 
-    /// Display label of the backend the linear layers run on (derived from
-    /// the layers themselves; every layer is built by one builder).
-    pub fn backend_label(&self) -> String {
+    /// Display label of the kernel the linear layers run on (derived from
+    /// the layers themselves; every layer is built on one [`BackendKind`]).
+    pub fn backend_label(&self) -> &'static str {
         self.head.label()
     }
 
     /// Rows per prefill chunk for this model: the target chunk size
     /// ([`PREFILL_CHUNK`]) rounded **down** to a whole
     /// multiple of the backend's batch blocking (`n_block` for T-MAC, via
-    /// [`crate::backend::LinearBackend::preferred_rows`]), never below one
+    /// [`Linear::preferred_rows`]), never below one
     /// block. Chunking on a multiple means no mpGEMM sweep is left with a
     /// ragged row block at a chunk boundary; backends with no preference
     /// keep the plain target.

@@ -11,7 +11,7 @@
 //! | [`quant`] (`tmac-quant`) | weight quantizers and llama.cpp-style block formats |
 //! | [`baseline`] (`tmac-baseline`) | dequantization-based comparator kernels |
 //! | [`threadpool`] (`tmac-threadpool`) | static-threadblock parallel substrate |
-//! | [`llm`] (`tmac-llm`) | llama-architecture inference engine with pluggable [`prelude::LinearBackend`]s |
+//! | [`llm`] (`tmac-llm`) | llama-architecture inference engine whose every projection is a [`prelude::Linear`] on one of the three compared kernels |
 //! | [`io`] (`tmac-io`) | the model container: prepacked `.tmac`, mmap zero-copy loading |
 //! | [`serve`] (`tmac-serve`) | HTTP/SSE serving front-end over the continuous-batching scheduler |
 //! | [`trace`] (`tmac-trace`) | span recorder (per-thread rings, Chrome-trace export) and latency histograms, compiled into every build |
@@ -76,10 +76,10 @@ pub mod prelude {
     // same type as `tmac_io::LoadMode`).
     pub use tmac_io::{IoError, TmacContainer};
     pub use tmac_llm::{
-        AttnScratch, BackendBuilder, BackendError, BackendKind, BatchScratch, DecodeStats,
-        DequantBackend, Engine, F32Backend, FinishReason, FinishedSeq, KvCache, KvError,
-        KvPrecision, KvStats, Linear, LinearBackend, LoadMode, Model, ModelConfig, ModelIoError,
-        Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken, TmacBackend, WeightQuant,
+        AttnScratch, BackendError, BackendKind, BatchScratch, DecodeStats, Engine, F32Matrix,
+        FinishReason, FinishedSeq, KvCache, KvError, KvPrecision, KvStats, Linear, LoadMode, Model,
+        ModelConfig, ModelIoError, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken,
+        WeightQuant,
     };
     pub use tmac_quant::QuantizedMatrix;
     pub use tmac_threadpool::ThreadPool;

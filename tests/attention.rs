@@ -7,6 +7,9 @@
 //! Thread count comes from `TMAC_TEST_THREADS` (default 2), matching
 //! `tests/batch.rs`, so CI can matrix pool sizes over the per-head fan-out.
 
+mod common;
+
+use common::test_threads;
 use tmac::core::ExecCtx;
 use tmac::llm::kv::KV_GROW_POSITIONS;
 use tmac::llm::{
@@ -14,14 +17,6 @@ use tmac::llm::{
     SubmitRequest, WeightQuant,
 };
 use tmac::simd::f32ops;
-
-fn test_threads() -> usize {
-    std::env::var("TMAC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
 
 fn ctx() -> ExecCtx {
     ExecCtx::new(test_threads())

@@ -7,20 +7,14 @@
 //! the same tests under a 1-thread and an N-thread pool to catch
 //! pool-size-dependent bugs in the batched dispatch.
 
+mod common;
+
+use common::test_threads;
 use tmac::core::ExecCtx;
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, WeightQuant,
 };
-
-/// Thread-pool size under test (CI matrixes this between 1 and N).
-fn test_threads() -> usize {
-    std::env::var("TMAC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
 
 fn ctx() -> ExecCtx {
     ExecCtx::new(test_threads())

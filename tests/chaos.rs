@@ -1,6 +1,6 @@
 //! Failpoint-driven fault-injection e2e tests.
 //!
-//! These tests arm *real* failpoint sites (`scheduler/forward`,
+//! These tests arm *real* failpoint sites (`scheduler/*`, `kv/*`,
 //! `bridge/loop`, `io/*`) with `failpoint::configure`, and the registry is
 //! process-global — so they live in their own test binary, serialized by
 //! [`fp_lock`], instead of riding in `tests/serve_http.rs` where Rust's
@@ -16,7 +16,10 @@ use std::time::{Duration, Instant};
 use tmac::core::failpoint;
 use tmac::core::ExecCtx;
 use tmac::io::{IoError, LoadMode, Mapping, TmacContainer};
-use tmac::llm::{Scheduler, SchedulerConfig, SubmitRequest};
+use tmac::llm::{
+    BackendKind, Engine, FinishReason, Model, ModelConfig, Scheduler, SchedulerConfig,
+    SubmitRequest, WeightQuant,
+};
 use tmac::serve::{Json, Metrics, ServerConfig, ServerHandle, SupervisorOpts};
 
 /// Serializes tests in this binary and clears the registry on both entry
@@ -367,6 +370,145 @@ fn kv_cow_fault_quarantines_the_cached_rerun_only() {
     assert!(!third.reason.is_error());
     assert_eq!(third.tokens, expected, "cached rerun must be bit-exact");
     assert!(sched.kv_stats().prefix_hits >= 2);
+}
+
+// Scheduler quarantine, driven directly (no server): the `scheduler_fault_`
+// tests take their pool from `TMAC_TEST_THREADS` so CI runs them under the
+// 1- and N-thread matrix.
+
+/// The `f32` reference model the scheduler fault tests run on.
+fn f32_model() -> Model {
+    Model::synthetic(
+        &ModelConfig::tiny(),
+        WeightQuant::Rtn(4),
+        BackendKind::F32,
+        3,
+    )
+    .unwrap()
+}
+
+#[test]
+fn scheduler_fault_failed_admission_is_quarantined_and_serving_continues() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    let ctx = ExecCtx::new(test_threads());
+    let mut sched = Scheduler::new(f32_model(), SchedulerConfig::default());
+    let a = sched.submit(SubmitRequest::greedy(&[1], 3)).unwrap();
+    let b = sched.submit(SubmitRequest::greedy(&[2], 3)).unwrap();
+
+    // Page allocation #1 is A's first page, #2 is B's: B's prefill fails
+    // inside its forward (at layer 0's KV store, after the Q/K/V
+    // projections). B alone is quarantined, the step still succeeds, and
+    // A prefills AND decodes in that same step.
+    failpoint::configure("kv/page_alloc=error:n2", SEED).unwrap();
+    let first = sched.step_batch(&ctx).unwrap();
+    assert_eq!(failpoint::fired("kv/page_alloc"), 1);
+    assert!(first.iter().all(|t| t.id == a), "only A emits tokens");
+    assert_eq!(first.len(), 2, "A's prefill token plus A's decode token");
+    let failed = sched.take_finished();
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].id, b);
+    assert!(failed[0].reason.is_error());
+    assert!(failed[0].tokens.is_empty());
+    assert_eq!(sched.active_len(), 1);
+    assert_eq!(sched.quarantined_total(), 1);
+
+    // The fault was one-shot; serving completes and the stream holds
+    // every one of A's tokens exactly once, in order.
+    let mut streamed: Vec<u32> = first.iter().map(|t| t.token).collect();
+    while !sched.is_idle() {
+        for t in sched.step_batch(&ctx).unwrap() {
+            assert_eq!(t.id, a);
+            streamed.push(t.token);
+        }
+    }
+    let done = sched.take_finished();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].id, a);
+    assert_eq!(done[0].reason, FinishReason::Length);
+    assert_eq!(done[0].tokens, streamed);
+    assert_eq!(done[0].tokens.len(), 3);
+    // B's slot went back to the pool, not leaked.
+    assert_eq!(sched.slots_allocated(), 2);
+}
+
+#[test]
+fn scheduler_fault_forward_panic_is_contained_and_survivors_are_bit_exact() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    let ctx = ExecCtx::new(test_threads());
+    // Reference tokens from the same model with nothing armed.
+    let mut engine = Engine::new(f32_model());
+    let reference: Vec<Vec<u32>> = [[1u32], [2u32]]
+        .iter()
+        .map(|p| {
+            engine
+                .generate(&SubmitRequest::greedy(p, 4), &ctx)
+                .unwrap()
+                .tokens
+        })
+        .collect();
+
+    // Every step's batched decode unwinds; the per-row isolation probes
+    // pass, so serving degrades to row-at-a-time forwards with ZERO
+    // quarantined sequences — and every token matches the reference.
+    let mut sched = Scheduler::new(f32_model(), SchedulerConfig::default());
+    let a = sched.submit(SubmitRequest::greedy(&[1], 4)).unwrap();
+    let b = sched.submit(SubmitRequest::greedy(&[2], 4)).unwrap();
+    let mut steps = 0;
+    while !sched.is_idle() {
+        failpoint::configure("scheduler/forward=panic:n1", SEED).unwrap();
+        sched.step_batch(&ctx).unwrap();
+        assert_eq!(failpoint::fired("scheduler/forward"), 1);
+        steps += 1;
+    }
+    assert!(steps >= 3, "the decode batch must panic on every step");
+    let done = sched.take_finished();
+    assert_eq!(sched.quarantined_total(), 0, "probes exonerate every row");
+    for (id, want) in [(a, &reference[0]), (b, &reference[1])] {
+        let f = done.iter().find(|f| f.id == id).unwrap();
+        assert_eq!(f.reason, FinishReason::Length);
+        assert_eq!(&f.tokens, want, "tokens diverged under panic isolation");
+    }
+}
+
+#[test]
+fn scheduler_fault_poisoned_logits_quarantine_only_that_row() {
+    let _g = fp_lock();
+    let _d = Disarm;
+    let ctx = ExecCtx::new(test_threads());
+    let mut engine = Engine::new(f32_model());
+    let solo_a = engine
+        .generate(&SubmitRequest::greedy(&[1], 4), &ctx)
+        .unwrap()
+        .tokens;
+
+    // The logits guard runs per row, in order: prefill A (#1), prefill B
+    // (#2), decode row 0 = A (#3), decode row 1 = B (#4). Failing #4
+    // error-retires exactly B after its prefill token and leaves A
+    // bit-exact.
+    let mut sched = Scheduler::new(f32_model(), SchedulerConfig::default());
+    let a = sched.submit(SubmitRequest::greedy(&[1], 4)).unwrap();
+    let b = sched.submit(SubmitRequest::greedy(&[2], 4)).unwrap();
+    failpoint::configure("scheduler/logits=error:n4", SEED).unwrap();
+    let done = sched.run_to_completion(&ctx).unwrap();
+    assert_eq!(failpoint::fired("scheduler/logits"), 1);
+    assert_eq!(sched.quarantined_total(), 1);
+
+    let fb = done.iter().find(|f| f.id == b).unwrap();
+    assert!(fb.reason.is_error());
+    assert!(
+        fb.reason.to_string().contains("scheduler/logits"),
+        "got {:?}",
+        fb.reason
+    );
+    assert_eq!(fb.tokens.len(), 1, "prefill token only");
+
+    let fa = done.iter().find(|f| f.id == a).unwrap();
+    assert_eq!(fa.reason, FinishReason::Length);
+    assert_eq!(fa.tokens, solo_a, "survivor diverged after quarantine");
+    assert!(sched.is_idle());
+    assert_eq!(sched.slots_allocated(), 2, "B's slot returned to the pool");
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Helpers shared by the serving e2e suites (`serve_http`, `chaos`,
-//! `trace_e2e`): the synthetic models, server start-up, a minimal blocking
-//! HTTP client (one-shot, keep-alive and mid-stream-abort requests), and
-//! the Scheduler-direct reference.
+//! Helpers shared by the integration suites: the pool size under test, the
+//! synthetic models, server start-up, a minimal blocking HTTP client
+//! (one-shot, keep-alive and mid-stream-abort requests), and the
+//! Scheduler-direct reference.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -15,6 +15,17 @@ use tmac::llm::{
 use tmac::serve::{Json, ServerConfig, ServerHandle};
 
 pub const SEED: u64 = 42;
+
+/// Thread-pool size under test: `TMAC_TEST_THREADS` (default 2), so CI can
+/// run the same tests under a 1-thread and an N-thread pool to catch
+/// pool-size-dependent bugs.
+pub fn test_threads() -> usize {
+    std::env::var("TMAC_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(2)
+}
 
 pub fn tiny_model() -> Model {
     Model::synthetic(

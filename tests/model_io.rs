@@ -17,24 +17,17 @@
 //!
 //! Thread count comes from `TMAC_TEST_THREADS` (default 2).
 
+mod common;
+
+use common::test_threads;
 use std::path::PathBuf;
 use tmac::core::ExecCtx;
 use tmac::io::container::TMAC_VERSION;
 use tmac::io::{fnv1a64, write_container, IoError, MetaValue, TmacContainer};
 use tmac::llm::{
-    BackendBuilder, BackendError, BackendKind, BatchScratch, Engine, F32Backend, GenRequest,
-    KvCache, KvPrecision, Linear, LoadMode, Model, ModelConfig, ModelIoError, Scheduler,
-    SchedulerConfig, SubmitRequest, WeightQuant,
+    BackendKind, BatchScratch, Engine, GenRequest, KvCache, KvPrecision, Linear, LoadMode, Model,
+    ModelConfig, ModelIoError, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
 };
-use tmac::quant::QuantizedMatrix;
-
-fn test_threads() -> usize {
-    std::env::var("TMAC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
 
 fn ctx() -> ExecCtx {
     ExecCtx::new(test_threads())
@@ -64,21 +57,27 @@ fn run_logits(m: &Model, ctx: &ExecCtx) -> Vec<f32> {
     s.logits_row(0).to_vec()
 }
 
-/// The `f32` reference backend built from *dequantized* weights — the
-/// in-memory twin of what a container load materializes (containers store
-/// quantized weights only).
-struct DequantizedF32;
-impl BackendBuilder for DequantizedF32 {
-    fn build(&self, qm: &QuantizedMatrix, _f32_weights: &[f32]) -> Result<Linear, BackendError> {
-        Ok(Linear::from_backend(F32Backend::new(
-            &qm.dequantize(),
-            qm.rows,
-            qm.cols,
-        )?))
+/// The `f32` reference on *dequantized* weights — the in-memory twin of
+/// what a container load materializes (containers store quantized weights
+/// only): every layer of the dequant model rebuilt from its quantized matrix.
+fn dequantized_f32_twin(cfg: &ModelConfig, bits: u8, seed: u64) -> Model {
+    let mut m = Model::synthetic(cfg, WeightQuant::Rtn(bits), BackendKind::Dequant, seed).unwrap();
+    let rebuild = |lin: &mut Linear| {
+        let Linear::Dequant(d) = lin else {
+            unreachable!("built on BackendKind::Dequant")
+        };
+        let qm = d.quantized();
+        *lin = Linear::build(BackendKind::F32, qm, &qm.dequantize()).unwrap();
+    };
+    for l in &mut m.layers {
+        for lin in [
+            &mut l.wq, &mut l.wk, &mut l.wv, &mut l.wo, &mut l.w1, &mut l.w2, &mut l.w3,
+        ] {
+            rebuild(lin);
+        }
     }
-    fn label(&self) -> String {
-        "f32(dequantized)".into()
-    }
+    rebuild(&mut m.head);
+    m
 }
 
 #[test]
@@ -98,24 +97,28 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
         src.save_file(&path).unwrap();
 
         // Reload into every backend; each must match the in-memory twin
-        // built through the *same* builder, bit-for-bit. (The `f32` case
-        // runs on dequantized weights on both sides — the container stores
+        // built on the *same* kind, bit-for-bit. (The `f32` case runs on
+        // dequantized weights on both sides — the container stores
         // quantized weights only.)
-        let tmac = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-        let fa = BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation());
-        let mirror = BackendKind::Tmac(tmac::core::KernelOpts::tmac_mirror());
-        let dequant = BackendKind::Dequant;
-        let f32ref = DequantizedF32;
-        let cases: Vec<(&str, &dyn BackendBuilder)> = vec![
-            ("tmac", &tmac),
-            ("tmac-fa", &fa),
-            ("tmac-mirror", &mirror),
-            ("dequant", &dequant),
-            ("f32", &f32ref),
+        let cases = [
+            ("tmac", BackendKind::Tmac(tmac::core::KernelOpts::tmac())),
+            (
+                "tmac-fa",
+                BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
+            ),
+            (
+                "tmac-mirror",
+                BackendKind::Tmac(tmac::core::KernelOpts::tmac_mirror()),
+            ),
+            ("dequant", BackendKind::Dequant),
+            ("f32", BackendKind::F32),
         ];
-        for (name, builder) in cases {
-            let loaded = Model::from_file(&path, builder, LoadMode::Mmap).unwrap();
-            let twin = Model::synthetic_with(&cfg, WeightQuant::Rtn(bits), builder, 42).unwrap();
+        for (name, kind) in cases {
+            let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
+            let twin = match kind {
+                BackendKind::F32 => dequantized_f32_twin(&cfg, bits, 42),
+                _ => Model::synthetic(&cfg, WeightQuant::Rtn(bits), kind, 42).unwrap(),
+            };
             assert_eq!(
                 run_logits(&loaded, &ctx),
                 run_logits(&twin, &ctx),

@@ -7,20 +7,15 @@
 //! Like `tests/batch.rs`, the thread count also comes from
 //! `TMAC_TEST_THREADS` so CI can matrix these under 1 and N threads.
 
+mod common;
+
+use common::test_threads;
 use tmac::core::ExecCtx;
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
     BackendKind, Engine, FinishReason, GenRequest, Model, ModelConfig, Sampler, SamplingParams,
     WeightQuant,
 };
-
-fn test_threads() -> usize {
-    std::env::var("TMAC_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(2)
-}
 
 fn model(seed: u64) -> Model {
     Model::synthetic(
