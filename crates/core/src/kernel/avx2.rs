@@ -12,7 +12,7 @@
 //! | paired stream, fast aggregation | `mtile_paired_fa<MIRROR>` |
 //! | sequential stream (`+Perm.`), exact | `mtile_permuted<MIRROR>` |
 //! | sequential stream, fast aggregation | `mtile_permuted_fa<MIRROR>` |
-//! | flat, quantized (TM-base `+TQ`, `+Tiling`) | `mtile_flat_quant` |
+//! | flat, quantized (`+TQ`) | `mtile_flat_quant` |
 //! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
 //!
 //! # The paired inner loop
@@ -962,8 +962,8 @@ fn assemble_flat_scales(plan: &WeightPlan, m0: usize, sb: usize, buf: &mut [f32;
     }
 }
 
-/// Quantized-table kernel over the flat layout (`+TQ`, `+Tiling` ladder
-/// stages): `PSHUFB` lookups but strided index assembly every step.
+/// Quantized-table kernel over the flat layout (the `+TQ` ladder stage):
+/// `PSHUFB` lookups but strided index assembly every step.
 #[target_feature(enable = "avx2,fma")]
 fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;

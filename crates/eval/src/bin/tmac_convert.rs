@@ -18,21 +18,29 @@
 use std::path::Path;
 use std::time::Instant;
 use tmac_core::ExecCtx;
+use tmac_eval::{ArgError, Flags};
 use tmac_llm::{BackendKind, BatchScratch, KvCache, LoadMode, Model, ModelConfig, WeightQuant};
 
+static FLAGS: Flags = Flags {
+    usage: "usage: tmac_convert --out model.tmac [--model 7b|13b|bitnet|tiny] [--layers N] \
+            [--vocab V] [--seq S] [--bits B] [--seed N] [--threads N] [--verify]",
+    valued: "model layers vocab seq bits seed threads out",
+    switches: "verify",
+};
+
 fn main() {
-    let model_name = tmac_eval::arg("model", "7b");
-    let layers: usize = tmac_eval::arg("layers", "1").parse().expect("--layers");
-    let vocab: usize = tmac_eval::arg("vocab", "64").parse().expect("--vocab");
-    let seq: usize = tmac_eval::arg("seq", "128").parse().expect("--seq");
-    let bits: u8 = tmac_eval::arg("bits", "2").parse().expect("--bits");
-    let seed: u64 = tmac_eval::arg("seed", "7").parse().expect("--seed");
-    let threads: usize = tmac_eval::arg("threads", "1").parse().expect("--threads");
-    let out = tmac_eval::arg("out", "");
-    let verify = std::env::args().any(|a| a == "--verify");
+    let args = FLAGS.parse_or_exit(std::env::args().skip(1));
+    let model_name = args.text("model", "7b");
+    let layers: usize = args.num("layers", 1);
+    let vocab: usize = args.num("vocab", 64);
+    let seq: usize = args.num("seq", 128);
+    let bits: u8 = args.num("bits", 2);
+    let seed: u64 = args.num("seed", 7);
+    let threads: usize = args.num("threads", 1);
+    let out = args.text("out", "");
+    let verify = args.switch("verify");
     if out.is_empty() {
-        eprintln!("usage: tmac_convert --out model.tmac [--model 7b|13b|bitnet|tiny] [--layers N] [--bits B] [--seed N] [--verify]");
-        std::process::exit(2);
+        FLAGS.exit(&"--out is required");
     }
     let out = Path::new(&out);
 
@@ -41,7 +49,7 @@ fn main() {
         "13b" => ModelConfig::llama2_13b(),
         "bitnet" => ModelConfig::bitnet_3b(),
         "tiny" => ModelConfig::tiny(),
-        other => panic!("unknown --model {other:?} (7b|13b|bitnet|tiny)"),
+        other => FLAGS.exit(&ArgError::BadValue("--model".into(), other.into())),
     };
     let cfg = if model_name == "tiny" {
         base
@@ -97,5 +105,35 @@ fn main() {
             build_s,
             build_s / load_s.max(1e-9)
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_the_benchmark_and_ci_command_lines() {
+        // The benchmark's converter call, then CI's.
+        let pairs = [
+            ("model", "7b"),
+            ("layers", "1"),
+            ("bits", "2"),
+            ("seed", "7"),
+            ("vocab", "64"),
+            ("seq", "128"),
+            ("out", "m.tmac"),
+        ];
+        let argv = pairs
+            .iter()
+            .flat_map(|(f, v)| [format!("--{f}"), v.to_string()]);
+        let args = FLAGS.parse(argv).expect("the benchmark's command line");
+        for (flag, value) in pairs {
+            assert_eq!(args.text(flag, ""), value);
+        }
+        assert!(!args.switch("verify"));
+        let ci = "--model tiny --bits 2 --out target/tiny.tmac --verify";
+        let args = FLAGS.parse(ci.split_whitespace().map(String::from));
+        assert!(args.expect("CI's command line").switch("verify"));
     }
 }

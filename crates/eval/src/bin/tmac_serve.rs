@@ -24,6 +24,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 use tmac_core::ExecCtx;
+use tmac_eval::{ArgError, Flags};
 use tmac_llm::batch::{Scheduler, SchedulerConfig};
 use tmac_llm::{BackendKind, KvPrecision, LoadMode, Model, ModelConfig, WeightQuant};
 use tmac_serve::ServerConfig;
@@ -71,24 +72,28 @@ fn dump_trace(dir: &str, n: u32) {
     }
 }
 
+static FLAGS: Flags = Flags {
+    usage: "usage: tmac_serve [--model tiny|PATH] [--addr HOST:PORT] [--threads N] [--batch B] \
+            [--pending Q] [--max-tokens N] [--deadline-ms D] [--kv f32|i8] [--trace-out DIR]",
+    valued: "model addr threads batch pending max-tokens deadline-ms kv trace-out",
+    switches: "",
+};
+
 fn main() {
-    let model_name = tmac_eval::arg("model", "tiny");
-    let addr = tmac_eval::arg("addr", "127.0.0.1:8080");
-    let threads: usize = tmac_eval::arg("threads", "1").parse().expect("--threads");
-    let max_batch: usize = tmac_eval::arg("batch", "4").parse().expect("--batch");
-    let max_pending: usize = tmac_eval::arg("pending", "64").parse().expect("--pending");
-    let default_max_tokens: usize = tmac_eval::arg("max-tokens", "16")
-        .parse()
-        .expect("--max-tokens");
-    let default_deadline_ms: u64 = tmac_eval::arg("deadline-ms", "0")
-        .parse()
-        .expect("--deadline-ms");
-    let kv = match tmac_eval::arg("kv", "f32").as_str() {
+    let args = FLAGS.parse_or_exit(std::env::args().skip(1));
+    let model_name = args.text("model", "tiny");
+    let addr = args.text("addr", "127.0.0.1:8080");
+    let threads: usize = args.num("threads", 1);
+    let max_batch: usize = args.num("batch", 4);
+    let max_pending: usize = args.num("pending", 64);
+    let default_max_tokens: usize = args.num("max-tokens", 16);
+    let default_deadline_ms: u64 = args.num("deadline-ms", 0);
+    let kv = match args.text("kv", "f32").as_str() {
         "f32" => KvPrecision::F32,
         "i8" => KvPrecision::I8,
-        other => panic!("unknown --kv {other:?} (f32|i8)"),
+        other => FLAGS.exit(&ArgError::BadValue("--kv".into(), other.into())),
     };
-    let trace_out = tmac_eval::arg("trace-out", "");
+    let trace_out = args.text("trace-out", "");
 
     let backend = BackendKind::Tmac(tmac_core::KernelOpts::tmac());
     let mut model = if model_name == "tiny" {
@@ -184,4 +189,30 @@ fn main() {
         dump_trace(&trace_out, dumps_seen);
     }
     eprintln!("tmac_serve: bye");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_the_benchmark_and_ci_command_lines() {
+        // The benchmark's daemon flags, plus CI's `--trace-out`.
+        let pairs = [
+            ("model", "m.tmac"),
+            ("addr", "127.0.0.1:9"),
+            ("threads", "2"),
+            ("batch", "8"),
+            ("pending", "64"),
+            ("kv", "f32"),
+            ("trace-out", "target/traces"),
+        ];
+        let argv = pairs
+            .iter()
+            .flat_map(|(f, v)| [format!("--{f}"), v.to_string()]);
+        let args = FLAGS.parse(argv).expect("the benchmark's and CI's flags");
+        for (flag, value) in pairs {
+            assert_eq!(args.text(flag, ""), value);
+        }
+    }
 }

@@ -1,10 +1,13 @@
-//! Experiment harness shared by the per-figure/table binaries.
+//! Harness shared by the `paper`, `tmac_serve` and `tmac_convert` binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §7 for the index). This library holds what they share:
-//! the Llama-2-7B/13B kernel shapes, deterministic synthetic data, timing
-//! helpers, and plain-text table/CSV output.
+//! `paper` regenerates each table and figure of the paper as a subcommand
+//! and checks the paper's claims as [`Claim`] rows (see `DESIGN.md` §7).
+//! This library holds what the binaries share: the Llama-2-7B/13B kernel
+//! shapes, deterministic synthetic data, timing, plain-text tables, the
+//! checked claim row, and the one argv parser ([`Flags`]).
 
+use std::fmt;
+use std::str::FromStr;
 use std::time::Instant;
 use tmac_rng::Rng;
 
@@ -31,6 +34,13 @@ pub fn make_act(n: usize, seed: u64) -> Vec<f32> {
     (0..n).map(|_| rng.gaussian_ish()).collect()
 }
 
+/// Every logical CPU this process may use.
+pub fn all_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 /// Times `f`, returning the best wall-clock seconds over `iters` runs after
 /// `warmup` runs (the paper's methodology: warm-up then average; best-of is
 /// used here for noise robustness on shared CI hosts).
@@ -47,8 +57,13 @@ pub fn time_best<F: FnMut()>(mut f: F, warmup: usize, iters: usize) -> f64 {
     best
 }
 
-/// A plain-text, aligned results table that can be pasted into
-/// `EXPERIMENTS.md`.
+/// Formats seconds as milliseconds with three significant decimals.
+pub fn ms(seconds: f64) -> String {
+    format!("{:.3}", seconds * 1e3)
+}
+
+/// A plain-text results table with right-aligned columns; `Display`
+/// renders it.
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
@@ -68,81 +83,200 @@ impl Table {
         assert_eq!(cells.len(), self.headers.len(), "table row arity");
         self.rows.push(cells);
     }
+}
 
-    /// Renders with aligned columns.
-    pub fn render(&self) -> String {
-        let ncol = self.headers.len();
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
-            for i in 0..ncol {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                line.push_str(&format!("{:>width$}", cells[i], width = widths[i]));
+        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| {
+            for (i, (c, w)) in cells.iter().zip(&widths).enumerate() {
+                write!(f, "{}{c:>w$}", if i > 0 { "  " } else { "" })?;
             }
-            line.push('\n');
-            line
+            writeln!(f)
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push_str(&format!(
-            "{}\n",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * (ncol - 1))
-        ));
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-        }
-        out
+        line(f, &self.headers)?;
+        let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+        writeln!(f, "{}", "-".repeat(rule))?;
+        self.rows.iter().try_for_each(|row| line(f, row))
     }
+}
 
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
+/// Which side of a bound a measurement must fall on (inclusive).
+#[derive(Clone, Copy, Debug)]
+pub enum Bound {
+    /// Met when the measurement is at least this.
+    Min(f64),
+    /// Met when the measurement is at most this.
+    Max(f64),
+}
 
-    /// Prints the table and also writes `results/<name>.csv` (best effort;
-    /// the directory is created if missing).
-    pub fn emit(&self, name: &str) {
-        println!("{}", self.render());
-        let dir = std::path::Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let _ = std::fs::write(dir.join(format!("{name}.csv")), self.to_csv());
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Min(b) => write!(f, ">= {b}"),
+            Bound::Max(b) => write!(f, "<= {b}"),
         }
     }
 }
 
-/// Formats seconds as milliseconds with three significant decimals.
-pub fn ms(seconds: f64) -> String {
-    format!("{:.3}", seconds * 1e3)
+/// One checked claim: a row of `results/SCORECARD.md`, or one bound of the
+/// quality gate.
+#[derive(Debug)]
+pub struct Claim {
+    /// What the paper claims, and where it was measured here.
+    pub claim: String,
+    /// The paper's value.
+    pub paper: String,
+    /// The metric's name: a `benchmark/` key where one measures the same
+    /// quantity, a `quality_*` key of the gate's thresholds, else
+    /// `paper.<name>`.
+    pub metric: String,
+    /// This host's value; NaN when nothing was measured.
+    pub measured: f64,
+    /// The bound `measured` must meet.
+    pub bound: Bound,
 }
 
-/// Parses `--key value` style flags from the command line.
-pub fn arg(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == format!("--{name}") && i + 1 < args.len() {
-            return args[i + 1].clone();
+impl Claim {
+    /// A claim row.
+    pub fn new(claim: &str, paper: &str, metric: &str, measured: f64, bound: Bound) -> Claim {
+        Claim {
+            claim: claim.into(),
+            paper: paper.into(),
+            metric: metric.into(),
+            measured,
+            bound,
         }
     }
-    default.to_string()
+
+    /// The one verdict: met when `measured` lies on the bound's side. A NaN
+    /// measurement or bound fails either comparison, so it is missed.
+    pub fn met(&self) -> bool {
+        match self.bound {
+            Bound::Min(b) => self.measured >= b,
+            Bound::Max(b) => self.measured <= b,
+        }
+    }
 }
 
-/// True when `--quick` is passed (smaller iteration counts / fewer shapes).
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// Why a command line was refused.
+#[derive(Debug, PartialEq)]
+pub enum ArgError {
+    /// A flag the binary does not take.
+    Unknown(String),
+    /// `--name=value`: a value is the next argument, never inline.
+    Inline(String),
+    /// A valued flag that is last, or followed by another flag.
+    MissingValue(String),
+    /// An argument that is neither a flag nor a flag's value.
+    Stray(String),
+    /// A value that does not parse as its flag's type.
+    BadValue(String, String),
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ArgError::Unknown(a) => write!(f, "unknown flag {a:?}"),
+            ArgError::Inline(a) => write!(f, "{a:?}: pass the value as the next argument"),
+            ArgError::MissingValue(a) => write!(f, "{a} needs a value"),
+            ArgError::Stray(a) => write!(f, "unexpected argument {a:?}"),
+            ArgError::BadValue(a, v) => write!(f, "{a}: cannot use {v:?}"),
+        }
+    }
+}
+
+/// One binary's command line: its usage line and its known flags.
+pub struct Flags {
+    /// Printed with every refused command line.
+    pub usage: &'static str,
+    /// Space-separated names of the flags that take the next argument as
+    /// their value (`--name value`).
+    pub valued: &'static str,
+    /// Space-separated names of the flags that take no value.
+    pub switches: &'static str,
+}
+
+impl Flags {
+    /// Parses `argv` (without the program name) against these flags.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a `--name=value` spelling, a valued flag without a
+    /// value, or a stray positional argument.
+    pub fn parse(&'static self, argv: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
+        let known = |names: &'static str, name: &str| names.split_whitespace().find(|n| *n == name);
+        let mut argv = argv.into_iter().peekable();
+        let mut args = Args {
+            flags: self,
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        while let Some(a) = argv.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                return Err(ArgError::Stray(a));
+            };
+            if name.contains('=') {
+                return Err(ArgError::Inline(a));
+            } else if let Some(s) = known(self.switches, name) {
+                args.switches.push(s);
+            } else if let Some(v) = known(self.valued, name) {
+                match argv.next_if(|x| !x.starts_with("--")) {
+                    Some(value) => args.values.push((v, value)),
+                    None => return Err(ArgError::MissingValue(a)),
+                }
+            } else {
+                return Err(ArgError::Unknown(a));
+            }
+        }
+        Ok(args)
+    }
+
+    /// [`Flags::parse`], or print the error and the usage line and exit 2.
+    pub fn parse_or_exit(&'static self, argv: impl IntoIterator<Item = String>) -> Args {
+        self.parse(argv).unwrap_or_else(|e| self.exit(&e))
+    }
+
+    /// Prints `err` and the usage line to stderr and exits 2.
+    pub fn exit(&self, err: &dyn fmt::Display) -> ! {
+        eprintln!("error: {err}\n{}", self.usage);
+        std::process::exit(2)
+    }
+}
+
+/// A command line accepted by [`Flags::parse`].
+pub struct Args {
+    flags: &'static Flags,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Args {
+    /// The value of `--name` (its first occurrence), or `default`.
+    pub fn text(&self, name: &str, default: &str) -> String {
+        let value = self.values.iter().find(|(n, _)| *n == name);
+        value.map_or(default, |(_, v)| v).to_string()
+    }
+
+    /// `--name` parsed as `T`, or `default`; an unparsable value exits 2
+    /// with the usage line.
+    pub fn num<T: FromStr>(&self, name: &str, default: T) -> T {
+        let Some((_, v)) = self.values.iter().find(|(n, _)| *n == name) else {
+            return default;
+        };
+        let bad = || ArgError::BadValue(format!("--{name}"), v.clone());
+        v.parse().unwrap_or_else(|_| self.flags.exit(&bad()))
+    }
+
+    /// Whether the switch `--name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
 }
 
 #[cfg(test)]
@@ -168,11 +302,10 @@ mod tests {
         let mut t = Table::new(&["shape", "ms"]);
         t.row(vec!["4096x4096".into(), "1.23".into()]);
         t.row(vec!["s".into(), "400.0".into()]);
-        let r = t.render();
+        let r = t.to_string();
         assert!(r.contains("4096x4096"));
-        assert!(r.lines().count() == 4);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("shape,ms\n"));
+        assert_eq!(r.lines().count(), 4);
+        assert!(r.starts_with("    shape     ms\n"), "{r}");
     }
 
     #[test]
@@ -187,5 +320,43 @@ mod tests {
         );
         assert!(t >= 0.0);
         assert!(x >= 4);
+    }
+
+    static TEST_FLAGS: Flags = Flags {
+        usage: "usage: t [--bits N] [--quick]",
+        valued: "bits",
+        switches: "quick",
+    };
+
+    fn parse(argv: &str) -> Result<Args, ArgError> {
+        TEST_FLAGS.parse(argv.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parser_accepts_known_flags_in_any_order() {
+        let a = parse("--quick --bits 1").unwrap();
+        assert!(a.switch("quick"));
+        assert_eq!(a.num("bits", 4u8), 1);
+        let b = parse("").unwrap();
+        assert!(!b.switch("quick"));
+        assert_eq!(b.num("bits", 4u8), 4);
+        assert_eq!(b.text("bits", "x"), "x");
+    }
+
+    #[test]
+    fn parser_refuses_each_misspelling() {
+        use ArgError::*;
+        let cases = [
+            ("--bit 1", Unknown("--bit".into())),
+            ("--bits=1", Inline("--bits=1".into())),
+            ("--bits", MissingValue("--bits".into())),
+            ("--bits --quick", MissingValue("--bits".into())),
+            ("1", Stray("1".into())),
+            ("--quick x --bits 1", Stray("x".into())),
+            ("--", Unknown("--".into())),
+        ];
+        for (argv, want) in cases {
+            assert_eq!(parse(argv).err(), Some(want), "{argv}");
+        }
     }
 }

@@ -51,8 +51,8 @@ pub mod avx2;
 ///
 /// Mirrors the paper's Table 1: each ISA maps to a *look-up* and a *fast
 /// aggregation* instruction. [`Isa::lookup_intrinsic`] and
-/// [`Isa::aggregation_intrinsic`] report that mapping (used by the
-/// `table1_intrinsics` experiment binary).
+/// [`Isa::aggregation_intrinsic`] report that mapping (printed by
+/// `paper table1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// Portable scalar fallback.
