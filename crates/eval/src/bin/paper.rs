@@ -2,12 +2,14 @@
 //! subcommand per figure or table, and checks the paper's claims.
 //!
 //! ```text
-//! paper <fig6|fig7|fig8|fig10|table1|table3|table4|gate|scorecard> [--quick] [--bits N]
+//! paper <fig6|fig7|fig10|table3|scorecard> [--quick]
+//! paper <fig8|table1|table4>
+//! paper gate [--bits N]
 //! ```
 //!
-//! Each subcommand prints its table, then one `ok`/`MISS` line per
-//! [`Claim`] of [`CLAIMS`] it measures. `--quick` runs fewer shapes (and
-//! `n` 64 in fig7); every other setting is a constant below.
+//! Each subcommand prints its table, then its [`Claim`]s as markdown rows.
+//! `--quick` runs fewer shapes (and `n` 64 in fig7); every other setting
+//! is a constant below.
 //!
 //! - `gate` scores teacher-forced perplexity and argmax agreement of the
 //!   T-MAC backend against the un-quantized reference through
@@ -16,36 +18,33 @@
 //!   `quality_*` metrics against `results/quality_thresholds.json`
 //!   (compiled in) and exits 1 on a miss. `--bits 1` (default 4) degrades
 //!   the weights past the thresholds; CI runs it to prove the gate trips.
-//! - `scorecard` runs every subcommand and writes `results/SCORECARD.md`.
-//!   It exits 1 only when a row measured nothing: speed verdicts depend
-//!   on the host.
+//! - `scorecard` runs every subcommand, then the gate at 4 bits, and
+//!   writes `results/SCORECARD.md`. It exits 1 only when a row measured
+//!   nothing: speed verdicts depend on the host.
 //!
 //! Kernel and serving speed is measured by `benchmark/`; these rows check
 //! the paper's direction on synthetic weights.
 
+use std::fmt;
 use std::process::ExitCode;
 use tmac_baseline::{sgemm, DequantLinear};
 use tmac_core::{gemm, ActTables, ExecCtx, KernelOpts, TmacLinear, WeightPlan};
-use tmac_eval::Bound::{Max, Min};
-use tmac_eval::{all_threads, make_act, make_weights, ms, time_best, Claim, Flags, Table, SHAPES};
+use tmac_eval::{all_threads, make_act, make_weights, ms, time_best, Flags, Table, SHAPES};
 use tmac_llm::eval as quality;
 use tmac_llm::{BackendKind, Engine, KvPrecision, Model, ModelConfig, WeightQuant};
 use tmac_quant::rtn::quantize;
 use tmac_serve::Json;
 use tmac_simd::{f32ops::nmse, Isa};
+use Bound::{Max, Min};
 
-static FLAGS: Flags = Flags {
-    usage: "usage: paper <fig6|fig7|fig8|fig10|table1|table3|table4|gate|scorecard> \
-            [--quick] [--bits N]",
-    valued: "bits",
-    switches: "quick",
-};
+const USAGE: &str = "usage: paper <fig6|fig7|fig10|table3|scorecard> [--quick]\n       \
+                     paper <fig8|table1|table4>\n       paper gate [--bits N]";
 
-/// A subcommand that takes only `--quick`: it prints its table and returns
-/// one measured value per row of [`CLAIMS`] it owns.
-type Run = fn(bool) -> Vec<f64>;
+/// A subcommand besides `gate` and `scorecard`: it prints its table and
+/// checks its claims, taking `--quick` if it is one of [`QUICK`].
+type Run = fn(bool) -> Vec<Claim>;
 
-/// `scorecard` runs them all, then `gate`.
+/// `scorecard` runs them all, then [`gate`] at [`GATE_BITS`].
 const SUBCOMMANDS: [(&str, Run); 7] = [
     ("fig6", fig6),
     ("fig7", fig7),
@@ -56,68 +55,23 @@ const SUBCOMMANDS: [(&str, Run); 7] = [
     ("table4", table4),
 ];
 
-/// The scorecard's rows besides the gate's: subcommand | claim | paper's
-/// value | metric (a `benchmark/` key where one measures the same
-/// quantity) | bound. Each bound is the direction the paper claims, not
-/// its ARM magnitudes. The paper's Fig 8 speedups are single-thread on
-/// RBP5; here they run on every thread.
-const CLAIMS: &str = "\
-fig6 | Fig 6 mpGEMV vs dequant, W1, 4096², 1 thread | 11.2x (ARM best) | paper.fig6_w1_vs_dequant_x | >= 1
-fig6 | Fig 6 mpGEMV vs dequant, W2, 4096², 1 thread | 5.8x (ARM best) | core.gemv_w2_vs_dequant_x | >= 1
-fig6 | Fig 6 mpGEMV vs dequant, W3, 4096², 1 thread | 4.7x (ARM best) | paper.fig6_w3_vs_dequant_x | >= 1
-fig6 | Fig 6 mpGEMV vs dequant, W4, 4096², 1 thread | 3.1x (ARM best) | paper.fig6_w4_vs_dequant_x | >= 1
-fig6 | Fig 6 bit scaling t(W4) ÷ t(W1), 4096², 1 thread | 4 (linear) | core.bits_scaling_w4_vs_w1_x | <= 4.6
-fig7 | Fig 7 mpGEMM vs dequant + SGEMM, W2, 4096² | up to 4–5.3x | paper.fig7_w2_vs_blas_x | >= 1
-fig8 | Fig 8 decode tok/s vs dequant, M1 Llama-2-7B W4 | 2.8x (RBP5) | paper.fig8_m1_vs_dequant_x | >= 1
-fig8 | Fig 8 decode tok/s vs dequant, M2 Llama-2-7B W2 | 6.7x (RBP5) | paper.fig8_m2_vs_dequant_x | >= 1
-fig8 | Fig 8 decode tok/s vs dequant, M3 BitNet-3B | 5.8x (RBP5) | paper.fig8_m3_vs_dequant_x | >= 1
-fig10 | Fig 10, S0 W4: +TQ ÷ TM-base time | < 1 (cumulative) | paper.fig10_tq_vs_base_x | <= 1
-fig10 | Fig 10, S0 W4: +Perm. ÷ +TQ time | < 1 (cumulative) | paper.fig10_perm_vs_tq_x | <= 1
-fig10 | Fig 10, S0 W4: T-MAC ÷ +Perm. time | < 1 (cumulative) | paper.fig10_tmac_vs_perm_x | <= 1
-fig10 | Fig 10, S0 W4: TM+FA ÷ T-MAC time | < 1 (cumulative) | paper.fig10_fa_vs_tmac_x | <= 1
-table3 | Table 3 NMSE, T-MAC ÷ llama.cpp, 4096² W4 | 1.006 | paper.table3_tmac_vs_dequant_nmse_x | <= 1.05
-table4 | Table 4 perplexity, T-MAC ÷ llama.cpp | 1.00 | paper.table4_ppl_tmac_vs_dequant_x | <= 1.01
-table4 | Table 4 tok/s, T-MAC ÷ llama.cpp | 1.30 | paper.table4_tok_s_tmac_vs_dequant_x | >= 1";
-
-const FIG6_ITERS: usize = 15;
-const FIG6_NOTE: &str = "measured (paper deduces from 2-bit)";
-const FIG7_N: usize = 256;
-const FIG7_N_QUICK: usize = 64;
-const FIG7_ITERS: usize = 3;
-const FIG8_LAYERS: usize = 2;
-const FIG8_TOKENS: usize = 16;
-const FIG10_BITS: u8 = 4;
-const FIG10_ITERS: usize = 10;
-/// Table 4's mini-Llama, run on 1 thread as in the paper.
-const TABLE4: QualitySetup = QualitySetup {
-    dim: 512,
-    layers: 4,
-    seqs: 4,
-    len: 24,
-};
-const TABLE4_TASKS: usize = 40;
-/// The gate's mini-Llama; the thresholds are calibrated to it.
-const GATE: QualitySetup = QualitySetup {
-    dim: 256,
-    layers: 2,
-    seqs: 4,
-    len: 20,
-};
-const GATE_BATCH: usize = 4;
-const GATE_THREADS: usize = 2;
-const THRESHOLDS: &str = include_str!("../../../../results/quality_thresholds.json");
+/// The subcommands that take `--quick`.
+const QUICK: [&str; 5] = ["fig6", "fig7", "fig10", "table3", "scorecard"];
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_default();
-    let args = FLAGS.parse_or_exit(argv);
-    let (quick, bits) = (args.switch("quick"), args.num("bits", 4u8));
-    let subcommand = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd);
-    let claims = match (cmd.as_str(), subcommand) {
-        ("scorecard", _) => return scorecard(quick, bits),
-        ("gate", _) => gate(bits),
-        (_, Some((name, run))) => claims(name, run(quick)),
-        (_, None) => FLAGS.exit(&format!("unknown subcommand {cmd:?}")),
+    let run = SUBCOMMANDS.iter().find(|(name, _)| *name == cmd);
+    let flags = flags(&cmd);
+    if run.is_none() && cmd != "gate" && cmd != "scorecard" {
+        flags.exit(&format!("unknown subcommand {cmd:?}"));
+    }
+    let args = flags.parse_or_exit(argv);
+    let quick = args.switch("quick");
+    let claims = match run {
+        Some((_, run)) => run(quick),
+        None if cmd == "gate" => gate(args.num("bits", GATE_BITS)),
+        None => return scorecard(quick),
     };
     report(&claims);
     if cmd == "gate" && !claims.iter().all(Claim::met) {
@@ -127,54 +81,116 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The rows of [`CLAIMS`] that `cmd` owns, with their measured values.
-fn claims(cmd: &str, measured: Vec<f64>) -> Vec<Claim> {
-    let rows = CLAIMS
-        .lines()
-        .map(|line| line.split(" | ").collect::<Vec<_>>());
-    let rows: Vec<_> = rows.filter(|row| row[0] == cmd).collect();
-    assert_eq!(rows.len(), measured.len(), "{cmd}: one value per claim");
-    let claim = |(row, value): (Vec<&str>, f64)| {
-        let (op, bound) = row[4].split_once(' ').expect("bound");
-        let bound: f64 = bound.parse().expect("bound");
-        let bound = if op == ">=" { Min(bound) } else { Max(bound) };
-        Claim::new(row[1], row[2], row[3], value, bound)
-    };
-    rows.into_iter().zip(measured).map(claim).collect()
+/// The flags `cmd` takes: `--bits` for `gate`, `--quick` for [`QUICK`].
+fn flags(cmd: &str) -> Flags {
+    Flags {
+        usage: USAGE,
+        valued: if cmd == "gate" { "bits" } else { "" },
+        switches: if QUICK.contains(&cmd) { "quick" } else { "" },
+    }
 }
 
-/// One `ok`/`MISS` line per claim.
-fn report(claims: &[Claim]) {
-    for c in claims {
-        let verdict = if c.met() { "ok  " } else { "MISS" };
-        let (metric, measured, bound) = (&c.metric, c.measured, c.bound);
-        println!(
-            "{verdict} {metric} = {measured:.4} (want {bound}): {}",
-            c.claim
-        );
+/// Which side of a bound a measurement must fall on (inclusive).
+#[derive(Clone, Copy)]
+enum Bound {
+    Min(f64),
+    Max(f64),
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Min(b) => write!(f, ">= {b}"),
+            Max(b) => write!(f, "<= {b}"),
+        }
     }
+}
+
+/// A claim of the paper: what it claims and where it is measured here,
+/// the paper's value, the metric (a `benchmark/` key where one measures
+/// the same quantity, else `paper.<name>`), and the bound this host's
+/// value must meet. Each bound is the direction the paper claims, not its
+/// ARM magnitudes.
+type Row = (&'static str, &'static str, &'static str, Bound);
+
+/// A checked claim: a row of `results/SCORECARD.md`, or one bound of the
+/// quality gate.
+struct Claim {
+    claim: &'static str,
+    paper: &'static str,
+    metric: String,
+    /// This host's value; NaN when nothing was measured.
+    measured: f64,
+    bound: Bound,
+}
+
+impl Claim {
+    /// The one verdict: met when `measured` lies on the bound's side. A NaN
+    /// measurement or bound fails either comparison, so it is missed.
+    fn met(&self) -> bool {
+        match self.bound {
+            Min(b) => self.measured >= b,
+            Max(b) => self.measured <= b,
+        }
+    }
+}
+
+/// The claim's markdown row under [`COLUMNS`].
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.met() { "met" } else { "**missed**" };
+        let (claim, paper, metric, bound) = (self.claim, self.paper, &self.metric, self.bound);
+        let measured = self.measured;
+        write!(
+            f,
+            "| {claim} | {paper} | {measured:.4} | `{metric}` | {bound} | {verdict} |"
+        )
+    }
+}
+
+const COLUMNS: &str = "| claim | paper | measured | metric | met when | verdict |\n\
+                       |---|---|---|---|---|---|";
+
+/// `rows`, each checked against its measured value.
+fn checked<const N: usize>(rows: &[Row; N], measured: [f64; N]) -> Vec<Claim> {
+    let claim = |(&(claim, paper, metric, bound), measured): (&Row, f64)| Claim {
+        claim,
+        paper,
+        metric: metric.into(),
+        measured,
+        bound,
+    };
+    rows.iter().zip(measured).map(claim).collect()
+}
+
+/// Prints `claims` as a markdown table.
+fn report(claims: &[Claim]) {
+    println!("{COLUMNS}");
+    claims.iter().for_each(|c| println!("{c}"));
     println!();
 }
+
+const FIG6_ITERS: usize = 15;
+const FIG6_NOTE: &str = "measured (paper deduces from 2-bit)";
+#[rustfmt::skip]
+const FIG6_CLAIMS: [Row; 5] = [
+    ("Fig 6 mpGEMV vs dequant, W1, 4096², 1 thread", "11.2x (ARM best)", "paper.fig6_w1_vs_dequant_x", Min(1.0)),
+    ("Fig 6 mpGEMV vs dequant, W2, 4096², 1 thread", "5.8x (ARM best)", "core.gemv_w2_vs_dequant_x", Min(1.0)),
+    ("Fig 6 mpGEMV vs dequant, W3, 4096², 1 thread", "4.7x (ARM best)", "paper.fig6_w3_vs_dequant_x", Min(1.0)),
+    ("Fig 6 mpGEMV vs dequant, W4, 4096², 1 thread", "3.1x (ARM best)", "paper.fig6_w4_vs_dequant_x", Min(1.0)),
+    ("Fig 6 bit scaling t(W4) ÷ t(W1), 4096², 1 thread", "4 (linear)", "core.bits_scaling_w4_vs_w1_x", Max(4.6)),
+];
 
 /// Figure 6's table on `threads` threads: mpGEMV latency, llama.cpp vs
 /// T-MAC, bits 1–4. Also returns the (llama.cpp, T-MAC) seconds per bit
 /// width at 4096².
 fn fig6_table(shapes: &[(usize, usize)], threads: usize) -> (Table, [(f64, f64); 4]) {
     let ctx = ExecCtx::new(threads);
-    let headers = [
-        "shape",
-        "bits",
-        "llama.cpp (ms)",
-        "T-MAC (ms)",
-        "speedup",
-        "note",
-    ];
-    let mut table = Table::new(&headers);
+    let headers = ["shape", "bits", "llama.cpp (ms)", "T-MAC (ms)", "speedup"];
+    let mut table = Table::new(&[&headers[..], &["note"]].concat());
     let mut s0 = [(f64::NAN, f64::NAN); 4];
     for &(m, k) in shapes {
-        let w = make_weights(m, k, 11);
-        let act = make_act(k, 11);
-        let mut out = vec![0f32; m];
+        let (w, act, mut out) = (make_weights(m, k, 11), make_act(k, 11), vec![0f32; m]);
         for bits in 1..=4u8 {
             let qm = quantize(&w, m, k, bits, 32).expect("quantize");
             let tl = TmacLinear::new(&qm, KernelOpts::tmac()).expect("plan");
@@ -190,22 +206,15 @@ fn fig6_table(shapes: &[(usize, usize)], threads: usize) -> (Table, [(f64, f64);
             // line from 2-bit, whereas this baseline really measures one.
             let note = if bits == 1 { FIG6_NOTE } else { "" };
             let speedup = format!("{:.2}x", t_base / t_tmac);
-            let (shape, bits) = (format!("{m}x{k}"), bits.to_string());
-            table.row(vec![
-                shape,
-                bits,
-                ms(t_base),
-                ms(t_tmac),
-                speedup,
-                note.into(),
-            ]);
+            let (shape, bits, note) = (format!("{m}x{k}"), bits.to_string(), note.into());
+            table.row(vec![shape, bits, ms(t_base), ms(t_tmac), speedup, note]);
         }
     }
     (table, s0)
 }
 
 /// Figure 6: mpGEMV latency on 1 thread (6a) and on every thread (6b).
-fn fig6(quick: bool) -> Vec<f64> {
+fn fig6(quick: bool) -> Vec<Claim> {
     let shapes = if quick { &SHAPES[..2] } else { &SHAPES[..] };
     let (table, s0) = fig6_table(shapes, 1);
     println!("Figure 6 (a: single-thread) mpGEMV latency, 1 thread\n\n{table}");
@@ -214,15 +223,23 @@ fn fig6(quick: bool) -> Vec<f64> {
         let (table, _) = fig6_table(shapes, threads);
         println!("Figure 6 (b: multi-thread) mpGEMV latency, {threads} threads\n\n{table}");
     }
-    let mut speedups: Vec<f64> = s0.iter().map(|(base, tmac)| base / tmac).collect();
-    speedups.push(s0[3].1 / s0[0].1);
-    speedups
+    let speedup = |(base, tmac): (f64, f64)| base / tmac;
+    let [w1, w2, w3, w4] = s0.map(speedup);
+    checked(&FIG6_CLAIMS, [w1, w2, w3, w4, s0[3].1 / s0[0].1])
 }
+
+const FIG7_N: usize = 256;
+const FIG7_N_QUICK: usize = 64;
+const FIG7_ITERS: usize = 3;
+#[rustfmt::skip]
+const FIG7_CLAIMS: [Row; 1] = [
+    ("Fig 7 mpGEMM vs dequant + SGEMM, W2, 4096²", "up to 4–5.3x", "paper.fig7_w2_vs_blas_x", Min(1.0)),
+];
 
 /// Figure 7: mpGEMM on every thread, llama.cpp's dequantize + SGEMM route
 /// ("llama.cpp uses BLAS for mpGEMM", §5.2) vs T-MAC's n-blocked LUT GEMM,
 /// bits 1–4.
-fn fig7(quick: bool) -> Vec<f64> {
+fn fig7(quick: bool) -> Vec<Claim> {
     let (n, shapes) = if quick {
         (FIG7_N_QUICK, &SHAPES[..1])
     } else {
@@ -230,18 +247,16 @@ fn fig7(quick: bool) -> Vec<f64> {
     };
     let threads = all_threads();
     let ctx = ExecCtx::new(threads);
-    let headers = [
+    let mut table = Table::new(&[
         "shape",
         "bits",
         "llama.cpp BLAS (ms)",
         "T-MAC (ms)",
         "speedup",
-    ];
-    let mut table = Table::new(&headers);
+    ]);
     let mut w2_s0 = f64::NAN;
     for &(m, k) in shapes {
-        let w = make_weights(m, k, 13);
-        let act = make_act(n * k, 13);
+        let (w, act) = (make_weights(m, k, 13), make_act(n * k, 13));
         let mut out = vec![0f32; n * m];
         for bits in 1..=4u8 {
             let qm = quantize(&w, m, k, bits, 32).expect("quantize");
@@ -260,14 +275,25 @@ fn fig7(quick: bool) -> Vec<f64> {
         }
     }
     println!("Figure 7: mpGEMM (seq len {n}), {threads} threads\n\n{table}");
-    vec![w2_s0]
+    checked(&FIG7_CLAIMS, [w2_s0])
 }
+
+const FIG8_LAYERS: usize = 2;
+const FIG8_TOKENS: usize = 16;
+/// The paper's Fig 8 speedups are single-thread on RBP5; here they run on
+/// every thread.
+#[rustfmt::skip]
+const FIG8_CLAIMS: [Row; 3] = [
+    ("Fig 8 decode tok/s vs dequant, M1 Llama-2-7B W4", "2.8x (RBP5)", "paper.fig8_m1_vs_dequant_x", Min(1.0)),
+    ("Fig 8 decode tok/s vs dequant, M2 Llama-2-7B W2", "6.7x (RBP5)", "paper.fig8_m2_vs_dequant_x", Min(1.0)),
+    ("Fig 8 decode tok/s vs dequant, M3 BitNet-3B", "5.8x (RBP5)", "paper.fig8_m3_vs_dequant_x", Min(1.0)),
+];
 
 /// Figure 8: decode tok/s, llama.cpp vs T-MAC, for M1 = Llama-2-7B-4bit,
 /// M2 = Llama-2-7B-2bit and M3 = BitNet-3B on every thread. Each model
 /// runs with its full per-layer shapes but `FIG8_LAYERS` layers, and
 /// per-token time extrapolates by layer count (DESIGN.md §8).
-fn fig8(_quick: bool) -> Vec<f64> {
+fn fig8(_quick: bool) -> Vec<Claim> {
     let threads = all_threads();
     let ctx = ExecCtx::new(threads);
     let (llama, bitnet) = (ModelConfig::llama2_7b(), ModelConfig::bitnet_3b());
@@ -287,35 +313,43 @@ fn fig8(_quick: bool) -> Vec<f64> {
         "speedup",
     ];
     let mut table = Table::new(&headers);
-    let mut speedups = Vec::new();
-    for (label, cfg, quant) in models {
+    let speedups = models.map(|(label, cfg, quant)| {
         let scaled = cfg.scaled(FIG8_LAYERS, 2048, 128.max(FIG8_TOKENS + 4));
         let mut rates = Vec::new();
         for kind in [BackendKind::Dequant, BackendKind::Tmac(KernelOpts::tmac())] {
             let model = Model::synthetic(&scaled, quant, kind, 21).expect("model build");
             let stats = Engine::new(model).measure_decode(FIG8_TOKENS, &ctx);
-            let stats = stats
-                .expect("decode")
-                .extrapolate_layers(FIG8_LAYERS, cfg.n_layers);
-            let rate = stats.tokens_per_sec();
+            let stats = stats.expect("decode");
+            let rate = stats.extrapolate_layers(FIG8_LAYERS, cfg.n_layers);
+            let rate = rate.tokens_per_sec();
             rates.push(rate);
             let (rate, speedup) = (format!("{rate:.2}"), format!("{:.2}x", rate / rates[0]));
             table.row(vec![label.into(), kind.label().into(), rate, speedup]);
         }
-        speedups.push(rates[1] / rates[0]);
-    }
+        rates[1] / rates[0]
+    });
     println!(
         "Figure 8: e2e token generation, {threads} thread(s), {FIG8_LAYERS}-layer scaled\n\
          models extrapolated to full depth\n\n{table}"
     );
-    speedups
+    checked(&FIG8_CLAIMS, speedups)
 }
+
+const FIG10_BITS: u8 = 4;
+const FIG10_ITERS: usize = 10;
+#[rustfmt::skip]
+const FIG10_CLAIMS: [Row; 4] = [
+    ("Fig 10, S0 W4: +TQ ÷ TM-base time", "< 1 (cumulative)", "paper.fig10_tq_vs_base_x", Max(1.0)),
+    ("Fig 10, S0 W4: +Perm. ÷ +TQ time", "< 1 (cumulative)", "paper.fig10_perm_vs_tq_x", Max(1.0)),
+    ("Fig 10, S0 W4: T-MAC ÷ +Perm. time", "< 1 (cumulative)", "paper.fig10_tmac_vs_perm_x", Max(1.0)),
+    ("Fig 10, S0 W4: TM+FA ÷ T-MAC time", "< 1 (cumulative)", "paper.fig10_fa_vs_tmac_x", Max(1.0)),
+];
 
 /// Figure 10: the cumulative ladder `TM-base → +TQ → +Perm. → T-MAC →
 /// TM+FA` of `KernelOpts::breakdown_ladder` against the llama.cpp line on
 /// every thread, and each rung's activation-table bytes. The paper's
 /// `+Tiling` and `+Tuning` rungs have no counterpart here (DESIGN.md §3b).
-fn fig10(quick: bool) -> Vec<f64> {
+fn fig10(quick: bool) -> Vec<Claim> {
     let shapes = if quick { &SHAPES[..2] } else { &SHAPES[..] };
     let threads = all_threads();
     let ctx = ExecCtx::new(threads);
@@ -323,23 +357,21 @@ fn fig10(quick: bool) -> Vec<f64> {
     let rungs: Vec<&str> = ladder.iter().map(|(name, _)| *name).collect();
     let mut times = Table::new(&[&["shape", "llama.cpp"], &rungs[..]].concat());
     let mut bytes = Table::new(&[&["shape"], &rungs[..]].concat());
-    let mut s0 = Vec::new();
+    let mut s0 = [f64::NAN; 5];
     for (si, &(m, k)) in shapes.iter().enumerate() {
-        let w = make_weights(m, k, 17);
-        let act = make_act(k, 17);
-        let mut out = vec![0f32; m];
+        let (w, act, mut out) = (make_weights(m, k, 17), make_act(k, 17), vec![0f32; m]);
         let qm = quantize(&w, m, k, FIG10_BITS, 32).expect("quantize");
         let bl = DequantLinear::new(&qm).expect("pack");
         let base = || bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV");
         let t_base = time_best(base, 3, FIG10_ITERS);
         let shape = format!("S{si} {m}x{k}");
         let (mut t_row, mut b_row) = (vec![shape.clone(), ms(t_base)], vec![shape]);
-        for (_, opts) in &ladder {
+        for (rung, (_, opts)) in ladder.iter().enumerate() {
             let plan = WeightPlan::new(&qm, *opts).expect("plan");
             let run = || gemm::mpgemm(&plan, &act, 1, &mut out, &ctx).expect("T-MAC GEMV");
             let t = time_best(run, 2, FIG10_ITERS);
             if si == 0 {
-                s0.push(t);
+                s0[rung] = t;
             }
             t_row.push(ms(t));
             let tables = ActTables::build(&act, 1, 32, opts).expect("tables");
@@ -352,12 +384,12 @@ fn fig10(quick: bool) -> Vec<f64> {
         "Figure 10: optimization breakdown, {FIG10_BITS}-bit GEMV, {threads} threads (ms)\n\n\
          {times}\nActivation-table bytes per rung\n\n{bytes}"
     );
-    s0.windows(2).map(|w| w[1] / w[0]).collect()
+    checked(&FIG10_CLAIMS, [1, 2, 3, 4].map(|r| s0[r] / s0[r - 1]))
 }
 
 /// Table 1: look-up and aggregation intrinsics per instruction set, and
 /// what this host dispatches to. It checks nothing.
-fn table1(_quick: bool) -> Vec<f64> {
+fn table1(_quick: bool) -> Vec<Claim> {
     let mut table = Table::new(&["instruction set", "look-up", "fast aggregation", "lanes"]);
     for isa in [Isa::Neon, Isa::Avx2, Isa::Scalar] {
         let name = isa.name().to_uppercase();
@@ -375,10 +407,15 @@ fn table1(_quick: bool) -> Vec<f64> {
     Vec::new()
 }
 
+#[rustfmt::skip]
+const TABLE3_CLAIMS: [Row; 1] = [
+    ("Table 3 NMSE, T-MAC ÷ llama.cpp, 4096² W4", "1.006", "paper.table3_tmac_vs_dequant_nmse_x", Max(1.05)),
+];
+
 /// Table 3: NMSE of 4-bit mpGEMV outputs against the unquantized
 /// `W_fp A_fp` product, for llama.cpp, T-MAC and T-MAC (+FA), on the
 /// Llama-2-7B GEMV shapes with Gaussian inputs.
-fn table3(quick: bool) -> Vec<f64> {
+fn table3(quick: bool) -> Vec<Claim> {
     let ctx = ExecCtx::new(all_threads());
     let shapes = if quick { &SHAPES[..1] } else { &SHAPES[..3] };
     // The paper's llama.cpp / T-MAC / +FA values at the three shapes.
@@ -389,10 +426,9 @@ fn table3(quick: bool) -> Vec<f64> {
     ];
     let headers = ["MxKxN", "llama.cpp", "T-MAC", "T-MAC (+FA)"];
     let mut table = Table::new(&[&headers[..], &["paper (llama.cpp / T-MAC / +FA)"]].concat());
-    let mut ratios = Vec::new();
+    let mut s0 = f64::NAN;
     for (&(m, k), paper) in shapes.iter().zip(paper) {
-        let w = make_weights(m, k, 31);
-        let act = make_act(k, 31);
+        let (w, act, mut out) = (make_weights(m, k, 31), make_act(k, 31), vec![0f32; m]);
         // Unquantized ground truth in f64.
         let dot = |row: &[f32]| -> f64 {
             let products = row.iter().zip(&act).map(|(&w, &a)| w as f64 * a as f64);
@@ -400,7 +436,6 @@ fn table3(quick: bool) -> Vec<f64> {
         };
         let reference: Vec<f32> = w.chunks(k).map(|row| dot(row) as f32).collect();
         let qm = quantize(&w, m, k, 4, 32).expect("quantize");
-        let mut out = vec![0f32; m];
         let dequant = DequantLinear::new(&qm).expect("pack");
         dequant.gemv(&act, &mut out, &ctx).expect("gemv");
         let mut errors = vec![nmse(&out, &reference)];
@@ -409,15 +444,16 @@ fn table3(quick: bool) -> Vec<f64> {
             tmac.gemv(&act, &mut out, &ctx).expect("gemv");
             errors.push(nmse(&out, &reference));
         }
-        ratios.push(errors[1] / errors[0]);
+        if (m, k) == SHAPES[0] {
+            s0 = errors[1] / errors[0];
+        }
         let mut row = vec![format!("{m}x{k}x1")];
         row.extend(errors.iter().map(|e| format!("{e:.2e}")));
         row.push(paper.into());
         table.row(row);
     }
     println!("Table 3: NMSE vs unquantized GEMV (4-bit weights)\n\n{table}");
-    ratios.truncate(1);
-    ratios
+    checked(&TABLE3_CLAIMS, [s0])
 }
 
 /// A mini-Llama for the quality experiments: width, depth, and the number
@@ -455,11 +491,25 @@ impl QualitySetup {
     }
 }
 
+/// Table 4's mini-Llama, run on 1 thread as in the paper.
+const TABLE4: QualitySetup = QualitySetup {
+    dim: 512,
+    layers: 4,
+    seqs: 4,
+    len: 24,
+};
+const TABLE4_TASKS: usize = 40;
+#[rustfmt::skip]
+const TABLE4_CLAIMS: [Row; 2] = [
+    ("Table 4 perplexity, T-MAC ÷ llama.cpp", "1.00", "paper.table4_ppl_tmac_vs_dequant_x", Max(1.01)),
+    ("Table 4 tok/s, T-MAC ÷ llama.cpp", "1.30", "paper.table4_tok_s_tmac_vs_dequant_x", Min(1.0)),
+];
+
 /// Table 4: decode throughput and quality (teacher-forced perplexity, and
 /// two-way choice agreement with the reference) for the un-quantized
 /// reference, llama.cpp, T-MAC and T-MAC (+FA), 1 thread. The synthetic
 /// evaluations stand in for WikiText-2 / lambada / WinoGrande.
-fn table4(_quick: bool) -> Vec<f64> {
+fn table4(_quick: bool) -> Vec<Claim> {
     let ctx = ExecCtx::new(1);
     let (cfg, reference, seqs) = TABLE4.build(&ctx);
     let mut reference = Engine::new(reference);
@@ -479,32 +529,44 @@ fn table4(_quick: bool) -> Vec<f64> {
     let paper = "paper (7B: tok/s, WikiText2 PPL, WinoGrande acc)";
     let mut table = Table::new(&[&headers[..], &[paper]].concat());
     // (tok/s, perplexity) per backend.
-    let mut measured = Vec::new();
-    for (label, kind, paper) in backends {
+    let measured = backends.map(|(label, kind, paper)| {
         let model = Model::synthetic(&cfg, WeightQuant::Rtn(4), kind, 77).expect("model");
         let mut engine = Engine::new(model);
-        let tok_s = engine
-            .measure_decode(16, &ctx)
-            .expect("decode")
-            .tokens_per_sec();
+        let tok_s = engine.measure_decode(16, &ctx).expect("decode");
+        let tok_s = tok_s.tokens_per_sec();
         let ppl = quality::perplexity(&mut engine, &seqs, &ctx).expect("ppl");
         let acc = quality::choice_agreement(&mut reference, &mut engine, TABLE4_TASKS, 9, &ctx);
-        let acc = acc.expect("agreement");
-        measured.push((tok_s, ppl));
+        let (label, acc) = (label.into(), acc.expect("agreement"));
         let cells = [
             format!("{tok_s:.2}"),
             format!("{ppl:.3}"),
             format!("{acc:.1}"),
         ];
-        table.row([&[label.into()], &cells[..], &[paper.into()]].concat());
-    }
+        table.row([&[label], &cells[..], &[paper.into()]].concat());
+        (tok_s, ppl)
+    });
     println!(
         "Table 4: throughput and quality, {} ({}d x {}L, vocab {}), 1 thread\n\n{table}",
         cfg.name, cfg.dim, cfg.n_layers, cfg.vocab
     );
-    let ((dequant_tok_s, dequant_ppl), (tmac_tok_s, tmac_ppl)) = (measured[1], measured[2]);
-    vec![tmac_ppl / dequant_ppl, tmac_tok_s / dequant_tok_s]
+    let [_, (dequant_tok_s, dequant_ppl), (tmac_tok_s, tmac_ppl), _] = measured;
+    let ratios = [tmac_ppl / dequant_ppl, tmac_tok_s / dequant_tok_s];
+    checked(&TABLE4_CLAIMS, ratios)
 }
+
+/// The gate's mini-Llama; the thresholds are calibrated to it.
+const GATE: QualitySetup = QualitySetup {
+    dim: 256,
+    layers: 2,
+    seqs: 4,
+    len: 20,
+};
+const GATE_BATCH: usize = 4;
+const GATE_THREADS: usize = 2;
+/// The weight width `gate` checks unless `--bits` says otherwise, and the
+/// one `scorecard` checks.
+const GATE_BITS: u8 = 4;
+const THRESHOLDS: &str = include_str!("../../../../results/quality_thresholds.json");
 
 /// The quality gate: measures the `quality_*` metrics of `bits`-bit T-MAC
 /// weights and checks them against `results/quality_thresholds.json`.
@@ -534,10 +596,8 @@ fn gate(bits: u8) -> Vec<Claim> {
         ("quality_agreement_pct", report.agreement_pct),
         ("quality_positions", report.positions as f64),
     ];
-    gate_claims(
-        &Json::parse(THRESHOLDS).expect("thresholds JSON"),
-        &measured,
-    )
+    let thresholds = Json::parse(THRESHOLDS).expect("thresholds JSON");
+    gate_claims(&thresholds, &measured)
 }
 
 /// One claim per key of the `thresholds` object: `min_<metric>` and
@@ -555,25 +615,26 @@ fn gate_claims(thresholds: &Json, measured: &[(&str, f64)]) -> Vec<Claim> {
             (_, Some(metric)) => (metric, Max(bound)),
             _ => (key.as_str(), Min(f64::NAN)),
         };
-        let value = measured
-            .iter()
-            .find(|(m, _)| *m == metric)
-            .map_or(f64::NAN, |m| m.1);
-        Claim::new("quality gate", "—", metric, value, bound)
+        let value = measured.iter().find(|(m, _)| *m == metric);
+        let (claim, paper, metric) = ("quality gate", "—", metric.into());
+        let measured = value.map_or(f64::NAN, |m| m.1);
+        Claim {
+            claim,
+            paper,
+            metric,
+            measured,
+            bound,
+        }
     };
     bounds.iter().map(claim).collect()
 }
 
-/// Runs every subcommand, then the gate, and writes `results/SCORECARD.md`.
-fn scorecard(quick: bool, bits: u8) -> ExitCode {
-    let runs = SUBCOMMANDS
-        .iter()
-        .map(|(name, run)| claims(name, run(quick)));
-    let claims: Vec<Claim> = runs
-        .chain([gate(bits)])
-        .inspect(|c| report(c))
-        .flatten()
-        .collect();
+/// Runs every subcommand, then the gate at [`GATE_BITS`], and writes
+/// `results/SCORECARD.md`.
+fn scorecard(quick: bool) -> ExitCode {
+    let runs = SUBCOMMANDS.iter().map(|(_, run)| run(quick));
+    let runs = runs.chain(std::iter::once_with(|| gate(GATE_BITS)));
+    let claims: Vec<Claim> = runs.inspect(|c| report(c)).flatten().collect();
     let path = "results/SCORECARD.md";
     std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write(path, scorecard_md(&host_line(), quick, &claims)))
@@ -605,28 +666,20 @@ fn host_line() -> String {
 
 fn scorecard_md(host: &str, quick: bool, claims: &[Claim]) -> String {
     let run = if quick {
-        "`paper scorecard --quick`"
+        "paper scorecard --quick"
     } else {
-        "`paper scorecard`"
+        "paper scorecard"
     };
-    let mut md = format!(
+    let rows: String = claims.iter().map(|c| format!("{c}\n")).collect();
+    format!(
         "# Paper scorecard\n\n\
-         Host: {host}. Written by {run}.\n\n\
+         Host: {host}. Written by `{run}`.\n\n\
          Each row checks the direction the paper claims, not its ARM magnitudes,\n\
          so a speed verdict holds for this host only. The bit-scaling row reads\n\
          its weights from L3 on any host whose L3 holds a 4096² plan; the\n\
          DRAM-tier form waits for ROADMAP's DRAM item.\n\n\
-         | claim | paper | measured | metric | met when | verdict |\n\
-         |---|---|---|---|---|---|\n"
-    );
-    for c in claims {
-        let verdict = if c.met() { "met" } else { "**missed**" };
-        let (claim, paper, measured, metric) = (&c.claim, &c.paper, c.measured, &c.metric);
-        let bound = c.bound;
-        md +=
-            &format!("| {claim} | {paper} | {measured:.4} | `{metric}` | {bound} | {verdict} |\n");
-    }
-    md
+         {COLUMNS}\n{rows}"
+    )
 }
 
 #[cfg(test)]
@@ -657,29 +710,33 @@ mod tests {
         assert_eq!(failures(unprefixed, &[("a", 1.0)]), 1, "no min_/max_");
         assert_eq!(failures(r#"{"min_a": "x"}"#, &[("a", 1.0)]), 1, "bound");
         // A scorecard row that measured nothing is missed.
-        let rows = claims("table4", vec![1.0, f64::NAN]);
+        let rows = checked(&TABLE4_CLAIMS, [1.0, f64::NAN]);
         assert!(rows[0].met() && !rows[1].met());
     }
 
     #[test]
     fn gate_passes_4_bit_weights_and_catches_1_bit() {
-        assert!(gate(4).iter().all(Claim::met));
+        assert!(gate(GATE_BITS).iter().all(Claim::met));
         assert!(!gate(1).iter().all(Claim::met));
     }
 
     #[test]
-    fn every_claim_row_parses_and_renders() {
-        // `claims` asserts that each subcommand owns this many rows.
-        let counts = [5, 1, 3, 4, 0, 1, 2];
-        for ((cmd, _), n) in SUBCOMMANDS.iter().zip(counts) {
-            assert_eq!(claims(cmd, vec![1.0; n]).len(), n);
-        }
-        let rows = claims("fig6", vec![1.5, 1.0, 0.5, 1.0, 5.0]);
+    fn scorecard_renders_host_and_rows() {
+        let rows = checked(&FIG6_CLAIMS, [1.5, 1.0, 0.5, 1.0, 5.0]);
         let md = scorecard_md("cpu", true, &rows);
         assert!(md.contains("Host: cpu. Written by `paper scorecard --quick`."));
         let w1 = "| Fig 6 mpGEMV vs dequant, W1, 4096², 1 thread | 11.2x (ARM best) | 1.5000 \
                   | `paper.fig6_w1_vs_dequant_x` | >= 1 | met |\n";
         assert!(md.contains(w1), "{md}");
         assert!(md.contains("| 5.0000 | `core.bits_scaling_w4_vs_w1_x` | <= 4.6 | **missed** |"));
+    }
+
+    #[test]
+    fn only_gate_takes_bits_and_only_the_shape_sweeps_take_quick() {
+        let parse = |cmd, argv: &str| flags(cmd).parse(argv.split(' ').map(String::from)).is_ok();
+        assert!(parse("gate", "--bits 1") && parse("fig6", "--quick"));
+        assert!(parse("scorecard", "--quick") && !parse("scorecard", "--bits 1"));
+        assert!(!parse("fig6", "--bits 1") && !parse("gate", "--quick"));
+        assert!(!parse("table4", "--quick") && !parse("fig8", "--quick"));
     }
 }

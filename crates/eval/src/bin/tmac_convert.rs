@@ -115,25 +115,17 @@ mod tests {
     #[test]
     fn parses_the_benchmark_and_ci_command_lines() {
         // The benchmark's converter call, then CI's.
-        let pairs = [
-            ("model", "7b"),
-            ("layers", "1"),
-            ("bits", "2"),
-            ("seed", "7"),
-            ("vocab", "64"),
-            ("seq", "128"),
-            ("out", "m.tmac"),
-        ];
-        let argv = pairs
-            .iter()
-            .flat_map(|(f, v)| [format!("--{f}"), v.to_string()]);
-        let args = FLAGS.parse(argv).expect("the benchmark's command line");
-        for (flag, value) in pairs {
-            assert_eq!(args.text(flag, ""), value);
+        let bench = "--model 7b --layers 1 --bits 2 --seed 7 --vocab 64 --seq 128 --out m.tmac";
+        let argv: Vec<String> = bench.split(' ').map(String::from).collect();
+        let args = FLAGS
+            .parse(argv.clone())
+            .expect("the benchmark's command line");
+        for pair in argv.chunks(2) {
+            assert_eq!(args.text(&pair[0][2..], ""), pair[1]);
         }
         assert!(!args.switch("verify"));
         let ci = "--model tiny --bits 2 --out target/tiny.tmac --verify";
-        let args = FLAGS.parse(ci.split_whitespace().map(String::from));
+        let args = FLAGS.parse(ci.split(' ').map(String::from));
         assert!(args.expect("CI's command line").switch("verify"));
     }
 }

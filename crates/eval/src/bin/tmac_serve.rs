@@ -198,21 +198,14 @@ mod tests {
     #[test]
     fn parses_the_benchmark_and_ci_command_lines() {
         // The benchmark's daemon flags, plus CI's `--trace-out`.
-        let pairs = [
-            ("model", "m.tmac"),
-            ("addr", "127.0.0.1:9"),
-            ("threads", "2"),
-            ("batch", "8"),
-            ("pending", "64"),
-            ("kv", "f32"),
-            ("trace-out", "target/traces"),
-        ];
-        let argv = pairs
-            .iter()
-            .flat_map(|(f, v)| [format!("--{f}"), v.to_string()]);
-        let args = FLAGS.parse(argv).expect("the benchmark's and CI's flags");
-        for (flag, value) in pairs {
-            assert_eq!(args.text(flag, ""), value);
+        let argv = "--model m.tmac --addr 127.0.0.1:9 --threads 2 --batch 8 --pending 64 --kv f32 \
+                    --trace-out target/traces";
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        let args = FLAGS
+            .parse(argv.clone())
+            .expect("the benchmark's and CI's flags");
+        for pair in argv.chunks(2) {
+            assert_eq!(args.text(&pair[0][2..], ""), pair[1]);
         }
     }
 }

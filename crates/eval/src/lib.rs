@@ -1,10 +1,9 @@
 //! Harness shared by the `paper`, `tmac_serve` and `tmac_convert` binaries.
 //!
 //! `paper` regenerates each table and figure of the paper as a subcommand
-//! and checks the paper's claims as [`Claim`] rows (see `DESIGN.md` §7).
-//! This library holds what the binaries share: the Llama-2-7B/13B kernel
-//! shapes, deterministic synthetic data, timing, plain-text tables, the
-//! checked claim row, and the one argv parser ([`Flags`]).
+//! and checks the paper's claims (see `DESIGN.md` §7). This library holds
+//! the Llama-2-7B/13B kernel shapes, deterministic synthetic data, timing,
+//! plain-text tables, and the one argv parser ([`Flags`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -106,64 +105,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Which side of a bound a measurement must fall on (inclusive).
-#[derive(Clone, Copy, Debug)]
-pub enum Bound {
-    /// Met when the measurement is at least this.
-    Min(f64),
-    /// Met when the measurement is at most this.
-    Max(f64),
-}
-
-impl fmt::Display for Bound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Bound::Min(b) => write!(f, ">= {b}"),
-            Bound::Max(b) => write!(f, "<= {b}"),
-        }
-    }
-}
-
-/// One checked claim: a row of `results/SCORECARD.md`, or one bound of the
-/// quality gate.
-#[derive(Debug)]
-pub struct Claim {
-    /// What the paper claims, and where it was measured here.
-    pub claim: String,
-    /// The paper's value.
-    pub paper: String,
-    /// The metric's name: a `benchmark/` key where one measures the same
-    /// quantity, a `quality_*` key of the gate's thresholds, else
-    /// `paper.<name>`.
-    pub metric: String,
-    /// This host's value; NaN when nothing was measured.
-    pub measured: f64,
-    /// The bound `measured` must meet.
-    pub bound: Bound,
-}
-
-impl Claim {
-    /// A claim row.
-    pub fn new(claim: &str, paper: &str, metric: &str, measured: f64, bound: Bound) -> Claim {
-        Claim {
-            claim: claim.into(),
-            paper: paper.into(),
-            metric: metric.into(),
-            measured,
-            bound,
-        }
-    }
-
-    /// The one verdict: met when `measured` lies on the bound's side. A NaN
-    /// measurement or bound fails either comparison, so it is missed.
-    pub fn met(&self) -> bool {
-        match self.bound {
-            Bound::Min(b) => self.measured >= b,
-            Bound::Max(b) => self.measured <= b,
-        }
-    }
-}
-
 /// Why a command line was refused.
 #[derive(Debug, PartialEq)]
 pub enum ArgError {
@@ -192,6 +133,7 @@ impl fmt::Display for ArgError {
 }
 
 /// One binary's command line: its usage line and its known flags.
+#[derive(Clone, Copy)]
 pub struct Flags {
     /// Printed with every refused command line.
     pub usage: &'static str,
@@ -209,14 +151,10 @@ impl Flags {
     ///
     /// An unknown flag, a `--name=value` spelling, a valued flag without a
     /// value, or a stray positional argument.
-    pub fn parse(&'static self, argv: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
+    pub fn parse(&self, argv: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
         let known = |names: &'static str, name: &str| names.split_whitespace().find(|n| *n == name);
         let mut argv = argv.into_iter().peekable();
-        let mut args = Args {
-            flags: self,
-            values: Vec::new(),
-            switches: Vec::new(),
-        };
+        let mut given = Vec::new();
         while let Some(a) = argv.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(ArgError::Stray(a));
@@ -224,21 +162,22 @@ impl Flags {
             if name.contains('=') {
                 return Err(ArgError::Inline(a));
             } else if let Some(s) = known(self.switches, name) {
-                args.switches.push(s);
+                given.push((s, None));
             } else if let Some(v) = known(self.valued, name) {
-                match argv.next_if(|x| !x.starts_with("--")) {
-                    Some(value) => args.values.push((v, value)),
-                    None => return Err(ArgError::MissingValue(a)),
-                }
+                let value = argv.next_if(|x| !x.starts_with("--"));
+                given.push((v, Some(value.ok_or(ArgError::MissingValue(a))?)));
             } else {
                 return Err(ArgError::Unknown(a));
             }
         }
-        Ok(args)
+        Ok(Args {
+            flags: *self,
+            given,
+        })
     }
 
     /// [`Flags::parse`], or print the error and the usage line and exit 2.
-    pub fn parse_or_exit(&'static self, argv: impl IntoIterator<Item = String>) -> Args {
+    pub fn parse_or_exit(&self, argv: impl IntoIterator<Item = String>) -> Args {
         self.parse(argv).unwrap_or_else(|e| self.exit(&e))
     }
 
@@ -249,24 +188,28 @@ impl Flags {
     }
 }
 
-/// A command line accepted by [`Flags::parse`].
+/// A command line accepted by [`Flags::parse`]: each flag given, with its
+/// value (`None` for a switch).
 pub struct Args {
-    flags: &'static Flags,
-    values: Vec<(&'static str, String)>,
-    switches: Vec<&'static str>,
+    flags: Flags,
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
+    fn value(&self, name: &str) -> Option<&String> {
+        let mut given = self.given.iter();
+        given.find_map(|(n, v)| v.as_ref().filter(|_| *n == name))
+    }
+
     /// The value of `--name` (its first occurrence), or `default`.
     pub fn text(&self, name: &str, default: &str) -> String {
-        let value = self.values.iter().find(|(n, _)| *n == name);
-        value.map_or(default, |(_, v)| v).to_string()
+        self.value(name).map_or(default, |v| v).to_string()
     }
 
     /// `--name` parsed as `T`, or `default`; an unparsable value exits 2
     /// with the usage line.
     pub fn num<T: FromStr>(&self, name: &str, default: T) -> T {
-        let Some((_, v)) = self.values.iter().find(|(n, _)| *n == name) else {
+        let Some(v) = self.value(name) else {
             return default;
         };
         let bad = || ArgError::BadValue(format!("--{name}"), v.clone());
@@ -275,7 +218,7 @@ impl Args {
 
     /// Whether the switch `--name` was given.
     pub fn switch(&self, name: &str) -> bool {
-        self.switches.contains(&name)
+        self.given.iter().any(|(n, v)| *n == name && v.is_none())
     }
 }
 
