@@ -28,6 +28,7 @@ use tmac_quant::formats::{
     BlockQ4_0, QK,
 };
 use tmac_quant::{QuantError, QuantizedMatrix};
+use tmac_simd::Isa;
 
 /// Packed weight rows in one of the llama.cpp-style formats.
 #[derive(Debug, Clone)]
@@ -113,7 +114,8 @@ impl DequantLinear {
         let b1 = b0 + self.blocks_per_row;
         #[cfg(target_arch = "x86_64")]
         if use_avx2 {
-            // SAFETY: `use_avx2` implies `avx2::available()`.
+            // SAFETY: `use_avx2` is set only under a context's `Avx2` or
+            // `Avx512` family, which the host executes (AVX2 + FMA).
             unsafe {
                 return match &self.packed {
                     PackedRows::Q1(v) => avx2::vec_dot_q1(&v[b0..b1], aq),
@@ -153,7 +155,8 @@ impl DequantLinear {
             )));
         }
         let aq = quantize_q8_0(act);
-        let use_avx2 = avx2::available();
+        // There is no AVX-512 dequant kernel: `Avx512` runs the AVX2 one.
+        let use_avx2 = matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512);
         let out_ptr = OutPtr(out.as_mut_ptr());
         let out_ref = &out_ptr;
         ctx.pool().chunks(self.rows, 8, |range| {

@@ -19,7 +19,9 @@
 //!   generation that matches the shape/profile reuses the cached build
 //!   (one cache for every row count: a decode step is a one-row batch);
 //! * a **scratch arena** of recyclable `f32` buffers, so per-call workspace
-//!   allocations can be amortized across tokens.
+//!   allocations can be amortized across tokens;
+//! * the **kernel family** ([`Isa`]) its sweeps and table builds run on,
+//!   detected once at construction ([`ExecCtx::with_isa`] forces one).
 //!
 //! The cache is behind a mutex and the counters are atomics, so the
 //! *bookkeeping* ([`ExecCtx::tables_for`], stats, the scratch arena) is
@@ -36,6 +38,7 @@ use crate::TmacError;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use tmac_simd::Isa;
 use tmac_threadpool::ThreadPool;
 
 /// The table-compatibility profile of a weight plan: two plans with equal
@@ -226,6 +229,7 @@ enum PoolHandle {
 /// ```
 pub struct ExecCtx {
     pool: PoolHandle,
+    isa: Isa,
     generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -236,6 +240,7 @@ impl std::fmt::Debug for ExecCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecCtx")
             .field("threads", &self.threads())
+            .field("isa", &self.isa)
             .field("generation", &self.generation())
             .field("stats", &self.table_stats())
             .finish()
@@ -243,18 +248,40 @@ impl std::fmt::Debug for ExecCtx {
 }
 
 impl ExecCtx {
-    /// Creates a context owning a fresh pool of `n_threads` threads.
+    /// Creates a context owning a fresh pool of `n_threads` threads, on the
+    /// widest kernel family the host has ([`Isa::detect`]).
     ///
     /// # Panics
     ///
     /// Panics if `n_threads == 0`.
     pub fn new(n_threads: usize) -> Self {
-        Self::from_handle(PoolHandle::Owned(ThreadPool::new(n_threads)))
+        Self::from_handle(PoolHandle::Owned(ThreadPool::new(n_threads)), Isa::detect())
     }
 
-    /// Creates a context sharing an existing pool.
+    /// [`ExecCtx::new`] on the kernel family `isa` instead of the detected
+    /// one, so tests can run every family the host has side by side.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TmacError::IsaUnavailable`] if the host cannot execute
+    /// `isa` ([`Isa::available`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_threads == 0`.
+    pub fn with_isa(n_threads: usize, isa: Isa) -> Result<Self, TmacError> {
+        if !isa.available() {
+            return Err(TmacError::IsaUnavailable(isa));
+        }
+        Ok(Self::from_handle(
+            PoolHandle::Owned(ThreadPool::new(n_threads)),
+            isa,
+        ))
+    }
+
+    /// Creates a context sharing an existing pool (detected kernel family).
     pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
-        Self::from_handle(PoolHandle::Shared(pool))
+        Self::from_handle(PoolHandle::Shared(pool), Isa::detect())
     }
 
     /// Creates a context sized to the machine's available parallelism.
@@ -265,9 +292,10 @@ impl ExecCtx {
         Self::new(n)
     }
 
-    fn from_handle(pool: PoolHandle) -> Self {
+    fn from_handle(pool: PoolHandle, isa: Isa) -> Self {
         ExecCtx {
             pool,
+            isa,
             generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -284,6 +312,12 @@ impl ExecCtx {
             PoolHandle::Owned(p) => p,
             PoolHandle::Shared(p) => p,
         }
+    }
+
+    /// The kernel family this context's sweeps and table builds run on:
+    /// always one the host can execute.
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// Number of threads (including the dispatcher).
@@ -351,7 +385,7 @@ impl ExecCtx {
         // Build outside the lock: concurrent lookups of different profiles
         // must not serialize on each other's builds.
         let _s = tmac_trace::span("exec", "table_build", generation, n as u64);
-        let tables = Arc::new(gemm::build_tables(plan, act, n, Some(self.pool()))?);
+        let tables = Arc::new(gemm::build_tables(plan, act, n, Some(self))?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = CacheEntry {
             generation,

@@ -9,7 +9,8 @@
 //! distributed over threads as static thread blocks, and the sequence axis
 //! is walked in **`n_block`**-row ranges of the one table set.
 //!
-//! Two AVX2 kernels serve a range, chosen by [`kernel::avx2::mtile`] from
+//! The context's kernel family ([`ExecCtx::isa`]) picks the kernels. Under
+//! `Avx2` two kernels serve a range, chosen by [`kernel::avx2::mtile`] from
 //! what it can see:
 //!
 //! * one row, or a plan without a multi-row kernel → the streaming GEMV
@@ -18,6 +19,10 @@
 //! * otherwise → the scale-block-outer multi-row kernel, which decodes each
 //!   scale block's weight indices once and looks them up against every row
 //!   of the range.
+//!
+//! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
+//! `zmm` registers for the plans it serves and hands every other plan to
+//! the AVX2 kernels; the two families agree bit for bit.
 //!
 //! Per row the multi-row kernel applies the GEMV kernel's operations in the
 //! GEMV kernel's order, so neither the choice nor the blocking ever changes
@@ -30,10 +35,12 @@ use crate::plan::WeightPlan;
 use crate::table::ActTables;
 use crate::TmacError;
 use std::ops::Range;
-use tmac_threadpool::ThreadPool;
+use tmac_simd::Isa;
 
 /// Builds the tables of a row-major `n × K` activation batch for `plan`
-/// (the online stage), the rows of a batch fanned out over `pool` if given.
+/// (the online stage): with a context, on its kernel family and with the
+/// rows of a batch fanned out over its pool; without one, on the calling
+/// thread and the detected family.
 ///
 /// # Errors
 ///
@@ -44,7 +51,7 @@ pub fn build_tables(
     plan: &WeightPlan,
     act: &[f32],
     n: usize,
-    pool: Option<&ThreadPool>,
+    ctx: Option<&ExecCtx>,
 ) -> Result<ActTables, TmacError> {
     if n == 0 || act.len() != n * plan.k {
         return Err(TmacError::Shape(format!(
@@ -53,7 +60,11 @@ pub fn build_tables(
             plan.k
         )));
     }
-    ActTables::build_on(pool, act, n, plan.group_size, &plan.opts)
+    let (pool, isa) = match ctx {
+        Some(ctx) => (Some(ctx.pool()), ctx.isa()),
+        None => (None, Isa::detect()),
+    };
+    ActTables::build_on(pool, isa, act, n, plan.group_size, &plan.opts)
 }
 
 /// Floats per 64-byte cache line.
@@ -72,10 +83,11 @@ fn line_aligned(buf: &mut [f32], len: usize) -> &mut [f32] {
 /// Sweeps all m-tiles for the rows `rows` of `tables` (= of `out`).
 ///
 /// What keeps batched forwards bit-identical to independent single-row
-/// forwards: the kernel family (AVX2 or scalar) depends on the plan and the
-/// host only, never on the row count — within a family every row's
-/// arithmetic is the same however many rows a call takes, but the two
-/// families differ in `f32` fold rounding.
+/// forwards: the kernel family (`Avx512`, `Avx2` or scalar) depends on the
+/// context and the plan only, never on the row count — within a family
+/// every row's arithmetic is the same however many rows a call takes.
+/// `Avx512` and `Avx2` also agree with each other bit for bit; scalar
+/// differs from them in `f32` fold rounding.
 fn sweep(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -84,10 +96,15 @@ fn sweep(
     ctx: &ExecCtx,
 ) {
     let m = plan.m;
+    // The AVX families run the plans that have an AVX2 kernel; the rest,
+    // and every plan under `Scalar`, take the scalar kernel.
     #[cfg(target_arch = "x86_64")]
-    let use_avx2 = kernel::avx2::supported(&plan.opts);
+    let isa = match ctx.isa() {
+        isa @ (Isa::Avx2 | Isa::Avx512) if kernel::avx2::supported(&plan.opts) => isa,
+        _ => Isa::Scalar,
+    };
     #[cfg(not(target_arch = "x86_64"))]
-    let use_avx2 = false;
+    let isa = Isa::Scalar;
     ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
         // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
         let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
@@ -104,10 +121,16 @@ fn sweep(
             line_aligned(&mut many, rows.len() * TILE_M)
         };
         for mt in tiles {
-            match use_avx2 {
+            match isa {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `supported` passed the runtime AVX2+FMA check.
-                true => unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, outs) },
+                // SAFETY: a context holds only a family the host executes
+                // (`Isa::available`): AVX-512F/BW + AVX2 + FMA.
+                Isa::Avx512 => unsafe {
+                    kernel::avx512::mtile(plan, tables, rows.clone(), mt, outs)
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as above, AVX2 + FMA.
+                Isa::Avx2 => unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, outs) },
                 _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, outs),
             }
             let m0 = mt * TILE_M;
@@ -143,7 +166,7 @@ pub fn mpgemm(
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let tables = build_tables(plan, act, n, Some(ctx.pool()))?;
+    let tables = build_tables(plan, act, n, Some(ctx))?;
     mpgemm_with_tables(plan, &tables, out, ctx)
 }
 
@@ -392,6 +415,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
+    /// through `mpgemm` at every bit width, with and without mirror
+    /// consolidation, for the GEMV and multi-row kernels (`n` straddling
+    /// `n_block`, a ragged last m-tile), and on the shapes the `zmm` kernels
+    /// hand to AVX2: a lone k-group per block and the `i16` flush path.
+    #[test]
+    fn avx512_family_bit_identical_to_avx2() {
+        let (Ok(zmm), Ok(ymm)) = (
+            ExecCtx::with_isa(2, Isa::Avx512),
+            ExecCtx::with_isa(2, Isa::Avx2),
+        ) else {
+            println!(
+                "skipped: this host has no AVX-512BW (detected {})",
+                Isa::detect()
+            );
+            return;
+        };
+        let m = 100;
+        let mut cases = Vec::new();
+        for bits in 1..=4u8 {
+            for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
+                cases.push((bits, 32, 256, opts, true));
+            }
+        }
+        cases.push((3, 12, 96, KernelOpts::tmac(), false));
+        cases.push((4, 128, 256, KernelOpts::tmac(), false));
+        for (bits, gs, k, opts, zmm_serves) in cases {
+            let n_max = 16;
+            let w: Vec<f32> = (0..m * k)
+                .map(|i| ((i as f32) * 0.31).sin() * 0.6)
+                .collect();
+            let act: Vec<f32> = (0..n_max * k)
+                .map(|i| ((i as f32) * 0.17).cos() * 0.8 + (i / k) as f32 * 0.05)
+                .collect();
+            let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
+            let plan = WeightPlan::new(&qm, opts).unwrap();
+            #[cfg(target_arch = "x86_64")]
+            assert_eq!(
+                kernel::avx512::supported(&plan),
+                zmm_serves,
+                "W{bits} g{gs}"
+            );
+            for n in [1, 2, 5, 8, 11, 16] {
+                let act = &act[..n * k];
+                let (mut got, mut want) = (vec![0f32; n * m], vec![0f32; n * m]);
+                mpgemm(&plan, act, n, &mut got, &zmm).unwrap();
+                mpgemm(&plan, act, n, &mut want, &ymm).unwrap();
+                let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits_of(&got),
+                    bits_of(&want),
+                    "W{bits} g{gs} mirror={} n={n}",
+                    opts.mirror
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn with_isa_refuses_a_family_the_host_lacks() {
+        for isa in Isa::ALL {
+            match ExecCtx::with_isa(1, isa) {
+                Ok(ctx) => assert!(isa.available() && ctx.isa() == isa),
+                Err(e) => assert!(!isa.available() && e == TmacError::IsaUnavailable(isa)),
+            }
+        }
+        assert_eq!(ExecCtx::new(1).isa(), Isa::detect());
+        assert_eq!(
+            ExecCtx::with_isa(1, Isa::Scalar).unwrap().isa(),
+            Isa::Scalar
+        );
     }
 
     /// Any `n_block` (row blocks of one row, odd sizes, larger than `n`)

@@ -29,7 +29,9 @@
 //! The table precompute has its AVX2 builder here too, [`build_block`].
 //!
 //! Everything here is `#[target_feature(enable = "avx2,fma")]`; the driver
-//! checks [`tmac_simd::avx2::available`] once per call.
+//! runs it only under a kernel family that includes AVX2+FMA (`Avx2` or
+//! `Avx512`, see `tmac_simd::Isa`). The `Avx512` family's `zmm` kernels
+//! (`kernel::avx512`) share this module's stream geometry and prefetch.
 
 #![allow(clippy::needless_range_loop)] // Index loops mirror the kernel structure.
 
@@ -50,11 +52,10 @@ pub const MAX_KG_PER_BLOCK: usize = 64;
 /// Whether an AVX2 kernel exists for this option combination.
 ///
 /// Combinations without a dedicated kernel (e.g. mirror consolidation on a
-/// flat layout) fall back to the scalar plan kernel in the driver.
+/// flat layout) fall back to the scalar plan kernel in the driver. This is
+/// a predicate on the options alone: the caller's kernel family
+/// (`tmac_simd::Isa`) is what guarantees the CPU runs AVX2.
 pub fn supported(opts: &KernelOpts) -> bool {
-    if !simd::available() {
-        return false;
-    }
     if opts.table_quant {
         // Flat layouts support only the plain quantized kernel.
         opts.permute || (!opts.mirror && !opts.fast_aggregation)
@@ -64,8 +65,7 @@ pub fn supported(opts: &KernelOpts) -> bool {
     }
 }
 
-/// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this plan on
-/// this host.
+/// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this plan.
 ///
 /// The kernel exists for the paired stream with exact aggregation (mirror
 /// supported) and scale blocks it can buffer. Fast aggregation, the
@@ -78,26 +78,13 @@ pub fn gemm_supported(plan: &WeightPlan) -> bool {
         && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
 }
 
-/// Instantiates a `<BITS, MIRROR>` paired kernel for a plan's bit-width.
-macro_rules! for_bits {
-    ($bits:expr, $kernel:ident::<$mirror:tt>($($arg:expr),*)) => {
-        match $bits {
-            1 => $kernel::<1, { $mirror }>($($arg),*),
-            2 => $kernel::<2, { $mirror }>($($arg),*),
-            3 => $kernel::<3, { $mirror }>($($arg),*),
-            4 => $kernel::<4, { $mirror }>($($arg),*),
-            b => unreachable!("plans hold 1..=4 bit planes, got {b}"),
-        }
-    };
-}
-
 /// Executes one m-tile for row `r` of `tables`, dispatching to the right
 /// monomorphized kernel.
 ///
 /// # Safety
 ///
 /// The caller must have verified that the host CPU supports AVX2 and FMA
-/// (e.g. via [`supported`], which performs the runtime feature check).
+/// (e.g. via `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
@@ -152,7 +139,8 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, ou
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2+FMA support (e.g. via [`supported`]).
+/// The caller must have verified AVX2+FMA support (e.g. via
+/// `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
@@ -393,7 +381,7 @@ const STREAM_PREFETCH: usize = 4096;
 /// the same block of a later scale block or m-tile of a contiguous stream.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn prefetch_ahead<T>(block: &[T]) {
+pub(super) fn prefetch_ahead<T>(block: &[T]) {
     let base = block.as_ptr() as *const i8;
     for line in (0..std::mem::size_of_val(block)).step_by(64) {
         // Past the end of the stream this is a hint about memory nobody
@@ -432,20 +420,20 @@ fn lane1_eights() -> __m256i {
 
 /// Scale-block geometry of the paired stream (see [`crate::plan`]).
 #[derive(Clone, Copy)]
-struct PairedGeom {
+pub(super) struct PairedGeom {
     /// Full k-group pairs per scale block.
     kg_pairs: usize,
     /// Whether a lone trailing k-group follows the pairs.
-    lone_kg: bool,
+    pub(super) lone_kg: bool,
     /// k-group pairs an `i16` lane absorbs between flushes to `i32`.
     flush_every: usize,
     /// Whether even the whole block's sum fits `i16` (the common shapes):
     /// the tail then adds the two lanes in `i16` and widens once.
-    narrow: bool,
+    pub(super) narrow: bool,
 }
 
 impl PairedGeom {
-    fn of(plan: &WeightPlan) -> Self {
+    pub(super) fn of(plan: &WeightPlan) -> Self {
         let kgb = plan.group_size / LUT_GROUP;
         // The exactness bound: one k-group adds at most `127 · Σ_p 2^p` to
         // an `i16` lane (the planes share it, weighted by `vpmaddubsw`); a
@@ -673,7 +661,7 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 /// # Safety
 ///
 /// The caller must have verified AVX2+FMA support (e.g. via
-/// [`gemm_supported`], which performs the runtime feature check).
+/// `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
@@ -1409,9 +1397,6 @@ mod tests {
 
     #[test]
     fn gemm_supported_gates_correctly() {
-        if !simd::available() {
-            return;
-        }
         let plan = |opts: KernelOpts, gs: usize| {
             let (qm, _) = setup(32, 512, 2, gs);
             WeightPlan::new(&qm, opts).unwrap()
@@ -1432,9 +1417,6 @@ mod tests {
 
     #[test]
     fn unsupported_combos_reported() {
-        if !simd::available() {
-            return;
-        }
         // Mirror without permutation has no AVX2 kernel.
         let mut o = KernelOpts::plus_table_quant();
         o.mirror = true;

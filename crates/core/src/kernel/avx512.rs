@@ -1,0 +1,404 @@
+//! AVX-512BW kernels: the paired-stream exact kernels on `zmm` registers.
+//!
+//! The `Avx512` kernel family runs the two exact paired-stream kernels of
+//! [`super::avx2`] — the GEMV kernel and the scale-block-outer multi-row
+//! kernel — 64 bytes at a time, and hands every other plan (fast
+//! aggregation, the sequential and flat layouts, blocks with a lone
+//! k-group or an `i16` flush) to the AVX2 kernels.
+//!
+//! # The `zmm` inner loop
+//!
+//! The paired stream needs no new byte order. A plane pair's `h = 0` and
+//! `h = 1` steps (rows `0..16` and `16..32` of the tile) are adjacent
+//! 32-byte steps, so one 64-byte load holds both, and the k-group pair's
+//! 32-byte table is a `vbroadcasti64x4` into both halves. Per 64-byte
+//! weight load (128 lookups) the GEMV loop issues `vpandd`, `vpsrlw` +
+//! `vpandd`, 2 `vpshufb zmm`, 2 `vpmaddubsw zmm` against `(1, 2)` / `(4, 8)`
+//! and 2 `vpaddw zmm`: the AVX2 loop's uops for half the loads. Two `i16`
+//! accumulators hold the AVX2 kernel's four: `lo` = `[a0 | a2]` (the low
+//! nibbles, rows `0..8` and `16..24`) and `hi` = `[a1 | a3]`, one k-group
+//! parity per 128-bit lane as before.
+//!
+//! * A lone plane (odd bit widths) is one 32-byte step of 32 rows: it is
+//!   broadcast, its upper half shifted to the high nibbles (a masked
+//!   `vpsrlw`), and looked up once as `[lo | hi]`; the two `lone_w`
+//!   weights then widen its even and odd bytes into `lo` and `hi`.
+//! * Mirror consolidation expands each pair-packed half table once per
+//!   k-group pair into the full 16-entry tables (`vpshufb` with a reversing
+//!   control, then a masked `vpsubb` negating entries `8..16`), so the loop
+//!   itself is the plain one.
+//! * The block tail regroups the four lanes of `lo`/`hi` into row order
+//!   (two `vpermt2q`), adds the k-group parities in `i16` and widens once.
+//!
+//! # Bit-identity with AVX2
+//!
+//! Every `i16` lane sums the same looked-up bytes with the same
+//! `vpmaddubsw` weights as the AVX2 lane it replaces, and the sums are
+//! exact (the served plans are the "narrow" ones, whose whole block fits
+//! `i16`: [`supported`]), so their order does not matter. A mirror entry
+//! is `-t[15 - i]` either way. The per-scale-block `f32` fold is AVX2's
+//! per element: `t = fma(blk, 0.5·q_scale, cz·asum)`, `out = fma(t, scale,
+//! out)`. So `Avx512` results equal `Avx2` results bit for bit.
+//!
+//! Everything here is `#[target_feature(enable =
+//! "avx512f,avx512bw,avx2,fma")]`; the driver runs it only under the
+//! `Avx512` family (`tmac_simd::Isa`), which guarantees all four.
+
+use super::avx2::{self, PairedGeom, MAX_KG_PER_BLOCK};
+use crate::opts::TILE_M;
+use crate::plan::WeightPlan;
+use crate::table::ActTables;
+use std::arch::x86_64::*;
+use std::ops::Range;
+use tmac_simd::avx512 as simd;
+
+/// Whether the `zmm` kernels serve this plan: the paired stream with exact
+/// aggregation that the AVX2 multi-row kernel serves, in scale blocks of
+/// whole k-group pairs whose sums fit `i16` (every common shape). Other
+/// plans run on the AVX2 kernels under the `Avx512` family.
+pub fn supported(plan: &WeightPlan) -> bool {
+    let g = PairedGeom::of(plan);
+    avx2::gemm_supported(plan) && g.narrow && !g.lone_kg
+}
+
+/// Executes one m-tile for the rows `rows` of `tables`: `outs` receives the
+/// row-major `rows.len() × TILE_M` results, bit-identical to
+/// [`avx2::mtile`]'s.
+///
+/// Plans the `zmm` kernels serve ([`supported`]) take the `zmm` GEMV kernel
+/// for one row and the `zmm` multi-row kernel for several; every other
+/// plan takes [`avx2::mtile`].
+///
+/// # Safety
+///
+/// The caller must have verified that the host CPU supports AVX-512F,
+/// AVX-512BW, AVX2 and FMA (e.g. via `tmac_simd::Isa::available`).
+///
+/// # Panics
+///
+/// Panics if the plan has no AVX2 kernel or `outs` is shorter than
+/// `rows.len() × TILE_M`.
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+pub fn mtile(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    if !supported(plan) {
+        return avx2::mtile(plan, tables, rows, mt, outs);
+    }
+    assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
+    debug_assert_eq!(tables.mirror, plan.opts.mirror);
+    let bits = plan.bits;
+    match (rows.len(), plan.opts.mirror) {
+        (1, false) => for_bits!(
+            bits,
+            mtile_paired_bits::<false>(plan, tables, rows.start, mt, outs)
+        ),
+        (1, true) => for_bits!(
+            bits,
+            mtile_paired_bits::<true>(plan, tables, rows.start, mt, outs)
+        ),
+        (_, false) => for_bits!(bits, gemm_mtile_bits::<false>(plan, tables, rows, mt, outs)),
+        (_, true) => for_bits!(bits, gemm_mtile_bits::<true>(plan, tables, rows, mt, outs)),
+    }
+}
+
+/// Two `f32` output accumulators covering the 32 tile rows in order.
+#[derive(Clone, Copy)]
+struct OutAcc(__m512, __m512);
+
+impl OutAcc {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn zero() -> Self {
+        OutAcc(_mm512_setzero_ps(), _mm512_setzero_ps())
+    }
+
+    /// `out += scales * (block * sc + bias)` — the AVX2 kernels'
+    /// per-scale-block fold, element for element.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn fold(&mut self, blk: (__m512, __m512), sc: f32, bias: f32, scales: &[f32]) {
+        let (sc, bias) = (_mm512_set1_ps(sc), _mm512_set1_ps(bias));
+        let t0 = _mm512_fmadd_ps(blk.0, sc, bias);
+        let t1 = _mm512_fmadd_ps(blk.1, sc, bias);
+        self.0 = _mm512_fmadd_ps(t0, simd::loadu_ps(&scales[..16]), self.0);
+        self.1 = _mm512_fmadd_ps(t1, simd::loadu_ps(&scales[16..]), self.1);
+    }
+
+    /// Stores into a `TILE_M`-float slice prefix.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn store(&self, out: &mut [f32]) {
+        simd::storeu_ps(&mut out[..16], self.0);
+        simd::storeu_ps(&mut out[16..], self.1);
+    }
+
+    /// Resumes the accumulator from a partial-output row.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn load(src: &[f32]) -> Self {
+        OutAcc(simd::loadu_ps(&src[..16]), simd::loadu_ps(&src[16..]))
+    }
+}
+
+/// Splits a plane pair's two 32-byte steps into their low- and high-nibble
+/// indices: `[lo(h = 0) | lo(h = 1)]`, `[hi(h = 0) | hi(h = 1)]`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn split_nibbles(raw: __m512i) -> (__m512i, __m512i) {
+    let mask = _mm512_set1_epi8(0x0F);
+    (
+        _mm512_and_si512(raw, mask),
+        _mm512_and_si512(_mm512_srli_epi16::<4>(raw), mask),
+    )
+}
+
+/// A lone plane's 32-byte step as `[lo | hi]`: the step in both halves,
+/// the upper half shifted down to its high nibbles.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn split_lone(step: &[u8]) -> __m512i {
+    let raw = simd::broadcast_256(step);
+    let shifted = _mm512_mask_srli_epi16::<4>(raw, 0xFFFF_0000, raw);
+    _mm512_and_si512(shifted, _mm512_set1_epi8(0x0F))
+}
+
+/// The `vpshufb` control that expands a pair-packed mirror half table
+/// (even k-group's entries `0..8`, odd k-group's `8..16`) broadcast to
+/// every lane into the lane's k-group's full table: entry `i` reads half
+/// entry `i` below 8 and `15 - i` from 8 on (negated afterwards).
+const MIRROR_EXPAND: [u8; 64] = {
+    let mut c = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        let (lane, e) = (i / 16, i % 16);
+        c[i] = (8 * (lane % 2) + if e < 8 { e } else { 15 - e }) as u8;
+        i += 1;
+    }
+    c
+};
+
+/// Bytes `8..16` of every lane: the negated half of a full mirror table.
+const MIRROR_NEGATED: u64 = 0xFF00_FF00_FF00_FF00;
+
+/// Loads a k-group pair's tables into all four lanes, lane `L` holding
+/// k-group parity `L % 2`: the pair's two 16-entry tables broadcast to
+/// both halves, or under mirror consolidation the full tables expanded
+/// from the pair-packed half tables (`expand` = [`MIRROR_EXPAND`]).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn load_tables<const MIRROR: bool>(t: &[i8], expand: __m512i) -> __m512i {
+    if MIRROR {
+        let full = _mm512_shuffle_epi8(simd::broadcast_128(t), expand);
+        _mm512_mask_sub_epi8(full, MIRROR_NEGATED, _mm512_setzero_si512(), full)
+    } else {
+        simd::broadcast_256(t)
+    }
+}
+
+/// `acc += vpmaddubsw(w, vals)`: widens looked-up bytes to `i16` applying
+/// the per-byte weights `w` (the bit-serial `2^plane` factors).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
+    *acc = _mm512_add_epi16(*acc, _mm512_maddubs_epi16(w, vals));
+}
+
+/// One scale block of whole k-group pairs against one row's tables `tbl`:
+/// returns `Σ_bit 2^bit · L_bit` per tile row, exactly, as `f32` (rows
+/// `0..16`, `16..32`).
+///
+/// `idx` holds the block's indices, `PAIR` bytes per plane pair (`pair`
+/// turns them into `[lo | lo]`, `[hi | hi]`) and `LONE` bytes per lone
+/// plane (`lone` turns them into `[lo | hi]`): the GEMV kernel passes the
+/// stream itself and the multi-row kernel the indices it split once, so
+/// the two share every arithmetic operation. The block's sums must fit
+/// `i16` ([`supported`]).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+fn paired_block<const BITS: usize, const MIRROR: bool, const PAIR: usize, const LONE: usize>(
+    tbl: &[i8],
+    idx: &[u8],
+    pair: impl Fn(&[u8]) -> (__m512i, __m512i),
+    lone: impl Fn(&[u8]) -> __m512i,
+) -> (__m512, __m512) {
+    let pair_w = [_mm512_set1_epi16(0x0201), _mm512_set1_epi16(0x0804)];
+    let lone_w = 1i16 << (BITS - 1);
+    let lone_w = (_mm512_set1_epi16(lone_w), _mm512_set1_epi16(lone_w << 8));
+    let expand = simd::loadu_512(&MIRROR_EXPAND);
+    let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
+    let tables = tbl.chunks_exact(if MIRROR { 16 } else { 32 });
+    for (t, steps) in tables.zip(idx.chunks_exact(BITS / 2 * PAIR + BITS % 2 * LONE)) {
+        let t = load_tables::<MIRROR>(t, expand);
+        for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
+            let (l, h) = pair(&steps[p * PAIR..(p + 1) * PAIR]);
+            madd(&mut lo, *w, _mm512_shuffle_epi8(t, l));
+            madd(&mut hi, *w, _mm512_shuffle_epi8(t, h));
+        }
+        if BITS % 2 == 1 {
+            let vals = _mm512_shuffle_epi8(t, lone(&steps[BITS / 2 * PAIR..]));
+            madd(&mut lo, lone_w.0, vals);
+            madd(&mut hi, lone_w.1, vals);
+        }
+    }
+    // Lanes of `lo` = rows [0..8, 0..8, 16..24, 16..24], of `hi` = [8..16,
+    // 8..16, 24..32, 24..32], k-group parity alternating: gather each
+    // parity in row order, add them, widen.
+    let even = _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13), hi);
+    let odd = _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15), hi);
+    let sums = _mm512_add_epi16(even, odd);
+    let widen = |half: __m256i| _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(half));
+    (
+        widen(_mm512_castsi512_si256(sums)),
+        widen(_mm512_extracti64x4_epi64::<1>(sums)),
+    )
+}
+
+/// Streaming GEMV kernel over the paired stream on `zmm` registers: see
+/// the module docs for the inner loop. Writes the first `TILE_M` floats of
+/// `out`.
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    r: usize,
+    mt: usize,
+    out: &mut [f32],
+) {
+    let bb = plan.block_bytes();
+    let stream = plan.mtile_stream(mt);
+    let mut outacc = OutAcc::zero();
+    for sb in 0..plan.groups_per_row() {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        let scales = plan.tile_scales(mt, sb);
+        let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
+        avx2::prefetch_ahead(src);
+        avx2::prefetch_ahead(scales);
+        let blk = paired_block::<BITS, MIRROR, 64, 32>(
+            tables.block_tables(sb, r..r + 1),
+            src,
+            |s| split_nibbles(simd::loadu_512(s)),
+            |s| split_lone(s),
+        );
+        outacc.fold(blk, 0.5 * q_scale[0], plan.cz * asum[0], scales);
+    }
+    outacc.store(out);
+}
+
+/// Nibble-split indices of one scale block (`2 ×` its stream bytes), on
+/// a cache line: every 64-byte index load is aligned.
+#[repr(align(64))]
+struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
+
+/// Multi-row kernel on `zmm` registers, scale-block-outer like
+/// [`avx2::gemm_mtile`]: each scale block's indices are split once into
+/// `[lo | lo]`, `[hi | hi]` per plane pair and `[lo | hi]` per lone plane,
+/// then looked up against each row's tables of the block.
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    let (bb, tb) = (plan.block_bytes(), tables.block_len());
+    let stream = plan.mtile_stream(mt);
+    let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
+    let outs = &mut outs[..rows.len() * TILE_M];
+    outs.fill(0.0);
+    // A k-group pair's stream bytes: `BITS` 32-byte steps.
+    let kp = BITS * 32;
+    for sb in 0..plan.groups_per_row() {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        for (raw, dst) in src.chunks_exact(kp).zip(idx.0.chunks_exact_mut(2 * kp)) {
+            for p in 0..BITS / 2 {
+                let (lo, hi) = split_nibbles(simd::loadu_512(&raw[64 * p..]));
+                simd::storeu_512(&mut dst[128 * p..], lo);
+                simd::storeu_512(&mut dst[128 * p + 64..], hi);
+            }
+            if BITS % 2 == 1 {
+                let lone = split_lone(&raw[64 * (BITS / 2)..]);
+                simd::storeu_512(&mut dst[128 * (BITS / 2)..], lone);
+            }
+        }
+        let idx = &idx.0[..2 * bb];
+        let scales = plan.tile_scales(mt, sb);
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        let units = tables.block_tables(sb, rows.clone()).chunks_exact(tb);
+        for (((out, tbl), q_scale), asum) in outs
+            .chunks_exact_mut(TILE_M)
+            .zip(units)
+            .zip(q_scales)
+            .zip(asums)
+        {
+            let blk = paired_block::<BITS, MIRROR, 128, 64>(
+                tbl,
+                idx,
+                |s| (simd::loadu_512(&s[..64]), simd::loadu_512(&s[64..])),
+                |s| simd::loadu_512(s),
+            );
+            let mut acc = OutAcc::load(out);
+            acc.fold(blk, 0.5 * q_scale, plan.cz * asum, scales);
+            acc.store(out);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::opts::{KernelOpts, LUT_GROUP};
+    use tmac_quant::rtn;
+
+    fn plan(bits: u8, gs: usize, opts: KernelOpts) -> WeightPlan {
+        let (m, k) = (96, 8 * gs);
+        let w: Vec<f32> = (0..m * k)
+            .map(|i| ((i as f32 * 0.17).sin()) * 0.7 + ((i % 13) as f32 - 6.0) * 0.03)
+            .collect();
+        WeightPlan::new(&rtn::quantize(&w, m, k, bits, gs).unwrap(), opts).unwrap()
+    }
+
+    #[test]
+    fn mirror_expansion_reads_the_lanes_half_table() {
+        for (i, &c) in MIRROR_EXPAND.iter().enumerate() {
+            let (lane, e) = (i / 16, i % 16);
+            let folded = if e < 8 { e } else { e ^ 0x0F };
+            assert_eq!(c as usize, folded | (8 * (lane % 2)), "byte {i}");
+            assert_eq!((MIRROR_NEGATED >> i) & 1 == 1, e >= 8, "byte {i}");
+        }
+    }
+
+    /// The `zmm` kernels serve every bit width and both mirror settings at
+    /// the common group sizes, and leave lone k-groups, `i16` flushes and
+    /// the non-paired plans to AVX2.
+    #[test]
+    fn supported_covers_the_paired_exact_plans() {
+        for bits in 1..=4u8 {
+            for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
+                for gs in [8usize, 32, 64] {
+                    assert!(supported(&plan(bits, gs, opts)), "{opts:?} W{bits} g{gs}");
+                }
+            }
+            // A lone k-group per block.
+            assert!(!supported(&plan(bits, 12, KernelOpts::tmac())));
+            for opts in [
+                KernelOpts::tmac_fast_aggregation(),
+                KernelOpts::plus_permute(),
+                KernelOpts::plus_table_quant(),
+                KernelOpts::tm_base(),
+            ] {
+                assert!(!supported(&plan(bits, 32, opts)), "{opts:?}");
+            }
+        }
+        // W4 at group 128: 32 k-groups overflow an `i16` lane (17 fit).
+        assert!(supported(&plan(3, 128, KernelOpts::tmac())));
+        assert!(!supported(&plan(4, 128, KernelOpts::tmac())) && 128 / LUT_GROUP > 17);
+    }
+}

@@ -70,6 +70,9 @@ pub enum TmacError {
     Opts(String),
     /// Non-finite or otherwise unusable numeric input.
     Numeric(String),
+    /// A kernel family was forced ([`ExecCtx::with_isa`]) that this host's
+    /// CPU cannot execute.
+    IsaUnavailable(tmac_simd::Isa),
 }
 
 impl std::fmt::Display for TmacError {
@@ -79,6 +82,9 @@ impl std::fmt::Display for TmacError {
             TmacError::Shape(msg) => write!(f, "shape error: {msg}"),
             TmacError::Opts(msg) => write!(f, "kernel options error: {msg}"),
             TmacError::Numeric(msg) => write!(f, "numeric error: {msg}"),
+            TmacError::IsaUnavailable(isa) => {
+                write!(f, "kernel family {isa} is not available on this CPU")
+            }
         }
     }
 }

@@ -51,6 +51,7 @@ use crate::opts::{KernelOpts, LUT_GROUP};
 use crate::TmacError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use tmac_simd::Isa;
 use tmac_threadpool::ThreadPool;
 
 /// Entries per lookup table (`2^g`).
@@ -163,23 +164,15 @@ pub(crate) fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8]
     }
 }
 
-/// Whether this host runs the AVX2 table builder: the check the mpGEMM
-/// sweep makes for the AVX2 lookup kernels.
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return tmac_simd::avx2::available();
-    #[cfg(not(target_arch = "x86_64"))]
-    false
-}
-
 /// The buffers of a table set under construction, shared by the threads
 /// that build different rows: row `r` owns unit `(sb, r)` of every buffer.
 struct Units<'a> {
     rows: usize,
     group_size: usize,
     mirror: bool,
-    /// Whether blocks are built by the AVX2 builder (only where
-    /// [`avx2_available`] holds) rather than its scalar twin.
+    /// Whether blocks are built by the AVX2 builder (under the `Avx2` and
+    /// `Avx512` families, on a host with AVX2+FMA) rather than its scalar
+    /// twin.
     avx2: bool,
     f32_tables: SharedMut<'a, f32>,
     q_tables: SharedMut<'a, i8>,
@@ -222,8 +215,8 @@ impl Units<'_> {
             let raw = if quantized { &mut scratch[..] } else { raw };
             q_scale[0] = match self.avx2 {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `avx2` is set only where `avx2_available()` passed
-                // the runtime AVX2+FMA check.
+                // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
+                // passed the runtime AVX2+FMA check.
                 true => unsafe { crate::kernel::avx2::build_block(block, raw, self.mirror, q, u) },
                 _ => build_block(block, raw, self.mirror, q, u),
             };
@@ -252,31 +245,24 @@ impl ActTables {
         group_size: usize,
         opts: &KernelOpts,
     ) -> Result<Self, TmacError> {
-        Self::build_on(None, acts, rows, group_size, opts)
+        Self::build_on(None, Isa::detect(), acts, rows, group_size, opts)
     }
 
     /// [`ActTables::build`] with the (independent) rows of a multi-row batch
     /// fanned out over `pool`; row for row the arithmetic is the same, so
     /// the tables do not depend on the pool.
+    ///
+    /// `isa` is the caller's kernel family: `Avx2` and `Avx512` build on
+    /// the AVX2 builder (there is no wider one), any other family — or an
+    /// AVX family the host lacks — on its scalar twin. The bytes are the
+    /// same either way.
     pub(crate) fn build_on(
         pool: Option<&ThreadPool>,
+        isa: Isa,
         acts: &[f32],
         rows: usize,
         group_size: usize,
         opts: &KernelOpts,
-    ) -> Result<Self, TmacError> {
-        Self::build_with(pool, acts, rows, group_size, opts, true)
-    }
-
-    /// [`ActTables::build_on`] on the AVX2 builder where the host has it and
-    /// `simd` asks for it, else on its scalar twin (the same bytes).
-    fn build_with(
-        pool: Option<&ThreadPool>,
-        acts: &[f32],
-        rows: usize,
-        group_size: usize,
-        opts: &KernelOpts,
-        simd: bool,
     ) -> Result<Self, TmacError> {
         let k = acts.len().checked_div(rows).unwrap_or(0);
         if k == 0
@@ -326,7 +312,7 @@ impl ActTables {
             rows,
             group_size,
             mirror,
-            avx2: simd && avx2_available(),
+            avx2: matches!(isa, Isa::Avx2 | Isa::Avx512) && Isa::Avx2.available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
             q_tables: SharedMut::new(&mut tables.q_tables),
             u_tables: SharedMut::new(&mut tables.u_tables),
@@ -588,7 +574,7 @@ mod tests {
 
     /// Whether the twin-equality checks can run here, printing why not.
     fn twin_check_runs() -> bool {
-        let simd = avx2_available();
+        let simd = Isa::Avx2.available();
         if !simd {
             println!(
                 "skipped the AVX2-vs-scalar twin check: the AVX2 builder does not run on this host"
@@ -639,7 +625,8 @@ mod tests {
                     let k = gs * (1 + (rows + gi + pi) % 3);
                     let acts = generated(rows * k, (rows * 64 + gi * 8 + pi) as u64);
                     let pool = (rows % 2 == 0).then_some(&pool);
-                    let batch = ActTables::build_on(pool, &acts, rows, gs, opts).unwrap();
+                    let batch =
+                        ActTables::build_on(pool, Isa::detect(), &acts, rows, gs, opts).unwrap();
                     assert_eq!(
                         (batch.rows, batch.k, batch.k / batch.group_size),
                         (rows, k, k / gs)
@@ -653,7 +640,7 @@ mod tests {
                     let what = format!("gs={gs} profile={pi} rows={rows}");
                     if twins {
                         let twin =
-                            ActTables::build_with(pool, &acts, rows, gs, opts, false).unwrap();
+                            ActTables::build_on(pool, Isa::Scalar, &acts, rows, gs, opts).unwrap();
                         assert_twin(&batch, &twin, &what);
                     }
                     check(opts, &batch, &ones, &what);
@@ -793,7 +780,7 @@ mod tests {
             .concat();
             for (pi, opts) in profiles.iter().enumerate() {
                 let simd = ActTables::build(&acts, 1, gs, opts).unwrap();
-                let twin = ActTables::build_with(None, &acts, 1, gs, opts, false).unwrap();
+                let twin = ActTables::build_on(None, Isa::Scalar, &acts, 1, gs, opts).unwrap();
                 assert_twin(&simd, &twin, &format!("gs={gs} profile={pi}"));
             }
         }
@@ -818,7 +805,7 @@ mod tests {
             a[bad] = f32::NAN;
             for pool in [None, Some(&pool)] {
                 assert!(matches!(
-                    ActTables::build_on(pool, &a, 5, 32, &KernelOpts::tmac()),
+                    ActTables::build_on(pool, Isa::detect(), &a, 5, 32, &KernelOpts::tmac()),
                     Err(TmacError::Numeric(_))
                 ));
             }

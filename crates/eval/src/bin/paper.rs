@@ -388,10 +388,10 @@ fn fig10(quick: bool) -> Vec<Claim> {
 }
 
 /// Table 1: look-up and aggregation intrinsics per instruction set, and
-/// what this host dispatches to. It checks nothing.
+/// the kernel family this host runs. It checks nothing.
 fn table1(_quick: bool) -> Vec<Claim> {
     let mut table = Table::new(&["instruction set", "look-up", "fast aggregation", "lanes"]);
-    for isa in [Isa::Neon, Isa::Avx2, Isa::Scalar] {
+    for isa in [Isa::Neon, Isa::Avx2, Isa::Avx512, Isa::Scalar] {
         let name = isa.name().to_uppercase();
         let (lookup, aggregation) = (isa.lookup_intrinsic(), isa.aggregation_intrinsic());
         let lanes = isa.lookups_per_instr().to_string();
@@ -400,7 +400,7 @@ fn table1(_quick: bool) -> Vec<Claim> {
     let active = Isa::detect();
     println!(
         "Table 1: look-up / aggregation intrinsics per ISA\n\n{table}\n\
-         Active backend on this host: {} ({} parallel 8-bit lookups per instruction)\n",
+         Kernel family on this host: {} ({} parallel 8-bit lookups per instruction)\n",
         active.name(),
         active.lookups_per_instr()
     );
@@ -677,7 +677,10 @@ fn scorecard_md(host: &str, quick: bool, claims: &[Claim]) -> String {
          Each row checks the direction the paper claims, not its ARM magnitudes,\n\
          so a speed verdict holds for this host only. The bit-scaling row reads\n\
          its weights from L3 on any host whose L3 holds a 4096² plan; the\n\
-         DRAM-tier form waits for ROADMAP's DRAM item.\n\n\
+         DRAM-tier form waits for ROADMAP's DRAM item. The dequant baseline\n\
+         (llama.cpp's kernels) is AVX2-only: on an `avx512` host the T-MAC side\n\
+         of the Fig 6/7/8 ratios runs `zmm` kernels, so those rows compare\n\
+         unequal ISAs.\n\n\
          {COLUMNS}\n{rows}"
     )
 }

@@ -4,9 +4,10 @@
 //! capabilities:
 //!
 //! 1. **Parallel 8-bit table lookup** — `PSHUFB`/`_mm256_shuffle_epi8` on x86
-//!    AVX2, `TBL`/`vqtbl1q_u8` on ARM NEON (paper Table 1). A 16-entry `i8`
-//!    table fits exactly in one 128-bit lane, so one instruction performs 16
-//!    (NEON) or 32 (AVX2, table duplicated per lane) lookups.
+//!    AVX2 (`_mm512_shuffle_epi8` on AVX-512BW), `TBL`/`vqtbl1q_u8` on ARM
+//!    NEON (paper Table 1). A 16-entry `i8` table fits exactly in one 128-bit
+//!    lane, so one instruction performs 16 (NEON), 32 (AVX2) or 64
+//!    (AVX-512BW) lookups, the table duplicated per lane.
 //! 2. **Widening accumulation** — `i8` lookup results are summed into `i16`
 //!    accumulators without overflow.
 //! 3. **Fast 8-bit aggregation** — `_mm256_avg_epu8`/`vrhaddq_u8` rounding
@@ -14,19 +15,22 @@
 //!    "Fast 8-bit aggregation").
 //!
 //! This crate provides those primitives plus the generic `f32`/`i8` vector
-//! helpers used by the rest of the workspace, with two backends:
+//! helpers used by the rest of the workspace, in three modules:
 //!
 //! * [`scalar`] — portable reference implementations. Always available; also
 //!   the oracle for the SIMD backends' unit tests.
 //! * `avx2` — x86-64 AVX2 implementations (runtime-detected).
+//! * `avx512` — the length-checked `zmm` loads and stores of `tmac-core`'s
+//!   AVX-512BW kernels (x86-64, runtime-detected); everything else those
+//!   kernels use is `avx2`'s.
 //!
 //! # Safety policy
 //!
 //! All `unsafe` in the workspace's hot paths is confined to this crate and to
-//! `tmac-core`'s AVX2 kernels. Every `unsafe` block carries a `// SAFETY:`
+//! `tmac-core`'s SIMD kernels. Every `unsafe` block carries a `// SAFETY:`
 //! comment. SIMD entry points are `#[target_feature]` functions; callers must
-//! verify support once (see [`Isa::detect`]) and are then allowed to call the
-//! whole kernel family.
+//! verify support once (see [`Isa::detect`] and [`Isa::available`]) and are
+//! then allowed to call the whole kernel family.
 //!
 //! # Examples
 //!
@@ -46,6 +50,8 @@ pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub mod avx512;
 
 /// Instruction-set architecture selected at runtime.
 ///
@@ -59,11 +65,17 @@ pub enum Isa {
     Scalar,
     /// x86-64 AVX2 (256-bit, `PSHUFB`-class lookups).
     Avx2,
+    /// x86-64 AVX-512BW (512-bit `vpshufb`; also needs AVX-512F, AVX2 and
+    /// FMA, since the kernels keep AVX2's table build and fold helpers).
+    Avx512,
     /// AArch64 NEON (128-bit, `TBL` lookups).
     Neon,
 }
 
 impl Isa {
+    /// Every ISA, narrowest first.
+    pub const ALL: [Isa; 4] = [Isa::Scalar, Isa::Neon, Isa::Avx2, Isa::Avx512];
+
     /// Detects the best available ISA on the current CPU.
     ///
     /// Detection is a runtime check (`is_x86_feature_detected!`), so binaries
@@ -71,21 +83,30 @@ impl Isa {
     /// code instead of executing illegal instructions (which would be
     /// undefined behavior).
     pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // FMA is required alongside AVX2: the f32 kernels use fused
-            // multiply-adds. Every AVX2-era core (Haswell+) provides both.
-            if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-                return Isa::Avx2;
-            }
+        Self::ALL
+            .into_iter()
+            .rev()
+            .find(|isa| isa.available())
+            .unwrap_or(Isa::Scalar)
+    }
+
+    /// Whether the running CPU can execute this ISA's kernels.
+    ///
+    /// FMA is required alongside AVX2: the f32 kernels use fused
+    /// multiply-adds (every AVX2-era core, Haswell+, has both). `Avx512`
+    /// needs AVX-512F and AVX-512BW on top, for the byte-granular `zmm`
+    /// shuffle, multiply-add and masks.
+    pub fn available(self) -> bool {
+        match self {
+            Isa::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::available(),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => avx512::available(),
+            #[cfg(target_arch = "aarch64")]
+            Isa::Neon => std::arch::is_aarch64_feature_detected!("neon"),
+            _ => false,
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                return Isa::Neon;
-            }
-        }
-        Isa::Scalar
     }
 
     /// Human-readable backend name.
@@ -93,6 +114,7 @@ impl Isa {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
             Isa::Neon => "neon",
         }
     }
@@ -102,15 +124,18 @@ impl Isa {
         match self {
             Isa::Scalar => "array index (portable)",
             Isa::Avx2 => "_mm256_shuffle_epi8",
+            Isa::Avx512 => "_mm512_shuffle_epi8",
             Isa::Neon => "vqtbl1q_u8",
         }
     }
 
     /// The fast-aggregation intrinsic this ISA dispatches to (paper Table 1).
+    ///
+    /// `Avx512` names AVX2's: fast aggregation stays on the AVX2 kernels.
     pub fn aggregation_intrinsic(self) -> &'static str {
         match self {
             Isa::Scalar => "(a + b + 1) >> 1 (portable)",
-            Isa::Avx2 => "_mm256_avg_epu8",
+            Isa::Avx2 | Isa::Avx512 => "_mm256_avg_epu8",
             Isa::Neon => "vrhaddq_u8",
         }
     }
@@ -120,6 +145,7 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 32,
+            Isa::Avx512 => 64,
             Isa::Neon => 16,
         }
     }
@@ -129,6 +155,7 @@ impl Isa {
         match self {
             Isa::Scalar => 1,
             Isa::Avx2 => 32,
+            Isa::Avx512 => 64,
             Isa::Neon => 16,
         }
     }
@@ -153,7 +180,7 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let all = [Isa::Scalar, Isa::Avx2, Isa::Neon];
+        let all = Isa::ALL;
         for (i, x) in all.iter().enumerate() {
             for y in &all[i + 1..] {
                 assert_ne!(x.name(), y.name());
@@ -164,7 +191,7 @@ mod tests {
 
     #[test]
     fn widths_match_lookups() {
-        for isa in [Isa::Scalar, Isa::Avx2, Isa::Neon] {
+        for isa in Isa::ALL {
             assert_eq!(isa.width_bytes(), isa.lookups_per_instr());
         }
     }
@@ -172,8 +199,21 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_detects_at_least_scalar() {
-        // On the CI host AVX2 is available; elsewhere scalar is fine.
+        // The widest family the host has: AVX-512BW hosts get `Avx512`,
+        // other AVX2 hosts `Avx2`, anything else scalar.
         let isa = Isa::detect();
-        assert!(matches!(isa, Isa::Avx2 | Isa::Scalar));
+        assert!(matches!(isa, Isa::Avx512 | Isa::Avx2 | Isa::Scalar));
+        assert!(isa.available());
+        let want = if Isa::Avx512.available() {
+            Isa::Avx512
+        } else if Isa::Avx2.available() {
+            Isa::Avx2
+        } else {
+            Isa::Scalar
+        };
+        assert_eq!(isa, want);
+        // The families nest: AVX-512 implies AVX2.
+        assert!(!Isa::Avx512.available() || Isa::Avx2.available());
+        assert!(!Isa::Neon.available());
     }
 }

@@ -1,7 +1,8 @@
 //! Batched-serving equivalence tests: `Model::forward_batch` with `B`
 //! sequences must be *bit-exact* against `B` independent `Model::forward`
 //! runs with the same tokens and positions, across bit-widths, backends,
-//! batch sizes that don't divide the mpGEMM row block, and thread counts.
+//! batch sizes that don't divide the mpGEMM row block, thread counts, and
+//! every kernel family the host executes (`common::families`).
 //!
 //! Thread count comes from `TMAC_TEST_THREADS` (default 2) so CI can run
 //! the same tests under a 1-thread and an N-thread pool to catch
@@ -9,16 +10,12 @@
 
 mod common;
 
-use common::test_threads;
+use common::family_ctxs;
 use tmac::core::ExecCtx;
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, WeightQuant,
 };
-
-fn ctx() -> ExecCtx {
-    ExecCtx::new(test_threads())
-}
 
 fn model(quant: WeightQuant, kind: BackendKind, seed: u64) -> Model {
     Model::synthetic(&ModelConfig::tiny(), quant, kind, seed).unwrap()
@@ -59,7 +56,8 @@ fn assert_batch_equals_singles(m: &Model, b: usize, steps: usize, ctx: &ExecCtx)
             assert_eq!(
                 scratch.logits_row(r),
                 &single_logits[r][pos][..],
-                "row {r} step {pos} diverged from the single-stream forward"
+                "{}: row {r} step {pos} diverged from the single-stream forward",
+                ctx.isa()
             );
         }
     }
@@ -69,41 +67,44 @@ fn assert_batch_equals_singles(m: &Model, b: usize, steps: usize, ctx: &ExecCtx)
 fn forward_batch_is_bit_exact_across_bits() {
     // The acceptance property: every bit-width, a batch size (5) that is
     // neither a multiple of the mpGEMM row block (8) nor of any tile.
-    let ctx = ctx();
-    for bits in 1..=4u8 {
-        let m = model(
-            WeightQuant::Rtn(bits),
-            BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-            31 + bits as u64,
-        );
-        assert_batch_equals_singles(&m, 5, 3, &ctx);
+    for ctx in family_ctxs() {
+        for bits in 1..=4u8 {
+            let m = model(
+                WeightQuant::Rtn(bits),
+                BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+                31 + bits as u64,
+            );
+            assert_batch_equals_singles(&m, 5, 3, &ctx);
+        }
     }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_beyond_the_row_block() {
     // B = 11 spans two mpGEMM row blocks (n_block = 8) unevenly.
-    let ctx = ctx();
-    let m = model(
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        77,
-    );
-    assert_batch_equals_singles(&m, 11, 2, &ctx);
+    for ctx in family_ctxs() {
+        let m = model(
+            WeightQuant::Rtn(2),
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+            77,
+        );
+        assert_batch_equals_singles(&m, 11, 2, &ctx);
+    }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_on_every_backend() {
-    let ctx = ctx();
-    for kind in [
-        BackendKind::F32,
-        BackendKind::Dequant,
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac_mirror()),
-    ] {
-        let m = model(WeightQuant::Rtn(3), kind, 5);
-        assert_batch_equals_singles(&m, 3, 2, &ctx);
+    for ctx in family_ctxs() {
+        for kind in [
+            BackendKind::F32,
+            BackendKind::Dequant,
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac_mirror()),
+        ] {
+            let m = model(WeightQuant::Rtn(3), kind, 5);
+            assert_batch_equals_singles(&m, 3, 2, &ctx);
+        }
     }
 }
 
@@ -112,24 +113,26 @@ fn forward_batch_is_bit_exact_across_register_blockings() {
     // The multi-row kernel must not change a bit whatever the row blocking:
     // blocks of one row, an odd block the batch straddles unevenly, a batch
     // that exactly fills blocks, and a block larger than the batch.
-    let ctx = ctx();
-    for (n_block, batch) in [(1usize, 5usize), (3, 7), (4, 8), (8, 9), (16, 5)] {
-        let mut opts = tmac::core::KernelOpts::tmac();
-        opts.n_block = n_block;
-        let m = model(WeightQuant::Rtn(2), BackendKind::Tmac(opts), 31);
-        assert_batch_equals_singles(&m, batch, 2, &ctx);
+    for ctx in family_ctxs() {
+        for (n_block, batch) in [(1usize, 5usize), (3, 7), (4, 8), (8, 9), (16, 5)] {
+            let mut opts = tmac::core::KernelOpts::tmac();
+            opts.n_block = n_block;
+            let m = model(WeightQuant::Rtn(2), BackendKind::Tmac(opts), 31);
+            assert_batch_equals_singles(&m, batch, 2, &ctx);
+        }
     }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_for_bitnet_ternary() {
-    let ctx = ctx();
-    let m = model(
-        WeightQuant::BitnetTernary,
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        13,
-    );
-    assert_batch_equals_singles(&m, 5, 2, &ctx);
+    for ctx in family_ctxs() {
+        let m = model(
+            WeightQuant::BitnetTernary,
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+            13,
+        );
+        assert_batch_equals_singles(&m, 5, 2, &ctx);
+    }
 }
 
 #[test]
@@ -137,42 +140,43 @@ fn batched_prefill_equals_sequential_prefill() {
     // A whole prompt through forward_batch (one cache, successive
     // positions) against token-at-a-time forwards: same final logits, same
     // KV contents as far as subsequent decoding can observe.
-    let ctx = ctx();
-    let m = model(
-        WeightQuant::Rtn(2),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        91,
-    );
-    let prompt: Vec<u32> = (0..19).map(|i| (i * 5 + 2) % m.cfg.vocab as u32).collect();
+    for ctx in family_ctxs() {
+        let m = model(
+            WeightQuant::Rtn(2),
+            BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+            91,
+        );
+        let prompt: Vec<u32> = (0..19).map(|i| (i * 5 + 2) % m.cfg.vocab as u32).collect();
 
-    let mut engine = Engine::new(m.clone());
-    let batched = engine.prefill(&prompt, &ctx).unwrap();
-    let after = engine.step(
-        batched.len() as u32 % m.cfg.vocab as u32,
-        prompt.len(),
-        &ctx,
-    );
+        let mut engine = Engine::new(m.clone());
+        let batched = engine.prefill(&prompt, &ctx).unwrap();
+        let after = engine.step(
+            batched.len() as u32 % m.cfg.vocab as u32,
+            prompt.len(),
+            &ctx,
+        );
 
-    let mut cache = KvCache::new(&m.cfg);
-    let mut s = BatchScratch::new(&m.cfg, 1);
-    for (pos, &t) in prompt.iter().enumerate() {
-        m.forward(t, pos, &mut cache, &mut s, &ctx).unwrap();
+        let mut cache = KvCache::new(&m.cfg);
+        let mut s = BatchScratch::new(&m.cfg, 1);
+        for (pos, &t) in prompt.iter().enumerate() {
+            m.forward(t, pos, &mut cache, &mut s, &ctx).unwrap();
+        }
+        assert_eq!(batched, s.logits_row(0), "prefill logits diverged");
+        // Decoding continues identically from the batched-prefill cache.
+        m.forward(
+            batched.len() as u32 % m.cfg.vocab as u32,
+            prompt.len(),
+            &mut cache,
+            &mut s,
+            &ctx,
+        )
+        .unwrap();
+        assert_eq!(
+            after.unwrap(),
+            s.logits_row(0),
+            "post-prefill decode diverged"
+        );
     }
-    assert_eq!(batched, s.logits_row(0), "prefill logits diverged");
-    // Decoding continues identically from the batched-prefill cache.
-    m.forward(
-        batched.len() as u32 % m.cfg.vocab as u32,
-        prompt.len(),
-        &mut cache,
-        &mut s,
-        &ctx,
-    )
-    .unwrap();
-    assert_eq!(
-        after.unwrap(),
-        s.logits_row(0),
-        "post-prefill decode diverged"
-    );
 }
 
 #[test]
@@ -180,48 +184,49 @@ fn scheduler_serves_bit_identical_sequences_at_any_batch_size() {
     // The end-to-end serving property: whatever the batching schedule,
     // every request gets the tokens a dedicated single-stream engine would
     // have produced.
-    let ctx = ctx();
-    let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let prompts: Vec<Vec<u32>> = (0..6)
-        .map(|i| {
-            (0..(i % 3 + 1))
-                .map(|j| (i * 7 + j * 3 + 1) as u32)
-                .collect()
-        })
-        .collect();
-    let n_new = 5;
-
-    let mut engine = Engine::new(model(WeightQuant::Rtn(2), kind, 23));
-    let singles: Vec<Vec<u32>> = prompts
-        .iter()
-        .map(|p| {
-            engine
-                .generate(&GenRequest::greedy(p, n_new), &ctx)
-                .unwrap()
-                .tokens
-        })
-        .collect();
-
-    for max_batch in [1, 3, 16] {
-        let mut sched = Scheduler::new(
-            model(WeightQuant::Rtn(2), kind, 23),
-            SchedulerConfig {
-                max_batch,
-                prefill_chunk: 4,
-                ..SchedulerConfig::default()
-            },
-        );
-        let ids: Vec<_> = prompts
-            .iter()
-            .map(|p| sched.submit(SubmitRequest::greedy(p, n_new)).unwrap())
+    for ctx in family_ctxs() {
+        let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
+        let prompts: Vec<Vec<u32>> = (0..6)
+            .map(|i| {
+                (0..(i % 3 + 1))
+                    .map(|j| (i * 7 + j * 3 + 1) as u32)
+                    .collect()
+            })
             .collect();
-        let done = sched.run_to_completion(&ctx).unwrap();
-        for (i, id) in ids.iter().enumerate() {
-            let f = done.iter().find(|f| f.id == *id).unwrap();
-            assert_eq!(
-                f.tokens, singles[i],
-                "max_batch={max_batch} sequence {i} diverged"
+        let n_new = 5;
+
+        let mut engine = Engine::new(model(WeightQuant::Rtn(2), kind, 23));
+        let singles: Vec<Vec<u32>> = prompts
+            .iter()
+            .map(|p| {
+                engine
+                    .generate(&GenRequest::greedy(p, n_new), &ctx)
+                    .unwrap()
+                    .tokens
+            })
+            .collect();
+
+        for max_batch in [1, 3, 16] {
+            let mut sched = Scheduler::new(
+                model(WeightQuant::Rtn(2), kind, 23),
+                SchedulerConfig {
+                    max_batch,
+                    prefill_chunk: 4,
+                    ..SchedulerConfig::default()
+                },
             );
+            let ids: Vec<_> = prompts
+                .iter()
+                .map(|p| sched.submit(SubmitRequest::greedy(p, n_new)).unwrap())
+                .collect();
+            let done = sched.run_to_completion(&ctx).unwrap();
+            for (i, id) in ids.iter().enumerate() {
+                let f = done.iter().find(|f| f.id == *id).unwrap();
+                assert_eq!(
+                    f.tokens, singles[i],
+                    "max_batch={max_batch} sequence {i} diverged"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Helpers shared by the integration suites: the pool size under test, the
-//! synthetic models, server start-up, a minimal blocking HTTP client
-//! (one-shot, keep-alive and mid-stream-abort requests), and the
-//! Scheduler-direct reference.
+//! Helpers shared by the integration suites: the pool size and kernel
+//! families under test, the synthetic models, server start-up, a minimal
+//! blocking HTTP client (one-shot, keep-alive and mid-stream-abort
+//! requests), and the Scheduler-direct reference.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -13,6 +13,7 @@ use tmac::llm::{
     BackendKind, Model, ModelConfig, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
 };
 use tmac::serve::{Json, ServerConfig, ServerHandle};
+use tmac::simd::Isa;
 
 pub const SEED: u64 = 42;
 
@@ -25,6 +26,31 @@ pub fn test_threads() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(2)
+}
+
+/// The kernel families this host executes, narrowest first — `Scalar` on
+/// every host, so x86 runs its portable kernels too. Prints each family it
+/// leaves out and why (e.g. `avx512` on a CPU without AVX-512BW).
+pub fn families() -> Vec<Isa> {
+    Isa::ALL
+        .into_iter()
+        .filter(|&isa| {
+            let runs = isa.available();
+            if !runs {
+                println!("skipped the {isa} kernel family: this CPU cannot execute it");
+            }
+            runs
+        })
+        .collect()
+}
+
+/// One context per family of [`families`], each on a
+/// [`test_threads`]-thread pool.
+pub fn family_ctxs() -> Vec<ExecCtx> {
+    families()
+        .into_iter()
+        .map(|isa| ExecCtx::with_isa(test_threads(), isa).unwrap())
+        .collect()
 }
 
 pub fn tiny_model() -> Model {

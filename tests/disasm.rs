@@ -2,22 +2,26 @@
 //! and the table build.
 //!
 //! The kernel win of the paired stream is an instruction-mix claim: per
-//! 32-byte weight load the GEMV loop issues exactly two `vpshufb` and no
-//! other shuffle-port work, and the mpGEMM row loop looks a decoded scale
-//! block up with its accumulators in registers. The table build's claim is
-//! the same kind: its k-group loop is vector code. A refactor (or a compiler
-//! upgrade) can lose that silently while every numerical test stays green,
-//! so this test disassembles *this test binary's own copy* of the kernels
-//! (`#[inline(never)]` keeps them findable) and checks the loops.
+//! 32-byte weight load the AVX2 GEMV loop issues exactly two `vpshufb` and
+//! no other shuffle-port work, and the mpGEMM row loop looks a decoded
+//! scale block up with its accumulators in registers. The `Avx512` family's
+//! `zmm` kernels make the same claims per 64-byte load, on `zmm` only. The
+//! table build's claim is the same kind: its k-group loop is vector code. A
+//! refactor (or a compiler upgrade) can lose that silently while every
+//! numerical test stays green, so this test disassembles *this test
+//! binary's own copy* of the kernels (`#[inline(never)]` keeps them
+//! findable) and checks the loops.
 //!
 //! It needs optimized code and `objdump`; it skips, printing why, in debug
-//! builds, without AVX2, or where `/usr/bin/objdump` is not installed.
-//! CI runs it with `cargo test --release -p tmac --test disasm`.
+//! builds, without AVX2 (the `zmm` checks: without AVX-512BW), or where
+//! `/usr/bin/objdump` is not installed. CI runs it with
+//! `cargo test --release -p tmac --test disasm`.
 
 #![cfg(target_arch = "x86_64")]
 
 use std::process::Command;
 use tmac::core::{ExecCtx, KernelOpts, TmacLinear};
+use tmac::simd::Isa;
 
 /// One disassembled instruction: address and `mnemonic operands` text.
 struct Insn {
@@ -40,38 +44,61 @@ impl Insn {
         u64::from_str_radix(words.next()?, 16).ok()
     }
 
-    /// A 256-bit store into the stack frame: a register spill (or a write
-    /// to a stack buffer, which the checked loops must not do either).
-    fn is_ymm_stack_store(&self) -> bool {
+    /// A 256- or 512-bit store into the stack frame: a register spill (or a
+    /// write to a stack buffer, which the checked loops must not do either).
+    fn is_vector_stack_store(&self) -> bool {
         let Some((_, dst)) = self.text.rsplit_once(',') else {
             return false;
         };
-        self.text.starts_with("vmov") && dst.contains("(%rsp") && self.text.contains("%ymm")
+        self.text.starts_with("vmov")
+            && dst.contains("(%rsp")
+            && (self.text.contains("%ymm") || self.text.contains("%zmm"))
     }
 
-    /// Shuffle-port work the paired stream exists to remove.
+    /// Shuffle-port work the paired stream exists to remove (the `zmm`
+    /// cross-lane permutes and lane moves included).
     fn is_lane_fixup(&self) -> bool {
-        ["vpunpck", "vperm2i128", "vpermq", "vpalignr"]
-            .iter()
-            .any(|m| self.text.starts_with(m))
+        [
+            "vpunpck",
+            "vperm2i128",
+            "vpermq",
+            "vpalignr",
+            "vpermt2",
+            "vpermi2",
+            "vshufi",
+            "vinserti",
+            "vextracti",
+        ]
+        .iter()
+        .any(|m| self.text.starts_with(m))
+    }
+
+    /// Whether every vector register this instruction names is a `zmm`.
+    fn zmm_only(&self) -> bool {
+        !self.text.contains("%ymm") && !self.text.contains("%xmm")
+    }
+
+    /// The nibble split of a weight load: `vpsrlw $4` on `reg` registers.
+    fn is_nibble_split(&self, reg: &str) -> bool {
+        self.is("vpsrlw") && self.text.contains("$0x4,") && self.text.contains(reg)
     }
 }
 
-/// Runs the paired kernels once (so the linker keeps them) and returns the
-/// disassembly of every function whose demangled name contains `name`.
-fn disassemble(name: &str) -> Option<Vec<Vec<Insn>>> {
+/// Runs the paired kernels of the family `isa` once (so the linker keeps
+/// them) and returns the disassembly of every function whose demangled
+/// name contains `name`.
+fn disassemble(isa: Isa, name: &str) -> Option<Vec<Vec<Insn>>> {
     if cfg!(debug_assertions) {
         println!("skipped: debug build (run with --release; the loops are unoptimized)");
         return None;
     }
-    if !tmac::simd::avx2::available() {
-        println!("skipped: the AVX2 kernels do not run on this host");
+    let Ok(ctx) = ExecCtx::with_isa(1, isa) else {
+        println!("skipped: the {isa} kernels do not run on this host");
         return None;
-    }
+    };
     let w: Vec<f32> = (0..64 * 128).map(|i| (i as f32 * 0.37).sin()).collect();
     let act: Vec<f32> = (0..3 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
     let lin = TmacLinear::from_f32(&w, 64, 128, 2, 32, KernelOpts::tmac()).unwrap();
-    let ctx = ExecCtx::new(1);
     let mut out = vec![0f32; 3 * 64];
     lin.gemv(&act[..128], &mut out[..64], &ctx).unwrap();
     lin.gemm(&act, 3, &mut out, &ctx).unwrap();
@@ -153,7 +180,7 @@ fn innermost_with<'a>(f: &'a [Insn], mnemonic: &str) -> Vec<&'a [Insn]> {
 
 #[test]
 fn gemv_loop_is_two_shuffles_per_weight_load() {
-    let Some(funcs) = disassemble("mtile_paired_bits") else {
+    let Some(funcs) = disassemble(Isa::Avx2, "avx2::mtile_paired_bits") else {
         return;
     };
     let mut w2_hot_loops = 0;
@@ -161,10 +188,7 @@ fn gemv_loop_is_two_shuffles_per_weight_load() {
         // Every 32-byte weight load is nibble-split by exactly one
         // `vpsrlw $4`; count the lookups against those.
         for body in innermost_with(f, "vpshufb") {
-            let loads = body
-                .iter()
-                .filter(|i| i.is("vpsrlw") && i.text.contains("$0x4,") && i.text.contains("%ymm"))
-                .count();
+            let loads = body.iter().filter(|i| i.is_nibble_split("%ymm")).count();
             if loads == 0 {
                 continue;
             }
@@ -182,7 +206,7 @@ fn gemv_loop_is_two_shuffles_per_weight_load() {
             // values than AVX2 has registers; the default loops must not
             // spill.
             let mirror = count(body, "vpsignb") > 0;
-            let spills = body.iter().any(Insn::is_ymm_stack_store);
+            let spills = body.iter().any(Insn::is_vector_stack_store);
             assert!(mirror || !spills, "spill:\n{dump}");
             // The 2-bit, non-mirror body: two loads and one combine constant
             // (`vpmaddubsw` per lookup, nothing else widening).
@@ -206,7 +230,7 @@ fn gemv_loop_is_two_shuffles_per_weight_load() {
 /// and a `ymm` store to the stack means a spill.
 #[test]
 fn table_build_loop_is_vector_only() {
-    let Some(funcs) = disassemble("avx2::block_entries") else {
+    let Some(funcs) = disassemble(Isa::Avx2, "avx2::block_entries") else {
         return;
     };
     let mut build_loops = 0;
@@ -217,7 +241,10 @@ fn table_build_loop_is_vector_only() {
                 !body.iter().any(|i| i.is("vaddss") || i.is("addss")),
                 "scalar add:\n{dump}"
             );
-            assert!(!body.iter().any(Insn::is_ymm_stack_store), "spill:\n{dump}");
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
             build_loops += 1;
         }
     }
@@ -230,7 +257,7 @@ fn table_build_loop_is_vector_only() {
 
 #[test]
 fn gemm_row_loop_keeps_accumulators_in_registers() {
-    let Some(funcs) = disassemble("gemm_mtile_bits") else {
+    let Some(funcs) = disassemble(Isa::Avx2, "avx2::gemm_mtile_bits") else {
         return;
     };
     let mut w2_row_loops = 0;
@@ -248,7 +275,7 @@ fn gemm_row_loop_keeps_accumulators_in_registers() {
                 "lane fix-up:\n{dump}"
             );
             let mirror = count(body, "vpsignb") > 0;
-            let spills = body.iter().any(Insn::is_ymm_stack_store);
+            let spills = body.iter().any(Insn::is_vector_stack_store);
             assert!(mirror || !spills, "spill:\n{dump}");
             // 2-bit, non-mirror: 4 lookups per pair — 16 per (row, scale
             // block) over the 4 pairs of a 32-wide group.
@@ -269,7 +296,7 @@ fn gemm_row_loop_keeps_accumulators_in_registers() {
                 continue;
             };
             assert!(
-                !row.iter().any(Insn::is_ymm_stack_store),
+                !row.iter().any(Insn::is_vector_stack_store),
                 "row loop spills:\n{}",
                 listing(row)
             );
@@ -279,6 +306,129 @@ fn gemm_row_loop_keeps_accumulators_in_registers() {
     assert!(
         w2_row_loops >= 1,
         "no 2-bit mpGEMM row loop found in {} symbols",
+        funcs.len()
+    );
+}
+
+/// The `zmm` GEMV loop: per 64-byte weight load one `vpshufb zmm` per 64
+/// lookups — two per plane pair, one per lone plane, plus one per mirror
+/// table expansion — every shuffle on `zmm`, no lane fix-ups, no spills.
+#[test]
+fn zmm_gemv_loop_is_one_shuffle_per_64_lookups() {
+    let Some(funcs) = disassemble(Isa::Avx512, "avx512::mtile_paired_bits") else {
+        return;
+    };
+    let mut w2_hot_loops = 0;
+    for f in &funcs {
+        for body in innermost_with(f, "vpshufb") {
+            // Plane-pair loads split with a `vpsrlw $4`; a lone plane's
+            // `[lo | hi]` shifts only its upper half (a masked `vpsrlw`, or
+            // the `vpsrlvw` the compiler may turn it into).
+            let pairs = body
+                .iter()
+                .filter(|i| i.is_nibble_split("%zmm") && !i.text.contains("{%k"))
+                .count();
+            let lone = body
+                .iter()
+                .filter(|i| i.is_nibble_split("%zmm") || i.is("vpsrlvw"))
+                .count()
+                - pairs;
+            if pairs + lone == 0 {
+                continue;
+            }
+            let expansions = count(body, "vbroadcasti32x4");
+            let dump = listing(body);
+            let shuffles: Vec<_> = body.iter().filter(|i| i.is("vpshufb")).collect();
+            assert!(shuffles.iter().all(|i| i.zmm_only()), "ymm lookup:\n{dump}");
+            assert_eq!(
+                shuffles.len(),
+                2 * pairs + lone + expansions,
+                "lookups per load:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_lane_fixup),
+                "lane fix-up:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
+            // Even widths without mirror: one `vpmaddubsw` and one `vpaddw`
+            // per lookup, and the 2-bit body one `vbroadcasti64x4` table
+            // operand per load.
+            if lone == 0 && expansions == 0 {
+                assert_eq!(count(body, "vpmaddubsw"), 2 * pairs, "widens:\n{dump}");
+                assert_eq!(count(body, "vpaddw"), 2 * pairs, "accumulates:\n{dump}");
+                if count(body, "vbroadcasti64x4") == pairs {
+                    w2_hot_loops += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        w2_hot_loops >= 1,
+        "no 2-bit zmm GEMV loop found in {} symbols",
+        funcs.len()
+    );
+}
+
+/// The `zmm` multi-row kernel's k-group-pair loop looks decoded indices up
+/// from memory on `zmm` only, and its row loop keeps every accumulator in
+/// registers.
+#[test]
+fn zmm_gemm_row_loop_keeps_accumulators_in_registers() {
+    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_mtile_bits") else {
+        return;
+    };
+    let mut w2_row_loops = 0;
+    for f in &funcs {
+        let all = loops(f);
+        for body in innermost_with(f, "vpshufb") {
+            // Skip the loops that split nibbles themselves.
+            if count(body, "vpsrlw") > 0 {
+                continue;
+            }
+            let dump = listing(body);
+            assert!(
+                body.iter().filter(|i| i.is("vpshufb")).all(Insn::zmm_only),
+                "ymm lookup:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_lane_fixup),
+                "lane fix-up:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
+            // 2-bit, non-mirror: 2 lookups per k-group pair.
+            let two_bit = count(body, "vpmaddubsw") == count(body, "vpshufb")
+                && count(body, "vbroadcasti32x4") == 0
+                && count(body, "vpshufb") == 2 * count(body, "vbroadcasti64x4");
+            if !two_bit {
+                continue;
+            }
+            let (inner_head, inner_tail) = (body[0].addr, body[body.len() - 1].addr);
+            let row = all
+                .iter()
+                .map(|&(h, t)| &f[h..=t])
+                .filter(|l| l[0].addr <= inner_head && inner_tail <= l[l.len() - 1].addr)
+                .filter(|l| count(l, "vcvtdq2ps") > 0)
+                .min_by_key(|l| l.len());
+            let Some(row) = row else {
+                continue;
+            };
+            assert!(
+                !row.iter().any(Insn::is_vector_stack_store),
+                "row loop spills:\n{}",
+                listing(row)
+            );
+            w2_row_loops += 1;
+        }
+    }
+    assert!(
+        w2_row_loops >= 1,
+        "no 2-bit zmm mpGEMM row loop found in {} symbols",
         funcs.len()
     );
 }

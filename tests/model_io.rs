@@ -15,11 +15,13 @@
 //! * A model served through the `Scheduler` **from the file** produces the
 //!   tokens the in-memory single-stream engine produces.
 //!
-//! Thread count comes from `TMAC_TEST_THREADS` (default 2).
+//! The logits cases run on every kernel family the host executes
+//! (`common::families`), and a loaded model's `Avx512` logits equal its
+//! `Avx2` logits. Thread count comes from `TMAC_TEST_THREADS` (default 2).
 
 mod common;
 
-use common::test_threads;
+use common::{family_ctxs, test_threads};
 use std::path::PathBuf;
 use tmac::core::ExecCtx;
 use tmac::io::container::TMAC_VERSION;
@@ -28,6 +30,7 @@ use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, KvPrecision, Linear, LoadMode, Model,
     ModelConfig, ModelIoError, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
 };
+use tmac::simd::Isa;
 
 fn ctx() -> ExecCtx {
     ExecCtx::new(test_threads())
@@ -82,7 +85,7 @@ fn dequantized_f32_twin(cfg: &ModelConfig, bits: u8, seed: u64) -> Model {
 
 #[test]
 fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
-    let ctx = ctx();
+    let ctxs = family_ctxs();
     let cfg = ModelConfig::tiny();
     for bits in 1..=4u8 {
         let path = tmp(&format!("rt-{bits}.tmac"));
@@ -119,11 +122,22 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
                 BackendKind::F32 => dequantized_f32_twin(&cfg, bits, 42),
                 _ => Model::synthetic(&cfg, WeightQuant::Rtn(bits), kind, 42).unwrap(),
             };
-            assert_eq!(
-                run_logits(&loaded, &ctx),
-                run_logits(&twin, &ctx),
-                "bits={bits} backend={name}: container round-trip must be bit-exact"
-            );
+            let mut avx = Vec::new();
+            for ctx in &ctxs {
+                let logits = run_logits(&loaded, ctx);
+                assert_eq!(
+                    logits,
+                    run_logits(&twin, ctx),
+                    "bits={bits} backend={name} isa={}: container round-trip must be bit-exact",
+                    ctx.isa()
+                );
+                if matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512) {
+                    avx.push(logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                }
+            }
+            if let [ymm, zmm] = &avx[..] {
+                assert_eq!(ymm, zmm, "bits={bits} backend={name}: Avx512 vs Avx2");
+            }
             assert_eq!(loaded.cfg, cfg);
             assert_eq!(loaded.quant, WeightQuant::Rtn(bits));
         }
@@ -133,7 +147,6 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
 
 #[test]
 fn bitnet_ternary_roundtrip_is_bit_exact() {
-    let ctx = ctx();
     let cfg = ModelConfig::tiny();
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&cfg, WeightQuant::BitnetTernary, kind, 5).unwrap();
@@ -141,20 +154,33 @@ fn bitnet_ternary_roundtrip_is_bit_exact() {
     src.save_file(&path).unwrap();
     let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
     assert_eq!(loaded.quant, WeightQuant::BitnetTernary);
-    assert_eq!(run_logits(&loaded, &ctx), run_logits(&src, &ctx));
+    for ctx in family_ctxs() {
+        assert_eq!(
+            run_logits(&loaded, &ctx),
+            run_logits(&src, &ctx),
+            "{}",
+            ctx.isa()
+        );
+    }
     std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn mmap_and_owned_copy_loads_agree() {
-    let ctx = ctx();
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11).unwrap();
     let path = tmp("modes.tmac");
     src.save_file(&path).unwrap();
     let mapped = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
     let copied = Model::from_file(&path, &kind, LoadMode::Copy).unwrap();
-    assert_eq!(run_logits(&mapped, &ctx), run_logits(&copied, &ctx));
+    for ctx in family_ctxs() {
+        let isa = ctx.isa();
+        assert_eq!(
+            run_logits(&mapped, &ctx),
+            run_logits(&copied, &ctx),
+            "{isa}"
+        );
+    }
     // And the container views themselves agree byte-for-byte.
     let cm = TmacContainer::open(&path, LoadMode::Mmap).unwrap();
     let cc = TmacContainer::open(&path, LoadMode::Copy).unwrap();

@@ -15,14 +15,19 @@
 //!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows (from
 //!   fresh, context-cached and caller-held tables), its one-row `mpgemm`
 //!   and the sequential stream's agree **bit-exactly**, including
-//!   worst-case saturated tables;
+//!   worst-case saturated tables, on every kernel family the host executes
+//!   (and the `Avx512` family's rows equal the `Avx2` family's);
 //! * thread-pool chunking partitions exactly.
 
+mod common;
+
+use common::family_ctxs;
 use tmac::core::kernel::scalar::gemv_reference;
 use tmac::core::plan::index_from_codes;
 use tmac::core::table::{raw_table, ActTables, TABLE_LEN};
 use tmac::core::{ExecCtx, KernelOpts, TmacLinear, WeightPlan};
 use tmac::quant::QuantizedMatrix;
+use tmac::simd::Isa;
 use tmac::threadpool::chunk_range;
 use tmac_rng::Rng;
 
@@ -254,7 +259,7 @@ fn paired_presets(gs: usize) -> Vec<(&'static str, KernelOpts)> {
 /// `mpgemm` row `i` (`gemm` ≡ `gemm_cached` ≡ `with_tables`), the GEMV of
 /// row `i`, and the GEMV through the same matrix planned with
 /// `interleave = false` (the sequential stream and its untouched kernel),
-/// all bit-for-bit equal.
+/// all bit-for-bit equal. Returns the `gemm` rows.
 fn assert_paired_equals_sequential(
     qm: &QuantizedMatrix,
     opts: KernelOpts,
@@ -262,7 +267,8 @@ fn assert_paired_equals_sequential(
     n: usize,
     ctx: &ExecCtx,
     what: &str,
-) {
+) -> Vec<f32> {
+    let what = &format!("{what} isa={}", ctx.isa());
     let (m, k) = (qm.rows, qm.cols);
     let paired = TmacLinear::new(qm, opts).unwrap();
     let sequential = TmacLinear::new(
@@ -295,13 +301,36 @@ fn assert_paired_equals_sequential(
         assert_eq!(gemv, seq, "{what}: row {i} vs the sequential stream");
         assert!(gemv.iter().all(|x| x.is_finite()), "{what}: row {i}");
     }
+    gemm
+}
+
+/// [`assert_paired_equals_sequential`] under every kernel family of
+/// `ctxs`, and the `Avx512` family's rows bit-for-bit the `Avx2` family's.
+fn assert_paired_on_every_family(
+    qm: &QuantizedMatrix,
+    opts: KernelOpts,
+    acts: &[f32],
+    n: usize,
+    ctxs: &[ExecCtx],
+    what: &str,
+) {
+    let mut avx = Vec::new();
+    for ctx in ctxs {
+        let rows = assert_paired_equals_sequential(qm, opts, acts, n, ctx, what);
+        if matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512) {
+            avx.push(rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
+    }
+    if let [ymm, zmm] = &avx[..] {
+        assert_eq!(ymm, zmm, "{what}: Avx512 vs Avx2");
+    }
 }
 
 /// The paired stream over generated shapes: bits 1–4 × every group size ×
 /// ragged `M` × `n` in 1..=19 × every preset the shape admits.
 #[test]
 fn paired_stream_bit_exact_on_generated_shapes() {
-    let ctx = ExecCtx::new(2);
+    let ctxs = family_ctxs();
     let mut by_preset = std::collections::BTreeMap::new();
     for seed in 0..216u64 {
         let mut rng = Rng::seed_from_u64(0x900 + seed);
@@ -359,7 +388,7 @@ fn paired_stream_bit_exact_on_generated_shapes() {
         *by_preset.entry(name).or_insert(0) += 1;
         let acts = arb_acts(&mut rng, n * k, -2.0, 2.0);
         let what = format!("seed {seed} {name} bits={bits} gs={gs} m={m} k={k} n={n}");
-        assert_paired_equals_sequential(&qm, opts, &acts, n, &ctx, &what);
+        assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
     }
     assert!(by_preset.values().all(|&c| c >= 30), "{by_preset:?}");
 }
@@ -369,7 +398,7 @@ fn paired_stream_bit_exact_on_generated_shapes() {
 /// `(bits, group_size)` — no lane may wrap.
 #[test]
 fn paired_stream_survives_saturated_tables() {
-    let ctx = ExecCtx::new(1);
+    let ctxs = family_ctxs();
     for bits in 1..=4u8 {
         for gs in GROUP_SIZES {
             let (m, k, n) = (33, 2 * gs, 3);
@@ -388,17 +417,21 @@ fn paired_stream_survives_saturated_tables() {
                         .unwrap();
                     assert_eq!(tables.lookup_q(0, 0, 15), (sign * 127.0) as i8);
                     let what = format!("{name} bits={bits} gs={gs} sign={sign}");
-                    assert_paired_equals_sequential(&qm, opts, &acts, n, &ctx, &what);
+                    assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
                     // And the value itself (exact aggregation): each row is
                     // Σ_blocks s · (0.5 · q_scale · 127 · kgb · (2^bits − 1)
                     // + cz · asum), a wrap would be off by thousands.
-                    if !opts.fast_aggregation {
-                        let lin = TmacLinear::new(&qm, opts).unwrap();
+                    if opts.fast_aggregation {
+                        continue;
+                    }
+                    let lin = TmacLinear::new(&qm, opts).unwrap();
+                    let want = gemv_reference(&qm, &acts[..k]);
+                    for ctx in &ctxs {
                         let mut out = vec![0f32; m];
-                        lin.gemv(&acts[..k], &mut out, &ctx).unwrap();
-                        let want = gemv_reference(&qm, &acts[..k]);
+                        lin.gemv(&acts[..k], &mut out, ctx).unwrap();
                         for (o, w) in out.iter().zip(&want) {
-                            assert!((o - w).abs() <= 2e-3 * w.abs(), "{what}: {o} vs {w}");
+                            let isa = ctx.isa();
+                            assert!((o - w).abs() <= 2e-3 * w.abs(), "{what} {isa}: {o} vs {w}");
                         }
                     }
                 }
