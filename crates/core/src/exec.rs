@@ -55,8 +55,6 @@ pub struct TableProfile {
     pub group_size: usize,
     /// Whether entries are quantized to `i8`.
     pub table_quant: bool,
-    /// Whether tables are mirror-consolidated.
-    pub mirror: bool,
     /// Whether offset `u8` tables are additionally materialized.
     pub fast_aggregation: bool,
 }
@@ -68,7 +66,6 @@ impl TableProfile {
             k: plan.k,
             group_size: plan.group_size,
             table_quant: plan.opts.table_quant,
-            mirror: plan.opts.mirror,
             fast_aggregation: plan.opts.fast_aggregation,
         }
     }

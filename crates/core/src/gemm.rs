@@ -7,7 +7,7 @@
 //! then swept over the weights. Axis order follows §3.2: the temporal axis
 //! `K` is innermost, the spatial axis `M` is split into tiles and
 //! distributed over threads as static thread blocks, and the sequence axis
-//! is walked in **`n_block`**-row ranges of the one table set.
+//! is walked in **[`N_BLOCK`]**-row ranges of the one table set.
 //!
 //! The context's kernel family ([`ExecCtx::isa`]) picks the kernels. Under
 //! `Avx2` two kernels serve a range, chosen by [`kernel::avx2::mtile`] from
@@ -22,7 +22,9 @@
 //!
 //! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
 //! `zmm` registers for the plans it serves and hands every other plan to
-//! the AVX2 kernels; the two families agree bit for bit.
+//! the AVX2 kernels; the two families agree bit for bit. Every option set
+//! [`KernelOpts::validate`](crate::KernelOpts::validate) accepts has an
+//! AVX2 kernel, so a plan runs on its context's family, never on another.
 //!
 //! Per row the multi-row kernel applies the GEMV kernel's operations in the
 //! GEMV kernel's order, so neither the choice nor the blocking ever changes
@@ -30,7 +32,7 @@
 
 use crate::exec::{ExecCtx, SharedMut};
 use crate::kernel;
-use crate::opts::TILE_M;
+use crate::opts::{N_BLOCK, TILE_M};
 use crate::plan::WeightPlan;
 use crate::table::ActTables;
 use crate::TmacError;
@@ -95,16 +97,7 @@ fn sweep(
     out: &SharedMut<'_, f32>,
     ctx: &ExecCtx,
 ) {
-    let m = plan.m;
-    // The AVX families run the plans that have an AVX2 kernel; the rest,
-    // and every plan under `Scalar`, take the scalar kernel.
-    #[cfg(target_arch = "x86_64")]
-    let isa = match ctx.isa() {
-        isa @ (Isa::Avx2 | Isa::Avx512) if kernel::avx2::supported(&plan.opts) => isa,
-        _ => Isa::Scalar,
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let isa = Isa::Scalar;
+    let (m, isa) = (plan.m, ctx.isa());
     ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
         // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
         let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
@@ -199,8 +192,8 @@ pub fn mpgemm_cached(
 /// Returns [`TmacError::Shape`] if `out.len() != tables.rows · M` or the
 /// tables do not match `plan`'s full table profile (shape *and* options):
 /// every mismatch the kernels cannot tolerate — `K`, group size,
-/// quantization, mirror consolidation, and missing offset tables under fast
-/// aggregation — is rejected before dispatch.
+/// quantization, and missing offset tables under fast aggregation — is
+/// rejected before dispatch.
 pub fn mpgemm_with_tables(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -217,19 +210,18 @@ pub fn mpgemm_with_tables(
     }
     let o = &plan.opts;
     if (tables.k, tables.group_size) != (plan.k, plan.group_size)
-        || (tables.quantized, tables.mirror) != (o.table_quant, o.mirror)
+        || tables.quantized != o.table_quant
         || (o.fast_aggregation && !tables.has_offset_tables())
     {
         return Err(TmacError::Shape(
             "tables do not match the plan's table profile (K, group size, quantization, \
-             mirror consolidation, offset tables under fast aggregation)"
+             offset tables under fast aggregation)"
                 .into(),
         ));
     }
     let out = SharedMut::new(out);
-    let nb = plan.opts.n_block.max(1);
-    for n0 in (0..n).step_by(nb) {
-        sweep(plan, tables, n0..n.min(n0 + nb), &out, ctx);
+    for n0 in (0..n).step_by(N_BLOCK) {
+        sweep(plan, tables, n0..n.min(n0 + N_BLOCK), &out, ctx);
     }
     Ok(())
 }
@@ -315,7 +307,7 @@ mod tests {
 
     #[test]
     fn cached_and_with_tables_match_fresh() {
-        // n = 11 crosses an n_block boundary; n = 1 is the GEMV.
+        // n = 11 crosses an N_BLOCK boundary; n = 1 is the GEMV.
         for (m, k, n) in [(64, 128, 11), (64, 128, 1)] {
             let (qm, act) = setup(m, k, n, 3);
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
@@ -371,9 +363,6 @@ mod tests {
         // Tables built without quantization don't match a TQ plan.
         let wrong = ActTables::build(&act[..k], 1, 32, &KernelOpts::tm_base()).unwrap();
         assert!(mpgemm_with_tables(&plan, &wrong, &mut one, &ctx).is_err());
-        // Mirror-consolidated tables have half the layout of full tables.
-        let mirrored = ActTables::build(&act[..k], 1, 32, &KernelOpts::tmac_mirror()).unwrap();
-        assert!(mpgemm_with_tables(&plan, &mirrored, &mut one, &ctx).is_err());
         // A fast-aggregation plan needs the offset u8 tables materialized.
         let fa_plan = WeightPlan::new(&qm, KernelOpts::tmac_fast_aggregation()).unwrap();
         let no_fa = build_tables(&plan, &act[..k], 1, None).unwrap();
@@ -381,23 +370,14 @@ mod tests {
     }
 
     /// The multi-row sweep must be bit-identical to per-row GEMV for every
-    /// option combination (exact, mirror, FA, flat-quantized, f32-table
-    /// fallback), every bit-width, and shapes that straddle the
-    /// `n_block` boundary.
+    /// option combination (exact, FA, flat-quantized, f32 tables), every
+    /// bit-width, and shapes that straddle the `N_BLOCK` boundary.
     #[test]
     fn mpgemm_bit_identical_to_mpgemv_across_opts_and_shapes() {
-        let combos = [
-            KernelOpts::tm_base(),
-            KernelOpts::plus_table_quant(),
-            KernelOpts::plus_permute(),
-            KernelOpts::tmac(),
-            KernelOpts::tmac_mirror(),
-            KernelOpts::tmac_fast_aggregation(),
-        ];
         let ctx = ExecCtx::new(2);
-        for opts in combos {
+        for (_, opts) in KernelOpts::breakdown_ladder() {
             for bits in [1u8, 2, 4] {
-                // n = 11 straddles n_block (8); m = 72 leaves a ragged final
+                // n = 11 straddles N_BLOCK (8); m = 72 leaves a ragged final
                 // tile.
                 let (m, k, n) = (72, 128, 11);
                 let (qm, act) = setup(m, k, n, bits);
@@ -418,10 +398,10 @@ mod tests {
     }
 
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
-    /// through `mpgemm` at every bit width, with and without mirror
-    /// consolidation, for the GEMV and multi-row kernels (`n` straddling
-    /// `n_block`, a ragged last m-tile), and on the shapes the `zmm` kernels
-    /// hand to AVX2: a lone k-group per block and the `i16` flush path.
+    /// through `mpgemm` at every bit width, for the GEMV and multi-row
+    /// kernels (`n` straddling `N_BLOCK`, a ragged last m-tile), and on the
+    /// shapes the `zmm` kernels hand to AVX2: a lone k-group per block and
+    /// the `i16` flush path.
     #[test]
     fn avx512_family_bit_identical_to_avx2() {
         let (Ok(zmm), Ok(ymm)) = (
@@ -435,15 +415,10 @@ mod tests {
             return;
         };
         let m = 100;
-        let mut cases = Vec::new();
-        for bits in 1..=4u8 {
-            for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
-                cases.push((bits, 32, 256, opts, true));
-            }
-        }
-        cases.push((3, 12, 96, KernelOpts::tmac(), false));
-        cases.push((4, 128, 256, KernelOpts::tmac(), false));
-        for (bits, gs, k, opts, zmm_serves) in cases {
+        let mut cases: Vec<_> = (1..=4u8).map(|bits| (bits, 32, 256, true)).collect();
+        cases.push((3, 12, 96, false));
+        cases.push((4, 128, 256, false));
+        for (bits, gs, k, zmm_serves) in cases {
             let n_max = 16;
             let w: Vec<f32> = (0..m * k)
                 .map(|i| ((i as f32) * 0.31).sin() * 0.6)
@@ -452,7 +427,7 @@ mod tests {
                 .map(|i| ((i as f32) * 0.17).cos() * 0.8 + (i / k) as f32 * 0.05)
                 .collect();
             let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
-            let plan = WeightPlan::new(&qm, opts).unwrap();
+            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
             #[cfg(target_arch = "x86_64")]
             assert_eq!(
                 kernel::avx512::supported(&plan),
@@ -465,12 +440,7 @@ mod tests {
                 mpgemm(&plan, act, n, &mut got, &zmm).unwrap();
                 mpgemm(&plan, act, n, &mut want, &ymm).unwrap();
                 let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits_of(&got),
-                    bits_of(&want),
-                    "W{bits} g{gs} mirror={} n={n}",
-                    opts.mirror
-                );
+                assert_eq!(bits_of(&got), bits_of(&want), "W{bits} g{gs} n={n}");
             }
         }
     }
@@ -490,29 +460,35 @@ mod tests {
         );
     }
 
-    /// Any `n_block` (row blocks of one row, odd sizes, larger than `n`)
-    /// must not change a bit.
+    /// Every row count up to two full `N_BLOCK` row blocks and one more
+    /// (a partial block, whole blocks, a lone row past them) must not
+    /// change a bit.
     #[test]
     fn n_block_boundaries_bit_exact() {
-        let (m, k, n) = (64, 256, 13);
-        for nb in [1, 2, 3, 5, 8, 16] {
-            let mut opts = KernelOpts::tmac();
-            opts.n_block = nb;
-            let (qm, act) = setup(m, k, n, 3);
-            let plan = WeightPlan::new(&qm, opts).unwrap();
-            let ctx = ExecCtx::new(2);
-            let mut out = vec![0f32; n * m];
-            mpgemm(&plan, &act, n, &mut out, &ctx).unwrap();
-            for ni in 0..n {
+        let (m, k) = (64, 256);
+        let n_max = 2 * N_BLOCK + 1;
+        let (qm, act) = setup(m, k, n_max, 3);
+        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+        let ctx = ExecCtx::new(2);
+        let rows: Vec<Vec<f32>> = act
+            .chunks_exact(k)
+            .map(|a| {
                 let mut row = vec![0f32; m];
-                mpgemm(&plan, &act[ni * k..(ni + 1) * k], 1, &mut row, &ctx).unwrap();
-                assert_eq!(&out[ni * m..(ni + 1) * m], &row[..], "nb={nb} row {ni}");
+                mpgemm(&plan, a, 1, &mut row, &ctx).unwrap();
+                row
+            })
+            .collect();
+        for n in 1..=n_max {
+            let mut out = vec![0f32; n * m];
+            mpgemm(&plan, &act[..n * k], n, &mut out, &ctx).unwrap();
+            for (ni, row) in rows[..n].iter().enumerate() {
+                assert_eq!(&out[ni * m..(ni + 1) * m], &row[..], "n={n} row {ni}");
             }
         }
     }
 
     /// Every row is validated and built before any sweep: a bad row past the
-    /// first `n_block` rows (or the only row) leaves `out` untouched, through
+    /// first `N_BLOCK` rows (or the only row) leaves `out` untouched, through
     /// the fresh-build and the cached entry point alike.
     #[test]
     fn error_leaves_out_untouched() {
@@ -521,7 +497,7 @@ mod tests {
             let (qm, mut act) = setup(m, k, n, 2);
             act[bad_row * k + 5] = if n == 1 { f32::INFINITY } else { f32::NAN };
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-            assert!(bad_row == 0 || bad_row >= plan.opts.n_block);
+            assert!(bad_row == 0 || bad_row >= N_BLOCK);
             let ctx = ExecCtx::new(2);
             type Entry =
                 fn(&WeightPlan, &[f32], usize, &mut [f32], &ExecCtx) -> Result<(), TmacError>;
@@ -540,7 +516,7 @@ mod tests {
 
     #[test]
     fn n_not_multiple_of_block() {
-        let (m, k, n) = (32, 64, 3); // n_block = 8 > n
+        let (m, k, n) = (32, 64, 3); // N_BLOCK = 8 > n
         let (qm, act) = setup(m, k, n, 2);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let ctx = ExecCtx::new(1);

@@ -7,13 +7,16 @@
 //!
 //! | options | kernel |
 //! |---|---|
-//! | paired stream (`interleave`), exact | `mtile_paired_bits<BITS, MIRROR>` |
-//! | paired stream, exact, multi-row | `gemm_mtile_bits<BITS, MIRROR>` |
-//! | paired stream, fast aggregation | `mtile_paired_fa<MIRROR>` |
-//! | sequential stream (`+Perm.`), exact | `mtile_permuted<MIRROR>` |
-//! | sequential stream, fast aggregation | `mtile_permuted_fa<MIRROR>` |
+//! | paired stream (`interleave`), exact | `mtile_paired_bits<BITS>` |
+//! | paired stream, exact, multi-row | `gemm_mtile_bits<BITS>` |
+//! | paired stream, fast aggregation | `mtile_paired_fa` |
+//! | sequential stream (`+Perm.`), exact | `mtile_permuted` |
+//! | sequential stream, fast aggregation | `mtile_permuted_fa` |
 //! | flat, quantized (`+TQ`) | `mtile_flat_quant` |
 //! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
+//!
+//! These are all the option sets `KernelOpts::validate` accepts, so every
+//! plan has a kernel here.
 //!
 //! # The paired inner loop
 //!
@@ -33,9 +36,9 @@
 //! `Avx512`, see `tmac_simd::Isa`). The `Avx512` family's `zmm` kernels
 //! (`kernel::avx512`) share this module's stream geometry and prefetch.
 
-#![allow(clippy::needless_range_loop)] // Index loops mirror the kernel structure.
+#![allow(clippy::needless_range_loop)] // Index loops follow the kernel structure.
 
-use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
+use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::{Layout, WeightPlan};
 use crate::table::{self, ActTables, TABLE_LEN};
 use std::arch::x86_64::*;
@@ -49,33 +52,14 @@ pub type Tile = [f32; TILE_M];
 /// buffer a whole block: fast aggregation and the multi-row sweep.
 pub const MAX_KG_PER_BLOCK: usize = 64;
 
-/// Whether an AVX2 kernel exists for this option combination.
-///
-/// Combinations without a dedicated kernel (e.g. mirror consolidation on a
-/// flat layout) fall back to the scalar plan kernel in the driver. This is
-/// a predicate on the options alone: the caller's kernel family
-/// (`tmac_simd::Isa`) is what guarantees the CPU runs AVX2.
-pub fn supported(opts: &KernelOpts) -> bool {
-    if opts.table_quant {
-        // Flat layouts support only the plain quantized kernel.
-        opts.permute || (!opts.mirror && !opts.fast_aggregation)
-    } else {
-        // f32 tables: gather kernel on flat layouts only.
-        !opts.permute
-    }
-}
-
 /// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this plan.
 ///
-/// The kernel exists for the paired stream with exact aggregation (mirror
-/// supported) and scale blocks it can buffer. Fast aggregation, the
-/// sequential/flat layouts and `f32` tables stay on the per-row sweep.
+/// The kernel exists for the paired stream with exact aggregation and
+/// scale blocks it can buffer. Fast aggregation, the sequential/flat
+/// layouts and `f32` tables stay on the per-row sweep.
 pub fn gemm_supported(plan: &WeightPlan) -> bool {
     let o = &plan.opts;
-    supported(o)
-        && o.interleave
-        && !o.fast_aggregation
-        && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
+    o.interleave && !o.fast_aggregation && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
 }
 
 /// Executes one m-tile for row `r` of `tables`, dispatching to the right
@@ -88,8 +72,7 @@ pub fn gemm_supported(plan: &WeightPlan) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if the plan/tables combination has no AVX2 kernel (the driver
-/// checks [`supported`] first) or if fast aggregation is requested with
+/// Panics if fast aggregation is requested with
 /// `group_size / 4 > MAX_KG_PER_BLOCK`.
 #[target_feature(enable = "avx2,fma")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
@@ -101,19 +84,11 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, ou
             // then the exact sum (and its bias correction is zero), so the
             // paired FA kernel never meets a lone k-group.
             let fa = o.fast_aggregation && !(interleaved && plan.group_size == LUT_GROUP);
-            match (interleaved, o.mirror, fa) {
-                (false, false, false) => mtile_permuted::<false>(plan, tables, r, mt, out),
-                (false, true, false) => mtile_permuted::<true>(plan, tables, r, mt, out),
-                (true, false, false) => {
-                    for_bits!(bits, mtile_paired_bits::<false>(plan, tables, r, mt, out))
-                }
-                (true, true, false) => {
-                    for_bits!(bits, mtile_paired_bits::<true>(plan, tables, r, mt, out))
-                }
-                (false, false, true) => mtile_permuted_fa::<false>(plan, tables, r, mt, out),
-                (false, true, true) => mtile_permuted_fa::<true>(plan, tables, r, mt, out),
-                (true, false, true) => mtile_paired_fa::<false>(plan, tables, r, mt, out),
-                (true, true, true) => mtile_paired_fa::<true>(plan, tables, r, mt, out),
+            match (interleaved, fa) {
+                (false, false) => mtile_permuted(plan, tables, r, mt, out),
+                (true, false) => for_bits!(bits, mtile_paired_bits(plan, tables, r, mt, out)),
+                (false, true) => mtile_permuted_fa(plan, tables, r, mt, out),
+                (true, true) => mtile_paired_fa(plan, tables, r, mt, out),
             }
         }
         Layout::Flat => {
@@ -144,8 +119,7 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, ou
 ///
 /// # Panics
 ///
-/// Panics if [`supported`] does not hold for the plan's options or `outs`
-/// is shorter than `rows.len() × TILE_M`.
+/// Panics if `outs` is shorter than `rows.len() × TILE_M`.
 #[target_feature(enable = "avx2,fma")]
 pub fn mtile(
     plan: &WeightPlan,
@@ -254,20 +228,6 @@ impl OutAcc {
     }
 }
 
-/// Looks up 32 indices (mirror-aware): `odd8` carries `8` in the bytes
-/// whose k-group is the odd one of its mirror pair (the second half of the
-/// pair-packed table) and `0` elsewhere.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn lookup_step<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) -> __m256i {
-    if MIRROR {
-        let (folded, ctrl) = simd::mirror_fold(idx);
-        simd::apply_sign(simd::tbl32(tbl, _mm256_or_si256(folded, odd8)), ctrl)
-    } else {
-        simd::tbl32(tbl, idx)
-    }
-}
-
 /// Streaming kernel over the *sequential* permuted stream (the `+Perm.`
 /// ablation stage, exact aggregation).
 ///
@@ -280,13 +240,7 @@ fn lookup_step<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) ->
 /// accumulator rows are [0..8 | 16..24] in `.0` and [8..16 | 24..32] in
 /// `.1`; the fold stage un-permutes when converting to `f32`.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_permuted<const MIRROR: bool>(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    r: usize,
-    mt: usize,
-    out: &mut Tile,
-) {
+fn mtile_permuted(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
     let kgb = plan.group_size / LUT_GROUP;
@@ -298,7 +252,6 @@ fn mtile_permuted<const MIRROR: bool>(
     let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
 
     let table_for = |kg: usize| load_table(&tables.q_tables, tables.kg_offset(r, kg));
-    let odd8 = |kg: usize| _mm256_set1_epi8(8 * (kg % 2) as i8);
     let ones = _mm256_set1_epi8(1);
     for sb in 0..gpr {
         let kg0 = sb * kgb;
@@ -321,21 +274,14 @@ fn mtile_permuted<const MIRROR: bool>(
                     let even_odd_hi = _mm256_unpackhi_epi8(lo_nib, hi_nib);
                     let idx_a = _mm256_permute2x128_si256::<0x20>(even_odd_lo, even_odd_hi);
                     let idx_b = _mm256_permute2x128_si256::<0x31>(even_odd_lo, even_odd_hi);
-                    let tbl_a = table_for(kg_a);
-                    // Mirror packs the even/odd k-group pair in one table.
-                    let tbl_b = if MIRROR && kg_a.is_multiple_of(2) {
-                        tbl_a
-                    } else {
-                        table_for(kg_a + 1)
-                    };
-                    vals_a = lookup_step::<MIRROR>(tbl_a, idx_a, odd8(kg_a));
-                    vals_b = lookup_step::<MIRROR>(tbl_b, idx_b, odd8(kg_a + 1));
+                    vals_a = simd::tbl32(table_for(kg_a), idx_a);
+                    vals_b = simd::tbl32(table_for(kg_a + 1), idx_b);
                     kgi += 2;
                 } else {
                     let raw = simd::loadu_128(&stream[off..]);
                     off += TILE_M / 2;
                     let idx = simd::unpack_nibbles_sequential(raw);
-                    vals_a = lookup_step::<MIRROR>(table_for(kg_a), idx, odd8(kg_a));
+                    vals_a = simd::tbl32(table_for(kg_a), idx);
                     vals_b = _mm256_setzero_si256();
                     kgi += 1;
                 }
@@ -410,14 +356,6 @@ fn split_nibbles(raw: __m256i) -> (__m256i, __m256i) {
     )
 }
 
-/// `8` in every byte of lane 1: selects the odd k-group's half of a
-/// mirror-consolidated (pair-packed) table broadcast to both lanes.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn lane1_eights() -> __m256i {
-    _mm256_set_m128i(_mm_set1_epi8(8), _mm_setzero_si128())
-}
-
 /// Scale-block geometry of the paired stream (see [`crate::plan`]).
 #[derive(Clone, Copy)]
 pub(super) struct PairedGeom {
@@ -489,33 +427,27 @@ fn plane_weights<const BITS: usize>() -> ([__m256i; 2], (__m256i, __m256i)) {
 /// turned into low/high nibble indices by `split`).
 #[inline]
 #[target_feature(enable = "avx2")]
-fn paired_groups<const BITS: usize, const MIRROR: bool, const STEP: usize>(
+fn paired_groups<const BITS: usize, const STEP: usize>(
     tbl: &[i8],
     idx: &[u8],
     split: impl Fn(&[u8]) -> (__m256i, __m256i),
 ) -> Acc16 {
     let (pair_w, lone_w) = plane_weights::<BITS>();
-    let odd8 = lane1_eights();
     let mut a = [_mm256_setzero_si256(); 4];
-    let tables = tbl.chunks_exact(if MIRROR { 16 } else { 32 });
-    for (t, steps) in tables.zip(idx.chunks_exact(BITS * STEP)) {
-        let t = if MIRROR {
-            load_table(t, 0)
-        } else {
-            load_table_pair(t, 0)
-        };
+    for (t, steps) in tbl.chunks_exact(32).zip(idx.chunks_exact(BITS * STEP)) {
+        let t = load_table_pair(t, 0);
         let step = |i: usize| split(&steps[i * STEP..(i + 1) * STEP]);
         for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
             for h in 0..2 {
                 let (lo, hi) = step(2 * p + h);
-                madd(&mut a[2 * h], *w, lookup_step::<MIRROR>(t, lo, odd8));
-                madd(&mut a[2 * h + 1], *w, lookup_step::<MIRROR>(t, hi, odd8));
+                madd(&mut a[2 * h], *w, simd::tbl32(t, lo));
+                madd(&mut a[2 * h + 1], *w, simd::tbl32(t, hi));
             }
         }
         if BITS % 2 == 1 {
             let (lo, hi) = step(BITS - 1);
-            let lo = lookup_step::<MIRROR>(t, lo, odd8);
-            let hi = lookup_step::<MIRROR>(t, hi, odd8);
+            let lo = simd::tbl32(t, lo);
+            let hi = simd::tbl32(t, hi);
             madd(&mut a[0], lone_w.0, lo);
             madd(&mut a[1], lone_w.1, lo);
             madd(&mut a[2], lone_w.0, hi);
@@ -535,20 +467,16 @@ fn paired_groups<const BITS: usize, const MIRROR: bool, const STEP: usize>(
 /// lone-group/lone-plane step from the end of `idx`.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-fn paired_block<const BITS: usize, const MIRROR: bool, const STEP: usize>(
+fn paired_block<const BITS: usize, const STEP: usize>(
     g: &PairedGeom,
     tbl: &[i8],
     idx: &[u8],
     split: impl Fn(&[u8]) -> (__m256i, __m256i),
     corner: impl Fn(&[u8]) -> __m256i,
 ) -> OutAcc {
-    let (pt, ps) = (if MIRROR { 16 } else { 32 }, BITS * STEP);
+    let ps = BITS * STEP;
     let groups = |from: usize, to: usize| {
-        paired_groups::<BITS, MIRROR, STEP>(
-            &tbl[from * pt..to * pt],
-            &idx[from * ps..to * ps],
-            &split,
-        )
+        paired_groups::<BITS, STEP>(&tbl[from * 32..to * 32], &idx[from * ps..to * ps], &split)
     };
     // The first `flush_every` pairs need no `i32` sums yet — in every
     // common shape that is the whole block, and the loop below is cold.
@@ -563,9 +491,7 @@ fn paired_block<const BITS: usize, const MIRROR: bool, const STEP: usize>(
     }
     if g.lone_kg {
         // Lanes are row halves here: `tail.0` = rows [0..8 | 16..24],
-        // `tail.1` = [8..16 | 24..32]. Mirror never gets here (pair packing
-        // needs an even k-group count per block).
-        debug_assert!(!MIRROR);
+        // `tail.1` = [8..16 | 24..32].
         let (pair_w, lone_w) = plane_weights::<BITS>();
         let t = load_table(tbl, g.kg_pairs * 32);
         let steps = &idx[g.kg_pairs * ps..];
@@ -608,7 +534,7 @@ fn paired_block<const BITS: usize, const MIRROR: bool, const STEP: usize>(
 /// bit-for-bit.
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
+fn mtile_paired_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
     r: usize,
@@ -628,7 +554,7 @@ fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
         let (q_scale, asum) = (q_scale[0], asum[0]);
         prefetch_ahead(src);
         prefetch_ahead(scales);
-        let blk = paired_block::<BITS, MIRROR, 32>(
+        let blk = paired_block::<BITS, 32>(
             &g,
             tbl,
             src,
@@ -677,19 +603,13 @@ pub fn gemm_mtile(
 ) {
     assert!(gemm_supported(plan), "no multi-row kernel for this plan");
     assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
-    debug_assert_eq!(tables.mirror, plan.opts.mirror);
-    let bits = plan.bits;
-    if plan.opts.mirror {
-        for_bits!(bits, gemm_mtile_bits::<true>(plan, tables, rows, mt, outs))
-    } else {
-        for_bits!(bits, gemm_mtile_bits::<false>(plan, tables, rows, mt, outs))
-    }
+    for_bits!(plan.bits, gemm_mtile_bits(plan, tables, rows, mt, outs))
 }
 
 /// Multi-row kernel body (see [`gemm_mtile`]).
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx2,fma")]
-fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
+fn gemm_mtile_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
     rows: Range<usize>,
@@ -723,7 +643,7 @@ fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
             .zip(q_scales)
             .zip(asums)
         {
-            let blk = paired_block::<BITS, MIRROR, 64>(
+            let blk = paired_block::<BITS, 64>(
                 &g,
                 tbl,
                 idx,
@@ -736,24 +656,6 @@ fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
             acc.fold(&blk, sc, bias, scales);
             acc.store(out);
         }
-    }
-}
-
-/// Looks up 32 offset (`+128`) entries for fast aggregation, mirror-aware
-/// (`odd8` as in [`lookup_step`]).
-#[inline]
-#[target_feature(enable = "avx2")]
-fn lookup_fa<const MIRROR: bool>(tbl: __m256i, idx: __m256i, odd8: __m256i) -> __m256i {
-    if MIRROR {
-        let (folded, _) = simd::mirror_fold(idx);
-        let looked = simd::tbl32(tbl, _mm256_or_si256(folded, odd8));
-        // Negation in the +128 offset domain is wrapping 0 - v (entries
-        // are clamped to [1, 255], so 0 never occurs).
-        let negmask = _mm256_cmpgt_epi8(idx, _mm256_set1_epi8(7));
-        let negated = _mm256_sub_epi8(_mm256_setzero_si256(), looked);
-        _mm256_blendv_epi8(looked, negated, negmask)
-    } else {
-        simd::tbl32(tbl, idx)
     }
 }
 
@@ -794,13 +696,7 @@ fn fa_kg_per_block(plan: &WeightPlan) -> usize {
 
 /// Fast 8-bit aggregation (lossy, paper §4) over the sequential stream.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_permuted_fa<const MIRROR: bool>(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    r: usize,
-    mt: usize,
-    out: &mut Tile,
-) {
+fn mtile_permuted_fa(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let kgb = fa_kg_per_block(plan);
     let stream = plan.mtile_stream(mt);
@@ -816,9 +712,7 @@ fn mtile_permuted_fa<const MIRROR: bool>(
                 let kg = sb * kgb + kgi;
                 let tbl = load_table(&tables.u_tables, tables.kg_offset(r, kg));
                 let raw = simd::loadu_128(&stream[base + (bit * kgb + kgi) * step..]);
-                let idx = simd::unpack_nibbles_sequential(raw);
-                let odd8 = _mm256_set1_epi8(8 * (kg % 2) as i8);
-                bufs[kgi] = lookup_fa::<MIRROR>(tbl, idx, odd8);
+                bufs[kgi] = simd::tbl32(tbl, simd::unpack_nibbles_sequential(raw));
             }
             // Balanced rounding-average tree: level by level, adjacent pairs
             // (identical shape to the scalar reference).
@@ -852,13 +746,7 @@ fn mtile_permuted_fa<const MIRROR: bool>(
 /// root's plane pair is then combined by `vpmaddubsw`, so the block sum
 /// `kgb · Σ_bit 2^bit · (tree_bit − 128)` is the same exact integer.
 #[target_feature(enable = "avx2,fma")]
-fn mtile_paired_fa<const MIRROR: bool>(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    r: usize,
-    mt: usize,
-    out: &mut Tile,
-) {
+fn mtile_paired_fa(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let kg_pairs = fa_kg_per_block(plan) / 2;
     let gpr = plan.groups_per_row();
@@ -867,7 +755,6 @@ fn mtile_paired_fa<const MIRROR: bool>(
     let pair_w = [_mm_set1_epi16(0x0201), _mm_set1_epi16(0x0804)];
     let lone_w = 1i16 << (bits - 1);
     let (even_w, odd_w) = (_mm_set1_epi16(lone_w), _mm_set1_epi16(lone_w << 8));
-    let odd8 = lane1_eights();
     let mut outacc = OutAcc::zero();
 
     for sb in 0..gpr {
@@ -877,15 +764,11 @@ fn mtile_paired_fa<const MIRROR: bool>(
         // nibbles, already averaged over the pair's two k-groups.
         let mut trees = [[_mm_setzero_si128(); MAX_KG_PER_BLOCK / 2]; 8];
         for kp in 0..kg_pairs {
-            let t = if MIRROR {
-                load_table(tbl, kp * 16)
-            } else {
-                simd::loadu_256(&tbl[kp * 32..])
-            };
+            let t = simd::loadu_256(&tbl[kp * 32..]);
             for s in 0..bits {
                 let (lo, hi) = split_nibbles(simd::loadu_256(&src[(kp * bits + s) * 32..]));
                 for (q, idx) in [lo, hi].into_iter().enumerate() {
-                    let v = lookup_fa::<MIRROR>(t, idx, odd8);
+                    let v = simd::tbl32(t, idx);
                     trees[2 * s + q][kp] =
                         _mm_avg_epu8(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
                 }
@@ -1051,22 +934,16 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize,
 ///
 /// Panics if the buffers do not have `build_block`'s lengths.
 #[target_feature(enable = "avx2,fma")]
-pub fn build_block(
-    block: &[f32],
-    raw: &mut [f32],
-    mirror: bool,
-    q: &mut [i8],
-    u: &mut [u8],
-) -> f32 {
+pub fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8], u: &mut [u8]) -> f32 {
     let amax = block_entries(block, raw);
     if q.is_empty() {
         return 0.0;
     }
     let scale = table::table_scale(amax);
     if scale.is_normal() {
-        quantize_block(raw, scale, mirror, q, u);
+        quantize_block(raw, scale, q, u);
     } else {
-        table::quantize_block(raw, scale, mirror, q, u);
+        table::quantize_block(raw, scale, q, u);
     }
     scale
 }
@@ -1119,19 +996,17 @@ fn block_entries(block: &[f32], raw: &mut [f32]) -> f32 {
 }
 
 /// Quantizes a block's raw entries with a normal `scale` into its stored
-/// tables `q` (and their `+128` copy `u`, if non-empty): the 8-entry halves
-/// the layout keeps — both of each k-group, or under mirror consolidation
-/// the first — in storage order, four (32 bytes) per step.
+/// tables `q` (and their `+128` copy `u`, if non-empty), 8 entries per
+/// `quantize8` and four of those (32 bytes) per step.
 #[target_feature(enable = "avx2")]
-fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8], u: &mut [u8]) {
-    let stride = if mirror { 2 } else { 1 };
+fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8], u: &mut [u8]) {
     assert!(
-        q.len().is_multiple_of(16) && q.len() * stride == raw.len(),
+        q.len().is_multiple_of(16) && q.len() == raw.len(),
         "stored table length"
     );
     assert!(u.is_empty() || u.len() == q.len(), "offset table length");
     let sc = _mm256_set1_ps(scale);
-    let half = |i: usize| quantize8(simd::loadu_ps(&raw[i * stride * 8..]), sc);
+    let half = |i: usize| quantize8(simd::loadu_ps(&raw[i * 8..]), sc);
     for (c, dst) in q.chunks_mut(32).enumerate() {
         let h = 4 * c;
         let bytes = if dst.len() == 32 {
@@ -1204,6 +1079,7 @@ fn store_bytes<T>(dst: &mut [T], v: __m256i) {
 mod tests {
     use super::*;
     use crate::kernel::scalar;
+    use crate::opts::KernelOpts;
     use tmac_quant::rtn;
 
     fn setup(m: usize, k: usize, bits: u8, gs: usize) -> (tmac_quant::QuantizedMatrix, Vec<f32>) {
@@ -1221,7 +1097,6 @@ mod tests {
         let (qm, act) = setup(96, 256, bits, 32);
         let plan = WeightPlan::new(&qm, opts).unwrap();
         let tables = ActTables::build(&act, 1, 32, &opts).unwrap();
-        assert!(supported(&opts), "opts {opts:?} should have an AVX2 kernel");
         for mt in 0..plan.m_tiles() {
             let mut want = [0f32; TILE_M];
             scalar::plan_mtile(&plan, &tables, 0..1, mt, &mut want);
@@ -1248,15 +1123,6 @@ mod tests {
 
     #[test]
     fn interleaved_matches_scalar() {
-        for bits in [2u8, 4] {
-            let mut o = KernelOpts::plus_permute();
-            o.interleave = true;
-            compare_opts(o, bits, 1e-5);
-        }
-    }
-
-    #[test]
-    fn mirror_matches_scalar() {
         for bits in 1..=4u8 {
             compare_opts(KernelOpts::tmac(), bits, 1e-5);
         }
@@ -1265,12 +1131,18 @@ mod tests {
     #[test]
     fn fast_aggregation_matches_scalar_emulation() {
         // The scalar kernel emulates the same avg tree, so even the lossy
-        // path must agree to f32 round-off.
+        // path must agree to f32 round-off, on both streams.
         for bits in [1u8, 2, 4] {
-            compare_opts(KernelOpts::tmac_fast_aggregation(), bits, 1e-5);
-            let mut no_mirror = KernelOpts::tmac_fast_aggregation();
-            no_mirror.mirror = false;
-            compare_opts(no_mirror, bits, 1e-5);
+            let fa = KernelOpts::tmac_fast_aggregation();
+            compare_opts(fa, bits, 1e-5);
+            compare_opts(
+                KernelOpts {
+                    interleave: false,
+                    ..fa
+                },
+                bits,
+                1e-5,
+            );
         }
     }
 
@@ -1316,50 +1188,46 @@ mod tests {
         if !simd::available() {
             return;
         }
-        for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
-            for bits in 1..=4u8 {
-                for gs in [12usize, 32, 256] {
-                    if opts.mirror && gs % 8 != 0 {
-                        continue;
-                    }
-                    let k = if gs == 12 { 96 } else { 256 };
-                    let (qm, _) = setup(96, k, bits, gs);
-                    let plan = WeightPlan::new(&qm, opts).unwrap();
-                    assert!(gemm_supported(&plan), "{opts:?}");
-                    for rows in [1usize, 3, 8, 11] {
-                        let (per_row, batch) = block_tables(rows, k, gs, &opts);
-                        for mt in 0..plan.m_tiles() {
-                            // Each row through the GEMV kernel: over the
-                            // row's own tables, and as row `r` of the batch.
-                            let mut want = vec![0f32; rows * TILE_M];
-                            for (r, t) in per_row.iter().enumerate() {
-                                let (mut own, mut of_batch) = ([0f32; TILE_M], [0f32; TILE_M]);
-                                // SAFETY: AVX2+FMA verified above.
-                                unsafe {
-                                    gemv_mtile(&plan, t, 0, mt, &mut own);
-                                    gemv_mtile(&plan, &batch, r, mt, &mut of_batch);
-                                }
-                                assert_eq!(own, of_batch, "row {r} of the batch");
-                                want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&own);
-                            }
-                            // Stale `outs` contents must not leak through,
-                            // and a sub-range reads its own rows' tables.
-                            let mut got = vec![3f32; rows * TILE_M];
-                            let mut tail = vec![3f32; rows * TILE_M];
+        let opts = KernelOpts::tmac();
+        for bits in 1..=4u8 {
+            for gs in [12usize, 32, 256] {
+                let k = if gs == 12 { 96 } else { 256 };
+                let (qm, _) = setup(96, k, bits, gs);
+                let plan = WeightPlan::new(&qm, opts).unwrap();
+                assert!(gemm_supported(&plan), "{opts:?}");
+                for rows in [1usize, 3, 8, 11] {
+                    let (per_row, batch) = block_tables(rows, k, gs, &opts);
+                    for mt in 0..plan.m_tiles() {
+                        // Each row through the GEMV kernel: over the
+                        // row's own tables, and as row `r` of the batch.
+                        let mut want = vec![0f32; rows * TILE_M];
+                        for (r, t) in per_row.iter().enumerate() {
+                            let (mut own, mut of_batch) = ([0f32; TILE_M], [0f32; TILE_M]);
                             // SAFETY: AVX2+FMA verified above.
                             unsafe {
-                                gemm_mtile(&plan, &batch, 0..rows, mt, &mut got);
-                                gemm_mtile(&plan, &batch, rows / 2..rows, mt, &mut tail);
+                                gemv_mtile(&plan, t, 0, mt, &mut own);
+                                gemv_mtile(&plan, &batch, r, mt, &mut of_batch);
                             }
-                            let what = format!("{opts:?} bits={bits} gs={gs} rows={rows} mt={mt}");
-                            assert_eq!(got, want, "{what}");
-                            let tail_rows = rows - rows / 2;
-                            assert_eq!(
-                                tail[..tail_rows * TILE_M],
-                                want[rows / 2 * TILE_M..],
-                                "{what}"
-                            );
+                            assert_eq!(own, of_batch, "row {r} of the batch");
+                            want[r * TILE_M..(r + 1) * TILE_M].copy_from_slice(&own);
                         }
+                        // Stale `outs` contents must not leak through,
+                        // and a sub-range reads its own rows' tables.
+                        let mut got = vec![3f32; rows * TILE_M];
+                        let mut tail = vec![3f32; rows * TILE_M];
+                        // SAFETY: AVX2+FMA verified above.
+                        unsafe {
+                            gemm_mtile(&plan, &batch, 0..rows, mt, &mut got);
+                            gemm_mtile(&plan, &batch, rows / 2..rows, mt, &mut tail);
+                        }
+                        let what = format!("bits={bits} gs={gs} rows={rows} mt={mt}");
+                        assert_eq!(got, want, "{what}");
+                        let tail_rows = rows - rows / 2;
+                        assert_eq!(
+                            tail[..tail_rows * TILE_M],
+                            want[rows / 2 * TILE_M..],
+                            "{what}"
+                        );
                     }
                 }
             }
@@ -1373,23 +1241,22 @@ mod tests {
         if !simd::available() {
             return;
         }
-        for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
-            for bits in [2u8, 3] {
-                let (qm, _) = setup(64, 128, bits, 32);
-                let plan = WeightPlan::new(&qm, opts).unwrap();
-                let (_, batch) = block_tables(5, 128, 32, &opts);
-                for mt in 0..plan.m_tiles() {
-                    let mut want = vec![0f32; 5 * TILE_M];
-                    scalar::plan_mtile(&plan, &batch, 0..5, mt, &mut want);
-                    let mut got = vec![0f32; 5 * TILE_M];
-                    // SAFETY: AVX2+FMA verified above.
-                    unsafe { gemm_mtile(&plan, &batch, 0..5, mt, &mut got) };
-                    for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
-                        assert!(
-                            (w - g).abs() <= 1e-5 * (1.0 + w.abs()),
-                            "opts={opts:?} bits={bits} mt={mt} i={i}: {w} vs {g}"
-                        );
-                    }
+        let opts = KernelOpts::tmac();
+        for bits in [2u8, 3] {
+            let (qm, _) = setup(64, 128, bits, 32);
+            let plan = WeightPlan::new(&qm, opts).unwrap();
+            let (_, batch) = block_tables(5, 128, 32, &opts);
+            for mt in 0..plan.m_tiles() {
+                let mut want = vec![0f32; 5 * TILE_M];
+                scalar::plan_mtile(&plan, &batch, 0..5, mt, &mut want);
+                let mut got = vec![0f32; 5 * TILE_M];
+                // SAFETY: AVX2+FMA verified above.
+                unsafe { gemm_mtile(&plan, &batch, 0..5, mt, &mut got) };
+                for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
+                    assert!(
+                        (w - g).abs() <= 1e-5 * (1.0 + w.abs()),
+                        "opts={opts:?} bits={bits} mt={mt} i={i}: {w} vs {g}"
+                    );
                 }
             }
         }
@@ -1402,7 +1269,7 @@ mod tests {
             WeightPlan::new(&qm, opts).unwrap()
         };
         assert!(gemm_supported(&plan(KernelOpts::tmac(), 32)));
-        assert!(gemm_supported(&plan(KernelOpts::tmac_mirror(), 256)));
+        assert!(gemm_supported(&plan(KernelOpts::tmac(), 256)));
         // Blocks too long to buffer, FA, the sequential stream, flat
         // layouts and f32 tables stay per-row.
         assert!(!gemm_supported(&plan(KernelOpts::tmac(), 512)));
@@ -1415,16 +1282,25 @@ mod tests {
         assert!(!gemm_supported(&plan(KernelOpts::tm_base(), 32)));
     }
 
+    /// The option sets with no kernel here — permuted streams over `f32`
+    /// tables, fast aggregation over the flat layout — are refused when
+    /// the weights are planned, so the driver never meets them.
     #[test]
     fn unsupported_combos_reported() {
-        // Mirror without permutation has no AVX2 kernel.
-        let mut o = KernelOpts::plus_table_quant();
-        o.mirror = true;
-        assert!(!supported(&o));
-        // f32 tables with permutation: scalar fallback.
-        let mut o = KernelOpts::plus_permute();
-        o.table_quant = false;
-        o.mirror = false;
-        assert!(!supported(&o));
+        let (qm, _) = setup(32, 64, 2, 32);
+        let f32_permuted = KernelOpts {
+            table_quant: false,
+            ..KernelOpts::plus_permute()
+        };
+        let flat_fa = KernelOpts {
+            fast_aggregation: true,
+            ..KernelOpts::plus_table_quant()
+        };
+        for opts in [f32_permuted, flat_fa] {
+            assert!(
+                matches!(WeightPlan::new(&qm, opts), Err(crate::TmacError::Opts(_))),
+                "{opts:?}"
+            );
+        }
     }
 }

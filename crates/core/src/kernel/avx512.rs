@@ -23,10 +23,6 @@
 //!   broadcast, its upper half shifted to the high nibbles (a masked
 //!   `vpsrlw`), and looked up once as `[lo | hi]`; the two `lone_w`
 //!   weights then widen its even and odd bytes into `lo` and `hi`.
-//! * Mirror consolidation expands each pair-packed half table once per
-//!   k-group pair into the full 16-entry tables (`vpshufb` with a reversing
-//!   control, then a masked `vpsubb` negating entries `8..16`), so the loop
-//!   itself is the plain one.
 //! * The block tail regroups the four lanes of `lo`/`hi` into row order
 //!   (two `vpermt2q`), adds the k-group parities in `i16` and widens once.
 //!
@@ -35,8 +31,8 @@
 //! Every `i16` lane sums the same looked-up bytes with the same
 //! `vpmaddubsw` weights as the AVX2 lane it replaces, and the sums are
 //! exact (the served plans are the "narrow" ones, whose whole block fits
-//! `i16`: [`supported`]), so their order does not matter. A mirror entry
-//! is `-t[15 - i]` either way. The per-scale-block `f32` fold is AVX2's
+//! `i16`: [`supported`]), so their order does not matter. The
+//! per-scale-block `f32` fold is AVX2's
 //! per element: `t = fma(blk, 0.5·q_scale, cz·asum)`, `out = fma(t, scale,
 //! out)`. So `Avx512` results equal `Avx2` results bit for bit.
 //!
@@ -90,19 +86,11 @@ pub fn mtile(
         return avx2::mtile(plan, tables, rows, mt, outs);
     }
     assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
-    debug_assert_eq!(tables.mirror, plan.opts.mirror);
     let bits = plan.bits;
-    match (rows.len(), plan.opts.mirror) {
-        (1, false) => for_bits!(
-            bits,
-            mtile_paired_bits::<false>(plan, tables, rows.start, mt, outs)
-        ),
-        (1, true) => for_bits!(
-            bits,
-            mtile_paired_bits::<true>(plan, tables, rows.start, mt, outs)
-        ),
-        (_, false) => for_bits!(bits, gemm_mtile_bits::<false>(plan, tables, rows, mt, outs)),
-        (_, true) => for_bits!(bits, gemm_mtile_bits::<true>(plan, tables, rows, mt, outs)),
+    if rows.len() == 1 {
+        for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs))
+    } else {
+        for_bits!(bits, gemm_mtile_bits(plan, tables, rows, mt, outs))
     }
 }
 
@@ -167,39 +155,6 @@ fn split_lone(step: &[u8]) -> __m512i {
     _mm512_and_si512(shifted, _mm512_set1_epi8(0x0F))
 }
 
-/// The `vpshufb` control that expands a pair-packed mirror half table
-/// (even k-group's entries `0..8`, odd k-group's `8..16`) broadcast to
-/// every lane into the lane's k-group's full table: entry `i` reads half
-/// entry `i` below 8 and `15 - i` from 8 on (negated afterwards).
-const MIRROR_EXPAND: [u8; 64] = {
-    let mut c = [0u8; 64];
-    let mut i = 0;
-    while i < 64 {
-        let (lane, e) = (i / 16, i % 16);
-        c[i] = (8 * (lane % 2) + if e < 8 { e } else { 15 - e }) as u8;
-        i += 1;
-    }
-    c
-};
-
-/// Bytes `8..16` of every lane: the negated half of a full mirror table.
-const MIRROR_NEGATED: u64 = 0xFF00_FF00_FF00_FF00;
-
-/// Loads a k-group pair's tables into all four lanes, lane `L` holding
-/// k-group parity `L % 2`: the pair's two 16-entry tables broadcast to
-/// both halves, or under mirror consolidation the full tables expanded
-/// from the pair-packed half tables (`expand` = [`MIRROR_EXPAND`]).
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-fn load_tables<const MIRROR: bool>(t: &[i8], expand: __m512i) -> __m512i {
-    if MIRROR {
-        let full = _mm512_shuffle_epi8(simd::broadcast_128(t), expand);
-        _mm512_mask_sub_epi8(full, MIRROR_NEGATED, _mm512_setzero_si512(), full)
-    } else {
-        simd::broadcast_256(t)
-    }
-}
-
 /// `acc += vpmaddubsw(w, vals)`: widens looked-up bytes to `i16` applying
 /// the per-byte weights `w` (the bit-serial `2^plane` factors).
 #[inline]
@@ -220,7 +175,7 @@ fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
 /// `i16` ([`supported`]).
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
-fn paired_block<const BITS: usize, const MIRROR: bool, const PAIR: usize, const LONE: usize>(
+fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
     tbl: &[i8],
     idx: &[u8],
     pair: impl Fn(&[u8]) -> (__m512i, __m512i),
@@ -229,11 +184,12 @@ fn paired_block<const BITS: usize, const MIRROR: bool, const PAIR: usize, const 
     let pair_w = [_mm512_set1_epi16(0x0201), _mm512_set1_epi16(0x0804)];
     let lone_w = 1i16 << (BITS - 1);
     let lone_w = (_mm512_set1_epi16(lone_w), _mm512_set1_epi16(lone_w << 8));
-    let expand = simd::loadu_512(&MIRROR_EXPAND);
     let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
-    let tables = tbl.chunks_exact(if MIRROR { 16 } else { 32 });
-    for (t, steps) in tables.zip(idx.chunks_exact(BITS / 2 * PAIR + BITS % 2 * LONE)) {
-        let t = load_tables::<MIRROR>(t, expand);
+    let steps = idx.chunks_exact(BITS / 2 * PAIR + BITS % 2 * LONE);
+    for (t, steps) in tbl.chunks_exact(32).zip(steps) {
+        // The k-group pair's two tables in both halves: lane `L` holds
+        // k-group parity `L % 2`.
+        let t = simd::broadcast_256(t);
         for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
             let (l, h) = pair(&steps[p * PAIR..(p + 1) * PAIR]);
             madd(&mut lo, *w, _mm512_shuffle_epi8(t, l));
@@ -263,7 +219,7 @@ fn paired_block<const BITS: usize, const MIRROR: bool, const PAIR: usize, const 
 /// `out`.
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
-fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
+fn mtile_paired_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
     r: usize,
@@ -279,7 +235,7 @@ fn mtile_paired_bits<const BITS: usize, const MIRROR: bool>(
         let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
         avx2::prefetch_ahead(src);
         avx2::prefetch_ahead(scales);
-        let blk = paired_block::<BITS, MIRROR, 64, 32>(
+        let blk = paired_block::<BITS, 64, 32>(
             tables.block_tables(sb, r..r + 1),
             src,
             |s| split_nibbles(simd::loadu_512(s)),
@@ -301,7 +257,7 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 /// then looked up against each row's tables of the block.
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
-fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
+fn gemm_mtile_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
     rows: Range<usize>,
@@ -338,7 +294,7 @@ fn gemm_mtile_bits<const BITS: usize, const MIRROR: bool>(
             .zip(q_scales)
             .zip(asums)
         {
-            let blk = paired_block::<BITS, MIRROR, 128, 64>(
+            let blk = paired_block::<BITS, 128, 64>(
                 tbl,
                 idx,
                 |s| (simd::loadu_512(&s[..64]), simd::loadu_512(&s[64..])),
@@ -365,26 +321,17 @@ mod tests {
         WeightPlan::new(&rtn::quantize(&w, m, k, bits, gs).unwrap(), opts).unwrap()
     }
 
-    #[test]
-    fn mirror_expansion_reads_the_lanes_half_table() {
-        for (i, &c) in MIRROR_EXPAND.iter().enumerate() {
-            let (lane, e) = (i / 16, i % 16);
-            let folded = if e < 8 { e } else { e ^ 0x0F };
-            assert_eq!(c as usize, folded | (8 * (lane % 2)), "byte {i}");
-            assert_eq!((MIRROR_NEGATED >> i) & 1 == 1, e >= 8, "byte {i}");
-        }
-    }
-
-    /// The `zmm` kernels serve every bit width and both mirror settings at
-    /// the common group sizes, and leave lone k-groups, `i16` flushes and
-    /// the non-paired plans to AVX2.
+    /// The `zmm` kernels serve every bit width at the common group sizes,
+    /// and leave lone k-groups, `i16` flushes and the non-paired plans to
+    /// AVX2.
     #[test]
     fn supported_covers_the_paired_exact_plans() {
         for bits in 1..=4u8 {
-            for opts in [KernelOpts::tmac(), KernelOpts::tmac_mirror()] {
-                for gs in [8usize, 32, 64] {
-                    assert!(supported(&plan(bits, gs, opts)), "{opts:?} W{bits} g{gs}");
-                }
+            for gs in [8usize, 32, 64] {
+                assert!(
+                    supported(&plan(bits, gs, KernelOpts::tmac())),
+                    "W{bits} g{gs}"
+                );
             }
             // A lone k-group per block.
             assert!(!supported(&plan(bits, 12, KernelOpts::tmac())));

@@ -3,9 +3,10 @@
 //! * [`scalar`] — portable implementations of every option combination,
 //!   bit-compatible with the SIMD kernels (same integer accumulation, same
 //!   fast-aggregation tree shape, same per-block f32 application order).
-//!   They are the correctness oracle and the fallback backend.
-//! * `avx2` — the production kernels (x86-64). One `PSHUFB` per 32 lookups,
-//!   `i16` widening accumulation, per-scale-block f32 application.
+//!   They are the correctness oracle and the `Scalar` family's kernels.
+//! * `avx2` — the production kernels (x86-64), one for every option set
+//!   `KernelOpts::validate` accepts. One `PSHUFB` per 32 lookups, `i16`
+//!   widening accumulation, per-scale-block f32 application.
 //! * `avx512` — the paired-stream exact kernels (GEMV and multi-row) on
 //!   `zmm` registers (x86-64 with AVX-512BW): one `vpshufb` per 64 lookups,
 //!   bit-identical to `avx2`, which serves every other plan of the family.
@@ -29,15 +30,15 @@
 //! is accumulated in integers and `0.5 · q_scale[sb]` folds into the final
 //! multiply.
 
-/// Instantiates a `<BITS, MIRROR>` paired kernel for a plan's bit-width.
+/// Instantiates a `<BITS>` paired kernel for a plan's bit-width.
 #[cfg(target_arch = "x86_64")]
 macro_rules! for_bits {
-    ($bits:expr, $kernel:ident::<$mirror:tt>($($arg:expr),*)) => {
+    ($bits:expr, $kernel:ident($($arg:expr),*)) => {
         match $bits {
-            1 => $kernel::<1, { $mirror }>($($arg),*),
-            2 => $kernel::<2, { $mirror }>($($arg),*),
-            3 => $kernel::<3, { $mirror }>($($arg),*),
-            4 => $kernel::<4, { $mirror }>($($arg),*),
+            1 => $kernel::<1>($($arg),*),
+            2 => $kernel::<2>($($arg),*),
+            3 => $kernel::<3>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
             b => unreachable!("plans hold 1..=4 bit planes, got {b}"),
         }
     };

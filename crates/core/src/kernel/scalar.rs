@@ -2,8 +2,8 @@
 //!
 //! [`gemv_reference`] computes the ground truth from dequantized weights in
 //! `f64` (no T-MAC machinery at all). [`plan_mtile`] executes the full T-MAC
-//! pipeline — plan layouts, quantized/mirrored tables, fast-aggregation
-//! trees — in scalar code, matching the SIMD kernels' arithmetic exactly so
+//! pipeline — plan layouts, quantized tables, fast-aggregation trees — in
+//! scalar code, matching the SIMD kernels' arithmetic exactly so
 //! the two can be compared bit-for-bit in integer space.
 
 use crate::opts::{LUT_GROUP, TILE_M};
@@ -284,7 +284,6 @@ mod tests {
             KernelOpts::plus_table_quant(),
             KernelOpts::plus_permute(),
             KernelOpts::tmac(),
-            KernelOpts::tmac_mirror(),
             KernelOpts::tmac_fast_aggregation(),
         ] {
             for bits in [1u8, 2, 4] {

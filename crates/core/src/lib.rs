@@ -14,8 +14,7 @@
 //! ```text
 //! offline:  QuantizedMatrix --(bit-serial decompose, tile, permute,
 //!                              interleave)--> WeightPlan
-//! online:   activation rows --(precompute, mirror-consolidate,
-//!                            table-quantize)--> ActTables
+//! online:   activation rows --(precompute, table-quantize)--> ActTables
 //! kernel:   PSHUFB/TBL lookups + i16 accumulation + per-block f32 fold
 //! ```
 //!
@@ -53,7 +52,7 @@ pub mod plan;
 pub mod table;
 
 pub use exec::{ExecCtx, TableCacheStats, TableProfile};
-pub use opts::{KernelOpts, LUT_GROUP, TILE_M};
+pub use opts::{KernelOpts, LUT_GROUP, N_BLOCK, TILE_M};
 pub use plan::{Layout, PlanBacking, PlanParts, Segment, WeightPlan};
 pub use table::ActTables;
 

@@ -7,7 +7,12 @@
 //! paper's `+Tiling` and `+Tuning` rungs have no switch here: every kernel
 //! walks each 32-row m-tile over all of `K` one scale block at a time, so
 //! there is no `K`-tile length to choose, and the multi-row block size
-//! ([`KernelOpts::n_block`]) does nothing at the ladder's `n = 1`.
+//! ([`N_BLOCK`]) does nothing at the ladder's `n = 1`.
+//!
+//! The flags depend on each other, and [`KernelOpts::validate`] accepts six
+//! sets: the five ladder rungs and the sequential stream with fast
+//! aggregation (the bit-exact referee of the paired fast-aggregation
+//! kernel). Each of them has an AVX2 kernel.
 
 /// LUT group size `g`: one table covers `2^g` activation sign patterns.
 ///
@@ -22,6 +27,12 @@ pub const LUT_GROUP: usize = 4;
 /// table) and is the tile the paper's Figure 3 uses.
 pub const TILE_M: usize = 32;
 
+/// Activation rows per weight sweep in mpGEMM (table reuse across the
+/// sequence dimension): each `N_BLOCK`-row range of a batch's tables is
+/// swept over the weights as one block — each scale block's indices are
+/// decoded once and looked up against every row of the range.
+pub const N_BLOCK: usize = 8;
+
 /// Configuration of the T-MAC mpGEMM kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelOpts {
@@ -30,9 +41,6 @@ pub struct KernelOpts {
     /// `PSHUFB`/`TBL` lookups; without it the kernel falls back to `f32`
     /// table gathers.
     pub table_quant: bool,
-    /// Mirror consolidation (§3.3): store only the 8 non-negated table
-    /// entries; reconstruct the other half by sign-flipping at lookup time.
-    pub mirror: bool,
     /// Offline weight permutation (§3.2): store each tile's indices
     /// contiguously in the exact order the kernel reads them.
     pub permute: bool,
@@ -47,11 +55,6 @@ pub struct KernelOpts {
     /// Fast 8-bit aggregation (§4): aggregate lookups with rounding-average
     /// instructions instead of widening adds. Faster, lossy.
     pub fast_aggregation: bool,
-    /// Activation rows per weight sweep in mpGEMM (table reuse across the
-    /// sequence dimension): each `n_block`-row range of a batch's tables is
-    /// swept over the weights as one block — each scale block's indices are
-    /// decoded once and looked up against every row of the range.
-    pub n_block: usize,
 }
 
 impl KernelOpts {
@@ -60,11 +63,9 @@ impl KernelOpts {
     pub fn tm_base() -> Self {
         KernelOpts {
             table_quant: false,
-            mirror: false,
             permute: false,
             interleave: false,
             fast_aggregation: false,
-            n_block: 1,
         }
     }
 
@@ -87,27 +88,10 @@ impl KernelOpts {
 
     /// Full T-MAC: everything except fast aggregation (the paper's default;
     /// FA is offered as an opt-in because it costs accuracy).
-    ///
-    /// Mirror consolidation is *off* in this preset: on AVX2 the per-lookup
-    /// sign reconstruction costs more than the halved table loads save
-    /// (mirror pays off on 128-bit NEON, where table registers are the
-    /// scarce resource). Use [`Self::tmac_mirror`] for the
-    /// fully-consolidated variant.
     pub fn tmac() -> Self {
         KernelOpts {
             interleave: true,
-            mirror: false,
-            n_block: 8,
             ..Self::plus_permute()
-        }
-    }
-
-    /// Full T-MAC with mirror consolidation (halved table storage and
-    /// precompute; the right default for NEON-class targets).
-    pub fn tmac_mirror() -> Self {
-        KernelOpts {
-            mirror: true,
-            ..Self::tmac()
         }
     }
 
@@ -134,22 +118,19 @@ impl KernelOpts {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the violated dependency:
-    /// interleaving requires permutation; mirror consolidation and fast
-    /// aggregation require quantized tables (they are `i8`-table
-    /// transforms); `n_block` must be positive.
+    /// Returns a message naming the violated dependency: interleaving
+    /// requires permutation, permutation requires quantized tables (the
+    /// permuted kernels are `i8`-table lookups), and fast aggregation
+    /// requires permutation (it averages the permuted stream's lookups).
     pub fn validate(&self) -> Result<(), String> {
         if self.interleave && !self.permute {
             return Err("weight interleaving requires permutation".into());
         }
-        if self.mirror && !self.table_quant {
-            return Err("mirror consolidation requires table quantization".into());
+        if self.permute && !self.table_quant {
+            return Err("weight permutation requires table quantization".into());
         }
-        if self.fast_aggregation && !self.table_quant {
-            return Err("fast aggregation requires table quantization".into());
-        }
-        if self.n_block == 0 {
-            return Err("n_block must be positive".into());
+        if self.fast_aggregation && !self.permute {
+            return Err("fast aggregation requires permutation".into());
         }
         Ok(())
     }
@@ -187,25 +168,23 @@ mod tests {
         assert!(o.validate().is_ok());
         o.permute = false;
         assert!(o.validate().is_err());
-        let mut o = KernelOpts::tm_base();
-        o.mirror = true;
+        // Permutation needs `i8` tables, fast aggregation the permuted
+        // stream.
+        let mut o = KernelOpts::plus_permute();
+        o.table_quant = false;
         assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn multi_row_knobs_validated() {
-        let mut o = KernelOpts::tmac();
-        assert_eq!(o.n_block, 8, "full T-MAC batches eight rows per sweep");
-        o.n_block = 0;
+        let mut o = KernelOpts::plus_table_quant();
+        o.fast_aggregation = true;
         assert!(o.validate().is_err());
-        assert_eq!(KernelOpts::tm_base().n_block, 1, "base config is per-row");
+        let mut o = KernelOpts::tmac_fast_aggregation();
+        o.interleave = false;
+        assert!(o.validate().is_ok(), "sequential stream + FA");
     }
 
     #[test]
     fn default_is_full_tmac() {
         let d = KernelOpts::default();
         assert!(d.table_quant && d.permute && d.interleave);
-        assert!(KernelOpts::tmac_mirror().mirror);
         assert!(!d.fast_aggregation);
     }
 }

@@ -881,7 +881,7 @@ mod tests {
             Err(TmacError::Shape(_))
         ));
         let mut bad = KernelOpts::tm_base();
-        bad.mirror = true;
+        bad.fast_aggregation = true;
         assert!(matches!(WeightPlan::new(&qm, bad), Err(TmacError::Opts(_))));
     }
 

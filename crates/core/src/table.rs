@@ -12,17 +12,9 @@
 //! activation sum equals its scalar twin's (`build_block`, the fallback
 //! elsewhere and the tests' reference).
 //!
-//! Two compressions (§3.3) apply on top:
-//!
-//! * **Mirror consolidation** — `t[15 - i] = -t[i]`, so only entries `0..8`
-//!   are stored. Halved storage also means halved precompute: only the
-//!   8 entries with the top activation's sign fixed are materialized. Stored
-//!   half-tables are packed in *pairs* (even k-group in bytes `0..8`, odd
-//!   k-group in bytes `8..16`) so one 16-byte register load still serves
-//!   every lookup.
-//! * **Table quantization** — entries quantize to `i8` with one dynamic
-//!   scale per *activation block* (`group_size` activations, i.e. the same
-//!   granularity as the weight scales), `scale = max|t| / 127`.
+//! **Table quantization** (§3.3) applies on top: entries quantize to `i8`
+//! with one dynamic scale per *activation block* (`group_size` activations,
+//! i.e. the same granularity as the weight scales), `scale = max|t| / 127`.
 //!
 //! For fast aggregation the quantized entries are additionally stored with a
 //! `+128` offset as `u8` (rounding-average instructions are unsigned).
@@ -70,16 +62,13 @@ pub struct ActTables {
     pub k: usize,
     /// Activations per scale block (matches the weight `group_size`).
     pub group_size: usize,
-    /// Whether tables are mirror-consolidated.
-    pub mirror: bool,
     /// Whether tables are quantized to `i8`.
     pub quantized: bool,
     /// Table entries of one `(scale block, row)` unit.
     unit_len: usize,
     /// `f32` tables, 16 entries per k-group (empty when quantized).
     pub(crate) f32_tables: Vec<f32>,
-    /// `i8` tables (empty unless quantized). Full mode: 16 entries per
-    /// k-group. Mirror mode: 16 bytes per k-group *pair* (8 + 8).
+    /// `i8` tables (empty unless quantized), 16 entries per k-group.
     pub(crate) q_tables: Vec<i8>,
     /// `u8` tables with `+128` offset (built only for fast aggregation);
     /// same layout as `q_tables`.
@@ -109,20 +98,12 @@ pub fn raw_table(a: &[f32; LUT_GROUP]) -> [f32; TABLE_LEN] {
 
 /// Builds one scale block's tables from its activations `block`: the raw
 /// entries of its k-groups into `raw` and, for quantized tables (`q`
-/// non-empty), their `i8` quantization into `q` (mirror: each k-group's
-/// first 8 entries, so consecutive k-groups' halves pair up into 16-byte
-/// tables) and its `+128` copy into `u` (if non-empty). Returns the block's
-/// table scale, `0` for `f32` tables.
+/// non-empty), their `i8` quantization into `q` and its `+128` copy into `u`
+/// (if non-empty). Returns the block's table scale, `0` for `f32` tables.
 ///
 /// This is the scalar twin of `kernel::avx2::build_block`, which must match
 /// it bit for bit: the fallback off AVX2 hosts and the tests' reference.
-pub(crate) fn build_block(
-    block: &[f32],
-    raw: &mut [f32],
-    mirror: bool,
-    q: &mut [i8],
-    u: &mut [u8],
-) -> f32 {
+pub(crate) fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8], u: &mut [u8]) -> f32 {
     for (a, t) in block
         .chunks_exact(LUT_GROUP)
         .zip(raw.chunks_exact_mut(TABLE_LEN))
@@ -133,7 +114,7 @@ pub(crate) fn build_block(
         return 0.0;
     }
     let scale = table_scale(raw.iter().fold(0f32, |m, &x| m.max(x.abs())));
-    quantize_block(raw, scale, mirror, q, u);
+    quantize_block(raw, scale, q, u);
     scale
 }
 
@@ -149,15 +130,10 @@ pub(crate) fn table_scale(amax: f32) -> f32 {
 }
 
 /// Quantizes a block's raw entries with `scale` into its stored tables `q`
-/// (and `u`), as laid out by [`build_block`]; entries round half away from
-/// zero (`f32::round`).
-pub(crate) fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8], u: &mut [u8]) {
-    let quantize = |v: f32| (v / scale).round().clamp(-127.0, 127.0) as i8;
-    let stored = if mirror { TABLE_LEN / 2 } else { TABLE_LEN };
-    for (dst, t) in q.chunks_exact_mut(stored).zip(raw.chunks_exact(TABLE_LEN)) {
-        for (d, &v) in dst.iter_mut().zip(t) {
-            *d = quantize(v);
-        }
+/// (and `u`); entries round half away from zero (`f32::round`).
+pub(crate) fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8], u: &mut [u8]) {
+    for (d, &v) in q.iter_mut().zip(raw) {
+        *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
     }
     for (d, &v) in u.iter_mut().zip(q.iter()) {
         *d = (v as i32 + FA_OFFSET) as u8;
@@ -169,7 +145,6 @@ pub(crate) fn quantize_block(raw: &[f32], scale: f32, mirror: bool, q: &mut [i8]
 struct Units<'a> {
     rows: usize,
     group_size: usize,
-    mirror: bool,
     /// Whether blocks are built by the AVX2 builder (under the `Avx2` and
     /// `Avx512` families, on a host with AVX2+FMA) rather than its scalar
     /// twin.
@@ -217,8 +192,8 @@ impl Units<'_> {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
                 // passed the runtime AVX2+FMA check.
-                true => unsafe { crate::kernel::avx2::build_block(block, raw, self.mirror, q, u) },
-                _ => build_block(block, raw, self.mirror, q, u),
+                true => unsafe { crate::kernel::avx2::build_block(block, raw, q, u) },
+                _ => build_block(block, raw, q, u),
             };
         }
         true
@@ -233,10 +208,9 @@ impl ActTables {
     ///
     /// * [`TmacError::Shape`] if `rows == 0`, `acts.len()` is not `rows`
     ///   times a positive multiple of `group_size`, `group_size` is not a
-    ///   multiple of 4, mirror consolidation is requested with `group_size`
-    ///   not a multiple of 8 (pair packing needs an even k-group count per
-    ///   block), or fast aggregation with `group_size / 4` not a power of
-    ///   two (the averaging tree must be balanced).
+    ///   multiple of 4, or fast aggregation is requested with
+    ///   `group_size / 4` not a power of two (the averaging tree must be
+    ///   balanced).
     /// * [`TmacError::Numeric`] if the activations contain non-finite
     ///   values (quantization scales would be garbage).
     pub fn build(
@@ -277,11 +251,6 @@ impl ActTables {
             )));
         }
         let kgb = group_size / LUT_GROUP;
-        if opts.mirror && !kgb.is_multiple_of(2) {
-            return Err(TmacError::Shape(format!(
-                "mirror consolidation needs group_size % 8 == 0, got {group_size}"
-            )));
-        }
         if opts.fast_aggregation && !kgb.is_power_of_two() {
             return Err(TmacError::Shape(format!(
                 "fast aggregation needs group_size/4 to be a power of two, got {kgb}"
@@ -289,19 +258,20 @@ impl ActTables {
         }
         let n_units = k / group_size * rows;
         let quantized = opts.table_quant;
-        let mirror = quantized && opts.mirror;
         // Entries per unit of each buffer (a buffer its mode lacks is empty).
-        let raw_len = kgb * TABLE_LEN;
-        let f32_len = if quantized { 0 } else { raw_len };
-        let q_len = (raw_len - f32_len) / if mirror { 2 } else { 1 };
+        let unit_len = kgb * TABLE_LEN;
+        let (f32_len, q_len) = if quantized {
+            (0, unit_len)
+        } else {
+            (unit_len, 0)
+        };
         let u_len = if opts.fast_aggregation { q_len } else { 0 };
         let mut tables = ActTables {
             rows,
             k,
             group_size,
-            mirror,
             quantized,
-            unit_len: f32_len.max(q_len),
+            unit_len,
             f32_tables: vec![0.0; n_units * f32_len],
             q_tables: vec![0; n_units * q_len],
             u_tables: vec![0; n_units * u_len],
@@ -311,7 +281,6 @@ impl ActTables {
         let units = Units {
             rows,
             group_size,
-            mirror,
             avx2: matches!(isa, Isa::Avx2 | Isa::Avx512) && Isa::Avx2.available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
             q_tables: SharedMut::new(&mut tables.q_tables),
@@ -345,8 +314,7 @@ impl ActTables {
         self.k / LUT_GROUP
     }
 
-    /// Table entries of one `(scale block, row)` unit: 16 per k-group,
-    /// halved by mirror pair-packing.
+    /// Table entries of one `(scale block, row)` unit: 16 per k-group.
     pub fn block_len(&self) -> usize {
         self.unit_len
     }
@@ -380,16 +348,13 @@ impl ActTables {
         (&self.q_scales[range.clone()], &self.asums[range])
     }
 
-    /// Offset, in table entries, of the 16 stored entries that hold row
-    /// `r`'s k-group `kg` — its own table, or under mirror consolidation
-    /// the 16-byte table of its k-group pair — for the kernels that walk
-    /// k-groups rather than scale blocks.
+    /// Offset, in table entries, of row `r`'s table of k-group `kg`, for
+    /// the kernels that walk k-groups rather than scale blocks.
     #[inline]
     pub fn kg_offset(&self, r: usize, kg: usize) -> usize {
         let kgb = self.group_size / LUT_GROUP;
         let (sb, kg_in) = (kg / kgb, kg % kgb);
-        let table = if self.mirror { kg_in / 2 } else { kg_in };
-        (sb * self.rows + r) * self.unit_len + table * TABLE_LEN
+        (sb * self.rows + r) * self.unit_len + kg_in * TABLE_LEN
     }
 
     /// Looks up entry `idx` of row `r`'s k-group `kg` as an *exact* `f32`
@@ -409,7 +374,7 @@ impl ActTables {
     }
 
     /// Looks up entry `idx` of row `r`'s k-group `kg` in the quantized
-    /// tables, applying the mirror fold when consolidated.
+    /// tables.
     ///
     /// # Panics
     ///
@@ -417,23 +382,11 @@ impl ActTables {
     pub fn lookup_q(&self, r: usize, kg: usize, idx: u8) -> i8 {
         assert!(self.quantized, "lookup_q on f32 tables");
         assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.kg_total());
-        let table = &self.q_tables[self.kg_offset(r, kg)..][..TABLE_LEN];
-        if self.mirror {
-            let half = (kg % 2) * (TABLE_LEN / 2);
-            if idx >= 8 {
-                // Quantized entries are clamped to -127..=127, so negation
-                // cannot overflow.
-                -table[half + (idx ^ 0x0F) as usize]
-            } else {
-                table[half + idx as usize]
-            }
-        } else {
-            table[idx as usize]
-        }
+        self.q_tables[self.kg_offset(r, kg) + idx as usize]
     }
 
-    /// Bytes of table storage (the quantity mirror consolidation and table
-    /// quantization shrink; paper Figure 5).
+    /// Bytes of table storage (the quantity table quantization shrinks;
+    /// paper Figure 5).
     pub fn table_bytes(&self) -> usize {
         self.f32_tables.len() * 4 + self.q_tables.len() + self.u_tables.len()
     }
@@ -480,7 +433,7 @@ mod tests {
     fn quantized_error_within_half_step() {
         let a = act(128);
         let t = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
-        assert!(t.quantized && !t.mirror);
+        assert!(t.quantized);
         for kg in 0..32 {
             let sb = kg / 8;
             for idx in 0..TABLE_LEN as u8 {
@@ -490,38 +443,6 @@ mod tests {
                     (got - want).abs() <= t.q_scales[sb] * 0.5 + 1e-6,
                     "kg={kg} idx={idx}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn mirror_matches_full_quantized() {
-        let a = act(64);
-        let full = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
-        let mirrored = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
-        assert!(mirrored.mirror);
-        // Half the storage.
-        assert_eq!(mirrored.q_tables.len() * 2, full.q_tables.len());
-        for kg in 0..16 {
-            for idx in 0..TABLE_LEN as u8 {
-                // Quantization rounds t and -t symmetrically (round-half-away
-                // from zero), so folded lookups match exactly.
-                assert_eq!(
-                    mirrored.lookup_q(0, kg, idx),
-                    full.lookup_q(0, kg, idx),
-                    "kg={kg} idx={idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mirror_antisymmetry() {
-        let a = act(32);
-        let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
-        for kg in 0..8 {
-            for idx in 0..8u8 {
-                assert_eq!(t.lookup_q(0, kg, idx), -t.lookup_q(0, kg, 15 - idx));
             }
         }
     }
@@ -551,12 +472,8 @@ mod tests {
         let a = act(128);
         let f = ActTables::build(&a, 1, 32, &KernelOpts::tm_base()).unwrap();
         let q = ActTables::build(&a, 1, 32, &KernelOpts::plus_table_quant()).unwrap();
-        let m = ActTables::build(&a, 1, 32, &KernelOpts::tmac_mirror()).unwrap();
-        // f32 -> i8 quarters the width; mirror halves the length: paper
-        // Figure 5 ("up to a quarter of its original size" for width+length
-        // combined relative to fp16; vs f32 it is 8x).
+        // f32 -> i8 quarters the width (paper Figure 5).
         assert_eq!(f.table_bytes(), 4 * q.table_bytes());
-        assert_eq!(q.table_bytes(), 2 * m.table_bytes());
     }
 
     /// Deterministic activations in `[-2, 2)` (xorshift).
@@ -609,15 +526,12 @@ mod tests {
         let profiles = [
             KernelOpts::tm_base(),
             KernelOpts::plus_table_quant(),
-            KernelOpts::tmac_mirror(),
             KernelOpts::tmac_fast_aggregation(),
         ];
         for (gi, gs) in [4usize, 12, 32, 64, 128, 256].into_iter().enumerate() {
             for (pi, opts) in profiles.iter().enumerate() {
                 let kgb = gs / LUT_GROUP;
-                if (opts.mirror && !kgb.is_multiple_of(2))
-                    || (opts.fast_aggregation && !kgb.is_power_of_two())
-                {
+                if opts.fast_aggregation && !kgb.is_power_of_two() {
                     assert!(ActTables::build(&generated(gs, 1), 1, gs, opts).is_err());
                     continue;
                 }
@@ -631,7 +545,6 @@ mod tests {
                         (batch.rows, batch.k, batch.k / batch.group_size),
                         (rows, k, k / gs)
                     );
-                    assert_eq!(batch.mirror, opts.mirror);
                     assert_eq!(batch.has_offset_tables(), opts.fast_aggregation);
                     let ones: Vec<ActTables> = acts
                         .chunks_exact(k)
@@ -716,10 +629,9 @@ mod tests {
                     assert_eq!(unit, &batch.q_tables[(sb * rows + r) * len..][..len]);
                     assert_eq!(unit, &one.q_tables[sb * len..][..len], "{what}");
                     assert_eq!(unit, one.block_tables(sb, 0..1), "{what}");
-                    let pair = if opts.mirror { 2 } else { 1 };
                     for kgi in 0..kgb {
                         let at = batch.kg_offset(r, sb * kgb + kgi);
-                        assert_eq!(at, (sb * rows + r) * len + kgi / pair * TABLE_LEN);
+                        assert_eq!(at, (sb * rows + r) * len + kgi * TABLE_LEN);
                     }
                     if opts.fast_aggregation {
                         assert_eq!(batch.block_tables_u8(sb, r), one.block_tables_u8(sb, 0));
@@ -746,7 +658,6 @@ mod tests {
         let profiles = [
             KernelOpts::tm_base(),
             KernelOpts::plus_table_quant(),
-            KernelOpts::tmac_mirror(),
             KernelOpts::tmac_fast_aggregation(),
         ];
         for gs in [8usize, 32] {
@@ -790,9 +701,6 @@ mod tests {
     fn rejects_bad_input() {
         assert!(ActTables::build(&[], 1, 32, &KernelOpts::tmac()).is_err());
         assert!(ActTables::build(&act(33), 1, 32, &KernelOpts::tmac()).is_err());
-        let mut o = KernelOpts::tmac();
-        o.mirror = true;
-        assert!(ActTables::build(&act(16), 1, 4, &o).is_err()); // gs % 8 != 0
         assert!(ActTables::build(&act(64), 0, 32, &KernelOpts::tmac()).is_err());
         assert!(ActTables::build(&act(96), 2, 32, &KernelOpts::tmac()).is_err()); // K = 48
         let fa = KernelOpts::tmac_fast_aggregation();

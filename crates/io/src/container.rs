@@ -7,11 +7,11 @@
 //! Loading is therefore a header parse plus an integrity sweep; the weight
 //! bytes are borrowed zero-copy from the file mapping and never touched.
 //!
-//! # Layout (version 3, all integers little-endian)
+//! # Layout (version 4, all integers little-endian)
 //!
 //! ```text
 //! 0x00  magic    b"TMAC"
-//! 0x04  version  u32 (= 3)
+//! 0x04  version  u32 (= 4)
 //! 0x08  index_len u64                  bytes of the index section
 //! 0x10  index:
 //!       meta_count u64
@@ -24,9 +24,9 @@
 //!         kind 0 (raw f32): n_dims u8, dims u64 × n_dims
 //!         kind 1 (prepacked plan):
 //!             m u64, k u64, bits u8, group_size u32, zero f32,
-//!             opts: flags u8 (bit0 table_quant, 1 mirror,
-//!                   3 permute, 4 interleave, 5 fast_aggregation;
-//!                   bit 2 is unused), n_block u32
+//!             opts: flags u8 (bit0 table_quant, 3 permute,
+//!                   4 interleave, 5 fast_aggregation; any other
+//!                   bit is an error)
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
@@ -41,6 +41,9 @@
 //! byte order (lane-paired, bit-paired: see [`tmac_core::plan`]) and the
 //! options record lost `row_block`/`kg_panel`. Version 3 dropped the
 //! never-read `tiling` flag and `tile_k` field from the options record.
+//! Version 4 dropped flag bit 1 and the `n_block` field from the options
+//! record: the option it encoded is gone, and the row block is a kernel
+//! constant.
 //! Files of any other version are rejected with [`IoError::Version`] and
 //! are re-converted from the source checkpoint.
 
@@ -54,7 +57,7 @@ use tmac_quant::QuantizedMatrix;
 pub const TMAC_MAGIC: [u8; 4] = *b"TMAC";
 
 /// The container version this build reads and writes.
-pub const TMAC_VERSION: u32 = 3;
+pub const TMAC_VERSION: u32 = 4;
 
 const ROLE_DATA: u8 = 0;
 const ROLE_SCALES_PERM: u8 = 1;
@@ -167,26 +170,22 @@ pub struct TensorSpec<'a> {
 
 fn encode_opts(o: &KernelOpts, out: &mut Vec<u8>) {
     let flags = o.table_quant as u8
-        | (o.mirror as u8) << 1
         | (o.permute as u8) << 3
         | (o.interleave as u8) << 4
         | (o.fast_aggregation as u8) << 5;
     out.push(flags);
-    out.extend_from_slice(&(o.n_block as u32).to_le_bytes());
 }
 
 fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
     let flags = c.u8(what)?;
-    if flags & !0x3B != 0 {
+    if flags & !0x39 != 0 {
         return Err(IoError::Corrupt(format!("{what}: unknown option flags")));
     }
     Ok(KernelOpts {
         table_quant: flags & 1 != 0,
-        mirror: flags & 2 != 0,
         permute: flags & 8 != 0,
         interleave: flags & 16 != 0,
         fast_aggregation: flags & 32 != 0,
-        n_block: c.u32(what)? as usize,
     })
 }
 
@@ -389,7 +388,7 @@ impl TmacContainer {
         if version != TMAC_VERSION {
             return Err(IoError::Version {
                 found: version,
-                supported: "tmac v3",
+                supported: "tmac v4",
             });
         }
         let index_len = c.u64("index length")? as usize;
@@ -778,15 +777,16 @@ mod tests {
         ));
 
         // Version mismatch: a future version, version 1 — whose
-        // `interleave` stream has a different byte order — and version 2,
-        // whose options record still carries `tiling`/`tile_k`.
-        for v in [9u8, 1, 2] {
+        // `interleave` stream has a different byte order — version 2,
+        // whose options record still carries `tiling`/`tile_k`, and
+        // version 3, whose options record still carries `n_block`.
+        for v in [9u8, 1, 2, 3] {
             let mut bad = good.clone();
             bad[4] = v;
             std::fs::write(&path, &bad).unwrap();
             match TmacContainer::open(&path, LoadMode::Copy) {
                 Err(IoError::Version { found, supported }) => {
-                    assert_eq!((found, supported), (v as u32, "tmac v3"));
+                    assert_eq!((found, supported), (v as u32, "tmac v4"));
                 }
                 other => panic!("version {v} must be rejected, got {other:?}"),
             }
@@ -882,23 +882,17 @@ mod tests {
 
     #[test]
     fn opts_codec_roundtrip() {
-        for opts in [
-            KernelOpts::tmac(),
-            KernelOpts::tmac_mirror(),
-            KernelOpts::tmac_fast_aggregation(),
-            KernelOpts::tm_base(),
-            KernelOpts::plus_permute(),
-        ] {
+        for (_, opts) in KernelOpts::breakdown_ladder() {
             let mut buf = Vec::new();
             encode_opts(&opts, &mut buf);
-            assert_eq!(buf.len(), 5, "flags u8 + n_block u32");
+            assert_eq!(buf.len(), 1, "the flags byte alone");
             let back = decode_opts(&mut Cursor::new(&buf), "opts").unwrap();
             assert_eq!(back, opts);
         }
-        // Bit 2 (version 2's `tiling`) and bits 6-7 are unknown flags.
-        for flag in [4u8, 64, 128] {
-            let mut buf = vec![flag];
-            buf.extend_from_slice(&8u32.to_le_bytes());
+        // Bit 1 (dropped by version 4), bit 2 (version 2's `tiling`) and
+        // bits 6-7 are unknown flags, alone or among known ones.
+        for flag in [2u8, 4, 64, 128, 0x1B] {
+            let buf = [flag];
             assert!(
                 matches!(
                     decode_opts(&mut Cursor::new(&buf), "opts"),

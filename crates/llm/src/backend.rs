@@ -249,17 +249,6 @@ impl Linear {
         }
     }
 
-    /// The batch-row granularity the GEMM path blocks on (T-MAC's
-    /// `n_block`), if it has one. Callers sizing batch chunks (prefill)
-    /// should use a multiple of this so no ragged row block is left at
-    /// every chunk boundary. `None` = no preference.
-    pub fn preferred_rows(&self) -> Option<usize> {
-        match self {
-            Linear::Tmac(l) => Some(l.plan().opts.n_block.max(1)),
-            Linear::Dequant(_) | Linear::F32(_) => None,
-        }
-    }
-
     /// `out = act × W^T`.
     ///
     /// # Errors

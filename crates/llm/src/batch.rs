@@ -26,7 +26,7 @@
 //! across both — the equivalence invariants of `tests/batch.rs`).
 
 use crate::backend::BackendError;
-use crate::model::{BatchScratch, KvCache, Model};
+use crate::model::{BatchScratch, KvCache, Model, PREFILL_CHUNK};
 use crate::sampling::{self, Sampler};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,8 +76,7 @@ pub struct SchedulerConfig {
     pub max_batch: usize,
     /// Rows per prefill [`Model::forward_batch`] call (bounds batch-scratch
     /// memory while keeping prompts on the mpGEMM path). `0` (the default)
-    /// derives the chunk from the model's kernel blocking at construction
-    /// time ([`Model::prefill_chunk`]).
+    /// is [`PREFILL_CHUNK`].
     pub prefill_chunk: usize,
     /// Maximum queued (submitted but not yet active) sequences. Further
     /// [`Scheduler::submit`] calls return [`BackendError::QueueFull`] — the
@@ -324,8 +323,7 @@ impl Scheduler {
     pub fn new(model: Model, mut cfg: SchedulerConfig) -> Self {
         assert!(cfg.max_batch > 0, "scheduler needs max_batch >= 1");
         if cfg.prefill_chunk == 0 {
-            // Auto: follow the kernel's batch blocking.
-            cfg.prefill_chunk = model.prefill_chunk();
+            cfg.prefill_chunk = PREFILL_CHUNK;
         }
         let scratch = BatchScratch::new(&model.cfg, cfg.max_batch.max(cfg.prefill_chunk));
         let cache = KvCache::multi(&model.cfg, cfg.max_batch).with_budget(cfg.kv_page_budget);
@@ -428,7 +426,7 @@ impl Scheduler {
     }
 
     /// The scheduler's limits (as resolved at construction: a zero
-    /// `prefill_chunk` has been replaced by the model-derived chunk).
+    /// `prefill_chunk` has been replaced by [`PREFILL_CHUNK`]).
     pub fn config(&self) -> &SchedulerConfig {
         &self.cfg
     }

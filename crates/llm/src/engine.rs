@@ -11,7 +11,7 @@
 
 use crate::backend::BackendError;
 use crate::batch::FinishReason;
-use crate::model::{BatchScratch, KvCache, Model};
+use crate::model::{BatchScratch, KvCache, Model, PREFILL_CHUNK};
 use crate::ops;
 use crate::sampling::{self, GenRequest, Sampler};
 use std::time::Instant;
@@ -22,7 +22,7 @@ pub struct Engine {
     /// The model.
     pub model: Model,
     cache: KvCache,
-    /// Sized for one prefill chunk ([`Model::prefill_chunk`] rows); decode
+    /// Sized for one prefill chunk ([`PREFILL_CHUNK`] rows); decode
     /// steps use row 0.
     scratch: BatchScratch,
 }
@@ -75,7 +75,7 @@ impl Engine {
     /// Wraps a model with fresh generation state.
     pub fn new(model: Model) -> Self {
         let cache = KvCache::new(&model.cfg);
-        let scratch = BatchScratch::new(&model.cfg, model.prefill_chunk());
+        let scratch = BatchScratch::new(&model.cfg, PREFILL_CHUNK);
         Engine {
             model,
             cache,
@@ -259,7 +259,6 @@ mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use crate::config::{ModelConfig, WeightQuant};
-    use crate::model::PREFILL_CHUNK;
 
     fn engine(kind: BackendKind) -> Engine {
         Engine::new(Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 9).unwrap())

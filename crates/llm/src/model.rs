@@ -15,14 +15,13 @@ use tmac_core::ExecCtx;
 
 pub use crate::kv::KvCache; // the cache moved to `kv`; old import paths keep working
 
-/// *Target* rows per prefill [`Model::forward_batch`] call: long prompts
-/// are split into chunks of about this many positions, bounding
-/// batch-scratch memory (the dominant term is `chunk × vocab` logits)
-/// while keeping the prompt on the mpGEMM path. The chunk a model actually
-/// uses is [`Model::prefill_chunk`] — this target rounded to the backend's
-/// batch blocking (`n_block`), so prefill chunking follows the kernel's
-/// real row blocking instead of a hardcoded 16.
+/// Rows per prefill [`Model::forward_batch`] call: long prompts are split
+/// into chunks of this many positions, bounding batch-scratch memory (the
+/// dominant term is `chunk × vocab` logits) while keeping the prompt on the
+/// mpGEMM path. A whole number of the T-MAC driver's row blocks
+/// ([`tmac_core::N_BLOCK`]), so no chunk leaves a ragged row block.
 pub const PREFILL_CHUNK: usize = 16;
+const _: () = assert!(PREFILL_CHUNK.is_multiple_of(tmac_core::N_BLOCK));
 
 /// Per-layer weights.
 #[derive(Debug, Clone)]
@@ -523,20 +522,6 @@ impl Model {
         self.head.label()
     }
 
-    /// Rows per prefill chunk for this model: the target chunk size
-    /// ([`PREFILL_CHUNK`]) rounded **down** to a whole
-    /// multiple of the backend's batch blocking (`n_block` for T-MAC, via
-    /// [`Linear::preferred_rows`]), never below one
-    /// block. Chunking on a multiple means no mpGEMM sweep is left with a
-    /// ragged row block at a chunk boundary; backends with no preference
-    /// keep the plain target.
-    pub fn prefill_chunk(&self) -> usize {
-        match self.head.preferred_rows() {
-            Some(nb) if nb > 0 => nb * (PREFILL_CHUNK / nb).max(1),
-            _ => PREFILL_CHUNK,
-        }
-    }
-
     /// Packed weight bytes streamed per decoded token (layers + head).
     pub fn bytes_per_token(&self) -> usize {
         let per_layer: usize = self
@@ -562,25 +547,6 @@ mod tests {
 
     fn tiny_model(kind: BackendKind) -> Model {
         Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 42).unwrap()
-    }
-
-    #[test]
-    fn prefill_chunk_follows_backend_blocking() {
-        // T-MAC default n_block = 8 → 16 is already a whole multiple.
-        let t = tiny_model(BackendKind::Tmac(tmac_core::KernelOpts::tmac()));
-        assert_eq!(t.prefill_chunk(), 16);
-        // A 12-row n_block rounds the 16-row target down to one block…
-        let mut opts = tmac_core::KernelOpts::tmac();
-        opts.n_block = 12;
-        let t12 = tiny_model(BackendKind::Tmac(opts));
-        assert_eq!(t12.prefill_chunk(), 12);
-        // …a 5-row n_block fits three whole blocks.
-        opts.n_block = 5;
-        let t5 = tiny_model(BackendKind::Tmac(opts));
-        assert_eq!(t5.prefill_chunk(), 15);
-        // Backends without a GEMM blocking keep the plain target.
-        let f = tiny_model(BackendKind::F32);
-        assert_eq!(f.prefill_chunk(), PREFILL_CHUNK);
     }
 
     #[test]

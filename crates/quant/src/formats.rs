@@ -1,6 +1,6 @@
 //! llama.cpp-style packed block formats.
 //!
-//! The baseline system (`tmac-baseline`) mirrors llama.cpp's mixed-precision
+//! The baseline system (`tmac-baseline`) follows llama.cpp's mixed-precision
 //! path: activations are quantized on the fly to 32-element `Q8_0` blocks and
 //! weights are stored in per-bit-width packed blocks, each carrying one `f32`
 //! scale per 32 weights. The packings reproduce the *layout properties* that

@@ -58,7 +58,7 @@ impl std::error::Error for QuantError {}
 ///
 /// Codes are stored one per byte for interchange simplicity; packed kernel
 /// layouts (nibble planes, llama.cpp blocks) are derived from this form
-/// offline, which mirrors the paper's offline weight preprocessing stage
+/// offline, which matches the paper's offline weight preprocessing stage
 /// (Figure 2, "OFFLINE").
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {

@@ -129,7 +129,7 @@ pub struct Metrics {
     /// Bytes resident in allocated KV pages.
     pub kv_resident_bytes: Gauge,
     /// Cumulative radix prompt-cache hits (submits that reused pages);
-    /// mirrors `KvStats::prefix_hits`, refreshed per step.
+    /// copies `KvStats::prefix_hits`, refreshed per step.
     pub prefix_hits: Gauge,
     /// Cumulative positions whose prefill was skipped via prefix reuse.
     pub prefix_hit_positions: Gauge,
@@ -143,7 +143,7 @@ pub struct Metrics {
     /// means a panic escaped the scheduler's quarantine).
     pub step_loop_restarts: Counter,
     /// Sequences error-retired by the scheduler's fault quarantine
-    /// (mirror of `Scheduler::quarantined_total`, refreshed per step).
+    /// (copy of `Scheduler::quarantined_total`, refreshed per step).
     pub quarantined: Gauge,
     /// Micros since `start` at the step loop's last heartbeat; rendered
     /// as `tmac_last_step_age_seconds` (uptime minus this).

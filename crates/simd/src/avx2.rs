@@ -161,35 +161,6 @@ pub fn unpack_nibbles_sequential(bytes: __m128i) -> __m256i {
     _mm256_inserti128_si256(_mm256_castsi128_si256(even_odd_lo), even_odd_hi, 1)
 }
 
-/// Transforms raw indices for a mirror-consolidated table.
-///
-/// Returns `(idx', ctrl)`: `idx' = idx ^ 0x0F` where `idx >= 8` (folding the
-/// upper half of the table onto the lower, paper Figure 5), and a sign
-/// control vector for [`apply_sign`] that is negative exactly where the
-/// looked-up value must be negated (and never zero).
-#[inline]
-#[target_feature(enable = "avx2")]
-pub fn mirror_fold(idx: __m256i) -> (__m256i, __m256i) {
-    let seven = _mm256_set1_epi8(7);
-    let low_mask = _mm256_set1_epi8(0x0F);
-    // Bytes with idx >= 8 compare greater-than 7 -> 0xFF.
-    let neg = _mm256_cmpgt_epi8(idx, seven);
-    let folded = _mm256_xor_si256(idx, _mm256_and_si256(neg, low_mask));
-    // ctrl: 0xFF (negative) where mirrored, 0x01 (positive) elsewhere; never 0
-    // because `_mm256_sign_epi8` zeroes its output where ctrl == 0.
-    let ctrl = _mm256_or_si256(neg, _mm256_set1_epi8(1));
-    (folded, ctrl)
-}
-
-/// Applies a sign control to looked-up values (`_mm256_sign_epi8`).
-///
-/// `ctrl` bytes must be non-zero: negative negates, positive passes through.
-#[inline]
-#[target_feature(enable = "avx2")]
-pub fn apply_sign(vals: __m256i, ctrl: __m256i) -> __m256i {
-    _mm256_sign_epi8(vals, ctrl)
-}
-
 // ---------------------------------------------------------------------------
 // Accumulation.
 // ---------------------------------------------------------------------------
@@ -783,36 +754,6 @@ mod tests {
             to_bytes(unpack_nibbles_sequential(b))
         };
         assert_eq!(got.to_vec(), rows);
-    }
-
-    #[test]
-    fn mirror_fold_sign_identity() {
-        if skip() {
-            return;
-        }
-        // A mirrored table stores s(0..8); folding idx then applying the sign
-        // must reproduce a full 16-entry antisymmetric table lookup.
-        let mut full = [0i8; 16];
-        for (i, t) in full.iter_mut().enumerate() {
-            *t = (i as i8) * 3 - 45; // antisymmetric-ish around the midpoint
-        }
-        // Force true mirror antisymmetry: full[15 - i] = -full[i].
-        for i in 0..8 {
-            full[15 - i] = -full[i];
-        }
-        let mut half = [0i8; 16];
-        half[..8].copy_from_slice(&full[..8]);
-        let idx: Vec<u8> = (0..32).map(|i| (i % 16) as u8).collect();
-        // SAFETY: AVX2 checked by `skip`.
-        let got = unsafe {
-            let t = dup_table16(&half);
-            let iv = loadu_256(&idx);
-            let (folded, ctrl) = mirror_fold(iv);
-            to_bytes(apply_sign(tbl32(t, folded), ctrl))
-        };
-        let mut want = vec![0i8; 32];
-        scalar::tbl16(&full, &idx, &mut want);
-        assert_eq!(got.map(|b| b as i8).to_vec(), want);
     }
 
     #[test]

@@ -71,22 +71,6 @@ pub fn broadcast_256<T>(src: &[T]) -> __m512i {
     _mm512_broadcast_i64x4(v)
 }
 
-/// Loads the first 16 bytes of `src` into all four 128-bit lanes
-/// (`vbroadcasti32x4`); `T` is a byte type.
-///
-/// # Panics
-///
-/// Panics if `src.len() < 16`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw")]
-pub fn broadcast_128<T>(src: &[T]) -> __m512i {
-    const { assert!(std::mem::size_of::<T>() == 1) };
-    assert!(src.len() >= 16, "broadcast_128 needs 16 bytes");
-    // SAFETY: `src` has at least 16 readable bytes; unaligned load allowed.
-    let v = unsafe { _mm_loadu_si128(src.as_ptr() as *const __m128i) };
-    _mm512_broadcast_i32x4(v)
-}
-
 /// Loads 16 `f32` from `src` (unaligned).
 ///
 /// # Panics
@@ -137,10 +121,6 @@ mod tests {
             assert_eq!(dst[..], src[..]);
             let b = bytes(broadcast_256(&src[..32]));
             assert_eq!((&b[..32], &b[32..]), (&src[..32], &src[..32]));
-            let b = bytes(broadcast_128(&src[..16]));
-            for lane in b.chunks_exact(16) {
-                assert_eq!(lane, &src[..16]);
-            }
             let f: Vec<f32> = (0..16).map(|i| i as f32 * 0.5).collect();
             let mut g = [0f32; 16];
             storeu_ps(&mut g, loadu_ps(&f));

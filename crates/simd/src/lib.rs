@@ -55,7 +55,7 @@ pub mod avx512;
 
 /// Instruction-set architecture selected at runtime.
 ///
-/// Mirrors the paper's Table 1: each ISA maps to a *look-up* and a *fast
+/// Follows the paper's Table 1: each ISA maps to a *look-up* and a *fast
 /// aggregation* instruction. [`Isa::lookup_intrinsic`] and
 /// [`Isa::aggregation_intrinsic`] report that mapping (printed by
 /// `paper table1`).

@@ -234,7 +234,7 @@ pub fn rope_apply_f32(v: &mut [f32], cos_dup: &[f32], sin_dup: &[f32]) {
 /// Quantizes a block of `f32` to `i8` with a symmetric scale `max|x| / 127`.
 ///
 /// Returns the scale; `x ≈ scale * q`. A zero block returns scale `0.0` and
-/// all-zero codes. This mirrors llama.cpp's `Q8_0` activation quantization
+/// all-zero codes. This matches llama.cpp's `Q8_0` activation quantization
 /// and T-MAC's dynamic *table quantization* (paper §3.3).
 ///
 /// # Panics

@@ -64,7 +64,7 @@ fn forward_bit_exact_vs_seed_style_reference() {
     }
 }
 
-#[allow(clippy::needless_range_loop)] // index loops mirror the seed's exact formulation
+#[allow(clippy::needless_range_loop)] // index loops follow the seed's exact formulation
 fn assert_forward_matches_seed_style_reference(kind: BackendKind) {
     let cfg = ModelConfig::tiny();
     let m = model_with(&cfg, kind);

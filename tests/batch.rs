@@ -11,7 +11,7 @@
 mod common;
 
 use common::family_ctxs;
-use tmac::core::ExecCtx;
+use tmac::core::{ExecCtx, N_BLOCK};
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, WeightQuant,
@@ -21,16 +21,19 @@ fn model(quant: WeightQuant, kind: BackendKind, seed: u64) -> Model {
     Model::synthetic(&ModelConfig::tiny(), quant, kind, seed).unwrap()
 }
 
-/// Runs `b` independent single-token streams for `steps` positions, then
-/// one batched run over per-sequence caches, and asserts bit-equality of
-/// every row's logits at every step.
-#[allow(clippy::needless_range_loop)] // Index loops mirror the (pos, row) batch structure.
-fn assert_batch_equals_singles(m: &Model, b: usize, steps: usize, ctx: &ExecCtx) {
+/// Runs independent single-token streams for `steps` positions, then for
+/// each batch size `b` in `batches` one batched run of the first `b` streams
+/// over per-sequence caches, and asserts bit-equality of every row's logits
+/// at every step.
+#[allow(clippy::needless_range_loop)] // Index loops follow the (pos, row) batch structure.
+fn assert_batches_equal_singles(m: &Model, batches: &[usize], steps: usize, ctx: &ExecCtx) {
     let tokens_at = |step: usize, r: usize| ((r * 13 + step * 7 + 1) % m.cfg.vocab) as u32;
 
-    // Reference: B independent forward() streams.
-    let mut single_logits: Vec<Vec<Vec<f32>>> = Vec::with_capacity(b);
-    for r in 0..b {
+    // Reference: independent forward() streams (a row's tokens do not
+    // depend on the batch it joins).
+    let rows = batches.iter().copied().max().unwrap_or(0);
+    let mut single_logits: Vec<Vec<Vec<f32>>> = Vec::with_capacity(rows);
+    for r in 0..rows {
         let mut cache = KvCache::new(&m.cfg);
         let mut s = BatchScratch::new(&m.cfg, 1);
         let mut per_step = Vec::with_capacity(steps);
@@ -44,21 +47,23 @@ fn assert_batch_equals_singles(m: &Model, b: usize, steps: usize, ctx: &ExecCtx)
 
     // Batched: one forward_batch per step over all B rows (one pooled
     // paged cache, one sequence per row).
-    let mut cache = KvCache::multi(&m.cfg, b);
-    let mut scratch = BatchScratch::new(&m.cfg, b);
-    let slots: Vec<usize> = (0..b).collect();
-    for pos in 0..steps {
-        let tokens: Vec<u32> = (0..b).map(|r| tokens_at(pos, r)).collect();
-        let positions = vec![pos; b];
-        m.forward_batch(&tokens, &positions, &slots, &mut cache, &mut scratch, ctx)
-            .unwrap();
-        for r in 0..b {
-            assert_eq!(
-                scratch.logits_row(r),
-                &single_logits[r][pos][..],
-                "{}: row {r} step {pos} diverged from the single-stream forward",
-                ctx.isa()
-            );
+    for &b in batches {
+        let mut cache = KvCache::multi(&m.cfg, b);
+        let mut scratch = BatchScratch::new(&m.cfg, b);
+        let slots: Vec<usize> = (0..b).collect();
+        for pos in 0..steps {
+            let tokens: Vec<u32> = (0..b).map(|r| tokens_at(pos, r)).collect();
+            let positions = vec![pos; b];
+            m.forward_batch(&tokens, &positions, &slots, &mut cache, &mut scratch, ctx)
+                .unwrap();
+            for r in 0..b {
+                assert_eq!(
+                    scratch.logits_row(r),
+                    &single_logits[r][pos][..],
+                    "{}: B={b} row {r} step {pos} diverged from the single-stream forward",
+                    ctx.isa()
+                );
+            }
         }
     }
 }
@@ -74,21 +79,21 @@ fn forward_batch_is_bit_exact_across_bits() {
                 BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
                 31 + bits as u64,
             );
-            assert_batch_equals_singles(&m, 5, 3, &ctx);
+            assert_batches_equal_singles(&m, &[5], 3, &ctx);
         }
     }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_beyond_the_row_block() {
-    // B = 11 spans two mpGEMM row blocks (n_block = 8) unevenly.
+    // B = 11 spans two mpGEMM row blocks (N_BLOCK = 8) unevenly.
     for ctx in family_ctxs() {
         let m = model(
             WeightQuant::Rtn(2),
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             77,
         );
-        assert_batch_equals_singles(&m, 11, 2, &ctx);
+        assert_batches_equal_singles(&m, &[11], 2, &ctx);
     }
 }
 
@@ -100,26 +105,26 @@ fn forward_batch_is_bit_exact_on_every_backend() {
             BackendKind::Dequant,
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
-            BackendKind::Tmac(tmac::core::KernelOpts::tmac_mirror()),
         ] {
             let m = model(WeightQuant::Rtn(3), kind, 5);
-            assert_batch_equals_singles(&m, 3, 2, &ctx);
+            assert_batches_equal_singles(&m, &[3], 2, &ctx);
         }
     }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_across_register_blockings() {
-    // The multi-row kernel must not change a bit whatever the row blocking:
-    // blocks of one row, an odd block the batch straddles unevenly, a batch
-    // that exactly fills blocks, and a block larger than the batch.
+    // The multi-row kernel must not change a bit whatever the batch's place
+    // against the row blocks: every batch size from one row to two whole
+    // blocks and one row more.
+    let m = model(
+        WeightQuant::Rtn(2),
+        BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
+        31,
+    );
+    let batches: Vec<usize> = (1..=2 * N_BLOCK + 1).collect();
     for ctx in family_ctxs() {
-        for (n_block, batch) in [(1usize, 5usize), (3, 7), (4, 8), (8, 9), (16, 5)] {
-            let mut opts = tmac::core::KernelOpts::tmac();
-            opts.n_block = n_block;
-            let m = model(WeightQuant::Rtn(2), BackendKind::Tmac(opts), 31);
-            assert_batch_equals_singles(&m, batch, 2, &ctx);
-        }
+        assert_batches_equal_singles(&m, &batches, 2, &ctx);
     }
 }
 
@@ -131,7 +136,7 @@ fn forward_batch_is_bit_exact_for_bitnet_ternary() {
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             13,
         );
-        assert_batch_equals_singles(&m, 5, 2, &ctx);
+        assert_batches_equal_singles(&m, &[5], 2, &ctx);
     }
 }
 

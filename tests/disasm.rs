@@ -202,15 +202,13 @@ fn gemv_loop_is_two_shuffles_per_weight_load() {
                 !body.iter().any(Insn::is_lane_fixup),
                 "lane fix-up:\n{dump}"
             );
-            // Mirror consolidation's sign reconstruction needs more live
-            // values than AVX2 has registers; the default loops must not
-            // spill.
-            let mirror = count(body, "vpsignb") > 0;
-            let spills = body.iter().any(Insn::is_vector_stack_store);
-            assert!(mirror || !spills, "spill:\n{dump}");
-            // The 2-bit, non-mirror body: two loads and one combine constant
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
+            // The 2-bit body: two loads and one combine constant
             // (`vpmaddubsw` per lookup, nothing else widening).
-            if loads == 2 && !mirror && count(body, "vpmaddubsw") == 4 {
+            if loads == 2 && count(body, "vpmaddubsw") == 4 {
                 assert_eq!(count(body, "vpaddw"), 4, "accumulates:\n{dump}");
                 assert_eq!(count(body, "vbroadcasti128"), 0, "table operand:\n{dump}");
                 w2_hot_loops += 1;
@@ -274,13 +272,14 @@ fn gemm_row_loop_keeps_accumulators_in_registers() {
                 !body.iter().any(Insn::is_lane_fixup),
                 "lane fix-up:\n{dump}"
             );
-            let mirror = count(body, "vpsignb") > 0;
-            let spills = body.iter().any(Insn::is_vector_stack_store);
-            assert!(mirror || !spills, "spill:\n{dump}");
-            // 2-bit, non-mirror: 4 lookups per pair — 16 per (row, scale
-            // block) over the 4 pairs of a 32-wide group.
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
+            // 2-bit: 4 lookups per pair — 16 per (row, scale block) over
+            // the 4 pairs of a 32-wide group.
             let two_bit = count(body, "vpshufb") == 4 && count(body, "vpmaddubsw") == 4;
-            if !two_bit || mirror {
+            if !two_bit {
                 continue;
             }
             // The row loop: the smallest loop around it that also folds
@@ -311,8 +310,8 @@ fn gemm_row_loop_keeps_accumulators_in_registers() {
 }
 
 /// The `zmm` GEMV loop: per 64-byte weight load one `vpshufb zmm` per 64
-/// lookups — two per plane pair, one per lone plane, plus one per mirror
-/// table expansion — every shuffle on `zmm`, no lane fix-ups, no spills.
+/// lookups — two per plane pair, one per lone plane — every shuffle on
+/// `zmm`, no lane fix-ups, no spills.
 #[test]
 fn zmm_gemv_loop_is_one_shuffle_per_64_lookups() {
     let Some(funcs) = disassemble(Isa::Avx512, "avx512::mtile_paired_bits") else {
@@ -336,13 +335,12 @@ fn zmm_gemv_loop_is_one_shuffle_per_64_lookups() {
             if pairs + lone == 0 {
                 continue;
             }
-            let expansions = count(body, "vbroadcasti32x4");
             let dump = listing(body);
             let shuffles: Vec<_> = body.iter().filter(|i| i.is("vpshufb")).collect();
             assert!(shuffles.iter().all(|i| i.zmm_only()), "ymm lookup:\n{dump}");
             assert_eq!(
                 shuffles.len(),
-                2 * pairs + lone + expansions,
+                2 * pairs + lone,
                 "lookups per load:\n{dump}"
             );
             assert!(
@@ -353,10 +351,10 @@ fn zmm_gemv_loop_is_one_shuffle_per_64_lookups() {
                 !body.iter().any(Insn::is_vector_stack_store),
                 "spill:\n{dump}"
             );
-            // Even widths without mirror: one `vpmaddubsw` and one `vpaddw`
-            // per lookup, and the 2-bit body one `vbroadcasti64x4` table
-            // operand per load.
-            if lone == 0 && expansions == 0 {
+            // Even widths: one `vpmaddubsw` and one `vpaddw` per lookup,
+            // and the 2-bit body one `vbroadcasti64x4` table operand per
+            // load.
+            if lone == 0 {
                 assert_eq!(count(body, "vpmaddubsw"), 2 * pairs, "widens:\n{dump}");
                 assert_eq!(count(body, "vpaddw"), 2 * pairs, "accumulates:\n{dump}");
                 if count(body, "vbroadcasti64x4") == pairs {
@@ -401,9 +399,8 @@ fn zmm_gemm_row_loop_keeps_accumulators_in_registers() {
                 !body.iter().any(Insn::is_vector_stack_store),
                 "spill:\n{dump}"
             );
-            // 2-bit, non-mirror: 2 lookups per k-group pair.
+            // 2-bit: 2 lookups per k-group pair.
             let two_bit = count(body, "vpmaddubsw") == count(body, "vpshufb")
-                && count(body, "vbroadcasti32x4") == 0
                 && count(body, "vpshufb") == 2 * count(body, "vbroadcasti64x4");
             if !two_bit {
                 continue;

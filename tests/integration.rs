@@ -2,10 +2,12 @@
 //! baseline and the f32 reference must agree on the *same* quantized
 //! weights, across bit-widths, option sets, shapes and thread counts.
 
+mod common;
+
+use common::family_ctxs;
 use tmac::baseline::DequantLinear;
 use tmac::core::kernel::scalar::gemv_reference;
-use tmac::core::ExecCtx;
-use tmac::core::{KernelOpts, TmacLinear};
+use tmac::core::{ExecCtx, KernelOpts, TmacError, TmacLinear};
 use tmac::quant::{bitnet, gptq, rtn};
 use tmac::simd::f32ops::nmse;
 
@@ -63,26 +65,63 @@ fn tmac_and_baseline_agree_on_identical_weights() {
     }
 }
 
+/// Every option set `validate` accepts — the five Figure 10 rungs and the
+/// sequential stream with fast aggregation, exactly — tracks the reference
+/// on every kernel family the host executes; every other set, among them
+/// the two with no AVX2 kernel (a permuted stream over `f32` tables, fast
+/// aggregation over the flat layout), is refused with a typed error.
 #[test]
 fn every_opt_combination_matches_the_reference() {
-    let ctx = ExecCtx::new(2);
     let (m, k) = (64, 128);
     let w = weights(m, k, 11);
     let a = act(k, 11);
     let qm = rtn::quantize(&w, m, k, 3, 32).unwrap();
     let reference = gemv_reference(&qm, &a);
-    let mut combos = KernelOpts::breakdown_ladder();
-    combos.push(("tmac_mirror", KernelOpts::tmac_mirror()));
-    let mut fa_mirror = KernelOpts::tmac_fast_aggregation();
-    fa_mirror.mirror = true;
-    combos.push(("fa_mirror", fa_mirror));
-    for (name, opts) in combos {
-        let tl = TmacLinear::new(&qm, opts).unwrap();
-        let mut out = vec![0f32; m];
-        tl.gemv(&a, &mut out, &ctx).unwrap();
-        let e = nmse(&out, &reference);
-        let tol = if opts.fast_aggregation { 0.25 } else { 5e-3 };
-        assert!(e < tol, "{name}: nmse={e}");
+    let mut valid = Vec::new();
+    for flags in 0..16u8 {
+        let opts = KernelOpts {
+            table_quant: flags & 1 != 0,
+            permute: flags & 2 != 0,
+            interleave: flags & 4 != 0,
+            fast_aggregation: flags & 8 != 0,
+        };
+        match TmacLinear::new(&qm, opts) {
+            Ok(tl) => valid.push((opts, tl)),
+            Err(e) => assert!(matches!(e, TmacError::Opts(_)), "{opts:?}: {e:?}"),
+        }
+    }
+    let mut expected: Vec<KernelOpts> = KernelOpts::breakdown_ladder()
+        .into_iter()
+        .map(|(_, o)| o)
+        .collect();
+    expected.push(KernelOpts {
+        interleave: false,
+        ..KernelOpts::tmac_fast_aggregation()
+    });
+    assert_eq!(valid.len(), expected.len());
+    assert!(expected.iter().all(|o| valid.iter().any(|(v, _)| v == o)));
+    let f32_permuted = KernelOpts {
+        table_quant: false,
+        ..KernelOpts::plus_permute()
+    };
+    let flat_fa = KernelOpts {
+        fast_aggregation: true,
+        ..KernelOpts::plus_table_quant()
+    };
+    for opts in [f32_permuted, flat_fa] {
+        assert!(matches!(
+            TmacLinear::new(&qm, opts),
+            Err(TmacError::Opts(_))
+        ));
+    }
+    for ctx in family_ctxs() {
+        for (opts, tl) in &valid {
+            let mut out = vec![0f32; m];
+            tl.gemv(&a, &mut out, &ctx).unwrap();
+            let e = nmse(&out, &reference);
+            let tol = if opts.fast_aggregation { 0.25 } else { 5e-3 };
+            assert!(e < tol, "{opts:?} isa={}: nmse={e}", ctx.isa());
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! * Eq. 1 — bit-serial reconstruction is exact for arbitrary codes;
 //! * the offline layouts (flat / permuted / interleaved) are bijective
 //!   re-arrangements of the same indices;
-//! * mirror consolidation's sign identity;
+//! * the raw table's sign identity `t[15 - i] = -t[i]`;
 //! * table quantization error is bounded by half a step;
 //! * the whole GEMV is linear in the activations;
 //! * `gemv` == `with_tables` == `gemv_cached` **bit-exactly**, for all
@@ -31,7 +31,7 @@ use tmac::simd::Isa;
 use tmac::threadpool::chunk_range;
 use tmac_rng::Rng;
 
-/// Cases per property (mirrors the old `ProptestConfig::with_cases(24)`).
+/// Cases per property (as the old `ProptestConfig::with_cases(24)`).
 const CASES: u64 = 24;
 
 fn arb_codes(rng: &mut Rng, m: usize, k: usize, bits: u8) -> Vec<u8> {
@@ -116,9 +116,10 @@ fn layouts_are_permutations() {
     }
 }
 
-/// Mirror: t[15 - i] == -t[i] for the raw table.
+/// `t[15 - i] == -t[i]` for the raw table, to rounding: the two entries
+/// flip every activation's sign.
 #[test]
-fn mirror_sign_identity() {
+fn raw_table_sign_identity() {
     for case in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x300 + case);
         let mut a = [0f32; 4];
@@ -243,13 +244,10 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
 /// The `(preset name, options)` a case can run under, given what the table
-/// builder accepts: mirror needs an even k-group count per block, fast
-/// aggregation a power-of-two one.
+/// builder accepts: fast aggregation needs a power-of-two k-group count per
+/// block.
 fn paired_presets(gs: usize) -> Vec<(&'static str, KernelOpts)> {
     let mut presets = vec![("tmac", KernelOpts::tmac())];
-    if gs.is_multiple_of(8) {
-        presets.push(("tmac_mirror", KernelOpts::tmac_mirror()));
-    }
     if (gs / 4).is_power_of_two() {
         presets.push(("tmac_fast_aggregation", KernelOpts::tmac_fast_aggregation()));
     }
