@@ -55,8 +55,6 @@ pub struct TableProfile {
     pub group_size: usize,
     /// Whether entries are quantized to `i8`.
     pub table_quant: bool,
-    /// Whether offset `u8` tables are additionally materialized.
-    pub fast_aggregation: bool,
 }
 
 impl TableProfile {
@@ -66,7 +64,6 @@ impl TableProfile {
             k: plan.k,
             group_size: plan.group_size,
             table_quant: plan.opts.table_quant,
-            fast_aggregation: plan.opts.fast_aggregation,
         }
     }
 }

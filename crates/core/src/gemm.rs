@@ -191,9 +191,8 @@ pub fn mpgemm_cached(
 ///
 /// Returns [`TmacError::Shape`] if `out.len() != tables.rows · M` or the
 /// tables do not match `plan`'s full table profile (shape *and* options):
-/// every mismatch the kernels cannot tolerate — `K`, group size,
-/// quantization, and missing offset tables under fast aggregation — is
-/// rejected before dispatch.
+/// every mismatch the kernels cannot tolerate — `K`, group size and
+/// quantization — is rejected before dispatch.
 pub fn mpgemm_with_tables(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -208,15 +207,11 @@ pub fn mpgemm_with_tables(
             plan.m
         )));
     }
-    let o = &plan.opts;
-    if (tables.k, tables.group_size) != (plan.k, plan.group_size)
-        || tables.quantized != o.table_quant
-        || (o.fast_aggregation && !tables.has_offset_tables())
+    if (tables.k, tables.group_size, tables.quantized)
+        != (plan.k, plan.group_size, plan.opts.table_quant)
     {
         return Err(TmacError::Shape(
-            "tables do not match the plan's table profile (K, group size, quantization, \
-             offset tables under fast aggregation)"
-                .into(),
+            "tables do not match the plan's table profile (K, group size, quantization)".into(),
         ));
     }
     let out = SharedMut::new(out);
@@ -363,15 +358,11 @@ mod tests {
         // Tables built without quantization don't match a TQ plan.
         let wrong = ActTables::build(&act[..k], 1, 32, &KernelOpts::tm_base()).unwrap();
         assert!(mpgemm_with_tables(&plan, &wrong, &mut one, &ctx).is_err());
-        // A fast-aggregation plan needs the offset u8 tables materialized.
-        let fa_plan = WeightPlan::new(&qm, KernelOpts::tmac_fast_aggregation()).unwrap();
-        let no_fa = build_tables(&plan, &act[..k], 1, None).unwrap();
-        assert!(mpgemm_with_tables(&fa_plan, &no_fa, &mut one, &ctx).is_err());
     }
 
     /// The multi-row sweep must be bit-identical to per-row GEMV for every
-    /// option combination (exact, FA, flat-quantized, f32 tables), every
-    /// bit-width, and shapes that straddle the `N_BLOCK` boundary.
+    /// option combination (paired, sequential, flat-quantized, f32 tables),
+    /// every bit-width, and shapes that straddle the `N_BLOCK` boundary.
     #[test]
     fn mpgemm_bit_identical_to_mpgemv_across_opts_and_shapes() {
         let ctx = ExecCtx::new(2);

@@ -7,11 +7,9 @@
 //!
 //! | options | kernel |
 //! |---|---|
-//! | paired stream (`interleave`), exact | `mtile_paired_bits<BITS>` |
-//! | paired stream, exact, multi-row | `gemm_mtile_bits<BITS>` |
-//! | paired stream, fast aggregation | `mtile_paired_fa` |
-//! | sequential stream (`+Perm.`), exact | `mtile_permuted` |
-//! | sequential stream, fast aggregation | `mtile_permuted_fa` |
+//! | paired stream (`interleave`) | `mtile_paired_bits<BITS>` |
+//! | paired stream, multi-row | `gemm_mtile_bits<BITS>` |
+//! | sequential stream (`+Perm.`) | `mtile_permuted` |
 //! | flat, quantized (`+TQ`) | `mtile_flat_quant` |
 //! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
 //!
@@ -48,18 +46,17 @@ use tmac_simd::avx2 as simd;
 /// The results of one m-tile for one activation row.
 pub type Tile = [f32; TILE_M];
 
-/// Maximum k-groups per scale block (`group_size / 4`) of the kernels that
-/// buffer a whole block: fast aggregation and the multi-row sweep.
+/// Maximum k-groups per scale block (`group_size / 4`) of the multi-row
+/// sweep, which buffers a whole block.
 pub const MAX_KG_PER_BLOCK: usize = 64;
 
 /// Whether the multi-row mpGEMM kernel ([`gemm_mtile`]) serves this plan.
 ///
-/// The kernel exists for the paired stream with exact aggregation and
-/// scale blocks it can buffer. Fast aggregation, the sequential/flat
-/// layouts and `f32` tables stay on the per-row sweep.
+/// The kernel exists for the paired stream with scale blocks it can
+/// buffer. The sequential/flat layouts and `f32` tables stay on the
+/// per-row sweep.
 pub fn gemm_supported(plan: &WeightPlan) -> bool {
-    let o = &plan.opts;
-    o.interleave && !o.fast_aggregation && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
+    plan.opts.interleave && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
 }
 
 /// Executes one m-tile for row `r` of `tables`, dispatching to the right
@@ -69,26 +66,15 @@ pub fn gemm_supported(plan: &WeightPlan) -> bool {
 ///
 /// The caller must have verified that the host CPU supports AVX2 and FMA
 /// (e.g. via `tmac_simd::Isa::available`).
-///
-/// # Panics
-///
-/// Panics if fast aggregation is requested with
-/// `group_size / 4 > MAX_KG_PER_BLOCK`.
 #[target_feature(enable = "avx2,fma")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
-    let (o, bits) = (&plan.opts, plan.bits);
     match plan.layout() {
         Layout::Permuted { interleaved } => {
             debug_assert!(tables.quantized);
-            // A one-group block has no averaging tree: fast aggregation is
-            // then the exact sum (and its bias correction is zero), so the
-            // paired FA kernel never meets a lone k-group.
-            let fa = o.fast_aggregation && !(interleaved && plan.group_size == LUT_GROUP);
-            match (interleaved, fa) {
-                (false, false) => mtile_permuted(plan, tables, r, mt, out),
-                (true, false) => for_bits!(bits, mtile_paired_bits(plan, tables, r, mt, out)),
-                (false, true) => mtile_permuted_fa(plan, tables, r, mt, out),
-                (true, true) => mtile_paired_fa(plan, tables, r, mt, out),
+            if interleaved {
+                for_bits!(plan.bits, mtile_paired_bits(plan, tables, r, mt, out));
+            } else {
+                mtile_permuted(plan, tables, r, mt, out);
             }
         }
         Layout::Flat => {
@@ -137,12 +123,10 @@ pub fn mtile(
     }
 }
 
-/// Loads the 16-entry table at `base`, duplicated into both lanes (`T` =
-/// `i8` entries or their `u8` offset form).
+/// Loads the 16-entry table at `base`, duplicated into both lanes.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn load_table<T>(tables: &[T], base: usize) -> __m256i {
-    const { assert!(std::mem::size_of::<T>() == 1) };
+fn load_table(tables: &[i8], base: usize) -> __m256i {
     let slice = &tables[base..base + 16];
     // SAFETY: `slice` is exactly 16 readable bytes; unaligned load allowed.
     _mm256_broadcastsi128_si256(unsafe { _mm_loadu_si128(slice.as_ptr() as *const __m128i) })
@@ -659,156 +643,6 @@ fn gemm_mtile_bits<const BITS: usize>(
     }
 }
 
-/// Folds one fast-aggregation scale block (`blk` = the reconstructed
-/// `Σ_bit 2^bit · L_bit`) into the outputs, with the probabilistic
-/// rounding-bias correction of the averaging tree (matches the scalar
-/// reference exactly; see its comment).
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-fn fold_fa(
-    outacc: &mut OutAcc,
-    blk: &OutAcc,
-    plan: &WeightPlan,
-    tables: &ActTables,
-    r: usize,
-    mt: usize,
-    sb: usize,
-) {
-    let kgb = plan.group_size / LUT_GROUP;
-    let depth = kgb.trailing_zeros() as f32;
-    let fa_delta = -0.25 * depth * kgb as f32 * (((1u32 << plan.bits) - 1) as f32);
-    let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
-    let sc = _mm256_set1_ps(0.5 * q_scale[0]);
-    let bias = _mm256_set1_ps(plan.cz * asum[0] + 0.5 * q_scale[0] * fa_delta);
-    outacc.fold(blk, sc, bias, plan.tile_scales(mt, sb));
-}
-
-/// Checks the fast-aggregation block shape (a balanced tree the kernels
-/// can buffer) and returns `group_size / 4`.
-fn fa_kg_per_block(plan: &WeightPlan) -> usize {
-    let kgb = plan.group_size / LUT_GROUP;
-    assert!(
-        kgb.is_power_of_two() && kgb <= MAX_KG_PER_BLOCK,
-        "fast aggregation needs a power-of-two group_size/4 <= {MAX_KG_PER_BLOCK}"
-    );
-    kgb
-}
-
-/// Fast 8-bit aggregation (lossy, paper §4) over the sequential stream.
-#[target_feature(enable = "avx2,fma")]
-fn mtile_permuted_fa(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
-    let bits = plan.bits;
-    let kgb = fa_kg_per_block(plan);
-    let stream = plan.mtile_stream(mt);
-    let step = TILE_M / 2;
-    let mut base = 0usize;
-    let mut outacc = OutAcc::zero();
-
-    for sb in 0..plan.groups_per_row() {
-        let mut blk = OutAcc::zero();
-        for bit in 0..bits {
-            let mut bufs = [_mm256_setzero_si256(); MAX_KG_PER_BLOCK];
-            for kgi in 0..kgb {
-                let kg = sb * kgb + kgi;
-                let tbl = load_table(&tables.u_tables, tables.kg_offset(r, kg));
-                let raw = simd::loadu_128(&stream[base + (bit * kgb + kgi) * step..]);
-                bufs[kgi] = simd::tbl32(tbl, simd::unpack_nibbles_sequential(raw));
-            }
-            // Balanced rounding-average tree: level by level, adjacent pairs
-            // (identical shape to the scalar reference).
-            let mut n = kgb;
-            while n > 1 {
-                for j in 0..n / 2 {
-                    bufs[j] = simd::avg_u8(bufs[2 * j], bufs[2 * j + 1]);
-                }
-                n /= 2;
-            }
-            let tree = bufs[0];
-            let off128 = _mm256_set1_epi16(128);
-            let lo = _mm256_sub_epi16(_mm256_cvtepu8_epi16(_mm256_castsi256_si128(tree)), off128);
-            let hi = _mm256_sub_epi16(
-                _mm256_cvtepu8_epi16(_mm256_extracti128_si256(tree, 1)),
-                off128,
-            );
-            // L ≈ (tree - 128) * kgb; bit weight folds in here.
-            let w = _mm256_set1_ps(((kgb as u32) << bit) as f32);
-            blk.add_weighted_i16((lo, hi), w);
-        }
-        fold_fa(&mut outacc, &blk, plan, tables, r, mt, sb);
-        base += kgb * bits * step;
-    }
-    outacc.store(out);
-}
-
-/// Fast 8-bit aggregation over the paired stream. The averaging tree runs
-/// per byte exactly as in the sequential kernel — a pair step's two lanes
-/// are k-groups `2kp`/`2kp+1`, i.e. the tree's first level — and each
-/// root's plane pair is then combined by `vpmaddubsw`, so the block sum
-/// `kgb · Σ_bit 2^bit · (tree_bit − 128)` is the same exact integer.
-#[target_feature(enable = "avx2,fma")]
-fn mtile_paired_fa(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
-    let bits = plan.bits;
-    let kg_pairs = fa_kg_per_block(plan) / 2;
-    let gpr = plan.groups_per_row();
-    let bb = plan.block_bytes();
-    let stream = plan.mtile_stream(mt);
-    let pair_w = [_mm_set1_epi16(0x0201), _mm_set1_epi16(0x0804)];
-    let lone_w = 1i16 << (bits - 1);
-    let (even_w, odd_w) = (_mm_set1_epi16(lone_w), _mm_set1_epi16(lone_w << 8));
-    let mut outacc = OutAcc::zero();
-
-    for sb in 0..gpr {
-        let src = &stream[sb * bb..(sb + 1) * bb];
-        let tbl = tables.block_tables_u8(sb, r);
-        // trees[2s + q][kp]: step `s` of pair `kp`, low (q = 0) or high
-        // nibbles, already averaged over the pair's two k-groups.
-        let mut trees = [[_mm_setzero_si128(); MAX_KG_PER_BLOCK / 2]; 8];
-        for kp in 0..kg_pairs {
-            let t = simd::loadu_256(&tbl[kp * 32..]);
-            for s in 0..bits {
-                let (lo, hi) = split_nibbles(simd::loadu_256(&src[(kp * bits + s) * 32..]));
-                for (q, idx) in [lo, hi].into_iter().enumerate() {
-                    let v = simd::tbl32(t, idx);
-                    trees[2 * s + q][kp] =
-                        _mm_avg_epu8(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
-                }
-            }
-        }
-        // acc[i]: rows 8i..8i+8 of Σ_bit 2^bit · tree_bit (offset domain).
-        let mut acc = [_mm_setzero_si128(); 4];
-        for (slot, tree) in trees.iter_mut().enumerate().take(2 * bits) {
-            let mut n = kg_pairs;
-            while n > 1 {
-                for j in 0..n / 2 {
-                    tree[j] = _mm_avg_epu8(tree[2 * j], tree[2 * j + 1]);
-                }
-                n /= 2;
-            }
-            let (s, q) = (slot / 2, slot % 2);
-            let mut madd = |i: usize, w: __m128i| {
-                acc[i] = _mm_add_epi16(acc[i], _mm_maddubs_epi16(tree[0], w));
-            };
-            if s < bits / 2 * 2 {
-                // Pair step `s = 2p + h`: rows 16h + 8q + j.
-                madd(2 * (s % 2) + q, pair_w[s / 2]);
-            } else {
-                // Lone plane: even bytes rows 16q + j, odd bytes 16q + 8 + j.
-                madd(2 * q, even_w);
-                madd(2 * q + 1, odd_w);
-            }
-        }
-        let off = _mm256_set1_epi32(128 * ((1 << bits) - 1));
-        let kgb = _mm256_set1_epi32(2 * kg_pairs as i32);
-        let f = |a: __m128i| {
-            let centred = _mm256_sub_epi32(_mm256_cvtepi16_epi32(a), off);
-            _mm256_cvtepi32_ps(_mm256_mullo_epi32(centred, kgb))
-        };
-        let blk = OutAcc(f(acc[0]), f(acc[1]), f(acc[2]), f(acc[3]));
-        fold_fa(&mut outacc, &blk, plan, tables, r, mt, sb);
-    }
-    outacc.store(out);
-}
-
 /// Assembles the interleaved 16-byte index step for `(kg, bit)` from the
 /// flat nibble planes — the per-step gather cost that the offline
 /// permutation removes (paper §3.2).
@@ -934,16 +768,16 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize,
 ///
 /// Panics if the buffers do not have `build_block`'s lengths.
 #[target_feature(enable = "avx2,fma")]
-pub fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8], u: &mut [u8]) -> f32 {
+pub fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8]) -> f32 {
     let amax = block_entries(block, raw);
     if q.is_empty() {
         return 0.0;
     }
     let scale = table::table_scale(amax);
     if scale.is_normal() {
-        quantize_block(raw, scale, q, u);
+        quantize_block(raw, scale, q);
     } else {
-        table::quantize_block(raw, scale, q, u);
+        table::quantize_block(raw, scale, q);
     }
     scale
 }
@@ -996,15 +830,14 @@ fn block_entries(block: &[f32], raw: &mut [f32]) -> f32 {
 }
 
 /// Quantizes a block's raw entries with a normal `scale` into its stored
-/// tables `q` (and their `+128` copy `u`, if non-empty), 8 entries per
-/// `quantize8` and four of those (32 bytes) per step.
+/// tables `q`, 8 entries per `quantize8` and four of those (32 bytes) per
+/// step.
 #[target_feature(enable = "avx2")]
-fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8], u: &mut [u8]) {
+fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8]) {
     assert!(
         q.len().is_multiple_of(16) && q.len() == raw.len(),
         "stored table length"
     );
-    assert!(u.is_empty() || u.len() == q.len(), "offset table length");
     let sc = _mm256_set1_ps(scale);
     let half = |i: usize| quantize8(simd::loadu_ps(&raw[i * 8..]), sc);
     for (c, dst) in q.chunks_mut(32).enumerate() {
@@ -1017,10 +850,6 @@ fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8], u: &mut [u8]) {
             pack_i8(a, b, a, b)
         };
         store_bytes(dst, bytes);
-        if !u.is_empty() {
-            let offset = _mm256_xor_si256(bytes, _mm256_set1_epi8(i8::MIN));
-            store_bytes(&mut u[32 * c..][..dst.len()], offset);
-        }
     }
 }
 
@@ -1062,8 +891,7 @@ fn pack_i8(a: __m256i, b: __m256i, c: __m256i, d: __m256i) -> __m256i {
 /// Stores the first `dst.len()` bytes of `v`: all 32, or the low 16.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn store_bytes<T>(dst: &mut [T], v: __m256i) {
-    const { assert!(std::mem::size_of::<T>() == 1) };
+fn store_bytes(dst: &mut [i8], v: __m256i) {
     match dst.len() {
         // SAFETY: `dst` is exactly 32 writable bytes; unaligned store allowed.
         32 => unsafe { _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, v) },
@@ -1125,24 +953,6 @@ mod tests {
     fn interleaved_matches_scalar() {
         for bits in 1..=4u8 {
             compare_opts(KernelOpts::tmac(), bits, 1e-5);
-        }
-    }
-
-    #[test]
-    fn fast_aggregation_matches_scalar_emulation() {
-        // The scalar kernel emulates the same avg tree, so even the lossy
-        // path must agree to f32 round-off, on both streams.
-        for bits in [1u8, 2, 4] {
-            let fa = KernelOpts::tmac_fast_aggregation();
-            compare_opts(fa, bits, 1e-5);
-            compare_opts(
-                KernelOpts {
-                    interleave: false,
-                    ..fa
-                },
-                bits,
-                1e-5,
-            );
         }
     }
 
@@ -1270,20 +1080,16 @@ mod tests {
         };
         assert!(gemm_supported(&plan(KernelOpts::tmac(), 32)));
         assert!(gemm_supported(&plan(KernelOpts::tmac(), 256)));
-        // Blocks too long to buffer, FA, the sequential stream, flat
-        // layouts and f32 tables stay per-row.
+        // Blocks too long to buffer, the sequential stream, flat layouts
+        // and f32 tables stay per-row.
         assert!(!gemm_supported(&plan(KernelOpts::tmac(), 512)));
-        assert!(!gemm_supported(&plan(
-            KernelOpts::tmac_fast_aggregation(),
-            32
-        )));
         assert!(!gemm_supported(&plan(KernelOpts::plus_permute(), 32)));
         assert!(!gemm_supported(&plan(KernelOpts::plus_table_quant(), 32)));
         assert!(!gemm_supported(&plan(KernelOpts::tm_base(), 32)));
     }
 
     /// The option sets with no kernel here — permuted streams over `f32`
-    /// tables, fast aggregation over the flat layout — are refused when
+    /// tables, the paired stream without permutation — are refused when
     /// the weights are planned, so the driver never meets them.
     #[test]
     fn unsupported_combos_reported() {
@@ -1292,11 +1098,11 @@ mod tests {
             table_quant: false,
             ..KernelOpts::plus_permute()
         };
-        let flat_fa = KernelOpts {
-            fast_aggregation: true,
+        let unpermuted_pairs = KernelOpts {
+            interleave: true,
             ..KernelOpts::plus_table_quant()
         };
-        for opts in [f32_permuted, flat_fa] {
+        for opts in [f32_permuted, unpermuted_pairs] {
             assert!(
                 matches!(WeightPlan::new(&qm, opts), Err(crate::TmacError::Opts(_))),
                 "{opts:?}"

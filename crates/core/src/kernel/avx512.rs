@@ -1,10 +1,10 @@
-//! AVX-512BW kernels: the paired-stream exact kernels on `zmm` registers.
+//! AVX-512BW kernels: the paired-stream kernels on `zmm` registers.
 //!
-//! The `Avx512` kernel family runs the two exact paired-stream kernels of
+//! The `Avx512` kernel family runs the two paired-stream kernels of
 //! [`super::avx2`] — the GEMV kernel and the scale-block-outer multi-row
-//! kernel — 64 bytes at a time, and hands every other plan (fast
-//! aggregation, the sequential and flat layouts, blocks with a lone
-//! k-group or an `i16` flush) to the AVX2 kernels.
+//! kernel — 64 bytes at a time, and hands every other plan (the
+//! sequential and flat layouts, blocks with a lone k-group or an `i16`
+//! flush) to the AVX2 kernels.
 //!
 //! # The `zmm` inner loop
 //!
@@ -48,10 +48,10 @@ use std::arch::x86_64::*;
 use std::ops::Range;
 use tmac_simd::avx512 as simd;
 
-/// Whether the `zmm` kernels serve this plan: the paired stream with exact
-/// aggregation that the AVX2 multi-row kernel serves, in scale blocks of
-/// whole k-group pairs whose sums fit `i16` (every common shape). Other
-/// plans run on the AVX2 kernels under the `Avx512` family.
+/// Whether the `zmm` kernels serve this plan: the paired stream that the
+/// AVX2 multi-row kernel serves, in scale blocks of whole k-group pairs
+/// whose sums fit `i16` (every common shape). Other plans run on the AVX2
+/// kernels under the `Avx512` family.
 pub fn supported(plan: &WeightPlan) -> bool {
     let g = PairedGeom::of(plan);
     avx2::gemm_supported(plan) && g.narrow && !g.lone_kg
@@ -336,7 +336,6 @@ mod tests {
             // A lone k-group per block.
             assert!(!supported(&plan(bits, 12, KernelOpts::tmac())));
             for opts in [
-                KernelOpts::tmac_fast_aggregation(),
                 KernelOpts::plus_permute(),
                 KernelOpts::plus_table_quant(),
                 KernelOpts::tm_base(),

@@ -2,13 +2,13 @@
 //!
 //! [`gemv_reference`] computes the ground truth from dequantized weights in
 //! `f64` (no T-MAC machinery at all). [`plan_mtile`] executes the full T-MAC
-//! pipeline — plan layouts, quantized tables, fast-aggregation trees — in
-//! scalar code, matching the SIMD kernels' arithmetic exactly so
-//! the two can be compared bit-for-bit in integer space.
+//! pipeline — plan layouts, quantized tables — in scalar code, matching the
+//! SIMD kernels' arithmetic exactly so the two can be compared bit-for-bit
+//! in integer space.
 
 use crate::opts::{LUT_GROUP, TILE_M};
 use crate::plan::WeightPlan;
-use crate::table::{ActTables, FA_OFFSET};
+use crate::table::ActTables;
 use crate::TmacError;
 use std::ops::Range;
 use tmac_quant::QuantizedMatrix;
@@ -46,62 +46,25 @@ fn quant_block_term(
 ) -> f32 {
     let kg_per_block = plan.group_size / LUT_GROUP;
     let kg0 = sb * kg_per_block;
-    let fa = plan.opts.fast_aggregation;
-    // Fast aggregation: each rounding average biases its output by +0.25 in
-    // expectation, and the bias of every tree level propagates to the root
-    // undiminished in aggregate — the root carries ≈ +0.25·depth. Subtract
-    // this probabilistic bias (the MADDNESS correction the paper adopts,
-    // §4), folded into the per-block bias term so the inner loop is
-    // untouched.
-    let fa_delta = if fa {
-        let depth = kg_per_block.trailing_zeros() as f32;
-        -0.25 * depth * kg_per_block as f32 * (((1u32 << plan.bits) - 1) as f32)
-    } else {
-        0.0
-    };
-    let bias = plan.cz * asum + 0.5 * lut_scale * fa_delta;
     let mut block = 0f32;
     for bit in 0..plan.bits {
-        let q = |kgi: usize| lookup(kg0 + kgi, plan.index(bit, m, kg0 + kgi));
-        let lq: i32 = if fa {
-            fa_tree(kg_per_block, q)
-        } else {
-            (0..kg_per_block).map(|kgi| q(kgi) as i32).sum()
-        };
+        let kgs = kg0..kg0 + kg_per_block;
+        let lq: i32 = kgs
+            .map(|kg| lookup(kg, plan.index(bit, m, kg)) as i32)
+            .sum();
         block += (1u32 << bit) as f32 * lq as f32;
     }
-    0.5 * lut_scale * block + bias
-}
-
-/// Fast-aggregation tree over one block's quantized lookups `q(kgi)`.
-///
-/// Moves them to the `u8` offset domain and reduces them with the exact
-/// `avg_u8` pairing the SIMD kernels use: level by level, adjacent pairs.
-/// Returns the reconstructed integer sum `(tree - 128) * n_groups`.
-fn fa_tree(kg_per_block: usize, q: impl Fn(usize) -> i8) -> i32 {
-    debug_assert!(kg_per_block.is_power_of_two());
-    let mut vals = [0u8; 64];
-    for (kgi, v) in vals.iter_mut().take(kg_per_block).enumerate() {
-        *v = (q(kgi) as i32 + FA_OFFSET) as u8;
-    }
-    let mut n = kg_per_block;
-    while n > 1 {
-        for j in 0..n / 2 {
-            vals[j] = tmac_simd::scalar::avg_u8(vals[2 * j], vals[2 * j + 1]);
-        }
-        n /= 2;
-    }
-    (vals[0] as i32 - FA_OFFSET) * kg_per_block as i32
+    0.5 * lut_scale * block + plan.cz * asum
 }
 
 /// Executes one m-tile of the T-MAC kernel in scalar code for the rows
 /// `rows` of `tables`: `outs` receives the row-major `rows.len() × TILE_M`
 /// results of tile `mt`.
 ///
-/// The arithmetic — integer accumulation widths, fast-aggregation tree
-/// shape, per-block application order — replicates the AVX2 kernels
-/// exactly, and each row's is independent of the others in the range, so a
-/// multi-row call is bit-identical to one call per row.
+/// The arithmetic — integer accumulation widths, per-block application
+/// order — replicates the AVX2 kernels exactly, and each row's is
+/// independent of the others in the range, so a multi-row call is
+/// bit-identical to one call per row.
 ///
 /// # Panics
 ///
@@ -229,27 +192,6 @@ mod tests {
         }
     }
 
-    /// Fast aggregation is lossier but still correlated (paper Table 3:
-    /// NMSE grows ~2.5x but stays ~1e-2 relative).
-    #[test]
-    fn fast_aggregation_error_larger_but_bounded() {
-        let (qm, act) = setup(64, 256, 4, 32);
-        let reference = gemv_reference(&qm, &act);
-        let exact_opts = KernelOpts::tmac();
-        let fa_opts = KernelOpts::tmac_fast_aggregation();
-        let run = |opts: KernelOpts| {
-            let plan = WeightPlan::new(&qm, opts).unwrap();
-            let tables = ActTables::build(&act, 1, 32, &opts).unwrap();
-            let mut out = vec![0f32; 64];
-            gemv_plan(&plan, &tables, &mut out).unwrap();
-            tmac_simd::f32ops::nmse(&out, &reference)
-        };
-        let exact = run(exact_opts);
-        let fa = run(fa_opts);
-        assert!(fa > exact, "FA should be lossier: {fa} vs {exact}");
-        assert!(fa < 5e-2, "FA error should stay bounded: {fa}");
-    }
-
     /// All layout variants compute the identical result (integer paths are
     /// bit-identical; the f32 fold order is the same).
     #[test]
@@ -284,7 +226,6 @@ mod tests {
             KernelOpts::plus_table_quant(),
             KernelOpts::plus_permute(),
             KernelOpts::tmac(),
-            KernelOpts::tmac_fast_aggregation(),
         ] {
             for bits in [1u8, 2, 4] {
                 let (qm, _) = setup(40, 128, bits, 32);

@@ -1,7 +1,7 @@
 //! Kernel option set — the ablation switchboard of the paper's Figure 10.
 //!
 //! The breakdown experiment applies optimizations cumulatively:
-//! `TM-base → +TQ → +Perm. → T-MAC (+IL) → TM+FA`.
+//! `TM-base → +TQ → +Perm. → T-MAC (+IL)`.
 //! [`KernelOpts`] encodes each stage as an explicit flag so every stage is a
 //! real, runnable kernel configuration rather than a chart label. The
 //! paper's `+Tiling` and `+Tuning` rungs have no switch here: every kernel
@@ -9,10 +9,12 @@
 //! there is no `K`-tile length to choose, and the multi-row block size
 //! ([`N_BLOCK`]) does nothing at the ladder's `n = 1`.
 //!
-//! The flags depend on each other, and [`KernelOpts::validate`] accepts six
-//! sets: the five ladder rungs and the sequential stream with fast
-//! aggregation (the bit-exact referee of the paired fast-aggregation
-//! kernel). Each of them has an AVX2 kernel.
+//! The paper's last rung, `TM+FA` (fast 8-bit aggregation, §4), has no
+//! switch either: it measured 2.4–4.2x slower than exact T-MAC on both x86
+//! kernel families and lost accuracy, so it was deleted (DESIGN.md §9).
+//!
+//! The flags depend on each other, and [`KernelOpts::validate`] accepts
+//! exactly the four ladder rungs. Each of them has an AVX2 kernel.
 
 /// LUT group size `g`: one table covers `2^g` activation sign patterns.
 ///
@@ -52,9 +54,6 @@ pub struct KernelOpts {
     /// widens to `i16` and applies the bit-serial weights (see
     /// [`crate::plan`] for the byte order).
     pub interleave: bool,
-    /// Fast 8-bit aggregation (§4): aggregate lookups with rounding-average
-    /// instructions instead of widening adds. Faster, lossy.
-    pub fast_aggregation: bool,
 }
 
 impl KernelOpts {
@@ -65,7 +64,6 @@ impl KernelOpts {
             table_quant: false,
             permute: false,
             interleave: false,
-            fast_aggregation: false,
         }
     }
 
@@ -86,20 +84,11 @@ impl KernelOpts {
         }
     }
 
-    /// Full T-MAC: everything except fast aggregation (the paper's default;
-    /// FA is offered as an opt-in because it costs accuracy).
+    /// Full T-MAC: every switch on (the paper's default).
     pub fn tmac() -> Self {
         KernelOpts {
             interleave: true,
             ..Self::plus_permute()
-        }
-    }
-
-    /// `TM+FA`: full T-MAC plus fast 8-bit aggregation.
-    pub fn tmac_fast_aggregation() -> Self {
-        KernelOpts {
-            fast_aggregation: true,
-            ..Self::tmac()
         }
     }
 
@@ -110,7 +99,6 @@ impl KernelOpts {
             ("+TQ", Self::plus_table_quant()),
             ("+Perm.", Self::plus_permute()),
             ("T-MAC", Self::tmac()),
-            ("TM+FA", Self::tmac_fast_aggregation()),
         ]
     }
 
@@ -119,18 +107,14 @@ impl KernelOpts {
     /// # Errors
     ///
     /// Returns a message naming the violated dependency: interleaving
-    /// requires permutation, permutation requires quantized tables (the
-    /// permuted kernels are `i8`-table lookups), and fast aggregation
-    /// requires permutation (it averages the permuted stream's lookups).
+    /// requires permutation, and permutation requires quantized tables (the
+    /// permuted kernels are `i8`-table lookups).
     pub fn validate(&self) -> Result<(), String> {
         if self.interleave && !self.permute {
             return Err("weight interleaving requires permutation".into());
         }
         if self.permute && !self.table_quant {
             return Err("weight permutation requires table quantization".into());
-        }
-        if self.fast_aggregation && !self.permute {
-            return Err("fast aggregation requires permutation".into());
         }
         Ok(())
     }
@@ -150,7 +134,7 @@ mod tests {
     #[test]
     fn ladder_is_cumulative_and_valid() {
         let ladder = KernelOpts::breakdown_ladder();
-        assert_eq!(ladder.len(), 5);
+        assert_eq!(ladder.len(), 4);
         for (name, o) in &ladder {
             assert!(o.validate().is_ok(), "{name} invalid: {:?}", o.validate());
         }
@@ -158,7 +142,15 @@ mod tests {
         assert!(!ladder[0].1.table_quant && ladder[1].1.table_quant);
         assert!(!ladder[1].1.permute && ladder[2].1.permute);
         assert!(!ladder[2].1.interleave && ladder[3].1.interleave);
-        assert!(!ladder[3].1.fast_aggregation && ladder[4].1.fast_aggregation);
+        // The rungs are exactly the valid sets, in flag-count order.
+        let valid = (0..8u8)
+            .map(|f| KernelOpts {
+                table_quant: f & 1 != 0,
+                permute: f & 2 != 0,
+                interleave: f & 4 != 0,
+            })
+            .filter(|o| o.validate().is_ok());
+        assert!(valid.eq(ladder.iter().map(|(_, o)| *o)));
     }
 
     #[test]
@@ -168,23 +160,15 @@ mod tests {
         assert!(o.validate().is_ok());
         o.permute = false;
         assert!(o.validate().is_err());
-        // Permutation needs `i8` tables, fast aggregation the permuted
-        // stream.
+        // Permutation needs `i8` tables.
         let mut o = KernelOpts::plus_permute();
         o.table_quant = false;
         assert!(o.validate().is_err());
-        let mut o = KernelOpts::plus_table_quant();
-        o.fast_aggregation = true;
-        assert!(o.validate().is_err());
-        let mut o = KernelOpts::tmac_fast_aggregation();
-        o.interleave = false;
-        assert!(o.validate().is_ok(), "sequential stream + FA");
     }
 
     #[test]
     fn default_is_full_tmac() {
         let d = KernelOpts::default();
         assert!(d.table_quant && d.permute && d.interleave);
-        assert!(!d.fast_aggregation);
     }
 }

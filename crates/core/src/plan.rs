@@ -540,37 +540,6 @@ impl WeightPlan {
         }
     }
 
-    /// Rebuilds this plan under different kernel options, sharing the data
-    /// segments (cheap for borrowed plans). Only options that do not alter
-    /// the physical byte layout may change.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TmacError::Opts`] when `opts` disagree with the stored
-    /// layout (`permute`/`interleave`), and propagates
-    /// [`WeightPlan::from_parts`] validation failures.
-    pub fn with_opts(&self, opts: KernelOpts) -> Result<WeightPlan, TmacError> {
-        if (opts.permute, opts.interleave) != (self.opts.permute, self.opts.interleave) {
-            return Err(TmacError::Opts(format!(
-                "options ({:?}) are layout-incompatible with the stored stream ({:?})",
-                (opts.permute, opts.interleave),
-                (self.opts.permute, self.opts.interleave)
-            )));
-        }
-        WeightPlan::from_parts(PlanParts {
-            m: self.m,
-            k: self.k,
-            bits: self.bits,
-            group_size: self.group_size,
-            zero: self.zero,
-            opts,
-            flat_planes: self.flat_planes.clone(),
-            perm_stream: self.perm_stream.clone(),
-            scales_flat: self.scales_flat.clone(),
-            scales_perm: self.scales_perm.clone(),
-        })
-    }
-
     /// The physical layout of this plan.
     pub fn layout(&self) -> Layout {
         self.layout
@@ -880,8 +849,8 @@ mod tests {
             WeightPlan::new(&matrix(8, 66, 4, 2), KernelOpts::tmac()),
             Err(TmacError::Shape(_))
         ));
-        let mut bad = KernelOpts::tm_base();
-        bad.fast_aggregation = true;
+        let mut bad = KernelOpts::plus_table_quant();
+        bad.interleave = true;
         assert!(matches!(WeightPlan::new(&qm, bad), Err(TmacError::Opts(_))));
     }
 
@@ -957,17 +926,6 @@ mod tests {
         }
         assert_eq!(rebuilt.to_quantized(), qm);
         assert!(!rebuilt.is_borrowed());
-        // Layout-compatible option changes share the stream; incompatible
-        // ones are rejected.
-        let fa = rebuilt
-            .with_opts(KernelOpts::tmac_fast_aggregation())
-            .unwrap();
-        assert!(fa.opts.fast_aggregation);
-        assert_eq!(fa.perm_stream_bytes(), plan.perm_stream_bytes());
-        assert!(matches!(
-            rebuilt.with_opts(KernelOpts::plus_table_quant()),
-            Err(TmacError::Opts(_))
-        ));
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //! with one dynamic scale per *activation block* (`group_size` activations,
 //! i.e. the same granularity as the weight scales), `scale = max|t| / 127`.
 //!
-//! For fast aggregation the quantized entries are additionally stored with a
-//! `+128` offset as `u8` (rounding-average instructions are unsigned).
-//!
 //! # One table operand for `rows ≥ 1`
 //!
 //! [`ActTables`] holds the tables of a whole batch of activation rows: it is
@@ -49,9 +46,6 @@ use tmac_threadpool::ThreadPool;
 /// Entries per lookup table (`2^g`).
 pub const TABLE_LEN: usize = 1 << LUT_GROUP;
 
-/// The unsigned offset applied to quantized entries for fast aggregation.
-pub const FA_OFFSET: i32 = 128;
-
 /// Precomputed activation tables for `rows` activation rows (storage order:
 /// see the module docs).
 #[derive(Debug, Clone)]
@@ -70,9 +64,6 @@ pub struct ActTables {
     pub(crate) f32_tables: Vec<f32>,
     /// `i8` tables (empty unless quantized), 16 entries per k-group.
     pub(crate) q_tables: Vec<i8>,
-    /// `u8` tables with `+128` offset (built only for fast aggregation);
-    /// same layout as `q_tables`.
-    pub(crate) u_tables: Vec<u8>,
     /// Dynamic table scales, `[sb][row]` (unused, zero, unless quantized).
     q_scales: Vec<f32>,
     /// Activation sums (for the bit-serial bias term), `[sb][row]`.
@@ -98,12 +89,12 @@ pub fn raw_table(a: &[f32; LUT_GROUP]) -> [f32; TABLE_LEN] {
 
 /// Builds one scale block's tables from its activations `block`: the raw
 /// entries of its k-groups into `raw` and, for quantized tables (`q`
-/// non-empty), their `i8` quantization into `q` and its `+128` copy into `u`
-/// (if non-empty). Returns the block's table scale, `0` for `f32` tables.
+/// non-empty), their `i8` quantization into `q`. Returns the block's table
+/// scale, `0` for `f32` tables.
 ///
 /// This is the scalar twin of `kernel::avx2::build_block`, which must match
 /// it bit for bit: the fallback off AVX2 hosts and the tests' reference.
-pub(crate) fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8], u: &mut [u8]) -> f32 {
+pub(crate) fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8]) -> f32 {
     for (a, t) in block
         .chunks_exact(LUT_GROUP)
         .zip(raw.chunks_exact_mut(TABLE_LEN))
@@ -114,7 +105,7 @@ pub(crate) fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8], u: &mut 
         return 0.0;
     }
     let scale = table_scale(raw.iter().fold(0f32, |m, &x| m.max(x.abs())));
-    quantize_block(raw, scale, q, u);
+    quantize_block(raw, scale, q);
     scale
 }
 
@@ -129,14 +120,11 @@ pub(crate) fn table_scale(amax: f32) -> f32 {
     }
 }
 
-/// Quantizes a block's raw entries with `scale` into its stored tables `q`
-/// (and `u`); entries round half away from zero (`f32::round`).
-pub(crate) fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8], u: &mut [u8]) {
+/// Quantizes a block's raw entries with `scale` into its stored tables `q`;
+/// entries round half away from zero (`f32::round`).
+pub(crate) fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8]) {
     for (d, &v) in q.iter_mut().zip(raw) {
         *d = (v / scale).round().clamp(-127.0, 127.0) as i8;
-    }
-    for (d, &v) in u.iter_mut().zip(q.iter()) {
-        *d = (v as i32 + FA_OFFSET) as u8;
     }
 }
 
@@ -151,7 +139,6 @@ struct Units<'a> {
     avx2: bool,
     f32_tables: SharedMut<'a, f32>,
     q_tables: SharedMut<'a, i8>,
-    u_tables: SharedMut<'a, u8>,
     q_scales: SharedMut<'a, f32>,
     asums: SharedMut<'a, f32>,
 }
@@ -168,7 +155,7 @@ impl Units<'_> {
         let n_units = self.asums.len();
         let per_unit = |len: usize| len / n_units;
         let raw_len = per_unit(self.f32_tables.len());
-        let (q_len, u_len) = (per_unit(self.q_tables.len()), per_unit(self.u_tables.len()));
+        let q_len = per_unit(self.q_tables.len());
         let quantized = q_len > 0;
         // Quantized tables keep no `f32` entries: a block's are scratch.
         let block_raw = self.group_size / LUT_GROUP * TABLE_LEN;
@@ -177,13 +164,12 @@ impl Units<'_> {
             let unit = sb * self.rows + r;
             // SAFETY: these are unit `(sb, r)` of each buffer — row `r`'s
             // alone, and one thread of the dispatch builds row `r`.
-            let (asum, raw, q_scale, q, u) = unsafe {
+            let (asum, raw, q_scale, q) = unsafe {
                 (
                     self.asums.slice(unit, 1),
                     self.f32_tables.slice(unit * raw_len, raw_len),
                     self.q_scales.slice(unit, 1),
                     self.q_tables.slice(unit * q_len, q_len),
-                    self.u_tables.slice(unit * u_len, u_len),
                 )
             };
             asum[0] = block.iter().sum();
@@ -192,8 +178,8 @@ impl Units<'_> {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
                 // passed the runtime AVX2+FMA check.
-                true => unsafe { crate::kernel::avx2::build_block(block, raw, q, u) },
-                _ => build_block(block, raw, q, u),
+                true => unsafe { crate::kernel::avx2::build_block(block, raw, q) },
+                _ => build_block(block, raw, q),
             };
         }
         true
@@ -207,10 +193,8 @@ impl ActTables {
     /// # Errors
     ///
     /// * [`TmacError::Shape`] if `rows == 0`, `acts.len()` is not `rows`
-    ///   times a positive multiple of `group_size`, `group_size` is not a
-    ///   multiple of 4, or fast aggregation is requested with
-    ///   `group_size / 4` not a power of two (the averaging tree must be
-    ///   balanced).
+    ///   times a positive multiple of `group_size`, or `group_size` is not a
+    ///   multiple of 4.
     /// * [`TmacError::Numeric`] if the activations contain non-finite
     ///   values (quantization scales would be garbage).
     pub fn build(
@@ -251,11 +235,6 @@ impl ActTables {
             )));
         }
         let kgb = group_size / LUT_GROUP;
-        if opts.fast_aggregation && !kgb.is_power_of_two() {
-            return Err(TmacError::Shape(format!(
-                "fast aggregation needs group_size/4 to be a power of two, got {kgb}"
-            )));
-        }
         let n_units = k / group_size * rows;
         let quantized = opts.table_quant;
         // Entries per unit of each buffer (a buffer its mode lacks is empty).
@@ -265,7 +244,6 @@ impl ActTables {
         } else {
             (unit_len, 0)
         };
-        let u_len = if opts.fast_aggregation { q_len } else { 0 };
         let mut tables = ActTables {
             rows,
             k,
@@ -274,7 +252,6 @@ impl ActTables {
             unit_len,
             f32_tables: vec![0.0; n_units * f32_len],
             q_tables: vec![0; n_units * q_len],
-            u_tables: vec![0; n_units * u_len],
             q_scales: vec![0.0; n_units],
             asums: vec![0.0; n_units],
         };
@@ -284,7 +261,6 @@ impl ActTables {
             avx2: matches!(isa, Isa::Avx2 | Isa::Avx512) && Isa::Avx2.available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
             q_tables: SharedMut::new(&mut tables.q_tables),
-            u_tables: SharedMut::new(&mut tables.u_tables),
             q_scales: SharedMut::new(&mut tables.q_scales),
             asums: SharedMut::new(&mut tables.asums),
         };
@@ -319,25 +295,12 @@ impl ActTables {
         self.unit_len
     }
 
-    /// Whether the offset `u8` tables fast aggregation reads were built.
-    pub fn has_offset_tables(&self) -> bool {
-        !self.u_tables.is_empty()
-    }
-
     /// The quantized tables of scale block `sb` for the rows `rows`: one
     /// unit per row ([`Self::block_len`] bytes, k-groups in order), adjacent.
     #[inline]
     pub fn block_tables(&self, sb: usize, rows: Range<usize>) -> &[i8] {
         let len = self.unit_len;
         &self.q_tables[(sb * self.rows + rows.start) * len..(sb * self.rows + rows.end) * len]
-    }
-
-    /// Row `r`'s offset `u8` tables of scale block `sb` (one unit, laid out
-    /// as in [`Self::block_tables`]).
-    #[inline]
-    pub fn block_tables_u8(&self, sb: usize, r: usize) -> &[u8] {
-        let len = self.unit_len;
-        &self.u_tables[(sb * self.rows + r) * len..][..len]
     }
 
     /// The `(table scales, activation sums)` of scale block `sb` for the
@@ -388,7 +351,7 @@ impl ActTables {
     /// Bytes of table storage (the quantity table quantization shrinks;
     /// paper Figure 5).
     pub fn table_bytes(&self) -> usize {
-        self.f32_tables.len() * 4 + self.q_tables.len() + self.u_tables.len()
+        self.f32_tables.len() * 4 + self.q_tables.len()
     }
 }
 
@@ -448,16 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn fa_tables_are_offset() {
-        let a = act(32);
-        let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac_fast_aggregation()).unwrap();
-        assert_eq!(t.u_tables.len(), t.q_tables.len());
-        for (&q, &u) in t.q_tables.iter().zip(&t.u_tables) {
-            assert_eq!(u as i32, q as i32 + FA_OFFSET);
-        }
-    }
-
-    #[test]
     fn asums_match() {
         let a = act(96);
         let t = ActTables::build(&a, 1, 32, &KernelOpts::tmac()).unwrap();
@@ -505,7 +458,6 @@ mod tests {
     fn assert_twin(simd: &ActTables, twin: &ActTables, what: &str) {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(simd.q_tables, twin.q_tables, "q_tables {what}");
-        assert_eq!(simd.u_tables, twin.u_tables, "u_tables {what}");
         assert_eq!(
             bits(&simd.f32_tables),
             bits(&twin.f32_tables),
@@ -523,18 +475,9 @@ mod tests {
     fn for_generated_batches(mut check: impl FnMut(&KernelOpts, &ActTables, &[ActTables], &str)) {
         let twins = twin_check_runs();
         let pool = ThreadPool::new(3);
-        let profiles = [
-            KernelOpts::tm_base(),
-            KernelOpts::plus_table_quant(),
-            KernelOpts::tmac_fast_aggregation(),
-        ];
+        let profiles = [KernelOpts::tm_base(), KernelOpts::tmac()];
         for (gi, gs) in [4usize, 12, 32, 64, 128, 256].into_iter().enumerate() {
             for (pi, opts) in profiles.iter().enumerate() {
-                let kgb = gs / LUT_GROUP;
-                if opts.fast_aggregation && !kgb.is_power_of_two() {
-                    assert!(ActTables::build(&generated(gs, 1), 1, gs, opts).is_err());
-                    continue;
-                }
                 for rows in 1..=19usize {
                     let k = gs * (1 + (rows + gi + pi) % 3);
                     let acts = generated(rows * k, (rows * 64 + gi * 8 + pi) as u64);
@@ -545,7 +488,6 @@ mod tests {
                         (batch.rows, batch.k, batch.k / batch.group_size),
                         (rows, k, k / gs)
                     );
-                    assert_eq!(batch.has_offset_tables(), opts.fast_aggregation);
                     let ones: Vec<ActTables> = acts
                         .chunks_exact(k)
                         .map(|act| ActTables::build(act, 1, gs, opts).unwrap())
@@ -633,11 +575,6 @@ mod tests {
                         let at = batch.kg_offset(r, sb * kgb + kgi);
                         assert_eq!(at, (sb * rows + r) * len + kgi * TABLE_LEN);
                     }
-                    if opts.fast_aggregation {
-                        assert_eq!(batch.block_tables_u8(sb, r), one.block_tables_u8(sb, 0));
-                        let at = (sb * rows + r) * len;
-                        assert_eq!(batch.block_tables_u8(sb, r), &batch.u_tables[at..at + len]);
-                    }
                 }
             }
         });
@@ -655,11 +592,7 @@ mod tests {
         if !twin_check_runs() {
             return;
         }
-        let profiles = [
-            KernelOpts::tm_base(),
-            KernelOpts::plus_table_quant(),
-            KernelOpts::tmac_fast_aggregation(),
-        ];
+        let profiles = [KernelOpts::tm_base(), KernelOpts::tmac()];
         for gs in [8usize, 32] {
             let scaled = |by: f32, seed: u64| -> Vec<f32> {
                 generated(gs, seed).iter().map(|x| x * by).collect()
@@ -703,10 +636,8 @@ mod tests {
         assert!(ActTables::build(&act(33), 1, 32, &KernelOpts::tmac()).is_err());
         assert!(ActTables::build(&act(64), 0, 32, &KernelOpts::tmac()).is_err());
         assert!(ActTables::build(&act(96), 2, 32, &KernelOpts::tmac()).is_err()); // K = 48
-        let fa = KernelOpts::tmac_fast_aggregation();
-        assert!(ActTables::build(&act(48), 1, 24, &fa).is_err()); // 6 k-groups
-                                                                  // A non-finite value in any row fails the whole batch, whichever
-                                                                  // thread builds the row.
+                                                                                  // A non-finite value in any row fails the whole batch, whichever
+                                                                                  // thread builds the row.
         let pool = ThreadPool::new(2);
         for bad in [3, 32 + 5, 4 * 32 + 31] {
             let mut a = act(5 * 32);

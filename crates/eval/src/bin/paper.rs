@@ -122,6 +122,9 @@ struct Claim {
     /// This host's value; NaN when nothing was measured.
     measured: f64,
     bound: Bound,
+    /// Why a recorded row is missed: its code path was deleted, and
+    /// `measured` is the value recorded before the deletion.
+    note: Option<&'static str>,
 }
 
 impl Claim {
@@ -141,9 +144,10 @@ impl fmt::Display for Claim {
         let verdict = if self.met() { "met" } else { "**missed**" };
         let (claim, paper, metric, bound) = (self.claim, self.paper, &self.metric, self.bound);
         let measured = self.measured;
+        let note = self.note.map(|n| format!(" ({n})")).unwrap_or_default();
         write!(
             f,
-            "| {claim} | {paper} | {measured:.4} | `{metric}` | {bound} | {verdict} |"
+            "| {claim} | {paper} | {measured:.4} | `{metric}` | {bound} | {verdict}{note} |"
         )
     }
 }
@@ -159,6 +163,7 @@ fn checked<const N: usize>(rows: &[Row; N], measured: [f64; N]) -> Vec<Claim> {
         metric: metric.into(),
         measured,
         bound,
+        note: None,
     };
     rows.iter().zip(measured).map(claim).collect()
 }
@@ -344,11 +349,26 @@ const FIG10_CLAIMS: [Row; 4] = [
     ("Fig 10, S0 W4: T-MAC ÷ +Perm. time", "< 1 (cumulative)", "paper.fig10_tmac_vs_perm_x", Max(1.0)),
     ("Fig 10, S0 W4: TM+FA ÷ T-MAC time", "< 1 (cumulative)", "paper.fig10_fa_vs_tmac_x", Max(1.0)),
 ];
+/// The paper's last rung, `TM+FA` (fast 8-bit aggregation), was deleted:
+/// its row keeps the S0 ratio `paper fig10` measured at the last revision
+/// that had it, on a 2-vCPU Xeon with AVX-512 and a 105 MiB L3.
+const FIG10_FA_RECORDED: f64 = 5.0618;
+const FIG10_FA_NOTE: &str = "not reproduced on x86; deleted, recorded at 084dc3e, DESIGN.md §9";
 
-/// Figure 10: the cumulative ladder `TM-base → +TQ → +Perm. → T-MAC →
-/// TM+FA` of `KernelOpts::breakdown_ladder` against the llama.cpp line on
-/// every thread, and each rung's activation-table bytes. The paper's
-/// `+Tiling` and `+Tuning` rungs have no counterpart here (DESIGN.md §3b).
+/// [`FIG10_CLAIMS`] checked against the measured S0 ratios of the three
+/// cumulative steps and the recorded `TM+FA` one.
+fn fig10_claims(steps: [f64; 3]) -> Vec<Claim> {
+    let [tq, perm, tmac] = steps;
+    let mut claims = checked(&FIG10_CLAIMS, [tq, perm, tmac, FIG10_FA_RECORDED]);
+    claims[3].note = Some(FIG10_FA_NOTE);
+    claims
+}
+
+/// Figure 10: the cumulative ladder `TM-base → +TQ → +Perm. → T-MAC` of
+/// `KernelOpts::breakdown_ladder` against the llama.cpp line on every
+/// thread, and each rung's activation-table bytes. The paper's `+Tiling`
+/// and `+Tuning` rungs have no counterpart here (DESIGN.md §3b), and its
+/// `TM+FA` rung was deleted (DESIGN.md §9).
 fn fig10(quick: bool) -> Vec<Claim> {
     let shapes = if quick { &SHAPES[..2] } else { &SHAPES[..] };
     let threads = all_threads();
@@ -357,7 +377,7 @@ fn fig10(quick: bool) -> Vec<Claim> {
     let rungs: Vec<&str> = ladder.iter().map(|(name, _)| *name).collect();
     let mut times = Table::new(&[&["shape", "llama.cpp"], &rungs[..]].concat());
     let mut bytes = Table::new(&[&["shape"], &rungs[..]].concat());
-    let mut s0 = [f64::NAN; 5];
+    let mut s0 = [f64::NAN; 4];
     for (si, &(m, k)) in shapes.iter().enumerate() {
         let (w, act, mut out) = (make_weights(m, k, 17), make_act(k, 17), vec![0f32; m]);
         let qm = quantize(&w, m, k, FIG10_BITS, 32).expect("quantize");
@@ -384,22 +404,22 @@ fn fig10(quick: bool) -> Vec<Claim> {
         "Figure 10: optimization breakdown, {FIG10_BITS}-bit GEMV, {threads} threads (ms)\n\n\
          {times}\nActivation-table bytes per rung\n\n{bytes}"
     );
-    checked(&FIG10_CLAIMS, [1, 2, 3, 4].map(|r| s0[r] / s0[r - 1]))
+    fig10_claims([1, 2, 3].map(|r| s0[r] / s0[r - 1]))
 }
 
-/// Table 1: look-up and aggregation intrinsics per instruction set, and
-/// the kernel family this host runs. It checks nothing.
+/// Table 1: the look-up intrinsic per instruction set, and the kernel
+/// family this host runs. The paper's fast-aggregation column has no
+/// counterpart: its kernels were deleted (DESIGN.md §9). It checks nothing.
 fn table1(_quick: bool) -> Vec<Claim> {
-    let mut table = Table::new(&["instruction set", "look-up", "fast aggregation", "lanes"]);
+    let mut table = Table::new(&["instruction set", "look-up", "lanes"]);
     for isa in [Isa::Neon, Isa::Avx2, Isa::Avx512, Isa::Scalar] {
         let name = isa.name().to_uppercase();
-        let (lookup, aggregation) = (isa.lookup_intrinsic(), isa.aggregation_intrinsic());
         let lanes = isa.lookups_per_instr().to_string();
-        table.row(vec![name, lookup.into(), aggregation.into(), lanes]);
+        table.row(vec![name, isa.lookup_intrinsic().into(), lanes]);
     }
     let active = Isa::detect();
     println!(
-        "Table 1: look-up / aggregation intrinsics per ISA\n\n{table}\n\
+        "Table 1: look-up intrinsics per ISA\n\n{table}\n\
          Kernel family on this host: {} ({} parallel 8-bit lookups per instruction)\n",
         active.name(),
         active.lookups_per_instr()
@@ -413,19 +433,20 @@ const TABLE3_CLAIMS: [Row; 1] = [
 ];
 
 /// Table 3: NMSE of 4-bit mpGEMV outputs against the unquantized
-/// `W_fp A_fp` product, for llama.cpp, T-MAC and T-MAC (+FA), on the
-/// Llama-2-7B GEMV shapes with Gaussian inputs.
+/// `W_fp A_fp` product, for llama.cpp and T-MAC, on the Llama-2-7B GEMV
+/// shapes with Gaussian inputs. The paper's `T-MAC (+FA)` column moved to
+/// DESIGN.md §9 with its kernel.
 fn table3(quick: bool) -> Vec<Claim> {
     let ctx = ExecCtx::new(all_threads());
     let shapes = if quick { &SHAPES[..1] } else { &SHAPES[..3] };
-    // The paper's llama.cpp / T-MAC / +FA values at the three shapes.
+    // The paper's llama.cpp / T-MAC values at the three shapes.
     let paper = [
-        "3.33e-3 / 3.35e-3 / 8.09e-3",
-        "3.44e-3 / 3.46e-3 / 8.27e-3",
-        "4.13e-3 / 4.15e-3 / 8.45e-3",
+        "3.33e-3 / 3.35e-3",
+        "3.44e-3 / 3.46e-3",
+        "4.13e-3 / 4.15e-3",
     ];
-    let headers = ["MxKxN", "llama.cpp", "T-MAC", "T-MAC (+FA)"];
-    let mut table = Table::new(&[&headers[..], &["paper (llama.cpp / T-MAC / +FA)"]].concat());
+    let headers = ["MxKxN", "llama.cpp", "T-MAC", "paper (llama.cpp / T-MAC)"];
+    let mut table = Table::new(&headers);
     let mut s0 = f64::NAN;
     for (&(m, k), paper) in shapes.iter().zip(paper) {
         let (w, act, mut out) = (make_weights(m, k, 31), make_act(k, 31), vec![0f32; m]);
@@ -439,11 +460,9 @@ fn table3(quick: bool) -> Vec<Claim> {
         let dequant = DequantLinear::new(&qm).expect("pack");
         dequant.gemv(&act, &mut out, &ctx).expect("gemv");
         let mut errors = vec![nmse(&out, &reference)];
-        for opts in [KernelOpts::tmac(), KernelOpts::tmac_fast_aggregation()] {
-            let tmac = TmacLinear::new(&qm, opts).expect("plan");
-            tmac.gemv(&act, &mut out, &ctx).expect("gemv");
-            errors.push(nmse(&out, &reference));
-        }
+        let tmac = TmacLinear::new(&qm, KernelOpts::tmac()).expect("plan");
+        tmac.gemv(&act, &mut out, &ctx).expect("gemv");
+        errors.push(nmse(&out, &reference));
         if (m, k) == SHAPES[0] {
             s0 = errors[1] / errors[0];
         }
@@ -507,18 +526,18 @@ const TABLE4_CLAIMS: [Row; 2] = [
 
 /// Table 4: decode throughput and quality (teacher-forced perplexity, and
 /// two-way choice agreement with the reference) for the un-quantized
-/// reference, llama.cpp, T-MAC and T-MAC (+FA), 1 thread. The synthetic
-/// evaluations stand in for WikiText-2 / lambada / WinoGrande.
+/// reference, llama.cpp and T-MAC, 1 thread. The synthetic evaluations
+/// stand in for WikiText-2 / lambada / WinoGrande. The paper's
+/// `T-MAC (+FA)` row moved to DESIGN.md §9 with its kernel.
 fn table4(_quick: bool) -> Vec<Claim> {
     let ctx = ExecCtx::new(1);
     let (cfg, reference, seqs) = TABLE4.build(&ctx);
     let mut reference = Engine::new(reference);
-    let (tmac, fa) = (KernelOpts::tmac(), KernelOpts::tmac_fast_aggregation());
+    let tmac = BackendKind::Tmac(KernelOpts::tmac());
     let backends = [
         ("Un-quantized", BackendKind::F32, "3.79, 5.80, 71.0"),
         ("llama.cpp", BackendKind::Dequant, "5.65, 5.96, 70.8"),
-        ("T-MAC", BackendKind::Tmac(tmac), "7.34, 5.96, 70.8"),
-        ("T-MAC (+FA)", BackendKind::Tmac(fa), "8.97, 6.38, 67.8"),
+        ("T-MAC", tmac, "7.34, 5.96, 70.8"),
     ];
     let headers = [
         "framework",
@@ -549,7 +568,7 @@ fn table4(_quick: bool) -> Vec<Claim> {
         "Table 4: throughput and quality, {} ({}d x {}L, vocab {}), 1 thread\n\n{table}",
         cfg.name, cfg.dim, cfg.n_layers, cfg.vocab
     );
-    let [_, (dequant_tok_s, dequant_ppl), (tmac_tok_s, tmac_ppl), _] = measured;
+    let [_, (dequant_tok_s, dequant_ppl), (tmac_tok_s, tmac_ppl)] = measured;
     let ratios = [tmac_ppl / dequant_ppl, tmac_tok_s / dequant_tok_s];
     checked(&TABLE4_CLAIMS, ratios)
 }
@@ -624,6 +643,7 @@ fn gate_claims(thresholds: &Json, measured: &[(&str, f64)]) -> Vec<Claim> {
             metric,
             measured,
             bound,
+            note: None,
         }
     };
     bounds.iter().map(claim).collect()
@@ -680,7 +700,8 @@ fn scorecard_md(host: &str, quick: bool, claims: &[Claim]) -> String {
          DRAM-tier form waits for ROADMAP's DRAM item. The dequant baseline\n\
          (llama.cpp's kernels) is AVX2-only: on an `avx512` host the T-MAC side\n\
          of the Fig 6/7/8 ratios runs `zmm` kernels, so those rows compare\n\
-         unequal ISAs.\n\n\
+         unequal ISAs. The Fig 10 TM+FA row is recorded, not measured: its\n\
+         kernel was deleted after it measured slower than T-MAC (DESIGN.md §9).\n\n\
          {COLUMNS}\n{rows}"
     )
 }
@@ -732,6 +753,18 @@ mod tests {
                   | `paper.fig6_w1_vs_dequant_x` | >= 1 | met |\n";
         assert!(md.contains(w1), "{md}");
         assert!(md.contains("| 5.0000 | `core.bits_scaling_w4_vs_w1_x` | <= 4.6 | **missed** |"));
+        // The recorded Fig 10 TM+FA row: missed, with its reason, and a
+        // measured value, so `scorecard` does not count it as empty.
+        let rows = fig10_claims([0.8, 0.2, 0.15]);
+        let md = scorecard_md("cpu", false, &rows);
+        let fa = format!(
+            "| Fig 10, S0 W4: TM+FA ÷ T-MAC time | < 1 (cumulative) | 5.0618 \
+             | `paper.fig10_fa_vs_tmac_x` | <= 1 | **missed** ({FIG10_FA_NOTE}) |\n"
+        );
+        assert!(md.contains(&fa), "{md}");
+        assert!(md.contains("| 0.2000 | `paper.fig10_perm_vs_tq_x` | <= 1 | met |\n"));
+        assert!(rows.iter().all(|c| c.measured.is_finite()));
+        assert!(!rows[3].met() && rows[..3].iter().all(Claim::met));
     }
 
     #[test]

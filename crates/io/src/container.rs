@@ -25,8 +25,7 @@
 //!         kind 1 (prepacked plan):
 //!             m u64, k u64, bits u8, group_size u32, zero f32,
 //!             opts: flags u8 (bit0 table_quant, 3 permute,
-//!                   4 interleave, 5 fast_aggregation; any other
-//!                   bit is an error)
+//!                   4 interleave; any other bit is an error)
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
@@ -43,7 +42,9 @@
 //! never-read `tiling` flag and `tile_k` field from the options record.
 //! Version 4 dropped flag bit 1 and the `n_block` field from the options
 //! record: the option it encoded is gone, and the row block is a kernel
-//! constant.
+//! constant. Flag bit 5 (fast aggregation, a deleted kernel option) was
+//! retired within version 4: no served file set it, and a file that does
+//! is refused as corrupt.
 //! Files of any other version are rejected with [`IoError::Version`] and
 //! are re-converted from the source checkpoint.
 
@@ -169,23 +170,19 @@ pub struct TensorSpec<'a> {
 }
 
 fn encode_opts(o: &KernelOpts, out: &mut Vec<u8>) {
-    let flags = o.table_quant as u8
-        | (o.permute as u8) << 3
-        | (o.interleave as u8) << 4
-        | (o.fast_aggregation as u8) << 5;
+    let flags = o.table_quant as u8 | (o.permute as u8) << 3 | (o.interleave as u8) << 4;
     out.push(flags);
 }
 
 fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
     let flags = c.u8(what)?;
-    if flags & !0x39 != 0 {
+    if flags & !0x19 != 0 {
         return Err(IoError::Corrupt(format!("{what}: unknown option flags")));
     }
     Ok(KernelOpts {
         table_quant: flags & 1 != 0,
         permute: flags & 8 != 0,
         interleave: flags & 16 != 0,
-        fast_aggregation: flags & 32 != 0,
     })
 }
 
@@ -889,9 +886,10 @@ mod tests {
             let back = decode_opts(&mut Cursor::new(&buf), "opts").unwrap();
             assert_eq!(back, opts);
         }
-        // Bit 1 (dropped by version 4), bit 2 (version 2's `tiling`) and
-        // bits 6-7 are unknown flags, alone or among known ones.
-        for flag in [2u8, 4, 64, 128, 0x1B] {
+        // Bit 1 (dropped by version 4), bit 2 (version 2's `tiling`), bit 5
+        // (retired fast aggregation) and bits 6-7 are unknown flags, alone
+        // or among known ones.
+        for flag in [2u8, 4, 32, 0x39, 64, 128, 0x1B] {
             let buf = [flag];
             assert!(
                 matches!(

@@ -31,7 +31,6 @@ impl BackendKind {
     /// Display name used in experiment tables.
     pub fn label(&self) -> &'static str {
         match self {
-            BackendKind::Tmac(o) if o.fast_aggregation => "T-MAC (+FA)",
             BackendKind::Tmac(_) => "T-MAC",
             BackendKind::Dequant => "llama.cpp",
             BackendKind::F32 => "f32",
@@ -369,17 +368,12 @@ mod tests {
         assert_eq!(BackendKind::F32.label(), "f32");
         assert_eq!(BackendKind::Dequant.label(), "llama.cpp");
         assert_eq!(BackendKind::Tmac(KernelOpts::tmac()).label(), "T-MAC");
-        assert_eq!(
-            BackendKind::Tmac(KernelOpts::tmac_fast_aggregation()).label(),
-            "T-MAC (+FA)"
-        );
         // Layer labels match the kind labels.
         let (qm, w, _) = setup();
         for kind in [
             BackendKind::F32,
             BackendKind::Dequant,
             BackendKind::Tmac(KernelOpts::tmac()),
-            BackendKind::Tmac(KernelOpts::tmac_fast_aggregation()),
         ] {
             let lin = Linear::build(kind, &qm, &w).unwrap();
             assert_eq!(lin.label(), kind.label());

@@ -304,9 +304,9 @@ impl Model {
     ///
     /// The container is opened under `mode` ([`LoadMode::Mmap`] borrows
     /// weight tiles zero-copy from the mapping) and fully
-    /// integrity-checked. [`BackendKind::Tmac`] takes each stored plan
-    /// as-is (or rebound to layout-compatible options); every other kind
-    /// builds from the lazily materialized canonical matrix.
+    /// integrity-checked. [`BackendKind::Tmac`] with the stored options
+    /// takes each stored plan as-is; every other kind builds from the
+    /// lazily materialized canonical matrix.
     ///
     /// # Errors
     ///
@@ -336,20 +336,13 @@ impl Model {
                 ))));
             }
             // Same options: take the stored plan as-is (zero-copy when its
-            // segments borrow the mapping). Layout-compatible options (e.g.
-            // +FA on a stock T-MAC pack): rebind the same segments.
-            if let BackendKind::Tmac(opts) = *kind {
-                let tmac = |p| Ok(Linear::Tmac(Arc::new(TmacLinear::from_plan(p))));
-                if opts == plan.opts {
-                    return tmac(plan);
-                }
-                if let Ok(p) = plan.with_opts(opts) {
-                    return tmac(p);
-                }
+            // segments borrow the mapping).
+            if *kind == BackendKind::Tmac(plan.opts) {
+                return Ok(Linear::Tmac(Arc::new(TmacLinear::from_plan(plan))));
             }
-            // Everything else (including layout-incompatible T-MAC
-            // options) builds from a transient canonical matrix and its
-            // dequantized f32 twin, dropped as soon as the layer is built.
+            // Everything else (including other T-MAC options) builds from a
+            // transient canonical matrix and its dequantized f32 twin,
+            // dropped as soon as the layer is built.
             let qm = plan.to_quantized();
             Ok(Linear::build(*kind, &qm, &qm.dequantize())?)
         };

@@ -11,8 +11,6 @@
 //!   apples and outputs can be cross-checked.
 //! * [`rtn`] — round-to-nearest group quantization (the GPTQ/AWQ storage
 //!   format's arithmetic without the Hessian machinery).
-//! * [`gptq`] — an error-feedback quantizer standing in for GPTQ proper
-//!   (paper's 4-bit Llama models are "from GPTQ").
 //! * [`bitnet`] — BitNet b1.58 ternary quantization; ternary weights are
 //!   "interpreted as 2-bit and decomposed into two 1-bit matrices" (§5.1).
 //! * [`formats`] — llama.cpp-style block formats (`Q8_0` activations,
@@ -29,7 +27,6 @@
 
 pub mod bitnet;
 pub mod formats;
-pub mod gptq;
 pub mod rtn;
 
 /// Errors produced by quantization APIs.

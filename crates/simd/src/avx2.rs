@@ -1,8 +1,7 @@
 //! x86-64 AVX2 backend.
 //!
-//! Implements the paper's Table 1 mapping for x86: table look-up via
-//! `_mm256_shuffle_epi8` (`PSHUFB`) and fast aggregation via
-//! `_mm256_avg_epu8`. AVX2 is 256 bits wide but `PSHUFB` shuffles within each
+//! Implements the paper's Table 1 look-up for x86: `_mm256_shuffle_epi8`
+//! (`PSHUFB`). AVX2 is 256 bits wide but `PSHUFB` shuffles within each
 //! 128-bit lane, so — exactly as §4 of the paper describes — the 16-entry
 //! table is *duplicated* into both lanes and one instruction then looks up 32
 //! independent `u8` indices.
@@ -176,14 +175,6 @@ pub fn accumulate_i8_into_i16(acc: (__m256i, __m256i), vals: __m256i) -> (__m256
     let lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vals));
     let hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vals, 1));
     (_mm256_add_epi16(acc.0, lo), _mm256_add_epi16(acc.1, hi))
-}
-
-/// Rounding average of unsigned bytes (`_mm256_avg_epu8`), the fast
-/// aggregation primitive (paper Table 1).
-#[inline]
-#[target_feature(enable = "avx2")]
-pub fn avg_u8(a: __m256i, b: __m256i) -> __m256i {
-    _mm256_avg_epu8(a, b)
 }
 
 /// Converts 16 `i16` lanes to two 8-lane `f32` vectors (low, high).
@@ -777,20 +768,6 @@ mod tests {
         for i in 0..16 {
             assert_eq!(lo[i], 2 * (vals[i] as i16));
             assert_eq!(hi[i], 2 * (vals[16 + i] as i16));
-        }
-    }
-
-    #[test]
-    fn avg_matches_scalar() {
-        if skip() {
-            return;
-        }
-        let a: Vec<u8> = (0..32).map(|i| (i * 9 + 3) as u8).collect();
-        let b: Vec<u8> = (0..32).map(|i| (255 - i * 7) as u8).collect();
-        // SAFETY: AVX2 checked by `skip`.
-        let got = unsafe { to_bytes(avg_u8(loadu_256(&a), loadu_256(&b))) };
-        for i in 0..32 {
-            assert_eq!(got[i], scalar::avg_u8(a[i], b[i]), "lane {i}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! SIMD substrate for the T-MAC reproduction.
 //!
-//! T-MAC's kernels (EuroSys'25, §4) are built around three hardware
+//! T-MAC's kernels (EuroSys'25, §4) are built around two hardware
 //! capabilities:
 //!
 //! 1. **Parallel 8-bit table lookup** — `PSHUFB`/`_mm256_shuffle_epi8` on x86
@@ -10,9 +10,10 @@
 //!    (AVX-512BW) lookups, the table duplicated per lane.
 //! 2. **Widening accumulation** — `i8` lookup results are summed into `i16`
 //!    accumulators without overflow.
-//! 3. **Fast 8-bit aggregation** — `_mm256_avg_epu8`/`vrhaddq_u8` rounding
-//!    averages, used by the optional lossy aggregation mode (paper §4,
-//!    "Fast 8-bit aggregation").
+//!
+//! The paper's third, *fast 8-bit aggregation* (`_mm256_avg_epu8`/
+//! `vrhaddq_u8` rounding averages, §4), is not here: its kernels measured
+//! slower than exact accumulation on x86 and were deleted (DESIGN.md §9).
 //!
 //! This crate provides those primitives plus the generic `f32`/`i8` vector
 //! helpers used by the rest of the workspace, in three modules:
@@ -55,10 +56,8 @@ pub mod avx512;
 
 /// Instruction-set architecture selected at runtime.
 ///
-/// Follows the paper's Table 1: each ISA maps to a *look-up* and a *fast
-/// aggregation* instruction. [`Isa::lookup_intrinsic`] and
-/// [`Isa::aggregation_intrinsic`] report that mapping (printed by
-/// `paper table1`).
+/// Follows the paper's Table 1: each ISA maps to a *look-up* instruction,
+/// which [`Isa::lookup_intrinsic`] reports (printed by `paper table1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
     /// Portable scalar fallback.
@@ -126,17 +125,6 @@ impl Isa {
             Isa::Avx2 => "_mm256_shuffle_epi8",
             Isa::Avx512 => "_mm512_shuffle_epi8",
             Isa::Neon => "vqtbl1q_u8",
-        }
-    }
-
-    /// The fast-aggregation intrinsic this ISA dispatches to (paper Table 1).
-    ///
-    /// `Avx512` names AVX2's: fast aggregation stays on the AVX2 kernels.
-    pub fn aggregation_intrinsic(self) -> &'static str {
-        match self {
-            Isa::Scalar => "(a + b + 1) >> 1 (portable)",
-            Isa::Avx2 | Isa::Avx512 => "_mm256_avg_epu8",
-            Isa::Neon => "vrhaddq_u8",
         }
     }
 

@@ -23,17 +23,6 @@ pub fn tbl16(table: &[i8; 16], indices: &[u8], out: &mut [i8]) {
     }
 }
 
-/// Rounding average of two unsigned bytes: `(a + b + 1) >> 1`.
-///
-/// Matches `_mm256_avg_epu8` / `vrhaddq_u8` exactly. This is the building
-/// block of fast 8-bit aggregation (paper §4): a balanced binary tree of
-/// `avg_u8` over `2^t` values computes `round(sum / 2^t)` up to an
-/// accumulated rounding error of at most `t`.
-#[inline]
-pub fn avg_u8(a: u8, b: u8) -> u8 {
-    ((a as u16 + b as u16 + 1) >> 1) as u8
-}
-
 /// Unpacks interleaved nibbles: low nibbles to `lo`, high nibbles to `hi`.
 ///
 /// This is the unpack that T-MAC's *weight interleaving* (paper Figure 4)
@@ -277,15 +266,6 @@ mod tests {
         let table = [0i8; 16];
         let mut out = [0i8; 1];
         tbl16(&table, &[16], &mut out);
-    }
-
-    #[test]
-    fn avg_matches_definition() {
-        assert_eq!(avg_u8(0, 0), 0);
-        assert_eq!(avg_u8(0, 1), 1); // rounds up
-        assert_eq!(avg_u8(255, 255), 255);
-        assert_eq!(avg_u8(10, 20), 15);
-        assert_eq!(avg_u8(10, 21), 16);
     }
 
     #[test]

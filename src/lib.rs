@@ -7,7 +7,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`core`] (`tmac-core`) | the paper's contribution: bit-serial LUT mpGEMM/mpGEMV kernels, plus the shared [`prelude::ExecCtx`] |
-//! | [`simd`] (`tmac-simd`) | runtime-dispatched lookup/aggregation primitives (Table 1) |
+//! | [`simd`] (`tmac-simd`) | runtime-dispatched lookup/accumulation primitives (Table 1) |
 //! | [`quant`] (`tmac-quant`) | weight quantizers and llama.cpp-style block formats |
 //! | [`baseline`] (`tmac-baseline`) | dequantization-based comparator kernels |
 //! | [`threadpool`] (`tmac-threadpool`) | static-threadblock parallel substrate |

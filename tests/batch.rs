@@ -104,7 +104,6 @@ fn forward_batch_is_bit_exact_on_every_backend() {
             BackendKind::F32,
             BackendKind::Dequant,
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-            BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
         ] {
             let m = model(WeightQuant::Rtn(3), kind, 5);
             assert_batches_equal_singles(&m, &[3], 2, &ctx);

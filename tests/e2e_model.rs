@@ -16,7 +16,6 @@ fn all_backends_generate_plausible_tokens() {
         BackendKind::F32,
         BackendKind::Dequant,
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
-        BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
     ] {
         let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 5).unwrap();
         let mut engine = Engine::new(model);

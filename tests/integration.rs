@@ -8,7 +8,7 @@ use common::family_ctxs;
 use tmac::baseline::DequantLinear;
 use tmac::core::kernel::scalar::gemv_reference;
 use tmac::core::{ExecCtx, KernelOpts, TmacError, TmacLinear};
-use tmac::quant::{bitnet, gptq, rtn};
+use tmac::quant::{bitnet, rtn};
 use tmac::simd::f32ops::nmse;
 
 fn weights(m: usize, k: usize, seed: u64) -> Vec<f32> {
@@ -65,11 +65,10 @@ fn tmac_and_baseline_agree_on_identical_weights() {
     }
 }
 
-/// Every option set `validate` accepts — the five Figure 10 rungs and the
-/// sequential stream with fast aggregation, exactly — tracks the reference
-/// on every kernel family the host executes; every other set, among them
-/// the two with no AVX2 kernel (a permuted stream over `f32` tables, fast
-/// aggregation over the flat layout), is refused with a typed error.
+/// Every option set `validate` accepts — exactly the four Figure 10 rungs
+/// — tracks the reference on every kernel family the host executes; the
+/// other four of the eight flag sets, among them a permuted stream over
+/// `f32` tables (which has no AVX2 kernel), are refused with a typed error.
 #[test]
 fn every_opt_combination_matches_the_reference() {
     let (m, k) = (64, 128);
@@ -78,49 +77,29 @@ fn every_opt_combination_matches_the_reference() {
     let qm = rtn::quantize(&w, m, k, 3, 32).unwrap();
     let reference = gemv_reference(&qm, &a);
     let mut valid = Vec::new();
-    for flags in 0..16u8 {
+    for flags in 0..8u8 {
         let opts = KernelOpts {
             table_quant: flags & 1 != 0,
             permute: flags & 2 != 0,
             interleave: flags & 4 != 0,
-            fast_aggregation: flags & 8 != 0,
         };
         match TmacLinear::new(&qm, opts) {
             Ok(tl) => valid.push((opts, tl)),
             Err(e) => assert!(matches!(e, TmacError::Opts(_)), "{opts:?}: {e:?}"),
         }
     }
-    let mut expected: Vec<KernelOpts> = KernelOpts::breakdown_ladder()
+    let expected: Vec<KernelOpts> = KernelOpts::breakdown_ladder()
         .into_iter()
         .map(|(_, o)| o)
         .collect();
-    expected.push(KernelOpts {
-        interleave: false,
-        ..KernelOpts::tmac_fast_aggregation()
-    });
-    assert_eq!(valid.len(), expected.len());
+    assert_eq!(valid.len(), 4);
     assert!(expected.iter().all(|o| valid.iter().any(|(v, _)| v == o)));
-    let f32_permuted = KernelOpts {
-        table_quant: false,
-        ..KernelOpts::plus_permute()
-    };
-    let flat_fa = KernelOpts {
-        fast_aggregation: true,
-        ..KernelOpts::plus_table_quant()
-    };
-    for opts in [f32_permuted, flat_fa] {
-        assert!(matches!(
-            TmacLinear::new(&qm, opts),
-            Err(TmacError::Opts(_))
-        ));
-    }
     for ctx in family_ctxs() {
         for (opts, tl) in &valid {
             let mut out = vec![0f32; m];
             tl.gemv(&a, &mut out, &ctx).unwrap();
             let e = nmse(&out, &reference);
-            let tol = if opts.fast_aggregation { 0.25 } else { 5e-3 };
-            assert!(e < tol, "{opts:?} isa={}: nmse={e}", ctx.isa());
+            assert!(e < 5e-3, "{opts:?} isa={}: nmse={e}", ctx.isa());
         }
     }
 }
@@ -163,24 +142,6 @@ fn gemm_equals_row_by_row_gemv() {
 }
 
 #[test]
-fn gptq_weights_run_through_both_systems() {
-    let ctx = ExecCtx::new(1);
-    let (m, k) = (64, 128);
-    let w = weights(m, k, 23);
-    let a = act(k, 23);
-    let qm = gptq::quantize(&w, m, k, 4, 32).unwrap();
-    let reference = gemv_reference(&qm, &a);
-    let tl = TmacLinear::new(&qm, KernelOpts::tmac()).unwrap();
-    let bl = DequantLinear::new(&qm).unwrap();
-    let mut t_out = vec![0f32; m];
-    let mut b_out = vec![0f32; m];
-    tl.gemv(&a, &mut t_out, &ctx).unwrap();
-    bl.gemv(&a, &mut b_out, &ctx).unwrap();
-    assert!(nmse(&t_out, &reference) < 5e-3);
-    assert!(nmse(&b_out, &reference) < 5e-3);
-}
-
-#[test]
 fn bitnet_ternary_runs_as_two_bit() {
     let ctx = ExecCtx::new(2);
     let (m, k) = (96, 160);
@@ -214,17 +175,6 @@ fn shape_errors_are_reported_not_panicked() {
     assert!(tl.gemv(&bad, &mut out, &ctx).is_err());
     // K not a multiple of the quant group.
     assert!(rtn::quantize(&weights(4, 33, 1), 4, 33, 2, 32).is_err());
-}
-
-#[test]
-fn fast_aggregation_requires_power_of_two_groups() {
-    let (m, k) = (32, 192);
-    // group_size 48 -> kg_per_block = 12, not a power of two.
-    let qm = rtn::quantize(&weights(m, k, 37), m, k, 2, 48).unwrap();
-    let tl = TmacLinear::new(&qm, KernelOpts::tmac_fast_aggregation()).unwrap();
-    let ctx = ExecCtx::new(1);
-    let mut out = vec![0f32; m];
-    assert!(tl.gemv(&act(k, 37), &mut out, &ctx).is_err());
 }
 
 #[test]

@@ -105,10 +105,6 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
         // quantized weights only.)
         let cases = [
             ("tmac", BackendKind::Tmac(tmac::core::KernelOpts::tmac())),
-            (
-                "tmac-fa",
-                BackendKind::Tmac(tmac::core::KernelOpts::tmac_fast_aggregation()),
-            ),
             ("dequant", BackendKind::Dequant),
             ("f32", BackendKind::F32),
         ];

@@ -243,17 +243,6 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 /// common shapes, and blocks long enough to need the mid-block `i32` flush.
 const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
-/// The `(preset name, options)` a case can run under, given what the table
-/// builder accepts: fast aggregation needs a power-of-two k-group count per
-/// block.
-fn paired_presets(gs: usize) -> Vec<(&'static str, KernelOpts)> {
-    let mut presets = vec![("tmac", KernelOpts::tmac())];
-    if (gs / 4).is_power_of_two() {
-        presets.push(("tmac_fast_aggregation", KernelOpts::tmac_fast_aggregation()));
-    }
-    presets
-}
-
 /// `mpgemm` row `i` (`gemm` ≡ `gemm_cached` ≡ `with_tables`), the GEMV of
 /// row `i`, and the GEMV through the same matrix planned with
 /// `interleave = false` (the sequential stream and its untouched kernel),
@@ -325,11 +314,10 @@ fn assert_paired_on_every_family(
 }
 
 /// The paired stream over generated shapes: bits 1–4 × every group size ×
-/// ragged `M` × `n` in 1..=19 × every preset the shape admits.
+/// ragged `M` × `n` in 1..=19.
 #[test]
 fn paired_stream_bit_exact_on_generated_shapes() {
     let ctxs = family_ctxs();
-    let mut by_preset = std::collections::BTreeMap::new();
     for seed in 0..216u64 {
         let mut rng = Rng::seed_from_u64(0x900 + seed);
         // The first 24 seeds walk the (bits, group size) grid; the rest draw.
@@ -381,14 +369,10 @@ fn paired_stream_bit_exact_on_generated_shapes() {
             plan.m_padded * k / 4 * bits as usize / 2
         );
 
-        let presets = paired_presets(gs);
-        let (name, opts) = presets[seed as usize % presets.len()];
-        *by_preset.entry(name).or_insert(0) += 1;
         let acts = arb_acts(&mut rng, n * k, -2.0, 2.0);
-        let what = format!("seed {seed} {name} bits={bits} gs={gs} m={m} k={k} n={n}");
-        assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
+        let what = format!("seed {seed} bits={bits} gs={gs} m={m} k={k} n={n}");
+        assert_paired_on_every_family(&qm, KernelOpts::tmac(), &acts, n, &ctxs, &what);
     }
-    assert!(by_preset.values().all(|&c| c >= 30), "{by_preset:?}");
 }
 
 /// Worst case for the `i16` accumulators: every plane all ones (index 15
@@ -404,33 +388,26 @@ fn paired_stream_survives_saturated_tables() {
                 group_size: gs,
                 ..matrix(vec![(1 << bits) - 1; m * k], vec![0.5; m * 2], m, k, bits)
             };
-            for (name, opts) in paired_presets(gs) {
-                for sign in [1.0f32, -1.0] {
-                    // Equal activations: entry 15 = 4a is the block's
-                    // maximum, so it quantizes to sign · 127 in every group.
-                    let acts = vec![sign * 0.75; n * k];
-                    let tables = TmacLinear::new(&qm, opts)
-                        .unwrap()
-                        .tables(&acts[..k])
-                        .unwrap();
-                    assert_eq!(tables.lookup_q(0, 0, 15), (sign * 127.0) as i8);
-                    let what = format!("{name} bits={bits} gs={gs} sign={sign}");
-                    assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
-                    // And the value itself (exact aggregation): each row is
-                    // Σ_blocks s · (0.5 · q_scale · 127 · kgb · (2^bits − 1)
-                    // + cz · asum), a wrap would be off by thousands.
-                    if opts.fast_aggregation {
-                        continue;
-                    }
-                    let lin = TmacLinear::new(&qm, opts).unwrap();
-                    let want = gemv_reference(&qm, &acts[..k]);
-                    for ctx in &ctxs {
-                        let mut out = vec![0f32; m];
-                        lin.gemv(&acts[..k], &mut out, ctx).unwrap();
-                        for (o, w) in out.iter().zip(&want) {
-                            let isa = ctx.isa();
-                            assert!((o - w).abs() <= 2e-3 * w.abs(), "{what} {isa}: {o} vs {w}");
-                        }
+            let opts = KernelOpts::tmac();
+            let lin = TmacLinear::new(&qm, opts).unwrap();
+            for sign in [1.0f32, -1.0] {
+                // Equal activations: entry 15 = 4a is the block's maximum,
+                // so it quantizes to sign · 127 in every group.
+                let acts = vec![sign * 0.75; n * k];
+                let tables = lin.tables(&acts[..k]).unwrap();
+                assert_eq!(tables.lookup_q(0, 0, 15), (sign * 127.0) as i8);
+                let what = format!("bits={bits} gs={gs} sign={sign}");
+                assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
+                // And the value itself: each row is Σ_blocks s · (0.5 ·
+                // q_scale · 127 · kgb · (2^bits − 1) + cz · asum), a wrap
+                // would be off by thousands.
+                let want = gemv_reference(&qm, &acts[..k]);
+                for ctx in &ctxs {
+                    let mut out = vec![0f32; m];
+                    lin.gemv(&acts[..k], &mut out, ctx).unwrap();
+                    for (o, w) in out.iter().zip(&want) {
+                        let isa = ctx.isa();
+                        assert!((o - w).abs() <= 2e-3 * w.abs(), "{what} {isa}: {o} vs {w}");
                     }
                 }
             }
