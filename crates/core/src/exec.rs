@@ -11,8 +11,9 @@
 //! [`ExecCtx`] is the carrier of that reuse. It bundles what every kernel
 //! invocation needs:
 //!
-//! * the **thread pool** the kernels dispatch on (replacing the bare
-//!   `&ThreadPool` parameter that used to thread through every signature);
+//! * the **thread pool** the kernels dispatch on, owned by the context
+//!   (replacing the bare `&ThreadPool` parameter that used to thread
+//!   through every signature);
 //! * the **activation-table cache**, keyed on `(activation generation, table
 //!   profile, row count, fingerprint)` — callers bump the generation
 //!   whenever the activation batch changes, and every lookup within one
@@ -26,10 +27,10 @@
 //! The cache is behind a mutex and the counters are atomics, so the
 //! *bookkeeping* ([`ExecCtx::tables_for`], stats, the scratch arena) is
 //! safe to call from several threads. Kernel **dispatch** is not: the
-//! underlying [`ThreadPool`] executes one job at a time, so concurrent
-//! `gemv`/`forward` calls through contexts sharing one pool must be
-//! externally serialized (the pool asserts on concurrent dispatch). The
-//! expected usage is one context per generation stream.
+//! context's [`ThreadPool`] executes one job at a time, so concurrent
+//! `gemv`/`forward` calls through one context must be externally
+//! serialized (the pool asserts on concurrent dispatch). The expected usage
+//! is one context per generation stream.
 
 use crate::gemm;
 use crate::plan::WeightPlan;
@@ -63,7 +64,7 @@ impl TableProfile {
         TableProfile {
             k: plan.k,
             group_size: plan.group_size,
-            table_quant: plan.opts.table_quant,
+            table_quant: plan.opts().table_quant(),
         }
     }
 }
@@ -192,12 +193,6 @@ impl<'a, T> SharedMut<'a, T> {
     }
 }
 
-/// How the context holds its pool: owned (the common case) or shared.
-enum PoolHandle {
-    Owned(ThreadPool),
-    Shared(Arc<ThreadPool>),
-}
-
 /// The unified execution context every forward/gemv entry point takes.
 ///
 /// # Examples
@@ -222,7 +217,7 @@ enum PoolHandle {
 /// assert_eq!((stats.hits, stats.misses), (1, 1));
 /// ```
 pub struct ExecCtx {
-    pool: PoolHandle,
+    pool: ThreadPool,
     isa: Isa,
     generation: AtomicU64,
     hits: AtomicU64,
@@ -249,7 +244,7 @@ impl ExecCtx {
     ///
     /// Panics if `n_threads == 0`.
     pub fn new(n_threads: usize) -> Self {
-        Self::from_handle(PoolHandle::Owned(ThreadPool::new(n_threads)), Isa::detect())
+        Self::from_pool(ThreadPool::new(n_threads), Isa::detect())
     }
 
     /// [`ExecCtx::new`] on the kernel family `isa` instead of the detected
@@ -267,26 +262,10 @@ impl ExecCtx {
         if !isa.available() {
             return Err(TmacError::IsaUnavailable(isa));
         }
-        Ok(Self::from_handle(
-            PoolHandle::Owned(ThreadPool::new(n_threads)),
-            isa,
-        ))
+        Ok(Self::from_pool(ThreadPool::new(n_threads), isa))
     }
 
-    /// Creates a context sharing an existing pool (detected kernel family).
-    pub fn with_pool(pool: Arc<ThreadPool>) -> Self {
-        Self::from_handle(PoolHandle::Shared(pool), Isa::detect())
-    }
-
-    /// Creates a context sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
-    fn from_handle(pool: PoolHandle, isa: Isa) -> Self {
+    fn from_pool(pool: ThreadPool, isa: Isa) -> Self {
         ExecCtx {
             pool,
             isa,
@@ -302,10 +281,7 @@ impl ExecCtx {
 
     /// The thread pool kernels dispatch on.
     pub fn pool(&self) -> &ThreadPool {
-        match &self.pool {
-            PoolHandle::Owned(p) => p,
-            PoolHandle::Shared(p) => p,
-        }
+        &self.pool
     }
 
     /// The kernel family this context's sweeps and table builds run on:

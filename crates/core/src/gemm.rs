@@ -22,9 +22,9 @@
 //!
 //! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
 //! `zmm` registers for the plans it serves and hands every other plan to
-//! the AVX2 kernels; the two families agree bit for bit. Every option set
-//! [`KernelOpts::validate`](crate::KernelOpts::validate) accepts has an
-//! AVX2 kernel, so a plan runs on its context's family, never on another.
+//! the AVX2 kernels; the two families agree bit for bit. Every
+//! [`KernelOpts`](crate::KernelOpts) rung has an AVX2 kernel, so a plan
+//! runs on its context's family, never on another.
 //!
 //! Per row the multi-row kernel applies the GEMV kernel's operations in the
 //! GEMV kernel's order, so neither the choice nor the blocking ever changes
@@ -66,7 +66,7 @@ pub fn build_tables(
         Some(ctx) => (Some(ctx.pool()), ctx.isa()),
         None => (None, Isa::detect()),
     };
-    ActTables::build_on(pool, isa, act, n, plan.group_size, &plan.opts)
+    ActTables::build_on(pool, isa, act, n, plan.group_size, &plan.opts())
 }
 
 /// Floats per 64-byte cache line.
@@ -208,7 +208,7 @@ pub fn mpgemm_with_tables(
         )));
     }
     if (tables.k, tables.group_size, tables.quantized)
-        != (plan.k, plan.group_size, plan.opts.table_quant)
+        != (plan.k, plan.group_size, plan.opts().table_quant())
     {
         return Err(TmacError::Shape(
             "tables do not match the plan's table profile (K, group size, quantization)".into(),
@@ -352,7 +352,7 @@ mod tests {
         assert!(mpgemm_with_tables(&plan, &t, &mut short, &ctx).is_err());
         assert!(mpgemm_with_tables(&plan, &t, &mut out, &ctx).is_ok());
         // Tables built for another K don't match.
-        let half_k = ActTables::build(&act[..k / 2], 1, 32, &plan.opts).unwrap();
+        let half_k = ActTables::build(&act[..k / 2], 1, 32, &plan.opts()).unwrap();
         let mut one = vec![0f32; m];
         assert!(mpgemm_with_tables(&plan, &half_k, &mut one, &ctx).is_err());
         // Tables built without quantization don't match a TQ plan.

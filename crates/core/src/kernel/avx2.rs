@@ -2,19 +2,16 @@
 //!
 //! The materialization of the paper's Figure 3 tile on x86: one `PSHUFB`
 //! performs 32 table lookups, results accumulate in `i16`, and each scale
-//! block folds into `f32` output accumulators with two FMAs. Layout/option
-//! combinations map to kernels:
+//! block folds into `f32` output accumulators with two FMAs. Each Figure 10
+//! rung maps to a kernel, so every plan has one here:
 //!
-//! | options | kernel |
+//! | rung | kernel |
 //! |---|---|
-//! | paired stream (`interleave`) | `mtile_paired_bits<BITS>` |
-//! | paired stream, multi-row | `gemm_mtile_bits<BITS>` |
-//! | sequential stream (`+Perm.`) | `mtile_permuted` |
-//! | flat, quantized (`+TQ`) | `mtile_flat_quant` |
-//! | flat, `f32` tables (TM-base) | `mtile_flat_gather` |
-//!
-//! These are all the option sets `KernelOpts::validate` accepts, so every
-//! plan has a kernel here.
+//! | T-MAC (paired stream) | `mtile_paired_bits<BITS>` |
+//! | T-MAC, multi-row | `gemm_mtile_bits<BITS>` |
+//! | `+Perm.` (sequential stream) | `mtile_permuted` |
+//! | `+TQ` (flat, `i8` tables) | `mtile_flat_quant` |
+//! | TM-base (flat, `f32` tables) | `mtile_flat_gather` |
 //!
 //! # The paired inner loop
 //!
@@ -37,7 +34,7 @@
 #![allow(clippy::needless_range_loop)] // Index loops follow the kernel structure.
 
 use crate::opts::{LUT_GROUP, TILE_M};
-use crate::plan::{Layout, WeightPlan};
+use crate::plan::WeightPlan;
 use crate::table::{self, ActTables, TABLE_LEN};
 use std::arch::x86_64::*;
 use std::ops::Range;
@@ -56,7 +53,7 @@ pub const MAX_KG_PER_BLOCK: usize = 64;
 /// buffer. The sequential/flat layouts and `f32` tables stay on the
 /// per-row sweep.
 pub fn gemm_supported(plan: &WeightPlan) -> bool {
-    plan.opts.interleave && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
+    plan.opts().interleave() && plan.group_size / LUT_GROUP <= MAX_KG_PER_BLOCK
 }
 
 /// Executes one m-tile for row `r` of `tables`, dispatching to the right
@@ -68,22 +65,16 @@ pub fn gemm_supported(plan: &WeightPlan) -> bool {
 /// (e.g. via `tmac_simd::Isa::available`).
 #[target_feature(enable = "avx2,fma")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
-    match plan.layout() {
-        Layout::Permuted { interleaved } => {
-            debug_assert!(tables.quantized);
-            if interleaved {
-                for_bits!(plan.bits, mtile_paired_bits(plan, tables, r, mt, out));
-            } else {
-                mtile_permuted(plan, tables, r, mt, out);
-            }
-        }
-        Layout::Flat => {
-            if tables.quantized {
-                mtile_flat_quant(plan, tables, r, mt, out);
-            } else {
-                mtile_flat_gather(plan, tables, r, mt, out);
-            }
-        }
+    let opts = plan.opts();
+    debug_assert_eq!(tables.quantized, opts.table_quant());
+    if opts.interleave() {
+        for_bits!(plan.bits, mtile_paired_bits(plan, tables, r, mt, out));
+    } else if opts.permute() {
+        mtile_permuted(plan, tables, r, mt, out);
+    } else if tables.quantized {
+        mtile_flat_quant(plan, tables, r, mt, out);
+    } else {
+        mtile_flat_gather(plan, tables, r, mt, out);
     }
 }
 
@@ -1086,27 +1077,5 @@ mod tests {
         assert!(!gemm_supported(&plan(KernelOpts::plus_permute(), 32)));
         assert!(!gemm_supported(&plan(KernelOpts::plus_table_quant(), 32)));
         assert!(!gemm_supported(&plan(KernelOpts::tm_base(), 32)));
-    }
-
-    /// The option sets with no kernel here — permuted streams over `f32`
-    /// tables, the paired stream without permutation — are refused when
-    /// the weights are planned, so the driver never meets them.
-    #[test]
-    fn unsupported_combos_reported() {
-        let (qm, _) = setup(32, 64, 2, 32);
-        let f32_permuted = KernelOpts {
-            table_quant: false,
-            ..KernelOpts::plus_permute()
-        };
-        let unpermuted_pairs = KernelOpts {
-            interleave: true,
-            ..KernelOpts::plus_table_quant()
-        };
-        for opts in [f32_permuted, unpermuted_pairs] {
-            assert!(
-                matches!(WeightPlan::new(&qm, opts), Err(crate::TmacError::Opts(_))),
-                "{opts:?}"
-            );
-        }
     }
 }

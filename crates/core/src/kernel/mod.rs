@@ -1,12 +1,12 @@
 //! mpGEMV/mpGEMM kernels.
 //!
-//! * [`scalar`] — portable implementations of every option combination,
-//!   bit-compatible with the SIMD kernels (same integer accumulation, same
-//!   per-block f32 application order). They are the correctness oracle and
-//!   the `Scalar` family's kernels.
-//! * `avx2` — the production kernels (x86-64), one for every option set
-//!   `KernelOpts::validate` accepts. One `PSHUFB` per 32 lookups, `i16`
-//!   widening accumulation, per-scale-block f32 application.
+//! * [`scalar`] — portable implementations of every rung, bit-compatible
+//!   with the SIMD kernels (same integer accumulation, same per-block f32
+//!   application order). They are the correctness oracle and the `Scalar`
+//!   family's kernels.
+//! * `avx2` — the production kernels (x86-64), one for every Figure 10
+//!   rung. One `PSHUFB` per 32 lookups, `i16` widening accumulation,
+//!   per-scale-block f32 application.
 //! * `avx512` — the paired-stream kernels (GEMV and multi-row) on
 //!   `zmm` registers (x86-64 with AVX-512BW): one `vpshufb` per 64 lookups,
 //!   bit-identical to `avx2`, which serves every other plan of the family.

@@ -53,7 +53,7 @@ pub mod table;
 
 pub use exec::{ExecCtx, TableCacheStats, TableProfile};
 pub use opts::{KernelOpts, LUT_GROUP, N_BLOCK, TILE_M};
-pub use plan::{Layout, PlanBacking, PlanParts, Segment, WeightPlan};
+pub use plan::{PlanBacking, PlanParts, Segment, WeightPlan};
 pub use table::ActTables;
 
 use tmac_quant::{QuantError, QuantizedMatrix};
@@ -65,8 +65,6 @@ pub enum TmacError {
     Quant(QuantError),
     /// Dimension/length invariant violated.
     Shape(String),
-    /// Inconsistent kernel option combination.
-    Opts(String),
     /// Non-finite or otherwise unusable numeric input.
     Numeric(String),
     /// A kernel family was forced ([`ExecCtx::with_isa`]) that this host's
@@ -79,7 +77,6 @@ impl std::fmt::Display for TmacError {
         match self {
             TmacError::Quant(e) => write!(f, "quantization error: {e}"),
             TmacError::Shape(msg) => write!(f, "shape error: {msg}"),
-            TmacError::Opts(msg) => write!(f, "kernel options error: {msg}"),
             TmacError::Numeric(msg) => write!(f, "numeric error: {msg}"),
             TmacError::IsaUnavailable(isa) => {
                 write!(f, "kernel family {isa} is not available on this CPU")
@@ -118,7 +115,7 @@ impl TmacLinear {
     /// # Errors
     ///
     /// Propagates plan-construction failures ([`TmacError::Shape`],
-    /// [`TmacError::Opts`], [`TmacError::Quant`]).
+    /// [`TmacError::Quant`]).
     pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<Self, TmacError> {
         Ok(TmacLinear {
             plan: WeightPlan::new(qm, opts)?,

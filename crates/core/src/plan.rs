@@ -2,19 +2,22 @@
 //!
 //! An `n`-bit weight matrix is decomposed into `n` one-bit matrices
 //! (Eq. 1), each one-bit matrix is grouped into 4-bit lookup indices along
-//! `K`, and the indices are laid out according to the kernel options:
+//! `K`, and a plan keeps one index stream and one scale array, both in the
+//! order its rung ([`KernelOpts`]) reads them:
 //!
-//! * **Flat** (no permutation): one nibble-packed plane per bit, row-major —
-//!   the layout a naive implementation would use. Kernels must gather a
-//!   tile's indices from `TILE_M` strided rows on every step.
-//! * **Permuted** (`opts.permute`): indices are stored in the exact order
+//! * **Flat** (`TM-base`, `+TQ`): one nibble-packed plane per bit,
+//!   row-major, the planes back to back; scales row-major — the layout a
+//!   naive implementation would use. Kernels must gather a tile's indices
+//!   and scales from `TILE_M` strided rows on every step.
+//! * **Permuted** (`+Perm.`, T-MAC): indices are stored in the exact order
 //!   the kernel consumes them — m-tile by m-tile, scale block by scale
 //!   block ("T-MAC flats the elements in a tile sequentially and then
-//!   concatenates the flatten tiles", §3.2). Inside a scale block the order
-//!   depends on `opts.interleave`:
-//!   * *sequential* (`+Perm.` stage): bit plane by bit plane, k-group by
+//!   concatenates the flatten tiles", §3.2) — and so are the scales: per
+//!   m-tile, per scale block, the `TILE_M` row scales. Inside a scale block
+//!   the index order depends on [`KernelOpts::interleave`]:
+//!   * *sequential* (`+Perm.`): bit plane by bit plane, k-group by
 //!     k-group, 16 bytes per step, byte `j` = rows `2j` / `2j+1`;
-//!   * *paired* (`interleave`, Figure 4 taken to its AVX2 conclusion): one
+//!   * *paired* (T-MAC, Figure 4 taken to its AVX2 conclusion): one
 //!     32-byte step holds a **k-group pair × 16 rows × a bit-plane pair** —
 //!     lane `L` = k-group `2kp+L`; byte `2j+b` of a lane = `(row 16h+j,
 //!     plane 2p+b)` low nibble, `(row 16h+8+j, plane 2p+b)` high nibble —
@@ -152,19 +155,6 @@ impl<T: Copy + std::fmt::Debug + 'static> std::fmt::Debug for Segment<T> {
     }
 }
 
-/// Physical index layout inside a [`WeightPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Row-major nibble planes, one per bit.
-    Flat,
-    /// Contiguous per-tile stream.
-    Permuted {
-        /// `true`: the lane-paired, bit-paired byte order; `false`: the
-        /// sequential 16-byte steps (see the module docs).
-        interleaved: bool,
-    },
-}
-
 /// Offline-preprocessed weights ready for the T-MAC kernels.
 #[derive(Debug, Clone)]
 pub struct WeightPlan {
@@ -184,24 +174,21 @@ pub struct WeightPlan {
     /// Bit-serial bias constant `(2^bits - 1)/2 - zero` (see `tmac-core`
     /// crate docs); multiplied by per-block activation sums at runtime.
     pub cz: f32,
-    /// Options the plan was built for.
-    pub opts: KernelOpts,
-    layout: Layout,
-    /// Flat layout: `bits` planes, each `m_padded * k/8` bytes.
-    flat_planes: Vec<Segment<u8>>,
-    /// Permuted layout: single stream (see module docs for the order).
-    perm_stream: Segment<u8>,
-    /// Row-major scales, padded: `m_padded * k/group_size`.
-    scales_flat: Segment<f32>,
-    /// Tile-permuted scales: per m-tile, per scale block, `TILE_M` floats.
-    scales_perm: Segment<f32>,
+    opts: KernelOpts,
+    /// The indices, in the rung's order (see the module docs): `bits` flat
+    /// planes of `m_padded * flat_row_bytes` bytes, or the permuted stream.
+    stream: Segment<u8>,
+    /// The `m_padded * k/group_size` scales (padding rows 0), row-major or
+    /// tile-permuted as the rung streams them.
+    scales: Segment<f32>,
 }
 
-/// The raw pieces of a [`WeightPlan`], as a container stores them —
-/// metadata plus data segments in exactly the byte order the kernels
-/// consume. [`WeightPlan::from_parts`] validates and reassembles them
-/// without re-running the offline pack, which is what makes prepacked
-/// container loading cheap (and, with borrowed segments, zero-copy).
+/// The raw pieces of a T-MAC-rung [`WeightPlan`], as a container stores
+/// them — metadata plus the paired stream and its tile-permuted scales, in
+/// exactly the byte order the kernels consume. [`WeightPlan::from_parts`]
+/// validates and reassembles them without re-running the offline pack,
+/// which is what makes prepacked container loading cheap (and, with
+/// borrowed segments, zero-copy).
 #[derive(Debug)]
 pub struct PlanParts {
     /// Logical output rows `M`.
@@ -214,17 +201,9 @@ pub struct PlanParts {
     pub group_size: usize,
     /// Zero point in code space.
     pub zero: f32,
-    /// Kernel options the stream was packed for.
-    pub opts: KernelOpts,
-    /// Flat layout: one nibble plane per bit. Empty for permuted plans.
-    pub flat_planes: Vec<Segment<u8>>,
-    /// Permuted layout: the contiguous tile stream. Empty for flat plans.
+    /// The paired tile stream.
     pub perm_stream: Segment<u8>,
-    /// Row-major padded scales. For permuted plans an empty segment is
-    /// allowed; they are then reconstructed from `scales_perm` (the
-    /// row-major copy is cold-path metadata for permuted layouts).
-    pub scales_flat: Segment<f32>,
-    /// Tile-permuted scales (permuted layout only; empty for flat plans).
+    /// Tile-permuted scales.
     pub scales_perm: Segment<f32>,
 }
 
@@ -233,11 +212,9 @@ impl WeightPlan {
     ///
     /// # Errors
     ///
-    /// * [`TmacError::Opts`] if the option combination is inconsistent.
-    /// * [`TmacError::Shape`] if `K` is not a multiple of the LUT group (4)
-    ///   or the scale group size is not a multiple of 4.
+    /// Returns [`TmacError::Shape`] if `K` is not a multiple of the LUT
+    /// group (4) or the scale group size is not a multiple of 4.
     pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<WeightPlan, TmacError> {
-        opts.validate().map_err(TmacError::Opts)?;
         qm.validate()?;
         if !qm.cols.is_multiple_of(LUT_GROUP) {
             return Err(TmacError::Shape(format!(
@@ -254,19 +231,6 @@ impl WeightPlan {
         let (m, k, bits) = (qm.rows, qm.cols, qm.bits as usize);
         let m_padded = m.div_ceil(TILE_M) * TILE_M;
         let gpr = k / qm.group_size;
-
-        // Padded row-major scales.
-        let mut scales_flat = vec![0f32; m_padded * gpr];
-        scales_flat[..m * gpr].copy_from_slice(&qm.scales);
-
-        let layout = if opts.permute {
-            Layout::Permuted {
-                interleaved: opts.interleave,
-            }
-        } else {
-            Layout::Flat
-        };
-
         let kg_total = k / LUT_GROUP;
         let nibble = |row: usize, bit: usize, kg: usize| -> u8 {
             if row >= m {
@@ -281,65 +245,48 @@ impl WeightPlan {
             idx
         };
 
-        let mut flat_planes = Vec::new();
-        let mut perm_stream = Vec::new();
-        let mut scales_perm = Vec::new();
-        match layout {
-            Layout::Flat => {
-                let row_bytes = kg_total / 2 + kg_total % 2;
-                for bit in 0..bits {
-                    let mut plane = vec![0u8; m_padded * row_bytes];
-                    for row in 0..m {
-                        for kg in 0..kg_total {
-                            let v = nibble(row, bit, kg);
-                            let byte = &mut plane[row * row_bytes + kg / 2];
-                            if kg % 2 == 0 {
-                                *byte |= v;
-                            } else {
-                                *byte |= v << 4;
+        let mut scales = vec![0f32; m_padded * gpr];
+        let stream = if opts.permute() {
+            let mut stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
+            let kgb = qm.group_size / LUT_GROUP;
+            let block_bytes = kgb * bits * (TILE_M / 2);
+            for mt in 0..m_padded / TILE_M {
+                let m0 = mt * TILE_M;
+                for sb in 0..gpr {
+                    let blk = mt * gpr + sb;
+                    let block = &mut stream[blk * block_bytes..(blk + 1) * block_bytes];
+                    for bit in 0..bits {
+                        for kg_in in 0..kgb {
+                            let kg = sb * kgb + kg_in;
+                            for r in 0..TILE_M {
+                                let (byte, high) =
+                                    permuted_nibble(opts.interleave(), bits, kgb, bit, r, kg_in);
+                                block[byte] |= nibble(m0 + r, bit, kg) << (4 * high as u8);
                             }
                         }
                     }
-                    flat_planes.push(Segment::from_vec(plane));
-                }
-            }
-            Layout::Permuted { interleaved } => {
-                perm_stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
-                let kgb = qm.group_size / LUT_GROUP;
-                let block_bytes = kgb * bits * (TILE_M / 2);
-                let mut off = 0;
-                for mt in 0..m_padded / TILE_M {
-                    let m0 = mt * TILE_M;
-                    for sb in 0..gpr {
-                        let block = &mut perm_stream[off..off + block_bytes];
-                        for bit in 0..bits {
-                            for kg_in in 0..kgb {
-                                let kg = sb * kgb + kg_in;
-                                for r in 0..TILE_M {
-                                    let (byte, high) =
-                                        permuted_nibble(interleaved, bits, kgb, bit, r, kg_in);
-                                    block[byte] |= nibble(m0 + r, bit, kg) << (4 * high as u8);
-                                }
-                            }
-                        }
-                        off += block_bytes;
-                    }
-                }
-                debug_assert_eq!(off, perm_stream.len());
-                // Tile-permuted scales: per m-tile, per scale block, the
-                // TILE_M row scales contiguously.
-                scales_perm = vec![0f32; m_padded * gpr];
-                let mut soff = 0;
-                for mt in 0..m_padded / TILE_M {
-                    for sb in 0..gpr {
-                        for r in 0..TILE_M {
-                            scales_perm[soff] = scales_flat[(mt * TILE_M + r) * gpr + sb];
-                            soff += 1;
-                        }
+                    // The block's `TILE_M` row scales, contiguously.
+                    for r in 0..TILE_M.min(m.saturating_sub(m0)) {
+                        scales[blk * TILE_M + r] = qm.scales[(m0 + r) * gpr + sb];
                     }
                 }
             }
-        }
+            stream
+        } else {
+            let row_bytes = kg_total.div_ceil(2);
+            let plane = m_padded * row_bytes;
+            let mut stream = vec![0u8; bits * plane];
+            for bit in 0..bits {
+                for row in 0..m {
+                    for kg in 0..kg_total {
+                        stream[bit * plane + row * row_bytes + kg / 2] |=
+                            nibble(row, bit, kg) << (4 * (kg % 2));
+                    }
+                }
+            }
+            scales[..m * gpr].copy_from_slice(&qm.scales);
+            stream
+        };
 
         let zero = qm.zero;
         let cz = ((1u32 << bits) - 1) as f32 / 2.0 - zero;
@@ -352,23 +299,19 @@ impl WeightPlan {
             zero,
             cz,
             opts,
-            layout,
-            flat_planes,
-            perm_stream: Segment::from_vec(perm_stream),
-            scales_flat: Segment::from_vec(scales_flat),
-            scales_perm: Segment::from_vec(scales_perm),
+            stream: Segment::from_vec(stream),
+            scales: Segment::from_vec(scales),
         })
     }
 
-    /// Reassembles a plan from prepacked parts (a container load) without
-    /// re-running the offline pack. Segments may borrow from a shared
-    /// backing (zero-copy) or own their data.
+    /// Reassembles a T-MAC-rung plan from prepacked parts (a container
+    /// load) without re-running the offline pack. Segments may borrow from
+    /// a shared backing (zero-copy) or own their data.
     ///
     /// # Errors
     ///
-    /// Returns [`TmacError::Opts`] for inconsistent options, and
-    /// [`TmacError::Shape`] when a dimension invariant or a segment length
-    /// disagrees with the metadata.
+    /// Returns [`TmacError::Shape`] when a dimension invariant or a segment
+    /// length disagrees with the metadata.
     pub fn from_parts(parts: PlanParts) -> Result<WeightPlan, TmacError> {
         let PlanParts {
             m,
@@ -376,13 +319,9 @@ impl WeightPlan {
             bits,
             group_size,
             zero,
-            opts,
-            flat_planes,
             perm_stream,
-            scales_flat,
             scales_perm,
         } = parts;
-        opts.validate().map_err(TmacError::Opts)?;
         if !(1..=4).contains(&bits) {
             return Err(TmacError::Shape(format!("unsupported bit-width {bits}")));
         }
@@ -406,84 +345,20 @@ impl WeightPlan {
                 .ok_or_else(|| TmacError::Shape(format!("plan dimensions overflow ({m}x{k})")))
         };
         let m_padded = mul(m.div_ceil(TILE_M), TILE_M)?;
-        let gpr = k / group_size;
-        let kg_total = k / LUT_GROUP;
-        let expect_scales = mul(m_padded, gpr)?;
-        let layout = if opts.permute {
-            Layout::Permuted {
-                interleaved: opts.interleave,
-            }
-        } else {
-            Layout::Flat
-        };
-
-        let (flat_planes, perm_stream, scales_flat, scales_perm) = match layout {
-            Layout::Flat => {
-                let row_bytes = kg_total / 2 + kg_total % 2;
-                if flat_planes.len() != bits {
-                    return Err(TmacError::Shape(format!(
-                        "flat layout needs {bits} planes, got {}",
-                        flat_planes.len()
-                    )));
-                }
-                let expect_plane = mul(m_padded, row_bytes)?;
-                for (b, p) in flat_planes.iter().enumerate() {
-                    if p.len() != expect_plane {
-                        return Err(TmacError::Shape(format!(
-                            "plane {b}: {} bytes, expected {expect_plane}",
-                            p.len()
-                        )));
-                    }
-                }
-                if !perm_stream.is_empty() || !scales_perm.is_empty() {
-                    return Err(TmacError::Shape(
-                        "flat layout cannot carry permuted segments".into(),
-                    ));
-                }
-                if scales_flat.len() != expect_scales {
-                    return Err(TmacError::Shape(format!(
-                        "scales: {} floats, expected {expect_scales}",
-                        scales_flat.len()
-                    )));
-                }
-                (
-                    flat_planes,
-                    perm_stream,
-                    scales_flat,
-                    Segment::from_vec(Vec::new()),
-                )
-            }
-            Layout::Permuted { .. } => {
-                if !flat_planes.is_empty() {
-                    return Err(TmacError::Shape(
-                        "permuted layout cannot carry flat planes".into(),
-                    ));
-                }
-                let expect_stream = mul(mul(m_padded / TILE_M, kg_total)?, bits * (TILE_M / 2))?;
-                if perm_stream.len() != expect_stream {
-                    return Err(TmacError::Shape(format!(
-                        "permuted stream: {} bytes, expected {expect_stream}",
-                        perm_stream.len()
-                    )));
-                }
-                if scales_perm.len() != expect_scales {
-                    return Err(TmacError::Shape(format!(
-                        "permuted scales: {} floats, expected {expect_scales}",
-                        scales_perm.len()
-                    )));
-                }
-                // The container stores scales once, tile-permuted; an empty
-                // row-major segment is legal ([`WeightPlan::scale`] then
-                // reads through the permutation).
-                if !scales_flat.is_empty() && scales_flat.len() != expect_scales {
-                    return Err(TmacError::Shape(format!(
-                        "scales: {} floats, expected {expect_scales}",
-                        scales_flat.len()
-                    )));
-                }
-                (flat_planes, perm_stream, scales_flat, scales_perm)
-            }
-        };
+        let expect_stream = mul(mul(m_padded / TILE_M, k / LUT_GROUP)?, bits * (TILE_M / 2))?;
+        if perm_stream.len() != expect_stream {
+            return Err(TmacError::Shape(format!(
+                "permuted stream: {} bytes, expected {expect_stream}",
+                perm_stream.len()
+            )));
+        }
+        let expect_scales = mul(m_padded, k / group_size)?;
+        if scales_perm.len() != expect_scales {
+            return Err(TmacError::Shape(format!(
+                "permuted scales: {} floats, expected {expect_scales}",
+                scales_perm.len()
+            )));
+        }
 
         let cz = ((1u32 << bits) - 1) as f32 / 2.0 - zero;
         Ok(WeightPlan {
@@ -494,21 +369,19 @@ impl WeightPlan {
             group_size,
             zero,
             cz,
-            opts,
-            layout,
-            flat_planes,
-            perm_stream,
-            scales_flat,
-            scales_perm,
+            opts: KernelOpts::tmac(),
+            stream: perm_stream,
+            scales: scales_perm,
         })
     }
 
     /// Reconstructs the canonical quantized matrix this plan was packed
     /// from. Exact: codes are re-read from the nibble layout and scales
     /// from the stored (unpadded) rows, so
-    /// `WeightPlan::new(&p.to_quantized(), p.opts)` reproduces `p`
+    /// `WeightPlan::new(&p.to_quantized(), p.opts())` reproduces `p`
     /// byte-for-byte. This is the materialization path for backends that
-    /// do not consume the prepacked layout (dequant, `f32`).
+    /// do not consume the prepacked layout (dequant, `f32`) and for other
+    /// rungs than the stored one.
     pub fn to_quantized(&self) -> QuantizedMatrix {
         let (m, k) = (self.m, self.k);
         let mut codes = vec![0u8; m * k];
@@ -540,9 +413,9 @@ impl WeightPlan {
         }
     }
 
-    /// The physical layout of this plan.
-    pub fn layout(&self) -> Layout {
-        self.layout
+    /// The rung this plan was packed for; it fixes the layout.
+    pub fn opts(&self) -> KernelOpts {
+        self.opts
     }
 
     /// Number of k-groups (`K / 4`).
@@ -571,31 +444,16 @@ impl WeightPlan {
     /// Panics if `bit`, `row` or `kg` is out of range.
     pub fn index(&self, bit: usize, row: usize, kg: usize) -> u8 {
         assert!(bit < self.bits && row < self.m_padded && kg < self.kg_total());
-        match self.layout {
-            Layout::Flat => {
-                let kg_total = self.kg_total();
-                let row_bytes = kg_total / 2 + kg_total % 2;
-                let byte = self.flat_planes[bit][row * row_bytes + kg / 2];
-                if kg.is_multiple_of(2) {
-                    byte & 0x0F
-                } else {
-                    byte >> 4
-                }
-            }
-            Layout::Permuted { interleaved } => {
-                let (mt, r) = (row / TILE_M, row % TILE_M);
-                let kgb = self.group_size / LUT_GROUP;
-                let (sb, kg_in) = (kg / kgb, kg % kgb);
-                let (byte, high) = permuted_nibble(interleaved, self.bits, kgb, bit, r, kg_in);
-                let block = (mt * self.groups_per_row() + sb) * self.block_bytes();
-                let b = self.perm_stream[block + byte];
-                if high {
-                    b >> 4
-                } else {
-                    b & 0x0F
-                }
-            }
+        if !self.opts.permute() {
+            let byte = self.flat_plane(bit)[row * self.flat_row_bytes() + kg / 2];
+            return (byte >> (4 * (kg % 2))) & 0x0F;
         }
+        let (mt, r) = (row / TILE_M, row % TILE_M);
+        let kgb = self.group_size / LUT_GROUP;
+        let (sb, kg_in) = (kg / kgb, kg % kgb);
+        let (byte, high) = permuted_nibble(self.opts.interleave(), self.bits, kgb, bit, r, kg_in);
+        let block = (mt * self.groups_per_row() + sb) * self.block_bytes();
+        (self.stream[block + byte] >> (4 * high as u8)) & 0x0F
     }
 
     /// Bytes of one scale block of one m-tile in the permuted stream.
@@ -610,14 +468,14 @@ impl WeightPlan {
     ///
     /// Panics if the plan is permuted or `bit` is out of range.
     pub fn flat_plane(&self, bit: usize) -> &[u8] {
-        assert!(matches!(self.layout, Layout::Flat), "plan is permuted");
-        &self.flat_planes[bit]
+        assert!(!self.opts.permute(), "plan is permuted");
+        let plane = self.m_padded * self.flat_row_bytes();
+        &self.stream[bit * plane..(bit + 1) * plane]
     }
 
     /// Bytes per row in the flat nibble planes.
     pub fn flat_row_bytes(&self) -> usize {
-        let kg_total = self.kg_total();
-        kg_total / 2 + kg_total % 2
+        self.kg_total().div_ceil(2)
     }
 
     /// The permuted index stream of one m-tile.
@@ -626,23 +484,20 @@ impl WeightPlan {
     ///
     /// Panics if the plan is not permuted or `mt` is out of range.
     pub fn mtile_stream(&self, mt: usize) -> &[u8] {
-        assert!(matches!(self.layout, Layout::Permuted { .. }));
+        assert!(self.opts.permute(), "plan is not permuted");
         let per_mtile = self.kg_total() * self.bits * (TILE_M / 2);
-        &self.perm_stream[mt * per_mtile..(mt + 1) * per_mtile]
+        &self.stream[mt * per_mtile..(mt + 1) * per_mtile]
     }
 
-    /// Row-major (padded) scale of `(row, scale-block)`.
-    ///
-    /// Plans loaded from a prepacked container store scales only in the
-    /// tile-permuted order the kernels stream; this accessor then reads
-    /// through the permutation instead of a row-major copy.
+    /// The scale of `(padded row, scale-block)`, read through the plan's
+    /// layout.
     #[inline]
     pub fn scale(&self, row: usize, sb: usize) -> f32 {
-        if self.scales_flat.is_empty() {
+        if self.opts.permute() {
             let (mt, r) = (row / TILE_M, row % TILE_M);
-            self.scales_perm[(mt * self.groups_per_row() + sb) * TILE_M + r]
+            self.scales[(mt * self.groups_per_row() + sb) * TILE_M + r]
         } else {
-            self.scales_flat[row * self.groups_per_row() + sb]
+            self.scales[row * self.groups_per_row() + sb]
         }
     }
 
@@ -653,17 +508,13 @@ impl WeightPlan {
     /// Panics if the plan is not permuted.
     #[inline]
     pub fn tile_scales(&self, mt: usize, sb: usize) -> &[f32] {
-        assert!(!self.scales_perm.is_empty(), "plan is not permuted");
         let base = (mt * self.groups_per_row() + sb) * TILE_M;
-        &self.scales_perm[base..base + TILE_M]
+        &self.perm_scales()[base..base + TILE_M]
     }
 
     /// Bytes of index data the kernel streams for one full GEMV pass.
     pub fn index_bytes(&self) -> usize {
-        match self.layout {
-            Layout::Flat => self.flat_planes.iter().map(|p| p.len()).sum(),
-            Layout::Permuted { .. } => self.perm_stream.len(),
-        }
+        self.stream.len()
     }
 
     /// The whole permuted index stream (container serialization).
@@ -672,8 +523,8 @@ impl WeightPlan {
     ///
     /// Panics if the plan is not permuted.
     pub fn perm_stream_bytes(&self) -> &[u8] {
-        assert!(matches!(self.layout, Layout::Permuted { .. }));
-        &self.perm_stream
+        assert!(self.opts.permute(), "plan is not permuted");
+        &self.stream
     }
 
     /// The tile-permuted scales, whole (container serialization).
@@ -682,31 +533,15 @@ impl WeightPlan {
     ///
     /// Panics if the plan is not permuted.
     pub fn perm_scales(&self) -> &[f32] {
-        assert!(!self.scales_perm.is_empty(), "plan is not permuted");
-        &self.scales_perm
-    }
-
-    /// The row-major padded scales, whole (container serialization for
-    /// flat-layout plans).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is permuted (permuted plans serialize
-    /// [`WeightPlan::perm_scales`] instead, and may not store a row-major
-    /// copy at all).
-    pub fn flat_scales_padded(&self) -> &[f32] {
-        assert!(matches!(self.layout, Layout::Flat), "plan is permuted");
-        &self.scales_flat
+        assert!(self.opts.permute(), "plan is not permuted");
+        &self.scales
     }
 
     /// True if any data segment borrows from a shared backing — i.e. the
     /// plan was loaded zero-copy and streams weights straight from the
     /// container mapping.
     pub fn is_borrowed(&self) -> bool {
-        self.perm_stream.is_borrowed()
-            || self.scales_perm.is_borrowed()
-            || self.scales_flat.is_borrowed()
-            || self.flat_planes.iter().any(|p| p.is_borrowed())
+        self.stream.is_borrowed() || self.scales.is_borrowed()
     }
 }
 
@@ -775,7 +610,7 @@ mod tests {
     fn flat_layout_decodes_to_code_bits() {
         let qm = matrix(7, 64, 3, 32);
         let plan = WeightPlan::new(&qm, KernelOpts::plus_table_quant()).unwrap();
-        assert_eq!(plan.layout(), Layout::Flat);
+        assert!(!plan.opts().permute());
         for bit in 0..3 {
             for row in 0..7 {
                 for kg in 0..16 {
@@ -793,9 +628,7 @@ mod tests {
     fn permuted_layouts_decode_identically() {
         let qm = matrix(40, 128, 4, 32);
         let flat = WeightPlan::new(&qm, KernelOpts::plus_table_quant()).unwrap();
-        for interleave in [false, true] {
-            let mut opts = KernelOpts::plus_permute();
-            opts.interleave = interleave;
+        for opts in [KernelOpts::plus_permute(), KernelOpts::tmac()] {
             let perm = WeightPlan::new(&qm, opts).unwrap();
             for bit in 0..4 {
                 for row in 0..perm.m_padded {
@@ -803,7 +636,7 @@ mod tests {
                         assert_eq!(
                             perm.index(bit, row, kg),
                             flat.index(bit, row, kg),
-                            "interleave={interleave} bit={bit} row={row} kg={kg}"
+                            "{opts:?} bit={bit} row={row} kg={kg}"
                         );
                     }
                 }
@@ -828,15 +661,33 @@ mod tests {
         }
     }
 
+    /// Every rung reads the quantized matrix's scales back through its own
+    /// layout (padding rows 0), and a permuted rung's tiles hold the same.
     #[test]
     fn tile_scales_match_flat_scales() {
-        let qm = matrix(64, 128, 4, 32);
-        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        for mt in 0..plan.m_tiles() {
-            for sb in 0..plan.groups_per_row() {
-                let ts = plan.tile_scales(mt, sb);
-                for (r, &t) in ts.iter().enumerate().take(TILE_M) {
-                    assert_eq!(t, plan.scale(mt * TILE_M + r, sb));
+        let qm = matrix(40, 128, 4, 32);
+        for (name, opts) in KernelOpts::breakdown_ladder() {
+            let plan = WeightPlan::new(&qm, opts).unwrap();
+            let gpr = plan.groups_per_row();
+            for row in 0..plan.m_padded {
+                for sb in 0..gpr {
+                    let want = if row < qm.rows {
+                        qm.scales[row * gpr + sb]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(plan.scale(row, sb), want, "{name} row={row} sb={sb}");
+                }
+            }
+            if !opts.permute() {
+                continue;
+            }
+            for mt in 0..plan.m_tiles() {
+                for sb in 0..gpr {
+                    let ts = plan.tile_scales(mt, sb);
+                    for (r, &t) in ts.iter().enumerate() {
+                        assert_eq!(t, plan.scale(mt * TILE_M + r, sb), "{name}");
+                    }
                 }
             }
         }
@@ -844,14 +695,10 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes_and_opts() {
-        let qm = matrix(8, 64, 4, 32);
         assert!(matches!(
             WeightPlan::new(&matrix(8, 66, 4, 2), KernelOpts::tmac()),
             Err(TmacError::Shape(_))
         ));
-        let mut bad = KernelOpts::plus_table_quant();
-        bad.interleave = true;
-        assert!(matches!(WeightPlan::new(&qm, bad), Err(TmacError::Opts(_))));
     }
 
     #[test]
@@ -889,10 +736,7 @@ mod tests {
             bits: plan.bits,
             group_size: plan.group_size,
             zero: plan.zero,
-            opts: plan.opts,
-            flat_planes: Vec::new(),
             perm_stream: Segment::from_vec(plan.perm_stream_bytes().to_vec()),
-            scales_flat: Segment::from_vec(Vec::new()),
             scales_perm: Segment::from_vec(plan.perm_scales().to_vec()),
         }
     }
@@ -901,7 +745,7 @@ mod tests {
     fn to_quantized_is_exact() {
         for bits in 1..=4u8 {
             let qm = matrix(40, 128, bits, 32);
-            for opts in [KernelOpts::tmac(), KernelOpts::plus_table_quant()] {
+            for (_, opts) in KernelOpts::breakdown_ladder() {
                 let plan = WeightPlan::new(&qm, opts).unwrap();
                 let back = plan.to_quantized();
                 assert_eq!(back, qm, "bits={bits} opts={opts:?}");
@@ -914,11 +758,12 @@ mod tests {
         let qm = matrix(40, 128, 3, 32);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let rebuilt = WeightPlan::from_parts(parts_of(&plan)).unwrap();
+        // The same representation: rung, stream and the one scale array.
+        assert_eq!(rebuilt.opts(), plan.opts());
         assert_eq!(rebuilt.m_padded, plan.m_padded);
         assert_eq!(rebuilt.cz, plan.cz);
         assert_eq!(rebuilt.perm_stream_bytes(), plan.perm_stream_bytes());
         assert_eq!(rebuilt.perm_scales(), plan.perm_scales());
-        // Row-major scale reads go through the permuted copy.
         for row in 0..plan.m_padded {
             for sb in 0..plan.groups_per_row() {
                 assert_eq!(rebuilt.scale(row, sb), plan.scale(row, sb));
@@ -971,10 +816,7 @@ mod tests {
             bits: plan.bits,
             group_size: plan.group_size,
             zero: plan.zero,
-            opts: plan.opts,
-            flat_planes: Vec::new(),
             perm_stream: Segment::borrowed(Arc::clone(&backing), stream_off, stream.len()).unwrap(),
-            scales_flat: Segment::from_vec(Vec::new()),
             scales_perm: Segment::borrowed(Arc::clone(&backing), 0, scales.len()).unwrap(),
         })
         .unwrap();

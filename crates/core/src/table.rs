@@ -236,7 +236,7 @@ impl ActTables {
         }
         let kgb = group_size / LUT_GROUP;
         let n_units = k / group_size * rows;
-        let quantized = opts.table_quant;
+        let quantized = opts.table_quant();
         // Entries per unit of each buffer (a buffer its mode lacks is empty).
         let unit_len = kgb * TABLE_LEN;
         let (f32_len, q_len) = if quantized {
@@ -555,7 +555,7 @@ mod tests {
             for (r, one) in ones.iter().enumerate() {
                 for sb in 0..batch.k / batch.group_size {
                     let what = format!("{what} r={r} sb={sb}");
-                    if !opts.table_quant {
+                    if !opts.table_quant() {
                         let len = kgb * TABLE_LEN;
                         let at = batch.kg_offset(r, sb * kgb);
                         assert_eq!(at, (sb * rows + r) * len, "{what}");

@@ -24,17 +24,22 @@
 //!         kind 0 (raw f32): n_dims u8, dims u64 × n_dims
 //!         kind 1 (prepacked plan):
 //!             m u64, k u64, bits u8, group_size u32, zero f32,
-//!             opts: flags u8 (bit0 table_quant, 3 permute,
-//!                   4 interleave; any other bit is an error)
+//!             flags u8 (= 0x19; any other value is an error)
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
 //! align(32) data region: segment blobs, each 32-aligned
 //! ```
 //!
-//! Segment roles: `0` = raw data / permuted index stream, `1` =
-//! tile-permuted scales (`f32`), `2` = row-major padded scales (`f32`,
-//! flat layouts), `3 + b` = flat nibble plane of bit `b`.
+//! Segment roles: `0` = raw data / paired index stream, `1` =
+//! tile-permuted scales (`f32`).
+//!
+//! A container stores only the T-MAC rung ([`KernelOpts::tmac`]): the
+//! writer refuses a plan on any other Figure 10 rung, which is built in
+//! memory instead (or rebuilt from [`WeightPlan::to_quantized`] on load).
+//! The flags byte is T-MAC's switches (bit 0 table quantization, 3
+//! permutation, 4 interleaving), a constant kept so the files version 4
+//! already wrote keep their bytes.
 //!
 //! Version 2 replaced version 1 when the `interleave` stream changed its
 //! byte order (lane-paired, bit-paired: see [`tmac_core::plan`]) and the
@@ -44,14 +49,16 @@
 //! record: the option it encoded is gone, and the row block is a kernel
 //! constant. Flag bit 5 (fast aggregation, a deleted kernel option) was
 //! retired within version 4: no served file set it, and a file that does
-//! is refused as corrupt.
+//! is refused as corrupt. The other rungs' flat and sequential layouts
+//! (flags `0x00`, `0x01`, `0x09`, and segment roles `2` and `3 + b`) were
+//! retired within version 4 too: no writer ever stored them.
 //! Files of any other version are rejected with [`IoError::Version`] and
 //! are re-converted from the source checkpoint.
 
 use crate::{align_up, fnv1a64, put_string, Cursor, IoError, LoadMode, Mapping, DATA_ALIGN};
 use std::path::Path;
 use std::sync::Arc;
-use tmac_core::{KernelOpts, Layout, PlanParts, Segment, TmacError, WeightPlan};
+use tmac_core::{KernelOpts, PlanParts, Segment, TmacError, WeightPlan};
 use tmac_quant::QuantizedMatrix;
 
 /// The `.tmac` magic.
@@ -62,8 +69,9 @@ pub const TMAC_VERSION: u32 = 4;
 
 const ROLE_DATA: u8 = 0;
 const ROLE_SCALES_PERM: u8 = 1;
-const ROLE_SCALES_FLAT: u8 = 2;
-const ROLE_FLAT_PLANE0: u8 = 3;
+
+/// The flags byte of every stored plan: the T-MAC rung's switches.
+const TMAC_FLAGS: u8 = 0x19;
 
 impl From<TmacError> for IoError {
     fn from(e: TmacError) -> Self {
@@ -169,38 +177,27 @@ pub struct TensorSpec<'a> {
     pub source: TensorSource<'a>,
 }
 
-fn encode_opts(o: &KernelOpts, out: &mut Vec<u8>) {
-    let flags = o.table_quant as u8 | (o.permute as u8) << 3 | (o.interleave as u8) << 4;
-    out.push(flags);
+fn check_flags(c: &mut Cursor<'_>, what: &str) -> Result<(), IoError> {
+    match c.u8(what)? {
+        TMAC_FLAGS => Ok(()),
+        other => Err(IoError::Corrupt(format!(
+            "{what}: option flags {other:#04x} are not the T-MAC rung's"
+        ))),
+    }
 }
 
-fn decode_opts(c: &mut Cursor<'_>, what: &str) -> Result<KernelOpts, IoError> {
-    let flags = c.u8(what)?;
-    if flags & !0x19 != 0 {
-        return Err(IoError::Corrupt(format!("{what}: unknown option flags")));
+/// Segments of one plan, in serialization order.
+fn plan_segments<'a>(name: &str, plan: &'a WeightPlan) -> Result<Vec<(u8, &'a [u8])>, IoError> {
+    if plan.opts() != KernelOpts::tmac() {
+        return Err(IoError::ShapeMismatch(format!(
+            "tensor {name}: a container stores only T-MAC plans, not {:?}",
+            plan.opts()
+        )));
     }
-    Ok(KernelOpts {
-        table_quant: flags & 1 != 0,
-        permute: flags & 8 != 0,
-        interleave: flags & 16 != 0,
-    })
-}
-
-/// Segments of one tensor, in serialization order.
-fn plan_segments(plan: &WeightPlan) -> Vec<(u8, &[u8])> {
-    match plan.layout() {
-        Layout::Permuted { .. } => vec![
-            (ROLE_DATA, plan.perm_stream_bytes()),
-            (ROLE_SCALES_PERM, f32_bytes(plan.perm_scales())),
-        ],
-        Layout::Flat => {
-            let mut segs = vec![(ROLE_SCALES_FLAT, f32_bytes(plan.flat_scales_padded()))];
-            for bit in 0..plan.bits {
-                segs.push((ROLE_FLAT_PLANE0 + bit as u8, plan.flat_plane(bit)));
-            }
-            segs
-        }
-    }
+    Ok(vec![
+        (ROLE_DATA, plan.perm_stream_bytes()),
+        (ROLE_SCALES_PERM, f32_bytes(plan.perm_scales())),
+    ])
 }
 
 /// Writes a `.tmac` container.
@@ -208,7 +205,8 @@ fn plan_segments(plan: &WeightPlan) -> Vec<(u8, &[u8])> {
 /// # Errors
 ///
 /// [`IoError::Io`] on filesystem failures; [`IoError::ShapeMismatch`] for
-/// inconsistent tensor specs.
+/// inconsistent tensor specs and for a plan on another rung than T-MAC,
+/// before the file is created.
 pub fn write_container(
     path: &Path,
     meta: &[(String, MetaValue)],
@@ -231,7 +229,7 @@ pub fn write_container(
                 }
                 vec![(ROLE_DATA, f32_bytes(data))]
             }
-            TensorSource::Plan(plan) => plan_segments(plan),
+            TensorSource::Plan(plan) => plan_segments(&t.name, plan)?,
         };
         all_segs.push(
             segs.into_iter()
@@ -268,7 +266,7 @@ pub fn write_container(
                     out.push(plan.bits as u8);
                     out.extend_from_slice(&(plan.group_size as u32).to_le_bytes());
                     out.extend_from_slice(&plan.zero.to_le_bytes());
-                    encode_opts(&plan.opts, &mut out);
+                    out.push(TMAC_FLAGS);
                 }
             }
             out.push(all_segs[ti].len() as u8);
@@ -336,7 +334,6 @@ enum TensorKind {
         bits: u8,
         group_size: usize,
         zero: f32,
-        opts: KernelOpts,
     },
 }
 
@@ -425,14 +422,17 @@ impl TmacContainer {
                     }
                     TensorKind::F32 { dims }
                 }
-                1 => TensorKind::Plan {
-                    m: c.u64(&what)? as usize,
-                    k: c.u64(&what)? as usize,
-                    bits: c.u8(&what)?,
-                    group_size: c.u32(&what)? as usize,
-                    zero: c.f32(&what)?,
-                    opts: decode_opts(&mut c, &what)?,
-                },
+                1 => {
+                    let plan = TensorKind::Plan {
+                        m: c.u64(&what)? as usize,
+                        k: c.u64(&what)? as usize,
+                        bits: c.u8(&what)?,
+                        group_size: c.u32(&what)? as usize,
+                        zero: c.f32(&what)?,
+                    };
+                    check_flags(&mut c, &what)?;
+                    plan
+                }
                 other => {
                     return Err(IoError::Corrupt(format!(
                         "{what}: unknown tensor kind {other}"
@@ -540,20 +540,6 @@ impl TmacContainer {
             .ok_or_else(|| IoError::Corrupt(format!("{}: no segment with role {role}", t.name)))
     }
 
-    /// Dimensions of a raw `f32` tensor.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::MissingTensor`] / [`IoError::ShapeMismatch`].
-    pub fn f32_dims(&self, name: &str) -> Result<&[u64], IoError> {
-        match &self.entry(name)?.kind {
-            TensorKind::F32 { dims } => Ok(dims),
-            TensorKind::Plan { .. } => Err(IoError::ShapeMismatch(format!(
-                "{name} is a prepacked plan, not a raw f32 tensor"
-            ))),
-        }
-    }
-
     /// Zero-copy `f32` view of a raw tensor.
     ///
     /// # Errors
@@ -603,67 +589,32 @@ impl TmacContainer {
             bits,
             group_size,
             zero,
-            opts,
         } = &t.kind
         else {
             return Err(IoError::ShapeMismatch(format!(
                 "{name} is a raw f32 tensor, not a prepacked plan"
             )));
         };
+        let (stream, scales) = (self.seg(t, ROLE_DATA)?, self.seg(t, ROLE_SCALES_PERM)?);
+        if !scales.len.is_multiple_of(4) {
+            return Err(IoError::ShapeMismatch(format!(
+                "{name}: ragged f32 segment ({} bytes)",
+                scales.len
+            )));
+        }
         let owner: Arc<dyn tmac_core::PlanBacking> = self.map.clone();
-        let borrow_u8 = |seg: SegEntry| -> Result<Segment<u8>, IoError> {
-            Ok(Segment::borrowed(
-                owner.clone(),
-                seg.off as usize,
-                seg.len as usize,
-            )?)
-        };
-        let borrow_f32 = |seg: SegEntry| -> Result<Segment<f32>, IoError> {
-            if !seg.len.is_multiple_of(4) {
-                return Err(IoError::ShapeMismatch(format!(
-                    "{name}: ragged f32 segment ({} bytes)",
-                    seg.len
-                )));
-            }
-            Ok(Segment::borrowed(
-                owner.clone(),
-                seg.off as usize,
-                seg.len as usize / 4,
-            )?)
-        };
-        let empty_u8 = || Segment::from_vec(Vec::new());
-        let empty_f32 = || Segment::from_vec(Vec::new());
-
-        let (flat_planes, perm_stream, scales_flat, scales_perm) = if opts.permute {
-            (
-                Vec::new(),
-                borrow_u8(self.seg(t, ROLE_DATA)?)?,
-                empty_f32(),
-                borrow_f32(self.seg(t, ROLE_SCALES_PERM)?)?,
-            )
-        } else {
-            let mut planes = Vec::with_capacity(*bits as usize);
-            for bit in 0..*bits {
-                planes.push(borrow_u8(self.seg(t, ROLE_FLAT_PLANE0 + bit)?)?);
-            }
-            (
-                planes,
-                empty_u8(),
-                borrow_f32(self.seg(t, ROLE_SCALES_FLAT)?)?,
-                empty_f32(),
-            )
-        };
         Ok(WeightPlan::from_parts(PlanParts {
             m: *m,
             k: *k,
             bits: *bits as usize,
             group_size: *group_size,
             zero: *zero,
-            opts: *opts,
-            flat_planes,
-            perm_stream,
-            scales_flat,
-            scales_perm,
+            perm_stream: Segment::borrowed(
+                owner.clone(),
+                stream.off as usize,
+                stream.len as usize,
+            )?,
+            scales_perm: Segment::borrowed(owner, scales.off as usize, scales.len as usize / 4)?,
         })?)
     }
 
@@ -738,23 +689,9 @@ mod tests {
             assert!(loaded.is_borrowed(), "prepacked load must be zero-copy");
             assert_eq!(loaded.perm_stream_bytes(), plan.perm_stream_bytes());
             assert_eq!(loaded.perm_scales(), plan.perm_scales());
-            assert_eq!(loaded.opts, plan.opts);
+            assert_eq!(loaded.opts(), plan.opts());
             assert_eq!(loaded.to_quantized(), plan.to_quantized());
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn roundtrip_flat_plan() {
-        let path = tmp("flat.tmac");
-        let plan = write_sample(&path, KernelOpts::plus_table_quant());
-        let c = TmacContainer::open(&path, LoadMode::Copy).unwrap();
-        let loaded = c.plan("w.weight").unwrap();
-        assert_eq!(loaded.layout(), Layout::Flat);
-        for bit in 0..plan.bits {
-            assert_eq!(loaded.flat_plane(bit), plan.flat_plane(bit));
-        }
-        assert_eq!(loaded.to_quantized(), plan.to_quantized());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -877,28 +814,37 @@ mod tests {
         }
     }
 
+    /// The flags byte is T-MAC's constant: every other value — the other
+    /// rungs' `0x00`, `0x01` and `0x09`, retired bits — is corruption.
     #[test]
     fn opts_codec_roundtrip() {
-        for (_, opts) in KernelOpts::breakdown_ladder() {
-            let mut buf = Vec::new();
-            encode_opts(&opts, &mut buf);
-            assert_eq!(buf.len(), 1, "the flags byte alone");
-            let back = decode_opts(&mut Cursor::new(&buf), "opts").unwrap();
-            assert_eq!(back, opts);
+        for flags in 0..=u8::MAX {
+            let buf = [flags];
+            let got = check_flags(&mut Cursor::new(&buf), "opts");
+            if flags == TMAC_FLAGS {
+                assert!(got.is_ok());
+            } else {
+                assert!(matches!(got, Err(IoError::Corrupt(_))), "{flags:#04x}");
+            }
         }
-        // Bit 1 (dropped by version 4), bit 2 (version 2's `tiling`), bit 5
-        // (retired fast aggregation) and bits 6-7 are unknown flags, alone
-        // or among known ones.
-        for flag in [2u8, 4, 32, 0x39, 64, 128, 0x1B] {
-            let buf = [flag];
-            assert!(
-                matches!(
-                    decode_opts(&mut Cursor::new(&buf), "opts"),
-                    Err(IoError::Corrupt(_))
-                ),
-                "flag {flag:#x}"
-            );
-        }
+        assert_eq!(TMAC_FLAGS, 0x19);
+    }
+
+    /// A plan on another rung is refused before the file exists.
+    #[test]
+    fn writer_refuses_other_rungs() {
+        let plan = sample_plan(KernelOpts::plus_permute());
+        let path = tmp("perm-only.tmac");
+        let err = write_container(
+            &path,
+            &[],
+            &[TensorSpec {
+                name: "w.weight".into(),
+                source: TensorSource::Plan(&plan),
+            }],
+        );
+        assert!(matches!(err, Err(IoError::ShapeMismatch(_))), "{err:?}");
+        assert!(!path.exists());
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Linear {
     /// The kernel this layer runs on.
     pub fn kind(&self) -> BackendKind {
         match self {
-            Linear::Tmac(l) => BackendKind::Tmac(l.plan().opts),
+            Linear::Tmac(l) => BackendKind::Tmac(l.plan().opts()),
             Linear::Dequant(_) => BackendKind::Dequant,
             Linear::F32(_) => BackendKind::F32,
         }

@@ -2,12 +2,14 @@
 //!
 //! One format, `.tmac` ([`tmac_io::container`]), with llama.cpp tensor
 //! names: weights stored *already in the offline-transformed T-MAC
-//! layout*. [`Model::save_file`] writes it; [`Model::from_file`] matches
-//! on the requested [`BackendKind`]: the T-MAC kinds consume each
-//! prepacked plan zero-copy straight from the file mapping, the other
-//! kernels lazily materialize the canonical quantized matrix per layer and
-//! build from that. Cold start is a header parse + checksum sweep instead
-//! of generate+quantize+pack.
+//! layout*, the one rung ([`KernelOpts::tmac`]) a container holds.
+//! [`Model::save_file`] writes it (a model on another Figure 10 rung is
+//! refused with a typed error); [`Model::from_file`] matches on the
+//! requested [`BackendKind`]: `Tmac(KernelOpts::tmac())` consumes each
+//! prepacked plan zero-copy straight from the file mapping, every other
+//! kind — the other rungs included — lazily materializes the canonical
+//! quantized matrix per layer and builds from that. Cold start is a header
+//! parse + checksum sweep instead of generate+quantize+pack.
 //!
 //! Codes, scales and zero round-trip bit-for-bit, so a reloaded model
 //! produces bit-identical logits on the quantized backends (asserted in
@@ -244,7 +246,8 @@ impl Model {
     ///
     /// [`ModelIoError::Unsupported`] for a model on the `f32` reference
     /// kernel (it holds no quantized weights); [`ModelIoError::Io`] on
-    /// container failures.
+    /// container failures, among them a model on another T-MAC rung than
+    /// [`KernelOpts::tmac`] ([`IoError::ShapeMismatch`]).
     pub fn save_file(&self, path: &Path) -> Result<(), ModelIoError> {
         let cfg = &self.cfg;
         let linears = model_linears(self);
@@ -304,9 +307,9 @@ impl Model {
     ///
     /// The container is opened under `mode` ([`LoadMode::Mmap`] borrows
     /// weight tiles zero-copy from the mapping) and fully
-    /// integrity-checked. [`BackendKind::Tmac`] with the stored options
-    /// takes each stored plan as-is; every other kind builds from the
-    /// lazily materialized canonical matrix.
+    /// integrity-checked. `BackendKind::Tmac(KernelOpts::tmac())` takes
+    /// each stored plan as-is; every other kind builds from the lazily
+    /// materialized canonical matrix.
     ///
     /// # Errors
     ///
@@ -335,12 +338,12 @@ impl Model {
                     quant.bits()
                 ))));
             }
-            // Same options: take the stored plan as-is (zero-copy when its
+            // The stored rung: take the plan as-is (zero-copy when its
             // segments borrow the mapping).
-            if *kind == BackendKind::Tmac(plan.opts) {
+            if *kind == BackendKind::Tmac(plan.opts()) {
                 return Ok(Linear::Tmac(Arc::new(TmacLinear::from_plan(plan))));
             }
-            // Everything else (including other T-MAC options) builds from a
+            // Everything else (including the other T-MAC rungs) builds from a
             // transient canonical matrix and its dequantized f32 twin,
             // dropped as soon as the layer is built.
             let qm = plan.to_quantized();
@@ -449,6 +452,26 @@ mod tests {
         .unwrap();
         let err = m.save_file(&tmp("f32.tmac"));
         assert!(matches!(err, Err(ModelIoError::Unsupported(_))));
+    }
+
+    /// A container holds only the T-MAC rung: a model on another one is
+    /// refused, and writes no file.
+    #[test]
+    fn other_rungs_cannot_be_saved() {
+        let m = Model::synthetic(
+            &ModelConfig::tiny(),
+            WeightQuant::Rtn(2),
+            BackendKind::Tmac(KernelOpts::plus_table_quant()),
+            3,
+        )
+        .unwrap();
+        let path = tmp("tq.tmac");
+        let err = m.save_file(&path);
+        assert!(
+            matches!(err, Err(ModelIoError::Io(IoError::ShapeMismatch(_)))),
+            "{err:?}"
+        );
+        assert!(!path.exists());
     }
 
     #[test]

@@ -83,12 +83,6 @@ pub fn quantize(
     Ok(qm)
 }
 
-/// Maximum absolute reconstruction error of RTN at a given scale: half a
-/// quantization step.
-pub fn step_error_bound(scale: f32) -> f32 {
-    scale * 0.5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,16 +73,6 @@ impl Rng {
         (((self.next_u64() >> 32) * n as u64) >> 32) as u32
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn u32_range(&mut self, lo: u32, hi: u32) -> u32 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + self.u32_below(hi - lo)
-    }
-
     /// Uniform `usize` in `[0, n)`.
     ///
     /// # Panics

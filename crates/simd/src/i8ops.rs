@@ -92,25 +92,6 @@ pub fn quantize(src: &[f32], dst: &mut [i8]) -> f32 {
     scalar::quantize_i8(src, dst)
 }
 
-/// Quantizes `src` into blocks of `block` values, producing per-block scales.
-///
-/// The layout matches llama.cpp's `Q8_0`: `dst` holds `src.len()` codes,
-/// `scales` holds `src.len() / block` scales.
-///
-/// # Panics
-///
-/// Panics if `src.len()` is not a multiple of `block`, or output sizes
-/// mismatch.
-pub fn quantize_blocks(src: &[f32], block: usize, dst: &mut [i8], scales: &mut [f32]) {
-    assert!(block > 0, "block size must be positive");
-    assert_eq!(src.len() % block, 0, "src not a multiple of block");
-    assert_eq!(dst.len(), src.len(), "dst length mismatch");
-    assert_eq!(scales.len(), src.len() / block, "scales length mismatch");
-    for (bi, (s_chunk, d_chunk)) in src.chunks(block).zip(dst.chunks_mut(block)).enumerate() {
-        scales[bi] = scalar::quantize_i8(s_chunk, d_chunk);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,26 +125,5 @@ mod tests {
         scale_axpy(&mut y1, 0.25, -2.1, &x);
         scalar::scale_axpy_f32_i8(&mut y2, 0.25, -2.1, &x);
         assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn block_quantization_reconstructs() {
-        let src: Vec<f32> = (0..64).map(|i| (i as f32 - 31.5) * 0.23).collect();
-        let mut q = vec![0i8; 64];
-        let mut sc = vec![0f32; 2];
-        quantize_blocks(&src, 32, &mut q, &mut sc);
-        for (i, &x) in src.iter().enumerate() {
-            let r = sc[i / 32] * q[i] as f32;
-            assert!((x - r).abs() <= sc[i / 32] * 0.5 + 1e-6);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn block_quantization_rejects_ragged() {
-        let src = vec![0.0f32; 33];
-        let mut q = vec![0i8; 33];
-        let mut sc = vec![0f32; 1];
-        quantize_blocks(&src, 32, &mut q, &mut sc);
     }
 }

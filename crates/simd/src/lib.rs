@@ -128,16 +128,6 @@ impl Isa {
         }
     }
 
-    /// SIMD register width in bytes (1 for scalar).
-    pub fn width_bytes(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 => 32,
-            Isa::Avx512 => 64,
-            Isa::Neon => 16,
-        }
-    }
-
     /// Number of simultaneous 8-bit table lookups per lookup instruction.
     pub fn lookups_per_instr(self) -> usize {
         match self {
@@ -174,13 +164,6 @@ mod tests {
                 assert_ne!(x.name(), y.name());
                 assert_ne!(x.lookup_intrinsic(), y.lookup_intrinsic());
             }
-        }
-    }
-
-    #[test]
-    fn widths_match_lookups() {
-        for isa in Isa::ALL {
-            assert_eq!(isa.width_bytes(), isa.lookups_per_instr());
         }
     }
 

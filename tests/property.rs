@@ -93,8 +93,11 @@ fn layouts_are_permutations() {
         let scales = arb_scales(&mut rng, 40 * 2);
         let interleave = rng.u32_below(2) == 1;
         let qm = matrix(codes, scales, 40, 64, 2);
-        let mut opts = KernelOpts::plus_permute();
-        opts.interleave = interleave;
+        let opts = if interleave {
+            KernelOpts::tmac()
+        } else {
+            KernelOpts::plus_permute()
+        };
         let perm = WeightPlan::new(&qm, opts).unwrap();
         let flat = WeightPlan::new(&qm, KernelOpts::plus_table_quant()).unwrap();
         for bit in 0..2 {
@@ -244,12 +247,11 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
 /// `mpgemm` row `i` (`gemm` ≡ `gemm_cached` ≡ `with_tables`), the GEMV of
-/// row `i`, and the GEMV through the same matrix planned with
-/// `interleave = false` (the sequential stream and its untouched kernel),
-/// all bit-for-bit equal. Returns the `gemm` rows.
+/// row `i`, and the GEMV through the same matrix planned on the `+Perm.`
+/// rung (the sequential stream and its untouched kernel), all bit-for-bit
+/// equal. Returns the `gemm` rows.
 fn assert_paired_equals_sequential(
     qm: &QuantizedMatrix,
-    opts: KernelOpts,
     acts: &[f32],
     n: usize,
     ctx: &ExecCtx,
@@ -257,15 +259,8 @@ fn assert_paired_equals_sequential(
 ) -> Vec<f32> {
     let what = &format!("{what} isa={}", ctx.isa());
     let (m, k) = (qm.rows, qm.cols);
-    let paired = TmacLinear::new(qm, opts).unwrap();
-    let sequential = TmacLinear::new(
-        qm,
-        KernelOpts {
-            interleave: false,
-            ..opts
-        },
-    )
-    .unwrap();
+    let paired = TmacLinear::new(qm, KernelOpts::tmac()).unwrap();
+    let sequential = TmacLinear::new(qm, KernelOpts::plus_permute()).unwrap();
     let mut gemm = vec![0f32; n * m];
     paired.gemm(acts, n, &mut gemm, ctx).unwrap();
     // Fresh tables, context-cached tables and caller-held tables: one
@@ -274,7 +269,7 @@ fn assert_paired_equals_sequential(
     let mut cached = vec![0f32; n * m];
     paired.gemm_cached(acts, n, &mut cached, ctx).unwrap();
     assert_eq!(gemm, cached, "{what}: gemm_cached");
-    let tables = ActTables::build(acts, n, qm.group_size, &opts).unwrap();
+    let tables = ActTables::build(acts, n, qm.group_size, &KernelOpts::tmac()).unwrap();
     let mut held = vec![0f32; n * m];
     paired.with_tables(&tables, &mut held, ctx).unwrap();
     assert_eq!(gemm, held, "{what}: with_tables");
@@ -295,7 +290,6 @@ fn assert_paired_equals_sequential(
 /// `ctxs`, and the `Avx512` family's rows bit-for-bit the `Avx2` family's.
 fn assert_paired_on_every_family(
     qm: &QuantizedMatrix,
-    opts: KernelOpts,
     acts: &[f32],
     n: usize,
     ctxs: &[ExecCtx],
@@ -303,7 +297,7 @@ fn assert_paired_on_every_family(
 ) {
     let mut avx = Vec::new();
     for ctx in ctxs {
-        let rows = assert_paired_equals_sequential(qm, opts, acts, n, ctx, what);
+        let rows = assert_paired_equals_sequential(qm, acts, n, ctx, what);
         if matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512) {
             avx.push(rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         }
@@ -371,7 +365,7 @@ fn paired_stream_bit_exact_on_generated_shapes() {
 
         let acts = arb_acts(&mut rng, n * k, -2.0, 2.0);
         let what = format!("seed {seed} bits={bits} gs={gs} m={m} k={k} n={n}");
-        assert_paired_on_every_family(&qm, KernelOpts::tmac(), &acts, n, &ctxs, &what);
+        assert_paired_on_every_family(&qm, &acts, n, &ctxs, &what);
     }
 }
 
@@ -388,8 +382,7 @@ fn paired_stream_survives_saturated_tables() {
                 group_size: gs,
                 ..matrix(vec![(1 << bits) - 1; m * k], vec![0.5; m * 2], m, k, bits)
             };
-            let opts = KernelOpts::tmac();
-            let lin = TmacLinear::new(&qm, opts).unwrap();
+            let lin = TmacLinear::new(&qm, KernelOpts::tmac()).unwrap();
             for sign in [1.0f32, -1.0] {
                 // Equal activations: entry 15 = 4a is the block's maximum,
                 // so it quantizes to sign · 127 in every group.
@@ -397,7 +390,7 @@ fn paired_stream_survives_saturated_tables() {
                 let tables = lin.tables(&acts[..k]).unwrap();
                 assert_eq!(tables.lookup_q(0, 0, 15), (sign * 127.0) as i8);
                 let what = format!("bits={bits} gs={gs} sign={sign}");
-                assert_paired_on_every_family(&qm, opts, &acts, n, &ctxs, &what);
+                assert_paired_on_every_family(&qm, &acts, n, &ctxs, &what);
                 // And the value itself: each row is Σ_blocks s · (0.5 ·
                 // q_scale · 127 · kgb · (2^bits − 1) + cz · asum), a wrap
                 // would be off by thousands.
