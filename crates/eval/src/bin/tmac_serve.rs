@@ -18,6 +18,11 @@
 //! into `DIR` on every SIGUSR1 and once more when the drain completes;
 //! load the files in Perfetto or `chrome://tracing`).
 //!
+//! The KV page pool is capped at
+//! [`kv_page_bound`]`(B, seq_max)` pages: every slot at `seq_max` plus one
+//! copy-on-write fork each, so the prefix cache evicts its oldest prompts
+//! instead of growing with every unique one.
+//!
 //! On SIGINT or SIGTERM the server stops accepting, finishes every
 //! in-flight sequence, then exits 0 (second signal: immediate abort).
 
@@ -25,7 +30,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 use tmac_core::ExecCtx;
 use tmac_eval::{ArgError, Flags};
-use tmac_llm::batch::{Scheduler, SchedulerConfig};
+use tmac_llm::batch::{kv_page_bound, Scheduler, SchedulerConfig};
 use tmac_llm::{BackendKind, KvPrecision, LoadMode, Model, ModelConfig, WeightQuant};
 use tmac_serve::ServerConfig;
 
@@ -118,11 +123,15 @@ fn main() {
     };
     model.cfg.kv_precision = kv;
 
+    // Every slot can reach `seq_max`; published prompt pages beyond that
+    // are evicted instead of growing the pool for the daemon's lifetime.
+    let kv_page_budget = kv_page_bound(max_batch, model.cfg.seq_max);
     let sched = Scheduler::new(
         model,
         SchedulerConfig {
             max_batch,
             max_pending,
+            kv_page_budget,
             ..SchedulerConfig::default()
         },
     );

@@ -540,12 +540,15 @@ impl TmacContainer {
             .ok_or_else(|| IoError::Corrupt(format!("{}: no segment with role {role}", t.name)))
     }
 
-    /// Zero-copy `f32` view of a raw tensor.
+    /// The `f32` data of a raw tensor, borrowed zero-copy from the
+    /// container mapping (the segment keeps the mapping alive, so it may
+    /// outlive this container).
     ///
     /// # Errors
     ///
-    /// [`IoError::MissingTensor`] / [`IoError::ShapeMismatch`].
-    pub fn f32_tensor(&self, name: &str) -> Result<&[f32], IoError> {
+    /// [`IoError::MissingTensor`]; [`IoError::ShapeMismatch`] for a
+    /// prepacked plan or a segment whose length disagrees with the dims.
+    pub fn f32_tensor(&self, name: &str) -> Result<Segment<f32>, IoError> {
         let t = self.entry(name)?;
         let TensorKind::F32 { dims } = &t.kind else {
             return Err(IoError::ShapeMismatch(format!(
@@ -565,13 +568,11 @@ impl TmacContainer {
                 seg.len
             )));
         }
-        let bytes = &self.map.bytes()[seg.off as usize..(seg.off + seg.len) as usize];
-        if !(bytes.as_ptr() as usize).is_multiple_of(4) {
-            return Err(IoError::Corrupt(format!("{name}: misaligned f32 data")));
-        }
-        // SAFETY: length and 4-byte alignment checked; mapping outlives
-        // the borrow.
-        Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast(), seg.len as usize / 4) })
+        Ok(Segment::borrowed(
+            self.map.clone(),
+            seg.off as usize,
+            seg.len as usize / 4,
+        )?)
     }
 
     /// Rebuilds the prepacked [`WeightPlan`] of tensor `name`, borrowing
@@ -683,6 +684,10 @@ mod tests {
             assert!(c.is_plan("w.weight"));
             assert!(!c.is_plan("norm.weight"));
             let gains = c.f32_tensor("norm.weight").unwrap();
+            assert!(
+                gains.is_borrowed(),
+                "f32 tensors are served from the mapping"
+            );
             assert_eq!(gains.len(), 16);
             assert_eq!(gains[4], 1.0);
             let loaded = c.plan("w.weight").unwrap();
@@ -776,6 +781,62 @@ mod tests {
             c.f32_tensor("norm.weight"),
             Err(IoError::ShapeMismatch(_))
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every way a typed read can miss: an absent name, a plan read as
+    /// `f32` and the reverse, dims that disagree with the segment, and a
+    /// segment offset off the data alignment (refused at open, before any
+    /// view could be built over it).
+    #[test]
+    fn typed_reads_fail_typed() {
+        let path = tmp("typed.tmac");
+        write_sample(&path, KernelOpts::tmac());
+        let good = std::fs::read(&path).unwrap();
+        let c = TmacContainer::open(&path, LoadMode::Copy).unwrap();
+        assert!(matches!(
+            c.f32_tensor("absent.weight"),
+            Err(IoError::MissingTensor(n)) if n == "absent.weight"
+        ));
+        assert!(matches!(
+            c.f32_tensor("w.weight"),
+            Err(IoError::ShapeMismatch(_))
+        ));
+        assert!(matches!(
+            c.plan("norm.weight"),
+            Err(IoError::ShapeMismatch(_))
+        ));
+
+        // name, kind u8 (0), n_dims u8 (1), the u64 dim, seg_count u8,
+        // then the segment: role u8, offset u64.
+        let key = b"norm.weight";
+        let pos = good
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("tensor name in index");
+        let dpos = pos + key.len() + 2;
+        assert_eq!(&good[dpos..dpos + 8], &16u64.to_le_bytes());
+        let mut bad = good.clone();
+        bad[dpos..dpos + 8].copy_from_slice(&15u64.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        let c = TmacContainer::open(&path, LoadMode::Copy).unwrap();
+        assert!(matches!(
+            c.f32_tensor("norm.weight"),
+            Err(IoError::ShapeMismatch(_))
+        ));
+
+        let opos = dpos + 8 + 2;
+        let off = u64::from_le_bytes(good[opos..opos + 8].try_into().unwrap());
+        assert!(off.is_multiple_of(DATA_ALIGN as u64), "located the offset");
+        let mut bad = good.clone();
+        bad[opos..opos + 8].copy_from_slice(&(off + 4).to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        for mode in [LoadMode::Mmap, LoadMode::Copy] {
+            assert!(matches!(
+                TmacContainer::open(&path, mode),
+                Err(IoError::Corrupt(_))
+            ));
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

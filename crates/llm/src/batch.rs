@@ -26,6 +26,7 @@
 //! across both — the equivalence invariants of `tests/batch.rs`).
 
 use crate::backend::BackendError;
+use crate::kv::PAGE_POSITIONS;
 use crate::model::{BatchScratch, KvCache, Model, PREFILL_CHUNK};
 use crate::sampling::{self, Sampler};
 use std::collections::VecDeque;
@@ -100,6 +101,15 @@ impl Default for SchedulerConfig {
             kv_page_budget: 0,
         }
     }
+}
+
+/// The [`SchedulerConfig::kv_page_budget`] that bounds the pool without
+/// ever refusing a batch that fits `seq_max`: all `max_batch` slots at
+/// `seq_max` positions, plus one copy-on-write fork each. Published
+/// prompt pages beyond it are evicted LRU-first instead of growing the
+/// pool by a page per unique prompt.
+pub fn kv_page_bound(max_batch: usize, seq_max: usize) -> usize {
+    max_batch * (seq_max.div_ceil(PAGE_POSITIONS) + 1)
 }
 
 /// One token emitted by a scheduler step.
@@ -891,6 +901,47 @@ mod tests {
         assert_eq!(done.len(), 5);
         assert!(done.iter().all(|f| f.tokens.len() == 3));
         assert!(sched.is_idle());
+    }
+
+    /// Unique prompts one after another under the derived bound: the pool
+    /// stops growing at the bound (the radix index gives up its oldest
+    /// pages) and every token equals the unbounded pool's.
+    #[test]
+    fn derived_page_bound_caps_the_pool_without_changing_tokens() {
+        let ctx = ExecCtx::new(1);
+        let m = model(tmac_kind());
+        let budget = kv_page_bound(2, m.cfg.seq_max);
+        assert_eq!(budget, 4, "2 slots × (1 page at seq_max + 1 fork)");
+        let serve = |kv_page_budget: usize| {
+            let cfg = SchedulerConfig {
+                max_batch: 2,
+                kv_page_budget,
+                ..SchedulerConfig::default()
+            };
+            let mut sched = Scheduler::new(m.clone(), cfg);
+            let mut out = Vec::new();
+            let mut max_pages = 0;
+            for i in 0..24u32 {
+                // Distinct first tokens: no prompt shares a radix root.
+                let prompt: Vec<u32> = (0..16).map(|j| 1 + (i + 5 * j) % 95).collect();
+                sched.submit(SubmitRequest::greedy(&prompt, 8)).unwrap();
+                while !sched.is_idle() {
+                    sched.step_batch(&ctx).unwrap();
+                    max_pages = max_pages.max(sched.kv_stats().pages_allocated);
+                }
+                out.push(sched.take_finished().remove(0).tokens);
+            }
+            (out, max_pages, sched.kv_stats())
+        };
+        let (bounded, max_pages, stats) = serve(budget);
+        let (unbounded, unbounded_pages, _) = serve(0);
+        assert!(max_pages <= budget, "{max_pages} pages > budget {budget}");
+        assert!(stats.evictions >= 1, "{stats:?}");
+        assert!(
+            unbounded_pages > budget,
+            "the unbounded pool must outgrow it"
+        );
+        assert_eq!(bounded, unbounded);
     }
 
     #[test]

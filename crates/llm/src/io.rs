@@ -8,8 +8,10 @@
 //! requested [`BackendKind`]: `Tmac(KernelOpts::tmac())` consumes each
 //! prepacked plan zero-copy straight from the file mapping, every other
 //! kind — the other rungs included — lazily materializes the canonical
-//! quantized matrix per layer and builds from that. Cold start is a header
-//! parse + checksum sweep instead of generate+quantize+pack.
+//! quantized matrix per layer and builds from that. The `f32` tensors
+//! (embedding, norm gains) are always borrowed from the mapping. Cold
+//! start is a header parse + checksum sweep instead of
+//! generate+quantize+pack.
 //!
 //! Codes, scales and zero round-trip bit-for-bit, so a reloaded model
 //! produces bit-identical logits on the quantized backends (asserted in
@@ -21,7 +23,7 @@ use crate::model::{LayerWeights, Model};
 use crate::ops;
 use std::path::Path;
 use std::sync::Arc;
-use tmac_core::{KernelOpts, TmacLinear, WeightPlan};
+use tmac_core::{KernelOpts, Segment, TmacLinear, WeightPlan};
 use tmac_io::{write_container, IoError, MetaValue, TensorSource, TensorSpec, TmacContainer};
 
 pub use tmac_io::LoadMode;
@@ -305,9 +307,11 @@ impl Model {
 
     /// Loads a model from a `.tmac` container.
     ///
-    /// The container is opened under `mode` ([`LoadMode::Mmap`] borrows
-    /// weight tiles zero-copy from the mapping) and fully
-    /// integrity-checked. `BackendKind::Tmac(KernelOpts::tmac())` takes
+    /// The container is opened under `mode` ([`LoadMode::Mmap`] maps the
+    /// file, [`LoadMode::Copy`] reads it into one owned buffer) and fully
+    /// integrity-checked. The embedding and norm gains are borrowed from
+    /// that buffer or mapping, never copied, so [`Model`]'s `clone` shares
+    /// them. `BackendKind::Tmac(KernelOpts::tmac())` takes
     /// each stored plan as-is; every other kind builds from the lazily
     /// materialized canonical matrix.
     ///
@@ -349,7 +353,8 @@ impl Model {
             let qm = plan.to_quantized();
             Ok(Linear::build(*kind, &qm, &qm.dequantize())?)
         };
-        let f32_vec = |name: &str, expect: usize| -> Result<Vec<f32>, ModelIoError> {
+        // Embedding and gains are served from the mapping like the plans.
+        let f32_tensor = |name: &str, expect: usize| -> Result<Segment<f32>, ModelIoError> {
             let data = c.f32_tensor(name)?;
             if data.len() != expect {
                 return Err(ModelIoError::Io(IoError::ShapeMismatch(format!(
@@ -357,7 +362,7 @@ impl Model {
                     data.len()
                 ))));
             }
-            Ok(data.to_vec())
+            Ok(data)
         };
 
         let mut layers = Vec::with_capacity(cfg.n_layers);
@@ -375,13 +380,13 @@ impl Model {
                 w1: it.next().expect("7 linears"),
                 w2: it.next().expect("7 linears"),
                 w3: it.next().expect("7 linears"),
-                rms_attn: f32_vec(&blk(l, "attn_norm"), cfg.dim)?,
-                rms_ffn: f32_vec(&blk(l, "ffn_norm"), cfg.dim)?,
+                rms_attn: f32_tensor(&blk(l, "attn_norm"), cfg.dim)?,
+                rms_ffn: f32_tensor(&blk(l, "ffn_norm"), cfg.dim)?,
             });
         }
         Ok(Model {
-            embed: f32_vec("token_embd.weight", cfg.vocab * cfg.dim)?,
-            rms_final: f32_vec("output_norm.weight", cfg.dim)?,
+            embed: f32_tensor("token_embd.weight", cfg.vocab * cfg.dim)?,
+            rms_final: f32_tensor("output_norm.weight", cfg.dim)?,
             head: build("output.weight", cfg.vocab, cfg.dim)?,
             rope: ops::RopeTable::new(cfg.head_dim(), cfg.rope_theta),
             quant,

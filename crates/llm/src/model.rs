@@ -11,7 +11,7 @@ use crate::backend::{BackendError, BackendKind, Linear};
 use crate::config::{ModelConfig, WeightQuant};
 use crate::ops;
 use crate::weights::{gen_gain, gen_matrix, tensor_seed};
-use tmac_core::ExecCtx;
+use tmac_core::{ExecCtx, Segment};
 
 pub use crate::kv::KvCache; // the cache moved to `kv`; old import paths keep working
 
@@ -41,9 +41,9 @@ pub struct LayerWeights {
     /// FFN up (`ffn × dim`).
     pub w3: Linear,
     /// Attention-input RMSNorm gain.
-    pub rms_attn: Vec<f32>,
+    pub rms_attn: Segment<f32>,
     /// FFN-input RMSNorm gain.
-    pub rms_ffn: Vec<f32>,
+    pub rms_ffn: Segment<f32>,
 }
 
 /// A complete model instance.
@@ -54,10 +54,11 @@ pub struct Model {
     /// Weight quantizer the linear layers were built with.
     pub quant: WeightQuant,
     /// Token embeddings (`vocab × dim`, kept in `f32`: it is a lookup, not
-    /// a GEMV).
-    pub embed: Vec<f32>,
+    /// a GEMV). Like the gains, borrowed from the file mapping when the
+    /// model was loaded from a container, so a clone shares it.
+    pub embed: Segment<f32>,
     /// Final RMSNorm gain.
-    pub rms_final: Vec<f32>,
+    pub rms_final: Segment<f32>,
     /// LM head (`vocab × dim`).
     pub head: Linear,
     /// Precomputed RoPE inverse-frequency table (built once per model; the
@@ -185,8 +186,8 @@ impl Model {
                     1.0 / (ffn as f32).sqrt(),
                 )?,
                 w3: build(ffn, dim, tensor_seed(seed, l, "w3"), ws)?,
-                rms_attn: gen_gain(dim, tensor_seed(seed, l, "rms_attn")),
-                rms_ffn: gen_gain(dim, tensor_seed(seed, l, "rms_ffn")),
+                rms_attn: Segment::from_vec(gen_gain(dim, tensor_seed(seed, l, "rms_attn"))),
+                rms_ffn: Segment::from_vec(gen_gain(dim, tensor_seed(seed, l, "rms_ffn"))),
             });
         }
         let embed = gen_matrix(cfg.vocab, dim, tensor_seed(seed, usize::MAX, "embed"), 0.1);
@@ -194,8 +195,8 @@ impl Model {
         Ok(Model {
             cfg: cfg.clone(),
             quant,
-            embed,
-            rms_final: gen_gain(dim, tensor_seed(seed, usize::MAX, "rms_final")),
+            embed: Segment::from_vec(embed),
+            rms_final: Segment::from_vec(gen_gain(dim, tensor_seed(seed, usize::MAX, "rms_final"))),
             head,
             rope: ops::RopeTable::new(cfg.head_dim(), cfg.rope_theta),
             layers,

@@ -184,12 +184,42 @@ fn mmap_and_owned_copy_loads_agree() {
             assert_eq!(a.perm_scales(), b.perm_scales(), "{name}");
             assert!(a.is_borrowed(), "{name}: mmap plan must borrow");
         } else {
-            assert_eq!(
-                cm.f32_tensor(name).unwrap(),
-                cc.f32_tensor(name).unwrap(),
-                "{name}"
-            );
+            let (a, b) = (cm.f32_tensor(name).unwrap(), cc.f32_tensor(name).unwrap());
+            assert_eq!(*a, *b, "{name}");
+            assert!(a.is_borrowed() && b.is_borrowed(), "{name}");
         }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The embedding and norm gains of a loaded model are served from the
+/// mapping (or the one buffer a copy load reads), so a clone shares them;
+/// a synthetic model owns its own.
+#[test]
+fn f32_tensors_are_borrowed_and_shared_by_clones() {
+    let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
+    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 13).unwrap();
+    let f32_tensors = |m: &Model| {
+        let mut v = vec![&m.embed, &m.rms_final];
+        for lw in &m.layers {
+            v.extend([&lw.rms_attn, &lw.rms_ffn]);
+        }
+        v.into_iter()
+            .map(|t| (t.is_borrowed(), t.as_ptr()))
+            .collect::<Vec<_>>()
+    };
+    assert!(f32_tensors(&src).iter().all(|&(borrowed, _)| !borrowed));
+    let path = tmp("borrowed.tmac");
+    src.save_file(&path).unwrap();
+    for mode in [LoadMode::Mmap, LoadMode::Copy] {
+        let a = Model::from_file(&path, &kind, mode).unwrap();
+        let b = a.clone();
+        let (ta, tb) = (f32_tensors(&a), f32_tensors(&b));
+        assert_eq!(ta.len(), 2 + 2 * a.cfg.n_layers);
+        assert!(ta.iter().all(|&(borrowed, _)| borrowed), "{mode:?}");
+        assert_eq!(ta, tb, "{mode:?}: a clone shares every f32 tensor");
+        assert_eq!(*a.embed, *src.embed);
+        assert_eq!(*a.layers[1].rms_ffn, *src.layers[1].rms_ffn);
     }
     std::fs::remove_file(&path).unwrap();
 }
