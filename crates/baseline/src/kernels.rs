@@ -4,12 +4,13 @@
 //! weight row with a `Q8_0`-quantized activation row, following llama.cpp's
 //! structure — per 32-element block: unpack weights to centered `i8`,
 //! integer dot against activation codes, one `f32` FMA with the combined
-//! scale.
+//! scale (the weight block's half `d` widened to `f32`).
 
 use tmac_quant::formats::{
     unpack_q1_0, unpack_q2_0, unpack_q3s, unpack_q4_0, BlockQ1_0, BlockQ2_0, BlockQ3S, BlockQ4_0,
     BlockQ8_0, QK,
 };
+use tmac_simd::scalar::f16_to_f32;
 
 fn dot_codes(w: &[i8; QK], a: &[i8; QK]) -> i32 {
     let mut s = 0i32;
@@ -30,7 +31,7 @@ pub fn vec_dot_q4(w: &[BlockQ4_0], a: &[BlockQ8_0]) -> f32 {
     let mut codes = [0i8; QK];
     for (wb, ab) in w.iter().zip(a) {
         unpack_q4_0(wb, &mut codes);
-        acc += wb.d * ab.d * dot_codes(&codes, &ab.qs) as f32;
+        acc += f16_to_f32(wb.d) * ab.d * dot_codes(&codes, &ab.qs) as f32;
     }
     acc
 }
@@ -46,7 +47,7 @@ pub fn vec_dot_q3(w: &[BlockQ3S], a: &[BlockQ8_0]) -> f32 {
     let mut codes = [0i8; QK];
     for (wb, ab) in w.iter().zip(a) {
         unpack_q3s(wb, &mut codes);
-        acc += wb.d * ab.d * dot_codes(&codes, &ab.qs) as f32;
+        acc += f16_to_f32(wb.d) * ab.d * dot_codes(&codes, &ab.qs) as f32;
     }
     acc
 }
@@ -62,7 +63,7 @@ pub fn vec_dot_q2(w: &[BlockQ2_0], a: &[BlockQ8_0]) -> f32 {
     let mut codes = [0i8; QK];
     for (wb, ab) in w.iter().zip(a) {
         unpack_q2_0(wb, &mut codes);
-        acc += wb.d * ab.d * dot_codes(&codes, &ab.qs) as f32;
+        acc += f16_to_f32(wb.d) * ab.d * dot_codes(&codes, &ab.qs) as f32;
     }
     acc
 }
@@ -79,7 +80,7 @@ pub fn vec_dot_q1(w: &[BlockQ1_0], a: &[BlockQ8_0]) -> f32 {
     let mut codes = [0i8; QK];
     for (wb, ab) in w.iter().zip(a) {
         unpack_q1_0(wb, &mut codes);
-        acc += wb.d * 0.5 * ab.d * dot_codes(&codes, &ab.qs) as f32;
+        acc += f16_to_f32(wb.d) * 0.5 * ab.d * dot_codes(&codes, &ab.qs) as f32;
     }
     acc
 }

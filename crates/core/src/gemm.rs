@@ -117,12 +117,12 @@ fn sweep(
             match isa {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: a context holds only a family the host executes
-                // (`Isa::available`): AVX-512F/BW + AVX2 + FMA.
+                // (`Isa::available`): AVX-512F/BW + AVX2 + FMA + F16C.
                 Isa::Avx512 => unsafe {
                     kernel::avx512::mtile(plan, tables, rows.clone(), mt, outs)
                 },
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above, AVX2 + FMA.
+                // SAFETY: as above, AVX2 + FMA + F16C.
                 Isa::Avx2 => unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, outs) },
                 _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, outs),
             }

@@ -2,8 +2,9 @@
 //!
 //! The materialization of the paper's Figure 3 tile on x86: one `PSHUFB`
 //! performs 32 table lookups, results accumulate in `i16`, and each scale
-//! block folds into `f32` output accumulators with two FMAs. Each Figure 10
-//! rung maps to a kernel, so every plan has one here:
+//! block folds into `f32` output accumulators with two FMAs (its half
+//! scales widened by `vcvtph2ps` on load). Each Figure 10 rung maps to a
+//! kernel, so every plan has one here:
 //!
 //! | rung | kernel |
 //! |---|---|
@@ -26,9 +27,9 @@
 //!
 //! The table precompute has its AVX2 builder here too, [`build_block`].
 //!
-//! Everything here is `#[target_feature(enable = "avx2,fma")]`; the driver
-//! runs it only under a kernel family that includes AVX2+FMA (`Avx2` or
-//! `Avx512`, see `tmac_simd::Isa`). The `Avx512` family's `zmm` kernels
+//! Everything here is `#[target_feature(enable = "avx2,fma,f16c")]`; the
+//! driver runs it only under a kernel family that includes AVX2+FMA+F16C
+//! (`Avx2` or `Avx512`, see `tmac_simd::Isa`). The `Avx512` family's `zmm` kernels
 //! (`kernel::avx512`) share this module's stream geometry and prefetch.
 
 #![allow(clippy::needless_range_loop)] // Index loops follow the kernel structure.
@@ -61,9 +62,10 @@ pub fn gemm_supported(plan: &WeightPlan) -> bool {
 ///
 /// # Safety
 ///
-/// The caller must have verified that the host CPU supports AVX2 and FMA
+/// The caller must have verified that the host CPU supports AVX2, FMA and
+/// F16C
 /// (e.g. via `tmac_simd::Isa::available`).
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let opts = plan.opts();
     debug_assert_eq!(tables.quantized, opts.table_quant());
@@ -91,13 +93,13 @@ pub fn gemv_mtile(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, ou
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2+FMA support (e.g. via
+/// The caller must have verified AVX2+FMA+F16C support (e.g. via
 /// `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
 /// Panics if `outs` is shorter than `rows.len() × TILE_M`.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 pub fn mtile(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -129,7 +131,7 @@ struct OutAcc(__m256, __m256, __m256, __m256);
 
 impl OutAcc {
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     fn zero() -> Self {
         OutAcc(
             _mm256_setzero_ps(),
@@ -139,24 +141,25 @@ impl OutAcc {
         )
     }
 
-    /// `out += scales * (block * sc + bias)` — the per-scale-block fold.
+    /// `out += scales * (block * sc + bias)` — the per-scale-block fold,
+    /// widening the 32 half `scales` as it loads them (4 × `vcvtph2ps`).
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    fn fold(&mut self, blk: &OutAcc, sc: __m256, bias: __m256, scales: &[f32]) {
+    #[target_feature(enable = "avx2,fma,f16c")]
+    fn fold(&mut self, blk: &OutAcc, sc: __m256, bias: __m256, scales: &[u16]) {
         let t0 = _mm256_fmadd_ps(blk.0, sc, bias);
         let t1 = _mm256_fmadd_ps(blk.1, sc, bias);
         let t2 = _mm256_fmadd_ps(blk.2, sc, bias);
         let t3 = _mm256_fmadd_ps(blk.3, sc, bias);
-        self.0 = _mm256_fmadd_ps(t0, simd::loadu_ps(&scales[0..]), self.0);
-        self.1 = _mm256_fmadd_ps(t1, simd::loadu_ps(&scales[8..]), self.1);
-        self.2 = _mm256_fmadd_ps(t2, simd::loadu_ps(&scales[16..]), self.2);
-        self.3 = _mm256_fmadd_ps(t3, simd::loadu_ps(&scales[24..]), self.3);
+        self.0 = _mm256_fmadd_ps(t0, simd::loadu_ph(&scales[0..]), self.0);
+        self.1 = _mm256_fmadd_ps(t1, simd::loadu_ph(&scales[8..]), self.1);
+        self.2 = _mm256_fmadd_ps(t2, simd::loadu_ph(&scales[16..]), self.2);
+        self.3 = _mm256_fmadd_ps(t3, simd::loadu_ph(&scales[24..]), self.3);
     }
 
     /// Accumulates `weight * f32(acc_i16_pair)` into the block
     /// (row-linear accumulator layout: `.0` = rows 0..16, `.1` = 16..32).
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     fn add_weighted_i16(&mut self, acc: (__m256i, __m256i), weight: __m256) {
         let (f0, f1) = simd::i16_to_f32x2(acc.0);
         let (f2, f3) = simd::i16_to_f32x2(acc.1);
@@ -170,7 +173,7 @@ impl OutAcc {
     /// `maddubs` accumulation produces: `.0` = rows [0..8 | 16..24], `.1` =
     /// rows [8..16 | 24..32].
     #[inline]
-    #[target_feature(enable = "avx2,fma")]
+    #[target_feature(enable = "avx2,fma,f16c")]
     fn add_weighted_i16_paired(&mut self, acc: (__m256i, __m256i), weight: __m256) {
         let (f0, f1) = simd::i16_to_f32x2(acc.0);
         let (f2, f3) = simd::i16_to_f32x2(acc.1);
@@ -214,7 +217,7 @@ impl OutAcc {
 /// uops per 64 lookups, the cost the paired stream removes. The paired
 /// accumulator rows are [0..8 | 16..24] in `.0` and [8..16 | 24..32] in
 /// `.1`; the fold stage un-permutes when converting to `f32`.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn mtile_permuted(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
@@ -441,7 +444,7 @@ fn paired_groups<const BITS: usize, const STEP: usize>(
 /// the two share every arithmetic operation. `corner` reads the 16-byte
 /// lone-group/lone-plane step from the end of `idx`.
 #[inline]
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn paired_block<const BITS: usize, const STEP: usize>(
     g: &PairedGeom,
     tbl: &[i8],
@@ -508,7 +511,7 @@ fn paired_block<const BITS: usize, const STEP: usize>(
 /// `f32` fold is the sequential kernel's, so the two layouts agree
 /// bit-for-bit.
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn mtile_paired_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -561,14 +564,14 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX2+FMA support (e.g. via
+/// The caller must have verified AVX2+FMA+F16C support (e.g. via
 /// `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
 /// Panics if [`gemm_supported`] does not hold for the plan or `outs` is
 /// shorter than `rows.len() × TILE_M`.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 pub fn gemm_mtile(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -583,7 +586,7 @@ pub fn gemm_mtile(
 
 /// Multi-row kernel body (see [`gemm_mtile`]).
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn gemm_mtile_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -650,17 +653,18 @@ fn assemble_flat_step(plan: &WeightPlan, bit: usize, m0: usize, kg: usize, buf: 
     }
 }
 
-/// Gathers the 32 per-row weight scales of a scale block on the flat layout.
+/// Gathers the 32 per-row half weight scales of a scale block on the flat
+/// layout (the fold widens them).
 #[inline]
-fn assemble_flat_scales(plan: &WeightPlan, m0: usize, sb: usize, buf: &mut [f32; TILE_M]) {
+fn assemble_flat_scales(plan: &WeightPlan, m0: usize, sb: usize, buf: &mut [u16; TILE_M]) {
     for (r, b) in buf.iter_mut().enumerate() {
-        *b = plan.scale(m0 + r, sb);
+        *b = plan.scale_bits(m0 + r, sb);
     }
 }
 
 /// Quantized-table kernel over the flat layout (the `+TQ` ladder stage):
 /// `PSHUFB` lookups but strided index assembly every step.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
@@ -668,7 +672,7 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, 
     let m0 = mt * TILE_M;
     let mut outacc = OutAcc::zero();
     let mut buf = [0u8; 16];
-    let mut sbuf = [0f32; TILE_M];
+    let mut sbuf = [0u16; TILE_M];
 
     for sb in 0..gpr {
         let mut acc = [(_mm256_setzero_si256(), _mm256_setzero_si256()); 4];
@@ -699,7 +703,7 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, 
 /// TM-base kernel: `f32` tables accessed with hardware gathers
 /// (`vgatherdps`) — a real lookup intrinsic, but neither in-register tables
 /// nor optimized memory access.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, out: &mut Tile) {
     let bits = plan.bits;
     let gpr = plan.groups_per_row();
@@ -707,7 +711,7 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize,
     let m0 = mt * TILE_M;
     let mut outacc = OutAcc::zero();
     let mut buf = [0u8; 16];
-    let mut sbuf = [0f32; TILE_M];
+    let mut sbuf = [0u16; TILE_M];
 
     for sb in 0..gpr {
         let mut blk = OutAcc::zero();
@@ -752,13 +756,14 @@ fn mtile_flat_gather(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize,
 ///
 /// # Safety
 ///
-/// The caller must have verified that the host CPU supports AVX2 and FMA
+/// The caller must have verified that the host CPU supports AVX2, FMA and
+/// F16C
 /// (e.g. via [`tmac_simd::avx2::available`]).
 ///
 /// # Panics
 ///
 /// Panics if the buffers do not have `build_block`'s lengths.
-#[target_feature(enable = "avx2,fma")]
+#[target_feature(enable = "avx2,fma,f16c")]
 pub fn build_block(block: &[f32], raw: &mut [f32], q: &mut [i8]) -> f32 {
     let amax = block_entries(block, raw);
     if q.is_empty() {
@@ -920,7 +925,7 @@ mod tests {
             let mut want = [0f32; TILE_M];
             scalar::plan_mtile(&plan, &tables, 0..1, mt, &mut want);
             let mut got = [0f32; TILE_M];
-            // SAFETY: AVX2+FMA verified by `simd::available()` above.
+            // SAFETY: AVX2+FMA+F16C verified by `simd::available()` above.
             unsafe { gemv_mtile(&plan, &tables, 0, mt, &mut got) };
             for r in 0..TILE_M {
                 assert!(
@@ -1004,7 +1009,7 @@ mod tests {
                         let mut want = vec![0f32; rows * TILE_M];
                         for (r, t) in per_row.iter().enumerate() {
                             let (mut own, mut of_batch) = ([0f32; TILE_M], [0f32; TILE_M]);
-                            // SAFETY: AVX2+FMA verified above.
+                            // SAFETY: AVX2+FMA+F16C verified above.
                             unsafe {
                                 gemv_mtile(&plan, t, 0, mt, &mut own);
                                 gemv_mtile(&plan, &batch, r, mt, &mut of_batch);
@@ -1016,7 +1021,7 @@ mod tests {
                         // and a sub-range reads its own rows' tables.
                         let mut got = vec![3f32; rows * TILE_M];
                         let mut tail = vec![3f32; rows * TILE_M];
-                        // SAFETY: AVX2+FMA verified above.
+                        // SAFETY: AVX2+FMA+F16C verified above.
                         unsafe {
                             gemm_mtile(&plan, &batch, 0..rows, mt, &mut got);
                             gemm_mtile(&plan, &batch, rows / 2..rows, mt, &mut tail);
@@ -1051,7 +1056,7 @@ mod tests {
                 let mut want = vec![0f32; 5 * TILE_M];
                 scalar::plan_mtile(&plan, &batch, 0..5, mt, &mut want);
                 let mut got = vec![0f32; 5 * TILE_M];
-                // SAFETY: AVX2+FMA verified above.
+                // SAFETY: AVX2+FMA+F16C verified above.
                 unsafe { gemm_mtile(&plan, &batch, 0..5, mt, &mut got) };
                 for (i, (&w, &g)) in want.iter().zip(&got).enumerate() {
                     assert!(

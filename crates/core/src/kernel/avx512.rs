@@ -37,8 +37,8 @@
 //! out)`. So `Avx512` results equal `Avx2` results bit for bit.
 //!
 //! Everything here is `#[target_feature(enable =
-//! "avx512f,avx512bw,avx2,fma")]`; the driver runs it only under the
-//! `Avx512` family (`tmac_simd::Isa`), which guarantees all four.
+//! "avx512f,avx512bw,avx2,fma,f16c")]`; the driver runs it only under the
+//! `Avx512` family (`tmac_simd::Isa`), which guarantees all five.
 
 use super::avx2::{self, PairedGeom, MAX_KG_PER_BLOCK};
 use crate::opts::TILE_M;
@@ -68,13 +68,13 @@ pub fn supported(plan: &WeightPlan) -> bool {
 /// # Safety
 ///
 /// The caller must have verified that the host CPU supports AVX-512F,
-/// AVX-512BW, AVX2 and FMA (e.g. via `tmac_simd::Isa::available`).
+/// AVX-512BW, AVX2, FMA and F16C (e.g. via `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
 /// Panics if the plan has no AVX2 kernel or `outs` is shorter than
 /// `rows.len() × TILE_M`.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
 pub fn mtile(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -106,15 +106,16 @@ impl OutAcc {
     }
 
     /// `out += scales * (block * sc + bias)` — the AVX2 kernels'
-    /// per-scale-block fold, element for element.
+    /// per-scale-block fold, element for element, widening the 32 half
+    /// `scales` as it loads them (2 × `vcvtph2ps zmm`).
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw")]
-    fn fold(&mut self, blk: (__m512, __m512), sc: f32, bias: f32, scales: &[f32]) {
+    fn fold(&mut self, blk: (__m512, __m512), sc: f32, bias: f32, scales: &[u16]) {
         let (sc, bias) = (_mm512_set1_ps(sc), _mm512_set1_ps(bias));
         let t0 = _mm512_fmadd_ps(blk.0, sc, bias);
         let t1 = _mm512_fmadd_ps(blk.1, sc, bias);
-        self.0 = _mm512_fmadd_ps(t0, simd::loadu_ps(&scales[..16]), self.0);
-        self.1 = _mm512_fmadd_ps(t1, simd::loadu_ps(&scales[16..]), self.1);
+        self.0 = _mm512_fmadd_ps(t0, simd::loadu_ph(&scales[..16]), self.0);
+        self.1 = _mm512_fmadd_ps(t1, simd::loadu_ph(&scales[16..]), self.1);
     }
 
     /// Stores into a `TILE_M`-float slice prefix.
@@ -174,7 +175,7 @@ fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
 /// the two share every arithmetic operation. The block's sums must fit
 /// `i16` ([`supported`]).
 #[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
 fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
     tbl: &[i8],
     idx: &[u8],
@@ -218,7 +219,7 @@ fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
 /// the module docs for the inner loop. Writes the first `TILE_M` floats of
 /// `out`.
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
 fn mtile_paired_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -256,7 +257,7 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 /// `[lo | lo]`, `[hi | hi]` per plane pair and `[lo | hi]` per lone plane,
 /// then looked up against each row's tables of the block.
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma")]
+#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
 fn gemm_mtile_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,

@@ -29,6 +29,13 @@
 //!     index, like the sequential order; [`permuted_nibble`] is the one
 //!     definition the packer and [`WeightPlan::index`] share.
 //!
+//! Scales are IEEE halves, 2 bytes each (the bits `u16`): the quantizers
+//! already round them to halves (`tmac_quant`'s "Scale precision"), so the
+//! plan stores them exactly, and the kernels widen them to `f32` as they
+//! load them (`vcvtph2ps`, or [`tmac_simd::scalar::f16_to_f32`]). At W2
+//! g32 a scale block of 32 rows streams 256 index bytes and 64 scale
+//! bytes, not 128.
+//!
 //! The weight matrix never changes during inference, so all of this cost is
 //! paid once offline — exactly the paper's argument for why permutation and
 //! interleaving are free at inference time.
@@ -37,6 +44,7 @@ use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
 use crate::TmacError;
 use std::sync::Arc;
 use tmac_quant::QuantizedMatrix;
+use tmac_simd::scalar::{f16_to_f32, f32_to_f16};
 
 /// Memory that prepacked plan segments can borrow zero-copy — typically a
 /// container file mapping (`tmac-io`). Implementors must keep the bytes
@@ -178,9 +186,9 @@ pub struct WeightPlan {
     /// The indices, in the rung's order (see the module docs): `bits` flat
     /// planes of `m_padded * flat_row_bytes` bytes, or the permuted stream.
     stream: Segment<u8>,
-    /// The `m_padded * k/group_size` scales (padding rows 0), row-major or
-    /// tile-permuted as the rung streams them.
-    scales: Segment<f32>,
+    /// The `m_padded * k/group_size` scales as IEEE half bits (padding rows
+    /// 0), row-major or tile-permuted as the rung streams them.
+    scales: Segment<u16>,
 }
 
 /// The raw pieces of a T-MAC-rung [`WeightPlan`], as a container stores
@@ -203,8 +211,8 @@ pub struct PlanParts {
     pub zero: f32,
     /// The paired tile stream.
     pub perm_stream: Segment<u8>,
-    /// Tile-permuted scales.
-    pub scales_perm: Segment<f32>,
+    /// Tile-permuted scales, IEEE half bits.
+    pub scales_perm: Segment<u16>,
 }
 
 impl WeightPlan {
@@ -213,7 +221,9 @@ impl WeightPlan {
     /// # Errors
     ///
     /// Returns [`TmacError::Shape`] if `K` is not a multiple of the LUT
-    /// group (4) or the scale group size is not a multiple of 4.
+    /// group (4) or the scale group size is not a multiple of 4, and the
+    /// matrix's own validation error — a scale that is not a half value,
+    /// say — converted.
     pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<WeightPlan, TmacError> {
         qm.validate()?;
         if !qm.cols.is_multiple_of(LUT_GROUP) {
@@ -245,7 +255,7 @@ impl WeightPlan {
             idx
         };
 
-        let mut scales = vec![0f32; m_padded * gpr];
+        let mut scales = vec![0u16; m_padded * gpr];
         let stream = if opts.permute() {
             let mut stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
             let kgb = qm.group_size / LUT_GROUP;
@@ -267,7 +277,7 @@ impl WeightPlan {
                     }
                     // The block's `TILE_M` row scales, contiguously.
                     for r in 0..TILE_M.min(m.saturating_sub(m0)) {
-                        scales[blk * TILE_M + r] = qm.scales[(m0 + r) * gpr + sb];
+                        scales[blk * TILE_M + r] = f32_to_f16(qm.scales[(m0 + r) * gpr + sb]);
                     }
                 }
             }
@@ -284,7 +294,9 @@ impl WeightPlan {
                     }
                 }
             }
-            scales[..m * gpr].copy_from_slice(&qm.scales);
+            for (s, &q) in scales.iter_mut().zip(&qm.scales) {
+                *s = f32_to_f16(q);
+            }
             stream
         };
 
@@ -355,7 +367,7 @@ impl WeightPlan {
         let expect_scales = mul(m_padded, k / group_size)?;
         if scales_perm.len() != expect_scales {
             return Err(TmacError::Shape(format!(
-                "permuted scales: {} floats, expected {expect_scales}",
+                "permuted scales: {} halves, expected {expect_scales}",
                 scales_perm.len()
             )));
         }
@@ -489,10 +501,10 @@ impl WeightPlan {
         &self.stream[mt * per_mtile..(mt + 1) * per_mtile]
     }
 
-    /// The scale of `(padded row, scale-block)`, read through the plan's
-    /// layout.
+    /// The half bits of the scale of `(padded row, scale-block)`, read
+    /// through the plan's layout.
     #[inline]
-    pub fn scale(&self, row: usize, sb: usize) -> f32 {
+    pub(crate) fn scale_bits(&self, row: usize, sb: usize) -> u16 {
         if self.opts.permute() {
             let (mt, r) = (row / TILE_M, row % TILE_M);
             self.scales[(mt * self.groups_per_row() + sb) * TILE_M + r]
@@ -501,13 +513,19 @@ impl WeightPlan {
         }
     }
 
-    /// Tile-permuted scales for `(m-tile, scale-block)`: `TILE_M` floats.
+    /// The scale of `(padded row, scale-block)`, widened to `f32`.
+    #[inline]
+    pub fn scale(&self, row: usize, sb: usize) -> f32 {
+        f16_to_f32(self.scale_bits(row, sb))
+    }
+
+    /// Tile-permuted scales for `(m-tile, scale-block)`: `TILE_M` halves.
     ///
     /// # Panics
     ///
     /// Panics if the plan is not permuted.
     #[inline]
-    pub fn tile_scales(&self, mt: usize, sb: usize) -> &[f32] {
+    pub fn tile_scales(&self, mt: usize, sb: usize) -> &[u16] {
         let base = (mt * self.groups_per_row() + sb) * TILE_M;
         &self.perm_scales()[base..base + TILE_M]
     }
@@ -527,12 +545,13 @@ impl WeightPlan {
         &self.stream
     }
 
-    /// The tile-permuted scales, whole (container serialization).
+    /// The tile-permuted scales as half bits, whole (container
+    /// serialization).
     ///
     /// # Panics
     ///
     /// Panics if the plan is not permuted.
-    pub fn perm_scales(&self) -> &[f32] {
+    pub fn perm_scales(&self) -> &[u16] {
         assert!(self.opts.permute(), "plan is not permuted");
         &self.scales
     }
@@ -686,10 +705,24 @@ mod tests {
                 for sb in 0..gpr {
                     let ts = plan.tile_scales(mt, sb);
                     for (r, &t) in ts.iter().enumerate() {
-                        assert_eq!(t, plan.scale(mt * TILE_M + r, sb), "{name}");
+                        assert_eq!(t, plan.scale_bits(mt * TILE_M + r, sb), "{name}");
                     }
                 }
             }
+        }
+    }
+
+    /// The plan stores scales as halves and never rounds one: a matrix
+    /// whose scale no half holds is refused, on every rung.
+    #[test]
+    fn refuses_scales_that_are_not_halves() {
+        let mut qm = matrix(32, 64, 2, 32);
+        qm.scales[3] = 0.1;
+        for (_, opts) in KernelOpts::breakdown_ladder() {
+            assert!(
+                matches!(WeightPlan::new(&qm, opts), Err(TmacError::Quant(_))),
+                "{opts:?}"
+            );
         }
     }
 
@@ -784,7 +817,7 @@ mod tests {
             Err(TmacError::Shape(_))
         ));
         let mut p = parts_of(&plan);
-        p.scales_perm = Segment::from_vec(vec![0f32; 1]);
+        p.scales_perm = Segment::from_vec(vec![0u16; 1]);
         assert!(matches!(
             WeightPlan::from_parts(p),
             Err(TmacError::Shape(_))
@@ -799,7 +832,7 @@ mod tests {
         use std::sync::Arc;
         let qm = matrix(33, 64, 2, 32);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        // Pack stream and scales into one backing buffer, f32s first so
+        // Pack stream and scales into one backing buffer, halves first so
         // both are naturally aligned.
         let scales = plan.perm_scales();
         let stream = plan.perm_stream_bytes();

@@ -134,7 +134,7 @@ struct Units<'a> {
     rows: usize,
     group_size: usize,
     /// Whether blocks are built by the AVX2 builder (under the `Avx2` and
-    /// `Avx512` families, on a host with AVX2+FMA) rather than its scalar
+    /// `Avx512` families, on a host with AVX2+FMA+F16C) rather than its scalar
     /// twin.
     avx2: bool,
     f32_tables: SharedMut<'a, f32>,
@@ -177,7 +177,7 @@ impl Units<'_> {
             q_scale[0] = match self.avx2 {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
-                // passed the runtime AVX2+FMA check.
+                // passed the runtime AVX2+FMA+F16C check.
                 true => unsafe { crate::kernel::avx2::build_block(block, raw, q) },
                 _ => build_block(block, raw, q),
             };

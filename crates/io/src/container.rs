@@ -7,11 +7,11 @@
 //! Loading is therefore a header parse plus an integrity sweep; the weight
 //! bytes are borrowed zero-copy from the file mapping and never touched.
 //!
-//! # Layout (version 4, all integers little-endian)
+//! # Layout (version 5, all integers little-endian)
 //!
 //! ```text
 //! 0x00  magic    b"TMAC"
-//! 0x04  version  u32 (= 4)
+//! 0x04  version  u32 (= 5)
 //! 0x08  index_len u64                  bytes of the index section
 //! 0x10  index:
 //!       meta_count u64
@@ -23,8 +23,7 @@
 //!         name (string), kind u8
 //!         kind 0 (raw f32): n_dims u8, dims u64 × n_dims
 //!         kind 1 (prepacked plan):
-//!             m u64, k u64, bits u8, group_size u32, zero f32,
-//!             flags u8 (= 0x19; any other value is an error)
+//!             m u64, k u64, bits u8, group_size u32, zero f32
 //!         seg_count u8
 //!         segments: role u8, offset u64 (absolute, 32-aligned),
 //!                   byte_len u64, checksum u64 (FNV-1a)
@@ -32,14 +31,11 @@
 //! ```
 //!
 //! Segment roles: `0` = raw data / paired index stream, `1` =
-//! tile-permuted scales (`f32`).
+//! tile-permuted scales (IEEE half bits, 2 bytes each).
 //!
 //! A container stores only the T-MAC rung ([`KernelOpts::tmac`]): the
 //! writer refuses a plan on any other Figure 10 rung, which is built in
 //! memory instead (or rebuilt from [`WeightPlan::to_quantized`] on load).
-//! The flags byte is T-MAC's switches (bit 0 table quantization, 3
-//! permutation, 4 interleaving), a constant kept so the files version 4
-//! already wrote keep their bytes.
 //!
 //! Version 2 replaced version 1 when the `interleave` stream changed its
 //! byte order (lane-paired, bit-paired: see [`tmac_core::plan`]) and the
@@ -51,7 +47,11 @@
 //! retired within version 4: no served file set it, and a file that does
 //! is refused as corrupt. The other rungs' flat and sequential layouts
 //! (flags `0x00`, `0x01`, `0x09`, and segment roles `2` and `3 + b`) were
-//! retired within version 4 too: no writer ever stored them.
+//! retired within version 4 too: no writer ever stored them. Version 5
+//! stores the scale segment as halves instead of `f32` (a plan's scales
+//! are halves already, so 2 bytes hold them exactly) and drops the plan's
+//! flags byte, the constant `0x19` (T-MAC's switches) that version 4 kept
+//! only for byte compatibility.
 //! Files of any other version are rejected with [`IoError::Version`] and
 //! are re-converted from the source checkpoint.
 
@@ -65,13 +65,10 @@ use tmac_quant::QuantizedMatrix;
 pub const TMAC_MAGIC: [u8; 4] = *b"TMAC";
 
 /// The container version this build reads and writes.
-pub const TMAC_VERSION: u32 = 4;
+pub const TMAC_VERSION: u32 = 5;
 
 const ROLE_DATA: u8 = 0;
 const ROLE_SCALES_PERM: u8 = 1;
-
-/// The flags byte of every stored plan: the T-MAC rung's switches.
-const TMAC_FLAGS: u8 = 0x19;
 
 impl From<TmacError> for IoError {
     fn from(e: TmacError) -> Self {
@@ -154,6 +151,12 @@ fn f32_bytes(v: &[f32]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), v.len() * 4) }
 }
 
+/// Byte view of a `u16` slice (little-endian, as [`f32_bytes`]).
+fn u16_bytes(v: &[u16]) -> &[u8] {
+    // SAFETY: u16 -> u8 view, no alignment requirement on reads.
+    unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), v.len() * 2) }
+}
+
 /// What a tensor's data is, for the writer.
 #[derive(Debug)]
 pub enum TensorSource<'a> {
@@ -177,15 +180,6 @@ pub struct TensorSpec<'a> {
     pub source: TensorSource<'a>,
 }
 
-fn check_flags(c: &mut Cursor<'_>, what: &str) -> Result<(), IoError> {
-    match c.u8(what)? {
-        TMAC_FLAGS => Ok(()),
-        other => Err(IoError::Corrupt(format!(
-            "{what}: option flags {other:#04x} are not the T-MAC rung's"
-        ))),
-    }
-}
-
 /// Segments of one plan, in serialization order.
 fn plan_segments<'a>(name: &str, plan: &'a WeightPlan) -> Result<Vec<(u8, &'a [u8])>, IoError> {
     if plan.opts() != KernelOpts::tmac() {
@@ -196,7 +190,7 @@ fn plan_segments<'a>(name: &str, plan: &'a WeightPlan) -> Result<Vec<(u8, &'a [u
     }
     Ok(vec![
         (ROLE_DATA, plan.perm_stream_bytes()),
-        (ROLE_SCALES_PERM, f32_bytes(plan.perm_scales())),
+        (ROLE_SCALES_PERM, u16_bytes(plan.perm_scales())),
     ])
 }
 
@@ -266,7 +260,6 @@ pub fn write_container(
                     out.push(plan.bits as u8);
                     out.extend_from_slice(&(plan.group_size as u32).to_le_bytes());
                     out.extend_from_slice(&plan.zero.to_le_bytes());
-                    out.push(TMAC_FLAGS);
                 }
             }
             out.push(all_segs[ti].len() as u8);
@@ -382,7 +375,7 @@ impl TmacContainer {
         if version != TMAC_VERSION {
             return Err(IoError::Version {
                 found: version,
-                supported: "tmac v4",
+                supported: "tmac v5",
             });
         }
         let index_len = c.u64("index length")? as usize;
@@ -422,17 +415,13 @@ impl TmacContainer {
                     }
                     TensorKind::F32 { dims }
                 }
-                1 => {
-                    let plan = TensorKind::Plan {
-                        m: c.u64(&what)? as usize,
-                        k: c.u64(&what)? as usize,
-                        bits: c.u8(&what)?,
-                        group_size: c.u32(&what)? as usize,
-                        zero: c.f32(&what)?,
-                    };
-                    check_flags(&mut c, &what)?;
-                    plan
-                }
+                1 => TensorKind::Plan {
+                    m: c.u64(&what)? as usize,
+                    k: c.u64(&what)? as usize,
+                    bits: c.u8(&what)?,
+                    group_size: c.u32(&what)? as usize,
+                    zero: c.f32(&what)?,
+                },
                 other => {
                     return Err(IoError::Corrupt(format!(
                         "{what}: unknown tensor kind {other}"
@@ -597,9 +586,9 @@ impl TmacContainer {
             )));
         };
         let (stream, scales) = (self.seg(t, ROLE_DATA)?, self.seg(t, ROLE_SCALES_PERM)?);
-        if !scales.len.is_multiple_of(4) {
+        if !scales.len.is_multiple_of(2) {
             return Err(IoError::ShapeMismatch(format!(
-                "{name}: ragged f32 segment ({} bytes)",
+                "{name}: ragged f16 scale segment ({} bytes)",
                 scales.len
             )));
         }
@@ -615,7 +604,7 @@ impl TmacContainer {
                 stream.off as usize,
                 stream.len as usize,
             )?,
-            scales_perm: Segment::borrowed(owner, scales.off as usize, scales.len as usize / 4)?,
+            scales_perm: Segment::borrowed(owner, scales.off as usize, scales.len as usize / 2)?,
         })?)
     }
 
@@ -692,6 +681,10 @@ mod tests {
             assert_eq!(gains[4], 1.0);
             let loaded = c.plan("w.weight").unwrap();
             assert!(loaded.is_borrowed(), "prepacked load must be zero-copy");
+            // Two bytes per scale: the halves themselves.
+            let entry = c.entry("w.weight").unwrap();
+            let scales = c.seg(entry, ROLE_SCALES_PERM).unwrap();
+            assert_eq!(scales.len as usize, 2 * plan.perm_scales().len());
             assert_eq!(loaded.perm_stream_bytes(), plan.perm_stream_bytes());
             assert_eq!(loaded.perm_scales(), plan.perm_scales());
             assert_eq!(loaded.opts(), plan.opts());
@@ -717,15 +710,16 @@ mod tests {
 
         // Version mismatch: a future version, version 1 — whose
         // `interleave` stream has a different byte order — version 2,
-        // whose options record still carries `tiling`/`tile_k`, and
-        // version 3, whose options record still carries `n_block`.
-        for v in [9u8, 1, 2, 3] {
+        // whose options record still carries `tiling`/`tile_k`, version 3,
+        // whose options record still carries `n_block`, and version 4,
+        // whose scales are `f32` behind a flags byte.
+        for v in [9u8, 1, 2, 3, 4] {
             let mut bad = good.clone();
             bad[4] = v;
             std::fs::write(&path, &bad).unwrap();
             match TmacContainer::open(&path, LoadMode::Copy) {
                 Err(IoError::Version { found, supported }) => {
-                    assert_eq!((found, supported), (v as u32, "tmac v4"));
+                    assert_eq!((found, supported), (v as u32, "tmac v5"));
                 }
                 other => panic!("version {v} must be rejected, got {other:?}"),
             }
@@ -873,22 +867,6 @@ mod tests {
                 "type id {ty}"
             );
         }
-    }
-
-    /// The flags byte is T-MAC's constant: every other value — the other
-    /// rungs' `0x00`, `0x01` and `0x09`, retired bits — is corruption.
-    #[test]
-    fn opts_codec_roundtrip() {
-        for flags in 0..=u8::MAX {
-            let buf = [flags];
-            let got = check_flags(&mut Cursor::new(&buf), "opts");
-            if flags == TMAC_FLAGS {
-                assert!(got.is_ok());
-            } else {
-                assert!(matches!(got, Err(IoError::Corrupt(_))), "{flags:#04x}");
-            }
-        }
-        assert_eq!(TMAC_FLAGS, 0x19);
     }
 
     /// A plan on another rung is refused before the file exists.

@@ -236,12 +236,12 @@ impl Linear {
     }
 
     /// Packed weight bytes: what streams from DRAM per token (indices plus
-    /// `f32` scales for the quantized kernels).
+    /// 2-byte half scales for the quantized kernels).
     pub fn packed_bytes(&self) -> usize {
         match self {
             Linear::Tmac(l) => {
                 let p = l.plan();
-                p.index_bytes() + p.m_padded * p.groups_per_row() * 4
+                p.index_bytes() + p.m_padded * p.groups_per_row() * 2
             }
             Linear::Dequant(l) => l.quantized().packed_bytes(),
             Linear::F32(l) => l.w.len() * 4,
@@ -443,12 +443,12 @@ mod tests {
 
     #[test]
     fn tmac_and_dequant_count_the_same_streamed_bytes() {
-        // Both quantized kernels stream `bits` bits per weight plus one f32
-        // scale per group: 64·96·4/8 index bytes + 64·3·4 scale bytes.
+        // Both quantized kernels stream `bits` bits per weight plus one
+        // half scale per group: 64·96·4/8 index bytes + 64·3·2 scale bytes.
         let (qm, w, _) = setup();
         let tmac = Linear::build(BackendKind::Tmac(KernelOpts::tmac()), &qm, &w).unwrap();
         let dequant = Linear::build(BackendKind::Dequant, &qm, &w).unwrap();
-        assert_eq!(dequant.packed_bytes(), 3840);
+        assert_eq!(dequant.packed_bytes(), 3456);
         assert_eq!(tmac.packed_bytes(), dequant.packed_bytes());
     }
 }

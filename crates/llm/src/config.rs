@@ -187,10 +187,11 @@ impl ModelConfig {
         self.n_layers * (attn + ffn)
     }
 
-    /// Model bytes at a given weight bit-width (plus f32 scales per 32).
+    /// Model bytes at a given weight bit-width (plus a 2-byte half scale
+    /// per 32 weights).
     pub fn packed_bytes(&self, bits: u8) -> usize {
         let p = self.layer_params();
-        p * bits as usize / 8 + (p / 32) * 4
+        p * bits as usize / 8 + (p / 32) * 2
     }
 
     /// Validates divisibility constraints required by the kernels.
@@ -256,7 +257,7 @@ mod tests {
     fn packed_bytes_scale_with_bits() {
         let cfg = ModelConfig::bitnet_3b();
         assert!(cfg.packed_bytes(4) > cfg.packed_bytes(2));
-        // 2-bit 3B model fits well under 2 GB even with per-32 f32 scales
+        // 2-bit 3B model fits well under 2 GB even with per-32 half scales
         // (the paper's Raspberry Pi deployment argument; real BitNet uses
         // far coarser scale granularity, so this is an upper bound).
         assert!(cfg.packed_bytes(2) < 3 * (1usize << 29));

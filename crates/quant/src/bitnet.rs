@@ -8,20 +8,23 @@
 //! T-MAC's bit-serial pipeline does with the [`QuantizedMatrix`] this module
 //! produces.
 
-use crate::{QuantError, QuantizedMatrix};
+use crate::{half_scale, QuantError, QuantizedMatrix};
 
 /// Quantizes to ternary `{-1, 0, +1}` codes stored as 2-bit values
 /// `{1, 2, 3} - zero` with `zero = 2.0`.
 ///
 /// Per group, the scale is the absmean `mean(|w|)` (BitNet b1.58's
-/// quantizer); weights round to `scale * t` for `t ∈ {-1, 0, 1}`.
+/// quantizer), rounded to the nearest IEEE half value; weights round to
+/// `scale * t` for `t ∈ {-1, 0, 1}` against the rounded scale. A group
+/// whose scale is 0 gets `t = 0` throughout.
 ///
 /// The returned matrix has `bits == 2` and codes restricted to `{1, 2, 3}`
 /// (never 0), so every downstream 2-bit kernel runs unmodified.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::Shape`] on dimension mismatches.
+/// Returns [`QuantError::Shape`] on dimension mismatches and
+/// [`QuantError::Scale`] for a scale beyond the half range.
 ///
 /// # Examples
 ///
@@ -58,12 +61,17 @@ pub fn quantize(
         for g in 0..gpr {
             let grp = &wrow[g * group_size..(g + 1) * group_size];
             let absmean = grp.iter().map(|x| x.abs()).sum::<f32>() / group_size as f32;
-            let scale = if absmean == 0.0 { 1e-8 } else { absmean };
+            let scale = half_scale(absmean, || format!("row {r} group {g}"))?;
             scales[r * gpr + g] = scale;
-            for (j, &w) in grp.iter().enumerate() {
+            let group_codes = &mut codes[r * cols + g * group_size..][..group_size];
+            if scale == 0.0 {
+                group_codes.fill(zero as u8);
+                continue;
+            }
+            for (c, &w) in group_codes.iter_mut().zip(grp) {
                 // Round w/scale to the nearest of {-1, 0, 1}.
                 let t = (w / scale).round().clamp(-1.0, 1.0);
-                codes[r * cols + g * group_size + j] = (t + zero) as u8;
+                *c = (t + zero) as u8;
             }
         }
     }
@@ -121,6 +129,30 @@ mod tests {
         for &v in &d {
             assert!((v - 2.0).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn zero_group_gets_scale_zero_and_code_two() {
+        let mut w = vec![0.0f32; 16];
+        w[8..].copy_from_slice(&[1.0, -1.0, 0.5, 0.0, 2.0, -2.0, 1.0, 1e-9]);
+        let q = quantize(&w, 1, 16, 8).unwrap();
+        assert_eq!(q.scales[0], 0.0);
+        assert_eq!(&q.codes[..8], &[2; 8]);
+        assert_eq!(q.scales[1], 0.9375);
+        assert!(q.dequantize()[..8].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn scales_are_halves_and_bounded() {
+        let w: Vec<f32> = (0..64).map(|i| (i as f32 * 0.7).cos() * 0.3).collect();
+        let q = quantize(&w, 1, 64, 32).unwrap();
+        assert_eq!(q.validate(), Ok(()));
+        let absmean = w[..32].iter().map(|x| x.abs()).sum::<f32>() / 32.0;
+        assert_eq!(q.scales[0], tmac_simd::scalar::round_to_f16(absmean));
+        assert!(matches!(
+            quantize(&[1e5f32; 8], 1, 8, 8),
+            Err(QuantError::Scale(_))
+        ));
     }
 
     #[test]

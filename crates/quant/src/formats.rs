@@ -2,8 +2,11 @@
 //!
 //! The baseline system (`tmac-baseline`) follows llama.cpp's mixed-precision
 //! path: activations are quantized on the fly to 32-element `Q8_0` blocks and
-//! weights are stored in per-bit-width packed blocks, each carrying one `f32`
-//! scale per 32 weights. The packings reproduce the *layout properties* that
+//! weights are stored in per-bit-width packed blocks, each carrying one IEEE
+//! half scale `d` per 32 weights (llama.cpp's `ggml_half`; the
+//! [`QuantizedMatrix`] scales are halves already, so packing is exact). The
+//! activation blocks keep an `f32` scale: they are made per call, never
+//! streamed from memory. The packings reproduce the *layout properties* that
 //! drive llama.cpp's performance behaviour:
 //!
 //! * [`BlockQ4_0`] — nibble `j` of the 16 data bytes holds weight `j` (low)
@@ -22,6 +25,7 @@
 //! All block formats hold exactly [`QK`] = 32 weights.
 
 use crate::{QuantError, QuantizedMatrix};
+use tmac_simd::scalar::f32_to_f16;
 
 /// Weights (and activation elements) per block, llama.cpp's `QK8_0`/`QK4_0`.
 pub const QK: usize = 32;
@@ -38,8 +42,8 @@ pub struct BlockQ8_0 {
 /// One block of 4-bit weights: `w[j] ≈ d * (code_j - 8)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockQ4_0 {
-    /// Scale.
-    pub d: f32,
+    /// Scale, IEEE half bits.
+    pub d: u16,
     /// Byte `j` holds weight `j` in its low nibble, weight `j + 16` high.
     pub qs: [u8; QK / 2],
 }
@@ -51,8 +55,8 @@ pub struct BlockQ4_0 {
 /// SIMD unpack is four uniform `SHR`/`AND` passes over the same bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockQ2_0 {
-    /// Scale.
-    pub d: f32,
+    /// Scale, IEEE half bits.
+    pub d: u16,
     /// Byte `j`, field `f` (bits `2f..2f+2`) holds code `8f + j`.
     pub qs: [u8; QK / 4],
 }
@@ -61,8 +65,8 @@ pub struct BlockQ2_0 {
 /// like [`BlockQ2_0`], high bit in a 32-bit mask. `w[j] ≈ d * (code_j - 4)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockQ3S {
-    /// Scale.
-    pub d: f32,
+    /// Scale, IEEE half bits.
+    pub d: u16,
     /// Low 2 bits of each code, plane-strided like [`BlockQ2_0::qs`].
     pub qlo: [u8; QK / 4],
     /// High (third) bit of each code: bit `j % 8` of byte `j / 8` for
@@ -74,8 +78,8 @@ pub struct BlockQ3S {
 /// One block of 1-bit weights: `w[j] ≈ d * (code_j - 0.5)`, i.e. `±d/2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockQ1_0 {
-    /// Scale.
-    pub d: f32,
+    /// Scale, IEEE half bits.
+    pub d: u16,
     /// Sign bits, bit `j` of the mask for weight `j`.
     pub qs: [u8; QK / 8],
 }
@@ -121,26 +125,32 @@ fn row_groups(qm: &QuantizedMatrix, bits: u8) -> Result<(), QuantError> {
     qm.validate()
 }
 
-/// Checks `qm` against the format **once** (a full scan of every code),
-/// then packs `rows` of it, turning each 32-code group and its scale into
-/// one block with `block`.
+/// Checks `qm` against the format **once** (a full scan of every code, and
+/// every scale a half), then packs `rows` of it, turning each 32-code group
+/// and its half scale into one block with `block`.
 fn pack_rows<B>(
     qm: &QuantizedMatrix,
     bits: u8,
     rows: std::ops::Range<usize>,
-    block: impl Fn(&[u8], f32) -> B,
+    block: impl Fn(&[u8], u16) -> B,
 ) -> Result<Vec<B>, QuantError> {
     row_groups(qm, bits)?;
     let gpr = qm.groups_per_row();
     let mut out = Vec::with_capacity(rows.len() * gpr);
     for row in rows {
         let codes = &qm.codes[row * qm.cols..(row + 1) * qm.cols];
-        out.extend((0..gpr).map(|g| block(&codes[g * QK..(g + 1) * QK], qm.scales[row * gpr + g])));
+        let scales = &qm.scales[row * gpr..(row + 1) * gpr];
+        out.extend(
+            codes
+                .chunks_exact(QK)
+                .zip(scales)
+                .map(|(c, &d)| block(c, f32_to_f16(d))),
+        );
     }
     Ok(out)
 }
 
-fn block_q4_0(c: &[u8], d: f32) -> BlockQ4_0 {
+fn block_q4_0(c: &[u8], d: u16) -> BlockQ4_0 {
     let mut qs = [0u8; QK / 2];
     for j in 0..QK / 2 {
         qs[j] = c[j] | (c[j + QK / 2] << 4);
@@ -176,7 +186,7 @@ pub fn unpack_q4_0(b: &BlockQ4_0, out: &mut [i8; QK]) {
     }
 }
 
-fn block_q2_0(c: &[u8], d: f32) -> BlockQ2_0 {
+fn block_q2_0(c: &[u8], d: u16) -> BlockQ2_0 {
     let mut qs = [0u8; QK / 4];
     for (j, q) in qs.iter_mut().enumerate() {
         *q = c[j] | (c[8 + j] << 2) | (c[16 + j] << 4) | (c[24 + j] << 6);
@@ -212,7 +222,7 @@ pub fn unpack_q2_0(b: &BlockQ2_0, out: &mut [i8; QK]) {
     }
 }
 
-fn block_q3s(c: &[u8], d: f32) -> BlockQ3S {
+fn block_q3s(c: &[u8], d: u16) -> BlockQ3S {
     let mut qlo = [0u8; QK / 4];
     let mut qhi = [0u8; QK / 8];
     for (j, q) in qlo.iter_mut().enumerate() {
@@ -266,7 +276,7 @@ pub fn unpack_q3s(b: &BlockQ3S, out: &mut [i8; QK]) {
     }
 }
 
-fn block_q1_0(c: &[u8], d: f32) -> BlockQ1_0 {
+fn block_q1_0(c: &[u8], d: u16) -> BlockQ1_0 {
     let mut qs = [0u8; QK / 8];
     for (j, &code) in c.iter().enumerate() {
         if code != 0 {
@@ -310,6 +320,18 @@ pub fn unpack_q1_0(b: &BlockQ1_0, out: &mut [i8; QK]) {
 mod tests {
     use super::*;
     use crate::rtn;
+    use tmac_simd::scalar::f16_to_f32;
+
+    /// A half `d` makes the weight blocks ggml's sizes: `Q4_0` is 18 bytes
+    /// (4.5 bits per weight), `Q2_0` 10, the 2+1 split 14, `Q1_0` 6.
+    #[test]
+    fn weight_blocks_store_a_two_byte_scale() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<BlockQ4_0>(), 2 + QK / 2);
+        assert_eq!(size_of::<BlockQ2_0>(), 2 + QK / 4);
+        assert_eq!(size_of::<BlockQ3S>(), 2 + QK / 4 + QK / 8);
+        assert_eq!(size_of::<BlockQ1_0>(), 2 + QK / 8);
+    }
 
     fn weights(cols: usize) -> Vec<f32> {
         (0..cols).map(|i| ((i as f32) * 0.71).sin() * 1.4).collect()
@@ -327,7 +349,7 @@ mod tests {
                     let mut codes = [0i8; QK];
                     unpack_q4_0(b, &mut codes);
                     for (j, &c) in codes.iter().enumerate() {
-                        got[g * QK + j] = b.d * c as f32;
+                        got[g * QK + j] = f16_to_f32(b.d) * c as f32;
                     }
                 }
             }
@@ -336,7 +358,7 @@ mod tests {
                     let mut codes = [0i8; QK];
                     unpack_q3s(b, &mut codes);
                     for (j, &c) in codes.iter().enumerate() {
-                        got[g * QK + j] = b.d * c as f32;
+                        got[g * QK + j] = f16_to_f32(b.d) * c as f32;
                     }
                 }
             }
@@ -345,7 +367,7 @@ mod tests {
                     let mut codes = [0i8; QK];
                     unpack_q2_0(b, &mut codes);
                     for (j, &c) in codes.iter().enumerate() {
-                        got[g * QK + j] = b.d * c as f32;
+                        got[g * QK + j] = f16_to_f32(b.d) * c as f32;
                     }
                 }
             }
@@ -354,7 +376,7 @@ mod tests {
                     let mut codes = [0i8; QK];
                     unpack_q1_0(b, &mut codes);
                     for (j, &c) in codes.iter().enumerate() {
-                        got[g * QK + j] = b.d * 0.5 * c as f32;
+                        got[g * QK + j] = f16_to_f32(b.d) * 0.5 * c as f32;
                     }
                 }
             }

@@ -5,7 +5,8 @@
 //! scales while activations stay in high precision. This crate provides:
 //!
 //! * [`QuantizedMatrix`] — the canonical interchange form: one code byte per
-//!   weight plus per-`group_size` scales. Both the T-MAC kernels
+//!   weight plus per-`group_size` scales, each an IEEE half value (see
+//!   "Scale precision" below). Both the T-MAC kernels
 //!   (`tmac-core`) and the llama.cpp-style baseline (`tmac-baseline`)
 //!   consume *the same* quantized matrix, so speed comparisons are apples to
 //!   apples and outputs can be cross-checked.
@@ -24,10 +25,23 @@
 //! `bits == 1` (sign quantization, OneBit-style). The T-MAC bit-serial
 //! decomposition (paper Eq. 1 plus the `{-1,+1}` linear transform of §4)
 //! consumes exactly this convention; see `tmac-core`.
+//!
+//! # Scale precision
+//!
+//! Every packed form stores a scale in 2 bytes, as an IEEE binary16 value
+//! (llama.cpp's `ggml_half`). The quantizers round each scale to the
+//! nearest half (ties to even, [`tmac_simd::scalar::round_to_f16`]) and
+//! compute the codes from the *rounded* scale, and
+//! [`QuantizedMatrix::validate`] refuses a scale no half holds. So the
+//! `f32` scales of a matrix are exactly what every packed form stores, and
+//! each consumer — the T-MAC plans, the dequantization baseline, the
+//! reference kernels — computes with the same numbers.
 
 pub mod bitnet;
 pub mod formats;
 pub mod rtn;
+
+use tmac_simd::scalar::{round_to_f16, F16_MAX};
 
 /// Errors produced by quantization APIs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,6 +50,10 @@ pub enum QuantError {
     UnsupportedBits(u8),
     /// A dimension/length invariant was violated; the message names it.
     Shape(String),
+    /// A group scale is not an IEEE half value — past the half range
+    /// ([`tmac_simd::scalar::F16_MAX`]), between two halves, or a NaN; the
+    /// message names it.
+    Scale(String),
 }
 
 impl std::fmt::Display for QuantError {
@@ -45,6 +63,7 @@ impl std::fmt::Display for QuantError {
                 write!(f, "unsupported weight bit-width {b} (supported: 1..=4)")
             }
             QuantError::Shape(msg) => write!(f, "shape error: {msg}"),
+            QuantError::Scale(msg) => write!(f, "scale error: {msg}"),
         }
     }
 }
@@ -69,7 +88,8 @@ pub struct QuantizedMatrix {
     pub group_size: usize,
     /// `rows * cols` codes, each `< 2^bits`.
     pub codes: Vec<u8>,
-    /// `rows * cols / group_size` scales, row-major.
+    /// `rows * cols / group_size` scales, row-major, each an IEEE half
+    /// value widened to `f32`.
     pub scales: Vec<f32>,
     /// Uniform zero point in code space.
     pub zero: f32,
@@ -116,6 +136,13 @@ impl QuantizedMatrix {
             return Err(QuantError::Shape(format!(
                 "code {bad} out of range for {} bits",
                 self.bits
+            )));
+        }
+        let half = |s: f32| !s.is_nan() && round_to_f16(s).to_bits() == s.to_bits();
+        if let Some(i) = self.scales.iter().position(|&s| !half(s)) {
+            return Err(QuantError::Scale(format!(
+                "scales[{i}] = {:e} is not an f16 value",
+                self.scales[i]
             )));
         }
         Ok(())
@@ -168,9 +195,28 @@ impl QuantizedMatrix {
     }
 
     /// Bytes this matrix occupies in *packed* deployment form
-    /// (`bits` bits per weight plus one `f32` scale per group).
+    /// (`bits` bits per weight plus one 2-byte half scale per group).
     pub fn packed_bytes(&self) -> usize {
-        self.rows * self.cols * self.bits as usize / 8 + self.scales.len() * 4
+        self.rows * self.cols * self.bits as usize / 8 + self.scales.len() * 2
+    }
+}
+
+/// Rounds a group scale to the nearest IEEE half value (ties to even) —
+/// the precision every packed form stores — for the quantizers, which then
+/// compute codes from the rounded value.
+///
+/// # Errors
+///
+/// [`QuantError::Scale`] if `scale` is NaN or its magnitude exceeds
+/// [`tmac_simd::scalar::F16_MAX`] (65504); `what` names the group.
+pub(crate) fn half_scale(scale: f32, what: impl FnOnce() -> String) -> Result<f32, QuantError> {
+    if scale.abs() <= F16_MAX {
+        Ok(round_to_f16(scale))
+    } else {
+        Err(QuantError::Scale(format!(
+            "{}: scale {scale:e} exceeds the f16 maximum {F16_MAX}",
+            what()
+        )))
     }
 }
 
@@ -242,8 +288,48 @@ mod tests {
     #[test]
     fn packed_bytes_counts_bits() {
         let q = tiny();
-        // 16 codes at 2 bits = 4 bytes, 4 scales = 16 bytes.
-        assert_eq!(q.packed_bytes(), 20);
+        // 16 codes at 2 bits = 4 bytes, 4 half scales = 8 bytes.
+        assert_eq!(q.packed_bytes(), 12);
+    }
+
+    /// A scale no half holds would be rounded by every packed form, so the
+    /// matrix is refused instead; half values — subnormal, zero, the
+    /// maximum — pass.
+    #[test]
+    fn validate_rejects_scales_that_are_not_halves() {
+        for bad in [0.1f32, 1.0 + 2f32.powi(-12), 65505.0, 1e-8, f32::NAN] {
+            let mut q = tiny();
+            q.scales[2] = bad;
+            assert!(
+                matches!(q.validate(), Err(QuantError::Scale(ref m)) if m.contains("scales[2]")),
+                "{bad:e}"
+            );
+        }
+        for good in [
+            0.0f32,
+            -0.0,
+            2f32.powi(-24),
+            1638.0 / 16384.0,
+            65504.0,
+            f32::INFINITY,
+        ] {
+            let mut q = tiny();
+            q.scales[2] = good;
+            assert_eq!(q.validate(), Ok(()), "{good:e}");
+        }
+    }
+
+    #[test]
+    fn half_scale_rounds_and_bounds() {
+        assert_eq!(half_scale(0.1, String::new), Ok(1638.0 / 16384.0));
+        assert_eq!(half_scale(65504.0, String::new), Ok(65504.0));
+        assert_eq!(half_scale(1e-8, String::new), Ok(0.0));
+        for bad in [65505.0f32, -1e6, f32::INFINITY, f32::NAN] {
+            assert!(matches!(
+                half_scale(bad, || "row 3 group 1".into()),
+                Err(QuantError::Scale(m)) if m.starts_with("row 3 group 1")
+            ));
+        }
     }
 
     #[test]

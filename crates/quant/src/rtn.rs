@@ -4,19 +4,24 @@
 //! formats: per-group symmetric scale chosen from the group's max
 //! magnitude, codes rounded to nearest.
 
-use crate::{QuantError, QuantizedMatrix};
+use crate::{half_scale, QuantError, QuantizedMatrix};
 
 /// Quantizes a row-major `rows × cols` matrix to `bits` with per-`group_size`
 /// scales.
 ///
 /// The scale maps the group's maximum magnitude to the most negative code
 /// (`-zero`), matching llama.cpp's `Q4_0` convention, so the representable
-/// range is `[-amax, amax * (2^bits - 1 - zero) / zero]`.
+/// range is `[-amax, amax * (2^bits - 1 - zero) / zero]`. It is rounded to
+/// the nearest IEEE half value (the crate's "Scale precision") before the
+/// codes are computed from it. A group whose scale is 0 — all zeros, or
+/// magnitudes below half precision — gets code `round(zero)` throughout,
+/// the code of the value 0.
 ///
 /// # Errors
 ///
 /// Returns [`QuantError`] if `bits ∉ 1..=4`, dimensions don't match
-/// `weights.len()`, or `cols` is not divisible by `group_size`.
+/// `weights.len()`, `cols` is not divisible by `group_size`, or a group's
+/// scale exceeds the half range ([`QuantError::Scale`]).
 ///
 /// # Examples
 ///
@@ -61,12 +66,16 @@ pub fn quantize(
         for g in 0..gpr {
             let grp = &wrow[g * group_size..(g + 1) * group_size];
             let amax = grp.iter().fold(0f32, |m, &x| m.max(x.abs()));
-            let scale = if amax == 0.0 { 1e-8 } else { amax / zero };
+            let scale = half_scale(amax / zero, || format!("row {r} group {g}"))?;
             scales[r * gpr + g] = scale;
+            let group_codes = &mut codes[r * cols + g * group_size..][..group_size];
+            if scale == 0.0 {
+                group_codes.fill(zero.round() as u8);
+                continue;
+            }
             let inv = 1.0 / scale;
-            for (j, &w) in grp.iter().enumerate() {
-                let q = (w * inv + zero).round().clamp(0.0, max_code);
-                codes[r * cols + g * group_size + j] = q as u8;
+            for (c, &w) in group_codes.iter_mut().zip(grp) {
+                *c = (w * inv + zero).round().clamp(0.0, max_code) as u8;
             }
         }
     }
@@ -106,8 +115,11 @@ mod tests {
                     let err = (w[r * cols + k] - d[r * cols + k]).abs();
                     // Codes at the clamped positive edge can carry up to one
                     // full step of error (range asymmetry), otherwise half.
+                    // Rounding the scale to a half (relative error ≤ 2^-11)
+                    // moves the clamped ends by up to `zero · 2^-11 · s`.
+                    let clamp = q.zero * 2f32.powi(-11) * s;
                     assert!(
-                        err <= s * 1.0 + 1e-6,
+                        err <= s * 1.0 + clamp + 1e-6,
                         "bits={bits} r={r} k={k} err={err} s={s}"
                     );
                 }
@@ -144,6 +156,62 @@ mod tests {
         let q = quantize(&w, 1, 64, 4, 32).unwrap();
         let d = q.dequantize();
         assert!(d.iter().all(|&x| x.abs() < 1e-6));
+    }
+
+    /// A zero group — all zeros, or magnitudes that round to a zero half
+    /// scale — gets scale 0 and the zero point's code, at every bit width
+    /// (bits = 1: `round(0.5)` = 1), next to an ordinary group.
+    #[test]
+    fn zero_group_gets_scale_zero_and_the_zero_code() {
+        for tiny in [0.0f32, 1e-9, -1e-8] {
+            let mut w = vec![tiny; 64];
+            w[32..]
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = i as f32 - 16.0);
+            for bits in 1..=4u8 {
+                let q = quantize(&w, 1, 64, bits, 32).unwrap();
+                assert_eq!(q.scales[0], 0.0, "bits={bits} tiny={tiny:e}");
+                let zero_code = if bits == 1 { 1 } else { 1 << (bits - 1) };
+                assert!(
+                    q.codes[..32].iter().all(|&c| c == zero_code),
+                    "bits={bits} tiny={tiny:e}: {:?}",
+                    &q.codes[..32]
+                );
+                assert!(q.scales[1] > 0.0);
+                assert!(q.dequantize()[..32].iter().all(|&x| x == 0.0));
+            }
+        }
+    }
+
+    /// Scales are halves, and the codes come from the rounded scale: the
+    /// group maximum lands exactly on code 0.
+    #[test]
+    fn scales_are_rounded_to_halves_before_coding() {
+        let w: Vec<f32> = (0..256).map(|i| ((i as f32) * 0.37).sin() * 0.3).collect();
+        for bits in 1..=4u8 {
+            let q = quantize(&w, 2, 128, bits, 32).unwrap();
+            assert_eq!(q.validate(), Ok(()));
+            for (i, &s) in q.scales.iter().enumerate() {
+                let grp = &w[i * 32..(i + 1) * 32];
+                let amax = grp.iter().fold(0f32, |m, &x| m.max(x.abs()));
+                assert_eq!(s, tmac_simd::scalar::round_to_f16(amax / q.zero));
+            }
+        }
+    }
+
+    #[test]
+    fn scale_past_the_half_range_is_refused() {
+        // amax / zero = 1e6 / 8 at W4: beyond 65504.
+        let mut w = vec![1.0f32; 64];
+        w[40] = -1e6;
+        assert!(matches!(
+            quantize(&w, 1, 64, 4, 32),
+            Err(QuantError::Scale(m)) if m.contains("row 0 group 1")
+        ));
+        // The largest half scale still quantizes.
+        w[40] = -65504.0 * 8.0;
+        assert_eq!(quantize(&w, 1, 64, 4, 32).unwrap().scales[1], 65504.0);
     }
 
     #[test]

@@ -783,7 +783,17 @@ mod tests {
     }
 
     fn submission(prompt: &[u32], max_new: usize) -> (Submission, Receiver<SeqEvent>) {
-        let (sink, rx) = TokenSink::channel(Arc::new(|| {}));
+        submission_with_waker(prompt, max_new, Arc::new(|| {}))
+    }
+
+    /// A submission whose sink calls `waker` on the step-loop thread after
+    /// every event it sends.
+    fn submission_with_waker(
+        prompt: &[u32],
+        max_new: usize,
+        waker: WakeFn,
+    ) -> (Submission, Receiver<SeqEvent>) {
+        let (sink, rx) = TokenSink::channel(waker);
         (
             Submission {
                 prompt: prompt.to_vec(),
@@ -798,6 +808,24 @@ mod tests {
             },
             rx,
         )
+    }
+
+    /// A submission whose first event holds the step loop until the test
+    /// drops the returned sender: the loop cannot emit a second token
+    /// before the test has acted on the first, however fast the host
+    /// decodes.
+    fn gated_submission(
+        prompt: &[u32],
+        max_new: usize,
+    ) -> (Submission, Receiver<SeqEvent>, Sender<()>) {
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        // Blocks until the sender is dropped; returns at once afterwards.
+        let waker: WakeFn = Arc::new(move || {
+            let _ = gate.lock().expect("gate lock").recv();
+        });
+        let (sub, rx) = submission_with_waker(prompt, max_new, waker);
+        (sub, rx, open)
     }
 
     fn collect_done(rx: &Receiver<SeqEvent>) -> (Vec<u32>, Vec<u32>, EndReason) {
@@ -882,13 +910,15 @@ mod tests {
             Arc::clone(&metrics),
             Duration::from_millis(5),
         );
-        let (sub, rx) = submission(&[1, 2], 40);
+        let (sub, rx, gate) = gated_submission(&[1, 2], 40);
         let cancel = Arc::clone(&sub.cancel);
         h.try_submit(sub).unwrap();
-        // Let a few tokens arrive, then simulate the client vanishing.
+        // The first token arrives, then the client vanishes while the loop
+        // waits at the gate.
         let first = rx.recv_timeout(Duration::from_secs(30)).expect("token");
         assert!(matches!(first, SeqEvent::Token(_)));
         cancel.store(true, Ordering::Release);
+        drop(gate);
         let (streamed, tokens, reason) = collect_done(&rx);
         assert_eq!(reason, EndReason::Cancelled);
         assert!(tokens.len() < 40, "cancel must cut the sequence short");
@@ -917,12 +947,18 @@ mod tests {
             Arc::clone(&metrics),
             Duration::from_millis(5),
         );
-        let (mut sub, rx) = submission(&[3, 4], 10_000);
-        // Far shorter than 50 tokens take (a fast host decodes them in
-        // ~25 ms in a debug build; the deadline is checked every step).
-        sub.deadline = Some(Instant::now() + Duration::from_millis(5));
+        // The deadline is checked every step. The first token's waker holds
+        // the loop until the deadline has passed, so it expires after at
+        // most one token on any host, fast or slow.
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let waker: WakeFn = Arc::new(move || {
+            if let Some(left) = deadline.checked_duration_since(Instant::now()) {
+                std::thread::sleep(left);
+            }
+        });
         // A 10k-token request can't fit seq_max; use a long-but-legal one.
-        sub.max_new = 50;
+        let (mut sub, rx) = submission_with_waker(&[3, 4], 50, waker);
+        sub.deadline = Some(deadline);
         h.try_submit(sub).unwrap();
         let (_, tokens, reason) = collect_done(&rx);
         assert_eq!(reason, EndReason::Deadline);
@@ -990,10 +1026,11 @@ mod tests {
             Arc::clone(&metrics),
             Duration::from_millis(5),
         );
-        let (sub, rx) = submission(&[1], 50);
+        let (sub, rx, gate) = gated_submission(&[1], 50);
         h.try_submit(sub).unwrap();
         let _ = rx.recv_timeout(Duration::from_secs(30)).expect("started");
         h.abort();
+        drop(gate);
         let (_, _, reason) = collect_done(&rx);
         assert_eq!(reason, EndReason::Cancelled);
         join.join().unwrap();

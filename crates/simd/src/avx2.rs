@@ -6,9 +6,10 @@
 //! table is *duplicated* into both lanes and one instruction then looks up 32
 //! independent `u8` indices.
 //!
-//! Every function here is `#[target_feature(enable = "avx2")]`: it is a safe
-//! call from another function with the same feature set, and an `unsafe` call
-//! otherwise (the caller must have checked [`available`]). Raw-pointer loads
+//! Every function here is `#[target_feature(enable = "avx2")]` (plus `fma`
+//! or `f16c` where it uses them): it is a safe call from another function
+//! with the same feature set, and an `unsafe` call otherwise (the caller
+//! must have checked [`available`]). Raw-pointer loads
 //! and stores are the only `unsafe` operations inside, each justified with a
 //! `// SAFETY:` comment and guarded by slice-length assertions.
 
@@ -20,14 +21,17 @@ use std::sync::OnceLock;
 /// Number of parallel byte lanes of this backend.
 pub const LANES: usize = 32;
 
-/// Returns `true` if the running CPU supports AVX2 *and* FMA.
+/// Returns `true` if the running CPU supports AVX2, FMA *and* F16C (the
+/// half-precision weight scales are widened with `vcvtph2ps`).
 ///
 /// The result is computed once and cached. All other functions in this
 /// module may only be invoked when this returns `true`.
 pub fn available() -> bool {
     static AVAIL: OnceLock<bool> = OnceLock::new();
     *AVAIL.get_or_init(|| {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+        std::is_x86_feature_detected!("avx2")
+            && std::is_x86_feature_detected!("fma")
+            && std::is_x86_feature_detected!("f16c")
     })
 }
 
@@ -85,6 +89,21 @@ pub fn loadu_ps(src: &[f32]) -> __m256 {
     assert!(src.len() >= 8, "loadu_ps needs 8 floats");
     // SAFETY: `src` has at least 8 readable floats; unaligned load allowed.
     unsafe { _mm256_loadu_ps(src.as_ptr()) }
+}
+
+/// Loads 8 IEEE halves from `src` (unaligned) and widens them to `f32`
+/// (`vcvtph2ps`).
+///
+/// # Panics
+///
+/// Panics if `src.len() < 8`.
+#[inline]
+#[target_feature(enable = "avx2,f16c")]
+pub fn loadu_ph(src: &[u16]) -> __m256 {
+    assert!(src.len() >= 8, "loadu_ph needs 8 halves");
+    // SAFETY: `src` has at least 8 readable halves (16 bytes); unaligned
+    // load allowed.
+    _mm256_cvtph_ps(unsafe { _mm_loadu_si128(src.as_ptr() as *const __m128i) })
 }
 
 /// Stores 8 `f32` to `dst` (unaligned).
@@ -689,6 +708,84 @@ mod tests {
         // SAFETY: out is 32 writable bytes; test runs only when AVX2 exists.
         unsafe { _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v) };
         out
+    }
+
+    /// `vcvtph2ps` and the scalar twin agree on all 65 536 half bit
+    /// patterns (a NaN only has to stay a NaN).
+    #[test]
+    fn f16_to_f32_matches_scalar_exhaustively() {
+        if skip() {
+            return;
+        }
+        for h in 0..=u16::MAX {
+            let want = scalar::f16_to_f32(h);
+            let mut loaded = [0f32; 8];
+            // SAFETY: AVX2 and F16C checked by `skip`.
+            let one = unsafe {
+                storeu_ps(&mut loaded, loadu_ph(&[h; 8]));
+                _mm_cvtss_f32(_mm_cvtph_ps(_mm_set1_epi16(h as i16)))
+            };
+            for got in std::iter::once(one).chain(loaded) {
+                if want.is_nan() {
+                    assert!(got.is_nan(), "{h:#06x}: {got} is not a NaN");
+                } else {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{h:#06x}");
+                }
+            }
+        }
+    }
+
+    /// `vcvtps2ph` (round to nearest even) and the scalar rounding the
+    /// quantizers use agree at every half value of all 65 536 bit patterns,
+    /// at each midpoint to the next half up and one `f32` ulp either side
+    /// of it, and past the range ends.
+    #[test]
+    fn f32_to_f16_matches_scalar_at_every_rounding_boundary() {
+        if skip() {
+            return;
+        }
+        let hw = |x: f32| -> u16 {
+            // SAFETY: AVX2 and F16C checked by `skip`.
+            unsafe { _mm_extract_epi16::<0>(_mm_cvtps_ph::<0>(_mm_set1_ps(x))) as u16 }
+        };
+        let check = |x: f32| {
+            let (got, want) = (scalar::f32_to_f16(x), hw(x));
+            if x.is_nan() {
+                assert!(scalar::f16_to_f32(got).is_nan(), "{x:?}");
+            } else {
+                assert_eq!(got, want, "{x:e} ({:#010x})", x.to_bits());
+            }
+        };
+        for h in 0..=u16::MAX {
+            let x = scalar::f16_to_f32(h);
+            check(x);
+            if h & 0x7fff >= 0x7c00 {
+                continue;
+            }
+            // The midpoint to the next half away from zero (12 significant
+            // bits: exact in f32); the largest finite half's is checked
+            // below with the overflow cases.
+            let next = scalar::f16_to_f32(h + 1);
+            if next.is_infinite() {
+                continue;
+            }
+            let mid = ((x as f64 + next as f64) / 2.0) as f32;
+            for bits in [mid.to_bits() - 1, mid.to_bits(), mid.to_bits() + 1] {
+                check(f32::from_bits(bits));
+            }
+        }
+        for x in [
+            65519.0f32,
+            65520.0,
+            1e6,
+            f32::MAX,
+            f32::INFINITY,
+            1e-10,
+            f32::MIN_POSITIVE,
+        ] {
+            check(x);
+            check(-x);
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@ use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
 /// Returns `true` if the running CPU supports AVX-512F and AVX-512BW, and
-/// the AVX2 + FMA set the kernels also use ([`crate::avx2::available`]).
+/// the AVX2 + FMA + F16C set the kernels also use
+/// ([`crate::avx2::available`]).
 ///
 /// The result is computed once and cached. All other functions in this
 /// module may only be invoked when this returns `true`.
@@ -84,6 +85,21 @@ pub fn loadu_ps(src: &[f32]) -> __m512 {
     unsafe { _mm512_loadu_ps(src.as_ptr()) }
 }
 
+/// Loads 16 IEEE halves from `src` (unaligned) and widens them to `f32`
+/// (`vcvtph2ps zmm`).
+///
+/// # Panics
+///
+/// Panics if `src.len() < 16`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+pub fn loadu_ph(src: &[u16]) -> __m512 {
+    assert!(src.len() >= 16, "loadu_ph needs 16 halves");
+    // SAFETY: `src` has at least 16 readable halves (32 bytes); unaligned
+    // load allowed.
+    _mm512_cvtph_ps(unsafe { _mm256_loadu_si256(src.as_ptr() as *const __m256i) })
+}
+
 /// Stores 16 `f32` to `dst` (unaligned).
 ///
 /// # Panics
@@ -125,6 +141,28 @@ mod tests {
             let mut g = [0f32; 16];
             storeu_ps(&mut g, loadu_ps(&f));
             assert_eq!(g[..], f[..]);
+        }
+    }
+
+    /// The `zmm` half widening is the scalar twin's on every non-NaN half.
+    #[test]
+    fn loadu_ph_matches_scalar() {
+        if !available() {
+            println!("skipped: this host has no AVX-512BW");
+            return;
+        }
+        let halves: Vec<u16> = (0..=u16::MAX).filter(|h| h & 0x7c00 != 0x7c00).collect();
+        for chunk in halves.chunks_exact(16) {
+            let mut got = [0f32; 16];
+            // SAFETY: AVX-512F/BW verified by `available()` above.
+            unsafe { storeu_ps(&mut got, loadu_ph(chunk)) };
+            for (&h, g) in chunk.iter().zip(got) {
+                assert_eq!(
+                    g.to_bits(),
+                    crate::scalar::f16_to_f32(h).to_bits(),
+                    "{h:#06x}"
+                );
+            }
         }
     }
 }

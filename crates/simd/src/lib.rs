@@ -62,10 +62,11 @@ pub mod avx512;
 pub enum Isa {
     /// Portable scalar fallback.
     Scalar,
-    /// x86-64 AVX2 (256-bit, `PSHUFB`-class lookups).
+    /// x86-64 AVX2 (256-bit, `PSHUFB`-class lookups; with FMA and F16C).
     Avx2,
-    /// x86-64 AVX-512BW (512-bit `vpshufb`; also needs AVX-512F, AVX2 and
-    /// FMA, since the kernels keep AVX2's table build and fold helpers).
+    /// x86-64 AVX-512BW (512-bit `vpshufb`; also needs AVX-512F, AVX2, FMA
+    /// and F16C, since the kernels keep AVX2's table build and fold
+    /// helpers).
     Avx512,
     /// AArch64 NEON (128-bit, `TBL` lookups).
     Neon,
@@ -91,8 +92,9 @@ impl Isa {
 
     /// Whether the running CPU can execute this ISA's kernels.
     ///
-    /// FMA is required alongside AVX2: the f32 kernels use fused
-    /// multiply-adds (every AVX2-era core, Haswell+, has both). `Avx512`
+    /// FMA and F16C are required alongside AVX2: the f32 kernels use fused
+    /// multiply-adds, and the weight scales are IEEE halves widened with
+    /// `vcvtph2ps` (every AVX2-era core, Haswell+, has all three). `Avx512`
     /// needs AVX-512F and AVX-512BW on top, for the byte-granular `zmm`
     /// shuffle, multiply-add and masks.
     pub fn available(self) -> bool {

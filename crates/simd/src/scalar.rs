@@ -244,6 +244,84 @@ pub fn quantize_i8(src: &[f32], dst: &mut [i8]) -> f32 {
     scale
 }
 
+/// The largest finite IEEE half value, `65504`.
+pub const F16_MAX: f32 = 65504.0;
+
+/// Rounds `x` to the nearest IEEE binary16 value, ties to even, and
+/// returns its bits: what `vcvtps2ph` with rounding immediate 0 and ggml's
+/// `GGML_FP32_TO_FP16` do. Values past the half range become infinity, and
+/// a NaN stays a NaN (quieted, its payload truncated like the hardware's).
+pub fn f32_to_f16(x: f32) -> u16 {
+    let b = x.to_bits();
+    let sign = ((b >> 16) & 0x8000) as u16;
+    let exp = ((b >> 23) & 0xff) as i32;
+    let man = b & 0x7f_ffff;
+    if exp == 0xff {
+        let nan = if man != 0 {
+            0x200 | (man >> 13) as u16
+        } else {
+            0
+        };
+        return sign | 0x7c00 | nan;
+    }
+    // The half exponent field; `<= 0` lands in the subnormals.
+    let e = exp - 127 + 15;
+    // `m × 2^-shift` in units of the result's last place, which is
+    // `2^-24` for the subnormals.
+    let (m, shift, base) = if e >= 0x1f {
+        return sign | 0x7c00;
+    } else if e > 0 {
+        (man, 13, (e as u32) << 10)
+    } else if e >= -10 {
+        (man | 0x80_0000, (14 - e) as u32, 0)
+    } else {
+        return sign;
+    };
+    let q = base + (m >> shift);
+    let rem = m & ((1 << shift) - 1);
+    let half = 1 << (shift - 1);
+    // A carry out of the mantissa steps the exponent (up to infinity).
+    let up = rem > half || (rem == half && q & 1 == 1);
+    sign | (q + up as u32) as u16
+}
+
+/// Widens IEEE binary16 bits to `f32` exactly: the scalar twin of
+/// `vcvtph2ps`, equal to it for every half that is not a NaN (a NaN stays
+/// a NaN).
+pub fn f16_to_f32(h: u16) -> f32 {
+    let sign = ((h & 0x8000) as u32) << 16;
+    let exp = ((h >> 10) & 0x1f) as u32;
+    let man = (h & 0x3ff) as u32;
+    let bits = match exp {
+        // Zero and the subnormals `man × 2^-24`, exact in `f32`.
+        0 => (man as f32 * f32::from_bits(0x3380_0000)).to_bits(),
+        0x1f => 0x7f80_0000 | (man << 13),
+        _ => ((exp + 112) << 23) | (man << 13),
+    };
+    f32::from_bits(sign | bits)
+}
+
+/// [`f16_to_f32`] of every half bit pattern, built on first use (256 KiB):
+/// llama.cpp's `ggml_table_f32_f16`. A per-block scale lookup in a dot
+/// product is one load from it, where `vcvtph2ps` adds two vector uops to
+/// every block.
+pub fn f16_table() -> &'static [f32; 1 << 16] {
+    static TABLE: std::sync::OnceLock<Box<[f32; 1 << 16]>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t = Box::new([0f32; 1 << 16]);
+        for (h, v) in t.iter_mut().enumerate() {
+            *v = f16_to_f32(h as u16);
+        }
+        t
+    })
+}
+
+/// Rounds `x` to the nearest `f32` that an IEEE half holds exactly (ties
+/// to even): `f16_to_f32(f32_to_f16(x))`.
+pub fn round_to_f16(x: f32) -> f32 {
+    f16_to_f32(f32_to_f16(x))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +386,52 @@ mod tests {
         let mut y = [1.0f32; 3];
         axpy_f32(&mut y, 2.0, &a);
         assert_eq!(y, [3.0, 5.0, 7.0]);
+    }
+
+    /// Every non-NaN half widens and rounds back to itself; NaNs stay NaNs.
+    #[test]
+    fn f16_round_trips_every_bit_pattern() {
+        for h in 0..=u16::MAX {
+            let x = f16_to_f32(h);
+            if h & 0x7c00 == 0x7c00 && h & 0x3ff != 0 {
+                assert!(x.is_nan() && f16_to_f32(f32_to_f16(x)).is_nan(), "{h:#06x}");
+            } else {
+                assert_eq!(f32_to_f16(x), h, "{h:#06x} ({x:e})");
+                assert_eq!(round_to_f16(x).to_bits(), x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn f16_table_is_the_scalar_widening() {
+        let t = f16_table();
+        for h in 0..=u16::MAX {
+            let want = f16_to_f32(h);
+            assert!(
+                t[h as usize].to_bits() == want.to_bits()
+                    || want.is_nan() && t[h as usize].is_nan()
+            );
+        }
+    }
+
+    #[test]
+    fn f32_to_f16_rounds_to_nearest_even() {
+        // 1 + 2^-11 is the tie between 1 and 1 + 2^-10: to even (1).
+        assert_eq!(f32_to_f16(1.0 + 2f32.powi(-11)), 0x3c00);
+        // 1 + 3·2^-11 ties between odd 1 + 2^-10 and even 1 + 2^-9.
+        assert_eq!(f32_to_f16(1.0 + 3.0 * 2f32.powi(-11)), 0x3c02);
+        assert_eq!(f32_to_f16(1.0 + 2f32.powi(-11) + 2f32.powi(-20)), 0x3c01);
+        assert_eq!(f32_to_f16(F16_MAX), 0x7bff);
+        assert_eq!(f32_to_f16(65519.0), 0x7bff);
+        assert_eq!(f32_to_f16(65520.0), 0x7c00);
+        assert_eq!(f32_to_f16(-1e9), 0xfc00);
+        // The smallest subnormal is 2^-24; half of it ties to zero, and
+        // anything below 6e-8 — such as a 1e-8 sentinel — flushes to zero.
+        assert_eq!(f32_to_f16(2f32.powi(-24)), 0x0001);
+        assert_eq!(f32_to_f16(2f32.powi(-25)), 0x0000);
+        assert_eq!(f32_to_f16(1.5 * 2f32.powi(-25)), 0x0001);
+        assert_eq!(f32_to_f16(1e-8), 0x0000);
+        assert_eq!(f32_to_f16(-1e-8), 0x8000);
     }
 
     #[test]

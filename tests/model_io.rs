@@ -227,7 +227,7 @@ fn f32_tensors_are_borrowed_and_shared_by_clones() {
 #[test]
 fn tiny_container_bytes_are_pinned() {
     // Every file this build writes must load in every build that reads the
-    // same `TMAC_VERSION`. The pin holds the version-4 bytes of one model.
+    // same `TMAC_VERSION`. The pin holds the version-5 bytes of one model.
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 7).unwrap();
     let path = tmp("pinned.tmac");
@@ -235,7 +235,7 @@ fn tiny_container_bytes_are_pinned() {
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(
         (TMAC_VERSION, bytes.len(), fnv1a64(&bytes)),
-        (4, 58_304, 0xd148_1d20_2235_2a8c),
+        (5, 53_312, 0x38fe_9a8a_076f_5fc4),
         "the .tmac bytes changed: an intentional format change must bump \
          TMAC_VERSION (and then re-pin this test)"
     );
@@ -262,10 +262,10 @@ fn corrupt_containers_fail_typed_never_panic() {
         Err(ModelIoError::Io(IoError::BadMagic { .. }))
     ));
 
-    // Version mismatch: a version-1 file (the pre-paired stream order) and
-    // a version-2 one (options with `tiling`/`tile_k`) must not be decoded
-    // as version 3.
-    for v in [1u8, 2] {
+    // Version mismatch: a version-1 file (the pre-paired stream order), a
+    // version-2 one (options with `tiling`/`tile_k`) and a version-4 one
+    // (`f32` scales behind a flags byte) must not be decoded as version 5.
+    for v in [1u8, 2, 4] {
         let mut bad = good.clone();
         bad[4] = v;
         assert!(matches!(

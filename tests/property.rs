@@ -27,6 +27,7 @@ use tmac::core::plan::index_from_codes;
 use tmac::core::table::{raw_table, ActTables, TABLE_LEN};
 use tmac::core::{ExecCtx, KernelOpts, TmacLinear, WeightPlan};
 use tmac::quant::QuantizedMatrix;
+use tmac::simd::scalar::round_to_f16;
 use tmac::simd::Isa;
 use tmac::threadpool::chunk_range;
 use tmac_rng::Rng;
@@ -38,8 +39,12 @@ fn arb_codes(rng: &mut Rng, m: usize, k: usize, bits: u8) -> Vec<u8> {
     (0..m * k).map(|_| rng.u32_below(1 << bits) as u8).collect()
 }
 
+/// Random scales, rounded to half values as the quantizers round them (a
+/// plan refuses any other scale).
 fn arb_scales(rng: &mut Rng, n: usize) -> Vec<f32> {
-    (0..n).map(|_| rng.f32_range(0.01, 2.0)).collect()
+    (0..n)
+        .map(|_| round_to_f16(rng.f32_range(0.01, 2.0)))
+        .collect()
 }
 
 fn arb_acts(rng: &mut Rng, n: usize, lo: f32, hi: f32) -> Vec<f32> {
