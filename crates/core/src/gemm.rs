@@ -1,13 +1,17 @@
 //! The mpGEMM driver: table precompute + parallel m-tile sweep, for any
-//! number of activation rows. mpGEMV is the `n = 1` call.
+//! number of activation rows and any number of weight matrices sharing
+//! them. mpGEMV is the `n = 1` call; a lone matrix is the one-plan group.
 //!
 //! The lookup table is the reusable operand (§3.2: "the weight `W[M, K]` can
 //! share the same pre-computed lookup table"): the tables of all `n` rows
 //! are validated and built first, as one [`ActTables`] (rows in parallel),
-//! then swept over the weights. Axis order follows §3.2: the temporal axis
-//! `K` is innermost, the spatial axis `M` is split into tiles and
-//! distributed over threads as static thread blocks, and the sequence axis
-//! is walked in **[`N_BLOCK`]**-row ranges of the one table set.
+//! then swept over the weights of every plan of the group
+//! ([`mpgemm_group`]: the QKV projections, the FFN gate/up pair). Axis order
+//! follows §3.2: the temporal axis `K` is innermost, the spatial axis `M` is
+//! split into tiles — the group's m-tiles concatenated, plan after plan —
+//! and distributed over threads as static thread blocks in one pool
+//! dispatch, and the sequence axis is walked in **[`N_BLOCK`]**-row ranges
+//! of the one table set.
 //!
 //! The context's kernel family ([`ExecCtx::isa`]) picks the kernels. Under
 //! `Avx2` two kernels serve a range, chosen by [`kernel::avx2::mtile`] from
@@ -29,6 +33,8 @@
 //! Per row the multi-row kernel applies the GEMV kernel's operations in the
 //! GEMV kernel's order, so neither the choice nor the blocking ever changes
 //! a bit of the result. (The scalar kernel is one loop for any row count.)
+//! An output tile depends only on its plan's indices and scales and on the
+//! shared tables, so grouping plans changes no bit either.
 
 use crate::exec::{ExecCtx, SharedMut};
 use crate::kernel;
@@ -41,8 +47,9 @@ use tmac_simd::Isa;
 
 /// Builds the tables of a row-major `n × K` activation batch for `plan`
 /// (the online stage): with a context, on its kernel family and with the
-/// rows of a batch fanned out over its pool; without one, on the calling
-/// thread and the detected family.
+/// rows of a batch fanned out over its pool, counted as one build in
+/// [`ExecCtx::table_stats`]; without one, on the calling thread and the
+/// detected family.
 ///
 /// # Errors
 ///
@@ -66,7 +73,46 @@ pub fn build_tables(
         Some(ctx) => (Some(ctx.pool()), ctx.isa()),
         None => (None, Isa::detect()),
     };
-    ActTables::build_on(pool, isa, act, n, plan.group_size, &plan.opts())
+    let _build = ctx.map(|_| tmac_trace::span("exec", "table_build", 0, n as u64));
+    let tables = ActTables::build_on(pool, isa, act, n, plan.group_size, &plan.opts())?;
+    ctx.inspect(|ctx| ctx.count_build());
+    Ok(tables)
+}
+
+/// What a plan needs of its tables: `K`, group size and table quantization
+/// (the rung's one table switch). Weight bit-width is absent: tables are
+/// built from the activation alone.
+fn table_profile(plan: &WeightPlan) -> (usize, usize, bool) {
+    (plan.k, plan.group_size, plan.opts().table_quant())
+}
+
+/// Checks that every plan of a group consumes tables of `profile` and that
+/// `outs[i]` holds `n` rows of plan `i`'s outputs.
+fn check_group(
+    plans: &[&WeightPlan],
+    outs: &[&mut [f32]],
+    n: usize,
+    profile: (usize, usize, bool),
+) -> Result<(), TmacError> {
+    if outs.len() != plans.len() {
+        return Err(TmacError::Shape(format!(
+            "{} plans but {} outputs",
+            plans.len(),
+            outs.len()
+        )));
+    }
+    for (i, (plan, out)) in plans.iter().zip(outs).enumerate() {
+        if table_profile(plan) != profile || out.len() != n * plan.m {
+            return Err(TmacError::Shape(format!(
+                "plan {i}: table profile (K, group size, table quantization) {:?} vs \
+                 {profile:?}, output length {} vs n*M = {n}*{}",
+                table_profile(plan),
+                out.len(),
+                plan.m
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Floats per 64-byte cache line.
@@ -82,7 +128,9 @@ fn line_aligned(buf: &mut [f32], len: usize) -> &mut [f32] {
     &mut buf[skip..skip + len]
 }
 
-/// Sweeps all m-tiles for the rows `rows` of `tables` (= of `out`).
+/// Sweeps the m-tiles of every plan of a group for the rows `rows` of
+/// `tables` (= of each `outs[i]`) in one pool dispatch: the group's tiles
+/// are one list, plan after plan, split into static thread blocks.
 ///
 /// What keeps batched forwards bit-identical to independent single-row
 /// forwards: the kernel family (`Avx512`, `Avx2` or scalar) depends on the
@@ -91,15 +139,17 @@ fn line_aligned(buf: &mut [f32], len: usize) -> &mut [f32] {
 /// `Avx512` and `Avx2` also agree with each other bit for bit; scalar
 /// differs from them in `f32` fold rounding.
 fn sweep(
-    plan: &WeightPlan,
+    plans: &[&WeightPlan],
     tables: &ActTables,
     rows: Range<usize>,
-    out: &SharedMut<'_, f32>,
+    outs: &[SharedMut<'_, f32>],
     ctx: &ExecCtx,
 ) {
-    let (m, isa) = (plan.m, ctx.isa());
-    ctx.pool().chunks(plan.m_tiles(), 1, |tiles| {
-        // One sweep of this thread's tiles (`id` = first tile, `arg` = rows).
+    let isa = ctx.isa();
+    let total = plans.iter().map(|p| p.m_tiles()).sum();
+    ctx.pool().chunks(total, 1, |tiles| {
+        // One sweep of this thread's tiles (`id` = first tile of the group's
+        // list, `arg` = rows).
         let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
         // One row's tile lives on the stack: the decode path takes no lock
         // on the scratch arena.
@@ -108,44 +158,61 @@ fn sweep(
             1 => Vec::new(),
             n => ctx.take_buf(n * TILE_M + LINE_FLOATS - 1),
         };
-        let outs = if rows.len() == 1 {
+        let scratch = if rows.len() == 1 {
             &mut one[..]
         } else {
             line_aligned(&mut many, rows.len() * TILE_M)
         };
-        for mt in tiles {
-            match isa {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: a context holds only a family the host executes
-                // (`Isa::available`): AVX-512F/BW + AVX2 + FMA + F16C.
-                Isa::Avx512 => unsafe {
-                    kernel::avx512::mtile(plan, tables, rows.clone(), mt, outs)
-                },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: as above, AVX2 + FMA + F16C.
-                Isa::Avx2 => unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, outs) },
-                _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, outs),
-            }
-            let m0 = mt * TILE_M;
-            let take = TILE_M.min(m - m0);
-            for (r, tile) in rows.clone().zip(outs.chunks_exact(TILE_M)) {
-                // SAFETY: this thread owns tile `mt` of every row, and row
-                // `r`'s lies within `out` (`mpgemm_with_tables` checked its
-                // length).
-                unsafe { out.slice(r * m + m0, take) }.copy_from_slice(&tile[..take]);
+        let mut first = 0;
+        for (plan, out) in plans.iter().zip(outs) {
+            // This plan's tiles are `first..first + m_tiles` of the list.
+            let own = first..first + plan.m_tiles();
+            first = own.end;
+            for mt in (tiles.start.max(own.start)..tiles.end.min(own.end)).map(|t| t - own.start) {
+                match isa {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: a context holds only a family the host executes
+                    // (`Isa::available`): AVX-512F/BW + AVX2 + FMA + F16C.
+                    Isa::Avx512 => unsafe {
+                        kernel::avx512::mtile(plan, tables, rows.clone(), mt, scratch)
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: as above, AVX2 + FMA + F16C.
+                    Isa::Avx2 => unsafe {
+                        kernel::avx2::mtile(plan, tables, rows.clone(), mt, scratch)
+                    },
+                    _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, scratch),
+                }
+                let m0 = mt * TILE_M;
+                let take = TILE_M.min(plan.m - m0);
+                for (r, tile) in rows.clone().zip(scratch.chunks_exact(TILE_M)) {
+                    // SAFETY: this thread owns tile `mt` of every row, and
+                    // row `r`'s lies within `out` (`check_group` checked its
+                    // length).
+                    unsafe { out.slice(r * plan.m + m0, take) }.copy_from_slice(&tile[..take]);
+                }
             }
         }
         ctx.put_buf(many);
     });
 }
 
+/// Sweeps a checked group over caller-built `tables`.
+fn run_group(plans: &[&WeightPlan], tables: &ActTables, outs: &mut [&mut [f32]], ctx: &ExecCtx) {
+    let outs: Vec<SharedMut<'_, f32>> = outs.iter_mut().map(|o| SharedMut::new(o)).collect();
+    let n = tables.rows;
+    for n0 in (0..n).step_by(N_BLOCK) {
+        sweep(plans, tables, n0..n.min(n0 + N_BLOCK), &outs, ctx);
+    }
+}
+
 /// Computes `out[n][m] = Σ_k act[n][k] · W[m][k]` for an offline-planned
-/// `W`.
+/// `W`: the one-plan [`mpgemm_group`].
 ///
 /// `act` is row-major `n × K`; `out` is row-major `n × M`. Tables are built
-/// fresh per call (the honest cost of a standalone call); use
-/// [`mpgemm_cached`] when several weight matrices consume the same
-/// activation batch (QKV projections).
+/// fresh per call (the honest cost of a standalone call); pass the weight
+/// matrices that consume the same activation batch (QKV projections) to
+/// [`mpgemm_group`] together to build them once.
 ///
 /// # Errors
 ///
@@ -159,30 +226,39 @@ pub fn mpgemm(
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let tables = build_tables(plan, act, n, Some(ctx))?;
-    mpgemm_with_tables(plan, &tables, out, ctx)
+    mpgemm_group(&[plan], act, n, &mut [out], ctx)
 }
 
-/// [`mpgemm`] through the context's activation-table cache.
+/// [`mpgemm`] for every plan of `plans` over one activation batch:
+/// `outs[i]` (row-major `n × M_i`) receives plan `i`'s product.
 ///
-/// Within one [`ExecCtx::next_activation`] scope, every plan with the same
-/// table profile (`K`, group size, table options) consuming the same
-/// `n × K` activation batch shares one table build — the QKV / gate-up
-/// reuse of §3.2 made automatic, for decode (`n = 1`) and batched serving
-/// alike (see [`ExecCtx::tables_for`]).
+/// The `n`-row tables are built once for the whole group (counted as one
+/// build plus `plans.len() − 1` shared uses in [`ExecCtx::table_stats`]),
+/// and each [`N_BLOCK`]-row range sweeps the m-tiles of all plans in one
+/// pool dispatch. Every output is bit-identical to a separate [`mpgemm`]
+/// call of its plan.
 ///
 /// # Errors
 ///
-/// Same contract as [`mpgemm`].
-pub fn mpgemm_cached(
-    plan: &WeightPlan,
+/// Returns [`TmacError::Shape`] unless `plans` is non-empty, `outs` has one
+/// buffer of `n · M_i` floats per plan, and all plans share `K`, group size
+/// and table quantization; otherwise [`mpgemm`]'s errors. On `Err`, every
+/// output is untouched.
+pub fn mpgemm_group(
+    plans: &[&WeightPlan],
     act: &[f32],
     n: usize,
-    out: &mut [f32],
+    outs: &mut [&mut [f32]],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let tables = ctx.tables_for(plan, act, n)?;
-    mpgemm_with_tables(plan, &tables, out, ctx)
+    let Some(first) = plans.first() else {
+        return Err(TmacError::Shape("a group needs at least one plan".into()));
+    };
+    check_group(plans, outs, n, table_profile(first))?;
+    let tables = build_tables(first, act, n, Some(ctx))?;
+    ctx.count_shared(plans.len() - 1);
+    run_group(plans, &tables, outs, ctx);
+    Ok(())
 }
 
 /// [`mpgemm`] with caller-provided precomputed tables (`tables.rows` rows).
@@ -190,34 +266,19 @@ pub fn mpgemm_cached(
 /// # Errors
 ///
 /// Returns [`TmacError::Shape`] if `out.len() != tables.rows · M` or the
-/// tables do not match `plan`'s full table profile (shape *and* options):
-/// every mismatch the kernels cannot tolerate — `K`, group size and
-/// quantization — is rejected before dispatch.
+/// tables do not match `plan`'s table profile: every mismatch the kernels
+/// cannot tolerate — `K`, group size and quantization — is rejected before
+/// dispatch.
 pub fn mpgemm_with_tables(
     plan: &WeightPlan,
     tables: &ActTables,
     out: &mut [f32],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let n = tables.rows;
-    if out.len() != n * plan.m {
-        return Err(TmacError::Shape(format!(
-            "output length {} != n*M = {n}*{}",
-            out.len(),
-            plan.m
-        )));
-    }
-    if (tables.k, tables.group_size, tables.quantized)
-        != (plan.k, plan.group_size, plan.opts().table_quant())
-    {
-        return Err(TmacError::Shape(
-            "tables do not match the plan's table profile (K, group size, quantization)".into(),
-        ));
-    }
-    let out = SharedMut::new(out);
-    for n0 in (0..n).step_by(N_BLOCK) {
-        sweep(plan, tables, n0..n.min(n0 + N_BLOCK), &out, ctx);
-    }
+    let mut outs = [out];
+    let profile = (tables.k, tables.group_size, tables.quantized);
+    check_group(&[plan], &outs, tables.rows, profile)?;
+    run_group(&[plan], tables, &mut outs, ctx);
     Ok(())
 }
 
@@ -302,7 +363,9 @@ mod tests {
 
     #[test]
     fn cached_and_with_tables_match_fresh() {
-        // n = 11 crosses an N_BLOCK boundary; n = 1 is the GEMV.
+        // Caller-held tables, built once and swept twice, and the one-plan
+        // group equal the fresh build. n = 11 crosses an N_BLOCK boundary;
+        // n = 1 is the GEMV.
         for (m, k, n) in [(64, 128, 11), (64, 128, 1)] {
             let (qm, act) = setup(m, k, n, 3);
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
@@ -310,33 +373,109 @@ mod tests {
             let mut fresh = vec![0f32; n * m];
             mpgemm(&plan, &act, n, &mut fresh, &ctx).unwrap();
 
-            ctx.next_activation();
-            let mut cached = vec![0f32; n * m];
-            mpgemm_cached(&plan, &act, n, &mut cached, &ctx).unwrap();
-            assert_eq!(fresh, cached);
+            let mut group = vec![0f32; n * m];
+            mpgemm_group(&[&plan], &act, n, &mut [&mut group], &ctx).unwrap();
+            assert_eq!(fresh, group);
 
             let tables = build_tables(&plan, &act, n, None).unwrap();
-            let mut with = vec![0f32; n * m];
-            mpgemm_with_tables(&plan, &tables, &mut with, &ctx).unwrap();
-            assert_eq!(fresh, with);
+            for _ in 0..2 {
+                let mut with = vec![0f32; n * m];
+                mpgemm_with_tables(&plan, &tables, &mut with, &ctx).unwrap();
+                assert_eq!(fresh, with);
+            }
         }
     }
 
+    /// A group mixing W1–W4 plans of different `M` (the last one ragged)
+    /// equals separate `mpgemm` calls bit for bit, at n ∈ {1, 5, 16}, on
+    /// every family the host executes and on 1 and 2 threads; one build
+    /// serves the whole group.
     #[test]
-    fn cached_shares_builds_across_plans() {
-        // Batched QKV: two plans, one activation batch, one batched build.
-        let (m, k, n) = (32, 64, 4);
-        let (qm, act) = setup(m, k, n, 2);
-        let (qm2, _) = setup(m, k, n, 4);
-        let plan2 = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        let plan4 = WeightPlan::new(&qm2, KernelOpts::tmac()).unwrap();
-        let ctx = ExecCtx::new(1);
-        ctx.next_activation();
-        let mut out = vec![0f32; n * m];
-        mpgemm_cached(&plan2, &act, n, &mut out, &ctx).unwrap();
-        mpgemm_cached(&plan4, &act, n, &mut out, &ctx).unwrap();
-        let s = ctx.table_stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "second plan must reuse");
+    fn mpgemm_group_bit_identical_to_separate_calls() {
+        let k = 128;
+        let plans: Vec<WeightPlan> = [(64, 1u8), (96, 2), (32, 3), (72, 4)]
+            .into_iter()
+            .map(|(m, bits)| WeightPlan::new(&setup(m, k, 1, bits).0, KernelOpts::tmac()).unwrap())
+            .collect();
+        let group: Vec<&WeightPlan> = plans.iter().collect();
+        let (_, act) = setup(1, k, 16, 2);
+        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+            for threads in [1, 2] {
+                let ctx = ExecCtx::with_isa(threads, isa).unwrap();
+                for n in [1, 5, 16] {
+                    let act = &act[..n * k];
+                    let mut outs: Vec<Vec<f32>> =
+                        plans.iter().map(|p| vec![0f32; n * p.m]).collect();
+                    let mut views: Vec<&mut [f32]> = outs.iter_mut().map(|o| &mut o[..]).collect();
+                    ctx.reset_table_stats();
+                    mpgemm_group(&group, act, n, &mut views, &ctx).unwrap();
+                    let s = ctx.table_stats();
+                    assert_eq!((s.hits, s.misses), (3, 1), "{isa} n={n}");
+                    for (plan, got) in plans.iter().zip(&outs) {
+                        let mut want = vec![0f32; n * plan.m];
+                        mpgemm(plan, act, n, &mut want, &ctx).unwrap();
+                        assert_eq!(
+                            bits_of(got),
+                            bits_of(&want),
+                            "{isa} threads={threads} n={n} W{} M={}",
+                            plan.bits,
+                            plan.m
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A group refuses plans that cannot share tables (another `K`, group
+    /// size or table rung), a missing or mis-sized output and a non-finite
+    /// activation with a typed error, leaving every output untouched.
+    #[test]
+    fn mpgemm_group_errors_leave_every_output_untouched() {
+        let (m, k, n) = (64, 128, 3);
+        let plan_of = |k: usize, gs: usize, opts: KernelOpts| {
+            let w: Vec<f32> = (0..m * k).map(|i| ((i as f32) * 0.31).sin()).collect();
+            WeightPlan::new(&rtn::quantize(&w, m, k, 2, gs).unwrap(), opts).unwrap()
+        };
+        let base = plan_of(k, 32, KernelOpts::tmac());
+        let other_k = plan_of(2 * k, 32, KernelOpts::tmac());
+        let other_gs = plan_of(k, 64, KernelOpts::tmac());
+        let other_rung = plan_of(k, 32, KernelOpts::tm_base());
+        let (_, act) = setup(m, k, n, 2);
+        let mut nan = act.clone();
+        nan[(n - 1) * k + 3] = f32::NAN;
+        let ctx = ExecCtx::new(2);
+        // (what, second plan, activation, second output's length; 0 = none,
+        // whether the error is the numeric one).
+        let cases = [
+            ("K", &other_k, &act, n * m, false),
+            ("group size", &other_gs, &act, n * m, false),
+            ("rung", &other_rung, &act, n * m, false),
+            ("short output", &base, &act, n * m - 1, false),
+            ("missing output", &base, &act, 0, false),
+            ("NaN activation", &base, &nan, n * m, true),
+        ];
+        for (what, second, act, len, numeric) in cases {
+            let (mut a, mut b) = (vec![7.5f32; n * m], vec![7.5f32; len]);
+            let mut both = [&mut a[..], &mut b[..]];
+            let outs = if len == 0 {
+                &mut both[..1]
+            } else {
+                &mut both[..]
+            };
+            let err = mpgemm_group(&[&base, second], act, n, outs, &ctx).expect_err(what);
+            match err {
+                TmacError::Numeric(_) => assert!(numeric, "{what}: {err:?}"),
+                TmacError::Shape(_) => assert!(!numeric, "{what}: {err:?}"),
+                _ => panic!("{what}: {err:?}"),
+            }
+            assert!(
+                a.iter().chain(&b).all(|&x| x == 7.5),
+                "{what}: output written before the error"
+            );
+        }
+        assert!(mpgemm_group(&[], &act, n, &mut [], &ctx).is_err());
     }
 
     #[test]
@@ -479,8 +618,7 @@ mod tests {
     }
 
     /// Every row is validated and built before any sweep: a bad row past the
-    /// first `N_BLOCK` rows (or the only row) leaves `out` untouched, through
-    /// the fresh-build and the cached entry point alike.
+    /// first `N_BLOCK` rows (or the only row) leaves `out` untouched.
     #[test]
     fn error_leaves_out_untouched() {
         let (m, k) = (64, 128);
@@ -490,18 +628,13 @@ mod tests {
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
             assert!(bad_row == 0 || bad_row >= N_BLOCK);
             let ctx = ExecCtx::new(2);
-            type Entry =
-                fn(&WeightPlan, &[f32], usize, &mut [f32], &ExecCtx) -> Result<(), TmacError>;
-            for entry in [mpgemm as Entry, mpgemm_cached as Entry] {
-                ctx.next_activation();
-                let mut out = vec![7.5f32; n * m];
-                let err = entry(&plan, &act, n, &mut out, &ctx);
-                assert!(matches!(err, Err(TmacError::Numeric(_))), "n={n}: {err:?}");
-                assert!(
-                    out.iter().all(|&x| x == 7.5),
-                    "n={n}: out written before the error"
-                );
-            }
+            let mut out = vec![7.5f32; n * m];
+            let err = mpgemm(&plan, &act, n, &mut out, &ctx);
+            assert!(matches!(err, Err(TmacError::Numeric(_))), "n={n}: {err:?}");
+            assert!(
+                out.iter().all(|&x| x == 7.5),
+                "n={n}: out written before the error"
+            );
         }
     }
 
@@ -529,6 +662,5 @@ mod tests {
         // And at n = 1 (the GEMV): short activations, short output.
         assert!(mpgemm(&plan, &act[..k / 2], 1, &mut out[..m], &ctx).is_err());
         assert!(mpgemm(&plan, &act[..k], 1, &mut short[..m - 1], &ctx).is_err());
-        assert!(mpgemm_cached(&plan, &act[..k], 1, &mut short[..m - 1], &ctx).is_err());
     }
 }

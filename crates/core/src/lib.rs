@@ -28,7 +28,7 @@
 //! let qm = tmac_quant::rtn::quantize(&weights, 64, 128, 2, 32).unwrap();
 //!
 //! // Offline: build the plan. Online: multiply under an execution context
-//! // (thread pool + activation-table cache).
+//! // (thread pool + kernel family + scratch).
 //! let linear = TmacLinear::new(&qm, KernelOpts::tmac()).unwrap();
 //! let act: Vec<f32> = (0..128).map(|i| (i as f32 * 0.2).cos()).collect();
 //! let ctx = ExecCtx::new(2);
@@ -37,11 +37,10 @@
 //! ```
 //!
 //! When several weight matrices consume the *same* activation (as QKV
-//! projections do), [`ExecCtx::next_activation`] plus
-//! [`TmacLinear::gemv_cached`] share one table build across all of them —
-//! see the [`exec`] module. A GEMV is the one-row case of
-//! [`TmacLinear::gemm`]: one driver ([`gemm`]) and one table type
-//! ([`ActTables`]) serve every row count.
+//! projections do), [`gemm::mpgemm_group`] builds its tables once and
+//! sweeps all of them in one pool dispatch. A GEMV is the one-row case of
+//! [`TmacLinear::gemm`], and a lone matrix the one-plan group: one driver
+//! ([`gemm`]) and one table type ([`ActTables`]) serve every row count.
 
 pub mod exec;
 pub mod failpoint;
@@ -51,7 +50,7 @@ pub mod opts;
 pub mod plan;
 pub mod table;
 
-pub use exec::{ExecCtx, TableCacheStats, TableProfile};
+pub use exec::{ExecCtx, TableCacheStats};
 pub use opts::{KernelOpts, LUT_GROUP, N_BLOCK, TILE_M};
 pub use plan::{PlanBacking, PlanParts, Segment, WeightPlan};
 pub use table::ActTables;
@@ -176,20 +175,6 @@ impl TmacLinear {
         self.gemm(act, 1, out, ctx)
     }
 
-    /// [`TmacLinear::gemm_cached`] at `n = 1`.
-    ///
-    /// # Errors
-    ///
-    /// See [`gemm::mpgemm_cached`].
-    pub fn gemv_cached(
-        &self,
-        act: &[f32],
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), TmacError> {
-        self.gemm_cached(act, 1, out, ctx)
-    }
-
     /// Builds the activation tables of one row for this layer's shape, on
     /// the calling thread (batches: [`gemm::build_tables`]).
     ///
@@ -202,8 +187,8 @@ impl TmacLinear {
 
     /// Mixed-precision GEMM over `n` activation rows (row-major `n × K` in,
     /// `n × M` out). Builds fresh tables every call (the honest cost of a
-    /// standalone call); use [`TmacLinear::gemm_cached`] when several layers
-    /// consume the same activations.
+    /// standalone call); run layers that consume the same activations as
+    /// one [`gemm::mpgemm_group`].
     ///
     /// # Errors
     ///
@@ -216,24 +201,6 @@ impl TmacLinear {
         ctx: &ExecCtx,
     ) -> Result<(), TmacError> {
         gemm::mpgemm(&self.plan, act, n, out, ctx)
-    }
-
-    /// GEMM through the context's activation-table cache: all layers with a
-    /// compatible table profile that forward the same `n`-row activation
-    /// batch within one [`ExecCtx::next_activation`] scope share a single
-    /// table build (QKV / gate-up reuse, at any `n`).
-    ///
-    /// # Errors
-    ///
-    /// See [`gemm::mpgemm_cached`].
-    pub fn gemm_cached(
-        &self,
-        act: &[f32],
-        n: usize,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), TmacError> {
-        gemm::mpgemm_cached(&self.plan, act, n, out, ctx)
     }
 
     /// GEMM with precomputed tables (`tables.rows` rows; reuse across
@@ -269,11 +236,11 @@ mod tests {
         let qm = tmac_quant::rtn::quantize(&weights, 64, 128, 4, 32).unwrap();
         let reference = kernel::scalar::gemv_reference(&qm, &act);
         assert!(tmac_simd::f32ops::nmse(&out, &reference) < 1e-4);
-        // The cached path is bit-identical to the fresh-build path.
-        let mut cached = vec![0f32; 64];
-        ctx.next_activation();
-        lin.gemv_cached(&act, &mut cached, &ctx).unwrap();
-        assert_eq!(out, cached);
+        // Caller-held tables are bit-identical to the fresh-build path.
+        let mut held = vec![0f32; 64];
+        lin.with_tables(&lin.tables(&act).unwrap(), &mut held, &ctx)
+            .unwrap();
+        assert_eq!(out, held);
     }
 
     #[test]

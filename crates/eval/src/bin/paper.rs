@@ -29,7 +29,7 @@ use std::fmt;
 use std::process::ExitCode;
 use tmac_baseline::{sgemm, DequantLinear};
 use tmac_core::{gemm, ActTables, ExecCtx, KernelOpts, TmacLinear, WeightPlan};
-use tmac_eval::{all_threads, make_act, make_weights, ms, time_best, Flags, Table, SHAPES};
+use tmac_eval::{all_threads, make_act, make_weights, ms, time_medians, Flags, Table, SHAPES};
 use tmac_llm::eval as quality;
 use tmac_llm::{BackendKind, Engine, KvPrecision, Model, ModelConfig, WeightQuant};
 use tmac_quant::rtn::quantize;
@@ -200,10 +200,10 @@ fn fig6_table(shapes: &[(usize, usize)], threads: usize) -> (Table, [(f64, f64);
             let qm = quantize(&w, m, k, bits, 32).expect("quantize");
             let tl = TmacLinear::new(&qm, KernelOpts::tmac()).expect("plan");
             let bl = DequantLinear::new(&qm).expect("pack");
-            let tmac = || tl.gemv(&act, &mut out, &ctx).expect("T-MAC GEMV");
-            let t_tmac = time_best(tmac, 3, FIG6_ITERS);
-            let base = || bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV");
-            let t_base = time_best(base, 3, FIG6_ITERS);
+            let [t_tmac, t_base] = time_medians(3, FIG6_ITERS, |side| match side {
+                0 => tl.gemv(&act, &mut out, &ctx).expect("T-MAC GEMV"),
+                _ => bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV"),
+            });
             if (m, k) == SHAPES[0] {
                 s0[bits as usize - 1] = (t_base, t_tmac);
             }
@@ -267,10 +267,10 @@ fn fig7(quick: bool) -> Vec<Claim> {
             let qm = quantize(&w, m, k, bits, 32).expect("quantize");
             let tl = TmacLinear::new(&qm, KernelOpts::tmac()).expect("plan");
             let bl = DequantLinear::new(&qm).expect("pack");
-            let tmac = || tl.gemm(&act, n, &mut out, &ctx).expect("T-MAC GEMM");
-            let t_tmac = time_best(tmac, 1, FIG7_ITERS);
-            let blas = || sgemm::gemm_blas(&bl, &act, n, &mut out, &ctx).expect("SGEMM");
-            let t_blas = time_best(blas, 1, FIG7_ITERS);
+            let [t_tmac, t_blas] = time_medians(1, FIG7_ITERS, |side| match side {
+                0 => tl.gemm(&act, n, &mut out, &ctx).expect("T-MAC GEMM"),
+                _ => sgemm::gemm_blas(&bl, &act, n, &mut out, &ctx).expect("SGEMM"),
+            });
             if bits == 2 && (m, k) == SHAPES[0] {
                 w2_s0 = t_blas / t_tmac;
             }
@@ -382,18 +382,20 @@ fn fig10(quick: bool) -> Vec<Claim> {
         let (w, act, mut out) = (make_weights(m, k, 17), make_act(k, 17), vec![0f32; m]);
         let qm = quantize(&w, m, k, FIG10_BITS, 32).expect("quantize");
         let bl = DequantLinear::new(&qm).expect("pack");
-        let base = || bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV");
-        let t_base = time_best(base, 3, FIG10_ITERS);
+        let plan = |(_, opts): &(_, KernelOpts)| WeightPlan::new(&qm, *opts).expect("plan");
+        let plans: Vec<WeightPlan> = ladder.iter().map(plan).collect();
+        // Kernel 0 is the llama.cpp line, kernel `r + 1` rung `r`.
+        let [t_base, t_rungs @ ..] = time_medians::<5>(3, FIG10_ITERS, |i| match i {
+            0 => bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV"),
+            r => gemm::mpgemm(&plans[r - 1], &act, 1, &mut out, &ctx).expect("T-MAC GEMV"),
+        });
+        if si == 0 {
+            s0 = t_rungs;
+        }
         let shape = format!("S{si} {m}x{k}");
         let (mut t_row, mut b_row) = (vec![shape.clone(), ms(t_base)], vec![shape]);
-        for (rung, (_, opts)) in ladder.iter().enumerate() {
-            let plan = WeightPlan::new(&qm, *opts).expect("plan");
-            let run = || gemm::mpgemm(&plan, &act, 1, &mut out, &ctx).expect("T-MAC GEMV");
-            let t = time_best(run, 2, FIG10_ITERS);
-            if si == 0 {
-                s0[rung] = t;
-            }
-            t_row.push(ms(t));
+        t_row.extend(t_rungs.map(ms));
+        for (_, opts) in &ladder {
             let tables = ActTables::build(&act, 1, 32, opts).expect("tables");
             b_row.push(tables.table_bytes().to_string());
         }

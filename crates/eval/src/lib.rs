@@ -40,20 +40,30 @@ pub fn all_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Times `f`, returning the best wall-clock seconds over `iters` runs after
-/// `warmup` runs (the paper's methodology: warm-up then average; best-of is
-/// used here for noise robustness on shared CI hosts).
-pub fn time_best<F: FnMut()>(mut f: F, warmup: usize, iters: usize) -> f64 {
-    for _ in 0..warmup {
-        f();
+/// Times `N` compared kernels together: `run(i)` runs kernel `i`. After
+/// `warmup` rounds, each of `iters` rounds runs every kernel once, starting
+/// one kernel later each round, so host noise (clock changes, a
+/// neighbour's burst) falls on every side alike. Returns each kernel's
+/// median wall-clock seconds.
+pub fn time_medians<const N: usize>(
+    warmup: usize,
+    iters: usize,
+    mut run: impl FnMut(usize),
+) -> [f64; N] {
+    (0..warmup * N).for_each(|i| run(i % N));
+    let iters = iters.max(1);
+    let mut samples = [(); N].map(|_| Vec::with_capacity(iters));
+    for round in 0..iters {
+        for i in (0..N).map(|i| (i + round) % N) {
+            let t0 = Instant::now();
+            run(i);
+            samples[i].push(t0.elapsed().as_secs_f64());
+        }
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
+    samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        (s[(s.len() - 1) / 2] + s[s.len() / 2]) / 2.0
+    })
 }
 
 /// Formats seconds as milliseconds with three significant decimals.
@@ -253,16 +263,15 @@ mod tests {
 
     #[test]
     fn timing_helpers_run() {
-        let mut x = 0u64;
-        let t = time_best(
-            || {
-                x = x.wrapping_add(1);
-            },
-            1,
-            3,
-        );
-        assert!(t >= 0.0);
-        assert!(x >= 4);
+        let mut runs = [0; 2];
+        let [fast, slow] = time_medians(1, 3, |i| {
+            runs[i] += 1;
+            if i == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        });
+        assert_eq!(runs, [4, 4], "one warm-up and three timed rounds each");
+        assert!(fast >= 0.0 && slow >= 0.002 && slow > fast, "{fast} {slow}");
     }
 
     static TEST_FLAGS: Flags = Flags {

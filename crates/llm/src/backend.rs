@@ -6,14 +6,15 @@
 //! unquantized `f32` reference. The set is closed — [`Linear`] is an enum
 //! over exactly these three, selected by [`BackendKind`].
 //!
-//! All forwarding goes through an [`ExecCtx`]: the context supplies the
-//! thread pool and the per-token activation-table cache, which is how the
-//! T-MAC backend shares one table build across every projection that
-//! consumes the same activation (QKV, gate/up — see `tmac_core::exec`).
+//! All forwarding goes through an [`ExecCtx`] (thread pool, kernel family,
+//! scratch). Projections that consume the same activation (QKV, gate/up)
+//! forward together through [`Linear::forward_group`], which is how the
+//! T-MAC backend builds one table set for all of them
+//! (`tmac_core::gemm::mpgemm_group`).
 
 use std::sync::Arc;
 use tmac_baseline::DequantLinear;
-use tmac_core::{ExecCtx, KernelOpts, TmacLinear};
+use tmac_core::{gemm, ExecCtx, KernelOpts, TmacLinear};
 use tmac_quant::QuantizedMatrix;
 
 /// Which of the three compared kernels a model's linear layers use.
@@ -248,34 +249,25 @@ impl Linear {
         }
     }
 
-    /// `out = act × W^T`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Shape`] on length mismatches; kernel
-    /// failures otherwise.
-    pub fn forward(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) -> Result<(), BackendError> {
-        if act.len() != self.cols() || out.len() != self.rows() {
+    /// Checks that `act` holds `n` rows of this layer's input and `out` `n`
+    /// rows of its output.
+    fn check(&self, act: &[f32], n: usize, out: &[f32]) -> Result<(), BackendError> {
+        let (k, m) = (self.cols(), self.rows());
+        if n == 0 || act.len() != n * k || out.len() != n * m {
             return Err(BackendError::Shape(format!(
-                "forward: act {} out {} vs {}x{}",
+                "forward_batch: act {} out {} vs n={} of {}x{}",
                 act.len(),
                 out.len(),
-                self.rows(),
-                self.cols()
+                n,
+                m,
+                k
             )));
         }
-        match self {
-            Linear::Tmac(l) => Ok(l.gemm_cached(act, 1, out, ctx)?),
-            Linear::Dequant(l) => Ok(l.gemv(act, out, ctx)?),
-            Linear::F32(l) => {
-                l.gemv(act, out, ctx);
-                Ok(())
-            }
-        }
+        Ok(())
     }
 
     /// Batched forward over `n` activation rows (row-major):
-    /// `out[n][m] = Σ_k act[n][k] · W[m][k]`.
+    /// `out[n][m] = Σ_k act[n][k] · W[m][k]`. One row is `n = 1`.
     ///
     /// # Errors
     ///
@@ -288,33 +280,62 @@ impl Linear {
         out: &mut [f32],
         ctx: &ExecCtx,
     ) -> Result<(), BackendError> {
-        let (k, m) = (self.cols(), self.rows());
-        if n == 0 || act.len() != n * k || out.len() != n * m {
-            return Err(BackendError::Shape(format!(
-                "forward_batch: act {} out {} vs n={} of {}x{}",
-                act.len(),
-                out.len(),
-                n,
-                m,
-                k
-            )));
-        }
+        self.check(act, n, out)?;
         match self {
-            // The cached path IS the hot path: projections sharing this
-            // activation batch (QKV, gate/up) share one table build, at any
-            // `n` (`ExecCtx::tables_for` + `TmacLinear::with_tables`).
-            Linear::Tmac(l) => Ok(l.gemm_cached(act, n, out, ctx)?),
+            Linear::Tmac(l) => Ok(l.gemm(act, n, out, ctx)?),
             Linear::Dequant(l) => Ok(l.gemm_mixed(act, n, out, ctx)?),
             Linear::F32(l) => {
-                for ni in 0..n {
-                    // Each row is a distinct activation; keep the table
-                    // cache honest.
-                    ctx.next_activation();
-                    l.gemv(
-                        &act[ni * k..(ni + 1) * k],
-                        &mut out[ni * m..(ni + 1) * m],
-                        ctx,
-                    );
+                let (k, m) = (self.cols(), self.rows());
+                for (a, o) in act.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
+                    l.gemv(a, o, ctx);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// [`Linear::forward_batch`] of every layer of `group` over the same
+    /// `n` activation rows: `outs[i]` receives layer `i`'s product. A group
+    /// of T-MAC layers builds its activation tables once and sweeps all of
+    /// them in one dispatch (`tmac_core::gemm::mpgemm_group`); any other
+    /// group forwards layer by layer. The outputs are bit-identical to
+    /// separate `forward_batch` calls either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError::Shape`] unless `outs` has one buffer per
+    /// layer and every layer's lengths match (a T-MAC group's layers must
+    /// also share `K`, group size and table rung); kernel failures
+    /// otherwise. On a shape error no output is written.
+    pub fn forward_group(
+        group: &[&Linear],
+        act: &[f32],
+        n: usize,
+        outs: &mut [&mut [f32]],
+        ctx: &ExecCtx,
+    ) -> Result<(), BackendError> {
+        if group.len() != outs.len() {
+            return Err(BackendError::Shape(format!(
+                "forward_group: {} layers but {} outputs",
+                group.len(),
+                outs.len()
+            )));
+        }
+        for (layer, out) in group.iter().zip(outs.iter()) {
+            layer.check(act, n, out)?;
+        }
+        let plans: Option<Vec<_>> = group
+            .iter()
+            .map(|layer| match layer {
+                Linear::Tmac(l) => Some(l.plan()),
+                _ => None,
+            })
+            .collect();
+        match plans {
+            Some(plans) => Ok(gemm::mpgemm_group(&plans, act, n, outs, ctx)?),
+            None => {
+                for (layer, out) in group.iter().zip(outs.iter_mut()) {
+                    layer.forward_batch(act, n, out, ctx)?;
                 }
                 Ok(())
             }
@@ -349,8 +370,7 @@ mod tests {
             let lin = Linear::build(kind, &qm, &w).unwrap();
             assert_eq!((lin.rows(), lin.cols()), (64, 96));
             let mut out = vec![0f32; 64];
-            ctx.next_activation();
-            lin.forward(&act, &mut out, &ctx).unwrap();
+            lin.forward_batch(&act, 1, &mut out, &ctx).unwrap();
             outs.push(out);
         }
         // Quantized backends track the f32 reference within quant error.
@@ -386,26 +406,13 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let lin = Linear::build(BackendKind::F32, &qm, &w).unwrap();
         let mut out = vec![0f32; 63];
-        assert!(lin.forward(&act, &mut out, &ctx).is_err());
+        assert!(lin.forward_batch(&act, 1, &mut out, &ctx).is_err());
     }
 
     #[test]
     fn build_rejects_wrong_f32_len() {
         let (qm, w, _) = setup();
         assert!(Linear::build(BackendKind::F32, &qm, &w[..10]).is_err());
-    }
-
-    #[test]
-    fn tmac_forward_uses_the_table_cache() {
-        let (qm, w, act) = setup();
-        let ctx = ExecCtx::new(1);
-        let lin = Linear::build(BackendKind::Tmac(KernelOpts::tmac()), &qm, &w).unwrap();
-        let mut out = vec![0f32; 64];
-        ctx.next_activation();
-        lin.forward(&act, &mut out, &ctx).unwrap();
-        lin.forward(&act, &mut out, &ctx).unwrap();
-        let s = ctx.table_stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "second forward must hit");
     }
 
     #[test]
@@ -419,14 +426,8 @@ mod tests {
         let mut batched = vec![0f32; n * m];
         tmac.forward_batch(&acts, n, &mut batched, &ctx).unwrap();
         let mut rowwise = vec![0f32; n * m];
-        for ni in 0..n {
-            ctx.next_activation();
-            tmac.forward(
-                &acts[ni * k..(ni + 1) * k],
-                &mut rowwise[ni * m..(ni + 1) * m],
-                &ctx,
-            )
-            .unwrap();
+        for (a, o) in acts.chunks_exact(k).zip(rowwise.chunks_exact_mut(m)) {
+            tmac.forward_batch(a, 1, o, &ctx).unwrap();
         }
         assert_eq!(batched, rowwise);
         // The f32 arm loops its single-row sweep per batch row.
@@ -434,11 +435,51 @@ mod tests {
         let mut fb = vec![0f32; n * m];
         f.forward_batch(&acts, n, &mut fb, &ctx).unwrap();
         let mut fr = vec![0f32; m];
-        f.forward(&acts[..k], &mut fr, &ctx).unwrap();
+        f.forward_batch(&acts[..k], 1, &mut fr, &ctx).unwrap();
         assert_eq!(&fb[..m], &fr[..]);
         // Shape errors are caught at the wrapper.
         assert!(f.forward_batch(&acts, 0, &mut fb, &ctx).is_err());
         assert!(f.forward_batch(&acts[..k], n, &mut fb, &ctx).is_err());
+    }
+
+    #[test]
+    fn forward_group_matches_separate_forwards() {
+        // Two layers of different `M` over one batch, on every backend:
+        // the T-MAC group builds its tables once, and no group changes a bit.
+        let (qm, w, _) = setup();
+        let (n, k, m) = (3, 96, 64);
+        let small = rtn::quantize(&w[..32 * k], 32, k, 2, 32).unwrap();
+        let acts: Vec<f32> = (0..n * k).map(|i| ((i as f32) * 0.07).sin()).collect();
+        for kind in [
+            BackendKind::F32,
+            BackendKind::Dequant,
+            BackendKind::Tmac(KernelOpts::tmac()),
+        ] {
+            let ctx = ExecCtx::new(2);
+            let a = Linear::build(kind, &qm, &w).unwrap();
+            let b = Linear::build(kind, &small, &w[..32 * k]).unwrap();
+            let (mut ga, mut gb) = (vec![0f32; n * m], vec![0f32; n * 32]);
+            Linear::forward_group(&[&a, &b], &acts, n, &mut [&mut ga, &mut gb], &ctx).unwrap();
+            let grouped = ctx.table_stats();
+            let (mut sa, mut sb) = (vec![0f32; n * m], vec![0f32; n * 32]);
+            a.forward_batch(&acts, n, &mut sa, &ctx).unwrap();
+            b.forward_batch(&acts, n, &mut sb, &ctx).unwrap();
+            assert_eq!((ga, gb), (sa, sb), "{kind:?}");
+            let tmac = matches!(kind, BackendKind::Tmac(_));
+            assert_eq!(
+                (grouped.hits, grouped.misses),
+                if tmac { (1, 1) } else { (0, 0) }
+            );
+            // One output per layer, each of the layer's length.
+            let (mut whole, mut short) = (vec![7.5f32; n * m], vec![0f32; n * 32 - 1]);
+            let missing = Linear::forward_group(&[&a, &b], &acts, n, &mut [&mut whole], &ctx);
+            let outs: &mut [&mut [f32]] = &mut [&mut whole, &mut short];
+            let too_short = Linear::forward_group(&[&a, &b], &acts, n, outs, &ctx);
+            for err in [missing, too_short] {
+                assert!(matches!(err, Err(BackendError::Shape(_))), "{kind:?}");
+            }
+            assert!(whole.iter().all(|&x| x == 7.5));
+        }
     }
 
     #[test]

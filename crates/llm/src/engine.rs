@@ -232,11 +232,9 @@ impl Engine {
                 .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
             total_s += t0.elapsed().as_secs_f64();
 
-            // The head alone, on a fresh activation scope like the pass
-            // gives it (so T-MAC rebuilds its table here too).
+            // The head alone, building its own tables like the pass does.
             let act = &self.model.embed[token as usize * dim..(token as usize + 1) * dim];
             let t0 = Instant::now();
-            ctx.next_activation();
             self.model.head.forward_batch(act, 1, &mut head_out, ctx)?;
             other_s += t0.elapsed().as_secs_f64();
 

@@ -9,10 +9,10 @@
 //! extrapolation, and model-quality evaluators (perplexity, choice
 //! agreement).
 //!
-//! Every forward runs under a [`tmac_core::ExecCtx`], whose activation-table
-//! cache shares one LUT build across the projections that consume the same
-//! activation (QKV; gate/up) — the T-MAC precompute amortization applied to
-//! the whole decode stack.
+//! Every forward runs under a [`tmac_core::ExecCtx`]. The projections that
+//! consume the same activation (QKV; gate/up) forward as one
+//! [`Linear::forward_group`], so one LUT build serves each group — the T-MAC
+//! precompute amortization applied to the whole decode stack.
 //!
 //! # Examples
 //!
@@ -34,7 +34,7 @@
 //!     .generate(&tmac_llm::GenRequest::greedy(&[1, 2, 3], 8), &ctx)
 //!     .unwrap();
 //! assert_eq!(out.tokens.len(), 8);
-//! // Table builds were shared across QKV and gate/up projections:
+//! // QKV and gate/up each shared one table build:
 //! let stats = ctx.table_stats();
 //! assert!(stats.hits > 0);
 //! ```

@@ -224,8 +224,9 @@ impl Model {
     /// Batched forward: decodes `B = tokens.len()` rows in one pass, every
     /// linear running with `n = B` so the T-MAC backend takes the mpGEMM
     /// path (one weight-tile stream per row block instead of one per row,
-    /// §3.2) and the batched table cache shares per-row builds across QKV
-    /// and gate/up.
+    /// §3.2). QKV and gate/up each run as one [`Linear::forward_group`], so
+    /// a layer builds two table sets for its five grouped projections, plus
+    /// one each for `wo` and `w2`.
     ///
     /// Row `r` decodes `tokens[r]` at `positions[r]` against sequence
     /// `cache_slots[r]` of the pooled `cache`: batched *decode* uses one
@@ -343,8 +344,8 @@ impl Model {
         }
 
         for (l, lw) in self.layers.iter().enumerate() {
-            // Attention block: one batched QKV round sharing one set of
-            // per-row table builds (the batched §3.2 amortization).
+            // Attention block: the QKV projections share one table build
+            // and one sweep (the batched §3.2 amortization).
             for r in 0..b {
                 ops::rmsnorm(
                     &mut s.xn[r * dim..(r + 1) * dim],
@@ -353,13 +354,17 @@ impl Model {
                     1e-5,
                 );
             }
-            ctx.next_activation();
-            lw.wq
-                .forward_batch(&s.xn[..b * dim], b, &mut s.q[..b * dim], ctx)?;
-            lw.wk
-                .forward_batch(&s.xn[..b * dim], b, &mut s.k[..b * kv_dim], ctx)?;
-            lw.wv
-                .forward_batch(&s.xn[..b * dim], b, &mut s.v[..b * kv_dim], ctx)?;
+            Linear::forward_group(
+                &[&lw.wq, &lw.wk, &lw.wv],
+                &s.xn[..b * dim],
+                b,
+                &mut [
+                    &mut s.q[..b * dim],
+                    &mut s.k[..b * kv_dim],
+                    &mut s.v[..b * kv_dim],
+                ],
+                ctx,
+            )?;
             // Store every row's K/V before any row attends, so same-cache
             // rows observe each other at lower positions (prefill causality).
             for r in 0..b {
@@ -394,7 +399,6 @@ impl Model {
                     );
                 }
             }
-            ctx.next_activation();
             lw.wo
                 .forward_batch(&s.att[..b * dim], b, &mut s.proj[..b * dim], ctx)?;
             ops::add_assign(&mut s.x[..b * dim], &s.proj[..b * dim]);
@@ -408,17 +412,18 @@ impl Model {
                     1e-5,
                 );
             }
-            ctx.next_activation();
-            lw.w1
-                .forward_batch(&s.xn[..b * dim], b, &mut s.gate[..b * ffn_dim], ctx)?;
-            lw.w3
-                .forward_batch(&s.xn[..b * dim], b, &mut s.up[..b * ffn_dim], ctx)?;
+            Linear::forward_group(
+                &[&lw.w1, &lw.w3],
+                &s.xn[..b * dim],
+                b,
+                &mut [&mut s.gate[..b * ffn_dim], &mut s.up[..b * ffn_dim]],
+                ctx,
+            )?;
             ops::swiglu(
                 &mut s.hidden[..b * ffn_dim],
                 &s.gate[..b * ffn_dim],
                 &s.up[..b * ffn_dim],
             );
-            ctx.next_activation();
             lw.w2
                 .forward_batch(&s.hidden[..b * ffn_dim], b, &mut s.ffn[..b * dim], ctx)?;
             ops::add_assign(&mut s.x[..b * dim], &s.ffn[..b * dim]);
@@ -432,7 +437,6 @@ impl Model {
                 1e-5,
             );
         }
-        ctx.next_activation();
         self.head
             .forward_batch(&s.xn[..b * dim], b, &mut s.logits[..b * cfg.vocab], ctx)?;
         for (&slot, &pos) in cache_slots.iter().zip(positions) {

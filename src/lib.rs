@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! All execution goes through an [`prelude::ExecCtx`] — the unified carrier
-//! of the thread pool and the activation-table cache:
+//! of the thread pool, the kernel family and scratch buffers:
 //!
 //! ```
 //! use tmac::prelude::*;
@@ -33,22 +33,25 @@
 //! ```
 //!
 //! When several layers consume the same activation — QKV projections, the
-//! FFN gate/up pair — one table build serves all of them:
+//! FFN gate/up pair — they forward as one group, and one table build serves
+//! all of them:
 //!
 //! ```
 //! use tmac::prelude::*;
 //!
 //! let w: Vec<f32> = (0..32 * 64).map(|i| (i as f32 * 0.2).cos()).collect();
-//! let wq = TmacLinear::from_f32(&w, 32, 64, 4, 32, KernelOpts::tmac()).unwrap();
-//! let wk = TmacLinear::from_f32(&w, 32, 64, 2, 32, KernelOpts::tmac()).unwrap();
+//! let qm4 = tmac::quant::rtn::quantize(&w, 32, 64, 4, 32).unwrap();
+//! let qm2 = tmac::quant::rtn::quantize(&w, 32, 64, 2, 32).unwrap();
+//! let kind = BackendKind::Tmac(KernelOpts::tmac());
+//! let wq = Linear::build(kind, &qm4, &w).unwrap();
+//! let wk = Linear::build(kind, &qm2, &w).unwrap();
 //! let ctx = ExecCtx::new(1);
 //! let act = vec![0.5f32; 64];
-//! let mut out = vec![0f32; 32];
+//! let (mut q, mut k) = (vec![0f32; 32], vec![0f32; 32]);
 //!
-//! ctx.next_activation(); // a new activation vector arrives
-//! wq.gemv_cached(&act, &mut out, &ctx).unwrap(); // builds tables
-//! wk.gemv_cached(&act, &mut out, &ctx).unwrap(); // reuses them
-//! assert_eq!(ctx.table_stats().hits, 1);
+//! Linear::forward_group(&[&wq, &wk], &act, 1, &mut [&mut q, &mut k], &ctx).unwrap();
+//! let stats = ctx.table_stats();
+//! assert_eq!((stats.misses, stats.hits), (1, 1)); // one build, shared once
 //! ```
 
 pub use tmac_baseline as baseline;
@@ -69,8 +72,7 @@ pub use tmac_trace as trace;
 pub mod prelude {
     pub use tmac_baseline::DequantLinear;
     pub use tmac_core::{
-        ActTables, ExecCtx, KernelOpts, TableCacheStats, TableProfile, TmacError, TmacLinear,
-        WeightPlan,
+        ActTables, ExecCtx, KernelOpts, TableCacheStats, TmacError, TmacLinear, WeightPlan,
     };
     // `LoadMode` reaches the prelude through the llm re-export (it is the
     // same type as `tmac_io::LoadMode`).

@@ -104,10 +104,9 @@ fn assert_forward_matches_seed_style_reference(kind: BackendKind) {
         x.copy_from_slice(&m.embed[token as usize * dim..(token as usize + 1) * dim]);
         for (l, lw) in m.layers.iter().enumerate() {
             tmac::llm::ops::rmsnorm(&mut xn, &x, &lw.rms_attn, 1e-5);
-            ctx.next_activation();
-            lw.wq.forward(&xn, &mut q, &ctx).unwrap();
-            lw.wk.forward(&xn, &mut k, &ctx).unwrap();
-            lw.wv.forward(&xn, &mut v, &ctx).unwrap();
+            lw.wq.forward_batch(&xn, 1, &mut q, &ctx).unwrap();
+            lw.wk.forward_batch(&xn, 1, &mut k, &ctx).unwrap();
+            lw.wv.forward_batch(&xn, 1, &mut v, &ctx).unwrap();
             tmac::llm::ops::rope(&mut q, hd, pos, cfg.rope_theta);
             tmac::llm::ops::rope(&mut k, hd, pos, cfg.rope_theta);
             let o = (l * cfg.seq_max + pos) * kvd;
@@ -128,21 +127,17 @@ fn assert_forward_matches_seed_style_reference(kind: BackendKind) {
                     f32ops::axpy(out, scores[t], &v_buf[vo..vo + hd]);
                 }
             }
-            ctx.next_activation();
-            lw.wo.forward(&att, &mut proj, &ctx).unwrap();
+            lw.wo.forward_batch(&att, 1, &mut proj, &ctx).unwrap();
             tmac::llm::ops::add_assign(&mut x, &proj);
             tmac::llm::ops::rmsnorm(&mut xn, &x, &lw.rms_ffn, 1e-5);
-            ctx.next_activation();
-            lw.w1.forward(&xn, &mut gate, &ctx).unwrap();
-            lw.w3.forward(&xn, &mut up, &ctx).unwrap();
+            lw.w1.forward_batch(&xn, 1, &mut gate, &ctx).unwrap();
+            lw.w3.forward_batch(&xn, 1, &mut up, &ctx).unwrap();
             tmac::llm::ops::swiglu(&mut hidden, &gate, &up);
-            ctx.next_activation();
-            lw.w2.forward(&hidden, &mut ffn, &ctx).unwrap();
+            lw.w2.forward_batch(&hidden, 1, &mut ffn, &ctx).unwrap();
             tmac::llm::ops::add_assign(&mut x, &ffn);
         }
         tmac::llm::ops::rmsnorm(&mut xn, &x, &m.rms_final, 1e-5);
-        ctx.next_activation();
-        m.head.forward(&xn, &mut logits, &ctx).unwrap();
+        m.head.forward_batch(&xn, 1, &mut logits, &ctx).unwrap();
         assert_eq!(&logits, want, "{kind:?} pos {pos}: head-major f32 diverged");
         token = (tmac::llm::ops::argmax(&logits) as u32) % cfg.vocab as u32;
     }

@@ -4,6 +4,10 @@
 //! batch sizes that don't divide the mpGEMM row block, thread counts, and
 //! every kernel family the host executes (`common::families`).
 //!
+//! The grouped projections (QKV, gate/up as one `Linear::forward_group`)
+//! must also be bit-exact against one `Linear::forward_batch` call per
+//! projection, with and without grouped-query attention.
+//!
 //! Thread count comes from `TMAC_TEST_THREADS` (default 2) so CI can run
 //! the same tests under a 1-thread and an N-thread pool to catch
 //! pool-size-dependent bugs in the batched dispatch.
@@ -13,8 +17,10 @@ mod common;
 use common::family_ctxs;
 use tmac::core::{ExecCtx, N_BLOCK};
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
+use tmac::llm::{attention, ops};
 use tmac::llm::{
-    BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig, WeightQuant,
+    AttnScratch, BackendKind, BatchScratch, Engine, GenRequest, KvCache, Linear, Model,
+    ModelConfig, WeightQuant,
 };
 
 fn model(quant: WeightQuant, kind: BackendKind, seed: u64) -> Model {
@@ -230,6 +236,112 @@ fn scheduler_serves_bit_identical_sequences_at_any_batch_size() {
                     f.tokens, singles[i],
                     "max_batch={max_batch} sequence {i} diverged"
                 );
+            }
+        }
+    }
+}
+
+/// `Model::forward_batch` restated with one `Linear::forward_batch` call per
+/// projection (no groups): the logits of `tokens` prefilled at positions
+/// `0..n` of one sequence, row-major `n × vocab`.
+fn logits_per_projection(m: &Model, tokens: &[u32], ctx: &ExecCtx) -> Vec<f32> {
+    let cfg = &m.cfg;
+    let (n, dim, kvd, hd) = (tokens.len(), cfg.dim, cfg.kv_dim(), cfg.head_dim());
+    let proj = |layer: &Linear, act: &[f32]| {
+        let mut out = vec![0f32; n * layer.rows()];
+        layer.forward_batch(act, n, &mut out, ctx).unwrap();
+        out
+    };
+    let norm = |x: &[f32], gain: &[f32]| {
+        let mut xn = vec![0f32; x.len()];
+        for (o, r) in xn.chunks_exact_mut(dim).zip(x.chunks_exact(dim)) {
+            ops::rmsnorm(o, r, gain, 1e-5);
+        }
+        xn
+    };
+    let mut cache = KvCache::new(cfg);
+    let mut scratch = AttnScratch::new(cfg);
+    let (mut cos, mut sin) = (vec![0f32; n * hd], vec![0f32; n * hd]);
+    for (pos, (c, s)) in cos
+        .chunks_exact_mut(hd)
+        .zip(sin.chunks_exact_mut(hd))
+        .enumerate()
+    {
+        m.rope.fill_sincos(pos, c, s);
+    }
+    let mut x: Vec<f32> = tokens
+        .iter()
+        .flat_map(|&t| m.embed[t as usize * dim..(t as usize + 1) * dim].to_vec())
+        .collect();
+    for (l, lw) in m.layers.iter().enumerate() {
+        let xn = norm(&x, &lw.rms_attn);
+        let (mut q, mut k, v) = (proj(&lw.wq, &xn), proj(&lw.wk, &xn), proj(&lw.wv, &xn));
+        for pos in 0..n {
+            let (c, s) = (
+                &cos[pos * hd..(pos + 1) * hd],
+                &sin[pos * hd..(pos + 1) * hd],
+            );
+            m.rope.apply(&mut q[pos * dim..(pos + 1) * dim], c, s);
+            m.rope.apply(&mut k[pos * kvd..(pos + 1) * kvd], c, s);
+            let (kr, vr) = (
+                &k[pos * kvd..(pos + 1) * kvd],
+                &v[pos * kvd..(pos + 1) * kvd],
+            );
+            cache.store_seq(0, l, pos, kr, vr).unwrap();
+        }
+        let mut att = vec![0f32; n * dim];
+        for (pos, (qr, out)) in q
+            .chunks_exact(dim)
+            .zip(att.chunks_exact_mut(dim))
+            .enumerate()
+        {
+            attention::attend_seq(qr, out, &cache, 0, l, pos, &mut scratch, ctx);
+        }
+        ops::add_assign(&mut x, &proj(&lw.wo, &att));
+        let xn = norm(&x, &lw.rms_ffn);
+        let mut hidden = vec![0f32; n * cfg.ffn_dim];
+        ops::swiglu(&mut hidden, &proj(&lw.w1, &xn), &proj(&lw.w3, &xn));
+        ops::add_assign(&mut x, &proj(&lw.w2, &hidden));
+    }
+    proj(&m.head, &norm(&x, &m.rms_final))
+}
+
+#[test]
+fn grouped_projections_match_per_projection_calls() {
+    // QKV and gate/up grouped (one table build and one sweep each) against
+    // separate calls, on a GQA config (k/v narrower than q, so the QKV
+    // group mixes output sizes) and a non-GQA one, W1–W4 and ternary, at
+    // n ∈ {1, 5, 16} prefill rows.
+    let gqa = ModelConfig::tiny();
+    let mha = ModelConfig {
+        n_kv_heads: gqa.n_heads,
+        ..ModelConfig::tiny()
+    };
+    assert!(gqa.n_kv_heads < gqa.n_heads);
+    let quants = (1..=4u8)
+        .map(WeightQuant::Rtn)
+        .chain([WeightQuant::BitnetTernary]);
+    let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for ctx in family_ctxs() {
+        for cfg in [&gqa, &mha] {
+            for quant in quants.clone() {
+                let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
+                let m = Model::synthetic(cfg, quant, kind, 41).unwrap();
+                for n in [1, 5, 16] {
+                    let tokens: Vec<u32> = (0..n as u32).map(|i| (i * 11 + 3) % 96).collect();
+                    let positions: Vec<usize> = (0..n).collect();
+                    let mut cache = KvCache::new(cfg);
+                    let mut s = BatchScratch::new(cfg, n);
+                    m.forward_batch(&tokens, &positions, &vec![0; n], &mut cache, &mut s, &ctx)
+                        .unwrap();
+                    assert_eq!(
+                        bits_of(&s.logits[..n * cfg.vocab]),
+                        bits_of(&logits_per_projection(&m, &tokens, &ctx)),
+                        "{}: kv_heads={} {quant:?} n={n}",
+                        ctx.isa(),
+                        cfg.n_kv_heads
+                    );
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
-//! Integration tests for the unified execution context: table-cache
-//! semantics across crates, and the end-to-end guarantee that a transformer
-//! decode step shares table builds across QKV and gate/up projections.
+//! Integration tests for table sharing by call structure: projections that
+//! consume one activation run as one group, one table build and one pool
+//! dispatch per group, across crates and through a whole decode step.
 
+use tmac::core::gemm;
 use tmac::prelude::*;
 
 fn quantized(m: usize, k: usize, bits: u8, seed: u64) -> QuantizedMatrix {
@@ -16,31 +17,10 @@ fn activation(k: usize, seed: u64) -> Vec<f32> {
 }
 
 #[test]
-fn cache_hits_within_a_generation_misses_after_bump() {
-    let ctx = ExecCtx::new(1);
-    let lin = TmacLinear::new(&quantized(64, 128, 2, 1), KernelOpts::tmac()).unwrap();
-    let act = activation(128, 1);
-    let mut out = vec![0f32; 64];
-
-    // Same generation, same activation: one build, then hits.
-    ctx.next_activation();
-    lin.gemv_cached(&act, &mut out, &ctx).unwrap();
-    lin.gemv_cached(&act, &mut out, &ctx).unwrap();
-    lin.gemv_cached(&act, &mut out, &ctx).unwrap();
-    let s = ctx.table_stats();
-    assert_eq!((s.hits, s.misses), (2, 1), "same generation must hit");
-
-    // After the generation changes, the next lookup must rebuild.
-    ctx.next_activation();
-    lin.gemv_cached(&act, &mut out, &ctx).unwrap();
-    let s = ctx.table_stats();
-    assert_eq!((s.hits, s.misses), (2, 2), "bumped generation must miss");
-}
-
-#[test]
 fn projections_sharing_an_activation_share_one_build() {
     // The QKV pattern, straight through the core API: three matrices of
-    // different output sizes and bit-widths, one input activation.
+    // different output sizes and bit-widths, one input activation, one
+    // group.
     let ctx = ExecCtx::new(2);
     let wq = TmacLinear::new(&quantized(96, 192, 4, 2), KernelOpts::tmac()).unwrap();
     let wk = TmacLinear::new(&quantized(48, 192, 4, 3), KernelOpts::tmac()).unwrap();
@@ -48,14 +28,12 @@ fn projections_sharing_an_activation_share_one_build() {
     let act = activation(192, 2);
     let (mut q, mut k, mut v) = (vec![0f32; 96], vec![0f32; 48], vec![0f32; 48]);
 
-    ctx.next_activation();
-    wq.gemv_cached(&act, &mut q, &ctx).unwrap();
-    wk.gemv_cached(&act, &mut k, &ctx).unwrap();
-    wv.gemv_cached(&act, &mut v, &ctx).unwrap();
+    let plans = [wq.plan(), wk.plan(), wv.plan()];
+    gemm::mpgemm_group(&plans, &act, 1, &mut [&mut q, &mut k, &mut v], &ctx).unwrap();
     let s = ctx.table_stats();
     assert_eq!((s.hits, s.misses), (2, 1), "QKV must share one table build");
 
-    // Reuse must be bit-exact against the uncached path.
+    // Sharing must be bit-exact against separate calls.
     let (mut q2, mut k2, mut v2) = (vec![0f32; 96], vec![0f32; 48], vec![0f32; 48]);
     wq.gemv(&act, &mut q2, &ctx).unwrap();
     wk.gemv(&act, &mut k2, &ctx).unwrap();
@@ -63,38 +41,6 @@ fn projections_sharing_an_activation_share_one_build() {
     assert_eq!(q, q2);
     assert_eq!(k, k2);
     assert_eq!(v, v2);
-}
-
-#[test]
-fn stale_generation_never_leaks_wrong_results() {
-    // Forgetting next_activation() must degrade to a rebuild, not to wrong
-    // numbers (the fingerprint safety net).
-    let ctx = ExecCtx::new(1);
-    let lin = TmacLinear::new(&quantized(64, 128, 3, 5), KernelOpts::tmac()).unwrap();
-    let a1 = activation(128, 10);
-    let a2 = activation(128, 11);
-    let mut out1 = vec![0f32; 64];
-    let mut out2 = vec![0f32; 64];
-    ctx.next_activation();
-    lin.gemv_cached(&a1, &mut out1, &ctx).unwrap();
-    lin.gemv_cached(&a2, &mut out2, &ctx).unwrap(); // no bump!
-    let mut fresh = vec![0f32; 64];
-    lin.gemv(&a2, &mut fresh, &ctx).unwrap();
-    assert_eq!(out2, fresh, "stale tables must not be served");
-
-    // Adversarial variant: the activations differ in a SINGLE element. A
-    // sampled fingerprint would miss this (regression test for the full
-    // whole-vector hash).
-    let mut a3 = a1.clone();
-    a3[1] += 10.0;
-    ctx.next_activation();
-    lin.gemv_cached(&a1, &mut out1, &ctx).unwrap();
-    let mut out3 = vec![0f32; 64];
-    lin.gemv_cached(&a3, &mut out3, &ctx).unwrap(); // still no bump
-    let mut fresh3 = vec![0f32; 64];
-    lin.gemv(&a3, &mut fresh3, &ctx).unwrap();
-    assert_eq!(out3, fresh3, "single-element change must invalidate");
-    assert_ne!(out1, out3);
 }
 
 #[test]
@@ -130,7 +76,7 @@ fn full_decode_step_shares_builds_across_the_model() {
 #[test]
 fn dequant_and_f32_backends_run_under_the_same_ctx() {
     // The unified API: every backend forwards under ExecCtx, whether or not
-    // it uses the table cache.
+    // it builds activation tables.
     let ctx = ExecCtx::new(2);
     let qm = quantized(64, 96, 4, 9);
     let w_f32: Vec<f32> = qm.dequantize();
@@ -138,9 +84,54 @@ fn dequant_and_f32_backends_run_under_the_same_ctx() {
     for kind in [BackendKind::Dequant, BackendKind::F32] {
         let lin = Linear::build(kind, &qm, &w_f32).unwrap();
         let mut out = vec![0f32; 64];
-        lin.forward(&act, &mut out, &ctx).unwrap();
+        lin.forward_batch(&act, 1, &mut out, &ctx).unwrap();
         assert!(out.iter().all(|x| x.is_finite()), "{kind:?}");
     }
-    // Non-LUT backends never touch the table cache.
+    // Non-LUT backends build no tables.
     assert_eq!(ctx.table_stats().lookups(), 0);
+}
+
+/// `gemm/sweep` spans this thread recorded since `t0`: on a one-thread
+/// context every pool dispatch of the mpGEMM driver runs on the caller, so
+/// this counts the driver's dispatches.
+fn sweeps_since(t0: u64) -> usize {
+    let me = std::thread::current().name().map(str::to_owned);
+    tmac::trace::snapshot()
+        .into_iter()
+        .filter(|ring| Some(&ring.label) == me.as_ref())
+        .flat_map(|ring| ring.events)
+        .filter(|e| e.start_ns >= t0 && (e.cat, e.name) == ("gemm", "sweep"))
+        .count()
+}
+
+#[test]
+fn one_sweep_per_table_build() {
+    // QKV and gate/up run as one dispatch each: 4 per layer (QKV, wo,
+    // gate/up, w2) plus the head, where seven projections used to make 7.
+    // A 16-row batch is two N_BLOCK row ranges, each its own dispatch.
+    let cfg = ModelConfig::tiny();
+    let model = Model::synthetic(
+        &cfg,
+        WeightQuant::Rtn(2),
+        BackendKind::Tmac(KernelOpts::tmac()),
+        7,
+    )
+    .unwrap();
+    let ctx = ExecCtx::new(1);
+    let per_pass = 4 * cfg.n_layers + 1;
+
+    let mut cache = KvCache::new(&cfg);
+    let mut s = BatchScratch::new(&cfg, 16);
+    let t0 = tmac::trace::now_ns();
+    model.forward(1, 0, &mut cache, &mut s, &ctx).unwrap();
+    assert_eq!(sweeps_since(t0), per_pass);
+
+    let mut cache = KvCache::multi(&cfg, 16);
+    let tokens: Vec<u32> = (1..=16).collect();
+    let slots: Vec<usize> = (0..16).collect();
+    let t0 = tmac::trace::now_ns();
+    model
+        .forward_batch(&tokens, &[0; 16], &slots, &mut cache, &mut s, &ctx)
+        .unwrap();
+    assert_eq!(sweeps_since(t0), 2 * per_pass);
 }

@@ -9,12 +9,13 @@
 //! * the raw table's sign identity `t[15 - i] = -t[i]`;
 //! * table quantization error is bounded by half a step;
 //! * the whole GEMV is linear in the activations;
-//! * `gemv` == `with_tables` == `gemv_cached` **bit-exactly**, for all
-//!   bit-widths and odd shapes (the ExecCtx table-reuse contract);
+//! * `gemv` == `with_tables` **bit-exactly**, for all bit-widths and odd
+//!   shapes (the table-reuse contract);
 //! * the paired (`interleave`) stream is a faithful re-ordering: over
 //!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows (from
-//!   fresh, context-cached and caller-held tables), its one-row `mpgemm`
-//!   and the sequential stream's agree **bit-exactly**, including
+//!   fresh and caller-held tables, alone and grouped with the sequential
+//!   plan), its one-row `mpgemm` and the sequential stream's agree
+//!   **bit-exactly**, including
 //!   worst-case saturated tables, on every kernel family the host executes
 //!   (and the `Avx512` family's rows equal the `Avx2` family's);
 //! * thread-pool chunking partitions exactly.
@@ -25,7 +26,7 @@ use common::family_ctxs;
 use tmac::core::kernel::scalar::gemv_reference;
 use tmac::core::plan::index_from_codes;
 use tmac::core::table::{raw_table, ActTables, TABLE_LEN};
-use tmac::core::{ExecCtx, KernelOpts, TmacLinear, WeightPlan};
+use tmac::core::{gemm, ExecCtx, KernelOpts, TmacLinear, WeightPlan};
 use tmac::quant::QuantizedMatrix;
 use tmac::simd::scalar::round_to_f16;
 use tmac::simd::Isa;
@@ -210,10 +211,9 @@ fn kernel_correct_on_arbitrary_codes() {
     }
 }
 
-/// The ExecCtx table-reuse contract: `gemv` (fresh tables per call),
-/// `with_tables` (caller-held tables) and `gemv_cached` (context-cached
-/// tables) are **bit-exact** equal — for every bit-width and for odd,
-/// non-tile-aligned shapes.
+/// The table-reuse contract: `gemv` (fresh tables per call) and
+/// `with_tables` (caller-held tables, swept twice) are **bit-exact** equal —
+/// for every bit-width and for odd, non-tile-aligned shapes.
 #[test]
 fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
     for &(m, k) in &[(33usize, 96usize), (50, 160), (97, 224), (64, 128)] {
@@ -229,20 +229,11 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
             tl.gemv(&a, &mut fresh, &ctx).unwrap();
 
             let tables = tl.tables(&a).unwrap();
-            let mut held = vec![0f32; m];
-            tl.with_tables(&tables, &mut held, &ctx).unwrap();
-
-            ctx.next_activation();
-            let mut cached = vec![0f32; m];
-            tl.gemv_cached(&a, &mut cached, &ctx).unwrap();
-            // A second cached run must hit the cache and stay bit-exact.
-            let mut cached2 = vec![0f32; m];
-            tl.gemv_cached(&a, &mut cached2, &ctx).unwrap();
-
-            assert_eq!(fresh, held, "m={m} k={k} bits={bits}: with_tables");
-            assert_eq!(fresh, cached, "m={m} k={k} bits={bits}: cached");
-            assert_eq!(fresh, cached2, "m={m} k={k} bits={bits}: cached hit");
-            assert!(ctx.table_stats().hits >= 1, "second cached call must hit");
+            for pass in 0..2 {
+                let mut held = vec![0f32; m];
+                tl.with_tables(&tables, &mut held, &ctx).unwrap();
+                assert_eq!(fresh, held, "m={m} k={k} bits={bits}: with_tables #{pass}");
+            }
         }
     }
 }
@@ -251,10 +242,10 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 /// common shapes, and blocks long enough to need the mid-block `i32` flush.
 const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
-/// `mpgemm` row `i` (`gemm` ≡ `gemm_cached` ≡ `with_tables`), the GEMV of
-/// row `i`, and the GEMV through the same matrix planned on the `+Perm.`
-/// rung (the sequential stream and its untouched kernel), all bit-for-bit
-/// equal. Returns the `gemm` rows.
+/// `mpgemm` row `i` (`gemm` ≡ `with_tables` ≡ the group of the paired and
+/// the sequential plan), the GEMV of row `i`, and the GEMV through the same
+/// matrix planned on the `+Perm.` rung (the sequential stream and its
+/// untouched kernel), all bit-for-bit equal. Returns the `gemm` rows.
 fn assert_paired_equals_sequential(
     qm: &QuantizedMatrix,
     acts: &[f32],
@@ -268,12 +259,14 @@ fn assert_paired_equals_sequential(
     let sequential = TmacLinear::new(qm, KernelOpts::plus_permute()).unwrap();
     let mut gemm = vec![0f32; n * m];
     paired.gemm(acts, n, &mut gemm, ctx).unwrap();
-    // Fresh tables, context-cached tables and caller-held tables: one
-    // driver, the same bits.
-    ctx.next_activation();
-    let mut cached = vec![0f32; n * m];
-    paired.gemm_cached(acts, n, &mut cached, ctx).unwrap();
-    assert_eq!(gemm, cached, "{what}: gemm_cached");
+    // Fresh tables, one build shared by both streams and caller-held
+    // tables: one driver, the same bits.
+    let (mut grouped, mut grouped_seq) = (vec![0f32; n * m], vec![0f32; n * m]);
+    let plans = [paired.plan(), sequential.plan()];
+    let outs: &mut [&mut [f32]] = &mut [&mut grouped, &mut grouped_seq];
+    gemm::mpgemm_group(&plans, acts, n, outs, ctx).unwrap();
+    assert_eq!(gemm, grouped, "{what}: group");
+    assert_eq!(gemm, grouped_seq, "{what}: group, sequential stream");
     let tables = ActTables::build(acts, n, qm.group_size, &KernelOpts::tmac()).unwrap();
     let mut held = vec![0f32; n * m];
     paired.with_tables(&tables, &mut held, ctx).unwrap();
