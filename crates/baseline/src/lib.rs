@@ -25,7 +25,7 @@ pub mod sgemm;
 use tmac_core::ExecCtx;
 use tmac_quant::formats::{
     pack_q1_0, pack_q2_0, pack_q3s, pack_q4_0, quantize_q8_0, BlockQ1_0, BlockQ2_0, BlockQ3S,
-    BlockQ4_0, QK,
+    BlockQ4_0, BlockQ8_0, QK,
 };
 use tmac_quant::{QuantError, QuantizedMatrix};
 use tmac_simd::Isa;
@@ -109,7 +109,7 @@ impl DequantLinear {
     }
 
     /// One output row's dot product against pre-quantized activations.
-    fn row_dot(&self, row: usize, aq: &[tmac_quant::formats::BlockQ8_0], use_avx2: bool) -> f32 {
+    fn row_dot(&self, row: usize, aq: &[BlockQ8_0], use_avx2: bool) -> f32 {
         let b0 = row * self.blocks_per_row;
         let b1 = b0 + self.blocks_per_row;
         #[cfg(target_arch = "x86_64")]
@@ -134,7 +134,8 @@ impl DequantLinear {
         }
     }
 
-    /// Mixed-precision GEMV (llama.cpp's token-generation path).
+    /// Mixed-precision GEMV (llama.cpp's token-generation path): quantizes
+    /// `act` to `Q8_0` and runs [`DequantLinear::gemv_q8`].
     ///
     /// # Errors
     ///
@@ -147,6 +148,30 @@ impl DequantLinear {
                 self.cols
             )));
         }
+        self.gemv_q8(&quantize_q8_0(act), out, ctx)
+    }
+
+    /// [`DequantLinear::gemv`] of an activation already quantized by
+    /// [`quantize_q8_0`], so the matrices that read one activation
+    /// quantize it once, as llama.cpp does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::Shape`] unless `aq` holds `K / 32` blocks and
+    /// `out` `M` floats.
+    pub fn gemv_q8(
+        &self,
+        aq: &[BlockQ8_0],
+        out: &mut [f32],
+        ctx: &ExecCtx,
+    ) -> Result<(), QuantError> {
+        if aq.len() != self.blocks_per_row {
+            return Err(QuantError::Shape(format!(
+                "activation blocks {} != K / {QK} = {}",
+                aq.len(),
+                self.blocks_per_row
+            )));
+        }
         if out.len() != self.rows {
             return Err(QuantError::Shape(format!(
                 "output length {} != M {}",
@@ -154,14 +179,13 @@ impl DequantLinear {
                 self.rows
             )));
         }
-        let aq = quantize_q8_0(act);
         // There is no AVX-512 dequant kernel: `Avx512` runs the AVX2 one.
         let use_avx2 = matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512);
         let out_ptr = OutPtr(out.as_mut_ptr());
         let out_ref = &out_ptr;
         ctx.pool().chunks(self.rows, 8, |range| {
             for m in range {
-                let v = self.row_dot(m, &aq, use_avx2);
+                let v = self.row_dot(m, aq, use_avx2);
                 // SAFETY: row ranges are disjoint across threads; `out`
                 // outlives the dispatch.
                 unsafe { *out_ref.0.add(m) = v };
@@ -301,5 +325,8 @@ mod tests {
         assert!(lin.gemv(&act[..32], &mut out, &ctx).is_err());
         let mut short = vec![0f32; 31];
         assert!(lin.gemv(&act, &mut short, &ctx).is_err());
+        let aq = quantize_q8_0(&act);
+        assert!(lin.gemv_q8(&aq[..1], &mut out, &ctx).is_err());
+        assert!(lin.gemv_q8(&aq, &mut short, &ctx).is_err());
     }
 }

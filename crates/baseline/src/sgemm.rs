@@ -53,11 +53,8 @@ pub fn gemm_blas(
     let out_ptr = OutPtr(out.as_mut_ptr());
     let out_ref = &out_ptr;
     ctx.pool().chunks(m_total, 8, |rows| {
-        // Per-thread workspace from the context's scratch arena: decode
-        // GEMMs run once per prefill block, so the buffers recycle across
-        // blocks instead of reallocating.
-        let mut acc = ctx.take_buf(rows.len() * n);
-        let mut wrow = ctx.take_buf(k_total);
+        let mut acc = vec![0f32; rows.len() * n];
+        let mut wrow = vec![0f32; k_total];
         let mut k0 = 0;
         while k0 < k_total {
             let kb = KB.min(k_total - k0);
@@ -78,8 +75,6 @@ pub fn gemm_blas(
                 unsafe { *out_ref.0.add(ni * m_total + m) = acc[ri * n + ni] };
             }
         }
-        ctx.put_buf(acc);
-        ctx.put_buf(wrow);
     });
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! Shared execution context: thread pool + kernel family + scratch.
+//! Shared execution context: thread pool + kernel family + table counters.
 //!
 //! T-MAC's central amortization claim (§3.2) is that the online table
 //! precompute is paid once per *activation*, not once per weight matrix:
@@ -15,22 +15,20 @@
 //! * the **thread pool** the kernels dispatch on, owned by the context;
 //! * the **kernel family** ([`Isa`]) its sweeps and table builds run on,
 //!   detected once at construction ([`ExecCtx::with_isa`] forces one);
-//! * a **scratch arena** of recyclable `f32` buffers, so per-call workspace
-//!   allocations can be amortized across tokens;
 //! * **table counters** ([`ExecCtx::table_stats`]): table builds, and the
 //!   projections of a group that a build served beyond the first.
 //!
-//! The scratch arena is behind a mutex and the counters are atomics, so
-//! that bookkeeping is safe to call from several threads. Kernel
-//! **dispatch** is not: the context's [`ThreadPool`] executes one job at a
-//! time, so concurrent `gemv`/`forward` calls through one context must be
-//! externally serialized (the pool asserts on concurrent dispatch). The
-//! expected usage is one context per generation stream.
+//! It holds no workspace: each sweep thread keeps its tile buffer on its
+//! own stack. The counters are atomics, so that bookkeeping is safe to
+//! call from several threads. Kernel **dispatch** is not: the context's
+//! [`ThreadPool`] executes one job at a time, so concurrent
+//! `gemv`/`forward` calls through one context must be externally
+//! serialized (the pool asserts on concurrent dispatch). The expected
+//! usage is one context per generation stream.
 
 use crate::TmacError;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use tmac_simd::Isa;
 use tmac_threadpool::ThreadPool;
 
@@ -51,9 +49,6 @@ impl TableCacheStats {
         self.hits + self.misses
     }
 }
-
-/// Buffers retained in the scratch free-list.
-const SCRATCH_CAPACITY: usize = 16;
 
 /// A buffer whose disjoint ranges the threads of one pool dispatch write:
 /// output tiles in the mpGEMM sweep, `(scale block, row)` units in the table
@@ -132,7 +127,6 @@ pub struct ExecCtx {
     isa: Isa,
     hits: AtomicU64,
     misses: AtomicU64,
-    scratch: Mutex<Vec<Vec<f32>>>,
 }
 
 impl std::fmt::Debug for ExecCtx {
@@ -180,7 +174,6 @@ impl ExecCtx {
             isa,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -233,45 +226,6 @@ impl ExecCtx {
     pub fn reset_table_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Vec<Vec<f32>>> {
-        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Takes a zeroed `f32` buffer of length `len` from the scratch arena
-    /// (allocating only when the arena has none to recycle). Return it with
-    /// [`ExecCtx::put_buf`] to amortize the allocation across calls.
-    pub fn take_buf(&self, len: usize) -> Vec<f32> {
-        let recycled = {
-            let mut scratch = self.lock();
-            scratch
-                .iter()
-                .position(|b| b.capacity() >= len)
-                .map(|i| scratch.swap_remove(i))
-        };
-        match recycled {
-            Some(mut b) => {
-                b.clear();
-                b.resize(len, 0.0);
-                b
-            }
-            None => {
-                tmac_trace::instant("exec", "scratch_alloc", 0, len as u64);
-                vec![0.0; len]
-            }
-        }
-    }
-
-    /// Returns a buffer to the scratch arena for reuse.
-    pub fn put_buf(&self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        let mut scratch = self.lock();
-        if scratch.len() < SCRATCH_CAPACITY {
-            scratch.push(buf);
-        }
     }
 }
 
@@ -351,18 +305,5 @@ mod tests {
             Err(TmacError::Shape(_))
         ));
         assert_eq!(ctx.table_stats(), TableCacheStats { hits: 0, misses: 0 });
-    }
-
-    #[test]
-    fn scratch_arena_recycles() {
-        let ctx = ExecCtx::new(1);
-        let mut b = ctx.take_buf(100);
-        b[0] = 7.0;
-        let p = b.as_ptr();
-        ctx.put_buf(b);
-        let b2 = ctx.take_buf(50);
-        assert_eq!(b2.as_ptr(), p, "smaller request reuses the buffer");
-        assert!(b2.iter().all(|&x| x == 0.0), "recycled buffer is zeroed");
-        assert_eq!(b2.len(), 50);
     }
 }

@@ -115,18 +115,17 @@ fn check_group(
     Ok(())
 }
 
-/// Floats per 64-byte cache line.
-const LINE_FLOATS: usize = 64 / std::mem::size_of::<f32>();
+/// One sweep thread's tile buffer: an m-tile of up to [`N_BLOCK`] rows, on
+/// a 64-byte boundary so that the multi-row kernel's 32-byte row loads and
+/// stores never straddle a cache line (the same code measured ±4 % at
+/// n ≥ 2 by where `malloc` put a heap buffer).
+#[repr(align(64))]
+struct TileBuf([f32; N_BLOCK * TILE_M]);
 
-/// The `len` floats of `buf` from its first 64-byte boundary on, so that the
-/// multi-row kernel's 32-byte row loads and stores never straddle a cache
-/// line: the same code measured ±4 % at n ≥ 2 by where `malloc` put the
-/// buffer. `buf` needs `LINE_FLOATS - 1` floats to spare.
-fn line_aligned(buf: &mut [f32], len: usize) -> &mut [f32] {
-    // `f32`s are 4-byte aligned, so the distance is whole floats.
-    let skip = (buf.as_ptr() as usize).wrapping_neg() % 64 / std::mem::size_of::<f32>();
-    &mut buf[skip..skip + len]
-}
+const _: () = assert!(
+    std::mem::align_of::<TileBuf>() == 64
+        && std::mem::size_of::<TileBuf>() >= N_BLOCK * TILE_M * std::mem::size_of::<f32>()
+);
 
 /// Sweeps the m-tiles of every plan of a group for the rows `rows` of
 /// `tables` (= of each `outs[i]`) in one pool dispatch: the group's tiles
@@ -151,18 +150,8 @@ fn sweep(
         // One sweep of this thread's tiles (`id` = first tile of the group's
         // list, `arg` = rows).
         let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
-        // One row's tile lives on the stack: the decode path takes no lock
-        // on the scratch arena.
-        let mut one = [0f32; TILE_M];
-        let mut many = match rows.len() {
-            1 => Vec::new(),
-            n => ctx.take_buf(n * TILE_M + LINE_FLOATS - 1),
-        };
-        let scratch = if rows.len() == 1 {
-            &mut one[..]
-        } else {
-            line_aligned(&mut many, rows.len() * TILE_M)
-        };
+        let mut buf = TileBuf([0f32; N_BLOCK * TILE_M]);
+        let scratch = &mut buf.0[..rows.len() * TILE_M];
         let mut first = 0;
         for (plan, out) in plans.iter().zip(outs) {
             // This plan's tiles are `first..first + m_tiles` of the list.
@@ -193,7 +182,6 @@ fn sweep(
                 }
             }
         }
-        ctx.put_buf(many);
     });
 }
 
@@ -297,19 +285,6 @@ mod tests {
             .map(|i| ((i as f32) * 0.17).cos() * 0.8)
             .collect();
         (rtn::quantize(&w, m, k, bits, 32).unwrap(), act)
-    }
-
-    #[test]
-    fn sweep_scratch_starts_on_a_cache_line() {
-        let ctx = ExecCtx::new(1);
-        let len = 3 * TILE_M;
-        let mut buf = ctx.take_buf(len + 2 * LINE_FLOATS);
-        // Every float offset a 4-byte-aligned allocation can start at.
-        for at in 0..LINE_FLOATS {
-            let outs = line_aligned(&mut buf[at..at + len + LINE_FLOATS - 1], len);
-            assert_eq!(outs.as_ptr() as usize % 64, 0, "offset {at}");
-            assert_eq!(outs.len(), len);
-        }
     }
 
     #[test]

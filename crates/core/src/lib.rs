@@ -28,7 +28,7 @@
 //! let qm = tmac_quant::rtn::quantize(&weights, 64, 128, 2, 32).unwrap();
 //!
 //! // Offline: build the plan. Online: multiply under an execution context
-//! // (thread pool + kernel family + scratch).
+//! // (thread pool + kernel family + table counters).
 //! let linear = TmacLinear::new(&qm, KernelOpts::tmac()).unwrap();
 //! let act: Vec<f32> = (0..128).map(|i| (i as f32 * 0.2).cos()).collect();
 //! let ctx = ExecCtx::new(2);

@@ -29,9 +29,14 @@ use std::fmt;
 use std::process::ExitCode;
 use tmac_baseline::{sgemm, DequantLinear};
 use tmac_core::{gemm, ActTables, ExecCtx, KernelOpts, TmacLinear, WeightPlan};
-use tmac_eval::{all_threads, make_act, make_weights, ms, time_medians, Flags, Table, SHAPES};
+use tmac_eval::{
+    all_threads, full_depth_seconds, make_act, make_weights, ms, time_medians, Flags, Table, SHAPES,
+};
 use tmac_llm::eval as quality;
-use tmac_llm::{BackendKind, Engine, KvPrecision, Model, ModelConfig, WeightQuant};
+use tmac_llm::{
+    BackendKind, BatchScratch, Engine, KvCache, KvPrecision, Model, ModelConfig, WeightQuant,
+    PREFILL_CHUNK,
+};
 use tmac_quant::rtn::quantize;
 use tmac_serve::Json;
 use tmac_simd::{f32ops::nmse, Isa};
@@ -284,6 +289,8 @@ fn fig7(quick: bool) -> Vec<Claim> {
 }
 
 const FIG8_LAYERS: usize = 2;
+/// Timed rounds of Fig 8 and Table 4; each model first prefills
+/// `FIG8_TOKENS / 2` positions and then re-runs the step at the next one.
 const FIG8_TOKENS: usize = 16;
 /// The paper's Fig 8 speedups are single-thread on RBP5; here they run on
 /// every thread.
@@ -294,10 +301,59 @@ const FIG8_CLAIMS: [Row; 3] = [
     ("Fig 8 decode tok/s vs dequant, M3 BitNet-3B", "5.8x (RBP5)", "paper.fig8_m3_vs_dequant_x", Min(1.0)),
 ];
 
+/// One model's decode step, ready to time: `FIG8_TOKENS / 2` positions
+/// are prefilled, and [`DecodeStep::step`] re-runs `Model::forward` at the
+/// next position. Every call overwrites the same KV row, so every call
+/// does the same work.
+struct DecodeStep {
+    model: Model,
+    cache: KvCache,
+    scratch: BatchScratch,
+    head_out: Vec<f32>,
+}
+
+impl DecodeStep {
+    const POS: usize = FIG8_TOKENS / 2;
+
+    fn new(model: Model, ctx: &ExecCtx) -> Self {
+        let mut cache = KvCache::new(&model.cfg);
+        let mut scratch = BatchScratch::new(&model.cfg, PREFILL_CHUNK);
+        let prompt: Vec<u32> = (1..=Self::POS as u32).collect();
+        let prefill = model.prefill_chunked(&prompt, 0, 0, &mut cache, &mut scratch, ctx);
+        prefill.expect("prefill");
+        let head_out = vec![0f32; model.cfg.vocab];
+        DecodeStep {
+            model,
+            cache,
+            scratch,
+            head_out,
+        }
+    }
+
+    /// One decode step: every layer, then the head.
+    fn step(&mut self, ctx: &ExecCtx) {
+        let (cache, scratch) = (&mut self.cache, &mut self.scratch);
+        let step = self.model.forward(1, Self::POS, cache, scratch, ctx);
+        step.expect("decode step");
+    }
+
+    /// The LM head alone, building its own tables as the step does.
+    fn head(&mut self, ctx: &ExecCtx) {
+        let act = &self.model.embed[..self.model.cfg.dim];
+        let head = self
+            .model
+            .head
+            .forward_batch(act, 1, &mut self.head_out, ctx);
+        head.expect("head");
+    }
+}
+
 /// Figure 8: decode tok/s, llama.cpp vs T-MAC, for M1 = Llama-2-7B-4bit,
 /// M2 = Llama-2-7B-2bit and M3 = BitNet-3B on every thread. Each model
-/// runs with its full per-layer shapes but `FIG8_LAYERS` layers, and
-/// per-token time extrapolates by layer count (DESIGN.md §8).
+/// runs with its full per-layer shapes but `FIG8_LAYERS` layers; the two
+/// frameworks' steps and heads are timed together ([`time_medians`]) and
+/// per-token time extrapolates by layer count ([`full_depth_seconds`],
+/// DESIGN.md §8).
 fn fig8(_quick: bool) -> Vec<Claim> {
     let threads = all_threads();
     let ctx = ExecCtx::new(threads);
@@ -314,22 +370,38 @@ fn fig8(_quick: bool) -> Vec<Claim> {
     let headers = [
         "model",
         "framework",
-        "tokens/s (measured, extrapolated)",
+        "step (ms)",
+        "head (ms)",
+        "tokens/s (extrapolated)",
         "speedup",
     ];
     let mut table = Table::new(&headers);
     let speedups = models.map(|(label, cfg, quant)| {
-        let scaled = cfg.scaled(FIG8_LAYERS, 2048, 128.max(FIG8_TOKENS + 4));
-        let mut rates = Vec::new();
-        for kind in [BackendKind::Dequant, BackendKind::Tmac(KernelOpts::tmac())] {
+        let scaled = cfg.scaled(FIG8_LAYERS, 2048, 128);
+        let kinds = [BackendKind::Dequant, BackendKind::Tmac(KernelOpts::tmac())];
+        let mut sides = kinds.map(|kind| {
             let model = Model::synthetic(&scaled, quant, kind, 21).expect("model build");
-            let stats = Engine::new(model).measure_decode(FIG8_TOKENS, &ctx);
-            let stats = stats.expect("decode");
-            let rate = stats.extrapolate_layers(FIG8_LAYERS, cfg.n_layers);
-            let rate = rate.tokens_per_sec();
-            rates.push(rate);
+            DecodeStep::new(model, &ctx)
+        });
+        // Sides 0 and 1 are the steps, 2 and 3 the heads.
+        let [step_d, step_t, head_d, head_t] = time_medians(1, FIG8_TOKENS, |i| match i {
+            0 | 1 => sides[i].step(&ctx),
+            _ => sides[i - 2].head(&ctx),
+        });
+        let times = [(step_d, head_d), (step_t, head_t)];
+        let rates = times
+            .map(|(step, head)| 1.0 / full_depth_seconds(step, head, FIG8_LAYERS, cfg.n_layers));
+        for ((kind, (step, head)), rate) in kinds.iter().zip(times).zip(rates) {
             let (rate, speedup) = (format!("{rate:.2}"), format!("{:.2}x", rate / rates[0]));
-            table.row(vec![label.into(), kind.label().into(), rate, speedup]);
+            let framework = kind.label().into();
+            table.row(vec![
+                label.into(),
+                framework,
+                ms(step),
+                ms(head),
+                rate,
+                speedup,
+            ]);
         }
         rates[1] / rates[0]
     });
@@ -528,9 +600,11 @@ const TABLE4_CLAIMS: [Row; 2] = [
 
 /// Table 4: decode throughput and quality (teacher-forced perplexity, and
 /// two-way choice agreement with the reference) for the un-quantized
-/// reference, llama.cpp and T-MAC, 1 thread. The synthetic evaluations
-/// stand in for WikiText-2 / lambada / WinoGrande. The paper's
-/// `T-MAC (+FA)` row moved to DESIGN.md §9 with its kernel.
+/// reference, llama.cpp and T-MAC, 1 thread. The three decode steps are
+/// timed together ([`time_medians`], as in Fig 8); perplexity is
+/// [`quality::batched_quality`]'s. The synthetic evaluations stand in for
+/// WikiText-2 / lambada / WinoGrande. The paper's `T-MAC (+FA)` row moved
+/// to DESIGN.md §9 with its kernel.
 fn table4(_quick: bool) -> Vec<Claim> {
     let ctx = ExecCtx::new(1);
     let (cfg, reference, seqs) = TABLE4.build(&ctx);
@@ -549,14 +623,19 @@ fn table4(_quick: bool) -> Vec<Claim> {
     ];
     let paper = "paper (7B: tok/s, WikiText2 PPL, WinoGrande acc)";
     let mut table = Table::new(&[&headers[..], &[paper]].concat());
-    // (tok/s, perplexity) per backend.
-    let measured = backends.map(|(label, kind, paper)| {
+    let mut sides = backends.map(|(_, kind, _)| {
         let model = Model::synthetic(&cfg, WeightQuant::Rtn(4), kind, 77).expect("model");
-        let mut engine = Engine::new(model);
-        let tok_s = engine.measure_decode(16, &ctx).expect("decode");
-        let tok_s = tok_s.tokens_per_sec();
-        let ppl = quality::perplexity(&mut engine, &seqs, &ctx).expect("ppl");
-        let acc = quality::choice_agreement(&mut reference, &mut engine, TABLE4_TASKS, 9, &ctx);
+        DecodeStep::new(model, &ctx)
+    });
+    let step_s: [f64; 3] = time_medians(1, FIG8_TOKENS, |i| sides[i].step(&ctx));
+    // (tok/s, perplexity) per backend.
+    let measured = [0, 1, 2].map(|i| {
+        let (label, _, paper) = backends[i];
+        let (model, tok_s) = (&sides[i].model, 1.0 / step_s[i]);
+        let report = quality::batched_quality(model, &seqs, 2, TABLE4.seqs, &ctx);
+        let ppl = report.expect("perplexity").perplexity;
+        let mut candidate = Engine::new(model.clone());
+        let acc = quality::choice_agreement(&mut reference, &mut candidate, TABLE4_TASKS, 9, &ctx);
         let (label, acc) = (label.into(), acc.expect("agreement"));
         let cells = [
             format!("{tok_s:.2}"),

@@ -132,7 +132,6 @@ fn main() {
             max_batch,
             max_pending,
             kv_page_budget,
-            ..SchedulerConfig::default()
         },
     );
     install_signal_handlers();

@@ -2,8 +2,9 @@
 //!
 //! `paper` regenerates each table and figure of the paper as a subcommand
 //! and checks the paper's claims (see `DESIGN.md` §7). This library holds
-//! the Llama-2-7B/13B kernel shapes, deterministic synthetic data, timing,
-//! plain-text tables, and the one argv parser ([`Flags`]).
+//! the Llama-2-7B/13B kernel shapes, deterministic synthetic data, timing
+//! and full-depth extrapolation, plain-text tables, and the one argv parser
+//! ([`Flags`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -64,6 +65,19 @@ pub fn time_medians<const N: usize>(
         s.sort_by(f64::total_cmp);
         (s[(s.len() - 1) / 2] + s[s.len() / 2]) / 2.0
     })
+}
+
+/// Extrapolates one decode step of a model cut to `measured_layers` layers
+/// to `full_layers` layers of the same shape: the head's `head_s` stays,
+/// the layers' share `step_s − head_s` scales linearly in depth (decode
+/// streams every layer's weights once; `DESIGN.md` §8).
+pub fn full_depth_seconds(
+    step_s: f64,
+    head_s: f64,
+    measured_layers: usize,
+    full_layers: usize,
+) -> f64 {
+    head_s + (step_s - head_s) * full_layers as f64 / measured_layers.max(1) as f64
 }
 
 /// Formats seconds as milliseconds with three significant decimals.
@@ -272,6 +286,14 @@ mod tests {
         });
         assert_eq!(runs, [4, 4], "one warm-up and three timed rounds each");
         assert!(fast >= 0.0 && slow >= 0.002 && slow > fast, "{fast} {slow}");
+    }
+
+    #[test]
+    fn extrapolation_scales_layers_only() {
+        let full = full_depth_seconds(0.3, 0.1, 2, 32);
+        assert!((full - 3.3).abs() < 1e-9, "{full}");
+        let same = full_depth_seconds(0.3, 0.1, 2, 2);
+        assert!((same - 0.3).abs() < 1e-12, "{same}");
     }
 
     static TEST_FLAGS: Flags = Flags {

@@ -7,15 +7,16 @@
 //! over exactly these three, selected by [`BackendKind`].
 //!
 //! All forwarding goes through an [`ExecCtx`] (thread pool, kernel family,
-//! scratch). Projections that consume the same activation (QKV, gate/up)
-//! forward together through [`Linear::forward_group`], which is how the
-//! T-MAC backend builds one table set for all of them
-//! (`tmac_core::gemm::mpgemm_group`).
+//! table counters). Projections that consume the same activation (QKV,
+//! gate/up) forward together through [`Linear::forward_group`], which is
+//! how the T-MAC backend builds one table set for all of them
+//! (`tmac_core::gemm::mpgemm_group`) and the dequant backend quantizes the
+//! activation once.
 
 use std::sync::Arc;
 use tmac_baseline::DequantLinear;
 use tmac_core::{gemm, ExecCtx, KernelOpts, TmacLinear};
-use tmac_quant::QuantizedMatrix;
+use tmac_quant::{formats::quantize_q8_0, QuantizedMatrix};
 
 /// Which of the three compared kernels a model's linear layers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,8 +298,10 @@ impl Linear {
     /// [`Linear::forward_batch`] of every layer of `group` over the same
     /// `n` activation rows: `outs[i]` receives layer `i`'s product. A group
     /// of T-MAC layers builds its activation tables once and sweeps all of
-    /// them in one dispatch (`tmac_core::gemm::mpgemm_group`); any other
-    /// group forwards layer by layer. The outputs are bit-identical to
+    /// them in one dispatch (`tmac_core::gemm::mpgemm_group`); a group of
+    /// dequant layers quantizes each row once for all of them
+    /// ([`DequantLinear::gemv_q8`]); any other group forwards layer by
+    /// layer. The outputs are bit-identical to
     /// separate `forward_batch` calls either way.
     ///
     /// # Errors
@@ -331,15 +334,32 @@ impl Linear {
                 _ => None,
             })
             .collect();
-        match plans {
-            Some(plans) => Ok(gemm::mpgemm_group(&plans, act, n, outs, ctx)?),
-            None => {
-                for (layer, out) in group.iter().zip(outs.iter_mut()) {
-                    layer.forward_batch(act, n, out, ctx)?;
-                }
-                Ok(())
-            }
+        if let Some(plans) = plans {
+            return Ok(gemm::mpgemm_group(&plans, act, n, outs, ctx)?);
         }
+        let dequant: Option<Vec<&DequantLinear>> = group
+            .iter()
+            .map(|layer| match layer {
+                Linear::Dequant(l) => Some(&**l),
+                _ => None,
+            })
+            .collect();
+        if let Some(layers) = dequant {
+            // llama.cpp quantizes each activation row to Q8_0 once for all
+            // the matrices that read it.
+            for (r, row) in act.chunks_exact(act.len() / n).enumerate() {
+                let aq = quantize_q8_0(row);
+                for (l, out) in layers.iter().zip(outs.iter_mut()) {
+                    let m = l.rows();
+                    l.gemv_q8(&aq, &mut out[r * m..(r + 1) * m], ctx)?;
+                }
+            }
+            return Ok(());
+        }
+        for (layer, out) in group.iter().zip(outs.iter_mut()) {
+            layer.forward_batch(act, n, out, ctx)?;
+        }
+        Ok(())
     }
 }
 

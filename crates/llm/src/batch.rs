@@ -75,10 +75,6 @@ pub struct SeqId(pub u64);
 pub struct SchedulerConfig {
     /// Maximum concurrently active sequences (KV-cache slots).
     pub max_batch: usize,
-    /// Rows per prefill [`Model::forward_batch`] call (bounds batch-scratch
-    /// memory while keeping prompts on the mpGEMM path). `0` (the default)
-    /// is [`PREFILL_CHUNK`].
-    pub prefill_chunk: usize,
     /// Maximum queued (submitted but not yet active) sequences. Further
     /// [`Scheduler::submit`] calls return [`BackendError::QueueFull`] — the
     /// admission-backpressure primitive a serving front-end's 429 path
@@ -96,7 +92,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             max_batch: 16,
-            prefill_chunk: 0,
             max_pending: 256,
             kv_page_budget: 0,
         }
@@ -330,12 +325,9 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `cfg.max_batch == 0`.
-    pub fn new(model: Model, mut cfg: SchedulerConfig) -> Self {
+    pub fn new(model: Model, cfg: SchedulerConfig) -> Self {
         assert!(cfg.max_batch > 0, "scheduler needs max_batch >= 1");
-        if cfg.prefill_chunk == 0 {
-            cfg.prefill_chunk = PREFILL_CHUNK;
-        }
-        let scratch = BatchScratch::new(&model.cfg, cfg.max_batch.max(cfg.prefill_chunk));
+        let scratch = BatchScratch::new(&model.cfg, cfg.max_batch.max(PREFILL_CHUNK));
         let cache = KvCache::multi(&model.cfg, cfg.max_batch).with_budget(cfg.kv_page_budget);
         Scheduler {
             model,
@@ -435,8 +427,7 @@ impl Scheduler {
         self.active.len()
     }
 
-    /// The scheduler's limits (as resolved at construction: a zero
-    /// `prefill_chunk` has been replaced by [`PREFILL_CHUNK`]).
+    /// The scheduler's limits.
     pub fn config(&self) -> &SchedulerConfig {
         &self.cfg
     }
@@ -780,10 +771,9 @@ impl Scheduler {
         let model = &self.model;
         let cache = &mut self.cache;
         let scratch = &mut self.scratch;
-        let chunk = self.cfg.prefill_chunk;
         let run = catch_unwind(AssertUnwindSafe(|| {
             scheduler_fault("scheduler/prefill")?;
-            model.prefill_chunked_from(&seq.prompt, matched, seq.slot, cache, scratch, chunk, ctx)
+            model.prefill_chunked(&seq.prompt, matched, seq.slot, cache, scratch, ctx)
         }));
         let last_row = match run {
             Ok(r) => r?,
@@ -884,7 +874,6 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let cfg = SchedulerConfig {
             max_batch: 2,
-            prefill_chunk: 4,
             ..SchedulerConfig::default()
         };
         let mut sched = Scheduler::new(model(tmac_kind()), cfg);
@@ -1147,10 +1136,10 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let cfg = SchedulerConfig {
             max_batch: 1,
-            prefill_chunk: 3, // forces multi-chunk prefill for a 7-token prompt
             ..SchedulerConfig::default()
         };
-        let prompt: Vec<u32> = (1..=7).collect();
+        // Two whole chunks and a ragged third.
+        let prompt: Vec<u32> = (1..=2 * PREFILL_CHUNK as u32 + 3).collect();
         let mut engine = Engine::new(model(tmac_kind()));
         let single = engine
             .generate(&SubmitRequest::greedy(&prompt, 4), &ctx)

@@ -1,20 +1,16 @@
-//! Generation engine: decode loops, throughput measurement, and full-depth
-//! extrapolation from scaled models.
+//! Single-stream generation: the sequential oracle.
 //!
-//! The paper measures end-to-end throughput by repeatedly generating 64
-//! tokens (§5.1, "Measurement approach"). Full 7B/13B models do not fit the
-//! evaluation host, so experiments run *scaled* configurations with the
-//! exact per-layer shapes and extrapolate: per-token time is measured as
-//! `layers + other` and the layer part scales linearly in depth (decode is
-//! memory-bound weight streaming; attention's KV share at these sequence
-//! lengths is small). The substitution is recorded in `DESIGN.md`.
+//! [`Engine`] owns one model, one KV cache and one scratch, and does
+//! exactly four things: [`Engine::new`], [`Engine::reset`],
+//! [`Engine::prefill`] and [`Engine::generate`]. It is what the tests
+//! compare the batched [`crate::batch::Scheduler`] against
+//! (`DESIGN.md`, "Engine and scheduler"). It keeps no clock: `paper`
+//! times decode steps through `Model::forward` itself (`DESIGN.md` §8).
 
 use crate::backend::BackendError;
 use crate::batch::FinishReason;
 use crate::model::{BatchScratch, KvCache, Model, PREFILL_CHUNK};
-use crate::ops;
 use crate::sampling::{self, GenRequest, Sampler};
-use std::time::Instant;
 use tmac_core::ExecCtx;
 
 /// A model plus its generation state.
@@ -38,39 +34,6 @@ pub struct GenOutput {
     pub reason: FinishReason,
 }
 
-/// Decode-loop measurement result.
-#[derive(Debug, Clone, Copy)]
-pub struct DecodeStats {
-    /// Average seconds per generated token.
-    pub seconds_per_token: f64,
-    /// Seconds spent in transformer layers per token.
-    pub layer_seconds: f64,
-    /// Seconds outside the layers (embedding, final norm, LM head).
-    pub other_seconds: f64,
-    /// Tokens generated during measurement.
-    pub tokens: usize,
-}
-
-impl DecodeStats {
-    /// Tokens per second.
-    pub fn tokens_per_sec(&self) -> f64 {
-        1.0 / self.seconds_per_token
-    }
-
-    /// Extrapolates to a model with `full_layers` layers, given that the
-    /// measurement ran `measured_layers` of identical shape.
-    pub fn extrapolate_layers(&self, measured_layers: usize, full_layers: usize) -> DecodeStats {
-        let per_layer = self.layer_seconds / measured_layers.max(1) as f64;
-        let layer_seconds = per_layer * full_layers as f64;
-        DecodeStats {
-            seconds_per_token: layer_seconds + self.other_seconds,
-            layer_seconds,
-            other_seconds: self.other_seconds,
-            tokens: self.tokens,
-        }
-    }
-}
-
 impl Engine {
     /// Wraps a model with fresh generation state.
     pub fn new(model: Model) -> Self {
@@ -91,26 +54,10 @@ impl Engine {
         self.cache.reset();
     }
 
-    /// Runs one decode step and returns a copy of the logits.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model failures.
-    pub fn step(
-        &mut self,
-        token: u32,
-        pos: usize,
-        ctx: &ExecCtx,
-    ) -> Result<Vec<f32>, BackendError> {
-        self.model
-            .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
-        Ok(self.scratch.logits_row(0).to_vec())
-    }
-
-    /// Prefills `prompt` as batched mpGEMM chunks (every projection runs
-    /// with `n = chunk` rows, so weight tiles stream once per row block
-    /// instead of once per token) and returns the logits after the *last*
-    /// prompt token — exactly what greedy decoding samples the first new
+    /// Prefills `prompt` as batched mpGEMM chunks of [`PREFILL_CHUNK`]
+    /// rows (every projection runs with `n = chunk` rows, so weight tiles
+    /// stream once per row block instead of once per token) and returns the
+    /// logits after the *last* prompt token — exactly what greedy decoding samples the first new
     /// token from, so nothing is computed and discarded.
     ///
     /// Resets the engine first; afterwards the KV cache holds all
@@ -132,15 +79,9 @@ impl Engine {
             )));
         }
         self.reset();
-        let chunk = self.scratch.capacity();
-        let last_row = self.model.prefill_chunked(
-            prompt,
-            0,
-            &mut self.cache,
-            &mut self.scratch,
-            chunk,
-            ctx,
-        )?;
+        let last_row =
+            self.model
+                .prefill_chunked(prompt, 0, 0, &mut self.cache, &mut self.scratch, ctx)?;
         Ok(self.scratch.logits_row(last_row).to_vec())
     }
 
@@ -197,58 +138,6 @@ impl Engine {
             out.reason = FinishReason::Stop;
         }
         Ok(out)
-    }
-
-    /// Measures decode throughput: generates `n_tokens` tokens from a fixed
-    /// prompt, timing each forward pass (after one warm-up token). The
-    /// LM-head projection is timed again on its own after every pass and
-    /// reported as `other_seconds` (embedding copy and final RMSNorm are
-    /// noise beside it); `layer_seconds` is the remainder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model failures.
-    pub fn measure_decode(
-        &mut self,
-        n_tokens: usize,
-        ctx: &ExecCtx,
-    ) -> Result<DecodeStats, BackendError> {
-        self.reset();
-        let dim = self.model.cfg.dim;
-        let mut head_out = vec![0f32; self.model.cfg.vocab];
-        let mut total_s = 0f64;
-        let mut other_s = 0f64;
-        let mut token = 1u32;
-        // Warm-up token (paper: warm-up before measurement).
-        self.model
-            .forward(token, 0, &mut self.cache, &mut self.scratch, ctx)?;
-        for i in 0..n_tokens {
-            let pos = i + 1;
-            if pos >= self.model.cfg.seq_max {
-                break;
-            }
-            let t0 = Instant::now();
-            self.model
-                .forward(token, pos, &mut self.cache, &mut self.scratch, ctx)?;
-            total_s += t0.elapsed().as_secs_f64();
-
-            // The head alone, building its own tables like the pass does.
-            let act = &self.model.embed[token as usize * dim..(token as usize + 1) * dim];
-            let t0 = Instant::now();
-            self.model.head.forward_batch(act, 1, &mut head_out, ctx)?;
-            other_s += t0.elapsed().as_secs_f64();
-
-            token = (ops::argmax(self.scratch.logits_row(0)) as u32) % self.model.cfg.vocab as u32;
-        }
-        let n = n_tokens
-            .min(self.model.cfg.seq_max.saturating_sub(1))
-            .max(1);
-        Ok(DecodeStats {
-            seconds_per_token: total_s / n as f64,
-            layer_seconds: (total_s - other_s) / n as f64,
-            other_seconds: other_s / n as f64,
-            tokens: n,
-        })
     }
 }
 
@@ -336,43 +225,17 @@ mod tests {
         assert!(e.generate(&req, &ctx).is_err());
     }
 
-    #[test]
-    fn measure_decode_reports_sane_stats() {
-        let ctx = ExecCtx::new(1);
-        let mut e = engine(BackendKind::F32);
-        let s = e.measure_decode(6, &ctx).unwrap();
-        assert!(s.seconds_per_token > 0.0);
-        assert!(s.layer_seconds > 0.0);
-        assert!(s.tokens_per_sec() > 0.0);
-        assert!((s.layer_seconds + s.other_seconds - s.seconds_per_token).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measure_decode_splits_the_pass_into_layers_and_head() {
-        // The split comes from two clocks (whole pass, head alone), not from
-        // a timed fork inside the pass: both parts must be positive and add
-        // up to the per-token total.
-        let ctx = ExecCtx::new(1);
-        let mut e = engine(BackendKind::Tmac(tmac_core::KernelOpts::tmac()));
-        let s = e.measure_decode(6, &ctx).unwrap();
-        assert!(s.layer_seconds > 0.0, "layers {}", s.layer_seconds);
-        assert!(s.other_seconds > 0.0, "head {}", s.other_seconds);
-        assert!((s.layer_seconds + s.other_seconds - s.seconds_per_token).abs() < 1e-9);
-        assert_eq!(s.tokens, 6);
-    }
-
-    #[test]
-    fn extrapolation_scales_layers_only() {
-        let s = DecodeStats {
-            seconds_per_token: 0.3,
-            layer_seconds: 0.2,
-            other_seconds: 0.1,
-            tokens: 10,
-        };
-        let full = s.extrapolate_layers(2, 32);
-        assert!((full.layer_seconds - 3.2).abs() < 1e-9);
-        assert!((full.seconds_per_token - 3.3).abs() < 1e-9);
-        assert!((full.other_seconds - 0.1).abs() < 1e-9);
+    /// Feeds `tokens` to `model` one `Model::forward` at a time from
+    /// position 0 and returns the last token's logits.
+    fn forward_each(model: &Model, tokens: &[u32], ctx: &ExecCtx) -> Vec<f32> {
+        let mut cache = KvCache::new(&model.cfg);
+        let mut scratch = BatchScratch::new(&model.cfg, 1);
+        for (pos, &t) in tokens.iter().enumerate() {
+            model
+                .forward(t, pos, &mut cache, &mut scratch, ctx)
+                .unwrap();
+        }
+        scratch.logits_row(0).to_vec()
     }
 
     #[test]
@@ -388,13 +251,7 @@ mod tests {
             let prompt: Vec<u32> = (0..(PREFILL_CHUNK as u32 + 3)).map(|i| i % 90).collect();
             let mut e = engine(kind);
             let batched = e.prefill(&prompt, &ctx).unwrap();
-
-            let mut sequential = engine(kind);
-            let mut logits = Vec::new();
-            for (pos, &t) in prompt.iter().enumerate() {
-                logits = sequential.step(t, pos, &ctx).unwrap();
-            }
-            assert_eq!(batched, logits, "{kind:?}");
+            assert_eq!(batched, forward_each(&e.model, &prompt, &ctx), "{kind:?}");
         }
     }
 
@@ -403,8 +260,8 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let mut e = engine(BackendKind::F32);
         let logits = e.prefill(&[1, 2, 3], &ctx).unwrap();
-        let t0 = ops::argmax(&logits) as u32;
-        let next = e.step(t0, 3, &ctx).unwrap();
+        let t0 = crate::ops::argmax(&logits) as u32;
+        let next = forward_each(&e.model, &[1, 2, 3, t0], &ctx);
         // Must equal generate's first two tokens.
         let mut f = engine(BackendKind::F32);
         let gen = f
@@ -412,7 +269,7 @@ mod tests {
             .unwrap()
             .tokens;
         assert_eq!(gen[0], t0);
-        assert_eq!(gen[1], ops::argmax(&next) as u32);
+        assert_eq!(gen[1], crate::ops::argmax(&next) as u32);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! * **Teacher-forced perplexity** — the `f32` reference model greedily
 //!   generates sequences; each backend's perplexity is evaluated on those
-//!   sequences. The reference model scores (near-)minimal PPL on its own
-//!   output; kernel-induced error raises it.
+//!   sequences by [`batched_quality`], through the serving forward. The
+//!   reference model scores (near-)minimal PPL on its own output;
+//!   kernel-induced error raises it.
 //! * **Choice agreement** (WinoGrande-like) — two-way forced choice: for a
 //!   random context the reference's top-2 next tokens are the "options";
 //!   a backend answers correctly when it ranks the reference's preferred
@@ -47,29 +48,6 @@ pub fn teacher_sequences(
         seqs.push(seq);
     }
     Ok(seqs)
-}
-
-/// Teacher-forced perplexity of `engine` on `seqs`.
-///
-/// # Errors
-///
-/// Propagates forward-pass failures.
-pub fn perplexity(
-    engine: &mut Engine,
-    seqs: &[Vec<u32>],
-    ctx: &ExecCtx,
-) -> Result<f64, BackendError> {
-    let mut nll = 0f64;
-    let mut count = 0usize;
-    for seq in seqs {
-        engine.reset();
-        for (pos, window) in seq.windows(2).enumerate() {
-            let logits = engine.step(window[0], pos, ctx)?;
-            nll -= ops::log_softmax_at(&logits, window[1] as usize);
-            count += 1;
-        }
-    }
-    Ok((nll / count.max(1) as f64).exp())
 }
 
 /// Quality metrics from one [`batched_quality`] run.
@@ -171,7 +149,10 @@ pub fn batched_quality(
     })
 }
 
-/// Two-way choice agreement of `candidate` against `reference`.
+/// Two-way choice agreement of `candidate` against `reference`: each task
+/// prefills a random 3-token context into both engines
+/// ([`Engine::prefill`]) and counts the candidate correct when it ranks
+/// the reference's top-1 next token above its top-2.
 ///
 /// Returns accuracy in percent over `n_tasks` random contexts.
 ///
@@ -190,17 +171,8 @@ pub fn choice_agreement(
     let mut correct = 0usize;
     for _ in 0..n_tasks {
         let prompt: Vec<u32> = (0..3).map(|_| rng.u32_below(vocab)).collect();
-        let mut ref_logits = Vec::new();
-        reference.reset();
-        for (pos, &t) in prompt.iter().enumerate() {
-            ref_logits = reference.step(t, pos, ctx)?;
-        }
-        let (a, b) = ops::top2(&ref_logits);
-        let mut cand_logits = Vec::new();
-        candidate.reset();
-        for (pos, &t) in prompt.iter().enumerate() {
-            cand_logits = candidate.step(t, pos, ctx)?;
-        }
+        let (a, b) = ops::top2(&reference.prefill(&prompt, ctx)?);
+        let cand_logits = candidate.prefill(&prompt, ctx)?;
         if cand_logits[a] > cand_logits[b] {
             correct += 1;
         }
@@ -223,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn perplexity_is_finite_and_deterministic() {
+    fn batched_perplexity_is_finite_and_deterministic() {
         // Note: a quantized model may score *lower* PPL than the reference
         // on the reference's own greedy output (quantization can sharpen
         // logits), so no ordering is asserted here — the observable the
@@ -232,8 +204,8 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let mut reference = engine(BackendKind::F32, 4);
         let seqs = teacher_sequences(&mut reference, 2, 10, 5, &ctx).unwrap();
-        let ppl_a = perplexity(&mut reference, &seqs, &ctx).unwrap();
-        let ppl_b = perplexity(&mut reference, &seqs, &ctx).unwrap();
+        let ppl = || batched_quality(&reference.model, &seqs, 2, 2, &ctx).map(|r| r.perplexity);
+        let (ppl_a, ppl_b) = (ppl().unwrap(), ppl().unwrap());
         assert!(ppl_a.is_finite() && ppl_a > 1.0);
         assert_eq!(ppl_a, ppl_b, "perplexity must be deterministic");
     }
@@ -244,12 +216,31 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let mut reference = engine(BackendKind::F32, 4);
         let seqs = teacher_sequences(&mut reference, 2, 8, 6, &ctx).unwrap();
-        let mut d = engine(BackendKind::Dequant, 4);
-        let mut t = engine(BackendKind::Tmac(KernelOpts::tmac()), 4);
-        let ppl_d = perplexity(&mut d, &seqs, &ctx).unwrap();
-        let ppl_t = perplexity(&mut t, &seqs, &ctx).unwrap();
+        let d = engine(BackendKind::Dequant, 4);
+        let t = engine(BackendKind::Tmac(KernelOpts::tmac()), 4);
+        let ppl = |e: &Engine| batched_quality(&e.model, &seqs, 2, 2, &ctx).unwrap();
+        let (ppl_d, ppl_t) = (ppl(&d).perplexity, ppl(&t).perplexity);
         let rel = (ppl_d - ppl_t).abs() / ppl_d;
         assert!(rel < 0.05, "PPL mismatch: dequant {ppl_d} vs tmac {ppl_t}");
+    }
+
+    /// Teacher-forced perplexity restated one [`Model::forward`] per
+    /// position and one running sum: the sequential reading of
+    /// [`batched_quality`].
+    fn sequential_perplexity(model: &Model, seqs: &[Vec<u32>], ctx: &ExecCtx) -> f64 {
+        let (mut nll, mut count) = (0f64, 0usize);
+        for seq in seqs {
+            let mut cache = KvCache::new(&model.cfg);
+            let mut scratch = BatchScratch::new(&model.cfg, 1);
+            for (pos, window) in seq.windows(2).enumerate() {
+                model
+                    .forward(window[0], pos, &mut cache, &mut scratch, ctx)
+                    .unwrap();
+                nll -= ops::log_softmax_at(scratch.logits_row(0), window[1] as usize);
+                count += 1;
+            }
+        }
+        (nll / count as f64).exp()
     }
 
     #[test]
@@ -259,7 +250,7 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let mut reference = engine(BackendKind::F32, 4);
         let seqs = teacher_sequences(&mut reference, 5, 9, 7, &ctx).unwrap();
-        let mut t = engine(BackendKind::Tmac(KernelOpts::tmac()), 4);
+        let t = engine(BackendKind::Tmac(KernelOpts::tmac()), 4);
         let r1 = batched_quality(&t.model, &seqs, 2, 1, &ctx).unwrap();
         let r3 = batched_quality(&t.model, &seqs, 2, 3, &ctx).unwrap();
         let r16 = batched_quality(&t.model, &seqs, 2, 16, &ctx).unwrap();
@@ -267,7 +258,7 @@ mod tests {
         assert_eq!(r1, r16, "max_batch 1 vs 16 diverged");
         assert_eq!(r1.positions, seqs.iter().map(|s| s.len() - 1).sum());
         // …and the single-stream perplexity path agrees on the number.
-        let ppl_seq = perplexity(&mut t, &seqs, &ctx).unwrap();
+        let ppl_seq = sequential_perplexity(&t.model, &seqs, &ctx);
         let rel = (r1.perplexity - ppl_seq).abs() / ppl_seq;
         assert!(
             rel < 1e-5,

@@ -5,9 +5,9 @@
 //! projection is a [`Linear`] on one of the three compared kernels — T-MAC
 //! LUT kernels, the llama.cpp-style dequant baseline, or the unquantized
 //! `f32` reference, selected by [`BackendKind`] —
-//! plus a generation engine, throughput measurement with full-depth
-//! extrapolation, and model-quality evaluators (perplexity, choice
-//! agreement).
+//! plus a single-stream generation engine (the sequential oracle), a
+//! continuous-batching scheduler, and model-quality evaluators (perplexity,
+//! choice agreement).
 //!
 //! Every forward runs under a [`tmac_core::ExecCtx`]. The projections that
 //! consume the same activation (QKV; gate/up) forward as one
@@ -59,7 +59,7 @@ pub use batch::{
     SubmitRequest,
 };
 pub use config::{KvPrecision, ModelConfig, WeightQuant};
-pub use engine::{DecodeStats, Engine, GenOutput};
+pub use engine::{Engine, GenOutput};
 pub use io::{LoadMode, ModelIoError};
 pub use kv::{KvCache, KvError, KvStats, PAGE_POSITIONS};
 pub use model::{BatchScratch, Model, PREFILL_CHUNK};

@@ -445,50 +445,28 @@ impl Model {
         Ok(())
     }
 
-    /// Prefills `prompt` into sequence `seq` at positions `0..len` as
-    /// chunked [`Model::forward_batch`] calls of up to `chunk` rows (capped
-    /// by the scratch capacity), and returns the scratch row index holding
-    /// the *last* prompt token's logits — the row greedy decoding samples
-    /// the first new token from. Shared by [`crate::engine::Engine::prefill`]
-    /// and the scheduler's admission path so the chunking and last-row
-    /// arithmetic exist once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Shape`] for an empty prompt or invalid
-    /// rows/slot; propagates forward failures.
-    pub fn prefill_chunked(
-        &self,
-        prompt: &[u32],
-        seq: usize,
-        cache: &mut KvCache,
-        scratch: &mut BatchScratch,
-        chunk: usize,
-        ctx: &ExecCtx,
-    ) -> Result<usize, BackendError> {
-        self.prefill_chunked_from(prompt, 0, seq, cache, scratch, chunk, ctx)
-    }
-
-    /// [`Model::prefill_chunked`] resuming at position `from`: positions
-    /// `0..from` must already be resident in sequence `seq` (typically via
-    /// [`KvCache::prefix_match`] sharing), and only `prompt[from..]` is
-    /// forwarded. The returned logits-row index refers to the rows of the
-    /// suffix's final chunk.
+    /// Prefills `prompt[from..]` into sequence `seq` at positions
+    /// `from..len` as [`Model::forward_batch`] calls of [`PREFILL_CHUNK`]
+    /// rows, and returns the scratch row index holding the *last* prompt
+    /// token's logits — the row greedy decoding samples the first new token
+    /// from. Positions `0..from` must already be resident in sequence `seq`
+    /// (`from = 0` for a fresh sequence, or a [`KvCache::prefix_match`]
+    /// length). Shared by [`crate::engine::Engine::prefill`] and the
+    /// scheduler's admission path so the chunking and last-row arithmetic
+    /// exist once.
     ///
     /// # Errors
     ///
     /// Returns [`BackendError::Shape`] for an empty prompt, `from` not
-    /// strictly inside the prompt, or invalid rows; propagates forward
-    /// failures.
-    #[allow(clippy::too_many_arguments)] // prefill wiring: prompt window + sequence + buffers
-    pub fn prefill_chunked_from(
+    /// strictly inside the prompt, a scratch smaller than a chunk the
+    /// prompt needs, or invalid rows/slot; propagates forward failures.
+    pub fn prefill_chunked(
         &self,
         prompt: &[u32],
         from: usize,
         seq: usize,
         cache: &mut KvCache,
         scratch: &mut BatchScratch,
-        chunk: usize,
         ctx: &ExecCtx,
     ) -> Result<usize, BackendError> {
         if prompt.is_empty() {
@@ -500,11 +478,9 @@ impl Model {
                 prompt.len()
             )));
         }
-        let chunk = chunk.clamp(1, scratch.capacity());
         let len = prompt.len();
-        let mut p0 = from;
-        while p0 < len {
-            let take = chunk.min(len - p0);
+        for p0 in (from..len).step_by(PREFILL_CHUNK) {
+            let take = PREFILL_CHUNK.min(len - p0);
             let _chunk = tmac_trace::span("llm", "prefill_chunk", seq as u64, take as u64);
             let positions: Vec<usize> = (p0..p0 + take).collect();
             let slots = vec![seq; take];
@@ -516,9 +492,8 @@ impl Model {
                 scratch,
                 ctx,
             )?;
-            p0 += take;
         }
-        Ok((len - 1 - from) % chunk)
+        Ok((len - 1 - from) % PREFILL_CHUNK)
     }
 
     /// Display label of the kernel the linear layers run on (derived from
@@ -566,6 +541,32 @@ mod tests {
             assert!(s.logits_row(0).iter().all(|x| x.is_finite()), "pos {pos}");
         }
         assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn rerunning_a_filled_position_repeats_the_step() {
+        // `paper` times a decode step by re-running it at one position: the
+        // KV row is overwritten with the same values, so every call does
+        // the same work and returns the same logits.
+        let ctx = ExecCtx::new(1);
+        for kind in [
+            BackendKind::F32,
+            BackendKind::Dequant,
+            BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
+        ] {
+            let m = tiny_model(kind);
+            let mut cache = KvCache::new(&m.cfg);
+            let mut s = BatchScratch::new(&m.cfg, PREFILL_CHUNK);
+            m.prefill_chunked(&[3, 1, 4, 1, 5], 0, 0, &mut cache, &mut s, &ctx)
+                .unwrap();
+            m.forward(9, 5, &mut cache, &mut s, &ctx).unwrap();
+            let first = s.logits_row(0).to_vec();
+            for _ in 0..2 {
+                m.forward(9, 5, &mut cache, &mut s, &ctx).unwrap();
+                assert_eq!(s.logits_row(0), first, "{kind:?}");
+                assert_eq!(cache.seq_len(0), 6, "{kind:?}");
+            }
+        }
     }
 
     #[test]

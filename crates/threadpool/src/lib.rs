@@ -32,7 +32,6 @@
 
 use std::ops::Range;
 use std::sync::Arc;
-use std::sync::OnceLock;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -284,20 +283,6 @@ pub fn chunk_range(total: usize, granule: usize, tid: usize, n: usize) -> Range<
     (start_tile * granule).min(total)..(end_tile * granule).min(total)
 }
 
-/// A process-wide pool sized to the machine's available parallelism.
-///
-/// Experiments that want explicit control construct their own pools; library
-/// entry points default to this one.
-pub fn global() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ThreadPool::new(n)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,15 +416,5 @@ mod tests {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn global_pool_is_usable() {
-        let pool = global();
-        let hits = AtomicUsize::new(0);
-        pool.run(|_, _| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), pool.threads());
     }
 }

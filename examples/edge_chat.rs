@@ -80,16 +80,17 @@ fn main() {
     ] {
         let model = build(kind);
         let mut engine = Engine::new(model);
+        let t0 = std::time::Instant::now();
         let tokens = engine
             .generate(&GenRequest::greedy(&prompt, 24), &ctx)
             .expect("generate")
             .tokens;
-        let stats = engine.measure_decode(24, &ctx).expect("measure");
+        let seconds = t0.elapsed().as_secs_f64();
         println!("{label}:");
         println!("  generated: {tokens:?}");
         println!(
-            "  decode throughput: {:.1} tokens/s\n",
-            stats.tokens_per_sec()
+            "  throughput: {:.1} tokens/s (prompt included)\n",
+            tokens.len() as f64 / seconds
         );
     }
 

@@ -78,10 +78,9 @@ pub mod prelude {
     // same type as `tmac_io::LoadMode`).
     pub use tmac_io::{IoError, TmacContainer};
     pub use tmac_llm::{
-        AttnScratch, BackendError, BackendKind, BatchScratch, DecodeStats, Engine, F32Matrix,
-        FinishReason, FinishedSeq, KvCache, KvError, KvPrecision, KvStats, Linear, LoadMode, Model,
-        ModelConfig, ModelIoError, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken,
-        WeightQuant,
+        AttnScratch, BackendError, BackendKind, BatchScratch, Engine, F32Matrix, FinishReason,
+        FinishedSeq, KvCache, KvError, KvPrecision, KvStats, Linear, LoadMode, Model, ModelConfig,
+        ModelIoError, Scheduler, SchedulerConfig, SeqId, SeqTiming, StepToken, WeightQuant,
     };
     pub use tmac_quant::QuantizedMatrix;
     pub use tmac_threadpool::ThreadPool;

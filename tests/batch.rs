@@ -20,7 +20,7 @@ use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{attention, ops};
 use tmac::llm::{
     AttnScratch, BackendKind, BatchScratch, Engine, GenRequest, KvCache, Linear, Model,
-    ModelConfig, WeightQuant,
+    ModelConfig, WeightQuant, PREFILL_CHUNK,
 };
 
 fn model(quant: WeightQuant, kind: BackendKind, seed: u64) -> Model {
@@ -158,13 +158,15 @@ fn batched_prefill_equals_sequential_prefill() {
         );
         let prompt: Vec<u32> = (0..19).map(|i| (i * 5 + 2) % m.cfg.vocab as u32).collect();
 
-        let mut engine = Engine::new(m.clone());
-        let batched = engine.prefill(&prompt, &ctx).unwrap();
-        let after = engine.step(
-            batched.len() as u32 % m.cfg.vocab as u32,
-            prompt.len(),
-            &ctx,
-        );
+        let mut pcache = KvCache::new(&m.cfg);
+        let mut ps = BatchScratch::new(&m.cfg, PREFILL_CHUNK);
+        let last = m
+            .prefill_chunked(&prompt, 0, 0, &mut pcache, &mut ps, &ctx)
+            .unwrap();
+        let batched = ps.logits_row(last).to_vec();
+        let next = batched.len() as u32 % m.cfg.vocab as u32;
+        let after = m.forward(next, prompt.len(), &mut pcache, &mut ps, &ctx);
+        let after = after.map(|()| ps.logits_row(0).to_vec());
 
         let mut cache = KvCache::new(&m.cfg);
         let mut s = BatchScratch::new(&m.cfg, 1);
@@ -173,14 +175,8 @@ fn batched_prefill_equals_sequential_prefill() {
         }
         assert_eq!(batched, s.logits_row(0), "prefill logits diverged");
         // Decoding continues identically from the batched-prefill cache.
-        m.forward(
-            batched.len() as u32 % m.cfg.vocab as u32,
-            prompt.len(),
-            &mut cache,
-            &mut s,
-            &ctx,
-        )
-        .unwrap();
+        m.forward(next, prompt.len(), &mut cache, &mut s, &ctx)
+            .unwrap();
         assert_eq!(
             after.unwrap(),
             s.logits_row(0),
@@ -198,7 +194,9 @@ fn scheduler_serves_bit_identical_sequences_at_any_batch_size() {
         let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
         let prompts: Vec<Vec<u32>> = (0..6)
             .map(|i| {
-                (0..(i % 3 + 1))
+                // Past one prefill chunk, so admission crosses a chunk
+                // boundary.
+                (0..(PREFILL_CHUNK + 1 + i % 3))
                     .map(|j| (i * 7 + j * 3 + 1) as u32)
                     .collect()
             })
@@ -221,7 +219,6 @@ fn scheduler_serves_bit_identical_sequences_at_any_batch_size() {
                 model(WeightQuant::Rtn(2), kind, 23),
                 SchedulerConfig {
                     max_batch,
-                    prefill_chunk: 4,
                     ..SchedulerConfig::default()
                 },
             );

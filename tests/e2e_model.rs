@@ -2,7 +2,8 @@
 
 use tmac::core::ExecCtx;
 use tmac::llm::{
-    eval as quality, BackendKind, Engine, GenRequest, Model, ModelConfig, WeightQuant,
+    eval as quality, BackendKind, BatchScratch, Engine, GenRequest, KvCache, Model, ModelConfig,
+    WeightQuant,
 };
 
 fn tiny() -> ModelConfig {
@@ -35,8 +36,11 @@ fn quantized_backends_agree_with_each_other() {
     let ctx = ExecCtx::new(1);
     let run = |kind| {
         let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 6).unwrap();
-        let mut engine = Engine::new(model);
-        engine.step(3, 0, &ctx).unwrap()
+        let mut s = BatchScratch::new(&model.cfg, 1);
+        model
+            .forward(3, 0, &mut KvCache::new(&model.cfg), &mut s, &ctx)
+            .unwrap();
+        s.logits_row(0).to_vec()
     };
     let d = run(BackendKind::Dequant);
     let t = run(BackendKind::Tmac(tmac::core::KernelOpts::tmac()));
@@ -74,21 +78,10 @@ fn quality_pipeline_runs_for_all_backends() {
     ] {
         let mut engine =
             Engine::new(Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 8).unwrap());
-        let ppl = quality::perplexity(&mut engine, &seqs, &ctx).unwrap();
+        let report = quality::batched_quality(&engine.model, &seqs, 2, 1, &ctx).unwrap();
+        let ppl = report.perplexity;
         assert!(ppl.is_finite() && ppl > 1.0, "{kind:?} ppl={ppl}");
         let acc = quality::choice_agreement(&mut reference, &mut engine, 8, 2, &ctx).unwrap();
         assert!((0.0..=100.0).contains(&acc));
     }
-}
-
-#[test]
-fn decode_throughput_extrapolation_is_consistent() {
-    let ctx = ExecCtx::new(1);
-    let model = Model::synthetic(&tiny(), WeightQuant::Rtn(2), BackendKind::F32, 9).unwrap();
-    let mut engine = Engine::new(model);
-    let stats = engine.measure_decode(8, &ctx).unwrap();
-    let same = stats.extrapolate_layers(2, 2);
-    assert!((same.seconds_per_token - stats.seconds_per_token).abs() < 1e-12);
-    let deeper = stats.extrapolate_layers(2, 8);
-    assert!(deeper.seconds_per_token > stats.seconds_per_token);
 }

@@ -56,18 +56,18 @@ fn full_decode_step_shares_builds_across_the_model() {
         77,
     )
     .unwrap();
-    let mut engine = Engine::new(model);
+    let (mut cache, mut s) = (KvCache::new(&cfg), BatchScratch::new(&cfg, 1));
     let ctx = ExecCtx::new(1);
     let layers = cfg.n_layers as u64;
 
-    assert_eq!(engine.model.backend_label(), "T-MAC");
-    engine.step(1, 0, &ctx).unwrap();
+    assert_eq!(model.backend_label(), "T-MAC");
+    model.forward(1, 0, &mut cache, &mut s, &ctx).unwrap();
     let per_token = ctx.table_stats();
     assert_eq!(per_token.misses, 4 * layers + 1);
     assert_eq!(per_token.hits, 3 * layers);
 
     // The ratio holds steady across further tokens.
-    engine.step(2, 1, &ctx).unwrap();
+    model.forward(2, 1, &mut cache, &mut s, &ctx).unwrap();
     let two_tokens = ctx.table_stats();
     assert_eq!(two_tokens.misses, 2 * (4 * layers + 1));
     assert_eq!(two_tokens.hits, 2 * 3 * layers);

@@ -29,6 +29,7 @@ use tmac::io::{fnv1a64, write_container, IoError, MetaValue, TmacContainer};
 use tmac::llm::{
     BackendKind, BatchScratch, Engine, GenRequest, KvCache, KvPrecision, Linear, LoadMode, Model,
     ModelConfig, ModelIoError, Scheduler, SchedulerConfig, SubmitRequest, WeightQuant,
+    PREFILL_CHUNK,
 };
 use tmac::simd::Isa;
 
@@ -361,7 +362,7 @@ fn scheduler_serves_bit_identical_tokens_from_the_file() {
 
     let prompts: Vec<Vec<u32>> = (0..5)
         .map(|i| {
-            (0..(i % 3 + 1))
+            (0..(PREFILL_CHUNK + 1 + i % 3))
                 .map(|j| (i * 7 + j * 3 + 1) as u32)
                 .collect()
         })
@@ -383,7 +384,6 @@ fn scheduler_serves_bit_identical_tokens_from_the_file() {
             Model::from_file(&path, &kind, LoadMode::Mmap).unwrap(),
             SchedulerConfig {
                 max_batch,
-                prefill_chunk: 4,
                 ..SchedulerConfig::default()
             },
         );

@@ -14,7 +14,7 @@ use tmac::core::ExecCtx;
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{
     BackendKind, Engine, FinishReason, GenRequest, Model, ModelConfig, Sampler, SamplingParams,
-    WeightQuant,
+    WeightQuant, PREFILL_CHUNK,
 };
 
 fn model(seed: u64) -> Model {
@@ -45,7 +45,8 @@ fn same_seed_and_params_are_identical_at_any_batch_and_thread_count() {
     // the pool size must not change a single token.
     let prompts: Vec<Vec<u32>> = (0..6)
         .map(|i| {
-            (0..(i % 3 + 1))
+            // Past one prefill chunk, so admission crosses a chunk boundary.
+            (0..(PREFILL_CHUNK + 1 + i % 3))
                 .map(|j| (i * 7 + j * 3 + 1) as u32)
                 .collect()
         })
@@ -69,7 +70,6 @@ fn same_seed_and_params_are_identical_at_any_batch_and_thread_count() {
                 model(23),
                 SchedulerConfig {
                     max_batch,
-                    prefill_chunk: 4,
                     ..SchedulerConfig::default()
                 },
             );
@@ -94,7 +94,8 @@ fn temperature_zero_is_bit_identical_to_greedy() {
     // it (with whatever other knobs) must reproduce `GenRequest::greedy`
     // token for token, as must the scheduler.
     let ctx = ExecCtx::new(test_threads());
-    let prompt = [1u32, 2, 3];
+    // Past one prefill chunk, so admission crosses a chunk boundary.
+    let prompt: Vec<u32> = (1..=PREFILL_CHUNK as u32 + 3).collect();
     let n_new = 8;
 
     let mut engine = Engine::new(model(9));
@@ -221,7 +222,8 @@ fn stop_sequence_straddling_a_scheduler_step_boundary_ends_generation() {
     // stop sequence always spans two `step_batch` calls — the match has to
     // look across the boundary. The matched tokens stay in the output.
     let ctx = ExecCtx::new(test_threads());
-    let prompt = [1u32, 2, 3];
+    // Past one prefill chunk, so admission crosses a chunk boundary.
+    let prompt: Vec<u32> = (1..=PREFILL_CHUNK as u32 + 3).collect();
     let n_new = 8;
 
     let mut engine = Engine::new(model(9));
@@ -240,7 +242,6 @@ fn stop_sequence_straddling_a_scheduler_step_boundary_ends_generation() {
         model(9),
         SchedulerConfig {
             max_batch: 3,
-            prefill_chunk: 2,
             ..SchedulerConfig::default()
         },
     );
