@@ -194,26 +194,42 @@ impl DequantLinear {
         Ok(())
     }
 
-    /// Mixed-precision GEMM as `n` successive GEMVs (llama.cpp's
-    /// non-BLAS path; see [`sgemm::gemm_blas`] for the BLAS route).
+    /// Mixed-precision GEMM of every layer of `group` over the same `n`
+    /// activation rows, as `n` rounds of GEMVs (llama.cpp's non-BLAS path;
+    /// see [`sgemm::gemm_blas`] for the BLAS route): each row is quantized
+    /// to `Q8_0` once and run through [`DequantLinear::gemv_q8`] for every
+    /// layer, so the matrices that read one activation quantize it once.
+    /// `outs[i]` receives layer `i`'s `n × M` product; one layer is a plain
+    /// batched GEMM.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::Shape`] on length mismatches.
+    /// Returns [`QuantError::Shape`] unless `outs` has one buffer per layer
+    /// and every length matches; no output is written then.
     pub fn gemm_mixed(
-        &self,
+        group: &[&DequantLinear],
         act: &[f32],
         n: usize,
-        out: &mut [f32],
+        outs: &mut [&mut [f32]],
         ctx: &ExecCtx,
     ) -> Result<(), QuantError> {
-        if act.len() != n * self.cols || out.len() != n * self.rows {
+        let Some(k) = group.first().map(|l| l.cols) else {
+            return Ok(());
+        };
+        let lengths_match = group.len() == outs.len()
+            && act.len() == n * k
+            && group
+                .iter()
+                .zip(outs.iter())
+                .all(|(l, o)| l.cols == k && o.len() == n * l.rows);
+        if !lengths_match {
             return Err(QuantError::Shape("gemm_mixed length mismatch".into()));
         }
-        for ni in 0..n {
-            let a = &act[ni * self.cols..(ni + 1) * self.cols];
-            let o = &mut out[ni * self.rows..(ni + 1) * self.rows];
-            self.gemv(a, o, ctx)?;
+        for (r, row) in act.chunks_exact(k).enumerate() {
+            let aq = quantize_q8_0(row);
+            for (l, out) in group.iter().zip(outs.iter_mut()) {
+                l.gemv_q8(&aq, &mut out[r * l.rows..(r + 1) * l.rows], ctx)?;
+            }
         }
         Ok(())
     }
@@ -259,19 +275,33 @@ mod tests {
 
     #[test]
     fn gemm_mixed_matches_gemv_rows() {
-        let (qm, _) = setup(32, 64, 2);
-        let lin = DequantLinear::new(&qm).unwrap();
+        // A group of two layers (M 32 and 64) over the same rows: each
+        // layer's product equals its per-row `gemv`.
+        let (qa, _) = setup(32, 64, 2);
+        let (qb, _) = setup(64, 64, 3);
+        let (a, b) = (
+            DequantLinear::new(&qa).unwrap(),
+            DequantLinear::new(&qb).unwrap(),
+        );
         let ctx = ExecCtx::new(1);
         let n = 3;
         let act: Vec<f32> = (0..n * 64).map(|i| ((i as f32) * 0.21).sin()).collect();
-        let mut out = vec![0f32; n * 32];
-        lin.gemm_mixed(&act, n, &mut out, &ctx).unwrap();
-        for ni in 0..n {
-            let mut row = vec![0f32; 32];
-            lin.gemv(&act[ni * 64..(ni + 1) * 64], &mut row, &ctx)
-                .unwrap();
-            assert_eq!(&out[ni * 32..(ni + 1) * 32], &row[..]);
+        let (mut oa, mut ob) = (vec![0f32; n * 32], vec![0f32; n * 64]);
+        DequantLinear::gemm_mixed(&[&a, &b], &act, n, &mut [&mut oa, &mut ob], &ctx).unwrap();
+        for (lin, out) in [(&a, &oa), (&b, &ob)] {
+            let m = lin.rows();
+            for ni in 0..n {
+                let mut row = vec![0f32; m];
+                lin.gemv(&act[ni * 64..(ni + 1) * 64], &mut row, &ctx)
+                    .unwrap();
+                assert_eq!(&out[ni * m..(ni + 1) * m], &row[..]);
+            }
         }
+        // A short output leaves every output untouched.
+        let (mut oa, mut short) = (vec![7.5f32; n * 32], vec![7.5f32; n * 64 - 1]);
+        let err = DequantLinear::gemm_mixed(&[&a, &b], &act, n, &mut [&mut oa, &mut short], &ctx);
+        assert!(err.is_err());
+        assert!(oa.iter().chain(&short).all(|&v| v == 7.5));
     }
 
     #[test]

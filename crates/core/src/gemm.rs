@@ -122,11 +122,6 @@ fn check_group(
 #[repr(align(64))]
 struct TileBuf([f32; N_BLOCK * TILE_M]);
 
-const _: () = assert!(
-    std::mem::align_of::<TileBuf>() == 64
-        && std::mem::size_of::<TileBuf>() >= N_BLOCK * TILE_M * std::mem::size_of::<f32>()
-);
-
 /// Sweeps the m-tiles of every plan of a group for the rows `rows` of
 /// `tables` (= of each `outs[i]`) in one pool dispatch: the group's tiles
 /// are one list, plan after plan, split into static thread blocks.
@@ -144,6 +139,7 @@ fn sweep(
     outs: &[SharedMut<'_, f32>],
     ctx: &ExecCtx,
 ) {
+    debug_assert!(rows.len() <= N_BLOCK, "a sweep covers at most N_BLOCK rows");
     let isa = ctx.isa();
     let total = plans.iter().map(|p| p.m_tiles()).sum();
     ctx.pool().chunks(total, 1, |tiles| {

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use tmac_baseline::DequantLinear;
 use tmac_core::{gemm, ExecCtx, KernelOpts, TmacLinear};
-use tmac_quant::{formats::quantize_q8_0, QuantizedMatrix};
+use tmac_quant::QuantizedMatrix;
 
 /// Which of the three compared kernels a model's linear layers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,7 +284,7 @@ impl Linear {
         self.check(act, n, out)?;
         match self {
             Linear::Tmac(l) => Ok(l.gemm(act, n, out, ctx)?),
-            Linear::Dequant(l) => Ok(l.gemm_mixed(act, n, out, ctx)?),
+            Linear::Dequant(l) => Ok(DequantLinear::gemm_mixed(&[l], act, n, &mut [out], ctx)?),
             Linear::F32(l) => {
                 let (k, m) = (self.cols(), self.rows());
                 for (a, o) in act.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
@@ -300,9 +300,9 @@ impl Linear {
     /// of T-MAC layers builds its activation tables once and sweeps all of
     /// them in one dispatch (`tmac_core::gemm::mpgemm_group`); a group of
     /// dequant layers quantizes each row once for all of them
-    /// ([`DequantLinear::gemv_q8`]); any other group forwards layer by
-    /// layer. The outputs are bit-identical to
-    /// separate `forward_batch` calls either way.
+    /// ([`DequantLinear::gemm_mixed`]); any other group forwards layer by
+    /// layer. The outputs are bit-identical to separate `forward_batch`
+    /// calls either way.
     ///
     /// # Errors
     ///
@@ -345,16 +345,7 @@ impl Linear {
             })
             .collect();
         if let Some(layers) = dequant {
-            // llama.cpp quantizes each activation row to Q8_0 once for all
-            // the matrices that read it.
-            for (r, row) in act.chunks_exact(act.len() / n).enumerate() {
-                let aq = quantize_q8_0(row);
-                for (l, out) in layers.iter().zip(outs.iter_mut()) {
-                    let m = l.rows();
-                    l.gemv_q8(&aq, &mut out[r * m..(r + 1) * m], ctx)?;
-                }
-            }
-            return Ok(());
+            return Ok(DequantLinear::gemm_mixed(&layers, act, n, outs, ctx)?);
         }
         for (layer, out) in group.iter().zip(outs.iter_mut()) {
             layer.forward_batch(act, n, out, ctx)?;

