@@ -29,6 +29,7 @@ use tmac_quant::formats::{
 };
 use tmac_quant::{QuantError, QuantizedMatrix};
 use tmac_simd::Isa;
+use tmac_threadpool::SharedMut;
 
 /// Packed weight rows in one of the llama.cpp-style formats.
 #[derive(Debug, Clone)]
@@ -54,12 +55,6 @@ pub struct DequantLinear {
     /// Retained for the BLAS path (on-the-fly dequantization).
     qm: QuantizedMatrix,
 }
-
-/// Shared-output wrapper: threads write disjoint row ranges.
-struct OutPtr(*mut f32);
-// SAFETY: dispatches partition rows disjointly and the output outlives the
-// dispatch (the pool blocks until completion).
-unsafe impl Sync for OutPtr {}
 
 impl DequantLinear {
     /// Packs a canonical quantized matrix into the baseline's block format.
@@ -181,14 +176,12 @@ impl DequantLinear {
         }
         // There is no AVX-512 dequant kernel: `Avx512` runs the AVX2 one.
         let use_avx2 = matches!(ctx.isa(), Isa::Avx2 | Isa::Avx512);
-        let out_ptr = OutPtr(out.as_mut_ptr());
-        let out_ref = &out_ptr;
+        let out = SharedMut::new(out);
         ctx.pool().chunks(self.rows, 8, |range| {
-            for m in range {
-                let v = self.row_dot(m, aq, use_avx2);
-                // SAFETY: row ranges are disjoint across threads; `out`
-                // outlives the dispatch.
-                unsafe { *out_ref.0.add(m) = v };
+            // SAFETY: `chunks` hands each thread a disjoint row range.
+            let part = unsafe { out.slice(range.start, range.len()) };
+            for (m, o) in range.zip(part) {
+                *o = self.row_dot(m, aq, use_avx2);
             }
         });
         Ok(())

@@ -11,16 +11,10 @@ use crate::DequantLinear;
 use tmac_core::ExecCtx;
 use tmac_quant::QuantError;
 use tmac_simd::f32ops;
+use tmac_threadpool::SharedMut;
 
 /// `K`-block length for the cache-blocked SGEMM.
 const KB: usize = 256;
-
-/// Shared-output wrapper: threads write disjoint row ranges of every
-/// activation row's output.
-struct OutPtr(*mut f32);
-// SAFETY: each thread owns a disjoint set of weight rows `m`, writing only
-// `out[n * M + m]` for its own `m`; the buffer outlives the dispatch.
-unsafe impl Sync for OutPtr {}
 
 /// mpGEMM via dequantization and blocked `f32` SGEMM.
 ///
@@ -50,8 +44,7 @@ pub fn gemm_blas(
         )));
     }
     let qm = lin.quantized();
-    let out_ptr = OutPtr(out.as_mut_ptr());
-    let out_ref = &out_ptr;
+    let out = SharedMut::new(out);
     ctx.pool().chunks(m_total, 8, |rows| {
         let mut acc = vec![0f32; rows.len() * n];
         let mut wrow = vec![0f32; k_total];
@@ -68,11 +61,12 @@ pub fn gemm_blas(
             }
             k0 += kb;
         }
-        for (ri, m) in rows.clone().enumerate() {
-            for ni in 0..n {
-                // SAFETY: this thread owns row `m`; index within bounds;
-                // buffer outlives the dispatch.
-                unsafe { *out_ref.0.add(ni * m_total + m) = acc[ri * n + ni] };
+        for ni in 0..n {
+            // SAFETY: this thread owns the weight rows `rows` of every
+            // activation row's output.
+            let part = unsafe { out.slice(ni * m_total + rows.start, rows.len()) };
+            for (ri, o) in part.iter_mut().enumerate() {
+                *o = acc[ri * n + ni];
             }
         }
     });

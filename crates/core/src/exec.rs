@@ -27,7 +27,6 @@
 //! usage is one context per generation stream.
 
 use crate::TmacError;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tmac_simd::Isa;
 use tmac_threadpool::ThreadPool;
@@ -47,55 +46,6 @@ impl TableCacheStats {
     /// Projections served: builds plus shared uses.
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
-    }
-}
-
-/// A buffer whose disjoint ranges the threads of one pool dispatch write:
-/// output tiles in the mpGEMM sweep, `(scale block, row)` units in the table
-/// build. Holds the buffer's unique borrow for as long as it lives.
-pub(crate) struct SharedMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _buf: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: a `&SharedMut` only yields memory through `slice`, whose contract
-// gives every range to one thread at a time; `T: Send` lets that thread
-// write values another thread will read after the dispatch joins.
-unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
-
-impl<'a, T> SharedMut<'a, T> {
-    pub(crate) fn new(buf: &'a mut [T]) -> Self {
-        SharedMut {
-            ptr: buf.as_mut_ptr(),
-            len: buf.len(),
-            _buf: PhantomData,
-        }
-    }
-
-    /// Length of the whole buffer.
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The range `at..at + len` of the buffer, mutably.
-    ///
-    /// # Safety
-    ///
-    /// While the returned slice lives, no other slice overlapping it may be
-    /// taken (by this or any other thread): callers partition the buffer
-    /// among the threads of one dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not lie within the buffer.
-    #[allow(clippy::mut_from_ref)] // The point of the type; see `# Safety`.
-    pub(crate) unsafe fn slice(&self, at: usize, len: usize) -> &mut [T] {
-        assert!(
-            at <= self.len && len <= self.len - at,
-            "range out of bounds"
-        );
-        std::slice::from_raw_parts_mut(self.ptr.add(at), len)
     }
 }
 

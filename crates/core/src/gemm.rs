@@ -36,7 +36,7 @@
 //! An output tile depends only on its plan's indices and scales and on the
 //! shared tables, so grouping plans changes no bit either.
 
-use crate::exec::{ExecCtx, SharedMut};
+use crate::exec::ExecCtx;
 use crate::kernel;
 use crate::opts::{N_BLOCK, TILE_M};
 use crate::plan::WeightPlan;
@@ -44,6 +44,7 @@ use crate::table::ActTables;
 use crate::TmacError;
 use std::ops::Range;
 use tmac_simd::Isa;
+use tmac_threadpool::SharedMut;
 
 /// Builds the tables of a row-major `n × K` activation batch for `plan`
 /// (the online stage): with a context, on its kernel family and with the
@@ -86,14 +87,14 @@ fn table_profile(plan: &WeightPlan) -> (usize, usize, bool) {
     (plan.k, plan.group_size, plan.opts().table_quant())
 }
 
-/// Checks that every plan of a group consumes tables of `profile` and that
-/// `outs[i]` holds `n` rows of plan `i`'s outputs.
-fn check_group(
-    plans: &[&WeightPlan],
-    outs: &[&mut [f32]],
-    n: usize,
-    profile: (usize, usize, bool),
-) -> Result<(), TmacError> {
+/// Checks that a group is non-empty, that its plans consume the tables of
+/// the first plan's profile, and that `outs[i]` holds `n` rows of plan
+/// `i`'s outputs.
+fn check_group(plans: &[&WeightPlan], outs: &[&mut [f32]], n: usize) -> Result<(), TmacError> {
+    let Some(first) = plans.first() else {
+        return Err(TmacError::Shape("a group needs at least one plan".into()));
+    };
+    let profile = table_profile(first);
     if outs.len() != plans.len() {
         return Err(TmacError::Shape(format!(
             "{} plans but {} outputs",
@@ -181,15 +182,6 @@ fn sweep(
     });
 }
 
-/// Sweeps a checked group over caller-built `tables`.
-fn run_group(plans: &[&WeightPlan], tables: &ActTables, outs: &mut [&mut [f32]], ctx: &ExecCtx) {
-    let outs: Vec<SharedMut<'_, f32>> = outs.iter_mut().map(|o| SharedMut::new(o)).collect();
-    let n = tables.rows;
-    for n0 in (0..n).step_by(N_BLOCK) {
-        sweep(plans, tables, n0..n.min(n0 + N_BLOCK), &outs, ctx);
-    }
-}
-
 /// Computes `out[n][m] = Σ_k act[n][k] · W[m][k]` for an offline-planned
 /// `W`: the one-plan [`mpgemm_group`].
 ///
@@ -235,34 +227,13 @@ pub fn mpgemm_group(
     outs: &mut [&mut [f32]],
     ctx: &ExecCtx,
 ) -> Result<(), TmacError> {
-    let Some(first) = plans.first() else {
-        return Err(TmacError::Shape("a group needs at least one plan".into()));
-    };
-    check_group(plans, outs, n, table_profile(first))?;
-    let tables = build_tables(first, act, n, Some(ctx))?;
+    check_group(plans, outs, n)?;
+    let tables = build_tables(plans[0], act, n, Some(ctx))?;
     ctx.count_shared(plans.len() - 1);
-    run_group(plans, &tables, outs, ctx);
-    Ok(())
-}
-
-/// [`mpgemm`] with caller-provided precomputed tables (`tables.rows` rows).
-///
-/// # Errors
-///
-/// Returns [`TmacError::Shape`] if `out.len() != tables.rows · M` or the
-/// tables do not match `plan`'s table profile: every mismatch the kernels
-/// cannot tolerate — `K`, group size and quantization — is rejected before
-/// dispatch.
-pub fn mpgemm_with_tables(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    out: &mut [f32],
-    ctx: &ExecCtx,
-) -> Result<(), TmacError> {
-    let mut outs = [out];
-    let profile = (tables.k, tables.group_size, tables.quantized);
-    check_group(&[plan], &outs, tables.rows, profile)?;
-    run_group(&[plan], tables, &mut outs, ctx);
+    let outs: Vec<SharedMut<'_, f32>> = outs.iter_mut().map(|o| SharedMut::new(o)).collect();
+    for n0 in (0..n).step_by(N_BLOCK) {
+        sweep(plans, &tables, n0..n.min(n0 + N_BLOCK), &outs, ctx);
+    }
     Ok(())
 }
 
@@ -333,9 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_and_with_tables_match_fresh() {
-        // Caller-held tables, built once and swept twice, and the one-plan
-        // group equal the fresh build. n = 11 crosses an N_BLOCK boundary;
+    fn one_build_swept_twice_matches_fresh() {
+        // A group of one plan twice sweeps one table build twice: both
+        // outputs equal the fresh build. n = 11 crosses an N_BLOCK boundary;
         // n = 1 is the GEMV.
         for (m, k, n) in [(64, 128, 11), (64, 128, 1)] {
             let (qm, act) = setup(m, k, n, 3);
@@ -344,16 +315,10 @@ mod tests {
             let mut fresh = vec![0f32; n * m];
             mpgemm(&plan, &act, n, &mut fresh, &ctx).unwrap();
 
-            let mut group = vec![0f32; n * m];
-            mpgemm_group(&[&plan], &act, n, &mut [&mut group], &ctx).unwrap();
-            assert_eq!(fresh, group);
-
-            let tables = build_tables(&plan, &act, n, None).unwrap();
-            for _ in 0..2 {
-                let mut with = vec![0f32; n * m];
-                mpgemm_with_tables(&plan, &tables, &mut with, &ctx).unwrap();
-                assert_eq!(fresh, with);
-            }
+            let (mut first, mut second) = (vec![0f32; n * m], vec![0f32; n * m]);
+            let outs: &mut [&mut [f32]] = &mut [&mut first, &mut second];
+            mpgemm_group(&[&plan, &plan], &act, n, outs, &ctx).unwrap();
+            assert_eq!((&fresh, &fresh), (&first, &second));
         }
     }
 
@@ -447,27 +412,6 @@ mod tests {
             );
         }
         assert!(mpgemm_group(&[], &act, n, &mut [], &ctx).is_err());
-    }
-
-    #[test]
-    fn with_tables_rejects_incompatible() {
-        let (m, k, n) = (32, 64, 2);
-        let (qm, act) = setup(m, k, n, 2);
-        let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-        let ctx = ExecCtx::new(1);
-        let mut out = vec![0f32; n * m];
-        // `out` must hold one row per table row.
-        let t = build_tables(&plan, &act, n, None).unwrap();
-        let mut short = vec![0f32; m];
-        assert!(mpgemm_with_tables(&plan, &t, &mut short, &ctx).is_err());
-        assert!(mpgemm_with_tables(&plan, &t, &mut out, &ctx).is_ok());
-        // Tables built for another K don't match.
-        let half_k = ActTables::build(&act[..k / 2], 1, 32, &plan.opts()).unwrap();
-        let mut one = vec![0f32; m];
-        assert!(mpgemm_with_tables(&plan, &half_k, &mut one, &ctx).is_err());
-        // Tables built without quantization don't match a TQ plan.
-        let wrong = ActTables::build(&act[..k], 1, 32, &KernelOpts::tm_base()).unwrap();
-        assert!(mpgemm_with_tables(&plan, &wrong, &mut one, &ctx).is_err());
     }
 
     /// The multi-row sweep must be bit-identical to per-row GEMV for every

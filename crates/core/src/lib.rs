@@ -202,21 +202,6 @@ impl TmacLinear {
     ) -> Result<(), TmacError> {
         gemm::mpgemm(&self.plan, act, n, out, ctx)
     }
-
-    /// GEMM with precomputed tables (`tables.rows` rows; reuse across
-    /// layers sharing an input).
-    ///
-    /// # Errors
-    ///
-    /// See [`gemm::mpgemm_with_tables`].
-    pub fn with_tables(
-        &self,
-        tables: &ActTables,
-        out: &mut [f32],
-        ctx: &ExecCtx,
-    ) -> Result<(), TmacError> {
-        gemm::mpgemm_with_tables(&self.plan, tables, out, ctx)
-    }
 }
 
 #[cfg(test)]
@@ -236,11 +221,7 @@ mod tests {
         let qm = tmac_quant::rtn::quantize(&weights, 64, 128, 4, 32).unwrap();
         let reference = kernel::scalar::gemv_reference(&qm, &act);
         assert!(tmac_simd::f32ops::nmse(&out, &reference) < 1e-4);
-        // Caller-held tables are bit-identical to the fresh-build path.
-        let mut held = vec![0f32; 64];
-        lin.with_tables(&lin.tables(&act).unwrap(), &mut held, &ctx)
-            .unwrap();
-        assert_eq!(out, held);
+        assert_eq!(lin.tables(&act).unwrap().rows, 1);
     }
 
     #[test]

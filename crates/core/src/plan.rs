@@ -73,6 +73,8 @@ enum Backing<T> {
 // SAFETY: the segment is immutable; `ptr` points into memory kept alive by
 // `backing` (the boxed slice or the shared owner), and `T` is plain data.
 unsafe impl<T: Copy + Send + Sync> Send for Segment<T> {}
+// SAFETY: as for `Send`: nothing writes through `ptr`, so shared reads from
+// several threads cannot race.
 unsafe impl<T: Copy + Send + Sync> Sync for Segment<T> {}
 
 impl<T: Copy + 'static> Segment<T> {
@@ -108,7 +110,7 @@ impl<T: Copy + 'static> Segment<T> {
                 bytes.len()
             )));
         }
-        let ptr = unsafe { bytes.as_ptr().add(byte_off) };
+        let ptr = bytes[byte_off..end].as_ptr();
         if !(ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
             return Err(TmacError::Shape(format!(
                 "segment at byte offset {byte_off} is not {}-byte aligned",

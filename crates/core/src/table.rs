@@ -35,13 +35,12 @@
 //! [`ActTables::block_tables`], [`ActTables::block_scales`] and
 //! [`ActTables::kg_offset`].
 
-use crate::exec::SharedMut;
 use crate::opts::{KernelOpts, LUT_GROUP};
 use crate::TmacError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use tmac_simd::Isa;
-use tmac_threadpool::ThreadPool;
+use tmac_threadpool::{SharedMut, ThreadPool};
 
 /// Entries per lookup table (`2^g`).
 pub const TABLE_LEN: usize = 1 << LUT_GROUP;

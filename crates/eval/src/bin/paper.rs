@@ -628,6 +628,7 @@ fn table4(_quick: bool) -> Vec<Claim> {
         DecodeStep::new(model, &ctx)
     });
     let step_s: [f64; 3] = time_medians(1, FIG8_TOKENS, |i| sides[i].step(&ctx));
+    let tasks = quality::choice_tasks(&mut reference, TABLE4_TASKS, 9, &ctx).expect("tasks");
     // (tok/s, perplexity) per backend.
     let measured = [0, 1, 2].map(|i| {
         let (label, _, paper) = backends[i];
@@ -635,7 +636,7 @@ fn table4(_quick: bool) -> Vec<Claim> {
         let report = quality::batched_quality(model, &seqs, 2, TABLE4.seqs, &ctx);
         let ppl = report.expect("perplexity").perplexity;
         let mut candidate = Engine::new(model.clone());
-        let acc = quality::choice_agreement(&mut reference, &mut candidate, TABLE4_TASKS, 9, &ctx);
+        let acc = quality::choice_agreement(&tasks, &mut candidate, &ctx);
         let (label, acc) = (label.into(), acc.expect("agreement"));
         let cells = [
             format!("{tok_s:.2}"),

@@ -52,6 +52,8 @@ fn install_signal_handlers() {
     const SIGINT: c_int = 2;
     const SIGTERM: c_int = 15;
     const SIGUSR1: c_int = 10;
+    // SAFETY: `signal` is the C library's, called with valid signal numbers
+    // and `extern "C"` handlers that only touch atomics (async-signal-safe).
     unsafe {
         signal(SIGINT, on_signal as *const () as usize);
         signal(SIGTERM, on_signal as *const () as usize);

@@ -69,6 +69,8 @@ pub struct Mapping {
 // SAFETY: the region is immutable for the life of the mapping (read-only
 // private mapping / owned buffer), so shared access is safe.
 unsafe impl Send for Mapping {}
+// SAFETY: as for `Send`: no `&Mapping` method writes to the region, so
+// concurrent reads cannot race.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {

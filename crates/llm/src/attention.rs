@@ -22,8 +22,9 @@
 //!   traffic ~4× against the f32 two-pass path.
 //!
 //! **Parallelism**: heads are independent (each writes its own
-//! `head_dim`-slice of the output), so [`attend`] partitions the head range
-//! across the pool with the same static chunking at every thread count —
+//! `head_dim`-slice of the output, through the pool's one disjoint-write
+//! type, `tmac_threadpool::SharedMut`), so [`attend`] partitions the head
+//! range across the pool with the same static chunking at every thread count —
 //! per-head arithmetic never depends on the partition, making results
 //! deterministic for any pool size (asserted by `tests/attention.rs`).
 
@@ -32,6 +33,7 @@ use crate::kv::{KvCache, PAGE_POSITIONS};
 use tmac_core::ExecCtx;
 use tmac_simd::f32ops::{self, OnlineSoftmax};
 use tmac_simd::i8ops;
+use tmac_threadpool::SharedMut;
 
 /// Reusable per-forward attention workspace.
 ///
@@ -55,12 +57,6 @@ impl AttnScratch {
         }
     }
 }
-
-/// Raw-pointer wrapper for disjoint per-head writes from pool threads.
-struct SendPtr<T>(*mut T);
-// SAFETY: every thread derives slices only for the heads its static
-// partition owns, and head slices are disjoint by construction.
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// [`attend_seq`] over sequence 0 — the single-stream view used by
 /// [`crate::Model::forward`] and standalone benches.
@@ -136,11 +132,9 @@ pub fn attend_seq(
     let seq_stride = scratch.seq_max;
     let precision = cache.precision();
 
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let scores_ptr = SendPtr(scratch.scores.as_mut_ptr());
-    let q8_ptr = SendPtr(scratch.q_i8.as_mut_ptr());
-    // Capture the wrappers whole (a raw-pointer field alone is not `Sync`).
-    let (out_ptr, scores_ptr, q8_ptr) = (&out_ptr, &scores_ptr, &q8_ptr);
+    let out = SharedMut::new(out);
+    let scores = SharedMut::new(&mut scratch.scores);
+    let q8 = SharedMut::new(&mut scratch.q_i8);
 
     ctx.pool().run(|tid, n| {
         let heads = tmac_threadpool::chunk_range(n_heads, 1, tid, n);
@@ -148,22 +142,18 @@ pub fn attend_seq(
             let kvh = h / kv_groups;
             let qh = &q[h * hd..(h + 1) * hd];
             // SAFETY: head `h` is owned by exactly one thread (disjoint
-            // static chunks) and each derived slice covers only head `h`'s
-            // rows; the underlying buffers outlive the dispatch (`run`
-            // blocks until completion).
-            let out_h = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(h * hd), hd) };
+            // static chunks) and each slice covers only head `h`'s rows.
+            let out_h = unsafe { out.slice(h * hd, hd) };
             match precision {
                 KvPrecision::F32 => {
                     // SAFETY: as above — score row `h` belongs to this head.
-                    let scores = unsafe {
-                        std::slice::from_raw_parts_mut(scores_ptr.0.add(h * seq_stride), pos + 1)
-                    };
+                    let scores = unsafe { scores.slice(h * seq_stride, pos + 1) };
                     attend_head_f32(qh, cache, pages, layer, kvh, hd, pos, scale, scores, out_h);
                 }
                 KvPrecision::I8 => {
                     // SAFETY: as above — quantized-q row `h` belongs to this
                     // head.
-                    let qbuf = unsafe { std::slice::from_raw_parts_mut(q8_ptr.0.add(h * hd), hd) };
+                    let qbuf = unsafe { q8.slice(h * hd, hd) };
                     attend_head_i8(qh, cache, pages, layer, kvh, hd, pos, scale, qbuf, out_h);
                 }
             }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use tmac_baseline::DequantLinear;
 use tmac_core::{gemm, ExecCtx, KernelOpts, TmacLinear};
 use tmac_quant::QuantizedMatrix;
+use tmac_threadpool::SharedMut;
 
 /// Which of the three compared kernels a model's linear layers use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,11 +133,6 @@ pub struct F32Matrix {
     cols: usize,
 }
 
-/// Shared-output wrapper for the `f32` path.
-struct OutPtr(*mut f32);
-// SAFETY: row chunks are disjoint and the output outlives the dispatch.
-unsafe impl Sync for OutPtr {}
-
 impl F32Matrix {
     /// Wraps row-major `rows × cols` weights.
     ///
@@ -160,13 +156,12 @@ impl F32Matrix {
     /// `out = act × W^T` for one row: one pooled `dot` sweep over the rows.
     fn gemv(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) {
         let (w, cols) = (&self.w, self.cols);
-        let out_ptr = OutPtr(out.as_mut_ptr());
-        let out_ref = &out_ptr;
+        let out = SharedMut::new(out);
         ctx.pool().chunks(self.rows, 8, |range| {
-            for m in range {
-                let v = tmac_simd::f32ops::dot(&w[m * cols..(m + 1) * cols], act);
-                // SAFETY: row ranges disjoint; out outlives dispatch.
-                unsafe { *out_ref.0.add(m) = v };
+            // SAFETY: `chunks` hands each thread a disjoint row range.
+            let part = unsafe { out.slice(range.start, range.len()) };
+            for (m, o) in range.zip(part) {
+                *o = tmac_simd::f32ops::dot(&w[m * cols..(m + 1) * cols], act);
             }
         });
     }
@@ -268,7 +263,8 @@ impl Linear {
     }
 
     /// Batched forward over `n` activation rows (row-major):
-    /// `out[n][m] = Σ_k act[n][k] · W[m][k]`. One row is `n = 1`.
+    /// `out[n][m] = Σ_k act[n][k] · W[m][k]`. One row is `n = 1`. This is
+    /// the one-layer [`Linear::forward_group`].
     ///
     /// # Errors
     ///
@@ -281,28 +277,17 @@ impl Linear {
         out: &mut [f32],
         ctx: &ExecCtx,
     ) -> Result<(), BackendError> {
-        self.check(act, n, out)?;
-        match self {
-            Linear::Tmac(l) => Ok(l.gemm(act, n, out, ctx)?),
-            Linear::Dequant(l) => Ok(DequantLinear::gemm_mixed(&[l], act, n, &mut [out], ctx)?),
-            Linear::F32(l) => {
-                let (k, m) = (self.cols(), self.rows());
-                for (a, o) in act.chunks_exact(k).zip(out.chunks_exact_mut(m)) {
-                    l.gemv(a, o, ctx);
-                }
-                Ok(())
-            }
-        }
+        Linear::forward_group(&[self], act, n, &mut [out], ctx)
     }
 
-    /// [`Linear::forward_batch`] of every layer of `group` over the same
-    /// `n` activation rows: `outs[i]` receives layer `i`'s product. A group
-    /// of T-MAC layers builds its activation tables once and sweeps all of
+    /// Forward of every layer of `group` over the same `n` activation rows
+    /// (row-major): `outs[i]` receives layer `i`'s product. A group of
+    /// T-MAC layers builds its activation tables once and sweeps all of
     /// them in one dispatch (`tmac_core::gemm::mpgemm_group`); a group of
     /// dequant layers quantizes each row once for all of them
     /// ([`DequantLinear::gemm_mixed`]); any other group forwards layer by
-    /// layer. The outputs are bit-identical to separate `forward_batch`
-    /// calls either way.
+    /// layer, an `f32` layer one row at a time. The outputs are
+    /// bit-identical to separate one-layer calls either way.
     ///
     /// # Errors
     ///
@@ -348,7 +333,15 @@ impl Linear {
             return Ok(DequantLinear::gemm_mixed(&layers, act, n, outs, ctx)?);
         }
         for (layer, out) in group.iter().zip(outs.iter_mut()) {
-            layer.forward_batch(act, n, out, ctx)?;
+            match layer {
+                Linear::F32(l) => {
+                    for (a, o) in act.chunks_exact(l.cols).zip(out.chunks_exact_mut(l.rows)) {
+                        l.gemv(a, o, ctx);
+                    }
+                }
+                // A one-layer group of either quantized kernel is served above.
+                _ => Linear::forward_group(&[*layer], act, n, &mut [&mut out[..]], ctx)?,
+            }
         }
         Ok(())
     }

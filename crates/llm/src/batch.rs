@@ -31,7 +31,6 @@ use crate::model::{BatchScratch, KvCache, Model, PREFILL_CHUNK};
 use crate::sampling::{self, Sampler};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 use tmac_core::failpoint::{self, FailAction};
 use tmac_core::ExecCtx;
 
@@ -229,13 +228,11 @@ struct Sequence {
     /// Whether this request participates in the radix prompt cache
     /// (serve its prefix from shared pages, publish its own).
     cache_prompt: bool,
-    /// Wall-clock phase marks feeding [`SeqTiming`].
-    queued_at: Instant,
-    admitted_at: Option<Instant>,
-    prefill_done_at: Option<Instant>,
-    /// `queued_at` as a trace timestamp (for the retroactive queue-wait
-    /// span recorded at admission).
-    queued_ns: u64,
+    /// Phase marks feeding [`SeqTiming`] and the queue-wait span, on the
+    /// trace clock ([`tmac_trace::now_ns`]).
+    queued_at: u64,
+    admitted_at: Option<u64>,
+    prefill_done_at: Option<u64>,
     /// Prompt positions attached from the radix index at admission.
     prefix_hit_positions: u64,
 }
@@ -413,10 +410,9 @@ impl Scheduler {
             stop: req.stop,
             stopped: false,
             cache_prompt: req.cache_prompt,
-            queued_at: Instant::now(),
+            queued_at: tmac_trace::now_ns(),
             admitted_at: None,
             prefill_done_at: None,
-            queued_ns: tmac_trace::now_ns(),
             prefix_hit_positions: 0,
         });
         Ok(id)
@@ -554,15 +550,9 @@ impl Scheduler {
                 continue;
             }
             seq.slot = self.claim_slot();
-            seq.admitted_at = Some(Instant::now());
-            tmac_trace::complete(
-                "sched",
-                "queue_wait",
-                seq.id.0,
-                0,
-                seq.queued_ns,
-                tmac_trace::now_ns(),
-            );
+            let now = tmac_trace::now_ns();
+            seq.admitted_at = Some(now);
+            tmac_trace::complete("sched", "queue_wait", seq.id.0, 0, seq.queued_at, now);
             match self.prefill_active(&mut seq, ctx) {
                 Ok(token) => {
                     emitted.push(StepToken {
@@ -784,7 +774,7 @@ impl Scheduler {
         // (nothing is discarded).
         let token = seq.advance(self.scratch.logits_row(last_row));
         seq.pos = seq.prompt.len();
-        seq.prefill_done_at = Some(Instant::now());
+        seq.prefill_done_at = Some(tmac_trace::now_ns());
         if seq.cache_prompt {
             self.cache.prefix_insert(seq.slot, &seq.prompt);
         }
@@ -799,8 +789,8 @@ impl Scheduler {
             self.cache.release_seq(seq.slot);
             self.free_slots.push(seq.slot);
         }
-        let now = Instant::now();
-        let us = |a: Instant, b: Instant| b.saturating_duration_since(a).as_micros() as u64;
+        let now = tmac_trace::now_ns();
+        let us = |a: u64, b: u64| b.saturating_sub(a) / 1000;
         // Unreached phases contribute 0; a phase in progress at retirement
         // (e.g. cancelled mid-prefill) absorbs the time up to `now`.
         let timing = SeqTiming {

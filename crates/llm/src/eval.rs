@@ -10,9 +10,9 @@
 //!   reference model scores (near-)minimal PPL on its own output;
 //!   kernel-induced error raises it.
 //! * **Choice agreement** (WinoGrande-like) — two-way forced choice: for a
-//!   random context the reference's top-2 next tokens are the "options";
-//!   a backend answers correctly when it ranks the reference's preferred
-//!   option first.
+//!   random context the reference's top-2 next tokens are the "options"
+//!   ([`choice_tasks`], computed once); a backend answers correctly when it
+//!   ranks the reference's preferred option first ([`choice_agreement`]).
 
 use crate::backend::BackendError;
 use crate::engine::Engine;
@@ -149,35 +149,64 @@ pub fn batched_quality(
     })
 }
 
-/// Two-way choice agreement of `candidate` against `reference`: each task
-/// prefills a random 3-token context into both engines
-/// ([`Engine::prefill`]) and counts the candidate correct when it ranks
-/// the reference's top-1 next token above its top-2.
+/// One two-way choice: a context and the reference's top-2 next tokens
+/// after it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChoiceTask {
+    /// The context.
+    pub prompt: Vec<u32>,
+    /// The reference's preferred next token.
+    pub top1: usize,
+    /// The reference's runner-up.
+    pub top2: usize,
+}
+
+/// Draws `n_tasks` random 3-token contexts from `seed` and prefills each
+/// into `reference` once ([`Engine::prefill`]) to record its top-2 next
+/// tokens: the tasks every candidate of [`choice_agreement`] is scored on.
 ///
-/// Returns accuracy in percent over `n_tasks` random contexts.
+/// # Errors
+///
+/// Propagates forward-pass failures.
+pub fn choice_tasks(
+    reference: &mut Engine,
+    n_tasks: usize,
+    seed: u64,
+    ctx: &ExecCtx,
+) -> Result<Vec<ChoiceTask>, BackendError> {
+    let vocab = reference.model.cfg.vocab as u32;
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..n_tasks)
+        .map(|_| {
+            let prompt: Vec<u32> = (0..3).map(|_| rng.u32_below(vocab)).collect();
+            let (top1, top2) = ops::top2(&reference.prefill(&prompt, ctx)?);
+            Ok(ChoiceTask { prompt, top1, top2 })
+        })
+        .collect()
+}
+
+/// Two-way choice agreement of `candidate` on `tasks`: each task's context
+/// is prefilled into the candidate ([`Engine::prefill`]), which is counted
+/// correct when it ranks the task's top-1 token above its top-2.
+///
+/// Returns accuracy in percent (0 for no tasks).
 ///
 /// # Errors
 ///
 /// Propagates forward-pass failures.
 pub fn choice_agreement(
-    reference: &mut Engine,
+    tasks: &[ChoiceTask],
     candidate: &mut Engine,
-    n_tasks: usize,
-    seed: u64,
     ctx: &ExecCtx,
 ) -> Result<f64, BackendError> {
-    let vocab = reference.model.cfg.vocab as u32;
-    let mut rng = Rng::seed_from_u64(seed);
     let mut correct = 0usize;
-    for _ in 0..n_tasks {
-        let prompt: Vec<u32> = (0..3).map(|_| rng.u32_below(vocab)).collect();
-        let (a, b) = ops::top2(&reference.prefill(&prompt, ctx)?);
-        let cand_logits = candidate.prefill(&prompt, ctx)?;
-        if cand_logits[a] > cand_logits[b] {
+    for task in tasks {
+        let logits = candidate.prefill(&task.prompt, ctx)?;
+        if logits[task.top1] > logits[task.top2] {
             correct += 1;
         }
     }
-    Ok(100.0 * correct as f64 / n_tasks.max(1) as f64)
+    Ok(100.0 * correct as f64 / tasks.len().max(1) as f64)
 }
 
 #[cfg(test)]
@@ -288,8 +317,11 @@ mod tests {
         let ctx = ExecCtx::new(1);
         let mut a = engine(BackendKind::F32, 4);
         let mut b = engine(BackendKind::F32, 4);
-        let acc = choice_agreement(&mut a, &mut b, 10, 3, &ctx).unwrap();
-        assert_eq!(acc, 100.0);
+        let tasks = choice_tasks(&mut a, 10, 3, &ctx).unwrap();
+        assert_eq!(tasks.len(), 10);
+        assert_eq!(choice_agreement(&tasks, &mut b, &ctx).unwrap(), 100.0);
+        // The tasks depend on the seed alone.
+        assert_eq!(tasks, choice_tasks(&mut b, 10, 3, &ctx).unwrap());
     }
 
     #[test]
@@ -300,14 +332,15 @@ mod tests {
         // 2-bit quantization of a tiny *random* model is near-chance on
         // two-way choices (the reference's top-2 logit gap is smaller than
         // the quant noise), so only sanity — not accuracy — is asserted.
-        let acc = choice_agreement(&mut reference, &mut quant, 48, 4, &ctx).unwrap();
+        let tasks = choice_tasks(&mut reference, 48, 4, &ctx).unwrap();
+        let acc = choice_agreement(&tasks, &mut quant, &ctx).unwrap();
         assert!((0.0..=100.0).contains(&acc));
         assert!(acc >= 30.0, "agreement anti-correlated: {acc}");
         // 4-bit agreement must beat chance on the same tasks (even a random
         // model's top-2 gaps survive 4-bit noise more often than not) and
         // must not be materially worse than 2-bit.
         let mut quant4 = engine(BackendKind::Dequant, 4);
-        let acc4 = choice_agreement(&mut reference, &mut quant4, 48, 4, &ctx).unwrap();
+        let acc4 = choice_agreement(&tasks, &mut quant4, &ctx).unwrap();
         assert!(acc4 >= 55.0, "4-bit agreement suspiciously low: {acc4}");
         assert!(
             acc4 > acc - 10.0,

@@ -37,6 +37,8 @@
 //! each consumer — the T-MAC plans, the dequantization baseline, the
 //! reference kernels — computes with the same numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod bitnet;
 pub mod formats;
 pub mod rtn;

@@ -9,6 +9,8 @@
 //! generation. Everything is deterministic in the seed, which is the only
 //! property the experiments rely on.
 
+#![forbid(unsafe_code)]
+
 /// A seeded SplitMix64 generator.
 ///
 /// # Examples

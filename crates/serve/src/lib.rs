@@ -57,6 +57,7 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bridge;

@@ -329,24 +329,6 @@ pub fn axpy_f32(y: &mut [f32], a: f32, x: &[f32]) {
     }
 }
 
-/// Sum of a `f32` slice.
-#[target_feature(enable = "avx2")]
-pub fn sum_f32(v: &[f32]) -> f32 {
-    let n = v.len();
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        acc = _mm256_add_ps(acc, loadu_ps(&v[i..]));
-        i += 8;
-    }
-    let mut s = hsum_ps(acc);
-    while i < n {
-        s += v[i];
-        i += 1;
-    }
-    s
-}
-
 /// `y[i] += x[i]` (plain add, no FMA — bit-identical to the scalar path).
 ///
 /// # Panics
@@ -365,29 +347,6 @@ pub fn add_f32(y: &mut [f32], x: &[f32]) {
     }
     while i < n {
         y[i] += x[i];
-        i += 1;
-    }
-}
-
-/// Elementwise product `out[i] = a[i] * b[i]` (bit-identical to scalar).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[target_feature(enable = "avx2")]
-pub fn mul_f32(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "mul_f32 length mismatch");
-    assert_eq!(out.len(), a.len(), "mul_f32 out length mismatch");
-    let n = out.len();
-    let mut i = 0;
-    while i + 8 <= n {
-        let av = loadu_ps(&a[i..]);
-        let bv = loadu_ps(&b[i..]);
-        storeu_ps(&mut out[i..], _mm256_mul_ps(av, bv));
-        i += 8;
-    }
-    while i < n {
-        out[i] = a[i] * b[i];
         i += 1;
     }
 }
@@ -484,82 +443,15 @@ pub fn max_f32(v: &[f32]) -> f32 {
     best
 }
 
-/// Maximum absolute value of a `f32` slice (0.0 if empty).
-#[target_feature(enable = "avx2")]
-pub fn max_abs_f32(v: &[f32]) -> f32 {
-    let n = v.len();
-    let signmask = _mm256_set1_ps(-0.0);
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let x = _mm256_andnot_ps(signmask, loadu_ps(&v[i..]));
-        acc = _mm256_max_ps(acc, x);
-        i += 8;
-    }
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let lo = _mm256_castps256_ps128(acc);
-    let m = _mm_max_ps(lo, hi);
-    let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-    let m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55));
-    let mut best = _mm_cvtss_f32(m);
-    while i < n {
-        best = best.max(v[i].abs());
-        i += 1;
-    }
-    best
-}
-
 // ---------------------------------------------------------------------------
-// i8 helpers (baseline dequant kernels).
+// i8 helpers (attention over a quantized KV cache).
 // ---------------------------------------------------------------------------
-
-/// Signed 8-bit dot product with `i32` accumulation.
-///
-/// Widens both operands to `i16` and uses `_mm256_madd_epi16`. This is exact
-/// for the full `i8` range including `-128` (the llama.cpp `maddubs` sign
-/// trick wraps on `a = b = -128`, so it is reserved for
-/// [`dot_i8_maddubs`], whose inputs are clamped quantized codes).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-#[target_feature(enable = "avx2")]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-    let n = a.len();
-    let mut acc = _mm256_setzero_si256();
-    let mut i = 0;
-    while i + 32 <= n {
-        // SAFETY: both slices have at least `i + 32` elements, and `i8` has
-        // the same layout as `u8` for raw loads.
-        let (va, vb) = unsafe {
-            (
-                _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i),
-                _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i),
-            )
-        };
-        let a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-        let a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-        let b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-        let b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-        i += 32;
-    }
-    let mut sum = hsum_epi32(acc);
-    while i < n {
-        sum += (a[i] as i32) * (b[i] as i32);
-        i += 1;
-    }
-    sum
-}
 
 /// Signed 8-bit dot product via the `maddubs` sign trick (llama.cpp style).
 ///
-/// Faster than [`dot_i8`] but requires every element of both slices to be
-/// `> -128` (quantized codes are clamped to `-127..=127`, so this holds for
-/// all baseline kernels). Violating that wraps the sign of `(-128)·(-128)`
-/// terms.
+/// Requires every element of both slices to be `> -128` (quantized codes
+/// are clamped to `-127..=127`, so this holds for the quantized KV cache).
+/// Violating that wraps the sign of `(-128)·(-128)` terms.
 ///
 /// # Panics
 ///
@@ -901,10 +793,8 @@ mod tests {
         let a: Vec<f32> = (0..103).map(|i| (i as f32 * 0.7).sin()).collect();
         let b: Vec<f32> = (0..103).map(|i| (i as f32 * 0.3).cos()).collect();
         // SAFETY: AVX2+FMA checked by `skip`.
-        let (d, s, m) = unsafe { (dot_f32(&a, &b), sum_f32(&a), max_abs_f32(&a)) };
+        let d = unsafe { dot_f32(&a, &b) };
         assert!((d - scalar::dot_f32(&a, &b)).abs() < 1e-3);
-        assert!((s - scalar::sum_f32(&a)).abs() < 1e-3);
-        assert_eq!(m, scalar::max_abs_f32(&a));
         let mut y1 = b.clone();
         let mut y2 = b.clone();
         // SAFETY: AVX2+FMA checked by `skip`.
@@ -920,10 +810,11 @@ mod tests {
         if skip() {
             return;
         }
+        // Clamped codes (-127..=127), the `maddubs` kernel's domain.
         let a: Vec<i8> = (0..131).map(|i| ((i * 37) % 255 - 127) as i8).collect();
         let b: Vec<i8> = (0..131).map(|i| ((i * 91) % 255 - 127) as i8).collect();
         // SAFETY: AVX2 checked by `skip`.
-        let got = unsafe { dot_i8(&a, &b) };
+        let got = unsafe { dot_i8_maddubs(&a, &b) };
         assert_eq!(got, scalar::dot_i8(&a, &b));
     }
 

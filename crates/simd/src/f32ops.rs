@@ -42,26 +42,6 @@ pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
     scalar::axpy_f32(y, a, x);
 }
 
-/// Sum of all elements.
-pub fn sum(v: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2::available() {
-        // SAFETY: AVX2 support verified by `available()`.
-        return unsafe { crate::avx2::sum_f32(v) };
-    }
-    scalar::sum_f32(v)
-}
-
-/// Maximum absolute value (0.0 for an empty slice).
-pub fn max_abs(v: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2::available() {
-        // SAFETY: AVX2 support verified by `available()`.
-        return unsafe { crate::avx2::max_abs_f32(v) };
-    }
-    scalar::max_abs_f32(v)
-}
-
 /// `y[i] += x[i]` for all `i` (residual adds). Bit-identical across the
 /// SIMD and scalar paths (plain adds, no reassociation).
 ///
@@ -76,21 +56,6 @@ pub fn add(y: &mut [f32], x: &[f32]) {
         return;
     }
     scalar::add_f32(y, x);
-}
-
-/// Elementwise product `out[i] = a[i] * b[i]`. Bit-identical across paths.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul(out: &mut [f32], a: &[f32], b: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2::available() {
-        // SAFETY: AVX2 support verified by `available()`.
-        unsafe { crate::avx2::mul_f32(out, a, b) };
-        return;
-    }
-    scalar::mul_f32(out, a, b);
 }
 
 /// In-place elementwise product `y[i] *= x[i]`. Bit-identical across paths.
@@ -290,8 +255,6 @@ mod tests {
         let a: Vec<f32> = (0..257).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
         let b: Vec<f32> = (0..257).map(|i| ((i * 5) % 11) as f32 - 5.0).collect();
         assert!((dot(&a, &b) - crate::scalar::dot_f32(&a, &b)).abs() < 1e-3);
-        assert!((sum(&a) - crate::scalar::sum_f32(&a)).abs() < 1e-3);
-        assert_eq!(max_abs(&a), crate::scalar::max_abs_f32(&a));
     }
 
     /// The elementwise ops promise *bit* compatibility between the
@@ -311,10 +274,6 @@ mod tests {
 
         let mut o1 = vec![0f32; a.len()];
         let mut o2 = vec![0f32; a.len()];
-        mul(&mut o1, &a, &b);
-        crate::scalar::mul_f32(&mut o2, &a, &b);
-        assert_eq!(o1, o2, "mul");
-
         scaled_mul(&mut o1, &a, &b, s);
         crate::scalar::scaled_mul_f32(&mut o2, &a, &b, s);
         assert_eq!(o1, o2, "scaled_mul");

@@ -1,43 +1,29 @@
 //! Runtime-dispatched `i8` vector operations.
 //!
-//! Used by the llama.cpp-style baseline (`tmac-baseline`): activation
-//! quantization to `Q8_0`-style blocks and signed 8-bit dot products, and by
-//! T-MAC's table quantization (paper §3.3).
+//! Used by the `i8` KV cache and its attention path (`tmac-llm`): symmetric
+//! quantization of K/V rows and queries, the score dot product, and the
+//! scaled value accumulates.
 
 use crate::scalar;
 
-/// Signed 8-bit dot product with `i32` accumulation.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(tmac_simd::i8ops::dot(&[2, -3], &[4, 5]), -7);
-/// ```
-pub fn dot(a: &[i8], b: &[i8]) -> i32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::avx2::available() {
-        // SAFETY: AVX2 support verified by `available()`.
-        return unsafe { crate::avx2::dot_i8(a, b) };
-    }
-    scalar::dot_i8(a, b)
-}
-
 /// Signed 8-bit dot product via the `maddubs` sign trick where available.
 ///
-/// Faster than [`dot`] on AVX2 hosts but requires every element of both
-/// slices to be `> -128` — quantized codes from [`quantize`] are clamped to
-/// `-127..=127`, so attention over a quantized KV cache always satisfies
-/// this. The scalar fallback computes the identical integer sum, so the
-/// result does not depend on the host ISA.
+/// Requires every element of both slices to be `> -128` — quantized codes
+/// from [`quantize`] are clamped to `-127..=127`, so attention over a
+/// quantized KV cache always satisfies this. The scalar fallback computes
+/// the identical integer sum, so the result does not depend on the host
+/// ISA.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length; AVX2 debug builds also panic on
 /// `-128` inputs.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(tmac_simd::i8ops::dot_maddubs(&[2, -3], &[4, 5]), -7);
+/// ```
 pub fn dot_maddubs(a: &[i8], b: &[i8]) -> i32 {
     #[cfg(target_arch = "x86_64")]
     if crate::avx2::available() {
@@ -95,13 +81,6 @@ pub fn quantize(src: &[f32], dst: &mut [i8]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dispatched_dot_matches_scalar() {
-        let a: Vec<i8> = (0..300).map(|i| ((i * 13) % 251) as i8).collect();
-        let b: Vec<i8> = (0..300).map(|i| ((i * 17) % 249) as i8).collect();
-        assert_eq!(dot(&a, &b), scalar::dot_i8(&a, &b));
-    }
 
     #[test]
     fn maddubs_dot_matches_exact_dot_on_clamped_codes() {

@@ -27,11 +27,27 @@
 //!
 //! # Safety policy
 //!
-//! All `unsafe` in the workspace's hot paths is confined to this crate and to
-//! `tmac-core`'s SIMD kernels. Every `unsafe` block carries a `// SAFETY:`
-//! comment. SIMD entry points are `#[target_feature]` functions; callers must
-//! verify support once (see [`Isa::detect`] and [`Isa::available`]) and are
-//! then allowed to call the whole kernel family.
+//! Unsafe code in the workspace is of four kinds, each in named places:
+//!
+//! * **SIMD kernels** — this crate's `avx2`/`avx512` modules and their
+//!   runtime dispatchers, `tmac-core`'s kernel families and
+//!   `tmac-baseline`'s AVX2 dequant kernels. Entry points are
+//!   `#[target_feature]` functions; callers verify support once (see
+//!   [`Isa::detect`] and [`Isa::available`]) and may then call the whole
+//!   family.
+//! * **Disjoint writes from a pool dispatch** — every shared output buffer
+//!   goes through `tmac_threadpool::SharedMut`, whose `slice` is
+//!   range-checked; its callers promise only that threads take disjoint
+//!   ranges. The pool's own job hand-off erases one closure lifetime.
+//! * **Zero-copy weights** — `tmac-io`'s file mapping and its byte views of
+//!   `f32`/`u16` arrays, and `tmac-core`'s plan segments that borrow from
+//!   the mapping.
+//! * **Process signals** — the `tmac_serve` daemon's handler install.
+//!
+//! Crates with none of these (`tmac-quant`, `tmac-rng`, `tmac-serve`,
+//! `tmac-trace`) forbid it at the crate root. Every block and impl of the
+//! four kinds carries a `// SAFETY:` comment, which CI enforces with
+//! clippy's `undocumented_unsafe_blocks` lint.
 //!
 //! # Examples
 //!

@@ -65,11 +65,6 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Sum of an `f32` slice.
-pub fn sum_f32(v: &[f32]) -> f32 {
-    v.iter().sum()
-}
-
 /// Maximum absolute value of an `f32` slice (0.0 for an empty slice).
 pub fn max_abs_f32(v: &[f32]) -> f32 {
     v.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
@@ -101,19 +96,6 @@ pub fn add_f32(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len(), "add_f32 length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += xi;
-    }
-}
-
-/// Elementwise product: `out[i] = a[i] * b[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn mul_f32(out: &mut [f32], a: &[f32], b: &[f32]) {
-    assert_eq!(a.len(), b.len(), "mul_f32 length mismatch");
-    assert_eq!(out.len(), a.len(), "mul_f32 out length mismatch");
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x * y;
     }
 }
 

@@ -13,7 +13,10 @@
 //!   (M-range, tile range, ...) from the index, which is exactly the paper's
 //!   static threadblock assignment;
 //! * **no allocation per dispatch** and no locking inside the workers' hot
-//!   path beyond one mutex acquisition per dispatch.
+//!   path beyond one mutex acquisition per dispatch;
+//! * **one disjoint-write primitive**, [`SharedMut`]: the threads of a
+//!   dispatch write their own parts of one output buffer through it, each
+//!   part range-checked. It is the workspace's only shared-output type.
 //!
 //! # Examples
 //!
@@ -30,6 +33,7 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 0 + 1 + 2 + 3);
 //! ```
 
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -273,6 +277,62 @@ fn worker_loop(shared: &Shared, tid: usize) {
     }
 }
 
+/// A buffer whose disjoint ranges the threads of one dispatch write: output
+/// rows of a GEMV, m-tiles of an mpGEMM sweep, heads of an attention step,
+/// `(scale block, row)` units of a table build. Holds the buffer's unique
+/// borrow for as long as it lives.
+pub struct SharedMut<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _buf: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: a `&SharedMut` only yields memory through `slice`, whose contract
+// gives every range to one thread at a time; `T: Send` lets that thread
+// write values another thread will read after the dispatch joins.
+unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
+
+impl<'a, T> SharedMut<'a, T> {
+    /// Wraps `buf` for one or more dispatches.
+    pub fn new(buf: &'a mut [T]) -> Self {
+        SharedMut {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+            _buf: PhantomData,
+        }
+    }
+
+    /// Length of the whole buffer.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the buffer is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The range `at..at + len` of the buffer, mutably.
+    ///
+    /// # Safety
+    ///
+    /// While the returned slice lives, no other slice overlapping it may be
+    /// taken (by this or any other thread): callers partition the buffer
+    /// among the threads of one dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range does not lie within the buffer.
+    #[allow(clippy::mut_from_ref)] // The point of the type; see `# Safety`.
+    pub unsafe fn slice(&self, at: usize, len: usize) -> &mut [T] {
+        assert!(
+            at <= self.len && len <= self.len - at,
+            "range out of bounds"
+        );
+        std::slice::from_raw_parts_mut(self.ptr.add(at), len)
+    }
+}
+
 /// Computes thread `tid`'s contiguous chunk of `0..total` out of `n` threads,
 /// with boundaries aligned to `granule`.
 pub fn chunk_range(total: usize, granule: usize, tid: usize, n: usize) -> Range<usize> {
@@ -360,27 +420,54 @@ mod tests {
     #[test]
     fn mutation_through_shared_slices() {
         // The canonical kernel pattern: each thread writes a disjoint range
-        // of the output through a raw pointer wrapper.
-        struct SendPtr(*mut f32);
-        // SAFETY: threads write disjoint ranges (asserted by construction).
-        unsafe impl Sync for SendPtr {}
+        // of the output through `SharedMut`, one slice per range.
         let pool = ThreadPool::new(4);
         let mut out = vec![0.0f32; 128];
-        let ptr = SendPtr(out.as_mut_ptr());
-        // Capture the whole wrapper (edition-2021 closures would otherwise
-        // capture the raw-pointer field, which is not `Sync`).
-        let ptr = &ptr;
+        let shared = SharedMut::new(&mut out);
         pool.chunks(128, 8, |r| {
-            for i in r {
-                // SAFETY: ranges from `chunks` are disjoint; `out` outlives
-                // the dispatch (`run` blocks until completion).
-                unsafe { *ptr.0.add(i) = i as f32 };
+            // SAFETY: ranges from `chunks` are disjoint.
+            let part = unsafe { shared.slice(r.start, r.len()) };
+            for (i, v) in r.zip(part) {
+                *v = i as f32;
             }
         });
-        let _ = ptr;
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, i as f32);
         }
+    }
+
+    #[test]
+    fn shared_mut_disjoint_writes_land_at_1_and_4_threads() {
+        // Per-thread ranges of a ragged total, one element at a time: every
+        // element written once, by the thread that owns it.
+        for threads in [1, 4] {
+            let pool = ThreadPool::new(threads);
+            let mut owner = vec![usize::MAX; 1001];
+            let shared = SharedMut::new(&mut owner);
+            assert_eq!((shared.len(), shared.is_empty()), (1001, false));
+            pool.run(|tid, n| {
+                for i in chunk_range(1001, 16, tid, n) {
+                    // SAFETY: `chunk_range` gives each thread its own
+                    // elements.
+                    let own = unsafe { shared.slice(i, 1) };
+                    own[0] = tid;
+                }
+            });
+            for tid in 0..threads {
+                let own = chunk_range(1001, 16, tid, threads);
+                assert!(owner[own].iter().all(|&t| t == tid), "{threads} threads");
+            }
+            assert!(owner.iter().all(|&t| t < threads), "{threads} threads");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "range out of bounds")]
+    fn shared_mut_range_past_the_end_panics() {
+        let mut buf = [0u8; 8];
+        let shared = SharedMut::new(&mut buf);
+        // SAFETY: no other slice of `buf` is live.
+        let _ = unsafe { shared.slice(5, 4) };
     }
 
     #[test]

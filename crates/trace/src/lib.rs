@@ -36,6 +36,7 @@
 //! Nesting needs no parent pointers — Chrome's trace viewer nests
 //! same-thread complete events by timestamp containment.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -72,6 +72,7 @@ fn quality_pipeline_runs_for_all_backends() {
     let mut reference =
         Engine::new(Model::synthetic(&tiny(), WeightQuant::Rtn(4), BackendKind::F32, 8).unwrap());
     let seqs = quality::teacher_sequences(&mut reference, 2, 6, 1, &ctx).unwrap();
+    let tasks = quality::choice_tasks(&mut reference, 8, 2, &ctx).unwrap();
     for kind in [
         BackendKind::Dequant,
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
@@ -81,7 +82,7 @@ fn quality_pipeline_runs_for_all_backends() {
         let report = quality::batched_quality(&engine.model, &seqs, 2, 1, &ctx).unwrap();
         let ppl = report.perplexity;
         assert!(ppl.is_finite() && ppl > 1.0, "{kind:?} ppl={ppl}");
-        let acc = quality::choice_agreement(&mut reference, &mut engine, 8, 2, &ctx).unwrap();
+        let acc = quality::choice_agreement(&tasks, &mut engine, &ctx).unwrap();
         assert!((0.0..=100.0).contains(&acc));
     }
 }

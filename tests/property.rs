@@ -9,12 +9,12 @@
 //! * the raw table's sign identity `t[15 - i] = -t[i]`;
 //! * table quantization error is bounded by half a step;
 //! * the whole GEMV is linear in the activations;
-//! * `gemv` == `with_tables` **bit-exactly**, for all bit-widths and odd
-//!   shapes (the table-reuse contract);
+//! * `gemv` == one table build swept twice **bit-exactly**, for all
+//!   bit-widths and odd shapes (the table-reuse contract);
 //! * the paired (`interleave`) stream is a faithful re-ordering: over
-//!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows (from
-//!   fresh and caller-held tables, alone and grouped with the sequential
-//!   plan), its one-row `mpgemm` and the sequential stream's agree
+//!   generated `(bits, group_size, M, n, options)` its `mpgemm` rows (alone
+//!   and grouped with the sequential plan), its one-row `mpgemm` and the
+//!   sequential stream's agree
 //!   **bit-exactly**, including
 //!   worst-case saturated tables, on every kernel family the host executes
 //!   (and the `Avx512` family's rows equal the `Avx2` family's);
@@ -211,8 +211,8 @@ fn kernel_correct_on_arbitrary_codes() {
     }
 }
 
-/// The table-reuse contract: `gemv` (fresh tables per call) and
-/// `with_tables` (caller-held tables, swept twice) are **bit-exact** equal —
+/// The table-reuse contract: `gemv` (fresh tables per call) and a group of
+/// the same plan twice (one build, swept twice) are **bit-exact** equal —
 /// for every bit-width and for odd, non-tile-aligned shapes.
 #[test]
 fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
@@ -228,11 +228,14 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
             let mut fresh = vec![0f32; m];
             tl.gemv(&a, &mut fresh, &ctx).unwrap();
 
-            let tables = tl.tables(&a).unwrap();
-            for pass in 0..2 {
-                let mut held = vec![0f32; m];
-                tl.with_tables(&tables, &mut held, &ctx).unwrap();
-                assert_eq!(fresh, held, "m={m} k={k} bits={bits}: with_tables #{pass}");
+            let (mut first, mut second) = (vec![0f32; m], vec![0f32; m]);
+            let outs: &mut [&mut [f32]] = &mut [&mut first, &mut second];
+            gemm::mpgemm_group(&[tl.plan(), tl.plan()], &a, 1, outs, &ctx).unwrap();
+            for (pass, held) in [first, second].iter().enumerate() {
+                assert_eq!(
+                    &fresh, held,
+                    "m={m} k={k} bits={bits}: shared build #{pass}"
+                );
             }
         }
     }
@@ -242,8 +245,8 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
 /// common shapes, and blocks long enough to need the mid-block `i32` flush.
 const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
 
-/// `mpgemm` row `i` (`gemm` ≡ `with_tables` ≡ the group of the paired and
-/// the sequential plan), the GEMV of row `i`, and the GEMV through the same
+/// `mpgemm` row `i` (`gemm` ≡ the group of the paired and the sequential
+/// plan), the GEMV of row `i`, and the GEMV through the same
 /// matrix planned on the `+Perm.` rung (the sequential stream and its
 /// untouched kernel), all bit-for-bit equal. Returns the `gemm` rows.
 fn assert_paired_equals_sequential(
@@ -259,18 +262,14 @@ fn assert_paired_equals_sequential(
     let sequential = TmacLinear::new(qm, KernelOpts::plus_permute()).unwrap();
     let mut gemm = vec![0f32; n * m];
     paired.gemm(acts, n, &mut gemm, ctx).unwrap();
-    // Fresh tables, one build shared by both streams and caller-held
-    // tables: one driver, the same bits.
+    // Fresh tables and one build shared by both streams: one driver, the
+    // same bits.
     let (mut grouped, mut grouped_seq) = (vec![0f32; n * m], vec![0f32; n * m]);
     let plans = [paired.plan(), sequential.plan()];
     let outs: &mut [&mut [f32]] = &mut [&mut grouped, &mut grouped_seq];
     gemm::mpgemm_group(&plans, acts, n, outs, ctx).unwrap();
     assert_eq!(gemm, grouped, "{what}: group");
     assert_eq!(gemm, grouped_seq, "{what}: group, sequential stream");
-    let tables = ActTables::build(acts, n, qm.group_size, &KernelOpts::tmac()).unwrap();
-    let mut held = vec![0f32; n * m];
-    paired.with_tables(&tables, &mut held, ctx).unwrap();
-    assert_eq!(gemm, held, "{what}: with_tables");
     for i in 0..n {
         let act = &acts[i * k..(i + 1) * k];
         let mut gemv = vec![0f32; m];
