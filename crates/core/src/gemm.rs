@@ -25,8 +25,10 @@
 //!   of the range.
 //!
 //! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
-//! `zmm` registers for the plans it serves and hands every other plan to
-//! the AVX2 kernels; the two families agree bit for bit. Every
+//! `zmm` registers for the plans it serves — and, for ranges of
+//! [`kernel::avx512::QUAD_MIN_ROWS`] rows or more, a `vpermb` + `vpdpbusd`
+//! multi-row kernel in place of the paired one — and hands every other
+//! plan to the AVX2 kernels; the two families agree bit for bit. Every
 //! [`KernelOpts`](crate::KernelOpts) rung has an AVX2 kernel, so a plan
 //! runs on its context's family, never on another.
 //!
@@ -306,9 +308,9 @@ mod tests {
     #[test]
     fn one_build_swept_twice_matches_fresh() {
         // A group of one plan twice sweeps one table build twice: both
-        // outputs equal the fresh build. n = 11 crosses an N_BLOCK boundary;
-        // n = 1 is the GEMV.
-        for (m, k, n) in [(64, 128, 11), (64, 128, 1)] {
+        // outputs equal the fresh build. N_BLOCK + 5 crosses an N_BLOCK
+        // boundary into a range of the `vpermb` kernel; n = 1 is the GEMV.
+        for (m, k, n) in [(64, 128, N_BLOCK + 5), (64, 128, 1)] {
             let (qm, act) = setup(m, k, n, 3);
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
             let ctx = ExecCtx::new(2);
@@ -421,10 +423,14 @@ mod tests {
     fn mpgemm_bit_identical_to_mpgemv_across_opts_and_shapes() {
         let ctx = ExecCtx::new(2);
         for (_, opts) in KernelOpts::breakdown_ladder() {
-            for bits in [1u8, 2, 4] {
-                // n = 11 straddles N_BLOCK (8); m = 72 leaves a ragged final
-                // tile.
-                let (m, k, n) = (72, 128, 11);
+            // 3 and 4 rows straddle the `vpermb` kernel's switch; past
+            // N_BLOCK the second range does too; m = 72 leaves a ragged
+            // final tile.
+            for (bits, n) in [1u8, 2, 4]
+                .into_iter()
+                .flat_map(|bits| [3, 4, N_BLOCK + 3, N_BLOCK + 4].map(|n| (bits, n)))
+            {
+                let (m, k) = (72, 128);
                 let (qm, act) = setup(m, k, n, bits);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
                 let mut out = vec![0f32; n * m];
@@ -435,7 +441,7 @@ mod tests {
                     assert_eq!(
                         &out[ni * m..(ni + 1) * m],
                         &row[..],
-                        "opts={opts:?} bits={bits} row {ni}"
+                        "opts={opts:?} bits={bits} n={n} row {ni}"
                     );
                 }
             }
@@ -443,10 +449,13 @@ mod tests {
     }
 
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
-    /// through `mpgemm` at every bit width, for the GEMV and multi-row
-    /// kernels (`n` straddling `N_BLOCK`, a ragged last m-tile), and on the
-    /// shapes the `zmm` kernels hand to AVX2: a lone k-group per block and
-    /// the `i16` flush path.
+    /// through `mpgemm` at every bit width and group size, for every kernel
+    /// of the family — the GEMV (n = 1), the paired multi-row kernel (2–3
+    /// rows, and blocks of 2 k-groups at g8), the `vpermb` kernel (4 rows
+    /// on, with the ranges that `N_BLOCK` leaves around it) — with a ragged
+    /// last m-tile, and on the shapes the `zmm` kernels hand to AVX2: a lone
+    /// k-group per block (g12) and the `i16` flush path (W4 from g128, W3
+    /// at g256).
     #[test]
     fn avx512_family_bit_identical_to_avx2() {
         let (Ok(zmm), Ok(ymm)) = (
@@ -454,38 +463,53 @@ mod tests {
             ExecCtx::with_isa(2, Isa::Avx2),
         ) else {
             println!(
-                "skipped: this host has no AVX-512BW (detected {})",
+                "skipped: this host has no AVX-512 F/BW/VBMI/VNNI (detected {})",
                 Isa::detect()
             );
             return;
         };
         let m = 100;
-        let mut cases: Vec<_> = (1..=4u8).map(|bits| (bits, 32, 256, true)).collect();
-        cases.push((3, 12, 96, false));
-        cases.push((4, 128, 256, false));
-        for (bits, gs, k, zmm_serves) in cases {
-            let n_max = 16;
-            let w: Vec<f32> = (0..m * k)
-                .map(|i| ((i as f32) * 0.31).sin() * 0.6)
-                .collect();
-            let act: Vec<f32> = (0..n_max * k)
-                .map(|i| ((i as f32) * 0.17).cos() * 0.8 + (i / k) as f32 * 0.05)
-                .collect();
-            let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
-            let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-            #[cfg(target_arch = "x86_64")]
-            assert_eq!(
-                kernel::avx512::supported(&plan),
-                zmm_serves,
-                "W{bits} g{gs}"
-            );
-            for n in [1, 2, 5, 8, 11, 16] {
-                let act = &act[..n * k];
-                let (mut got, mut want) = (vec![0f32; n * m], vec![0f32; n * m]);
-                mpgemm(&plan, act, n, &mut got, &zmm).unwrap();
-                mpgemm(&plan, act, n, &mut want, &ymm).unwrap();
-                let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits_of(&got), bits_of(&want), "W{bits} g{gs} n={n}");
+        let ns = [
+            1,
+            2,
+            3,
+            4,
+            5,
+            8,
+            N_BLOCK - 1,
+            N_BLOCK,
+            N_BLOCK + 1,
+            2 * N_BLOCK + 1,
+        ];
+        let n_max = 2 * N_BLOCK + 1;
+        for bits in 1..=4u8 {
+            for gs in [8usize, 12, 32, 64, 128, 256] {
+                let k = gs * (256 / gs).max(2);
+                let w: Vec<f32> = (0..m * k)
+                    .map(|i| ((i as f32) * 0.31).sin() * 0.6)
+                    .collect();
+                let act: Vec<f32> = (0..n_max * k)
+                    .map(|i| ((i as f32) * 0.17).cos() * 0.8 + (i / k) as f32 * 0.05)
+                    .collect();
+                let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
+                let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
+                // Served: no lone k-group, and a whole block fits `i16`.
+                let kgb = gs / crate::LUT_GROUP;
+                let zmm_serves = kgb.is_multiple_of(2) && kgb <= 32767 / (127 * ((1 << bits) - 1));
+                #[cfg(target_arch = "x86_64")]
+                assert_eq!(
+                    kernel::avx512::supported(&plan),
+                    zmm_serves,
+                    "W{bits} g{gs}"
+                );
+                for n in ns {
+                    let act = &act[..n * k];
+                    let (mut got, mut want) = (vec![0f32; n * m], vec![0f32; n * m]);
+                    mpgemm(&plan, act, n, &mut got, &zmm).unwrap();
+                    mpgemm(&plan, act, n, &mut want, &ymm).unwrap();
+                    let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits_of(&got), bits_of(&want), "W{bits} g{gs} n={n}");
+                }
             }
         }
     }
@@ -537,7 +561,8 @@ mod tests {
     #[test]
     fn error_leaves_out_untouched() {
         let (m, k) = (64, 128);
-        for (n, bad_row) in [(13, 12), (13, 9), (1, 0)] {
+        let n = N_BLOCK + 5;
+        for (n, bad_row) in [(n, n - 1), (n, N_BLOCK + 1), (1, 0)] {
             let (qm, mut act) = setup(m, k, n, 2);
             act[bad_row * k + 5] = if n == 1 { f32::INFINITY } else { f32::NAN };
             let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
@@ -555,7 +580,7 @@ mod tests {
 
     #[test]
     fn n_not_multiple_of_block() {
-        let (m, k, n) = (32, 64, 3); // N_BLOCK = 8 > n
+        let (m, k, n) = (32, 64, 3); // n < N_BLOCK
         let (qm, act) = setup(m, k, n, 2);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let ctx = ExecCtx::new(1);

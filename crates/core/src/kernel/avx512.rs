@@ -1,9 +1,11 @@
-//! AVX-512BW kernels: the paired-stream kernels on `zmm` registers.
+//! AVX-512 kernels: the paired-stream kernels on `zmm` registers, and a
+//! `vpermb` + `vpdpbusd` multi-row kernel.
 //!
 //! The `Avx512` kernel family runs the two paired-stream kernels of
 //! [`super::avx2`] — the GEMV kernel and the scale-block-outer multi-row
-//! kernel — 64 bytes at a time, and hands every other plan (the
-//! sequential and flat layouts, blocks with a lone k-group or an `i16`
+//! kernel — 64 bytes at a time, adds a multi-row kernel of its own for row
+//! ranges of at least [`QUAD_MIN_ROWS`] rows, and hands every other plan
+//! (the sequential and flat layouts, blocks with a lone k-group or an `i16`
 //! flush) to the AVX2 kernels.
 //!
 //! # The `zmm` inner loop
@@ -26,23 +28,57 @@
 //! * The block tail regroups the four lanes of `lo`/`hi` into row order
 //!   (two `vpermt2q`), adds the k-group parities in `i16` and widens once.
 //!
+//! The GEMV kernel serves one row, and this multi-row kernel
+//! (`gemm_mtile_bits`) ranges of two or three rows, whose few rows share
+//! its cheaper index split, and blocks the `vpermb` kernel does not take.
+//!
+//! # The `vpermb` multi-row kernel
+//!
+//! From four rows on, `gemm_quad_bits` moves the work around the lookups
+//! out of the row loop. An `ActTables` unit holds its k-groups' 16-byte
+//! tables in order, so one 64-byte load is the table of a *quad* of four
+//! k-groups, and `vpermb` looks 64 indices up in it when each index byte
+//! carries its k-group in bits 4–5. Once per (m-tile, scale block) the
+//! kernel turns the stream into such indices (`QUAD_SOURCES`): per
+//! 64-byte *source* of two stream steps, one `vpternlogd` each for the low
+//! and the high nibbles (`(raw & 0x0F) | select`), then one `vpermt2b` per
+//! index vector, which gathers into dword `r` the four lookups of tile row
+//! `r` that one `vpdpbusd` combines:
+//!
+//! * a plane pair `p` of k-group pair `kp`: `[kg 2kp plane 2p, 2p+1, kg
+//!   2kp+1 plane 2p, 2p+1]`, weights `4^p · (1, 2, 1, 2)` — W2 is one such
+//!   source per k-group pair, W4 two;
+//! * the lone plane (W1, W3) of both k-group pairs: the quad's four
+//!   k-groups, weights `2^(bits−1) · (1, 1, 1, 1)`.
+//!
+//! Each source gives two index vectors, tile rows `0..16` and `16..32`. Per
+//! row and quad the row loop is then one 64-byte table load, and per index
+//! vector one `vpermb` and one `vpdpbusd` into `i32` accumulators: `2·bits`
+//! of each, where the paired loop spent a `vpshufb`, a `vpmaddubsw` and a
+//! `vpaddw` per 64 lookups and a `vpermt2q` + `vpmovsxwd` tail per block.
+//! Alternate quads go to two accumulator sets, so no `vpdpbusd` waits on
+//! the one before it. The block tail is one `vpaddd` and one `vcvtdq2ps` per
+//! 16 rows.
+//!
 //! # Bit-identity with AVX2
 //!
-//! Every `i16` lane sums the same looked-up bytes with the same
-//! `vpmaddubsw` weights as the AVX2 lane it replaces, and the sums are
-//! exact (the served plans are the "narrow" ones, whose whole block fits
-//! `i16`: [`supported`]), so their order does not matter. The
-//! per-scale-block `f32` fold is AVX2's
-//! per element: `t = fma(blk, 0.5·q_scale, cz·asum)`, `out = fma(t, scale,
-//! out)`. So `Avx512` results equal `Avx2` results bit for bit.
+//! Every `zmm` `i16` lane sums the same looked-up bytes with the same
+//! `vpmaddubsw` weights as the AVX2 lane it replaces, and `vpdpbusd` sums
+//! them with the same weights in `i32`. All the sums are exact (the served
+//! plans are the "narrow" ones, whose whole block fits `i16`:
+//! [`supported`]), so their order does not matter. The per-scale-block
+//! `f32` fold is AVX2's per element: `t = fma(blk, 0.5·q_scale, cz·asum)`,
+//! `out = fma(t, scale, out)`. So `Avx512` results equal `Avx2` results bit
+//! for bit.
 //!
 //! Everything here is `#[target_feature(enable =
-//! "avx512f,avx512bw,avx2,fma,f16c")]`; the driver runs it only under the
-//! `Avx512` family (`tmac_simd::Isa`), which guarantees all five.
+//! "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]`; the driver
+//! runs it only under the `Avx512` family (`tmac_simd::Isa`), which
+//! guarantees all seven.
 
 use super::avx2::{self, PairedGeom, MAX_KG_PER_BLOCK};
-use crate::opts::TILE_M;
-use crate::plan::WeightPlan;
+use crate::opts::{LUT_GROUP, TILE_M};
+use crate::plan::{self, WeightPlan};
 use crate::table::ActTables;
 use std::arch::x86_64::*;
 use std::ops::Range;
@@ -62,19 +98,21 @@ pub fn supported(plan: &WeightPlan) -> bool {
 /// [`avx2::mtile`]'s.
 ///
 /// Plans the `zmm` kernels serve ([`supported`]) take the `zmm` GEMV kernel
-/// for one row and the `zmm` multi-row kernel for several; every other
-/// plan takes [`avx2::mtile`].
+/// for one row, the `vpermb` kernel for [`QUAD_MIN_ROWS`] rows or more when
+/// their scale blocks are whole quads of k-groups, and the paired `zmm`
+/// multi-row kernel otherwise; every other plan takes [`avx2::mtile`].
 ///
 /// # Safety
 ///
-/// The caller must have verified that the host CPU supports AVX-512F,
-/// AVX-512BW, AVX2, FMA and F16C (e.g. via `tmac_simd::Isa::available`).
+/// The caller must have verified that the host CPU supports AVX-512 F, BW,
+/// VBMI and VNNI, AVX2, FMA and F16C (e.g. via
+/// `tmac_simd::Isa::available`).
 ///
 /// # Panics
 ///
 /// Panics if the plan has no AVX2 kernel or `outs` is shorter than
 /// `rows.len() × TILE_M`.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 pub fn mtile(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -89,10 +127,18 @@ pub fn mtile(
     let bits = plan.bits;
     if rows.len() == 1 {
         for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs))
+    } else if rows.len() >= QUAD_MIN_ROWS && (plan.group_size / LUT_GROUP).is_multiple_of(QUAD) {
+        for_bits!(bits, gemm_quad_bits(plan, tables, rows, mt, outs))
     } else {
         for_bits!(bits, gemm_mtile_bits(plan, tables, rows, mt, outs))
     }
 }
+
+/// Row ranges from which [`mtile`] takes the `vpermb` kernel. Its index
+/// build costs more than the paired kernel's nibble split and is shared by
+/// the range's rows, so 2–3-row ranges keep the paired kernel (DESIGN.md
+/// §3b has the timings of both at 2–3 rows).
+pub const QUAD_MIN_ROWS: usize = 4;
 
 /// Two `f32` output accumulators covering the 32 tile rows in order.
 #[derive(Clone, Copy)]
@@ -175,7 +221,7 @@ fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
 /// the two share every arithmetic operation. The block's sums must fit
 /// `i16` ([`supported`]).
 #[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
     tbl: &[i8],
     idx: &[u8],
@@ -219,7 +265,7 @@ fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
 /// the module docs for the inner loop. Writes the first `TILE_M` floats of
 /// `out`.
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn mtile_paired_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -257,7 +303,7 @@ struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 /// `[lo | lo]`, `[hi | hi]` per plane pair and `[lo | hi]` per lone plane,
 /// then looked up against each row's tables of the block.
 #[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx512f,avx512bw,avx2,fma,f16c")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn gemm_mtile_bits<const BITS: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
@@ -308,10 +354,213 @@ fn gemm_mtile_bits<const BITS: usize>(
     }
 }
 
+/// K-groups per `vpermb` table: one 64-byte `zmm` holds the 16-entry
+/// tables of four consecutive k-groups.
+const QUAD: usize = 4;
+
+/// One source of a quad's `vpermb` indices: two 32-byte stream steps whose
+/// split nibbles `vpermt2b` gathers into two index vectors, tile rows
+/// `0..16` and `16..32`.
+#[derive(Clone, Copy)]
+struct QuadSource {
+    /// Quad-relative stream offsets of the two steps (the source's low and
+    /// high 32 bytes).
+    at: [usize; 2],
+    /// Per source byte: its k-group within the quad, in bits 4–5 (the
+    /// `vpermb` table select).
+    select: [u8; 64],
+    /// Per index vector: the `vpermt2b` indices into `(lo, hi)`, the
+    /// source's low nibbles (`0..64`) and high nibbles (`64..128`).
+    perm: [[u8; 64]; 2],
+    /// The `vpdpbusd` weights of every index dword: the bit-serial `2^bit`
+    /// factor of each of its four lookups.
+    weights: i32,
+}
+
+/// The `bits` sources of a quad (the rest of the array is unused), in the
+/// order the index buffer holds them: for each k-group pair `kp`, for each
+/// plane pair `p`, the pair's `h = 0` and `h = 1` steps (dword `[kg 2kp
+/// plane 2p, 2p+1, kg 2kp+1 plane 2p, 2p+1]`); then, for odd `bits`, the
+/// lone-plane steps of both k-group pairs (dword: the four k-groups).
+///
+/// Derived from [`plan::permuted_nibble`], the one definition of the stream
+/// order, at compile time: a lookup outside its source's steps, or a source
+/// byte claimed by two k-groups, fails the build.
+const fn quad_sources(bits: usize) -> [QuadSource; 4] {
+    let empty = QuadSource {
+        at: [0; 2],
+        select: [0; 64],
+        perm: [[0; 64]; 2],
+        weights: 0,
+    };
+    let mut out = [empty; 4];
+    let pairs = bits / 2;
+    let mut j = 0;
+    while j < bits {
+        let lone = j == 2 * pairs;
+        let (kp, p) = if lone { (0, 0) } else { (j / pairs, j % pairs) };
+        let src = &mut out[j];
+        let lone_step = 32 * (bits - 1);
+        src.at = if lone {
+            [lone_step, 32 * bits + lone_step]
+        } else {
+            let a = 32 * bits * kp + 64 * p;
+            [a, a + 32]
+        };
+        src.weights = if lone {
+            0x0101_0101 << (bits - 1)
+        } else {
+            0x0201_0201 << (2 * p)
+        };
+        // Which k-group (plus one) each source byte belongs to.
+        let mut owner = [0usize; 64];
+        let mut h = 0;
+        while h < 2 {
+            let mut i = 0;
+            while i < 16 {
+                let mut c = 0;
+                while c < 4 {
+                    let (kg, bit) = if lone {
+                        (c, bits - 1)
+                    } else {
+                        (2 * kp + c / 2, 2 * p + c % 2)
+                    };
+                    let (off, high) = plan::permuted_nibble(true, bits, QUAD, bit, 16 * h + i, kg);
+                    let s = if off >= src.at[0] && off < src.at[0] + 32 {
+                        off - src.at[0]
+                    } else if off >= src.at[1] && off < src.at[1] + 32 {
+                        32 + off - src.at[1]
+                    } else {
+                        panic!("a lookup outside its source's steps")
+                    };
+                    assert!(
+                        owner[s] == 0 || owner[s] == kg + 1,
+                        "a byte of two k-groups"
+                    );
+                    owner[s] = kg + 1;
+                    src.select[s] = (16 * kg) as u8;
+                    src.perm[h][4 * i + c] = (s + 64 * high as usize) as u8;
+                    c += 1;
+                }
+                i += 1;
+            }
+            h += 1;
+        }
+        j += 1;
+    }
+    out
+}
+
+/// [`quad_sources`] of bit widths 1–4.
+static QUAD_SOURCES: [[QuadSource; 4]; 4] = [
+    quad_sources(1),
+    quad_sources(2),
+    quad_sources(3),
+    quad_sources(4),
+];
+
+/// Looks one row's quad up: `tbl` is the quad's 64 table bytes and `idx`
+/// its `2·BITS` index vectors; vector `2j + h` adds into `acc[h]` with
+/// source `j`'s weights `w[j]`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni")]
+fn quad_lookups<const BITS: usize>(
+    acc: &mut [__m512i; 2],
+    w: &[__m512i; 4],
+    tbl: &[i8],
+    idx: &[u8],
+) {
+    let t = simd::loadu_512(tbl);
+    for (w, vecs) in w.iter().zip(idx.chunks_exact(128)).take(BITS) {
+        for (h, acc) in acc.iter_mut().enumerate() {
+            let vals = _mm512_permutexvar_epi8(simd::loadu_512(&vecs[64 * h..]), t);
+            *acc = _mm512_dpbusd_epi32(*acc, *w, vals);
+        }
+    }
+}
+
+/// Multi-row kernel for [`QUAD_MIN_ROWS`] rows or more, scale-block-outer
+/// like [`gemm_mtile_bits`]: each scale block's indices are turned into
+/// `vpermb` indices once (see the module docs), then looked up against
+/// each row's tables of the block by `vpermb` and combined by `vpdpbusd`.
+/// The block's k-group count must be a multiple of [`QUAD`].
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
+fn gemm_quad_bits<const BITS: usize>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    let (bb, tb) = (plan.block_bytes(), tables.block_len());
+    let stream = plan.mtile_stream(mt);
+    let sources = &QUAD_SOURCES[BITS - 1][..BITS];
+    let w = QUAD_SOURCES[BITS - 1].map(|s| _mm512_set1_epi32(s.weights));
+    let mask = _mm512_set1_epi8(0x0F);
+    let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
+    let outs = &mut outs[..rows.len() * TILE_M];
+    outs.fill(0.0);
+    for sb in 0..plan.groups_per_row() {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        for (raw, dst) in src
+            .chunks_exact(64 * BITS)
+            .zip(idx.0.chunks_exact_mut(128 * BITS))
+        {
+            for (s, dst) in sources.iter().zip(dst.chunks_exact_mut(128)) {
+                let steps = if s.at[1] == s.at[0] + 32 {
+                    simd::loadu_512(&raw[s.at[0]..])
+                } else {
+                    let lo = _mm512_castsi256_si512(tmac_simd::avx2::loadu_256(&raw[s.at[0]..]));
+                    _mm512_inserti64x4::<1>(lo, tmac_simd::avx2::loadu_256(&raw[s.at[1]..]))
+                };
+                // `(nibble & 0x0F) | select` per byte, one `vpternlogd` each.
+                let select = simd::loadu_512(&s.select);
+                let lo = _mm512_ternarylogic_epi32::<0xEA>(steps, mask, select);
+                let hi = _mm512_srli_epi16::<4>(steps);
+                let hi = _mm512_ternarylogic_epi32::<0xEA>(hi, mask, select);
+                for (perm, dst) in s.perm.iter().zip(dst.chunks_exact_mut(64)) {
+                    let v = _mm512_permutex2var_epi8(lo, simd::loadu_512(perm), hi);
+                    simd::storeu_512(dst, v);
+                }
+            }
+        }
+        let idx = &idx.0[..2 * bb];
+        let scales = plan.tile_scales(mt, sb);
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        let units = tables.block_tables(sb, rows.clone()).chunks_exact(tb);
+        for (((out, tbl), q_scale), asum) in outs
+            .chunks_exact_mut(TILE_M)
+            .zip(units)
+            .zip(q_scales)
+            .zip(asums)
+        {
+            // Two accumulator sets, alternate quads.
+            let mut acc = [[_mm512_setzero_si512(); 2]; 2];
+            let mut quads = tbl.chunks_exact(64).zip(idx.chunks_exact(128 * BITS));
+            while let Some((t, v)) = quads.next() {
+                quad_lookups::<BITS>(&mut acc[0], &w, t, v);
+                if let Some((t, v)) = quads.next() {
+                    quad_lookups::<BITS>(&mut acc[1], &w, t, v);
+                }
+            }
+            let rows_f32 = |h: usize| _mm512_cvtepi32_ps(_mm512_add_epi32(acc[0][h], acc[1][h]));
+            let mut o = OutAcc::load(out);
+            o.fold(
+                (rows_f32(0), rows_f32(1)),
+                0.5 * q_scale,
+                plan.cz * asum,
+                scales,
+            );
+            o.store(out);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::{KernelOpts, LUT_GROUP};
+    use crate::opts::KernelOpts;
     use tmac_quant::rtn;
 
     fn plan(bits: u8, gs: usize, opts: KernelOpts) -> WeightPlan {

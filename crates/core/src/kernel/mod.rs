@@ -8,8 +8,10 @@
 //!   rung. One `PSHUFB` per 32 lookups, `i16` widening accumulation,
 //!   per-scale-block f32 application.
 //! * `avx512` — the paired-stream kernels (GEMV and multi-row) on
-//!   `zmm` registers (x86-64 with AVX-512BW): one `vpshufb` per 64 lookups,
-//!   bit-identical to `avx2`, which serves every other plan of the family.
+//!   `zmm` registers (x86-64 with AVX-512 F/BW/VBMI/VNNI): one `vpshufb`
+//!   per 64 lookups, and from four rows on a `vpermb` + `vpdpbusd` kernel
+//!   that looks a quad of k-groups up per instruction; bit-identical to
+//!   `avx2`, which serves every other plan of the family.
 //!
 //! The caller's kernel family (`tmac_simd::Isa`, held by
 //! [`crate::ExecCtx`]) picks the module: `Scalar`, `Avx2` or `Avx512`.

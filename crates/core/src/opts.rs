@@ -33,8 +33,10 @@ pub const TILE_M: usize = 32;
 /// Activation rows per weight sweep in mpGEMM (table reuse across the
 /// sequence dimension): each `N_BLOCK`-row range of a batch's tables is
 /// swept over the weights as one block — each scale block's indices are
-/// decoded once and looked up against every row of the range.
-pub const N_BLOCK: usize = 8;
+/// decoded once and looked up against every row of the range. 16 is a
+/// whole prefill chunk or a 16-row decode batch, so either streams its
+/// weights once (its tables, 256 KB at `K` = 4096, stay in L2).
+pub const N_BLOCK: usize = 16;
 
 /// Configuration of the T-MAC mpGEMM kernels: one of the four Figure 10
 /// rungs, named by its constructor. The switches are read back through

@@ -570,7 +570,7 @@ impl WeightPlan {
 /// `(bit, tile row r, k-group kg_in)`: `(byte offset, high nibble?)` — the
 /// one definition of both stream orders (see the module docs), shared by
 /// the packer and [`WeightPlan::index`].
-pub fn permuted_nibble(
+pub const fn permuted_nibble(
     interleaved: bool,
     bits: usize,
     kgb: usize,

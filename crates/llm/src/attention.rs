@@ -1,7 +1,8 @@
 //! Causal attention over the paged head-major KV cache, with the heads
 //! fanned out across the execution context's thread pool.
 //!
-//! Two data paths share one entry point ([`attend`] / [`attend_seq`]):
+//! Two data paths share one entry point ([`attend_batch`], and its one-row
+//! views [`attend_seq`] and [`attend`]):
 //!
 //! * **`f32` (reference)** — the seed's exact two-pass computation per head:
 //!   a score sweep over K, in-place softmax, then a weighted-sum sweep over
@@ -23,10 +24,12 @@
 //!
 //! **Parallelism**: heads are independent (each writes its own
 //! `head_dim`-slice of the output, through the pool's one disjoint-write
-//! type, `tmac_threadpool::SharedMut`), so [`attend`] partitions the head
-//! range across the pool with the same static chunking at every thread count —
-//! per-head arithmetic never depends on the partition, making results
-//! deterministic for any pool size (asserted by `tests/attention.rs`).
+//! type, `tmac_threadpool::SharedMut`), so [`attend_batch`] partitions the
+//! head range across the pool with the same static chunking at every
+//! thread count, for all rows of a batch in one dispatch (heads outer, rows
+//! inner) — per-head arithmetic never depends on the partition or on the
+//! other rows, making results deterministic for any pool size and batch
+//! (asserted by `tests/attention.rs` and this module's tests).
 
 use crate::config::{KvPrecision, ModelConfig};
 use crate::kv::{KvCache, PAGE_POSITIONS};
@@ -77,7 +80,8 @@ pub fn attend(
 }
 
 /// Computes `out = softmax(q Kᵀ / √d) V` for one token of sequence `seq`
-/// over all heads, walking the sequence's block table page by page.
+/// over all heads, walking the sequence's block table page by page: the
+/// one-row [`attend_batch`].
 ///
 /// `q` is the RoPE-rotated query (`n_heads × head_dim`, row-major per
 /// head); `out` receives the per-head attention outputs in the same layout.
@@ -106,27 +110,68 @@ pub fn attend_seq(
     scratch: &mut AttnScratch,
     ctx: &ExecCtx,
 ) {
-    let hd = cache.head_dim();
-    assert_eq!(q.len(), out.len(), "attend: q/out length mismatch");
+    attend_batch(q, out, cache, &[seq], layer, &[pos], scratch, ctx);
+}
+
+/// [`attend_seq`] for `seqs.len()` rows in one pool dispatch: row `r`'s
+/// query (`q`, row-major `rows × n_heads·head_dim`) attends at
+/// `positions[r]` of sequence `seqs[r]`, into row `r` of `out`.
+///
+/// The heads are split over the pool's threads and each thread walks its
+/// heads outer and the rows inner, so rows that read the same KV pages (a
+/// prefill chunk's rows of one sequence, decode rows over a shared prefix)
+/// find a head's pages still in its caches. Every (row, head) pair runs
+/// [`attend_seq`]'s arithmetic, so each row is bit-identical to its own
+/// call.
+///
+/// # Panics
+///
+/// As [`attend_seq`], for any row; and if `seqs` and `positions` differ in
+/// length or are empty, or `q` is not `seqs.len()` rows.
+#[allow(clippy::too_many_arguments)] // the model's hot path; a struct would just rename the wiring
+pub fn attend_batch(
+    q: &[f32],
+    out: &mut [f32],
+    cache: &KvCache,
+    seqs: &[usize],
+    layer: usize,
+    positions: &[usize],
+    scratch: &mut AttnScratch,
+    ctx: &ExecCtx,
+) {
+    let (hd, rows) = (cache.head_dim(), seqs.len());
     assert!(
-        hd > 0 && q.len().is_multiple_of(hd),
+        rows > 0 && positions.len() == rows,
+        "attend: {rows} sequences vs {} positions",
+        positions.len()
+    );
+    assert_eq!(q.len(), out.len(), "attend: q/out length mismatch");
+    assert!(q.len().is_multiple_of(rows), "attend: q not {rows} rows");
+    let dim = q.len() / rows;
+    assert!(
+        hd > 0 && dim.is_multiple_of(hd),
         "attend: q not head-aligned"
     );
-    let n_heads = q.len() / hd;
+    let n_heads = dim / hd;
     assert!(
         n_heads.is_multiple_of(cache.n_kv_heads()) && n_heads >= cache.n_kv_heads(),
         "attend: query heads not a multiple of kv heads"
     );
-    assert!(pos < cache.seq_max(), "attend: position beyond seq_max");
-    let pages = cache.seq_pages(seq);
     assert!(
-        pages.len() * PAGE_POSITIONS > pos,
-        "attend: position beyond the sequence's paged capacity"
-    );
-    assert!(
-        scratch.scores.len() >= n_heads * scratch.seq_max && scratch.seq_max > pos,
+        scratch.scores.len() >= n_heads * scratch.seq_max,
         "attend: scratch too small for position"
     );
+    for (&seq, &pos) in seqs.iter().zip(positions) {
+        assert!(pos < cache.seq_max(), "attend: position beyond seq_max");
+        assert!(
+            cache.seq_pages(seq).len() * PAGE_POSITIONS > pos,
+            "attend: position beyond the sequence's paged capacity"
+        );
+        assert!(
+            scratch.seq_max > pos,
+            "attend: scratch too small for position"
+        );
+    }
     let kv_groups = n_heads / cache.n_kv_heads();
     let scale = 1.0 / (hd as f32).sqrt();
     let seq_stride = scratch.seq_max;
@@ -140,21 +185,29 @@ pub fn attend_seq(
         let heads = tmac_threadpool::chunk_range(n_heads, 1, tid, n);
         for h in heads {
             let kvh = h / kv_groups;
-            let qh = &q[h * hd..(h + 1) * hd];
-            // SAFETY: head `h` is owned by exactly one thread (disjoint
-            // static chunks) and each slice covers only head `h`'s rows.
-            let out_h = unsafe { out.slice(h * hd, hd) };
-            match precision {
-                KvPrecision::F32 => {
-                    // SAFETY: as above — score row `h` belongs to this head.
-                    let scores = unsafe { scores.slice(h * seq_stride, pos + 1) };
-                    attend_head_f32(qh, cache, pages, layer, kvh, hd, pos, scale, scores, out_h);
-                }
-                KvPrecision::I8 => {
-                    // SAFETY: as above — quantized-q row `h` belongs to this
-                    // head.
-                    let qbuf = unsafe { q8.slice(h * hd, hd) };
-                    attend_head_i8(qh, cache, pages, layer, kvh, hd, pos, scale, qbuf, out_h);
+            for (r, (&seq, &pos)) in seqs.iter().zip(positions).enumerate() {
+                let pages = cache.seq_pages(seq);
+                let at = r * dim + h * hd;
+                let qh = &q[at..at + hd];
+                // SAFETY: head `h` is owned by exactly one thread (disjoint
+                // static chunks) and each slice covers only head `h`'s
+                // columns of row `r`.
+                let out_h = unsafe { out.slice(at, hd) };
+                match precision {
+                    KvPrecision::F32 => {
+                        // SAFETY: as above — score row `h` belongs to this
+                        // head, and this thread's rows use it in turn.
+                        let scores = unsafe { scores.slice(h * seq_stride, pos + 1) };
+                        attend_head_f32(
+                            qh, cache, pages, layer, kvh, hd, pos, scale, scores, out_h,
+                        );
+                    }
+                    KvPrecision::I8 => {
+                        // SAFETY: as above — quantized-q row `h` belongs to
+                        // this head, and this thread's rows use it in turn.
+                        let qbuf = unsafe { q8.slice(h * hd, hd) };
+                        attend_head_i8(qh, cache, pages, layer, kvh, hd, pos, scale, qbuf, out_h);
+                    }
                 }
             }
         }
@@ -391,6 +444,92 @@ mod tests {
                 let v0 = cache.v_row_f32(0, h / groups, 0, &mut buf).to_vec();
                 for (a, b) in out[h * hd..(h + 1) * hd].iter().zip(&v0) {
                     assert!((a - b).abs() < 1e-5, "{prec:?}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// One `attend_batch` over rows of three sequences — a prefill-like run
+    /// of one private sequence, a sequence sharing its prefix pages and one
+    /// more private one — equals a call per row bit for bit, on both
+    /// paths and at 1, 2 and 5 threads.
+    #[test]
+    fn batch_rows_bit_identical_to_per_row_calls() {
+        for precision in [KvPrecision::F32, KvPrecision::I8] {
+            let mut cfg = ModelConfig::tiny();
+            cfg.seq_max = 3 * PAGE_POSITIONS;
+            cfg.kv_precision = precision;
+            let kv = cfg.kv_dim();
+            let row = |pos: usize, salt: usize| -> (Vec<f32>, Vec<f32>) {
+                let k = (0..kv)
+                    .map(|i| ((pos * 17 + i * 5 + salt) as f32 * 0.11).sin() * 1.3)
+                    .collect();
+                let v = (0..kv)
+                    .map(|i| ((pos * 7 + i * 13 + salt) as f32 * 0.17).cos() * 0.9)
+                    .collect();
+                (k, v)
+            };
+            let mut cache = KvCache::multi(&cfg, 3);
+            let (len0, len1, len2) = (PAGE_POSITIONS + 9, PAGE_POSITIONS + 14, 23);
+            for pos in 0..len0 {
+                let (k, v) = row(pos, 0);
+                cache.store_seq(0, 0, pos, &k, &v).unwrap();
+            }
+            cache.set_seq_len(0, len0);
+            let tokens: Vec<u32> = (0..len0 as u32).collect();
+            cache.prefix_insert(0, &tokens);
+            assert_eq!(
+                cache.prefix_match(1, &tokens[..PAGE_POSITIONS]),
+                PAGE_POSITIONS
+            );
+            for pos in PAGE_POSITIONS..len1 {
+                let (k, v) = row(pos, 1);
+                cache.store_seq(1, 0, pos, &k, &v).unwrap();
+            }
+            cache.set_seq_len(1, len1);
+            for pos in 0..len2 {
+                let (k, v) = row(pos, 2);
+                cache.store_seq(2, 0, pos, &k, &v).unwrap();
+            }
+            cache.set_seq_len(2, len2);
+            let seqs = [0, 0, 0, 1, 2, 1];
+            let positions = [len0 - 3, len0 - 2, len0 - 1, len1 - 1, len2 - 1, 4];
+            let q: Vec<f32> = (0..seqs.len() * cfg.dim)
+                .map(|i| ((i as f32) * 0.23).sin())
+                .collect();
+            for threads in [1, 2, 5] {
+                let ctx = ExecCtx::new(threads);
+                let mut scratch = AttnScratch::new(&cfg);
+                let mut got = vec![0f32; q.len()];
+                attend_batch(
+                    &q,
+                    &mut got,
+                    &cache,
+                    &seqs,
+                    0,
+                    &positions,
+                    &mut scratch,
+                    &ctx,
+                );
+                for (r, (&seq, &pos)) in seqs.iter().zip(&positions).enumerate() {
+                    let rows = r * cfg.dim..(r + 1) * cfg.dim;
+                    let mut want = vec![0f32; cfg.dim];
+                    attend_seq(
+                        &q[rows.clone()],
+                        &mut want,
+                        &cache,
+                        seq,
+                        0,
+                        pos,
+                        &mut scratch,
+                        &ctx,
+                    );
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got[rows]),
+                        bits(&want),
+                        "{precision:?} threads={threads} row {r}"
+                    );
                 }
             }
         }

@@ -386,18 +386,16 @@ impl Model {
             }
             {
                 let _att = tmac_trace::span("llm", "attention", l as u64, b as u64);
-                for r in 0..b {
-                    attention::attend_seq(
-                        &s.q[r * dim..(r + 1) * dim],
-                        &mut s.att[r * dim..(r + 1) * dim],
-                        cache,
-                        cache_slots[r],
-                        l,
-                        positions[r],
-                        &mut s.attn,
-                        ctx,
-                    );
-                }
+                attention::attend_batch(
+                    &s.q[..b * dim],
+                    &mut s.att[..b * dim],
+                    cache,
+                    cache_slots,
+                    l,
+                    positions,
+                    &mut s.attn,
+                    ctx,
+                );
             }
             lw.wo
                 .forward_batch(&s.att[..b * dim], b, &mut s.proj[..b * dim], ctx)?;

@@ -123,22 +123,12 @@ pub fn storeu_ps(dst: &mut [f32], v: __m256) {
 // Table lookup (the T-MAC core primitive).
 // ---------------------------------------------------------------------------
 
-/// Duplicates a 16-entry `i8` table into both 128-bit lanes of a register.
-///
-/// Paper §4: "we duplicate the table to fill the 256-bit LUT register and
-/// look up 32 different int8 weight indices with a single instruction".
-#[inline]
-#[target_feature(enable = "avx2")]
-pub fn dup_table16(table: &[i8; 16]) -> __m256i {
-    // SAFETY: `table` is exactly 16 readable bytes.
-    let t = unsafe { _mm_loadu_si128(table.as_ptr() as *const __m128i) };
-    _mm256_broadcastsi128_si256(t)
-}
-
 /// 32-way parallel 8-bit table lookup (`PSHUFB`).
 ///
-/// `table` must hold the same 16 entries in both lanes (see
-/// [`dup_table16`]); `idx` holds 32 indices, each `< 16` (high bit clear).
+/// Paper §4: "we duplicate the table to fill the 256-bit LUT register and
+/// look up 32 different int8 weight indices with a single instruction":
+/// `table` must hold the same 16 entries in both lanes; `idx` holds 32
+/// indices, each `< 16` (high bit clear).
 #[inline]
 #[target_feature(enable = "avx2")]
 pub fn tbl32(table: __m256i, idx: __m256i) -> __m256i {
@@ -690,9 +680,13 @@ mod tests {
             *t = (i as i8).wrapping_mul(7) - 50;
         }
         let idx: Vec<u8> = (0..32).map(|i| (i * 5) % 16).collect();
-        // SAFETY: AVX2 checked by `skip`.
+        // SAFETY: AVX2 checked by `skip`; `table` is 16 readable bytes, the
+        // table duplicated into both lanes.
         let got = unsafe {
-            let t = dup_table16(&table);
+            let t = _mm256_setr_m128i(
+                _mm_loadu_si128(table.as_ptr().cast()),
+                _mm_loadu_si128(table.as_ptr().cast()),
+            );
             let iv = loadu_256(&idx);
             to_bytes(tbl32(t, iv))
         };

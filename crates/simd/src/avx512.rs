@@ -1,8 +1,9 @@
-//! x86-64 AVX-512BW loads and stores.
+//! x86-64 AVX-512 loads and stores.
 //!
 //! The `zmm` kernels of `tmac-core` widen AVX2's paired-stream lookup to
 //! 64 bytes: one `vpshufb zmm` looks up 64 indices against a 16-entry table
-//! held in each of its four 128-bit lanes. This module holds the
+//! held in each of its four 128-bit lanes, and one `vpermb` against the
+//! 64-byte tables of four k-groups. This module holds the
 //! length-checked slice wrappers those kernels load and store through, the
 //! `zmm` twins of [`crate::avx2::loadu_256`] and friends.
 //!
@@ -15,7 +16,8 @@
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
 
-/// Returns `true` if the running CPU supports AVX-512F and AVX-512BW, and
+/// Returns `true` if the running CPU supports AVX-512F, AVX-512BW,
+/// AVX-512 VBMI (`vpermb`, `vpermt2b`) and AVX-512 VNNI (`vpdpbusd`), and
 /// the AVX2 + FMA + F16C set the kernels also use
 /// ([`crate::avx2::available`]).
 ///
@@ -27,17 +29,21 @@ pub fn available() -> bool {
         crate::avx2::available()
             && std::is_x86_feature_detected!("avx512f")
             && std::is_x86_feature_detected!("avx512bw")
+            && std::is_x86_feature_detected!("avx512vbmi")
+            && std::is_x86_feature_detected!("avx512vnni")
     })
 }
 
-/// Loads 64 bytes from `src` (unaligned).
+/// Loads 64 bytes from `src` (unaligned); `T` is a byte type (`u8`
+/// indices or `i8` tables).
 ///
 /// # Panics
 ///
 /// Panics if `src.len() < 64`.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw")]
-pub fn loadu_512(src: &[u8]) -> __m512i {
+pub fn loadu_512<T>(src: &[T]) -> __m512i {
+    const { assert!(std::mem::size_of::<T>() == 1) };
     assert!(src.len() >= 64, "loadu_512 needs 64 bytes");
     // SAFETY: `src` has at least 64 readable bytes; unaligned load allowed.
     unsafe { _mm512_loadu_si512(src.as_ptr() as *const __m512i) }
@@ -126,7 +132,7 @@ mod tests {
     #[test]
     fn loads_stores_and_broadcasts_round_trip() {
         if !available() {
-            println!("skipped: this host has no AVX-512BW");
+            println!("skipped: this host has no AVX-512 F/BW/VBMI/VNNI");
             return;
         }
         let src: Vec<u8> = (0..64).collect();
@@ -148,7 +154,7 @@ mod tests {
     #[test]
     fn loadu_ph_matches_scalar() {
         if !available() {
-            println!("skipped: this host has no AVX-512BW");
+            println!("skipped: this host has no AVX-512 F/BW/VBMI/VNNI");
             return;
         }
         let halves: Vec<u16> = (0..=u16::MAX).filter(|h| h & 0x7c00 != 0x7c00).collect();

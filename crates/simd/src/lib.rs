@@ -22,7 +22,7 @@
 //!   the oracle for the SIMD backends' unit tests.
 //! * `avx2` — x86-64 AVX2 implementations (runtime-detected).
 //! * `avx512` — the length-checked `zmm` loads and stores of `tmac-core`'s
-//!   AVX-512BW kernels (x86-64, runtime-detected); everything else those
+//!   AVX-512 kernels (x86-64, runtime-detected); everything else those
 //!   kernels use is `avx2`'s.
 //!
 //! # Safety policy
@@ -80,9 +80,9 @@ pub enum Isa {
     Scalar,
     /// x86-64 AVX2 (256-bit, `PSHUFB`-class lookups; with FMA and F16C).
     Avx2,
-    /// x86-64 AVX-512BW (512-bit `vpshufb`; also needs AVX-512F, AVX2, FMA
-    /// and F16C, since the kernels keep AVX2's table build and fold
-    /// helpers).
+    /// x86-64 AVX-512 (512-bit `vpshufb` and `vpermb` lookups, `vpdpbusd`
+    /// combine; needs AVX-512 F, BW, VBMI and VNNI, and AVX2, FMA and F16C,
+    /// since the kernels keep AVX2's table build and fold helpers).
     Avx512,
     /// AArch64 NEON (128-bit, `TBL` lookups).
     Neon,
@@ -111,8 +111,11 @@ impl Isa {
     /// FMA and F16C are required alongside AVX2: the f32 kernels use fused
     /// multiply-adds, and the weight scales are IEEE halves widened with
     /// `vcvtph2ps` (every AVX2-era core, Haswell+, has all three). `Avx512`
-    /// needs AVX-512F and AVX-512BW on top, for the byte-granular `zmm`
-    /// shuffle, multiply-add and masks.
+    /// needs AVX-512 F and BW on top, for the byte-granular `zmm` shuffle,
+    /// multiply-add and masks, and VBMI and VNNI for the multi-row
+    /// kernel's `vpermb` lookups and `vpdpbusd` combine (Ice Lake and later
+    /// Intel cores, AMD Zen 4 and later); a host with F/BW alone runs
+    /// `Avx2`.
     pub fn available(self) -> bool {
         match self {
             Isa::Scalar => true,
@@ -188,7 +191,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_detects_at_least_scalar() {
-        // The widest family the host has: AVX-512BW hosts get `Avx512`,
+        // The widest family the host has: AVX-512 F/BW/VBMI/VNNI hosts get `Avx512`,
         // other AVX2 hosts `Avx2`, anything else scalar.
         let isa = Isa::detect();
         assert!(matches!(isa, Isa::Avx512 | Isa::Avx2 | Isa::Scalar));

@@ -76,8 +76,9 @@ fn assert_batches_equal_singles(m: &Model, batches: &[usize], steps: usize, ctx:
 
 #[test]
 fn forward_batch_is_bit_exact_across_bits() {
-    // The acceptance property: every bit-width, a batch size (5) that is
-    // neither a multiple of the mpGEMM row block (8) nor of any tile.
+    // The acceptance property: every bit-width, batch sizes that are
+    // neither a multiple of the mpGEMM row block (N_BLOCK) nor of any tile,
+    // one on each side of the `vpermb` kernel's 4-row switch.
     for ctx in family_ctxs() {
         for bits in 1..=4u8 {
             let m = model(
@@ -85,21 +86,22 @@ fn forward_batch_is_bit_exact_across_bits() {
                 BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
                 31 + bits as u64,
             );
-            assert_batches_equal_singles(&m, &[5], 3, &ctx);
+            assert_batches_equal_singles(&m, &[3, 5], 3, &ctx);
         }
     }
 }
 
 #[test]
 fn forward_batch_is_bit_exact_beyond_the_row_block() {
-    // B = 11 spans two mpGEMM row blocks (N_BLOCK = 8) unevenly.
+    // Both batches span two mpGEMM row blocks (N_BLOCK rows) unevenly: the
+    // second range is 3 rows (the paired kernel) or 4 (the `vpermb` one).
     for ctx in family_ctxs() {
         let m = model(
             WeightQuant::Rtn(2),
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             77,
         );
-        assert_batches_equal_singles(&m, &[11], 2, &ctx);
+        assert_batches_equal_singles(&m, &[N_BLOCK + 3, N_BLOCK + 4], 2, &ctx);
     }
 }
 

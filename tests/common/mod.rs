@@ -30,7 +30,7 @@ pub fn test_threads() -> usize {
 
 /// The kernel families this host executes, narrowest first — `Scalar` on
 /// every host, so x86 runs its portable kernels too. Prints each family it
-/// leaves out and why (e.g. `avx512` on a CPU without AVX-512BW).
+/// leaves out and why (e.g. `avx512` on a CPU without AVX-512 VBMI/VNNI).
 pub fn families() -> Vec<Isa> {
     Isa::ALL
         .into_iter()

@@ -5,7 +5,9 @@
 //! 32-byte weight load the AVX2 GEMV loop issues exactly two `vpshufb` and
 //! no other shuffle-port work, and the mpGEMM row loop looks a decoded
 //! scale block up with its accumulators in registers. The `Avx512` family's
-//! `zmm` kernels make the same claims per 64-byte load, on `zmm` only. The
+//! `zmm` kernels make the same claims per 64-byte load, on `zmm` only, and
+//! its `vpermb` kernel's row loop is nothing but `vpermb` lookups and
+//! `vpdpbusd` combines around one table load per four k-groups. The
 //! table build's claim is the same kind: its k-group loop is vector code. A
 //! refactor (or a compiler upgrade) can lose that silently while every
 //! numerical test stays green, so this test disassembles *this test
@@ -13,7 +15,7 @@
 //! findable) and checks the loops.
 //!
 //! It needs optimized code and `objdump`; it skips, printing why, in debug
-//! builds, without AVX2 (the `zmm` checks: without AVX-512BW), or where
+//! builds, without AVX2 (the `zmm` checks: without the `Avx512` family), or where
 //! `/usr/bin/objdump` is not installed. CI runs it with
 //! `cargo test --release -p tmac --test disasm`.
 
@@ -73,6 +75,19 @@ impl Insn {
         .any(|m| self.text.starts_with(m))
     }
 
+    /// A 64-byte load from outside the stack frame: in the `vpermb`
+    /// kernel's row loop, a quad's table (its indices sit in a stack
+    /// buffer).
+    fn is_table_load(&self) -> bool {
+        let Some((src, dst)) = self.text.rsplit_once(',') else {
+            return false;
+        };
+        self.text.starts_with("vmov")
+            && src.contains('(')
+            && !src.contains("%rsp")
+            && dst.contains("%zmm")
+    }
+
     /// Whether every vector register this instruction names is a `zmm`.
     fn zmm_only(&self) -> bool {
         !self.text.contains("%ymm") && !self.text.contains("%xmm")
@@ -97,11 +112,13 @@ fn disassemble(isa: Isa, name: &str) -> Option<Vec<Vec<Insn>>> {
         return None;
     };
     let w: Vec<f32> = (0..64 * 128).map(|i| (i as f32 * 0.37).sin()).collect();
-    let act: Vec<f32> = (0..3 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
+    let act: Vec<f32> = (0..4 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
     let lin = TmacLinear::from_f32(&w, 64, 128, 2, 32, KernelOpts::tmac()).unwrap();
-    let mut out = vec![0f32; 3 * 64];
+    let mut out = vec![0f32; 4 * 64];
     lin.gemv(&act[..128], &mut out[..64], &ctx).unwrap();
-    lin.gemm(&act, 3, &mut out, &ctx).unwrap();
+    lin.gemm(&act[..3 * 128], 3, &mut out[..3 * 64], &ctx)
+        .unwrap();
+    lin.gemm(&act, 4, &mut out, &ctx).unwrap();
     std::hint::black_box(&out);
 
     let exe = std::env::current_exe().unwrap();
@@ -426,6 +443,74 @@ fn zmm_gemm_row_loop_keeps_accumulators_in_registers() {
     assert!(
         w2_row_loops >= 1,
         "no 2-bit zmm mpGEMM row loop found in {} symbols",
+        funcs.len()
+    );
+}
+
+/// The `vpermb` multi-row kernel (4 rows and more): its row loop looks a
+/// quad of k-groups up with `vpermb zmm` only, against one 64-byte table
+/// load, and combines with `vpdpbusd zmm` only — `2·bits` of each per
+/// table, no `vpshufb`, `vpmaddubsw` or widening, no lane fix-up — and the
+/// row loop around it keeps every accumulator in registers.
+#[test]
+fn zmm_quad_row_loop_is_vpermb_and_vpdpbusd() {
+    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_quad_bits") else {
+        return;
+    };
+    let mut w2_row_loops = 0;
+    for f in &funcs {
+        let all = loops(f);
+        for body in innermost_with(f, "vpermb") {
+            let dump = listing(body);
+            let (lookups, combines) = (count(body, "vpermb"), count(body, "vpdpbusd"));
+            assert!(
+                body.iter()
+                    .filter(|i| i.is("vpermb") || i.is("vpdpbusd"))
+                    .all(Insn::zmm_only),
+                "ymm lookup or combine:\n{dump}"
+            );
+            assert_eq!(lookups, combines, "a combine per lookup:\n{dump}");
+            for m in ["vpshufb", "vpmaddubsw", "vpmovsxwd", "vpaddw"] {
+                assert_eq!(count(body, m), 0, "{m} in the lookup loop:\n{dump}");
+            }
+            assert!(
+                !body.iter().any(Insn::is_lane_fixup),
+                "lane fix-up:\n{dump}"
+            );
+            assert!(
+                !body.iter().any(Insn::is_vector_stack_store),
+                "spill:\n{dump}"
+            );
+            let tables = body.iter().filter(|i| i.is_table_load()).count();
+            assert!(
+                tables > 0 && lookups % tables == 0 && [2, 4, 6, 8].contains(&(lookups / tables)),
+                "2·bits lookups per table load:\n{dump}"
+            );
+            // 2-bit: 4 lookups per quad.
+            if lookups / tables != 4 {
+                continue;
+            }
+            let (inner_head, inner_tail) = (body[0].addr, body[body.len() - 1].addr);
+            let row = all
+                .iter()
+                .map(|&(h, t)| &f[h..=t])
+                .filter(|l| l[0].addr <= inner_head && inner_tail <= l[l.len() - 1].addr)
+                .filter(|l| count(l, "vcvtdq2ps") > 0)
+                .min_by_key(|l| l.len());
+            let Some(row) = row else {
+                continue;
+            };
+            assert!(
+                !row.iter().any(Insn::is_vector_stack_store),
+                "row loop spills:\n{}",
+                listing(row)
+            );
+            w2_row_loops += 1;
+        }
+    }
+    assert!(
+        w2_row_loops >= 1,
+        "no 2-bit vpermb row loop found in {} symbols",
         funcs.len()
     );
 }

@@ -2,7 +2,7 @@
 //! consume one activation run as one group, one table build and one pool
 //! dispatch per group, across crates and through a whole decode step.
 
-use tmac::core::gemm;
+use tmac::core::{gemm, N_BLOCK};
 use tmac::prelude::*;
 
 fn quantized(m: usize, k: usize, bits: u8, seed: u64) -> QuantizedMatrix {
@@ -108,7 +108,7 @@ fn sweeps_since(t0: u64) -> usize {
 fn one_sweep_per_table_build() {
     // QKV and gate/up run as one dispatch each: 4 per layer (QKV, wo,
     // gate/up, w2) plus the head, where seven projections used to make 7.
-    // A 16-row batch is two N_BLOCK row ranges, each its own dispatch.
+    // A 16-row batch is 16 / N_BLOCK row ranges, each its own dispatch.
     let cfg = ModelConfig::tiny();
     let model = Model::synthetic(
         &cfg,
@@ -133,5 +133,5 @@ fn one_sweep_per_table_build() {
     model
         .forward_batch(&tokens, &[0; 16], &slots, &mut cache, &mut s, &ctx)
         .unwrap();
-    assert_eq!(sweeps_since(t0), 2 * per_pass);
+    assert_eq!(sweeps_since(t0), 16usize.div_ceil(N_BLOCK) * per_pass);
 }
