@@ -25,9 +25,9 @@
 //!   of the range.
 //!
 //! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
-//! `zmm` registers for the plans it serves — and, for ranges of
-//! [`kernel::avx512::QUAD_MIN_ROWS`] rows or more, a `vpermb` + `vpdpbusd`
-//! multi-row kernel in place of the paired one — and hands every other
+//! `zmm` registers for the plans it serves — and, for scale blocks of
+//! whole k-group quads, a `vpermb` + `vpdpbusd` multi-row kernel in place
+//! of the paired one — and hands every other
 //! plan to the AVX2 kernels; the two families agree bit for bit. Every
 //! [`KernelOpts`](crate::KernelOpts) rung has an AVX2 kernel, so a plan
 //! runs on its context's family, never on another.
@@ -423,12 +423,12 @@ mod tests {
     fn mpgemm_bit_identical_to_mpgemv_across_opts_and_shapes() {
         let ctx = ExecCtx::new(2);
         for (_, opts) in KernelOpts::breakdown_ladder() {
-            // 3 and 4 rows straddle the `vpermb` kernel's switch; past
-            // N_BLOCK the second range does too; m = 72 leaves a ragged
-            // final tile.
+            // 2 rows is the smallest multi-row range; past N_BLOCK the
+            // second range is 1 row (the GEMV kernel) or 2; m = 72 leaves a
+            // ragged final tile.
             for (bits, n) in [1u8, 2, 4]
                 .into_iter()
-                .flat_map(|bits| [3, 4, N_BLOCK + 3, N_BLOCK + 4].map(|n| (bits, n)))
+                .flat_map(|bits| [2, 3, N_BLOCK + 1, N_BLOCK + 2].map(|n| (bits, n)))
             {
                 let (m, k) = (72, 128);
                 let (qm, act) = setup(m, k, n, bits);
@@ -450,9 +450,9 @@ mod tests {
 
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
     /// through `mpgemm` at every bit width and group size, for every kernel
-    /// of the family — the GEMV (n = 1), the paired multi-row kernel (2–3
-    /// rows, and blocks of 2 k-groups at g8), the `vpermb` kernel (4 rows
-    /// on, with the ranges that `N_BLOCK` leaves around it) — with a ragged
+    /// of the family — the GEMV (n = 1), the paired multi-row kernel
+    /// (blocks of 2 k-groups at g8), the `vpermb` kernel (2 rows on, with
+    /// the ranges that `N_BLOCK` leaves around it) — with a ragged
     /// last m-tile, and on the shapes the `zmm` kernels hand to AVX2: a lone
     /// k-group per block (g12) and the `i16` flush path (W4 from g128, W3
     /// at g256).

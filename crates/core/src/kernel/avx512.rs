@@ -3,8 +3,8 @@
 //!
 //! The `Avx512` kernel family runs the two paired-stream kernels of
 //! [`super::avx2`] — the GEMV kernel and the scale-block-outer multi-row
-//! kernel — 64 bytes at a time, adds a multi-row kernel of its own for row
-//! ranges of at least [`QUAD_MIN_ROWS`] rows, and hands every other plan
+//! kernel — 64 bytes at a time, adds a multi-row kernel of its own for
+//! scale blocks of whole k-group quads, and hands every other plan
 //! (the sequential and flat layouts, blocks with a lone k-group or an `i16`
 //! flush) to the AVX2 kernels.
 //!
@@ -29,12 +29,12 @@
 //!   (two `vpermt2q`), adds the k-group parities in `i16` and widens once.
 //!
 //! The GEMV kernel serves one row, and this multi-row kernel
-//! (`gemm_mtile_bits`) ranges of two or three rows, whose few rows share
-//! its cheaper index split, and blocks the `vpermb` kernel does not take.
+//! (`gemm_mtile_bits`) the blocks the `vpermb` kernel does not take: those
+//! whose k-group count is not a multiple of four.
 //!
 //! # The `vpermb` multi-row kernel
 //!
-//! From four rows on, `gemm_quad_bits` moves the work around the lookups
+//! From two rows on, `gemm_quad_bits` moves the work around the lookups
 //! out of the row loop. An `ActTables` unit holds its k-groups' 16-byte
 //! tables in order, so one 64-byte load is the table of a *quad* of four
 //! k-groups, and `vpermb` looks 64 indices up in it when each index byte
@@ -98,9 +98,9 @@ pub fn supported(plan: &WeightPlan) -> bool {
 /// [`avx2::mtile`]'s.
 ///
 /// Plans the `zmm` kernels serve ([`supported`]) take the `zmm` GEMV kernel
-/// for one row, the `vpermb` kernel for [`QUAD_MIN_ROWS`] rows or more when
-/// their scale blocks are whole quads of k-groups, and the paired `zmm`
-/// multi-row kernel otherwise; every other plan takes [`avx2::mtile`].
+/// for one row, the `vpermb` kernel for more rows when their scale blocks
+/// are whole quads of k-groups, and the paired `zmm` multi-row kernel
+/// otherwise; every other plan takes [`avx2::mtile`].
 ///
 /// # Safety
 ///
@@ -127,18 +127,12 @@ pub fn mtile(
     let bits = plan.bits;
     if rows.len() == 1 {
         for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs))
-    } else if rows.len() >= QUAD_MIN_ROWS && (plan.group_size / LUT_GROUP).is_multiple_of(QUAD) {
+    } else if (plan.group_size / LUT_GROUP).is_multiple_of(QUAD) {
         for_bits!(bits, gemm_quad_bits(plan, tables, rows, mt, outs))
     } else {
         for_bits!(bits, gemm_mtile_bits(plan, tables, rows, mt, outs))
     }
 }
-
-/// Row ranges from which [`mtile`] takes the `vpermb` kernel. Its index
-/// build costs more than the paired kernel's nibble split and is shared by
-/// the range's rows, so 2–3-row ranges keep the paired kernel (DESIGN.md
-/// §3b has the timings of both at 2–3 rows).
-pub const QUAD_MIN_ROWS: usize = 4;
 
 /// Two `f32` output accumulators covering the 32 tile rows in order.
 #[derive(Clone, Copy)]
@@ -479,7 +473,7 @@ fn quad_lookups<const BITS: usize>(
     }
 }
 
-/// Multi-row kernel for [`QUAD_MIN_ROWS`] rows or more, scale-block-outer
+/// Multi-row kernel for two rows or more, scale-block-outer
 /// like [`gemm_mtile_bits`]: each scale block's indices are turned into
 /// `vpermb` indices once (see the module docs), then looked up against
 /// each row's tables of the block by `vpermb` and combined by `vpdpbusd`.

@@ -9,7 +9,7 @@
 //!   per-scale-block f32 application.
 //! * `avx512` — the paired-stream kernels (GEMV and multi-row) on
 //!   `zmm` registers (x86-64 with AVX-512 F/BW/VBMI/VNNI): one `vpshufb`
-//!   per 64 lookups, and from four rows on a `vpermb` + `vpdpbusd` kernel
+//!   per 64 lookups, and from two rows on a `vpermb` + `vpdpbusd` kernel
 //!   that looks a quad of k-groups up per instruction; bit-identical to
 //!   `avx2`, which serves every other plan of the family.
 //!

@@ -128,11 +128,9 @@ pub(crate) fn quantize_block(raw: &[f32], scale: f32, q: &mut [i8]) {
 }
 
 /// The buffers of a table set under construction, shared by the threads
-/// that build different scale blocks: scale block `sb` owns units `(sb, 0)`
-/// to `(sb, rows − 1)` of every buffer, which are adjacent.
+/// that build different rows: row `r` owns unit `(sb, r)` of every buffer.
 struct Units<'a> {
     rows: usize,
-    k: usize,
     group_size: usize,
     /// Whether blocks are built by the AVX2 builder (under the `Avx2` and
     /// `Avx512` families, on a host with AVX2+FMA+F16C) rather than its scalar
@@ -145,61 +143,45 @@ struct Units<'a> {
 }
 
 impl Units<'_> {
-    /// Builds every row's unit of the scale blocks `sbs` from the batch's
-    /// activations `acts`. Returns `false`, with the units of blocks that
-    /// are not all finite unspecified (their scales would be garbage), if
-    /// any block is not.
-    fn fill_blocks(&self, sbs: Range<usize>, acts: &[f32]) -> bool {
+    /// Builds row `r`'s unit of every scale block from the row's
+    /// activations. Returns `false`, with the row's units unspecified, if
+    /// they are not all finite (the scales would be garbage).
+    fn fill_row(&self, r: usize, act: &[f32]) -> bool {
+        // A fold rather than `any`: without the early exit it vectorises.
+        if !act.iter().fold(true, |finite, x| finite & x.is_finite()) {
+            return false;
+        }
         let n_units = self.asums.len();
         let per_unit = |len: usize| len / n_units;
         let raw_len = per_unit(self.f32_tables.len());
         let q_len = per_unit(self.q_tables.len());
         let quantized = q_len > 0;
-        let units = sbs.start * self.rows..sbs.end * self.rows;
-        // SAFETY: these are the units of scale blocks `sbs` — theirs alone,
-        // and one thread of the dispatch builds the blocks `sbs`.
-        let (asums, raws, q_scales, qs) = unsafe {
-            (
-                self.asums.slice(units.start, units.len()),
-                self.f32_tables
-                    .slice(units.start * raw_len, units.len() * raw_len),
-                self.q_scales.slice(units.start, units.len()),
-                self.q_tables
-                    .slice(units.start * q_len, units.len() * q_len),
-            )
-        };
         // Quantized tables keep no `f32` entries: a block's are scratch.
         let block_raw = self.group_size / LUT_GROUP * TABLE_LEN;
         let mut scratch = vec![0f32; if quantized { block_raw } else { 0 }];
-        let mut finite = true;
-        for (i, sb) in sbs.enumerate() {
-            for r in 0..self.rows {
-                let unit = i * self.rows + r;
-                let at = r * self.k + sb * self.group_size;
-                let block = &acts[at..at + self.group_size];
-                // A fold rather than `any`: without the early exit it
-                // vectorises.
-                if !block.iter().fold(true, |ok, x| ok & x.is_finite()) {
-                    finite = false;
-                    continue;
-                }
-                asums[unit] = block.iter().sum();
-                let raw = if quantized {
-                    &mut scratch[..]
-                } else {
-                    &mut raws[unit * raw_len..(unit + 1) * raw_len]
-                };
-                let q = &mut qs[unit * q_len..(unit + 1) * q_len];
-                q_scales[unit] = match self.avx2 {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
-                    // passed the runtime AVX2+FMA+F16C check.
-                    true => unsafe { crate::kernel::avx2::build_block(block, raw, q) },
-                    _ => build_block(block, raw, q),
-                };
-            }
+        for (sb, block) in act.chunks_exact(self.group_size).enumerate() {
+            let unit = sb * self.rows + r;
+            // SAFETY: these are unit `(sb, r)` of each buffer — row `r`'s
+            // alone, and one thread of the dispatch builds row `r`.
+            let (asum, raw, q_scale, q) = unsafe {
+                (
+                    self.asums.slice(unit, 1),
+                    self.f32_tables.slice(unit * raw_len, raw_len),
+                    self.q_scales.slice(unit, 1),
+                    self.q_tables.slice(unit * q_len, q_len),
+                )
+            };
+            asum[0] = block.iter().sum();
+            let raw = if quantized { &mut scratch[..] } else { raw };
+            q_scale[0] = match self.avx2 {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `avx2` is set only where `Isa::Avx2.available()`
+                // passed the runtime AVX2+FMA+F16C check.
+                true => unsafe { crate::kernel::avx2::build_block(block, raw, q) },
+                _ => build_block(block, raw, q),
+            };
         }
-        finite
+        true
     }
 }
 
@@ -223,11 +205,9 @@ impl ActTables {
         Self::build_on(None, Isa::detect(), acts, rows, group_size, opts)
     }
 
-    /// [`ActTables::build`] with the scale blocks of a multi-row batch
-    /// fanned out over `pool` in contiguous ranges, every row of a block on
-    /// the thread that owns it (so no two threads write one cache line of
-    /// the `[sb][row]` scales and sums); block for block the arithmetic is
-    /// the same, so the tables do not depend on the pool.
+    /// [`ActTables::build`] with the (independent) rows of a multi-row batch
+    /// fanned out over `pool`; row for row the arithmetic is the same, so
+    /// the tables do not depend on the pool.
     ///
     /// `isa` is the caller's kernel family: `Avx2` and `Avx512` build on
     /// the AVX2 builder (there is no wider one), any other family — or an
@@ -276,7 +256,6 @@ impl ActTables {
         };
         let units = Units {
             rows,
-            k,
             group_size,
             avx2: matches!(isa, Isa::Avx2 | Isa::Avx512) && Isa::Avx2.available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
@@ -285,15 +264,17 @@ impl ActTables {
             asums: SharedMut::new(&mut tables.asums),
         };
         let non_finite = AtomicBool::new(false);
-        let fill = |sbs: Range<usize>| {
-            if !units.fill_blocks(sbs, acts) {
-                non_finite.store(true, Ordering::Relaxed);
+        let fill = |rows: Range<usize>| {
+            for r in rows {
+                if !units.fill_row(r, &acts[r * k..(r + 1) * k]) {
+                    non_finite.store(true, Ordering::Relaxed);
+                }
             }
         };
         match pool {
             // One row is not worth a pool dispatch.
-            Some(pool) if rows > 1 => pool.chunks(k / group_size, 1, fill),
-            _ => fill(0..k / group_size),
+            Some(pool) if rows > 1 => pool.chunks(rows, 1, fill),
+            _ => fill(0..rows),
         }
         if non_finite.into_inner() {
             return Err(TmacError::Numeric(
@@ -596,30 +577,6 @@ mod tests {
                 }
             }
         });
-    }
-
-    /// A batch built on pools of 1, 2 and 3 threads (each thread a range of
-    /// scale blocks, even ranges of one block and idle threads) holds the
-    /// calling thread's build bytewise: tables, scales and sums.
-    #[test]
-    fn build_is_identical_at_1_2_3_threads() {
-        let pools = [1, 2, 3].map(ThreadPool::new);
-        for opts in [KernelOpts::tm_base(), KernelOpts::tmac()] {
-            for (rows, gs, blocks) in [(2, 32, 1), (3, 4, 5), (5, 32, 2), (16, 32, 7), (17, 128, 3)]
-            {
-                let k = gs * blocks;
-                let acts = generated(rows * k, (rows * 31 + gs) as u64);
-                let alone =
-                    ActTables::build_on(None, Isa::detect(), &acts, rows, gs, &opts).unwrap();
-                for pool in &pools {
-                    let on_pool =
-                        ActTables::build_on(Some(pool), Isa::detect(), &acts, rows, gs, &opts)
-                            .unwrap();
-                    let what = format!("{opts:?} rows={rows} gs={gs} threads={}", pool.threads());
-                    assert_twin(&on_pool, &alone, &what);
-                }
-            }
-        }
     }
 
     /// Blocks at the edges of the AVX2 builder's arithmetic, in every table

@@ -77,8 +77,7 @@ fn assert_batches_equal_singles(m: &Model, batches: &[usize], steps: usize, ctx:
 #[test]
 fn forward_batch_is_bit_exact_across_bits() {
     // The acceptance property: every bit-width, batch sizes that are
-    // neither a multiple of the mpGEMM row block (N_BLOCK) nor of any tile,
-    // one on each side of the `vpermb` kernel's 4-row switch.
+    // neither a multiple of the mpGEMM row block (N_BLOCK) nor of any tile.
     for ctx in family_ctxs() {
         for bits in 1..=4u8 {
             let m = model(
@@ -94,14 +93,14 @@ fn forward_batch_is_bit_exact_across_bits() {
 #[test]
 fn forward_batch_is_bit_exact_beyond_the_row_block() {
     // Both batches span two mpGEMM row blocks (N_BLOCK rows) unevenly: the
-    // second range is 3 rows (the paired kernel) or 4 (the `vpermb` one).
+    // second range is 1 row (the GEMV kernel) or 2 (the multi-row one).
     for ctx in family_ctxs() {
         let m = model(
             WeightQuant::Rtn(2),
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             77,
         );
-        assert_batches_equal_singles(&m, &[N_BLOCK + 3, N_BLOCK + 4], 2, &ctx);
+        assert_batches_equal_singles(&m, &[N_BLOCK + 1, N_BLOCK + 2], 2, &ctx);
     }
 }
 

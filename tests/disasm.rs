@@ -112,13 +112,11 @@ fn disassemble(isa: Isa, name: &str) -> Option<Vec<Vec<Insn>>> {
         return None;
     };
     let w: Vec<f32> = (0..64 * 128).map(|i| (i as f32 * 0.37).sin()).collect();
-    let act: Vec<f32> = (0..4 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
+    let act: Vec<f32> = (0..3 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
     let lin = TmacLinear::from_f32(&w, 64, 128, 2, 32, KernelOpts::tmac()).unwrap();
-    let mut out = vec![0f32; 4 * 64];
+    let mut out = vec![0f32; 3 * 64];
     lin.gemv(&act[..128], &mut out[..64], &ctx).unwrap();
-    lin.gemm(&act[..3 * 128], 3, &mut out[..3 * 64], &ctx)
-        .unwrap();
-    lin.gemm(&act, 4, &mut out, &ctx).unwrap();
+    lin.gemm(&act, 3, &mut out, &ctx).unwrap();
     std::hint::black_box(&out);
 
     let exe = std::env::current_exe().unwrap();
@@ -447,7 +445,7 @@ fn zmm_gemm_row_loop_keeps_accumulators_in_registers() {
     );
 }
 
-/// The `vpermb` multi-row kernel (4 rows and more): its row loop looks a
+/// The `vpermb` multi-row kernel (2 rows and more): its row loop looks a
 /// quad of k-groups up with `vpermb zmm` only, against one 64-byte table
 /// load, and combines with `vpdpbusd zmm` only — `2·bits` of each per
 /// table, no `vpshufb`, `vpmaddubsw` or widening, no lane fix-up — and the
