@@ -244,17 +244,15 @@ impl WeightPlan {
         let m_padded = m.div_ceil(TILE_M) * TILE_M;
         let gpr = k / qm.group_size;
         let kg_total = k / LUT_GROUP;
-        let nibble = |row: usize, bit: usize, kg: usize| -> u8 {
-            if row >= m {
-                return 0;
-            }
+        // The four codes of `(row, kg)` as one little-endian word, code `j`
+        // in byte `j`.
+        let codes4 = |row: usize, kg: usize| -> u32 {
             let base = row * k + kg * LUT_GROUP;
-            let mut idx = 0u8;
-            for j in 0..LUT_GROUP {
-                let code = qm.codes[base + j];
-                idx |= ((code >> bit) & 1) << j;
-            }
-            idx
+            u32::from_le_bytes(
+                qm.codes[base..base + LUT_GROUP]
+                    .try_into()
+                    .expect("4 codes"),
+            )
         };
 
         let mut scales = vec![0u16; m_padded * gpr];
@@ -262,23 +260,33 @@ impl WeightPlan {
             let mut stream = vec![0u8; m_padded / TILE_M * kg_total * bits * (TILE_M / 2)];
             let kgb = qm.group_size / LUT_GROUP;
             let block_bytes = kgb * bits * (TILE_M / 2);
+            // Where `(tile row, kg_in, bit)` lands in every block: the
+            // `permuted_nibble` placements, looked up once per shape.
+            let place: Vec<(usize, u8)> = (0..TILE_M * kgb * bits)
+                .map(|i| {
+                    let (r, kg_in, bit) = (i / (kgb * bits), i / bits % kgb, i % bits);
+                    let (byte, high) = permuted_nibble(opts.interleave(), bits, kgb, bit, r, kg_in);
+                    (byte, 4 * high as u8)
+                })
+                .collect();
             for mt in 0..m_padded / TILE_M {
                 let m0 = mt * TILE_M;
+                let rows = TILE_M.min(m.saturating_sub(m0));
                 for sb in 0..gpr {
                     let blk = mt * gpr + sb;
                     let block = &mut stream[blk * block_bytes..(blk + 1) * block_bytes];
-                    for bit in 0..bits {
-                        for kg_in in 0..kgb {
-                            let kg = sb * kgb + kg_in;
-                            for r in 0..TILE_M {
-                                let (byte, high) =
-                                    permuted_nibble(opts.interleave(), bits, kgb, bit, r, kg_in);
-                                block[byte] |= nibble(m0 + r, bit, kg) << (4 * high as u8);
+                    // Padding rows keep their zero indices.
+                    for r in 0..rows {
+                        let place = &place[r * kgb * bits..(r + 1) * kgb * bits];
+                        for (kg_in, place) in place.chunks_exact(bits).enumerate() {
+                            let c = codes4(m0 + r, sb * kgb + kg_in);
+                            for (bit, &(byte, shift)) in place.iter().enumerate() {
+                                block[byte] |= plane_nibble(c, bit) << shift;
                             }
                         }
                     }
                     // The block's `TILE_M` row scales, contiguously.
-                    for r in 0..TILE_M.min(m.saturating_sub(m0)) {
+                    for r in 0..rows {
                         scales[blk * TILE_M + r] = f32_to_f16(qm.scales[(m0 + r) * gpr + sb]);
                     }
                 }
@@ -292,7 +300,7 @@ impl WeightPlan {
                 for row in 0..m {
                     for kg in 0..kg_total {
                         stream[bit * plane + row * row_bytes + kg / 2] |=
-                            nibble(row, bit, kg) << (4 * (kg % 2));
+                            plane_nibble(codes4(row, kg), bit) << (4 * (kg % 2));
                     }
                 }
             }
@@ -603,6 +611,17 @@ pub const fn permuted_nibble(
         (2 * (r % 8) + bit % 2, r % half >= 8)
     };
     (base + step * TILE_M + lane * half + pos, high)
+}
+
+/// The lookup index of bit plane `bit` of four codes packed little-endian
+/// in `codes` (code `j` in byte `j`, each below `2^8`): bit `j` of the
+/// index is bit `bit` of code `j` (Eq. 1's bit split). The mask keeps bit
+/// 0 of every byte, and the multiply by `2^24 + 2^17 + 2^10 + 2^3` moves
+/// byte `j`'s bit to bit `24 + j` without a carry.
+#[inline]
+fn plane_nibble(codes: u32, bit: usize) -> u8 {
+    let lanes = (codes >> bit) & 0x0101_0101;
+    (lanes.wrapping_mul(0x0102_0408) >> 24) as u8 & 0x0F
 }
 
 /// Reconstructs the 4-bit index directly from codes (test oracle).

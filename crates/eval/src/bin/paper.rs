@@ -380,7 +380,7 @@ fn fig8(_quick: bool) -> Vec<Claim> {
         let scaled = cfg.scaled(FIG8_LAYERS, 2048, 128);
         let kinds = [BackendKind::Dequant, BackendKind::Tmac(KernelOpts::tmac())];
         let mut sides = kinds.map(|kind| {
-            let model = Model::synthetic(&scaled, quant, kind, 21).expect("model build");
+            let model = Model::synthetic(&scaled, quant, kind, 21, &ctx).expect("model build");
             DecodeStep::new(model, &ctx)
         });
         // Sides 0 and 1 are the steps, 2 and 3 the heads.
@@ -576,7 +576,7 @@ impl QualitySetup {
             kv_precision: KvPrecision::F32,
         };
         cfg.validate().expect("config");
-        let reference = Model::synthetic(&cfg, WeightQuant::Rtn(4), BackendKind::F32, 77);
+        let reference = Model::synthetic(&cfg, WeightQuant::Rtn(4), BackendKind::F32, 77, ctx);
         let reference = reference.expect("reference model");
         let mut engine = Engine::new(reference.clone());
         let seqs = quality::teacher_sequences(&mut engine, self.seqs, self.len, 5, ctx);
@@ -624,7 +624,7 @@ fn table4(_quick: bool) -> Vec<Claim> {
     let paper = "paper (7B: tok/s, WikiText2 PPL, WinoGrande acc)";
     let mut table = Table::new(&[&headers[..], &[paper]].concat());
     let mut sides = backends.map(|(_, kind, _)| {
-        let model = Model::synthetic(&cfg, WeightQuant::Rtn(4), kind, 77).expect("model");
+        let model = Model::synthetic(&cfg, WeightQuant::Rtn(4), kind, 77, &ctx).expect("model");
         DecodeStep::new(model, &ctx)
     });
     let step_s: [f64; 3] = time_medians(1, FIG8_TOKENS, |i| sides[i].step(&ctx));
@@ -675,7 +675,7 @@ fn gate(bits: u8) -> Vec<Claim> {
     let ctx = ExecCtx::new(GATE_THREADS);
     let (cfg, reference, seqs) = GATE.build(&ctx);
     let tmac = BackendKind::Tmac(KernelOpts::tmac());
-    let candidate = Model::synthetic(&cfg, WeightQuant::Rtn(bits), tmac, 77).expect("model");
+    let candidate = Model::synthetic(&cfg, WeightQuant::Rtn(bits), tmac, 77, &ctx).expect("model");
     // Prompt length 2 matches `teacher_sequences` (2 random prompt tokens,
     // then greedy continuation): agreement scores only generated positions.
     let eval =

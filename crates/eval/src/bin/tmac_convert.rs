@@ -13,17 +13,22 @@
 //! * `--out PATH` — output `.tmac` file
 //! * `--verify` — reload the container and assert bit-identical logits
 //!   against the in-memory model, then report the cold-start ratio
-//! * `--threads N`
+//! * `--threads N` — pool size for the build (generate, quantize and pack
+//!   run as slab jobs on every thread) and for `--verify`'s forwards
+//!   (default: every core of the host). The file's bytes do not depend on
+//!   it.
 
 use std::path::Path;
 use std::time::Instant;
 use tmac_core::ExecCtx;
-use tmac_eval::{ArgError, Flags};
+use tmac_eval::{all_threads, ArgError, Flags};
 use tmac_llm::{BackendKind, BatchScratch, KvCache, LoadMode, Model, ModelConfig, WeightQuant};
 
 static FLAGS: Flags = Flags {
     usage: "usage: tmac_convert --out model.tmac [--model 7b|13b|bitnet|tiny] [--layers N] \
-            [--vocab V] [--seq S] [--bits B] [--seed N] [--threads N] [--verify]",
+            [--vocab V] [--seq S] [--bits B] [--seed N] [--threads N] [--verify]\n  \
+            --threads N  pool size of the build and of --verify (default: every core); \
+            the file's bytes do not depend on it",
     valued: "model layers vocab seq bits seed threads out",
     switches: "verify",
 };
@@ -36,11 +41,14 @@ fn main() {
     let seq: usize = args.num("seq", 128);
     let bits: u8 = args.num("bits", 2);
     let seed: u64 = args.num("seed", 7);
-    let threads: usize = args.num("threads", 1);
+    let threads: usize = args.num("threads", all_threads());
     let out = args.text("out", "");
     let verify = args.switch("verify");
     if out.is_empty() {
         FLAGS.exit(&"--out is required");
+    }
+    if threads == 0 {
+        FLAGS.exit(&ArgError::BadValue("--threads".into(), "0".into()));
     }
     let out = Path::new(&out);
 
@@ -64,11 +72,12 @@ fn main() {
     let kind = BackendKind::Tmac(tmac_core::KernelOpts::tmac());
 
     println!(
-        "building {} ({} layer(s), dim {}, ffn {}, {:?}, seed {seed})...",
+        "building {} ({} layer(s), dim {}, ffn {}, {:?}, seed {seed}) on {threads} thread(s)...",
         cfg.name, cfg.n_layers, cfg.dim, cfg.ffn_dim, quant
     );
+    let ctx = ExecCtx::new(threads);
     let t0 = Instant::now();
-    let model = Model::synthetic(&cfg, quant, kind, seed).expect("build model");
+    let model = Model::synthetic(&cfg, quant, kind, seed, &ctx).expect("build model");
     let build_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
@@ -84,7 +93,6 @@ fn main() {
     );
 
     if verify {
-        let ctx = ExecCtx::new(threads);
         let t0 = Instant::now();
         let loaded = Model::from_file(out, &kind, LoadMode::Mmap).expect("reload container");
         let load_s = t0.elapsed().as_secs_f64();

@@ -102,6 +102,7 @@ fn main() {
     };
     let trace_out = args.text("trace-out", "");
 
+    let ctx = ExecCtx::new(threads);
     let backend = BackendKind::Tmac(tmac_core::KernelOpts::tmac());
     let mut model = if model_name == "tiny" {
         Model::synthetic(
@@ -109,6 +110,7 @@ fn main() {
             WeightQuant::Rtn(2),
             backend,
             7,
+            &ctx,
         )
         .expect("synthetic model")
     } else {
@@ -139,7 +141,7 @@ fn main() {
     install_signal_handlers();
     let server = tmac_serve::start(
         sched,
-        ExecCtx::new(threads),
+        ctx,
         ServerConfig {
             addr,
             default_max_tokens,

@@ -153,6 +153,12 @@ impl F32Matrix {
         })
     }
 
+    /// The row-major weights.
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> &[f32] {
+        &self.w
+    }
+
     /// `out = act × W^T` for one row: one pooled `dot` sweep over the rows.
     fn gemv(&self, act: &[f32], out: &mut [f32], ctx: &ExecCtx) {
         let (w, cols) = (&self.w, self.cols);

@@ -278,6 +278,7 @@ impl Sequence {
 ///     WeightQuant::Rtn(2),
 ///     BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
 ///     7,
+///     &ExecCtx::new(1),
 /// )
 /// .unwrap();
 /// let mut sched = Scheduler::new(model, SchedulerConfig::default());
@@ -819,7 +820,8 @@ mod tests {
     use crate::engine::Engine;
 
     fn model(kind: BackendKind) -> Model {
-        Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11).unwrap()
+        let ctx = ExecCtx::new(1);
+        Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11, &ctx).unwrap()
     }
 
     fn tmac_kind() -> BackendKind {

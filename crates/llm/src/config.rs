@@ -26,6 +26,16 @@ impl WeightQuant {
             WeightQuant::BitnetTernary => 2,
         }
     }
+
+    /// The zero point (in code space) the quantizer stores: `rtn`'s
+    /// [`QuantizedMatrix::default_zero`](tmac_quant::QuantizedMatrix::default_zero),
+    /// `bitnet`'s 2.
+    pub fn zero(self) -> f32 {
+        match self {
+            WeightQuant::Rtn(b) => tmac_quant::QuantizedMatrix::default_zero(b),
+            WeightQuant::BitnetTernary => 2.0,
+        }
+    }
 }
 
 /// Storage precision of the KV cache (see `tmac_llm::kv`).

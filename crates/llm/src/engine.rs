@@ -148,7 +148,10 @@ mod tests {
     use crate::config::{ModelConfig, WeightQuant};
 
     fn engine(kind: BackendKind) -> Engine {
-        Engine::new(Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 9).unwrap())
+        let ctx = ExecCtx::new(1);
+        Engine::new(
+            Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 9, &ctx).unwrap(),
+        )
     }
 
     #[test]

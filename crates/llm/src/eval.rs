@@ -218,8 +218,9 @@ mod tests {
     use tmac_core::KernelOpts;
 
     fn engine(kind: BackendKind, bits: u8) -> Engine {
+        let ctx = ExecCtx::new(1);
         Engine::new(
-            Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(bits), kind, 33).unwrap(),
+            Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(bits), kind, 33, &ctx).unwrap(),
         )
     }
 

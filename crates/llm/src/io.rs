@@ -453,6 +453,7 @@ mod tests {
             WeightQuant::Rtn(2),
             BackendKind::F32,
             3,
+            &tmac_core::ExecCtx::new(1),
         )
         .unwrap();
         let err = m.save_file(&tmp("f32.tmac"));
@@ -468,6 +469,7 @@ mod tests {
             WeightQuant::Rtn(2),
             BackendKind::Tmac(KernelOpts::plus_table_quant()),
             3,
+            &tmac_core::ExecCtx::new(1),
         )
         .unwrap();
         let path = tmp("tq.tmac");
@@ -487,6 +489,7 @@ mod tests {
             WeightQuant::Rtn(2),
             BackendKind::Dequant,
             3,
+            &tmac_core::ExecCtx::new(1),
         )
         .unwrap();
         m.save_file(&path).unwrap();

@@ -21,15 +21,16 @@
 //! use tmac_llm::{BackendKind, Engine, Model, ModelConfig, WeightQuant};
 //!
 //! let cfg = ModelConfig::tiny();
+//! let ctx = ExecCtx::new(2);
 //! let model = Model::synthetic(
 //!     &cfg,
 //!     WeightQuant::Rtn(2),
 //!     BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
 //!     42,
+//!     &ctx,
 //! )
 //! .unwrap();
 //! let mut engine = Engine::new(model);
-//! let ctx = ExecCtx::new(2);
 //! let out = engine
 //!     .generate(&tmac_llm::GenRequest::greedy(&[1, 2, 3], 8), &ctx)
 //!     .unwrap();
@@ -42,6 +43,7 @@
 pub mod attention;
 pub mod backend;
 pub mod batch;
+mod build;
 pub mod config;
 pub mod engine;
 pub mod eval;

@@ -10,7 +10,7 @@ use crate::attention::{self, AttnScratch};
 use crate::backend::{BackendError, BackendKind, Linear};
 use crate::config::{ModelConfig, WeightQuant};
 use crate::ops;
-use crate::weights::{gen_gain, gen_matrix, tensor_seed};
+use crate::weights::{gen_gain, tensor_seed, MatrixGen};
 use tmac_core::{ExecCtx, Segment};
 
 pub use crate::kv::KvCache; // the cache moved to `kv`; old import paths keep working
@@ -141,11 +141,14 @@ impl BatchScratch {
 
 impl Model {
     /// Builds a model with synthetic structured weights, quantized per
-    /// `quant` and executed on `kind`.
+    /// `quant` and executed on `kind`, generating, quantizing and packing
+    /// the weights on `ctx`'s pool (one slab of m-tiles per job; see
+    /// `build.rs`).
     ///
     /// The same `(cfg, quant, seed)` produces bit-identical quantized
-    /// weights for every backend, so cross-backend quality comparisons
-    /// isolate kernel effects.
+    /// weights for every backend and every pool size, so cross-backend
+    /// quality comparisons isolate kernel effects and a converted file does
+    /// not depend on the converter's thread count.
     ///
     /// # Errors
     ///
@@ -155,49 +158,63 @@ impl Model {
         quant: WeightQuant,
         kind: BackendKind,
         seed: u64,
+        ctx: &ExecCtx,
     ) -> Result<Model, BackendError> {
         cfg.validate().map_err(BackendError::Shape)?;
-        let quantize = |w: &[f32], rows: usize, cols: usize| match quant {
-            WeightQuant::Rtn(bits) => tmac_quant::rtn::quantize(w, rows, cols, bits, 32),
-            WeightQuant::BitnetTernary => tmac_quant::bitnet::quantize(w, rows, cols, 32),
-        };
-        let build =
-            |rows: usize, cols: usize, seed: u64, scale: f32| -> Result<Linear, BackendError> {
-                let w = gen_matrix(rows, cols, seed, scale);
-                let qm = quantize(&w, rows, cols)?;
-                Linear::build(kind, &qm, &w)
-            };
-
         let (dim, kv_dim, ffn) = (cfg.dim, cfg.kv_dim(), cfg.ffn_dim);
         // Scales roughly follow 1/sqrt(dim) initialization.
         let ws = 1.0 / (dim as f32).sqrt();
-        let mut layers = Vec::with_capacity(cfg.n_layers);
+        let shapes = [
+            ("wq", dim, dim, ws),
+            ("wk", kv_dim, dim, ws),
+            ("wv", kv_dim, dim, ws),
+            ("wo", dim, dim, ws),
+            ("w1", ffn, dim, ws),
+            ("w2", dim, ffn, 1.0 / (ffn as f32).sqrt()),
+            ("w3", ffn, dim, ws),
+        ];
+        let mut gens = Vec::with_capacity(cfg.n_layers * shapes.len() + 1);
         for l in 0..cfg.n_layers {
-            layers.push(LayerWeights {
-                wq: build(dim, dim, tensor_seed(seed, l, "wq"), ws)?,
-                wk: build(kv_dim, dim, tensor_seed(seed, l, "wk"), ws)?,
-                wv: build(kv_dim, dim, tensor_seed(seed, l, "wv"), ws)?,
-                wo: build(dim, dim, tensor_seed(seed, l, "wo"), ws)?,
-                w1: build(ffn, dim, tensor_seed(seed, l, "w1"), ws)?,
-                w2: build(
-                    dim,
-                    ffn,
-                    tensor_seed(seed, l, "w2"),
-                    1.0 / (ffn as f32).sqrt(),
-                )?,
-                w3: build(ffn, dim, tensor_seed(seed, l, "w3"), ws)?,
+            for (name, rows, cols, scale) in shapes {
+                gens.push(MatrixGen::new(
+                    rows,
+                    cols,
+                    tensor_seed(seed, l, name),
+                    scale,
+                ));
+            }
+        }
+        let top = usize::MAX;
+        gens.push(MatrixGen::new(
+            cfg.vocab,
+            dim,
+            tensor_seed(seed, top, "head"),
+            ws,
+        ));
+        let embed = MatrixGen::new(cfg.vocab, dim, tensor_seed(seed, top, "embed"), 0.1);
+        let (linears, embed) = crate::build::build(&gens, &embed, quant, kind, ctx)?;
+
+        let mut linears = linears.into_iter();
+        let mut next = || linears.next().expect("one layer per generator");
+        let layers = (0..cfg.n_layers)
+            .map(|l| LayerWeights {
+                wq: next(),
+                wk: next(),
+                wv: next(),
+                wo: next(),
+                w1: next(),
+                w2: next(),
+                w3: next(),
                 rms_attn: Segment::from_vec(gen_gain(dim, tensor_seed(seed, l, "rms_attn"))),
                 rms_ffn: Segment::from_vec(gen_gain(dim, tensor_seed(seed, l, "rms_ffn"))),
-            });
-        }
-        let embed = gen_matrix(cfg.vocab, dim, tensor_seed(seed, usize::MAX, "embed"), 0.1);
-        let head = build(cfg.vocab, dim, tensor_seed(seed, usize::MAX, "head"), ws)?;
+            })
+            .collect();
         Ok(Model {
             cfg: cfg.clone(),
             quant,
             embed: Segment::from_vec(embed),
-            rms_final: Segment::from_vec(gen_gain(dim, tensor_seed(seed, usize::MAX, "rms_final"))),
-            head,
+            rms_final: Segment::from_vec(gen_gain(dim, tensor_seed(seed, top, "rms_final"))),
+            head: next(),
             rope: ops::RopeTable::new(cfg.head_dim(), cfg.rope_theta),
             layers,
         })
@@ -524,7 +541,14 @@ mod tests {
     use super::*;
 
     fn tiny_model(kind: BackendKind) -> Model {
-        Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(4), kind, 42).unwrap()
+        Model::synthetic(
+            &ModelConfig::tiny(),
+            WeightQuant::Rtn(4),
+            kind,
+            42,
+            &ExecCtx::new(1),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -699,6 +723,7 @@ mod tests {
             WeightQuant::Rtn(2),
             BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
             1,
+            &ExecCtx::new(1),
         )
         .unwrap();
         let m4 = Model::synthetic(
@@ -706,6 +731,7 @@ mod tests {
             WeightQuant::Rtn(4),
             BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
             1,
+            &ExecCtx::new(1),
         )
         .unwrap();
         assert!(m4.bytes_per_token() > m2.bytes_per_token());

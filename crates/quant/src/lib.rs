@@ -133,10 +133,12 @@ impl QuantizedMatrix {
                 expect_scales
             )));
         }
+        // The largest code, not the first offender: a max fold vectorizes.
         let max_code = (1u16 << self.bits) as u8;
-        if let Some(bad) = self.codes.iter().find(|&&c| c >= max_code) {
+        let largest = self.codes.iter().fold(0u8, |m, &c| m.max(c));
+        if largest >= max_code {
             return Err(QuantError::Shape(format!(
-                "code {bad} out of range for {} bits",
+                "code {largest} out of range for {} bits",
                 self.bits
             )));
         }

@@ -63,19 +63,25 @@ pub fn quantize(
     let gpr = cols / group_size;
     for r in 0..rows {
         let wrow = &weights[r * cols..(r + 1) * cols];
-        for g in 0..gpr {
-            let grp = &wrow[g * group_size..(g + 1) * group_size];
-            let amax = grp.iter().fold(0f32, |m, &x| m.max(x.abs()));
-            let scale = half_scale(amax / zero, || format!("row {r} group {g}"))?;
-            scales[r * gpr + g] = scale;
-            let group_codes = &mut codes[r * cols + g * group_size..][..group_size];
+        let srow = &mut scales[r * gpr..(r + 1) * gpr];
+        // A row's scales first, then its codes: two loops of independent
+        // groups rather than one chain of max → scale → codes per group.
+        for (g, (s, grp)) in srow
+            .iter_mut()
+            .zip(wrow.chunks_exact(group_size))
+            .enumerate()
+        {
+            *s = half_scale(amax(grp) / zero, || format!("row {r} group {g}"))?;
+        }
+        let crow = codes[r * cols..(r + 1) * cols].chunks_exact_mut(group_size);
+        for ((group_codes, grp), &scale) in crow.zip(wrow.chunks_exact(group_size)).zip(&*srow) {
             if scale == 0.0 {
                 group_codes.fill(zero.round() as u8);
                 continue;
             }
             let inv = 1.0 / scale;
             for (c, &w) in group_codes.iter_mut().zip(grp) {
-                *c = (w * inv + zero).round().clamp(0.0, max_code) as u8;
+                *c = round_code(w * inv + zero, max_code);
             }
         }
     }
@@ -90,6 +96,41 @@ pub fn quantize(
     };
     debug_assert!(qm.validate().is_ok());
     Ok(qm)
+}
+
+/// The largest magnitude of `grp` (0 for an empty group; NaNs are
+/// skipped). Eight running maxima, so the loop vectorizes; `max` is
+/// order-independent, so the result is the sequential fold's.
+fn amax(grp: &[f32]) -> f32 {
+    let mut lanes = [0f32; 8];
+    let mut chunks = grp.chunks_exact(8);
+    for c in &mut chunks {
+        for (m, &x) in lanes.iter_mut().zip(c) {
+            *m = m.max(x.abs());
+        }
+    }
+    let tail = chunks.remainder().iter().fold(0f32, |m, &x| m.max(x.abs()));
+    lanes.iter().fold(tail, |m, &x| m.max(x))
+}
+
+/// `x.round().clamp(0.0, max_code) as u8` (`max_code` a whole number up
+/// to 15) without a libm call or a saturating cast per weight, so the
+/// per-weight loop vectorizes. Clamp first: rounding is monotone and both
+/// bounds are integers, so clamping before or after rounding agrees (a NaN
+/// lands on 0, as the cast of a NaN does). Adding `2^23` then rounds the
+/// clamped value to an integer, ties to even, which lands in the low
+/// mantissa bits; a tie that went down to even steps up, so halves round
+/// away from zero as `f32::round` rounds them. Every step is exact: the
+/// sum is rounded once, and `x - even` is a difference of nearby floats.
+/// `0.49999997` stays 0 (`floor(x + 0.5)` would give 1).
+#[inline]
+fn round_code(x: f32, max_code: f32) -> u8 {
+    const TWO_23: f32 = 8_388_608.0;
+    let x = x.max(0.0).min(max_code);
+    let shifted = x + TWO_23;
+    let even = shifted.to_bits() - TWO_23.to_bits();
+    let tie_down = x - (shifted - TWO_23) == 0.5;
+    (even + tie_down as u32) as u8
 }
 
 #[cfg(test)]
@@ -212,6 +253,80 @@ mod tests {
         // The largest half scale still quantizes.
         w[40] = -65504.0 * 8.0;
         assert_eq!(quantize(&w, 1, 64, 4, 32).unwrap().scales[1], 65504.0);
+    }
+
+    /// The per-weight rounding is `f32::round` then the clamp, bit for bit:
+    /// at exact halves, just below a half, around both clamp bounds, on
+    /// negative and non-finite inputs, and over a dense sweep.
+    #[test]
+    fn round_code_matches_f32_round() {
+        let reference = |x: f32, max: f32| x.round().clamp(0.0, max) as u8;
+        for bits in 1..=4u8 {
+            let max = ((1u16 << bits) - 1) as f32;
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                0.5,
+                1.5,
+                2.5,
+                0.49999997,
+                1.4999999,
+                -0.49999997,
+                -0.5,
+                -1.5,
+                -7.5,
+                max - 0.5,
+                max + 0.5,
+                max - 0.50000006,
+                max + 0.49999997,
+                max,
+                1e9,
+                -1e9,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::MIN_POSITIVE,
+            ];
+            xs.extend((0..=4 * 256).map(|i| i as f32 / 64.0 - 4.0));
+            for h in 0..=(2 * max as i32 + 2) {
+                let half = h as f32 * 0.5 - 0.5;
+                xs.extend([half, half.next_up(), half.next_down()]);
+            }
+            for x in xs {
+                assert_eq!(round_code(x, max), reference(x, max), "bits={bits} x={x:e}");
+            }
+        }
+    }
+
+    /// The codes `quantize` writes are the reference rounding's, for every
+    /// bit width, next to a zero-scale group.
+    #[test]
+    fn codes_match_the_round_reference() {
+        let mut w = ramp(3, 96);
+        w[32..64].fill(0.0);
+        for bits in 1..=4u8 {
+            let q = quantize(&w, 3, 96, bits, 32).unwrap();
+            let max = ((1u16 << bits) - 1) as f32;
+            for (i, (&c, &x)) in q.codes.iter().zip(&w).enumerate() {
+                let s = q.scales[i / 32];
+                let want = if s == 0.0 {
+                    q.zero.round() as u8
+                } else {
+                    (x * (1.0 / s) + q.zero).round().clamp(0.0, max) as u8
+                };
+                assert_eq!(c, want, "bits={bits} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn amax_is_the_sequential_fold() {
+        let w = ramp(1, 45);
+        for n in [0, 1, 7, 8, 9, 32, 45] {
+            let fold = w[..n].iter().fold(0f32, |m, &x| m.max(x.abs()));
+            assert_eq!(amax(&w[..n]), fold, "n={n}");
+        }
+        assert_eq!(amax(&[f32::NAN, -2.0, 1.0]), 2.0);
     }
 
     #[test]

@@ -770,6 +770,7 @@ mod tests {
             WeightQuant::Rtn(2),
             BackendKind::Tmac(tmac_core::KernelOpts::tmac()),
             11,
+            &ExecCtx::new(1),
         )
         .unwrap();
         Scheduler::new(

@@ -37,13 +37,14 @@
 //!
 //! ```no_run
 //! use tmac_llm::batch::{Scheduler, SchedulerConfig};
-//! use tmac_llm::{BackendKind, Model, ModelConfig, WeightQuant};
+//! use tmac_llm::{BackendKind, ExecCtx, Model, ModelConfig, WeightQuant};
 //!
 //! let model = Model::synthetic(
 //!     &ModelConfig::tiny(),
 //!     WeightQuant::Rtn(2),
 //!     BackendKind::F32,
 //!     7,
+//!     &ExecCtx::new(2),
 //! )
 //! .unwrap();
 //! let sched = Scheduler::new(model, SchedulerConfig::default());

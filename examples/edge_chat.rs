@@ -61,7 +61,9 @@ fn main() {
                 );
                 m
             }
-            None => Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 1234).expect("build model"),
+            None => {
+                Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 1234, &ctx).expect("build model")
+            }
         }
     };
     if let Some(path) = flag("save-model") {

@@ -23,7 +23,7 @@ fn ctx() -> ExecCtx {
 }
 
 fn model_with(cfg: &ModelConfig, kind: BackendKind) -> Model {
-    Model::synthetic(cfg, WeightQuant::Rtn(4), kind, 42).unwrap()
+    Model::synthetic(cfg, WeightQuant::Rtn(4), kind, 42, &ctx()).unwrap()
 }
 
 /// A tiny config with a longer sequence budget (crosses the KV growth
@@ -274,6 +274,7 @@ fn mixed_prefill_decode_rows_match_sequential_at_depth() {
             WeightQuant::Rtn(4),
             BackendKind::F32,
             42,
+            &ctx,
         )
         .unwrap();
         let deep = KV_GROW_POSITIONS + 2; // decode row's position (across growth)
@@ -331,7 +332,8 @@ fn scheduler_serves_i8_kv_identically_to_generate() {
     let prompts: [&[u32]; 3] = [&[1, 2, 3], &[7], &[4, 5, 6, 8, 9]];
     let n_new = 6;
 
-    let mut engine = Engine::new(Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 11).unwrap());
+    let mut engine =
+        Engine::new(Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 11, &ctx).unwrap());
     let singles: Vec<Vec<u32>> = prompts
         .iter()
         .map(|p| {
@@ -343,7 +345,7 @@ fn scheduler_serves_i8_kv_identically_to_generate() {
         .collect();
 
     let mut sched = Scheduler::new(
-        Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 11).unwrap(),
+        Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 11, &ctx).unwrap(),
         SchedulerConfig::default(),
     );
     let ids: Vec<_> = prompts

@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::family_ctxs;
+use common::{family_ctxs, test_threads};
 use tmac::core::{ExecCtx, N_BLOCK};
 use tmac::llm::batch::{Scheduler, SchedulerConfig, SubmitRequest};
 use tmac::llm::{attention, ops};
@@ -24,7 +24,14 @@ use tmac::llm::{
 };
 
 fn model(quant: WeightQuant, kind: BackendKind, seed: u64) -> Model {
-    Model::synthetic(&ModelConfig::tiny(), quant, kind, seed).unwrap()
+    Model::synthetic(
+        &ModelConfig::tiny(),
+        quant,
+        kind,
+        seed,
+        &ExecCtx::new(test_threads()),
+    )
+    .unwrap()
 }
 
 /// Runs independent single-token streams for `steps` positions, then for
@@ -324,7 +331,7 @@ fn grouped_projections_match_per_projection_calls() {
         for cfg in [&gqa, &mha] {
             for quant in quants.clone() {
                 let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-                let m = Model::synthetic(cfg, quant, kind, 41).unwrap();
+                let m = Model::synthetic(cfg, quant, kind, 41, &ctx).unwrap();
                 for n in [1, 5, 16] {
                     let tokens: Vec<u32> = (0..n as u32).map(|i| (i * 11 + 3) % 96).collect();
                     let positions: Vec<usize> = (0..n).collect();

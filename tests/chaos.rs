@@ -383,6 +383,7 @@ fn f32_model() -> Model {
         WeightQuant::Rtn(4),
         BackendKind::F32,
         3,
+        &ExecCtx::new(test_threads()),
     )
     .unwrap()
 }

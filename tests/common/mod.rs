@@ -59,6 +59,7 @@ pub fn tiny_model() -> Model {
         WeightQuant::Rtn(2),
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         SEED,
+        &ExecCtx::new(test_threads()),
     )
     .unwrap()
 }
@@ -72,6 +73,7 @@ pub fn long_model() -> Model {
         WeightQuant::Rtn(2),
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         SEED,
+        &ExecCtx::new(test_threads()),
     )
     .unwrap()
 }

@@ -18,7 +18,7 @@ fn all_backends_generate_plausible_tokens() {
         BackendKind::Dequant,
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
     ] {
-        let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 5).unwrap();
+        let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 5, &ctx).unwrap();
         let mut engine = Engine::new(model);
         let tokens = engine
             .generate(&GenRequest::greedy(&[1, 2], 6), &ctx)
@@ -35,7 +35,7 @@ fn quantized_backends_agree_with_each_other() {
     // must stay close through a full forward stack.
     let ctx = ExecCtx::new(1);
     let run = |kind| {
-        let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 6).unwrap();
+        let model = Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 6, &ctx).unwrap();
         let mut s = BatchScratch::new(&model.cfg, 1);
         model
             .forward(3, 0, &mut KvCache::new(&model.cfg), &mut s, &ctx)
@@ -56,6 +56,7 @@ fn bitnet_model_runs_end_to_end() {
         WeightQuant::BitnetTernary,
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         7,
+        &ctx,
     )
     .unwrap();
     let mut engine = Engine::new(model);
@@ -69,8 +70,9 @@ fn bitnet_model_runs_end_to_end() {
 #[test]
 fn quality_pipeline_runs_for_all_backends() {
     let ctx = ExecCtx::new(1);
-    let mut reference =
-        Engine::new(Model::synthetic(&tiny(), WeightQuant::Rtn(4), BackendKind::F32, 8).unwrap());
+    let mut reference = Engine::new(
+        Model::synthetic(&tiny(), WeightQuant::Rtn(4), BackendKind::F32, 8, &ctx).unwrap(),
+    );
     let seqs = quality::teacher_sequences(&mut reference, 2, 6, 1, &ctx).unwrap();
     let tasks = quality::choice_tasks(&mut reference, 8, 2, &ctx).unwrap();
     for kind in [
@@ -78,7 +80,7 @@ fn quality_pipeline_runs_for_all_backends() {
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
     ] {
         let mut engine =
-            Engine::new(Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 8).unwrap());
+            Engine::new(Model::synthetic(&tiny(), WeightQuant::Rtn(4), kind, 8, &ctx).unwrap());
         let report = quality::batched_quality(&engine.model, &seqs, 2, 1, &ctx).unwrap();
         let ppl = report.perplexity;
         assert!(ppl.is_finite() && ppl > 1.0, "{kind:?} ppl={ppl}");

@@ -54,6 +54,7 @@ fn full_decode_step_shares_builds_across_the_model() {
         WeightQuant::Rtn(4),
         BackendKind::Tmac(KernelOpts::tmac()),
         77,
+        &ExecCtx::new(2),
     )
     .unwrap();
     let (mut cache, mut s) = (KvCache::new(&cfg), BatchScratch::new(&cfg, 1));
@@ -115,6 +116,7 @@ fn one_sweep_per_table_build() {
         WeightQuant::Rtn(2),
         BackendKind::Tmac(KernelOpts::tmac()),
         7,
+        &ExecCtx::new(2),
     )
     .unwrap();
     let ctx = ExecCtx::new(1);

@@ -6,7 +6,8 @@
 //!   (the `f32` backend runs on dequantized weights on both sides — the
 //!   container stores quantized weights only).
 //! * The bytes `Model::save_file` writes are pinned: changing them means
-//!   bumping `TMAC_VERSION`.
+//!   bumping `TMAC_VERSION`. They do not depend on the pool size the model
+//!   was built on (each pin holds at 1 and 3 threads).
 //! * Mmap-loaded and owned-copy loads agree bit-for-bit.
 //! * Corrupt inputs (truncation, bad magic, version mismatch, checksum
 //!   failure, shape/config disagreement, missing tensors or metadata)
@@ -65,7 +66,14 @@ fn run_logits(m: &Model, ctx: &ExecCtx) -> Vec<f32> {
 /// what a container load materializes (containers store quantized weights
 /// only): every layer of the dequant model rebuilt from its quantized matrix.
 fn dequantized_f32_twin(cfg: &ModelConfig, bits: u8, seed: u64) -> Model {
-    let mut m = Model::synthetic(cfg, WeightQuant::Rtn(bits), BackendKind::Dequant, seed).unwrap();
+    let mut m = Model::synthetic(
+        cfg,
+        WeightQuant::Rtn(bits),
+        BackendKind::Dequant,
+        seed,
+        &ctx(),
+    )
+    .unwrap();
     let rebuild = |lin: &mut Linear| {
         let Linear::Dequant(d) = lin else {
             unreachable!("built on BackendKind::Dequant")
@@ -96,6 +104,7 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
             WeightQuant::Rtn(bits),
             BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
             42,
+            &ctx(),
         )
         .unwrap();
         src.save_file(&path).unwrap();
@@ -113,7 +122,7 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
             let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
             let twin = match kind {
                 BackendKind::F32 => dequantized_f32_twin(&cfg, bits, 42),
-                _ => Model::synthetic(&cfg, WeightQuant::Rtn(bits), kind, 42).unwrap(),
+                _ => Model::synthetic(&cfg, WeightQuant::Rtn(bits), kind, 42, &ctx()).unwrap(),
             };
             let mut avx = Vec::new();
             for ctx in &ctxs {
@@ -142,7 +151,7 @@ fn tmac_roundtrip_is_bit_exact_across_bits_and_backends() {
 fn bitnet_ternary_roundtrip_is_bit_exact() {
     let cfg = ModelConfig::tiny();
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&cfg, WeightQuant::BitnetTernary, kind, 5).unwrap();
+    let src = Model::synthetic(&cfg, WeightQuant::BitnetTernary, kind, 5, &ctx()).unwrap();
     let path = tmp("bitnet.tmac");
     src.save_file(&path).unwrap();
     let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
@@ -161,7 +170,8 @@ fn bitnet_ternary_roundtrip_is_bit_exact() {
 #[test]
 fn mmap_and_owned_copy_loads_agree() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11).unwrap();
+    let src =
+        Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 11, &ctx()).unwrap();
     let path = tmp("modes.tmac");
     src.save_file(&path).unwrap();
     let mapped = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();
@@ -199,7 +209,8 @@ fn mmap_and_owned_copy_loads_agree() {
 #[test]
 fn f32_tensors_are_borrowed_and_shared_by_clones() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 13).unwrap();
+    let src =
+        Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 13, &ctx()).unwrap();
     let f32_tensors = |m: &Model| {
         let mut v = vec![&m.embed, &m.rms_final];
         for lw in &m.layers {
@@ -225,28 +236,74 @@ fn f32_tensors_are_borrowed_and_shared_by_clones() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// `(TMAC_VERSION, length, FNV-1a)` of the container `Model::save_file`
+/// writes for `cfg` at `quant` (seed 7), built on a `threads`-thread pool.
+fn container_pin(cfg: &ModelConfig, quant: WeightQuant, threads: usize) -> (u32, usize, u64) {
+    let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
+    let src = Model::synthetic(cfg, quant, kind, 7, &ExecCtx::new(threads)).unwrap();
+    let path = tmp(&format!("pinned-{}-{quant:?}-{threads}.tmac", cfg.name));
+    src.save_file(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    (TMAC_VERSION, bytes.len(), fnv1a64(&bytes))
+}
+
 #[test]
 fn tiny_container_bytes_are_pinned() {
     // Every file this build writes must load in every build that reads the
-    // same `TMAC_VERSION`. The pin holds the version-5 bytes of one model.
-    let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 7).unwrap();
-    let path = tmp("pinned.tmac");
-    src.save_file(&path).unwrap();
-    let bytes = std::fs::read(&path).unwrap();
-    assert_eq!(
-        (TMAC_VERSION, bytes.len(), fnv1a64(&bytes)),
-        (5, 53_312, 0x38fe_9a8a_076f_5fc4),
-        "the .tmac bytes changed: an intentional format change must bump \
-         TMAC_VERSION (and then re-pin this test)"
-    );
-    std::fs::remove_file(&path).unwrap();
+    // same `TMAC_VERSION`. The pins hold the version-5 bytes of the tiny
+    // model at every weight width, and do not depend on the build's pool
+    // size.
+    let pins = [
+        (WeightQuant::Rtn(1), 43_328, 0x2251_ef5b_a2ba_acc3),
+        (WeightQuant::Rtn(2), 53_312, 0x38fe_9a8a_076f_5fc4),
+        (WeightQuant::Rtn(3), 63_296, 0x499c_31b1_6978_3aca),
+        (WeightQuant::Rtn(4), 73_280, 0x0152_b425_a847_afc4),
+        (WeightQuant::BitnetTernary, 53_312, 0xcba8_94e6_f94d_f753),
+    ];
+    for (quant, len, hash) in pins {
+        for threads in [1, 3] {
+            assert_eq!(
+                container_pin(&ModelConfig::tiny(), quant, threads),
+                (5, len, hash),
+                "{quant:?} on {threads} thread(s): the .tmac bytes changed: an intentional \
+                 format change must bump TMAC_VERSION (and then re-pin this test)"
+            );
+        }
+    }
+}
+
+/// A model whose tensors span several build slabs, with `kv_dim` ≠ `dim`,
+/// an odd number of m-tiles per FFN tensor (224 rows; `ffn_dim` must stay
+/// a multiple of the 32-wide scale group) and a ragged last m-tile in the
+/// head (`vocab` 100): the same bytes at 1 and 3 threads.
+#[test]
+fn ragged_multi_slab_container_bytes_are_pinned() {
+    let cfg = ModelConfig {
+        name: "ragged".into(),
+        dim: 96,
+        n_layers: 3,
+        n_heads: 6,
+        n_kv_heads: 2,
+        ffn_dim: 224,
+        vocab: 100,
+        seq_max: 32,
+        rope_theta: 10000.0,
+        kv_precision: KvPrecision::F32,
+    };
+    for threads in [1, 3] {
+        assert_eq!(
+            container_pin(&cfg, WeightQuant::Rtn(3), threads),
+            (5, 166_752, 0xa399_dafe_438e_5b47),
+            "{threads} thread(s)"
+        );
+    }
 }
 
 #[test]
 fn corrupt_containers_fail_typed_never_panic() {
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 3).unwrap();
+    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 3, &ctx()).unwrap();
     let path = tmp("fault.tmac");
     src.save_file(&path).unwrap();
     let good = std::fs::read(&path).unwrap();
@@ -356,7 +413,7 @@ fn scheduler_serves_bit_identical_tokens_from_the_file() {
     // model produces through a dedicated single-stream engine.
     let ctx = ctx();
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
-    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 23).unwrap();
+    let src = Model::synthetic(&ModelConfig::tiny(), WeightQuant::Rtn(2), kind, 23, &ctx).unwrap();
     let path = tmp("serve.tmac");
     src.save_file(&path).unwrap();
 
@@ -408,7 +465,7 @@ fn i8_kv_models_roundtrip_with_their_precision() {
     let ctx = ctx();
     let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
     let cfg = ModelConfig::tiny().with_kv(KvPrecision::I8);
-    let src = Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 31).unwrap();
+    let src = Model::synthetic(&cfg, WeightQuant::Rtn(2), kind, 31, &ctx).unwrap();
     let path = tmp("i8kv.tmac");
     src.save_file(&path).unwrap();
     let loaded = Model::from_file(&path, &kind, LoadMode::Mmap).unwrap();

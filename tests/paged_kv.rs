@@ -34,6 +34,7 @@ fn model(cfg: &ModelConfig, bits: u8, seed: u64) -> Model {
         WeightQuant::Rtn(bits),
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         seed,
+        &ctx(),
     )
     .unwrap()
 }

@@ -23,6 +23,7 @@ fn model(seed: u64) -> Model {
         WeightQuant::Rtn(2),
         BackendKind::Tmac(tmac::core::KernelOpts::tmac()),
         seed,
+        &ExecCtx::new(test_threads()),
     )
     .unwrap()
 }
