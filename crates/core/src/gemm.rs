@@ -24,16 +24,18 @@
 //!   scale block's weight indices once and looks them up against every row
 //!   of the range.
 //!
-//! Under `Avx512`, [`kernel::avx512::mtile`] runs the same two kernels on
-//! `zmm` registers for the plans it serves — and, for scale blocks of
-//! whole k-group quads, a `vpermb` + `vpdpbusd` multi-row kernel in place
-//! of the paired one — and hands every other
-//! plan to the AVX2 kernels; the two families agree bit for bit. Every
+//! Under `Avx512`, [`kernel::avx512::mtile`] serves the plans it takes
+//! with three `zmm` kernels: the GEMV kernel for one row, and for 2–4 rows
+//! (a decode batch) and for more a `vpermb` + `vpdpbusd` kernel, the first
+//! register-resident, the second buffering indices per block. Multi-row
+//! ranges of plans whose scale blocks are not whole k-group quads, and
+//! every other plan, take the AVX2 kernels; the two families agree bit for
+//! bit. Every
 //! [`KernelOpts`](crate::KernelOpts) rung has an AVX2 kernel, so a plan
 //! runs on its context's family, never on another.
 //!
-//! Per row the multi-row kernel applies the GEMV kernel's operations in the
-//! GEMV kernel's order, so neither the choice nor the blocking ever changes
+//! Per row a multi-row kernel sums exactly what the GEMV kernel sums and
+//! folds it in the GEMV kernel's order, so neither the choice nor the blocking ever changes
 //! a bit of the result. (The scalar kernel is one loop for any row count.)
 //! An output tile depends only on its plan's indices and scales and on the
 //! shared tables, so grouping plans changes no bit either.
@@ -450,12 +452,12 @@ mod tests {
 
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
     /// through `mpgemm` at every bit width and group size, for every kernel
-    /// of the family — the GEMV (n = 1), the paired multi-row kernel
-    /// (blocks of 2 k-groups at g8), the `vpermb` kernel (2 rows on, with
-    /// the ranges that `N_BLOCK` leaves around it) — with a ragged
-    /// last m-tile, and on the shapes the `zmm` kernels hand to AVX2: a lone
-    /// k-group per block (g12) and the `i16` flush path (W4 from g128, W3
-    /// at g256).
+    /// of the family — the GEMV (n = 1), the register-resident `vpermb`
+    /// kernel (2–4 rows) and the buffered one (5 rows on, with the ranges
+    /// that `N_BLOCK` leaves around it) — with a ragged last m-tile, and on
+    /// the ranges the `zmm` kernels hand to AVX2: multi-row blocks of 2
+    /// k-groups (g8), a lone k-group per block (g12) and the `i16` flush
+    /// path (W4 from g128, W3 at g256).
     #[test]
     fn avx512_family_bit_identical_to_avx2() {
         let (Ok(zmm), Ok(ymm)) = (

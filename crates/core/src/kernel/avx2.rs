@@ -229,7 +229,7 @@ fn mtile_permuted(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, ou
     // integer bit-serial combine; otherwise planes combine in f32 (exact).
     let i16_combine_safe = kgb as u32 * 127 * ((1u32 << bits) - 1) <= i16::MAX as u32;
 
-    let table_for = |kg: usize| load_table(&tables.q_tables, tables.kg_offset(r, kg));
+    let table_for = |kg: usize| load_table(tables.q_tables(), tables.kg_offset(r, kg));
     let ones = _mm256_set1_epi8(1);
     for sb in 0..gpr {
         let kg0 = sb * kgb;
@@ -678,7 +678,7 @@ fn mtile_flat_quant(plan: &WeightPlan, tables: &ActTables, r: usize, mt: usize, 
         let mut acc = [(_mm256_setzero_si256(), _mm256_setzero_si256()); 4];
         for kgi in 0..kgb {
             let kg = sb * kgb + kgi;
-            let tbl = load_table(&tables.q_tables, tables.kg_offset(r, kg));
+            let tbl = load_table(tables.q_tables(), tables.kg_offset(r, kg));
             for bit in 0..bits {
                 assemble_flat_step(plan, bit, m0, kg, &mut buf);
                 let raw = simd::loadu_128(&buf);

@@ -1,12 +1,19 @@
-//! AVX-512 kernels: the paired-stream kernels on `zmm` registers, and a
-//! `vpermb` + `vpdpbusd` multi-row kernel.
+//! AVX-512 kernels: the paired-stream GEMV kernel on `zmm` registers, and
+//! two `vpermb` + `vpdpbusd` multi-row kernels.
 //!
-//! The `Avx512` kernel family runs the two paired-stream kernels of
-//! [`super::avx2`] — the GEMV kernel and the scale-block-outer multi-row
-//! kernel — 64 bytes at a time, adds a multi-row kernel of its own for
-//! scale blocks of whole k-group quads, and hands every other plan
-//! (the sequential and flat layouts, blocks with a lone k-group or an `i16`
-//! flush) to the AVX2 kernels.
+//! Three `zmm` kernels serve the plans of the `Avx512` family that they
+//! take ([`supported`]), by the row count of the range:
+//!
+//! | rows | kernel |
+//! |---|---|
+//! | 1 | `mtile_paired_bits`: [`super::avx2`]'s paired GEMV, 64 bytes at a time |
+//! | 2..=`REG_ROWS` (4) | `gemm_regs_bits`: the `vpermb` kernel, register-resident |
+//! | more | `gemm_quad_bits`: the `vpermb` kernel, indices buffered per block |
+//!
+//! The multi-row kernels need scale blocks of whole k-group quads (every g32
+//! plan); multi-row ranges of other plans, and every other plan (the
+//! sequential and flat layouts, blocks with a lone k-group or an `i16`
+//! flush), take the AVX2 kernels.
 //!
 //! # The `zmm` inner loop
 //!
@@ -28,13 +35,9 @@
 //! * The block tail regroups the four lanes of `lo`/`hi` into row order
 //!   (two `vpermt2q`), adds the k-group parities in `i16` and widens once.
 //!
-//! The GEMV kernel serves one row, and this multi-row kernel
-//! (`gemm_mtile_bits`) the blocks the `vpermb` kernel does not take: those
-//! whose k-group count is not a multiple of four.
-//!
 //! # The `vpermb` multi-row kernel
 //!
-//! From two rows on, `gemm_quad_bits` moves the work around the lookups
+//! From two rows on, the `vpermb` kernels move the work around the lookups
 //! out of the row loop. An `ActTables` unit holds its k-groups' 16-byte
 //! tables in order, so one 64-byte load is the table of a *quad* of four
 //! k-groups, and `vpermb` looks 64 indices up in it when each index byte
@@ -54,11 +57,20 @@
 //! Each source gives two index vectors, tile rows `0..16` and `16..32`. Per
 //! row and quad the row loop is then one 64-byte table load, and per index
 //! vector one `vpermb` and one `vpdpbusd` into `i32` accumulators: `2·bits`
-//! of each, where the paired loop spent a `vpshufb`, a `vpmaddubsw` and a
+//! of each, where a `vpshufb` loop spends a `vpshufb`, a `vpmaddubsw` and a
 //! `vpaddw` per 64 lookups and a `vpermt2q` + `vpmovsxwd` tail per block.
-//! Alternate quads go to two accumulator sets, so no `vpdpbusd` waits on
-//! the one before it. The block tail is one `vpaddd` and one `vcvtdq2ps` per
-//! 16 rows.
+//!
+//! The two kernels differ in where the indices live. `gemm_quad_bits`
+//! writes a scale block's indices to a stack buffer once and runs a row
+//! loop over it, two accumulator sets alternating quads so no `vpdpbusd`
+//! waits on the one before it; each row's outputs are loaded and stored per
+//! block. `gemm_regs_bits` (2..=`REG_ROWS` rows, a const generic) builds
+//! each quad's index vectors in registers and looks each one up against
+//! every row's table at once, so nothing is buffered: the rows' block
+//! accumulators are independent chains, and their outputs stay in
+//! registers for the whole m-tile. It also prefetches the weight stream
+//! per block, as the GEMV kernel does. At five rows and more its registers
+//! run out (see `REG_ROWS`) and the buffered kernel takes over.
 //!
 //! # Bit-identity with AVX2
 //!
@@ -98,9 +110,9 @@ pub fn supported(plan: &WeightPlan) -> bool {
 /// [`avx2::mtile`]'s.
 ///
 /// Plans the `zmm` kernels serve ([`supported`]) take the `zmm` GEMV kernel
-/// for one row, the `vpermb` kernel for more rows when their scale blocks
-/// are whole quads of k-groups, and the paired `zmm` multi-row kernel
-/// otherwise; every other plan takes [`avx2::mtile`].
+/// for one row and, when their scale blocks are whole quads of k-groups,
+/// a `vpermb` kernel for more rows (see the module docs); every other
+/// range takes [`avx2::mtile`].
 ///
 /// # Safety
 ///
@@ -120,17 +132,18 @@ pub fn mtile(
     mt: usize,
     outs: &mut [f32],
 ) {
-    if !supported(plan) {
+    let quads = (plan.group_size / LUT_GROUP).is_multiple_of(QUAD);
+    if !supported(plan) || (rows.len() > 1 && !quads) {
         return avx2::mtile(plan, tables, rows, mt, outs);
     }
     assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
     let bits = plan.bits;
-    if rows.len() == 1 {
-        for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs))
-    } else if (plan.group_size / LUT_GROUP).is_multiple_of(QUAD) {
-        for_bits!(bits, gemm_quad_bits(plan, tables, rows, mt, outs))
-    } else {
-        for_bits!(bits, gemm_mtile_bits(plan, tables, rows, mt, outs))
+    match rows.len() {
+        1 => for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs)),
+        2 => for_bits!(bits, gemm_regs_bits<2>(plan, tables, rows, mt, outs)),
+        3 => for_bits!(bits, gemm_regs_bits<3>(plan, tables, rows, mt, outs)),
+        REG_ROWS => for_bits!(bits, gemm_regs_bits<REG_ROWS>(plan, tables, rows, mt, outs)),
+        _ => for_bits!(bits, gemm_quad_bits(plan, tables, rows, mt, outs)),
     }
 }
 
@@ -204,40 +217,28 @@ fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
     *acc = _mm512_add_epi16(*acc, _mm512_maddubs_epi16(w, vals));
 }
 
-/// One scale block of whole k-group pairs against one row's tables `tbl`:
-/// returns `Σ_bit 2^bit · L_bit` per tile row, exactly, as `f32` (rows
-/// `0..16`, `16..32`).
-///
-/// `idx` holds the block's indices, `PAIR` bytes per plane pair (`pair`
-/// turns them into `[lo | lo]`, `[hi | hi]`) and `LONE` bytes per lone
-/// plane (`lone` turns them into `[lo | hi]`): the GEMV kernel passes the
-/// stream itself and the multi-row kernel the indices it split once, so
-/// the two share every arithmetic operation. The block's sums must fit
-/// `i16` ([`supported`]).
+/// One scale block of whole k-group pairs against one row's tables `tbl`
+/// and the block's stream bytes `src`: returns `Σ_bit 2^bit · L_bit` per
+/// tile row, exactly, as `f32` (rows `0..16`, `16..32`). The block's sums
+/// must fit `i16` ([`supported`]).
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
-fn paired_block<const BITS: usize, const PAIR: usize, const LONE: usize>(
-    tbl: &[i8],
-    idx: &[u8],
-    pair: impl Fn(&[u8]) -> (__m512i, __m512i),
-    lone: impl Fn(&[u8]) -> __m512i,
-) -> (__m512, __m512) {
+fn paired_block<const BITS: usize>(tbl: &[i8], src: &[u8]) -> (__m512, __m512) {
     let pair_w = [_mm512_set1_epi16(0x0201), _mm512_set1_epi16(0x0804)];
     let lone_w = 1i16 << (BITS - 1);
     let lone_w = (_mm512_set1_epi16(lone_w), _mm512_set1_epi16(lone_w << 8));
     let (mut lo, mut hi) = (_mm512_setzero_si512(), _mm512_setzero_si512());
-    let steps = idx.chunks_exact(BITS / 2 * PAIR + BITS % 2 * LONE);
-    for (t, steps) in tbl.chunks_exact(32).zip(steps) {
+    for (t, steps) in tbl.chunks_exact(32).zip(src.chunks_exact(32 * BITS)) {
         // The k-group pair's two tables in both halves: lane `L` holds
         // k-group parity `L % 2`.
         let t = simd::broadcast_256(t);
         for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
-            let (l, h) = pair(&steps[p * PAIR..(p + 1) * PAIR]);
+            let (l, h) = split_nibbles(simd::loadu_512(&steps[64 * p..]));
             madd(&mut lo, *w, _mm512_shuffle_epi8(t, l));
             madd(&mut hi, *w, _mm512_shuffle_epi8(t, h));
         }
         if BITS % 2 == 1 {
-            let vals = _mm512_shuffle_epi8(t, lone(&steps[BITS / 2 * PAIR..]));
+            let vals = _mm512_shuffle_epi8(t, split_lone(&steps[64 * (BITS / 2)..]));
             madd(&mut lo, lone_w.0, vals);
             madd(&mut hi, lone_w.1, vals);
         }
@@ -276,77 +277,16 @@ fn mtile_paired_bits<const BITS: usize>(
         let (q_scale, asum) = tables.block_scales(sb, r..r + 1);
         avx2::prefetch_ahead(src);
         avx2::prefetch_ahead(scales);
-        let blk = paired_block::<BITS, 64, 32>(
-            tables.block_tables(sb, r..r + 1),
-            src,
-            |s| split_nibbles(simd::loadu_512(s)),
-            |s| split_lone(s),
-        );
+        let blk = paired_block::<BITS>(tables.block_tables(sb, r..r + 1), src);
         outacc.fold(blk, 0.5 * q_scale[0], plan.cz * asum[0], scales);
     }
     outacc.store(out);
 }
 
-/// Nibble-split indices of one scale block (`2 ×` its stream bytes), on
-/// a cache line: every 64-byte index load is aligned.
+/// The `vpermb` indices of one scale block (`2 ×` its stream bytes), on a
+/// cache line: every 64-byte index load is aligned.
 #[repr(align(64))]
 struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
-
-/// Multi-row kernel on `zmm` registers, scale-block-outer like
-/// [`avx2::gemm_mtile`]: each scale block's indices are split once into
-/// `[lo | lo]`, `[hi | hi]` per plane pair and `[lo | hi]` per lone plane,
-/// then looked up against each row's tables of the block.
-#[inline(never)] // A stable symbol for the disassembly test.
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
-fn gemm_mtile_bits<const BITS: usize>(
-    plan: &WeightPlan,
-    tables: &ActTables,
-    rows: Range<usize>,
-    mt: usize,
-    outs: &mut [f32],
-) {
-    let (bb, tb) = (plan.block_bytes(), tables.block_len());
-    let stream = plan.mtile_stream(mt);
-    let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
-    let outs = &mut outs[..rows.len() * TILE_M];
-    outs.fill(0.0);
-    // A k-group pair's stream bytes: `BITS` 32-byte steps.
-    let kp = BITS * 32;
-    for sb in 0..plan.groups_per_row() {
-        let src = &stream[sb * bb..(sb + 1) * bb];
-        for (raw, dst) in src.chunks_exact(kp).zip(idx.0.chunks_exact_mut(2 * kp)) {
-            for p in 0..BITS / 2 {
-                let (lo, hi) = split_nibbles(simd::loadu_512(&raw[64 * p..]));
-                simd::storeu_512(&mut dst[128 * p..], lo);
-                simd::storeu_512(&mut dst[128 * p + 64..], hi);
-            }
-            if BITS % 2 == 1 {
-                let lone = split_lone(&raw[64 * (BITS / 2)..]);
-                simd::storeu_512(&mut dst[128 * (BITS / 2)..], lone);
-            }
-        }
-        let idx = &idx.0[..2 * bb];
-        let scales = plan.tile_scales(mt, sb);
-        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
-        let units = tables.block_tables(sb, rows.clone()).chunks_exact(tb);
-        for (((out, tbl), q_scale), asum) in outs
-            .chunks_exact_mut(TILE_M)
-            .zip(units)
-            .zip(q_scales)
-            .zip(asums)
-        {
-            let blk = paired_block::<BITS, 128, 64>(
-                tbl,
-                idx,
-                |s| (simd::loadu_512(&s[..64]), simd::loadu_512(&s[64..])),
-                |s| simd::loadu_512(s),
-            );
-            let mut acc = OutAcc::load(out);
-            acc.fold(blk, 0.5 * q_scale, plan.cz * asum, scales);
-            acc.store(out);
-        }
-    }
-}
 
 /// K-groups per `vpermb` table: one 64-byte `zmm` holds the 16-entry
 /// tables of four consecutive k-groups.
@@ -473,8 +413,95 @@ fn quad_lookups<const BITS: usize>(
     }
 }
 
-/// Multi-row kernel for two rows or more, scale-block-outer
-/// like [`gemm_mtile_bits`]: each scale block's indices are turned into
+/// The two index vectors of `source` in the quad whose stream bytes `raw`
+/// starts: `(nibble & 0x0F) | select` per byte for the low and the high
+/// nibbles (one `vpternlogd` each), then one `vpermt2b` per tile-row half.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx2")]
+fn quad_indices(source: &QuadSource, raw: &[u8]) -> [__m512i; 2] {
+    let [a, b] = source.at;
+    let steps = if b == a + 32 {
+        simd::loadu_512(&raw[a..])
+    } else {
+        let lo = _mm512_castsi256_si512(tmac_simd::avx2::loadu_256(&raw[a..]));
+        _mm512_inserti64x4::<1>(lo, tmac_simd::avx2::loadu_256(&raw[b..]))
+    };
+    let (mask, select) = (_mm512_set1_epi8(0x0F), simd::loadu_512(&source.select));
+    let lo = _mm512_ternarylogic_epi32::<0xEA>(steps, mask, select);
+    let hi = _mm512_srli_epi16::<4>(steps);
+    let hi = _mm512_ternarylogic_epi32::<0xEA>(hi, mask, select);
+    source
+        .perm
+        .map(|perm| _mm512_permutex2var_epi8(lo, simd::loadu_512(&perm), hi))
+}
+
+/// Most rows [`gemm_regs_bits`] takes: as many as its registers hold. Per
+/// row it keeps two `i32` block accumulators, an `OutAcc` (two `zmm`) and
+/// the quad's table, 5 of the 32 `zmm`, beside the index vectors and
+/// constants. At 4 rows the W1 and W2 instances keep all of them across
+/// the m-tile; at 5 every instance spills once per block, at 8 the W4 quad
+/// loop itself. The measured table (DESIGN.md §3b): 0.76–0.83× of
+/// [`gemm_quad_bits`] at 2–4 rows, 0.78–0.89× at 5 (spilling), 0.92–1.07×
+/// at 6 and 8.
+const REG_ROWS: usize = 4;
+
+/// Multi-row kernel for 2..=[`REG_ROWS`] rows (`R`): [`gemm_quad_bits`]'s
+/// lookups with nothing buffered. Per quad it loads the `R` rows' tables,
+/// builds the quad's `2·BITS` index vectors in registers and runs
+/// `R·2·BITS` `vpermb` + `vpdpbusd`; the block and output accumulators of
+/// every row stay in registers across the whole m-tile, and the weight
+/// stream is prefetched per block as the GEMV kernel does. Every output
+/// element sees [`gemm_quad_bits`]'s fold sequence.
+#[inline(never)] // A stable symbol for the disassembly test.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
+fn gemm_regs_bits<const BITS: usize, const R: usize>(
+    plan: &WeightPlan,
+    tables: &ActTables,
+    rows: Range<usize>,
+    mt: usize,
+    outs: &mut [f32],
+) {
+    debug_assert_eq!(rows.len(), R);
+    let (bb, tb) = (plan.block_bytes(), tables.block_len());
+    let stream = plan.mtile_stream(mt);
+    let sources = &QUAD_SOURCES[BITS - 1][..BITS];
+    let w = QUAD_SOURCES[BITS - 1].map(|s| _mm512_set1_epi32(s.weights));
+    let mut out = [OutAcc::zero(); R];
+    for sb in 0..plan.groups_per_row() {
+        let src = &stream[sb * bb..(sb + 1) * bb];
+        let scales = plan.tile_scales(mt, sb);
+        avx2::prefetch_ahead(src);
+        avx2::prefetch_ahead(scales);
+        let block = tables.block_tables(sb, rows.clone());
+        let mut units = [&block[..0]; R];
+        for (u, unit) in units.iter_mut().zip(block.chunks_exact(tb)) {
+            *u = unit;
+        }
+        let mut acc = [[_mm512_setzero_si512(); 2]; R];
+        for (q, raw) in src.chunks_exact(64 * BITS).enumerate() {
+            let t = units.map(|u| simd::loadu_512(&u[64 * q..]));
+            for (s, w) in sources.iter().zip(w) {
+                for (h, v) in quad_indices(s, raw).into_iter().enumerate() {
+                    for (acc, t) in acc.iter_mut().zip(t) {
+                        acc[h] = _mm512_dpbusd_epi32(acc[h], w, _mm512_permutexvar_epi8(v, t));
+                    }
+                }
+            }
+        }
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        let [q_scales, asums] = [q_scales, asums].map(|v| *v.first_chunk::<R>().expect("R rows"));
+        for (((o, acc), q_scale), asum) in out.iter_mut().zip(acc).zip(q_scales).zip(asums) {
+            let blk = (_mm512_cvtepi32_ps(acc[0]), _mm512_cvtepi32_ps(acc[1]));
+            o.fold(blk, 0.5 * q_scale, plan.cz * asum, scales);
+        }
+    }
+    for (o, dst) in out.iter().zip(outs.chunks_exact_mut(TILE_M)) {
+        o.store(dst);
+    }
+}
+
+/// Multi-row kernel for more than [`REG_ROWS`] rows, scale-block-outer
+/// like [`avx2::gemm_mtile`]: each scale block's indices are turned into
 /// `vpermb` indices once (see the module docs), then looked up against
 /// each row's tables of the block by `vpermb` and combined by `vpdpbusd`.
 /// The block's k-group count must be a multiple of [`QUAD`].
@@ -491,7 +518,6 @@ fn gemm_quad_bits<const BITS: usize>(
     let stream = plan.mtile_stream(mt);
     let sources = &QUAD_SOURCES[BITS - 1][..BITS];
     let w = QUAD_SOURCES[BITS - 1].map(|s| _mm512_set1_epi32(s.weights));
-    let mask = _mm512_set1_epi8(0x0F);
     let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
     let outs = &mut outs[..rows.len() * TILE_M];
     outs.fill(0.0);
@@ -502,19 +528,10 @@ fn gemm_quad_bits<const BITS: usize>(
             .zip(idx.0.chunks_exact_mut(128 * BITS))
         {
             for (s, dst) in sources.iter().zip(dst.chunks_exact_mut(128)) {
-                let steps = if s.at[1] == s.at[0] + 32 {
-                    simd::loadu_512(&raw[s.at[0]..])
-                } else {
-                    let lo = _mm512_castsi256_si512(tmac_simd::avx2::loadu_256(&raw[s.at[0]..]));
-                    _mm512_inserti64x4::<1>(lo, tmac_simd::avx2::loadu_256(&raw[s.at[1]..]))
-                };
-                // `(nibble & 0x0F) | select` per byte, one `vpternlogd` each.
-                let select = simd::loadu_512(&s.select);
-                let lo = _mm512_ternarylogic_epi32::<0xEA>(steps, mask, select);
-                let hi = _mm512_srli_epi16::<4>(steps);
-                let hi = _mm512_ternarylogic_epi32::<0xEA>(hi, mask, select);
-                for (perm, dst) in s.perm.iter().zip(dst.chunks_exact_mut(64)) {
-                    let v = _mm512_permutex2var_epi8(lo, simd::loadu_512(perm), hi);
+                for (v, dst) in quad_indices(s, raw)
+                    .into_iter()
+                    .zip(dst.chunks_exact_mut(64))
+                {
                     simd::storeu_512(dst, v);
                 }
             }

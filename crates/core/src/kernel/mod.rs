@@ -7,11 +7,11 @@
 //! * `avx2` — the production kernels (x86-64), one for every Figure 10
 //!   rung. One `PSHUFB` per 32 lookups, `i16` widening accumulation,
 //!   per-scale-block f32 application.
-//! * `avx512` — the paired-stream kernels (GEMV and multi-row) on
-//!   `zmm` registers (x86-64 with AVX-512 F/BW/VBMI/VNNI): one `vpshufb`
-//!   per 64 lookups, and from two rows on a `vpermb` + `vpdpbusd` kernel
-//!   that looks a quad of k-groups up per instruction; bit-identical to
-//!   `avx2`, which serves every other plan of the family.
+//! * `avx512` — the paired-stream GEMV kernel on `zmm` registers (x86-64
+//!   with AVX-512 F/BW/VBMI/VNNI): one `vpshufb` per 64 lookups, and from
+//!   two rows on two `vpermb` + `vpdpbusd` kernels (2–4 rows in registers,
+//!   more buffered) that look a quad of k-groups up per instruction;
+//!   bit-identical to `avx2`, which serves every other range of the family.
 //!
 //! The caller's kernel family (`tmac_simd::Isa`, held by
 //! [`crate::ExecCtx`]) picks the module: `Scalar`, `Avx2` or `Avx512`.
@@ -32,15 +32,16 @@
 //! is accumulated in integers and `0.5 · q_scale[sb]` folds into the final
 //! multiply.
 
-/// Instantiates a `<BITS>` paired kernel for a plan's bit-width.
+/// Instantiates a `<BITS>` paired kernel for a plan's bit-width
+/// (`kernel<R>(..)` passes `R` as the second generic argument).
 #[cfg(target_arch = "x86_64")]
 macro_rules! for_bits {
-    ($bits:expr, $kernel:ident($($arg:expr),*)) => {
+    ($bits:expr, $kernel:ident $(<$r:tt>)? ($($arg:expr),*)) => {
         match $bits {
-            1 => $kernel::<1>($($arg),*),
-            2 => $kernel::<2>($($arg),*),
-            3 => $kernel::<3>($($arg),*),
-            4 => $kernel::<4>($($arg),*),
+            1 => $kernel::<1 $(, $r)?>($($arg),*),
+            2 => $kernel::<2 $(, $r)?>($($arg),*),
+            3 => $kernel::<3 $(, $r)?>($($arg),*),
+            4 => $kernel::<4 $(, $r)?>($($arg),*),
             b => unreachable!("plans hold 1..=4 bit planes, got {b}"),
         }
     };

@@ -61,8 +61,11 @@ pub struct ActTables {
     unit_len: usize,
     /// `f32` tables, 16 entries per k-group (empty when quantized).
     pub(crate) f32_tables: Vec<f32>,
-    /// `i8` tables (empty unless quantized), 16 entries per k-group.
-    pub(crate) q_tables: Vec<i8>,
+    /// `i8` tables (empty unless quantized), 16 entries per k-group: the
+    /// window `q_window` of `q_buf`, which a build places on a 64-byte line
+    /// (a clone keeps the window, not necessarily the alignment).
+    q_buf: Vec<i8>,
+    q_window: Range<usize>,
     /// Dynamic table scales, `[sb][row]` (unused, zero, unless quantized).
     q_scales: Vec<f32>,
     /// Activation sums (for the bit-serial bias term), `[sb][row]`.
@@ -243,6 +246,10 @@ impl ActTables {
         } else {
             (unit_len, 0)
         };
+        // The `vpermb` kernel loads a 64-byte quad of tables at a time: start
+        // them on a cache line, so no load splits two.
+        let q_buf = vec![0; n_units * q_len + 63];
+        let q_start = q_buf.as_ptr().align_offset(64).min(63);
         let mut tables = ActTables {
             rows,
             k,
@@ -250,7 +257,8 @@ impl ActTables {
             quantized,
             unit_len,
             f32_tables: vec![0.0; n_units * f32_len],
-            q_tables: vec![0; n_units * q_len],
+            q_buf,
+            q_window: q_start..q_start + n_units * q_len,
             q_scales: vec![0.0; n_units],
             asums: vec![0.0; n_units],
         };
@@ -259,7 +267,7 @@ impl ActTables {
             group_size,
             avx2: matches!(isa, Isa::Avx2 | Isa::Avx512) && Isa::Avx2.available(),
             f32_tables: SharedMut::new(&mut tables.f32_tables),
-            q_tables: SharedMut::new(&mut tables.q_tables),
+            q_tables: SharedMut::new(&mut tables.q_buf[tables.q_window.clone()]),
             q_scales: SharedMut::new(&mut tables.q_scales),
             asums: SharedMut::new(&mut tables.asums),
         };
@@ -289,6 +297,12 @@ impl ActTables {
         self.k / LUT_GROUP
     }
 
+    /// Every quantized table, in storage order (see the module docs).
+    #[inline]
+    pub(crate) fn q_tables(&self) -> &[i8] {
+        &self.q_buf[self.q_window.clone()]
+    }
+
     /// Table entries of one `(scale block, row)` unit: 16 per k-group.
     pub fn block_len(&self) -> usize {
         self.unit_len
@@ -299,7 +313,7 @@ impl ActTables {
     #[inline]
     pub fn block_tables(&self, sb: usize, rows: Range<usize>) -> &[i8] {
         let len = self.unit_len;
-        &self.q_tables[(sb * self.rows + rows.start) * len..(sb * self.rows + rows.end) * len]
+        &self.q_tables()[(sb * self.rows + rows.start) * len..(sb * self.rows + rows.end) * len]
     }
 
     /// The `(table scales, activation sums)` of scale block `sb` for the
@@ -344,13 +358,13 @@ impl ActTables {
     pub fn lookup_q(&self, r: usize, kg: usize, idx: u8) -> i8 {
         assert!(self.quantized, "lookup_q on f32 tables");
         assert!(r < self.rows && (idx as usize) < TABLE_LEN && kg < self.kg_total());
-        self.q_tables[self.kg_offset(r, kg) + idx as usize]
+        self.q_tables()[self.kg_offset(r, kg) + idx as usize]
     }
 
     /// Bytes of table storage (the quantity table quantization shrinks;
     /// paper Figure 5).
     pub fn table_bytes(&self) -> usize {
-        self.f32_tables.len() * 4 + self.q_tables.len()
+        self.f32_tables.len() * 4 + self.q_window.len()
     }
 }
 
@@ -456,7 +470,7 @@ mod tests {
     /// tables of every kind, scales and activation sums.
     fn assert_twin(simd: &ActTables, twin: &ActTables, what: &str) {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(simd.q_tables, twin.q_tables, "q_tables {what}");
+        assert_eq!(simd.q_tables(), twin.q_tables(), "q_tables {what}");
         assert_eq!(
             bits(&simd.f32_tables),
             bits(&twin.f32_tables),
@@ -546,7 +560,7 @@ mod tests {
 
     /// The layout contract the kernels stream: per scale block, the rows'
     /// units of that block are adjacent, in row order, each **bytewise** the
-    /// row's own one-row tables of that block.
+    /// row's own one-row tables of that block; `i8` tables start on a line.
     #[test]
     fn batch_rows_contiguous_per_group() {
         for_generated_batches(|opts, batch, ones, what| {
@@ -567,8 +581,9 @@ mod tests {
                         continue;
                     }
                     let (unit, len) = (batch.block_tables(sb, r..r + 1), batch.block_len());
-                    assert_eq!(unit, &batch.q_tables[(sb * rows + r) * len..][..len]);
-                    assert_eq!(unit, &one.q_tables[sb * len..][..len], "{what}");
+                    assert_eq!(batch.q_tables().as_ptr().addr() % 64, 0, "{what}");
+                    assert_eq!(unit, &batch.q_tables()[(sb * rows + r) * len..][..len]);
+                    assert_eq!(unit, &one.q_tables()[sb * len..][..len], "{what}");
                     assert_eq!(unit, one.block_tables(sb, 0..1), "{what}");
                     for kgi in 0..kgb {
                         let at = batch.kg_offset(r, sb * kgb + kgi);

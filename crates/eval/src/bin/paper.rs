@@ -196,18 +196,29 @@ const FIG6_CLAIMS: [Row; 5] = [
 /// width at 4096².
 fn fig6_table(shapes: &[(usize, usize)], threads: usize) -> (Table, [(f64, f64); 4]) {
     let ctx = ExecCtx::new(threads);
+    // A decode batch of two shares one weight pass: the last timed column is
+    // T-MAC's cost per activation row at n = 1 and at n = 2.
     let headers = ["shape", "bits", "llama.cpp (ms)", "T-MAC (ms)", "speedup"];
-    let mut table = Table::new(&[&headers[..], &["note"]].concat());
+    let tail = ["T-MAC us/row n=1 / n=2", "note"];
+    let mut table = Table::new(&[&headers[..], &tail[..]].concat());
     let mut s0 = [(f64::NAN, f64::NAN); 4];
     for &(m, k) in shapes {
-        let (w, act, mut out) = (make_weights(m, k, 11), make_act(k, 11), vec![0f32; m]);
+        let (w, act, mut out) = (
+            make_weights(m, k, 11),
+            make_act(2 * k, 11),
+            vec![0f32; 2 * m],
+        );
+        let act1 = &act[..k];
         for bits in 1..=4u8 {
             let qm = quantize(&w, m, k, bits, 32).expect("quantize");
             let tl = TmacLinear::new(&qm, KernelOpts::tmac()).expect("plan");
             let bl = DequantLinear::new(&qm).expect("pack");
-            let [t_tmac, t_base] = time_medians(3, FIG6_ITERS, |side| match side {
-                0 => tl.gemv(&act, &mut out, &ctx).expect("T-MAC GEMV"),
-                _ => bl.gemv(&act, &mut out, &ctx).expect("dequant GEMV"),
+            let [t_tmac, t_base, t_two] = time_medians(3, FIG6_ITERS, |side| match side {
+                0 => tl.gemv(act1, &mut out[..m], &ctx).expect("T-MAC GEMV"),
+                1 => bl.gemv(act1, &mut out[..m], &ctx).expect("dequant GEMV"),
+                _ => tl
+                    .gemm(&act, 2, &mut out, &ctx)
+                    .expect("T-MAC 2-row mpGEMM"),
             });
             if (m, k) == SHAPES[0] {
                 s0[bits as usize - 1] = (t_base, t_tmac);
@@ -216,8 +227,17 @@ fn fig6_table(shapes: &[(usize, usize)], threads: usize) -> (Table, [(f64, f64);
             // line from 2-bit, whereas this baseline really measures one.
             let note = if bits == 1 { FIG6_NOTE } else { "" };
             let speedup = format!("{:.2}x", t_base / t_tmac);
+            let per_row = format!("{:.0} / {:.0}", t_tmac * 1e6, t_two * 1e6 / 2.0);
             let (shape, bits, note) = (format!("{m}x{k}"), bits.to_string(), note.into());
-            table.row(vec![shape, bits, ms(t_base), ms(t_tmac), speedup, note]);
+            table.row(vec![
+                shape,
+                bits,
+                ms(t_base),
+                ms(t_tmac),
+                speedup,
+                per_row,
+                note,
+            ]);
         }
     }
     (table, s0)

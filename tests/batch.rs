@@ -316,7 +316,8 @@ fn grouped_projections_match_per_projection_calls() {
     // QKV and gate/up grouped (one table build and one sweep each) against
     // separate calls, on a GQA config (k/v narrower than q, so the QKV
     // group mixes output sizes) and a non-GQA one, W1–W4 and ternary, at
-    // n ∈ {1, 5, 16} prefill rows.
+    // n ∈ {1, 2, 4, 5, 16} rows: every kernel a row range takes, the served
+    // decode batches (2–4 rows) included.
     let gqa = ModelConfig::tiny();
     let mha = ModelConfig {
         n_kv_heads: gqa.n_heads,
@@ -332,7 +333,7 @@ fn grouped_projections_match_per_projection_calls() {
             for quant in quants.clone() {
                 let kind = BackendKind::Tmac(tmac::core::KernelOpts::tmac());
                 let m = Model::synthetic(cfg, quant, kind, 41, &ctx).unwrap();
-                for n in [1, 5, 16] {
+                for n in [1, 2, 4, 5, 16] {
                     let tokens: Vec<u32> = (0..n as u32).map(|i| (i * 11 + 3) % 96).collect();
                     let positions: Vec<usize> = (0..n).collect();
                     let mut cache = KvCache::new(cfg);

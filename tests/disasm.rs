@@ -6,8 +6,9 @@
 //! no other shuffle-port work, and the mpGEMM row loop looks a decoded
 //! scale block up with its accumulators in registers. The `Avx512` family's
 //! `zmm` kernels make the same claims per 64-byte load, on `zmm` only, and
-//! its `vpermb` kernel's row loop is nothing but `vpermb` lookups and
-//! `vpdpbusd` combines around one table load per four k-groups. The
+//! its `vpermb` kernels' loops are nothing but index builds, `vpermb`
+//! lookups and `vpdpbusd` combines, one table per four k-groups (the
+//! 2–4-row kernel's in registers, with nothing spilled). The
 //! table build's claim is the same kind: its k-group loop is vector code. A
 //! refactor (or a compiler upgrade) can lose that silently while every
 //! numerical test stays green, so this test disassembles *this test
@@ -88,6 +89,18 @@ impl Insn {
             && dst.contains("%zmm")
     }
 
+    /// A vector register spill or reload: any access to the stack frame
+    /// that names a `ymm` or `zmm`.
+    fn is_vector_stack_access(&self) -> bool {
+        self.text.contains("(%rsp") && (self.text.contains("%ymm") || self.text.contains("%zmm"))
+    }
+
+    /// The `n`-th operand (AT&T order, from 0) of this instruction.
+    fn operand(&self, n: usize) -> Option<&str> {
+        let (_, ops) = self.text.split_once(char::is_whitespace)?;
+        ops.trim().split(',').nth(n)
+    }
+
     /// Whether every vector register this instruction names is a `zmm`.
     fn zmm_only(&self) -> bool {
         !self.text.contains("%ymm") && !self.text.contains("%xmm")
@@ -112,11 +125,14 @@ fn disassemble(isa: Isa, name: &str) -> Option<Vec<Vec<Insn>>> {
         return None;
     };
     let w: Vec<f32> = (0..64 * 128).map(|i| (i as f32 * 0.37).sin()).collect();
-    let act: Vec<f32> = (0..3 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
+    let act: Vec<f32> = (0..5 * 128).map(|i| (i as f32 * 0.11).cos()).collect();
     let lin = TmacLinear::from_f32(&w, 64, 128, 2, 32, KernelOpts::tmac()).unwrap();
-    let mut out = vec![0f32; 3 * 64];
+    let mut out = vec![0f32; 5 * 64];
     lin.gemv(&act[..128], &mut out[..64], &ctx).unwrap();
-    lin.gemm(&act, 3, &mut out, &ctx).unwrap();
+    for n in [3, 5] {
+        lin.gemm(&act[..n * 128], n, &mut out[..n * 64], &ctx)
+            .unwrap();
+    }
     std::hint::black_box(&out);
 
     let exe = std::env::current_exe().unwrap();
@@ -385,67 +401,95 @@ fn zmm_gemv_loop_is_one_shuffle_per_64_lookups() {
     );
 }
 
-/// The `zmm` multi-row kernel's k-group-pair loop looks decoded indices up
-/// from memory on `zmm` only, and its row loop keeps every accumulator in
-/// registers.
+/// The register-resident `vpermb` kernel (2–4 rows): its quad loop builds
+/// each index vector once, in registers, and looks it up against every
+/// row's table, so per quad it issues `2·bits` index builds (`vpermt2b`)
+/// and `2·bits·R` `vpermb` and `vpdpbusd`, with the `R` tables in `R`
+/// registers, and it touches the stack for no vector. At W2 the block loop
+/// around it keeps every accumulator and output in registers too.
+///
+/// The instances carry no generic arguments in their symbols, so each loop
+/// reads its own: `bits` = the `select` operands of its `vpternlogd`
+/// (one per source), `R` = lookups per index build.
 #[test]
-fn zmm_gemm_row_loop_keeps_accumulators_in_registers() {
-    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_mtile_bits") else {
+fn zmm_regs_quad_loop_is_register_resident() {
+    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_regs_bits") else {
         return;
     };
-    let mut w2_row_loops = 0;
+    let mut w2_rows = Vec::new();
     for f in &funcs {
         let all = loops(f);
-        for body in innermost_with(f, "vpshufb") {
-            // Skip the loops that split nibbles themselves.
-            if count(body, "vpsrlw") > 0 {
-                continue;
-            }
+        for body in innermost_with(f, "vpermb") {
             let dump = listing(body);
+            let operands = |m: &str, n: usize| {
+                let mut v: Vec<_> = body
+                    .iter()
+                    .filter(|i| i.is(m))
+                    .map(|i| i.operand(n))
+                    .collect();
+                v.sort();
+                v.dedup();
+                v.len()
+            };
+            let (lookups, combines) = (count(body, "vpermb"), count(body, "vpdpbusd"));
+            let builds = count(body, "vpermt2b") + count(body, "vpermi2b");
+            let bits = operands("vpternlogd", 1);
             assert!(
-                body.iter().filter(|i| i.is("vpshufb")).all(Insn::zmm_only),
-                "ymm lookup:\n{dump}"
+                builds > 0
+                    && (1..=4).contains(&bits)
+                    && count(body, "vpternlogd").is_multiple_of(2 * bits),
+                "index builds:\n{dump}"
+            );
+            let quads = count(body, "vpternlogd") / (2 * bits);
+            let rows = lookups / builds;
+            assert!((2..=4).contains(&rows), "rows per index vector:\n{dump}");
+            assert_eq!(builds, 2 * bits * quads, "index builds per quad:\n{dump}");
+            assert_eq!(
+                lookups,
+                2 * bits * rows * quads,
+                "lookups per quad:\n{dump}"
+            );
+            assert_eq!(combines, lookups, "a combine per lookup:\n{dump}");
+            assert_eq!(
+                operands("vpermb", 0),
+                rows,
+                "one table register a row:\n{dump}"
             );
             assert!(
-                !body.iter().any(Insn::is_lane_fixup),
-                "lane fix-up:\n{dump}"
+                body.iter()
+                    .filter(|i| i.is("vpermb") || i.is("vpdpbusd"))
+                    .all(Insn::zmm_only),
+                "ymm lookup or combine:\n{dump}"
             );
             assert!(
-                !body.iter().any(Insn::is_vector_stack_store),
-                "spill:\n{dump}"
+                !body.iter().any(Insn::is_vector_stack_access),
+                "the quad loop spills:\n{dump}"
             );
-            // 2-bit: 2 lookups per k-group pair.
-            let two_bit = count(body, "vpmaddubsw") == count(body, "vpshufb")
-                && count(body, "vpshufb") == 2 * count(body, "vbroadcasti64x4");
-            if !two_bit {
+            if bits != 2 {
                 continue;
             }
             let (inner_head, inner_tail) = (body[0].addr, body[body.len() - 1].addr);
-            let row = all
+            let block = all
                 .iter()
                 .map(|&(h, t)| &f[h..=t])
                 .filter(|l| l[0].addr <= inner_head && inner_tail <= l[l.len() - 1].addr)
                 .filter(|l| count(l, "vcvtdq2ps") > 0)
-                .min_by_key(|l| l.len());
-            let Some(row) = row else {
-                continue;
-            };
+                .min_by_key(|l| l.len())
+                .expect("a block loop around the quad loop");
             assert!(
-                !row.iter().any(Insn::is_vector_stack_store),
-                "row loop spills:\n{}",
-                listing(row)
+                !block.iter().any(Insn::is_vector_stack_access),
+                "the W2 block loop spills:\n{}",
+                listing(block)
             );
-            w2_row_loops += 1;
+            w2_rows.push(rows);
         }
     }
-    assert!(
-        w2_row_loops >= 1,
-        "no 2-bit zmm mpGEMM row loop found in {} symbols",
-        funcs.len()
-    );
+    w2_rows.sort();
+    w2_rows.dedup();
+    assert_eq!(w2_rows, [2, 3, 4], "W2 quad loops found, by row count");
 }
 
-/// The `vpermb` multi-row kernel (2 rows and more): its row loop looks a
+/// The `vpermb` multi-row kernel (5 rows and more): its row loop looks a
 /// quad of k-groups up with `vpermb zmm` only, against one 64-byte table
 /// load, and combines with `vpdpbusd zmm` only — `2·bits` of each per
 /// table, no `vpshufb`, `vpmaddubsw` or widening, no lane fix-up — and the
