@@ -24,13 +24,13 @@
 //!   scale block's weight indices once and looks them up against every row
 //!   of the range.
 //!
-//! Under `Avx512`, [`kernel::avx512::mtile`] serves the plans it takes
-//! with three `zmm` kernels: the GEMV kernel for one row, and for 2–4 rows
-//! (a decode batch) and for more a `vpermb` + `vpdpbusd` kernel, the first
-//! register-resident, the second buffering indices per block. Multi-row
-//! ranges of plans whose scale blocks are not whole k-group quads, and
-//! every other plan, take the AVX2 kernels; the two families agree bit for
-//! bit. Every
+//! Under `Avx512`, [`kernel::avx512::mtile`] serves the paired stream with
+//! three `zmm` kernels: the GEMV kernel for one row, and for 2–4 rows (a
+//! decode batch) and for more a `vpermb` + `vpdpbusd` kernel, the first
+//! register-resident, the second buffering indices per block. The other
+//! rungs, blocks of more than 64 k-groups and the one-row GEMV of a plan
+//! whose block sum overflows `i16` (W4 from g128) take the AVX2 kernels;
+//! the two families agree bit for bit. Every
 //! [`KernelOpts`](crate::KernelOpts) rung has an AVX2 kernel, so a plan
 //! runs on its context's family, never on another.
 //!
@@ -451,13 +451,16 @@ mod tests {
     }
 
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
-    /// through `mpgemm` at every bit width and group size, for every kernel
-    /// of the family — the GEMV (n = 1), the register-resident `vpermb`
-    /// kernel (2–4 rows) and the buffered one (5 rows on, with the ranges
-    /// that `N_BLOCK` leaves around it) — with a ragged last m-tile, and on
-    /// the ranges the `zmm` kernels hand to AVX2: multi-row blocks of 2
-    /// k-groups (g8), a lone k-group per block (g12) and the `i16` flush
-    /// path (W4 from g128, W3 at g256).
+    /// through `mpgemm` at every bit width, for every kernel of the family
+    /// — the GEMV (n = 1), the register-resident `vpermb` kernel (2–4 rows)
+    /// and the buffered one (5 rows on, with the ranges that `N_BLOCK`
+    /// leaves around it) — with a ragged last m-tile. Six group sizes: one
+    /// quad (g16), g32, three quads (g48, an odd count for `gemm_quad_bits`'
+    /// alternating accumulator sets), g64, and g128 and g256, whose blocks
+    /// overflow `i16` at W4 (and W3 at g256): their `vpermb` ranges sum in
+    /// `i32`, their one-row GEMV is AVX2's `i16` flush. Each range's kernel
+    /// is asserted through the predicate `avx512::mtile` routes on, and the
+    /// other rungs never take a `zmm` kernel.
     #[test]
     fn avx512_family_bit_identical_to_avx2() {
         let (Ok(zmm), Ok(ymm)) = (
@@ -485,7 +488,7 @@ mod tests {
         ];
         let n_max = 2 * N_BLOCK + 1;
         for bits in 1..=4u8 {
-            for gs in [8usize, 12, 32, 64, 128, 256] {
+            for gs in [16usize, 32, 48, 64, 128, 256] {
                 let k = gs * (256 / gs).max(2);
                 let w: Vec<f32> = (0..m * k)
                     .map(|i| ((i as f32) * 0.31).sin() * 0.6)
@@ -495,16 +498,21 @@ mod tests {
                     .collect();
                 let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
                 let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
-                // Served: no lone k-group, and a whole block fits `i16`.
-                let kgb = gs / crate::LUT_GROUP;
-                let zmm_serves = kgb.is_multiple_of(2) && kgb <= 32767 / (127 * ((1 << bits) - 1));
-                #[cfg(target_arch = "x86_64")]
-                assert_eq!(
-                    kernel::avx512::supported(&plan),
-                    zmm_serves,
-                    "W{bits} g{gs}"
-                );
+                // Whether a whole block fits the `zmm` GEMV's `i16` lanes.
+                let narrow = gs / crate::LUT_GROUP <= 32767 / (127 * ((1 << bits) - 1));
                 for n in ns {
+                    // Every `N_BLOCK`-row range takes a `zmm` kernel — the
+                    // GEMV, `gemm_regs_bits` (2–4 rows) or `gemm_quad_bits`
+                    // — except a one-row range of a plan that is not narrow.
+                    #[cfg(target_arch = "x86_64")]
+                    for n0 in (0..n).step_by(N_BLOCK) {
+                        let rows = N_BLOCK.min(n - n0);
+                        assert_eq!(
+                            kernel::avx512::serves(&plan, rows),
+                            rows > 1 || narrow,
+                            "W{bits} g{gs} n={n}: a {rows}-row range"
+                        );
+                    }
                     let act = &act[..n * k];
                     let (mut got, mut want) = (vec![0f32; n * m], vec![0f32; n * m]);
                     mpgemm(&plan, act, n, &mut got, &zmm).unwrap();
@@ -513,6 +521,16 @@ mod tests {
                     assert_eq!(bits_of(&got), bits_of(&want), "W{bits} g{gs} n={n}");
                 }
             }
+        }
+        #[cfg(target_arch = "x86_64")]
+        for opts in [
+            KernelOpts::plus_permute(),
+            KernelOpts::plus_table_quant(),
+            KernelOpts::tm_base(),
+        ] {
+            let (qm, _) = setup(m, 128, 1, 2);
+            let plan = WeightPlan::new(&qm, opts).unwrap();
+            assert!(!(1..=N_BLOCK).any(|rows| kernel::avx512::serves(&plan, rows)));
         }
     }
 

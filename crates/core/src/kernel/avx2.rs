@@ -337,10 +337,8 @@ fn split_nibbles(raw: __m256i) -> (__m256i, __m256i) {
 /// Scale-block geometry of the paired stream (see [`crate::plan`]).
 #[derive(Clone, Copy)]
 pub(super) struct PairedGeom {
-    /// Full k-group pairs per scale block.
+    /// K-group pairs per scale block (every block is whole pairs).
     kg_pairs: usize,
-    /// Whether a lone trailing k-group follows the pairs.
-    pub(super) lone_kg: bool,
     /// k-group pairs an `i16` lane absorbs between flushes to `i32`.
     flush_every: usize,
     /// Whether even the whole block's sum fits `i16` (the common shapes):
@@ -353,12 +351,11 @@ impl PairedGeom {
         let kgb = plan.group_size / LUT_GROUP;
         // The exactness bound: one k-group adds at most `127 · Σ_p 2^p` to
         // an `i16` lane (the planes share it, weighted by `vpmaddubsw`); a
-        // lane sees one k-group per pair plus, once, the lone tail.
+        // lane sees one k-group per pair.
         let groups = i16::MAX as usize / (127 * ((1 << plan.bits) - 1));
         PairedGeom {
             kg_pairs: kgb / 2,
-            lone_kg: kgb % 2 == 1,
-            flush_every: groups - 1,
+            flush_every: groups,
             narrow: kgb <= groups,
         }
     }
@@ -441,8 +438,7 @@ fn paired_groups<const BITS: usize, const STEP: usize>(
 /// `idx` holds the block's steps, `STEP` bytes per 32-byte stream step:
 /// the GEMV kernel passes the stream itself (`split` = nibble split) and
 /// the mpGEMM kernel the indices it split once (`split` = two loads), so
-/// the two share every arithmetic operation. `corner` reads the 16-byte
-/// lone-group/lone-plane step from the end of `idx`.
+/// the two share every arithmetic operation.
 #[inline]
 #[target_feature(enable = "avx2,fma,f16c")]
 fn paired_block<const BITS: usize, const STEP: usize>(
@@ -450,7 +446,6 @@ fn paired_block<const BITS: usize, const STEP: usize>(
     tbl: &[i8],
     idx: &[u8],
     split: impl Fn(&[u8]) -> (__m256i, __m256i),
-    corner: impl Fn(&[u8]) -> __m256i,
 ) -> OutAcc {
     let ps = BITS * STEP;
     let groups = |from: usize, to: usize| {
@@ -466,30 +461,6 @@ fn paired_block<const BITS: usize, const STEP: usize>(
         let to = (done + g.flush_every).min(g.kg_pairs);
         a = groups(done, to);
         done = to;
-    }
-    if g.lone_kg {
-        // Lanes are row halves here: `tail.0` = rows [0..8 | 16..24],
-        // `tail.1` = [8..16 | 24..32].
-        let (pair_w, lone_w) = plane_weights::<BITS>();
-        let t = load_table(tbl, g.kg_pairs * 32);
-        let steps = &idx[g.kg_pairs * ps..];
-        let mut tail = (_mm256_setzero_si256(), _mm256_setzero_si256());
-        for (p, w) in pair_w.iter().enumerate().take(BITS / 2) {
-            let (lo, hi) = split(&steps[p * STEP..(p + 1) * STEP]);
-            madd(&mut tail.0, *w, simd::tbl32(t, lo));
-            madd(&mut tail.1, *w, simd::tbl32(t, hi));
-        }
-        if BITS % 2 == 1 {
-            let vals = simd::tbl32(t, corner(&steps[BITS / 2 * STEP..]));
-            madd(&mut tail.0, lone_w.0, vals);
-            madd(&mut tail.1, lone_w.1, vals);
-        }
-        for (half, t) in [tail.0, tail.1].into_iter().enumerate() {
-            let lo = _mm256_zextsi128_si256(_mm256_castsi256_si128(t));
-            let hi = _mm256_zextsi128_si256(_mm256_extracti128_si256::<1>(t));
-            a[half] = _mm256_add_epi16(a[half], lo);
-            a[half + 2] = _mm256_add_epi16(a[half + 2], hi);
-        }
     }
     if g.narrow {
         let lanes =
@@ -532,13 +503,7 @@ fn mtile_paired_bits<const BITS: usize>(
         let (q_scale, asum) = (q_scale[0], asum[0]);
         prefetch_ahead(src);
         prefetch_ahead(scales);
-        let blk = paired_block::<BITS, 32>(
-            &g,
-            tbl,
-            src,
-            |s| split_nibbles(simd::loadu_256(s)),
-            |s| simd::unpack_nibbles_interleaved(simd::loadu_128(s)),
-        );
+        let blk = paired_block::<BITS, 32>(&g, tbl, src, |s| split_nibbles(simd::loadu_256(s)));
         let sc = _mm256_set1_ps(0.5 * q_scale);
         let bias = _mm256_set1_ps(plan.cz * asum);
         outacc.fold(&blk, sc, bias, scales);
@@ -607,10 +572,6 @@ fn gemm_mtile_bits<const BITS: usize>(
             simd::storeu_256(&mut dst[..32], lo);
             simd::storeu_256(&mut dst[32..], hi);
         }
-        if bb % 32 != 0 {
-            let corner = simd::unpack_nibbles_interleaved(simd::loadu_128(&src[bb - 16..]));
-            simd::storeu_256(&mut idx.0[bb / 32 * 64..], corner);
-        }
         let idx = &idx.0[..2 * bb];
         let scales = plan.tile_scales(mt, sb);
         let (q_scales, asums) = tables.block_scales(sb, rows.clone());
@@ -621,13 +582,9 @@ fn gemm_mtile_bits<const BITS: usize>(
             .zip(q_scales)
             .zip(asums)
         {
-            let blk = paired_block::<BITS, 64>(
-                &g,
-                tbl,
-                idx,
-                |s| (simd::loadu_256(&s[..32]), simd::loadu_256(&s[32..])),
-                |s| simd::loadu_256(s),
-            );
+            let blk = paired_block::<BITS, 64>(&g, tbl, idx, |s| {
+                (simd::loadu_256(&s[..32]), simd::loadu_256(&s[32..]))
+            });
             let sc = _mm256_set1_ps(0.5 * q_scale);
             let bias = _mm256_set1_ps(plan.cz * asum);
             let mut acc = OutAcc::load(out);
@@ -987,8 +944,8 @@ mod tests {
     /// The multi-row kernel must be *bit-identical* to per-row `gemv_mtile`
     /// calls — the property that keeps batched forwards equal to independent
     /// single-token forwards — for every supported option combination, any
-    /// row count, and block shapes with lone planes / lone k-groups / a
-    /// mid-block `i32` flush.
+    /// row count, and block shapes with lone planes / three k-group quads
+    /// (g48) / a mid-block `i32` flush.
     #[test]
     fn gemm_mtile_bit_identical_to_gemv_mtile() {
         if !simd::available() {
@@ -996,8 +953,8 @@ mod tests {
         }
         let opts = KernelOpts::tmac();
         for bits in 1..=4u8 {
-            for gs in [12usize, 32, 256] {
-                let k = if gs == 12 { 96 } else { 256 };
+            for gs in [48usize, 32, 256] {
+                let k = if gs == 48 { 96 } else { 256 };
                 let (qm, _) = setup(96, k, bits, gs);
                 let plan = WeightPlan::new(&qm, opts).unwrap();
                 assert!(gemm_supported(&plan), "{opts:?}");

@@ -1,8 +1,8 @@
 //! AVX-512 kernels: the paired-stream GEMV kernel on `zmm` registers, and
 //! two `vpermb` + `vpdpbusd` multi-row kernels.
 //!
-//! Three `zmm` kernels serve the plans of the `Avx512` family that they
-//! take ([`supported`]), by the row count of the range:
+//! Three `zmm` kernels serve a range of the paired stream, by its row
+//! count:
 //!
 //! | rows | kernel |
 //! |---|---|
@@ -10,10 +10,12 @@
 //! | 2..=`REG_ROWS` (4) | `gemm_regs_bits`: the `vpermb` kernel, register-resident |
 //! | more | `gemm_quad_bits`: the `vpermb` kernel, indices buffered per block |
 //!
-//! The multi-row kernels need scale blocks of whole k-group quads (every g32
-//! plan); multi-row ranges of other plans, and every other plan (the
-//! sequential and flat layouts, blocks with a lone k-group or an `i16`
-//! flush), take the AVX2 kernels.
+//! Every plan's scale blocks are whole quads of k-groups ([`crate::plan`]),
+//! so the `vpermb` kernels take every multi-row range of a paired plan.
+//! The AVX2 kernels take the rest ([`serves`]): the sequential and flat
+//! rungs, blocks of more than `MAX_KG_PER_BLOCK` (64) k-groups, and the
+//! one-row GEMV of a plan whose block sum overflows `i16` (not `narrow`:
+//! W4 from g128, W3 from g256), which the AVX2 GEMV flushes to `i32`.
 //!
 //! # The `zmm` inner loop
 //!
@@ -74,14 +76,16 @@
 //!
 //! # Bit-identity with AVX2
 //!
-//! Every `zmm` `i16` lane sums the same looked-up bytes with the same
-//! `vpmaddubsw` weights as the AVX2 lane it replaces, and `vpdpbusd` sums
-//! them with the same weights in `i32`. All the sums are exact (the served
-//! plans are the "narrow" ones, whose whole block fits `i16`:
-//! [`supported`]), so their order does not matter. The per-scale-block
-//! `f32` fold is AVX2's per element: `t = fma(blk, 0.5·q_scale, cz·asum)`,
-//! `out = fma(t, scale, out)`. So `Avx512` results equal `Avx2` results bit
-//! for bit.
+//! Every `i16` lane of the `zmm` GEMV sums the same looked-up bytes with
+//! the same `vpmaddubsw` weights as the AVX2 lane it replaces, and it runs
+//! only where a whole block fits `i16`. The `vpermb` kernels sum the same
+//! bytes with the same weights in `i32` through `vpdpbusd`, which no block
+//! can overflow (`MAX_KG_PER_BLOCK` k-groups at W4 are far inside `i32`, a
+//! `const` assertion below), so they take every block, `narrow` or not.
+//! All the sums are exact, so their order does not matter. The
+//! per-scale-block `f32` fold is AVX2's per element: `t = fma(blk,
+//! 0.5·q_scale, cz·asum)`, `out = fma(t, scale, out)`. So `Avx512` results
+//! equal `Avx2` results bit for bit.
 //!
 //! Everything here is `#[target_feature(enable =
 //! "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]`; the driver
@@ -89,30 +93,28 @@
 //! guarantees all seven.
 
 use super::avx2::{self, PairedGeom, MAX_KG_PER_BLOCK};
-use crate::opts::{LUT_GROUP, TILE_M};
+use crate::opts::{QUAD, TILE_M};
 use crate::plan::{self, WeightPlan};
 use crate::table::ActTables;
 use std::arch::x86_64::*;
 use std::ops::Range;
 use tmac_simd::avx512 as simd;
 
-/// Whether the `zmm` kernels serve this plan: the paired stream that the
-/// AVX2 multi-row kernel serves, in scale blocks of whole k-group pairs
-/// whose sums fit `i16` (every common shape). Other plans run on the AVX2
-/// kernels under the `Avx512` family.
-pub fn supported(plan: &WeightPlan) -> bool {
-    let g = PairedGeom::of(plan);
-    avx2::gemm_supported(plan) && g.narrow && !g.lone_kg
+/// Whether the `zmm` kernels serve `rows` rows of `plan`, the predicate
+/// [`mtile`] routes on: every range of the paired stream that the AVX2
+/// multi-row kernel takes from two rows on, and one row where a whole
+/// block fits the GEMV's `i16` lanes (every common shape).
+pub fn serves(plan: &WeightPlan, rows: usize) -> bool {
+    avx2::gemm_supported(plan) && (rows > 1 || PairedGeom::of(plan).narrow)
 }
 
 /// Executes one m-tile for the rows `rows` of `tables`: `outs` receives the
 /// row-major `rows.len() × TILE_M` results, bit-identical to
 /// [`avx2::mtile`]'s.
 ///
-/// Plans the `zmm` kernels serve ([`supported`]) take the `zmm` GEMV kernel
-/// for one row and, when their scale blocks are whole quads of k-groups,
-/// a `vpermb` kernel for more rows (see the module docs); every other
-/// range takes [`avx2::mtile`].
+/// A range the `zmm` kernels serve ([`serves`]) takes the `zmm` GEMV
+/// kernel for one row and a `vpermb` kernel for more (see the module
+/// docs); every other range takes [`avx2::mtile`].
 ///
 /// # Safety
 ///
@@ -132,8 +134,7 @@ pub fn mtile(
     mt: usize,
     outs: &mut [f32],
 ) {
-    let quads = (plan.group_size / LUT_GROUP).is_multiple_of(QUAD);
-    if !supported(plan) || (rows.len() > 1 && !quads) {
+    if !serves(plan, rows.len()) {
         return avx2::mtile(plan, tables, rows, mt, outs);
     }
     assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
@@ -220,7 +221,7 @@ fn madd(acc: &mut __m512i, w: __m512i, vals: __m512i) {
 /// One scale block of whole k-group pairs against one row's tables `tbl`
 /// and the block's stream bytes `src`: returns `Σ_bit 2^bit · L_bit` per
 /// tile row, exactly, as `f32` (rows `0..16`, `16..32`). The block's sums
-/// must fit `i16` ([`supported`]).
+/// must fit `i16` (`narrow`, which [`serves`] checks at one row).
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn paired_block<const BITS: usize>(tbl: &[i8], src: &[u8]) -> (__m512, __m512) {
@@ -288,9 +289,11 @@ fn mtile_paired_bits<const BITS: usize>(
 #[repr(align(64))]
 struct BlockIdx([u8; MAX_KG_PER_BLOCK * 4 * TILE_M]);
 
-/// K-groups per `vpermb` table: one 64-byte `zmm` holds the 16-entry
-/// tables of four consecutive k-groups.
-const QUAD: usize = 4;
+// An `i32` lane of the `vpermb` kernels' block accumulators sums one tile
+// row's lookups over one block: at most `MAX_KG_PER_BLOCK` k-groups, each
+// adding at most `127 · (2^4 − 1)` at W4. It never wraps, so every block
+// sum is exact and no plan needs the `i16` kernels' flush.
+const _: () = assert!(MAX_KG_PER_BLOCK * 127 * ((1 << 4) - 1) <= i32::MAX as usize);
 
 /// One source of a quad's `vpermb` indices: two 32-byte stream steps whose
 /// split nibbles `vpermt2b` gathers into two index vectors, tile rows
@@ -504,7 +507,6 @@ fn gemm_regs_bits<const BITS: usize, const R: usize>(
 /// like [`avx2::gemm_mtile`]: each scale block's indices are turned into
 /// `vpermb` indices once (see the module docs), then looked up against
 /// each row's tables of the block by `vpermb` and combined by `vpdpbusd`.
-/// The block's k-group count must be a multiple of [`QUAD`].
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn gemm_quad_bits<const BITS: usize>(
@@ -571,7 +573,7 @@ fn gemm_quad_bits<const BITS: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::KernelOpts;
+    use crate::opts::{KernelOpts, LUT_GROUP};
     use tmac_quant::rtn;
 
     fn plan(bits: u8, gs: usize, opts: KernelOpts) -> WeightPlan {
@@ -582,30 +584,38 @@ mod tests {
         WeightPlan::new(&rtn::quantize(&w, m, k, bits, gs).unwrap(), opts).unwrap()
     }
 
-    /// The `zmm` kernels serve every bit width at the common group sizes,
-    /// and leave lone k-groups, `i16` flushes and the non-paired plans to
-    /// AVX2.
+    /// The `zmm` kernels serve every range of the paired plans at the
+    /// common group sizes, the one-row GEMV only where a block fits `i16`,
+    /// and leave the non-paired plans and unbufferable blocks to AVX2.
     #[test]
     fn supported_covers_the_paired_exact_plans() {
         for bits in 1..=4u8 {
-            for gs in [8usize, 32, 64] {
-                assert!(
-                    supported(&plan(bits, gs, KernelOpts::tmac())),
-                    "W{bits} g{gs}"
-                );
+            for gs in [16usize, 32, 64] {
+                let p = plan(bits, gs, KernelOpts::tmac());
+                for rows in [1, 2, REG_ROWS, REG_ROWS + 1, TILE_M] {
+                    assert!(serves(&p, rows), "W{bits} g{gs} rows {rows}");
+                }
             }
-            // A lone k-group per block.
-            assert!(!supported(&plan(bits, 12, KernelOpts::tmac())));
             for opts in [
                 KernelOpts::plus_permute(),
                 KernelOpts::plus_table_quant(),
                 KernelOpts::tm_base(),
             ] {
-                assert!(!supported(&plan(bits, 32, opts)), "{opts:?}");
+                let p = plan(bits, 32, opts);
+                for rows in [1, 2, TILE_M] {
+                    assert!(!serves(&p, rows), "{opts:?} rows {rows}");
+                }
             }
         }
-        // W4 at group 128: 32 k-groups overflow an `i16` lane (17 fit).
-        assert!(supported(&plan(3, 128, KernelOpts::tmac())));
-        assert!(!supported(&plan(4, 128, KernelOpts::tmac())) && 128 / LUT_GROUP > 17);
+        // More k-groups per block than the AVX2 sweep buffers.
+        let wide = 2 * MAX_KG_PER_BLOCK * LUT_GROUP;
+        assert!(!serves(&plan(2, wide, KernelOpts::tmac()), 2));
+        // W4 at group 128: 32 k-groups overflow an `i16` lane (17 fit), so
+        // only the one-row GEMV falls back; W3 from g256 likewise.
+        assert!(serves(&plan(3, 128, KernelOpts::tmac()), 1));
+        let w4 = plan(4, 128, KernelOpts::tmac());
+        assert!(!serves(&w4, 1) && 128 / LUT_GROUP > 17);
+        assert!(serves(&w4, 2) && serves(&w4, TILE_M));
+        assert!(!serves(&plan(3, 256, KernelOpts::tmac()), 1));
     }
 }

@@ -10,8 +10,10 @@
 //! * `avx512` — the paired-stream GEMV kernel on `zmm` registers (x86-64
 //!   with AVX-512 F/BW/VBMI/VNNI): one `vpshufb` per 64 lookups, and from
 //!   two rows on two `vpermb` + `vpdpbusd` kernels (2–4 rows in registers,
-//!   more buffered) that look a quad of k-groups up per instruction;
-//!   bit-identical to `avx2`, which serves every other range of the family.
+//!   more buffered) that look a quad of k-groups up per instruction and
+//!   sum in `i32`, so they take every multi-row range of the paired
+//!   stream; bit-identical to `avx2`, which serves the other rungs and the
+//!   one-row GEMV of a plan whose block sum overflows `i16`.
 //!
 //! The caller's kernel family (`tmac_simd::Isa`, held by
 //! [`crate::ExecCtx`]) picks the module: `Scalar`, `Avx2` or `Avx512`.

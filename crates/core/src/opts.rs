@@ -24,6 +24,14 @@
 /// the slower `TBL2`/AVX-512 shuffles).
 pub const LUT_GROUP: usize = 4;
 
+/// K-groups per *quad*: every scale block holds whole quads, so a plan's
+/// `group_size` is a multiple of `QUAD · LUT_GROUP` = 16 weights.
+///
+/// One 64-byte `zmm` holds the 16-entry tables of a quad, which `vpermb`
+/// looks up in one instruction; a quad is also two whole k-group pairs of
+/// the paired stream, so no kernel has a lone-k-group tail.
+pub const QUAD: usize = 4;
+
 /// Rows processed per kernel micro-tile (`M_tm`).
 ///
 /// 32 matches one AVX2 lookup (32 indices per `PSHUFB` with a duplicated

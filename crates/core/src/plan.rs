@@ -21,13 +21,17 @@
 //!     32-byte step holds a **k-group pair × 16 rows × a bit-plane pair** —
 //!     lane `L` = k-group `2kp+L`; byte `2j+b` of a lane = `(row 16h+j,
 //!     plane 2p+b)` low nibble, `(row 16h+8+j, plane 2p+b)` high nibble —
-//!     in block order `for kp { for p { h=0, h=1 }, [lone plane] }, [lone
-//!     k-group]` (DESIGN.md §3b has the diagram and the kernel it buys).
-//!     A lone trailing plane (odd `bits`) packs 32 rows of the pair in one
-//!     step; a lone trailing k-group (odd `group_size/4`) puts the two row
-//!     halves in the two lanes. Every shape streams `bits/2` bytes per
-//!     index, like the sequential order; [`permuted_nibble`] is the one
-//!     definition the packer and [`WeightPlan::index`] share.
+//!     in block order `for kp { for p { h=0, h=1 }, [lone plane] }`
+//!     (DESIGN.md §3b has the diagram and the kernel it buys). A lone
+//!     trailing plane (odd `bits`) packs 32 rows of the pair in one step.
+//!     Every shape streams `bits/2` bytes per index, like the sequential
+//!     order; [`permuted_nibble`] is the one definition the packer and
+//!     [`WeightPlan::index`] share.
+//!
+//! Every plan's scale blocks hold whole quads of k-groups (`group_size` a
+//! multiple of 16, [`QUAD`]), which [`WeightPlan::new`] and
+//! [`WeightPlan::from_parts`] check alike: a block is always whole k-group
+//! pairs, and whole `vpermb` tables.
 //!
 //! Scales are IEEE halves, 2 bytes each (the bits `u16`): the quantizers
 //! already round them to halves (`tmac_quant`'s "Scale precision"), so the
@@ -40,7 +44,7 @@
 //! paid once offline — exactly the paper's argument for why permutation and
 //! interleaving are free at inference time.
 
-use crate::opts::{KernelOpts, LUT_GROUP, TILE_M};
+use crate::opts::{KernelOpts, LUT_GROUP, QUAD, TILE_M};
 use crate::TmacError;
 use std::sync::Arc;
 use tmac_quant::QuantizedMatrix;
@@ -222,24 +226,13 @@ impl WeightPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TmacError::Shape`] if `K` is not a multiple of the LUT
-    /// group (4) or the scale group size is not a multiple of 4, and the
+    /// Returns [`TmacError::Shape`] unless the scale group size is a
+    /// multiple of 16 that divides `K` (whole quads of k-groups), and the
     /// matrix's own validation error — a scale that is not a half value,
     /// say — converted.
     pub fn new(qm: &QuantizedMatrix, opts: KernelOpts) -> Result<WeightPlan, TmacError> {
         qm.validate()?;
-        if !qm.cols.is_multiple_of(LUT_GROUP) {
-            return Err(TmacError::Shape(format!(
-                "K = {} must be a multiple of the LUT group {LUT_GROUP}",
-                qm.cols
-            )));
-        }
-        if !qm.group_size.is_multiple_of(LUT_GROUP) {
-            return Err(TmacError::Shape(format!(
-                "group_size {} must be a multiple of the LUT group {LUT_GROUP}",
-                qm.group_size
-            )));
-        }
+        check_geometry(qm.cols, qm.group_size)?;
         let (m, k, bits) = (qm.rows, qm.cols, qm.bits as usize);
         let m_padded = m.div_ceil(TILE_M) * TILE_M;
         let gpr = k / qm.group_size;
@@ -332,8 +325,9 @@ impl WeightPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`TmacError::Shape`] when a dimension invariant or a segment
-    /// length disagrees with the metadata.
+    /// Returns [`TmacError::Shape`] when a dimension invariant (the group
+    /// size rule of [`WeightPlan::new`] among them) or a segment length
+    /// disagrees with the metadata.
     pub fn from_parts(parts: PlanParts) -> Result<WeightPlan, TmacError> {
         let PlanParts {
             m,
@@ -350,15 +344,7 @@ impl WeightPlan {
         if m == 0 || k == 0 {
             return Err(TmacError::Shape(format!("degenerate shape {m}x{k}")));
         }
-        if group_size == 0
-            || !group_size.is_multiple_of(LUT_GROUP)
-            || !k.is_multiple_of(group_size)
-            || !k.is_multiple_of(LUT_GROUP)
-        {
-            return Err(TmacError::Shape(format!(
-                "K {k} / group_size {group_size} violate the LUT-group invariants"
-            )));
-        }
+        check_geometry(k, group_size)?;
         // `m`/`k` may come from an untrusted container index: every
         // derived size is checked so a crafted file yields a typed error,
         // not an overflow panic.
@@ -574,10 +560,28 @@ impl WeightPlan {
     }
 }
 
+/// The one geometry rule of every plan: `K` is whole scale blocks, and a
+/// scale block whole quads of k-groups (`group_size` a multiple of
+/// `QUAD · LUT_GROUP` = 16).
+///
+/// # Errors
+///
+/// Returns [`TmacError::Shape`] otherwise.
+fn check_geometry(k: usize, group_size: usize) -> Result<(), TmacError> {
+    let quad = QUAD * LUT_GROUP;
+    if group_size == 0 || !group_size.is_multiple_of(quad) || !k.is_multiple_of(group_size) {
+        return Err(TmacError::Shape(format!(
+            "group_size {group_size} must be a multiple of {quad} that divides K = {k}"
+        )));
+    }
+    Ok(())
+}
+
 /// Where a permuted scale block of `kgb` k-groups keeps the index of
 /// `(bit, tile row r, k-group kg_in)`: `(byte offset, high nibble?)` — the
 /// one definition of both stream orders (see the module docs), shared by
-/// the packer and [`WeightPlan::index`].
+/// the packer and [`WeightPlan::index`]. The paired order's blocks are
+/// whole k-group pairs, so only the sequential one reads `kgb`.
 pub const fn permuted_nibble(
     interleaved: bool,
     bits: usize,
@@ -592,16 +596,14 @@ pub const fn permuted_nibble(
         return ((bit * kgb + kg_in) * half + r / 2, r % 2 == 1);
     }
     let lone_bit = bits % 2 == 1 && bit == bits - 1;
-    let lone_kg = kgb % 2 == 1 && kg_in == kgb - 1;
-    // A k-group pair owns `bits` 32-byte steps (lane = k-group parity); the
-    // lone k-group's steps follow with lane = row half.
+    // A k-group pair owns `bits` 32-byte steps, lane = k-group parity.
     let base = kg_in / 2 * bits * TILE_M;
-    let (step, lane) = match (lone_kg, lone_bit) {
-        (false, false) => (bit / 2 * 2 + r / half, kg_in % 2),
-        (false, true) => (bits - 1, kg_in % 2),
-        (true, false) => (bit / 2, r / half),
-        (true, true) => (bits / 2, 0),
+    let step = if lone_bit {
+        bits - 1
+    } else {
+        bit / 2 * 2 + r / half
     };
+    let lane = kg_in % 2;
     // Inside a lane a plane pair interleaves its two planes over 16 rows
     // (high nibble = rows 8..16 of the half); a lone plane interleaves rows
     // `j` and `8 + j` over all 32 rows (high nibble = rows 16..32).
@@ -747,12 +749,21 @@ mod tests {
         }
     }
 
+    /// Scale blocks that are not whole quads of k-groups are refused on
+    /// every rung: g2 (`K` = 66, not even whole k-groups), g8 and g24.
     #[test]
     fn rejects_bad_shapes_and_opts() {
-        assert!(matches!(
-            WeightPlan::new(&matrix(8, 66, 4, 2), KernelOpts::tmac()),
-            Err(TmacError::Shape(_))
-        ));
+        for (k, gs) in [(66, 2), (64, 8), (96, 24)] {
+            for (_, opts) in KernelOpts::breakdown_ladder() {
+                assert!(
+                    matches!(
+                        WeightPlan::new(&matrix(8, k, 4, gs), opts),
+                        Err(TmacError::Shape(_))
+                    ),
+                    "g{gs} {opts:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -829,7 +840,7 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_wrong_lengths() {
-        let qm = matrix(40, 128, 2, 32);
+        let qm = matrix(40, 192, 2, 32);
         let plan = WeightPlan::new(&qm, KernelOpts::tmac()).unwrap();
         let mut p = parts_of(&plan);
         p.perm_stream = Segment::from_vec(vec![0u8; 3]);
@@ -846,6 +857,17 @@ mod tests {
         let mut p = parts_of(&plan);
         p.bits = 5;
         assert!(WeightPlan::from_parts(p).is_err());
+        // A header of g8 or g24 (blocks of 2 and 6 k-groups) with segments
+        // of matching lengths: the geometry alone refuses it.
+        for gs in [8, 24] {
+            let mut p = parts_of(&plan);
+            p.group_size = gs;
+            p.scales_perm = Segment::from_vec(vec![0u16; plan.m_padded * 192 / gs]);
+            assert!(matches!(
+                WeightPlan::from_parts(p),
+                Err(TmacError::Shape(_))
+            ));
+        }
     }
 
     #[test]

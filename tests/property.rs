@@ -241,9 +241,10 @@ fn gemv_paths_bit_exact_across_bits_and_odd_shapes() {
     }
 }
 
-/// Group sizes the paired stream must cover: a lone k-group (4, 12), the
-/// common shapes, and blocks long enough to need the mid-block `i32` flush.
-const GROUP_SIZES: [usize; 6] = [4, 12, 32, 64, 128, 256];
+/// Group sizes the paired stream must cover: one and three k-group quads
+/// (16, 48), the common shapes, and blocks long enough to need the
+/// mid-block `i32` flush.
+const GROUP_SIZES: [usize; 6] = [16, 48, 32, 64, 128, 256];
 
 /// `mpgemm` row `i` (`gemm` ≡ the group of the paired and the sequential
 /// plan), the GEMV of row `i`, and the GEMV through the same
