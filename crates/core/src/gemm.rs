@@ -11,7 +11,9 @@
 //! split into tiles — the group's m-tiles concatenated, plan after plan —
 //! and distributed over threads as static thread blocks in one pool
 //! dispatch, and the sequence axis is walked in **[`N_BLOCK`]**-row ranges
-//! of the one table set.
+//! of the one table set. Each thread hands its tiles of a plan to the
+//! kernel family in runs of up to **[`TILE_RUN`]** consecutive tiles; a run
+//! never crosses a plan boundary or the thread's block.
 //!
 //! The context's kernel family ([`ExecCtx::isa`]) picks the kernels. Under
 //! `Avx2` two kernels serve a range, chosen by [`kernel::avx2::mtile`] from
@@ -27,7 +29,9 @@
 //! Under `Avx512`, [`kernel::avx512::mtile`] serves the paired stream with
 //! three `zmm` kernels: the GEMV kernel for one row, and for 2–4 rows (a
 //! decode batch) and for more a `vpermb` + `vpdpbusd` kernel, the first
-//! register-resident, the second buffering indices per block. The other
+//! register-resident, the second buffering indices per block and taking a
+//! whole *run* of m-tiles per call, so that each table load serves every
+//! tile of the run. The other
 //! rungs, blocks of more than 64 k-groups and the one-row GEMV of a plan
 //! whose block sum overflows `i16` (W4 from g128) take the AVX2 kernels;
 //! the two families agree bit for bit. Every
@@ -42,7 +46,7 @@
 
 use crate::exec::ExecCtx;
 use crate::kernel;
-use crate::opts::{N_BLOCK, TILE_M};
+use crate::opts::{N_BLOCK, TILE_M, TILE_RUN};
 use crate::plan::WeightPlan;
 use crate::table::ActTables;
 use crate::TmacError;
@@ -120,23 +124,28 @@ fn check_group(plans: &[&WeightPlan], outs: &[&mut [f32]], n: usize) -> Result<(
     Ok(())
 }
 
-/// One sweep thread's tile buffer: an m-tile of up to [`N_BLOCK`] rows, on
-/// a 64-byte boundary so that the multi-row kernel's 32-byte row loads and
-/// stores never straddle a cache line (the same code measured ±4 % at
-/// n ≥ 2 by where `malloc` put a heap buffer).
+/// One sweep thread's tile buffer: a run of up to [`TILE_RUN`] m-tiles of
+/// up to [`N_BLOCK`] rows each, tile-major, on a 64-byte boundary so that
+/// the kernels' row loads and stores never straddle a cache line (the same
+/// code measured ±4 % at n ≥ 2 by where `malloc` put a heap buffer).
 #[repr(align(64))]
-struct TileBuf([f32; N_BLOCK * TILE_M]);
+struct TileBuf([f32; TILE_RUN * N_BLOCK * TILE_M]);
 
 /// Sweeps the m-tiles of every plan of a group for the rows `rows` of
 /// `tables` (= of each `outs[i]`) in one pool dispatch: the group's tiles
-/// are one list, plan after plan, split into static thread blocks.
+/// are one list, plan after plan, split into static thread blocks. Each
+/// thread hands its tiles of a plan to the kernel family in runs of up to
+/// [`TILE_RUN`] consecutive tiles: a run never crosses a plan boundary or
+/// the thread's block. `Avx512` takes a run in one call (its 5–16-row
+/// kernel loads each table once for the whole run); `Avx2` and scalar walk
+/// it tile by tile.
 ///
 /// What keeps batched forwards bit-identical to independent single-row
 /// forwards: the kernel family (`Avx512`, `Avx2` or scalar) depends on the
 /// context and the plan only, never on the row count — within a family
-/// every row's arithmetic is the same however many rows a call takes.
-/// `Avx512` and `Avx2` also agree with each other bit for bit; scalar
-/// differs from them in `f32` fold rounding.
+/// every row's arithmetic is the same however many rows a call takes, and
+/// however many tiles. `Avx512` and `Avx2` also agree with each other bit
+/// for bit; scalar differs from them in `f32` fold rounding.
 fn sweep(
     plans: &[&WeightPlan],
     tables: &ActTables,
@@ -147,39 +156,51 @@ fn sweep(
     debug_assert!(rows.len() <= N_BLOCK, "a sweep covers at most N_BLOCK rows");
     let isa = ctx.isa();
     let total = plans.iter().map(|p| p.m_tiles()).sum();
+    let tile_len = rows.len() * TILE_M;
     ctx.pool().chunks(total, 1, |tiles| {
         // One sweep of this thread's tiles (`id` = first tile of the group's
         // list, `arg` = rows).
         let _sweep = tmac_trace::span("gemm", "sweep", tiles.start as u64, rows.len() as u64);
-        let mut buf = TileBuf([0f32; N_BLOCK * TILE_M]);
-        let scratch = &mut buf.0[..rows.len() * TILE_M];
+        let mut buf = TileBuf([0f32; TILE_RUN * N_BLOCK * TILE_M]);
         let mut first = 0;
         for (plan, out) in plans.iter().zip(outs) {
             // This plan's tiles are `first..first + m_tiles` of the list.
             let own = first..first + plan.m_tiles();
             first = own.end;
-            for mt in (tiles.start.max(own.start)..tiles.end.min(own.end)).map(|t| t - own.start) {
+            let mine = tiles.start.max(own.start)..tiles.end.min(own.end);
+            for t0 in mine.clone().step_by(TILE_RUN) {
+                let run = t0 - own.start..mine.end.min(t0 + TILE_RUN) - own.start;
+                let scratch = &mut buf.0[..run.len() * tile_len];
+                let per_tile = run.clone().zip(scratch.chunks_exact_mut(tile_len));
                 match isa {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: a context holds only a family the host executes
                     // (`Isa::available`): AVX-512F/BW + AVX2 + FMA + F16C.
                     Isa::Avx512 => unsafe {
-                        kernel::avx512::mtile(plan, tables, rows.clone(), mt, scratch)
+                        kernel::avx512::mtile(plan, tables, rows.clone(), run.clone(), scratch)
                     },
                     #[cfg(target_arch = "x86_64")]
-                    // SAFETY: as above, AVX2 + FMA + F16C.
-                    Isa::Avx2 => unsafe {
-                        kernel::avx2::mtile(plan, tables, rows.clone(), mt, scratch)
-                    },
-                    _ => kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, scratch),
+                    Isa::Avx2 => {
+                        for (mt, tile) in per_tile {
+                            // SAFETY: as above, AVX2 + FMA + F16C.
+                            unsafe { kernel::avx2::mtile(plan, tables, rows.clone(), mt, tile) }
+                        }
+                    }
+                    _ => {
+                        for (mt, tile) in per_tile {
+                            kernel::scalar::plan_mtile(plan, tables, rows.clone(), mt, tile);
+                        }
+                    }
                 }
-                let m0 = mt * TILE_M;
-                let take = TILE_M.min(plan.m - m0);
-                for (r, tile) in rows.clone().zip(scratch.chunks_exact(TILE_M)) {
-                    // SAFETY: this thread owns tile `mt` of every row, and
-                    // row `r`'s lies within `out` (`check_group` checked its
-                    // length).
-                    unsafe { out.slice(r * plan.m + m0, take) }.copy_from_slice(&tile[..take]);
+                for (mt, tile) in run.zip(buf.0.chunks_exact(tile_len)) {
+                    let m0 = mt * TILE_M;
+                    let take = TILE_M.min(plan.m - m0);
+                    for (r, row) in rows.clone().zip(tile.chunks_exact(TILE_M)) {
+                        // SAFETY: this thread owns tile `mt` of every row, and
+                        // row `r`'s lies within `out` (`check_group` checked
+                        // its length).
+                        unsafe { out.slice(r * plan.m + m0, take) }.copy_from_slice(&row[..take]);
+                    }
                 }
             }
         }
@@ -453,10 +474,10 @@ mod tests {
     /// The forced-family matrix: `Avx512` must equal `Avx2` bit for bit
     /// through `mpgemm` at every bit width, for every kernel of the family
     /// — the GEMV (n = 1), the register-resident `vpermb` kernel (2–4 rows)
-    /// and the buffered one (5 rows on, with the ranges that `N_BLOCK`
+    /// and the multi-tile one (5 rows on, with the ranges that `N_BLOCK`
     /// leaves around it) — with a ragged last m-tile. Six group sizes: one
-    /// quad (g16), g32, three quads (g48, an odd count for `gemm_quad_bits`'
-    /// alternating accumulator sets), g64, and g128 and g256, whose blocks
+    /// quad (g16), g32, three quads (g48, an odd quad count), g64, and g128
+    /// and g256, whose blocks
     /// overflow `i16` at W4 (and W3 at g256): their `vpermb` ranges sum in
     /// `i32`, their one-row GEMV is AVX2's `i16` flush. Each range's kernel
     /// is asserted through the predicate `avx512::mtile` routes on, and the
@@ -502,7 +523,7 @@ mod tests {
                 let narrow = gs / crate::LUT_GROUP <= 32767 / (127 * ((1 << bits) - 1));
                 for n in ns {
                     // Every `N_BLOCK`-row range takes a `zmm` kernel — the
-                    // GEMV, `gemm_regs_bits` (2–4 rows) or `gemm_quad_bits`
+                    // GEMV, `gemm_regs_bits` (2–4 rows) or `gemm_run_bits`
                     // — except a one-row range of a plan that is not narrow.
                     #[cfg(target_arch = "x86_64")]
                     for n0 in (0..n).step_by(N_BLOCK) {
@@ -531,6 +552,82 @@ mod tests {
             let (qm, _) = setup(m, 128, 1, 2);
             let plan = WeightPlan::new(&qm, opts).unwrap();
             assert!(!(1..=N_BLOCK).any(|rows| kernel::avx512::serves(&plan, rows)));
+        }
+    }
+
+    /// Tile runs: `Avx512`, which takes each thread's tiles of a plan in runs
+    /// of up to `TILE_RUN` (W4: one tile a call), equals `Avx2`, which walks
+    /// them one by one, bit for bit. On 1, 2 and 3 threads, `M` gives the
+    /// first thread 1 to `TILE_RUN + 1` tiles and the last fewer (uneven
+    /// static blocks, so runs end early), always with a ragged last tile
+    /// inside a run; a
+    /// group of `M` = 96, 64, 40 (3 + 2 + 2 tiles) has runs that would
+    /// straddle its plans. Every row count of a multi-tile range (5–7,
+    /// 15–17, 33: odd rows take the one-row pass), W1–W4, and group sizes
+    /// g16, g32, g48 and the `i32`-only blocks of g128 and g256.
+    #[test]
+    fn avx512_tile_runs_bit_identical_to_avx2() {
+        let ctxs = |threads| {
+            let zmm = ExecCtx::with_isa(threads, Isa::Avx512).ok()?;
+            Some((zmm, ExecCtx::with_isa(threads, Isa::Avx2).unwrap()))
+        };
+        if ctxs(1).is_none() {
+            println!(
+                "skipped: this host has no AVX-512 F/BW/VBMI/VNNI (detected {})",
+                Isa::detect()
+            );
+            return;
+        }
+        let ns = [5, 6, 7, 15, N_BLOCK, N_BLOCK + 1, 2 * N_BLOCK + 1];
+        let n_max = 2 * N_BLOCK + 1;
+        let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut case = 0;
+        for threads in 1..=3 {
+            let (zmm, ymm) = ctxs(threads).unwrap();
+            for bits in 1..=4u8 {
+                for gs in [16usize, 32, 48, 128, 256] {
+                    let k = gs * (256 / gs).max(2);
+                    let act: Vec<f32> = (0..n_max * k)
+                        .map(|i| ((i as f32) * 0.17).cos() * 0.8 + (i / k) as f32 * 0.05)
+                        .collect();
+                    let plan_of = |m: usize| {
+                        let w: Vec<f32> = (0..m * k)
+                            .map(|i| ((i as f32) * 0.31 + m as f32).sin() * 0.6)
+                            .collect();
+                        let qm = rtn::quantize(&w, m, k, bits, gs).unwrap();
+                        WeightPlan::new(&qm, KernelOpts::tmac()).unwrap()
+                    };
+                    // 1..=TILE_RUN + 1 tiles on the first thread, fewer on
+                    // the last (of 3), the last tile ragged; then the
+                    // three-plan group.
+                    let mut groups: Vec<Vec<WeightPlan>> = (1..=TILE_RUN + 1)
+                        .map(|per| vec![plan_of((per * threads - threads + 1) * TILE_M - 7)])
+                        .collect();
+                    groups.push([96, 64, 40].map(plan_of).into());
+                    for plans in &groups {
+                        // Two row counts a case, so that every count meets
+                        // every bit width and group size.
+                        for n in [ns[case % ns.len()], ns[(case + 3) % ns.len()]] {
+                            let group: Vec<&WeightPlan> = plans.iter().collect();
+                            let run = |ctx: &ExecCtx| {
+                                let mut outs: Vec<Vec<f32>> =
+                                    plans.iter().map(|p| vec![0f32; n * p.m]).collect();
+                                let mut views: Vec<&mut [f32]> =
+                                    outs.iter_mut().map(|o| &mut o[..]).collect();
+                                mpgemm_group(&group, &act[..n * k], n, &mut views, ctx).unwrap();
+                                outs.iter().map(|o| bits_of(o)).collect::<Vec<_>>()
+                            };
+                            let ms: Vec<usize> = plans.iter().map(|p| p.m).collect();
+                            assert_eq!(
+                                run(&zmm),
+                                run(&ymm),
+                                "threads={threads} W{bits} g{gs} n={n} M={ms:?}"
+                            );
+                        }
+                        case += 1;
+                    }
+                }
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //!
 //! | rows | kernel |
 //! |---|---|
-//! | 1 | `mtile_paired_bits`: [`super::avx2`]'s paired GEMV, 64 bytes at a time |
-//! | 2..=`REG_ROWS` (4) | `gemm_regs_bits`: the `vpermb` kernel, register-resident |
-//! | more | `gemm_quad_bits`: the `vpermb` kernel, indices buffered per block |
+//! | 1 | `mtile_paired_bits`: [`super::avx2`]'s paired GEMV, 64 bytes at a time, one m-tile a call |
+//! | 2..=`REG_ROWS` (4) | `gemm_regs_bits`: the `vpermb` kernel, register-resident, one m-tile a call |
+//! | more | `gemm_run_bits`: the `vpermb` kernel over a run of up to `TILE_RUN` (4) m-tiles, indices buffered per block |
 //!
 //! Every plan's scale blocks are whole quads of k-groups ([`crate::plan`]),
 //! so the `vpermb` kernels take every multi-row range of a paired plan.
@@ -62,17 +62,27 @@
 //! of each, where a `vpshufb` loop spends a `vpshufb`, a `vpmaddubsw` and a
 //! `vpaddw` per 64 lookups and a `vpermt2q` + `vpmovsxwd` tail per block.
 //!
-//! The two kernels differ in where the indices live. `gemm_quad_bits`
-//! writes a scale block's indices to a stack buffer once and runs a row
-//! loop over it, two accumulator sets alternating quads so no `vpdpbusd`
-//! waits on the one before it; each row's outputs are loaded and stored per
-//! block. `gemm_regs_bits` (2..=`REG_ROWS` rows, a const generic) builds
-//! each quad's index vectors in registers and looks each one up against
-//! every row's table at once, so nothing is buffered: the rows' block
-//! accumulators are independent chains, and their outputs stay in
+//! The two kernels differ in where the indices live and in what a table
+//! load serves. `gemm_regs_bits` (2..=`REG_ROWS` rows, a const generic)
+//! builds each quad's index vectors in registers and looks each one up
+//! against every row's table at once, so nothing is buffered: the rows'
+//! block accumulators are independent chains, and their outputs stay in
 //! registers for the whole m-tile. It also prefetches the weight stream
 //! per block, as the GEMV kernel does. At five rows and more its registers
-//! run out (see `REG_ROWS`) and the buffered kernel takes over.
+//! run out (see `REG_ROWS`) and `gemm_run_bits` takes over.
+//!
+//! `gemm_run_bits` takes a *run* of `MT` consecutive m-tiles of one plan
+//! (`MT` ≤ `TILE_RUN`, a const generic; the sweep hands each thread's tiles
+//! over in runs). The tables are the reused operand (§3.2), so it reuses
+//! each table load across the whole run: per scale block it writes each
+//! tile's indices to that tile's stack buffer, widens each tile's 32 half
+//! scales and computes every row's `0.5·q_scale` and `cz·asum`, once; then
+//! it walks the rows two at a time. Per quad the row pair's two tables are
+//! loaded once and looked up against every tile's index vectors, `MT·2·bits`
+//! index loads and `2·MT·2·bits` `vpermb` + `vpdpbusd` into `2·MT·2` `i32`
+//! accumulators held in registers (16 at `MT` = 4). Each (row, tile) block
+//! sum is then folded into the run's outputs, loaded and stored per block.
+//! A lone last row of an odd range takes the same loop with one table.
 //!
 //! # Bit-identity with AVX2
 //!
@@ -93,7 +103,7 @@
 //! guarantees all seven.
 
 use super::avx2::{self, PairedGeom, MAX_KG_PER_BLOCK};
-use crate::opts::{QUAD, TILE_M};
+use crate::opts::{N_BLOCK, QUAD, TILE_M, TILE_RUN};
 use crate::plan::{self, WeightPlan};
 use crate::table::ActTables;
 use std::arch::x86_64::*;
@@ -108,13 +118,15 @@ pub fn serves(plan: &WeightPlan, rows: usize) -> bool {
     avx2::gemm_supported(plan) && (rows > 1 || PairedGeom::of(plan).narrow)
 }
 
-/// Executes one m-tile for the rows `rows` of `tables`: `outs` receives the
-/// row-major `rows.len() × TILE_M` results, bit-identical to
-/// [`avx2::mtile`]'s.
+/// Executes a run of consecutive m-tiles `tiles` for the rows `rows` of
+/// `tables`: `outs` receives, tile after tile, each tile's row-major
+/// `rows.len() × TILE_M` results, bit-identical to [`avx2::mtile`]'s.
 ///
 /// A range the `zmm` kernels serve ([`serves`]) takes the `zmm` GEMV
-/// kernel for one row and a `vpermb` kernel for more (see the module
-/// docs); every other range takes [`avx2::mtile`].
+/// kernel for one row and `gemm_regs_bits` for 2..=`REG_ROWS` rows, tile
+/// by tile, and the multi-tile `gemm_run_bits` for more, the whole run in
+/// one call (see the module docs); every other range takes
+/// [`avx2::mtile`] tile by tile.
 ///
 /// # Safety
 ///
@@ -124,27 +136,47 @@ pub fn serves(plan: &WeightPlan, rows: usize) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if the plan has no AVX2 kernel or `outs` is shorter than
-/// `rows.len() × TILE_M`.
+/// Panics if the plan has no AVX2 kernel, a tile is out of range, the run
+/// is empty or longer than [`TILE_RUN`], or `outs` is shorter than
+/// `tiles.len() × rows.len() × TILE_M`.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 pub fn mtile(
     plan: &WeightPlan,
     tables: &ActTables,
     rows: Range<usize>,
-    mt: usize,
+    tiles: Range<usize>,
     outs: &mut [f32],
 ) {
-    if !serves(plan, rows.len()) {
-        return avx2::mtile(plan, tables, rows, mt, outs);
-    }
-    assert!(outs.len() >= rows.len() * TILE_M, "outs too short");
+    let tile_len = rows.len() * TILE_M;
+    assert!(
+        (1..=TILE_RUN).contains(&tiles.len()),
+        "a run of 1..=TILE_RUN tiles"
+    );
+    assert!(outs.len() >= tiles.len() * tile_len, "outs too short");
+    let per_tile = tiles.clone().zip(outs.chunks_exact_mut(tile_len));
     let bits = plan.bits;
-    match rows.len() {
-        1 => for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, outs)),
-        2 => for_bits!(bits, gemm_regs_bits<2>(plan, tables, rows, mt, outs)),
-        3 => for_bits!(bits, gemm_regs_bits<3>(plan, tables, rows, mt, outs)),
-        REG_ROWS => for_bits!(bits, gemm_regs_bits<REG_ROWS>(plan, tables, rows, mt, outs)),
-        _ => for_bits!(bits, gemm_quad_bits(plan, tables, rows, mt, outs)),
+    if !serves(plan, rows.len()) {
+        for (mt, out) in per_tile {
+            avx2::mtile(plan, tables, rows.clone(), mt, out);
+        }
+        return;
+    }
+    if rows.len() <= REG_ROWS {
+        for (mt, out) in per_tile {
+            match rows.len() {
+                1 => for_bits!(bits, mtile_paired_bits(plan, tables, rows.start, mt, out)),
+                2 => for_bits!(bits, gemm_regs_bits<2>(plan, tables, rows.clone(), mt, out)),
+                3 => for_bits!(bits, gemm_regs_bits<3>(plan, tables, rows.clone(), mt, out)),
+                _ => for_bits!(bits, gemm_regs_bits<REG_ROWS>(plan, tables, rows.clone(), mt, out)),
+            }
+        }
+        return;
+    }
+    match tiles.len() {
+        1 => for_bits!(bits, gemm_run_bits<1>(plan, tables, rows, tiles.start, outs)),
+        2 => for_bits!(bits, gemm_run_bits<2>(plan, tables, rows, tiles.start, outs)),
+        3 => for_bits!(bits, gemm_run_bits<3>(plan, tables, rows, tiles.start, outs)),
+        _ => for_bits!(bits, gemm_run_bits<TILE_RUN>(plan, tables, rows, tiles.start, outs)),
     }
 }
 
@@ -170,6 +202,19 @@ impl OutAcc {
         let t1 = _mm512_fmadd_ps(blk.1, sc, bias);
         self.0 = _mm512_fmadd_ps(t0, simd::loadu_ph(&scales[..16]), self.0);
         self.1 = _mm512_fmadd_ps(t1, simd::loadu_ph(&scales[16..]), self.1);
+    }
+
+    /// [`Self::fold`] with the 32 scales already widened: the same three
+    /// `fma`s per element. (`fold` keeps its own body: routed through here,
+    /// it made `gemm_regs_bits`' W2 block loop spill.)
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn fold_wide(&mut self, blk: (__m512, __m512), sc: f32, bias: f32, scales: [__m512; 2]) {
+        let (sc, bias) = (_mm512_set1_ps(sc), _mm512_set1_ps(bias));
+        let t0 = _mm512_fmadd_ps(blk.0, sc, bias);
+        let t1 = _mm512_fmadd_ps(blk.1, sc, bias);
+        self.0 = _mm512_fmadd_ps(t0, scales[0], self.0);
+        self.1 = _mm512_fmadd_ps(t1, scales[1], self.1);
     }
 
     /// Stores into a `TILE_M`-float slice prefix.
@@ -396,26 +441,6 @@ static QUAD_SOURCES: [[QuadSource; 4]; 4] = [
     quad_sources(4),
 ];
 
-/// Looks one row's quad up: `tbl` is the quad's 64 table bytes and `idx`
-/// its `2·BITS` index vectors; vector `2j + h` adds into `acc[h]` with
-/// source `j`'s weights `w[j]`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni")]
-fn quad_lookups<const BITS: usize>(
-    acc: &mut [__m512i; 2],
-    w: &[__m512i; 4],
-    tbl: &[i8],
-    idx: &[u8],
-) {
-    let t = simd::loadu_512(tbl);
-    for (w, vecs) in w.iter().zip(idx.chunks_exact(128)).take(BITS) {
-        for (h, acc) in acc.iter_mut().enumerate() {
-            let vals = _mm512_permutexvar_epi8(simd::loadu_512(&vecs[64 * h..]), t);
-            *acc = _mm512_dpbusd_epi32(*acc, *w, vals);
-        }
-    }
-}
-
 /// The two index vectors of `source` in the quad whose stream bytes `raw`
 /// starts: `(nibble & 0x0F) | select` per byte for the low and the high
 /// nibbles (one `vpternlogd` each), then one `vpermt2b` per tile-row half.
@@ -443,18 +468,18 @@ fn quad_indices(source: &QuadSource, raw: &[u8]) -> [__m512i; 2] {
 /// the quad's table, 5 of the 32 `zmm`, beside the index vectors and
 /// constants. At 4 rows the W1 and W2 instances keep all of them across
 /// the m-tile; at 5 every instance spills once per block, at 8 the W4 quad
-/// loop itself. The measured table (DESIGN.md §3b): 0.76–0.83× of
-/// [`gemm_quad_bits`] at 2–4 rows, 0.78–0.89× at 5 (spilling), 0.92–1.07×
-/// at 6 and 8.
+/// loop itself. The measured table (DESIGN.md §3b): 0.76–0.83× of the
+/// buffered one-tile kernel that [`gemm_run_bits`] replaced at 2–4 rows,
+/// 0.78–0.89× at 5 (spilling), 0.92–1.07× at 6 and 8.
 const REG_ROWS: usize = 4;
 
-/// Multi-row kernel for 2..=[`REG_ROWS`] rows (`R`): [`gemm_quad_bits`]'s
-/// lookups with nothing buffered. Per quad it loads the `R` rows' tables,
-/// builds the quad's `2·BITS` index vectors in registers and runs
-/// `R·2·BITS` `vpermb` + `vpdpbusd`; the block and output accumulators of
-/// every row stay in registers across the whole m-tile, and the weight
-/// stream is prefetched per block as the GEMV kernel does. Every output
-/// element sees [`gemm_quad_bits`]'s fold sequence.
+/// Multi-row kernel for 2..=[`REG_ROWS`] rows (`R`): [`gemm_run_bits`]'s
+/// lookups with nothing buffered, one m-tile a call. Per quad it loads the
+/// `R` rows' tables, builds the quad's `2·BITS` index vectors in registers
+/// and runs `R·2·BITS` `vpermb` + `vpdpbusd`; the block and output
+/// accumulators of every row stay in registers across the whole m-tile,
+/// and the weight stream is prefetched per block as the GEMV kernel does.
+/// Every output element sees `OutAcc::fold`'s sequence.
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
 fn gemm_regs_bits<const BITS: usize, const R: usize>(
@@ -503,68 +528,120 @@ fn gemm_regs_bits<const BITS: usize, const R: usize>(
     }
 }
 
-/// Multi-row kernel for more than [`REG_ROWS`] rows, scale-block-outer
-/// like [`avx2::gemm_mtile`]: each scale block's indices are turned into
-/// `vpermb` indices once (see the module docs), then looked up against
-/// each row's tables of the block by `vpermb` and combined by `vpdpbusd`.
+/// Turns one scale block's stream bytes `src` into its `vpermb` indices
+/// (see the module docs): per quad, source after source, the source's two
+/// index vectors, `2 ×` the block's bytes in all.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx2")]
+fn block_indices<const BITS: usize>(src: &[u8], idx: &mut BlockIdx) {
+    let sources = &QUAD_SOURCES[BITS - 1][..BITS];
+    for (raw, dst) in src
+        .chunks_exact(64 * BITS)
+        .zip(idx.0.chunks_exact_mut(128 * BITS))
+    {
+        for (s, dst) in sources.iter().zip(dst.chunks_exact_mut(128)) {
+            for (v, dst) in quad_indices(s, raw)
+                .into_iter()
+                .zip(dst.chunks_exact_mut(64))
+            {
+                simd::storeu_512(dst, v);
+            }
+        }
+    }
+}
+
+/// Multi-row kernel for more than [`REG_ROWS`] rows over a run of `MT`
+/// consecutive m-tiles `mt0..mt0 + MT`, scale-block-outer like
+/// [`avx2::gemm_mtile`]. Per scale block it turns each tile's stream into
+/// `vpermb` indices in the tile's own buffer ([`block_indices`]), widens
+/// each tile's 32 half scales and computes each row's fold scalars, once;
+/// then it walks the rows two at a time ([`rows_block`]), loading each
+/// quad's tables once for all `MT` tiles. `outs` holds the run's results
+/// tile-major (see [`mtile`]); every element sees `OutAcc::fold`'s
+/// sequence, as in the GEMV kernel.
 #[inline(never)] // A stable symbol for the disassembly test.
 #[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
-fn gemm_quad_bits<const BITS: usize>(
+fn gemm_run_bits<const BITS: usize, const MT: usize>(
     plan: &WeightPlan,
     tables: &ActTables,
     rows: Range<usize>,
-    mt: usize,
+    mt0: usize,
     outs: &mut [f32],
 ) {
-    let (bb, tb) = (plan.block_bytes(), tables.block_len());
-    let stream = plan.mtile_stream(mt);
-    let sources = &QUAD_SOURCES[BITS - 1][..BITS];
+    let (bb, tb, n) = (plan.block_bytes(), tables.block_len(), rows.len());
+    debug_assert!(n <= N_BLOCK);
+    let streams: [&[u8]; MT] = std::array::from_fn(|t| plan.mtile_stream(mt0 + t));
     let w = QUAD_SOURCES[BITS - 1].map(|s| _mm512_set1_epi32(s.weights));
-    let mut idx = BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]);
-    let outs = &mut outs[..rows.len() * TILE_M];
+    let mut idx = [const { BlockIdx([0; MAX_KG_PER_BLOCK * 4 * TILE_M]) }; MT];
+    let outs = &mut outs[..MT * n * TILE_M];
     outs.fill(0.0);
     for sb in 0..plan.groups_per_row() {
-        let src = &stream[sb * bb..(sb + 1) * bb];
-        for (raw, dst) in src
-            .chunks_exact(64 * BITS)
-            .zip(idx.0.chunks_exact_mut(128 * BITS))
-        {
-            for (s, dst) in sources.iter().zip(dst.chunks_exact_mut(128)) {
-                for (v, dst) in quad_indices(s, raw)
-                    .into_iter()
-                    .zip(dst.chunks_exact_mut(64))
-                {
-                    simd::storeu_512(dst, v);
+        let mut scales = [[_mm512_setzero_ps(); 2]; MT];
+        for (t, (idx, scales)) in idx.iter_mut().zip(&mut scales).enumerate() {
+            block_indices::<BITS>(&streams[t][sb * bb..(sb + 1) * bb], idx);
+            let s = plan.tile_scales(mt0 + t, sb);
+            *scales = [simd::loadu_ph(&s[..16]), simd::loadu_ph(&s[16..])];
+        }
+        let idx = idx.each_ref().map(|i| &i.0[..2 * bb]);
+        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
+        let mut folds = [(0f32, 0f32); N_BLOCK];
+        for (f, (q_scale, asum)) in folds.iter_mut().zip(q_scales.iter().zip(asums)) {
+            *f = (0.5 * q_scale, plan.cz * asum);
+        }
+        let units = tables.block_tables(sb, rows.clone());
+        let unit = |r: usize| &units[r * tb..(r + 1) * tb];
+        for r in (0..n - 1).step_by(2) {
+            let (units, folds) = ([unit(r), unit(r + 1)], [folds[r], folds[r + 1]]);
+            rows_block::<BITS, MT, 2>(&w, units, &idx, folds, &scales, outs, r);
+        }
+        if n % 2 == 1 {
+            let r = n - 1;
+            rows_block::<BITS, MT, 1>(&w, [unit(r)], &idx, [folds[r]], &scales, outs, r);
+        }
+    }
+}
+
+/// One scale block of the `RP` rows `r..r + RP` against every tile of a
+/// run: per quad the rows' tables are loaded once and looked up against
+/// each tile's `2·BITS` index vectors (`idx[t]`), one `vpermb` and one
+/// `vpdpbusd` per (row, index vector), into `RP·MT·2` `i32` accumulators
+/// held in registers; then each (row, tile) block sum is folded into its
+/// output row (`folds`: the rows' `(0.5·q_scale, cz·asum)`, `scales`: the
+/// tiles' widened scales; `outs` tile-major).
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,avx512vnni,avx2,fma,f16c")]
+fn rows_block<const BITS: usize, const MT: usize, const RP: usize>(
+    w: &[__m512i; 4],
+    units: [&[i8]; RP],
+    idx: &[&[u8]; MT],
+    folds: [(f32, f32); RP],
+    scales: &[[__m512; 2]; MT],
+    outs: &mut [f32],
+    r: usize,
+) {
+    let mut acc = [[[_mm512_setzero_si512(); 2]; MT]; RP];
+    for q in 0..units[0].len() / 64 {
+        let t = units.map(|u| simd::loadu_512(&u[64 * q..64 * (q + 1)]));
+        for (tile, idx) in idx.iter().enumerate() {
+            let vecs = &idx[128 * BITS * q..128 * BITS * (q + 1)];
+            for (w, src) in w.iter().zip(vecs.chunks_exact(128)) {
+                for (h, v) in src.chunks_exact(64).enumerate() {
+                    let v = simd::loadu_512(v);
+                    for (acc, t) in acc.iter_mut().zip(t) {
+                        let vals = _mm512_permutexvar_epi8(v, t);
+                        acc[tile][h] = _mm512_dpbusd_epi32(acc[tile][h], *w, vals);
+                    }
                 }
             }
         }
-        let idx = &idx.0[..2 * bb];
-        let scales = plan.tile_scales(mt, sb);
-        let (q_scales, asums) = tables.block_scales(sb, rows.clone());
-        let units = tables.block_tables(sb, rows.clone()).chunks_exact(tb);
-        for (((out, tbl), q_scale), asum) in outs
-            .chunks_exact_mut(TILE_M)
-            .zip(units)
-            .zip(q_scales)
-            .zip(asums)
-        {
-            // Two accumulator sets, alternate quads.
-            let mut acc = [[_mm512_setzero_si512(); 2]; 2];
-            let mut quads = tbl.chunks_exact(64).zip(idx.chunks_exact(128 * BITS));
-            while let Some((t, v)) = quads.next() {
-                quad_lookups::<BITS>(&mut acc[0], &w, t, v);
-                if let Some((t, v)) = quads.next() {
-                    quad_lookups::<BITS>(&mut acc[1], &w, t, v);
-                }
-            }
-            let rows_f32 = |h: usize| _mm512_cvtepi32_ps(_mm512_add_epi32(acc[0][h], acc[1][h]));
+    }
+    let n = outs.len() / (MT * TILE_M);
+    for (i, (acc, (sc, bias))) in acc.iter().zip(folds).enumerate() {
+        for (t, (acc, scales)) in acc.iter().zip(scales).enumerate() {
+            let out = &mut outs[(t * n + r + i) * TILE_M..][..TILE_M];
+            let blk = (_mm512_cvtepi32_ps(acc[0]), _mm512_cvtepi32_ps(acc[1]));
             let mut o = OutAcc::load(out);
-            o.fold(
-                (rows_f32(0), rows_f32(1)),
-                0.5 * q_scale,
-                plan.cz * asum,
-                scales,
-            );
+            o.fold_wide(blk, sc, bias, *scales);
             o.store(out);
         }
     }

@@ -10,10 +10,15 @@
 //! * `avx512` — the paired-stream GEMV kernel on `zmm` registers (x86-64
 //!   with AVX-512 F/BW/VBMI/VNNI): one `vpshufb` per 64 lookups, and from
 //!   two rows on two `vpermb` + `vpdpbusd` kernels (2–4 rows in registers,
-//!   more buffered) that look a quad of k-groups up per instruction and
+//!   more buffered, over a run of up to `TILE_RUN` m-tiles that shares
+//!   each table load) that look a quad of k-groups up per instruction and
 //!   sum in `i32`, so they take every multi-row range of the paired
 //!   stream; bit-identical to `avx2`, which serves the other rungs and the
 //!   one-row GEMV of a plan whose block sum overflows `i16`.
+//!
+//! The sweep ([`crate::gemm`]) hands a family a run of consecutive m-tiles
+//! of one plan; `avx512` takes a run in one call, `avx2` and `scalar` one
+//! tile at a time.
 //!
 //! The caller's kernel family (`tmac_simd::Isa`, held by
 //! [`crate::ExecCtx`]) picks the module: `Scalar`, `Avx2` or `Avx512`.

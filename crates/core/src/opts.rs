@@ -46,6 +46,15 @@ pub const TILE_M: usize = 32;
 /// weights once (its tables, 256 KB at `K` = 4096, stay in L2).
 pub const N_BLOCK: usize = 16;
 
+/// Most m-tiles one kernel call takes: the sweep hands each thread's tiles
+/// of a plan to its kernel family in *runs* of up to `TILE_RUN`
+/// consecutive tiles, so that a multi-tile kernel loads each table once
+/// for the whole run. A family takes a run in one call or tile by tile;
+/// the tile's results are the same either way. 4 is what the `Avx512`
+/// multi-row kernel's registers hold: a row pair's `2·TILE_RUN·2` `i32`
+/// accumulators are 16 of the 32 `zmm`.
+pub const TILE_RUN: usize = 4;
+
 /// Configuration of the T-MAC mpGEMM kernels: one of the four Figure 10
 /// rungs, named by its constructor. The switches are read back through
 /// [`KernelOpts::table_quant`], [`KernelOpts::permute`] and

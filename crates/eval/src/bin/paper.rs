@@ -277,11 +277,14 @@ fn fig7(quick: bool) -> Vec<Claim> {
     };
     let threads = all_threads();
     let ctx = ExecCtx::new(threads);
+    // The T-MAC column per activation row: the 16-row ranges of the
+    // multi-tile `vpermb` kernel under `Avx512`.
     let mut table = Table::new(&[
         "shape",
         "bits",
         "llama.cpp BLAS (ms)",
         "T-MAC (ms)",
+        "T-MAC us/row",
         "speedup",
     ]);
     let mut w2_s0 = f64::NAN;
@@ -301,7 +304,8 @@ fn fig7(quick: bool) -> Vec<Claim> {
             }
             let speedup = format!("{:.2}x", t_blas / t_tmac);
             let (shape, bits) = (format!("{m}x{k}x{n}"), bits.to_string());
-            table.row(vec![shape, bits, ms(t_blas), ms(t_tmac), speedup]);
+            let per_row = format!("{:.0}", t_tmac * 1e6 / n as f64);
+            table.row(vec![shape, bits, ms(t_blas), ms(t_tmac), per_row, speedup]);
         }
     }
     println!("Figure 7: mpGEMM (seq len {n}), {threads} threads\n\n{table}");

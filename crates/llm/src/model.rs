@@ -434,7 +434,8 @@ impl Model {
                 &mut [&mut s.gate[..b * ffn_dim], &mut s.up[..b * ffn_dim]],
                 ctx,
             )?;
-            ops::swiglu(
+            ops::swiglu_on(
+                ctx.pool(),
                 &mut s.hidden[..b * ffn_dim],
                 &s.gate[..b * ffn_dim],
                 &s.up[..b * ffn_dim],

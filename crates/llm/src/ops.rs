@@ -10,6 +10,7 @@
 //! depend on the host's SIMD support.
 
 use tmac_simd::f32ops;
+use tmac_threadpool::{SharedMut, ThreadPool};
 
 /// RMS normalization: `out[i] = x[i] / rms(x) * gain[i]`.
 ///
@@ -177,6 +178,23 @@ pub fn swiglu(out: &mut [f32], gate: &[f32], up: &[f32]) {
         *o = g / (1.0 + (-g).exp());
     }
     f32ops::mul_assign(out, up);
+}
+
+/// [`swiglu`] split over `pool` in disjoint ranges: each element takes the
+/// same operations, so the result is bit-identical at every pool size.
+///
+/// # Panics
+///
+/// Panics if slice lengths differ.
+pub fn swiglu_on(pool: &ThreadPool, out: &mut [f32], gate: &[f32], up: &[f32]) {
+    assert_eq!(gate.len(), up.len(), "swiglu length");
+    assert_eq!(gate.len(), out.len(), "swiglu out length");
+    let out = SharedMut::new(out);
+    pool.chunks(gate.len(), 64, |range| {
+        // SAFETY: `chunks` hands each thread a disjoint range.
+        let part = unsafe { out.slice(range.start, range.len()) };
+        swiglu(part, &gate[range.clone()], &up[range]);
+    });
 }
 
 /// `y += x` elementwise.
@@ -363,6 +381,24 @@ mod tests {
         }
         assert!((dots[0] - dots[1]).abs() < 1e-5);
         assert!((dots[1] - dots[2]).abs() < 1e-5);
+    }
+
+    /// The pooled SwiGLU equals the one-thread one bit for bit, for
+    /// lengths around the split's 64-element granule.
+    #[test]
+    fn swiglu_on_any_pool_is_bit_identical() {
+        for len in [1, 63, 64, 65, 1000, 11008] {
+            let gate: Vec<f32> = (0..len).map(|i| ((i as f32) * 0.37).sin() * 6.0).collect();
+            let up: Vec<f32> = (0..len).map(|i| ((i as f32) * 0.11).cos()).collect();
+            let mut want = vec![0f32; len];
+            swiglu(&mut want, &gate, &up);
+            for threads in [1, 2, 3, 4] {
+                let mut got = vec![0f32; len];
+                swiglu_on(&ThreadPool::new(threads), &mut got, &gate, &up);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "len {len} threads {threads}");
+            }
+        }
     }
 
     #[test]

@@ -76,16 +76,17 @@ impl Insn {
         .any(|m| self.text.starts_with(m))
     }
 
-    /// A 64-byte load from outside the stack frame: in the `vpermb`
-    /// kernel's row loop, a quad's table (its indices sit in a stack
-    /// buffer).
-    fn is_table_load(&self) -> bool {
+    /// A 64-byte load of data, from outside the stack frame and the
+    /// constant pool: in the multi-tile `vpermb` kernel's quad loop, a
+    /// row's table or a tile's index vector.
+    fn is_data_load(&self) -> bool {
         let Some((src, dst)) = self.text.rsplit_once(',') else {
             return false;
         };
         self.text.starts_with("vmov")
             && src.contains('(')
             && !src.contains("%rsp")
+            && !src.contains("%rip")
             && dst.contains("%zmm")
     }
 
@@ -489,19 +490,31 @@ fn zmm_regs_quad_loop_is_register_resident() {
     assert_eq!(w2_rows, [2, 3, 4], "W2 quad loops found, by row count");
 }
 
-/// The `vpermb` multi-row kernel (5 rows and more): its row loop looks a
-/// quad of k-groups up with `vpermb zmm` only, against one 64-byte table
-/// load, and combines with `vpdpbusd zmm` only — `2·bits` of each per
-/// table, no `vpshufb`, `vpmaddubsw` or widening, no lane fix-up — and the
-/// row loop around it keeps every accumulator in registers.
+/// The multi-tile `vpermb` kernel (5 rows and more, `gemm_run_bits`): per
+/// quad its row loop loads each row's table once and looks it up against
+/// every tile's index vectors, `MT·2·bits` index loads per two table loads
+/// in the row-pair loop, with `vpermb zmm` and `vpdpbusd zmm` only, in
+/// equal counts, no `vpshufb`, `vpmaddubsw` or widening, no lane fix-up,
+/// and no vector stack access; at W2 the row-pair loop around it (the fold
+/// included) stores nothing to the stack either.
+///
+/// The instances carry no generic arguments in their symbols, so each
+/// row-pair loop reads its own: every `i32` accumulator register takes
+/// one `vpdpbusd` per source, `bits` of them, and there are `2·MT` per
+/// row. The instances found must be exactly the ones `avx512::mtile`
+/// dispatches, `MT` 1–4 (`TILE_RUN`) at W1–W4 — a run that quietly fell
+/// back to one tile a call would show as a missing instance or a lower
+/// load ratio.
 #[test]
 fn zmm_quad_row_loop_is_vpermb_and_vpdpbusd() {
-    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_quad_bits") else {
+    let Some(funcs) = disassemble(Isa::Avx512, "avx512::gemm_run_bits") else {
         return;
     };
-    let mut w2_row_loops = 0;
-    for f in &funcs {
+    let mut instances = Vec::new();
+    // The instances, not the closures inside them.
+    for f in funcs.iter().filter(|f| count(f, "vpermb") > 0) {
         let all = loops(f);
+        let mut found = Vec::new();
         for body in innermost_with(f, "vpermb") {
             let dump = listing(body);
             let (lookups, combines) = (count(body, "vpermb"), count(body, "vpdpbusd"));
@@ -520,39 +533,70 @@ fn zmm_quad_row_loop_is_vpermb_and_vpdpbusd() {
                 "lane fix-up:\n{dump}"
             );
             assert!(
-                !body.iter().any(Insn::is_vector_stack_store),
-                "spill:\n{dump}"
+                !body.iter().any(Insn::is_vector_stack_access),
+                "the quad loop touches the stack:\n{dump}"
             );
-            let tables = body.iter().filter(|i| i.is_table_load()).count();
+            let distinct = |m: &str, n: usize| {
+                let mut v: Vec<_> = body
+                    .iter()
+                    .filter(|i| i.is(m))
+                    .map(|i| i.operand(n))
+                    .collect();
+                v.sort();
+                v.dedup();
+                v.len()
+            };
+            // Rows: one table register each; every other 64-byte load is an
+            // index vector, looked up once per row.
+            let rows = distinct("vpermb", 0);
+            let loads = body.iter().filter(|i| i.is_data_load()).count();
+            assert!((1..=2).contains(&rows) && loads > rows, "tables:\n{dump}");
+            let index_loads = loads - rows;
+            assert_eq!(
+                lookups,
+                rows * index_loads,
+                "each index vector once, against every row's table:\n{dump}"
+            );
+            if rows != 2 {
+                continue;
+            }
+            let accs = distinct("vpdpbusd", 2);
+            let (bits, mt) = (combines / accs, accs / 4);
             assert!(
-                tables > 0 && lookups % tables == 0 && [2, 4, 6, 8].contains(&(lookups / tables)),
-                "2·bits lookups per table load:\n{dump}"
+                accs % 4 == 0 && combines % accs == 0,
+                "2·MT accumulators a row:\n{dump}"
             );
-            // 2-bit: 4 lookups per quad.
-            if lookups / tables != 4 {
+            assert_eq!(
+                index_loads,
+                mt * 2 * bits,
+                "MT·2·bits index loads per two table loads:\n{dump}"
+            );
+            found.push((bits, mt));
+            if bits != 2 {
                 continue;
             }
             let (inner_head, inner_tail) = (body[0].addr, body[body.len() - 1].addr);
-            let row = all
+            let pair = all
                 .iter()
                 .map(|&(h, t)| &f[h..=t])
                 .filter(|l| l[0].addr <= inner_head && inner_tail <= l[l.len() - 1].addr)
                 .filter(|l| count(l, "vcvtdq2ps") > 0)
-                .min_by_key(|l| l.len());
-            let Some(row) = row else {
-                continue;
-            };
+                .min_by_key(|l| l.len())
+                .expect("a row-pair loop around the quad loop");
             assert!(
-                !row.iter().any(Insn::is_vector_stack_store),
-                "row loop spills:\n{}",
-                listing(row)
+                !pair.iter().any(Insn::is_vector_stack_store),
+                "the W2 row-pair loop spills:\n{}",
+                listing(pair)
             );
-            w2_row_loops += 1;
         }
+        found.sort();
+        found.dedup();
+        assert_eq!(found.len(), 1, "one (bits, MT) per instance: {found:?}");
+        instances.push(found[0]);
     }
-    assert!(
-        w2_row_loops >= 1,
-        "no 2-bit vpermb row loop found in {} symbols",
-        funcs.len()
-    );
+    instances.sort();
+    let want: Vec<(usize, usize)> = (1..=4)
+        .flat_map(|bits| (1..=4).map(move |mt| (bits, mt)))
+        .collect();
+    assert_eq!(instances, want, "the (bits, MT) instances");
 }
